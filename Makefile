@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench bench-smoke bench-json chaos ctl-smoke sched-smoke ha-smoke
+.PHONY: check fmt vet build test bench bench-smoke bench-json benchmark chaos ctl-smoke sched-smoke ha-smoke
 
 check: fmt vet build test bench-smoke ctl-smoke sched-smoke ha-smoke
 
@@ -64,6 +64,11 @@ bench-json:
 	mkdir -p bench-out
 	$(GO) run ./cmd/avabench -json bench-out
 
+# The repository benchmark BENCHMARK.json declares: four long workloads
+# with paired-native ratios and a layer-replay trace (benchmark/README.md).
+benchmark:
+	bash benchmark/run.sh
+
 # Chaos gate: every fault-injection and kill-the-server test under -race,
 # with fixed seeds (the tests pin their own Flaky/backoff seeds), so CI
 # reproduces the same failure schedules run to run. CrossHost covers the
@@ -72,7 +77,10 @@ bench-json:
 # decisions) through the same guardian machinery; Mirror/Gossip/MultiClient
 # /WireClient cover the replicated control plane — remote mirror hosts
 # killed mid-stream, registry replicas killed under quorum reads, gossip
-# repair after partitioned announces.
+# repair after partitioned announces; Host covers the production host
+# runtime (internal/host) those tests and experiments all run — hello
+# forms, eviction, drain vs. kill, and the same-host reconnect that must
+# replay into a clean context.
 chaos:
-	$(GO) test -race -count=1 -run 'Failover|Flaky|Severed|Liveness|Backoff|Control|CrossHost|Rehydration|Rebalance|Mirror|Gossip|MultiClient|WireClient' \
-		./internal/transport/ ./internal/failover/ ./internal/stacktest/ ./internal/sched/ ./internal/fleet/ ./internal/bench/ .
+	$(GO) test -race -count=1 -run 'Failover|Flaky|Severed|Liveness|Backoff|Control|CrossHost|Rehydration|Rebalance|Mirror|Gossip|MultiClient|WireClient|Host' \
+		./internal/transport/ ./internal/failover/ ./internal/stacktest/ ./internal/sched/ ./internal/fleet/ ./internal/bench/ ./internal/host/ .

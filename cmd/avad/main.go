@@ -2,7 +2,8 @@
 // that executes forwarded accelerator API calls over TCP. Pointing a
 // router at a remote avad yields the disaggregated-accelerator
 // configuration of §4.1 (LegoOS-style), with the accelerator on a machine
-// the guest never sees.
+// the guest never sees. It is flag parsing over internal/host, which
+// documents the connection lifecycle, eviction and the two ways to stop.
 //
 // Usage:
 //
@@ -10,30 +11,19 @@
 //	avad -listen :7272 -api mvnc -sticks 2
 //	avad -listen :7272 -api opencl -announce 127.0.0.1:7400 -id gpu-host-a
 //
-// Each accepted connection serves one VM. The connection opens with a
-// hello preamble (transport.EncodeHello): the VM identifier, optionally
-// followed by the endpoint epoch and VM name — a bare legacy [vm][name]
-// preamble is still accepted.
-//
-// With -announce, avad registers itself with a fleet registry (cmd/avaregd
-// or an in-process fleet.Registry served over TCP) and heartbeats until
-// shutdown, making it a failover target for guardians using a registry-
-// backed dialer. Several registries may be named comma-separated
-// (-announce reg-a:7400,reg-b:7400): announces fan out to every replica
-// and reads quorum-merge (fleet.MultiClient), so losing any single
-// registry is invisible. On SIGTERM or SIGINT avad shuts down gracefully: it stops
-// accepting, deregisters from the fleet, drains in-flight connections
-// under the -drain budget, and closes stragglers in order — guests observe
-// an orderly end-of-stream, never a sever.
+// With -announce, avad registers itself with a fleet registry (cmd/avaregd)
+// and heartbeats until shutdown, making it a failover target for guardians
+// using a registry-backed dialer. Several registries may be named
+// comma-separated (-announce reg-a:7400,reg-b:7400): announces fan out to
+// every replica and reads quorum-merge (fleet.MultiClient), so losing any
+// single registry is invisible. On SIGTERM or SIGINT avad drains under the
+// -drain budget: guests observe an orderly end-of-stream, never a sever.
 //
 // With -ctl, avad serves the HTTP control/metrics endpoint
 // (internal/ctlplane) on the given address — conventionally :7273 — so
-// `avactl stats -host <addr>` reads live per-VM counters and
-// `avactl drain` triggers the same graceful sequence as SIGTERM. The
-// counters are read from the live server contexts, so a connection that
-// dies severed (guest crash, network partition) keeps its byte counters
-// visible; they are not lost the way a log-at-disconnect-only scheme
-// would lose them on SIGKILL.
+// `avactl stats -host <addr>` reads live per-VM counters (a connection
+// that died severed keeps its counters visible) and `avactl drain`
+// triggers the same graceful sequence as SIGTERM.
 //
 // With -mirror, avad additionally serves a replication mirror host
 // (failover.MirrorServer) on the given address: remote guardians stream
@@ -43,35 +33,26 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"ava/internal/cl"
 	"ava/internal/ctlplane"
 	"ava/internal/devsim"
-	"ava/internal/failover"
 	"ava/internal/fleet"
+	"ava/internal/host"
 	"ava/internal/mvnc"
 	"ava/internal/qat"
 	"ava/internal/sched"
 	"ava/internal/server"
 	"ava/internal/swap"
-	"ava/internal/transport"
 )
-
-// rejectTTL is how long an evicted VM's reconnects are refused: long
-// enough for its guardian to spend the same-host retry budget and land on
-// a peer, short enough that the VM stays schedulable here afterwards.
-const rejectTTL = 30 * time.Second
 
 func main() {
 	var (
@@ -103,152 +84,68 @@ func main() {
 		fmt.Fprintf(os.Stderr, "avad: %v\n", err)
 		os.Exit(2)
 	}
-
-	l, err := transport.Listen(*listen)
-	if err != nil {
-		log.Fatalf("avad: %v", err)
-	}
-	d := newDaemon(server.New(reg), *drain)
-
-	memberID := ""
-	if *announce != "" {
-		addr := *advertise
-		if addr == "" {
-			addr = l.Addr()
-		}
-		member := fleet.Member{ID: *id, Addr: addr, API: *api}
-		if member.ID == "" {
-			member.ID = addr
-		}
-		addrs := splitAddrs(*announce)
-		var loc fleet.Locator
-		if len(addrs) == 1 {
-			loc = fleet.DialRegistry(addrs[0])
-		} else {
-			loc = fleet.DialRegistries(addrs...)
-		}
-		d.announcer = fleet.StartAnnouncer(loc, member, *every, nil)
-		d.announcer.SetSampler(d.sampleLoad)
-		d.registry = loc
-		memberID = member.ID
-		log.Printf("avad: announcing %s (%s) to %d fleet registr%s (%s)",
-			member.ID, member.Addr, len(addrs), plural(len(addrs), "y", "ies"), *announce)
+	if *rebalance && *announce == "" {
+		fmt.Fprintln(os.Stderr, "avad: -rebalance requires -announce")
+		os.Exit(2)
 	}
 
-	if *mirror != "" {
-		ml, err := transport.Listen(*mirror)
-		if err != nil {
-			log.Fatalf("avad: mirror listen: %v", err)
-		}
-		d.mirror = failover.NewMirrorServer()
-		d.mirrorL = ml
-		go d.mirror.Serve(ml)
-		log.Printf("avad: mirror host serving on %s", ml.Addr())
+	log.SetPrefix("avad: ")
+	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
+	cfg := host.Config{
+		Listen: *listen, API: *api, ID: *id, Advertise: *advertise,
+		AnnounceEvery: *every, Drain: *drain, Mirror: *mirror,
+		Log: log.Default(),
 	}
-
+	registries := strings.FieldsFunc(*announce, func(r rune) bool { return r == ',' || r == ' ' })
+	if len(registries) > 0 {
+		loc := fleet.DialRegistries(registries...)
+		defer loc.Close()
+		cfg.Locator = loc
+	}
 	if *rebalance {
-		if d.registry == nil {
-			fmt.Fprintln(os.Stderr, "avad: -rebalance requires -announce")
-			os.Exit(2)
-		}
-		d.schedLog = sched.NewLog()
-		d.rebalancer = sched.New(sched.Config{
-			Interval:     *rebEvery,
-			SkewRatio:    *rebSkew,
-			MaxPerWindow: *rebMax,
-			From:         memberID,
-			Log:          d.schedLog,
-		}, d.hostLoads(*api, memberID), d.evictVM)
-		d.rebalancer.Start()
-		log.Printf("avad: rebalancing enabled (interval %v, skew %.2f, max %d/window)", *rebEvery, *rebSkew, *rebMax)
+		cfg.Rebalance = &sched.Config{Interval: *rebEvery, SkewRatio: *rebSkew, MaxPerWindow: *rebMax}
+		log.Printf("rebalancing enabled (interval %v, skew %.2f, max %d/window)", *rebEvery, *rebSkew, *rebMax)
+	}
+
+	h, err := host.Start(server.New(reg), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if len(registries) > 0 {
+		log.Printf("announcing to %d fleet registry replica(s): %s", len(registries), *announce)
+	}
+	if *mirror != "" {
+		log.Printf("mirror host serving on %s", h.MirrorAddr())
 	}
 
 	var cs *ctlplane.Server
 	if *ctl != "" {
-		cfg := d.ctlConfig(*api, memberID, l)
-		cfg.Token = *ctlToken
-		cs = ctlplane.New(cfg)
+		cc := h.CtlConfig()
+		cc.Token = *ctlToken
+		cs = ctlplane.New(cc)
 		ctlAddr, err := cs.Start(*ctl)
 		if err != nil {
-			log.Fatalf("avad: %v", err)
+			log.Fatal(err)
 		}
-		log.Printf("avad: ctl listening on %s", ctlAddr)
+		log.Printf("ctl listening on %s", ctlAddr)
 	}
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	go func() {
 		s := <-sigs
-		log.Printf("avad: %v: draining (budget %v)", s, *drain)
-		d.Shutdown(l)
+		log.Printf("%v: draining (budget %v)", s, *drain)
+		h.Shutdown()
 	}()
 
-	log.Printf("avad: serving %s on %s", *api, l.Addr())
-	d.Serve(l)
-	d.Wait()
+	log.Printf("serving %s on %s", *api, h.Addr())
+	h.Wait()
 	if cs != nil {
 		// Closed after the drain completes, so a drain acknowledgement
 		// flushes and final counters stay scrapeable to the very end.
 		cs.Close()
 	}
-	log.Printf("avad: shut down cleanly")
-}
-
-// ctlConfig wires the control endpoint over the daemon's live state: the
-// server's per-VM contexts (counters survive severed links — they live in
-// the context, not the connection), the fleet's live peer view when
-// announced, and a drain hook running the same graceful sequence as
-// SIGTERM.
-func (d *daemon) ctlConfig(api, memberID string, l *transport.Listener) ctlplane.Config {
-	cfg := ctlplane.Config{
-		Ident:  ctlplane.Ident{Service: "avad", ID: memberID, API: api, Addr: l.Addr()},
-		Server: ctlplane.ServerSource(d.srv),
-		Drain: func() error {
-			log.Printf("avad: ctl drain requested (budget %v)", d.drain)
-			d.Shutdown(l)
-			return nil
-		},
-	}
-	if d.registry != nil {
-		cfg.Fleet = func() []fleet.Status {
-			ms, err := d.registry.Live(api)
-			if err != nil {
-				return nil
-			}
-			out := make([]fleet.Status, len(ms))
-			for i, m := range ms {
-				out[i] = fleet.Status{Member: m, Live: true}
-			}
-			return out
-		}
-	}
-	if d.rebalancer != nil {
-		cfg.Sched = d.schedLog.Decisions
-		cfg.Rebalance = func() (int, error) { return d.rebalancer.Kick(), nil }
-		cfg.RebalanceStats = d.rebalancer.Stats
-	}
-	if d.mirror != nil {
-		cfg.Mirror = d.mirror.Snapshot
-	}
-	return cfg
-}
-
-// splitAddrs parses a comma-separated address list, dropping empties.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
+	log.Printf("shut down cleanly")
 }
 
 // buildRegistry assembles the silo and handler registry for one API. The
@@ -283,312 +180,4 @@ func buildRegistry(api string, memMB uint64, cus, sticks int, withSwap bool) (*s
 	default:
 		return nil, fmt.Errorf("unknown -api %q (opencl, mvnc, qat)", api)
 	}
-}
-
-// daemon tracks the serving state a graceful shutdown must settle: the
-// set of live connections and a waitgroup over their serve loops.
-type daemon struct {
-	srv        *server.Server
-	drain      time.Duration
-	announcer  *fleet.Announcer
-	registry   fleet.Locator
-	rebalancer *sched.Rebalancer
-	schedLog   *sched.Log
-	mirror     *failover.MirrorServer
-	mirrorL    *transport.Listener
-
-	mu        sync.Mutex
-	conns     map[transport.Endpoint]struct{}
-	vms       map[uint32]transport.Endpoint // latest serving connection per VM
-	rejected  map[uint32]time.Time          // VM -> eviction instant; refused for rejectTTL after it
-	prevBytes uint64                        // data-plane bytes at the last load sample
-	closed    bool
-
-	active   sync.WaitGroup
-	shutOnce sync.Once
-	done     chan struct{}
-}
-
-func newDaemon(srv *server.Server, drain time.Duration) *daemon {
-	return &daemon{
-		srv:      srv,
-		drain:    drain,
-		conns:    make(map[transport.Endpoint]struct{}),
-		vms:      make(map[uint32]transport.Endpoint),
-		rejected: make(map[uint32]time.Time),
-		done:     make(chan struct{}),
-	}
-}
-
-// sampleLoad refreshes the announced load signal in place (announcer
-// sampler): active VM connections, the summed dispatch backlog, and
-// data-plane bytes moved since the previous sample.
-func (d *daemon) sampleLoad(m *fleet.Member) {
-	d.mu.Lock()
-	m.Load = len(d.vms)
-	d.mu.Unlock()
-	var queue int
-	var bytes uint64
-	for _, vm := range d.srv.Snapshot() {
-		queue += vm.QueueDepth
-		bytes += vm.Stats.BytesIn + vm.Stats.BytesOut
-	}
-	m.QueueDepth = queue
-	d.mu.Lock()
-	if bytes >= d.prevBytes {
-		m.BytesInFlight = bytes - d.prevBytes
-	}
-	d.prevBytes = bytes
-	d.mu.Unlock()
-}
-
-// hostLoads builds the self-evict rebalancer's load source: the fleet's
-// announced view, with this host's member joined to the VMs it serves.
-// Peers' VM lists stay empty — the From restriction means only the local
-// host ever sheds, and announced loads alone rank the targets.
-func (d *daemon) hostLoads(api, selfID string) func() []sched.HostLoad {
-	return func() []sched.HostLoad {
-		ms, err := d.registry.Live(api)
-		if err != nil {
-			return nil
-		}
-		d.mu.Lock()
-		local := make([]uint32, 0, len(d.vms))
-		for vm := range d.vms {
-			local = append(local, vm)
-		}
-		d.mu.Unlock()
-		sort.Slice(local, func(i, j int) bool { return local[i] < local[j] })
-		out := make([]sched.HostLoad, 0, len(ms))
-		for _, m := range ms {
-			hl := sched.HostLoad{Member: m}
-			if m.ID == selfID {
-				hl.VMs = local
-			}
-			out = append(out, hl)
-		}
-		return out
-	}
-}
-
-// evictVM is the self-evict migration hook: refuse the VM's reconnects
-// for rejectTTL, sever its serving connection so the guardian recovers
-// cross-host (wire replay onto whichever lighter peer its dialer picks —
-// target is advisory; the guest-side ranking makes the final call), and
-// push the lightened load immediately so admission-time placement stops
-// steering new VMs here.
-func (d *daemon) evictVM(vm uint32, target string) error {
-	d.mu.Lock()
-	ep, ok := d.vms[vm]
-	if ok {
-		d.rejected[vm] = time.Now()
-	}
-	d.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("vm %d not connected", vm)
-	}
-	log.Printf("avad: evicting VM %d (advisory target %q)", vm, target)
-	transport.Sever(ep)
-	// Push the lightened load now rather than when the severed serveConn
-	// unwinds: placement must stop steering new VMs here the moment the
-	// eviction is decided, even if the old connection is slow to die.
-	d.announceNow()
-	return nil
-}
-
-// rejectedVM reports whether a VM is inside its post-eviction refusal
-// window and how long ago it was evicted, pruning expired entries.
-func (d *daemon) rejectedVM(vm uint32) (time.Duration, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	at, ok := d.rejected[vm]
-	if !ok {
-		return 0, false
-	}
-	age := time.Since(at)
-	if age > rejectTTL {
-		delete(d.rejected, vm)
-		return 0, false
-	}
-	return age, true
-}
-
-// bindVM records the serving connection for a VM; the bool reports
-// whether the binding was installed (false = VM currently rejected).
-func (d *daemon) bindVM(vm uint32, ep transport.Endpoint) bool {
-	if _, rejected := d.rejectedVM(vm); rejected {
-		return false
-	}
-	d.mu.Lock()
-	d.vms[vm] = ep
-	d.mu.Unlock()
-	return true
-}
-
-func (d *daemon) unbindVM(vm uint32, ep transport.Endpoint) {
-	d.mu.Lock()
-	if d.vms[vm] == ep {
-		delete(d.vms, vm)
-	}
-	d.mu.Unlock()
-}
-
-// announceNow pushes the current load signal immediately — called when a
-// VM disconnects (migrated away, crashed, drained) so placement decisions
-// never steer against the stale pre-departure load.
-func (d *daemon) announceNow() {
-	if d.announcer != nil {
-		d.announcer.AnnounceNow()
-	}
-}
-
-// Serve accepts connections until the listener closes (shutdown or error).
-func (d *daemon) Serve(l *transport.Listener) {
-	for {
-		ep, err := l.Accept()
-		if err != nil {
-			return
-		}
-		if !d.track(ep) {
-			ep.Close() // raced shutdown: refuse, do not serve
-			continue
-		}
-		go func() {
-			defer d.active.Done()
-			defer d.untrack(ep)
-			d.serveConn(ep)
-		}()
-	}
-}
-
-func (d *daemon) track(ep transport.Endpoint) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return false
-	}
-	d.conns[ep] = struct{}{}
-	d.active.Add(1)
-	return true
-}
-
-func (d *daemon) untrack(ep transport.Endpoint) {
-	d.mu.Lock()
-	delete(d.conns, ep)
-	d.mu.Unlock()
-}
-
-// Shutdown runs the graceful sequence: stop accepting, leave the fleet so
-// no guardian is steered here, wait out in-flight connections under the
-// drain budget, then orderly-close stragglers (guests see ErrClosed /
-// end-of-stream, never ErrSevered — a drain is not a crash).
-func (d *daemon) Shutdown(l *transport.Listener) {
-	d.shutOnce.Do(func() {
-		if l != nil {
-			l.Close()
-		}
-		if d.rebalancer != nil {
-			d.rebalancer.Close()
-		}
-		if d.announcer != nil {
-			d.announcer.Close()
-		}
-		if c, ok := d.registry.(interface{ Close() }); ok {
-			c.Close()
-		}
-		if d.mirrorL != nil {
-			d.mirrorL.Close()
-		}
-		d.mu.Lock()
-		d.closed = true
-		d.mu.Unlock()
-
-		go func() {
-			defer close(d.done)
-			drained := make(chan struct{})
-			go func() {
-				d.active.Wait()
-				close(drained)
-			}()
-			select {
-			case <-drained:
-				return
-			case <-time.After(d.drain):
-			}
-			d.mu.Lock()
-			n := len(d.conns)
-			for ep := range d.conns {
-				ep.Close()
-			}
-			d.mu.Unlock()
-			if n > 0 {
-				log.Printf("avad: drain budget spent, closed %d lingering connection(s)", n)
-			}
-			<-drained
-		}()
-	})
-}
-
-// Wait blocks until a Shutdown completes its drain.
-func (d *daemon) Wait() {
-	d.Shutdown(nil) // no-op if a signal already started it; covers Accept errors
-	<-d.done
-}
-
-// serveConn reads the VM-identification hello preamble and runs the serve
-// loop. The preamble is either the legacy [vm u32][name] form or the
-// extended form carrying the guardian's endpoint epoch (transport.Hello),
-// which a failover dial stamps so logs tie a connection to the recovery
-// generation that produced it.
-func (d *daemon) serveConn(ep transport.Endpoint) {
-	defer ep.Close()
-	frame, err := ep.Recv()
-	if err != nil {
-		return
-	}
-	h, err := transport.DecodeHello(frame)
-	if err != nil {
-		log.Printf("avad: bad hello: %v", err)
-		return
-	}
-	name := h.Name
-	if name == "" {
-		name = fmt.Sprintf("tcp-vm%d", h.VM)
-	}
-	if !d.bindVM(h.VM, ep) {
-		// Freshly evicted: refuse — with an explicit reject ack for
-		// dialers that asked for one, so the rejection is a dial *failure*
-		// that spends the guardian's per-host budget and moves it to a
-		// peer, instead of a silent connect-then-sever it retries forever.
-		age, _ := d.rejectedVM(h.VM)
-		log.Printf("avad: VM %d refused (evicted %v ago)", h.VM, age.Round(time.Millisecond))
-		transport.AckHello(ep, h, false, fmt.Sprintf("vm %d evicted %v ago, rebalancing", h.VM, age.Round(time.Millisecond)))
-		return
-	}
-	defer d.unbindVM(h.VM, ep)
-	defer d.announceNow()
-	if err := transport.AckHello(ep, h, true, ""); err != nil {
-		return
-	}
-	ctx := d.srv.Context(h.VM, name)
-	log.Printf("avad: VM %d (%s) connected, epoch %d", h.VM, name, h.Epoch)
-	// The stats summary is emitted however the connection ends — orderly
-	// end-of-stream, severed mid-flight, or protocol error — and tagged
-	// with the reason, so a SIGKILL'd guest's byte counters land in the
-	// log as well as staying live on the ctl endpoint (the counters
-	// belong to the server context, which outlives the connection).
-	reason := "orderly"
-	if err := d.srv.ServeVM(ctx, ep); err != nil {
-		if errors.Is(err, transport.ErrSevered) {
-			reason = "severed"
-		} else {
-			reason = "error"
-		}
-		log.Printf("avad: VM %d: %v", h.VM, err)
-	}
-	st := ctx.Stats()
-	log.Printf("avad: VM %d stats: calls=%d (async %d, errors %d, replays %d) bytes in=%d out=%d copied=%d borrowed=%d exec=%v",
-		h.VM, st.Calls, st.AsyncCalls, st.Errors, st.Replays,
-		st.BytesIn, st.BytesOut, st.BytesCopied, st.BytesBorrowed, st.ExecTime)
-	log.Printf("avad: VM %d disconnected (%s)", h.VM, reason)
 }

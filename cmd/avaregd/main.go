@@ -37,8 +37,7 @@ import (
 	"time"
 
 	"ava/internal/ctlplane"
-	"ava/internal/fleet"
-	"ava/internal/transport"
+	"ava/internal/host"
 )
 
 func main() {
@@ -53,73 +52,45 @@ func main() {
 	)
 	flag.Parse()
 
-	reg := fleet.NewRegistry(*ttl, nil)
-	l, err := transport.Listen(*listen)
-	if err != nil {
-		log.Fatalf("avaregd: %v", err)
+	log.SetPrefix("avaregd: ")
+	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
+	cfg := host.RegistryConfig{
+		Listen: *listen, TTL: *ttl, Sweep: *sweep, GossipEvery: *gossipEv,
+		Peers: strings.FieldsFunc(*peers, func(r rune) bool { return r == ',' || r == ' ' }),
+		Log:   log.Default(),
 	}
-
-	var gossiper *fleet.Gossiper
-	if *peers != "" {
-		var gps []fleet.GossipPeer
-		var named []string
-		for _, a := range strings.Split(*peers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				gps = append(gps, fleet.DialRegistry(a))
-				named = append(named, a)
-			}
-		}
-		if len(gps) > 0 {
-			gossiper = fleet.StartGossip(reg, gps, *gossipEv, nil)
-			log.Printf("avaregd: gossiping member table to %d peer(s): %s", len(gps), strings.Join(named, ", "))
-		}
+	r, err := host.StartRegistry(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if len(cfg.Peers) > 0 {
+		log.Printf("gossiping member table to %d peer(s): %s", len(cfg.Peers), strings.Join(cfg.Peers, ", "))
 	}
 
 	var cs *ctlplane.Server
 	if *ctl != "" {
-		cs = ctlplane.New(ctlplane.Config{
-			Ident: ctlplane.Ident{Service: "avaregd", Addr: l.Addr()},
-			Fleet: reg.Members,
-			Drain: func() error {
-				log.Printf("avaregd: ctl drain requested")
-				l.Close()
-				return nil
-			},
-			Token: *ctlToken,
-		})
+		cc := r.CtlConfig()
+		cc.Token = *ctlToken
+		cs = ctlplane.New(cc)
 		ctlAddr, err := cs.Start(*ctl)
 		if err != nil {
-			log.Fatalf("avaregd: %v", err)
+			log.Fatal(err)
 		}
-		log.Printf("avaregd: ctl listening on %s", ctlAddr)
+		log.Printf("ctl listening on %s", ctlAddr)
 	}
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	go func() {
 		s := <-sigs
-		log.Printf("avaregd: %v: shutting down", s)
-		l.Close()
+		log.Printf("%v: shutting down", s)
+		r.Shutdown()
 	}()
 
-	// Queries already ignore expired members; the sweep just reclaims
-	// table space so a long-lived registry doesn't accrete dead entries.
-	go func() {
-		for {
-			time.Sleep(*sweep)
-			if n := reg.Expire(); n > 0 {
-				log.Printf("avaregd: reclaimed %d expired member(s)", n)
-			}
-		}
-	}()
-
-	log.Printf("avaregd: serving fleet registry on %s", l.Addr())
-	fleet.Serve(l, reg)
-	if gossiper != nil {
-		gossiper.Close()
-	}
+	log.Printf("serving fleet registry on %s", r.Addr())
+	r.Wait()
 	if cs != nil {
 		cs.Close()
 	}
-	log.Printf("avaregd: shut down cleanly")
+	log.Printf("shut down cleanly")
 }

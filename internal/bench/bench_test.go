@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"ava/internal/stacktest"
 )
 
 // Smoke tests: the fast experiments run end to end and produce plausible
@@ -69,6 +71,7 @@ func TestMigrationTable(t *testing.T) {
 }
 
 func TestRebalanceImprovesTailLatency(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	const vms, calls = 9, 150
 	static, err := rebalanceRun(false, vms, calls)
 	if err != nil {

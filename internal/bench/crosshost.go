@@ -3,114 +3,92 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"ava"
 	"ava/internal/cl"
 	"ava/internal/failover"
 	"ava/internal/fleet"
+	"ava/internal/host"
 	"ava/internal/rodinia"
 	"ava/internal/server"
-	"ava/internal/transport"
 )
 
-// crossHostServer is one standalone API-server "machine" in the E13
-// mini-fleet: its own silo, its own server, a TCP listener, and a fleet
-// registration. It is the in-process equivalent of one avad host.
-type crossHostServer struct {
-	id   string
-	silo *cl.Silo
-	srv  *server.Server
-	l    *transport.Listener
-
-	mu   sync.Mutex
-	eps  []transport.Endpoint
-	dead bool
-}
-
-func newCrossHostServer(id string, loc fleet.Locator, load int) (*crossHostServer, error) {
+// fleetHost starts one API-server machine of an experiment's mini-fleet:
+// its own silo and server behind the production host runtime
+// (internal/host — the type cmd/avad runs), announcing to loc.
+func fleetHost(id string, loc fleet.Locator) (*host.Server, error) {
 	silo := gpuSilo(0)
 	reg := server.NewRegistry(cl.Descriptor())
 	cl.BindServer(reg, silo)
 	// A guardian failing over from a peer host replays mirrored object
 	// snapshots as marshal.FuncRestore calls; the restorer rebuilds them.
 	reg.Restorer = cl.MigrationAdapter{Silo: silo}
-	l, err := transport.Listen("127.0.0.1:0")
+	return host.Start(server.New(reg), host.Config{
+		Listen: "127.0.0.1:0", API: "opencl", Locator: loc, ID: id,
+	})
+}
+
+// fleetGuest attaches VM 1 to a guest-side stack with no local server to
+// fall back on: every server incarnation is dialed out of the fleet.
+// extra options apply after WithFailover, which replaces the whole
+// failover config (ava.WithMirror must come behind it).
+func fleetGuest(kind ava.TransportKind, loc fleet.Locator, name string, seed int64, extra ...ava.Option) (*ava.Stack, *ava.GuestLib, *failover.FleetDialer, error) {
+	dialer := failover.NewFleetDialer(loc, failover.FleetDialConfig{API: "opencl", VM: 1, Name: name})
+	desc := cl.Descriptor()
+	stack := ava.NewStack(desc, server.NewRegistry(desc), append([]ava.Option{
+		ava.WithTransport(kind),
+		ava.WithFailover(ava.FailoverConfig{
+			Checkpoint: ava.CheckpointConfig{Every: 64},
+			Backoff:    failover.BackoffConfig{Seed: seed},
+			Dial: func(uint32, string) (failover.ServerLink, error) {
+				return dialer.Dial()
+			},
+			Host: func(uint32) string { return dialer.Host() },
+		})}, extra...)...)
+	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: name})
 	if err != nil {
-		return nil, err
+		stack.Close()
+		return nil, nil, nil, err
 	}
-	h := &crossHostServer{id: id, silo: silo, srv: server.New(reg), l: l}
-	go h.accept()
-	loc.Announce(fleet.Member{ID: id, Addr: l.Addr(), API: "opencl", Load: load})
-	return h, nil
+	dialer.SetEpochSource(stack.Guardian(1).Epoch)
+	return stack, lib, dialer, nil
 }
 
-func (h *crossHostServer) accept() {
-	for {
-		ep, err := h.l.Accept()
-		if err != nil {
-			return
-		}
-		h.mu.Lock()
-		if h.dead {
-			h.mu.Unlock()
-			ep.Close()
-			continue
-		}
-		h.eps = append(h.eps, ep)
-		h.mu.Unlock()
-		go h.serve(ep)
-	}
+// fleetTransports are the stacks E13 and E16 run over: the guest↔router
+// hop varies (hypercall-like vs shared-memory rings); the router↔server
+// hop is a real TCP socket to the fleet host in both.
+var fleetTransports = []struct {
+	name string
+	kind ava.TransportKind
+}{
+	{"inproc+tcp", ava.TransportInProc},
+	{"shm-ring+tcp", ava.TransportRing},
 }
 
-func (h *crossHostServer) serve(ep transport.Endpoint) {
-	defer ep.Close()
-	frame, err := ep.Recv()
-	if err != nil {
-		return
-	}
-	hello, err := transport.DecodeHello(frame)
-	if err != nil {
-		return
-	}
-	if err := transport.AckHello(ep, hello, true, ""); err != nil {
-		return
-	}
-	// Each accepted connection is one server incarnation for the VM: the
-	// guardian replays state into a clean context before traffic resumes.
-	h.srv.DropContext(hello.VM)
-	h.srv.ServeVM(h.srv.Context(hello.VM, hello.Name), ep)
+// fleetResult is what E13 and E16 judge a run by.
+type fleetResult struct {
+	dur     time.Duration
+	sum     float64
+	gs      failover.Stats
+	retry   uint64
+	changes int
+	host    string
 }
 
-// kill is the SIGKILL of a whole machine: the host stops accepting, every
-// live connection is severed mid-stream (not closed — a crash must look
-// like a crash to the guardian's failure detector), and only then does the
-// fleet learn of the death. The deregister stands in for TTL expiry, and
-// ordering it after the sever matters: against an HA registry set with a
-// dead replica, the deregister fan-out can block on the replica's retry
-// budget, and a SIGKILL does not wait for the control plane.
-func (h *crossHostServer) kill(loc fleet.Locator) {
-	h.mu.Lock()
-	h.dead = true
-	eps := append([]transport.Endpoint(nil), h.eps...)
-	h.mu.Unlock()
-	h.l.Close()
-	for _, ep := range eps {
-		transport.Sever(ep)
-	}
-	loc.Deregister(h.id)
-}
-
-func (h *crossHostServer) close() {
-	h.mu.Lock()
-	h.dead = true
-	eps := append([]transport.Endpoint(nil), h.eps...)
-	h.mu.Unlock()
-	h.l.Close()
-	for _, ep := range eps {
-		ep.Close()
-	}
+// runGaussian times one run of w through lib and collects the verdict
+// inputs from the guardian and dialer behind it.
+func runGaussian(w rodinia.Workload, scale int, stack *ava.Stack, lib *ava.GuestLib, dialer *failover.FleetDialer) (fleetResult, error) {
+	var r fleetResult
+	var err error
+	start := time.Now()
+	r.sum, err = w.Run(cl.NewRemote(lib), scale)
+	r.dur = time.Since(start)
+	r.gs = stack.Guardian(1).Stats()
+	r.retry = lib.Stats().RetryableFailed
+	r.changes = dialer.HostChanges()
+	r.host = dialer.Host()
+	return r, err
 }
 
 // CrossHost is E13: kill the entire machine serving the VM mid-gaussian —
@@ -132,82 +110,36 @@ func CrossHost(opts Options) (*Table, error) {
 	}
 	scale := opts.scale()
 
-	type result struct {
-		dur     time.Duration
-		sum     float64
-		gs      failover.Stats
-		retry   uint64
-		changes int
-		host    string
-	}
-	run := func(kind ava.TransportKind, killAfter time.Duration) (result, error) {
-		var r result
+	run := func(kind ava.TransportKind, killAfter time.Duration) (fleetResult, error) {
 		loc := fleet.NewRegistry(0, nil)
-		// host-a carries the lighter load, so the health-ranked registry
-		// steers the first dial there deterministically; host-b is the
+		// Both hosts announce load 0, so the registry's ID tie-break steers
+		// the first dial to host-a deterministically; host-b is the
 		// failover target.
-		hostA, err := newCrossHostServer("host-a", loc, 0)
+		hostA, err := fleetHost("host-a", loc)
 		if err != nil {
-			return r, err
+			return fleetResult{}, err
 		}
-		defer hostA.close()
-		hostB, err := newCrossHostServer("host-b", loc, 1)
+		defer hostA.Kill()
+		hostB, err := fleetHost("host-b", loc)
 		if err != nil {
-			return r, err
+			return fleetResult{}, err
 		}
-		defer hostB.close()
-
-		dialer := failover.NewFleetDialer(loc, failover.FleetDialConfig{
-			API: "opencl", VM: 1, Name: "e13-vm",
-		})
-		// The guest-side stack has no local server to fall back on: every
-		// server incarnation is dialed out of the fleet.
-		desc := cl.Descriptor()
-		stack := ava.NewStack(desc, server.NewRegistry(desc),
-			ava.WithTransport(kind),
-			ava.WithFailover(ava.FailoverConfig{
-				Checkpoint: ava.CheckpointConfig{Every: 64},
-				Backoff:    failover.BackoffConfig{Seed: 13},
-				Dial: func(id uint32, name string) (failover.ServerLink, error) {
-					return dialer.Dial()
-				},
-				Host: func(uint32) string { return dialer.Host() },
-			}))
+		defer hostB.Kill()
+		stack, lib, dialer, err := fleetGuest(kind, loc, "e13-vm", 13)
+		if err != nil {
+			return fleetResult{}, err
+		}
 		defer stack.Close()
-		lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "e13-vm"})
-		if err != nil {
-			return r, err
-		}
-		dialer.SetEpochSource(stack.Guardian(1).Epoch)
-		c := cl.NewRemote(lib)
 		if killAfter > 0 {
 			go func() {
 				time.Sleep(killAfter)
-				hostA.kill(loc)
+				hostA.Kill()
 			}()
 		}
-		start := time.Now()
-		r.sum, err = w.Run(c, scale)
-		r.dur = time.Since(start)
-		if err != nil {
-			return r, err
-		}
-		r.gs = stack.Guardian(1).Stats()
-		r.retry = lib.Stats().RetryableFailed
-		r.changes = dialer.HostChanges()
-		r.host = dialer.Host()
-		return r, nil
+		return runGaussian(w, scale, stack, lib, dialer)
 	}
 
-	// The guest↔router hop varies (hypercall-like vs shared-memory rings);
-	// the router↔server hop is a real TCP socket to the fleet host in both.
-	for _, tr := range []struct {
-		name string
-		kind ava.TransportKind
-	}{
-		{"inproc+tcp", ava.TransportInProc},
-		{"shm-ring+tcp", ava.TransportRing},
-	} {
+	for _, tr := range fleetTransports {
 		base, err := run(tr.kind, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%s undisturbed: %w", tr.name, err)

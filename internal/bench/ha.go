@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"ava"
@@ -11,100 +10,10 @@ import (
 	"ava/internal/cl"
 	"ava/internal/failover"
 	"ava/internal/fleet"
+	"ava/internal/host"
 	"ava/internal/rodinia"
 	"ava/internal/server"
-	"ava/internal/transport"
 )
-
-// haRegistry is one wire-served avaregd "machine" in the E16 mini-fleet.
-// kill severs the accept socket and every established client stream —
-// the failure a crashed registry host actually presents to announcers and
-// quorum readers.
-type haRegistry struct {
-	reg *fleet.Registry
-	l   *transport.Listener
-
-	mu  sync.Mutex
-	eps []transport.Endpoint
-}
-
-func newHARegistry() (*haRegistry, error) {
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	h := &haRegistry{reg: fleet.NewRegistry(0, nil), l: l}
-	go func() {
-		for {
-			ep, err := l.Accept()
-			if err != nil {
-				return
-			}
-			h.mu.Lock()
-			h.eps = append(h.eps, ep)
-			h.mu.Unlock()
-			go fleet.ServeConn(ep, h.reg)
-		}
-	}()
-	return h, nil
-}
-
-func (h *haRegistry) addr() string { return h.l.Addr() }
-
-func (h *haRegistry) kill() {
-	h.l.Close()
-	h.mu.Lock()
-	eps := append([]transport.Endpoint(nil), h.eps...)
-	h.eps = nil
-	h.mu.Unlock()
-	for _, ep := range eps {
-		transport.Sever(ep)
-	}
-}
-
-// haMirror is the mirror "machine": an avad -mirror process accumulating
-// the guardian's replicated shadow log.
-type haMirror struct {
-	srv *failover.MirrorServer
-	l   *transport.Listener
-
-	mu  sync.Mutex
-	eps []transport.Endpoint
-}
-
-func newHAMirror() (*haMirror, error) {
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	h := &haMirror{srv: failover.NewMirrorServer(), l: l}
-	go func() {
-		for {
-			ep, err := l.Accept()
-			if err != nil {
-				return
-			}
-			h.mu.Lock()
-			h.eps = append(h.eps, ep)
-			h.mu.Unlock()
-			go h.srv.ServeConn(ep)
-		}
-	}()
-	return h, nil
-}
-
-func (h *haMirror) addr() string { return h.l.Addr() }
-
-func (h *haMirror) kill() {
-	h.l.Close()
-	h.mu.Lock()
-	eps := append([]transport.Endpoint(nil), h.eps...)
-	h.eps = nil
-	h.mu.Unlock()
-	for _, ep := range eps {
-		transport.Sever(ep)
-	}
-}
 
 // haRetry keeps probes of a dead replica from dragging the run out while
 // staying a real jittered-backoff series.
@@ -141,126 +50,104 @@ func HA(opts Options) (*Table, error) {
 	scale := opts.scale()
 
 	type result struct {
-		dur      time.Duration
-		sum      float64
-		gs       failover.Stats
-		retry    uint64
-		changes  int
-		host     string
+		fleetResult
 		mirrorOK bool
 	}
 	run := func(kind ava.TransportKind, scenario string, killAt time.Duration) (result, error) {
 		var r result
-		regA, err := newHARegistry()
+		regA, err := host.StartRegistry(host.RegistryConfig{Listen: "127.0.0.1:0"})
 		if err != nil {
 			return r, err
 		}
-		defer regA.kill()
-		regB, err := newHARegistry()
+		defer regA.Kill()
+		regB, err := host.StartRegistry(host.RegistryConfig{Listen: "127.0.0.1:0"})
 		if err != nil {
 			return r, err
 		}
-		defer regB.kill()
-		cA, cB := fleet.DialRegistry(regA.addr()), fleet.DialRegistry(regB.addr())
+		defer regB.Kill()
+		cA, cB := fleet.DialRegistry(regA.Addr()), fleet.DialRegistry(regB.Addr())
 		cA.SetRetry(haRetry())
 		cB.SetRetry(haRetry())
 		mc := fleet.NewMultiClient(cA, cB)
 		defer mc.Close()
 
-		hostA, err := newCrossHostServer("host-a", mc, 0)
+		hostA, err := fleetHost("host-a", mc)
 		if err != nil {
 			return r, err
 		}
-		defer hostA.close()
-		hostB, err := newCrossHostServer("host-b", mc, 1)
+		defer hostA.Kill()
+		hostB, err := fleetHost("host-b", mc)
 		if err != nil {
 			return r, err
 		}
-		defer hostB.close()
-		mir, err := newHAMirror()
+		defer hostB.Kill()
+		// The mirror machine is an `avad -mirror` outside the fleet: it
+		// announces nowhere, so no VM is ever placed on it.
+		mir, err := host.Start(server.New(server.NewRegistry(cl.Descriptor())), host.Config{
+			Listen: "127.0.0.1:0", Mirror: "127.0.0.1:0",
+		})
 		if err != nil {
 			return r, err
 		}
-		defer mir.kill()
-		rm := failover.NewRemoteMirror(mir.addr(), failover.RemoteMirrorConfig{
+		defer mir.Kill()
+		rm := failover.NewRemoteMirror(mir.MirrorAddr(), failover.RemoteMirrorConfig{
 			VM: 1, Name: "e16-vm", Backoff: haRetry(),
 		})
 		defer rm.Close()
 
-		dialer := failover.NewFleetDialer(mc, failover.FleetDialConfig{
-			API: "opencl", VM: 1, Name: "e16-vm",
-		})
-		desc := cl.Descriptor()
-		stack := ava.NewStack(desc, server.NewRegistry(desc),
-			ava.WithTransport(kind),
-			ava.WithFailover(ava.FailoverConfig{
-				Checkpoint: ava.CheckpointConfig{Every: 64},
-				Backoff:    failover.BackoffConfig{Seed: 16},
-				Dial: func(id uint32, name string) (failover.ServerLink, error) {
-					return dialer.Dial()
-				},
-				Host: func(uint32) string { return dialer.Host() },
-			}),
-			ava.WithMirror(rm)) // after WithFailover: it replaces the whole failover config
-		defer stack.Close()
-		lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "e16-vm"})
+		stack, lib, dialer, err := fleetGuest(kind, mc, "e16-vm", 16, ava.WithMirror(rm))
 		if err != nil {
 			return r, err
 		}
-		dialer.SetEpochSource(stack.Guardian(1).Epoch)
-		c := cl.NewRemote(lib)
+		defer stack.Close()
 
 		switch scenario {
 		case "host":
 			go func() {
 				time.Sleep(killAt)
-				hostA.kill(mc)
+				hostA.Kill()
 			}()
 		case "mirror":
 			go func() {
 				time.Sleep(killAt)
-				mir.kill()
+				mir.Kill()
 			}()
 		case "registry":
 			go func() {
 				time.Sleep(killAt)
-				regA.kill()
+				regA.Kill()
 			}()
 			go func() {
 				time.Sleep(2 * killAt)
-				hostA.kill(mc)
+				hostA.Kill()
 			}()
 		}
 
-		start := time.Now()
-		r.sum, err = w.Run(c, scale)
-		r.dur = time.Since(start)
-		if err != nil {
+		if r.fleetResult, err = runGaussian(w, scale, stack, lib, dialer); err != nil {
 			return r, err
 		}
-		r.gs = stack.Guardian(1).Stats()
-		r.retry = lib.Stats().RetryableFailed
-		r.changes = dialer.HostChanges()
-		r.host = dialer.Host()
+		// Detach before judging the mirror: the guest's trailing async
+		// releases can still reach the guardian, and cut one more
+		// checkpoint, after the workload has returned.
+		stack.Close()
 
 		if scenario == "mirror" {
 			// The mirror machine is gone; the staging copy is the proof that
 			// a dead mirror host costs durability, not correctness.
 			r.mirrorOK = rm.State().W > 0
 		} else if r.mirrorOK = rm.Flush(5 * time.Second); r.mirrorOK {
-			remote, staging := mir.srv.State(1), rm.State()
+			// Read back the way a replacement guardian would: over the wire.
+			remote, err := failover.FetchMirrorState(mir.MirrorAddr(), 1)
+			if err != nil {
+				return r, err
+			}
+			staging := rm.State()
 			r.mirrorOK = remote.W == staging.W && len(remote.Entries) == len(staging.Entries)
 		}
 		return r, nil
 	}
 
-	for _, tr := range []struct {
-		name string
-		kind ava.TransportKind
-	}{
-		{"inproc+tcp", ava.TransportInProc},
-		{"shm-ring+tcp", ava.TransportRing},
-	} {
+	for _, tr := range fleetTransports {
 		base, err := run(tr.kind, "", 0)
 		if err != nil {
 			return nil, fmt.Errorf("%s undisturbed: %w", tr.name, err)

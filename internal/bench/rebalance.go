@@ -7,8 +7,8 @@ import (
 
 	"ava"
 	"ava/internal/fleet"
+	"ava/internal/host"
 	"ava/internal/server"
-	"ava/internal/transport"
 )
 
 // E15 uses its own tiny API instead of a Rodinia workload: the point is
@@ -38,124 +38,30 @@ type rebalStateless struct{}
 func (rebalStateless) RestoreObject(obj any, state []byte) error    { return nil }
 func (rebalStateless) SnapshotObject(obj any) ([]byte, bool, error) { return nil, false, nil }
 
-// rebalHost is one API-server "machine" in the E15 mini-fleet, the same
-// in-process avad stand-in as E13's crossHostServer, plus the two things
-// a scheduled host needs: a single-device service queue and a live
-// announcer whose load signal is the number of VMs it currently serves.
-type rebalHost struct {
-	id  string
-	srv *server.Server
-	l   *transport.Listener
-	ann *fleet.Announcer
-
-	mu     sync.Mutex
-	dev    sync.Mutex // the "device": one call executes at a time
-	eps    []transport.Endpoint
-	served map[uint32]int // VM -> live connection count
-	dead   bool
-}
-
-func newRebalHost(id string) (*rebalHost, error) {
+// rebalanceHost starts one API-server machine of the E15 mini-fleet: the
+// production host runtime (internal/host) over a simload server whose
+// calls serialize on a single modeled device. The load it announces is
+// the production sampler's: VMs served, dispatch backlog, bytes moved.
+func rebalanceHost(id string, loc fleet.Locator) (*host.Server, error) {
 	d, err := ava.CompileSpec(rebalanceSpec)
 	if err != nil {
 		return nil, err
 	}
 	reg := server.NewRegistry(d)
 	reg.Restorer = rebalStateless{}
-	h := &rebalHost{id: id, served: make(map[uint32]int)}
+	var dev sync.Mutex // the "device": one call executes at a time
 	reg.MustRegister("work", func(inv *server.Invocation) error {
-		h.dev.Lock()
+		dev.Lock()
 		time.Sleep(rebalanceService)
-		h.dev.Unlock()
+		dev.Unlock()
 		inv.SetOutUint(1, uint64(rebalanceReply(uint32(inv.Uint(0)))))
 		inv.SetStatus(0)
 		return nil
 	})
-	h.srv = server.New(reg)
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	h.l = l
-	go h.accept()
-	return h, nil
-}
-
-// announce starts the host's live heartbeat: truthful load (VMs served)
-// sampled on every push. Before this is called the registry holds only
-// whatever stale figure the experiment seeded — that is the skew.
-func (h *rebalHost) announce(loc fleet.Locator, every time.Duration) {
-	h.ann = fleet.StartAnnouncer(loc, fleet.Member{ID: h.id, Addr: h.l.Addr(), API: "simload"}, every, nil)
-	h.ann.SetSampler(func(m *fleet.Member) {
-		h.mu.Lock()
-		m.Load = len(h.served)
-		h.mu.Unlock()
+	return host.Start(server.New(reg), host.Config{
+		Listen: "127.0.0.1:0", API: "simload", Locator: loc, ID: id,
+		AnnounceEvery: 15 * time.Millisecond,
 	})
-}
-
-func (h *rebalHost) accept() {
-	for {
-		ep, err := h.l.Accept()
-		if err != nil {
-			return
-		}
-		h.mu.Lock()
-		if h.dead {
-			h.mu.Unlock()
-			ep.Close()
-			continue
-		}
-		h.eps = append(h.eps, ep)
-		h.mu.Unlock()
-		go h.serve(ep)
-	}
-}
-
-func (h *rebalHost) serve(ep transport.Endpoint) {
-	defer ep.Close()
-	frame, err := ep.Recv()
-	if err != nil {
-		return
-	}
-	hello, err := transport.DecodeHello(frame)
-	if err != nil {
-		return
-	}
-	if err := transport.AckHello(ep, hello, true, ""); err != nil {
-		return
-	}
-	h.mu.Lock()
-	h.served[hello.VM]++
-	h.mu.Unlock()
-	defer func() {
-		h.mu.Lock()
-		if h.served[hello.VM]--; h.served[hello.VM] <= 0 {
-			delete(h.served, hello.VM)
-		}
-		h.mu.Unlock()
-	}()
-	h.srv.DropContext(hello.VM)
-	h.srv.ServeVM(h.srv.Context(hello.VM, hello.Name), ep)
-}
-
-func (h *rebalHost) vmCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.served)
-}
-
-func (h *rebalHost) close() {
-	if h.ann != nil {
-		h.ann.Close()
-	}
-	h.mu.Lock()
-	h.dead = true
-	eps := append([]transport.Endpoint(nil), h.eps...)
-	h.mu.Unlock()
-	h.l.Close()
-	for _, ep := range eps {
-		ep.Close()
-	}
 }
 
 // rebalanceResult is one full run: every VM's reply checksum, the tail
@@ -169,27 +75,34 @@ type rebalanceResult struct {
 	maxHostVMs int // fleet's hottest host after the run
 }
 
-// rebalanceRun drives one E15 phase: vms guests piled onto host-a by a
-// stale announcement, then live announcers catch up and — when rebalance
-// is on — the stack's background rebalancer spreads them mid-workload.
+// rebalanceRun drives one E15 phase: vms guests admitted while host-a is
+// the fleet's only machine, then two empty peers join and — when
+// rebalance is on — the stack's background rebalancer spreads the VMs
+// mid-workload.
 func rebalanceRun(rebalance bool, vms, calls int) (*rebalanceResult, error) {
 	loc := fleet.NewRegistry(0, nil)
-	hostIDs := []string{"host-a", "host-b", "host-c"}
-	hosts := make([]*rebalHost, 0, len(hostIDs))
-	for _, id := range hostIDs {
-		h, err := newRebalHost(id)
-		if err != nil {
-			return nil, err
+	var hosts []*host.Server
+	defer func() {
+		for _, h := range hosts {
+			h.Kill()
 		}
-		defer h.close()
-		hosts = append(hosts, h)
+	}()
+	boot := func(ids ...string) error {
+		for _, id := range ids {
+			h, err := rebalanceHost(id, loc)
+			if err != nil {
+				return err
+			}
+			hosts = append(hosts, h)
+		}
+		return nil
 	}
-	// The stale picture every real scheduler eventually faces: host-a
-	// announced before its peers took load, so admission parks every VM
-	// there. The live announcers (started below) correct it too late.
-	loc.Announce(fleet.Member{ID: "host-a", Addr: hosts[0].l.Addr(), API: "simload", Load: 0})
-	loc.Announce(fleet.Member{ID: "host-b", Addr: hosts[1].l.Addr(), API: "simload", Load: 99})
-	loc.Announce(fleet.Member{ID: "host-c", Addr: hosts[2].l.Addr(), API: "simload", Load: 99})
+	// The skew every real scheduler eventually faces: host-a was the only
+	// machine up when the VMs were admitted, so admission parks every one
+	// of them there; its peers join the fleet (below) too late.
+	if err := boot("host-a"); err != nil {
+		return nil, err
+	}
 
 	desc, err := ava.CompileSpec(rebalanceSpec)
 	if err != nil {
@@ -223,8 +136,8 @@ func rebalanceRun(rebalance bool, vms, calls int) (*rebalanceResult, error) {
 		}
 		libs[i] = lib
 	}
-	for _, h := range hosts {
-		h.announce(loc, 15*time.Millisecond)
+	if err := boot("host-b", "host-c"); err != nil {
+		return nil, err
 	}
 
 	res := &rebalanceResult{checksums: make([]uint32, vms)}
@@ -275,15 +188,15 @@ func rebalanceRun(rebalance bool, vms, calls int) (*rebalanceResult, error) {
 		res.migrations = r.Stats().Migrations
 	}
 	for _, h := range hosts {
-		if n := h.vmCount(); n > res.maxHostVMs {
+		if n := len(h.VMs()); n > res.maxHostVMs {
 			res.maxHostVMs = n
 		}
 	}
 	return res, nil
 }
 
-// Rebalance is E15: every VM lands on one host through a stale load
-// announcement, and the background rebalancer live-migrates the fleet
+// Rebalance is E15: every VM lands on the one host that was up at
+// admission, and the background rebalancer live-migrates the fleet
 // toward balance mid-workload through the guardian checkpoint/relocate
 // path. Acceptance: the rebalanced run's steady-state p99 beats the
 // static run's, every reply is correct, and the per-VM reply checksums

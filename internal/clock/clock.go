@@ -168,3 +168,25 @@ func (v *Virtual) fireDueLocked() {
 	}
 	v.timers = kept
 }
+
+// Wait blocks for d of c's time or until done closes, whichever comes
+// first, and reports whether the full interval elapsed. Periodic loops
+// wait with it instead of Sleep, so stopping one never sits out the rest
+// of an interval (or, on a Virtual clock, an Advance that never comes).
+func Wait(c Clock, d time.Duration, done <-chan struct{}) bool {
+	wake := make(chan struct{})
+	stop := c.AfterFunc(d, func() { close(wake) })
+	select {
+	case <-done:
+		stop()
+		return false
+	case <-wake:
+		// Both ready: done wins, so a stopped loop never runs one more beat.
+		select {
+		case <-done:
+			return false
+		default:
+			return true
+		}
+	}
+}

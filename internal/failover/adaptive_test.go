@@ -1,6 +1,11 @@
 package failover
 
-import "testing"
+import (
+	"testing"
+
+	"ava/internal/cava"
+	"ava/internal/marshal"
+)
 
 // newCadenceGuardian builds just enough guardian state to drive the
 // checkpoint-cadence policy directly; no pumps run.
@@ -69,5 +74,39 @@ func TestFixedCadenceIgnoresLoad(t *testing.T) {
 	g.sinceCkpt = 7
 	if g.checkpointDueLocked() {
 		t.Fatal("below cadence: not due")
+	}
+}
+
+// admit must judge a call against the epoch and link generation current
+// when it takes the lock, not the ones the uplink read when it picked the
+// frame up: a recovery that ran to completion in between has already
+// replaced inflightSync, and a stale sync call recorded there is one no
+// server will ever answer — the next resubmission's drainSyncs (or a
+// checkpoint's quiesce) would wait on it forever.
+func TestAdmitDropsCallPickedUpBeforeAFinishedRecovery(t *testing.T) {
+	g := newCadenceGuardian(Config{})
+	g.desc = &cava.Descriptor{}
+	staleGen := g.linkGen
+
+	// What recover + finishRecovery leave behind.
+	g.epoch++
+	g.linkGen++
+	g.inflightSync = make(map[uint64]struct{})
+
+	if g.admit(&marshal.Call{Seq: 7, Epoch: g.epoch - 1}, staleGen) {
+		t.Fatal("a call from before the recovery was admitted onto the new link")
+	}
+	if len(g.inflightSync) != 0 {
+		t.Fatalf("stale call recorded as in flight on the new link: %v", g.inflightSync)
+	}
+	if g.stats.StaleDropped != 1 {
+		t.Fatalf("StaleDropped = %d, want 1", g.stats.StaleDropped)
+	}
+	// The same call resubmitted under the new epoch goes through.
+	if !g.admit(&marshal.Call{Seq: 7, Epoch: g.epoch}, g.linkGen) {
+		t.Fatal("the resubmitted call was refused")
+	}
+	if _, ok := g.inflightSync[7]; !ok {
+		t.Fatal("admitted sync call not tracked as in flight")
 	}
 }

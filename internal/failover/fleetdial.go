@@ -238,28 +238,14 @@ func (d *FleetDialer) resolve(m fleet.Member, epoch uint32) (ServerLink, error) 
 	if err != nil {
 		return ServerLink{}, err
 	}
-	hello := transport.EncodeHello(transport.Hello{VM: d.cfg.VM, Epoch: epoch, Name: d.cfg.Name, WantAck: true})
-	if err := ep.Send(hello); err != nil {
-		ep.Close()
-		return ServerLink{}, err
-	}
 	// Success means admitted, not merely connected: the server's verdict
 	// frame arrives before any data-plane traffic, so a rejection (the VM
 	// was just evicted from this host) fails the dial here and the caller
 	// charges it against the per-host budget like any other failure.
-	frame, err := ep.Recv()
-	if err != nil {
+	hello := transport.Hello{VM: d.cfg.VM, Epoch: epoch, Name: d.cfg.Name, WantAck: true}
+	if err := transport.Greet(ep, hello); err != nil {
 		ep.Close()
-		return ServerLink{}, fmt.Errorf("hello ack from %s: %w", m.ID, err)
-	}
-	ack, err := transport.DecodeHelloAck(frame)
-	if err != nil {
-		ep.Close()
-		return ServerLink{}, fmt.Errorf("hello ack from %s: %w", m.ID, err)
-	}
-	if !ack.OK {
-		ep.Close()
-		return ServerLink{}, fmt.Errorf("host %s refused VM %d: %s", m.ID, d.cfg.VM, ack.Reason)
+		return ServerLink{}, fmt.Errorf("host %s: %w", m.ID, err)
 	}
 	return ServerLink{EP: ep, WireReplay: true}, nil
 }

@@ -497,7 +497,6 @@ func (g *Guardian) handleUplinkFrame(frame []byte) {
 		g.mu.Unlock()
 		return // drop: the guest has been told via CtrlDead (or is closing)
 	}
-	epoch := g.epoch
 	link := g.link
 	gen := g.linkGen
 	g.mu.Unlock()
@@ -538,7 +537,7 @@ func (g *Guardian) handleUplinkFrame(frame []byte) {
 			if !g.drainSyncs(gen) {
 				break // link died again; the guest resubmits under the new epoch
 			}
-			if !g.admit(call, epoch) {
+			if !g.admit(call, gen) {
 				continue
 			}
 			if err := g.sendSouth(link, marshal.EncodeBatch([][]byte{cf})); err != nil {
@@ -553,7 +552,7 @@ func (g *Guardian) handleUplinkFrame(frame []byte) {
 				allKept = false
 				continue
 			}
-			if g.admit(call, epoch) {
+			if g.admit(call, gen) {
 				kept = append(kept, cf)
 			} else {
 				allKept = false
@@ -619,17 +618,20 @@ func (g *Guardian) checkpointDueLocked() bool {
 }
 
 // admit applies epoch fencing, the resubmission dedupe rules and shadow
-// recording to one decoded call. It reports whether the call should be
-// forwarded to the server.
-func (g *Guardian) admit(call *marshal.Call, epoch uint32) bool {
+// recording to one decoded call bound for the link of generation gen. It
+// reports whether the call should be forwarded to the server.
+func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
-	if call.Epoch != epoch {
+	if call.Epoch != g.epoch || gen != g.linkGen {
 		// A frame from before the last recovery: the guest has (or will)
 		// resubmit its window under the new epoch, so forwarding this copy
 		// would double-execute. Dropping is safe precisely because
-		// resubmission covers it.
+		// resubmission covers it. Judged under this lock, not against what
+		// the uplink read before decoding: a recovery that finished in
+		// between has replaced inflightSync, and nothing answers a stale
+		// sync call recorded there.
 		g.stats.StaleDropped++
 		return false
 	}

@@ -78,17 +78,6 @@ func (s *MirrorServer) Snapshot() []MirroredVM {
 	return out
 }
 
-// Serve accepts replication connections on l until the listener closes.
-func (s *MirrorServer) Serve(l *transport.Listener) {
-	for {
-		ep, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go s.ServeConn(ep)
-	}
-}
-
 // ServeConn runs one replication session: batches applied in arrival
 // order, each acked by opseq with an ok bit (false = a sub-op could not
 // compose and the sender must resync), state requests answered in line.

@@ -19,7 +19,13 @@ type Announcer struct {
 	mu      sync.Mutex
 	m       Member
 	sampler func(*Member)
+
+	// send serializes pushes against Close, so no announcement — heartbeat
+	// or AnnounceNow — can land after the deregistration and resurrect a
+	// member that just left.
+	send    sync.Mutex
 	done    chan struct{}
+	stopped chan struct{} // closed when the heartbeat goroutine has exited
 	once    sync.Once
 }
 
@@ -37,21 +43,17 @@ func StartAnnouncer(loc Locator, m Member, every time.Duration, clk clock.Clock)
 	if m.ID == "" {
 		m.ID = m.Addr
 	}
-	a := &Announcer{loc: loc, clk: clk, every: every, m: m, done: make(chan struct{})}
+	a := &Announcer{loc: loc, clk: clk, every: every, m: m,
+		done: make(chan struct{}), stopped: make(chan struct{})}
 	a.loc.Announce(m)
 	go a.loop()
 	return a
 }
 
 func (a *Announcer) loop() {
-	for {
-		a.clk.Sleep(a.every)
-		select {
-		case <-a.done:
-			return
-		default:
-		}
-		a.loc.Announce(a.sample())
+	defer close(a.stopped)
+	for clock.Wait(a.clk, a.every, a.done) {
+		a.AnnounceNow()
 	}
 }
 
@@ -64,24 +66,6 @@ func (a *Announcer) sample() Member {
 		a.sampler(&a.m)
 	}
 	return a.m
-}
-
-// SetLoad updates the load the next heartbeat reports.
-func (a *Announcer) SetLoad(n int) {
-	a.mu.Lock()
-	a.m.Load = n
-	a.mu.Unlock()
-}
-
-// SetDetail updates the full load signal the next heartbeat reports:
-// active VMs, summed dispatch backlog, and bytes moved over the last
-// interval.
-func (a *Announcer) SetDetail(load, queueDepth int, bytesInFlight uint64) {
-	a.mu.Lock()
-	a.m.Load = load
-	a.m.QueueDepth = queueDepth
-	a.m.BytesInFlight = bytesInFlight
-	a.mu.Unlock()
 }
 
 // SetSampler installs a hook the announcer calls under its lock just
@@ -99,6 +83,8 @@ func (a *Announcer) SetSampler(fn func(*Member)) {
 // (a VM migrated away, a drain completed) and placement decisions made
 // against the stale figure would pile onto the wrong host.
 func (a *Announcer) AnnounceNow() {
+	a.send.Lock()
+	defer a.send.Unlock()
 	select {
 	case <-a.done:
 		return
@@ -107,17 +93,14 @@ func (a *Announcer) AnnounceNow() {
 	a.loc.Announce(a.sample())
 }
 
-// Member returns the announced member record.
-func (a *Announcer) Member() Member {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.m
-}
-
-// Close stops the heartbeat and deregisters the member.
+// Close stops the heartbeat, waits for its goroutine to exit, and then
+// deregisters the member.
 func (a *Announcer) Close() {
 	a.once.Do(func() {
 		close(a.done)
+		<-a.stopped
+		a.send.Lock()
+		defer a.send.Unlock()
 		a.loc.Deregister(a.m.ID)
 	})
 }

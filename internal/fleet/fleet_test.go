@@ -135,7 +135,7 @@ func TestAnnouncerHeartbeatAndClose(t *testing.T) {
 	if ms, _ := reg.Live("opencl"); len(ms) != 1 || ms[0].ID != "1:1" {
 		t.Fatalf("initial announce missing: %+v", ms)
 	}
-	a.SetLoad(7)
+	a.SetSampler(func(m *Member) { m.Load = 7 })
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		ms, _ := reg.Live("opencl")
@@ -281,11 +281,12 @@ func TestAnnouncerSamplerAndAnnounceNow(t *testing.T) {
 	if len(ms) != 1 || ms[0].Load != 1 || ms[0].QueueDepth != 2 {
 		t.Fatalf("AnnounceNow did not carry sampled load: %+v", ms)
 	}
-	a.SetDetail(9, 4, 1<<20)
+	// Without a sampler the last sampled figures stand.
+	load = 9
 	a.SetSampler(nil)
 	a.AnnounceNow()
 	ms, _ = reg.Live("opencl")
-	if len(ms) != 1 || ms[0].Load != 9 || ms[0].QueueDepth != 4 || ms[0].BytesInFlight != 1<<20 {
-		t.Fatalf("AnnounceNow did not carry SetDetail values: %+v", ms)
+	if len(ms) != 1 || ms[0].Load != 1 || ms[0].QueueDepth != 2 {
+		t.Fatalf("sampler ran after being removed: %+v", ms)
 	}
 }

@@ -83,6 +83,7 @@ type Gossiper struct {
 	every time.Duration
 	clk   clock.Clock
 	done  chan struct{}
+	wg    sync.WaitGroup
 	once  sync.Once
 }
 
@@ -97,18 +98,14 @@ func StartGossip(reg *Registry, peers []GossipPeer, every time.Duration, clk clo
 		clk = clock.NewReal()
 	}
 	g := &Gossiper{reg: reg, peers: peers, every: every, clk: clk, done: make(chan struct{})}
+	g.wg.Add(1)
 	go g.loop()
 	return g
 }
 
 func (g *Gossiper) loop() {
-	for {
-		g.clk.Sleep(g.every)
-		select {
-		case <-g.done:
-			return
-		default:
-		}
+	defer g.wg.Done()
+	for clock.Wait(g.clk, g.every, g.done) {
 		g.PushNow()
 	}
 }
@@ -124,7 +121,8 @@ func (g *Gossiper) PushNow() {
 	}
 }
 
-// Close stops the gossip loop.
+// Close stops the gossip loop and waits for it to exit.
 func (g *Gossiper) Close() {
 	g.once.Do(func() { close(g.done) })
+	g.wg.Wait()
 }

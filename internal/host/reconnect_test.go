@@ -1,0 +1,91 @@
+package host_test
+
+import (
+	"math"
+	"testing"
+	"time"
+
+	"ava"
+	"ava/internal/cl"
+	"ava/internal/failover"
+	"ava/internal/fleet"
+	"ava/internal/host"
+	"ava/internal/rodinia"
+	"ava/internal/server"
+	"ava/internal/stacktest"
+)
+
+// TestHostReconnectReplaysIntoCleanContext severs only the VM's connection
+// in the middle of Rodinia gaussian while the host stays alive, so the
+// fleet dialer's per-host attempts reconnect to the *same* host. The
+// guardian's wire replay must land in an empty handle table: a host that
+// reused the previous incarnation's context answered FuncRebind with
+// "handle already bound" and the recovery was abandoned. Fixed backoff
+// seed, so the recovery schedule is reproducible run to run.
+func TestHostReconnectReplaysIntoCleanContext(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
+	w, ok := rodinia.ByName("gaussian")
+	if !ok {
+		t.Fatal("gaussian workload missing")
+	}
+
+	run := func(severAfter time.Duration) (float64, time.Duration) {
+		loc := fleet.NewRegistry(0, nil)
+		h := startHost(t, clServer(), host.Config{API: "opencl", Locator: loc, ID: "only-host"})
+		defer h.Kill()
+		dialer := failover.NewFleetDialer(loc, failover.FleetDialConfig{
+			API: "opencl", VM: 1, Name: "reconnect-vm",
+		})
+		desc := cl.Descriptor()
+		stack := ava.NewStack(desc, server.NewRegistry(desc),
+			ava.WithTransport(ava.TransportRing),
+			ava.WithFailover(ava.FailoverConfig{
+				Checkpoint: ava.CheckpointConfig{Every: 64},
+				Backoff:    failover.BackoffConfig{Seed: 14},
+				Dial: func(uint32, string) (failover.ServerLink, error) {
+					return dialer.Dial()
+				},
+				Host: func(uint32) string { return dialer.Host() },
+			}))
+		defer stack.Close()
+		lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "reconnect-vm"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dialer.SetEpochSource(stack.Guardian(1).Epoch)
+		if severAfter > 0 {
+			go func() {
+				time.Sleep(severAfter)
+				stack.KillServer(1)
+			}()
+		}
+		start := time.Now()
+		sum, err := w.Run(cl.NewRemote(lib), 1)
+		dur := time.Since(start)
+		if err != nil {
+			t.Fatalf("workload (sever after %v): %v", severAfter, err)
+		}
+		if rf := lib.Stats().RetryableFailed; rf != 0 {
+			t.Fatalf("%d calls dropped", rf)
+		}
+		if severAfter > 0 {
+			if n := stack.Guardian(1).Stats().Recoveries; n < 1 {
+				t.Fatalf("the sever caused no recovery (run took %v)", dur)
+			}
+		}
+		if n := dialer.HostChanges(); n != 0 {
+			t.Fatalf("%d host changes with a single live host", n)
+		}
+		return sum, dur
+	}
+
+	want, baseDur := run(0)
+	delay := baseDur / 3
+	if delay < time.Millisecond {
+		delay = time.Millisecond
+	}
+	got, _ := run(delay)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("checksum after same-host reconnect: %x != %x", math.Float64bits(got), math.Float64bits(want))
+	}
+}

@@ -163,24 +163,7 @@ func (r *Rebalancer) Start() {
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		for {
-			// An interruptible interval wait: Close must not sit out the
-			// rest of a sleep (or, on a manual test clock, wait for an
-			// Advance that never comes), so the timer races the done
-			// channel instead of blocking in Clock.Sleep.
-			wake := make(chan struct{})
-			stop := r.cfg.Clock.AfterFunc(r.cfg.Interval, func() { close(wake) })
-			select {
-			case <-r.done:
-				stop()
-				return
-			case <-wake:
-			}
-			select {
-			case <-r.done:
-				return
-			default:
-			}
+		for clock.Wait(r.cfg.Clock, r.cfg.Interval, r.done) {
 			r.Tick()
 		}
 	}()

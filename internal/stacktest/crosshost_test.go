@@ -6,7 +6,6 @@ package stacktest_test
 import (
 	"bytes"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,9 +13,10 @@ import (
 	"ava/internal/cl"
 	"ava/internal/failover"
 	"ava/internal/fleet"
+	"ava/internal/host"
 	"ava/internal/rodinia"
 	"ava/internal/server"
-	"ava/internal/transport"
+	"ava/internal/stacktest"
 )
 
 // TestMirrorRehydrationAfterGuardianLoss loses the ENTIRE first stack —
@@ -27,6 +27,7 @@ import (
 // shadow log existed this had to fail: the shadow log died with the
 // guardian and the new silo came up empty.
 func TestMirrorRehydrationAfterGuardianLoss(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	mirror := failover.NewMemoryMirror()
 	payload := make([]byte, 4096)
 	for i := range payload {
@@ -93,12 +94,15 @@ func TestMirrorRehydrationAfterGuardianLoss(t *testing.T) {
 // Nothing survives the first stack's death except the mirror host — the
 // exact situation a whole-machine loss leaves a replacement guardian in.
 func TestRemoteMirrorRehydrationAcrossMachines(t *testing.T) {
-	ml, err := transport.Listen("127.0.0.1:0")
+	stacktest.NoGoroutineLeaks(t)
+	// The mirror machine: an `avad -mirror` serving no VM of its own.
+	mh, err := host.Start(server.New(server.NewRegistry(cl.Descriptor())), host.Config{
+		Listen: "127.0.0.1:0", Mirror: "127.0.0.1:0",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ml.Close()
-	go failover.NewMirrorServer().Serve(ml)
+	defer mh.Kill()
 
 	payload := make([]byte, 4096)
 	for i := range payload {
@@ -108,7 +112,7 @@ func TestRemoteMirrorRehydrationAcrossMachines(t *testing.T) {
 	// First life on machine one: replicate over the wire, checkpoint, die.
 	silo1 := foSilo()
 	cfg1 := foConfig(silo1)
-	cfg1.Replication.RemoteAddr = ml.Addr()
+	cfg1.Replication.RemoteAddr = mh.MirrorAddr()
 	stack1 := foStack(silo1, ava.WithFailover(cfg1))
 	lib1, err := stack1.AttachVM(ava.VMConfig{ID: 1, Name: "remote-mirror-vm"})
 	if err != nil {
@@ -129,7 +133,7 @@ func TestRemoteMirrorRehydrationAcrossMachines(t *testing.T) {
 
 	// The replacement machine has only the mirror host's address and the
 	// VM id. Everything else comes over the wire.
-	st, err := failover.FetchMirrorState(ml.Addr(), 1)
+	st, err := failover.FetchMirrorState(mh.MirrorAddr(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,69 +185,23 @@ func clSetup(t *testing.T, c *cl.RemoteClient) (ctx, q, buf cl.Ref) {
 	return ctx, q, buf
 }
 
-// chaosHost is one standalone "machine" for the cross-host kill test: its
-// own silo and server behind a TCP listener, registered with the fleet.
-type chaosHost struct {
-	id  string
-	l   *transport.Listener
-	srv *server.Server
-
-	mu  sync.Mutex
-	eps []transport.Endpoint
-}
-
-func newChaosHost(t *testing.T, loc fleet.Locator, id string, load int) *chaosHost {
+// newChaosHost starts one standalone "machine" for the cross-host kill
+// test — its own silo and server behind the production host runtime —
+// announced to the fleet, and kills it when the test ends.
+func newChaosHost(t *testing.T, loc fleet.Locator, id string) *host.Server {
 	t.Helper()
 	silo := foSilo()
 	reg := server.NewRegistry(cl.Descriptor())
 	cl.BindServer(reg, silo)
 	reg.Restorer = cl.MigrationAdapter{Silo: silo}
-	l, err := transport.Listen("127.0.0.1:0")
+	h, err := host.Start(server.New(reg), host.Config{
+		Listen: "127.0.0.1:0", API: "opencl", Locator: loc, ID: id,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &chaosHost{id: id, l: l, srv: server.New(reg)}
-	go func() {
-		for {
-			ep, err := l.Accept()
-			if err != nil {
-				return
-			}
-			h.mu.Lock()
-			h.eps = append(h.eps, ep)
-			h.mu.Unlock()
-			go func() {
-				defer ep.Close()
-				frame, err := ep.Recv()
-				if err != nil {
-					return
-				}
-				hello, err := transport.DecodeHello(frame)
-				if err != nil {
-					return
-				}
-				if err := transport.AckHello(ep, hello, true, ""); err != nil {
-					return
-				}
-				h.srv.DropContext(hello.VM)
-				h.srv.ServeVM(h.srv.Context(hello.VM, hello.Name), ep)
-			}()
-		}
-	}()
-	loc.Announce(fleet.Member{ID: id, Addr: l.Addr(), API: "opencl", Load: load})
-	t.Cleanup(func() { h.kill(loc) })
+	t.Cleanup(h.Kill)
 	return h
-}
-
-func (h *chaosHost) kill(loc fleet.Locator) {
-	loc.Deregister(h.id)
-	h.l.Close()
-	h.mu.Lock()
-	eps := append([]transport.Endpoint(nil), h.eps...)
-	h.mu.Unlock()
-	for _, ep := range eps {
-		transport.Sever(ep)
-	}
 }
 
 // TestCrossHostKillMidRodinia kills the machine serving the VM in the
@@ -251,6 +209,7 @@ func (h *chaosHost) kill(loc fleet.Locator) {
 // fleet peer with a byte-identical checksum — fixed backoff seed, so the
 // recovery schedule is reproducible run to run.
 func TestCrossHostKillMidRodinia(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("gaussian")
 	if !ok {
 		t.Fatal("gaussian workload missing")
@@ -258,8 +217,10 @@ func TestCrossHostKillMidRodinia(t *testing.T) {
 
 	run := func(killAfter time.Duration) (float64, time.Duration, *failover.FleetDialer) {
 		loc := fleet.NewRegistry(0, nil)
-		hostA := newChaosHost(t, loc, "host-a", 0)
-		newChaosHost(t, loc, "host-b", 1)
+		// Equal announced load: the registry's ID tie-break lands the first
+		// dial on host-a.
+		hostA := newChaosHost(t, loc, "host-a")
+		newChaosHost(t, loc, "host-b")
 		dialer := failover.NewFleetDialer(loc, failover.FleetDialConfig{
 			API: "opencl", VM: 1, Name: "chaos-vm",
 		})
@@ -283,7 +244,7 @@ func TestCrossHostKillMidRodinia(t *testing.T) {
 		if killAfter > 0 {
 			go func() {
 				time.Sleep(killAfter)
-				hostA.kill(loc)
+				hostA.Kill()
 			}()
 		}
 		start := time.Now()

@@ -118,3 +118,24 @@ func AckHello(ep Endpoint, h Hello, ok bool, reason string) error {
 	}
 	return ep.Send(EncodeHelloAck(HelloAck{OK: ok, Reason: reason}))
 }
+
+// Greet is the dialer's half of the handshake AckHello answers: it sends h
+// as ep's first frame and, if h asks for an ack, blocks on the server's
+// verdict. A refusal comes back as an error carrying the server's reason.
+func Greet(ep Endpoint, h Hello) error {
+	if err := ep.Send(EncodeHello(h)); err != nil || !h.WantAck {
+		return err
+	}
+	frame, err := ep.Recv()
+	if err != nil {
+		return fmt.Errorf("hello ack: %w", err)
+	}
+	ack, err := DecodeHelloAck(frame)
+	if err != nil {
+		return fmt.Errorf("hello ack: %w", err)
+	}
+	if !ack.OK {
+		return fmt.Errorf("VM %d refused: %s", h.VM, ack.Reason)
+	}
+	return nil
+}

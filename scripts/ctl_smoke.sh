@@ -5,6 +5,7 @@
 # (`make ctl-smoke` does). Everything binds to port 0, so parallel CI
 # runs do not collide.
 set -eu
+. scripts/smoke_lib.sh
 
 GO=${GO:-go}
 workdir=$(mktemp -d)
@@ -17,21 +18,7 @@ $GO build -o "$workdir/avactl" ./cmd/avactl
 "$workdir/avad" -listen 127.0.0.1:0 -ctl 127.0.0.1:0 >"$workdir/avad.log" 2>&1 &
 avad_pid=$!
 
-# The daemon logs its bound ctl address; poll for it.
-ctl_addr=""
-i=0
-while [ $i -lt 100 ]; do
-    ctl_addr=$(sed -n 's/.*avad: ctl listening on //p' "$workdir/avad.log" | head -1)
-    [ -n "$ctl_addr" ] && break
-    kill -0 "$avad_pid" 2>/dev/null || { echo "ctl-smoke: avad died:"; cat "$workdir/avad.log"; exit 1; }
-    i=$((i + 1))
-    sleep 0.1
-done
-if [ -z "$ctl_addr" ]; then
-    echo "ctl-smoke: avad never announced its ctl address:"
-    cat "$workdir/avad.log"
-    exit 1
-fi
+ctl_addr=$(wait_log "$workdir/avad.log" "$avad_pid" 's/.*avad: ctl listening on //p')
 echo "ctl-smoke: avad up, ctl at $ctl_addr"
 
 "$workdir/avactl" -host "$ctl_addr" health

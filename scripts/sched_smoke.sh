@@ -1,10 +1,11 @@
 #!/bin/sh
 # sched_smoke.sh — end-to-end smoke of the cluster-scheduling front door:
 # boot a real avaregd and two announced avads, run the avaplace probe, and
-# require exactly one placement decision landing on the lighter host. Run
+# require exactly one placement decision landing on a fleet host. Run
 # from the repo root (`make sched-smoke` does). Everything binds to
 # port 0, so parallel CI runs do not collide.
 set -eu
+. scripts/smoke_lib.sh
 
 GO=${GO:-go}
 workdir=$(mktemp -d)
@@ -23,18 +24,7 @@ $GO build -o "$workdir/avaplace" ./cmd/avaplace
 
 "$workdir/avaregd" -listen 127.0.0.1:0 >"$workdir/avaregd.log" 2>&1 &
 regd_pid=$!
-
-# The registry logs its bound address; poll for it.
-reg_addr=""
-i=0
-while [ $i -lt 100 ]; do
-    reg_addr=$(sed -n 's/.*serving fleet registry on //p' "$workdir/avaregd.log" | head -1)
-    [ -n "$reg_addr" ] && break
-    kill -0 "$regd_pid" 2>/dev/null || { echo "sched-smoke: avaregd died:"; cat "$workdir/avaregd.log"; exit 1; }
-    i=$((i + 1))
-    sleep 0.1
-done
-[ -n "$reg_addr" ] || { echo "sched-smoke: avaregd never announced its address"; cat "$workdir/avaregd.log"; exit 1; }
+reg_addr=$(wait_log "$workdir/avaregd.log" "$regd_pid" 's/.*serving fleet registry on //p')
 echo "sched-smoke: registry up at $reg_addr"
 
 "$workdir/avad" -listen 127.0.0.1:0 -announce "$reg_addr" -id gpu-host-a >"$workdir/avad-a.log" 2>&1 &
@@ -43,15 +33,8 @@ avad_a_pid=$!
 avad_b_pid=$!
 
 # Both hosts must be announced before the probe ranks them.
-for h in a b; do
-    i=0
-    while [ $i -lt 100 ]; do
-        grep -q "announcing .* to fleet registry" "$workdir/avad-$h.log" 2>/dev/null && break
-        kill -0 "$(eval echo \$avad_${h}_pid)" 2>/dev/null || { echo "sched-smoke: avad-$h died:"; cat "$workdir/avad-$h.log"; exit 1; }
-        i=$((i + 1))
-        sleep 0.1
-    done
-done
+wait_log "$workdir/avad-a.log" "$avad_a_pid" '/announcing to 1 fleet registry replica/p' >/dev/null
+wait_log "$workdir/avad-b.log" "$avad_b_pid" '/announcing to 1 fleet registry replica/p' >/dev/null
 echo "sched-smoke: two avads announced"
 
 out=$("$workdir/avaplace" -registry "$reg_addr" -vm 1)
