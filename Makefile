@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench bench-smoke bench-json benchmark chaos ctl-smoke sched-smoke ha-smoke
+.PHONY: check fmt vet build test allocs bench bench-smoke bench-json benchmark chaos ctl-smoke sched-smoke ha-smoke
 
-check: fmt vet build test bench-smoke ctl-smoke sched-smoke ha-smoke
+check: fmt vet build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -22,6 +22,15 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# Alloc-budget and frame-pool tests, one per hot-path layer
+# (testing.AllocsPerRun; files tagged `//go:build !race`). The race
+# detector's instrumentation allocates and sync.Pool drops entries at random
+# under it, so `test` above compiles these out; this target runs them once
+# without -race so a regression in allocations per call fails `make check`.
+allocs:
+	$(GO) test -count=1 -run 'Alloc|BothHit' \
+		./internal/marshal/ ./internal/framebuf/ ./internal/hv/ ./internal/server/ ./internal/guest/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -47,10 +47,12 @@ func (p *ParamDesc) Out() bool {
 	return p.IsPointer && (p.Dir == spec.DirOut || p.Dir == spec.DirInOut)
 }
 
-// ResourceDesc is a compiled resource estimate.
+// ResourceDesc is a compiled resource estimate: one resource a function
+// consumes and the annotation expressions that price it (several
+// annotations naming the same resource are summed).
 type ResourceDesc struct {
 	Resource string
-	Amount   spec.Expr
+	Amounts  []spec.Expr
 }
 
 // FuncDesc is the compiled form of one API function.
@@ -170,7 +172,12 @@ func compileFunc(api *spec.API, fn *spec.Func, id uint32) (*FuncDesc, error) {
 		}
 	}
 	for _, res := range fn.Resources {
-		fd.Resources = append(fd.Resources, ResourceDesc{Resource: res.Resource, Amount: res.Amount})
+		i := fd.ResourceIndex(res.Resource)
+		if i < 0 {
+			i = len(fd.Resources)
+			fd.Resources = append(fd.Resources, ResourceDesc{Resource: res.Resource})
+		}
+		fd.Resources[i].Amounts = append(fd.Resources[i].Amounts, res.Amount)
 	}
 	if fn.Track.Kind != spec.TrackNone && fn.Track.Param != "" {
 		fd.TrackIdx = fn.ParamIndex(fn.Track.Param)
@@ -368,21 +375,38 @@ func (f *FuncDesc) Domain(args []marshal.Value) uint64 {
 	return 0
 }
 
-// EstimateResources evaluates every resource annotation for a call.
-// Unknown estimates evaluate to 0 rather than failing the call: scheduling
-// uses approximations (§4.3), and a broken estimate must not break the API.
-func (f *FuncDesc) EstimateResources(api *spec.API, args []marshal.Value) map[string]int64 {
+// ResourceIndex returns the position of the named resource in f.Resources
+// (and so in an EstimateResources result), or -1 if the function carries no
+// annotation for it.
+func (f *FuncDesc) ResourceIndex(name string) int {
+	for i := range f.Resources {
+		if f.Resources[i].Resource == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// EstimateResources evaluates every resource annotation for a call into
+// dst[:0] and returns it: element i is the estimate for f.Resources[i], so a
+// caller that passes the previous result back in allocates nothing. A
+// function without annotations yields an empty result. Unknown estimates
+// evaluate to 0 rather than failing the call: scheduling uses
+// approximations (§4.3), and a broken estimate must not break the API.
+func (f *FuncDesc) EstimateResources(api *spec.API, args []marshal.Value, dst []int64) []int64 {
+	dst = dst[:0]
 	if len(f.Resources) == 0 {
-		return nil
+		return dst
 	}
 	lookup := f.argLookup(args)
-	out := make(map[string]int64, len(f.Resources))
-	for _, r := range f.Resources {
-		v, err := spec.EvalExprWith(r.Amount, api, lookup)
-		if err != nil {
-			v = 0
+	for i := range f.Resources {
+		var sum int64
+		for _, amount := range f.Resources[i].Amounts {
+			if v, err := spec.EvalExprWith(amount, api, lookup); err == nil {
+				sum += v
+			}
 		}
-		out[r.Resource] += v
+		dst = append(dst, sum)
 	}
-	return out
+	return dst
 }

@@ -215,29 +215,39 @@ func TestEstimateResources(t *testing.T) {
 		marshal.Uint(0), marshal.Uint(1 << 20), marshal.BytesVal(nil),
 		marshal.Uint(1),
 	}
-	res := wr.EstimateResources(d.API, args)
-	if res["bandwidth"] != 1<<20 {
-		t.Fatalf("bandwidth = %d", res["bandwidth"])
+	est := func(fd *FuncDesc, name string, args []marshal.Value) int64 {
+		t.Helper()
+		i := fd.ResourceIndex(name)
+		if i < 0 {
+			t.Fatalf("%s: no %s annotation", fd.Name, name)
+		}
+		return fd.EstimateResources(d.API, args, nil)[i]
+	}
+	if got := est(wr, "bandwidth", args); got != 1<<20 {
+		t.Fatalf("bandwidth = %d", got)
 	}
 
 	la, _ := d.Lookup("launch")
-	res = la.EstimateResources(d.API, []marshal.Value{
+	if got := est(la, "device_time", []marshal.Value{
 		marshal.HandleVal(1), marshal.Uint(1024), marshal.Uint(64),
-	})
-	if res["device_time"] != 16 {
-		t.Fatalf("device_time = %d", res["device_time"])
+	}); got != 16 {
+		t.Fatalf("device_time = %d", got)
 	}
 
 	rd, _ := d.Lookup("readBuf")
 	// Broken env (missing size): estimate degrades to zero, not an error.
-	res = rd.EstimateResources(d.API, nil)
-	if res["bandwidth"] != 0 {
-		t.Fatalf("degraded estimate = %d", res["bandwidth"])
+	if got := est(rd, "bandwidth", nil); got != 0 {
+		t.Fatalf("degraded estimate = %d", got)
 	}
 
+	// The result reuses the caller's slice; no annotations means no entries.
+	scratch := make([]int64, 0, 4)
+	if got := wr.EstimateResources(d.API, args, scratch); &got[:1][0] != &scratch[:1][0] {
+		t.Fatal("estimate did not reuse the caller's slice")
+	}
 	open, _ := d.Lookup("openDevice")
-	if open.EstimateResources(d.API, nil) != nil {
-		t.Fatal("no annotations should return nil")
+	if got := open.EstimateResources(d.API, nil, scratch); len(got) != 0 || open.ResourceIndex("bandwidth") != -1 {
+		t.Fatalf("no annotations should estimate nothing, got %v", got)
 	}
 }
 

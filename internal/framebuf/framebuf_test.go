@@ -75,3 +75,29 @@ func TestPutCapsPooledEntrySize(t *testing.T) {
 		t.Fatalf("Get(32) after degenerate Puts: len %d cap %d", len(b), cap(b))
 	}
 }
+
+// TestClassesBracketEverySize pins the class arithmetic: a Get's class is
+// large enough for the request and at most a quarter larger, and a buffer
+// allocated for a class is filed back under that same class.
+func TestClassesBracketEverySize(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 80, 81, 127, 128, 129, 4095, 4096, 4097,
+		256<<10 - 1, 256 << 10, 256<<10 + 70, maxPooled - 1, maxPooled} {
+		c := classCeil(n)
+		size := classSize(c)
+		if size < n || (n > 64 && size > n+n/4) {
+			t.Errorf("classCeil(%d) = class %d of %d bytes", n, c, size)
+		}
+		if got := classFloor(size); got != c {
+			t.Errorf("a %d-byte buffer allocated for class %d is filed under class %d", size, c, got)
+		}
+		if c >= numClasses {
+			t.Errorf("classCeil(%d) = %d, beyond the %d classes", n, c, numClasses)
+		}
+	}
+	if b := Get(256<<10 + 70); cap(b) != 320<<10 {
+		t.Errorf("Get(256 KiB + 70) capacity = %d, want the 320 KiB class", cap(b))
+	}
+	if b := Get(maxPooled + 1); cap(b) != maxPooled+1 {
+		t.Errorf("oversized Get capacity = %d, want exact", cap(b))
+	}
+}

@@ -403,12 +403,27 @@ func (pc *pendingCall) expired(now int64) bool {
 }
 
 // demuxResult carries one call's outcome from the reply demultiplexer to
-// the goroutine waiting on it.
+// the goroutine waiting on it. A nil err means the reply was decoded into
+// the waiter's own record.
 type demuxResult struct {
-	reply *marshal.Reply
-	frame []byte // backing frame, recycled by the waiter after scatter
+	frame []byte // backing frame, recycled by the caller after scatter
 	err   error
 }
+
+// waiter is one synchronous call's rendezvous with the demultiplexer: the
+// channel its outcome arrives on and the record its reply is decoded into.
+// Waiters are pooled. The channel is buffered and receives exactly one
+// result per registration — whoever removes the waiter from Lib.waiters
+// (under waitMu) is the only sender — so once the caller has received it the
+// channel is empty, nobody else holds the waiter, and it can be reused. A
+// waiter whose call gave up without receiving (the send failed) is not
+// reused: a demux that already claimed it may still deliver.
+type waiter struct {
+	ch    chan demuxResult
+	reply marshal.Reply // valid from the receive until the waiter is released
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan demuxResult, 1)} }}
 
 // Lib is the descriptor-driven guest stub engine for one API on one VM.
 //
@@ -432,6 +447,12 @@ type Lib struct {
 	zeroCopy      bool
 	reg           *transport.BufRegistry // nil unless WithBufRegistry
 
+	// Resolved once in New: what the endpoint does with frame buffers, and
+	// its vectored send path if it has one.
+	sendCopies bool
+	recvOwned  bool
+	vec        transport.VectoredSender
+
 	mu          sync.Mutex
 	seq         uint64
 	epoch       uint32            // current endpoint epoch, stamped on every call
@@ -439,6 +460,8 @@ type Lib struct {
 	pendingN    int               // calls in pendingBuf
 	pendingMeta []pendingCall     // one entry per call in pendingBuf
 	pendingSegs []marshal.Segment // borrowed segments of pendingBuf's final (sync) call
+	pendingDL   int               // calls in pendingBuf that carry a deadline
+	frameHint   int               // size the previous batch frame needed (capped)
 	deferred    error
 	stats       Stats
 	fo          *foState          // nil unless WithFailover
@@ -450,7 +473,7 @@ type Lib struct {
 	// the pipeline's drain would be part of its own congestion cycle.
 	demuxOnce sync.Once
 	waitMu    sync.Mutex
-	waiters   map[uint64]chan demuxResult
+	waiters   map[uint64]*waiter
 	discard   map[uint64]struct{} // resubmitted completed calls: eat the reply
 	retiredHi uint64              // highest seq whose reply was ever delivered or discarded
 	staleDup  uint64              // duplicate replies for retired seqs, dropped (failover only)
@@ -462,6 +485,8 @@ type Lib struct {
 // New creates a guest library over an established transport endpoint.
 func New(desc *cava.Descriptor, ep transport.Endpoint, opts ...Option) *Lib {
 	l := &Lib{desc: desc, ep: ep, batchLimit: 128, clk: clock.NewReal(), deadlineSlack: 200 * time.Microsecond, zeroCopy: true}
+	l.sendCopies, l.recvOwned = transport.SendCopies(ep), transport.RecvOwned(ep)
+	l.vec, _ = ep.(transport.VectoredSender)
 	for _, o := range opts {
 		if o != nil {
 			o.applyLib(l)
@@ -531,6 +556,10 @@ type outBinding struct {
 	regref bool   // buf is a registered region: server writes in place, reply carries a length
 }
 
+// bound reports whether the binding names a destination (the zero
+// outBinding is "this parameter returns nothing").
+func (ob *outBinding) bound() bool { return ob.buf != nil || ob.dst != nil }
+
 // Call invokes the named API function. Arguments must match the
 // specification positionally:
 //
@@ -592,8 +621,19 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 		return marshal.Null(), fmt.Errorf("%w: %s: expired before encode", ErrDeadlineExceeded, fd.Name)
 	}
 
-	values := make([]marshal.Value, len(args))
-	var outs []outBinding
+	// The argument vector and the out bindings live on this goroutine's
+	// stack for calls of ordinary arity; nothing below retains them past the
+	// call (the encoder copies, scatter runs before return).
+	var (
+		valueBuf [8]marshal.Value
+		outBuf   [4]outBinding
+	)
+	values := valueBuf[:0]
+	if len(args) > len(valueBuf) {
+		values = make([]marshal.Value, 0, len(args))
+	}
+	values = values[:len(args)]
+	outs := outBuf[:0]
 
 	// Scalars first: buffer sizes are expressions over them.
 	for i := range args {
@@ -617,8 +657,8 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 			return marshal.Null(), fmt.Errorf("%w: %s(%s): %v", ErrBadArg, fd.Name, pd.Name, err)
 		}
 		values[i] = v
-		if ob != nil {
-			outs = append(outs, *ob)
+		if ob.bound() {
+			outs = append(outs, ob)
 		}
 	}
 
@@ -702,7 +742,6 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 	// frame pieces at send time. The borrow is sound because the vectored
 	// send is synchronous and completes inside this call; retention
 	// disables it for the same reason as the registered-buffer path.
-	vec, _ := l.ep.(transport.VectoredSender)
 	var series *failover.Series
 	for {
 		l.mu.Lock()
@@ -713,7 +752,7 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 		}
 
 		l.seq++
-		call := &marshal.Call{Seq: l.seq, Func: fd.ID, Priority: pri, Epoch: l.epoch, Deadline: deadline, Args: values}
+		call := marshal.Call{Seq: l.seq, Func: fd.ID, Priority: pri, Epoch: l.epoch, Deadline: deadline, Args: values}
 		call.Stamps.Encode = now.UnixNano()
 		l.stats.Calls++
 
@@ -722,13 +761,13 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 			if l.pendingN > 0 {
 				call.Flags |= marshal.FlagBatched
 			}
-			l.appendPending(fd, call, deadline, slack, true)
+			l.appendPending(fd, &call, deadline, slack, true)
 			l.stats.AsyncCalls++
 			l.stats.BytesCopied += bytesPayload(values)
 			var err error
 			if l.pendingN >= l.batchLimit {
 				err = l.flushLocked()
-			} else if l.deadlinePressure(now) {
+			} else if l.pendingDL > 0 && l.deadlinePressure(now) {
 				// Deadline-aware batching: the oldest batched call's budget is
 				// nearly spent, so flush now rather than let it expire queued.
 				l.stats.BatchDeadlineFlushes++
@@ -745,10 +784,10 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 		}
 
 		l.stats.SyncCalls++
-		if l.zeroCopy && l.fo == nil && vec != nil && hasLargeBytes(values) {
-			l.appendPendingSegs(call, deadline, slack)
+		if l.zeroCopy && l.fo == nil && l.vec != nil && hasLargeBytes(values) {
+			l.appendPendingSegs(&call, deadline, slack)
 		} else {
-			l.appendPending(fd, call, deadline, slack, false)
+			l.appendPending(fd, &call, deadline, slack, false)
 		}
 		batch, _, segs := l.takePending()
 
@@ -759,18 +798,20 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 		l.stats.BytesCopied += bytesPayload(values) - segBytes
 		// Register before Send: the reply may race back before this goroutine
 		// would otherwise get around to waiting for it.
-		ch, err := l.register(call.Seq)
+		w, err := l.register(call.Seq)
 		if err == nil {
 			var serr error
 			if len(segs) > 0 {
-				serr = sendVecSegs(vec, batch, segs)
+				serr = sendVecSegs(l.vec, batch, segs)
 			} else {
 				serr = l.ep.Send(batch)
 			}
 			if serr != nil {
+				// The waiter is abandoned, not pooled: a demux that already
+				// claimed it could still deliver into its channel.
 				l.unregister(call.Seq)
 				err = serr
-			} else if transport.SendCopies(l.ep) {
+			} else if l.sendCopies {
 				framebuf.Put(batch)
 			}
 		}
@@ -781,43 +822,15 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 		}
 		l.mu.Unlock()
 
-		res := <-ch
+		res := <-w.ch
 		if res.err != nil {
+			waiterPool.Put(w)
 			l.mu.Lock()
 			l.markDoneLocked(call.Seq)
 			l.mu.Unlock()
 			return marshal.Null(), res.err
 		}
-		reply := res.reply
-		// The reply stage closes when results reach the caller, so output
-		// scatter (which can copy large buffers) is charged to it; stamps are
-		// recorded on error returns too, since a failed call consumed the
-		// same stack path. stagedLocked runs under l.mu on this goroutine —
-		// the demux goroutine never touches the stats lock.
-		stagedLocked := func() {
-			l.stats.BytesRecv += uint64(len(res.frame))
-			st := reply.Stamps
-			if st.Done == 0 || st.Encode == 0 || st.Admit == 0 || st.Dispatch == 0 {
-				return
-			}
-			recv := l.clk.Now().UnixNano()
-			l.stats.StagedCalls++
-			l.stats.StageEncodeToAdmit += time.Duration(st.Admit - st.Encode)
-			l.stats.StageAdmitToDispatch += time.Duration(st.Dispatch - st.Admit)
-			l.stats.StageExec += time.Duration(st.Done - st.Dispatch)
-			l.stats.StageReply += time.Duration(recv - st.Done)
-		}
-		// release recycles the reply frame once nothing returned to the caller
-		// can alias it; a KindBytes return value is copied out first.
-		release := func() {
-			if !transport.RecvOwned(l.ep) {
-				return
-			}
-			if reply.Ret.Kind == marshal.KindBytes {
-				reply.Ret.Bytes = append([]byte(nil), reply.Ret.Bytes...)
-			}
-			framebuf.Put(res.frame)
-		}
+		reply := &w.reply
 		if reply.Status != marshal.StatusOK {
 			retry := false
 			var delay time.Duration
@@ -836,15 +849,16 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 					}
 				}
 			}
-			stagedLocked()
+			l.stagedLocked(reply, len(res.frame))
 			l.mu.Unlock()
-			release()
+			apiErr := &APIError{Func: fd.Name, Status: reply.Status, Detail: reply.Err}
+			l.release(w, res.frame)
 			if retry {
 				l.clk.Sleep(delay)
 				now = l.clk.Now()
 				continue
 			}
-			return marshal.Null(), &APIError{Func: fd.Name, Status: reply.Status, Detail: reply.Err}
+			return marshal.Null(), apiErr
 		}
 		replyCopied, replyBorrowed, err := scatter(fd, reply, outs)
 		l.mu.Lock()
@@ -854,20 +868,57 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 		if reply.Err != "" {
 			l.deferred = fmt.Errorf("guest: %s", reply.Err)
 		}
-		stagedLocked()
+		l.stagedLocked(reply, len(res.frame))
 		l.mu.Unlock()
-		release()
+		ret := reply.Ret
+		if l.recvOwned && ret.Kind == marshal.KindBytes {
+			// The frame is about to be recycled: a buffer return value is
+			// copied out first.
+			ret.Bytes = append([]byte(nil), ret.Bytes...)
+		}
+		l.release(w, res.frame)
 		if err != nil {
 			return marshal.Null(), err
 		}
-		return reply.Ret, nil
+		return ret, nil
 	}
 }
 
-// register installs the reply channel for seq and lazily starts the
+// stagedLocked folds one reply into the byte and per-stage latency
+// accumulators. The reply stage closes when results reach the caller, so
+// output scatter (which can copy large buffers) is charged to it; stamps are
+// recorded on error returns too, since a failed call consumed the same stack
+// path. Called with l.mu held, on the calling goroutine — the demux
+// goroutine never touches the stats lock.
+func (l *Lib) stagedLocked(reply *marshal.Reply, frameLen int) {
+	l.stats.BytesRecv += uint64(frameLen)
+	st := reply.Stamps
+	if st.Done == 0 || st.Encode == 0 || st.Admit == 0 || st.Dispatch == 0 {
+		return
+	}
+	recv := l.clk.Now().UnixNano()
+	l.stats.StagedCalls++
+	l.stats.StageEncodeToAdmit += time.Duration(st.Admit - st.Encode)
+	l.stats.StageAdmitToDispatch += time.Duration(st.Dispatch - st.Admit)
+	l.stats.StageExec += time.Duration(st.Done - st.Dispatch)
+	l.stats.StageReply += time.Duration(recv - st.Done)
+}
+
+// release ends a call's hold on its reply: the frame is recycled (when the
+// endpoint handed it over for good) and the waiter, whose record aliases the
+// frame, goes back to the pool. Nothing returned to the caller may alias
+// either after this.
+func (l *Lib) release(w *waiter, frame []byte) {
+	if l.recvOwned {
+		framebuf.Put(frame)
+	}
+	waiterPool.Put(w)
+}
+
+// register installs a (pooled) waiter for seq and lazily starts the
 // demultiplexer. Called with l.mu held; fails immediately if the demux
 // has already died (its error is sticky — no reply can ever arrive).
-func (l *Lib) register(seq uint64) (chan demuxResult, error) {
+func (l *Lib) register(seq uint64) (*waiter, error) {
 	l.demuxOnce.Do(func() { go l.demux() })
 	l.waitMu.Lock()
 	defer l.waitMu.Unlock()
@@ -875,11 +926,11 @@ func (l *Lib) register(seq uint64) (chan demuxResult, error) {
 		return nil, l.recvErr
 	}
 	if l.waiters == nil {
-		l.waiters = make(map[uint64]chan demuxResult)
+		l.waiters = make(map[uint64]*waiter)
 	}
-	ch := make(chan demuxResult, 1)
-	l.waiters[seq] = ch
-	return ch, nil
+	w := waiterPool.Get().(*waiter)
+	l.waiters[seq] = w
+	return w, nil
 }
 
 func (l *Lib) unregister(seq uint64) {
@@ -906,63 +957,77 @@ func (l *Lib) noteRetiredLocked(seq uint64) {
 // future call fails with the same error, because once the reply stream is
 // broken no awaited reply can be trusted to arrive.
 func (l *Lib) demux() {
+	// Replies nobody is waiting for (control notices, duplicates) are still
+	// decoded, into this scratch record, so a malformed frame is terminal
+	// whichever call it claims to answer.
+	var scratch marshal.Reply
 	for {
 		frame, err := l.ep.Recv()
 		if err != nil {
 			l.failWaiters(err)
 			return
 		}
-		reply, err := marshal.DecodeReply(frame)
-		if err != nil {
+		// The sequence number leads the frame; claim the waiter first so
+		// the reply decodes straight into the record its caller will read.
+		var w *waiter
+		seq, ok := marshal.ReplySeq(frame)
+		if ok {
+			l.waitMu.Lock()
+			if w = l.waiters[seq]; w != nil {
+				delete(l.waiters, seq)
+				l.noteRetiredLocked(seq)
+			}
+			l.waitMu.Unlock()
+		}
+		if w != nil {
+			if err := marshal.DecodeReplyInto(&w.reply, frame); err != nil {
+				w.ch <- demuxResult{err: err}
+				l.failWaiters(err)
+				return
+			}
+			// Buffered channel: delivery never blocks the demux loop.
+			w.ch <- demuxResult{frame: frame}
+			continue
+		}
+		if err := marshal.DecodeReplyInto(&scratch, frame); err != nil {
 			l.failWaiters(err)
 			return
 		}
-		if reply.Seq >= marshal.CtrlSeqBase {
+		if seq >= marshal.CtrlSeqBase {
 			// Guardian control notices ride the reply channel in a reserved
 			// sequence range; they are never a call's reply.
-			l.handleControl(reply)
-			if transport.RecvOwned(l.ep) {
+			l.handleControl(&scratch)
+			if l.recvOwned {
 				framebuf.Put(frame)
 			}
 			continue
 		}
 		l.waitMu.Lock()
-		ch, ok := l.waiters[reply.Seq]
-		if ok {
-			delete(l.waiters, reply.Seq)
-			l.noteRetiredLocked(reply.Seq)
-		} else if _, disc := l.discard[reply.Seq]; disc {
+		_, disc := l.discard[seq]
+		stale := !disc && l.fo != nil && seq <= l.retiredHi
+		if disc {
 			// The reply of a completed call that was resubmitted purely to
 			// rebuild server state: the caller got its result long ago.
-			delete(l.discard, reply.Seq)
-			l.noteRetiredLocked(reply.Seq)
-			l.waitMu.Unlock()
-			if transport.RecvOwned(l.ep) {
-				framebuf.Put(frame)
-			}
-			continue
-		} else if l.fo != nil && reply.Seq <= l.retiredHi {
+			delete(l.discard, seq)
+			l.noteRetiredLocked(seq)
+		} else if stale {
 			// A duplicate reply for a call that already retired: the dead
 			// server got its reply onto the wire before the crash and it
 			// arrived after recovery short-circuited the resubmitted copy
 			// from the record log (or the reverse order). At-least-once
 			// recovery makes such duplicates expected, not poison.
 			l.staleDup++
-			l.waitMu.Unlock()
-			if transport.RecvOwned(l.ep) {
-				framebuf.Put(frame)
-			}
-			continue
 		}
 		l.waitMu.Unlock()
-		if !ok {
+		if !disc && !stale {
 			// A reply nobody awaits means the two sides disagree about
 			// the call stream — the sequence space is poisoned.
-			l.failWaiters(fmt.Errorf("%w: reply for unknown call seq %d", ErrProtocol, reply.Seq))
+			l.failWaiters(fmt.Errorf("%w: reply for unknown call seq %d", ErrProtocol, seq))
 			return
 		}
-		// Buffered channel: delivery never blocks the demux loop.
-		ch <- demuxResult{reply: reply, frame: frame}
+		if l.recvOwned {
+			framebuf.Put(frame)
+		}
 	}
 }
 
@@ -973,9 +1038,9 @@ func (l *Lib) failWaiters(err error) {
 	if l.recvErr == nil {
 		l.recvErr = err
 	}
-	for seq, ch := range l.waiters {
+	for seq, w := range l.waiters {
 		delete(l.waiters, seq)
-		ch <- demuxResult{err: err}
+		w.ch <- demuxResult{err: err}
 	}
 	l.waitMu.Unlock()
 }
@@ -997,18 +1062,32 @@ func (l *Lib) deadlinePressure(now time.Time) bool {
 	return false
 }
 
+// maxFrameHint caps the batch-frame size hint at what a full batch of
+// payload-free calls needs: past it a frame is payload, not calls, and the
+// next frame is unlikely to need the same again.
+const maxFrameHint = 16 << 10
+
+// startPending opens a batch frame if none is under construction. The frame
+// is drawn at the size the previous batch needed (or this first call, if
+// larger) rather than at a token size that append then regrows three or
+// four times on the way to a typical batch.
+func (l *Lib) startPending(first int) {
+	if l.pendingN != 0 {
+		return
+	}
+	if l.pendingBuf == nil {
+		l.pendingBuf = framebuf.Get(max(l.frameHint, 2+4+first))
+	}
+	l.pendingBuf = append(l.pendingBuf[:0], 0, 0) // count patched at flush
+}
+
 // appendPending encodes call directly into the batch frame under
 // construction: calls are marshalled exactly once, into the buffer the
 // transport will carry. The buffer is drawn from the frame pool; it
 // returns there after a copying transport sends it, or cycles through the
 // server's dispatch refcount on ownership-transferring transports.
 func (l *Lib) appendPending(fd *cava.FuncDesc, call *marshal.Call, deadline int64, slack time.Duration, async bool) {
-	if l.pendingN == 0 {
-		if l.pendingBuf == nil {
-			l.pendingBuf = framebuf.Get(64)
-		}
-		l.pendingBuf = append(l.pendingBuf[:0], 0, 0) // count patched at flush
-	}
+	l.startPending(marshal.CallSize(call))
 	// Length prefix placeholder, then the call body.
 	start := len(l.pendingBuf)
 	l.pendingBuf = append(l.pendingBuf, 0, 0, 0, 0)
@@ -1022,6 +1101,9 @@ func (l *Lib) appendPending(fd *cava.FuncDesc, call *marshal.Call, deadline int6
 		off: start, end: len(l.pendingBuf), deadline: deadline, slack: slack, async: async, seq: call.Seq,
 	})
 	l.pendingN++
+	if deadline != 0 {
+		l.pendingDL++
+	}
 	if l.fo != nil {
 		// Retain an owned copy of the encoded call for resubmission; the
 		// batch frame itself is recycled or handed off after the send.
@@ -1048,12 +1130,7 @@ func (l *Lib) appendPending(fd *cava.FuncDesc, call *marshal.Call, deadline int6
 // until its call returns), so the segments always belong to the batch's
 // final call, and retention is never active on this path.
 func (l *Lib) appendPendingSegs(call *marshal.Call, deadline int64, slack time.Duration) {
-	if l.pendingN == 0 {
-		if l.pendingBuf == nil {
-			l.pendingBuf = framebuf.Get(64)
-		}
-		l.pendingBuf = append(l.pendingBuf[:0], 0, 0) // count patched at flush
-	}
+	l.startPending(marshal.CallHeaderSize)
 	start := len(l.pendingBuf)
 	l.pendingBuf = append(l.pendingBuf, 0, 0, 0, 0)
 	var segs []marshal.Segment
@@ -1068,6 +1145,9 @@ func (l *Lib) appendPendingSegs(call *marshal.Call, deadline int64, slack time.D
 		off: start, end: len(l.pendingBuf), deadline: deadline, slack: slack, async: false, seq: call.Seq,
 	})
 	l.pendingN++
+	if deadline != 0 {
+		l.pendingDL++
+	}
 }
 
 // retainTrimLocked evicts the oldest retained entries once the window
@@ -1108,19 +1188,26 @@ func (l *Lib) markDoneLocked(seq uint64) {
 // ownership of the returned frame, so the next batch starts fresh.
 func (l *Lib) takePending() ([]byte, int, []marshal.Segment) {
 	b, n, segs := l.pendingBuf, l.pendingN, l.pendingSegs
-	nowN := l.clk.Now().UnixNano()
+	// Only a batched call that carries a deadline can have expired, so a
+	// deadline-free batch (the common case) costs no clock read.
+	var nowN int64
+	if l.pendingDL > 0 {
+		nowN = l.clk.Now().UnixNano()
+	}
 	drop := 0
-	for i := range l.pendingMeta {
-		exp := l.pendingMeta[i].expired(nowN)
-		if exp {
-			drop++
-		}
-		if l.fo != nil {
-			if r, ok := l.fo.bySeq[l.pendingMeta[i].seq]; ok {
-				if exp {
-					r.done = true // excised locally: it will never execute
-				} else {
-					r.sent = true
+	if l.pendingDL > 0 || l.fo != nil {
+		for i := range l.pendingMeta {
+			exp := l.pendingMeta[i].expired(nowN)
+			if exp {
+				drop++
+			}
+			if l.fo != nil {
+				if r, ok := l.fo.bySeq[l.pendingMeta[i].seq]; ok {
+					if exp {
+						r.done = true // excised locally: it will never execute
+					} else {
+						r.sent = true
+					}
 				}
 			}
 		}
@@ -1153,8 +1240,10 @@ func (l *Lib) takePending() ([]byte, int, []marshal.Segment) {
 		b[0] = byte(n)
 		b[1] = byte(n >> 8)
 	}
+	l.frameHint = min(len(b), maxFrameHint)
 	l.pendingBuf = nil
 	l.pendingN = 0
+	l.pendingDL = 0
 	l.pendingMeta = l.pendingMeta[:0]
 	l.pendingSegs = nil
 	return b, n, segs
@@ -1222,7 +1311,7 @@ func (l *Lib) flushLocked() error {
 	l.stats.Batches++
 	l.stats.BytesSent += uint64(len(batch))
 	err := l.ep.Send(batch)
-	if err == nil && transport.SendCopies(l.ep) {
+	if err == nil && l.sendCopies {
 		framebuf.Put(batch)
 	}
 	return err
@@ -1357,11 +1446,11 @@ func (l *Lib) resubmit(epoch uint32, w uint64) {
 	// In-flight calls past the watermark whose frames are not retained
 	// (window overflow) can never be replayed: fail them loudly.
 	l.waitMu.Lock()
-	for seq, ch := range l.waiters {
+	for seq, wt := range l.waiters {
 		if seq > w && seq < marshal.CtrlSeqBase && !resubmitting[seq] {
 			delete(l.waiters, seq)
 			l.stats.RetryableFailed++
-			ch <- demuxResult{err: fmt.Errorf("%w: frame not retained (epoch %d)", averr.ErrRetryable, epoch)}
+			wt.ch <- demuxResult{err: fmt.Errorf("%w: frame not retained (epoch %d)", averr.ErrRetryable, epoch)}
 		}
 	}
 	l.waitMu.Unlock()
@@ -1378,7 +1467,7 @@ func (l *Lib) resubmit(epoch uint32, w uint64) {
 		if err := l.ep.Send(frame); err != nil {
 			return
 		}
-		if transport.SendCopies(l.ep) {
+		if l.sendCopies {
 			framebuf.Put(frame)
 		}
 	}
@@ -1402,9 +1491,9 @@ func (l *Lib) failRetryable(epoch uint32) {
 	if l.recvErr == nil {
 		l.recvErr = err
 	}
-	for seq, ch := range l.waiters {
+	for seq, w := range l.waiters {
 		delete(l.waiters, seq)
-		ch <- demuxResult{err: err}
+		w.ch <- demuxResult{err: err}
 		n++
 	}
 	l.waitMu.Unlock()
@@ -1477,10 +1566,10 @@ func toInt64(arg any) (int64, error) {
 	return 0, fmt.Errorf("want integer, got %T", arg)
 }
 
-func (l *Lib) convertPointer(fd *cava.FuncDesc, i int, arg any, values []marshal.Value) (marshal.Value, *outBinding, error) {
+func (l *Lib) convertPointer(fd *cava.FuncDesc, i int, arg any, values []marshal.Value) (marshal.Value, outBinding, error) {
 	pd := &fd.Params[i]
 	if arg == nil {
-		return marshal.Null(), nil, nil
+		return marshal.Null(), outBinding{}, nil
 	}
 
 	if pd.IsElement {
@@ -1491,41 +1580,41 @@ func (l *Lib) convertPointer(fd *cava.FuncDesc, i int, arg any, values []marshal
 	// authoritative on both sides.
 	want, err := fd.BufferBytesArgs(i, l.desc.API, values)
 	if err != nil {
-		return marshal.Null(), nil, err
+		return marshal.Null(), outBinding{}, err
 	}
 	buf, ok := arg.([]byte)
 	if !ok {
-		return marshal.Null(), nil, fmt.Errorf("want []byte, got %T", arg)
+		return marshal.Null(), outBinding{}, fmt.Errorf("want []byte, got %T", arg)
 	}
 	if buf == nil {
-		return marshal.Null(), nil, nil
+		return marshal.Null(), outBinding{}, nil
 	}
 	if len(buf) < want {
-		return marshal.Null(), nil, fmt.Errorf("buffer is %d bytes, specification requires %d", len(buf), want)
+		return marshal.Null(), outBinding{}, fmt.Errorf("buffer is %d bytes, specification requires %d", len(buf), want)
 	}
 	switch pd.Dir {
 	case spec.DirIn:
-		return marshal.BytesVal(buf[:want]), nil, nil
+		return marshal.BytesVal(buf[:want]), outBinding{}, nil
 	case spec.DirOut:
-		return marshal.Len(uint64(want)), &outBinding{param: i, buf: buf[:want]}, nil
+		return marshal.Len(uint64(want)), outBinding{param: i, buf: buf[:want]}, nil
 	case spec.DirInOut:
-		return marshal.BytesVal(buf[:want]), &outBinding{param: i, buf: buf[:want]}, nil
+		return marshal.BytesVal(buf[:want]), outBinding{param: i, buf: buf[:want]}, nil
 	}
-	return marshal.Null(), nil, fmt.Errorf("buffer parameter with direction %v", pd.Dir)
+	return marshal.Null(), outBinding{}, fmt.Errorf("buffer parameter with direction %v", pd.Dir)
 }
 
-func convertElement(pd *cava.ParamDesc, i int, arg any) (marshal.Value, *outBinding, error) {
+func convertElement(pd *cava.ParamDesc, i int, arg any) (marshal.Value, outBinding, error) {
 	// Single-element pointers: out scalars and allocated handles.
 	switch dst := arg.(type) {
 	case *marshal.Handle:
 		if pd.Kind != spec.KindHandle {
-			return marshal.Null(), nil, fmt.Errorf("want %v element, got *marshal.Handle", pd.Kind)
+			return marshal.Null(), outBinding{}, fmt.Errorf("want %v element, got *marshal.Handle", pd.Kind)
 		}
-		return marshal.Len(uint64(pd.ElemSize)), &outBinding{param: i, dst: dst}, nil
+		return marshal.Len(uint64(pd.ElemSize)), outBinding{param: i, dst: dst}, nil
 	case *int32, *int64, *uint32, *uint64, *float32, *float64:
-		return marshal.Len(uint64(pd.ElemSize)), &outBinding{param: i, dst: dst}, nil
+		return marshal.Len(uint64(pd.ElemSize)), outBinding{param: i, dst: dst}, nil
 	}
-	return marshal.Null(), nil, fmt.Errorf("want pointer destination for out element, got %T", arg)
+	return marshal.Null(), outBinding{}, fmt.Errorf("want pointer destination for out element, got %T", arg)
 }
 
 // scatter writes reply outputs back into the caller's memory. It returns
@@ -1541,17 +1630,17 @@ func scatter(fd *cava.FuncDesc, reply *marshal.Reply, outs []outBinding) (copied
 	if len(reply.Outs) != fd.NumOuts {
 		return 0, 0, fmt.Errorf("%w: %s: %d outs, want %d", ErrProtocol, fd.Name, len(reply.Outs), fd.NumOuts)
 	}
-	// Map param index -> out slot.
-	slot := make(map[int]int, fd.NumOuts)
-	n := 0
-	for i := range fd.Params {
-		if fd.Params[i].Out() {
-			slot[i] = n
-			n++
+	// Bindings were collected in parameter order, so one forward walk over
+	// the parameters maps each to its position in reply.Outs.
+	slot, next := 0, 0
+	for oi := range outs {
+		ob := &outs[oi]
+		for ; next < ob.param; next++ {
+			if fd.Params[next].Out() {
+				slot++
+			}
 		}
-	}
-	for _, ob := range outs {
-		v := reply.Outs[slot[ob.param]]
+		v := &reply.Outs[slot]
 		if v.Kind == marshal.KindNull {
 			continue
 		}
@@ -1573,7 +1662,7 @@ func scatter(fd *cava.FuncDesc, reply *marshal.Reply, outs []outBinding) (copied
 			copied += uint64(len(v.Bytes))
 			continue
 		}
-		if err := storeElement(ob.dst, v); err != nil {
+		if err := storeElement(ob.dst, *v); err != nil {
 			return copied, borrowed, fmt.Errorf("%w: %s: %v", ErrProtocol, fd.Name, err)
 		}
 	}

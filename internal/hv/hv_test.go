@@ -965,3 +965,113 @@ func TestRouterReplayBypassesDeadlineStall(t *testing.T) {
 		t.Fatalf("server saw %d calls", echo.count())
 	}
 }
+
+// admitConfigs are the two policy set-ups the admission benchmark and the
+// alloc budget cover: no policy at all, and everything switched on but never
+// binding — fair scheduling, token buckets and a load shedder, as a serving
+// deployment configures them.
+type admitConfig struct {
+	name  string
+	build func(desc *cava.Descriptor) (*Router, VMConfig)
+}
+
+func admitConfigs() []admitConfig {
+	return []admitConfig{
+		{"fifo", func(desc *cava.Descriptor) (*Router, VMConfig) {
+			return NewRouter(desc, nil, nil), VMConfig{ID: 1, Name: "vm1"}
+		}},
+		{"fair+buckets+shed", func(desc *cava.Descriptor) (*Router, VMConfig) {
+			r := NewRouter(desc, NewFairScheduler(0), nil)
+			r.SetShedPolicy(ShedConfig{MaxRecentStall: time.Second})
+			return r, VMConfig{ID: 1, Name: "vm1", CallsPerSec: 1e9, CallBurst: 1e9, Weight: 1,
+				Quotas: map[string]int64{"device_time": 1 << 60}}
+		}},
+	}
+}
+
+// BenchmarkRouterAdmit measures the router's per-call admission path alone:
+// one encoded call policed against the VM's policy, no transport.
+func BenchmarkRouterAdmit(b *testing.B) {
+	desc := hvDesc()
+	for _, cfg := range admitConfigs() {
+		b.Run(cfg.name, func(b *testing.B) {
+			r, vm := cfg.build(desc)
+			if err := r.RegisterVM(vm); err != nil {
+				b.Fatal(err)
+			}
+			st, _ := r.vm(vm.ID)
+			frame := encCall(desc, 1, "launch", marshal.FlagAsync, marshal.Uint(1024), marshal.Uint(64))
+			var sc uplinkScratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if keep, _ := r.police(vm.ID, st, nil, frame, &sc); !keep {
+					b.Fatal("call not admitted")
+				}
+			}
+		})
+	}
+}
+
+// The call an Interceptor receives is the uplink's scratch record: valid
+// while the interceptor runs, overwritten by the next call. The test pins
+// both halves of that rule — every invocation sees exactly its own call
+// (including after a longer one dirtied the record), and a retained pointer
+// does not keep the old contents.
+func TestInterceptorCallIsValidOnlyDuringTheCall(t *testing.T) {
+	desc := hvDesc()
+	r := NewRouter(desc, nil, nil)
+	r.RegisterVM(VMConfig{ID: 1})
+	type seen struct {
+		seq   uint64
+		nargs int
+		first uint64
+	}
+	var (
+		mu       sync.Mutex
+		got      []seen
+		retained *marshal.Call
+		reused   bool
+	)
+	r.AddInterceptor(func(vm VMID, fd *cava.FuncDesc, call *marshal.Call) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if retained != nil && retained == call && retained.Seq == call.Seq {
+			reused = true // the pointer kept from the last call now shows this one
+		}
+		retained = call
+		got = append(got, seen{call.Seq, len(call.Args), call.Args[0].Uint})
+		return nil
+	})
+	ep, echo := routedStack(t, r, 1)
+	batch := marshal.EncodeBatch([][]byte{
+		encCall(desc, 1, "launch", marshal.FlagAsync, marshal.Uint(1024), marshal.Uint(64)),
+		encCall(desc, 2, "push", 0, marshal.Uint(4), marshal.BytesVal([]byte("data"))),
+		encCall(desc, 3, "ping", 0, marshal.Uint(7)),
+	})
+	if err := ep.Send(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the two synchronous calls' replies
+		if _, err := ep.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []seen{{1, 2, 1024}, {2, 2, 4}, {3, 1, 7}}
+	if len(got) != len(want) {
+		t.Fatalf("interceptor saw %d calls, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("call %d: interceptor saw %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if !reused {
+		t.Error("the router did not reuse its scratch call: the documented lifetime rule is stale")
+	}
+	if echo.count() != 3 {
+		t.Fatalf("server saw %d calls, want 3", echo.count())
+	}
+}

@@ -91,30 +91,29 @@ func (tb *TokenBucket) Tokens() float64 {
 	return tb.tokens
 }
 
-// reserveDelay returns the wait n tokens would require right now, without
+// reserveDelay returns the wait n tokens would require at time now, without
 // withdrawing them. charge withdraws unconditionally. Together they let
 // PriorityBuckets compose a peek-then-charge decision across several
-// buckets atomically (under its own lock).
-func (tb *TokenBucket) reserveDelay(n float64) time.Duration {
+// buckets atomically (under its own lock) from a single clock reading.
+//
+// Both run without tb.mu: PriorityBuckets owns its buckets outright and
+// serializes every access to them under its own lock.
+func (tb *TokenBucket) reserveDelay(now time.Time, n float64) time.Duration {
 	if tb.Unlimited() || n <= 0 {
 		return 0
 	}
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.refill(tb.clk.Now())
+	tb.refill(now)
 	if t := tb.tokens - n; t < 0 {
 		return time.Duration(-t / tb.rate * float64(time.Second))
 	}
 	return 0
 }
 
-func (tb *TokenBucket) charge(n float64) {
+func (tb *TokenBucket) charge(now time.Time, n float64) {
 	if tb.Unlimited() || n <= 0 {
 		return
 	}
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.refill(tb.clk.Now())
+	tb.refill(now)
 	tb.tokens -= n
 }
 
@@ -191,6 +190,15 @@ func (pb *PriorityBuckets) Reserve(band int, n float64) time.Duration {
 	if pb.Unlimited() || n <= 0 {
 		return 0
 	}
+	return pb.reserveAt(pb.shared.clk.Now(), band, n)
+}
+
+// reserveAt is Reserve against a clock reading the caller already holds (the
+// router's arrival stamp), so the hierarchy costs no clock reads of its own.
+func (pb *PriorityBuckets) reserveAt(now time.Time, band int, n float64) time.Duration {
+	if pb.Unlimited() || n <= 0 {
+		return 0
+	}
 	if band < 0 {
 		band = 0
 	} else if band >= NumPriorityBands {
@@ -200,24 +208,24 @@ func (pb *PriorityBuckets) Reserve(band int, n float64) time.Duration {
 	defer pb.mu.Unlock()
 	sub := pb.sub[band]
 	if sub == nil {
-		d := pb.shared.reserveDelay(n)
-		pb.shared.charge(n)
+		d := pb.shared.reserveDelay(now, n)
+		pb.shared.charge(now, n)
 		return d
 	}
-	subD := sub.reserveDelay(n)
+	subD := sub.reserveDelay(now, n)
 	if subD == 0 {
 		// Floors are carved out of the aggregate, so the shared bucket is
 		// charged too — but never waited on.
-		sub.charge(n)
-		pb.shared.charge(n)
+		sub.charge(now, n)
+		pb.shared.charge(now, n)
 		return 0
 	}
-	if sharedD := pb.shared.reserveDelay(n); sharedD < subD {
-		pb.shared.charge(n)
+	if sharedD := pb.shared.reserveDelay(now, n); sharedD < subD {
+		pb.shared.charge(now, n)
 		return sharedD
 	}
-	sub.charge(n)
-	pb.shared.charge(n)
+	sub.charge(now, n)
+	pb.shared.charge(now, n)
 	return subD
 }
 

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ava/internal/averr"
 	"ava/internal/cava"
 	"ava/internal/clock"
+	"ava/internal/framebuf"
 	"ava/internal/marshal"
 	"ava/internal/transport"
 )
@@ -128,8 +130,11 @@ type vmState struct {
 	callTB *PriorityBuckets
 	byteTB *PriorityBuckets
 
+	// epoch is the current endpoint epoch; older frames are fenced. Written
+	// under mu, read lock-free by the per-call fence check.
+	epoch atomic.Uint32
+
 	mu        sync.Mutex
-	epoch     uint32 // current endpoint epoch; older frames are fenced
 	host      string // fleet member ID currently serving this VM
 	hostEpoch uint32 // epoch at the last SetServingHost
 	stats     VMStats
@@ -137,6 +142,9 @@ type vmState struct {
 	// call, held for §4.2's error-deferral contract: async denials cannot
 	// be replied to (the guest is not waiting), so the VM's next sync call
 	// fails with the recorded status instead of the denial vanishing.
+	// hasDeferred mirrors deferredStatus != StatusOK so the admitted path
+	// skips the lock when nothing is pending.
+	hasDeferred    atomic.Bool
 	deferredStatus marshal.Status
 	deferredErr    string
 }
@@ -147,12 +155,16 @@ func (st *vmState) deferDenial(status marshal.Status, msg string) {
 	st.mu.Lock()
 	if st.deferredStatus == marshal.StatusOK {
 		st.deferredStatus, st.deferredErr = status, msg
+		st.hasDeferred.Store(true)
 	}
 	st.mu.Unlock()
 }
 
 // takeDeferred consumes the pending async denial, if any.
 func (st *vmState) takeDeferred() (marshal.Status, string, bool) {
+	if !st.hasDeferred.Load() {
+		return marshal.StatusOK, "", false
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.deferredStatus == marshal.StatusOK {
@@ -160,6 +172,7 @@ func (st *vmState) takeDeferred() (marshal.Status, string, bool) {
 	}
 	status, msg := st.deferredStatus, st.deferredErr
 	st.deferredStatus, st.deferredErr = marshal.StatusOK, ""
+	st.hasDeferred.Store(false)
 	return status, msg, true
 }
 
@@ -170,10 +183,13 @@ type Router struct {
 	clk   clock.Clock
 	sched Scheduler
 
-	mu        sync.Mutex
-	vms       map[VMID]*vmState
-	intercept []Interceptor
-	shed      ShedConfig
+	mu  sync.Mutex
+	vms map[VMID]*vmState
+	// intercept and shed are read once per call and replaced whole on the
+	// rare write (copy-on-write), so the forwarding path loads a pointer
+	// instead of taking mu and copying.
+	intercept atomic.Pointer[[]Interceptor]
+	shed      atomic.Pointer[ShedConfig]
 
 	loadMu      sync.Mutex
 	recentStall time.Duration // EWMA of admitted calls' rate-limit+sched stall
@@ -189,9 +205,7 @@ const shedWarmupCalls = 256
 // load-shedding configuration. Enabling AdaptiveStall (re)starts the
 // warm-up window that calibrates the stall floor.
 func (r *Router) SetShedPolicy(cfg ShedConfig) {
-	r.mu.Lock()
-	r.shed = cfg
-	r.mu.Unlock()
+	r.shed.Store(&cfg)
 	r.loadMu.Lock()
 	if cfg.AdaptiveStall {
 		r.warmupLeft = shedWarmupCalls
@@ -203,9 +217,10 @@ func (r *Router) SetShedPolicy(cfg ShedConfig) {
 }
 
 func (r *Router) shedConfig() ShedConfig {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shed
+	if sc := r.shed.Load(); sc != nil {
+		return *sc
+	}
+	return ShedConfig{}
 }
 
 // noteStall folds one admitted call's stall into the router-wide EWMA the
@@ -232,23 +247,22 @@ func (r *Router) RecentStall() time.Duration {
 // MaxRecentStall, or — once the warm-up window has calibrated the floor —
 // the adaptive StallFloorMult multiple of the observed uncontended stall,
 // whichever is larger. ok=false means the stall signal is off (no static
-// threshold and the adaptive one is not yet calibrated).
-func (r *Router) stallThreshold(sc ShedConfig) (time.Duration, bool) {
-	if !sc.AdaptiveStall {
-		return sc.MaxRecentStall, sc.MaxRecentStall > 0
-	}
+// threshold and the adaptive one is not yet calibrated). It also returns the
+// recent aggregate stall, read under the same lock hold.
+func (r *Router) stallThreshold(sc ShedConfig) (thr, recent time.Duration, ok bool) {
 	r.loadMu.Lock()
+	recent = r.recentStall
 	warm := r.warmupLeft <= 0
 	floor := r.stallFloor
 	r.loadMu.Unlock()
-	if !warm {
-		return sc.MaxRecentStall, sc.MaxRecentStall > 0
+	if !sc.AdaptiveStall || !warm {
+		return sc.MaxRecentStall, recent, sc.MaxRecentStall > 0
 	}
 	mult := sc.StallFloorMult
 	if mult <= 1 {
 		mult = 8
 	}
-	thr := time.Duration(float64(floor) * mult)
+	thr = time.Duration(float64(floor) * mult)
 	if thr < 100*time.Microsecond {
 		// A near-zero floor (in-process transports can admit in
 		// nanoseconds) would make the shedder hair-triggered; clamp to a
@@ -258,13 +272,13 @@ func (r *Router) stallThreshold(sc ShedConfig) (time.Duration, bool) {
 	if sc.MaxRecentStall > thr {
 		thr = sc.MaxRecentStall
 	}
-	return thr, true
+	return thr, recent, true
 }
 
 // ShedStallThreshold reports the currently effective shed-stall threshold
 // (0 when the stall signal is off or still calibrating).
 func (r *Router) ShedStallThreshold() time.Duration {
-	thr, ok := r.stallThreshold(r.shedConfig())
+	thr, _, ok := r.stallThreshold(r.shedConfig())
 	if !ok {
 		return 0
 	}
@@ -279,8 +293,7 @@ func (r *Router) overloaded(sc ShedConfig) bool {
 	if sc.MaxQueueDepth > 0 && introspective && li.QueueDepth() >= sc.MaxQueueDepth {
 		return true
 	}
-	if thr, ok := r.stallThreshold(sc); ok {
-		stall := r.RecentStall()
+	if thr, stall, ok := r.stallThreshold(sc); ok {
 		if introspective {
 			if s := li.RecentStall(); s > stall {
 				stall = s
@@ -312,7 +325,8 @@ func (r *Router) Scheduler() Scheduler { return r.sched }
 // installation order.
 func (r *Router) AddInterceptor(ic Interceptor) {
 	r.mu.Lock()
-	r.intercept = append(r.intercept, ic)
+	next := append(append([]Interceptor(nil), r.interceptors()...), ic)
+	r.intercept.Store(&next)
 	r.mu.Unlock()
 }
 
@@ -348,8 +362,8 @@ func (r *Router) SetEpoch(id VMID, epoch uint32) {
 		return
 	}
 	st.mu.Lock()
-	if epoch > st.epoch {
-		st.epoch = epoch
+	if epoch > st.epoch.Load() {
+		st.epoch.Store(epoch)
 	}
 	st.mu.Unlock()
 }
@@ -368,13 +382,13 @@ func (r *Router) SetServingHost(id VMID, host string) {
 	if host != st.host {
 		if st.host != "" {
 			st.stats.HostChanges++
-			if st.epoch == st.hostEpoch {
-				st.epoch++
+			if st.epoch.Load() == st.hostEpoch {
+				st.epoch.Add(1)
 			}
 		}
 		st.host = host
 	}
-	st.hostEpoch = st.epoch
+	st.hostEpoch = st.epoch.Load()
 	st.mu.Unlock()
 }
 
@@ -396,9 +410,7 @@ func (r *Router) Epoch(id VMID) uint32 {
 	if err != nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.epoch
+	return st.epoch.Load()
 }
 
 // UnregisterVM removes a VM.
@@ -459,7 +471,7 @@ func (r *Router) Snapshot() []VMSnapshot {
 			ID:    id,
 			Name:  st.cfg.Name,
 			Host:  st.host,
-			Epoch: st.epoch,
+			Epoch: st.epoch.Load(),
 			Stats: st.stats,
 		}
 		snap.Stats.Resources = make(map[string]int64, len(st.stats.Resources))
@@ -482,10 +494,13 @@ func (r *Router) vm(id VMID) (*vmState, error) {
 	return st, nil
 }
 
+// interceptors returns the installed hooks. The slice is immutable —
+// AddInterceptor replaces it whole — so callers share it without copying.
 func (r *Router) interceptors() []Interceptor {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Interceptor(nil), r.intercept...)
+	if ics := r.intercept.Load(); ics != nil {
+		return *ics
+	}
+	return nil
 }
 
 // Attach runs the forwarding loops for one VM: guestSide carries traffic
@@ -507,6 +522,7 @@ func (r *Router) Attach(id VMID, guestSide, serverSide transport.Endpoint) error
 	go func() {
 		defer wg.Done()
 		defer guestSide.Close()
+		recycle := spent(serverSide, guestSide)
 		for {
 			frame, err := serverSide.Recv()
 			if err != nil {
@@ -514,6 +530,9 @@ func (r *Router) Attach(id VMID, guestSide, serverSide transport.Endpoint) error
 			}
 			if err := guestSide.Send(frame); err != nil {
 				return
+			}
+			if recycle {
+				framebuf.Put(frame)
 			}
 		}
 	}()
@@ -527,89 +546,116 @@ func (r *Router) Attach(id VMID, guestSide, serverSide transport.Endpoint) error
 	return err
 }
 
+// uplinkScratch is what one VM's uplink loop reuses from frame to frame, so
+// a forwarded call allocates nothing in the router. call is the decode target
+// of the call being policed: it (and the argument vector behind it) is
+// overwritten by the next call, so an Interceptor may read it only for the
+// duration of its own invocation.
+type uplinkScratch struct {
+	call    marshal.Call
+	batch   [][]byte
+	forward [][]byte
+	est     []int64
+}
+
+// spent reports whether a frame received from one endpoint and sent on to
+// another is the router's to recycle afterwards: it arrived owned (the
+// receiver holds the only reference) and the onward Send copied it out. Only
+// then can the router prove the ownership framebuf.Put demands; in every
+// other pairing the frame is left to the garbage collector.
+func spent(from, to transport.Endpoint) bool {
+	return transport.RecvOwned(from) && transport.SendCopies(to)
+}
+
 func (r *Router) uplink(id VMID, st *vmState, guestSide, serverSide transport.Endpoint) error {
+	var sc uplinkScratch
+	recycle := spent(guestSide, serverSide)
 	for {
 		frame, err := guestSide.Recv()
 		if err != nil {
 			return err
 		}
-		batch, err := marshal.DecodeBatch(frame)
+		sc.batch, err = marshal.DecodeBatchInto(sc.batch, frame)
 		if err != nil {
 			return fmt.Errorf("hv: VM %d sent malformed batch: %w", id, err)
 		}
 		ics := r.interceptors()
-		allKept := true
-		forward := make([][]byte, 0, len(batch))
-		for _, cf := range batch {
-			keep, deny := r.police(id, st, ics, cf)
+		sc.forward = sc.forward[:0]
+		for _, cf := range sc.batch {
+			keep, deny := r.police(id, st, ics, cf, &sc)
 			if deny != nil {
 				if err := guestSide.Send(marshal.EncodeReply(deny)); err != nil {
 					return err
 				}
 			}
 			if keep {
-				forward = append(forward, cf)
-			} else {
-				allKept = false
+				sc.forward = append(sc.forward, cf)
 			}
 		}
-		if len(forward) == 0 {
-			continue
+		switch {
+		case len(sc.forward) == 0:
+		case len(sc.forward) == len(sc.batch):
+			// Fast path: nothing was denied, so the original batch frame
+			// can flow onward unmodified (no re-encode copy).
+			err = serverSide.Send(frame)
+		default:
+			err = serverSide.Send(marshal.EncodeBatch(sc.forward))
 		}
-		// Fast path: nothing was denied, so the original batch frame can
-		// flow onward unmodified (no re-encode copy).
-		if allKept {
-			if err := serverSide.Send(frame); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := serverSide.Send(marshal.EncodeBatch(forward)); err != nil {
+		if err != nil {
 			return err
 		}
+		// Nothing decoded from the frame outlives this iteration (the
+		// scratch call and the forward list are overwritten by the next
+		// frame), so a frame the onward Send copied out is free to reuse.
+		if recycle {
+			framebuf.Put(frame)
+		}
 	}
+}
+
+// reject counts one denied call and turns it into what the guest sees: a
+// denial reply for a synchronous call, or — the guest is not waiting for an
+// async one — the VM's pending deferred denial, which its next
+// synchronization point observes (§4.2).
+func (st *vmState) reject(call *marshal.Call, status marshal.Status, format string, args ...any) (bool, *marshal.Reply) {
+	msg := fmt.Sprintf(format, args...)
+	async := call.Flags&marshal.FlagAsync != 0
+	st.mu.Lock()
+	st.stats.Denied++
+	switch status {
+	case marshal.StatusDeadline:
+		st.stats.DeadlineDenied++
+	case marshal.StatusOverload:
+		st.stats.ShedDenied++
+	}
+	if async {
+		st.stats.AsyncDropped++
+	}
+	st.mu.Unlock()
+	if async {
+		st.deferDenial(status, msg)
+		return false, nil
+	}
+	return false, &marshal.Reply{Seq: call.Seq, Status: status, Err: msg}
 }
 
 // police verifies and schedules one call. It returns keep=true to forward
 // the frame, or a denial reply for synchronous calls. Async denials are
 // dropped, counted, and recorded as the VM's pending deferred error so the
 // next synchronous call surfaces them (§4.2).
-func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte) (keep bool, deny *marshal.Reply) {
-	call, err := marshal.DecodeCall(cf)
-	if err != nil {
-		st.note(func(s *VMStats) { s.Denied++ })
+//
+// An admitted call reads the clock twice — on arrival, and once after
+// scheduling, which serves as the end of the stall, the deadline re-check
+// and the admit stamp — and takes the VM's lock once, for its counters.
+func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte, sc *uplinkScratch) (keep bool, deny *marshal.Reply) {
+	call := &sc.call
+	if err := marshal.DecodeCallInto(call, cf); err != nil {
+		st.mu.Lock()
+		st.stats.Denied++
+		st.mu.Unlock()
 		return false, nil // unparseable: cannot even address a reply
 	}
 	async := call.Flags&marshal.FlagAsync != 0
-	rejectAs := func(status marshal.Status, format string, args ...any) (bool, *marshal.Reply) {
-		msg := fmt.Sprintf(format, args...)
-		st.note(func(s *VMStats) {
-			s.Denied++
-			if status == marshal.StatusDeadline {
-				s.DeadlineDenied++
-			}
-			if status == marshal.StatusOverload {
-				s.ShedDenied++
-			}
-			if async {
-				s.AsyncDropped++
-			}
-		})
-		if async {
-			// The guest is not waiting for a reply; record the denial so the
-			// VM's next synchronization point observes it (§4.2).
-			st.deferDenial(status, msg)
-			return false, nil
-		}
-		return false, &marshal.Reply{
-			Seq:    call.Seq,
-			Status: status,
-			Err:    msg,
-		}
-	}
-	reject := func(format string, args ...any) (bool, *marshal.Reply) {
-		return rejectAs(marshal.StatusDenied, format, args...)
-	}
 
 	call.VM = id // the hypervisor, not the guest, asserts identity
 
@@ -617,13 +663,10 @@ func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte) (kee
 	// was in flight when its server incarnation died. Executing this copy
 	// would race the guest's resubmitted twin, so it is dropped with no
 	// reply — the twin answers the caller.
-	st.mu.Lock()
-	stale := call.Epoch < st.epoch
-	if stale {
+	if call.Epoch < st.epoch.Load() {
+		st.mu.Lock()
 		st.stats.StaleEpochDropped++
-	}
-	st.mu.Unlock()
-	if stale {
+		st.mu.Unlock()
 		return false, nil
 	}
 
@@ -633,9 +676,12 @@ func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte) (kee
 	// async denials never vanish into a counter. Replayed and resubmitted
 	// calls are exempt: migration restore and failover recovery must not
 	// absorb a pre-restore denial.
-	if !async && call.Flags&(marshal.FlagReplay|marshal.FlagResubmit) == 0 {
+	exempt := call.Flags&(marshal.FlagReplay|marshal.FlagResubmit) != 0
+	if !async && !exempt {
 		if status, msg, pending := st.takeDeferred(); pending {
-			st.note(func(s *VMStats) { s.Denied++ })
+			st.mu.Lock()
+			st.stats.Denied++
+			st.mu.Unlock()
 			return false, &marshal.Reply{
 				Seq:    call.Seq,
 				Status: status,
@@ -646,7 +692,7 @@ func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte) (kee
 
 	fd, ok := r.desc.ByID(call.Func)
 	if !ok {
-		return reject("hv: unknown function #%d", call.Func)
+		return st.reject(call, marshal.StatusDenied, "hv: unknown function #%d", call.Func)
 	}
 
 	// Deadline translation (gRPC-style): the wire deadline is absolute on
@@ -667,70 +713,88 @@ func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte) (kee
 			rel = time.Duration(call.Deadline - now.UnixNano())
 		}
 		if rel <= 0 {
-			return rejectAs(marshal.StatusDeadline, "hv: %s: deadline expired before admission", fd.Name)
+			return st.reject(call, marshal.StatusDeadline, "hv: %s: deadline expired before admission", fd.Name)
 		}
 		localDeadline = now.Add(rel)
 	}
 	if len(call.Args) != len(fd.Params) {
-		return reject("hv: %s: argument arity %d, want %d", fd.Name, len(call.Args), len(fd.Params))
+		return st.reject(call, marshal.StatusDenied, "hv: %s: argument arity %d, want %d", fd.Name, len(call.Args), len(fd.Params))
 	}
 	if async {
 		if sync, err := fd.IsSync(r.desc.API, call.Args); err != nil || sync {
-			return reject("hv: %s: async forwarding violates specification", fd.Name)
+			return st.reject(call, marshal.StatusDenied, "hv: %s: async forwarding violates specification", fd.Name)
 		}
 	}
 	for _, ic := range ics {
 		if err := ic(id, fd, call); err != nil {
-			return reject("hv: %s: %v", fd.Name, err)
+			return st.reject(call, marshal.StatusDenied, "hv: %s: %v", fd.Name, err)
 		}
 	}
 
 	// Policy enforcement. Replayed calls (migration restore) and
 	// resubmitted calls (failover recovery) bypass rate limits and quota
 	// charging: they reconstruct state the guest already paid for once.
-	exempt := call.Flags&(marshal.FlagReplay|marshal.FlagResubmit) != 0
-	est := fd.EstimateResources(r.desc.API, call.Args)
+	sc.est = fd.EstimateResources(r.desc.API, call.Args, sc.est)
+	est := sc.est
 	if len(st.cfg.Quotas) > 0 && len(est) > 0 && !exempt {
-		if res, limit, used := st.quotaExceeded(est); res != "" {
-			return reject("hv: %s: %s quota exhausted (%d of %d used)", fd.Name, res, used, limit)
+		if res, limit, used := st.quotaExceeded(fd, est); res != "" {
+			return st.reject(call, marshal.StatusDenied, "hv: %s: %s quota exhausted (%d of %d used)", fd.Name, res, used, limit)
 		}
 	}
+	// admit is the one post-scheduling clock read; exempt calls are never
+	// scheduled, so their arrival read stands in for it.
+	admit := now
+	var stall time.Duration
+	band := PriorityBand(call.Priority)
 	if !exempt {
-		band := PriorityBand(call.Priority)
 		// Load shedding: under overload, deny sheddable (lowest-band) calls
 		// immediately with StatusOverload rather than stalling them toward
 		// their deadlines — admission-time backpressure the caller can see.
-		if sc := r.shedConfig(); sc.enabled() && band < sc.shedBands() && r.overloaded(sc) {
-			return rejectAs(marshal.StatusOverload, "hv: %s: shed under overload (priority band %d)", fd.Name, band)
+		if shed := r.shedConfig(); shed.enabled() && band < shed.shedBands() && r.overloaded(shed) {
+			return st.reject(call, marshal.StatusOverload, "hv: %s: shed under overload (priority band %d)", fd.Name, band)
 		}
 		// Reserve both buckets up front and sleep once for the larger
 		// delay: the two limits overlap in time rather than compounding.
-		stall := st.callTB.Reserve(band, 1)
-		if d := st.byteTB.Reserve(band, float64(len(cf))); d > stall {
+		stall = st.callTB.reserveAt(now, band, 1)
+		if d := st.byteTB.reserveAt(now, band, float64(len(cf))); d > stall {
 			stall = d
 		}
+		t0 := now
 		if stall > 0 {
 			r.clk.Sleep(stall)
+			t0 = r.clk.Now()
 		}
-		cost := est["device_time"]
-		if cost <= 0 {
-			cost = 1
+		cost := int64(1)
+		if i := fd.ResourceIndex("device_time"); i >= 0 && est[i] > 0 {
+			cost = est[i]
 		}
-		t0 := r.clk.Now()
 		r.sched.Admit(id, cost, call.Priority)
 		r.sched.Done(id, cost, 0)
-		stall += r.clk.Since(t0)
+		admit = r.clk.Now()
+		stall += admit.Sub(t0)
 		r.noteStall(stall)
-		st.note(func(s *VMStats) {
-			s.Stall += stall
-			s.BandStall[band] += stall
-		})
-		// The stall was spent inside the deadline's budget: a call held
-		// back past its deadline by rate limiting or scheduling must not
-		// reach the silo.
-		if !localDeadline.IsZero() && !r.clk.Now().Before(localDeadline) {
-			return rejectAs(marshal.StatusDeadline, "hv: %s: deadline expired while stalled %v", fd.Name, stall)
+	}
+
+	// The stall was spent inside the deadline's budget: a call held back
+	// past its deadline by rate limiting or scheduling must not reach the
+	// silo.
+	late := !exempt && !localDeadline.IsZero() && !admit.Before(localDeadline)
+
+	st.mu.Lock()
+	st.stats.Stall += stall
+	st.stats.BandStall[band] += stall
+	if !late {
+		st.stats.Forwarded++
+		st.stats.Bytes += uint64(len(cf))
+		if !exempt {
+			for i, v := range est {
+				st.stats.Resources[fd.Resources[i].Resource] += v
+			}
 		}
+	}
+	st.mu.Unlock()
+	if late {
+		return st.reject(call, marshal.StatusDeadline, "hv: %s: deadline expired while stalled %v", fd.Name, stall)
 	}
 
 	// Rewrite the forwarded header in place — VM identity, the deadline
@@ -740,33 +804,19 @@ func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte) (kee
 	if !localDeadline.IsZero() {
 		wireDeadline = localDeadline.UnixNano()
 	}
-	marshal.PatchCallAdmit(cf, id, wireDeadline, r.clk.Now().UnixNano())
-
-	st.note(func(s *VMStats) {
-		s.Forwarded++
-		s.Bytes += uint64(len(cf))
-		if !exempt {
-			for k, v := range est {
-				s.Resources[k] += v
-			}
-		}
-	})
+	marshal.PatchCallAdmit(cf, id, wireDeadline, admit.UnixNano())
 	return true, nil
 }
 
-func (st *vmState) note(f func(*VMStats)) {
-	st.mu.Lock()
-	f(&st.stats)
-	st.mu.Unlock()
-}
-
-// quotaExceeded checks whether charging est would push any quota'd
-// resource over its allotment; the accumulated usage lives in
-// stats.Resources, so denied calls are not charged.
-func (st *vmState) quotaExceeded(est map[string]int64) (resource string, limit, used int64) {
+// quotaExceeded checks whether charging est (fd's resource estimates, by
+// descriptor index) would push any quota'd resource over its allotment; the
+// accumulated usage lives in stats.Resources, so denied calls are not
+// charged.
+func (st *vmState) quotaExceeded(fd *cava.FuncDesc, est []int64) (resource string, limit, used int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for res, amount := range est {
+	for i, amount := range est {
+		res := fd.Resources[i].Resource
 		lim, ok := st.cfg.Quotas[res]
 		if !ok {
 			continue

@@ -74,26 +74,40 @@ func (s *FIFOScheduler) Usage(vm VMID) int64 {
 // waiting. This is start-time fair queuing degenerated to one queue slot
 // per VM, which matches the router's per-VM serial forwarding.
 type FairScheduler struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	weights map[VMID]int64
-	usage   map[VMID]int64 // normalized accumulated cost
-	waiting map[VMID]int   // VMs blocked in or about to pass Admit
-	window  int64
+	mu     sync.Mutex
+	cond   *sync.Cond
+	vms    map[VMID]*fairVM
+	all    []*fairVM // the map's values, for the per-admit scan
+	window int64
+}
+
+// fairVM is one VM's scheduling state; entries are created on first sight
+// and never removed, so the admit path updates a struct in place instead of
+// inserting into and deleting from maps on every call.
+type fairVM struct {
+	weight  int64
+	usage   int64 // normalized accumulated cost
+	waiting int   // calls blocked in or about to pass Admit
 }
 
 // NewFairScheduler creates a fair scheduler. window is the allowed
 // normalized-usage lead (e.g. 10ms of device time) before a VM is held
 // back; weights default to 1.
 func NewFairScheduler(window time.Duration) *FairScheduler {
-	s := &FairScheduler{
-		weights: make(map[VMID]int64),
-		usage:   make(map[VMID]int64),
-		waiting: make(map[VMID]int),
-		window:  int64(window),
-	}
+	s := &FairScheduler{vms: make(map[VMID]*fairVM), window: int64(window)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
+}
+
+// vm returns (creating on first use) a VM's state. Called with s.mu held.
+func (s *FairScheduler) vm(id VMID) *fairVM {
+	v, ok := s.vms[id]
+	if !ok {
+		v = &fairVM{weight: 1}
+		s.vms[id] = v
+		s.all = append(s.all, v)
+	}
+	return v
 }
 
 // SetWeight assigns a VM's share weight (higher = larger share).
@@ -102,29 +116,21 @@ func (s *FairScheduler) SetWeight(vm VMID, w int64) {
 		w = 1
 	}
 	s.mu.Lock()
-	s.weights[vm] = w
+	s.vm(vm).weight = w
 	s.mu.Unlock()
-}
-
-func (s *FairScheduler) weight(vm VMID) int64 {
-	if w, ok := s.weights[vm]; ok {
-		return w
-	}
-	return 1
 }
 
 // minWaitingUsage returns the lowest normalized usage among VMs with work
 // pending, excluding self; ok is false if self is the only contender.
-func (s *FairScheduler) minWaitingUsage(self VMID) (int64, bool) {
+func (s *FairScheduler) minWaitingUsage(self *fairVM) (int64, bool) {
 	found := false
 	var m int64
-	for vm, n := range s.waiting {
-		if vm == self || n <= 0 {
+	for _, v := range s.all {
+		if v == self || v.waiting <= 0 {
 			continue
 		}
-		u := s.usage[vm]
-		if !found || u < m {
-			m, found = u, true
+		if !found || v.usage < m {
+			m, found = v.usage, true
 		}
 	}
 	return m, found
@@ -135,29 +141,30 @@ func (s *FairScheduler) minWaitingUsage(self VMID) (int64, bool) {
 func (s *FairScheduler) Admit(vm VMID, cost int64, pri uint8) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.waiting[vm]++
+	v := s.vm(vm)
+	v.waiting++
 	for {
-		minU, contended := s.minWaitingUsage(vm)
-		if !contended || s.usage[vm] <= minU+s.window {
+		minU, contended := s.minWaitingUsage(v)
+		if !contended || v.usage <= minU+s.window {
 			break
 		}
 		s.cond.Wait()
 	}
 	// Charge the estimate up front so concurrent admits see it.
-	s.usage[vm] += cost / s.weight(vm)
+	v.usage += cost / v.weight
 }
 
 // Done implements Scheduler.
 func (s *FairScheduler) Done(vm VMID, cost int64, measured int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	v := s.vm(vm)
 	if measured > 0 && measured != cost {
 		// Replace the estimate with the measurement.
-		s.usage[vm] += (measured - cost) / s.weight(vm)
+		v.usage += (measured - cost) / v.weight
 	}
-	s.waiting[vm]--
-	if s.waiting[vm] <= 0 {
-		delete(s.waiting, vm)
+	if v.waiting > 0 {
+		v.waiting--
 	}
 	s.cond.Broadcast()
 }
@@ -166,14 +173,17 @@ func (s *FairScheduler) Done(vm VMID, cost int64, measured int64) {
 func (s *FairScheduler) Usage(vm VMID) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.usage[vm]
+	if v, ok := s.vms[vm]; ok {
+		return v.usage
+	}
+	return 0
 }
 
 // Reset clears accumulated usage (administrative epoch change).
 func (s *FairScheduler) Reset() {
 	s.mu.Lock()
-	for vm := range s.usage {
-		s.usage[vm] = 0
+	for _, v := range s.all {
+		v.usage = 0
 	}
 	s.mu.Unlock()
 	s.cond.Broadcast()

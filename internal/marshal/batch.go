@@ -24,7 +24,14 @@ func EncodeBatch(calls [][]byte) []byte {
 // DecodeBatch splits a batch frame into its call frames. The returned
 // slices alias b.
 func DecodeBatch(b []byte) ([][]byte, error) {
-	r := &reader{b: b}
+	return DecodeBatchInto(nil, b)
+}
+
+// DecodeBatchInto is DecodeBatch appending to dst[:0], so a serve loop that
+// passes the previous result back in splits every frame into the same
+// backing array. A nil dst allocates exactly as DecodeBatch does.
+func DecodeBatchInto(dst [][]byte, b []byte) ([][]byte, error) {
+	r := reader{b: b}
 	n, err := r.u16()
 	if err != nil {
 		return nil, err
@@ -32,7 +39,10 @@ func DecodeBatch(b []byte) ([][]byte, error) {
 	if int(n) > maxValues {
 		return nil, ErrTooLarge
 	}
-	out := make([][]byte, 0, n)
+	if dst == nil || cap(dst) < int(n) {
+		dst = make([][]byte, 0, n)
+	}
+	dst = dst[:0]
 	for i := 0; i < int(n); i++ {
 		ln, err := r.u32()
 		if err != nil {
@@ -42,10 +52,10 @@ func DecodeBatch(b []byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, frame)
+		dst = append(dst, frame)
 	}
 	if r.off != len(b) {
 		return nil, ErrTruncated
 	}
-	return out, nil
+	return dst, nil
 }

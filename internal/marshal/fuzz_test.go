@@ -2,6 +2,7 @@ package marshal
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -35,14 +36,29 @@ func fuzzSeedCalls() [][]byte {
 // and that every frame it accepts round-trips losslessly through both
 // encoders: AppendCall, and AppendCallSegments + SpliceSegments (the
 // scatter-gather path must be byte-for-byte the copying encoding).
+//
+// It is differential, too: every input is also decoded into a dirty reused
+// record, and the two decodes must agree field for field — or, on a
+// malformed frame, error for error.
 func FuzzDecodeCall(f *testing.F) {
 	for _, seed := range fuzzSeedCalls() {
 		f.Add(seed)
+		for _, cut := range truncations(seed) {
+			f.Add(cut) // malformed frames: the error paths of both decoders
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeCall(data)
+		dirty := dirtyCall()
+		derr := DecodeCallInto(dirty, data)
+		if !sameError(err, derr) {
+			t.Fatalf("fresh decode error %v, reused-record decode error %v", err, derr)
+		}
 		if err != nil {
 			return
+		}
+		if !callsIdentical(c, dirty) {
+			t.Fatalf("reused record differs from fresh decode:\n  fresh:  %+v\n  reused: %+v", c, dirty)
 		}
 		enc := AppendCall(nil, c)
 		// Unknown flag bits must survive re-encoding (forward compat:
@@ -65,6 +81,87 @@ func FuzzDecodeCall(f *testing.F) {
 			}
 		}
 	})
+}
+
+// truncations returns malformed variants of a valid frame: cut inside the
+// header, inside the value vector and one byte short, plus one with trailing
+// garbage and one with a corrupted kind tag.
+func truncations(frame []byte) [][]byte {
+	var out [][]byte
+	for _, n := range []int{0, 7, 20, CallHeaderSize - 1, len(frame) - 1} {
+		if n >= 0 && n < len(frame) {
+			out = append(out, frame[:n:n])
+		}
+	}
+	out = append(out, append(append([]byte(nil), frame...), 0xEE))
+	if len(frame) > CallHeaderSize {
+		bad := append([]byte(nil), frame...)
+		bad[CallHeaderSize] = 0x7F // first argument's kind tag
+		out = append(out, bad)
+	}
+	return out
+}
+
+// dirtyCall is a record as a serve loop would hand it back to the decoder:
+// every field set by an earlier, longer call.
+func dirtyCall() *Call {
+	c := &Call{Seq: 99, VM: 98, Func: 97, Flags: 0xFFFF, Priority: 96, Epoch: 95, Deadline: 94,
+		Stamps: Stamps{Encode: 93, Admit: 92, Dispatch: 91, Done: 90}}
+	c.Args = dirtyValues(16)
+	return c
+}
+
+func dirtyReply() *Reply {
+	return &Reply{Seq: 99, Status: StatusInternal, Err: "stale error",
+		Stamps: Stamps{Encode: 93, Admit: 92, Dispatch: 91, Done: 90},
+		Ret:    dirtyValues(1)[0], Outs: dirtyValues(16)}
+}
+
+// dirtyValues returns n values with every field populated, whatever the kind.
+func dirtyValues(n int) []Value {
+	vs := make([]Value, n)
+	for i := range vs {
+		vs[i] = Value{Kind: Kind(i % 10), Int: -7, Uint: 7, Float: 7.5, Bool: true,
+			Str: "stale", Bytes: []byte("stale bytes"), Ref: RegRef{ID: 7, Off: 7}}
+	}
+	return vs
+}
+
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Error() == b.Error()
+}
+
+// valuesIdentical compares every field of two value vectors (not just the
+// one the kind selects, so a stale field in a reused record shows), NaN
+// payloads by bit pattern, and nil-ness of the vectors and of Bytes.
+func valuesIdentical(a, b []Value) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Kind != y.Kind || x.Int != y.Int || x.Uint != y.Uint ||
+			math.Float64bits(x.Float) != math.Float64bits(y.Float) ||
+			x.Bool != y.Bool || x.Str != y.Str || x.Ref != y.Ref ||
+			(x.Bytes == nil) != (y.Bytes == nil) || !bytes.Equal(x.Bytes, y.Bytes) {
+			return false
+		}
+	}
+	return true
+}
+
+func callsIdentical(a, b *Call) bool {
+	return a.Seq == b.Seq && a.VM == b.VM && a.Func == b.Func && a.Flags == b.Flags &&
+		a.Priority == b.Priority && a.Epoch == b.Epoch && a.Deadline == b.Deadline &&
+		a.Stamps == b.Stamps && valuesIdentical(a.Args, b.Args)
+}
+
+func repliesIdentical(a, b *Reply) bool {
+	return a.Seq == b.Seq && a.Status == b.Status && a.Stamps == b.Stamps && a.Err == b.Err &&
+		valuesIdentical([]Value{a.Ret}, []Value{b.Ret}) && valuesIdentical(a.Outs, b.Outs)
 }
 
 func callsEqual(a, b *Call) bool {
@@ -90,12 +187,24 @@ func FuzzDecodeReply(f *testing.F) {
 		{Seq: 4, Status: Status(200), Ret: BytesVal([]byte("x")),
 			Outs: []Value{Len(9), BytesVal(make([]byte, 64))}},
 	} {
-		f.Add(EncodeReply(rep))
+		enc := EncodeReply(rep)
+		f.Add(enc)
+		for _, cut := range truncations(enc) {
+			f.Add(cut)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := DecodeReply(data)
+		dirty := dirtyReply()
+		derr := DecodeReplyInto(dirty, data)
+		if !sameError(err, derr) {
+			t.Fatalf("fresh decode error %v, reused-record decode error %v", err, derr)
+		}
 		if err != nil {
 			return
+		}
+		if !repliesIdentical(rep, dirty) {
+			t.Fatalf("reused record differs from fresh decode:\n  fresh:  %+v\n  reused: %+v", rep, dirty)
 		}
 		enc := AppendReply(nil, rep)
 		rep2, err := DecodeReply(enc)

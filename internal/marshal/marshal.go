@@ -455,7 +455,11 @@ func appendUint16(b []byte, v uint16) []byte {
 }
 
 // AppendValue appends the encoding of v to b and returns the extended slice.
-func AppendValue(b []byte, v Value) []byte {
+func AppendValue(b []byte, v Value) []byte { return appendValue(b, &v) }
+
+// appendValue is AppendValue without the 96-byte argument copy, for the
+// argument-vector loops.
+func appendValue(b []byte, v *Value) []byte {
 	b = append(b, byte(v.Kind))
 	switch v.Kind {
 	case KindNull:
@@ -536,56 +540,58 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
-func (r *reader) value() (Value, error) {
+// value decodes the next tagged value into v, overwriting every field (v may
+// hold a previous decode's contents).
+func (r *reader) value(v *Value) error {
 	k, err := r.u8()
 	if err != nil {
-		return Value{}, err
+		return err
 	}
-	v := Value{Kind: Kind(k)}
+	*v = Value{Kind: Kind(k)}
 	switch v.Kind {
 	case KindNull:
 	case KindInt:
 		u, err := r.u64()
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		v.Int = int64(u)
 	case KindUint, KindHandle, KindLen:
 		u, err := r.u64()
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		v.Uint = u
 	case KindFloat:
 		u, err := r.u64()
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		v.Float = math.Float64frombits(u)
 	case KindBool:
 		b, err := r.u8()
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		v.Bool = b != 0
 	case KindString:
 		n, err := r.u32()
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		raw, err := r.bytes(int(n))
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		v.Str = string(raw)
 	case KindBytes:
 		n, err := r.u32()
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		raw, err := r.bytes(int(n))
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		// The decoded value aliases the frame. Transports hand each
 		// received frame to exactly one owner, and every component that
@@ -595,26 +601,45 @@ func (r *reader) value() (Value, error) {
 	case KindRegRef:
 		id, err := r.u32()
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		off, err := r.u64()
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		n, err := r.u64()
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		v.Ref = RegRef{ID: id, Off: off}
 		v.Uint = n
 	default:
-		return Value{}, fmt.Errorf("%w: %d", ErrBadKind, k)
+		return fmt.Errorf("%w: %d", ErrBadKind, k)
 	}
-	return v, nil
+	return nil
+}
+
+// values decodes an n-element value vector into dst's backing array when it
+// is large enough, so a reused record decodes without allocating. A
+// zero-length vector decodes to nil, whatever dst held.
+func (r *reader) values(dst []Value, n int) ([]Value, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	if cap(dst) < n {
+		dst = make([]Value, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		if err := r.value(&dst[i]); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // valueSize returns the exact encoded size of v.
-func valueSize(v Value) int {
+func valueSize(v *Value) int {
 	switch v.Kind {
 	case KindNull:
 		return 1
@@ -648,11 +673,16 @@ const (
 // EncodeCall encodes c as a frame body, sized exactly so large buffer
 // arguments never trigger append growth copies.
 func EncodeCall(c *Call) []byte {
+	return AppendCall(make([]byte, 0, CallSize(c)), c)
+}
+
+// CallSize returns the exact encoded size of c.
+func CallSize(c *Call) int {
 	n := CallHeaderSize
-	for _, a := range c.Args {
-		n += valueSize(a)
+	for i := range c.Args {
+		n += valueSize(&c.Args[i])
 	}
-	return AppendCall(make([]byte, 0, n), c)
+	return n
 }
 
 // AppendCall appends the encoding of c to b.
@@ -666,8 +696,8 @@ func AppendCall(b []byte, c *Call) []byte {
 	b = appendUint64(b, uint64(c.Deadline))
 	b = appendStamps(b, c.Stamps)
 	b = appendUint16(b, uint16(len(c.Args)))
-	for _, a := range c.Args {
-		b = AppendValue(b, a)
+	for i := range c.Args {
+		b = appendValue(b, &c.Args[i])
 	}
 	return b
 }
@@ -708,76 +738,95 @@ func appendStamps(b []byte, s Stamps) []byte {
 }
 
 func (r *reader) stamps() (Stamps, error) {
-	var s Stamps
-	for _, dst := range []*int64{&s.Encode, &s.Admit, &s.Dispatch, &s.Done} {
-		u, err := r.u64()
-		if err != nil {
-			return Stamps{}, err
-		}
-		*dst = int64(u)
+	if r.off+32 > len(r.b) {
+		return Stamps{}, ErrTruncated
 	}
-	return s, nil
+	b := r.b[r.off:]
+	r.off += 32
+	return Stamps{
+		Encode:   int64(binary.LittleEndian.Uint64(b)),
+		Admit:    int64(binary.LittleEndian.Uint64(b[8:])),
+		Dispatch: int64(binary.LittleEndian.Uint64(b[16:])),
+		Done:     int64(binary.LittleEndian.Uint64(b[24:])),
+	}, nil
 }
 
-// DecodeCall decodes a frame body produced by EncodeCall.
+// DecodeCall decodes a frame body produced by EncodeCall into a fresh Call.
 func DecodeCall(b []byte) (*Call, error) {
-	r := &reader{b: b}
 	c := &Call{}
-	var err error
-	if c.Seq, err = r.u64(); err != nil {
+	if err := DecodeCallInto(c, b); err != nil {
 		return nil, err
-	}
-	if c.VM, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if c.Func, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if c.Flags, err = r.u16(); err != nil {
-		return nil, err
-	}
-	if c.Priority, err = r.u8(); err != nil {
-		return nil, err
-	}
-	if c.Epoch, err = r.u32(); err != nil {
-		return nil, err
-	}
-	dl, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	c.Deadline = int64(dl)
-	if c.Stamps, err = r.stamps(); err != nil {
-		return nil, err
-	}
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > maxValues {
-		return nil, ErrTooLarge
-	}
-	if n > 0 {
-		c.Args = make([]Value, n)
-		for i := range c.Args {
-			if c.Args[i], err = r.value(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("marshal: %d trailing bytes in call frame", len(b)-r.off)
 	}
 	return c, nil
 }
 
+// DecodeCallInto decodes a frame body produced by EncodeCall into the
+// caller-owned record c, overwriting every field and reusing the backing
+// array of c.Args when it is large enough: a steady-state decode into a
+// reused record allocates nothing (string arguments aside). The result is
+// field for field what DecodeCall returns — Args is nil for a call without
+// arguments — and, like it, aliases b for buffer contents. On error c holds
+// unspecified contents and may be decoded into again.
+func DecodeCallInto(c *Call, b []byte) error {
+	r := reader{b: b}
+	args := c.Args
+	*c = Call{}
+	var err error
+	if c.Seq, err = r.u64(); err != nil {
+		return err
+	}
+	if c.VM, err = r.u32(); err != nil {
+		return err
+	}
+	if c.Func, err = r.u32(); err != nil {
+		return err
+	}
+	if c.Flags, err = r.u16(); err != nil {
+		return err
+	}
+	if c.Priority, err = r.u8(); err != nil {
+		return err
+	}
+	if c.Epoch, err = r.u32(); err != nil {
+		return err
+	}
+	dl, err := r.u64()
+	if err != nil {
+		return err
+	}
+	c.Deadline = int64(dl)
+	if c.Stamps, err = r.stamps(); err != nil {
+		return err
+	}
+	n, err := r.u16()
+	if err != nil {
+		return err
+	}
+	if int(n) > maxValues {
+		return ErrTooLarge
+	}
+	if c.Args, err = r.values(args, int(n)); err != nil {
+		return err
+	}
+	if r.off != len(b) {
+		return fmt.Errorf("marshal: %d trailing bytes in call frame", len(b)-r.off)
+	}
+	return nil
+}
+
 // EncodeReply encodes rep as a frame body, sized exactly.
 func EncodeReply(rep *Reply) []byte {
-	n := 47 + len(rep.Err) + valueSize(rep.Ret)
-	for _, o := range rep.Outs {
-		n += valueSize(o)
+	return AppendReply(make([]byte, 0, ReplySize(rep)), rep)
+}
+
+// ReplySize returns the exact encoded size of rep, so a reply frame can be
+// drawn at the size it needs instead of growing under append.
+func ReplySize(rep *Reply) int {
+	n := 47 + len(rep.Err) + valueSize(&rep.Ret)
+	for i := range rep.Outs {
+		n += valueSize(&rep.Outs[i])
 	}
-	return AppendReply(make([]byte, 0, n), rep)
+	return n
 }
 
 // AppendReply appends the encoding of rep to b.
@@ -787,59 +836,78 @@ func AppendReply(b []byte, rep *Reply) []byte {
 	b = appendStamps(b, rep.Stamps)
 	b = appendUint32(b, uint32(len(rep.Err)))
 	b = append(b, rep.Err...)
-	b = AppendValue(b, rep.Ret)
+	b = appendValue(b, &rep.Ret)
 	b = appendUint16(b, uint16(len(rep.Outs)))
-	for _, o := range rep.Outs {
-		b = AppendValue(b, o)
+	for i := range rep.Outs {
+		b = appendValue(b, &rep.Outs[i])
 	}
 	return b
 }
 
-// DecodeReply decodes a frame body produced by EncodeReply.
+// ReplySeq reads the sequence number that leads an encoded reply frame
+// without decoding the rest, so a demultiplexer can pick the record to decode
+// into. ok is false for a frame too short to carry one.
+func ReplySeq(b []byte) (seq uint64, ok bool) {
+	if len(b) < 8 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(b), true
+}
+
+// DecodeReply decodes a frame body produced by EncodeReply into a fresh
+// Reply.
 func DecodeReply(b []byte) (*Reply, error) {
-	r := &reader{b: b}
 	rep := &Reply{}
+	if err := DecodeReplyInto(rep, b); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// DecodeReplyInto is DecodeCallInto for replies: it decodes into the
+// caller-owned record rep, overwriting every field and reusing the backing
+// array of rep.Outs. Outs is nil for a reply without outputs; on error rep
+// holds unspecified contents.
+func DecodeReplyInto(rep *Reply, b []byte) error {
+	r := reader{b: b}
+	outs := rep.Outs
+	*rep = Reply{}
 	var err error
 	if rep.Seq, err = r.u64(); err != nil {
-		return nil, err
+		return err
 	}
 	st, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rep.Status = Status(st)
 	if rep.Stamps, err = r.stamps(); err != nil {
-		return nil, err
+		return err
 	}
 	en, err := r.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	eraw, err := r.bytes(int(en))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rep.Err = string(eraw)
-	if rep.Ret, err = r.value(); err != nil {
-		return nil, err
+	if err = r.value(&rep.Ret); err != nil {
+		return err
 	}
 	n, err := r.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if int(n) > maxValues {
-		return nil, ErrTooLarge
+		return ErrTooLarge
 	}
-	if n > 0 {
-		rep.Outs = make([]Value, n)
-		for i := range rep.Outs {
-			if rep.Outs[i], err = r.value(); err != nil {
-				return nil, err
-			}
-		}
+	if rep.Outs, err = r.values(outs, int(n)); err != nil {
+		return err
 	}
 	if r.off != len(b) {
-		return nil, fmt.Errorf("marshal: %d trailing bytes in reply frame", len(b)-r.off)
+		return fmt.Errorf("marshal: %d trailing bytes in reply frame", len(b)-r.off)
 	}
-	return rep, nil
+	return nil
 }

@@ -36,7 +36,8 @@ func TestValueRoundTripAllKinds(t *testing.T) {
 	for _, v := range sampleValues() {
 		b := AppendValue(nil, v)
 		r := &reader{b: b}
-		got, err := r.value()
+		var got Value
+		err := r.value(&got)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", v, err)
 		}

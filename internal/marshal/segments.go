@@ -46,14 +46,15 @@ func AppendCallSegments(b []byte, c *Call, minSeg int) (out []byte, segs []Segme
 	b = appendUint64(b, uint64(c.Deadline))
 	b = appendStamps(b, c.Stamps)
 	b = appendUint16(b, uint16(len(c.Args)))
-	for _, a := range c.Args {
+	for i := range c.Args {
+		a := &c.Args[i]
 		if a.Kind == KindBytes && len(a.Bytes) >= minSeg {
 			b = append(b, byte(KindBytes))
 			b = appendUint32(b, uint32(len(a.Bytes)))
 			segs = append(segs, Segment{Off: len(b), Bytes: a.Bytes})
 			continue
 		}
-		b = AppendValue(b, a)
+		b = appendValue(b, a)
 	}
 	return b, segs
 }

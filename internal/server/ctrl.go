@@ -11,9 +11,12 @@ import (
 // replacement host. They share the ordinary call channel (and the per-VM
 // handle isolation boundary) but never touch the API descriptor, so any
 // silo accepts them.
-func (s *Server) executeControl(ctx *Context, call *marshal.Call) *marshal.Reply {
-	fail := func(st marshal.Status, format string, args ...any) *marshal.Reply {
-		return &marshal.Reply{Seq: call.Seq, Status: st, Err: fmt.Sprintf(format, args...)}
+//
+// The outcome is written into rep, which the caller has cleared to a bare
+// StatusOK reply for call.Seq.
+func (s *Server) executeControl(ctx *Context, call *marshal.Call, rep *marshal.Reply) {
+	fail := func(st marshal.Status, format string, args ...any) {
+		rep.Status, rep.Err = st, fmt.Sprintf(format, args...)
 	}
 	switch call.Func {
 	case marshal.FuncRebind:
@@ -21,23 +24,26 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call) *marshal.Reply
 		// under the fresh handle back to the handle the guest holds.
 		if len(call.Args) != 2 ||
 			call.Args[0].Kind != marshal.KindHandle || call.Args[1].Kind != marshal.KindHandle {
-			return fail(marshal.StatusDenied, "rebind: want [fresh Handle, recorded Handle]")
+			fail(marshal.StatusDenied, "rebind: want [fresh Handle, recorded Handle]")
+			return
 		}
 		fresh, recorded := call.Args[0].Handle(), call.Args[1].Handle()
 		if fresh == recorded {
-			return &marshal.Reply{Seq: call.Seq, Status: marshal.StatusOK}
+			return
 		}
 		obj, ok := ctx.Handles.Remove(fresh)
 		if !ok {
-			return fail(marshal.StatusInternal, "rebind: handle %d unknown", fresh)
+			fail(marshal.StatusInternal, "rebind: handle %d unknown", fresh)
+			return
 		}
 		if err := ctx.Handles.InsertAt(recorded, obj); err != nil {
 			// Undo so a failed rebind does not leak the object.
 			ctx.Handles.InsertAt(fresh, obj)
-			return fail(marshal.StatusInternal, "rebind: %v", err)
+			fail(marshal.StatusInternal, "rebind: %v", err)
+			return
 		}
 		ctx.RemapRecorded(fresh, recorded)
-		return &marshal.Reply{Seq: call.Seq, Status: marshal.StatusOK}
+		return
 
 	case marshal.FuncRestore:
 		// Args: [Handle, Bytes] — overwrite the object's stateful payload
@@ -45,19 +51,24 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call) *marshal.Reply
 		// object was destroyed after the checkpoint): Ret reports 0.
 		if len(call.Args) != 2 ||
 			call.Args[0].Kind != marshal.KindHandle || call.Args[1].Kind != marshal.KindBytes {
-			return fail(marshal.StatusDenied, "restore: want [Handle, Bytes]")
+			fail(marshal.StatusDenied, "restore: want [Handle, Bytes]")
+			return
 		}
 		obj, ok := ctx.Handles.Get(call.Args[0].Handle())
 		if !ok {
-			return &marshal.Reply{Seq: call.Seq, Status: marshal.StatusOK, Ret: marshal.Int(0)}
+			rep.Ret = marshal.Int(0)
+			return
 		}
 		if s.reg.Restorer == nil {
-			return fail(marshal.StatusInternal, "restore: no ObjectRestorer registered")
+			fail(marshal.StatusInternal, "restore: no ObjectRestorer registered")
+			return
 		}
 		if err := s.reg.Restorer.RestoreObject(obj, call.Args[1].Bytes); err != nil {
-			return fail(marshal.StatusInternal, "restore handle %d: %v", call.Args[0].Handle(), err)
+			fail(marshal.StatusInternal, "restore handle %d: %v", call.Args[0].Handle(), err)
+			return
 		}
-		return &marshal.Reply{Seq: call.Seq, Status: marshal.StatusOK, Ret: marshal.Int(1)}
+		rep.Ret = marshal.Int(1)
+		return
 
 	case marshal.FuncSnapshot:
 		// No args — serialize every stateful object in the VM's handle
@@ -65,7 +76,8 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call) *marshal.Reply
 		// access. Ret is an EncodeObjectStates payload.
 		snap, ok := s.reg.Restorer.(ObjectSnapshotter)
 		if !ok {
-			return fail(marshal.StatusInternal, "snapshot: no ObjectSnapshotter registered")
+			fail(marshal.StatusInternal, "snapshot: no ObjectSnapshotter registered")
+			return
 		}
 		objects := make(map[marshal.Handle][]byte)
 		var snapErr error
@@ -83,10 +95,11 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call) *marshal.Reply
 			}
 		})
 		if snapErr != nil {
-			return fail(marshal.StatusInternal, "snapshot: %v", snapErr)
+			fail(marshal.StatusInternal, "snapshot: %v", snapErr)
+			return
 		}
-		return &marshal.Reply{Seq: call.Seq, Status: marshal.StatusOK,
-			Ret: marshal.BytesVal(marshal.EncodeObjectStates(objects))}
+		rep.Ret = marshal.BytesVal(marshal.EncodeObjectStates(objects))
+		return
 
 	case marshal.FuncSnapshotDelta:
 		// No args — the incremental form of FuncSnapshot: drain each
@@ -95,7 +108,8 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call) *marshal.Reply
 		// guardian falls back to a full FuncSnapshot.
 		snap, ok := s.reg.Restorer.(ObjectDeltaSnapshotter)
 		if !ok {
-			return fail(marshal.StatusDenied, "snapshot-delta: no ObjectDeltaSnapshotter registered")
+			fail(marshal.StatusDenied, "snapshot-delta: no ObjectDeltaSnapshotter registered")
+			return
 		}
 		var deltas []marshal.ObjectDelta
 		var snapErr error
@@ -114,10 +128,11 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call) *marshal.Reply
 			}
 		})
 		if snapErr != nil {
-			return fail(marshal.StatusInternal, "snapshot-delta: %v", snapErr)
+			fail(marshal.StatusInternal, "snapshot-delta: %v", snapErr)
+			return
 		}
-		return &marshal.Reply{Seq: call.Seq, Status: marshal.StatusOK,
-			Ret: marshal.BytesVal(marshal.EncodeObjectDeltas(deltas))}
+		rep.Ret = marshal.BytesVal(marshal.EncodeObjectDeltas(deltas))
+		return
 	}
-	return fail(marshal.StatusDenied, "unknown control function #%d", call.Func)
+	fail(marshal.StatusDenied, "unknown control function #%d", call.Func)
 }

@@ -17,6 +17,13 @@ import (
 // Invocation to the registered handler. The handler reads arguments through
 // the typed accessors, performs the silo operation, and records results with
 // the Set* methods; the dispatcher then assembles the Reply.
+//
+// An Invocation belongs to the handler only until the handler returns: the
+// dispatcher reuses it (and the argument vector behind the accessors) for a
+// later call, so a handler must not retain it or hand it to a goroutine that
+// outlives the call. The one exception is the deadline timer the dispatcher
+// itself arms, which may still be firing after the call — an Invocation
+// that was armed is never reused.
 type Invocation struct {
 	Desc *cava.FuncDesc
 	Ctx  *Context
@@ -65,6 +72,20 @@ func (inv *Invocation) Cancel() { inv.cancelWith(ErrCanceled) }
 func (inv *Invocation) arm(deadline time.Time) {
 	inv.deadline = deadline
 	inv.cancel = make(chan struct{})
+}
+
+// armed reports whether arm was called: a deadline timer may hold a
+// reference to inv, so the dispatcher must not reuse it.
+func (inv *Invocation) armed() bool { return inv.cancel != nil }
+
+// reset readies a reused, never-armed Invocation for the next call. Fields
+// are cleared one by one (the struct holds a mutex and must not be copied
+// over); the args, outs and regOut slices keep their backing arrays.
+func (inv *Invocation) reset(fd *cava.FuncDesc, ctx *Context) {
+	inv.Desc, inv.Ctx = fd, ctx
+	inv.args, inv.outs, inv.regOut = inv.args[:0], inv.outs[:0], inv.regOut[:0]
+	inv.ret = marshal.Value{}
+	inv.env = nil
 }
 
 func (inv *Invocation) cancelWith(err error) {
@@ -205,23 +226,25 @@ func (inv *Invocation) SetRetHandle(h marshal.Handle) { inv.ret = marshal.Handle
 // Ret returns the current return value.
 func (inv *Invocation) Ret() marshal.Value { return inv.ret }
 
-// finishOuts assembles Reply.Outs in parameter order: buffers contribute
-// their (possibly handler-written) bytes, elements contribute the values
-// stored by Set*; null arguments stay null.
-func (inv *Invocation) finishOuts() []marshal.Value {
+// finishOuts assembles Reply.Outs in parameter order into dst[:0]: buffers
+// contribute their (possibly handler-written) bytes, elements contribute
+// the values stored by Set*; null arguments stay null. A function without
+// outputs yields nil.
+func (inv *Invocation) finishOuts(dst []marshal.Value) []marshal.Value {
 	if inv.Desc.NumOuts == 0 {
 		return nil
 	}
-	outs := make([]marshal.Value, 0, inv.Desc.NumOuts)
+	outs := dst[:0]
 	slot := 0
-	for i, pd := range inv.Desc.Params {
+	for i := range inv.Desc.Params {
+		pd := &inv.Desc.Params[i]
 		if !pd.Out() {
 			continue
 		}
 		switch {
 		case inv.args[i].Kind == marshal.KindNull:
 			outs = append(outs, marshal.Null())
-		case pd.IsBuffer && inv.regOut != nil && inv.regOut[i]:
+		case pd.IsBuffer && len(inv.regOut) != 0 && inv.regOut[i]:
 			// Registered-buffer out: the handler wrote the guest's region
 			// in place, so the reply carries only the length written.
 			outs = append(outs, marshal.Len(uint64(len(inv.args[i].Bytes))))
@@ -235,33 +258,36 @@ func (inv *Invocation) finishOuts() []marshal.Value {
 	return outs
 }
 
-// verifyAndPrepare checks a decoded argument vector against the descriptor
-// and allocates out-buffer space. It returns an error for malformed or
-// mendacious frames (wrong arity, buffer lengths disagreeing with the
-// size expressions) — the server must not trust the guest library.
-// regOut carries resolved registered-region slices for out-buffer
-// parameters (by index): those become the out buffer directly instead of
-// freshly allocated space, so the handler writes the guest's memory in
-// place; nil when the call carried no registered-buffer references.
-func verifyAndPrepare(d *cava.Descriptor, fd *cava.FuncDesc, args []marshal.Value, regOut map[int][]byte) (*Invocation, error) {
+// prepare checks a decoded argument vector against the descriptor and
+// allocates out-buffer space, filling inv (reset for fd beforehand). It
+// returns an error for malformed or mendacious frames (wrong arity, buffer
+// lengths disagreeing with the size expressions) — the server must not
+// trust the guest library. regions carries resolved registered-region
+// slices for out-buffer parameters (by parameter index, nil where the
+// argument was not a reference): those become the out buffer directly
+// instead of freshly allocated space, so the handler writes the guest's
+// memory in place; empty when the call carried no registered-buffer
+// references.
+func (inv *Invocation) prepare(d *cava.Descriptor, args []marshal.Value, regions [][]byte) error {
+	fd := inv.Desc
 	if len(args) != len(fd.Params) {
-		return nil, fmt.Errorf("server: %s: %d args, want %d", fd.Name, len(args), len(fd.Params))
+		return fmt.Errorf("server: %s: %d args, want %d", fd.Name, len(args), len(fd.Params))
 	}
 	// Work on a copy: out-buffer placeholders are replaced with allocated
 	// space, and the caller's slice (the decoded wire form) must stay
 	// pristine for the migration record log.
-	args = append([]marshal.Value(nil), args...)
-	inv := &Invocation{
-		Desc: fd,
-		args: args,
-		outs: make([]marshal.Value, fd.NumOuts),
+	inv.args = append(inv.args[:0], args...)
+	args = inv.args
+	inv.outs = inv.outs[:0]
+	for i := 0; i < fd.NumOuts; i++ {
+		inv.outs = append(inv.outs, marshal.Value{})
 	}
 	for i := range fd.Params {
 		pd := &fd.Params[i]
 		v := &args[i]
 		if !pd.IsPointer {
 			if err := verifyScalar(pd, v); err != nil {
-				return nil, fmt.Errorf("server: %s(%s): %v", fd.Name, pd.Name, err)
+				return fmt.Errorf("server: %s(%s): %v", fd.Name, pd.Name, err)
 			}
 			continue
 		}
@@ -270,32 +296,33 @@ func verifyAndPrepare(d *cava.Descriptor, fd *cava.FuncDesc, args []marshal.Valu
 		}
 		want, err := fd.BufferBytesArgs(i, d.API, args)
 		if err != nil {
-			return nil, fmt.Errorf("server: %s(%s): %v", fd.Name, pd.Name, err)
+			return fmt.Errorf("server: %s(%s): %v", fd.Name, pd.Name, err)
 		}
 		switch {
 		case pd.In() && pd.Out(): // inout: bytes both ways
 			if v.Kind != marshal.KindBytes || len(v.Bytes) != want {
-				return nil, fmt.Errorf("server: %s(%s): inout buffer %d bytes, want %d", fd.Name, pd.Name, len(v.Bytes), want)
+				return fmt.Errorf("server: %s(%s): inout buffer %d bytes, want %d", fd.Name, pd.Name, len(v.Bytes), want)
 			}
 		case pd.In():
 			if v.Kind != marshal.KindBytes || len(v.Bytes) != want {
-				return nil, fmt.Errorf("server: %s(%s): in buffer %d bytes, want %d", fd.Name, pd.Name, len(v.Bytes), want)
+				return fmt.Errorf("server: %s(%s): in buffer %d bytes, want %d", fd.Name, pd.Name, len(v.Bytes), want)
 			}
 		default: // out: guest sends a length placeholder; allocate space
 			if v.Kind != marshal.KindLen {
-				return nil, fmt.Errorf("server: %s(%s): out parameter sent as %v", fd.Name, pd.Name, v.Kind)
+				return fmt.Errorf("server: %s(%s): out parameter sent as %v", fd.Name, pd.Name, v.Kind)
 			}
 			if int(v.Uint) != want {
-				return nil, fmt.Errorf("server: %s(%s): out length %d, want %d", fd.Name, pd.Name, v.Uint, want)
+				return fmt.Errorf("server: %s(%s): out length %d, want %d", fd.Name, pd.Name, v.Uint, want)
 			}
 			if pd.IsBuffer {
-				if region, ok := regOut[i]; ok {
+				if i < len(regions) && regions[i] != nil {
+					region := regions[i]
 					if len(region) != want {
-						return nil, fmt.Errorf("server: %s(%s): regref out %d bytes, want %d", fd.Name, pd.Name, len(region), want)
+						return fmt.Errorf("server: %s(%s): regref out %d bytes, want %d", fd.Name, pd.Name, len(region), want)
 					}
 					*v = marshal.BytesVal(region)
-					if inv.regOut == nil {
-						inv.regOut = make([]bool, len(fd.Params))
+					for len(inv.regOut) < len(fd.Params) {
+						inv.regOut = append(inv.regOut, false)
 					}
 					inv.regOut[i] = true
 				} else {
@@ -305,7 +332,7 @@ func verifyAndPrepare(d *cava.Descriptor, fd *cava.FuncDesc, args []marshal.Valu
 			// Out elements keep the placeholder; handlers use SetOut*.
 		}
 	}
-	return inv, nil
+	return nil
 }
 
 func verifyScalar(pd *cava.ParamDesc, v *marshal.Value) error {

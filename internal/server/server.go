@@ -194,7 +194,10 @@ type Context struct {
 	recording bool   // record tracked calls for migration (opt-in)
 	log       []RecordedCall
 	stats     Stats
-	frozen    bool // suspended for migration
+
+	// frozen marks the VM suspended for migration. Atomic (not under mu):
+	// every call checks it, and a call takes mu only once, at its end.
+	frozen atomic.Bool
 
 	// queued gauges the ServeVM dispatch backlog: tasks handed to a
 	// worker queue and not yet completed. Atomic (not under mu) so the
@@ -248,14 +251,6 @@ func (c *Context) DeferredError() string {
 	d := c.deferred
 	c.deferred = ""
 	return d
-}
-
-func (c *Context) setDeferred(msg string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.deferred == "" {
-		c.deferred = msg
-	}
 }
 
 // SetRecording enables or disables the migration record log. Recording is
@@ -314,18 +309,10 @@ func (c *Context) RecordLog() []RecordedCall {
 
 // Freeze suspends call execution (migration quiesce). Calls arriving while
 // frozen fail with StatusDenied.
-func (c *Context) Freeze() {
-	c.mu.Lock()
-	c.frozen = true
-	c.mu.Unlock()
-}
+func (c *Context) Freeze() { c.frozen.Store(true) }
 
 // Thaw resumes call execution.
-func (c *Context) Thaw() {
-	c.mu.Lock()
-	c.frozen = false
-	c.mu.Unlock()
-}
+func (c *Context) Thaw() { c.frozen.Store(false) }
 
 // record appends to the migration log per the function's track annotation.
 // Destroy calls prune the created object's history instead of growing the
@@ -459,60 +446,169 @@ func (s *Server) Snapshot() []VMSnapshot {
 	return out
 }
 
+// callSlot is the per-call record of the dispatch path: the decoded call,
+// the Invocation handed to the handler (with its working argument copy and
+// out slots), the reply, and — under ServeVM — the call's place in the
+// ordering scheme. One slot replaces the six to nine heap objects a call
+// used to cost. Slots are pooled; ownership rules:
+//
+//   - a slot belongs to exactly one call from getSlot to release, and
+//     release happens only after the reply has been encoded (the reply's
+//     values alias the slot and the batch frame) and the frame reference
+//     dropped;
+//   - nothing outside the dispatch path keeps a pointer into a slot: the
+//     migration log deep-copies what it records (Context.record), and the
+//     handler's claim on the Invocation ends when it returns;
+//   - a call that armed a deadline timer leaves its Invocation behind for
+//     the timer (release drops it instead of reusing it), since the timer
+//     may still fire after the call.
+type callSlot struct {
+	call    marshal.Call
+	reply   marshal.Reply
+	outs    []marshal.Value // backing array of reply.Outs
+	inv     *Invocation     // nil until first use and after an armed call
+	regions [][]byte        // resolved out-direction regrefs, by parameter index
+
+	// ServeVM only.
+	fr     *frameRef
+	wire   int // encoded length of the call
+	worker int
+	ticket uint64               // position in the worker's queue (1-based)
+	need   [ServeWorkers]uint64 // per worker: completions this call waits for
+	retire uint64               // handle whose ordering entries end with this call
+}
+
+var slotPool = sync.Pool{New: func() any { return new(callSlot) }}
+
+func getSlot() *callSlot { return slotPool.Get().(*callSlot) }
+
+// release returns the slot to the pool. References into frames, regions and
+// handler buffers are cleared so a parked slot pins none of them.
+func (sl *callSlot) release() {
+	if sl.inv != nil {
+		if sl.inv.armed() {
+			sl.inv = nil
+		} else {
+			clear(sl.inv.args)
+			sl.inv.Ctx = nil
+		}
+	}
+	clear(sl.call.Args)
+	clear(sl.outs)
+	clear(sl.regions)
+	sl.reply = marshal.Reply{}
+	sl.fr = nil
+	slotPool.Put(sl)
+}
+
 // Execute runs one decoded call and returns the reply, or nil for
-// asynchronously forwarded calls (which get no reply).
+// asynchronously forwarded calls (which get no reply). The reply belongs to
+// the caller: Execute works in a slot of its own that is never pooled.
 func (s *Server) Execute(ctx *Context, call *marshal.Call) *marshal.Reply {
+	sl := &callSlot{call: *call}
+	if s.run(ctx, sl, 0) == 0 {
+		return nil
+	}
+	return &sl.reply
+}
+
+// ExecuteFrame decodes and executes one encoded call frame, returning the
+// encoded reply in a buffer the caller owns (nil for asynchronously
+// forwarded calls).
+func (s *Server) ExecuteFrame(ctx *Context, frame []byte) ([]byte, error) {
+	sl := getSlot()
+	defer sl.release()
+	if err := marshal.DecodeCallInto(&sl.call, frame); err != nil {
+		return nil, err
+	}
+	if s.run(ctx, sl, len(frame)) == 0 {
+		return nil, nil
+	}
+	return marshal.EncodeReply(&sl.reply), nil
+}
+
+// add folds one call's counter deltas into the totals.
+func (st *Stats) add(d *Stats) {
+	st.Calls += d.Calls
+	st.AsyncCalls += d.AsyncCalls
+	st.Errors += d.Errors
+	st.Replays += d.Replays
+	st.BytesIn += d.BytesIn
+	st.BytesOut += d.BytesOut
+	st.ExecTime += d.ExecTime
+	st.BytesCopied += d.BytesCopied
+	st.BytesBorrowed += d.BytesBorrowed
+	st.DeadlineAborts += d.DeadlineAborts
+	st.CanceledCalls += d.CanceledCalls
+	st.AdmitToDispatch += d.AdmitToDispatch
+}
+
+// run is the one dispatch path: it executes sl.call against ctx, leaves the
+// outcome in sl.reply, and returns the reply's encoded size — 0 when no
+// reply is owed (asynchronously forwarded calls). wire is the encoded length
+// of the call when it arrived as a frame (its reply then leaves as one, and
+// both are counted in Stats.BytesIn/BytesOut); 0 for Execute.
+//
+// Everything the call contributes to ctx — its counters, an async failure's
+// deferred note, a sync reply's pick-up of the pending note — is applied
+// under a single acquisition of ctx.mu at the end.
+func (s *Server) run(ctx *Context, sl *callSlot, wire int) int {
+	call, rep := &sl.call, &sl.reply
+	*rep = marshal.Reply{Seq: call.Seq}
 	async := call.Flags&marshal.FlagAsync != 0
 
-	ctx.mu.Lock()
-	frozen := ctx.frozen
-	ctx.mu.Unlock()
-	if frozen {
+	acct := Stats{BytesIn: uint64(wire)}
+	var note string // async failure to defer (§4.2)
+	if ctx.frozen.Load() {
+		rep.Status, rep.Err = marshal.StatusDenied, "VM suspended for migration"
+		note = "call rejected: VM suspended for migration"
+	} else {
+		s.execute(ctx, sl, async, &acct)
+		acct.Calls = 1
 		if async {
-			ctx.setDeferred("call rejected: VM suspended for migration")
-			return nil
+			acct.AsyncCalls = 1
 		}
-		return &marshal.Reply{Seq: call.Seq, Status: marshal.StatusDenied, Err: "VM suspended for migration"}
-	}
-
-	reply := s.execute(ctx, call, async)
-
-	ctx.mu.Lock()
-	ctx.stats.Calls++
-	if async {
-		ctx.stats.AsyncCalls++
-	}
-	if call.Flags&marshal.FlagReplay != 0 {
-		ctx.stats.Replays++
-	}
-	if reply != nil && reply.Status != marshal.StatusOK {
-		ctx.stats.Errors++
-	}
-	ctx.mu.Unlock()
-
-	if async {
+		if call.Flags&marshal.FlagReplay != 0 {
+			acct.Replays = 1
+		}
+		if rep.Status != marshal.StatusOK {
+			acct.Errors = 1
+		}
 		// Resubmitted asyncs may legitimately fail after a failover (e.g.
 		// they raced a destroy of the object they touch); deferring those
 		// errors would surface phantom failures for calls that already
 		// took effect before the crash.
-		if call.Flags&marshal.FlagResubmit == 0 {
-			if reply != nil && reply.Status != marshal.StatusOK {
-				ctx.setDeferred(fmt.Sprintf("async %s: %s", s.funcName(call.Func), reply.Err))
-			} else if reply != nil && s.isFailureRet(call.Func, reply.Ret) {
-				ctx.setDeferred(fmt.Sprintf("async %s: API error %s", s.funcName(call.Func), reply.Ret))
+		if async && call.Flags&marshal.FlagResubmit == 0 {
+			if rep.Status != marshal.StatusOK {
+				note = fmt.Sprintf("async %s: %s", s.funcName(call.Func), rep.Err)
+			} else if s.isFailureRet(call.Func, rep.Ret) {
+				note = fmt.Sprintf("async %s: API error %s", s.funcName(call.Func), rep.Ret)
 			}
 		}
-		return nil
 	}
-	// Piggy-back any deferred async error note on the next sync reply so
-	// the guest library can surface it (§4.2: "the error can be delivered
-	// from a later API call").
-	if reply.Err == "" {
-		if d := ctx.DeferredError(); d != "" {
-			reply.Err = "deferred: " + d
+
+	size := 0
+	ctx.mu.Lock()
+	if async {
+		if note != "" && ctx.deferred == "" {
+			ctx.deferred = note
+		}
+	} else {
+		// Piggy-back any deferred async error note on the next sync reply
+		// so the guest library can surface it (§4.2: "the error can be
+		// delivered from a later API call").
+		if rep.Err == "" && ctx.deferred != "" {
+			rep.Err = "deferred: " + ctx.deferred
+			ctx.deferred = ""
+		}
+		size = marshal.ReplySize(rep)
+		if wire > 0 {
+			acct.BytesOut = uint64(size)
 		}
 	}
-	return reply
+	ctx.stats.add(&acct)
+	ctx.mu.Unlock()
+	return size
 }
 
 func (s *Server) funcName(id uint32) string {
@@ -536,26 +632,37 @@ func (s *Server) isFailureRet(id uint32, ret marshal.Value) bool {
 	return false
 }
 
-func (s *Server) execute(ctx *Context, call *marshal.Call, async bool) *marshal.Reply {
-	fail := func(st marshal.Status, format string, args ...any) *marshal.Reply {
-		return &marshal.Reply{Seq: call.Seq, Status: st, Err: fmt.Sprintf(format, args...)}
+// execute verifies and runs sl.call, writing the outcome into sl.reply
+// (cleared to a bare StatusOK reply by run) and the call's counter deltas
+// into acct. It reads the clock twice: at dispatch (Stamps.Dispatch, the
+// admit→dispatch latency, the deadline anchor) and when the handler returns
+// (Stamps.Done, the execution time, the late-completion check).
+func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats) {
+	call, rep := &sl.call, &sl.reply
+	fail := func(st marshal.Status, format string, args ...any) {
+		rep.Status, rep.Err = st, fmt.Sprintf(format, args...)
+		rep.Ret, rep.Outs = marshal.Value{}, nil
 	}
 	if call.Func == marshal.FuncRebind || call.Func == marshal.FuncRestore ||
 		call.Func == marshal.FuncSnapshot || call.Func == marshal.FuncSnapshotDelta {
-		return s.executeControl(ctx, call)
+		s.executeControl(ctx, call, rep)
+		return
 	}
 	fd, ok := s.reg.Desc.ByID(call.Func)
 	if !ok {
-		return fail(marshal.StatusDenied, "unknown function #%d", call.Func)
+		fail(marshal.StatusDenied, "unknown function #%d", call.Func)
+		return
 	}
 	h := s.reg.handlers[fd.ID]
 	if h == nil {
-		return fail(marshal.StatusInternal, "%s: no handler registered", fd.Name)
+		fail(marshal.StatusInternal, "%s: no handler registered", fd.Name)
+		return
 	}
 	// A guest may only use async forwarding where the spec allows it.
 	if async {
 		if sync, err := fd.IsSync(s.reg.Desc.API, call.Args); err != nil || sync {
-			return fail(marshal.StatusDenied, "%s: async forwarding not permitted by specification", fd.Name)
+			fail(marshal.StatusDenied, "%s: async forwarding not permitted by specification", fd.Name)
+			return
 		}
 	}
 
@@ -567,59 +674,56 @@ func (s *Server) execute(ctx *Context, call *marshal.Call, async bool) *marshal.
 	// reply carries only a length. Resolution rewrites call.Args, so the
 	// migration record log sees the materialized bytes (in) or the plain
 	// length placeholder (out) and replays without the region.
-	var regOut map[int][]byte
-	var copied, borrowed uint64
+	regions := sl.regions[:0]
 	for i := range call.Args {
 		v := &call.Args[i]
 		switch v.Kind {
 		case marshal.KindBytes:
-			copied += uint64(len(v.Bytes))
+			acct.BytesCopied += uint64(len(v.Bytes))
 		case marshal.KindRegRef:
 			if s.breg == nil {
-				return fail(marshal.StatusDenied, "%s: registered-buffer reference without a registry", fd.Name)
+				fail(marshal.StatusDenied, "%s: registered-buffer reference without a registry", fd.Name)
+				return
 			}
 			region, rerr := s.breg.Resolve(v.Ref.ID, v.Ref.Off, v.Uint)
 			if rerr != nil {
-				return fail(marshal.StatusDenied, "%s: %v", fd.Name, rerr)
+				fail(marshal.StatusDenied, "%s: %v", fd.Name, rerr)
+				return
 			}
-			borrowed += v.Uint
+			acct.BytesBorrowed += v.Uint
 			if i < len(fd.Params) && fd.Params[i].IsPointer && fd.Params[i].Dir == spec.DirOut {
-				if regOut == nil {
-					regOut = make(map[int][]byte)
+				for len(regions) <= i {
+					regions = append(regions, nil)
 				}
-				regOut[i] = region
+				regions[i] = region
+				sl.regions = regions
 				*v = marshal.Len(v.Uint)
 			} else {
 				*v = marshal.BytesVal(region)
 			}
 		}
 	}
-	if copied != 0 || borrowed != 0 {
-		ctx.mu.Lock()
-		ctx.stats.BytesCopied += copied
-		ctx.stats.BytesBorrowed += borrowed
-		ctx.mu.Unlock()
-	}
 
-	inv, err := verifyAndPrepare(s.reg.Desc, fd, call.Args, regOut)
-	if err != nil {
-		return fail(marshal.StatusDenied, "%v", err)
+	inv := sl.inv
+	if inv == nil {
+		inv = &Invocation{}
+		sl.inv = inv
 	}
-	inv.Ctx = ctx
+	inv.reset(fd, ctx)
+	if err := inv.prepare(s.reg.Desc, call.Args, regions); err != nil {
+		fail(marshal.StatusDenied, "%v", err)
+		return
+	}
 
 	start := ctx.clk.Now()
-	// stamp completes the call's timestamp block on a reply produced after
-	// dispatch, feeding the guest's per-stage latency breakdown.
-	stamp := func(r *marshal.Reply) *marshal.Reply {
-		r.Stamps = call.Stamps
-		r.Stamps.Dispatch = start.UnixNano()
-		r.Stamps.Done = ctx.clk.Now().UnixNano()
-		return r
-	}
+	// From here on every reply carries the call's completed timestamp
+	// block, feeding the guest's per-stage latency breakdown; Done moves
+	// to the handler's return once it has run.
+	rep.Stamps = call.Stamps
+	rep.Stamps.Dispatch = start.UnixNano()
+	rep.Stamps.Done = rep.Stamps.Dispatch
 	if call.Stamps.Admit != 0 {
-		ctx.mu.Lock()
-		ctx.stats.AdmitToDispatch += time.Duration(start.UnixNano() - call.Stamps.Admit)
-		ctx.mu.Unlock()
+		acct.AdmitToDispatch = time.Duration(start.UnixNano() - call.Stamps.Admit)
 	}
 
 	// Deadline: re-anchor the remaining budget (wire deadline minus the
@@ -627,6 +731,7 @@ func (s *Server) execute(ctx *Context, call *marshal.Call, async bool) *marshal.
 	// dispatch, and arm the cancellation signal that handlers observe via
 	// inv.Done() so a slow call aborts instead of holding the silo.
 	var localDeadline time.Time
+	var stop func() bool
 	if call.Deadline != 0 {
 		rel := time.Duration(call.Deadline - start.UnixNano())
 		if anchor := call.Stamps.Admit; anchor != 0 {
@@ -635,78 +740,68 @@ func (s *Server) execute(ctx *Context, call *marshal.Call, async bool) *marshal.
 			rel = time.Duration(call.Deadline - call.Stamps.Encode)
 		}
 		if rel <= 0 {
-			ctx.mu.Lock()
-			ctx.stats.DeadlineAborts++
-			ctx.mu.Unlock()
-			return stamp(fail(marshal.StatusDeadline, "%s: deadline expired before dispatch", fd.Name))
+			acct.DeadlineAborts = 1
+			fail(marshal.StatusDeadline, "%s: deadline expired before dispatch", fd.Name)
+			return
 		}
 		localDeadline = start.Add(rel)
 		inv.arm(localDeadline)
-		stop := ctx.clk.AfterFunc(rel, func() { inv.cancelWith(ErrDeadlineExceeded) })
-		defer stop()
+		stop = ctx.clk.AfterFunc(rel, func() { inv.cancelWith(ErrDeadlineExceeded) })
 	}
 
-	err = runHandler(h, inv)
+	err := runHandler(h, inv)
 	if errors.Is(err, ErrDeviceOOM) && s.reg.OnOOM != nil && s.reg.OnOOM(ctx, fd) {
 		err = runHandler(h, inv) // one retry after the swap manager made room
 	}
-	elapsed := ctx.clk.Since(start)
-	ctx.mu.Lock()
-	ctx.stats.ExecTime += elapsed
-	ctx.mu.Unlock()
+	end := ctx.clk.Now()
+	if stop != nil {
+		stop()
+	}
+	acct.ExecTime = end.Sub(start)
+	rep.Stamps.Done = end.UnixNano()
 
 	if err != nil {
 		status := marshal.StatusInternal
 		switch {
 		case errors.Is(err, ErrDeadlineExceeded):
 			status = marshal.StatusDeadline
-			ctx.mu.Lock()
-			ctx.stats.DeadlineAborts++
-			ctx.mu.Unlock()
+			acct.DeadlineAborts = 1
 		case errors.Is(err, ErrCanceled):
 			status = marshal.StatusCanceled
-			ctx.mu.Lock()
-			ctx.stats.CanceledCalls++
-			ctx.mu.Unlock()
+			acct.CanceledCalls = 1
 		}
-		return stamp(fail(status, "%s: %v", fd.Name, err))
+		fail(status, "%s: %v", fd.Name, err)
+		return
 	}
 	// A handler that ignored the signal and finished after expiry is still
 	// aborted: the caller's budget is spent and the reply is already late.
-	if !localDeadline.IsZero() && !ctx.clk.Now().Before(localDeadline) {
-		ctx.mu.Lock()
-		ctx.stats.DeadlineAborts++
-		ctx.mu.Unlock()
-		return stamp(fail(marshal.StatusDeadline, "%s: deadline expired during execution", fd.Name))
+	if !localDeadline.IsZero() && !end.Before(localDeadline) {
+		acct.DeadlineAborts = 1
+		fail(marshal.StatusDeadline, "%s: deadline expired during execution", fd.Name)
+		return
 	}
 
-	reply := stamp(&marshal.Reply{
-		Seq:    call.Seq,
-		Status: marshal.StatusOK,
-		Ret:    inv.ret,
-		Outs:   inv.finishOuts(),
-	})
+	rep.Ret = inv.ret
+	if fd.NumOuts > 0 {
+		sl.outs = inv.finishOuts(sl.outs)
+		rep.Outs = sl.outs
+	}
 
 	// Reply-side data-plane accounting: out/inout payloads returned inline
 	// travel (and land in the caller's buffer) by copy; out-direction
 	// regref writes already hit the registered region in place and were
 	// counted as borrowed at resolution, and their reply carries only a
 	// length, so nothing double-counts here.
-	var replyCopied uint64
-	for _, v := range reply.Outs {
-		if v.Kind == marshal.KindBytes {
-			replyCopied += uint64(len(v.Bytes))
+	for i := range rep.Outs {
+		if v := &rep.Outs[i]; v.Kind == marshal.KindBytes {
+			acct.BytesCopied += uint64(len(v.Bytes))
 		}
-	}
-	if replyCopied != 0 {
-		ctx.mu.Lock()
-		ctx.stats.BytesCopied += replyCopied
-		ctx.mu.Unlock()
 	}
 
 	// Record for migration replay, capturing the created handle if any.
-	// call.Args is the pristine wire form (verifyAndPrepare works on a
-	// copy), so the recorded call can be re-executed verbatim.
+	// call.Args is the pristine wire form (prepare works on a copy), so the
+	// recorded call can be re-executed verbatim; record deep-copies, so the
+	// log never aliases this slot or its frame.
 	if fd.Track.Kind != spec.TrackNone {
 		var created marshal.Handle
 		if fd.Track.Kind == spec.TrackCreate {
@@ -716,9 +811,8 @@ func (s *Server) execute(ctx *Context, call *marshal.Call, async bool) *marshal.
 				created = inv.ret.Handle()
 			}
 		}
-		ctx.record(fd, call.Seq, call.Args, reply, created)
+		ctx.record(fd, call.Seq, call.Args, rep, created)
 	}
-	return reply
 }
 
 // runHandler isolates a silo handler: a panic in one VM's call becomes an
@@ -734,35 +828,15 @@ func runHandler(h Handler, inv *Invocation) (err error) {
 	return h(inv)
 }
 
-// ExecuteFrame decodes and executes one encoded call frame.
-func (s *Server) ExecuteFrame(ctx *Context, frame []byte) ([]byte, error) {
-	call, err := marshal.DecodeCall(frame)
-	if err != nil {
-		return nil, err
-	}
-	ctx.mu.Lock()
-	ctx.stats.BytesIn += uint64(len(frame))
-	ctx.mu.Unlock()
-	reply := s.Execute(ctx, call)
-	if reply == nil {
-		return nil, nil
-	}
-	out := marshal.EncodeReply(reply)
-	ctx.mu.Lock()
-	ctx.stats.BytesOut += uint64(len(out))
-	ctx.mu.Unlock()
-	return out, nil
-}
-
 // ServeWorkers is the number of dispatch workers ServeVM runs per VM.
 // Ordering domains are spread across the workers, so up to ServeWorkers
 // independent domains execute concurrently.
 const ServeWorkers = 16
 
-// workerQueueDepth bounds each dispatch worker's inbox (and the reply
-// writer's). A full queue back-pressures the receive loop, which in turn
-// back-pressures the transport — the same flow control the serial loop had,
-// just with a deeper pipe.
+// workerQueueDepth bounds each dispatch worker's inbox. A full queue
+// back-pressures the receive loop, which in turn back-pressures the
+// transport — the same flow control the serial loop had, just with a
+// deeper pipe.
 const workerQueueDepth = 64
 
 // frameRef reference-counts a received batch frame across the calls decoded
@@ -771,99 +845,255 @@ const workerQueueDepth = 64
 // encoded. A nil frameRef (non-owning transport) is a no-op.
 type frameRef struct {
 	buf  []byte
-	refs int32
+	refs atomic.Int32
+}
+
+var frameRefPool = sync.Pool{New: func() any { return new(frameRef) }}
+
+func newFrameRef(buf []byte, refs int) *frameRef {
+	fr := frameRefPool.Get().(*frameRef)
+	fr.buf = buf
+	fr.refs.Store(int32(refs))
+	return fr
 }
 
 func (fr *frameRef) release() {
-	if fr != nil && atomic.AddInt32(&fr.refs, -1) == 0 {
+	if fr != nil && fr.refs.Add(-1) == 0 {
 		framebuf.Put(fr.buf)
+		fr.buf = nil
+		frameRefPool.Put(fr)
 	}
 }
 
-// dispatchTask is one decoded call headed for an ordering-domain worker.
-// deps are the completion signals of earlier calls that touched any of this
-// call's handle arguments; the worker waits for them before executing, so a
-// clEnqueueNDRangeKernel (domain: the queue) can never overtake the
-// clSetKernelArg (domain: the kernel) it depends on. Because deps always
-// point at strictly earlier wire-order tasks and worker queues are FIFO,
-// the earliest unfinished task never waits on anything behind it — the
-// waits cannot deadlock.
-type dispatchTask struct {
-	call *marshal.Call
-	fr   *frameRef
-	deps []chan struct{}
-	done chan struct{}
+// ticket names one call's place in the dispatch order: the n-th call handed
+// to worker. Worker queues are FIFO, so "worker has completed n calls" means
+// that call, and every call queued to the worker before it, has finished.
+type ticket struct {
+	worker int
+	n      uint64
+}
+
+// ordering is the receive loop's bookkeeping for the dispatch order ServeVM
+// guarantees: calls in one ordering domain execute in arrival order, as do
+// calls that share any handle argument, and a synchronous call observes
+// every asynchronous call issued before it (§4.2). It turns each call into
+// a worker assignment plus, per other worker, the completion count the call
+// must wait for (callSlot.need) — a dependency is always "worker w has
+// finished at least n calls", never a per-call channel. Because every
+// dependency points at a strictly earlier call and worker queues are FIFO,
+// the earliest unfinished call never waits on anything behind it: the waits
+// cannot deadlock. Only the receive loop touches an ordering.
+type ordering struct {
+	// domains is the sticky round-robin domain→worker assignment: a domain
+	// keeps its worker while it is live (preserving FIFO within it) and new
+	// domains spread evenly — the first ServeWorkers domains are guaranteed
+	// distinct workers, which hashing would not give.
+	domains map[uint64]int
+	next    int
+	// lastTouch is, per handle, the most recent call that referenced it
+	// (not just as its primary domain): the next call naming the handle
+	// waits for that one.
+	lastTouch map[uint64]ticket
+	enq       [ServeWorkers]uint64 // calls handed to each worker so far
+	lastAsync [ServeWorkers]uint64 // ticket of each worker's latest async call
+}
+
+func newOrdering() *ordering {
+	return &ordering{domains: make(map[uint64]int), lastTouch: make(map[uint64]ticket)}
+}
+
+// plan assigns sl its worker and ticket and computes what it must wait for.
+func (o *ordering) plan(sl *callSlot, dom uint64, isSync bool) {
+	w, ok := o.domains[dom]
+	if !ok {
+		w = o.next % ServeWorkers
+		o.domains[dom] = w
+		o.next++
+	}
+	o.enq[w]++
+	t := ticket{worker: w, n: o.enq[w]}
+	sl.worker, sl.ticket = w, t.n
+	sl.need = [ServeWorkers]uint64{}
+	for i := range sl.call.Args {
+		a := &sl.call.Args[i]
+		if a.Kind != marshal.KindHandle {
+			continue
+		}
+		// An earlier call on this call's own worker (including this very
+		// call, when one handle appears twice in its arguments) needs no
+		// wait: the worker's queue already runs them in order.
+		if prev, ok := o.lastTouch[a.Uint]; ok && prev.worker != w && prev.n > sl.need[prev.worker] {
+			sl.need[prev.worker] = prev.n
+		}
+		o.lastTouch[a.Uint] = t
+	}
+	// Handle-less calls all fall in domain 0, hence on one worker, and stay
+	// ordered among themselves by its queue.
+	if !isSync {
+		o.lastAsync[w] = t.n
+		return
+	}
+	// A synchronization point observes all asynchronous work issued before
+	// it — the §4.2 error-deferral contract: an async failure surfaces at
+	// the next sync call, whatever object it names.
+	for v, n := range o.lastAsync {
+		if v != w && n > sl.need[v] {
+			sl.need[v] = n
+		}
+	}
+}
+
+// retire drops a destroyed handle's entries once the destroy call (ticket
+// t) has completed, unless a later call has named the handle since — then
+// that call's own chain still needs them. Every earlier call touching the
+// handle finished before the destroy ran, so nothing queued depends on the
+// entries, and a later call naming the (dead or recycled) handle simply
+// starts a fresh domain.
+func (o *ordering) retire(h uint64, t ticket) {
+	if o.lastTouch[h] == t {
+		delete(o.lastTouch, h)
+		delete(o.domains, h)
+	}
+}
+
+// completions counts finished calls per worker and parks the few calls that
+// must wait for another worker. The fast paths are one atomic add (finish)
+// and one atomic load per dependency (await); the mutex and condition
+// variable are touched only while somebody is actually blocked.
+type completions struct {
+	done    [ServeWorkers]atomic.Uint64
+	waiting atomic.Int32
+	mu      sync.Mutex
+	cond    sync.Cond
+}
+
+func (c *completions) finish(w int) {
+	c.done[w].Add(1)
+	if c.waiting.Load() > 0 {
+		c.mu.Lock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	}
+}
+
+// await blocks until every worker other than self has completed at least
+// need[w] calls.
+func (c *completions) await(self int, need *[ServeWorkers]uint64) {
+	for w, n := range need {
+		if n == 0 || w == self || c.done[w].Load() >= n {
+			continue
+		}
+		c.mu.Lock()
+		c.waiting.Add(1)
+		for c.done[w].Load() < n {
+			c.cond.Wait()
+		}
+		c.waiting.Add(-1)
+		c.mu.Unlock()
+	}
+}
+
+// retired collects, from the workers, the destroy calls that completed since
+// the receive loop last looked; the loop applies them to its ordering.
+type retired struct {
+	mu    sync.Mutex
+	items []retiredHandle
+}
+
+type retiredHandle struct {
+	h uint64
+	t ticket
+}
+
+func (r *retired) push(h uint64, t ticket) {
+	r.mu.Lock()
+	r.items = append(r.items, retiredHandle{h, t})
+	r.mu.Unlock()
+}
+
+// drainInto runs once per received frame, so its uncontended lock is off
+// the per-call path.
+func (r *retired) drainInto(o *ordering) {
+	r.mu.Lock()
+	for _, it := range r.items {
+		o.retire(it.h, it.t)
+	}
+	r.items = r.items[:0]
+	r.mu.Unlock()
+}
+
+// replySender serializes reply frames from the dispatch workers onto the
+// endpoint, so replies never interleave mid-frame. The first Send failure
+// is sticky: later replies are dropped rather than blocking workers on a
+// dead link.
+type replySender struct {
+	ep         transport.Endpoint
+	sendCopies bool
+	mu         sync.Mutex
+	err        error
+}
+
+func (rs *replySender) send(out []byte) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.err != nil {
+		return
+	}
+	if err := rs.ep.Send(out); err != nil {
+		rs.err = err
+		return
+	}
+	if rs.sendCopies {
+		framebuf.Put(out)
+	}
 }
 
 // ServeVM runs the serve loop for one VM over ep: receive batch frames,
 // dispatch each call to a worker keyed by its ordering domain (the first
 // handle argument — an OpenCL command queue, a compression session), and
-// reply to synchronous calls through a single writer goroutine. Calls in
-// the same domain execute in arrival order, as do calls that share any
-// handle argument (a kernel mutated by clSetKernelArg and then launched on
-// a queue); calls with disjoint handles execute concurrently. It returns
-// when the transport closes.
+// reply to synchronous calls, one frame at a time. Calls in the same domain
+// execute in arrival order, as do calls that share any handle argument (a
+// kernel mutated by clSetKernelArg and then launched on a queue); calls
+// with disjoint handles execute concurrently. It returns when the transport
+// closes.
 func (s *Server) ServeVM(ctx *Context, ep transport.Endpoint) error {
-	sendCopies := transport.SendCopies(ep)
+	return s.serveVM(ctx, ep, newOrdering())
+}
+
+func (s *Server) serveVM(ctx *Context, ep transport.Endpoint, ord *ordering) error {
 	recvOwned := transport.RecvOwned(ep)
+	replies := &replySender{ep: ep, sendCopies: transport.SendCopies(ep)}
+	var (
+		comp completions
+		gone retired
+		wg   sync.WaitGroup
+	)
+	comp.cond.L = &comp.mu
 
-	// Reply writer: the only goroutine that Sends on ep, so replies from
-	// concurrent workers never interleave mid-frame. After the first Send
-	// failure it keeps draining so workers never block on a dead writer.
-	replyCh := make(chan []byte, workerQueueDepth)
-	writerDone := make(chan struct{})
-	var writerErr error
-	go func() {
-		defer close(writerDone)
-		for out := range replyCh {
-			if writerErr != nil {
-				continue
-			}
-			if err := ep.Send(out); err != nil {
-				writerErr = err
-				continue
-			}
-			if sendCopies {
-				framebuf.Put(out)
-			}
-		}
-	}()
-
-	queues := make([]chan dispatchTask, ServeWorkers)
-	var wg sync.WaitGroup
+	queues := make([]chan *callSlot, ServeWorkers)
 	for i := range queues {
-		q := make(chan dispatchTask, workerQueueDepth)
+		q := make(chan *callSlot, workerQueueDepth)
 		queues[i] = q
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for t := range q {
-				for _, d := range t.deps {
-					<-d
-				}
-				s.dispatch(ctx, t, replyCh)
+			for sl := range q {
+				comp.await(w, &sl.need)
+				s.dispatch(ctx, sl, replies)
 				ctx.queued.Add(-1)
-				close(t.done)
+				if sl.retire != 0 {
+					gone.push(sl.retire, ticket{worker: w, n: sl.ticket})
+				}
+				sl.release()
+				comp.finish(w)
 			}
-		}()
+		}(i)
 	}
 
-	// Sticky round-robin domain→worker assignment: a domain keeps its
-	// worker for the VM's lifetime (preserving FIFO within the domain)
-	// while new domains spread evenly — the first ServeWorkers domains are
-	// guaranteed distinct workers, which hashing would not give.
-	//
-	// lastTouch chains dependencies across domains: for every handle a
-	// call references (not just its primary domain), the call waits for
-	// the previous call that touched the same handle. Both maps grow with
-	// the number of distinct handles ever referenced; at a few words per
-	// entry that is noise next to the handle table.
-	domains := make(map[uint64]int)
-	lastTouch := make(map[uint64]chan struct{})
-	var outstanding []chan struct{} // uncompleted async tasks, wire order
-	next := 0
-
-	var loopErr error
+	var (
+		loopErr error
+		calls   [][]byte
+	)
 recv:
 	for {
 		frame, err := ep.Recv()
@@ -873,98 +1103,41 @@ recv:
 			}
 			break
 		}
-		calls, err := marshal.DecodeBatch(frame)
+		calls, err = marshal.DecodeBatchInto(calls, frame)
 		if err != nil {
 			loopErr = fmt.Errorf("server: vm %d sent malformed batch: %w", ctx.VM, err)
 			break
 		}
+		gone.drainInto(ord)
 		var fr *frameRef
-		if recvOwned {
-			fr = &frameRef{buf: frame, refs: int32(len(calls))}
+		if recvOwned && len(calls) > 0 {
+			fr = newFrameRef(frame, len(calls))
 		}
 		for _, cf := range calls {
-			call, err := marshal.DecodeCall(cf)
-			if err != nil {
+			sl := getSlot()
+			if err := marshal.DecodeCallInto(&sl.call, cf); err != nil {
 				// Abandon the rest of the frame: the undispatched refs
 				// never drain, so the frame falls to the GC (never back
 				// to the pool while calls alias it).
 				loopErr = fmt.Errorf("server: vm %d sent malformed call: %w", ctx.VM, err)
+				sl.release()
 				break recv
 			}
-			ctx.mu.Lock()
-			ctx.stats.BytesIn += uint64(len(cf))
-			ctx.mu.Unlock()
+			sl.fr, sl.wire, sl.retire = fr, len(cf), 0
 			dom := uint64(0)
 			isSync := true // unknown functions get an error reply: sync
-			if fd, ok := s.reg.Desc.ByID(call.Func); ok {
-				dom = fd.Domain(call.Args)
-				sync, err := fd.IsSync(s.reg.Desc.API, call.Args)
+			if fd, ok := s.reg.Desc.ByID(sl.call.Func); ok {
+				dom = fd.Domain(sl.call.Args)
+				sync, err := fd.IsSync(s.reg.Desc.API, sl.call.Args)
 				isSync = err != nil || sync
-			}
-			w, ok := domains[dom]
-			if !ok {
-				w = next % ServeWorkers
-				domains[dom] = w
-				next++
-			}
-			t := dispatchTask{call: call, fr: fr, done: make(chan struct{})}
-			touched := false
-			for _, a := range call.Args {
-				if a.Kind != marshal.KindHandle {
-					continue
+				if fd.Track.Kind == spec.TrackDestroy && fd.TrackIdx >= 0 && fd.TrackIdx < len(sl.call.Args) &&
+					sl.call.Args[fd.TrackIdx].Kind == marshal.KindHandle {
+					sl.retire = sl.call.Args[fd.TrackIdx].Uint
 				}
-				touched = true
-				// prev == t.done when the same handle appears twice in one
-				// call (e.g. copying a buffer onto itself): skip, or the
-				// worker would wait on the task's own completion.
-				if prev, ok := lastTouch[a.Uint]; ok && prev != t.done {
-					t.deps = append(t.deps, prev)
-				}
-				lastTouch[a.Uint] = t.done
 			}
-			if !touched {
-				// Handle-less calls chain on the fallback domain so they
-				// stay ordered relative to each other.
-				if prev, ok := lastTouch[0]; ok {
-					t.deps = append(t.deps, prev)
-				}
-				lastTouch[0] = t.done
-			}
-			if isSync {
-				// A synchronization point observes all asynchronous work
-				// issued before it — that is the §4.2 error-deferral
-				// contract: an async failure surfaces at the next sync
-				// call, whatever object it names. Completed asyncs are
-				// compacted out as a side effect.
-				kept := outstanding[:0]
-				for _, d := range outstanding {
-					select {
-					case <-d:
-					default:
-						kept = append(kept, d)
-						t.deps = append(t.deps, d)
-					}
-				}
-				outstanding = kept
-			} else {
-				// Bound the bookkeeping for sync-free workloads: in-flight
-				// asyncs are capped by the queue depths, so past this
-				// length the prefix is mostly complete.
-				if len(outstanding) >= 32*workerQueueDepth {
-					kept := outstanding[:0]
-					for _, d := range outstanding {
-						select {
-						case <-d:
-						default:
-							kept = append(kept, d)
-						}
-					}
-					outstanding = kept
-				}
-				outstanding = append(outstanding, t.done)
-			}
+			ord.plan(sl, dom, isSync)
 			ctx.queued.Add(1)
-			queues[w] <- t
+			queues[sl.worker] <- sl
 		}
 	}
 
@@ -972,31 +1145,26 @@ recv:
 		close(q)
 	}
 	wg.Wait()
-	close(replyCh)
-	<-writerDone
 	if loopErr != nil {
 		return loopErr
 	}
-	if writerErr != nil && !errors.Is(writerErr, transport.ErrClosed) {
-		return writerErr
+	if replies.err != nil && !errors.Is(replies.err, transport.ErrClosed) {
+		return replies.err
 	}
 	return nil
 }
 
-// dispatch executes one call on a worker goroutine and hands the encoded
-// reply (if any) to the writer.
-func (s *Server) dispatch(ctx *Context, t dispatchTask, replyCh chan<- []byte) {
-	reply := s.Execute(ctx, t.call)
-	if reply == nil {
-		t.fr.release()
+// dispatch executes one call on a worker goroutine and sends the encoded
+// reply, if one is owed.
+func (s *Server) dispatch(ctx *Context, sl *callSlot, replies *replySender) {
+	size := s.run(ctx, sl, sl.wire)
+	if size == 0 {
+		sl.fr.release()
 		return
 	}
-	out := marshal.AppendReply(framebuf.Get(0), reply)
+	out := marshal.AppendReply(framebuf.Get(size), &sl.reply)
 	// Inout outs alias the batch frame, so the frame is released only now
 	// that the reply bytes have been copied out by the encoder.
-	t.fr.release()
-	ctx.mu.Lock()
-	ctx.stats.BytesOut += uint64(len(out))
-	ctx.mu.Unlock()
-	replyCh <- out
+	sl.fr.release()
+	replies.send(out)
 }

@@ -296,10 +296,14 @@ func TestQuickHandleTable(t *testing.T) {
 }
 
 func TestDeferredErrorOnce(t *testing.T) {
-	ctx := NewContext(1, "v")
-	ctx.setDeferred("first")
-	ctx.setDeferred("second") // only the first is kept
-	if d := ctx.DeferredError(); d != "first" {
+	srv, ctx, _ := newTestServer(t)
+	// Two failing async calls: only the first failure is kept.
+	for _, fn := range []uint32{998, 999} {
+		if rep := srv.Execute(ctx, &marshal.Call{Seq: 1, Func: fn, Flags: marshal.FlagAsync}); rep != nil {
+			t.Fatalf("async call got a reply: %+v", rep)
+		}
+	}
+	if d := ctx.DeferredError(); d != "async func#998: unknown function #998" {
 		t.Fatalf("deferred = %q", d)
 	}
 	if d := ctx.DeferredError(); d != "" {
@@ -350,7 +354,9 @@ func TestInvocationAccessors(t *testing.T) {
 		}
 	`)
 	fd, _ := desc.Lookup("f")
-	inv, err := verifyAndPrepare(desc, fd, []marshal.Value{
+	inv := &Invocation{}
+	inv.reset(fd, nil)
+	err := inv.prepare(desc, []marshal.Value{
 		marshal.HandleVal(5), marshal.Int(-3), marshal.Uint(9), marshal.Float(2.5),
 		marshal.Bool(true), marshal.Str("name"), marshal.BytesVal([]byte{1, 2}), marshal.Uint(2),
 	}, nil)

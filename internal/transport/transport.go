@@ -6,7 +6,7 @@
 // and pluggable, so VMs can use local or disaggregated accelerators. Three
 // transports are provided:
 //
-//   - InProc: a pair of Go channels; the analogue of a hypercall path, used
+//   - InProc: a pair of frame-reference queues; the analogue of a hypercall path, used
 //     when guest, router and server share a process (tests and benchmarks).
 //   - Ring: a pair of fixed-size byte rings with doorbell semantics — the
 //     analogue of the hypervisor-managed shared-memory FIFO queues that
@@ -115,90 +115,125 @@ func RecvOwned(ep Endpoint) bool {
 	return ok && fo.RecvOwned()
 }
 
-// inprocEnd is a channel-backed endpoint half.
-type inprocEnd struct {
-	send chan<- []byte
-	recv <-chan []byte
+// inprocDepth bounds the frames queued in one direction of an in-process
+// pair; a full queue blocks Send, back-pressuring the sender.
+const inprocDepth = 64
 
-	mu      sync.Mutex
-	closed  chan struct{}
-	severed chan struct{} // shared with the peer: one cut kills both ends
-	sevOnce *sync.Once    // shared with the peer
-	peer    *inprocEnd
+// inprocQueue is one direction of an in-process pair: a bounded FIFO of
+// frame references under one mutex. Send and Recv each take that lock once
+// and park on a condition variable only when the queue is full or empty.
+type inprocQueue struct {
+	mu       sync.Mutex
+	notEmpty sync.Cond // sender -> receiver
+	notFull  sync.Cond // receiver -> sender
+	frames   [inprocDepth][]byte
+	head, n  int
+	txClosed bool // the sending end closed: the receiver drains, then ErrClosed
+	rxClosed bool // the receiving end closed: queued frames are abandoned
+	severed  bool
+}
+
+func newInprocQueue() *inprocQueue {
+	q := &inprocQueue{}
+	q.notEmpty.L = &q.mu
+	q.notFull.L = &q.mu
+	return q
+}
+
+func (q *inprocQueue) put(frame []byte) error {
+	q.mu.Lock()
+	for q.n == inprocDepth && !q.severed && !q.txClosed && !q.rxClosed {
+		q.notFull.Wait()
+	}
+	switch {
+	case q.severed:
+		q.mu.Unlock()
+		return ErrSevered
+	case q.txClosed || q.rxClosed:
+		q.mu.Unlock()
+		return ErrClosed
+	}
+	q.frames[(q.head+q.n)%inprocDepth] = frame
+	q.n++
+	q.mu.Unlock()
+	q.notEmpty.Signal()
+	return nil
+}
+
+func (q *inprocQueue) get() ([]byte, error) {
+	q.mu.Lock()
+	for q.n == 0 && !q.severed && !q.txClosed && !q.rxClosed {
+		q.notEmpty.Wait()
+	}
+	switch {
+	case q.severed:
+		// A severed pipe reports immediately: queued frames are lost,
+		// exactly as they would be in a dead peer's memory.
+		q.mu.Unlock()
+		return nil, ErrSevered
+	case q.rxClosed || q.n == 0:
+		// Our own Close, or the peer closed and everything it queued
+		// before closing has been delivered.
+		q.mu.Unlock()
+		return nil, ErrClosed
+	}
+	frame := q.frames[q.head]
+	q.frames[q.head] = nil
+	q.head = (q.head + 1) % inprocDepth
+	q.n--
+	q.mu.Unlock()
+	q.notFull.Signal()
+	return frame, nil
+}
+
+// shut marks the queue closed from its sending (tx) or receiving end, or
+// severed, and wakes every parked Send and Recv.
+func (q *inprocQueue) shut(tx, rx, sever bool) {
+	q.mu.Lock()
+	q.txClosed = q.txClosed || tx
+	q.rxClosed = q.rxClosed || rx
+	if sever {
+		q.severed = true
+		q.frames = [inprocDepth][]byte{} // queued frames die with the link
+		q.n = 0
+	}
+	q.mu.Unlock()
+	q.notEmpty.Broadcast()
+	q.notFull.Broadcast()
+}
+
+// inprocEnd is one end of an in-process pair.
+type inprocEnd struct {
+	tx, rx *inprocQueue
 }
 
 // NewInProc returns two connected in-process endpoints.
 func NewInProc() (Endpoint, Endpoint) {
-	ab := make(chan []byte, 64)
-	ba := make(chan []byte, 64)
-	sev := make(chan struct{})
-	once := &sync.Once{}
-	a := &inprocEnd{send: ab, recv: ba, closed: make(chan struct{}), severed: sev, sevOnce: once}
-	b := &inprocEnd{send: ba, recv: ab, closed: make(chan struct{}), severed: sev, sevOnce: once}
-	a.peer, b.peer = b, a
-	return a, b
+	ab, ba := newInprocQueue(), newInprocQueue()
+	return &inprocEnd{tx: ab, rx: ba}, &inprocEnd{tx: ba, rx: ab}
 }
 
-func (e *inprocEnd) Send(frame []byte) error {
-	// Zero-copy: ownership of frame transfers to the receiver (the
-	// hypercall-page model). Senders must not modify a frame after Send;
-	// every stack component already encodes into a fresh buffer per frame.
-	select {
-	case <-e.severed:
-		return ErrSevered
-	case <-e.closed:
-		return ErrClosed
-	case <-e.peer.closed:
-		return ErrClosed
-	default:
-	}
-	select {
-	case e.send <- frame:
-		return nil
-	case <-e.severed:
-		return ErrSevered
-	case <-e.closed:
-		return ErrClosed
-	case <-e.peer.closed:
-		return ErrClosed
-	}
-}
+// Send is zero-copy: ownership of frame transfers to the receiver (the
+// hypercall-page model). Senders must not modify a frame after Send; every
+// stack component already encodes into a fresh buffer per frame.
+func (e *inprocEnd) Send(frame []byte) error { return e.tx.put(frame) }
 
-func (e *inprocEnd) Recv() ([]byte, error) {
-	// A severed pipe reports immediately: queued frames are lost, exactly
-	// as they would be in a dead peer's memory.
-	select {
-	case <-e.severed:
-		return nil, ErrSevered
-	default:
-	}
-	select {
-	case f, ok := <-e.recv:
-		if !ok {
-			return nil, ErrClosed
-		}
-		return f, nil
-	case <-e.severed:
-		return nil, ErrSevered
-	case <-e.closed:
-		return nil, ErrClosed
-	case <-e.peer.closed:
-		// Drain anything already queued before reporting closure.
-		select {
-		case f, ok := <-e.recv:
-			if ok {
-				return f, nil
-			}
-		default:
-		}
-		return nil, ErrClosed
-	}
+func (e *inprocEnd) Recv() ([]byte, error) { return e.rx.get() }
+
+// Close is the orderly teardown: this end's Send and Recv fail with
+// ErrClosed from now on, the peer's Send fails with ErrClosed, and the
+// peer's Recv first drains what this end queued before closing.
+func (e *inprocEnd) Close() error {
+	e.tx.shut(true, false, false)
+	e.rx.shut(false, true, false)
+	return nil
 }
 
 // Sever implements Severer: both ends observe ErrSevered and queued frames
 // are abandoned.
 func (e *inprocEnd) Sever() error {
-	e.sevOnce.Do(func() { close(e.severed) })
+	e.tx.shut(false, false, true)
+	e.rx.shut(false, false, true)
 	return nil
 }
 
@@ -210,18 +245,6 @@ func (e *inprocEnd) SendCopies() bool { return false }
 // RecvOwned implements FrameOwnership: a received frame was handed over
 // whole by the peer and belongs to the receiver.
 func (e *inprocEnd) RecvOwned() bool { return true }
-
-func (e *inprocEnd) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	select {
-	case <-e.closed:
-		return nil
-	default:
-		close(e.closed)
-	}
-	return nil
-}
 
 // ring is a fixed-capacity byte FIFO with blocking semantics, the shared
 // memory region of a queue pair. Frames are stored as a 4-byte length
