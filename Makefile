@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test allocs bench bench-smoke bench-json benchmark chaos ctl-smoke sched-smoke ha-smoke
+.PHONY: check fmt vet rebind-gate build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
-check: fmt vet build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
+check: fmt vet rebind-gate build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -16,6 +16,17 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# One rebind: a handle table is rebuilt under guest-held values only by
+# server.Context.Rebind, which migration restore, failover replay, the
+# guardian's post-watermark rebind and the FuncRebind control call all use.
+# Fail if non-test code outside internal/server calls Handles.InsertAt, so
+# nobody re-grows a private (and soon drifting) copy.
+rebind-gate:
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'Handles\.InsertAt(' . | grep -v '^\./internal/server/')"; \
+	if [ -n "$$out" ]; then \
+		echo "Handles.InsertAt outside internal/server (use Context.Rebind):"; echo "$$out"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
@@ -89,7 +100,21 @@ benchmark:
 # repair after partitioned announces; Host covers the production host
 # runtime (internal/host) those tests and experiments all run — hello
 # forms, eviction, drain vs. kill, and the same-host reconnect that must
-# replay into a clean context.
+# replay into a clean context; Shadow/Replay/Rebind cover the recovery core
+# itself — the shadow log's keep rules and its mirror property test, the
+# one replay engine on both of its targets, and migration (./internal/migrate/).
 chaos:
-	$(GO) test -race -count=1 -run 'Failover|Flaky|Severed|Liveness|Backoff|Control|CrossHost|Rehydration|Rebalance|Mirror|Gossip|MultiClient|WireClient|Host' \
-		./internal/transport/ ./internal/failover/ ./internal/stacktest/ ./internal/sched/ ./internal/fleet/ ./internal/bench/ ./internal/host/ .
+	$(GO) test -race -count=1 -run 'Failover|Flaky|Severed|Liveness|Backoff|Control|CrossHost|Rehydration|Rebalance|Mirror|Gossip|MultiClient|WireClient|Host|Shadow|Replay|Rebind|Migrat' \
+		./internal/transport/ ./internal/failover/ ./internal/migrate/ ./internal/server/ ./internal/stacktest/ ./internal/sched/ ./internal/fleet/ ./internal/bench/ ./internal/host/ .
+
+# Five seconds of real fuzzing per target, for every network-facing decoder
+# that has one. Not part of `check`, which already runs the checked-in
+# corpora as unit tests; run it after touching a codec. `go test -fuzz`
+# takes one target and one package per run, hence the loops.
+fuzz-smoke:
+	@for pkg in ./internal/marshal/ ./internal/transport/ ./internal/fleet/ ./internal/failover/; do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== $$pkg $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s $$pkg || exit 1; \
+		done; \
+	done

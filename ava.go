@@ -254,7 +254,7 @@ func WithMirror(sink failover.LogSink) Option {
 		if c.Failover == nil {
 			c.Failover = &FailoverConfig{}
 		}
-		c.Failover.Replication.Sink = failover.UseSink(sink)
+		c.Failover.Replication.Sink = sink
 	}
 }
 
@@ -360,21 +360,16 @@ type LivenessConfig struct {
 }
 
 // ReplicationConfig groups shadow-log mirroring and rehydration, the
-// guardian-crash half of cross-host recovery. Exactly one of Sink, Mirror
-// or RemoteAddr names the mirror destination (Sink wins, then Mirror, then
-// RemoteAddr); WithMirror and WithRemoteMirror set them without spelling
-// the nesting out.
+// guardian-crash half of cross-host recovery. Sink or RemoteAddr names the
+// mirror destination (an in-process Sink wins); WithMirror and
+// WithRemoteMirror set them without spelling the nesting out.
 type ReplicationConfig struct {
-	// Mirror, if set, receives a synchronous stream of the guardian's
-	// shadow-log mutations (failover.LogSink) so replay state survives a
-	// guardian crash, not just an API-server crash.
-	//
-	// Deprecated: set Sink (failover.UseSink(s)) or use WithMirror. The
-	// field keeps working — it is folded into Sink when Sink is unset.
-	Mirror failover.LogSink
-	// Sink names the replication sink once, with delta capability
-	// auto-detected when Sink.Delta is nil; see failover.SinkConfig.
-	Sink failover.SinkConfig
+	// Sink, if set, receives a synchronous stream of the guardian's
+	// shadow-log mutations and checkpoints (failover.LogSink) so replay
+	// state survives a guardian crash, not just an API-server crash. A
+	// sink that also implements failover.DeltaSink gets incremental
+	// checkpoints.
+	Sink failover.LogSink
 	// RemoteAddr, when non-empty (and no in-process sink is set),
 	// replicates each attached VM's shadow log to the AVAM mirror listener
 	// at this address (a peer avad started with -mirror). Each VM gets its
@@ -390,22 +385,16 @@ type ReplicationConfig struct {
 }
 
 // sinkFor resolves the replication wiring for one VM, building the per-VM
-// RemoteMirror when the config names a remote address. The bool reports
-// whether the returned sink is a RemoteMirror the attachment must close.
-func (rc ReplicationConfig) sinkFor(vm uint32, name string, bo failover.BackoffConfig) (failover.SinkConfig, *failover.RemoteMirror) {
-	if rc.Sink.Log != nil {
+// RemoteMirror — which the attachment must close — when the config names a
+// remote address and no in-process sink.
+func (rc ReplicationConfig) sinkFor(vm uint32, name string, bo failover.BackoffConfig) (failover.LogSink, *failover.RemoteMirror) {
+	if rc.Sink != nil || rc.RemoteAddr == "" {
 		return rc.Sink, nil
 	}
-	if rc.Mirror != nil {
-		return failover.UseSink(rc.Mirror), nil
-	}
-	if rc.RemoteAddr != "" {
-		rm := failover.NewRemoteMirror(rc.RemoteAddr, failover.RemoteMirrorConfig{
-			VM: vm, Name: name, Backoff: bo,
-		})
-		return failover.UseSink(rm), rm
-	}
-	return failover.SinkConfig{}, nil
+	rm := failover.NewRemoteMirror(rc.RemoteAddr, failover.RemoteMirrorConfig{
+		VM: vm, Name: name, Backoff: bo,
+	})
+	return rm, rm
 }
 
 // Stack is an assembled AvA deployment for one API: one router, one API

@@ -5,6 +5,7 @@ import (
 
 	"ava/internal/cava"
 	"ava/internal/marshal"
+	"ava/internal/stacktest"
 )
 
 // newCadenceGuardian builds just enough guardian state to drive the
@@ -17,6 +18,7 @@ func newCadenceGuardian(cfg Config) *Guardian {
 // checkpoint is deferred while sync calls are in flight, because the
 // quiesce barrier would hold those calls hostage.
 func TestAdaptiveCheckpointDefersWhileBusy(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	g := newCadenceGuardian(Config{CheckpointEvery: 8, AdaptiveCheckpoint: true, Retain: 4096})
 	g.sinceCkpt = 8
 	g.maxSeq, g.ckptW = 8, 0
@@ -39,6 +41,7 @@ func TestAdaptiveCheckpointDefersWhileBusy(t *testing.T) {
 // Past either bound the checkpoint cuts even under load, because the guest
 // can no longer trim frames and recovery replay grows without limit.
 func TestAdaptiveCheckpointDeferralBounds(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	g := newCadenceGuardian(Config{CheckpointEvery: 8, AdaptiveCheckpoint: true, Retain: 64})
 	g.inflightSync[1] = struct{}{}
 
@@ -65,6 +68,7 @@ func TestAdaptiveCheckpointDeferralBounds(t *testing.T) {
 // Without AdaptiveCheckpoint the legacy behavior is unchanged: cadence
 // alone decides, busy or not.
 func TestFixedCadenceIgnoresLoad(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	g := newCadenceGuardian(Config{CheckpointEvery: 8})
 	g.sinceCkpt = 8
 	g.inflightSync[1] = struct{}{}
@@ -84,6 +88,7 @@ func TestFixedCadenceIgnoresLoad(t *testing.T) {
 // server will ever answer — the next resubmission's drainSyncs (or a
 // checkpoint's quiesce) would wait on it forever.
 func TestAdmitDropsCallPickedUpBeforeAFinishedRecovery(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	g := newCadenceGuardian(Config{})
 	g.desc = &cava.Descriptor{}
 	staleGen := g.linkGen

@@ -1,0 +1,88 @@
+package failover
+
+import (
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ava/internal/cava"
+	"ava/internal/clock"
+	"ava/internal/marshal"
+	"ava/internal/stacktest"
+	"ava/internal/transport"
+)
+
+// A checkpoint that has to wait for an in-flight sync call waits on the
+// guardian's condition, not on the clock. Under clock.Virtual a sleep-poll
+// is a busy spin that advances time on every turn and fires unrelated
+// timers (liveness, call deadlines) early — which would make a
+// deterministic kill sweep impossible. The test plays the server by hand:
+// it withholds the sync call's reply until the checkpoint is waiting, and
+// virtual time must not have moved when the checkpoint completes.
+func TestCheckpointDrainLeavesVirtualClockAlone(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
+	desc := cava.MustCompile(`void f(uint32_t a);`)
+	clk := clock.NewVirtual()
+	router, north := transport.NewInProc()
+	south, srv := transport.NewInProc()
+	g := New(desc, north, func() (ServerLink, error) { return ServerLink{EP: south}, nil }, Config{Clock: clk})
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		g.Close()
+		router.Close()
+		srv.Close()
+	}()
+	var fired atomic.Bool // set from whichever goroutine advances the clock
+	clk.AfterFunc(time.Millisecond, func() { fired.Store(true) })
+
+	// One sync call, forwarded south and left unanswered.
+	call := marshal.EncodeCall(&marshal.Call{Seq: 1, Func: logFunc(desc, "f"), Args: []marshal.Value{marshal.Uint(1)}})
+	if err := router.Send(marshal.EncodeBatch([][]byte{call})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	start := clk.Now()
+
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- g.CheckpointNow() }()
+	// CheckpointNow holds quiesceMu from its first line to its last.
+	for g.quiesceMu.TryLock() {
+		g.quiesceMu.Unlock()
+		time.Sleep(50 * time.Microsecond)
+	}
+	time.Sleep(5 * time.Millisecond) // let a sleep-poll, if there were one, spin
+
+	if err := srv.Send(marshal.EncodeReply(&marshal.Reply{Seq: 1, Status: marshal.StatusOK})); err != nil {
+		t.Fatal(err)
+	}
+	// The drain is over when the quiesce marker arrives; answer it the way a
+	// server answers an unknown function.
+	frame, err := srv.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, err := marshal.DecodeBatch(frame)
+	if err != nil || len(calls) != 1 {
+		t.Fatalf("marker frame: %d calls, %v", len(calls), err)
+	}
+	marker, err := marshal.DecodeCall(calls[0])
+	if err != nil || marker.Func != markerFunc {
+		t.Fatalf("expected the quiesce marker, got %+v, %v", marker, err)
+	}
+	if err := srv.Send(marshal.EncodeReply(&marshal.Reply{Seq: marker.Seq, Status: marshal.StatusDenied, Err: "unknown function"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ckpt; err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if now := clk.Now(); !now.Equal(start) || fired.Load() {
+		t.Fatalf("waiting for the drain moved virtual time by %v (unrelated timer fired: %v)", now.Sub(start), fired.Load())
+	}
+	if got := g.Stats().Checkpoints; got != 1 {
+		t.Fatalf("Checkpoints = %d, want 1", got)
+	}
+}

@@ -5,9 +5,11 @@ import (
 	"time"
 
 	"ava/internal/marshal"
+	"ava/internal/stacktest"
 )
 
 func TestBackoffDeterministicSchedule(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	cfg := BackoffConfig{Base: time.Millisecond, Cap: 16 * time.Millisecond, Budget: time.Second, Seed: 7}
 	a := NewBackoff(cfg).Series()
 	b := NewBackoff(cfg).Series()
@@ -21,6 +23,7 @@ func TestBackoffDeterministicSchedule(t *testing.T) {
 }
 
 func TestBackoffShape(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	s := NewBackoff(BackoffConfig{Base: 4 * time.Millisecond, Cap: 32 * time.Millisecond, Budget: time.Hour, Seed: 1}).Series()
 	step := 4 * time.Millisecond
 	for i := 0; i < 8; i++ {
@@ -39,6 +42,7 @@ func TestBackoffShape(t *testing.T) {
 }
 
 func TestBackoffBudgetExhaustion(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	s := NewBackoff(BackoffConfig{Base: 10 * time.Millisecond, Cap: 10 * time.Millisecond, Budget: 25 * time.Millisecond, Seed: 3}).Series()
 	var total time.Duration
 	steps := 0
@@ -66,6 +70,7 @@ func TestBackoffBudgetExhaustion(t *testing.T) {
 }
 
 func TestControlRoundTrip(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	for _, tc := range []struct {
 		kind  byte
 		epoch uint32
@@ -96,6 +101,7 @@ func TestControlRoundTrip(t *testing.T) {
 }
 
 func TestControlRejectsOrdinaryReplies(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	rep := &marshal.Reply{Seq: 42, Status: marshal.StatusOK, Ret: marshal.BytesVal(make([]byte, 13))}
 	if _, _, _, ok := DecodeControl(rep); ok {
 		t.Fatal("DecodeControl accepted an ordinary reply")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ava/internal/fleet"
+	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -58,6 +59,7 @@ func newTestDialer(loc fleet.Locator, res *scriptedResolver, attempts int) *Flee
 }
 
 func TestFleetDialerPicksBestLivePeer(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl"},
 		{ID: "b", API: "opencl"},
@@ -83,6 +85,7 @@ func TestFleetDialerPicksBestLivePeer(t *testing.T) {
 // before failing over: a same-host restart is far cheaper than a cross-host
 // replay.
 func TestFleetDialerPerHostBudgetThenFailover(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl"},
 		{ID: "b", API: "opencl", Load: 1},
@@ -123,6 +126,7 @@ func TestFleetDialerPerHostBudgetThenFailover(t *testing.T) {
 // the freshly dead host) so recovered peers get another chance instead of
 // the VM being abandoned.
 func TestFleetDialerRevivesExcludedHosts(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl"},
 		{ID: "b", API: "opencl", Load: 1},
@@ -149,6 +153,7 @@ func TestFleetDialerRevivesExcludedHosts(t *testing.T) {
 // Relocate must move the VM off a live host in one dial — no retry budget
 // — without marking the old host failed, and honor a pinned target.
 func TestFleetDialerRelocateLeavesLiveHost(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl"},
 		{ID: "b", API: "opencl", Load: 1},
@@ -197,6 +202,7 @@ func TestFleetDialerRelocateLeavesLiveHost(t *testing.T) {
 // A relocation with no reachable peer must fall back to the current host
 // rather than strand the VM.
 func TestFleetDialerRelocateFallsBackWhenAlone(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{{ID: "a", API: "opencl"}}}
 	res := &scriptedResolver{}
 	d := newTestDialer(loc, res, 2)
@@ -215,6 +221,7 @@ func TestFleetDialerRelocateFallsBackWhenAlone(t *testing.T) {
 // Rank must reorder candidates ahead of the dial walk, and OnDial must
 // observe every landing with the previous host.
 func TestFleetDialerRankAndOnDialHooks(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl"},
 		{ID: "b", API: "opencl", Load: 9},
@@ -340,6 +347,7 @@ func (s *ackServer) close() {
 // reset the per-host budget on every bounce, and pinned the evicted VM to
 // its rejecting host for the whole refusal window.
 func TestFleetDialerRejectedHelloSpendsBudget(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	a, b := newAckServer(t), newAckServer(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl", Addr: a.l.Addr()},
@@ -388,6 +396,7 @@ func TestFleetDialerRejectedHelloSpendsBudget(t *testing.T) {
 
 // The hello preamble must carry the guardian's current epoch.
 func TestFleetDialerStampsEpoch(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{{ID: "a", API: "opencl"}}}
 	res := &scriptedResolver{}
 	d := newTestDialer(loc, res, 2)

@@ -12,9 +12,16 @@
 // server with a marker barrier and snapshots stateful objects, bounding
 // replay work. When the link severs (or a liveness probe times out), it
 // bumps the VM's endpoint epoch, dials a replacement via the injected
-// closure, replays the filtered shadow log through migrate.RestoreWith —
+// closure, replays the shadow log's keep set through migrate.Replay —
 // rebinding recreated objects to the handle values the guest already holds
-// — and then tells the guest to resubmit its unacked window.
+// — and then tells the guest to resubmit its unacked window. The replay
+// engine is the one migration uses; a link with an in-process server gets
+// migrate.LocalTarget, a wire-only link to another host the guardian's
+// control-call target. The shadow log is one type (shadowLog) held by the
+// guardian and by every MemoryMirror: it states the recovery keep rule
+// once and forwards its own mutations to Config.Sink, so a replacement
+// guardian rehydrated from a mirror (Config.Restore) resumes from the log
+// the dead one would have rebuilt.
 //
 // The idempotency rule falls out of the spec's track annotations. Replay
 // runs strictly up to the checkpoint watermark w, preserving the original
@@ -40,10 +47,8 @@
 package failover
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,21 +103,11 @@ type Config struct {
 	// until the watermark advances); 0 means 4096, matching the guest
 	// library's default.
 	Retain int
-	// Mirror, if set, receives a synchronous stream of shadow-log
-	// mutations so replay state survives a guardian crash. See LogSink.
-	//
-	// Deprecated: set Sink.Log instead (or just Sink = UseSink(s)). Mirror
-	// keeps working — New folds it into Sink when Sink.Log is nil — but
-	// new wiring should name the sink once through SinkConfig, which also
-	// auto-detects delta capability.
-	Mirror LogSink
-	// Sink names the replication sink the guardian streams to; see
-	// SinkConfig. The zero value (with Mirror nil too) disables mirroring.
-	Sink SinkConfig
-	// FullCheckpoints disables incremental checkpoints: every checkpoint
-	// ships complete object state even when the silo adapter (or the
-	// remote server) supports dirty-range deltas.
-	FullCheckpoints bool
+	// Sink, if set, receives a synchronous stream of shadow-log mutations
+	// and checkpoints so replay state survives a guardian crash. A sink
+	// that also implements DeltaSink receives incremental checkpoints. See
+	// LogSink.
+	Sink LogSink
 	// Restore, if set, rehydrates the guardian from a mirrored shadow log
 	// instead of starting empty: Start replays the restored log onto a
 	// freshly dialed link (under the backoff budget), bumps the epoch past
@@ -195,28 +190,26 @@ type Guardian struct {
 
 	lastRecv atomic.Int64 // UnixNano of the last frame received from the server
 
-	mu            sync.Mutex
-	cond          *sync.Cond // recovery completion
-	closed        bool
-	dead          bool
-	deadErr       error
-	epoch         uint32
-	link          ServerLink
-	linkGen       int
-	recovering    bool
-	entries       []*server.RecordedCall // shadow log, ascending guest seq
-	bySeq         map[uint64]*server.RecordedCall
-	replySeen     map[uint64]bool
-	pendingRebind map[uint64]struct{} // completed creates/configs past the last recovery watermark: re-execute on resubmit, then rebind
-	destroys      map[uint64]*destroyRec
-	inflightSync  map[uint64]struct{}
-	maxSeq        uint64 // highest guest seq forwarded south
-	sinceCkpt     int
-	ckptObjects   map[marshal.Handle][]byte
-	ckptW         uint64 // checkpoint watermark: state covers seq <= ckptW
-	ckptGen       int    // linkGen when ckptObjects was committed
-	forceFull     bool   // next checkpoint must capture full state (uncommitted delta drain)
-	stats         Stats
+	mu           sync.Mutex
+	cond         *sync.Cond // recovery completion
+	closed       bool
+	dead         bool
+	deadErr      error
+	epoch        uint32
+	link         ServerLink
+	linkGen      int
+	recovering   bool
+	log          shadowLog // forwards its mutations to cfg.Sink
+	delta        DeltaSink // cfg.Sink's incremental-checkpoint side, if it has one
+	destroys     map[uint64]*destroyRec
+	inflightSync map[uint64]struct{}
+	maxSeq       uint64 // highest guest seq forwarded south
+	sinceCkpt    int
+	ckptObjects  map[marshal.Handle][]byte
+	ckptW        uint64 // checkpoint watermark: state covers seq <= ckptW
+	ckptGen      int    // linkGen when ckptObjects was committed
+	forceFull    bool   // next checkpoint must capture full state (uncommitted delta drain)
+	stats        Stats
 }
 
 // New builds a Guardian for one VM. north faces the router; dial produces a
@@ -227,12 +220,6 @@ func New(desc *cava.Descriptor, north transport.Endpoint, dial func() (ServerLin
 	if cfg.LivenessTimeout <= 0 {
 		cfg.LivenessTimeout = 2 * time.Second
 	}
-	// Normalize the two replication spellings: the deprecated Mirror field
-	// folds into Sink, and a nil Sink.Delta auto-detects the sink's delta
-	// capability. Internally the guardian reads cfg.Mirror (= Sink.Log)
-	// and cfg.Sink.Delta.
-	cfg.Sink = cfg.Sink.resolved(cfg.Mirror)
-	cfg.Mirror = cfg.Sink.Log
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.NewReal()
@@ -248,12 +235,11 @@ func New(desc *cava.Descriptor, north transport.Endpoint, dial func() (ServerLin
 		done:          make(chan struct{}),
 		markerWaiters: make(map[uint64]chan *marshal.Reply),
 		abort:         make(chan struct{}),
-		bySeq:         make(map[uint64]*server.RecordedCall),
-		replySeen:     make(map[uint64]bool),
-		pendingRebind: make(map[uint64]struct{}),
+		log:           newShadowLog(desc, cfg.Sink),
 		destroys:      make(map[uint64]*destroyRec),
 		inflightSync:  make(map[uint64]struct{}),
 	}
+	g.delta, _ = cfg.Sink.(DeltaSink)
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -290,7 +276,7 @@ func (g *Guardian) startPumps(link ServerLink) {
 
 // startRestored seeds the shadow log from a mirrored snapshot and brings a
 // replacement server to the snapshot's watermark before any traffic flows:
-// dial under the backoff budget, replay the filtered log plus checkpointed
+// dial under the backoff budget, replay the kept log plus checkpointed
 // object state, then announce a fresh epoch north so the guest resubmits
 // everything past the watermark. The epoch advances past the mirrored one
 // so frames the old guardian had in flight are fenced at the router.
@@ -299,89 +285,28 @@ func (g *Guardian) startRestored(st *MirrorState) error {
 	w := st.W
 	g.epoch = st.Epoch + 1
 	epoch := g.epoch
-	for i := range st.Entries {
-		rc := &st.Entries[i]
-		fd, ok := g.desc.ByID(rc.Func)
-		if !ok {
-			continue
-		}
-		keep := false
-		seen := st.ReplySeen[rc.Seq]
-		switch fd.Track.Kind {
-		case spec.TrackCreate, spec.TrackConfig:
-			// Same rules as finishRecovery: completed creates/configs past
-			// the watermark keep their recorded replies but re-execute when
-			// resubmitted, rebinding fresh handles to the recorded values.
-			keep = seen
-			if keep && rc.Seq > w {
-				g.pendingRebind[rc.Seq] = struct{}{}
-			}
-		case spec.TrackModify:
-			keep = rc.Seq <= w
-		}
-		if !keep {
-			continue
-		}
-		cp := &server.RecordedCall{
-			Func:    rc.Func,
-			Args:    server.CloneValues(rc.Args),
-			Ret:     rc.Ret,
-			Outs:    server.CloneValues(rc.Outs),
-			Created: rc.Created,
-			Seq:     rc.Seq,
-		}
-		g.entries = append(g.entries, cp)
-		g.bySeq[cp.Seq] = cp
-		if seen {
-			g.replySeen[cp.Seq] = true
-		}
-	}
+	g.log.load(st)
 	g.ckptW = w
 	g.maxSeq = w
+	g.stats.LastWatermark = w
 	g.ckptObjects = make(map[marshal.Handle][]byte, len(st.Objects))
 	for h, state := range st.Objects {
 		g.ckptObjects[h] = append([]byte(nil), state...)
 	}
 	objects := g.ckptObjects
-	log := g.filteredLogLocked(w)
-	if g.cfg.Mirror != nil {
-		// Seed the (possibly fresh) mirror so the next crash rehydrates too.
-		for _, rc := range g.entries {
-			g.cfg.Mirror.MirrorAppend(rc)
-			if g.replySeen[rc.Seq] {
-				g.cfg.Mirror.MirrorReply(rc)
-			}
-		}
-		g.cfg.Mirror.MirrorCheckpoint(epoch, w, objects)
+	log := g.log.replayLog(w)
+	if g.cfg.Sink != nil {
+		g.cfg.Sink.MirrorCheckpoint(epoch, w, objects)
 	}
 	g.mu.Unlock()
 
 	if g.cfg.OnEpoch != nil {
 		g.cfg.OnEpoch(epoch)
 	}
-	series := g.bo.Series()
-	var link ServerLink
-	for {
-		l, err := g.dial()
-		if err == nil {
-			err = g.replayOnto(l, log, objects)
-			if err != nil && l.EP != nil {
-				transport.Sever(l.EP)
-			}
-		}
-		if err == nil {
-			link = l
-			break
-		}
-		d, ok := series.Next()
-		if !ok {
-			return fmt.Errorf("failover: rehydration abandoned after %v (last: %w)", series.Spent(), err)
-		}
-		g.clk.Sleep(d)
+	link, err := g.dialAndReplay(log, objects)
+	if err != nil {
+		return fmt.Errorf("failover: rehydration %w", err)
 	}
-	g.mu.Lock()
-	g.stats.LastWatermark = w
-	g.mu.Unlock()
 	g.startPumps(link)
 	// Announce after the pumps are live: the resubmission batch this
 	// triggers must find a working path.
@@ -653,8 +578,8 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 			}
 			return false
 		}
-		if rc, ok := g.bySeq[call.Seq]; ok && g.replySeen[call.Seq] {
-			if _, rebind := g.pendingRebind[call.Seq]; !rebind {
+		if rc, ok := g.log.bySeq[call.Seq]; ok && g.log.replySeen[call.Seq] {
+			if _, rebind := g.log.pendingRebind[call.Seq]; !rebind {
 				// The original completed and its reply was recorded; replay
 				// already rebuilt the object under the guest's handle
 				// values. Short-circuit with the recorded reply.
@@ -674,17 +599,12 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 	if known {
 		switch fd.Track.Kind {
 		case spec.TrackConfig, spec.TrackCreate, spec.TrackModify:
-			if _, dup := g.bySeq[call.Seq]; !dup {
-				rc := &server.RecordedCall{
+			if _, dup := g.log.bySeq[call.Seq]; !dup {
+				g.log.upsert(&server.RecordedCall{
 					Func: call.Func,
 					Args: server.CloneValues(call.Args),
 					Seq:  call.Seq,
-				}
-				g.entries = append(g.entries, rc)
-				g.bySeq[call.Seq] = rc
-				if g.cfg.Mirror != nil {
-					g.cfg.Mirror.MirrorAppend(rc)
-				}
+				})
 			}
 		case spec.TrackDestroy:
 			if fd.TrackIdx >= 0 && fd.TrackIdx < len(call.Args) {
@@ -696,7 +616,7 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 					g.destroys[call.Seq] = d
 					if call.Flags&marshal.FlagAsync != 0 {
 						// No reply will confirm it; prune optimistically.
-						g.pruneLocked(h)
+						g.log.prune(h)
 						d.pruned = true
 					}
 				}
@@ -711,24 +631,6 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 	}
 	g.sinceCkpt++
 	return true
-}
-
-// pruneLocked drops every shadow entry a destroyed handle obsoletes,
-// mirroring Context.record's destroy rule.
-func (g *Guardian) pruneLocked(h marshal.Handle) {
-	kept := g.entries[:0]
-	for _, rc := range g.entries {
-		if rc.Obsoleted(h) {
-			delete(g.bySeq, rc.Seq)
-			delete(g.replySeen, rc.Seq)
-			continue
-		}
-		kept = append(kept, rc)
-	}
-	g.entries = kept
-	if g.cfg.Mirror != nil {
-		g.cfg.Mirror.MirrorPrune(h)
-	}
 }
 
 // synthesizeOKLocked answers a resubmitted, already-effective destroy with
@@ -821,15 +723,15 @@ func peekSeq(frame []byte) uint64 {
 // destroy confirmation.
 func (g *Guardian) noteReply(seq uint64, frame []byte) {
 	g.mu.Lock()
-	rc, tracked := g.bySeq[seq]
-	_, rebind := g.pendingRebind[seq]
+	rc, tracked := g.log.bySeq[seq]
+	_, rebind := g.log.pendingRebind[seq]
 	if !rebind {
 		// For pendingRebind replies the sync-drain release waits until the
 		// rebind below has been applied, so a quiesce cannot snapshot the
 		// object under its fresh (not yet rebound) handle.
 		g.syncDoneLocked(seq)
 	}
-	needBody := tracked && (!g.replySeen[seq] || rebind)
+	needBody := tracked && (!g.log.replySeen[seq] || rebind)
 	d, isDestroy := g.destroys[seq]
 	needBody = needBody || (isDestroy && !d.pruned)
 	g.mu.Unlock()
@@ -849,7 +751,7 @@ func (g *Guardian) noteReply(seq uint64, frame []byte) {
 	defer g.mu.Unlock()
 	if isDestroy && !d.pruned {
 		if rep.Status == marshal.StatusOK {
-			g.pruneLocked(d.h)
+			g.log.prune(d.h)
 			d.pruned = true
 		} else {
 			// The destroy failed; the object lives on. Forget the record
@@ -863,13 +765,13 @@ func (g *Guardian) noteReply(seq uint64, frame []byte) {
 		// watermark: keep the RECORDED reply (the guest holds its handles)
 		// and move the freshly created object under the recorded handle
 		// values in the server's table.
-		delete(g.pendingRebind, seq)
+		delete(g.log.pendingRebind, seq)
 		if rep.Status != marshal.StatusOK {
 			// Re-execution failed: the object no longer exists on the new
 			// server. Forget it so neither replay nor short-circuiting
 			// claims otherwise.
 			g.syncDoneLocked(seq)
-			g.dropEntryLocked(seq)
+			g.log.drop(seq)
 			return
 		}
 		fd, ok := g.desc.ByID(rc.Func)
@@ -877,16 +779,17 @@ func (g *Guardian) noteReply(seq uint64, frame []byte) {
 			g.syncDoneLocked(seq)
 			return
 		}
-		if g.link.Ctx != nil {
-			g.syncDoneLocked(seq)
-			g.rebindRecordedLocked(fd, rc, rep)
-			return
-		}
-		if g.link.WireReplay && g.link.EP != nil {
+		pairs := migrate.HandlePairs(fd, rc, rep)
+		switch {
+		case g.link.Ctx != nil:
+			// Best-effort: a vanished fresh handle or an occupied recorded
+			// slot (exotic handle reuse) leaves the objects under their
+			// fresh values rather than failing the reply path.
+			_ = g.link.Ctx.Rebind(pairs)
+		case g.link.WireReplay && g.link.EP != nil && len(pairs) > 0:
 			// Wire-only link: the rebind travels as a FuncRebind control
 			// call. The sync-drain release waits for its confirmation (in
 			// wireRebind) so the next resubmitted call cannot race it.
-			pairs := rebindPairs(fd, rc, rep)
 			go g.wireRebind(g.link, pairs, seq)
 			return
 		}
@@ -896,21 +799,14 @@ func (g *Guardian) noteReply(seq uint64, frame []byte) {
 	if rep.Status != marshal.StatusOK {
 		// The call failed: it contributes no device state. Drop the
 		// provisional entry so replay never re-executes a failure.
-		g.dropEntryLocked(seq)
+		g.log.drop(seq)
 		return
 	}
-	rc.Ret = rep.Ret
-	rc.Outs = server.CloneValues(rep.Outs)
+	var created marshal.Handle
 	if fd, ok := g.desc.ByID(rc.Func); ok && fd.Track.Kind == spec.TrackCreate {
-		rc.Created = createdHandle(fd, rep)
+		created = createdHandle(fd, rep)
 	}
-	g.replySeen[seq] = true
-	if rc.Ret.Kind == marshal.KindBytes {
-		rc.Ret.Bytes = append([]byte(nil), rc.Ret.Bytes...)
-	}
-	if g.cfg.Mirror != nil {
-		g.cfg.Mirror.MirrorReply(rc)
-	}
+	g.log.reply(seq, rep.Ret, rep.Outs, created)
 }
 
 // createdHandle extracts the handle a create call produced, mirroring the
@@ -939,129 +835,25 @@ func createdHandle(fd *cava.FuncDesc, rep *marshal.Reply) marshal.Handle {
 	return 0
 }
 
-func (g *Guardian) dropEntryLocked(seq uint64) {
-	rc, ok := g.bySeq[seq]
-	if !ok {
-		return
-	}
-	delete(g.bySeq, seq)
-	delete(g.replySeen, seq)
-	delete(g.pendingRebind, seq)
-	for i, e := range g.entries {
-		if e == rc {
-			g.entries = append(g.entries[:i], g.entries[i+1:]...)
-			break
-		}
-	}
-	if g.cfg.Mirror != nil {
-		g.cfg.Mirror.MirrorDrop(seq)
-	}
-}
-
-// rebindRecordedLocked moves the handles a re-executed create/config just
-// produced (in rep) to the values its original execution gave the guest (in
-// rc), mirroring migrate's rebind. Best-effort: a link without a local
-// server table (wire-only) or a vanished fresh handle leaves the table
-// untouched rather than failing the reply path.
-func (g *Guardian) rebindRecordedLocked(fd *cava.FuncDesc, rc *server.RecordedCall, rep *marshal.Reply) {
-	ctx := g.link.Ctx
-	if ctx == nil {
-		return
-	}
-	pairs := rebindPairs(fd, rc, rep)
-	// Two phases so fresh handles that collide with original values within
-	// one reply cannot shadow each other.
-	objs := make([]any, len(pairs))
-	for i, p := range pairs {
-		obj, ok := ctx.Handles.Remove(p.fresh)
-		if !ok {
-			objs[i] = nil
-			continue
-		}
-		objs[i] = obj
-	}
-	for i, p := range pairs {
-		if objs[i] == nil {
-			continue
-		}
-		if err := ctx.Handles.InsertAt(p.recorded, objs[i]); err != nil {
-			// The original slot is occupied (exotic handle reuse); leave the
-			// object under its fresh value so server state stays consistent.
-			_ = ctx.Handles.InsertAt(p.fresh, objs[i])
-			continue
-		}
-		ctx.RemapRecorded(p.fresh, p.recorded)
-	}
-}
-
-// handlePair relates a handle value from a call's original execution (the
-// one the guest holds) to the value its re-execution produced.
-type handlePair struct{ recorded, fresh marshal.Handle }
-
-// rebindPairs diffs a call's recorded reply against its re-execution reply
-// and returns the handle moves required to put recreated objects back under
-// the guest's handle values. Shared by the local-table rebind, the wire
-// rebind, and the wire replay.
-func rebindPairs(fd *cava.FuncDesc, rc *server.RecordedCall, rep *marshal.Reply) []handlePair {
-	var pairs []handlePair
-	add := func(recorded, fresh marshal.Handle) {
-		if recorded != 0 && fresh != 0 && recorded != fresh {
-			pairs = append(pairs, handlePair{recorded, fresh})
-		}
-	}
-	if rc.Ret.Kind == marshal.KindHandle && rep.Ret.Kind == marshal.KindHandle {
-		add(rc.Ret.Handle(), rep.Ret.Handle())
-	}
-	if len(rc.Outs) == len(rep.Outs) {
-		slot := 0
-		for i := range fd.Params {
-			pd := &fd.Params[i]
-			if !pd.Out() {
-				continue
-			}
-			oldV, newV := rc.Outs[slot], rep.Outs[slot]
-			slot++
-			switch {
-			case oldV.Kind == marshal.KindHandle && newV.Kind == marshal.KindHandle:
-				add(oldV.Handle(), newV.Handle())
-			case pd.Kind == spec.KindHandle && oldV.Kind == marshal.KindBytes && newV.Kind == marshal.KindBytes:
-				n := min(len(oldV.Bytes), len(newV.Bytes)) / 8
-				for j := 0; j < n; j++ {
-					add(marshal.Handle(binary.LittleEndian.Uint64(oldV.Bytes[8*j:])),
-						marshal.Handle(binary.LittleEndian.Uint64(newV.Bytes[8*j:])))
-				}
-			}
-		}
-	}
-	return pairs
-}
-
 // wireRebind moves re-executed objects back under their recorded handles on
 // a wire-only link, then releases the sync-drain slot so the resubmission
 // stream can proceed. Best-effort like the local path: a failed move leaves
-// the object under its fresh handle; a dead link is the pumps' problem.
-func (g *Guardian) wireRebind(link ServerLink, pairs []handlePair, seq uint64) {
-	for _, p := range pairs {
-		st, err := g.ctrlCall(link, marshal.FuncRebind, []marshal.Value{
-			marshal.HandleVal(p.fresh), marshal.HandleVal(p.recorded),
-		})
-		if err != nil || st != marshal.StatusOK {
-			break
-		}
-	}
+// the objects under their fresh handles; a dead link is the pumps' problem.
+func (g *Guardian) wireRebind(link ServerLink, pairs []server.HandlePair, seq uint64) {
+	_, _ = g.ctrlCallReply(link, marshal.FuncRebind, rebindArgs(pairs))
 	g.mu.Lock()
 	g.syncDoneLocked(seq)
 	g.mu.Unlock()
 }
 
-// ctrlCall round-trips one control call on a link whose downlink pump is
-// running, returning just the reply status.
-func (g *Guardian) ctrlCall(link ServerLink, fn uint32, args []marshal.Value) (marshal.Status, error) {
-	rep, err := g.ctrlCallReply(link, fn, args)
-	if err != nil {
-		return 0, err
+// rebindArgs flattens one reply's handle moves into FuncRebind's argument
+// form: [fresh, recorded] pairs.
+func rebindArgs(pairs []server.HandlePair) []marshal.Value {
+	args := make([]marshal.Value, 0, 2*len(pairs))
+	for _, p := range pairs {
+		args = append(args, marshal.HandleVal(p.Fresh), marshal.HandleVal(p.Recorded))
 	}
-	return rep.Status, nil
+	return args
 }
 
 // ctrlCallReply round-trips one control call on a link whose downlink pump
@@ -1098,7 +890,7 @@ func (g *Guardian) ctrlCallReply(link ServerLink, fn uint32, args []marshal.Valu
 		return nil, fmt.Errorf("failover: control call aborted by recovery")
 	case <-g.done:
 		cleanup()
-		return nil, fmt.Errorf("failover: guardian closed")
+		return nil, errClosed
 	}
 }
 
@@ -1144,15 +936,14 @@ func (g *Guardian) checkpoint() error {
 	// that base is current: same link generation and no uncommitted
 	// dirty-range drain in between. Without a usable base, partial deltas
 	// fall back to full per-object state.
-	deltaOK := !g.cfg.FullCheckpoints
 	canCompose := base != nil && g.ckptGen == gen && !g.forceFull
 	if !canCompose {
 		base = nil
 	}
 	g.mu.Unlock()
 
-	if err := g.waitSyncDrain(gen); err != nil {
-		return err
+	if !g.drainSyncs(gen) {
+		return fmt.Errorf("failover: quiesce aborted by recovery")
 	}
 	// Marker barrier: the server replies only after every async issued
 	// before the marker has completed, so device state is now exactly the
@@ -1164,7 +955,7 @@ func (g *Guardian) checkpoint() error {
 	var objects map[marshal.Handle][]byte
 	var deltas []marshal.ObjectDelta // non-nil when the capture was incremental
 	if link.Ctx != nil && link.Adapter != nil {
-		if ds, ok := link.Adapter.(DeltaSnapshotter); ok && deltaOK {
+		if ds, ok := link.Adapter.(DeltaSnapshotter); ok {
 			// Draining dirty ranges moves the silo's watermark, so if this
 			// checkpoint does not commit the next one must not compose.
 			g.mu.Lock()
@@ -1173,36 +964,19 @@ func (g *Guardian) checkpoint() error {
 			objects, deltas = g.localDeltaSnapshot(link, ds, base)
 		}
 		if objects == nil {
-			objects = make(map[marshal.Handle][]byte)
-			var snapErr error
-			link.Ctx.Handles.ForEach(func(h marshal.Handle, obj any) {
-				if snapErr != nil {
-					return
-				}
-				state, stateful, err := link.Adapter.SnapshotObject(obj)
-				if err != nil {
-					snapErr = err
-					return
-				}
-				if stateful {
-					objects[h] = state
-				}
-			})
-			if snapErr != nil {
-				return fmt.Errorf("failover: checkpoint snapshot: %w", snapErr)
+			var err error
+			if objects, err = link.Ctx.SnapshotObjects(link.Adapter); err != nil {
+				return fmt.Errorf("failover: checkpoint: %w", err)
 			}
 		}
 	} else if link.WireReplay && link.EP != nil {
 		// Wire-only link: the objects live on a remote host — snapshot them
 		// with a control call so a cross-host failover can restore untracked
 		// device state (buffer contents) on the replacement.
-		if deltaOK {
-			g.mu.Lock()
-			g.forceFull = true
-			g.mu.Unlock()
-			objects, deltas = g.wireSnapshotDelta(link, base)
-		}
-		if objects == nil {
+		g.mu.Lock()
+		g.forceFull = true
+		g.mu.Unlock()
+		if objects, deltas = g.wireSnapshotDelta(link, base); objects == nil {
 			var err error
 			if objects, err = g.wireSnapshot(link); err != nil {
 				return fmt.Errorf("failover: checkpoint: %w", err)
@@ -1253,20 +1027,13 @@ func (g *Guardian) checkpoint() error {
 		}
 	}
 	epoch := g.epoch
-	if g.cfg.Mirror != nil {
-		sent := false
-		if deltas != nil {
-			// A delta-capable sink applies the ranges to its own held base,
-			// so mirror traffic scales with touched bytes too; a sink that
-			// cannot compose (missing base) reports false and gets the
-			// composed full set instead.
-			if ds := g.cfg.Sink.Delta; ds != nil {
-				sent = ds.MirrorCheckpointDelta(epoch, w, deltas)
-			}
-		}
-		if !sent {
-			g.cfg.Mirror.MirrorCheckpoint(epoch, w, objects)
-		}
+	// A delta-capable sink applies the ranges to its own held base, so
+	// mirror traffic scales with touched bytes too; a sink that cannot
+	// compose (missing base) reports false and gets the composed full set
+	// instead.
+	if sink := g.cfg.Sink; sink != nil &&
+		(deltas == nil || g.delta == nil || !g.delta.MirrorCheckpointDelta(epoch, w, deltas)) {
+		sink.MirrorCheckpoint(epoch, w, objects)
 	}
 	g.mu.Unlock()
 
@@ -1350,8 +1117,10 @@ func (g *Guardian) wireSnapshotDelta(link ServerLink, base map[marshal.Handle][]
 
 // drainSyncs waits until every forwarded sync call has been answered,
 // reporting false if the link changed (recovery, death, close) meanwhile.
-// Used to serialize resubmitted calls into original program order; woken
-// by syncDoneLocked each time the in-flight set empties.
+// Used to serialize resubmitted calls into original program order and to
+// quiesce before a checkpoint; woken by syncDoneLocked each time the
+// in-flight set empties. It waits on the condition, never on the clock: a
+// sleep-poll here would advance a virtual clock and fire unrelated timers.
 func (g *Guardian) drainSyncs(gen int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -1375,23 +1144,6 @@ func (g *Guardian) syncDoneLocked(seq uint64) {
 	}
 }
 
-// waitSyncDrain blocks until every forwarded sync call has been answered.
-func (g *Guardian) waitSyncDrain(gen int) error {
-	for {
-		g.mu.Lock()
-		n := len(g.inflightSync)
-		aborted := g.linkGen != gen || g.recovering || g.closed || g.dead
-		g.mu.Unlock()
-		if aborted {
-			return fmt.Errorf("failover: quiesce aborted by recovery")
-		}
-		if n == 0 {
-			return nil
-		}
-		g.clk.Sleep(200 * time.Microsecond)
-	}
-}
-
 // newMarkerWaiter allocates a marker-space sequence number and registers a
 // reply waiter for it. The channel is buffered so the downlink's reply
 // delivery never blocks on a waiter that timed out.
@@ -1408,39 +1160,8 @@ func (g *Guardian) newMarkerWaiter() (uint64, chan *marshal.Reply) {
 // probeMarker sends one marker call south and waits for its reply within
 // the liveness timeout; a recovery starting meanwhile aborts the wait.
 func (g *Guardian) probeMarker(link ServerLink) error {
-	g.mu.Lock()
-	abort := g.abort
-	g.mu.Unlock()
-	id, ch := g.newMarkerWaiter()
-
-	cleanup := func() {
-		g.markerMu.Lock()
-		delete(g.markerWaiters, id)
-		g.markerMu.Unlock()
-	}
-
-	marker := marshal.EncodeCall(&marshal.Call{Seq: id, Func: markerFunc})
-	if err := g.sendSouth(link, marshal.EncodeBatch([][]byte{marker})); err != nil {
-		cleanup()
-		return err
-	}
-
-	timeout := make(chan struct{})
-	stop := g.clk.AfterFunc(g.cfg.LivenessTimeout, func() { close(timeout) })
-	defer stop()
-	select {
-	case <-ch:
-		return nil
-	case <-timeout:
-		cleanup()
-		return fmt.Errorf("failover: marker unanswered after %v", g.cfg.LivenessTimeout)
-	case <-abort:
-		cleanup()
-		return fmt.Errorf("failover: marker aborted by recovery")
-	case <-g.done:
-		cleanup()
-		return fmt.Errorf("failover: guardian closed")
-	}
+	_, err := g.ctrlCallReply(link, markerFunc, nil)
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -1506,8 +1227,8 @@ func (g *Guardian) isDead() bool {
 
 // recover rebuilds the server side after gen's link failed: bump the epoch
 // (fencing stale frames at the router), dial a replacement under the
-// backoff budget, replay the filtered shadow log onto it, then announce the
-// new epoch north so the guest resubmits its unacked window.
+// backoff budget, replay the shadow log's keep set onto it, then announce
+// the new epoch north so the guest resubmits its unacked window.
 func (g *Guardian) recover(gen int, cause error) {
 	g.mu.Lock()
 	if g.linkGen != gen || g.recovering || g.closed || g.dead {
@@ -1515,17 +1236,18 @@ func (g *Guardian) recover(gen int, cause error) {
 		return // someone else already recovered (or is recovering) this link
 	}
 	g.recovering = true
-	// Abort in-flight marker waits immediately: their replies died with
-	// the server, and a checkpoint blocked on one holds quiesceMu — which
-	// would stall the uplink (and the guest's resubmission) for the full
-	// liveness timeout.
+	// Abort in-flight marker waits and sync drains immediately: their
+	// replies died with the server, and a checkpoint blocked on one holds
+	// quiesceMu — which would stall the uplink (and the guest's
+	// resubmission) for the full liveness timeout.
 	close(g.abort)
+	g.cond.Broadcast()
 	g.epoch++
 	epoch := g.epoch
 	oldEP := g.link.EP
 	w := g.ckptW
 	objects := g.ckptObjects
-	log := g.filteredLogLocked(w)
+	log := g.log.replayLog(w)
 	g.mu.Unlock()
 
 	start := g.clk.Now()
@@ -1537,207 +1259,131 @@ func (g *Guardian) recover(gen int, cause error) {
 	if oldEP != nil {
 		transport.Sever(oldEP)
 	}
+	link, err := g.dialAndReplay(log, objects)
+	switch {
+	case err == nil:
+		g.finishRecovery(link, epoch, w, start)
+	case !errors.Is(err, errClosed):
+		g.die(fmt.Errorf("failover: recovery %w (cause: %w)", err, cause))
+	}
+}
 
+// errClosed ends a dial-and-replay series whose guardian was closed.
+var errClosed = errors.New("failover: guardian closed")
+
+// dialAndReplay produces a link whose server holds the replayed state:
+// dial, replay log and objects onto the fresh link, and on any failure
+// sever it and retry under the backoff budget. Recovery and rehydration
+// both end here.
+func (g *Guardian) dialAndReplay(log []server.RecordedCall, objects map[marshal.Handle][]byte) (ServerLink, error) {
 	series := g.bo.Series()
 	for {
 		link, err := g.dial()
 		if err == nil {
-			err = g.replayOnto(link, log, objects)
-			if err != nil && link.EP != nil {
+			if err = g.replayOnto(link, log, objects); err == nil {
+				return link, nil
+			}
+			if link.EP != nil {
 				transport.Sever(link.EP)
 			}
 		}
-		if err == nil {
-			g.finishRecovery(link, epoch, w, start)
-			return
-		}
 		d, ok := series.Next()
 		if !ok {
-			g.die(fmt.Errorf("failover: recovery abandoned after %v (cause: %w; last: %v)", series.Spent(), cause, err))
-			return
+			return ServerLink{}, fmt.Errorf("abandoned after %v (last: %w)", series.Spent(), err)
 		}
 		select {
 		case <-g.done:
-			return
+			return ServerLink{}, errClosed
 		default:
 		}
 		g.clk.Sleep(d)
 	}
 }
 
-// filteredLogLocked derives the replay log for a recovery at watermark w.
-// Replay runs strictly up to the watermark so the original order between
-// creates, configs and modifies is preserved — a create past w may depend
-// on a modify past w (a kernel created from a freshly built program), and
-// only the guest's in-order window resubmission can re-execute that
-// correctly:
-//
-//   - confirmed creates and configs at or below w replay and rebind to the
-//     guest's handle values;
-//   - modifies at or below w replay in place;
-//   - everything past w — and any unconfirmed create/config — is left to
-//     the guest's resubmission, which re-executes the window in true
-//     sequence order.
-func (g *Guardian) filteredLogLocked(w uint64) []server.RecordedCall {
-	out := make([]server.RecordedCall, 0, len(g.entries))
-	for _, rc := range g.entries {
-		if rc.Seq > w {
-			continue
-		}
-		fd, ok := g.desc.ByID(rc.Func)
-		if !ok {
-			continue
-		}
-		switch fd.Track.Kind {
-		case spec.TrackCreate, spec.TrackConfig:
-			if g.replySeen[rc.Seq] {
-				out = append(out, *rc)
-			}
-		case spec.TrackModify:
-			out = append(out, *rc)
-		}
-	}
-	// Modifies re-recorded during a past resubmission append after older
-	// kept entries; replay must run in true guest sequence order.
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// replayOnto reconstructs accelerator state on a fresh link: recorded calls
-// re-execute and rebind, then stateful objects restore from the checkpoint.
+// replayOnto reconstructs accelerator state on a fresh link through the
+// migration replay engine: recorded calls re-execute and rebind, then
+// stateful objects restore from the checkpoint. Only the target differs —
+// the link's in-process server, or control-call round trips to a remote
+// one.
 func (g *Guardian) replayOnto(link ServerLink, log []server.RecordedCall, objects map[marshal.Handle][]byte) error {
-	if link.Server == nil || link.Ctx == nil {
-		if link.WireReplay && link.EP != nil {
-			return g.replayWire(link, log, objects)
-		}
+	var t migrate.Target
+	switch {
+	case link.Server != nil && link.Ctx != nil:
+		t = migrate.LocalTarget{Server: link.Server, Ctx: link.Ctx, Adapter: link.Adapter}
+	case link.WireReplay && link.EP != nil:
+		t = wireTarget{g: g, ep: link.EP}
+	default:
 		return nil // wire-only link without replay support: reconnect only
-	}
-	snap := &migrate.Snapshot{
-		VM:      link.Ctx.VM,
-		Name:    link.Ctx.Name,
-		Log:     log,
-		Objects: objects,
 	}
 	// Objects destroyed after the checkpoint have no recreated handle;
 	// skip their state instead of failing the whole recovery.
-	_, err := migrate.RestoreWith(snap, link.Server, link.Ctx, link.Adapter, migrate.RestoreOptions{
-		SkipUnknownObjects: true,
-	})
+	return migrate.Replay(t, g.desc, log, objects, migrate.RestoreOptions{SkipUnknownObjects: true})
+}
+
+// wireTarget is the replay engine's target on a wire-only link: recorded
+// calls, FuncRebind and FuncRestore travel as round trips to the remote
+// server. It runs before the link's pumps start, so it owns the endpoint
+// and round-trips directly. All frames use marker-space sequence numbers:
+// a reply that somehow outlives this phase is dropped by the downlink's
+// marker filter instead of surfacing as a phantom guest reply.
+type wireTarget struct {
+	g  *Guardian
+	ep transport.Endpoint
+}
+
+// Execute implements migrate.Target.
+func (t wireTarget) Execute(call *marshal.Call) (*marshal.Reply, error) {
+	t.g.markerMu.Lock()
+	t.g.markerN++
+	call.Seq = marshal.MarkerSeqBase + t.g.markerN
+	t.g.markerMu.Unlock()
+	if err := t.ep.Send(marshal.EncodeBatch([][]byte{marshal.EncodeCall(call)})); err != nil {
+		return nil, err
+	}
+	for {
+		frame, err := t.ep.Recv()
+		if err != nil {
+			return nil, err
+		}
+		rep, err := marshal.DecodeReply(frame)
+		if err != nil || rep.Seq != call.Seq {
+			continue // residue from the link's previous life; skip
+		}
+		return rep, nil
+	}
+}
+
+// control round-trips one control call and folds a non-OK status into err.
+func (t wireTarget) control(fn uint32, args []marshal.Value) (*marshal.Reply, error) {
+	rep, err := t.Execute(&marshal.Call{Func: fn, Args: args})
+	if err == nil && rep.Status != marshal.StatusOK {
+		err = errors.New(rep.Err)
+	}
+	return rep, err
+}
+
+// Rebind implements migrate.Target: one FuncRebind carries every pair of
+// the reply, so the server applies them two-phase.
+func (t wireTarget) Rebind(pairs []server.HandlePair) error {
+	_, err := t.control(marshal.FuncRebind, rebindArgs(pairs))
 	return err
 }
 
-// replayWire is migrate.RestoreWith spoken over the wire: the recorded log
-// re-executes on the remote server call by call, FuncRebind control calls
-// move each recreated object back under the guest's handle values, and
-// FuncRestore pushes the checkpointed object state. It runs before the
-// link's pumps start, so it owns the endpoint and round-trips directly.
-// All frames use marker-space sequence numbers: a reply that somehow
-// outlives this phase is dropped by the downlink's marker filter instead
-// of surfacing as a phantom guest reply.
-func (g *Guardian) replayWire(link ServerLink, log []server.RecordedCall, objects map[marshal.Handle][]byte) error {
-	roundTrip := func(fn uint32, flags uint16, args []marshal.Value) (*marshal.Reply, error) {
-		g.markerMu.Lock()
-		g.markerN++
-		id := marshal.MarkerSeqBase + g.markerN
-		g.markerMu.Unlock()
-		call := &marshal.Call{Seq: id, Func: fn, Flags: flags, Args: args}
-		if err := link.EP.Send(marshal.EncodeBatch([][]byte{marshal.EncodeCall(call)})); err != nil {
-			return nil, err
-		}
-		for {
-			frame, err := link.EP.Recv()
-			if err != nil {
-				return nil, err
-			}
-			rep, err := marshal.DecodeReply(frame)
-			if err != nil || rep.Seq != id {
-				continue // residue from the link's previous life; skip
-			}
-			return rep, nil
-		}
+// RestoreObject implements migrate.Target. Ret 0 means the handle no longer
+// exists on the server (destroyed after the checkpoint).
+func (t wireTarget) RestoreObject(h marshal.Handle, state []byte) (bool, error) {
+	rep, err := t.control(marshal.FuncRestore, []marshal.Value{marshal.HandleVal(h), marshal.BytesVal(state)})
+	if err != nil {
+		return false, err
 	}
-	for i := range log {
-		rc := &log[i]
-		fd, ok := g.desc.ByID(rc.Func)
-		if !ok {
-			continue
-		}
-		rep, err := roundTrip(rc.Func, marshal.FlagReplay, rc.Args)
-		if err != nil {
-			return err
-		}
-		if rep.Status != marshal.StatusOK {
-			return fmt.Errorf("failover: wire replay of %s failed: %s", fd.Name, rep.Err)
-		}
-		for _, p := range rebindPairs(fd, rc, rep) {
-			rrep, err := roundTrip(marshal.FuncRebind, 0, []marshal.Value{
-				marshal.HandleVal(p.fresh), marshal.HandleVal(p.recorded),
-			})
-			if err != nil {
-				return err
-			}
-			if rrep.Status != marshal.StatusOK {
-				return fmt.Errorf("failover: wire rebind %d->%d failed: %s", p.fresh, p.recorded, rrep.Err)
-			}
-		}
-	}
-	for h, state := range objects {
-		rep, err := roundTrip(marshal.FuncRestore, 0, []marshal.Value{
-			marshal.HandleVal(h), marshal.BytesVal(state),
-		})
-		if err != nil {
-			return err
-		}
-		// Ret 0 means the handle no longer exists (destroyed after the
-		// checkpoint) — the SkipUnknownObjects rule, not a failure.
-		if rep.Status != marshal.StatusOK {
-			return fmt.Errorf("failover: wire restore of handle %d failed: %s", h, rep.Err)
-		}
-	}
-	return nil
+	return rep.Ret.Int == 1, nil
 }
 
 // finishRecovery installs the fresh link and rebuilds shadow state to match
 // exactly what was replayed.
 func (g *Guardian) finishRecovery(link ServerLink, epoch uint32, w uint64, start time.Time) {
 	g.mu.Lock()
-	// Rebuild the shadow log to match the replayed state: unconfirmed
-	// entries and modifies past the watermark were dropped and will be
-	// re-recorded when the guest resubmits them. Completed creates/configs
-	// past the watermark keep their recorded replies (the guest holds those
-	// handle values) but are marked pendingRebind: their resubmitted copies
-	// re-execute and the fresh handles are rebound to the recorded ones.
-	kept := make([]*server.RecordedCall, 0, len(g.entries))
-	bySeq := make(map[uint64]*server.RecordedCall, len(g.entries))
-	replySeen := make(map[uint64]bool, len(g.entries))
-	pendingRebind := make(map[uint64]struct{})
-	for _, rc := range g.entries {
-		fd, ok := g.desc.ByID(rc.Func)
-		if !ok {
-			continue
-		}
-		keep := false
-		switch fd.Track.Kind {
-		case spec.TrackCreate, spec.TrackConfig:
-			keep = g.replySeen[rc.Seq]
-			if keep && rc.Seq > w {
-				pendingRebind[rc.Seq] = struct{}{}
-			}
-		case spec.TrackModify:
-			keep = rc.Seq <= w
-		}
-		if keep {
-			kept = append(kept, rc)
-			bySeq[rc.Seq] = rc
-			if g.replySeen[rc.Seq] {
-				replySeen[rc.Seq] = true
-			}
-		}
-	}
-	g.entries = kept
-	g.bySeq = bySeq
-	g.replySeen = replySeen
-	g.pendingRebind = pendingRebind
+	g.log.rebuild(w)
 	g.inflightSync = make(map[uint64]struct{})
 	g.abort = make(chan struct{})
 	// The new server's state lineage only covers replayed calls (<= w);
@@ -1752,10 +1398,8 @@ func (g *Guardian) finishRecovery(link ServerLink, epoch uint32, w uint64, start
 	g.recovering = false
 	g.stats.Recoveries++
 	g.stats.LastRecoveryPause = g.clk.Since(start)
-	if g.cfg.Mirror != nil {
-		// Entries the rebuild discarded stay in the mirror; rehydration
-		// applies the same keep rules, so they filter out again there.
-		g.cfg.Mirror.MirrorEpoch(epoch, w)
+	if g.cfg.Sink != nil {
+		g.cfg.Sink.MirrorEpoch(epoch, w)
 	}
 	g.mu.Unlock()
 

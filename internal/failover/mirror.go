@@ -47,40 +47,6 @@ type DeltaSink interface {
 	MirrorCheckpointDelta(epoch uint32, w uint64, deltas []marshal.ObjectDelta) bool
 }
 
-// SinkConfig is the one place replication wiring names its sink. Log
-// receives the shadow-log stream; Delta, when non-nil, receives
-// incremental checkpoints instead of full object sets. Leaving Delta nil
-// auto-detects: a Log that also implements DeltaSink gets deltas. UseSink
-// builds the common case.
-type SinkConfig struct {
-	Log   LogSink
-	Delta DeltaSink
-}
-
-// UseSink wraps a sink, auto-detecting its delta capability — the
-// functional-option-friendly constructor for Config.Sink.
-func UseSink(s LogSink) SinkConfig {
-	sc := SinkConfig{Log: s}
-	if ds, ok := s.(DeltaSink); ok {
-		sc.Delta = ds
-	}
-	return sc
-}
-
-// resolved folds the deprecated Config.Mirror value in (it wins only when
-// Sink.Log is unset) and fills a nil Delta by capability detection.
-func (sc SinkConfig) resolved(legacy LogSink) SinkConfig {
-	if sc.Log == nil {
-		sc.Log = legacy
-	}
-	if sc.Delta == nil && sc.Log != nil {
-		if ds, ok := sc.Log.(DeltaSink); ok {
-			sc.Delta = ds
-		}
-	}
-	return sc
-}
-
 // MirrorState is a point-in-time snapshot of a mirrored shadow log — the
 // payload a replacement guardian rehydrates from (Config.Restore).
 type MirrorState struct {
@@ -101,103 +67,45 @@ type MirrorState struct {
 // process (or host) from the guardian it shadows; tests and single-host
 // deployments embed it directly.
 type MemoryMirror struct {
-	mu        sync.Mutex
-	entries   []*server.RecordedCall
-	bySeq     map[uint64]*server.RecordedCall
-	replySeen map[uint64]bool
-	w         uint64
-	objects   map[marshal.Handle][]byte
-	epoch     uint32
+	mu      sync.Mutex
+	log     shadowLog
+	w       uint64
+	objects map[marshal.Handle][]byte
+	epoch   uint32
 }
 
 // NewMemoryMirror builds an empty mirror.
 func NewMemoryMirror() *MemoryMirror {
-	return &MemoryMirror{
-		bySeq:     make(map[uint64]*server.RecordedCall),
-		replySeen: make(map[uint64]bool),
-	}
-}
-
-func cloneRecorded(rc *server.RecordedCall) *server.RecordedCall {
-	return &server.RecordedCall{
-		Func:    rc.Func,
-		Args:    server.CloneValues(rc.Args),
-		Ret:     rc.Ret,
-		Outs:    server.CloneValues(rc.Outs),
-		Created: rc.Created,
-		Seq:     rc.Seq,
-	}
+	return &MemoryMirror{log: newShadowLog(nil, nil)}
 }
 
 // MirrorAppend implements LogSink.
 func (m *MemoryMirror) MirrorAppend(rc *server.RecordedCall) {
 	cp := cloneRecorded(rc)
 	m.mu.Lock()
-	if old, ok := m.bySeq[rc.Seq]; ok {
-		// Re-recorded seq (resubmission after recovery): replace in place.
-		for i, e := range m.entries {
-			if e == old {
-				m.entries[i] = cp
-				break
-			}
-		}
-		delete(m.replySeen, rc.Seq)
-	} else {
-		m.entries = append(m.entries, cp)
-	}
-	m.bySeq[rc.Seq] = cp
+	m.log.upsert(cp)
 	m.mu.Unlock()
 }
 
 // MirrorReply implements LogSink.
 func (m *MemoryMirror) MirrorReply(rc *server.RecordedCall) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.bySeq[rc.Seq]
-	if !ok {
-		return
-	}
-	e.Ret = rc.Ret
-	if e.Ret.Kind == marshal.KindBytes {
-		e.Ret.Bytes = append([]byte(nil), e.Ret.Bytes...)
-	}
-	e.Outs = server.CloneValues(rc.Outs)
-	e.Created = rc.Created
-	m.replySeen[rc.Seq] = true
+	m.log.reply(rc.Seq, rc.Ret, rc.Outs, rc.Created)
+	m.mu.Unlock()
 }
 
 // MirrorDrop implements LogSink.
 func (m *MemoryMirror) MirrorDrop(seq uint64) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	rc, ok := m.bySeq[seq]
-	if !ok {
-		return
-	}
-	delete(m.bySeq, seq)
-	delete(m.replySeen, seq)
-	for i, e := range m.entries {
-		if e == rc {
-			m.entries = append(m.entries[:i], m.entries[i+1:]...)
-			break
-		}
-	}
+	m.log.drop(seq)
+	m.mu.Unlock()
 }
 
 // MirrorPrune implements LogSink.
 func (m *MemoryMirror) MirrorPrune(h marshal.Handle) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	kept := m.entries[:0]
-	for _, rc := range m.entries {
-		if rc.Obsoleted(h) {
-			delete(m.bySeq, rc.Seq)
-			delete(m.replySeen, rc.Seq)
-			continue
-		}
-		kept = append(kept, rc)
-	}
-	m.entries = kept
+	m.log.prune(h)
+	m.mu.Unlock()
 }
 
 // MirrorCheckpoint implements LogSink.
@@ -246,9 +154,7 @@ func (m *MemoryMirror) MirrorEpoch(epoch uint32, w uint64) {
 // mirror resync, which always pushes full state right after.
 func (m *MemoryMirror) reset() {
 	m.mu.Lock()
-	m.entries = nil
-	m.bySeq = make(map[uint64]*server.RecordedCall)
-	m.replySeen = make(map[uint64]bool)
+	m.log = newShadowLog(nil, nil)
 	m.w = 0
 	m.objects = nil
 	m.epoch = 0
@@ -259,7 +165,7 @@ func (m *MemoryMirror) reset() {
 func (m *MemoryMirror) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.entries)
+	return len(m.log.entries)
 }
 
 // State snapshots the mirror for rehydration. The returned state shares
@@ -268,18 +174,11 @@ func (m *MemoryMirror) State() *MirrorState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := &MirrorState{
-		Entries:   make([]server.RecordedCall, 0, len(m.entries)),
-		ReplySeen: make(map[uint64]bool, len(m.replySeen)),
-		W:         m.w,
-		Objects:   make(map[marshal.Handle][]byte, len(m.objects)),
-		Epoch:     m.epoch,
+		W:       m.w,
+		Objects: make(map[marshal.Handle][]byte, len(m.objects)),
+		Epoch:   m.epoch,
 	}
-	for _, rc := range m.entries {
-		st.Entries = append(st.Entries, *cloneRecorded(rc))
-	}
-	for seq := range m.replySeen {
-		st.ReplySeen[seq] = true
-	}
+	m.log.state(st)
 	for h, state := range m.objects {
 		st.Objects[h] = append([]byte(nil), state...)
 	}

@@ -1,0 +1,224 @@
+package failover
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"ava/internal/cava"
+	"ava/internal/marshal"
+	"ava/internal/migrate"
+	"ava/internal/server"
+	"ava/internal/stacktest"
+	"ava/internal/transport"
+)
+
+// replaySpec is a toy accelerator whose createPair hands back two handles
+// in one reply — the shape (clGetDeviceIDs, a context plus its queue) that
+// makes one reply's rebind pairs overlap.
+const replaySpec = `
+api "replaytest";
+handle obj;
+const OK = 0;
+type st = int32_t { success(OK); };
+st create(uint32_t kind, obj *o) {
+  parameter(o) { out; element { allocates; } }
+  track(create, o);
+}
+st createPair(uint32_t kind, obj *a, obj *b) {
+  parameter(a) { out; element { allocates; } }
+  parameter(b) { out; element { allocates; } }
+  track(create, a);
+}
+st label(obj o, uint32_t v) { track(modify, o); }
+st destroy(obj o) { track(destroy, o); }
+`
+
+// replayObj is the toy's device object: label is rebuilt by replaying the
+// tracked modify, data only by restoring a checkpoint.
+type replayObj struct {
+	kind, label uint64
+	data        []byte
+}
+
+type replayAdapter struct{}
+
+func (replayAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
+	return append([]byte(nil), obj.(*replayObj).data...), true, nil
+}
+
+func (replayAdapter) RestoreObject(obj any, state []byte) error {
+	obj.(*replayObj).data = append([]byte(nil), state...)
+	return nil
+}
+
+func newReplayServer() (*server.Server, *cava.Descriptor) {
+	desc := cava.MustCompile(replaySpec)
+	reg := server.NewRegistry(desc)
+	reg.Restorer = replayAdapter{}
+	reg.MustRegister("create", func(inv *server.Invocation) error {
+		inv.SetOutHandle(1, inv.Ctx.Handles.Insert(&replayObj{kind: inv.Uint(0)}))
+		inv.SetStatus(0)
+		return nil
+	})
+	reg.MustRegister("createPair", func(inv *server.Invocation) error {
+		inv.SetOutHandle(1, inv.Ctx.Handles.Insert(&replayObj{kind: inv.Uint(0)}))
+		inv.SetOutHandle(2, inv.Ctx.Handles.Insert(&replayObj{kind: inv.Uint(0) + 1}))
+		inv.SetStatus(0)
+		return nil
+	})
+	reg.MustRegister("label", func(inv *server.Invocation) error {
+		obj, ok := inv.Ctx.Handles.Get(inv.Handle(0))
+		if !ok {
+			return fmt.Errorf("label: unknown handle %d", inv.Handle(0))
+		}
+		obj.(*replayObj).label = inv.Uint(1)
+		inv.SetStatus(0)
+		return nil
+	})
+	reg.MustRegister("destroy", func(inv *server.Invocation) error {
+		inv.Ctx.Handles.Remove(inv.Handle(0))
+		inv.SetStatus(0)
+		return nil
+	})
+	return server.New(reg), desc
+}
+
+// recordOverlappingLog runs the first life: three objects, a fourth that is
+// destroyed again (pruning its create from the log), then a pair under
+// handles [5,6]. Replayed onto a fresh table the pair comes back as [4,5] —
+// the fresh 5 is the recorded handle of the pair's other half.
+func recordOverlappingLog(t *testing.T) ([]server.RecordedCall, map[marshal.Handle][]byte) {
+	t.Helper()
+	srv, desc := newReplayServer()
+	ctx := srv.Context(1, "first-life")
+	ctx.SetRecording(true)
+	seq := uint64(0)
+	do := func(name string, args ...marshal.Value) *marshal.Reply {
+		t.Helper()
+		seq++
+		rep := srv.Execute(ctx, &marshal.Call{Seq: seq, Func: logFunc(desc, name), Args: args})
+		if rep.Status != marshal.StatusOK {
+			t.Fatalf("%s: %s", name, rep.Err)
+		}
+		return rep
+	}
+	for kind := uint64(1); kind <= 4; kind++ {
+		do("create", marshal.Uint(kind), marshal.Len(8))
+	}
+	do("destroy", marshal.HandleVal(4))
+	pair := do("createPair", marshal.Uint(50), marshal.Len(8), marshal.Len(8))
+	if a, b := pair.Outs[0].Handle(), pair.Outs[1].Handle(); a != 5 || b != 6 {
+		t.Fatalf("first life created the pair under [%d,%d], want [5,6]", a, b)
+	}
+	do("label", marshal.HandleVal(5), marshal.Uint(55))
+	do("label", marshal.HandleVal(6), marshal.Uint(66))
+	objects := map[marshal.Handle][]byte{
+		2: []byte("two"), 5: []byte("five"), 6: []byte("six"),
+		4: []byte("destroyed after the checkpoint"),
+	}
+	return ctx.RecordLog(), objects
+}
+
+// tableOf renders a context's handle table for comparison: handle → object
+// contents.
+func tableOf(ctx *server.Context) map[marshal.Handle]replayObj {
+	out := make(map[marshal.Handle]replayObj)
+	ctx.Handles.ForEach(func(h marshal.Handle, obj any) { out[h] = *obj.(*replayObj) })
+	return out
+}
+
+// replayTargets builds a fresh server per target kind and returns the
+// target plus the context it fills. The wire target talks to a ServeVM
+// loop over an in-proc link, exactly as the guardian's replay does before
+// its pumps start.
+func replayTargets(t *testing.T) map[string]func() (migrate.Target, *server.Context) {
+	return map[string]func() (migrate.Target, *server.Context){
+		"local": func() (migrate.Target, *server.Context) {
+			srv, _ := newReplayServer()
+			ctx := srv.Context(1, "second-life")
+			return migrate.LocalTarget{Server: srv, Ctx: ctx, Adapter: replayAdapter{}}, ctx
+		},
+		"wire": func() (migrate.Target, *server.Context) {
+			srv, desc := newReplayServer()
+			ctx := srv.Context(1, "second-life")
+			south, serverEP := transport.NewInProc()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				srv.ServeVM(ctx, serverEP)
+			}()
+			t.Cleanup(func() {
+				south.Close()
+				serverEP.Close()
+				<-served
+			})
+			north, _ := transport.NewInProc()
+			return wireTarget{g: New(desc, north, nil, Config{}), ep: south}, ctx
+		},
+	}
+}
+
+// One recorded log through both targets of the one replay engine: the
+// handle tables and object bytes they leave behind must be identical, and
+// equal to what the guest holds. The log's pair comes back under fresh
+// [4,5] for recorded [5,6]; a pair-by-pair rebind (the wire path before
+// FuncRebind carried every pair of a reply) fails on it with "handle 5
+// already bound".
+func TestReplayLocalAndWireTargetsAgree(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
+	log, objects := recordOverlappingLog(t)
+	want := map[marshal.Handle]replayObj{
+		1: {kind: 1}, 2: {kind: 2, data: []byte("two")}, 3: {kind: 3},
+		5: {kind: 50, label: 55, data: []byte("five")},
+		6: {kind: 51, label: 66, data: []byte("six")},
+	}
+	for name, build := range replayTargets(t) {
+		target, ctx := build()
+		desc := cava.MustCompile(replaySpec)
+		if err := migrate.Replay(target, desc, log, objects, migrate.RestoreOptions{SkipUnknownObjects: true}); err != nil {
+			t.Errorf("%s target: %v", name, err)
+			continue
+		}
+		if got := tableOf(ctx); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s target: handle table\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
+// Without SkipUnknownObjects (migration's setting) checkpointed state for a
+// handle that no longer exists fails the replay on either target.
+func TestReplayUnknownObjectIsFatalUnlessSkipped(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
+	log, objects := recordOverlappingLog(t)
+	for name, build := range replayTargets(t) {
+		target, _ := build()
+		err := migrate.Replay(target, cava.MustCompile(replaySpec), log, objects, migrate.RestoreOptions{})
+		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("unknown handle 4")) {
+			t.Errorf("%s target: err = %v, want unknown handle 4", name, err)
+		}
+	}
+}
+
+// FuncRebind validates its argument vector before touching the table.
+func TestWireRebindRejectsMalformedPairs(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
+	srv, _ := newReplayServer()
+	ctx := srv.Context(1, "vm")
+	h := ctx.Handles.Insert(&replayObj{})
+	for _, args := range [][]marshal.Value{
+		nil,
+		{marshal.HandleVal(h)},
+		{marshal.HandleVal(h), marshal.HandleVal(9), marshal.HandleVal(h)},
+		{marshal.HandleVal(h), marshal.Uint(9)},
+	} {
+		rep := srv.Execute(ctx, &marshal.Call{Seq: 1, Func: marshal.FuncRebind, Args: args})
+		if rep.Status != marshal.StatusDenied {
+			t.Errorf("args %v: status %v, want denied", args, rep.Status)
+		}
+	}
+	if _, ok := ctx.Handles.Get(h); !ok {
+		t.Fatal("a rejected rebind moved the object")
+	}
+}

@@ -1,0 +1,309 @@
+package failover
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"ava/internal/cava"
+	"ava/internal/marshal"
+	"ava/internal/server"
+	"ava/internal/stacktest"
+)
+
+// logSpec has one function of every track kind the keep rules mention.
+const logSpec = `
+api "logtest";
+handle obj;
+const OK = 0;
+type st = int32_t { success(OK); };
+st create(uint32_t kind, obj *o) {
+  parameter(o) { out; element { allocates; } }
+  track(create, o);
+}
+st setup(uint32_t flags) { track(config); }
+st poke(obj o, uint32_t v) { track(modify, o); }
+st destroy(obj o) { track(destroy, o); }
+`
+
+func logFunc(desc *cava.Descriptor, name string) uint32 {
+	fd, ok := desc.Lookup(name)
+	if !ok {
+		panic(name)
+	}
+	return fd.ID
+}
+
+func logSeqs(log []server.RecordedCall) []uint64 {
+	out := make([]uint64, 0, len(log))
+	for i := range log {
+		out = append(out, log[i].Seq)
+	}
+	return out
+}
+
+// The keep rule, one row per cell of the table in shadowLog.keeps: what a
+// recovery at watermark w keeps, what it marks pending-rebind, and what it
+// replays.
+func TestShadowLogKeepRules(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
+	desc := cava.MustCompile(logSpec)
+	const w = 5
+	for _, tc := range []struct {
+		fn                    string
+		seq                   uint64
+		confirmed             bool
+		kept, pending, replay bool
+	}{
+		{"create", 3, true, true, false, true},
+		{"create", 3, false, false, false, false},
+		{"create", 8, true, true, true, false},
+		{"create", 8, false, false, false, false},
+		{"setup", 3, true, true, false, true},
+		{"setup", 3, false, false, false, false},
+		{"setup", 8, true, true, true, false},
+		{"setup", 8, false, false, false, false},
+		{"poke", 3, true, true, false, true},
+		{"poke", 3, false, true, false, true},
+		{"poke", 8, true, false, false, false},
+		{"poke", 8, false, false, false, false},
+		{"destroy", 3, true, false, false, false}, // never recorded by admit; the rule drops it anyway
+	} {
+		name := fmt.Sprintf("%s/seq%d/confirmed=%v", tc.fn, tc.seq, tc.confirmed)
+		l := newShadowLog(desc, nil)
+		l.upsert(&server.RecordedCall{Func: logFunc(desc, tc.fn), Seq: tc.seq})
+		if tc.confirmed {
+			l.reply(tc.seq, marshal.Int(0), nil, 0)
+		}
+		if got := len(l.replayLog(w)) == 1; got != tc.replay {
+			t.Errorf("%s: in replayLog = %v, want %v", name, got, tc.replay)
+		}
+		l.rebuild(w)
+		if _, got := l.bySeq[tc.seq]; got != tc.kept || len(l.entries) == 1 != tc.kept {
+			t.Errorf("%s: kept = %v (entries %d), want %v", name, got, len(l.entries), tc.kept)
+		}
+		if _, got := l.pendingRebind[tc.seq]; got != tc.pending {
+			t.Errorf("%s: pending-rebind = %v, want %v", name, got, tc.pending)
+		}
+		if l.replySeen[tc.seq] != (tc.kept && tc.confirmed) {
+			t.Errorf("%s: replySeen = %v after rebuild", name, l.replySeen[tc.seq])
+		}
+		if got := len(l.replayLog(w)) == 1; got != tc.replay {
+			t.Errorf("%s: in replayLog after rebuild = %v, want %v", name, got, tc.replay)
+		}
+	}
+}
+
+// replayLog runs in guest sequence order even when a resubmission
+// re-recorded an old seq behind newer entries.
+func TestShadowLogReplayLogSortsBySeq(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
+	desc := cava.MustCompile(logSpec)
+	l := newShadowLog(desc, nil)
+	poke := logFunc(desc, "poke")
+	for _, seq := range []uint64{4, 9, 2, 7} {
+		l.upsert(&server.RecordedCall{Func: poke, Seq: seq})
+	}
+	l.upsert(&server.RecordedCall{Func: 9999, Seq: 1}) // unknown to the descriptor: never replayed
+	if got := logSeqs(l.replayLog(8)); !reflect.DeepEqual(got, []uint64{2, 4, 7}) {
+		t.Fatalf("replayLog(8) = %v, want [2 4 7]", got)
+	}
+}
+
+// prune drops the entry that created the handle and every entry touching
+// it, forgets their reply and pending-rebind marks, and tells the sink.
+func TestShadowLogPruneByHandle(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
+	desc := cava.MustCompile(logSpec)
+	m := NewMemoryMirror()
+	l := newShadowLog(desc, m)
+	create, poke := logFunc(desc, "create"), logFunc(desc, "poke")
+	l.upsert(&server.RecordedCall{Func: create, Seq: 1})
+	l.reply(1, marshal.Int(0), []marshal.Value{marshal.HandleVal(10)}, 10)
+	l.upsert(&server.RecordedCall{Func: poke, Seq: 2, Args: []marshal.Value{marshal.HandleVal(10), marshal.Uint(1)}})
+	l.upsert(&server.RecordedCall{Func: poke, Seq: 3, Args: []marshal.Value{marshal.HandleVal(11), marshal.Uint(1)}})
+	l.rebuild(0) // seq 1 is now pending-rebind
+	if _, ok := l.pendingRebind[1]; !ok {
+		t.Fatal("setup: seq 1 not pending-rebind")
+	}
+	l.upsert(&server.RecordedCall{Func: poke, Seq: 2, Args: []marshal.Value{marshal.HandleVal(10), marshal.Uint(1)}})
+
+	l.prune(10)
+	if len(l.entries) != 0 || len(l.bySeq) != 0 || len(l.replySeen) != 0 || len(l.pendingRebind) != 0 {
+		t.Fatalf("after prune: %d entries, bySeq %v, replySeen %v, pending %v", len(l.entries), l.bySeq, l.replySeen, l.pendingRebind)
+	}
+	// The mirror never saw the rebuild, so it still holds seq 3.
+	if got := mirrorSeqs(m.State()); !reflect.DeepEqual(got, []uint64{3}) {
+		t.Fatalf("mirror after prune = %v, want [3]", got)
+	}
+}
+
+// A modify past the watermark is dropped by the rebuild and re-recorded
+// when the guest resubmits it: the guardian's log appends it afresh, the
+// sink — which kept the old copy — replaces it in place and forgets the
+// old reply.
+func TestShadowLogUpsertAfterRecovery(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
+	desc := cava.MustCompile(logSpec)
+	m := NewMemoryMirror()
+	l := newShadowLog(desc, m)
+	poke := logFunc(desc, "poke")
+	l.upsert(&server.RecordedCall{Func: poke, Seq: 7, Args: []marshal.Value{marshal.HandleVal(1), marshal.Uint(1)}})
+	l.reply(7, marshal.Int(0), nil, 0)
+	l.upsert(&server.RecordedCall{Func: poke, Seq: 9, Args: []marshal.Value{marshal.HandleVal(1), marshal.Uint(2)}})
+	l.rebuild(5)
+	if len(l.entries) != 0 {
+		t.Fatalf("rebuild(5) kept %v", logSeqs(l.replayLog(100)))
+	}
+	l.upsert(&server.RecordedCall{Func: poke, Seq: 7, Args: []marshal.Value{marshal.HandleVal(1), marshal.Uint(3)}})
+	if len(l.entries) != 1 || l.replySeen[7] {
+		t.Fatalf("re-record: %d entries, replySeen %v", len(l.entries), l.replySeen[7])
+	}
+	st := m.State()
+	if got := mirrorSeqs(st); !reflect.DeepEqual(got, []uint64{7, 9}) {
+		t.Fatalf("mirror entries = %v, want [7 9]", got)
+	}
+	if st.ReplySeen[7] || st.Entries[0].Args[1].Uint != 3 {
+		t.Fatalf("mirror kept the pre-recovery copy of seq 7: %+v seen=%v", st.Entries[0], st.ReplySeen[7])
+	}
+}
+
+// logModel drives a guardian-side shadowLog the way the guardian does —
+// admit, reply, destroy, checkpoint, recovery followed by the guest's
+// in-order resubmission of everything past the watermark — from one random
+// stream, with a MemoryMirror as its sink.
+type logModel struct {
+	r      *rand.Rand
+	desc   *cava.Descriptor
+	mirror *MemoryMirror
+	log    shadowLog
+	issued []server.RecordedCall // every tracked call the guest issued, by seq
+	open   []uint64              // admitted, not yet answered
+	live   []marshal.Handle
+	next   marshal.Handle
+	w, max uint64
+	epoch  uint32
+}
+
+func (m *logModel) issue() {
+	seq := uint64(len(m.issued) + 1)
+	rc := server.RecordedCall{Seq: seq}
+	switch k := m.r.Intn(4); {
+	case k == 0:
+		rc.Func, rc.Args = logFunc(m.desc, "setup"), []marshal.Value{marshal.Uint(seq)}
+	case k == 1 || len(m.live) == 0:
+		rc.Func, rc.Args = logFunc(m.desc, "create"), []marshal.Value{marshal.Uint(seq), marshal.Len(8)}
+	default:
+		h := m.live[m.r.Intn(len(m.live))]
+		rc.Func, rc.Args = logFunc(m.desc, "poke"), []marshal.Value{marshal.HandleVal(h), marshal.Uint(seq)}
+	}
+	m.issued = append(m.issued, rc)
+	m.admit(seq)
+}
+
+// admit is Guardian.admit's shadow-recording half.
+func (m *logModel) admit(seq uint64) {
+	if _, dup := m.log.bySeq[seq]; dup {
+		delete(m.log.pendingRebind, seq) // re-executed and rebound
+	} else {
+		m.log.upsert(cloneRecorded(&m.issued[seq-1]))
+		m.open = append(m.open, seq)
+	}
+	m.max = seq
+}
+
+func (m *logModel) answer() {
+	if len(m.open) == 0 {
+		return
+	}
+	i := m.r.Intn(len(m.open))
+	seq := m.open[i]
+	m.open = append(m.open[:i], m.open[i+1:]...)
+	if _, ok := m.log.bySeq[seq]; !ok {
+		return // pruned or dropped since
+	}
+	if m.r.Intn(8) == 0 {
+		m.log.drop(seq)
+		return
+	}
+	if m.issued[seq-1].Func != logFunc(m.desc, "create") {
+		m.log.reply(seq, marshal.Int(0), nil, 0)
+		return
+	}
+	m.next++
+	h := 100 + m.next
+	m.live = append(m.live, h)
+	m.log.reply(seq, marshal.Int(0), []marshal.Value{marshal.HandleVal(h)}, h)
+}
+
+func (m *logModel) destroy() {
+	if len(m.live) == 0 {
+		return
+	}
+	i := m.r.Intn(len(m.live))
+	m.log.prune(m.live[i])
+	m.live = append(m.live[:i], m.live[i+1:]...)
+}
+
+func (m *logModel) checkpoint() {
+	m.w = m.max
+	m.mirror.MirrorCheckpoint(m.epoch, m.w, nil)
+}
+
+func (m *logModel) recover() {
+	m.epoch++
+	m.log.rebuild(m.w)
+	m.mirror.MirrorEpoch(m.epoch, m.w)
+	m.max, m.open = m.w, nil
+	for seq := m.w + 1; seq <= uint64(len(m.issued)); seq++ {
+		m.admit(seq)
+	}
+}
+
+// One mutation stream, two logs: whatever the guardian's log would replay
+// at the current watermark, a log rehydrated from the mirror's state
+// replays too — entry for entry, with the same pending-rebind set.
+func TestShadowLogMirrorRehydratesToSameReplayLog(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
+	desc := cava.MustCompile(logSpec)
+	for seed := int64(1); seed <= 40; seed++ {
+		mirror := NewMemoryMirror()
+		m := &logModel{r: rand.New(rand.NewSource(seed)), desc: desc, mirror: mirror, log: newShadowLog(desc, mirror)}
+		for step := 0; step < 300; step++ {
+			switch k := m.r.Intn(20); {
+			case k < 8:
+				m.issue()
+			case k < 15:
+				m.answer()
+			case k < 17:
+				m.destroy()
+			case k < 19:
+				m.checkpoint()
+			default:
+				m.recover()
+			}
+			st := mirror.State()
+			if st.W != m.w {
+				t.Fatalf("seed %d step %d: mirror w = %d, model w = %d", seed, step, st.W, m.w)
+			}
+			rehydrated := newShadowLog(desc, nil)
+			rehydrated.load(st)
+			if got, want := rehydrated.replayLog(m.w), m.log.replayLog(m.w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d (w=%d): rehydrated log replays %v, guardian's log %v", seed, step, m.w, logSeqs(got), logSeqs(want))
+			}
+		}
+		// load is rebuild of the log that fed the mirror: same entries, same
+		// reply marks, same pending-rebind set.
+		rehydrated := newShadowLog(desc, nil)
+		rehydrated.load(mirror.State())
+		m.log.rebuild(m.w)
+		if got, want := rehydrated.replayLog(^uint64(0)), m.log.replayLog(^uint64(0)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: load kept %v, rebuild kept %v", seed, logSeqs(got), logSeqs(want))
+		}
+		if !reflect.DeepEqual(rehydrated.replySeen, m.log.replySeen) || !reflect.DeepEqual(rehydrated.pendingRebind, m.log.pendingRebind) {
+			t.Fatalf("seed %d: load marks (%v, %v) differ from rebuild's (%v, %v)", seed,
+				rehydrated.replySeen, rehydrated.pendingRebind, m.log.replySeen, m.log.pendingRebind)
+		}
+	}
+}

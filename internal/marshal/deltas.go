@@ -135,11 +135,21 @@ func DecodeObjectDeltas(b []byte) ([]ObjectDelta, error) {
 // of exactly BaseLen bytes — a mismatch means the caller's base is from a
 // different life of the object and the composition would corrupt state.
 func ApplyObjectDelta(base []byte, d ObjectDelta) ([]byte, error) {
+	// Validate BaseLen before allocating it: deltas arrive off the network,
+	// and a Full one is bounded by nothing else.
+	if d.Full {
+		var have uint64
+		for _, r := range d.Ranges {
+			have += uint64(len(r.Bytes))
+		}
+		if have < d.BaseLen {
+			return nil, fmt.Errorf("marshal: full delta for handle %d: %d bytes of ranges for a %d-byte state", d.Handle, have, d.BaseLen)
+		}
+	} else if uint64(len(base)) != d.BaseLen {
+		return nil, fmt.Errorf("marshal: delta for handle %d: base %d bytes, want %d", d.Handle, len(base), d.BaseLen)
+	}
 	out := make([]byte, d.BaseLen)
 	if !d.Full {
-		if uint64(len(base)) != d.BaseLen {
-			return nil, fmt.Errorf("marshal: delta for handle %d: base %d bytes, want %d", d.Handle, len(base), d.BaseLen)
-		}
 		copy(out, base)
 	}
 	for _, r := range d.Ranges {

@@ -241,10 +241,12 @@ const (
 // itself stays unassigned on purpose: the failover guardian's barrier
 // markers use it precisely because the server rejects it as unknown.
 const (
-	// FuncRebind asks the server to move a live object from a fresh replay
-	// handle back under its recorded handle: args are [fresh, recorded]
-	// Handle values. Issued by the failover guardian after a wire replay so
-	// the guest's saved handles stay valid on the replacement host.
+	// FuncRebind asks the server to move live objects from fresh replay
+	// handles back under their recorded handles: args are [fresh, recorded]
+	// Handle pairs, every pair of one replayed reply in one call so the
+	// server can apply them two-phase. Issued by the failover guardian
+	// after a wire replay so the guest's saved handles stay valid on the
+	// replacement host.
 	FuncRebind uint32 = ^uint32(0) - 1
 	// FuncRestore asks the server to overwrite an object's stateful payload
 	// from a checkpoint snapshot: args are [Handle, Bytes]. Ret is Int(1)

@@ -38,6 +38,12 @@ func DecodeObjectStates(b []byte) (map[Handle][]byte, error) {
 	}
 	count := binary.LittleEndian.Uint32(b)
 	b = b[4:]
+	if uint64(count) > uint64(len(b))/12 {
+		// Every record takes at least 12 bytes: refuse before sizing the map
+		// from a count the payload cannot hold (a hostile 8-byte frame would
+		// otherwise reserve a four-billion-entry table).
+		return nil, fmt.Errorf("marshal: object states truncated: %d records in %d bytes", count, len(b))
+	}
 	out := make(map[Handle][]byte, count)
 	for i := uint32(0); i < count; i++ {
 		if len(b) < 12 {

@@ -11,6 +11,11 @@
 // reinitialize the device and reallocate all objects, rebinds the recreated
 // objects to the handle values the guest already holds, restores the device
 // buffers, and the application resumes untouched.
+//
+// Replay is that engine, written once over a Target: Restore passes the
+// destination server in this process (LocalTarget); the failover guardian
+// passes the same for same-host recovery and mirror rehydration, and a
+// control-call target for recovery onto another host.
 package migrate
 
 import (
@@ -66,41 +71,21 @@ func Decode(b []byte) (*Snapshot, error) {
 // Context.Thaw to abort the migration instead.
 func Capture(ctx *server.Context, ad Adapter) (*Snapshot, error) {
 	ctx.Freeze()
-	snap := &Snapshot{
-		VM:      ctx.VM,
-		Name:    ctx.Name,
-		Log:     ctx.RecordLog(),
-		Objects: make(map[marshal.Handle][]byte),
-	}
-	var err error
-	ctx.Handles.ForEach(func(h marshal.Handle, obj any) {
-		if err != nil {
-			return
-		}
-		state, stateful, serr := ad.SnapshotObject(obj)
-		if serr != nil {
-			err = fmt.Errorf("migrate: snapshot handle %d: %w", h, serr)
-			return
-		}
-		if stateful {
-			snap.Objects[h] = state
-		}
-	})
+	objects, err := ctx.SnapshotObjects(ad)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("migrate: %w", err)
 	}
-	return snap, nil
+	return &Snapshot{VM: ctx.VM, Name: ctx.Name, Log: ctx.RecordLog(), Objects: objects}, nil
 }
 
 // Restore replays the snapshot onto a destination server context,
 // rebinding recreated objects to the guest's original handle values and
 // restoring device buffer contents. The destination context must be fresh.
 func Restore(snap *Snapshot, dst *server.Server, ctx *server.Context, ad Adapter) error {
-	_, err := RestoreWith(snap, dst, ctx, ad, RestoreOptions{})
-	return err
+	return Replay(LocalTarget{Server: dst, Ctx: ctx, Adapter: ad}, dst.Registry().Desc, snap.Log, snap.Objects, RestoreOptions{})
 }
 
-// RestoreOptions relaxes Restore for callers whose snapshot may be slightly
+// RestoreOptions relaxes Replay for callers whose snapshot may be slightly
 // stale — the failover path restores from a periodic checkpoint rather than
 // a freshly quiesced capture, so some recorded objects may have been
 // destroyed since the checkpoint was cut.
@@ -109,124 +94,133 @@ type RestoreOptions struct {
 	// longer exists after replay (the object was destroyed after the
 	// checkpoint) instead of failing the restore.
 	SkipUnknownObjects bool
-	// ContinueOnError replays past individual call failures, counting them
-	// in the report, instead of aborting. Entries that fail to replay
-	// contribute no rebinding.
-	ContinueOnError bool
 }
 
-// RestoreReport summarizes what a tolerant restore actually did.
-type RestoreReport struct {
-	Replayed       int // calls re-executed successfully
-	SkippedCalls   int // calls that failed replay (ContinueOnError)
-	SkippedObjects int // stateful objects dropped (SkipUnknownObjects)
+// Target is where Replay rebuilds state: an API server context reached
+// in-process (LocalTarget) or by control-call round trips over a link (the
+// failover guardian's wire target). Migration restore, same-host recovery,
+// cross-host recovery and mirror rehydration differ only in the Target they
+// pass.
+type Target interface {
+	// Execute runs one recorded call (flagged marshal.FlagReplay) and
+	// returns its reply; the target may renumber call.Seq.
+	Execute(call *marshal.Call) (*marshal.Reply, error)
+	// Rebind moves the objects one replayed reply created from their fresh
+	// handles to the recorded ones, all pairs of the reply at once.
+	Rebind(pairs []server.HandlePair) error
+	// RestoreObject overwrites the stateful payload of the object under h;
+	// found=false means no such handle exists after replay.
+	RestoreObject(h marshal.Handle, state []byte) (found bool, err error)
 }
 
-// RestoreWith is Restore with explicit tolerance options, returning a
-// report of what was replayed and what was skipped.
-func RestoreWith(snap *Snapshot, dst *server.Server, ctx *server.Context, ad Adapter, opts RestoreOptions) (RestoreReport, error) {
-	var rep RestoreReport
-	desc := dst.Registry().Desc
-	for i, rc := range snap.Log {
+// LocalTarget is the in-process Target: calls execute on Server in Ctx,
+// handles move in Ctx's table, object state restores through Adapter.
+type LocalTarget struct {
+	Server  *server.Server
+	Ctx     *server.Context
+	Adapter Adapter
+}
+
+// Execute implements Target.
+func (t LocalTarget) Execute(call *marshal.Call) (*marshal.Reply, error) {
+	if rep := t.Server.Execute(t.Ctx, call); rep != nil {
+		return rep, nil
+	}
+	return nil, fmt.Errorf("migrate: no reply")
+}
+
+// Rebind implements Target.
+func (t LocalTarget) Rebind(pairs []server.HandlePair) error { return t.Ctx.Rebind(pairs) }
+
+// RestoreObject implements Target.
+func (t LocalTarget) RestoreObject(h marshal.Handle, state []byte) (bool, error) {
+	obj, ok := t.Ctx.Handles.Get(h)
+	if !ok {
+		return false, nil
+	}
+	return true, t.Adapter.RestoreObject(obj, state)
+}
+
+// Replay is the one replay engine: it re-executes the recorded log on the
+// target in order, rebinds the handles each replayed call created or
+// returned to the values the original call gave the guest, and then
+// synthesizes the reverse copies, restoring each stateful object. Any
+// failure aborts the replay.
+func Replay(t Target, desc *cava.Descriptor, log []server.RecordedCall, objects map[marshal.Handle][]byte, opts RestoreOptions) error {
+	for i := range log {
+		rc := &log[i]
 		fd, ok := desc.ByID(rc.Func)
 		if !ok {
-			return rep, fmt.Errorf("migrate: recorded call #%d references unknown function %d", i, rc.Func)
+			return fmt.Errorf("migrate: recorded call #%d references unknown function %d", i, rc.Func)
 		}
-		reply := dst.Execute(ctx, &marshal.Call{
+		reply, err := t.Execute(&marshal.Call{
 			Seq:   uint64(i + 1),
 			Func:  rc.Func,
 			Flags: marshal.FlagReplay,
 			Args:  rc.Args,
 		})
-		if reply == nil || reply.Status != marshal.StatusOK {
-			if opts.ContinueOnError {
-				rep.SkippedCalls++
-				continue
-			}
-			detail := "no reply"
-			if reply != nil {
-				detail = reply.Err
-			}
-			return rep, fmt.Errorf("migrate: replay of %s failed: %s", fd.Name, detail)
+		if err != nil {
+			return fmt.Errorf("migrate: replay of %s: %w", fd.Name, err)
 		}
-		if err := rebind(ctx, fd, &rc, reply); err != nil {
-			return rep, err
+		if reply.Status != marshal.StatusOK {
+			return fmt.Errorf("migrate: replay of %s failed: %s", fd.Name, reply.Err)
 		}
-		rep.Replayed++
-	}
-	// Synthesize the reverse copies: restore each stateful object.
-	for h, state := range snap.Objects {
-		obj, ok := ctx.Handles.Get(h)
-		if !ok {
-			if opts.SkipUnknownObjects {
-				rep.SkippedObjects++
-				continue
+		if pairs := HandlePairs(fd, rc, reply); len(pairs) > 0 {
+			if err := t.Rebind(pairs); err != nil {
+				return fmt.Errorf("migrate: %s: %w", fd.Name, err)
 			}
-			return rep, fmt.Errorf("migrate: restored state for unknown handle %d", h)
-		}
-		if err := ad.RestoreObject(obj, state); err != nil {
-			return rep, fmt.Errorf("migrate: restore handle %d: %w", h, err)
 		}
 	}
-	return rep, nil
+	for h, state := range objects {
+		found, err := t.RestoreObject(h, state)
+		if err != nil {
+			return fmt.Errorf("migrate: restore handle %d: %w", h, err)
+		}
+		if !found && !opts.SkipUnknownObjects {
+			return fmt.Errorf("migrate: restored state for unknown handle %d", h)
+		}
+	}
+	return nil
 }
 
-// rebind moves every handle the replayed call created or returned from its
-// fresh destination value to the value the original call gave the guest,
-// so the guest's handles stay valid after migration. The recorded reply
-// provides the original values; the new reply provides the fresh ones.
-func rebind(ctx *server.Context, fd *cava.FuncDesc, rc *server.RecordedCall, reply *marshal.Reply) error {
-	type pair struct{ old, new marshal.Handle }
-	var pairs []pair
-	add := func(old, new marshal.Handle) {
-		if old != 0 && new != 0 && old != new {
-			pairs = append(pairs, pair{old, new})
+// HandlePairs diffs a call's recorded reply against the reply its
+// re-execution produced and returns the handle moves that put the recreated
+// objects back under the values the guest holds: the return value, handle
+// outs, and handle arrays returned through byte outs.
+func HandlePairs(fd *cava.FuncDesc, rc *server.RecordedCall, reply *marshal.Reply) []server.HandlePair {
+	var pairs []server.HandlePair
+	add := func(recorded, fresh marshal.Handle) {
+		if recorded != 0 && fresh != 0 && recorded != fresh {
+			pairs = append(pairs, server.HandlePair{Fresh: fresh, Recorded: recorded})
 		}
 	}
-
 	if rc.Ret.Kind == marshal.KindHandle && reply.Ret.Kind == marshal.KindHandle {
 		add(rc.Ret.Handle(), reply.Ret.Handle())
 	}
-	if len(rc.Outs) == len(reply.Outs) {
-		slot := 0
-		for i := range fd.Params {
-			pd := &fd.Params[i]
-			if !pd.Out() {
-				continue
+	if len(rc.Outs) != len(reply.Outs) {
+		return pairs
+	}
+	slot := 0
+	for i := range fd.Params {
+		pd := &fd.Params[i]
+		if !pd.Out() {
+			continue
+		}
+		if slot == len(rc.Outs) {
+			break // a log from the network may carry fewer outs than the spec
+		}
+		oldV, newV := rc.Outs[slot], reply.Outs[slot]
+		slot++
+		switch {
+		case oldV.Kind == marshal.KindHandle && newV.Kind == marshal.KindHandle:
+			add(oldV.Handle(), newV.Handle())
+		case pd.Kind == spec.KindHandle && oldV.Kind == marshal.KindBytes && newV.Kind == marshal.KindBytes:
+			n := min(len(oldV.Bytes), len(newV.Bytes)) / 8
+			for j := 0; j < n; j++ {
+				add(marshal.Handle(binary.LittleEndian.Uint64(oldV.Bytes[8*j:])),
+					marshal.Handle(binary.LittleEndian.Uint64(newV.Bytes[8*j:])))
 			}
-			oldV, newV := rc.Outs[slot], reply.Outs[slot]
-			slot++
-			switch {
-			case oldV.Kind == marshal.KindHandle && newV.Kind == marshal.KindHandle:
-				add(oldV.Handle(), newV.Handle())
-			case pd.Kind == spec.KindHandle && oldV.Kind == marshal.KindBytes && newV.Kind == marshal.KindBytes:
-				n := min(len(oldV.Bytes), len(newV.Bytes)) / 8
-				for j := 0; j < n; j++ {
-					add(marshal.Handle(binary.LittleEndian.Uint64(oldV.Bytes[8*j:])),
-						marshal.Handle(binary.LittleEndian.Uint64(newV.Bytes[8*j:])))
-				}
-			}
 		}
 	}
-	if len(pairs) == 0 {
-		return nil
-	}
-
-	// Two phases so fresh handles that collide with original values within
-	// one reply cannot shadow each other.
-	objs := make([]any, len(pairs))
-	for i, p := range pairs {
-		obj, ok := ctx.Handles.Remove(p.new)
-		if !ok {
-			return fmt.Errorf("migrate: %s: replayed handle %d vanished", fd.Name, p.new)
-		}
-		objs[i] = obj
-	}
-	for i, p := range pairs {
-		if err := ctx.Handles.InsertAt(p.old, objs[i]); err != nil {
-			return fmt.Errorf("migrate: %s: %w", fd.Name, err)
-		}
-		ctx.RemapRecorded(p.new, p.old)
-	}
-	return nil
+	return pairs
 }

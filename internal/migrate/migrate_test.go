@@ -13,6 +13,7 @@ import (
 	"ava/internal/migrate"
 	"ava/internal/mvnc"
 	"ava/internal/server"
+	"ava/internal/stacktest"
 )
 
 func newStack(t *testing.T) (*ava.Stack, *cl.Silo) {
@@ -93,6 +94,7 @@ func setupApp(t *testing.T, c cl.Client, n uint32) *appState {
 }
 
 func TestEndToEndMigration(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	const n = 256
 
 	// Source: set up the application, run one launch so `out` has state.
@@ -181,6 +183,7 @@ func TestEndToEndMigration(t *testing.T) {
 }
 
 func TestMigrationSkipsDestroyedObjects(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	src, srcSilo := newStack(t)
 	lib, _ := src.AttachVM(ava.VMConfig{ID: 1, Name: "g"})
 	c := cl.NewRemote(lib)
@@ -212,6 +215,7 @@ func TestMigrationSkipsDestroyedObjects(t *testing.T) {
 }
 
 func TestThawAbortsMigration(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	src, srcSilo := newStack(t)
 	lib, _ := src.AttachVM(ava.VMConfig{ID: 1, Name: "g"})
 	c := cl.NewRemote(lib)
@@ -228,6 +232,7 @@ func TestThawAbortsMigration(t *testing.T) {
 }
 
 func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	snap := &migrate.Snapshot{
 		VM:   3,
 		Name: "vm3",
@@ -259,12 +264,14 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	if _, err := migrate.Decode([]byte("not a snapshot")); err == nil {
 		t.Fatal("garbage decoded")
 	}
 }
 
 func TestRestoreUnknownFunction(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	dst, silo := newStack(t)
 	ctx := dst.Server.Context(9, "g")
 	snap := &migrate.Snapshot{Log: []server.RecordedCall{{Func: 9999}}}
@@ -275,6 +282,7 @@ func TestRestoreUnknownFunction(t *testing.T) {
 }
 
 func TestMVNCMigrationByReplay(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	// MVNC objects are stateless under the adapter: replay alone rebuilds
 	// the device and graph; queued results are transient and documented as
 	// lost (the guest drains them before migrating).

@@ -20,29 +20,26 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call, rep *marshal.R
 	}
 	switch call.Func {
 	case marshal.FuncRebind:
-		// Args: [fresh, recorded] — move the object a replayed call created
-		// under the fresh handle back to the handle the guest holds.
-		if len(call.Args) != 2 ||
-			call.Args[0].Kind != marshal.KindHandle || call.Args[1].Kind != marshal.KindHandle {
-			fail(marshal.StatusDenied, "rebind: want [fresh Handle, recorded Handle]")
-			return
+		// Args: [fresh, recorded] handle pairs, every pair of one replayed
+		// reply in one call — move the objects that reply created under
+		// fresh handles back to the handles the guest holds, two-phase so
+		// pairs that overlap (fresh [4,5] for recorded [5,6]) cannot
+		// shadow each other.
+		ok := len(call.Args) >= 2 && len(call.Args)%2 == 0
+		for i := range call.Args {
+			ok = ok && call.Args[i].Kind == marshal.KindHandle
 		}
-		fresh, recorded := call.Args[0].Handle(), call.Args[1].Handle()
-		if fresh == recorded {
-			return
-		}
-		obj, ok := ctx.Handles.Remove(fresh)
 		if !ok {
-			fail(marshal.StatusInternal, "rebind: handle %d unknown", fresh)
+			fail(marshal.StatusDenied, "rebind: want [fresh Handle, recorded Handle] pairs")
 			return
 		}
-		if err := ctx.Handles.InsertAt(recorded, obj); err != nil {
-			// Undo so a failed rebind does not leak the object.
-			ctx.Handles.InsertAt(fresh, obj)
-			fail(marshal.StatusInternal, "rebind: %v", err)
-			return
+		pairs := make([]HandlePair, len(call.Args)/2)
+		for i := range pairs {
+			pairs[i] = HandlePair{Fresh: call.Args[2*i].Handle(), Recorded: call.Args[2*i+1].Handle()}
 		}
-		ctx.RemapRecorded(fresh, recorded)
+		if err := ctx.Rebind(pairs); err != nil {
+			fail(marshal.StatusInternal, "%v", err)
+		}
 		return
 
 	case marshal.FuncRestore:
@@ -79,23 +76,9 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call, rep *marshal.R
 			fail(marshal.StatusInternal, "snapshot: no ObjectSnapshotter registered")
 			return
 		}
-		objects := make(map[marshal.Handle][]byte)
-		var snapErr error
-		ctx.Handles.ForEach(func(h marshal.Handle, obj any) {
-			if snapErr != nil {
-				return
-			}
-			state, stateful, err := snap.SnapshotObject(obj)
-			if err != nil {
-				snapErr = err
-				return
-			}
-			if stateful {
-				objects[h] = state
-			}
-		})
-		if snapErr != nil {
-			fail(marshal.StatusInternal, "snapshot: %v", snapErr)
+		objects, err := ctx.SnapshotObjects(snap)
+		if err != nil {
+			fail(marshal.StatusInternal, "%v", err)
 			return
 		}
 		rep.Ret = marshal.BytesVal(marshal.EncodeObjectStates(objects))

@@ -270,26 +270,79 @@ func (c *Context) Recording() bool {
 	return c.recording
 }
 
-// RemapRecorded rewrites every occurrence of handle from to handle to in
-// the record log (args, returns, outs and Created). The migration engine
-// uses it after rebinding a replayed object to its original guest handle so
-// the destination's own log stays consistent for a further migration.
-func (c *Context) RemapRecorded(from, to marshal.Handle) {
-	if from == 0 || from == to {
-		return
+// HandlePair relates the handle a re-executed call just produced (Fresh) to
+// the value its original execution gave the guest (Recorded).
+type HandlePair struct{ Fresh, Recorded marshal.Handle }
+
+// Rebind moves every object in pairs from its fresh handle to its recorded
+// one, so the handle values the guest already holds stay valid after a
+// replay, and rewrites the record log to match. It is the one place a
+// handle table is rebuilt under guest-held values: migration restore,
+// failover replay, the guardian's post-watermark rebind and the FuncRebind
+// control call all land here.
+//
+// Two phases — remove every fresh handle, then insert every recorded one —
+// so fresh values that collide with recorded values within one reply cannot
+// shadow each other. All or nothing: a vanished fresh handle or an occupied
+// recorded slot puts every object back under its fresh handle and returns
+// an error, which replay treats as fatal and the guardian's post-watermark
+// rebind as best-effort (server state stays consistent either way).
+func (c *Context) Rebind(pairs []HandlePair) error {
+	if len(pairs) == 0 {
+		return nil // nothing moved: leave the record log unwalked
+	}
+	objs := make([]any, 0, len(pairs))
+	undo := func(inserted int, err error) error {
+		for _, p := range pairs[:inserted] {
+			c.Handles.Remove(p.Recorded)
+		}
+		for i, obj := range objs {
+			// Cannot collide: this is the slot the object was just removed
+			// from, and Insert never hands out a value twice.
+			_ = c.Handles.InsertAt(pairs[i].Fresh, obj)
+		}
+		return err
+	}
+	for _, p := range pairs {
+		obj, ok := c.Handles.Remove(p.Fresh)
+		if !ok {
+			return undo(0, fmt.Errorf("server: rebind: replayed handle %d vanished", p.Fresh))
+		}
+		objs = append(objs, obj)
+	}
+	for i, p := range pairs {
+		if err := c.Handles.InsertAt(p.Recorded, objs[i]); err != nil {
+			return undo(i, fmt.Errorf("server: rebind %d->%d: %w", p.Fresh, p.Recorded, err))
+		}
+	}
+	c.remapRecorded(pairs)
+	return nil
+}
+
+// remapRecorded rewrites every fresh handle in the record log (args,
+// returns, outs and Created) to its recorded value, so the destination's
+// own log stays consistent for a further migration. Each value is rewritten
+// at most once: with overlapping pairs (4->5, 5->6) a pair-by-pair rewrite
+// would carry the first object's handle on to 6.
+func (c *Context) remapRecorded(pairs []HandlePair) {
+	to := func(h marshal.Handle) marshal.Handle {
+		for _, p := range pairs {
+			if p.Fresh == h {
+				return p.Recorded
+			}
+		}
+		return h
+	}
+	fix := func(v *marshal.Value) {
+		if v.Kind == marshal.KindHandle {
+			*v = marshal.HandleVal(to(v.Handle()))
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fix := func(v *marshal.Value) {
-		if v.Kind == marshal.KindHandle && v.Handle() == from {
-			*v = marshal.HandleVal(to)
-		}
-	}
 	for i := range c.log {
 		rc := &c.log[i]
-		if rc.Created == from {
-			rc.Created = to
-		}
+		rc.Created = to(rc.Created)
 		fix(&rc.Ret)
 		for j := range rc.Args {
 			fix(&rc.Args[j])
@@ -298,6 +351,26 @@ func (c *Context) RemapRecorded(from, to marshal.Handle) {
 			fix(&rc.Outs[j])
 		}
 	}
+}
+
+// SnapshotObjects serializes every stateful object in the handle table —
+// the capture half of migration, of a guardian checkpoint and of the
+// FuncSnapshot control call.
+func (c *Context) SnapshotObjects(snap ObjectSnapshotter) (map[marshal.Handle][]byte, error) {
+	objects := make(map[marshal.Handle][]byte)
+	var err error
+	c.Handles.ForEach(func(h marshal.Handle, obj any) {
+		if err != nil {
+			return
+		}
+		state, stateful, serr := snap.SnapshotObject(obj)
+		if serr != nil {
+			err = fmt.Errorf("snapshot handle %d: %w", h, serr)
+		} else if stateful {
+			objects[h] = state
+		}
+	})
+	return objects, err
 }
 
 // RecordLog returns a copy of the migration record log.

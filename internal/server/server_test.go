@@ -175,6 +175,52 @@ func TestRecordLogConfigAndModify(t *testing.T) {
 	}
 }
 
+// Rebind is the one function that rebuilds a handle table under guest-held
+// values. Overlapping pairs (fresh [1,2] for recorded [2,3]) move in two
+// phases and the record log is rewritten as one simultaneous mapping; a
+// vanished fresh handle or an occupied recorded slot undoes everything.
+func TestContextRebind(t *testing.T) {
+	srv, ctx, desc := newTestServer(t)
+	a := srv.Execute(ctx, call(desc, "create", marshal.Uint(1), marshal.Len(8))).Outs[0].Handle()
+	b := srv.Execute(ctx, call(desc, "create", marshal.Uint(2), marshal.Len(8))).Outs[0].Handle()
+	srv.Execute(ctx, call(desc, "poke", marshal.HandleVal(a), marshal.Uint(7)))
+	if a != 1 || b != 2 {
+		t.Fatalf("fresh handles [%d,%d], want [1,2]", a, b)
+	}
+	table := func() string {
+		out := ""
+		ctx.Handles.ForEach(func(h marshal.Handle, obj any) { out += fmt.Sprintf("%d=%v ", h, obj) })
+		return out
+	}
+	before := table()
+
+	if err := ctx.Rebind([]HandlePair{{Fresh: 1, Recorded: 2}, {Fresh: 9, Recorded: 3}}); err == nil {
+		t.Fatal("rebinding a vanished fresh handle succeeded")
+	}
+	ctx.Handles.InsertAt(5, "squatter")
+	if err := ctx.Rebind([]HandlePair{{Fresh: 1, Recorded: 3}, {Fresh: 2, Recorded: 5}}); err == nil {
+		t.Fatal("rebinding onto an occupied slot succeeded")
+	}
+	ctx.Handles.Remove(5)
+	if got := table(); got != before {
+		t.Fatalf("failed rebinds left the table changed:\n got %s\nwant %s", got, before)
+	}
+
+	if err := ctx.Rebind([]HandlePair{{Fresh: 1, Recorded: 2}, {Fresh: 2, Recorded: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := table(), "2=obj-kind-1 3=obj-kind-2 "; got != want {
+		t.Fatalf("table = %q, want %q", got, want)
+	}
+	log := ctx.RecordLog()
+	if log[0].Created != 2 || log[0].Outs[0].Handle() != 2 || log[1].Created != 3 || log[1].Outs[0].Handle() != 3 {
+		t.Fatalf("creates remapped to %d/%d, want 2/3: %+v", log[0].Created, log[1].Created, log)
+	}
+	if got := log[2].Args[0].Handle(); got != 2 {
+		t.Fatalf("the modify of the first object now names handle %d, want 2", got)
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	srv, ctx, desc := newTestServer(t)
 	srv.Execute(ctx, call(desc, "ping", marshal.Uint(1)))

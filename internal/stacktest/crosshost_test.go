@@ -38,7 +38,7 @@ func TestMirrorRehydrationAfterGuardianLoss(t *testing.T) {
 	// the record log and the object snapshot, then lose everything.
 	silo1 := foSilo()
 	cfg1 := foConfig(silo1)
-	cfg1.Replication.Mirror = mirror
+	cfg1.Replication.Sink = mirror
 	stack1 := foStack(silo1, ava.WithFailover(cfg1))
 	lib1, err := stack1.AttachVM(ava.VMConfig{ID: 1, Name: "mirror-vm"})
 	if err != nil {
