@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet rebind-gate build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
+.PHONY: check fmt vet rebind-gate state-gate decode-gate build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
-check: fmt vet rebind-gate build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
+check: fmt vet rebind-gate state-gate decode-gate build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -26,6 +26,27 @@ rebind-gate:
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'Handles\.InsertAt(' . | grep -v '^\./internal/server/')"; \
 	if [ -n "$$out" ]; then \
 		echo "Handles.InsertAt outside internal/server (use Context.Rebind):"; echo "$$out"; exit 1; \
+	fi
+
+# One state machine: a Guardian's state, epoch, link (and its generation),
+# checkpoint watermark and abort channel are assigned only by the transition
+# functions in internal/failover/state.go. Fail if any other file of the
+# package — tests included — assigns one, so the lifecycle cannot quietly
+# grow a second writer.
+state-gate:
+	@out="$$(grep -nE '\bg\.(state|epoch|link|linkGen|ckptW|abort)(, *[A-Za-z_.]+)* *(=[^=]|:=|\+\+|--|[-+]=)' internal/failover/*.go | grep -v '^internal/failover/state\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "Guardian lifecycle field assigned outside internal/failover/state.go:"; echo "$$out"; exit 1; \
+	fi
+
+# One decoder per frame kind on every serve path: the allocating
+# marshal.DecodeCall/DecodeBatch/DecodeReply wrappers are for tests and the
+# benchmark's trace; production code decodes into a record it owns with the
+# *Into forms. Fail if non-test code outside internal/marshal calls one.
+decode-gate:
+	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=benchmark 'marshal\.Decode(Call|Batch|Reply)\(' . | grep -v '^\./internal/marshal/')"; \
+	if [ -n "$$out" ]; then \
+		echo "allocating decoder outside internal/marshal (use the *Into form):"; echo "$$out"; exit 1; \
 	fi
 
 build:
@@ -102,9 +123,12 @@ benchmark:
 # forms, eviction, drain vs. kill, and the same-host reconnect that must
 # replay into a clean context; Shadow/Replay/Rebind cover the recovery core
 # itself — the shadow log's keep rules and its mirror property test, the
-# one replay engine on both of its targets, and migration (./internal/migrate/).
+# one replay engine on both of its targets, and migration (./internal/migrate/);
+# Sweep severs the south link at every send of a short workload, and the
+# replacement too (internal/stacktest/kill_sweep_test.go) — a failing row
+# prints its (transport, k, k2) triple as a -run one-liner.
 chaos:
-	$(GO) test -race -count=1 -run 'Failover|Flaky|Severed|Liveness|Backoff|Control|CrossHost|Rehydration|Rebalance|Mirror|Gossip|MultiClient|WireClient|Host|Shadow|Replay|Rebind|Migrat' \
+	$(GO) test -race -count=1 -run 'Failover|Flaky|Severed|Liveness|Backoff|Control|CrossHost|Rehydration|Rebalance|Mirror|Gossip|MultiClient|WireClient|Host|Shadow|Replay|Rebind|Migrat|Sweep|LateReply' \
 		./internal/transport/ ./internal/failover/ ./internal/migrate/ ./internal/server/ ./internal/stacktest/ ./internal/sched/ ./internal/fleet/ ./internal/bench/ ./internal/host/ .
 
 # Five seconds of real fuzzing per target, for every network-facing decoder

@@ -25,14 +25,14 @@ func (a MigrationAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
 	return b, true, err
 }
 
-// SnapshotObjectDelta implements the failover guardian's DeltaSnapshotter:
-// it drains the buffer's dirty-range tracking into a marshal.ObjectDelta
-// holding only the ranges written since the previous delta snapshot. The
-// returned delta's Handle is left zero — the caller keys it. stateful is
-// false for non-buffer objects (nothing to checkpoint). Draining advances
-// the buffer's watermark, so the caller must either commit the delta or
-// force a full snapshot next round (the guardian does exactly that on an
-// aborted checkpoint).
+// SnapshotObjectDelta implements server.ObjectDeltaSnapshotter for the
+// failover guardian's checkpoints: it drains the buffer's dirty-range
+// tracking into a marshal.ObjectDelta holding only the ranges written since
+// the previous delta snapshot. The returned delta's Handle is left zero —
+// the caller keys it. stateful is false for non-buffer objects (nothing to
+// checkpoint). Draining advances the buffer's watermark, so the caller must
+// either commit the delta or force a full snapshot next round (the guardian
+// does exactly that on an aborted checkpoint).
 func (a MigrationAdapter) SnapshotObjectDelta(obj any) (marshal.ObjectDelta, bool, error) {
 	m, ok := obj.(*Mem)
 	if !ok {

@@ -6,6 +6,7 @@ import (
 	"ava/internal/cava"
 	"ava/internal/marshal"
 	"ava/internal/stacktest"
+	"ava/internal/transport"
 )
 
 // newCadenceGuardian builds just enough guardian state to drive the
@@ -21,7 +22,7 @@ func TestAdaptiveCheckpointDefersWhileBusy(t *testing.T) {
 	stacktest.NoGoroutineLeaks(t)
 	g := newCadenceGuardian(Config{CheckpointEvery: 8, AdaptiveCheckpoint: true, Retain: 4096})
 	g.sinceCkpt = 8
-	g.maxSeq, g.ckptW = 8, 0
+	g.maxSeq = 8
 
 	if !g.checkpointDueLocked() {
 		t.Fatal("idle link at cadence: checkpoint must be due")
@@ -46,7 +47,7 @@ func TestAdaptiveCheckpointDeferralBounds(t *testing.T) {
 	g.inflightSync[1] = struct{}{}
 
 	g.sinceCkpt = 8
-	g.maxSeq, g.ckptW = 8, 0
+	g.maxSeq = 8
 	if g.checkpointDueLocked() {
 		t.Fatal("span well inside the window: must defer")
 	}
@@ -89,14 +90,18 @@ func TestFixedCadenceIgnoresLoad(t *testing.T) {
 // checkpoint's quiesce) would wait on it forever.
 func TestAdmitDropsCallPickedUpBeforeAFinishedRecovery(t *testing.T) {
 	stacktest.NoGoroutineLeaks(t)
-	g := newCadenceGuardian(Config{})
-	g.desc = &cava.Descriptor{}
+	north, router := transport.NewInProc()
+	defer north.Close()
+	defer router.Close()
+	g := New(&cava.Descriptor{}, north, nil, Config{})
 	staleGen := g.linkGen
 
-	// What recover + finishRecovery leave behind.
-	g.epoch++
-	g.linkGen++
-	g.inflightSync = make(map[uint64]struct{})
+	// A whole recovery: link lost, replacement adopted, replay done.
+	rs, ok := g.toRecovering(staleGen)
+	if _, adopted := g.adopt(ServerLink{}); !ok || !adopted {
+		t.Fatalf("recovery did not start: lost %v, adopted %v", ok, adopted)
+	}
+	g.toServing(rs, g.clk.Now())
 
 	if g.admit(&marshal.Call{Seq: 7, Epoch: g.epoch - 1}, staleGen) {
 		t.Fatal("a call from before the recovery was admitted onto the new link")

@@ -49,33 +49,20 @@ func TestCheckpointDrainLeavesVirtualClockAlone(t *testing.T) {
 
 	ckpt := make(chan error, 1)
 	go func() { ckpt <- g.CheckpointNow() }()
-	// CheckpointNow holds quiesceMu from its first line to its last.
-	for g.quiesceMu.TryLock() {
-		g.quiesceMu.Unlock()
-		time.Sleep(50 * time.Microsecond)
+	// CheckpointNow is in the quiescing state from beginCheckpoint to
+	// endCheckpoint.
+	for quiesced := false; !quiesced; time.Sleep(50 * time.Microsecond) {
+		g.mu.Lock()
+		quiesced = g.state == quiescing
+		g.mu.Unlock()
 	}
 	time.Sleep(5 * time.Millisecond) // let a sleep-poll, if there were one, spin
 
 	if err := srv.Send(marshal.EncodeReply(&marshal.Reply{Seq: 1, Status: marshal.StatusOK})); err != nil {
 		t.Fatal(err)
 	}
-	// The drain is over when the quiesce marker arrives; answer it the way a
-	// server answers an unknown function.
-	frame, err := srv.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls, err := marshal.DecodeBatch(frame)
-	if err != nil || len(calls) != 1 {
-		t.Fatalf("marker frame: %d calls, %v", len(calls), err)
-	}
-	marker, err := marshal.DecodeCall(calls[0])
-	if err != nil || marker.Func != markerFunc {
-		t.Fatalf("expected the quiesce marker, got %+v, %v", marker, err)
-	}
-	if err := srv.Send(marshal.EncodeReply(&marshal.Reply{Seq: marker.Seq, Status: marshal.StatusDenied, Err: "unknown function"})); err != nil {
-		t.Fatal(err)
-	}
+	// The drain is over when the quiesce marker arrives.
+	answerCheckpoint(t, srv)
 	if err := <-ckpt; err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}

@@ -29,7 +29,7 @@ type FleetDialConfig struct {
 	// Resolve turns a fleet member into a live ServerLink. Nil uses the
 	// default: TCP-dial m.Addr, send the hello preamble with an ack
 	// request, wait for the server's admission verdict, and return a
-	// WireReplay link. Waiting for the verdict is what makes host-side
+	// wire-only link. Waiting for the verdict is what makes host-side
 	// rejection (an evicted VM bounced off its old host) a dial failure
 	// that spends the per-host attempt budget, instead of a silent
 	// connect-then-sever loop that resets it.
@@ -247,7 +247,7 @@ func (d *FleetDialer) resolve(m fleet.Member, epoch uint32) (ServerLink, error) 
 		ep.Close()
 		return ServerLink{}, fmt.Errorf("host %s: %w", m.ID, err)
 	}
-	return ServerLink{EP: ep, WireReplay: true}, nil
+	return ServerLink{EP: ep}, nil
 }
 
 func (d *FleetDialer) noteSuccess(id string) {

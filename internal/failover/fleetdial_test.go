@@ -47,7 +47,7 @@ func (r *scriptedResolver) resolve(m fleet.Member, epoch uint32) (ServerLink, er
 	if r.down[m.ID] {
 		return ServerLink{}, fmt.Errorf("host %s down", m.ID)
 	}
-	return ServerLink{WireReplay: true}, nil
+	return ServerLink{}, nil
 }
 
 func newTestDialer(loc fleet.Locator, res *scriptedResolver, attempts int) *FleetDialer {

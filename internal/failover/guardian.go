@@ -23,6 +23,10 @@
 // guardian rehydrated from a mirror (Config.Restore) resumes from the log
 // the dead one would have rebuilt.
 //
+// The guardian's lifecycle is one state whose transitions, in state.go, are
+// the only writers of the epoch, the checkpoint watermark and the south
+// link; that file's table is the map of this package.
+//
 // The idempotency rule falls out of the spec's track annotations. Replay
 // runs strictly up to the checkpoint watermark w, preserving the original
 // order among creates, configs and modifies; everything past w flows
@@ -109,44 +113,52 @@ type Config struct {
 	// LogSink.
 	Sink LogSink
 	// Restore, if set, rehydrates the guardian from a mirrored shadow log
-	// instead of starting empty: Start replays the restored log onto a
-	// freshly dialed link (under the backoff budget), bumps the epoch past
-	// the mirrored one, and tells the guest to resubmit everything past
-	// the restored watermark.
+	// instead of starting empty: Start loads it and then recovers as from a
+	// lost link — it bumps the epoch past the mirrored one, replays the
+	// restored log onto a freshly dialed link (under the backoff budget),
+	// and tells the guest to resubmit everything past the restored
+	// watermark.
 	Restore *MirrorState
 }
 
-// ServerLink is one dialed attachment to an API server. EP carries frames;
-// Server/Ctx/Adapter give the guardian direct access for replay and
-// checkpointing (nil for links that cannot be replayed, e.g. a remote
-// server reached only by wire — recovery then reconnects without replay).
+// ServerLink is one dialed attachment to an API server. EP carries frames.
+// A link to a server in this process also sets Server and Ctx (and Adapter,
+// for object state): replay, rebind and checkpoint capture then run
+// in-process. With Ctx nil the link is wire-only — a server on another host
+// — and the same operations travel over EP as the marshal.FuncRebind,
+// FuncRestore, FuncSnapshot and FuncSnapshotDelta control calls.
 type ServerLink struct {
 	EP      transport.Endpoint
 	Server  *server.Server
 	Ctx     *server.Context
 	Adapter migrate.Adapter
-	// WireReplay marks a wire-only link (Server/Ctx nil) whose remote end
-	// serves the marshal.FuncRebind/FuncRestore control calls: recovery
-	// then replays the shadow log over the wire instead of reconnecting
-	// without replay. This is how a VM fails over onto a different host.
-	WireReplay bool
 }
 
-// DeltaSnapshotter is the optional incremental-capture extension of
-// migrate.Adapter: an adapter that also implements it lets checkpoints
-// drain each stateful object's dirty-range tracking into a delta, so
-// checkpoint cost scales with the bytes written since the previous
-// checkpoint rather than the object footprint. Draining advances the
-// silo's dirty watermark, so a captured delta must be committed — the
-// guardian forces the next checkpoint to be full whenever a delta capture
-// does not commit.
-type DeltaSnapshotter interface {
-	SnapshotObjectDelta(obj any) (delta marshal.ObjectDelta, stateful bool, err error)
+// target is a link seen as what recovery and checkpointing do to its
+// server: the replay engine's three operations plus the capture side. There
+// are two, migrate.LocalTarget and wireTarget; only targetFor tells them
+// apart.
+type target interface {
+	migrate.Target
+	// Snapshot serializes every stateful object, by guest handle.
+	Snapshot() (map[marshal.Handle][]byte, error)
+	// SnapshotDelta drains every stateful object's dirty ranges since the
+	// previous drain, as deltas onto base. ok=false: no incremental capture
+	// to be had, take a Snapshot instead — always safe, a drain only moves
+	// the silo's dirty watermark earlier than the snapshot that subsumes it.
+	SnapshotDelta(base map[marshal.Handle][]byte) (deltas []marshal.ObjectDelta, ok bool)
+}
+
+func (g *Guardian) targetFor(link ServerLink) target {
+	if link.Ctx != nil {
+		return migrate.LocalTarget{Server: link.Server, Ctx: link.Ctx, Adapter: link.Adapter}
+	}
+	return wireTarget{g: g, link: link}
 }
 
 // Stats counts guardian activity.
 type Stats struct {
-	Recoveries          uint64
+	Recoveries          uint64 // links lost and rebuilt, a Config.Restore rehydration included
 	Checkpoints         uint64
 	ShortCircuited      uint64 // resubmitted calls answered from the shadow log
 	SynthesizedDestroys uint64 // resubmitted destroys answered with synthetic success
@@ -166,6 +178,10 @@ type destroyRec struct {
 	pruned bool // shadow log pruned (destroy confirmed or async)
 }
 
+// tombstone stands in Guardian.destroys for a call past the watermark whose
+// log entry a destroy that took effect has pruned; see pruneLocked.
+var tombstone = &destroyRec{pruned: true}
+
 // Guardian is the per-VM failover interposer between router and server.
 type Guardian struct {
 	desc *cava.Descriptor
@@ -176,40 +192,51 @@ type Guardian struct {
 	north transport.Endpoint // toward the router/guest
 	dial  func() (ServerLink, error)
 
-	northCh   chan []byte   // single-writer queue toward north
-	done      chan struct{} // closed by Close
-	closeOnce sync.Once
+	northCh chan []byte   // single-writer queue toward north
+	done    chan struct{} // closed by Close
 
-	southMu   sync.Mutex // serializes Sends on the current link
-	quiesceMu sync.Mutex // serializes uplink processing vs. checkpoints
-
-	markerMu      sync.Mutex
-	markerN       uint64
-	markerWaiters map[uint64]chan *marshal.Reply
-	abort         chan struct{} // closed when recovery starts; remade per link
+	southMu sync.Mutex // serializes Sends on the current link
 
 	lastRecv atomic.Int64 // UnixNano of the last frame received from the server
 
-	mu           sync.Mutex
-	cond         *sync.Cond // recovery completion
-	closed       bool
-	dead         bool
-	deadErr      error
-	epoch        uint32
-	link         ServerLink
-	linkGen      int
-	recovering   bool
-	log          shadowLog // forwards its mutations to cfg.Sink
-	delta        DeltaSink // cfg.Sink's incremental-checkpoint side, if it has one
-	destroys     map[uint64]*destroyRec
-	inflightSync map[uint64]struct{}
-	maxSeq       uint64 // highest guest seq forwarded south
-	sinceCkpt    int
-	ckptObjects  map[marshal.Handle][]byte
-	ckptW        uint64 // checkpoint watermark: state covers seq <= ckptW
-	ckptGen      int    // linkGen when ckptObjects was committed
-	forceFull    bool   // next checkpoint must capture full state (uncommitted delta drain)
-	stats        Stats
+	// up is the uplink goroutine's decode scratch: one frame's call list,
+	// the calls of it to forward, and the one call being admitted.
+	up struct {
+		calls, kept [][]byte
+		call        marshal.Call
+	}
+
+	mu   sync.Mutex
+	cond *sync.Cond // every state change, and the in-flight sync set draining
+
+	// Assigned only by the transitions in state.go.
+	state       state
+	deadErr     error
+	epoch       uint32
+	link        ServerLink
+	tgt         target // link, as replay and capture use it
+	linkGen     int    // generation of link: every adopted link gets the next one
+	abort       chan struct{}
+	ckptObjects map[marshal.Handle][]byte
+	ckptW       uint64 // checkpoint watermark: state covers seq <= ckptW
+	ckptGen     int    // linkGen when ckptObjects was committed
+
+	// forwarding is set while the uplink is part-way through a frame —
+	// calls admitted, not all sent — which a checkpoint must not cut into.
+	forwarding    bool
+	markerN       uint64
+	markerWaiters map[uint64]chan *marshal.Reply // control round trips awaiting their reply
+	log           shadowLog                      // forwards its mutations to cfg.Sink
+	delta         DeltaSink                      // cfg.Sink's incremental-checkpoint side, if it has one
+	destroys      map[uint64]*destroyRec         // by seq, since the watermark; tombstones too
+	inflightSync  map[uint64]struct{}
+	maxSeq        uint64 // highest guest seq forwarded south
+	sinceCkpt     int
+	// forceFull makes the next checkpoint capture full state: a capture
+	// drains the silo's dirty ranges, so one that did not commit leaves the
+	// previous checkpoint no base for the next delta.
+	forceFull bool
+	stats     Stats
 }
 
 // New builds a Guardian for one VM. north faces the router; dial produces a
@@ -245,91 +272,31 @@ func New(desc *cava.Descriptor, north transport.Endpoint, dial func() (ServerLin
 }
 
 // Start dials the initial server link and starts the pump goroutines. With
-// Config.Restore set, it first rehydrates the shadow log from the mirrored
-// state and replays it onto the fresh link, so a replacement guardian
-// resumes from the last checkpoint instead of losing all replay state.
+// Config.Restore set it first rehydrates from the mirrored state and then
+// recovers exactly as from a lost link — epoch bump, dial under the backoff
+// budget, replay, resubmission notice — so a replacement guardian resumes
+// from the last checkpoint instead of losing all replay state.
 func (g *Guardian) Start() error {
 	if g.cfg.Restore != nil {
-		return g.startRestored(g.cfg.Restore)
+		g.rehydrate(g.cfg.Restore)
+		if err := g.recover(0, errors.New("rehydrating from a mirrored log")); err != nil {
+			return fmt.Errorf("failover: rehydration: %w", err)
+		}
+	} else {
+		link, err := g.dial()
+		if err != nil {
+			return fmt.Errorf("failover: initial dial: %w", err)
+		}
+		if _, ok := g.adopt(link); !ok {
+			return errClosed
+		}
 	}
-	link, err := g.dial()
-	if err != nil {
-		return fmt.Errorf("failover: initial dial: %w", err)
-	}
-	g.startPumps(link)
-	return nil
-}
-
-func (g *Guardian) startPumps(link ServerLink) {
-	g.mu.Lock()
-	g.link = link
-	gen := g.linkGen
-	g.mu.Unlock()
-	g.lastRecv.Store(g.clk.Now().UnixNano())
 	go g.northWriter()
 	go g.uplink()
-	go g.downlink(link, gen)
 	if g.cfg.HeartbeatEvery > 0 {
 		go g.heartbeat()
 	}
-}
-
-// startRestored seeds the shadow log from a mirrored snapshot and brings a
-// replacement server to the snapshot's watermark before any traffic flows:
-// dial under the backoff budget, replay the kept log plus checkpointed
-// object state, then announce a fresh epoch north so the guest resubmits
-// everything past the watermark. The epoch advances past the mirrored one
-// so frames the old guardian had in flight are fenced at the router.
-func (g *Guardian) startRestored(st *MirrorState) error {
-	g.mu.Lock()
-	w := st.W
-	g.epoch = st.Epoch + 1
-	epoch := g.epoch
-	g.log.load(st)
-	g.ckptW = w
-	g.maxSeq = w
-	g.stats.LastWatermark = w
-	g.ckptObjects = make(map[marshal.Handle][]byte, len(st.Objects))
-	for h, state := range st.Objects {
-		g.ckptObjects[h] = append([]byte(nil), state...)
-	}
-	objects := g.ckptObjects
-	log := g.log.replayLog(w)
-	if g.cfg.Sink != nil {
-		g.cfg.Sink.MirrorCheckpoint(epoch, w, objects)
-	}
-	g.mu.Unlock()
-
-	if g.cfg.OnEpoch != nil {
-		g.cfg.OnEpoch(epoch)
-	}
-	link, err := g.dialAndReplay(log, objects)
-	if err != nil {
-		return fmt.Errorf("failover: rehydration %w", err)
-	}
-	g.startPumps(link)
-	// Announce after the pumps are live: the resubmission batch this
-	// triggers must find a working path.
-	g.sendNorth(EncodeControl(CtrlRecover, epoch, w))
 	return nil
-}
-
-// Close tears the guardian down; the current server link is severed.
-func (g *Guardian) Close() {
-	g.closeOnce.Do(func() {
-		g.mu.Lock()
-		g.closed = true
-		link := g.link
-		g.mu.Unlock()
-		close(g.done)
-		g.north.Close()
-		if link.EP != nil {
-			link.EP.Close()
-		}
-		g.mu.Lock()
-		g.cond.Broadcast()
-		g.mu.Unlock()
-	})
 }
 
 // Stats returns a copy of the guardian's counters.
@@ -346,6 +313,13 @@ func (g *Guardian) Epoch() uint32 {
 	return g.epoch
 }
 
+// DeadErr returns the terminal error if recovery was abandoned, else nil.
+func (g *Guardian) DeadErr() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.deadErr
+}
+
 // KillServer severs the current server link abruptly — the SIGKILL
 // equivalent used by chaos tests and E12. The guardian notices through its
 // pumps and recovers as it would from a real crash.
@@ -359,11 +333,7 @@ func (g *Guardian) KillServer() {
 }
 
 // CheckpointNow cuts a checkpoint synchronously (tests, pre-migration).
-func (g *Guardian) CheckpointNow() error {
-	g.quiesceMu.Lock()
-	defer g.quiesceMu.Unlock()
-	return g.checkpoint()
-}
+func (g *Guardian) CheckpointNow() error { return g.checkpoint() }
 
 // ---------------------------------------------------------------------------
 // North writer: the single goroutine that Sends toward the router.
@@ -406,113 +376,95 @@ func (g *Guardian) uplink() {
 		if err != nil {
 			return
 		}
-		g.quiesceMu.Lock()
 		g.handleUplinkFrame(frame)
-		g.quiesceMu.Unlock()
 	}
 }
 
 func (g *Guardian) handleUplinkFrame(frame []byte) {
-	// Hold new work while a recovery is rebuilding the server.
+	// Hold new work while a checkpoint has the link quiesced or a recovery
+	// is rebuilding the server.
 	g.mu.Lock()
-	for g.recovering && !g.closed && !g.dead {
+	for g.state == quiescing || g.state == recovering {
 		g.cond.Wait()
 	}
-	if g.closed || g.dead {
+	link, gen := g.link, g.linkGen
+	if !g.steadyLocked(gen) {
 		g.mu.Unlock()
 		return // drop: the guest has been told via CtrlDead (or is closing)
 	}
-	link := g.link
-	gen := g.linkGen
+	g.forwarding = true
 	g.mu.Unlock()
 
-	calls, err := marshal.DecodeBatch(frame)
-	if err != nil {
-		return // malformed; the server would reject it anyway
-	}
-	decoded := make([]*marshal.Call, len(calls))
-	hasResub := false
-	for i, cf := range calls {
-		call, err := marshal.DecodeCall(cf)
-		if err != nil {
-			continue
-		}
-		decoded[i] = call
-		if call.Flags&marshal.FlagResubmit != 0 {
-			hasResub = true
-		}
-	}
-	kept := make([][]byte, 0, len(calls))
-	allKept := true
-	if hasResub {
-		// Resubmission replays program order: the guest originally issued
-		// each of these calls only after every earlier sync call had
-		// returned, and the server's dependency tracking cannot
-		// reconstruct ordering edges through handles that do not exist yet
-		// (a context created from devices an enumeration call is still
-		// materializing). Forward one call at a time, draining sync
-		// replies in between — this is the recovery path, so latency is
-		// irrelevant next to correctness.
-		allKept = false
-		for i, cf := range calls {
-			call := decoded[i]
-			if call == nil {
-				continue
-			}
-			if !g.drainSyncs(gen) {
-				break // link died again; the guest resubmits under the new epoch
-			}
-			if !g.admit(call, gen) {
-				continue
-			}
-			if err := g.sendSouth(link, marshal.EncodeBatch([][]byte{cf})); err != nil {
-				g.recover(gen, err)
-				break
-			}
-		}
-	} else {
-		for i, cf := range calls {
-			call := decoded[i]
-			if call == nil {
-				allKept = false
-				continue
-			}
-			if g.admit(call, gen) {
-				kept = append(kept, cf)
-			} else {
-				allKept = false
-			}
-		}
-		if len(kept) > 0 {
-			out := frame
-			if !allKept {
-				out = marshal.EncodeBatch(kept)
-			}
-			if err := g.sendSouth(link, out); err != nil {
-				g.recover(gen, err)
-				// The frame reached the shadow log before the send, so the
-				// guest's resubmission covers everything in it.
-			}
-		}
-	}
-	if transport.RecvOwned(g.north) {
+	sentWhole := g.forwardFrame(link, gen, frame)
+	if transport.RecvOwned(g.north) && !(sentWhole && !transport.SendCopies(link.EP)) {
 		// Tracked entries were deep-copied and any re-encoded batch copied
 		// the call bodies, so the original frame can recycle unless it was
 		// forwarded as-is over an ownership-transferring transport.
-		forwardedWhole := len(kept) > 0 && allKept
-		g.mu.Lock()
-		south := g.link.EP
-		g.mu.Unlock()
-		if !(forwardedWhole && !transport.SendCopies(south)) {
-			framebuf.Put(frame)
-		}
+		framebuf.Put(frame)
 	}
+
 	g.mu.Lock()
+	g.forwarding = false
+	g.cond.Broadcast()
 	due := g.checkpointDueLocked()
 	g.mu.Unlock()
 	if due {
 		g.checkpoint()
 	}
+}
+
+// forwardFrame admits one batch frame's calls and sends south those to be
+// forwarded, reporting whether the frame went south as it came. Fresh calls
+// travel together — as the original frame when every one of them was
+// admitted. A resubmitted call goes singly, after every sync call before it
+// has been answered: resubmission replays program order, the guest
+// originally issued each of these calls only after every earlier sync call
+// had returned, and the server's dependency tracking cannot reconstruct
+// ordering edges through handles that do not exist yet (a context created
+// from devices an enumeration call is still materializing). This is the
+// recovery path, so latency is irrelevant next to correctness.
+func (g *Guardian) forwardFrame(link ServerLink, gen int, frame []byte) (sentWhole bool) {
+	up := &g.up
+	calls, err := marshal.DecodeBatchInto(up.calls, frame)
+	if err != nil {
+		return false // malformed; the server would reject it anyway
+	}
+	up.calls, up.kept = calls, up.kept[:0]
+	whole := true
+	for _, cf := range calls {
+		call := &up.call
+		if marshal.DecodeCallInto(call, cf) != nil {
+			whole = false
+			continue
+		}
+		resub := call.Flags&marshal.FlagResubmit != 0
+		if resub && !g.drainSyncs(gen) {
+			return false // link died again; the guest resubmits under the new epoch
+		}
+		if !g.admit(call, gen) {
+			whole = false
+			continue
+		}
+		up.kept = append(up.kept, cf)
+		if resub {
+			whole = false
+			if !g.sendSouth(link, gen, marshal.EncodeBatch(up.kept)) {
+				return false
+			}
+			up.kept = up.kept[:0]
+		}
+	}
+	if len(up.kept) == 0 {
+		return false
+	}
+	out := frame
+	if !whole {
+		out = marshal.EncodeBatch(up.kept)
+	}
+	// A failed send still reached the shadow log first, so the guest's
+	// resubmission covers everything in the frame.
+	g.sendSouth(link, gen, out)
+	return whole
 }
 
 // checkpointDueLocked decides whether to cut a checkpoint now. With
@@ -523,7 +475,7 @@ func (g *Guardian) handleUplinkFrame(frame []byte) {
 // replay grows unboundedly) or the deferral reaches 4x CheckpointEvery.
 // The heartbeat cuts overdue checkpoints once the link goes idle.
 func (g *Guardian) checkpointDueLocked() bool {
-	if g.cfg.CheckpointEvery <= 0 || g.recovering || g.dead || g.closed {
+	if g.cfg.CheckpointEvery <= 0 || g.state != serving {
 		return false
 	}
 	if g.sinceCkpt < g.cfg.CheckpointEvery {
@@ -544,18 +496,19 @@ func (g *Guardian) checkpointDueLocked() bool {
 
 // admit applies epoch fencing, the resubmission dedupe rules and shadow
 // recording to one decoded call bound for the link of generation gen. It
-// reports whether the call should be forwarded to the server.
+// reports whether the call should be forwarded to the server. call is the
+// uplink's scratch record: whatever admit keeps of it, it copies.
 func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
-	if call.Epoch != g.epoch || gen != g.linkGen {
+	if call.Epoch != g.epoch || !g.steadyLocked(gen) {
 		// A frame from before the last recovery: the guest has (or will)
 		// resubmit its window under the new epoch, so forwarding this copy
 		// would double-execute. Dropping is safe precisely because
 		// resubmission covers it. Judged under this lock, not against what
 		// the uplink read before decoding: a recovery that finished in
-		// between has replaced inflightSync, and nothing answers a stale
+		// between has emptied inflightSync, and nothing answers a stale
 		// sync call recorded there.
 		g.stats.StaleDropped++
 		return false
@@ -566,15 +519,24 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 
 	if resubmit && known {
 		if d, ok := g.destroys[call.Seq]; ok && d.pruned {
-			// The destroy took effect before the crash (its prune is
-			// final), so the object was never recreated by replay; a
-			// re-execution would fail on a dangling handle. Answer
-			// success directly — unless the call was asynchronous, in
-			// which case nobody awaits a reply and the drop alone is the
-			// correct outcome.
-			g.stats.SynthesizedDestroys++
+			// Either a destroy that took effect before the crash (its prune
+			// is final), so the object was never recreated by replay and a
+			// re-execution would fail on a dangling handle; or a tombstone:
+			// a call that built or touched such an object past the
+			// watermark, whose re-execution would create an object nothing
+			// destroys again. The guest has the original's result — it could
+			// not have named the object in a destroy otherwise — so answer
+			// success without forwarding; an asynchronous call awaits no
+			// reply and the drop alone is the correct outcome.
+			if fd.Track.Kind == spec.TrackDestroy {
+				g.stats.SynthesizedDestroys++
+			}
 			if call.Flags&marshal.FlagAsync == 0 {
-				g.synthesizeOKLocked(call, fd)
+				ret := marshal.Null()
+				if fd.HasSuccess {
+					ret = marshal.Int(fd.SuccessVal)
+				}
+				g.answerLocked(call.Seq, ret, nil)
 			}
 			return false
 		}
@@ -584,7 +546,7 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 				// already rebuilt the object under the guest's handle
 				// values. Short-circuit with the recorded reply.
 				g.stats.ShortCircuited++
-				g.sendRecordedLocked(call.Seq, rc)
+				g.answerLocked(call.Seq, rc.Ret, rc.Outs)
 				return false
 			}
 			// A completed create/config past the recovery watermark: replay
@@ -608,16 +570,14 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 			}
 		case spec.TrackDestroy:
 			if fd.TrackIdx >= 0 && fd.TrackIdx < len(call.Args) {
-				h := call.Args[fd.TrackIdx].Handle()
-				if d, ok := g.destroys[call.Seq]; ok {
-					_ = d // resubmitted unconfirmed destroy: forward again
-				} else {
-					d := &destroyRec{h: h}
+				// A destroy already on record is a resubmitted unconfirmed
+				// one: forward it again.
+				if _, seen := g.destroys[call.Seq]; !seen {
+					d := &destroyRec{h: call.Args[fd.TrackIdx].Handle()}
 					g.destroys[call.Seq] = d
 					if call.Flags&marshal.FlagAsync != 0 {
 						// No reply will confirm it; prune optimistically.
-						g.log.prune(h)
-						d.pruned = true
+						g.pruneLocked(d)
 					}
 				}
 			}
@@ -633,26 +593,31 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 	return true
 }
 
-// synthesizeOKLocked answers a resubmitted, already-effective destroy with
-// a success reply built from the spec's success value.
-func (g *Guardian) synthesizeOKLocked(call *marshal.Call, fd *cava.FuncDesc) {
-	ret := marshal.Null()
-	if fd.HasSuccess {
-		ret = marshal.Int(fd.SuccessVal)
+// pruneLocked applies a destroy that took effect: every entry its handle
+// obsoletes leaves the shadow log for good. Those past the watermark leave
+// a tombstone until the next checkpoint commits: the guest still retains
+// them and resubmits them after a crash, and admit would otherwise take the
+// create for a new call and re-execute it under a fresh handle that the
+// (synthesized) destroy never frees.
+func (g *Guardian) pruneLocked(d *destroyRec) {
+	for _, rc := range g.log.entries {
+		if rc.Seq > g.ckptW && rc.Obsoleted(d.h) {
+			g.destroys[rc.Seq] = tombstone
+		}
 	}
-	rep := &marshal.Reply{Seq: call.Seq, Status: marshal.StatusOK, Ret: ret}
-	g.syncDoneLocked(call.Seq)
-	g.sendNorth(marshal.EncodeReply(rep))
+	g.log.prune(d.h)
+	d.pruned = true
 }
 
-// sendRecordedLocked answers a resubmitted call with its recorded reply.
-func (g *Guardian) sendRecordedLocked(seq uint64, rc *server.RecordedCall) {
-	rep := &marshal.Reply{Seq: seq, Status: marshal.StatusOK, Ret: rc.Ret, Outs: rc.Outs}
+// answerLocked answers a resubmitted call that must not re-execute with a
+// success reply of the guardian's own.
+func (g *Guardian) answerLocked(seq uint64, ret marshal.Value, outs []marshal.Value) {
 	g.syncDoneLocked(seq)
-	g.sendNorth(marshal.EncodeReply(rep))
+	g.sendNorth(marshal.EncodeReply(&marshal.Reply{Seq: seq, Status: marshal.StatusOK, Ret: ret, Outs: outs}))
 }
 
-func (g *Guardian) sendSouth(link ServerLink, frame []byte) error {
+// send puts one frame on link.
+func (g *Guardian) send(link ServerLink, frame []byte) error {
 	g.southMu.Lock()
 	defer g.southMu.Unlock()
 	if link.EP == nil {
@@ -661,152 +626,151 @@ func (g *Guardian) sendSouth(link ServerLink, frame []byte) error {
 	return link.EP.Send(frame)
 }
 
+// sendSouth forwards one frame of calls on gen's link, reporting whether it
+// went; a failed send starts the recovery.
+func (g *Guardian) sendSouth(link ServerLink, gen int, frame []byte) bool {
+	err := g.send(link, frame)
+	if err != nil {
+		g.recover(gen, err)
+	}
+	return err == nil
+}
+
 // ---------------------------------------------------------------------------
-// Downlink: server → guardian → guest. One instance per link generation.
+// Downlink: server → guardian → guest. One instance per link generation,
+// started the moment the link is adopted.
 
 func (g *Guardian) downlink(link ServerLink, gen int) {
 	recvOwned := transport.RecvOwned(link.EP)
+	var rep marshal.Reply // decode scratch; noteReply copies what it keeps
 	for {
 		frame, err := link.EP.Recv()
 		if err != nil {
-			g.mu.Lock()
-			closed := g.closed
-			g.mu.Unlock()
-			if closed || errors.Is(err, transport.ErrClosed) {
-				return
+			if !errors.Is(err, transport.ErrClosed) {
+				g.recover(gen, err)
 			}
-			g.recover(gen, err)
 			return
 		}
 		g.lastRecv.Store(g.clk.Now().UnixNano())
-		if len(frame) < 8 {
+		seq, ok := marshal.ReplySeq(frame)
+		if !ok {
 			continue
 		}
-		seq := peekSeq(frame)
-		if seq >= marshal.MarkerSeqBase {
-			g.markerMu.Lock()
-			ch, ok := g.markerWaiters[seq]
-			if ok {
-				delete(g.markerWaiters, seq)
-			}
-			g.markerMu.Unlock()
-			if ok {
-				// Deep-copy the reply before recycling the frame (DecodeReply
-				// keeps references into it): a snapshot control reply carries
-				// a byte payload the waiter reads after this loop moves on.
-				if rep, err := marshal.DecodeReply(frame); err == nil {
-					if rep.Ret.Kind == marshal.KindBytes {
-						rep.Ret.Bytes = append([]byte(nil), rep.Ret.Bytes...)
-					}
-					rep.Outs = server.CloneValues(rep.Outs)
-					ch <- rep
-				}
-				close(ch)
-			}
-			if recvOwned {
-				framebuf.Put(frame)
-			}
+		switch {
+		case seq >= marshal.MarkerSeqBase:
+			g.deliverControl(seq, frame)
+		case g.noteReply(gen, seq, frame, &rep):
+			g.sendNorth(frame)
 			continue
 		}
-		g.noteReply(seq, frame)
-		g.sendNorth(frame)
+		if recvOwned {
+			framebuf.Put(frame)
+		}
 	}
 }
 
-func peekSeq(frame []byte) uint64 {
-	return uint64(frame[0]) | uint64(frame[1])<<8 | uint64(frame[2])<<16 | uint64(frame[3])<<24 |
-		uint64(frame[4])<<32 | uint64(frame[5])<<40 | uint64(frame[6])<<48 | uint64(frame[7])<<56
+// deliverControl hands a control round trip's reply to its waiter, if it
+// still has one.
+func (g *Guardian) deliverControl(seq uint64, frame []byte) {
+	g.mu.Lock()
+	ch, ok := g.markerWaiters[seq]
+	delete(g.markerWaiters, seq)
+	g.mu.Unlock()
+	if !ok {
+		return
+	}
+	// Deep-copy the reply before the frame recycles (decoding keeps
+	// references into it): a snapshot control reply carries a byte payload
+	// the waiter reads after the downlink has moved on.
+	rep := new(marshal.Reply)
+	if marshal.DecodeReplyInto(rep, frame) == nil {
+		if rep.Ret.Kind == marshal.KindBytes {
+			rep.Ret.Bytes = append([]byte(nil), rep.Ret.Bytes...)
+		}
+		rep.Outs = server.CloneValues(rep.Outs)
+		ch <- rep
+	}
+	close(ch)
 }
 
-// noteReply completes the shadow bookkeeping for one server reply: sync
-// drain tracking, recorded-reply capture for creates/configs/modifies, and
-// destroy confirmation.
-func (g *Guardian) noteReply(seq uint64, frame []byte) {
+// noteReply completes the shadow bookkeeping for one reply from gen's link
+// — sync drain tracking, recorded-reply capture for creates/configs/
+// modifies, destroy confirmation — and reports whether the reply goes north.
+// When gen is not steady it does not, and nothing is touched: the one rule
+// for whatever a link says outside its serving life, be it residue on a
+// replacement still being replayed onto or a reply the dying link got out
+// after its replay set was taken. The latter is the server dying one frame
+// earlier: the guest resubmits the call and gets its one result from the
+// replacement. Forwarded, it would hand the guest a handle the replacement
+// never binds, or mark done a destroy the replayed object still needs.
+func (g *Guardian) noteReply(gen int, seq uint64, frame []byte, rep *marshal.Reply) bool {
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.steadyLocked(gen) {
+		return false
+	}
 	rc, tracked := g.log.bySeq[seq]
 	_, rebind := g.log.pendingRebind[seq]
+	d, destroy := g.destroys[seq]
+	destroy = destroy && !d.pruned
 	if !rebind {
 		// For pendingRebind replies the sync-drain release waits until the
 		// rebind below has been applied, so a quiesce cannot snapshot the
 		// object under its fresh (not yet rebound) handle.
 		g.syncDoneLocked(seq)
 	}
-	needBody := tracked && (!g.log.replySeen[seq] || rebind)
-	d, isDestroy := g.destroys[seq]
-	needBody = needBody || (isDestroy && !d.pruned)
-	g.mu.Unlock()
-	if !needBody {
-		return
+	if !destroy && !(tracked && (rebind || !g.log.replySeen[seq])) {
+		return true // nothing to learn from the body
 	}
-	rep, err := marshal.DecodeReply(frame)
-	if err != nil {
+	if marshal.DecodeReplyInto(rep, frame) != nil {
 		if rebind {
-			g.mu.Lock()
 			g.syncDoneLocked(seq)
-			g.mu.Unlock()
 		}
-		return
+		return true
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if isDestroy && !d.pruned {
-		if rep.Status == marshal.StatusOK {
-			g.log.prune(d.h)
-			d.pruned = true
-		} else {
-			// The destroy failed; the object lives on. Forget the record
-			// so a resubmission re-executes rather than synthesizing.
-			delete(g.destroys, seq)
-		}
-		return
-	}
-	if rebind {
+	switch {
+	case destroy && rep.Status == marshal.StatusOK:
+		g.pruneLocked(d)
+	case destroy:
+		// The destroy failed; the object lives on. Forget the record so a
+		// resubmission re-executes rather than synthesizing.
+		delete(g.destroys, seq)
+	case rebind:
 		// Re-execution of a completed create/config past the recovery
 		// watermark: keep the RECORDED reply (the guest holds its handles)
 		// and move the freshly created object under the recorded handle
 		// values in the server's table.
 		delete(g.log.pendingRebind, seq)
+		var pairs []server.HandlePair
 		if rep.Status != marshal.StatusOK {
 			// Re-execution failed: the object no longer exists on the new
 			// server. Forget it so neither replay nor short-circuiting
 			// claims otherwise.
-			g.syncDoneLocked(seq)
 			g.log.drop(seq)
-			return
+		} else if fd, ok := g.desc.ByID(rc.Func); ok {
+			pairs = migrate.HandlePairs(fd, rc, rep)
 		}
-		fd, ok := g.desc.ByID(rc.Func)
-		if !ok {
+		if len(pairs) == 0 {
 			g.syncDoneLocked(seq)
-			return
+			break
 		}
-		pairs := migrate.HandlePairs(fd, rc, rep)
-		switch {
-		case g.link.Ctx != nil:
-			// Best-effort: a vanished fresh handle or an occupied recorded
-			// slot (exotic handle reuse) leaves the objects under their
-			// fresh values rather than failing the reply path.
-			_ = g.link.Ctx.Rebind(pairs)
-		case g.link.WireReplay && g.link.EP != nil && len(pairs) > 0:
-			// Wire-only link: the rebind travels as a FuncRebind control
-			// call. The sync-drain release waits for its confirmation (in
-			// wireRebind) so the next resubmitted call cannot race it.
-			go g.wireRebind(g.link, pairs, seq)
-			return
-		}
-		g.syncDoneLocked(seq)
-		return
-	}
-	if rep.Status != marshal.StatusOK {
+		// The move is a control round trip on a wire link, whose reply only
+		// this downlink can deliver — so it runs beside it. The sync-drain
+		// slot is released once the move is confirmed, so the next
+		// resubmitted call cannot race it.
+		go g.rebind(g.tgt, gen, pairs, seq)
+	case rep.Status != marshal.StatusOK:
 		// The call failed: it contributes no device state. Drop the
 		// provisional entry so replay never re-executes a failure.
 		g.log.drop(seq)
-		return
+	default:
+		var created marshal.Handle
+		if fd, ok := g.desc.ByID(rc.Func); ok && fd.Track.Kind == spec.TrackCreate {
+			created = createdHandle(fd, rep)
+		}
+		g.log.reply(seq, rep.Ret, rep.Outs, created)
 	}
-	var created marshal.Handle
-	if fd, ok := g.desc.ByID(rc.Func); ok && fd.Track.Kind == spec.TrackCreate {
-		created = createdHandle(fd, rep)
-	}
-	g.log.reply(seq, rep.Ret, rep.Outs, created)
+	return true
 }
 
 // createdHandle extracts the handle a create call produced, mirroring the
@@ -835,43 +799,43 @@ func createdHandle(fd *cava.FuncDesc, rep *marshal.Reply) marshal.Handle {
 	return 0
 }
 
-// wireRebind moves re-executed objects back under their recorded handles on
-// a wire-only link, then releases the sync-drain slot so the resubmission
-// stream can proceed. Best-effort like the local path: a failed move leaves
-// the objects under their fresh handles; a dead link is the pumps' problem.
-func (g *Guardian) wireRebind(link ServerLink, pairs []server.HandlePair, seq uint64) {
-	_, _ = g.ctrlCallReply(link, marshal.FuncRebind, rebindArgs(pairs))
+// rebind moves re-executed objects back under their recorded handles, then
+// releases the sync-drain slot so the resubmission stream can proceed.
+// Best-effort: a vanished fresh handle or an occupied recorded slot (exotic
+// handle reuse) leaves the objects under their fresh values rather than
+// failing the reply path; a dead link is the pumps' problem.
+func (g *Guardian) rebind(t target, gen int, pairs []server.HandlePair, seq uint64) {
+	_ = t.Rebind(pairs)
 	g.mu.Lock()
-	g.syncDoneLocked(seq)
+	if g.steadyLocked(gen) {
+		g.syncDoneLocked(seq)
+	}
 	g.mu.Unlock()
 }
 
-// rebindArgs flattens one reply's handle moves into FuncRebind's argument
-// form: [fresh, recorded] pairs.
-func rebindArgs(pairs []server.HandlePair) []marshal.Value {
-	args := make([]marshal.Value, 0, 2*len(pairs))
-	for _, p := range pairs {
-		args = append(args, marshal.HandleVal(p.Fresh), marshal.HandleVal(p.Recorded))
-	}
-	return args
-}
-
-// ctrlCallReply round-trips one control call on a link whose downlink pump
-// is running, using the marker-waiter channel to claim the full reply.
-func (g *Guardian) ctrlCallReply(link ServerLink, fn uint32, args []marshal.Value) (*marshal.Reply, error) {
+// ctrlCallReply round-trips one control call on link, under a marker-space
+// sequence number: the link's downlink hands the reply to the waiter
+// registered here instead of forwarding it north. The wait ends early when
+// the link is given up (abort) or the guardian closes.
+func (g *Guardian) ctrlCallReply(link ServerLink, call *marshal.Call) (*marshal.Reply, error) {
 	g.mu.Lock()
+	g.markerN++
+	id := marshal.MarkerSeqBase + g.markerN
+	// Buffered so the downlink's delivery never blocks on a waiter that
+	// timed out.
+	ch := make(chan *marshal.Reply, 1)
+	g.markerWaiters[id] = ch
 	abort := g.abort
 	g.mu.Unlock()
-	id, ch := g.newMarkerWaiter()
-	cleanup := func() {
-		g.markerMu.Lock()
+	fail := func(err error) (*marshal.Reply, error) {
+		g.mu.Lock()
 		delete(g.markerWaiters, id)
-		g.markerMu.Unlock()
-	}
-	frame := marshal.EncodeCall(&marshal.Call{Seq: id, Func: fn, Args: args})
-	if err := g.sendSouth(link, marshal.EncodeBatch([][]byte{frame})); err != nil {
-		cleanup()
+		g.mu.Unlock()
 		return nil, err
+	}
+	call.Seq = id
+	if err := g.send(link, marshal.EncodeBatch([][]byte{marshal.EncodeCall(call)})); err != nil {
+		return fail(err)
 	}
 	timeout := make(chan struct{})
 	stop := g.clk.AfterFunc(g.cfg.LivenessTimeout, func() { close(timeout) })
@@ -883,474 +847,28 @@ func (g *Guardian) ctrlCallReply(link ServerLink, fn uint32, args []marshal.Valu
 		}
 		return rep, nil
 	case <-timeout:
-		cleanup()
-		return nil, fmt.Errorf("failover: control call unanswered after %v", g.cfg.LivenessTimeout)
+		return fail(fmt.Errorf("failover: control call unanswered after %v", g.cfg.LivenessTimeout))
 	case <-abort:
-		cleanup()
-		return nil, fmt.Errorf("failover: control call aborted by recovery")
+		return fail(fmt.Errorf("failover: control call aborted by recovery"))
 	case <-g.done:
-		cleanup()
-		return nil, errClosed
+		return fail(errClosed)
 	}
 }
 
-// wireSnapshot checkpoints the serving host's stateful objects over the
-// wire: one FuncSnapshot control call returns every object's serialized
-// state. It is the wire-only link's substitute for walking the handle table
-// through an in-process Adapter — without it a cross-host failover could
-// replay tracked creates and configs but would lose untracked device state
-// (buffer contents mutated by kernels and writes).
-func (g *Guardian) wireSnapshot(link ServerLink) (map[marshal.Handle][]byte, error) {
-	rep, err := g.ctrlCallReply(link, marshal.FuncSnapshot, nil)
-	if err != nil {
-		return nil, err
-	}
-	if rep.Status != marshal.StatusOK {
-		return nil, fmt.Errorf("failover: wire snapshot: %s", rep.Err)
-	}
-	if rep.Ret.Kind != marshal.KindBytes {
-		return nil, fmt.Errorf("failover: wire snapshot: reply carries no payload")
-	}
-	return marshal.DecodeObjectStates(rep.Ret.Bytes)
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoints.
-
-// checkpoint quiesces the server and snapshots stateful objects, advancing
-// the watermark. The caller holds quiesceMu, so no new calls flow south
-// while it runs; in-flight ones drain through the live downlink.
-func (g *Guardian) checkpoint() error {
-	g.mu.Lock()
-	if g.recovering || g.dead || g.closed {
-		g.mu.Unlock()
-		return fmt.Errorf("failover: checkpoint skipped: guardian not steady")
-	}
-	link := g.link
-	gen := g.linkGen
-	w := g.maxSeq
-	base := g.ckptObjects
-	// Delta-capable capture always goes through the delta snapshotter (so
-	// every checkpoint advances the silo's dirty watermark), but non-Full
-	// deltas may only compose onto the previous committed checkpoint while
-	// that base is current: same link generation and no uncommitted
-	// dirty-range drain in between. Without a usable base, partial deltas
-	// fall back to full per-object state.
-	canCompose := base != nil && g.ckptGen == gen && !g.forceFull
-	if !canCompose {
-		base = nil
-	}
-	g.mu.Unlock()
-
-	if !g.drainSyncs(gen) {
-		return fmt.Errorf("failover: quiesce aborted by recovery")
-	}
-	// Marker barrier: the server replies only after every async issued
-	// before the marker has completed, so device state is now exactly the
-	// effects of calls with seq <= w.
-	if err := g.probeMarker(link); err != nil {
-		return err
-	}
-
-	var objects map[marshal.Handle][]byte
-	var deltas []marshal.ObjectDelta // non-nil when the capture was incremental
-	if link.Ctx != nil && link.Adapter != nil {
-		if ds, ok := link.Adapter.(DeltaSnapshotter); ok {
-			// Draining dirty ranges moves the silo's watermark, so if this
-			// checkpoint does not commit the next one must not compose.
-			g.mu.Lock()
-			g.forceFull = true
-			g.mu.Unlock()
-			objects, deltas = g.localDeltaSnapshot(link, ds, base)
-		}
-		if objects == nil {
-			var err error
-			if objects, err = link.Ctx.SnapshotObjects(link.Adapter); err != nil {
-				return fmt.Errorf("failover: checkpoint: %w", err)
-			}
-		}
-	} else if link.WireReplay && link.EP != nil {
-		// Wire-only link: the objects live on a remote host — snapshot them
-		// with a control call so a cross-host failover can restore untracked
-		// device state (buffer contents) on the replacement.
-		g.mu.Lock()
-		g.forceFull = true
-		g.mu.Unlock()
-		if objects, deltas = g.wireSnapshotDelta(link, base); objects == nil {
-			var err error
-			if objects, err = g.wireSnapshot(link); err != nil {
-				return fmt.Errorf("failover: checkpoint: %w", err)
-			}
-		}
-	}
-
-	g.mu.Lock()
-	// Recheck the full steady-state condition, not just the link generation:
-	// a recovery that started after the snapshot round-trip completed has
-	// already captured the OLD watermark for replay, but linkGen only
-	// advances when the replacement link is installed. Committing (and
-	// announcing) the new watermark here would make the guest trim retained
-	// frames the in-flight replay does not cover — losing their effects on
-	// the replacement server.
-	if g.recovering || g.dead || g.closed || g.linkGen != gen {
-		g.mu.Unlock()
-		return fmt.Errorf("failover: checkpoint aborted by recovery")
-	}
-	g.ckptObjects = objects
-	g.ckptW = w
-	g.ckptGen = gen
-	g.forceFull = false
-	g.sinceCkpt = 0
-	g.stats.Checkpoints++
-	g.stats.LastWatermark = w
-	var footprint uint64
-	for _, state := range objects {
-		footprint += uint64(len(state))
-	}
-	shipped := footprint
-	if deltas != nil {
-		shipped = 0
-		for _, d := range deltas {
-			shipped += uint64(d.DeltaBytes())
-		}
-		if canCompose {
-			g.stats.DeltaCheckpoints++
-		}
-	}
-	g.stats.LastCkptBytes = shipped
-	g.stats.LastCkptFootprint = footprint
-	// Destroy records at or below the watermark can never be resubmitted
-	// (the guest trims its window to seq > w); drop them.
-	for seq, d := range g.destroys {
-		if seq <= w && d.pruned {
-			delete(g.destroys, seq)
-		}
-	}
-	epoch := g.epoch
-	// A delta-capable sink applies the ranges to its own held base, so
-	// mirror traffic scales with touched bytes too; a sink that cannot
-	// compose (missing base) reports false and gets the composed full set
-	// instead.
-	if sink := g.cfg.Sink; sink != nil &&
-		(deltas == nil || g.delta == nil || !g.delta.MirrorCheckpointDelta(epoch, w, deltas)) {
-		sink.MirrorCheckpoint(epoch, w, objects)
-	}
-	g.mu.Unlock()
-
-	g.sendNorth(EncodeControl(CtrlCheckpoint, epoch, w))
-	return nil
-}
-
-// localDeltaSnapshot captures an incremental checkpoint through the
-// in-process adapter: each stateful object's dirty ranges drain into a
-// delta that composes onto the previous checkpoint's state for that
-// handle. An object absent from the base (created since the last
-// checkpoint) that does not self-report Full snapshots in full. Any
-// failure returns nil — the caller falls back to a full capture, which is
-// always safe because a drain only moves the silo's dirty watermark
-// earlier than the full snapshot that subsumes it.
-func (g *Guardian) localDeltaSnapshot(link ServerLink, ds DeltaSnapshotter, base map[marshal.Handle][]byte) (map[marshal.Handle][]byte, []marshal.ObjectDelta) {
-	objects := make(map[marshal.Handle][]byte)
-	deltas := make([]marshal.ObjectDelta, 0, len(base))
-	ok := true
-	link.Ctx.Handles.ForEach(func(h marshal.Handle, obj any) {
-		if !ok {
-			return
-		}
-		d, stateful, err := ds.SnapshotObjectDelta(obj)
-		if err != nil {
-			ok = false
-			return
-		}
-		if !stateful {
-			return
-		}
-		d.Handle = h
-		if _, has := base[h]; !has && !d.Full {
-			state, stateful2, serr := link.Adapter.SnapshotObject(obj)
-			if serr != nil || !stateful2 {
-				ok = false
-				return
-			}
-			d = marshal.FullDelta(h, state)
-		}
-		state, aerr := marshal.ApplyObjectDelta(base[h], d)
-		if aerr != nil {
-			ok = false
-			return
-		}
-		objects[h] = state
-		deltas = append(deltas, d)
-	})
-	if !ok {
-		return nil, nil
-	}
-	return objects, deltas
-}
-
-// wireSnapshotDelta captures an incremental checkpoint over the wire: one
-// FuncSnapshotDelta control call returns every stateful object's dirty
-// ranges, composed here onto the previous checkpoint's state. Any failure
-// — including StatusDenied from a server without delta support and a
-// missing base for a freshly created object — returns nil and the caller
-// falls back to a full wire snapshot (safe for the same drain-subsumption
-// reason as the local path).
-func (g *Guardian) wireSnapshotDelta(link ServerLink, base map[marshal.Handle][]byte) (map[marshal.Handle][]byte, []marshal.ObjectDelta) {
-	rep, err := g.ctrlCallReply(link, marshal.FuncSnapshotDelta, nil)
-	if err != nil || rep.Status != marshal.StatusOK || rep.Ret.Kind != marshal.KindBytes {
-		return nil, nil
-	}
-	deltas, err := marshal.DecodeObjectDeltas(rep.Ret.Bytes)
-	if err != nil {
-		return nil, nil
-	}
-	objects := make(map[marshal.Handle][]byte, len(deltas))
-	for _, d := range deltas {
-		state, aerr := marshal.ApplyObjectDelta(base[d.Handle], d)
-		if aerr != nil {
-			return nil, nil
-		}
-		objects[d.Handle] = state
-	}
-	return objects, deltas
-}
-
-// drainSyncs waits until every forwarded sync call has been answered,
-// reporting false if the link changed (recovery, death, close) meanwhile.
-// Used to serialize resubmitted calls into original program order and to
-// quiesce before a checkpoint; woken by syncDoneLocked each time the
-// in-flight set empties. It waits on the condition, never on the clock: a
-// sleep-poll here would advance a virtual clock and fire unrelated timers.
-func (g *Guardian) drainSyncs(gen int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for {
-		if g.linkGen != gen || g.recovering || g.closed || g.dead {
-			return false
-		}
-		if len(g.inflightSync) == 0 {
-			return true
-		}
-		g.cond.Wait()
-	}
-}
-
-// syncDoneLocked retires one answered sync call and wakes resubmission
-// serialization when the in-flight set drains.
-func (g *Guardian) syncDoneLocked(seq uint64) {
-	delete(g.inflightSync, seq)
-	if len(g.inflightSync) == 0 {
-		g.cond.Broadcast()
-	}
-}
-
-// newMarkerWaiter allocates a marker-space sequence number and registers a
-// reply waiter for it. The channel is buffered so the downlink's reply
-// delivery never blocks on a waiter that timed out.
-func (g *Guardian) newMarkerWaiter() (uint64, chan *marshal.Reply) {
-	g.markerMu.Lock()
-	g.markerN++
-	id := marshal.MarkerSeqBase + g.markerN
-	ch := make(chan *marshal.Reply, 1)
-	g.markerWaiters[id] = ch
-	g.markerMu.Unlock()
-	return id, ch
-}
-
-// probeMarker sends one marker call south and waits for its reply within
-// the liveness timeout; a recovery starting meanwhile aborts the wait.
-func (g *Guardian) probeMarker(link ServerLink) error {
-	_, err := g.ctrlCallReply(link, markerFunc, nil)
-	return err
-}
-
-// ---------------------------------------------------------------------------
-// Liveness probing.
-
-func (g *Guardian) heartbeat() {
-	for {
-		g.clk.Sleep(g.cfg.HeartbeatEvery)
-		select {
-		case <-g.done:
-			return
-		default:
-		}
-		g.mu.Lock()
-		busy := g.recovering || g.dead || g.closed
-		link := g.link
-		gen := g.linkGen
-		g.mu.Unlock()
-		if busy {
-			if g.isDead() {
-				return
-			}
-			continue
-		}
-		idle := g.clk.Now().UnixNano()-g.lastRecv.Load() >= int64(g.cfg.HeartbeatEvery)
-		if !idle {
-			continue
-		}
-		if g.cfg.AdaptiveCheckpoint {
-			// An idle link is the cheapest moment to cut a checkpoint that
-			// was deferred while the device was busy. Its marker barrier
-			// doubles as the liveness probe.
-			g.mu.Lock()
-			overdue := g.cfg.CheckpointEvery > 0 && g.sinceCkpt >= g.cfg.CheckpointEvery &&
-				!g.recovering && !g.dead && !g.closed
-			g.mu.Unlock()
-			if overdue {
-				g.quiesceMu.Lock()
-				err := g.checkpoint()
-				g.quiesceMu.Unlock()
-				if err != nil {
-					g.recover(gen, err)
-				}
-				continue
-			}
-		}
-		if err := g.probeMarker(link); err != nil {
-			// A deaf link (silent drops) produces no transport error; the
-			// unanswered marker is the only failure signal.
-			g.recover(gen, err)
-		}
-	}
-}
-
-func (g *Guardian) isDead() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.dead || g.closed
-}
-
-// ---------------------------------------------------------------------------
-// Recovery.
-
-// recover rebuilds the server side after gen's link failed: bump the epoch
-// (fencing stale frames at the router), dial a replacement under the
-// backoff budget, replay the shadow log's keep set onto it, then announce
-// the new epoch north so the guest resubmits its unacked window.
-func (g *Guardian) recover(gen int, cause error) {
-	g.mu.Lock()
-	if g.linkGen != gen || g.recovering || g.closed || g.dead {
-		g.mu.Unlock()
-		return // someone else already recovered (or is recovering) this link
-	}
-	g.recovering = true
-	// Abort in-flight marker waits and sync drains immediately: their
-	// replies died with the server, and a checkpoint blocked on one holds
-	// quiesceMu — which would stall the uplink (and the guest's
-	// resubmission) for the full liveness timeout.
-	close(g.abort)
-	g.cond.Broadcast()
-	g.epoch++
-	epoch := g.epoch
-	oldEP := g.link.EP
-	w := g.ckptW
-	objects := g.ckptObjects
-	log := g.log.replayLog(w)
-	g.mu.Unlock()
-
-	start := g.clk.Now()
-	if g.cfg.OnEpoch != nil {
-		// Fence first: the router drops stale-epoch frames from here on,
-		// so nothing sent under the old epoch can reach the new server.
-		g.cfg.OnEpoch(epoch)
-	}
-	if oldEP != nil {
-		transport.Sever(oldEP)
-	}
-	link, err := g.dialAndReplay(log, objects)
-	switch {
-	case err == nil:
-		g.finishRecovery(link, epoch, w, start)
-	case !errors.Is(err, errClosed):
-		g.die(fmt.Errorf("failover: recovery %w (cause: %w)", err, cause))
-	}
-}
-
-// errClosed ends a dial-and-replay series whose guardian was closed.
-var errClosed = errors.New("failover: guardian closed")
-
-// dialAndReplay produces a link whose server holds the replayed state:
-// dial, replay log and objects onto the fresh link, and on any failure
-// sever it and retry under the backoff budget. Recovery and rehydration
-// both end here.
-func (g *Guardian) dialAndReplay(log []server.RecordedCall, objects map[marshal.Handle][]byte) (ServerLink, error) {
-	series := g.bo.Series()
-	for {
-		link, err := g.dial()
-		if err == nil {
-			if err = g.replayOnto(link, log, objects); err == nil {
-				return link, nil
-			}
-			if link.EP != nil {
-				transport.Sever(link.EP)
-			}
-		}
-		d, ok := series.Next()
-		if !ok {
-			return ServerLink{}, fmt.Errorf("abandoned after %v (last: %w)", series.Spent(), err)
-		}
-		select {
-		case <-g.done:
-			return ServerLink{}, errClosed
-		default:
-		}
-		g.clk.Sleep(d)
-	}
-}
-
-// replayOnto reconstructs accelerator state on a fresh link through the
-// migration replay engine: recorded calls re-execute and rebind, then
-// stateful objects restore from the checkpoint. Only the target differs —
-// the link's in-process server, or control-call round trips to a remote
-// one.
-func (g *Guardian) replayOnto(link ServerLink, log []server.RecordedCall, objects map[marshal.Handle][]byte) error {
-	var t migrate.Target
-	switch {
-	case link.Server != nil && link.Ctx != nil:
-		t = migrate.LocalTarget{Server: link.Server, Ctx: link.Ctx, Adapter: link.Adapter}
-	case link.WireReplay && link.EP != nil:
-		t = wireTarget{g: g, ep: link.EP}
-	default:
-		return nil // wire-only link without replay support: reconnect only
-	}
-	// Objects destroyed after the checkpoint have no recreated handle;
-	// skip their state instead of failing the whole recovery.
-	return migrate.Replay(t, g.desc, log, objects, migrate.RestoreOptions{SkipUnknownObjects: true})
-}
-
-// wireTarget is the replay engine's target on a wire-only link: recorded
-// calls, FuncRebind and FuncRestore travel as round trips to the remote
-// server. It runs before the link's pumps start, so it owns the endpoint
-// and round-trips directly. All frames use marker-space sequence numbers:
-// a reply that somehow outlives this phase is dropped by the downlink's
-// marker filter instead of surfacing as a phantom guest reply.
+// wireTarget is the target of a wire-only link: recorded calls and the
+// FuncRebind, FuncRestore, FuncSnapshot and FuncSnapshotDelta control calls
+// travel as round trips to the remote server. Without the snapshot pair a
+// cross-host failover would replay tracked creates and configs but lose
+// untracked device state (buffer contents mutated by kernels and writes).
 type wireTarget struct {
-	g  *Guardian
-	ep transport.Endpoint
+	g    *Guardian
+	link ServerLink
 }
 
-// Execute implements migrate.Target.
+// Execute implements migrate.Target; call.Seq is renumbered into marker
+// space.
 func (t wireTarget) Execute(call *marshal.Call) (*marshal.Reply, error) {
-	t.g.markerMu.Lock()
-	t.g.markerN++
-	call.Seq = marshal.MarkerSeqBase + t.g.markerN
-	t.g.markerMu.Unlock()
-	if err := t.ep.Send(marshal.EncodeBatch([][]byte{marshal.EncodeCall(call)})); err != nil {
-		return nil, err
-	}
-	for {
-		frame, err := t.ep.Recv()
-		if err != nil {
-			return nil, err
-		}
-		rep, err := marshal.DecodeReply(frame)
-		if err != nil || rep.Seq != call.Seq {
-			continue // residue from the link's previous life; skip
-		}
-		return rep, nil
-	}
+	return t.g.ctrlCallReply(t.link, call)
 }
 
 // control round-trips one control call and folds a non-OK status into err.
@@ -1363,9 +881,13 @@ func (t wireTarget) control(fn uint32, args []marshal.Value) (*marshal.Reply, er
 }
 
 // Rebind implements migrate.Target: one FuncRebind carries every pair of
-// the reply, so the server applies them two-phase.
+// the reply as [fresh, recorded], so the server applies them two-phase.
 func (t wireTarget) Rebind(pairs []server.HandlePair) error {
-	_, err := t.control(marshal.FuncRebind, rebindArgs(pairs))
+	args := make([]marshal.Value, 0, 2*len(pairs))
+	for _, p := range pairs {
+		args = append(args, marshal.HandleVal(p.Fresh), marshal.HandleVal(p.Recorded))
+	}
+	_, err := t.control(marshal.FuncRebind, args)
 	return err
 }
 
@@ -1379,55 +901,211 @@ func (t wireTarget) RestoreObject(h marshal.Handle, state []byte) (bool, error) 
 	return rep.Ret.Int == 1, nil
 }
 
-// finishRecovery installs the fresh link and rebuilds shadow state to match
-// exactly what was replayed.
-func (g *Guardian) finishRecovery(link ServerLink, epoch uint32, w uint64, start time.Time) {
-	g.mu.Lock()
-	g.log.rebuild(w)
-	g.inflightSync = make(map[uint64]struct{})
-	g.abort = make(chan struct{})
-	// The new server's state lineage only covers replayed calls (<= w);
-	// resubmission re-forwards the window in seq order and maxSeq climbs
-	// back as it does. A checkpoint cut mid-resubmission therefore cannot
-	// claim a watermark past what has actually re-executed — which would
-	// let the guest trim retained frames it still needs.
-	g.maxSeq = w
-	g.link = link
-	g.linkGen++
-	gen := g.linkGen
-	g.recovering = false
-	g.stats.Recoveries++
-	g.stats.LastRecoveryPause = g.clk.Since(start)
-	if g.cfg.Sink != nil {
-		g.cfg.Sink.MirrorEpoch(epoch, w)
+// Snapshot implements target: one FuncSnapshot returns every stateful
+// object's serialized state.
+func (t wireTarget) Snapshot() (map[marshal.Handle][]byte, error) {
+	rep, err := t.control(marshal.FuncSnapshot, nil)
+	if err != nil {
+		return nil, fmt.Errorf("wire snapshot: %w", err)
 	}
-	g.mu.Unlock()
-
-	g.lastRecv.Store(g.clk.Now().UnixNano())
-	go g.downlink(link, gen)
-	// Announce after the link is live: the guest's resubmission batch must
-	// find a working path.
-	g.sendNorth(EncodeControl(CtrlRecover, epoch, w))
-	g.mu.Lock()
-	g.cond.Broadcast()
-	g.mu.Unlock()
+	if rep.Ret.Kind != marshal.KindBytes {
+		return nil, errors.New("wire snapshot: reply carries no payload")
+	}
+	return marshal.DecodeObjectStates(rep.Ret.Bytes)
 }
 
-// die abandons recovery: the guest is told to surface ErrRetryable.
-func (g *Guardian) die(err error) {
-	g.mu.Lock()
-	g.dead = true
-	g.deadErr = err
-	g.recovering = false
-	epoch := g.epoch
-	g.mu.Unlock()
-	g.cond.Broadcast()
-	g.sendNorth(EncodeControl(CtrlDead, epoch, 0))
+// SnapshotDelta implements target: one FuncSnapshotDelta returns every
+// stateful object's dirty ranges. A server without delta support answers
+// StatusDenied, which lands here as ok=false like any other failure.
+func (t wireTarget) SnapshotDelta(map[marshal.Handle][]byte) ([]marshal.ObjectDelta, bool) {
+	rep, err := t.control(marshal.FuncSnapshotDelta, nil)
+	if err != nil || rep.Ret.Kind != marshal.KindBytes {
+		return nil, false
+	}
+	deltas, err := marshal.DecodeObjectDeltas(rep.Ret.Bytes)
+	return deltas, err == nil
 }
 
-// DeadErr returns the terminal error if recovery was abandoned, else nil.
-func (g *Guardian) DeadErr() error {
+// ---------------------------------------------------------------------------
+// Checkpoints.
+
+var errCkptAborted = errors.New("failover: checkpoint aborted by recovery")
+
+// checkpoint quiesces the server and snapshots stateful objects, advancing
+// the watermark. Between beginCheckpoint and endCheckpoint no new calls
+// flow south; in-flight ones drain through the live downlink.
+func (g *Guardian) checkpoint() error {
+	cut, ok := g.beginCheckpoint()
+	if !ok {
+		return fmt.Errorf("failover: checkpoint skipped: guardian not steady")
+	}
+	c, err := g.snapshot(cut)
+	return g.endCheckpoint(cut, c, err)
+}
+
+// snapshot quiesces cut's link and captures it. An incremental capture
+// always goes first where the target has one (so every checkpoint advances
+// the silo's dirty watermark), composed onto the previous committed
+// checkpoint; a delta that does not compose — no usable base for an object
+// that did not come back Full — falls back to full per-object state.
+func (g *Guardian) snapshot(cut ckptCut) (c capture, err error) {
+	if !g.drainSyncs(cut.gen) {
+		return c, errCkptAborted
+	}
+	// Marker barrier: the server replies only after every async issued
+	// before the marker has completed, so device state is now exactly the
+	// effects of calls with seq <= w.
+	if _, err := g.ctrlCallReply(cut.link, &marshal.Call{Func: markerFunc}); err != nil {
+		return c, err
+	}
+	if c.deltas, c.delta = cut.tgt.SnapshotDelta(cut.base); c.delta {
+		c.objects = make(map[marshal.Handle][]byte, len(c.deltas))
+		for _, d := range c.deltas {
+			state, err := marshal.ApplyObjectDelta(cut.base[d.Handle], d)
+			if err != nil {
+				c.delta = false
+				break
+			}
+			c.objects[d.Handle] = state
+		}
+	}
+	if !c.delta {
+		if c.objects, err = cut.tgt.Snapshot(); err != nil {
+			return c, fmt.Errorf("failover: checkpoint: %w", err)
+		}
+	}
+	return c, nil
+}
+
+// drainSyncs waits until every forwarded sync call has been answered,
+// reporting false if gen stopped being steady (recovery, death, close)
+// meanwhile. Used to serialize resubmitted calls into original program
+// order and to quiesce before a checkpoint; woken by syncDoneLocked each
+// time the in-flight set empties. It waits on the condition, never on the
+// clock: a sleep-poll here would advance a virtual clock and fire unrelated
+// timers.
+func (g *Guardian) drainSyncs(gen int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.deadErr
+	for g.steadyLocked(gen) && len(g.inflightSync) > 0 {
+		g.cond.Wait()
+	}
+	return g.steadyLocked(gen)
+}
+
+// syncDoneLocked retires one answered sync call and wakes resubmission
+// serialization when the in-flight set drains.
+func (g *Guardian) syncDoneLocked(seq uint64) {
+	delete(g.inflightSync, seq)
+	if len(g.inflightSync) == 0 {
+		g.cond.Broadcast()
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Liveness probing.
+
+func (g *Guardian) heartbeat() {
+	for {
+		g.clk.Sleep(g.cfg.HeartbeatEvery)
+		g.mu.Lock()
+		over := g.state >= dead
+		link, gen := g.link, g.linkGen
+		steady := g.steadyLocked(gen)
+		// An idle link is the cheapest moment to cut a checkpoint that was
+		// deferred while the device was busy. Its marker barrier doubles as
+		// the liveness probe.
+		due := g.cfg.AdaptiveCheckpoint && g.checkpointDueLocked()
+		g.mu.Unlock()
+		if over {
+			return
+		}
+		idle := g.clk.Now().UnixNano()-g.lastRecv.Load() >= int64(g.cfg.HeartbeatEvery)
+		if !steady || !idle {
+			continue
+		}
+		var err error
+		if due {
+			err = g.checkpoint()
+		} else {
+			// A deaf link (silent drops) produces no transport error; the
+			// unanswered marker is the only failure signal.
+			_, err = g.ctrlCallReply(link, &marshal.Call{Func: markerFunc})
+		}
+		if err != nil {
+			g.recover(gen, err)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Recovery.
+
+// recover rebuilds the server side after gen's link failed: bump the epoch
+// (fencing stale frames at the router), dial a replacement under the
+// backoff budget, replay the shadow log's keep set onto it, then announce
+// the new epoch north so the guest resubmits its unacked window. The error
+// is why this recovery did not end in serving; only Start looks at it.
+func (g *Guardian) recover(gen int, cause error) error {
+	rs, ok := g.toRecovering(gen)
+	if !ok {
+		return nil // someone else already recovered (or is recovering) this link
+	}
+	start := g.clk.Now()
+	if g.cfg.OnEpoch != nil {
+		// Fence first: the router drops stale-epoch frames from here on,
+		// so nothing sent under the old epoch can reach the new server.
+		g.cfg.OnEpoch(rs.epoch)
+	}
+	if rs.oldEP != nil {
+		transport.Sever(rs.oldEP)
+	}
+	err := g.dialAndReplay(rs)
+	switch {
+	case err == nil:
+		g.toServing(rs, start)
+	case !errors.Is(err, errClosed):
+		err = fmt.Errorf("failover: recovery %w (cause: %w)", err, cause)
+		g.toDead(err)
+	}
+	return err
+}
+
+// errClosed ends a dial-and-replay series whose guardian was closed.
+var errClosed = errors.New("failover: guardian closed")
+
+// dialAndReplay leaves the guardian holding a link whose server carries the
+// replayed state: dial, adopt, replay rs onto the link through the
+// migration replay engine — recorded calls re-execute and rebind, then
+// stateful objects restore from the checkpoint — and on any failure sever
+// it and retry under the backoff budget.
+func (g *Guardian) dialAndReplay(rs replaySet) error {
+	series := g.bo.Series()
+	for {
+		link, err := g.dial()
+		if err == nil {
+			err = errClosed
+			if t, ok := g.adopt(link); ok {
+				// Objects destroyed after the checkpoint have no recreated
+				// handle; skip their state instead of failing the recovery.
+				err = migrate.Replay(t, g.desc, rs.log, rs.objects, migrate.RestoreOptions{SkipUnknownObjects: true})
+			}
+			if err == nil {
+				return nil
+			}
+			if link.EP != nil {
+				transport.Sever(link.EP)
+			}
+		}
+		d, ok := series.Next()
+		if !ok {
+			return fmt.Errorf("abandoned after %v (last: %w)", series.Spent(), err)
+		}
+		select {
+		case <-g.done:
+			return errClosed
+		default:
+		}
+		g.clk.Sleep(d)
+	}
 }

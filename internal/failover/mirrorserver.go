@@ -83,6 +83,7 @@ func (s *MirrorServer) Snapshot() []MirroredVM {
 // compose and the sender must resync), state requests answered in line.
 func (s *MirrorServer) ServeConn(ep transport.Endpoint) {
 	defer ep.Close()
+	var subs [][]byte // one batch's sub-ops, reused from batch to batch
 	for {
 		frame, err := ep.Recv()
 		if err != nil {
@@ -102,8 +103,7 @@ func (s *MirrorServer) ServeConn(ep transport.Endpoint) {
 			}
 		case MirrorOpBatch:
 			ok := byte(1)
-			subs, err := marshal.DecodeBatch(payload)
-			if err != nil {
+			if subs, err = marshal.DecodeBatchInto(subs, payload); err != nil {
 				ok = 0
 			} else {
 				m := s.Mirror(vm)

@@ -104,8 +104,8 @@ func applyMirrorSub(m *MemoryMirror, sub []byte) (composed bool, err error) {
 			return true, fmt.Errorf("failover: mirror append truncated")
 		}
 		created := marshal.Handle(binary.LittleEndian.Uint64(p))
-		c, err := marshal.DecodeCall(p[8:])
-		if err != nil {
+		var c marshal.Call
+		if err := marshal.DecodeCallInto(&c, p[8:]); err != nil {
 			return true, err
 		}
 		m.MirrorAppend(&server.RecordedCall{Func: c.Func, Args: c.Args, Seq: c.Seq, Created: created})
@@ -114,8 +114,8 @@ func applyMirrorSub(m *MemoryMirror, sub []byte) (composed bool, err error) {
 			return true, fmt.Errorf("failover: mirror reply truncated")
 		}
 		created := marshal.Handle(binary.LittleEndian.Uint64(p))
-		rep, err := marshal.DecodeReply(p[8:])
-		if err != nil {
+		var rep marshal.Reply
+		if err := marshal.DecodeReplyInto(&rep, p[8:]); err != nil {
 			return true, err
 		}
 		m.MirrorReply(&server.RecordedCall{Seq: rep.Seq, Ret: rep.Ret, Outs: rep.Outs, Created: created})
@@ -235,11 +235,11 @@ func DecodeMirrorState(b []byte) (*MirrorState, error) {
 		if replyFrame, b, err = takeLenPrefixed(b); err != nil {
 			return nil, err
 		}
-		c, err := marshal.DecodeCall(callFrame)
-		if err != nil {
-			return nil, fmt.Errorf("failover: mirror state entry %d: %w", i, err)
+		var c marshal.Call
+		var rep marshal.Reply
+		if err = marshal.DecodeCallInto(&c, callFrame); err == nil {
+			err = marshal.DecodeReplyInto(&rep, replyFrame)
 		}
-		rep, err := marshal.DecodeReply(replyFrame)
 		if err != nil {
 			return nil, fmt.Errorf("failover: mirror state entry %d: %w", i, err)
 		}

@@ -131,8 +131,8 @@ func tableOf(ctx *server.Context) map[marshal.Handle]replayObj {
 
 // replayTargets builds a fresh server per target kind and returns the
 // target plus the context it fills. The wire target talks to a ServeVM
-// loop over an in-proc link, exactly as the guardian's replay does before
-// its pumps start.
+// loop over an in-proc link a guardian has adopted, exactly as the
+// guardian's replay does.
 func replayTargets(t *testing.T) map[string]func() (migrate.Target, *server.Context) {
 	return map[string]func() (migrate.Target, *server.Context){
 		"local": func() (migrate.Target, *server.Context) {
@@ -154,8 +154,14 @@ func replayTargets(t *testing.T) map[string]func() (migrate.Target, *server.Cont
 				serverEP.Close()
 				<-served
 			})
-			north, _ := transport.NewInProc()
-			return wireTarget{g: New(desc, north, nil, Config{}), ep: south}, ctx
+			north, router := transport.NewInProc()
+			g := New(desc, north, nil, Config{})
+			t.Cleanup(func() {
+				g.Close()
+				router.Close()
+			})
+			target, _ := g.adopt(ServerLink{EP: south})
+			return target, ctx
 		},
 	}
 }

@@ -114,7 +114,10 @@ type Target interface {
 }
 
 // LocalTarget is the in-process Target: calls execute on Server in Ctx,
-// handles move in Ctx's table, object state restores through Adapter.
+// handles move in Ctx's table, object state restores through Adapter. It
+// also has the capture side the failover guardian's checkpoints use
+// (Snapshot, SnapshotDelta), so a guardian handles a link to a server in
+// its own process and a link to another host through one set of methods.
 type LocalTarget struct {
 	Server  *server.Server
 	Ctx     *server.Context
@@ -139,6 +142,53 @@ func (t LocalTarget) RestoreObject(h marshal.Handle, state []byte) (bool, error)
 		return false, nil
 	}
 	return true, t.Adapter.RestoreObject(obj, state)
+}
+
+// Snapshot serializes every stateful object in Ctx's table through Adapter,
+// by guest handle. Without an Adapter there is no object state to speak of.
+func (t LocalTarget) Snapshot() (map[marshal.Handle][]byte, error) {
+	if t.Adapter == nil {
+		return nil, nil
+	}
+	return t.Ctx.SnapshotObjects(t.Adapter)
+}
+
+// SnapshotDelta is the incremental capture: each stateful object's dirty
+// ranges since the previous drain, as deltas onto base — the previous
+// capture's states by handle. An object base lacks (created since) that
+// does not self-report Full is captured in full. ok=false when Adapter is
+// no server.ObjectDeltaSnapshotter or any object fails; the caller takes a
+// Snapshot instead.
+func (t LocalTarget) SnapshotDelta(base map[marshal.Handle][]byte) (deltas []marshal.ObjectDelta, ok bool) {
+	ds, ok := t.Adapter.(server.ObjectDeltaSnapshotter)
+	if !ok {
+		return nil, false
+	}
+	deltas = make([]marshal.ObjectDelta, 0, len(base))
+	t.Ctx.Handles.ForEach(func(h marshal.Handle, obj any) {
+		if !ok {
+			return
+		}
+		d, stateful, err := ds.SnapshotObjectDelta(obj)
+		if err != nil {
+			ok = false
+			return
+		}
+		if !stateful {
+			return
+		}
+		d.Handle = h
+		if _, has := base[h]; !has && !d.Full {
+			state, stateful, err := t.Adapter.SnapshotObject(obj)
+			if err != nil || !stateful {
+				ok = false
+				return
+			}
+			d = marshal.FullDelta(h, state)
+		}
+		deltas = append(deltas, d)
+	})
+	return deltas, ok
 }
 
 // Replay is the one replay engine: it re-executes the recorded log on the

@@ -31,7 +31,8 @@ func (a MigrationAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
 	return encodeGraphState(g), true, nil
 }
 
-// SnapshotObjectDelta implements the failover guardian's DeltaSnapshotter.
+// SnapshotObjectDelta implements server.ObjectDeltaSnapshotter (the
+// failover guardian's incremental checkpoints).
 // A graph's mutable state is tiny (queued result vectors plus options), so
 // the delta is all-or-nothing: if the write generation moved since the
 // last delta snapshot the full serialized state ships as one Full delta;

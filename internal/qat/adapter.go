@@ -21,7 +21,8 @@ func (a MigrationAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// SnapshotObjectDelta implements the failover guardian's DeltaSnapshotter.
+// SnapshotObjectDelta implements server.ObjectDeltaSnapshotter (the
+// failover guardian's incremental checkpoints).
 func (a MigrationAdapter) SnapshotObjectDelta(obj any) (marshal.ObjectDelta, bool, error) {
 	return marshal.ObjectDelta{}, false, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"ava"
 	"ava/internal/cl"
+	"ava/internal/stacktest"
 )
 
 // TestAdaptiveCadenceNoHotStall keeps the guardian's busy signal lit —
@@ -20,6 +21,7 @@ import (
 // force some checkpoints (the resubmission window stays bounded), and
 // the workload must complete cleanly either way.
 func TestAdaptiveCadenceNoHotStall(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	const (
 		threads       = 4
 		writesPerQ    = 100

@@ -110,6 +110,7 @@ func orderStep(c cl.Client, l orderLane, iter int, dst []byte) error {
 // three lanes (six domains, six workers) interleaved in one guest thread.
 // A thousand iterations must be byte-identical to the native silo.
 func TestDispatchOrderMatchesNative(t *testing.T) {
+	NoGoroutineLeaks(t)
 	const lanes, iters = 3, 1000
 	desc := cava.MustCompile(cl.Spec)
 	reg := server.NewRegistry(desc)

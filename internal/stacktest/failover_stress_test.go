@@ -21,6 +21,7 @@ import (
 	"ava/internal/hv"
 	"ava/internal/rodinia"
 	"ava/internal/server"
+	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -70,6 +71,7 @@ func waitRecovered(t *testing.T, g *failover.Guardian, n uint64) {
 // to complete with a checksum byte-identical to an undisturbed run — the
 // E12 acceptance property.
 func TestFailoverKillMidRodinia(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("gaussian")
 	if !ok {
 		t.Fatal("gaussian workload missing")
@@ -158,6 +160,7 @@ func TestFailoverKillMidRodinia(t *testing.T) {
 // and kills the live TCP link mid-workload: the guardian must redial,
 // replay, and the workload must finish byte-identical.
 func TestFailoverKillMidWorkloadTCP(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("nw")
 	if !ok {
 		t.Fatal("nw workload missing")
@@ -246,6 +249,7 @@ func TestFailoverKillMidWorkloadTCP(t *testing.T) {
 // under -race it checks reconnect synchronization; functionally it checks
 // that every readback observes the bytes last written despite recoveries.
 func TestFailoverReconnectRaceStress(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	silo := foSilo()
 	cfg := foConfig(silo)
 	cfg.Checkpoint.Every = 32
@@ -362,6 +366,7 @@ func TestFailoverReconnectRaceStress(t *testing.T) {
 // heartbeat probing detects the loss and recovery completes the stalled
 // in-flight call — the failure mode transport errors alone cannot catch.
 func TestFailoverFlakyLivenessDetection(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	silo := foSilo()
 	var dials atomic.Int32
 	stack := foStack(silo, ava.WithFailover(ava.FailoverConfig{
@@ -407,6 +412,7 @@ func TestFailoverFlakyLivenessDetection(t *testing.T) {
 // backoff budget is exhausted), stalled calls fail with ava.ErrRetryable
 // rather than hanging.
 func TestFailoverRetryableSurface(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	silo := foSilo()
 	desc := cl.Descriptor()
 	reg := server.NewRegistry(desc)

@@ -12,6 +12,7 @@ import (
 	"ava/internal/guest"
 	"ava/internal/marshal"
 	"ava/internal/server"
+	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -145,6 +146,7 @@ func stressTransports(t *testing.T) map[string]func() (transport.Endpoint, trans
 // that issued it (the echo check), and the server executes each domain's
 // calls in issue order (the recorder check).
 func TestPipelinedStress(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	const goroutines = 16
 	const tokens = 200
 	for name, mk := range stressTransports(t) {
@@ -242,6 +244,7 @@ func TestPipelinedStress(t *testing.T) {
 // transport error), and the server loop must exit — no goroutine may
 // deadlock on a reply that will never come.
 func TestPipelinedCloseMidFlight(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	const goroutines = 16
 	for name, mk := range stressTransports(t) {
 		t.Run(name, func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"ava"
 	"ava/internal/cl"
+	"ava/internal/stacktest"
 )
 
 // TestFailoverSyncCallsRacingKill kills the server while the guardian's
@@ -21,6 +22,7 @@ import (
 // quiesce or resubmission drain then waited on it forever. Every op runs
 // under a watchdog; a hang fails the test with all stacks.
 func TestFailoverSyncCallsRacingKill(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	const size = 64 << 10
 	silo := foSilo()
 	stack := foStack(silo, ava.WithFailover(foConfig(silo)))

@@ -18,6 +18,7 @@ import (
 	"ava/internal/hv"
 	"ava/internal/rodinia"
 	"ava/internal/server"
+	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -104,6 +105,7 @@ func zcRoundTrip(t *testing.T, lib *guest.Lib, registered bool) {
 // byte-identical to the native run, plus a forced large-transfer
 // round-trip through the zero-copy path itself.
 func TestZeroCopyByteIdenticalRodinia(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("gaussian")
 	if !ok {
 		t.Fatal("gaussian workload missing")
@@ -184,6 +186,7 @@ func TestZeroCopyByteIdenticalRodinia(t *testing.T) {
 // enabled, API server killed mid-workload, results still byte-identical —
 // and the recovery's checkpoints must have used the delta path.
 func TestZeroCopyKillMidRodinia(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("gaussian")
 	if !ok {
 		t.Fatal("gaussian workload missing")
