@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet rebind-gate state-gate decode-gate build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
+.PHONY: check fmt vet rebind-gate state-gate decode-gate wire-gate build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
-check: fmt vet rebind-gate state-gate decode-gate build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
+check: fmt vet rebind-gate state-gate decode-gate wire-gate build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -47,6 +47,18 @@ decode-gate:
 	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=benchmark 'marshal\.Decode(Call|Batch|Reply)\(' . | grep -v '^\./internal/marshal/')"; \
 	if [ -n "$$out" ]; then \
 		echo "allocating decoder outside internal/marshal (use the *Into form):"; echo "$$out"; exit 1; \
+	fi
+
+# One assembler: a router, a guardian and a registry dialer are wired
+# together only by ava.Stack (ava.go), which knows all three south hops —
+# own server, server at an address, server out of a fleet registry.
+# Experiments, examples and tests pick a hop with an option. Fail if any Go
+# file outside ava.go, the two packages themselves and benchmark/ builds one
+# by hand, so the deployment cannot quietly grow another copy.
+wire-gate:
+	@out="$$(grep -rnE --include='*.go' --exclude-dir=.bench_build --exclude-dir=benchmark 'hv\.NewRouter\(|failover\.New\(|failover\.NewFleetDialer\(' . | grep -vE '^\./(ava\.go|internal/hv/|internal/failover/)')"; \
+	if [ -n "$$out" ]; then \
+		echo "hand-wired router/guardian/dialer outside ava.go (use ava.NewStack with WithRemoteServer / WithPlacement):"; echo "$$out"; exit 1; \
 	fi
 
 build:
@@ -120,13 +132,15 @@ benchmark:
 # killed mid-stream, registry replicas killed under quorum reads, gossip
 # repair after partitioned announces; Host covers the production host
 # runtime (internal/host) those tests and experiments all run — hello
-# forms, eviction, drain vs. kill, and the same-host reconnect that must
+# form, eviction, drain vs. kill, and the same-host reconnect that must
 # replay into a clean context; Shadow/Replay/Rebind cover the recovery core
 # itself — the shadow log's keep rules and its mirror property test, the
 # one replay engine on both of its targets, and migration (./internal/migrate/);
 # Sweep severs the south link at every send of a short workload, and the
-# replacement too (internal/stacktest/kill_sweep_test.go) — a failing row
-# prints its (transport, k, k2) triple as a -run one-liner.
+# replacement too, over in-proc, ring and a loopback host.Server (the wire
+# target, whose replay and snapshot control calls are sends as well)
+# (internal/stacktest/kill_sweep_test.go) — a failing row prints its
+# (deployment, k, k2) triple as a -run one-liner.
 chaos:
 	$(GO) test -race -count=1 -run 'Failover|Flaky|Severed|Liveness|Backoff|Control|CrossHost|Rehydration|Rebalance|Mirror|Gossip|MultiClient|WireClient|Host|Shadow|Replay|Rebind|Migrat|Sweep|LateReply' \
 		./internal/transport/ ./internal/failover/ ./internal/migrate/ ./internal/server/ ./internal/stacktest/ ./internal/sched/ ./internal/fleet/ ./internal/bench/ ./internal/host/ .

@@ -135,8 +135,7 @@ const (
 )
 
 // Option configures a Stack at construction; pass options to NewStack.
-// Each With* option sets one cohesive knob; WithConfig applies a full
-// Config literal for callers that prefer to build one programmatically.
+// Each With* option sets one cohesive knob.
 type Option func(*Config)
 
 // Config is a Stack's full configuration, grouped by the layer each knob
@@ -155,19 +154,17 @@ type Config struct {
 	Router RouterConfig
 	// Server groups API-server execution policy.
 	Server ServerConfig
-	// Guest groups defaults applied to every attached guest library.
-	Guest GuestConfig
 	// Failover enables fault-tolerant remoting for attached VMs: a per-VM
 	// guardian shadows the record log, checkpoints periodically, and on
 	// API-server failure respawns or re-dials the server, replays state,
 	// and directs the guest library to resubmit its unacked calls. Nil
 	// disables.
 	Failover *FailoverConfig
-	// Placement enables admission-time placement: every attached VM dials
-	// the fleet registry through a per-VM FleetDialer ranked by the
-	// configured policy, and each landing is recorded in the scheduling
-	// decision log. Implies failover (a zero FailoverConfig is assumed
-	// when Failover is nil). Nil disables.
+	// Placement enables admission-time placement: every attached VM's
+	// server is dialed out of the fleet registry through a per-VM
+	// FleetDialer ranked by the configured policy, and each landing is
+	// recorded in the scheduling decision log. Implies failover (a zero
+	// FailoverConfig is assumed when Failover is nil). Nil disables.
 	Placement *PlacementConfig
 	// Rebalance starts the background rebalancer over the placement
 	// fleet: sustained load skew live-migrates VMs off hot hosts through
@@ -178,10 +175,16 @@ type Config struct {
 
 // TransportConfig selects and sizes the remoting transport.
 type TransportConfig struct {
-	// Kind selects the guest↔router and router↔server transports.
+	// Kind selects the in-process hops: guest↔router, and router↔server
+	// when the server is the stack's own.
 	Kind TransportKind
 	// RingBytes sizes each ring when Kind == TransportRing; 0 = 1MiB.
 	RingBytes int
+	// ServerAddr, when set, puts the API server on another machine (§4.1's
+	// disaggregated configuration): every attached VM's server is the avad
+	// (internal/host) listening there, reached over TCP with the hello
+	// handshake, instead of the stack's own server.Server.
+	ServerAddr string
 }
 
 // RouterConfig groups hypervisor-side admission policy.
@@ -198,16 +201,6 @@ type ServerConfig struct {
 	Recording bool
 }
 
-// GuestConfig groups guest-library defaults.
-type GuestConfig struct {
-	// Options apply to every attached guest library (e.g.
-	// guest.WithForceSync() for the paper's unoptimized-spec ablation).
-	Options []guest.Option
-}
-
-// WithConfig replaces the accumulated configuration wholesale.
-func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
-
 // WithScheduler sets the cross-VM scheduler.
 func WithScheduler(s hv.Scheduler) Option { return func(c *Config) { c.Scheduler = s } }
 
@@ -223,17 +216,17 @@ func WithRingTransport(n int) Option {
 	return func(c *Config) { c.Transport = TransportConfig{Kind: TransportRing, RingBytes: n} }
 }
 
+// WithRemoteServer serves every attached VM from the avad at addr instead
+// of the stack's own API server (TransportConfig.ServerAddr).
+func WithRemoteServer(addr string) Option {
+	return func(c *Config) { c.Transport.ServerAddr = addr }
+}
+
 // WithRecording enables the migration record log for attached VMs.
 func WithRecording() Option { return func(c *Config) { c.Server.Recording = true } }
 
 // WithShedding configures the router's load shedder.
 func WithShedding(cfg hv.ShedConfig) Option { return func(c *Config) { c.Router.Shed = cfg } }
-
-// WithGuestDefaults appends options applied to every attached guest
-// library (per-attachment options still override them).
-func WithGuestDefaults(opts ...guest.Option) Option {
-	return func(c *Config) { c.Guest.Options = append(c.Guest.Options, opts...) }
-}
 
 // WithFailover enables fault-tolerant remoting with the given tuning.
 func WithFailover(fc FailoverConfig) Option {
@@ -296,10 +289,6 @@ type PlacementConfig struct {
 	Policy sched.Policy
 	// PerHostAttempts is the dialer's same-host retry budget; 0 = 2.
 	PerHostAttempts int
-	// Resolve overrides how a chosen member becomes a live ServerLink for
-	// one VM; nil = TCP dial to m.Addr with the hello preamble (the avad
-	// wire). Tests use it to simulate a fleet in-process.
-	Resolve func(vm uint32, m fleet.Member, epoch uint32) (failover.ServerLink, error)
 	// Log receives placement/failover/rebalance decisions; nil builds a
 	// fresh log (read it back via Stack.SchedLog).
 	Log *sched.Log
@@ -321,19 +310,9 @@ type FailoverConfig struct {
 	Retain int
 	// Replication groups shadow-log mirroring and rehydration.
 	Replication ReplicationConfig
-	// Dial, when set, replaces the default in-process server respawn with
-	// a custom server dialer — e.g. a failover.FleetDialer's Dial bound to
-	// a fleet registry for cross-host failover. The guardian calls it
-	// under its respawn backoff budget; each call is one attempt.
-	Dial func(id uint32, name string) (failover.ServerLink, error)
-	// Host, when set alongside Dial, reports the identity of the host the
-	// last successful dial landed on (failover.FleetDialer.Host); the
-	// stack feeds it to the router's serving-host re-fence bookkeeping.
-	// The default in-process dial always reports "local".
-	Host func(id uint32) string
 	// WrapServerLink, when set, wraps each freshly dialed router→server
-	// endpoint — e.g. transport.NewFlaky for fault injection in tests.
-	// Ignored when Dial is set (wrap inside the custom dialer instead).
+	// endpoint, whichever south hop dialed it — e.g. transport.NewFlaky for
+	// fault injection in tests.
 	WrapServerLink func(transport.Endpoint) transport.Endpoint
 }
 
@@ -398,14 +377,15 @@ func (rc ReplicationConfig) sinkFor(vm uint32, name string, bo failover.BackoffC
 }
 
 // Stack is an assembled AvA deployment for one API: one router, one API
-// server, any number of attached VMs.
+// server (its own, or remote ones reached by address or through a fleet
+// registry), any number of attached VMs.
 type Stack struct {
 	Desc   *cava.Descriptor
 	Router *hv.Router
 	Server *server.Server
 
 	cfg  Config
-	breg *transport.BufRegistry // shared-address-space deployments only
+	breg *transport.BufRegistry // shared by guests and the stack's own server
 
 	policy     sched.Policy // placement ranking; nil without Placement
 	schedLog   *sched.Log   // decision log; nil without Placement
@@ -426,12 +406,17 @@ type attachment struct {
 }
 
 // NewStack builds the hypervisor and server halves over a silo registry.
+// reg may be nil when the server is remote (WithRemoteServer,
+// WithPlacement): the stack's own server then has nothing to serve.
 func NewStack(desc *cava.Descriptor, reg *server.Registry, opts ...Option) *Stack {
 	var cfg Config
 	for _, o := range opts {
 		if o != nil {
 			o(&cfg)
 		}
+	}
+	if reg == nil {
+		reg = server.NewRegistry(desc)
 	}
 	s := &Stack{
 		Desc:       desc,
@@ -469,11 +454,11 @@ func NewStack(desc *cava.Descriptor, reg *server.Registry, opts ...Option) *Stac
 			}
 		}
 	}
-	// Both built-in transports keep guest and server in one address space
-	// (InProc channels; the ring simulates hypervisor shared memory), so
-	// the registered-buffer fast path applies: one registry, shared by the
-	// guest libraries and the server. A cross-machine deployment (TCP,
-	// assembled manually) never gets one.
+	// Both in-process transports keep guest and server in one address
+	// space (InProc channels; the ring simulates hypervisor shared memory),
+	// so the registered-buffer fast path applies: one registry, shared by
+	// the guest libraries and the stack's own server. A guest whose server
+	// is remote is never handed it (see AttachVM).
 	s.breg = transport.NewBufRegistry()
 	s.Server.SetBufRegistry(s.breg)
 	return s
@@ -508,85 +493,129 @@ func (s *Stack) newContext(id uint32, name string) *server.Context {
 	return ctx
 }
 
-// AttachVM registers a VM with the router, starts its router and server
-// loops, and returns the guest library bound to its transport. With
-// Config.Failover set, a per-VM guardian is interposed between the router
-// and the API server: it shadows the record log, checkpoints periodically,
-// and on server failure respawns a fresh server incarnation, replays its
-// state, and coordinates the guest library's transparent resubmission.
+// remote reports whether attached VMs are served by another machine.
+func (s *Stack) remote() bool {
+	return s.policy != nil || s.cfg.Transport.ServerAddr != ""
+}
+
+// southDial returns the one dial that reaches a VM's API server: the
+// stack's south hop, chosen once from the configuration.
+//
+//   - Placement: a fleet member picked through the registry (wire-only
+//     link; the returned FleetDialer is the VM's, nil for the other hops).
+//   - Transport.ServerAddr: the avad at that address (wire-only link).
+//   - Otherwise the stack's own server over a fresh in-process pair; the
+//     link carries the context, so replay and capture run in-process.
+//
+// Each call is one server incarnation. A VM without a guardian dials once
+// and the router forwards straight onto the link; a guardian dials again on
+// every recovery. Whatever the hop, a fresh link is wrapped by
+// WrapServerLink and its host recorded with the router, so a cross-host
+// move re-fences any frames stamped for the old host. epoch stamps the
+// hello of a remote dial.
+func (s *Stack) southDial(id uint32, name string, fc *FailoverConfig, epoch func() uint32) (func() (failover.ServerLink, error), *failover.FleetDialer) {
+	if fc == nil {
+		fc = &FailoverConfig{}
+	}
+	var (
+		placed *failover.FleetDialer
+		hop    func() (link failover.ServerLink, host string, err error)
+	)
+	switch addr := s.cfg.Transport.ServerAddr; {
+	case s.policy != nil:
+		placed = s.newPlacedDialer(id, name, epoch)
+		hop = func() (failover.ServerLink, string, error) {
+			link, err := placed.Dial()
+			return link, placed.Host(), err
+		}
+	case addr != "":
+		hop = func() (failover.ServerLink, string, error) {
+			link, err := failover.DialHost(addr, transport.Hello{VM: id, Epoch: epoch(), Name: name})
+			return link, addr, err
+		}
+	default:
+		redial := false
+		hop = func() (failover.ServerLink, string, error) {
+			// The first incarnation adopts a context restored before the
+			// attach (migration). Every later one starts clean; the guardian
+			// replays state into it before traffic resumes.
+			if redial {
+				s.Server.DropContext(id)
+			}
+			redial = true
+			south, serverEP := s.pair()
+			ctx := s.newContext(id, name)
+			go s.Server.ServeVM(ctx, serverEP)
+			return failover.ServerLink{EP: south, Server: s.Server, Ctx: ctx, Adapter: fc.Adapter}, "local", nil
+		}
+	}
+	return func() (failover.ServerLink, error) {
+		link, host, err := hop()
+		if err != nil {
+			return link, err
+		}
+		if fc.WrapServerLink != nil {
+			link.EP = fc.WrapServerLink(link.EP)
+		}
+		s.Router.SetServingHost(id, host)
+		return link, nil
+	}, placed
+}
+
+// AttachVM registers a VM with the router, dials its API server (see
+// southDial), starts its router loop, and returns the guest library bound
+// to its transport. With Config.Failover set, a per-VM guardian is
+// interposed between the router and the API server: it shadows the record
+// log, checkpoints periodically, and on server failure dials a fresh server
+// incarnation, replays its state, and coordinates the guest library's
+// transparent resubmission.
 func (s *Stack) AttachVM(cfg VMConfig, opts ...guest.Option) (*guest.Lib, error) {
 	if err := s.Router.RegisterVM(cfg); err != nil {
 		return nil, err
 	}
+	id := cfg.ID
+	fc := s.cfg.Failover
+	if fc == nil && s.policy != nil {
+		// Placement implies failover, with default guardian tuning.
+		fc = &FailoverConfig{}
+	}
+	at := &attachment{done: make(chan struct{})}
+	dial, placed := s.southDial(id, cfg.Name, fc, func() uint32 {
+		if at.guardian == nil {
+			return 0
+		}
+		return at.guardian.Epoch()
+	})
+	at.dialer = placed
 	guestEP, routerGuest := s.pair()
+
+	var base []guest.Option
+	if !s.remote() {
+		// Registered-buffer references only mean something to a server in
+		// the guest's address space.
+		base = append(base, guest.WithBufRegistry(s.breg))
+	}
+	// The configured clock reaches every layer: guest deadline stamping
+	// and fail-fast run on the same time source as router admission and
+	// server dispatch (options may still override per attachment).
+	if s.cfg.Clock != nil {
+		base = append(base, guest.WithClock(s.cfg.Clock))
+	}
 
 	var (
 		routerServer transport.Endpoint
-		g            *failover.Guardian
-		placed       *failover.FleetDialer
-		remote       *failover.RemoteMirror
-		foOpts       []guest.Option
+		err          error
 	)
-	fc := s.cfg.Failover
-	if fc == nil && s.policy != nil {
-		// Placement implies failover: the placed dialer becomes the
-		// guardian's dial closure, with default guardian tuning.
-		fc = &FailoverConfig{}
-	}
-	if fc != nil {
+	if fc == nil {
+		var link failover.ServerLink
+		link, err = dial()
+		routerServer = link.EP
+	} else {
 		var north transport.Endpoint
 		routerServer, north = s.pair()
-		id, name := cfg.ID, cfg.Name
-		var dial func() (failover.ServerLink, error)
-		switch {
-		case s.policy != nil && fc.Dial == nil:
-			// Registry-backed placement: a per-VM FleetDialer ranked by
-			// the stack's policy. Every landing updates the router's
-			// serving-host record so a cross-host move re-fences any
-			// frames stamped for the old host.
-			placed = s.newPlacedDialer(id, name)
-			dial = func() (failover.ServerLink, error) {
-				link, err := placed.Dial()
-				if err != nil {
-					return link, err
-				}
-				s.Router.SetServingHost(id, placed.Host())
-				return link, nil
-			}
-		case fc.Dial != nil:
-			// Custom dialer (e.g. a fleet-registry FleetDialer): every
-			// successful dial updates the router's serving-host record so a
-			// cross-host move re-fences any frames stamped for the old host.
-			dial = func() (failover.ServerLink, error) {
-				link, err := fc.Dial(id, name)
-				if err != nil {
-					return link, err
-				}
-				host := "remote"
-				if fc.Host != nil {
-					host = fc.Host(id)
-				}
-				s.Router.SetServingHost(id, host)
-				return link, nil
-			}
-		default:
-			dial = func() (failover.ServerLink, error) {
-				south, serverEP := s.pair()
-				if fc.WrapServerLink != nil {
-					south = fc.WrapServerLink(south)
-				}
-				// Each server incarnation starts from a clean context; the
-				// guardian replays state into it before traffic resumes.
-				s.Server.DropContext(id)
-				ctx := s.newContext(id, name)
-				go s.Server.ServeVM(ctx, serverEP)
-				s.Router.SetServingHost(id, "local")
-				return failover.ServerLink{EP: south, Server: s.Server, Ctx: ctx, Adapter: fc.Adapter}, nil
-			}
-		}
-		sink, ownedMirror := fc.Replication.sinkFor(id, name, fc.Backoff)
-		remote = ownedMirror
-		g = failover.New(s.Desc, north, dial, failover.Config{
+		var sink failover.LogSink
+		sink, at.remote = fc.Replication.sinkFor(id, cfg.Name, fc.Backoff)
+		at.guardian = failover.New(s.Desc, north, dial, failover.Config{
 			CheckpointEvery:    fc.Checkpoint.Every,
 			AdaptiveCheckpoint: fc.Checkpoint.Adaptive,
 			HeartbeatEvery:     fc.Liveness.HeartbeatEvery,
@@ -598,78 +627,51 @@ func (s *Stack) AttachVM(cfg VMConfig, opts ...guest.Option) (*guest.Lib, error)
 			Clock:              s.cfg.Clock,
 			OnEpoch:            func(e uint32) { s.Router.SetEpoch(id, e) },
 		})
-		if placed != nil {
-			// The dialer stamps the guardian's epoch into the hello
-			// preamble; wire the source before the first (Start) dial.
-			placed.SetEpochSource(g.Epoch)
+		if err = at.guardian.Start(); err != nil {
+			north.Close()
 		}
-		if err := g.Start(); err != nil {
-			s.Router.UnregisterVM(cfg.ID)
-			if remote != nil {
-				remote.Close()
-			}
-			for _, ep := range []transport.Endpoint{guestEP, routerGuest, routerServer, north} {
-				ep.Close()
-			}
-			return nil, err
-		}
-		foOpts = append(foOpts, guest.WithFailover(guest.FailoverPolicy{Retain: fc.Retain}))
+		base = append(base, guest.WithFailover(guest.FailoverPolicy{Retain: fc.Retain}))
 		if fc.Replication.Restore != nil {
 			// The mirror's watermark fences the first life's sequence
 			// numbers; a fresh library must number its calls past it or
 			// its first calls would be trimmed as already-covered.
-			foOpts = append(foOpts, guest.WithSequenceBase(fc.Replication.Restore.W))
+			base = append(base, guest.WithSequenceBase(fc.Replication.Restore.W))
 		}
-	} else {
-		var serverEP transport.Endpoint
-		routerServer, serverEP = s.pair()
-		go s.Server.ServeVM(s.newContext(cfg.ID, cfg.Name), serverEP)
+	}
+	if err != nil {
+		s.Router.UnregisterVM(id)
+		if at.remote != nil {
+			at.remote.Close()
+		}
+		for _, ep := range []transport.Endpoint{guestEP, routerGuest, routerServer} {
+			if ep != nil {
+				ep.Close()
+			}
+		}
+		return nil, err
 	}
 
-	done := make(chan struct{})
 	go func() {
-		defer close(done)
-		s.Router.Attach(cfg.ID, routerGuest, routerServer)
+		defer close(at.done)
+		s.Router.Attach(id, routerGuest, routerServer)
 	}()
-
-	// The configured clock reaches every layer: guest deadline stamping
-	// and fail-fast run on the same time source as router admission and
-	// server dispatch (options may still override per attachment).
-	base := []guest.Option{guest.WithBufRegistry(s.breg)}
-	if s.cfg.Clock != nil {
-		base = append(base, guest.WithClock(s.cfg.Clock))
-	}
-	base = append(base, foOpts...)
-	opts = append(append(base, s.cfg.Guest.Options...), opts...)
-	lib := guest.New(s.Desc, guestEP, opts...)
+	at.lib = guest.New(s.Desc, guestEP, append(base, opts...)...)
+	at.eps = []transport.Endpoint{guestEP, routerGuest, routerServer}
 	s.mu.Lock()
-	s.vms[cfg.ID] = &attachment{
-		lib:      lib,
-		eps:      []transport.Endpoint{guestEP, routerGuest, routerServer},
-		done:     done,
-		guardian: g,
-		dialer:   placed,
-		remote:   remote,
-	}
+	s.vms[id] = at
 	s.mu.Unlock()
-	return lib, nil
+	return at.lib, nil
 }
 
 // newPlacedDialer builds the per-VM registry dialer placement uses.
-func (s *Stack) newPlacedDialer(id uint32, name string) *failover.FleetDialer {
+func (s *Stack) newPlacedDialer(id uint32, name string, epoch func() uint32) *failover.FleetDialer {
 	pc := s.cfg.Placement
-	var resolve func(m fleet.Member, epoch uint32) (failover.ServerLink, error)
-	if pc.Resolve != nil {
-		resolve = func(m fleet.Member, epoch uint32) (failover.ServerLink, error) {
-			return pc.Resolve(id, m, epoch)
-		}
-	}
 	return failover.NewFleetDialer(pc.Locator, failover.FleetDialConfig{
 		API:             s.placementAPI(),
 		VM:              id,
 		Name:            name,
 		PerHostAttempts: pc.PerHostAttempts,
-		Resolve:         resolve,
+		Epoch:           epoch,
 		Rank:            s.policy.Rank,
 		OnDial:          s.noteDial,
 	})
@@ -840,9 +842,11 @@ func (s *Stack) KillServer(id uint32) error {
 	return nil
 }
 
-// Context returns the server-side execution context for an attached VM.
+// Context returns the live server-side execution context of a VM served by
+// the stack's own server, or nil: a detached or unknown VM has none, and a
+// remotely served VM's lives on its host. Asking never creates one.
 func (s *Stack) Context(id uint32) *server.Context {
-	return s.Server.Context(id, fmt.Sprintf("vm%d", id))
+	return s.Server.Lookup(id)
 }
 
 // DetachVM tears down one VM's plumbing.

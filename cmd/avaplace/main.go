@@ -29,7 +29,6 @@ import (
 	"ava/internal/cl"
 	"ava/internal/fleet"
 	"ava/internal/sched"
-	"ava/internal/server"
 )
 
 func main() {
@@ -63,8 +62,7 @@ func main() {
 	}
 	defer loc.(interface{ Close() }).Close()
 
-	desc := cl.Descriptor()
-	stack := ava.NewStack(desc, server.NewRegistry(desc),
+	stack := ava.NewStack(cl.Descriptor(), nil,
 		ava.WithPlacement(ava.PlacementConfig{
 			Locator: loc,
 			API:     "opencl",

@@ -1,75 +1,68 @@
 // Disaggregated: the guest uses an accelerator that lives on another
-// machine. The API server runs behind a TCP listener (as cmd/avad does);
-// the hypervisor router forwards the guest's calls over the socket — the
-// pluggable-transport, resource-disaggregation configuration of §4.1.
+// machine. The API server is an avad — internal/host behind a TCP listener,
+// what cmd/avad runs — and the stack is told its address; the hypervisor
+// router forwards the guest's calls over the socket: the pluggable-
+// transport, resource-disaggregation configuration of §4.1.
 //
-// Run with: go run ./examples/disaggregated
+// Run with: go run ./examples/disaggregated [-server host:port]
+//
+// Without -server the example starts its own avad on loopback; with it, it
+// is a client of a running `avad -api opencl -listen host:port`.
 package main
 
 import (
+	"flag"
 	"fmt"
 	"log"
 	"time"
 
+	"ava"
 	"ava/internal/bytesconv"
 	"ava/internal/cl"
 	"ava/internal/devsim"
-	"ava/internal/guest"
-	"ava/internal/hv"
+	"ava/internal/host"
 	"ava/internal/server"
-	"ava/internal/transport"
 )
 
 const n = 1 << 18
 
 func main() {
-	// "Remote machine": an API server with the GPU, listening on TCP.
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		silo := cl.NewSilo(cl.Config{
-			Devices: []devsim.Config{{Name: "remote-gpu", MemoryBytes: 512 << 20, ComputeUnits: 8}},
-		})
+	addr := flag.String("server", "", "address of a running avad serving opencl (default: start one on loopback)")
+	flag.Parse()
+
+	if *addr == "" {
+		// "Remote machine": an API server with the GPU, listening on TCP.
 		desc := cl.Descriptor()
 		reg := server.NewRegistry(desc)
-		cl.BindServer(reg, silo)
-		srv := server.New(reg)
-		for {
-			ep, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeVM(srv.Context(1, "remote-vm"), ep)
+		cl.BindServer(reg, cl.NewSilo(cl.Config{
+			Devices: []devsim.Config{{Name: "remote-gpu", MemoryBytes: 512 << 20, ComputeUnits: 8}},
+		}))
+		h, err := host.Start(server.New(reg), host.Config{Listen: "127.0.0.1:0", API: "opencl"})
+		if err != nil {
+			log.Fatal(err)
 		}
-	}()
+		defer h.Shutdown()
+		*addr = h.Addr()
+	}
 
 	// "Hypervisor host": the router interposes locally, then forwards over
-	// the socket to the disaggregated accelerator.
-	desc := cl.Descriptor()
-	router := hv.NewRouter(desc, nil, nil)
-	if err := router.RegisterVM(hv.VMConfig{ID: 1, Name: "remote-vm"}); err != nil {
-		log.Fatal(err)
-	}
-	guestEP, routerGuest := transport.NewInProc()
-	routerServer, err := transport.Dial(l.Addr())
+	// the socket to the disaggregated accelerator. No silo on this side.
+	stack := ava.NewStack(cl.Descriptor(), nil, ava.WithRemoteServer(*addr))
+	defer stack.Close()
+	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "remote-vm"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	go router.Attach(1, routerGuest, routerServer)
-	defer guestEP.Close()
 
 	// "Guest VM": ordinary OpenCL, unaware the GPU is across the network.
-	c := cl.NewRemote(guest.New(desc, guestEP))
+	c := cl.NewRemote(lib)
 	ps, err := c.PlatformIDs()
 	if err != nil {
 		log.Fatal(err)
 	}
 	ds, _ := c.DeviceIDs(ps[0], cl.DeviceTypeGPU)
 	name, _ := c.DeviceInfo(ds[0], cl.DeviceName)
-	fmt.Printf("guest sees device %q over %s\n", name, l.Addr())
+	fmt.Printf("guest sees device %q over %s\n", name, *addr)
 
 	ctx, err := c.CreateContext(ds)
 	if err != nil {
@@ -118,7 +111,7 @@ func main() {
 			log.Fatalf("saxpy wrong at %d: %v", i, res[i])
 		}
 	}
-	st, _ := router.Stats(1)
+	st, _ := stack.Router.Stats(1)
 	fmt.Printf("saxpy over %d elements across TCP: %v, %d calls forwarded, %.1f MB moved\n",
 		n, elapsed.Round(time.Millisecond), st.Forwarded, float64(st.Bytes)/(1<<20))
 	fmt.Println("result verified: y = 2x + 1")

@@ -14,45 +14,49 @@ import (
 	"ava/internal/server"
 )
 
-// fleetHost starts one API-server machine of an experiment's mini-fleet:
-// its own silo and server behind the production host runtime
-// (internal/host — the type cmd/avad runs), announcing to loc.
+// fleetHost starts one API-server machine: its own silo and server behind
+// the production host runtime (internal/host — the type cmd/avad runs),
+// announcing to loc. A nil loc is a standalone machine reached by address.
 func fleetHost(id string, loc fleet.Locator) (*host.Server, error) {
-	silo := gpuSilo(0)
+	return siloHost(gpuSilo(0), id, loc)
+}
+
+func siloHost(silo *cl.Silo, id string, loc fleet.Locator) (*host.Server, error) {
 	reg := server.NewRegistry(cl.Descriptor())
 	cl.BindServer(reg, silo)
-	// A guardian failing over from a peer host replays mirrored object
-	// snapshots as marshal.FuncRestore calls; the restorer rebuilds them.
+	// A guardian on the far side of the wire captures checkpoints as
+	// marshal.FuncSnapshot calls and replays them as FuncRestore calls; the
+	// restorer serves both.
 	reg.Restorer = cl.MigrationAdapter{Silo: silo}
 	return host.Start(server.New(reg), host.Config{
 		Listen: "127.0.0.1:0", API: "opencl", Locator: loc, ID: id,
 	})
 }
 
+// e12Failover is the guardian tuning E12, E13 and E16 share.
+func e12Failover(seed int64) ava.FailoverConfig {
+	return ava.FailoverConfig{
+		Checkpoint: ava.CheckpointConfig{Every: 64},
+		Backoff:    failover.BackoffConfig{Seed: seed},
+	}
+}
+
 // fleetGuest attaches VM 1 to a guest-side stack with no local server to
-// fall back on: every server incarnation is dialed out of the fleet.
+// fall back on: every server incarnation is placed out of the fleet.
 // extra options apply after WithFailover, which replaces the whole
 // failover config (ava.WithMirror must come behind it).
-func fleetGuest(kind ava.TransportKind, loc fleet.Locator, name string, seed int64, extra ...ava.Option) (*ava.Stack, *ava.GuestLib, *failover.FleetDialer, error) {
-	dialer := failover.NewFleetDialer(loc, failover.FleetDialConfig{API: "opencl", VM: 1, Name: name})
-	desc := cl.Descriptor()
-	stack := ava.NewStack(desc, server.NewRegistry(desc), append([]ava.Option{
+func fleetGuest(kind ava.TransportKind, loc fleet.Locator, name string, seed int64, extra ...ava.Option) (*ava.Stack, *ava.GuestLib, error) {
+	stack := observe(ava.NewStack(cl.Descriptor(), nil, append([]ava.Option{
 		ava.WithTransport(kind),
-		ava.WithFailover(ava.FailoverConfig{
-			Checkpoint: ava.CheckpointConfig{Every: 64},
-			Backoff:    failover.BackoffConfig{Seed: seed},
-			Dial: func(uint32, string) (failover.ServerLink, error) {
-				return dialer.Dial()
-			},
-			Host: func(uint32) string { return dialer.Host() },
-		})}, extra...)...)
+		ava.WithFailover(e12Failover(seed)),
+		ava.WithPlacement(ava.PlacementConfig{Locator: loc, API: "opencl"}),
+	}, extra...)...))
 	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: name})
 	if err != nil {
 		stack.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	dialer.SetEpochSource(stack.Guardian(1).Epoch)
-	return stack, lib, dialer, nil
+	return stack, lib, nil
 }
 
 // fleetTransports are the stacks E13 and E16 run over: the guest↔router
@@ -77,8 +81,8 @@ type fleetResult struct {
 }
 
 // runGaussian times one run of w through lib and collects the verdict
-// inputs from the guardian and dialer behind it.
-func runGaussian(w rodinia.Workload, scale int, stack *ava.Stack, lib *ava.GuestLib, dialer *failover.FleetDialer) (fleetResult, error) {
+// inputs from the guardian and the placement log behind it.
+func runGaussian(w rodinia.Workload, scale int, stack *ava.Stack, lib *ava.GuestLib) (fleetResult, error) {
 	var r fleetResult
 	var err error
 	start := time.Now()
@@ -86,8 +90,12 @@ func runGaussian(w rodinia.Workload, scale int, stack *ava.Stack, lib *ava.Guest
 	r.dur = time.Since(start)
 	r.gs = stack.Guardian(1).Stats()
 	r.retry = lib.Stats().RetryableFailed
-	r.changes = dialer.HostChanges()
-	r.host = dialer.Host()
+	for _, d := range stack.SchedDecisions() {
+		if d.Kind == "failover" {
+			r.changes++
+		}
+	}
+	r.host = stack.VMHost(1)
 	return r, err
 }
 
@@ -125,7 +133,7 @@ func CrossHost(opts Options) (*Table, error) {
 			return fleetResult{}, err
 		}
 		defer hostB.Kill()
-		stack, lib, dialer, err := fleetGuest(kind, loc, "e13-vm", 13)
+		stack, lib, err := fleetGuest(kind, loc, "e13-vm", 13)
 		if err != nil {
 			return fleetResult{}, err
 		}
@@ -136,7 +144,7 @@ func CrossHost(opts Options) (*Table, error) {
 				hostA.Kill()
 			}()
 		}
-		return runGaussian(w, scale, stack, lib, dialer)
+		return runGaussian(w, scale, stack, lib)
 	}
 
 	for _, tr := range fleetTransports {

@@ -2,18 +2,17 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"ava"
 	"ava/internal/bytesconv"
 	"ava/internal/cava"
 	"ava/internal/cl"
-	"ava/internal/guest"
-	"ava/internal/hv"
 	"ava/internal/mvnc"
 	"ava/internal/qat"
 	"ava/internal/server"
 	"ava/internal/swap"
-	"ava/internal/transport"
 )
 
 // clStackSwap assembles an OpenCL stack with a swap manager installed and
@@ -29,45 +28,6 @@ func clStackSwap(silo *cl.Silo, opts ...ava.Option) (*ava.Stack, *swap.Manager) 
 
 // f32bytes aliases the conversion used throughout the workloads.
 func f32bytes(xs []float32) []byte { return bytesconv.Float32Bytes(xs) }
-
-// tcpVectorAdd runs the vector-add workload against a disaggregated API
-// server: guest → router locally, router → server over a real TCP socket
-// (the LegoOS-style configuration of §4.1).
-func tcpVectorAdd(a, b []float32) error {
-	silo := gpuSilo(0)
-	desc := cl.Descriptor()
-	reg := server.NewRegistry(desc)
-	cl.BindServer(reg, silo)
-	srv := server.New(reg)
-
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer l.Close()
-	go func() {
-		ep, err := l.Accept()
-		if err != nil {
-			return
-		}
-		srv.ServeVM(srv.Context(1, "remote-vm"), ep)
-	}()
-
-	router := hv.NewRouter(desc, nil, nil)
-	if err := router.RegisterVM(hv.VMConfig{ID: 1, Name: "remote-vm"}); err != nil {
-		return err
-	}
-	guestEP, routerGuest := transport.NewInProc()
-	routerServer, err := transport.Dial(l.Addr())
-	if err != nil {
-		return err
-	}
-	go router.Attach(1, routerGuest, routerServer)
-	defer guestEP.Close()
-
-	lib := guest.New(desc, guestEP)
-	return vectorAdd(cl.NewRemote(lib), a, b)
-}
 
 // Effort reproduces the paper's developer-effort claim (§1/§5: a single
 // developer virtualizes an API in days; hand-built systems took 25k LoC
@@ -101,76 +61,59 @@ func Effort() (*Table, error) {
 	return t, nil
 }
 
+// experiments is the one table of what this package can run, in run order:
+// canonical short name first (the <exp> of BENCH_<exp>.json), then aliases.
+var experiments = []struct {
+	names []string
+	run   func(Options) (*Table, error)
+}{
+	{[]string{"fig5", "figure5"}, Figure5},
+	{[]string{"async", "ablation"}, AsyncAblation},
+	{[]string{"fullvirt", "baseline"}, FullVirtBaseline},
+	{[]string{"sharing"}, Sharing},
+	{[]string{"swap"}, Swap},
+	{[]string{"migrate", "migration"}, Migration},
+	{[]string{"effort"}, func(Options) (*Table, error) { return Effort() }},
+	{[]string{"transport", "transports"}, Transports},
+	{[]string{"breakdown", "stages"}, Breakdown},
+	{[]string{"pipeline", "pipelining"}, Pipeline},
+	{[]string{"overload", "shed"}, Overload},
+	{[]string{"failover", "chaos"}, Failover},
+	{[]string{"crosshost", "fleet"}, CrossHost},
+	{[]string{"copycost", "zerocopy"}, CopyCost},
+	{[]string{"rebalance", "sched"}, Rebalance},
+	{[]string{"ha", "replicated"}, HA},
+}
+
+// Experiments lists every experiment's canonical short name in run order —
+// the names ByName accepts and the <exp> part of BENCH_<exp>.json.
+func Experiments() []string {
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.names[0]
+	}
+	return out
+}
+
 // All runs every experiment.
 func All(opts Options) ([]*Table, error) {
-	type exp struct {
-		name string
-		run  func(Options) (*Table, error)
-	}
 	var out []*Table
-	for _, e := range []exp{
-		{"fig5", Figure5},
-		{"async", AsyncAblation},
-		{"fullvirt", FullVirtBaseline},
-		{"sharing", Sharing},
-		{"swap", Swap},
-		{"migrate", Migration},
-		{"effort", func(Options) (*Table, error) { return Effort() }},
-		{"transport", Transports},
-		{"breakdown", Breakdown},
-		{"pipeline", Pipeline},
-		{"overload", Overload},
-		{"failover", Failover},
-		{"crosshost", CrossHost},
-		{"copycost", CopyCost},
-		{"rebalance", Rebalance},
-		{"ha", HA},
-	} {
+	for _, e := range experiments {
 		tbl, err := e.run(opts)
 		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.name, err)
+			return out, fmt.Errorf("%s: %w", e.names[0], err)
 		}
 		out = append(out, tbl)
 	}
 	return out, nil
 }
 
-// ByName runs one experiment by its short name.
+// ByName runs one experiment by its short name or an alias.
 func ByName(name string, opts Options) (*Table, error) {
-	switch name {
-	case "fig5", "figure5":
-		return Figure5(opts)
-	case "async", "ablation":
-		return AsyncAblation(opts)
-	case "fullvirt", "baseline":
-		return FullVirtBaseline(opts)
-	case "sharing":
-		return Sharing(opts)
-	case "swap":
-		return Swap(opts)
-	case "migrate", "migration":
-		return Migration(opts)
-	case "effort":
-		return Effort()
-	case "transport", "transports":
-		return Transports(opts)
-	case "breakdown", "stages":
-		return Breakdown(opts)
-	case "pipeline", "pipelining":
-		return Pipeline(opts)
-	case "overload", "shed":
-		return Overload(opts)
-	case "failover", "chaos":
-		return Failover(opts)
-	case "crosshost", "fleet":
-		return CrossHost(opts)
-	case "copycost", "zerocopy":
-		return CopyCost(opts)
-	case "rebalance", "sched":
-		return Rebalance(opts)
-	case "ha", "replicated":
-		return HA(opts)
-	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q (fig5, async, fullvirt, sharing, swap, migrate, effort, transport, breakdown, pipeline, overload, failover, crosshost, copycost, rebalance, ha)", name)
+	for _, e := range experiments {
+		if slices.Contains(e.names, name) {
+			return e.run(opts)
+		}
 	}
+	return nil, fmt.Errorf("bench: unknown experiment %q (%s)", name, strings.Join(Experiments(), ", "))
 }

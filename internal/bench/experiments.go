@@ -574,16 +574,13 @@ func Transports(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, tr := range []struct {
-		name string
-		kind ava.TransportKind
-	}{
-		{"inproc", ava.TransportInProc},
-		{"shm-ring", ava.TransportRing},
-	} {
+	for _, kind := range benchTransports {
 		remote, err := timeIt(opts.reps(), func() error {
-			stack := clStack(gpuSilo(0), false, ava.WithTransport(tr.kind))
-			defer stack.Close()
+			stack, stop, err := transportStack(kind, gpuSilo(0))
+			if err != nil {
+				return err
+			}
+			defer stop()
 			c, err := clRemote(stack, 1)
 			if err != nil {
 				return err
@@ -593,15 +590,7 @@ func Transports(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Add(tr.name, ms(native), ms(remote), fmt.Sprintf("%.2fx", ratio(remote, native)))
+		t.Add(kind, ms(native), ms(remote), fmt.Sprintf("%.2fx", ratio(remote, native)))
 	}
-	// TCP: disaggregated API server over a real socket.
-	remote, err := timeIt(opts.reps(), func() error {
-		return tcpVectorAdd(a, b)
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Add("tcp(disagg)", ms(native), ms(remote), fmt.Sprintf("%.2fx", ratio(remote, native)))
 	return t, nil
 }

@@ -8,11 +8,7 @@ import (
 	"ava"
 	"ava/internal/cl"
 	"ava/internal/failover"
-	"ava/internal/guest"
-	"ava/internal/hv"
 	"ava/internal/rodinia"
-	"ava/internal/server"
-	"ava/internal/transport"
 )
 
 // Failover is E12: a SIGKILL-equivalent API-server death in the middle of
@@ -41,18 +37,18 @@ func Failover(opts Options) (*Table, error) {
 		resub uint64
 		retry uint64
 	}
-	foCfg := func(silo *cl.Silo) ava.FailoverConfig {
-		return ava.FailoverConfig{
-			Adapter:    cl.MigrationAdapter{Silo: silo},
-			Checkpoint: ava.CheckpointConfig{Every: 64},
-			Backoff:    failover.BackoffConfig{Seed: 12},
-		}
-	}
-	stackRun := func(kind ava.TransportKind, killAfter time.Duration) (result, error) {
+	run := func(kind string, killAfter time.Duration) (result, error) {
 		var r result
 		silo := gpuSilo(0)
-		stack := clStack(silo, false, ava.WithTransport(kind), ava.WithFailover(foCfg(silo)))
-		defer stack.Close()
+		fo := e12Failover(12)
+		// The stack's own server snapshots through the adapter in-process;
+		// the remote machine's registry carries its own (siloHost).
+		fo.Adapter = cl.MigrationAdapter{Silo: silo}
+		stack, stop, err := transportStack(kind, silo, ava.WithFailover(fo))
+		if err != nil {
+			return r, err
+		}
+		defer stop()
 		lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "e12-vm"})
 		if err != nil {
 			return r, err
@@ -75,106 +71,26 @@ func Failover(opts Options) (*Table, error) {
 		r.resub, r.retry = ls.ResubmittedCalls, ls.RetryableFailed
 		return r, nil
 	}
-	// TCP: disaggregated API server behind a persistent listener, one
-	// server incarnation per accepted connection (the respawn model).
-	tcpRun := func(killAfter time.Duration) (result, error) {
-		var r result
-		silo := gpuSilo(0)
-		desc := cl.Descriptor()
-		reg := server.NewRegistry(desc)
-		cl.BindServer(reg, silo)
-		srv := server.New(reg)
-		l, err := transport.Listen("127.0.0.1:0")
-		if err != nil {
-			return r, err
-		}
-		defer l.Close()
-		go func() {
-			for {
-				ep, err := l.Accept()
-				if err != nil {
-					return
-				}
-				go srv.ServeVM(srv.Context(1, "e12-vm"), ep)
-			}
-		}()
-		router := hv.NewRouter(desc, nil, nil)
-		if err := router.RegisterVM(ava.VMConfig{ID: 1, Name: "e12-vm"}); err != nil {
-			return r, err
-		}
-		guestEP, routerGuest := transport.NewInProc()
-		routerServer, north := transport.NewInProc()
-		defer func() {
-			for _, ep := range []transport.Endpoint{guestEP, routerGuest, routerServer} {
-				ep.Close()
-			}
-		}()
-		dial := func() (failover.ServerLink, error) {
-			srv.DropContext(1)
-			ctx := srv.Context(1, "e12-vm")
-			ep, err := transport.Dial(l.Addr())
-			if err != nil {
-				return failover.ServerLink{}, err
-			}
-			return failover.ServerLink{EP: ep, Server: srv, Ctx: ctx, Adapter: cl.MigrationAdapter{Silo: silo}}, nil
-		}
-		g := failover.New(desc, north, dial, failover.Config{
-			CheckpointEvery: 64,
-			Backoff:         failover.BackoffConfig{Seed: 12},
-			OnEpoch:         func(e uint32) { router.SetEpoch(1, e) },
-		})
-		if err := g.Start(); err != nil {
-			return r, err
-		}
-		defer g.Close()
-		go router.Attach(1, routerGuest, routerServer)
-		lib := guest.New(desc, guestEP, guest.WithFailover(guest.FailoverPolicy{}))
-		defer lib.Close()
-		c := cl.NewRemote(lib)
-		if killAfter > 0 {
-			go func() {
-				time.Sleep(killAfter)
-				g.KillServer()
-			}()
-		}
-		start := time.Now()
-		r.sum, err = w.Run(c, scale)
-		r.dur = time.Since(start)
-		if err != nil {
-			return r, err
-		}
-		r.gs = g.Stats()
-		ls := lib.Stats()
-		r.resub, r.retry = ls.ResubmittedCalls, ls.RetryableFailed
-		return r, nil
-	}
 
-	for _, tr := range []struct {
-		name string
-		run  func(time.Duration) (result, error)
-	}{
-		{"inproc", func(k time.Duration) (result, error) { return stackRun(ava.TransportInProc, k) }},
-		{"shm-ring", func(k time.Duration) (result, error) { return stackRun(ava.TransportRing, k) }},
-		{"tcp(disagg)", tcpRun},
-	} {
-		base, err := tr.run(0)
+	for _, kind := range benchTransports {
+		base, err := run(kind, 0)
 		if err != nil {
-			return nil, fmt.Errorf("%s undisturbed: %w", tr.name, err)
+			return nil, fmt.Errorf("%s undisturbed: %w", kind, err)
 		}
 		killAt := base.dur / 3
 		if killAt < time.Millisecond {
 			killAt = time.Millisecond
 		}
-		killed, err := tr.run(killAt)
+		killed, err := run(kind, killAt)
 		if err != nil {
-			return nil, fmt.Errorf("%s killed run: %w", tr.name, err)
+			return nil, fmt.Errorf("%s killed run: %w", kind, err)
 		}
 		identical := math.Float64bits(killed.sum) == math.Float64bits(base.sum) &&
 			killed.retry == 0 && killed.gs.Recoveries >= 1
-		t.Add(tr.name, ms(base.dur), ms(killed.dur), ms(killed.gs.LastRecoveryPause),
+		t.Add(kind, ms(base.dur), ms(killed.dur), ms(killed.gs.LastRecoveryPause),
 			fmt.Sprintf("%v", identical), fmt.Sprintf("%d", killed.resub))
 	}
 	t.Note("identical = bitwise-equal checksum vs the undisturbed run, >=1 recovery, zero calls dropped (E12 acceptance)")
-	t.Note("recovery pause covers respawn dial + record-log replay + checkpoint state restore")
+	t.Note("recovery pause covers respawn dial + record-log replay + checkpoint state restore; the tcp(disagg) row redials a live host.Server and replays over the wire (FuncRebind/FuncRestore round trips), as E13 does")
 	return t, nil
 }

@@ -95,7 +95,7 @@ func HA(opts Options) (*Table, error) {
 		})
 		defer rm.Close()
 
-		stack, lib, dialer, err := fleetGuest(kind, mc, "e16-vm", 16, ava.WithMirror(rm))
+		stack, lib, err := fleetGuest(kind, mc, "e16-vm", 16, ava.WithMirror(rm))
 		if err != nil {
 			return r, err
 		}
@@ -123,7 +123,7 @@ func HA(opts Options) (*Table, error) {
 			}()
 		}
 
-		if r.fleetResult, err = runGaussian(w, scale, stack, lib, dialer); err != nil {
+		if r.fleetResult, err = runGaussian(w, scale, stack, lib); err != nil {
 			return r, err
 		}
 		// Detach before judging the mirror: the guest's trailing async

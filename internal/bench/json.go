@@ -7,16 +7,6 @@ import (
 	"path/filepath"
 )
 
-// Experiments lists every experiment's canonical short name in run order —
-// the names ByName accepts and the <exp> part of BENCH_<exp>.json.
-func Experiments() []string {
-	return []string{
-		"fig5", "async", "fullvirt", "sharing", "swap", "migrate", "effort",
-		"transport", "breakdown", "pipeline", "overload", "failover",
-		"crosshost", "copycost", "rebalance", "ha",
-	}
-}
-
 // jsonTable is the on-disk shape of one experiment result.
 type jsonTable struct {
 	Exp     string     `json:"exp"`

@@ -5,13 +5,8 @@ import (
 	"sync"
 	"time"
 
-	"ava"
 	"ava/internal/cl"
 	"ava/internal/devsim"
-	"ava/internal/guest"
-	"ava/internal/hv"
-	"ava/internal/server"
-	"ava/internal/transport"
 )
 
 // pipelineSilo builds the GPU for the pipelining sweep. Device costs are
@@ -34,57 +29,18 @@ func pipelineSilo() *cl.Silo {
 	})
 }
 
-// pipelineClient builds a remoted OpenCL client over the named transport.
-// InProc and Ring go through the standard stack; TCP mirrors the
-// disaggregated wiring of tcpVectorAdd (guest → router locally, router →
-// API server over a socket).
+// pipelineClient builds a remoted OpenCL client over one of benchTransports.
 func pipelineClient(kind string) (*cl.RemoteClient, func(), error) {
-	switch kind {
-	case "inproc", "shm-ring":
-		tr := ava.TransportInProc
-		if kind == "shm-ring" {
-			tr = ava.TransportRing
-		}
-		stack := clStack(pipelineSilo(), false, ava.WithTransport(tr))
-		c, err := clRemote(stack, 1)
-		if err != nil {
-			stack.Close()
-			return nil, nil, err
-		}
-		return c, func() { stack.Close() }, nil
-	case "tcp":
-		desc := cl.Descriptor()
-		reg := server.NewRegistry(desc)
-		cl.BindServer(reg, pipelineSilo())
-		srv := server.New(reg)
-		l, err := transport.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		go func() {
-			ep, err := l.Accept()
-			if err != nil {
-				return
-			}
-			srv.ServeVM(srv.Context(1, "pipeline-vm"), ep)
-		}()
-		router := hv.NewRouter(desc, nil, nil)
-		if err := router.RegisterVM(hv.VMConfig{ID: 1, Name: "pipeline-vm"}); err != nil {
-			l.Close()
-			return nil, nil, err
-		}
-		guestEP, routerGuest := transport.NewInProc()
-		routerServer, err := transport.Dial(l.Addr())
-		if err != nil {
-			l.Close()
-			return nil, nil, err
-		}
-		go router.Attach(1, routerGuest, routerServer)
-		lib := guest.New(desc, guestEP)
-		return cl.NewRemote(lib), func() { guestEP.Close(); l.Close() }, nil
-	default:
-		return nil, nil, fmt.Errorf("bench: unknown pipeline transport %q", kind)
+	stack, stop, err := transportStack(kind, pipelineSilo())
+	if err != nil {
+		return nil, nil, err
 	}
+	c, err := clRemote(stack, 1)
+	if err != nil {
+		stop()
+		return nil, nil, err
+	}
+	return c, stop, nil
 }
 
 // pipelineRun drives the given number of concurrent guest threads against
@@ -156,7 +112,7 @@ func Pipeline(opts Options) (*Table, error) {
 		Header: []string{"transport", "threads", "calls", "time", "calls/s", "scaling"},
 	}
 	calls := 32 * opts.scale()
-	for _, kind := range []string{"inproc", "shm-ring", "tcp"} {
+	for _, kind := range benchTransports {
 		var base float64
 		for _, n := range []int{1, 2, 4, 8} {
 			// timeIt would fold stack setup into the measurement; time the

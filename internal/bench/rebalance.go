@@ -125,7 +125,7 @@ func rebalanceRun(rebalance bool, vms, calls int) (*rebalanceResult, error) {
 			VMCooldownTicks: 5,
 		}))
 	}
-	stack := observe(ava.NewStack(desc, server.NewRegistry(desc), opts...))
+	stack := observe(ava.NewStack(desc, nil, opts...))
 	defer stack.Close()
 
 	libs := make([]*ava.GuestLib, vms)

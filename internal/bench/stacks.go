@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"ava"
@@ -60,6 +61,34 @@ func clStack(silo *cl.Silo, withSwap bool, opts ...ava.Option) *ava.Stack {
 		swap.NewManager(silo).Install(reg)
 	}
 	return observe(ava.NewStack(desc, reg, opts...))
+}
+
+// benchTransports are the three south hops E8, E10 and E12 compare.
+var benchTransports = []string{"inproc", "shm-ring", "tcp(disagg)"}
+
+// transportStack assembles an OpenCL deployment over silo on one of
+// benchTransports: "inproc" and "shm-ring" serve the VM from the stack's
+// own server over that transport; "tcp(disagg)" starts a standalone
+// API-server machine on loopback (internal/host, what avad runs) and points
+// the stack at its address — §4.1's disaggregated configuration. stop tears
+// down the stack and the machine.
+func transportStack(kind string, silo *cl.Silo, opts ...ava.Option) (stack *ava.Stack, stop func(), err error) {
+	switch kind {
+	case "inproc":
+		stack = clStack(silo, false, opts...)
+	case "shm-ring":
+		stack = clStack(silo, false, append(opts, ava.WithTransport(ava.TransportRing))...)
+	case "tcp(disagg)":
+		h, err := siloHost(silo, "", nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		stack = observe(ava.NewStack(cl.Descriptor(), nil, append(opts, ava.WithRemoteServer(h.Addr()))...))
+		return stack, func() { stack.Close(); h.Shutdown() }, nil
+	default:
+		return nil, nil, fmt.Errorf("bench: unknown transport %q", kind)
+	}
+	return stack, stack.Close, nil
 }
 
 // clRemote attaches one VM and returns its remote client.

@@ -23,16 +23,11 @@ type FleetDialConfig struct {
 	// replay.
 	PerHostAttempts int
 	// Epoch supplies the current endpoint epoch for the hello preamble;
-	// nil stamps 0. Wire it to Guardian.Epoch so the serving host can
-	// observe reconnects across failovers.
+	// nil stamps 0. Wire it to the owning Guardian's Epoch so the serving
+	// host can observe reconnects across failovers.
 	Epoch func() uint32
-	// Resolve turns a fleet member into a live ServerLink. Nil uses the
-	// default: TCP-dial m.Addr, send the hello preamble with an ack
-	// request, wait for the server's admission verdict, and return a
-	// wire-only link. Waiting for the verdict is what makes host-side
-	// rejection (an evicted VM bounced off its old host) a dial failure
-	// that spends the per-host attempt budget, instead of a silent
-	// connect-then-sever loop that resets it.
+	// Resolve turns a fleet member into a live ServerLink. Nil uses
+	// DialHost on m.Addr. Tests use it to simulate a fleet in-process.
 	Resolve func(m fleet.Member, epoch uint32) (ServerLink, error)
 	// Rank, when set, reorders the live candidates best-first before the
 	// dialer walks them — the hook a placement policy (internal/sched)
@@ -86,14 +81,6 @@ func (d *FleetDialer) HostChanges() int {
 	return d.hostChanges
 }
 
-// SetEpochSource installs the epoch supplier after construction (the
-// guardian that owns the epoch is usually built after its dialer).
-func (d *FleetDialer) SetEpochSource(f func() uint32) {
-	d.mu.Lock()
-	d.cfg.Epoch = f
-	d.mu.Unlock()
-}
-
 // Relocate directs the next dial away from the current host even though
 // it is alive: the per-host retry budget is skipped and the current host
 // is excluded from that one candidate query (without being marked failed
@@ -118,11 +105,10 @@ func (d *FleetDialer) Dial() (ServerLink, error) {
 	d.mu.Lock()
 	cur, tried := d.host, d.attempts
 	reloc, prefer := d.relocating, d.relocateTo
-	epochFn := d.cfg.Epoch
 	d.mu.Unlock()
 	var epoch uint32
-	if epochFn != nil {
-		epoch = epochFn()
+	if d.cfg.Epoch != nil {
+		epoch = d.cfg.Epoch()
 	}
 
 	if !reloc && cur != "" && tried < d.cfg.PerHostAttempts {
@@ -234,18 +220,29 @@ func (d *FleetDialer) resolve(m fleet.Member, epoch uint32) (ServerLink, error) 
 	if d.cfg.Resolve != nil {
 		return d.cfg.Resolve(m, epoch)
 	}
-	ep, err := transport.Dial(m.Addr)
+	link, err := DialHost(m.Addr, transport.Hello{VM: d.cfg.VM, Epoch: epoch, Name: d.cfg.Name})
+	if err != nil {
+		return link, fmt.Errorf("host %s: %w", m.ID, err)
+	}
+	return link, nil
+}
+
+// DialHost is the one way a remote API server is reached: TCP-dial addr,
+// send the hello and wait for the host's admission verdict. The link is
+// wire-only (see ServerLink). Success means admitted, not merely connected:
+// the verdict frame arrives before any data-plane traffic, so a rejection
+// (the VM was just evicted from this host) is a dial failure the caller
+// charges against its retry budget like any other, instead of a silent
+// connect-then-sever loop that resets it. A server at a configured address
+// and a fleet member out of a registry differ only in where addr came from.
+func DialHost(addr string, h transport.Hello) (ServerLink, error) {
+	ep, err := transport.Dial(addr)
 	if err != nil {
 		return ServerLink{}, err
 	}
-	// Success means admitted, not merely connected: the server's verdict
-	// frame arrives before any data-plane traffic, so a rejection (the VM
-	// was just evicted from this host) fails the dial here and the caller
-	// charges it against the per-host budget like any other failure.
-	hello := transport.Hello{VM: d.cfg.VM, Epoch: epoch, Name: d.cfg.Name, WantAck: true}
-	if err := transport.Greet(ep, hello); err != nil {
+	if err := transport.Greet(ep, h); err != nil {
 		ep.Close()
-		return ServerLink{}, fmt.Errorf("host %s: %w", m.ID, err)
+		return ServerLink{}, err
 	}
 	return ServerLink{EP: ep}, nil
 }

@@ -293,8 +293,7 @@ func newAckServer(t *testing.T) *ackServer {
 					ep.Close()
 					return
 				}
-				h, err := transport.DecodeHello(frame)
-				if err != nil {
+				if _, err := transport.DecodeHello(frame); err != nil {
 					ep.Close()
 					return
 				}
@@ -306,11 +305,11 @@ func newAckServer(t *testing.T) *ackServer {
 				}
 				s.mu.Unlock()
 				if rej {
-					transport.AckHello(ep, h, false, "evicted, rebalancing")
+					transport.AckHello(ep, false, "evicted, rebalancing")
 					ep.Close()
 					return
 				}
-				transport.AckHello(ep, h, true, "")
+				transport.AckHello(ep, true, "")
 			}()
 		}
 	}()
@@ -399,9 +398,12 @@ func TestFleetDialerStampsEpoch(t *testing.T) {
 	stacktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{{ID: "a", API: "opencl"}}}
 	res := &scriptedResolver{}
-	d := newTestDialer(loc, res, 2)
 	epoch := uint32(0)
-	d.SetEpochSource(func() uint32 { return epoch })
+	d := NewFleetDialer(loc, FleetDialConfig{
+		API: "opencl", VM: 1, Name: "test-vm",
+		Resolve: res.resolve,
+		Epoch:   func() uint32 { return epoch },
+	})
 
 	if _, err := d.Dial(); err != nil {
 		t.Fatal(err)

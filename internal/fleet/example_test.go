@@ -5,7 +5,7 @@ import (
 	"log"
 
 	"ava/internal/fleet"
-	"ava/internal/transport"
+	"ava/internal/host"
 )
 
 // The in-process Registry is the simplest Locator: embed it directly when
@@ -29,17 +29,15 @@ func ExampleRegistry() {
 // redials a restarted registry, and retries transient failures under a
 // bounded jittered backoff before reporting an error.
 func ExampleDialRegistry() {
-	// A real deployment points this at avaregd; here we serve an
-	// in-process registry over a loopback listener.
-	reg := fleet.NewRegistry(0, nil)
-	l, err := transport.Listen("127.0.0.1:0")
+	// A real deployment points this at avaregd; here the same registry
+	// host runs in-process on a loopback listener.
+	reg, err := host.StartRegistry(host.RegistryConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer l.Close()
-	go fleet.Serve(l, reg)
+	defer reg.Shutdown()
 
-	loc := fleet.DialRegistry(l.Addr())
+	loc := fleet.DialRegistry(reg.Addr())
 	defer loc.Close()
 	loc.Announce(fleet.Member{ID: "gpu-host-a", Addr: "10.0.0.1:7272", API: "opencl"})
 
@@ -58,26 +56,23 @@ func ExampleDialRegistry() {
 // flavors satisfy Locator — FleetDialer, ava.WithPlacement and the
 // rebalancer take whichever the deployment runs.
 func ExampleDialRegistries() {
-	regA, regB := fleet.NewRegistry(0, nil), fleet.NewRegistry(0, nil)
-	lA, err := transport.Listen("127.0.0.1:0")
+	regA, err := host.StartRegistry(host.RegistryConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer lA.Close()
-	lB, err := transport.Listen("127.0.0.1:0")
+	defer regA.Kill()
+	regB, err := host.StartRegistry(host.RegistryConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer lB.Close()
-	go fleet.Serve(lA, regA)
-	go fleet.Serve(lB, regB)
+	defer regB.Shutdown()
 
-	loc := fleet.DialRegistries(lA.Addr(), lB.Addr())
+	loc := fleet.DialRegistries(regA.Addr(), regB.Addr())
 	defer loc.Close()
 	loc.Announce(fleet.Member{ID: "gpu-host-a", Addr: "10.0.0.1:7272", API: "opencl"})
 
 	// The announce reached both replicas; either alone can answer.
-	lA.Close() // one registry machine dies
+	regA.Kill() // one registry machine dies
 	ms, err := loc.Live("opencl")
 	if err != nil {
 		log.Fatal(err)

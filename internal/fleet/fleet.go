@@ -6,7 +6,7 @@
 // heartbeat TTL and a health-ranked Live query — because the paper's
 // disaggregated deployment (§4.1) only needs to answer one question: which
 // peer avad can take over this VM's API right now? A thin JSON wire
-// protocol (Serve/Dial in wire.go) lets real avad processes announce over
+// protocol (ServeConn/DialRegistry in wire.go) lets real avad processes announce over
 // TCP; in-process deployments and tests use the Registry directly. Both
 // sides of that split implement Locator, so the failover dialer does not
 // care which it was given.
@@ -59,10 +59,11 @@ func (m Member) Score() float64 {
 	return float64(m.Load) + float64(m.QueueDepth)/64 + float64(m.BytesInFlight)/(1<<30)
 }
 
-// less is the fleet's health ranking: lexicographic on the load signals,
+// Less is the fleet's health ranking: lexicographic on the load signals,
 // with the member ID as the final tie-break so the order is deterministic
 // — a placement policy re-running the same query must pick the same host.
-func less(a, b Member) bool {
+// Registries sort Live by it and sched.LeastLoad ranks by it.
+func Less(a, b Member) bool {
 	if a.Load != b.Load {
 		return a.Load < b.Load
 	}
@@ -182,7 +183,7 @@ func (r *Registry) Live(api string, exclude ...string) ([]Member, error) {
 		ms = append(ms, e.m)
 	}
 	r.mu.Unlock()
-	sort.Slice(ms, func(i, j int) bool { return less(ms[i], ms[j]) })
+	sort.Slice(ms, func(i, j int) bool { return Less(ms[i], ms[j]) })
 	return ms, nil
 }
 

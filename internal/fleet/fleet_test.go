@@ -5,10 +5,11 @@ import (
 	"time"
 
 	"ava/internal/clock"
-	"ava/internal/transport"
+	"ava/internal/stacktest"
 )
 
 func TestRegistryLiveRankingAndExclusion(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	r := NewRegistry(time.Second, clk)
 	r.Announce(Member{ID: "a", Addr: "1:1", API: "opencl", Load: 2})
@@ -34,6 +35,7 @@ func TestRegistryLiveRankingAndExclusion(t *testing.T) {
 }
 
 func TestRegistryTTLExpiryAndHeartbeat(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	r := NewRegistry(time.Second, clk)
 	r.Announce(Member{ID: "a", Addr: "1:1", API: "opencl"})
@@ -60,6 +62,7 @@ func TestRegistryTTLExpiryAndHeartbeat(t *testing.T) {
 }
 
 func TestRegistryDeregister(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	r := NewRegistry(0, nil)
 	r.Announce(Member{ID: "a", Addr: "1:1", API: "opencl"})
 	r.Deregister("a")
@@ -68,68 +71,8 @@ func TestRegistryDeregister(t *testing.T) {
 	}
 }
 
-func TestWireClientRoundTrip(t *testing.T) {
-	reg := NewRegistry(time.Minute, nil)
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go Serve(l, reg)
-
-	c := DialRegistry(l.Addr())
-	defer c.Close()
-	if err := c.Announce(Member{ID: "h1", Addr: "1.2.3.4:7272", API: "opencl", Load: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Announce(Member{ID: "h2", Addr: "1.2.3.5:7272", API: "opencl", Load: 1}); err != nil {
-		t.Fatal(err)
-	}
-	ms, err := c.Live("opencl", "h2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 1 || ms[0].ID != "h1" || ms[0].Load != 3 {
-		t.Fatalf("Live over the wire: %+v", ms)
-	}
-	if err := c.Deregister("h1"); err != nil {
-		t.Fatal(err)
-	}
-	if ms, _ := c.Live("opencl"); len(ms) != 1 || ms[0].ID != "h2" {
-		t.Fatalf("Deregister over the wire: %+v", ms)
-	}
-}
-
-func TestWireClientRedialsAfterRegistryRestart(t *testing.T) {
-	reg := NewRegistry(time.Minute, nil)
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr()
-	go Serve(l, reg)
-
-	c := DialRegistry(addr)
-	defer c.Close()
-	if err := c.Announce(Member{ID: "h1", Addr: "x", API: "opencl"}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	// Restart the registry on the same address; the client's next request
-	// rides a fresh connection.
-	l2, err := transport.Listen(addr)
-	if err != nil {
-		t.Skipf("cannot rebind %s: %v", addr, err)
-	}
-	defer l2.Close()
-	go Serve(l2, reg)
-	if err := c.Announce(Member{ID: "h1", Addr: "x", API: "opencl"}); err != nil {
-		t.Fatalf("redial failed: %v", err)
-	}
-}
-
 func TestAnnouncerHeartbeatAndClose(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	reg := NewRegistry(200*time.Millisecond, nil)
 	a := StartAnnouncer(reg, Member{Addr: "1:1", API: "opencl"}, 50*time.Millisecond, nil)
 	if ms, _ := reg.Live("opencl"); len(ms) != 1 || ms[0].ID != "1:1" {
@@ -158,6 +101,7 @@ func TestAnnouncerHeartbeatAndClose(t *testing.T) {
 // heartbeat between queries revives it — the edge the dialer's retry
 // branch hits when a host's announcement races its own query.
 func TestLiveTTLBoundaryMidQuery(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	r := NewRegistry(time.Second, clk)
 	r.Announce(Member{ID: "a", Addr: "1:1", API: "opencl"})
@@ -187,6 +131,7 @@ func TestLiveTTLBoundaryMidQuery(t *testing.T) {
 // be reproducible from the decision log, so the ranking cannot depend on
 // map iteration or announce arrival.
 func TestLiveEqualLoadTieBreakDeterministic(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	orders := [][]string{
 		{"c", "a", "b"},
 		{"b", "c", "a"},
@@ -217,58 +162,12 @@ func TestLiveEqualLoadTieBreakDeterministic(t *testing.T) {
 	}
 }
 
-// TestAnnouncerSurvivesRegistryRestart: an announcer heartbeating over
-// the TCP client re-registers its member after the registry process is
-// replaced by an empty one on the same address — no operator involved.
-func TestAnnouncerSurvivesRegistryRestart(t *testing.T) {
-	reg := NewRegistry(time.Minute, nil)
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr()
-	go Serve(l, reg)
-
-	c := DialRegistry(addr)
-	defer c.Close()
-	a := StartAnnouncer(c, Member{ID: "h1", Addr: "1.2.3.4:7272", API: "opencl"}, 20*time.Millisecond, nil)
-	defer a.Close()
-	if ms, _ := reg.Live("opencl"); len(ms) != 1 {
-		t.Fatalf("initial announce missing: %+v", ms)
-	}
-
-	// Kill the registry and bring up a fresh, empty one on the same port.
-	// Closing the listener alone leaves the established connection to the
-	// old process alive (a real crash would sever it); drop the client's
-	// cached connection to model that.
-	l.Close()
-	c.Close()
-	reg2 := NewRegistry(time.Minute, nil)
-	l2, err := transport.Listen(addr)
-	if err != nil {
-		t.Skipf("cannot rebind %s: %v", addr, err)
-	}
-	defer l2.Close()
-	go Serve(l2, reg2)
-
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		ms, _ := reg2.Live("opencl")
-		if len(ms) == 1 && ms[0].ID == "h1" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("announcer never re-registered with the restarted registry: %+v", ms)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestAnnouncerSamplerAndAnnounceNow: the sampler refreshes the load
 // signal on every push, and AnnounceNow lands immediately — the path the
 // daemon uses when a VM migrates away and the stale load must not
 // attract placements.
 func TestAnnouncerSamplerAndAnnounceNow(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	reg := NewRegistry(time.Minute, nil)
 	load := 5
 	a := StartAnnouncer(reg, Member{ID: "h1", Addr: "1:1", API: "opencl"}, time.Hour, nil)

@@ -137,7 +137,7 @@ func (mc *MultiClient) Live(api string, exclude ...string) ([]Member, error) {
 		return nil, fmt.Errorf("fleet: %d/%d registries answered, quorum is %d: %w",
 			answered, len(mc.locs), quorum, firstErr)
 	}
-	sort.Slice(ms, func(i, j int) bool { return less(ms[i], ms[j]) })
+	sort.Slice(ms, func(i, j int) bool { return Less(ms[i], ms[j]) })
 	return ms, nil
 }
 

@@ -30,23 +30,11 @@ type wireResp struct {
 	Members []Member `json:"members,omitempty"`
 }
 
-// Serve answers registry requests on l until the listener closes. Each
-// connection may issue any number of requests; avad's announcer keeps one
-// open for its heartbeat stream.
-func Serve(l *transport.Listener, reg *Registry) {
-	for {
-		ep, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go ServeConn(ep, reg)
-	}
-}
-
 // ServeConn answers registry requests on one established connection until
-// it drops — the per-connection half of Serve, exported so harnesses that
-// track accepted endpoints (to sever them like a machine crash) can drive
-// the same protocol loop.
+// it drops. Each connection may issue any number of requests; avad's
+// announcer keeps one open for its heartbeat stream. The accept loop around
+// it is internal/host.Registry, which tracks the endpoints it hands in so a
+// Kill can sever them like a machine crash.
 func ServeConn(ep transport.Endpoint, reg *Registry) {
 	defer ep.Close()
 	for {

@@ -11,7 +11,6 @@ import (
 	"ava/internal/fleet"
 	"ava/internal/host"
 	"ava/internal/rodinia"
-	"ava/internal/server"
 	"ava/internal/stacktest"
 )
 
@@ -33,26 +32,18 @@ func TestHostReconnectReplaysIntoCleanContext(t *testing.T) {
 		loc := fleet.NewRegistry(0, nil)
 		h := startHost(t, clServer(), host.Config{API: "opencl", Locator: loc, ID: "only-host"})
 		defer h.Kill()
-		dialer := failover.NewFleetDialer(loc, failover.FleetDialConfig{
-			API: "opencl", VM: 1, Name: "reconnect-vm",
-		})
-		desc := cl.Descriptor()
-		stack := ava.NewStack(desc, server.NewRegistry(desc),
+		stack := ava.NewStack(cl.Descriptor(), nil,
 			ava.WithTransport(ava.TransportRing),
 			ava.WithFailover(ava.FailoverConfig{
 				Checkpoint: ava.CheckpointConfig{Every: 64},
 				Backoff:    failover.BackoffConfig{Seed: 14},
-				Dial: func(uint32, string) (failover.ServerLink, error) {
-					return dialer.Dial()
-				},
-				Host: func(uint32) string { return dialer.Host() },
-			}))
+			}),
+			ava.WithPlacement(ava.PlacementConfig{Locator: loc, API: "opencl"}))
 		defer stack.Close()
 		lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "reconnect-vm"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dialer.SetEpochSource(stack.Guardian(1).Epoch)
 		if severAfter > 0 {
 			go func() {
 				time.Sleep(severAfter)
@@ -73,8 +64,8 @@ func TestHostReconnectReplaysIntoCleanContext(t *testing.T) {
 				t.Fatalf("the sever caused no recovery (run took %v)", dur)
 			}
 		}
-		if n := dialer.HostChanges(); n != 0 {
-			t.Fatalf("%d host changes with a single live host", n)
+		if ds := stack.SchedDecisions(); len(ds) != 1 || stack.VMHost(1) != "only-host" {
+			t.Fatalf("a single live host, yet the VM moved: on %q after %+v", stack.VMHost(1), ds)
 		}
 		return sum, dur
 	}

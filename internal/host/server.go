@@ -264,9 +264,9 @@ func (s *Server) announceNow() {
 	}
 }
 
-// serveConn reads the VM-identification hello — the legacy [vm][name]
-// preamble or a transport.Hello carrying the guardian's endpoint epoch —
-// and serves the VM until the connection ends.
+// serveConn reads the VM-identification hello, answers it with the
+// admission verdict, and serves the VM until the connection ends. A first
+// frame that is not a hello ends the connection before any VM is touched.
 func (s *Server) serveConn(ep transport.Endpoint) {
 	defer ep.Close()
 	frame, err := ep.Recv()
@@ -283,18 +283,18 @@ func (s *Server) serveConn(ep transport.Endpoint) {
 		name = fmt.Sprintf("tcp-vm%d", h.VM)
 	}
 	if age, ok := s.bind(h.VM, ep); !ok {
-		// Freshly evicted: refuse — with an explicit reject ack for
-		// dialers that asked for one, so the rejection is a dial *failure*
-		// that spends the guardian's per-host budget and moves it to a
-		// peer, instead of a silent connect-then-sever it retries forever.
+		// Freshly evicted: refuse with an explicit reject ack, so the
+		// rejection is a dial *failure* that spends the guardian's per-host
+		// budget and moves it to a peer, instead of a silent
+		// connect-then-sever it retries forever.
 		age = age.Round(time.Millisecond)
 		s.cfg.Log.Printf("VM %d refused (evicted %v ago)", h.VM, age)
-		transport.AckHello(ep, h, false, fmt.Sprintf("vm %d evicted %v ago, rebalancing", h.VM, age))
+		transport.AckHello(ep, false, fmt.Sprintf("vm %d evicted %v ago, rebalancing", h.VM, age))
 		return
 	}
 	defer s.announceNow()
 	defer s.unbind(h.VM, ep)
-	if err := transport.AckHello(ep, h, true, ""); err != nil {
+	if err := transport.AckHello(ep, true, ""); err != nil {
 		return
 	}
 	// The context is dropped at bind, never at disconnect. Every connection

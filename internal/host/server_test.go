@@ -3,6 +3,7 @@ package host_test
 import (
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -50,7 +51,23 @@ func startHost(t *testing.T, srv *server.Server, cfg host.Config) *host.Server {
 	return h
 }
 
-// dialHello connects to addr and sends hello as the first frame.
+// greet connects to addr the way every dialer in the tree does: hello,
+// then the host's admission verdict, which must be an accept.
+func greet(t *testing.T, addr string, h transport.Hello) transport.Endpoint {
+	t.Helper()
+	ep, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ep.Close() })
+	if err := transport.Greet(ep, h); err != nil {
+		t.Fatal(err)
+	}
+	return ep
+}
+
+// dialHello connects to addr and sends the raw frame hello first, leaving
+// whatever the host answers unread.
 func dialHello(t *testing.T, addr string, hello []byte) transport.Endpoint {
 	t.Helper()
 	ep, err := transport.Dial(addr)
@@ -102,42 +119,47 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// Every hello form identifies the VM the same way: the bare legacy
-// [vm][name] preamble older dialers send, and the extended one carrying
-// the guardian's endpoint epoch. A frame too short to be either is
-// dropped without serving (and without taking the host down).
+// There is one hello form. It binds the VM under the announced identity
+// and is answered before any reply. A first frame that is anything else —
+// the retired [vm][name] and AVA1 preambles, a frame too short to carry an
+// epoch, bytes from some other protocol — ends the connection without
+// touching any context: each of these used to "decode" into a VM id, and
+// the host then dropped that VM's live context to bind the newcomer.
 func TestHostHelloFormsAndCall(t *testing.T) {
 	stacktest.NoGoroutineLeaks(t)
 	srv := clServer()
 	h := startHost(t, srv, host.Config{})
 
-	legacy := make([]byte, 4, 4+len("tcp-guest"))
-	binary.LittleEndian.PutUint32(legacy, 7)
-	legacy = append(legacy, "tcp-guest"...)
-	for _, tc := range []struct {
-		vm    uint32
-		name  string
-		hello []byte
-	}{
-		{7, "tcp-guest", legacy},
-		{9, "failover-guest", transport.EncodeHello(transport.Hello{VM: 9, Epoch: 3, Name: "failover-guest"})},
-	} {
-		ep := dialHello(t, h.Addr(), tc.hello)
-		if rep := platformCount(t, ep, 1); rep.Status != marshal.StatusOK || rep.Outs[1].Uint != 1 {
-			t.Fatalf("vm %d: reply = %+v", tc.vm, rep)
-		}
-		// The context carries the announced identity.
-		if ctx := srv.Context(tc.vm, ""); ctx.Name != tc.name {
-			t.Fatalf("vm %d: context name = %q, want %q", tc.vm, ctx.Name, tc.name)
-		}
+	live := greet(t, h.Addr(), transport.Hello{VM: 9, Epoch: 3, Name: "failover-guest"})
+	if rep := platformCount(t, live, 1); rep.Status != marshal.StatusOK || rep.Outs[1].Uint != 1 {
+		t.Fatalf("reply = %+v", rep)
 	}
+	if ctx := srv.Lookup(9); ctx == nil || ctx.Name != "failover-guest" {
+		t.Fatalf("context = %+v, want the announced identity", ctx)
+	}
+	before := srv.Snapshot()
 
-	short := dialHello(t, h.Addr(), []byte{1, 2})
-	if _, err := short.Recv(); err == nil {
-		t.Fatal("short hello was served")
+	legacy := binary.LittleEndian.AppendUint32(nil, 9) // claims the live VM
+	for name, frame := range map[string][]byte{
+		"legacy":   append(legacy[:4:4], "tcp-guest"...),
+		"ava1":     append(legacy[:4:4], "AVA1\x03\x00\x00\x00failover-guest"...),
+		"short":    {1, 2},
+		"no-epoch": transport.EncodeHello(transport.Hello{VM: 9})[:10],
+		"http":     []byte("GET /vms HTTP/1.1\r\n\r\n"),
+	} {
+		if _, err := dialHello(t, h.Addr(), frame).Recv(); err == nil {
+			t.Fatalf("%s: malformed hello was answered", name)
+		}
 	}
-	if got := h.VMs(); len(got) != 2 {
-		t.Fatalf("bound VMs = %v, want the two well-formed ones", got)
+	if got := srv.Snapshot(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("malformed hellos disturbed the contexts:\n got %+v\nwant %+v", got, before)
+	}
+	// The live VM's connection and context are the ones it had.
+	if rep := platformCount(t, live, 2); rep.Status != marshal.StatusOK {
+		t.Fatalf("live VM after the malformed hellos: %+v", rep)
+	}
+	if got := h.VMs(); len(got) != 1 || got[0] != 9 {
+		t.Fatalf("bound VMs = %v, want [9]", got)
 	}
 }
 
@@ -152,7 +174,7 @@ func TestHostEvictSeversAndRefusesWithRejectAck(t *testing.T) {
 
 	dialAck := func() (transport.Endpoint, transport.HelloAck) {
 		t.Helper()
-		ep := dialHello(t, h.Addr(), transport.EncodeHello(transport.Hello{VM: 4, Name: "evictee", WantAck: true}))
+		ep := dialHello(t, h.Addr(), transport.EncodeHello(transport.Hello{VM: 4, Name: "evictee"}))
 		frame, err := ep.Recv()
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +225,7 @@ func TestHostShutdownDrainIsNotSever(t *testing.T) {
 	stacktest.NoGoroutineLeaks(t)
 	h := startHost(t, clServer(), host.Config{Drain: 300 * time.Millisecond})
 
-	client := dialHello(t, h.Addr(), transport.EncodeHello(transport.Hello{VM: 1, Name: "drain-guest"}))
+	client := greet(t, h.Addr(), transport.Hello{VM: 1, Name: "drain-guest"})
 	if rep := platformCount(t, client, 1); rep.Status != marshal.StatusOK {
 		t.Fatalf("reply = %+v", rep)
 	}
@@ -230,7 +252,7 @@ func TestHostShutdownBudgetClosesStragglers(t *testing.T) {
 
 	// Never send a call and never close: the serve loop sits in Recv until
 	// the drain budget forces the close.
-	client := dialHello(t, h.Addr(), transport.EncodeHello(transport.Hello{VM: 2, Name: "straggler"}))
+	client := greet(t, h.Addr(), transport.Hello{VM: 2, Name: "straggler"})
 	waitFor(t, "VM 2 to bind", func() bool { return len(h.VMs()) == 1 })
 
 	start := time.Now()
@@ -254,7 +276,7 @@ func TestHostSeveredConnStatsSurvive(t *testing.T) {
 	srv := clServer()
 	h := startHost(t, srv, host.Config{})
 
-	client := dialHello(t, h.Addr(), transport.EncodeHello(transport.Hello{VM: 5, Name: "doomed-guest"}))
+	client := greet(t, h.Addr(), transport.Hello{VM: 5, Name: "doomed-guest"})
 	const calls = 3
 	for i := uint64(1); i <= calls; i++ {
 		platformCount(t, client, i)
@@ -271,7 +293,7 @@ func TestHostSeveredConnStatsSurvive(t *testing.T) {
 	}
 
 	// The next incarnation starts from a clean context.
-	again := dialHello(t, h.Addr(), transport.EncodeHello(transport.Hello{VM: 5, Epoch: 1, Name: "doomed-guest"}))
+	again := greet(t, h.Addr(), transport.Hello{VM: 5, Epoch: 1, Name: "doomed-guest"})
 	platformCount(t, again, 1)
 	if snaps := srv.Snapshot(); len(snaps) != 1 || snaps[0].Stats.Calls != 1 {
 		t.Fatalf("reconnect did not start a fresh context: %+v", snaps)
@@ -294,7 +316,7 @@ func TestHostCtlDrainRoundTrip(t *testing.T) {
 	defer cs.Close()
 	c := ctlplane.NewClient(ctlAddr)
 
-	client := dialHello(t, h.Addr(), transport.EncodeHello(transport.Hello{VM: 3, Name: "ctl-drain-guest"}))
+	client := greet(t, h.Addr(), transport.Hello{VM: 3, Name: "ctl-drain-guest"})
 	platformCount(t, client, 1)
 
 	snap, err := c.Stats()
@@ -339,7 +361,7 @@ func TestHostKillSeversEverythingThenDeregisters(t *testing.T) {
 		AnnounceEvery: 5 * time.Millisecond, Mirror: "127.0.0.1:0",
 	})
 
-	vm := dialHello(t, h.Addr(), transport.EncodeHello(transport.Hello{VM: 1, Name: "kill-guest"}))
+	vm := greet(t, h.Addr(), transport.Hello{VM: 1, Name: "kill-guest"})
 	platformCount(t, vm, 1)
 	mirror := dialHello(t, h.MirrorAddr(),
 		transport.EncodeMirrorFrame(failover.MirrorOpHello, 1, 1, []byte("kill-guest")))

@@ -34,9 +34,10 @@ type Policy interface {
 }
 
 // LeastLoad places every VM on the lightest live member. The registry's
-// Live ranking already orders members lexicographically by (Load,
-// QueueDepth, BytesInFlight, ID); LeastLoad re-sorts defensively so the
-// policy stays correct even over a locator with weaker ordering.
+// Live ranking already orders members by fleet.Less (Load, QueueDepth,
+// BytesInFlight, ID); LeastLoad re-sorts by the same order so the policy
+// stays correct even over a locator with weaker ordering — placing through
+// the policy and walking the registry's answer pick the same host.
 type LeastLoad struct{}
 
 // Name implements Policy.
@@ -44,12 +45,7 @@ func (LeastLoad) Name() string { return "least-load" }
 
 // Rank implements Policy.
 func (LeastLoad) Rank(_ uint32, ms []fleet.Member) []fleet.Member {
-	sort.SliceStable(ms, func(i, j int) bool {
-		if ms[i].Score() != ms[j].Score() {
-			return ms[i].Score() < ms[j].Score()
-		}
-		return ms[i].ID < ms[j].ID
-	})
+	sort.Slice(ms, func(i, j int) bool { return fleet.Less(ms[i], ms[j]) })
 	return ms
 }
 
@@ -93,10 +89,7 @@ func (p *SpreadByVMCount) Rank(vm uint32, ms []fleet.Member) []fleet.Member {
 		if counts[ms[i].ID] != counts[ms[j].ID] {
 			return counts[ms[i].ID] < counts[ms[j].ID]
 		}
-		if ms[i].Score() != ms[j].Score() {
-			return ms[i].Score() < ms[j].Score()
-		}
-		return ms[i].ID < ms[j].ID
+		return fleet.Less(ms[i], ms[j])
 	})
 	return ms
 }

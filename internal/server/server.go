@@ -478,6 +478,14 @@ func (s *Server) Context(vm uint32, name string) *Context {
 	return c
 }
 
+// Lookup returns the per-VM context if one exists, nil otherwise: the
+// accessor for observers, which must not plant a context by asking.
+func (s *Server) Lookup(vm uint32) *Context {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ctxs[vm]
+}
+
 // DropContext removes a VM's context (VM teardown).
 func (s *Server) DropContext(vm uint32) {
 	s.mu.Lock()

@@ -185,23 +185,32 @@ func clSetup(t *testing.T, c *cl.RemoteClient) (ctx, q, buf cl.Ref) {
 	return ctx, q, buf
 }
 
-// newChaosHost starts one standalone "machine" for the cross-host kill
-// test — its own silo and server behind the production host runtime —
-// announced to the fleet, and kills it when the test ends.
+// newChaosHost starts one standalone "machine" — its own silo and server
+// behind the production host runtime — announced to the fleet when loc is
+// set, reached by address otherwise, and kills it when the test ends.
 func newChaosHost(t *testing.T, loc fleet.Locator, id string) *host.Server {
+	t.Helper()
+	h, _ := newChaosMachine(t, loc, id)
+	return h
+}
+
+// newChaosMachine is newChaosHost for tests that also inspect the machine's
+// API server.
+func newChaosMachine(t *testing.T, loc fleet.Locator, id string) (*host.Server, *server.Server) {
 	t.Helper()
 	silo := foSilo()
 	reg := server.NewRegistry(cl.Descriptor())
 	cl.BindServer(reg, silo)
 	reg.Restorer = cl.MigrationAdapter{Silo: silo}
-	h, err := host.Start(server.New(reg), host.Config{
+	srv := server.New(reg)
+	h, err := host.Start(srv, host.Config{
 		Listen: "127.0.0.1:0", API: "opencl", Locator: loc, ID: id,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Kill)
-	return h
+	return h, srv
 }
 
 // TestCrossHostKillMidRodinia kills the machine serving the VM in the
@@ -215,32 +224,24 @@ func TestCrossHostKillMidRodinia(t *testing.T) {
 		t.Fatal("gaussian workload missing")
 	}
 
-	run := func(killAfter time.Duration) (float64, time.Duration, *failover.FleetDialer) {
+	run := func(killAfter time.Duration) (sum float64, dur time.Duration, moves int, servedBy string) {
 		loc := fleet.NewRegistry(0, nil)
-		// Equal announced load: the registry's ID tie-break lands the first
+		// Equal announced load: the ranking's ID tie-break lands the first
 		// dial on host-a.
 		hostA := newChaosHost(t, loc, "host-a")
 		newChaosHost(t, loc, "host-b")
-		dialer := failover.NewFleetDialer(loc, failover.FleetDialConfig{
-			API: "opencl", VM: 1, Name: "chaos-vm",
-		})
-		desc := cl.Descriptor()
-		stack := ava.NewStack(desc, server.NewRegistry(desc),
+		stack := ava.NewStack(cl.Descriptor(), nil,
 			ava.WithTransport(ava.TransportRing),
 			ava.WithFailover(ava.FailoverConfig{
 				Checkpoint: ava.CheckpointConfig{Every: 64},
 				Backoff:    failover.BackoffConfig{Seed: 7},
-				Dial: func(uint32, string) (failover.ServerLink, error) {
-					return dialer.Dial()
-				},
-				Host: func(uint32) string { return dialer.Host() },
-			}))
+			}),
+			ava.WithPlacement(ava.PlacementConfig{Locator: loc, API: "opencl"}))
 		defer stack.Close()
 		lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "chaos-vm"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dialer.SetEpochSource(stack.Guardian(1).Epoch)
 		if killAfter > 0 {
 			go func() {
 				time.Sleep(killAfter)
@@ -248,30 +249,35 @@ func TestCrossHostKillMidRodinia(t *testing.T) {
 			}()
 		}
 		start := time.Now()
-		sum, err := w.Run(cl.NewRemote(lib), 1)
-		dur := time.Since(start)
+		sum, err = w.Run(cl.NewRemote(lib), 1)
+		dur = time.Since(start)
 		if err != nil {
 			t.Fatalf("workload: %v", err)
 		}
 		if rf := lib.Stats().RetryableFailed; rf != 0 {
 			t.Fatalf("%d calls dropped", rf)
 		}
-		return sum, dur, dialer
+		for _, d := range stack.SchedDecisions() {
+			if d.Kind == "failover" {
+				moves++
+			}
+		}
+		return sum, dur, moves, stack.VMHost(1)
 	}
 
-	want, baseDur, _ := run(0)
+	want, baseDur, _, _ := run(0)
 	delay := baseDur / 3
 	if delay < time.Millisecond {
 		delay = time.Millisecond
 	}
-	got, _, dialer := run(delay)
+	got, _, moves, servedBy := run(delay)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("checksum after cross-host kill: %x != %x", math.Float64bits(got), math.Float64bits(want))
 	}
-	if dialer.HostChanges() < 1 {
-		t.Fatalf("no cross-host move recorded: host %q", dialer.Host())
+	if moves < 1 {
+		t.Fatalf("no cross-host move recorded: host %q", servedBy)
 	}
-	if dialer.Host() != "host-b" {
-		t.Fatalf("finished on %q, want host-b", dialer.Host())
+	if servedBy != "host-b" {
+		t.Fatalf("finished on %q, want host-b", servedBy)
 	}
 }

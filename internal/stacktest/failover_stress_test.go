@@ -17,8 +17,7 @@ import (
 	"ava/internal/cl"
 	"ava/internal/devsim"
 	"ava/internal/failover"
-	"ava/internal/guest"
-	"ava/internal/hv"
+	"ava/internal/host"
 	"ava/internal/rodinia"
 	"ava/internal/server"
 	"ava/internal/stacktest"
@@ -155,10 +154,21 @@ func TestFailoverKillMidRodinia(t *testing.T) {
 	}
 }
 
-// TestFailoverKillMidWorkloadTCP wires the disaggregated topology by hand
-// (persistent listener, one server incarnation per accepted connection)
-// and kills the live TCP link mid-workload: the guardian must redial,
-// replay, and the workload must finish byte-identical.
+// remoteStack starts a standalone API-server machine on loopback and a
+// guest-side stack whose server is that machine — the disaggregated
+// deployment, over the wire target. The machine is killed when the test
+// ends; the caller closes the stack.
+func remoteStack(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *host.Server) {
+	t.Helper()
+	h := newChaosHost(t, nil, "")
+	return ava.NewStack(cl.Descriptor(), nil, ava.WithRemoteServer(h.Addr()), ava.WithFailover(fc)), h
+}
+
+// TestFailoverKillMidWorkloadTCP runs the disaggregated deployment (the
+// API server is a host.Server behind a TCP listener, one server
+// incarnation per accepted connection) and kills the live TCP link
+// mid-workload: the guardian must redial, replay over the wire, and the
+// workload must finish byte-identical.
 func TestFailoverKillMidWorkloadTCP(t *testing.T) {
 	stacktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("nw")
@@ -170,75 +180,28 @@ func TestFailoverKillMidWorkloadTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	silo := foSilo()
-	desc := cl.Descriptor()
-	reg := server.NewRegistry(desc)
-	cl.BindServer(reg, silo)
-	srv := server.New(reg)
-
-	l, err := transport.Listen("127.0.0.1:0")
+	stack, _ := remoteStack(t, ava.FailoverConfig{
+		Checkpoint: ava.CheckpointConfig{Every: 64},
+		Backoff:    failover.BackoffConfig{Seed: 7},
+	})
+	defer stack.Close()
+	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "tcp-vm"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	go func() {
-		for {
-			ep, err := l.Accept()
-			if err != nil {
-				return
-			}
-			// The dial closure below installs the fresh context before
-			// Dial returns, so this context lookup observes it.
-			go srv.ServeVM(srv.Context(1, "tcp-vm"), ep)
-		}
-	}()
-
-	router := hv.NewRouter(desc, nil, nil)
-	if err := router.RegisterVM(ava.VMConfig{ID: 1, Name: "tcp-vm"}); err != nil {
-		t.Fatal(err)
-	}
-	guestEP, routerGuest := transport.NewInProc()
-	routerServer, north := transport.NewInProc()
-	dial := func() (failover.ServerLink, error) {
-		srv.DropContext(1)
-		ctx := srv.Context(1, "tcp-vm")
-		ep, err := transport.Dial(l.Addr())
-		if err != nil {
-			return failover.ServerLink{}, err
-		}
-		return failover.ServerLink{EP: ep, Server: srv, Ctx: ctx, Adapter: cl.MigrationAdapter{Silo: silo}}, nil
-	}
-	g := failover.New(desc, north, dial, failover.Config{
-		CheckpointEvery: 64,
-		Backoff:         failover.BackoffConfig{Seed: 7},
-		OnEpoch:         func(e uint32) { router.SetEpoch(1, e) },
-	})
-	if err := g.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	go router.Attach(1, routerGuest, routerServer)
-	defer func() {
-		for _, ep := range []transport.Endpoint{guestEP, routerGuest, routerServer} {
-			ep.Close()
-		}
-	}()
-	lib := guest.New(desc, guestEP, guest.WithFailover(guest.FailoverPolicy{}))
-	defer lib.Close()
-	c := cl.NewRemote(lib)
 
 	go func() {
 		time.Sleep(3 * time.Millisecond)
-		g.KillServer()
+		stack.KillServer(1)
 	}()
-	got, err := w.Run(c, 1)
+	got, err := w.Run(cl.NewRemote(lib), 1)
 	if err != nil {
 		t.Fatalf("run with mid-workload TCP kill: %v", err)
 	}
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("post-recovery checksum diverged: got %v want %v", got, want)
 	}
-	waitRecovered(t, g, 1)
+	waitRecovered(t, stack.Guardian(1), 1)
 	if n := lib.Stats().RetryableFailed; n != 0 {
 		t.Fatalf("silent call drops surfaced as retryable failures: %d", n)
 	}
@@ -408,57 +371,27 @@ func TestFailoverFlakyLivenessDetection(t *testing.T) {
 }
 
 // TestFailoverRetryableSurface verifies the documented unsafe-call
-// surface: when the guardian is dead (every respawn attempt failed and the
-// backoff budget is exhausted), stalled calls fail with ava.ErrRetryable
-// rather than hanging.
+// surface: when the guardian is dead (the serving machine is gone, every
+// redial is refused and the backoff budget is exhausted), stalled calls
+// fail with ava.ErrRetryable rather than hanging.
 func TestFailoverRetryableSurface(t *testing.T) {
 	stacktest.NoGoroutineLeaks(t)
-	silo := foSilo()
-	desc := cl.Descriptor()
-	reg := server.NewRegistry(desc)
-	cl.BindServer(reg, silo)
-	srv := server.New(reg)
-
-	router := hv.NewRouter(desc, nil, nil)
-	if err := router.RegisterVM(ava.VMConfig{ID: 1, Name: "doomed-vm"}); err != nil {
-		t.Fatal(err)
-	}
-	guestEP, routerGuest := transport.NewInProc()
-	routerServer, north := transport.NewInProc()
-	var dials atomic.Int32
-	dial := func() (failover.ServerLink, error) {
-		if dials.Add(1) > 1 {
-			// The replacement pool is gone: every respawn attempt fails,
-			// so the backoff budget exhausts and the guardian dies.
-			return failover.ServerLink{}, errors.New("server pool exhausted")
-		}
-		ctx := srv.Context(1, "doomed-vm")
-		ep, sep := transport.NewInProc()
-		go srv.ServeVM(ctx, sep)
-		return failover.ServerLink{EP: ep, Server: srv, Ctx: ctx, Adapter: cl.MigrationAdapter{Silo: silo}}, nil
-	}
-	g := failover.New(desc, north, dial, failover.Config{
-		// A tiny budget so the respawn loop exhausts quickly.
+	stack, h := remoteStack(t, ava.FailoverConfig{
+		// A tiny budget so the redial loop exhausts quickly.
 		Backoff: failover.BackoffConfig{Base: time.Millisecond, Cap: 2 * time.Millisecond, Budget: 5 * time.Millisecond, Seed: 3},
-		OnEpoch: func(e uint32) { router.SetEpoch(1, e) },
 	})
-	if err := g.Start(); err != nil {
+	defer stack.Close()
+	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "doomed-vm"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
-	go router.Attach(1, routerGuest, routerServer)
-	defer func() {
-		for _, ep := range []transport.Endpoint{guestEP, routerGuest, routerServer} {
-			ep.Close()
-		}
-	}()
-	lib := guest.New(desc, guestEP, guest.WithFailover(guest.FailoverPolicy{}))
-	defer lib.Close()
 	c := cl.NewRemote(lib)
 	if _, err := c.PlatformIDs(); err != nil {
 		t.Fatalf("healthy first call: %v", err)
 	}
-	g.KillServer()
+	// The only machine dies: its connection is severed and nothing
+	// listens at the address any more.
+	h.Kill()
 	// Subsequent calls block at most until the guardian declares the
 	// server dead, then surface ErrRetryable; they must not hang and must
 	// not return a silent wrong answer.
@@ -476,7 +409,7 @@ func TestFailoverRetryableSurface(t *testing.T) {
 	if !errors.Is(lastErr, ava.ErrRetryable) {
 		t.Fatalf("expected ErrRetryable, got %v", lastErr)
 	}
-	if g.DeadErr() == nil {
+	if stack.Guardian(1).DeadErr() == nil {
 		t.Fatal("guardian should report a terminal error")
 	}
 	if lib.Stats().RetryableFailed < 1 {

@@ -15,7 +15,6 @@ import (
 	"ava/internal/cl"
 	"ava/internal/failover"
 	"ava/internal/guest"
-	"ava/internal/hv"
 	"ava/internal/rodinia"
 	"ava/internal/server"
 	"ava/internal/stacktest"
@@ -256,68 +255,26 @@ func TestZeroCopyKillMidRodinia(t *testing.T) {
 	}
 
 	t.Run("tcp", func(t *testing.T) {
-		// Disaggregated topology with failover: the guest's retention
+		// Disaggregated deployment with failover: the guest's retention
 		// window forbids borrowing (frames must survive for replay), so
 		// zero-copy being enabled must degrade safely to copies while the
-		// kill still recovers byte-identically.
-		silo := foSilo()
-		desc := cl.Descriptor()
-		reg := server.NewRegistry(desc)
-		cl.BindServer(reg, silo)
-		srv := server.New(reg)
-		l, err := transport.Listen("127.0.0.1:0")
+		// kill still recovers byte-identically — and the checkpoints,
+		// captured over the wire here, must still land as deltas.
+		stack, _ := remoteStack(t, ava.FailoverConfig{
+			Checkpoint: ava.CheckpointConfig{Every: 64},
+			Backoff:    failover.BackoffConfig{Seed: 7},
+		})
+		defer stack.Close()
+		lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "zc-tcp-vm"},
+			guest.WithZeroCopy(true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer l.Close()
-		go func() {
-			for {
-				ep, err := l.Accept()
-				if err != nil {
-					return
-				}
-				go srv.ServeVM(srv.Context(1, "zc-tcp-vm"), ep)
-			}
-		}()
-
-		router := hv.NewRouter(desc, nil, nil)
-		if err := router.RegisterVM(ava.VMConfig{ID: 1, Name: "zc-tcp-vm"}); err != nil {
-			t.Fatal(err)
-		}
-		guestEP, routerGuest := transport.NewInProc()
-		routerServer, north := transport.NewInProc()
-		dial := func() (failover.ServerLink, error) {
-			srv.DropContext(1)
-			ctx := srv.Context(1, "zc-tcp-vm")
-			ep, err := transport.Dial(l.Addr())
-			if err != nil {
-				return failover.ServerLink{}, err
-			}
-			return failover.ServerLink{EP: ep, Server: srv, Ctx: ctx, Adapter: cl.MigrationAdapter{Silo: silo}}, nil
-		}
-		g := failover.New(desc, north, dial, failover.Config{
-			CheckpointEvery: 64,
-			Backoff:         failover.BackoffConfig{Seed: 7},
-			OnEpoch:         func(e uint32) { router.SetEpoch(1, e) },
-		})
-		if err := g.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer g.Close()
-		go router.Attach(1, routerGuest, routerServer)
-		defer func() {
-			for _, ep := range []transport.Endpoint{guestEP, routerGuest, routerServer} {
-				ep.Close()
-			}
-		}()
-		lib := guest.New(desc, guestEP,
-			guest.WithFailover(guest.FailoverPolicy{}), guest.WithZeroCopy(true))
-		defer lib.Close()
 		c := cl.NewRemote(lib)
 
 		go func() {
 			time.Sleep(delay)
-			g.KillServer()
+			stack.KillServer(1)
 		}()
 		got, err := w.Run(c, 1)
 		if err != nil {
@@ -326,7 +283,7 @@ func TestZeroCopyKillMidRodinia(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("post-recovery checksum diverged: got %v want %v", got, want)
 		}
-		waitRecovered(t, g, 1)
+		waitRecovered(t, stack.Guardian(1), 1)
 
 		got, err = w.Run(c, 1)
 		if err != nil {
@@ -335,7 +292,7 @@ func TestZeroCopyKillMidRodinia(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("second-run checksum diverged: got %v want %v", got, want)
 		}
-		if gs := g.Stats(); gs.DeltaCheckpoints == 0 {
+		if gs := stack.Guardian(1).Stats(); gs.DeltaCheckpoints == 0 {
 			t.Fatalf("no delta checkpoints recorded: stats %+v", gs)
 		}
 	})

@@ -10,74 +10,46 @@ import (
 // epoch it is dialing under (so a reconnect after failover is observable
 // host-side), and a display name.
 //
-// The legacy preamble was just [vm u32 LE][name bytes]; the extended form
-// inserts a magic tag so the two stay distinguishable on the wire:
+//	[vm u32 LE] 'A' 'V' 'A' '2' [epoch u32 LE] [name bytes]
 //
-//	[vm u32 LE] 'A' 'V' 'A' '1' [epoch u32 LE] [name bytes]
-//
-// A dialer that needs the server's verdict before treating the link as up
-// (a fleet dialer, which must distinguish "connected" from "admitted" —
-// an evicted VM's reconnect is refused host-side) sends the same layout
-// under the 'AVA2' magic, which obliges the server to answer with exactly
-// one HelloAck frame (accept or reject) before any data-plane traffic.
-// Servers never ack 'AVA1' or legacy preambles, so old dialers see no
-// protocol change; an 'AVA2' dialer must only target ack-aware servers
-// (every server in this tree is).
-//
-// DecodeHello accepts all three forms, reporting epoch 0 for legacy
-// frames and WantAck only for 'AVA2'.
+// The server answers every hello with exactly one HelloAck frame (accept
+// or reject) before any data-plane traffic, and the dialer waits for it:
+// "connected" is not "admitted" — an evicted VM's reconnect is refused
+// host-side, and that has to be a dial failure. A frame without the magic
+// is not a hello; the server drops the connection without binding a VM.
 type Hello struct {
 	VM    uint32
 	Epoch uint32
 	Name  string
-	// WantAck asks the server to confirm or refuse this VM with a
-	// HelloAck frame before serving; the dialer blocks on that verdict,
-	// so a host-side rejection is a dial failure, not a silent sever.
-	WantAck bool
 }
 
 var (
-	helloMagic    = [4]byte{'A', 'V', 'A', '1'}
-	helloAckMagic = [4]byte{'A', 'V', 'A', '2'}
-	ackMagic      = [4]byte{'A', 'V', 'A', 'K'}
+	helloMagic = [4]byte{'A', 'V', 'A', '2'}
+	ackMagic   = [4]byte{'A', 'V', 'A', 'K'}
 )
 
-// EncodeHello serializes the extended preamble.
+// EncodeHello serializes the preamble.
 func EncodeHello(h Hello) []byte {
 	b := make([]byte, 12, 12+len(h.Name))
 	binary.LittleEndian.PutUint32(b, h.VM)
-	if h.WantAck {
-		copy(b[4:], helloAckMagic[:])
-	} else {
-		copy(b[4:], helloMagic[:])
-	}
+	copy(b[4:], helloMagic[:])
 	binary.LittleEndian.PutUint32(b[8:], h.Epoch)
 	return append(b, h.Name...)
 }
 
-// DecodeHello parses a preamble frame, legacy or extended.
+// DecodeHello parses a preamble frame.
 func DecodeHello(frame []byte) (Hello, error) {
-	if len(frame) < 4 {
-		return Hello{}, fmt.Errorf("transport: hello frame of %d bytes", len(frame))
+	if len(frame) < 12 || [4]byte(frame[4:8]) != helloMagic {
+		return Hello{}, fmt.Errorf("transport: not a hello frame (%d bytes)", len(frame))
 	}
-	h := Hello{VM: binary.LittleEndian.Uint32(frame)}
-	rest := frame[4:]
-	if len(rest) >= 8 {
-		switch [4]byte(rest[:4]) {
-		case helloMagic:
-			h.Epoch = binary.LittleEndian.Uint32(rest[4:])
-			rest = rest[8:]
-		case helloAckMagic:
-			h.Epoch = binary.LittleEndian.Uint32(rest[4:])
-			h.WantAck = true
-			rest = rest[8:]
-		}
-	}
-	h.Name = string(rest)
-	return h, nil
+	return Hello{
+		VM:    binary.LittleEndian.Uint32(frame),
+		Epoch: binary.LittleEndian.Uint32(frame[8:]),
+		Name:  string(frame[12:]),
+	}, nil
 }
 
-// HelloAck is the server's verdict on a WantAck hello: admitted (OK) or
+// HelloAck is the server's verdict on a hello: admitted (OK) or
 // refused, with a human-readable reason on refusal. It travels as the
 // first server-to-guest frame, before any reply:
 //
@@ -105,14 +77,9 @@ func DecodeHelloAck(frame []byte) (HelloAck, error) {
 	return HelloAck{OK: frame[4] == 1, Reason: string(frame[5:])}, nil
 }
 
-// AckHello answers a decoded hello on ep: if the dialer asked for an ack,
-// the verdict frame is sent (ok with an empty reason, or a refusal
-// carrying reason); hellos that did not ask are left unanswered so legacy
-// dialers see no unexpected frame. It returns any send error.
-func AckHello(ep Endpoint, h Hello, ok bool, reason string) error {
-	if !h.WantAck {
-		return nil
-	}
+// AckHello answers a hello on ep with the verdict frame: ok, or a refusal
+// carrying reason. It returns any send error.
+func AckHello(ep Endpoint, ok bool, reason string) error {
 	if ok {
 		reason = ""
 	}
@@ -120,10 +87,10 @@ func AckHello(ep Endpoint, h Hello, ok bool, reason string) error {
 }
 
 // Greet is the dialer's half of the handshake AckHello answers: it sends h
-// as ep's first frame and, if h asks for an ack, blocks on the server's
-// verdict. A refusal comes back as an error carrying the server's reason.
+// as ep's first frame and blocks on the server's verdict. A refusal comes
+// back as an error carrying the server's reason.
 func Greet(ep Endpoint, h Hello) error {
-	if err := ep.Send(EncodeHello(h)); err != nil || !h.WantAck {
+	if err := ep.Send(EncodeHello(h)); err != nil {
 		return err
 	}
 	frame, err := ep.Recv()

@@ -3,19 +3,20 @@ package transport
 import "testing"
 
 // The hello is the first thing a host reads off a fresh connection from
-// the network. The checked-in corpus (testdata/fuzz) covers the legacy
-// [vm][name] form, AVA1, AVA2, a truncated frame and a magic with no room
-// for its epoch.
+// the network. The checked-in corpus (testdata/fuzz) covers the one form a
+// dialer sends, a truncated frame, a magic with no room for its epoch, and
+// the retired [vm][name] and AVA1 forms, which must now be refused.
 
-// FuzzDecodeHello: no input panics, only a frame too short for a VM id is
-// refused, and whatever decodes survives a trip through EncodeHello.
+// FuzzDecodeHello: no input panics, a frame is accepted exactly when it
+// carries the magic and an epoch, and whatever decodes survives a trip
+// through EncodeHello.
 func FuzzDecodeHello(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		h, err := DecodeHello(frame)
+		if wellFormed := len(frame) >= 12 && string(frame[4:8]) == "AVA2"; wellFormed != (err == nil) {
+			t.Fatalf("%d-byte frame %q: err %v", len(frame), frame, err)
+		}
 		if err != nil {
-			if len(frame) >= 4 {
-				t.Fatalf("refused a %d-byte frame: %v", len(frame), err)
-			}
 			return
 		}
 		again, err := DecodeHello(EncodeHello(h))

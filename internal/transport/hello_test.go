@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 )
 
@@ -16,16 +17,22 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHelloLegacyFallback(t *testing.T) {
-	legacy := make([]byte, 4)
-	binary.LittleEndian.PutUint32(legacy, 9)
-	legacy = append(legacy, "old-vm"...)
-	h, err := DecodeHello(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.VM != 9 || h.Epoch != 0 || h.Name != "old-vm" {
-		t.Fatalf("legacy decode: %+v", h)
+// A frame without the magic is not a hello, however long it is: the old
+// [vm][name] preamble, the unacknowledged AVA1 form and plain garbage used
+// to decode into a VM id and a name, and the host then dropped that VM's
+// live context to bind the "new incarnation".
+func TestHelloRefusesFramesWithoutMagic(t *testing.T) {
+	legacy := binary.LittleEndian.AppendUint32(nil, 9)
+	ava1 := append(append([]byte(nil), legacy...), "AVA1\x03\x00\x00\x00old-vm"...)
+	for _, frame := range [][]byte{
+		append(legacy, "old-vm"...),
+		ava1,
+		[]byte("GET / HTTP/1.1\r\n\r\n"),
+		EncodeHello(Hello{VM: 9, Epoch: 1})[:11], // magic, no room for the epoch
+	} {
+		if h, err := DecodeHello(frame); err == nil {
+			t.Fatalf("%q decoded as %+v", frame, h)
+		}
 	}
 }
 
@@ -36,22 +43,6 @@ func TestHelloEmptyNameAndShortFrame(t *testing.T) {
 	}
 	if _, err := DecodeHello([]byte{1, 2}); err == nil {
 		t.Fatal("short frame accepted")
-	}
-}
-
-func TestHelloWantAckRoundTrip(t *testing.T) {
-	in := Hello{VM: 11, Epoch: 4, Name: "vm-11", WantAck: true}
-	out, err := DecodeHello(EncodeHello(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("round trip: got %+v want %+v", out, in)
-	}
-	// The plain extended form must not report an ack request.
-	out, err = DecodeHello(EncodeHello(Hello{VM: 11, Epoch: 4, Name: "vm-11"}))
-	if err != nil || out.WantAck {
-		t.Fatalf("AVA1 hello decoded WantAck=%v, err %v", out.WantAck, err)
 	}
 }
 
@@ -76,32 +67,30 @@ func TestHelloAckRoundTrip(t *testing.T) {
 	}
 }
 
-// AckHello must answer only dialers that asked: a legacy or AVA1 hello
-// gets no unexpected frame ahead of its first reply.
-func TestAckHelloOnlyWhenAsked(t *testing.T) {
+// Greet and AckHello are the two halves of one handshake: every hello is
+// answered, and a refusal reaches the dialer as an error with the reason.
+func TestAckHelloAlwaysAnswers(t *testing.T) {
 	client, sv := NewInProc()
 	defer client.Close()
-	if err := AckHello(sv, Hello{VM: 1}, true, ""); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing was sent: the next frame the client sees is the sentinel.
-	if err := sv.Send([]byte("sentinel")); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := client.Recv()
-	if err != nil || string(frame) != "sentinel" {
-		t.Fatalf("unasked ack produced a frame: %q, %v", frame, err)
-	}
-
-	if err := AckHello(sv, Hello{VM: 1, WantAck: true}, false, "full"); err != nil {
-		t.Fatal(err)
-	}
-	frame, err = client.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, err := DecodeHelloAck(frame)
-	if err != nil || ack.OK || ack.Reason != "full" {
-		t.Fatalf("reject ack = %+v, %v", ack, err)
+	for _, tc := range []struct {
+		ok     bool
+		reason string
+	}{{true, ""}, {false, "full"}} {
+		greeted := make(chan error, 1)
+		go func() { greeted <- Greet(client, Hello{VM: 1, Name: "vm-1"}) }()
+		frame, err := sv.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, err := DecodeHello(frame); err != nil || h.VM != 1 {
+			t.Fatalf("hello = %+v, %v", h, err)
+		}
+		if err := AckHello(sv, tc.ok, tc.reason); err != nil {
+			t.Fatal(err)
+		}
+		err = <-greeted
+		if tc.ok != (err == nil) || (err != nil && !strings.Contains(err.Error(), tc.reason)) {
+			t.Fatalf("verdict ok=%v reason %q: Greet = %v", tc.ok, tc.reason, err)
+		}
 	}
 }

@@ -1,7 +1,7 @@
-// Cluster-scheduling tests over a simulated in-process fleet: admission-
-// time placement spreads attachments, and the rebalancer live-migrates
-// VMs off a hot host through the real guardian checkpoint/relocate path
-// with zero lost or corrupted calls.
+// Cluster-scheduling tests over a loopback fleet: admission-time placement
+// spreads attachments, and the rebalancer live-migrates VMs off a hot host
+// through the real guardian checkpoint/relocate path with zero lost or
+// corrupted calls.
 package ava_test
 
 import (
@@ -10,11 +10,11 @@ import (
 	"time"
 
 	"ava"
-	"ava/internal/failover"
 	"ava/internal/fleet"
+	"ava/internal/host"
 	"ava/internal/sched"
 	"ava/internal/server"
-	"ava/internal/transport"
+	"ava/internal/stacktest"
 )
 
 const schedSpec = `
@@ -24,44 +24,67 @@ type st = int32_t { success(OK); };
 st ping(uint32_t x, uint32_t *y) { parameter(y) { out; element; } }
 `
 
-// newPlacedStack builds a stack whose placement dials an in-process
-// "fleet": every member resolves to a fresh server context on the shared
-// stack server, so migrations exercise the real checkpoint/replay path
-// while the registry decides who serves whom.
-func newPlacedStack(t *testing.T, reg *fleet.Registry, policy ava.SchedPolicy, rc *ava.RebalanceConfig) *ava.Stack {
+// schedFleet is three API-server machines on loopback (internal/host, what
+// avad runs) and the registry that lists them. The machines do not announce
+// themselves: each test scripts the load the registry sees, so placement
+// and rebalancing decisions are exact, while every dial, checkpoint and
+// migration takes the production path over the wire.
+type schedFleet struct {
+	*fleet.Registry
+	addrs map[string]string
+}
+
+// schedStateless serves the guardian's wire snapshot/restore control calls
+// for the stateless schedsim API: a migration carries the record log alone.
+type schedStateless struct{}
+
+func (schedStateless) RestoreObject(any, []byte) error          { return nil }
+func (schedStateless) SnapshotObject(any) ([]byte, bool, error) { return nil, false, nil }
+
+func newSchedFleet(t *testing.T) *schedFleet {
 	t.Helper()
 	desc, err := ava.CompileSpec(schedSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sreg := server.NewRegistry(desc)
-	sreg.MustRegister("ping", func(inv *server.Invocation) error {
-		inv.SetOutUint(1, inv.Uint(0)*2+1)
-		inv.SetStatus(0)
-		return nil
-	})
-	var stack *ava.Stack
-	resolve := func(vm uint32, m fleet.Member, epoch uint32) (failover.ServerLink, error) {
-		south, serverEP := transport.NewInProc()
-		stack.Server.DropContext(vm)
-		ctx := stack.Server.Context(vm, fmt.Sprintf("vm%d", vm))
-		ctx.SetRecording(true)
-		go stack.Server.ServeVM(ctx, serverEP)
-		return failover.ServerLink{EP: south, Server: stack.Server, Ctx: ctx}, nil
+	f := &schedFleet{Registry: fleet.NewRegistry(time.Minute, nil), addrs: make(map[string]string)}
+	for _, id := range []string{"host-a", "host-b", "host-c"} {
+		sreg := server.NewRegistry(desc)
+		sreg.Restorer = schedStateless{}
+		sreg.MustRegister("ping", func(inv *server.Invocation) error {
+			inv.SetOutUint(1, inv.Uint(0)*2+1)
+			inv.SetStatus(0)
+			return nil
+		})
+		h, err := host.Start(server.New(sreg), host.Config{Listen: "127.0.0.1:0", API: "schedsim"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(h.Kill)
+		f.addrs[id] = h.Addr()
+	}
+	return f
+}
+
+// announce lists machine id in the registry under the given load.
+func (f *schedFleet) announce(id string, load int) {
+	f.Announce(fleet.Member{ID: id, Addr: f.addrs[id], API: "schedsim", Load: load})
+}
+
+// newPlacedStack builds a guest-side stack placing its VMs on f.
+func newPlacedStack(t *testing.T, f *schedFleet, policy ava.SchedPolicy, rc *ava.RebalanceConfig) *ava.Stack {
+	t.Helper()
+	desc, err := ava.CompileSpec(schedSpec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	opts := []ava.Option{
-		ava.WithRecording(),
-		ava.WithPlacement(ava.PlacementConfig{
-			Locator: reg,
-			API:     "schedsim",
-			Policy:  policy,
-			Resolve: resolve,
-		}),
+		ava.WithPlacement(ava.PlacementConfig{Locator: f, API: "schedsim", Policy: policy}),
 	}
 	if rc != nil {
 		opts = append(opts, ava.WithRebalance(*rc))
 	}
-	stack = ava.NewStack(desc, sreg, opts...)
+	stack := ava.NewStack(desc, nil, opts...)
 	t.Cleanup(stack.Close)
 	return stack
 }
@@ -77,11 +100,12 @@ func hostCounts(stack *ava.Stack) map[string]int {
 }
 
 func TestPlacementSpreadsAttachments(t *testing.T) {
-	reg := fleet.NewRegistry(time.Minute, nil)
+	stacktest.NoGoroutineLeaks(t)
+	f := newSchedFleet(t)
 	for _, id := range []string{"host-a", "host-b", "host-c"} {
-		reg.Announce(fleet.Member{ID: id, API: "schedsim"})
+		f.announce(id, 0)
 	}
-	stack := newPlacedStack(t, reg, sched.NewSpreadByVMCount(), nil)
+	stack := newPlacedStack(t, f, sched.NewSpreadByVMCount(), nil)
 
 	for vm := uint32(1); vm <= 6; vm++ {
 		lib, err := stack.AttachVM(ava.VMConfig{ID: vm, Name: fmt.Sprintf("vm%d", vm)})
@@ -116,11 +140,12 @@ func TestPlacementSpreadsAttachments(t *testing.T) {
 // TestPlacementLeastLoadPicksLightest: the default policy lands on the
 // registry's lightest member, deterministically.
 func TestPlacementLeastLoadPicksLightest(t *testing.T) {
-	reg := fleet.NewRegistry(time.Minute, nil)
-	reg.Announce(fleet.Member{ID: "host-a", API: "schedsim", Load: 4})
-	reg.Announce(fleet.Member{ID: "host-b", API: "schedsim", Load: 1})
-	reg.Announce(fleet.Member{ID: "host-c", API: "schedsim", Load: 2})
-	stack := newPlacedStack(t, reg, nil, nil)
+	stacktest.NoGoroutineLeaks(t)
+	f := newSchedFleet(t)
+	f.announce("host-a", 4)
+	f.announce("host-b", 1)
+	f.announce("host-c", 2)
+	stack := newPlacedStack(t, f, nil, nil)
 	if _, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +166,13 @@ func TestPlacementLeastLoadPicksLightest(t *testing.T) {
 // the moves returning correct bytes, no migration double-logged as a
 // failover, and no flapping once balance is reached.
 func TestRebalanceUnderSkewedLoad(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	const vms = 9
-	reg := fleet.NewRegistry(time.Minute, nil)
+	f := newSchedFleet(t)
 	// Stale announcements: host-a looks free, its peers look slammed.
-	reg.Announce(fleet.Member{ID: "host-a", API: "schedsim", Load: 0})
-	reg.Announce(fleet.Member{ID: "host-b", API: "schedsim", Load: 50})
-	reg.Announce(fleet.Member{ID: "host-c", API: "schedsim", Load: 50})
+	f.announce("host-a", 0)
+	f.announce("host-b", 50)
+	f.announce("host-c", 50)
 
 	rc := &ava.RebalanceConfig{
 		Alpha:           1, // announcements in this test are exact, not noisy
@@ -159,7 +185,7 @@ func TestRebalanceUnderSkewedLoad(t *testing.T) {
 		VMCooldownTicks: 1,
 		// Interval 0: manual mode, the test drives Tick.
 	}
-	stack := newPlacedStack(t, reg, nil, rc)
+	stack := newPlacedStack(t, f, nil, rc)
 
 	libs := make(map[uint32]*ava.GuestLib)
 	var x uint32
@@ -192,7 +218,7 @@ func TestRebalanceUnderSkewedLoad(t *testing.T) {
 	announceTruth := func() {
 		counts := hostCounts(stack)
 		for _, id := range []string{"host-a", "host-b", "host-c"} {
-			reg.Announce(fleet.Member{ID: id, API: "schedsim", Load: counts[id]})
+			f.announce(id, counts[id])
 		}
 	}
 	waitMoved := func(vm uint32, to string) {
@@ -255,10 +281,11 @@ func TestRebalanceUnderSkewedLoad(t *testing.T) {
 // TestMigrateVMMovesHost: a manual migration relocates one VM to the
 // named target with state intact.
 func TestMigrateVMMovesHost(t *testing.T) {
-	reg := fleet.NewRegistry(time.Minute, nil)
-	reg.Announce(fleet.Member{ID: "host-a", API: "schedsim", Load: 0})
-	reg.Announce(fleet.Member{ID: "host-b", API: "schedsim", Load: 1})
-	stack := newPlacedStack(t, reg, nil, nil)
+	stacktest.NoGoroutineLeaks(t)
+	f := newSchedFleet(t)
+	f.announce("host-a", 0)
+	f.announce("host-b", 1)
+	stack := newPlacedStack(t, f, nil, nil)
 	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm1"})
 	if err != nil {
 		t.Fatal(err)

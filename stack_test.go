@@ -8,6 +8,7 @@ import (
 	"ava/internal/cl"
 	"ava/internal/marshal"
 	"ava/internal/server"
+	"ava/internal/stacktest"
 )
 
 const stackSpec = `
@@ -51,6 +52,7 @@ func newToyStack(t *testing.T, opts ...ava.Option) *ava.Stack {
 }
 
 func TestStackAttachDetach(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t)
 	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm1"})
 	if err != nil {
@@ -74,6 +76,7 @@ func TestStackAttachDetach(t *testing.T) {
 }
 
 func TestStackDuplicateAttach(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t)
 	if _, err := stack.AttachVM(ava.VMConfig{ID: 1}); err != nil {
 		t.Fatal(err)
@@ -84,6 +87,7 @@ func TestStackDuplicateAttach(t *testing.T) {
 }
 
 func TestStackMultipleVMsIsolated(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t)
 	lib1, _ := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm1"})
 	lib2, _ := stack.AttachVM(ava.VMConfig{ID: 2, Name: "vm2"})
@@ -105,6 +109,7 @@ func TestStackMultipleVMsIsolated(t *testing.T) {
 }
 
 func TestStackRingTransport(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t, ava.WithRingTransport(1<<16))
 	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm1"})
 	if err != nil {
@@ -129,6 +134,7 @@ func TestStackRingTransport(t *testing.T) {
 }
 
 func TestStackAsyncByDefault(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t)
 	lib, _ := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm"})
 	var h marshal.Handle
@@ -140,6 +146,7 @@ func TestStackAsyncByDefault(t *testing.T) {
 }
 
 func TestCompileSpecErrors(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	if _, err := ava.CompileSpec("not a spec %%"); err == nil {
 		t.Fatal("garbage compiled")
 	}
@@ -149,6 +156,7 @@ func TestCompileSpecErrors(t *testing.T) {
 }
 
 func TestInferSpecWorkflow(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	text, notes, err := ava.InferSpec(`
 		handle dev;
 		const OK = 0;
@@ -170,20 +178,39 @@ func TestInferSpecWorkflow(t *testing.T) {
 }
 
 func TestStackContextAccess(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t, ava.WithRecording())
 	lib, _ := stack.AttachVM(ava.VMConfig{ID: 5, Name: "vm5"})
 	var h marshal.Handle
 	lib.Call("make", uint32(0), &h)
-	ctx := stack.Server.Context(5, "vm5")
-	if !ctx.Recording() {
+	ctx := stack.Context(5)
+	if ctx == nil || !ctx.Recording() {
 		t.Fatal("recording not enabled by config")
 	}
 	if len(ctx.RecordLog()) != 1 {
 		t.Fatalf("record log = %d", len(ctx.RecordLog()))
 	}
+
+	// Asking about a VM the server does not know — never attached, or
+	// detached — answers nil and plants nothing: a phantom context would
+	// show up as a VM row in /stats, /vms and Server.Snapshot().
+	if ctx := stack.Context(77); ctx != nil {
+		t.Fatalf("Context of an unknown VM = %+v", ctx)
+	}
+	if rows := stack.Server.Snapshot(); len(rows) != 1 || rows[0].VM != 5 {
+		t.Fatalf("asking about VM 77 changed the snapshot: %+v", rows)
+	}
+	stack.DetachVM(5)
+	if ctx := stack.Context(5); ctx != nil {
+		t.Fatalf("Context of a detached VM = %+v", ctx)
+	}
+	if rows := stack.Server.Snapshot(); len(rows) != 0 {
+		t.Fatalf("asking about detached VM 5 planted a context: %+v", rows)
+	}
 }
 
 func TestClSpecIsGeneratable(t *testing.T) {
+	stacktest.NoGoroutineLeaks(t)
 	// The shipped OpenCL spec must survive the full generator path (the
 	// cl bindings are hand-written in the generated idiom; this proves the
 	// generator handles the real 39-function surface).
