@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet rebind-gate state-gate decode-gate wire-gate build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
+.PHONY: check fmt vet rebind-gate state-gate decode-gate wire-gate layer-gate build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
-check: fmt vet rebind-gate state-gate decode-gate wire-gate build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
+check: fmt vet rebind-gate state-gate decode-gate wire-gate layer-gate build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -59,6 +59,16 @@ wire-gate:
 	@out="$$(grep -rnE --include='*.go' --exclude-dir=.bench_build --exclude-dir=benchmark 'hv\.NewRouter\(|failover\.New\(|failover\.NewFleetDialer\(' . | grep -vE '^\./(ava\.go|internal/hv/|internal/failover/)')"; \
 	if [ -n "$$out" ]; then \
 		echo "hand-wired router/guardian/dialer outside ava.go (use ava.NewStack with WithRemoteServer / WithPlacement):"; echo "$$out"; exit 1; \
+	fi
+
+# One-way layering: the guest library is the part of the stack that runs
+# inside the VM (PAPER.md §3), so it links the wire (marshal, transport), the
+# spec and their leaves — never the API server, the hypervisor, the recovery
+# layer or anything fleet-side. Fail if its dependency closure names one.
+layer-gate:
+	@out="$$($(GO) list -deps ./internal/guest | grep -E '^ava/internal/(server|failover|hv|host|fleet|migrate|sched|ctlplane)$$')"; \
+	if [ -n "$$out" ]; then \
+		echo "internal/guest links host-side packages:"; echo "$$out"; exit 1; \
 	fi
 
 build:
@@ -140,9 +150,11 @@ benchmark:
 # replacement too, over in-proc, ring and a loopback host.Server (the wire
 # target, whose replay and snapshot control calls are sends as well)
 # (internal/stacktest/kill_sweep_test.go) — a failing row prints its
-# (deployment, k, k2) triple as a -run one-liner.
+# (deployment, k, k2) triple as a -run one-liner; StalledPeer is the table of
+# peers that accept a connection and never (or wrongly) answer, one row per
+# control exchange (internal/host/stalled_test.go).
 chaos:
-	$(GO) test -race -count=1 -run 'Failover|Flaky|Severed|Liveness|Backoff|Control|CrossHost|Rehydration|Rebalance|Mirror|Gossip|MultiClient|WireClient|Host|Shadow|Replay|Rebind|Migrat|Sweep|LateReply' \
+	$(GO) test -race -count=1 -run 'Failover|Flaky|Severed|Liveness|Backoff|Control|StalledPeer|CrossHost|Rehydration|Rebalance|Mirror|Gossip|MultiClient|WireClient|Host|Shadow|Replay|Rebind|Migrat|Sweep|LateReply' \
 		./internal/transport/ ./internal/failover/ ./internal/migrate/ ./internal/server/ ./internal/stacktest/ ./internal/sched/ ./internal/fleet/ ./internal/bench/ ./internal/host/ .
 
 # Five seconds of real fuzzing per target, for every network-facing decoder
@@ -150,7 +162,7 @@ chaos:
 # corpora as unit tests; run it after touching a codec. `go test -fuzz`
 # takes one target and one package per run, hence the loops.
 fuzz-smoke:
-	@for pkg in ./internal/marshal/ ./internal/transport/ ./internal/fleet/ ./internal/failover/; do \
+	@for pkg in ./internal/marshal/ ./internal/transport/ ./internal/fleet/ ./internal/failover/ ./internal/ctlplane/; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== $$pkg $$f"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s $$pkg || exit 1; \

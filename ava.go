@@ -251,7 +251,7 @@ func WithMirror(sink failover.LogSink) Option {
 	}
 }
 
-// WithRemoteMirror replicates every attached VM's shadow log to the AVAM
+// WithRemoteMirror replicates every attached VM's shadow log to the
 // mirror listener at addr — a peer avad started with -mirror — so a
 // replacement guardian on a different machine can rehydrate from it
 // (failover.FetchMirrorState). Enables failover with default tuning when
@@ -350,7 +350,7 @@ type ReplicationConfig struct {
 	// checkpoints.
 	Sink failover.LogSink
 	// RemoteAddr, when non-empty (and no in-process sink is set),
-	// replicates each attached VM's shadow log to the AVAM mirror listener
+	// replicates each attached VM's shadow log to the mirror listener
 	// at this address (a peer avad started with -mirror). Each VM gets its
 	// own failover.RemoteMirror, closed on detach; a replacement stack on
 	// any machine rehydrates with failover.FetchMirrorState(addr, vm) into
@@ -530,7 +530,7 @@ func (s *Stack) southDial(id uint32, name string, fc *FailoverConfig, epoch func
 		}
 	case addr != "":
 		hop = func() (failover.ServerLink, string, error) {
-			link, err := failover.DialHost(addr, transport.Hello{VM: id, Epoch: epoch(), Name: name})
+			link, err := failover.DialHost(addr, id, epoch(), name)
 			return link, addr, err
 		}
 	default:

@@ -10,9 +10,9 @@ import (
 	"ava/internal/clock"
 	"ava/internal/guest"
 	"ava/internal/hv"
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 )
 
 const deadlineSpec = `
@@ -82,7 +82,7 @@ func wantDeadlineErr(t *testing.T, err error) *guest.APIError {
 // stall (burst 1 at 10 calls/sec on the virtual clock), so the router
 // rejects it with StatusDeadline after charging the stall.
 func TestStackRouterDeniesExpiredDeadline(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	ds := newDeadlineStack(t)
 	lib, err := ds.stack.AttachVM(ava.VMConfig{
 		ID: 1, Name: "vm1", CallsPerSec: 10, CallBurst: 1,
@@ -115,7 +115,7 @@ func TestStackRouterDeniesExpiredDeadline(t *testing.T) {
 // reaches the parked handler through Invocation.Done, and the guest gets
 // StatusDeadline.
 func TestStackInFlightCallAborts(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	ds := newDeadlineStack(t)
 	lib, err := ds.stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm1"})
 	if err != nil {
@@ -151,7 +151,7 @@ func TestStackInFlightCallAborts(t *testing.T) {
 // A deadline that has already passed fails in the guest before any
 // marshalling: nothing is forwarded, nothing reaches the router or silo.
 func TestStackGuestFailsFast(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	ds := newDeadlineStack(t)
 	lib, err := ds.stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm1"})
 	if err != nil {
@@ -181,7 +181,7 @@ func TestStackGuestFailsFast(t *testing.T) {
 // end to end; strict ordering under contention is pinned down by the
 // scheduler's own virtual-clock tests in internal/hv.
 func TestStackPrioritySchedulerSmoke(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	desc, err := ava.CompileSpec(deadlineSpec)
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"ava/internal/stacktest"
+	"ava/internal/leaktest"
 )
 
 // Smoke tests: the fast experiments run end to end and produce plausible
@@ -71,7 +71,7 @@ func TestMigrationTable(t *testing.T) {
 }
 
 func TestRebalanceImprovesTailLatency(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	const vms, calls = 9, 150
 	static, err := rebalanceRun(false, vms, calls)
 	if err != nil {

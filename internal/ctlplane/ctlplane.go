@@ -123,7 +123,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("ctlplane: listen %s: %w", addr, err)
 	}
-	hs := &http.Server{Handler: s.mux}
+	hs := &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
 	s.mu.Lock()
 	s.hs, s.l = hs, l
 	s.mu.Unlock()

@@ -4,6 +4,7 @@
 package ctlplane_test
 
 import (
+	"ava/internal/leaktest"
 	"errors"
 	"fmt"
 	"net/http"
@@ -83,6 +84,7 @@ func startCtl(t *testing.T, cfg ctlplane.Config) *ctlplane.Client {
 }
 
 func TestSnapshotAndRows(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	stack, libs := testStack(t, 2)
 	for i, lib := range libs {
 		for j := 0; j < (i+1)*3; j++ {
@@ -161,6 +163,7 @@ func TestSnapshotAndRows(t *testing.T) {
 // and wire status intact — errors.Is against the averr sentinels holds on
 // the client side, and HTTP codes follow the category.
 func TestErrorTaxonomy(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	stack, _ := testStack(t, 1)
 	cfg := stackConfig(stack)
 	cfg.Checkpoint = func(vm uint32) error {
@@ -217,6 +220,7 @@ func hostOf(c *ctlplane.Client) string { return c.Host() }
 // torn-read check for every snapshot path; functionally it asserts the
 // counters advance while traffic is in flight.
 func TestConcurrentScrapeUnderOverload(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(ctlSpec)
 	reg := server.NewRegistry(desc)
 	reg.MustRegister("ping", func(inv *server.Invocation) error {
@@ -317,6 +321,7 @@ func TestConcurrentScrapeUnderOverload(t *testing.T) {
 // are 403 denials, POSTs with it (either header form) succeed, and GETs
 // stay open for scrapers.
 func TestTokenAuthGuardsPosts(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	stack, _ := testStack(t, 1)
 	cfg := stackConfig(stack)
 	cfg.Token = "s3cret"
@@ -373,6 +378,7 @@ func TestTokenAuthGuardsPosts(t *testing.T) {
 // TestMetricsExposition: the Prometheus text rendering carries the core
 // families with headers, and counters reflect traffic.
 func TestMetricsExposition(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	stack, libs := testStack(t, 2)
 	for i := 0; i < 5; i++ {
 		if _, err := libs[0].Call("ping", uint32(i)); err != nil {
@@ -406,6 +412,7 @@ func TestMetricsExposition(t *testing.T) {
 // TestSchedAndRebalanceEndpoints: GET /sched round-trips the decision
 // log and POST /rebalance reports migrations started.
 func TestSchedAndRebalanceEndpoints(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	stack, _ := testStack(t, 1)
 	log := sched.NewLog()
 	log.Add(sched.Decision{Kind: "place", VM: 7, To: "host-b", Policy: "least-load"})

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"ava/internal/cava"
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
-	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -19,7 +19,7 @@ func newCadenceGuardian(cfg Config) *Guardian {
 // checkpoint is deferred while sync calls are in flight, because the
 // quiesce barrier would hold those calls hostage.
 func TestAdaptiveCheckpointDefersWhileBusy(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	g := newCadenceGuardian(Config{CheckpointEvery: 8, AdaptiveCheckpoint: true, Retain: 4096})
 	g.sinceCkpt = 8
 	g.maxSeq = 8
@@ -42,7 +42,7 @@ func TestAdaptiveCheckpointDefersWhileBusy(t *testing.T) {
 // Past either bound the checkpoint cuts even under load, because the guest
 // can no longer trim frames and recovery replay grows without limit.
 func TestAdaptiveCheckpointDeferralBounds(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	g := newCadenceGuardian(Config{CheckpointEvery: 8, AdaptiveCheckpoint: true, Retain: 64})
 	g.inflightSync[1] = struct{}{}
 
@@ -69,7 +69,7 @@ func TestAdaptiveCheckpointDeferralBounds(t *testing.T) {
 // Without AdaptiveCheckpoint the legacy behavior is unchanged: cadence
 // alone decides, busy or not.
 func TestFixedCadenceIgnoresLoad(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	g := newCadenceGuardian(Config{CheckpointEvery: 8})
 	g.sinceCkpt = 8
 	g.inflightSync[1] = struct{}{}
@@ -89,7 +89,7 @@ func TestFixedCadenceIgnoresLoad(t *testing.T) {
 // server will ever answer — the next resubmission's drainSyncs (or a
 // checkpoint's quiesce) would wait on it forever.
 func TestAdmitDropsCallPickedUpBeforeAFinishedRecovery(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	north, router := transport.NewInProc()
 	defer north.Close()
 	defer router.Close()

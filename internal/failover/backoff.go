@@ -2,26 +2,8 @@ package failover
 
 import "ava/internal/backoff"
 
-// The backoff implementation moved to internal/backoff so layers below
-// failover in the import graph (internal/fleet, whose Client failover
-// itself consumes) can pace their retries with the same jittered shape.
-// These aliases keep every existing call site — guardian, guest, bench,
-// tests — compiling unchanged; new code should import ava/internal/backoff
-// directly.
-
 // BackoffConfig shapes the jittered exponential backoff every retry in the
-// fault-tolerance layer draws from: guardian respawn attempts, guest
-// resubmission retries and guest overload retries all share this shape, so
-// a storm of retrying callers decorrelates instead of thundering in lock
-// step.
+// fault-tolerance layer draws from (internal/backoff, which code inside this
+// module imports directly); the alias is the spelling the repository
+// benchmark configures a guardian with.
 type BackoffConfig = backoff.Config
-
-// Backoff is a shared jitter source; Series hands out independent retry
-// series that draw jitter from it.
-type Backoff = backoff.Backoff
-
-// Series tracks the state of one retry series against the shared budget.
-type Series = backoff.Series
-
-// NewBackoff builds a backoff source from cfg.
-func NewBackoff(cfg BackoffConfig) *Backoff { return backoff.New(cfg) }

@@ -7,8 +7,8 @@ import (
 
 	"ava/internal/cava"
 	"ava/internal/clock"
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
-	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -20,7 +20,7 @@ import (
 // it withholds the sync call's reply until the checkpoint is waiting, and
 // virtual time must not have moved when the checkpoint completes.
 func TestCheckpointDrainLeavesVirtualClockAlone(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(`void f(uint32_t a);`)
 	clk := clock.NewVirtual()
 	router, north := transport.NewInProc()

@@ -4,15 +4,16 @@ import (
 	"testing"
 	"time"
 
+	"ava/internal/backoff"
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
-	"ava/internal/stacktest"
 )
 
 func TestBackoffDeterministicSchedule(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	cfg := BackoffConfig{Base: time.Millisecond, Cap: 16 * time.Millisecond, Budget: time.Second, Seed: 7}
-	a := NewBackoff(cfg).Series()
-	b := NewBackoff(cfg).Series()
+	a := backoff.New(cfg).Series()
+	b := backoff.New(cfg).Series()
 	for i := 0; i < 10; i++ {
 		da, oka := a.Next()
 		db, okb := b.Next()
@@ -23,8 +24,8 @@ func TestBackoffDeterministicSchedule(t *testing.T) {
 }
 
 func TestBackoffShape(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
-	s := NewBackoff(BackoffConfig{Base: 4 * time.Millisecond, Cap: 32 * time.Millisecond, Budget: time.Hour, Seed: 1}).Series()
+	leaktest.NoGoroutineLeaks(t)
+	s := backoff.New(BackoffConfig{Base: 4 * time.Millisecond, Cap: 32 * time.Millisecond, Budget: time.Hour, Seed: 1}).Series()
 	step := 4 * time.Millisecond
 	for i := 0; i < 8; i++ {
 		d, ok := s.Next()
@@ -42,8 +43,8 @@ func TestBackoffShape(t *testing.T) {
 }
 
 func TestBackoffBudgetExhaustion(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
-	s := NewBackoff(BackoffConfig{Base: 10 * time.Millisecond, Cap: 10 * time.Millisecond, Budget: 25 * time.Millisecond, Seed: 3}).Series()
+	leaktest.NoGoroutineLeaks(t)
+	s := backoff.New(BackoffConfig{Base: 10 * time.Millisecond, Cap: 10 * time.Millisecond, Budget: 25 * time.Millisecond, Seed: 3}).Series()
 	var total time.Duration
 	steps := 0
 	for {
@@ -70,18 +71,18 @@ func TestBackoffBudgetExhaustion(t *testing.T) {
 }
 
 func TestControlRoundTrip(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	for _, tc := range []struct {
 		kind  byte
 		epoch uint32
 		w     uint64
 	}{
-		{CtrlCheckpoint, 0, 0},
-		{CtrlCheckpoint, 3, 4096},
-		{CtrlRecover, 1, 128},
-		{CtrlDead, 9, 0},
+		{marshal.CtrlCheckpoint, 0, 0},
+		{marshal.CtrlCheckpoint, 3, 4096},
+		{marshal.CtrlRecover, 1, 128},
+		{marshal.CtrlDead, 9, 0},
 	} {
-		frame := EncodeControl(tc.kind, tc.epoch, tc.w)
+		frame := marshal.EncodeControl(tc.kind, tc.epoch, tc.w)
 		rep, err := marshal.DecodeReply(frame)
 		if err != nil {
 			t.Fatalf("kind %d: decode reply: %v", tc.kind, err)
@@ -89,7 +90,7 @@ func TestControlRoundTrip(t *testing.T) {
 		if rep.Seq < marshal.CtrlSeqBase || rep.Seq >= marshal.MarkerSeqBase {
 			t.Fatalf("kind %d: seq %#x outside control range", tc.kind, rep.Seq)
 		}
-		kind, epoch, w, ok := DecodeControl(rep)
+		kind, epoch, w, ok := marshal.DecodeControl(rep)
 		if !ok {
 			t.Fatalf("kind %d: DecodeControl rejected its own encoding", tc.kind)
 		}
@@ -101,13 +102,13 @@ func TestControlRoundTrip(t *testing.T) {
 }
 
 func TestControlRejectsOrdinaryReplies(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	rep := &marshal.Reply{Seq: 42, Status: marshal.StatusOK, Ret: marshal.BytesVal(make([]byte, 13))}
-	if _, _, _, ok := DecodeControl(rep); ok {
+	if _, _, _, ok := marshal.DecodeControl(rep); ok {
 		t.Fatal("DecodeControl accepted an ordinary reply")
 	}
 	bad := &marshal.Reply{Seq: marshal.CtrlSeqBase | 1, Status: marshal.StatusOK, Ret: marshal.Int(5)}
-	if _, _, _, ok := DecodeControl(bad); ok {
+	if _, _, _, ok := marshal.DecodeControl(bad); ok {
 		t.Fatal("DecodeControl accepted a malformed payload")
 	}
 }

@@ -220,7 +220,7 @@ func (d *FleetDialer) resolve(m fleet.Member, epoch uint32) (ServerLink, error) 
 	if d.cfg.Resolve != nil {
 		return d.cfg.Resolve(m, epoch)
 	}
-	link, err := DialHost(m.Addr, transport.Hello{VM: d.cfg.VM, Epoch: epoch, Name: d.cfg.Name})
+	link, err := DialHost(m.Addr, d.cfg.VM, epoch, d.cfg.Name)
 	if err != nil {
 		return link, fmt.Errorf("host %s: %w", m.ID, err)
 	}
@@ -235,12 +235,13 @@ func (d *FleetDialer) resolve(m fleet.Member, epoch uint32) (ServerLink, error) 
 // charges against its retry budget like any other, instead of a silent
 // connect-then-sever loop that resets it. A server at a configured address
 // and a fleet member out of a registry differ only in where addr came from.
-func DialHost(addr string, h transport.Hello) (ServerLink, error) {
+func DialHost(addr string, vm, epoch uint32, name string) (ServerLink, error) {
 	ep, err := transport.Dial(addr)
 	if err != nil {
 		return ServerLink{}, err
 	}
-	if err := transport.Greet(ep, h); err != nil {
+	hello := transport.Ctl{Op: transport.OpHello, VM: vm, Seq: uint64(epoch), Payload: []byte(name)}
+	if _, err := transport.RoundTrip(ep, hello, transport.OpAck); err != nil {
 		ep.Close()
 		return ServerLink{}, err
 	}

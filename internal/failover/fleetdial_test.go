@@ -1,13 +1,14 @@
 package failover
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"ava/internal/fleet"
-	"ava/internal/stacktest"
+	"ava/internal/leaktest"
 	"ava/internal/transport"
 )
 
@@ -59,7 +60,7 @@ func newTestDialer(loc fleet.Locator, res *scriptedResolver, attempts int) *Flee
 }
 
 func TestFleetDialerPicksBestLivePeer(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl"},
 		{ID: "b", API: "opencl"},
@@ -85,7 +86,7 @@ func TestFleetDialerPicksBestLivePeer(t *testing.T) {
 // before failing over: a same-host restart is far cheaper than a cross-host
 // replay.
 func TestFleetDialerPerHostBudgetThenFailover(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl"},
 		{ID: "b", API: "opencl", Load: 1},
@@ -126,7 +127,7 @@ func TestFleetDialerPerHostBudgetThenFailover(t *testing.T) {
 // the freshly dead host) so recovered peers get another chance instead of
 // the VM being abandoned.
 func TestFleetDialerRevivesExcludedHosts(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl"},
 		{ID: "b", API: "opencl", Load: 1},
@@ -153,7 +154,7 @@ func TestFleetDialerRevivesExcludedHosts(t *testing.T) {
 // Relocate must move the VM off a live host in one dial — no retry budget
 // — without marking the old host failed, and honor a pinned target.
 func TestFleetDialerRelocateLeavesLiveHost(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl"},
 		{ID: "b", API: "opencl", Load: 1},
@@ -202,7 +203,7 @@ func TestFleetDialerRelocateLeavesLiveHost(t *testing.T) {
 // A relocation with no reachable peer must fall back to the current host
 // rather than strand the VM.
 func TestFleetDialerRelocateFallsBackWhenAlone(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{{ID: "a", API: "opencl"}}}
 	res := &scriptedResolver{}
 	d := newTestDialer(loc, res, 2)
@@ -221,7 +222,7 @@ func TestFleetDialerRelocateFallsBackWhenAlone(t *testing.T) {
 // Rank must reorder candidates ahead of the dial walk, and OnDial must
 // observe every landing with the previous host.
 func TestFleetDialerRankAndOnDialHooks(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl"},
 		{ID: "b", API: "opencl", Load: 9},
@@ -288,12 +289,8 @@ func newAckServer(t *testing.T) *ackServer {
 				return
 			}
 			go func() {
-				frame, err := ep.Recv()
-				if err != nil {
-					ep.Close()
-					return
-				}
-				if _, err := transport.DecodeHello(frame); err != nil {
+				hello, err := transport.RecvCtl(ep)
+				if err != nil || hello.Op != transport.OpHello {
 					ep.Close()
 					return
 				}
@@ -305,11 +302,11 @@ func newAckServer(t *testing.T) *ackServer {
 				}
 				s.mu.Unlock()
 				if rej {
-					transport.AckHello(ep, false, "evicted, rebalancing")
+					transport.Ack(ep, hello, errors.New("evicted, rebalancing"))
 					ep.Close()
 					return
 				}
-				transport.AckHello(ep, true, "")
+				transport.Ack(ep, hello, nil)
 			}()
 		}
 	}()
@@ -346,7 +343,7 @@ func (s *ackServer) close() {
 // reset the per-host budget on every bounce, and pinned the evicted VM to
 // its rejecting host for the whole refusal window.
 func TestFleetDialerRejectedHelloSpendsBudget(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	a, b := newAckServer(t), newAckServer(t)
 	loc := &fakeLocator{members: []fleet.Member{
 		{ID: "a", API: "opencl", Addr: a.l.Addr()},
@@ -395,7 +392,7 @@ func TestFleetDialerRejectedHelloSpendsBudget(t *testing.T) {
 
 // The hello preamble must carry the guardian's current epoch.
 func TestFleetDialerStampsEpoch(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	loc := &fakeLocator{members: []fleet.Member{{ID: "a", API: "opencl"}}}
 	res := &scriptedResolver{}
 	epoch := uint32(0)

@@ -8,7 +8,7 @@ import (
 )
 
 // The three decoders below read bytes that arrive from another machine:
-// AVAM batch sub-ops on a mirror host, a fetched MirrorState on a
+// mirror-batch sub-ops on a mirror host, a fetched MirrorState on a
 // rehydrating guardian, control notices on a guest. The checked-in corpora
 // (testdata/fuzz) hold every op as its encoder emits it plus truncated,
 // oversized and unknown-op frames.
@@ -22,7 +22,7 @@ func FuzzApplyMirrorSub(f *testing.F) {
 		m := NewMemoryMirror()
 		m.MirrorAppend(rec(1, 10, marshal.HandleVal(10), marshal.BytesVal([]byte{1, 2})))
 		m.MirrorCheckpoint(1, 1, map[marshal.Handle][]byte{10: {1, 2, 3, 4}})
-		if _, err := applyMirrorSub(m, sub); err != nil {
+		if err := applyMirrorSub(m, sub); err != nil {
 			return
 		}
 		st := m.State()
@@ -61,15 +61,15 @@ func FuzzDecodeControl(f *testing.F) {
 		if err != nil {
 			return
 		}
-		kind, epoch, w, ok := DecodeControl(rep)
+		kind, epoch, w, ok := marshal.DecodeControl(rep)
 		if !ok {
 			return
 		}
-		back, err := marshal.DecodeReply(EncodeControl(kind, epoch, w))
+		back, err := marshal.DecodeReply(marshal.EncodeControl(kind, epoch, w))
 		if err != nil {
 			t.Fatal(err)
 		}
-		k2, e2, w2, ok := DecodeControl(back)
+		k2, e2, w2, ok := marshal.DecodeControl(back)
 		if !ok || k2 != kind || e2 != epoch || w2 != w {
 			t.Fatalf("notice (%d,%d,%d) re-encodes to (%d,%d,%d) ok=%v", kind, epoch, w, k2, e2, w2, ok)
 		}

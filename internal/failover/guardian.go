@@ -48,6 +48,15 @@
 //
 // Calls that cannot be resubmitted (their retained frame was trimmed, or
 // recovery was abandoned) surface averr.ErrRetryable: never a silent drop.
+//
+// On the wire the package has no framing of its own. Toward a remote API
+// server and a mirror host it makes time-bounded control exchanges
+// (transport.RoundTrip: DialHost's hello, the RemoteMirror session,
+// FetchMirrorState), so a peer that accepts a connection and never answers
+// fails the dial instead of wedging recovery. What must keep its place in
+// the call or reply order — markers, rebind/restore/snapshot calls, the
+// notices to the guest (marshal.EncodeControl) — is a Call or a Reply in a
+// reserved range.
 package failover
 
 import (
@@ -57,6 +66,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ava/internal/backoff"
 	"ava/internal/cava"
 	"ava/internal/clock"
 	"ava/internal/framebuf"
@@ -187,7 +197,7 @@ type Guardian struct {
 	desc *cava.Descriptor
 	cfg  Config
 	clk  clock.Clock
-	bo   *Backoff
+	bo   *backoff.Backoff
 
 	north transport.Endpoint // toward the router/guest
 	dial  func() (ServerLink, error)
@@ -255,7 +265,7 @@ func New(desc *cava.Descriptor, north transport.Endpoint, dial func() (ServerLin
 		desc:          desc,
 		cfg:           cfg,
 		clk:           clk,
-		bo:            NewBackoff(cfg.Backoff),
+		bo:            backoff.New(cfg.Backoff),
 		north:         north,
 		dial:          dial,
 		northCh:       make(chan []byte, 256),

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 )
 
 func rec(seq uint64, created marshal.Handle, args ...marshal.Value) *server.RecordedCall {
@@ -22,7 +22,7 @@ func mirrorSeqs(st *MirrorState) []uint64 {
 }
 
 func TestMemoryMirrorAppendReplyDrop(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	m := NewMemoryMirror()
 	m.MirrorAppend(rec(1, 10))
 	m.MirrorAppend(rec(2, 0, marshal.HandleVal(10)))
@@ -53,7 +53,7 @@ func TestMemoryMirrorAppendReplyDrop(t *testing.T) {
 // entry in place and clear its reply-seen mark, exactly as the guardian's
 // shadow log does.
 func TestMemoryMirrorAppendUpserts(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	m := NewMemoryMirror()
 	first := rec(5, 50)
 	m.MirrorAppend(first)
@@ -75,7 +75,7 @@ func TestMemoryMirrorAppendUpserts(t *testing.T) {
 }
 
 func TestMemoryMirrorPrune(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	m := NewMemoryMirror()
 	m.MirrorAppend(rec(1, 10))                       // created the handle
 	m.MirrorAppend(rec(2, 0, marshal.HandleVal(10))) // touches it
@@ -89,7 +89,7 @@ func TestMemoryMirrorPrune(t *testing.T) {
 // State must be a deep copy: mutating the snapshot or feeding the mirror
 // afterwards cannot corrupt the other side.
 func TestMemoryMirrorStateIsolation(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	m := NewMemoryMirror()
 	m.MirrorAppend(rec(1, 10, marshal.BytesVal([]byte{9})))
 	m.MirrorCheckpoint(3, 1, map[marshal.Handle][]byte{10: {7, 7}})
@@ -116,7 +116,7 @@ func TestMemoryMirrorStateIsolation(t *testing.T) {
 }
 
 func TestObjectStatesRoundTrip(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	in := map[marshal.Handle][]byte{
 		1:   {0xA, 0xB},
 		999: {},

@@ -1,6 +1,7 @@
 package failover
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -12,13 +13,13 @@ import (
 )
 
 // RemoteMirror replicates a guardian's shadow log to a mirror host over
-// the AVAM wire protocol, so failover.Restore can rehydrate a replacement
+// the mirror ops of the control envelope, so failover.Restore can rehydrate a replacement
 // guardian on a different machine after the guardian's own host dies.
 //
 // Structure: every LogSink mutation is applied synchronously to a local
 // staging MemoryMirror (keeping the fast under-the-guardian-lock contract)
 // and enqueued for an asynchronous pump goroutine that batches queued ops
-// into one AVAM frame and awaits the mirror host's watermark ack. The
+// into one OpMirrorBatch frame and awaits the mirror host's watermark ack. The
 // staging copy makes the remote connection a durability upgrade rather
 // than a liveness dependency — a dead mirror host never stalls the
 // guardian — and doubles as the resync source: on every (re)connect, and
@@ -68,7 +69,7 @@ type RemoteMirrorConfig struct {
 	OnEvent func(msg string)
 }
 
-// NewRemoteMirror builds a mirror replicating to the AVAM listener at
+// NewRemoteMirror builds a mirror replicating to the mirror listener at
 // addr (an avad started with -mirror). No connection is attempted until
 // the first mutation.
 func NewRemoteMirror(addr string, cfg RemoteMirrorConfig) *RemoteMirror {
@@ -187,13 +188,13 @@ func (rm *RemoteMirror) MirrorReply(rc *server.RecordedCall) {
 // MirrorDrop implements LogSink.
 func (rm *RemoteMirror) MirrorDrop(seq uint64) {
 	rm.local.MirrorDrop(seq)
-	rm.enqueue(subSeq(mirrorSubDrop, seq))
+	rm.enqueue(sub(mirrorSubDrop, seq, nil))
 }
 
 // MirrorPrune implements LogSink.
 func (rm *RemoteMirror) MirrorPrune(h marshal.Handle) {
 	rm.local.MirrorPrune(h)
-	rm.enqueue(subSeq(mirrorSubPrune, uint64(h)))
+	rm.enqueue(sub(mirrorSubPrune, uint64(h), nil))
 }
 
 // MirrorCheckpoint implements LogSink.
@@ -271,47 +272,29 @@ func (rm *RemoteMirror) replicateOnce() bool {
 
 	rm.mu.Lock()
 	resync := rm.needResync
-	var subs [][]byte
-	if resync {
-		// The full staging state supersedes anything queued.
-		rm.queue = nil
-	} else {
-		subs = rm.queue
-		rm.queue = nil
-	}
+	subs := rm.queue
+	rm.queue = nil
 	rm.sent++
 	opseq := rm.sent
 	rm.mu.Unlock()
-
 	if resync {
-		st := rm.local.State()
-		subs = resyncSubs(st)
+		// The full staging state supersedes anything queued.
+		subs = resyncSubs(rm.local.State())
 	}
 	if len(subs) == 0 {
 		return true
 	}
-	frame := transport.EncodeMirrorFrame(MirrorOpBatch, rm.vm, opseq, marshal.EncodeBatch(subs))
-	if err := ep.Send(frame); err != nil {
-		rm.dropConn(ep, "send: %v", err)
-		return false
-	}
-	ack, err := ep.Recv()
-	if err != nil {
-		rm.dropConn(ep, "ack: %v", err)
-		return false
-	}
-	op, _, ackSeq, payload, err := transport.DecodeMirrorFrame(ack)
-	if err != nil || op != MirrorOpAck || ackSeq != opseq {
-		rm.dropConn(ep, "bad ack")
-		return false
-	}
-	if len(payload) < 1 || payload[0] != 1 {
+	batch := transport.Ctl{Op: transport.OpMirrorBatch, VM: rm.vm, Seq: opseq, Payload: marshal.EncodeBatch(subs)}
+	if _, err := transport.RoundTrip(ep, batch, transport.OpAck); errors.Is(err, transport.ErrRefused) {
 		// The host applied what it could but could not compose everything
 		// (a delta without its base). Resync from staging.
 		rm.mu.Lock()
 		rm.needResync = true
 		rm.mu.Unlock()
 		rm.event("mirror %s nacked batch %d; resyncing", rm.addr, opseq)
+		return false
+	} else if err != nil {
+		rm.dropConn(ep, err)
 		return false
 	}
 	rm.mu.Lock()
@@ -357,7 +340,7 @@ func (rm *RemoteMirror) connect() (transport.Endpoint, error) {
 
 	series := rm.bo.Series()
 	for {
-		ep, err := rm.dialHello()
+		ep, err := dialMirror(rm.addr, rm.vm, rm.name)
 		if err == nil {
 			rm.mu.Lock()
 			if rm.closed {
@@ -383,30 +366,7 @@ func (rm *RemoteMirror) connect() (transport.Endpoint, error) {
 	}
 }
 
-func (rm *RemoteMirror) dialHello() (transport.Endpoint, error) {
-	ep, err := transport.Dial(rm.addr)
-	if err != nil {
-		return nil, err
-	}
-	hello := transport.EncodeMirrorFrame(MirrorOpHello, rm.vm, 0, []byte(rm.name))
-	if err := ep.Send(hello); err != nil {
-		ep.Close()
-		return nil, err
-	}
-	ack, err := ep.Recv()
-	if err != nil {
-		ep.Close()
-		return nil, err
-	}
-	op, _, _, payload, err := transport.DecodeMirrorFrame(ack)
-	if err != nil || op != MirrorOpAck || len(payload) < 1 || payload[0] != 1 {
-		ep.Close()
-		return nil, fmt.Errorf("failover: mirror %s refused hello", rm.addr)
-	}
-	return ep, nil
-}
-
-func (rm *RemoteMirror) dropConn(ep transport.Endpoint, format string, args ...any) {
+func (rm *RemoteMirror) dropConn(ep transport.Endpoint, err error) {
 	ep.Close()
 	rm.mu.Lock()
 	if rm.ep == ep {
@@ -414,5 +374,5 @@ func (rm *RemoteMirror) dropConn(ep transport.Endpoint, format string, args ...a
 	}
 	rm.needResync = true
 	rm.mu.Unlock()
-	rm.event("mirror %s connection lost (%s)", rm.addr, fmt.Sprintf(format, args...))
+	rm.event("mirror %s connection lost (%v)", rm.addr, err)
 }

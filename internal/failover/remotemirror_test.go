@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"ava/internal/backoff"
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
-	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -81,11 +81,11 @@ func sameMirrorState(a, b *MirrorState) bool {
 	return reflect.DeepEqual(a.ReplySeen, b.ReplySeen) && reflect.DeepEqual(a.Objects, b.Objects)
 }
 
-// The full replication path: LogSink mutations stream over the AVAM wire,
+// The full replication path: LogSink mutations stream as mirror-batch control frames,
 // and FetchMirrorState retrieves a byte-equal copy of the staging state —
 // what a replacement guardian on another machine would rehydrate from.
 func TestRemoteMirrorReplicatesAndFetches(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	h := startMirrorHost(t, "127.0.0.1:0")
 	srv := h.srv
 	rm := NewRemoteMirror(h.addr(), RemoteMirrorConfig{VM: 7, Name: "vm-seven", Backoff: quickBackoff()})
@@ -131,7 +131,7 @@ func TestRemoteMirrorReplicatesAndFetches(t *testing.T) {
 // after the host restarts (empty state, same address) restores the
 // invariant without guardian involvement.
 func TestRemoteMirrorDeltaAndResyncAfterHostRestart(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	h := startMirrorHost(t, "127.0.0.1:0")
 	srv := h.srv
 	addr := h.addr()
@@ -189,7 +189,7 @@ func TestRemoteMirrorDeltaAndResyncAfterHostRestart(t *testing.T) {
 // A dead mirror host must never stall the guardian: every LogSink call
 // returns promptly and the staging state stays authoritative.
 func TestRemoteMirrorDeadHostNeverBlocks(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	rm := NewRemoteMirror("127.0.0.1:1", RemoteMirrorConfig{VM: 1, Backoff: quickBackoff()})
 	defer rm.Close()
 
@@ -214,7 +214,7 @@ func TestRemoteMirrorDeadHostNeverBlocks(t *testing.T) {
 // contract) races against lock-free State/Acked/Snapshot readers and the
 // RemoteMirror's own pump goroutine.
 func TestMirrorConcurrentHammer(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	h := startMirrorHost(t, "127.0.0.1:0")
 	srv := h.srv
 	rm := NewRemoteMirror(h.addr(), RemoteMirrorConfig{VM: 3, Backoff: quickBackoff()})

@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"ava/internal/cava"
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
 	"ava/internal/migrate"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -173,7 +173,7 @@ func replayTargets(t *testing.T) map[string]func() (migrate.Target, *server.Cont
 // FuncRebind carried every pair of a reply) fails on it with "handle 5
 // already bound".
 func TestReplayLocalAndWireTargetsAgree(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	log, objects := recordOverlappingLog(t)
 	want := map[marshal.Handle]replayObj{
 		1: {kind: 1}, 2: {kind: 2, data: []byte("two")}, 3: {kind: 3},
@@ -196,7 +196,7 @@ func TestReplayLocalAndWireTargetsAgree(t *testing.T) {
 // Without SkipUnknownObjects (migration's setting) checkpointed state for a
 // handle that no longer exists fails the replay on either target.
 func TestReplayUnknownObjectIsFatalUnlessSkipped(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	log, objects := recordOverlappingLog(t)
 	for name, build := range replayTargets(t) {
 		target, _ := build()
@@ -209,7 +209,7 @@ func TestReplayUnknownObjectIsFatalUnlessSkipped(t *testing.T) {
 
 // FuncRebind validates its argument vector before touching the table.
 func TestWireRebindRejectsMalformedPairs(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	srv, _ := newReplayServer()
 	ctx := srv.Context(1, "vm")
 	h := ctx.Handles.Insert(&replayObj{})

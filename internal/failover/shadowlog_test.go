@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"ava/internal/cava"
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 )
 
 // logSpec has one function of every track kind the keep rules mention.
@@ -47,7 +47,7 @@ func logSeqs(log []server.RecordedCall) []uint64 {
 // recovery at watermark w keeps, what it marks pending-rebind, and what it
 // replays.
 func TestShadowLogKeepRules(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(logSpec)
 	const w = 5
 	for _, tc := range []struct {
@@ -98,7 +98,7 @@ func TestShadowLogKeepRules(t *testing.T) {
 // replayLog runs in guest sequence order even when a resubmission
 // re-recorded an old seq behind newer entries.
 func TestShadowLogReplayLogSortsBySeq(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(logSpec)
 	l := newShadowLog(desc, nil)
 	poke := logFunc(desc, "poke")
@@ -114,7 +114,7 @@ func TestShadowLogReplayLogSortsBySeq(t *testing.T) {
 // prune drops the entry that created the handle and every entry touching
 // it, forgets their reply and pending-rebind marks, and tells the sink.
 func TestShadowLogPruneByHandle(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(logSpec)
 	m := NewMemoryMirror()
 	l := newShadowLog(desc, m)
@@ -144,7 +144,7 @@ func TestShadowLogPruneByHandle(t *testing.T) {
 // sink — which kept the old copy — replaces it in place and forgets the
 // old reply.
 func TestShadowLogUpsertAfterRecovery(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(logSpec)
 	m := NewMemoryMirror()
 	l := newShadowLog(desc, m)
@@ -265,7 +265,7 @@ func (m *logModel) recover() {
 // at the current watermark, a log rehydrated from the mirror's state
 // replays too — entry for entry, with the same pending-rebind set.
 func TestShadowLogMirrorRehydratesToSameReplayLog(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(logSpec)
 	for seed := int64(1); seed <= 40; seed++ {
 		mirror := NewMemoryMirror()

@@ -172,7 +172,7 @@ func (g *Guardian) toServing(rs replaySet, started time.Time) {
 	}
 	g.cond.Broadcast()
 	g.mu.Unlock()
-	g.sendNorth(EncodeControl(CtrlRecover, rs.epoch, rs.w))
+	g.sendNorth(marshal.EncodeControl(marshal.CtrlRecover, rs.epoch, rs.w))
 }
 
 // toDead abandons a recovery: recovering → dead. The guest is told to
@@ -188,7 +188,7 @@ func (g *Guardian) toDead(err error) {
 	epoch := g.epoch
 	g.cond.Broadcast()
 	g.mu.Unlock()
-	g.sendNorth(EncodeControl(CtrlDead, epoch, 0))
+	g.sendNorth(marshal.EncodeControl(marshal.CtrlDead, epoch, 0))
 }
 
 // Close tears the guardian down from any state; the current server link is
@@ -315,6 +315,6 @@ func (g *Guardian) endCheckpoint(cut ckptCut, c capture, err error) error {
 		sink.MirrorCheckpoint(epoch, w, c.objects)
 	}
 	g.mu.Unlock()
-	g.sendNorth(EncodeControl(CtrlCheckpoint, epoch, w))
+	g.sendNorth(marshal.EncodeControl(marshal.CtrlCheckpoint, epoch, w))
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 
 	"ava/internal/cava"
 	"ava/internal/clock"
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
-	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -119,7 +119,7 @@ func answerCheckpoint(t *testing.T, srv transport.Endpoint) {
 // object replay did recreate and synthesize its resubmission, leaving that
 // object on the replacement for good.
 func TestLateReplyFromTheDyingLinkIsFenced(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	srv2, desc := newReplayServer()
 	ctx2 := srv2.Context(1, "second-life")
 	fn := func(name string) uint32 { return logFunc(desc, name) }
@@ -172,7 +172,7 @@ func TestLateReplyFromTheDyingLinkIsFenced(t *testing.T) {
 	if err := <-ckpt; err != nil {
 		t.Fatal(err)
 	}
-	if _, _, w, ok := DecodeControl(recvReply(t, router)); !ok || w != 1 {
+	if _, _, w, ok := marshal.DecodeControl(recvReply(t, router)); !ok || w != 1 {
 		t.Fatalf("checkpoint notice: watermark %d, ok %v", w, ok)
 	}
 	sendCall(t, router, &marshal.Call{Seq: 2, Func: fn("create"), Args: []marshal.Value{marshal.Uint(2), marshal.Len(8)}})
@@ -214,8 +214,8 @@ func TestLateReplyFromTheDyingLinkIsFenced(t *testing.T) {
 
 	// Nothing the old link said after the replay set was taken went north:
 	// the next frame is the recovery notice.
-	if kind, epoch, w, ok := DecodeControl(recvReply(t, router)); !ok || kind != CtrlRecover || epoch != 1 || w != 1 {
-		t.Fatalf("after the recovery: notice kind %d epoch %d w %d (ok %v), want CtrlRecover 1 1", kind, epoch, w, ok)
+	if kind, epoch, w, ok := marshal.DecodeControl(recvReply(t, router)); !ok || kind != marshal.CtrlRecover || epoch != 1 || w != 1 {
+		t.Fatalf("after the recovery: notice kind %d epoch %d w %d (ok %v), want marshal.CtrlRecover 1 1", kind, epoch, w, ok)
 	}
 	g.mu.Lock()
 	got := shapeOf(&g.log)
@@ -252,7 +252,7 @@ func TestLateReplyFromTheDyingLinkIsFenced(t *testing.T) {
 // resubmits it, while its destroy is synthesized. Forwarding the create
 // would rebuild the object under a fresh handle that nothing ever frees.
 func TestAdmitDropsResubmittedCallsOfADestroyedObject(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(logSpec)
 	north, router := transport.NewInProc()
 	defer north.Close()

@@ -5,11 +5,13 @@
 // The registry is deliberately minimal — an in-process table with a
 // heartbeat TTL and a health-ranked Live query — because the paper's
 // disaggregated deployment (§4.1) only needs to answer one question: which
-// peer avad can take over this VM's API right now? A thin JSON wire
-// protocol (ServeConn/DialRegistry in wire.go) lets real avad processes announce over
-// TCP; in-process deployments and tests use the Registry directly. Both
-// sides of that split implement Locator, so the failover dialer does not
-// care which it was given.
+// peer avad can take over this VM's API right now? Four ops on the
+// transport's control envelope (announce, deregister, gossip, live —
+// ServeConn/DialRegistry in wire.go; JSON only for the bodies) let real
+// avad processes announce over TCP, each request one time-bounded
+// transport.RoundTrip; in-process deployments and tests use the Registry
+// directly. Both sides of that split implement Locator, so the failover
+// dialer does not care which it was given.
 package fleet
 
 import (

@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"ava/internal/clock"
-	"ava/internal/stacktest"
+	"ava/internal/leaktest"
 )
 
 func TestRegistryLiveRankingAndExclusion(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	r := NewRegistry(time.Second, clk)
 	r.Announce(Member{ID: "a", Addr: "1:1", API: "opencl", Load: 2})
@@ -35,7 +35,7 @@ func TestRegistryLiveRankingAndExclusion(t *testing.T) {
 }
 
 func TestRegistryTTLExpiryAndHeartbeat(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	r := NewRegistry(time.Second, clk)
 	r.Announce(Member{ID: "a", Addr: "1:1", API: "opencl"})
@@ -62,7 +62,7 @@ func TestRegistryTTLExpiryAndHeartbeat(t *testing.T) {
 }
 
 func TestRegistryDeregister(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	r := NewRegistry(0, nil)
 	r.Announce(Member{ID: "a", Addr: "1:1", API: "opencl"})
 	r.Deregister("a")
@@ -72,7 +72,7 @@ func TestRegistryDeregister(t *testing.T) {
 }
 
 func TestAnnouncerHeartbeatAndClose(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	reg := NewRegistry(200*time.Millisecond, nil)
 	a := StartAnnouncer(reg, Member{Addr: "1:1", API: "opencl"}, 50*time.Millisecond, nil)
 	if ms, _ := reg.Live("opencl"); len(ms) != 1 || ms[0].ID != "1:1" {
@@ -101,7 +101,7 @@ func TestAnnouncerHeartbeatAndClose(t *testing.T) {
 // heartbeat between queries revives it — the edge the dialer's retry
 // branch hits when a host's announcement races its own query.
 func TestLiveTTLBoundaryMidQuery(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	r := NewRegistry(time.Second, clk)
 	r.Announce(Member{ID: "a", Addr: "1:1", API: "opencl"})
@@ -131,7 +131,7 @@ func TestLiveTTLBoundaryMidQuery(t *testing.T) {
 // be reproducible from the decision log, so the ranking cannot depend on
 // map iteration or announce arrival.
 func TestLiveEqualLoadTieBreakDeterministic(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	orders := [][]string{
 		{"c", "a", "b"},
 		{"b", "c", "a"},
@@ -167,7 +167,7 @@ func TestLiveEqualLoadTieBreakDeterministic(t *testing.T) {
 // daemon uses when a VM migrates away and the stale load must not
 // attract placements.
 func TestAnnouncerSamplerAndAnnounceNow(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	reg := NewRegistry(time.Minute, nil)
 	load := 5
 	a := StartAnnouncer(reg, Member{ID: "h1", Addr: "1:1", API: "opencl"}, time.Hour, nil)

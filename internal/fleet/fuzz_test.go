@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"ava/internal/transport"
@@ -9,45 +10,40 @@ import (
 
 // FuzzServeConn feeds one arbitrary frame to a registry connection — the
 // first bytes avaregd reads from the network. Whatever it is, the registry
-// must not panic, must answer with exactly one verdict (ok, or an error
-// for anything it could not parse or does not implement), and must keep
-// serving the connection: a well-formed query right behind it succeeds.
-// The checked-in corpus (testdata/fuzz) covers every op, malformed JSON,
-// wrongly typed fields, an unknown op and an oversized gossip table.
+// must not panic. A frame that is not a control frame (the retired JSON
+// requests included) ends the connection unanswered; a control frame gets
+// exactly one answer — the op's reply when it is a registry request whose
+// body parses, a refusal otherwise — and the connection keeps serving: a
+// well-formed query right behind it succeeds. The checked-in corpus
+// (testdata/fuzz) covers every op, malformed JSON, wrongly typed bodies,
+// ops that are not registry requests and an oversized gossip table.
 func FuzzServeConn(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		client, served := transport.NewInProc()
 		defer client.Close()
 		go ServeConn(served, NewRegistry(0, nil))
 
-		roundTrip := func(req []byte) wireResp {
-			t.Helper()
-			if err := client.Send(req); err != nil {
-				t.Fatal(err)
+		req, err := transport.DecodeCtl(frame)
+		if err != nil {
+			client.Send(frame)
+			if out, err := client.Recv(); err == nil {
+				t.Fatalf("%q is not a control frame, yet it was answered with %q", frame, out)
 			}
-			out, err := client.Recv()
-			if err != nil {
-				t.Fatalf("no response to %q: %v", req, err)
-			}
-			var resp wireResp
-			if err := json.Unmarshal(out, &resp); err != nil {
-				t.Fatalf("response %q is not a verdict: %v", out, err)
-			}
-			return resp
+			return
 		}
-
-		var req wireReq
-		known := json.Unmarshal(frame, &req) == nil
-		switch req.Op {
-		case "announce", "deregister", "live", "gossip":
-		default:
-			known = false
+		want := transport.OpAck
+		if req.Op == transport.OpFleetLive {
+			want = transport.OpFleetMembers
 		}
-		if resp := roundTrip(frame); resp.OK != known || (resp.Err == "") != known {
-			t.Fatalf("request %q (well-formed %v) got %+v", frame, known, resp)
+		wellFormed := req.Op >= transport.OpFleetAnnounce && req.Op <= transport.OpFleetLive &&
+			json.Unmarshal(req.Payload, new(wireBody)) == nil
+		_, err = transport.RoundTrip(client, req, want)
+		if wellFormed != (err == nil) || (err != nil && !errors.Is(err, transport.ErrRefused)) {
+			t.Fatalf("request %q (well-formed %v) got %v", frame, wellFormed, err)
 		}
-		if resp := roundTrip([]byte(`{"op":"live","api":"opencl"}`)); !resp.OK {
-			t.Fatalf("connection stopped serving after %q: %+v", frame, resp)
+		live := transport.Ctl{Op: transport.OpFleetLive, Payload: []byte(`{"api":"opencl"}`)}
+		if _, err := transport.RoundTrip(client, live, transport.OpFleetMembers); err != nil {
+			t.Fatalf("connection stopped serving after %q: %v", frame, err)
 		}
 	})
 }

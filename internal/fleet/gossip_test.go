@@ -5,14 +5,14 @@ import (
 	"time"
 
 	"ava/internal/clock"
-	"ava/internal/stacktest"
+	"ava/internal/leaktest"
 )
 
 // Two registries that missed each other's announces converge to the same
 // member table after one gossip exchange in each direction, and agree on
 // TTL expiry because beats replicate verbatim.
 func TestGossipConvergenceAfterPartitionedAnnounce(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtualAt(time.Unix(1000, 0))
 	regA := NewRegistry(time.Second, clk)
 	regB := NewRegistry(time.Second, clk)
@@ -52,7 +52,7 @@ func TestGossipConvergenceAfterPartitionedAnnounce(t *testing.T) {
 // A merge never resurrects a deregistered member from a peer's stale
 // announce: the tombstone is a newer write and last-write-wins keeps it.
 func TestGossipTombstoneBeatsStaleAnnounce(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtualAt(time.Unix(1000, 0))
 	regA := NewRegistry(time.Second, clk)
 	regB := NewRegistry(time.Second, clk)
@@ -87,7 +87,7 @@ func TestGossipTombstoneBeatsStaleAnnounce(t *testing.T) {
 // Ties on beat keep the local copy and count nothing adopted, so repeated
 // pushes of an unchanged table are idempotent.
 func TestGossipMergeIdempotent(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtualAt(time.Unix(1000, 0))
 	regA := NewRegistry(time.Second, clk)
 	regB := NewRegistry(time.Second, clk)
@@ -105,7 +105,7 @@ func TestGossipMergeIdempotent(t *testing.T) {
 // The Gossiper delivers an announce that hit only one registry to the
 // peer within a push interval or two.
 func TestGossiperPushesOnCadence(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	regA := NewRegistry(0, nil)
 	regB := NewRegistry(0, nil)
 	regA.Announce(Member{ID: "host-a", Addr: "a:1", API: "opencl"})

@@ -2,21 +2,24 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"ava/internal/averr"
 	"ava/internal/backoff"
 	"ava/internal/transport"
 )
 
-// The wire protocol is one JSON request frame per operation, answered by
-// one JSON response frame, over the same length-prefixed transport the
-// call path uses. Discovery traffic is tiny and rare next to call traffic,
-// so readability wins over marshalling speed here.
+// The wire protocol is one control frame per operation (transport's
+// envelope: the op byte says announce, deregister, gossip or live),
+// answered by one frame, over the same length-prefixed transport the call
+// path uses. Only the bodies are JSON: discovery traffic is tiny and rare
+// next to call traffic, so readability wins over marshalling speed there.
 
-type wireReq struct {
-	Op      string        `json:"op"` // "announce", "deregister", "live", "gossip"
+// wireBody is a request's JSON payload; each op reads the fields it needs.
+type wireBody struct {
 	Member  Member        `json:"member,omitempty"`
 	ID      string        `json:"id,omitempty"`
 	API     string        `json:"api,omitempty"`
@@ -24,50 +27,34 @@ type wireReq struct {
 	Entries []GossipEntry `json:"entries,omitempty"`
 }
 
-type wireResp struct {
-	OK      bool     `json:"ok"`
-	Err     string   `json:"err,omitempty"`
-	Members []Member `json:"members,omitempty"`
-}
-
 // ServeConn answers registry requests on one established connection until
 // it drops. Each connection may issue any number of requests; avad's
-// announcer keeps one open for its heartbeat stream. The accept loop around
-// it is internal/host.Registry, which tracks the endpoints it hands in so a
-// Kill can sever them like a machine crash.
+// announcer keeps one open for its heartbeat stream. A request whose body
+// does not parse, or whose op is not a registry op, is refused with an
+// ok=0 ack; a frame that is not a control frame ends the connection. The
+// accept loop around it is internal/host.Registry, which tracks the
+// endpoints it hands in so a Kill can sever them like a machine crash.
 func ServeConn(ep transport.Endpoint, reg *Registry) {
-	defer ep.Close()
-	for {
-		frame, err := ep.Recv()
-		if err != nil {
-			return
+	transport.ServeCtl(ep, func(req transport.Ctl) error {
+		var body wireBody
+		err := json.Unmarshal(req.Payload, &body)
+		switch {
+		case req.Op < transport.OpFleetAnnounce || req.Op > transport.OpFleetLive:
+			err = fmt.Errorf("%v is not a registry request", req.Op)
+		case err != nil:
+		case req.Op == transport.OpFleetAnnounce:
+			reg.Announce(body.Member)
+		case req.Op == transport.OpFleetDeregister:
+			reg.Deregister(body.ID)
+		case req.Op == transport.OpFleetGossip:
+			reg.Merge(body.Entries)
+		case req.Op == transport.OpFleetLive:
+			ms, _ := reg.Live(body.API, body.Exclude...)
+			out, _ := json.Marshal(ms)
+			return transport.Answer(ep, req, transport.OpFleetMembers, out)
 		}
-		var req wireReq
-		resp := wireResp{OK: true}
-		if err := json.Unmarshal(frame, &req); err != nil {
-			resp = wireResp{Err: fmt.Sprintf("malformed request: %v", err)}
-		} else {
-			switch req.Op {
-			case "announce":
-				reg.Announce(req.Member)
-			case "deregister":
-				reg.Deregister(req.ID)
-			case "live":
-				resp.Members, _ = reg.Live(req.API, req.Exclude...)
-			case "gossip":
-				reg.Merge(req.Entries)
-			default:
-				resp = wireResp{Err: fmt.Sprintf("unknown op %q", req.Op)}
-			}
-		}
-		out, err := json.Marshal(resp)
-		if err != nil {
-			return
-		}
-		if err := ep.Send(out); err != nil {
-			return
-		}
-	}
+		return transport.Ack(ep, req, err)
+	})
 }
 
 // Client is a Locator over a TCP connection to a served registry. It
@@ -108,99 +95,76 @@ func (c *Client) Close() {
 	}
 }
 
-// roundTrip sends one request and awaits its response, redialing under a
-// bounded jittered-backoff series if the cached connection has gone stale.
-// All registry operations are idempotent (announce and deregister are
-// last-write-wins, live is a read), so retrying a whole request after a
-// mid-flight connection loss is safe. Protocol-level failures — a
-// malformed response or an error verdict from the registry — are not
-// retried: the registry answered, it just said no.
-func (c *Client) roundTrip(req wireReq) (wireResp, error) {
-	frame, err := json.Marshal(req)
+// roundTrip sends one request and awaits its want-op response, redialing
+// under a bounded jittered-backoff series if the cached connection has gone
+// stale. All registry operations are idempotent (announce and deregister
+// are last-write-wins, live is a read), so retrying a whole request after a
+// mid-flight connection loss is safe. A categorized error — refused, a
+// reply that does not answer the request, no answer within the control time
+// bound — is not retried: the registry answered (or is stalled, not gone).
+func (c *Client) roundTrip(op, want transport.Op, body wireBody) ([]byte, error) {
+	payload, err := json.Marshal(body)
 	if err != nil {
-		return wireResp{}, err
+		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var series *backoff.Series
 	for {
-		resp, retryable, err := c.attemptLocked(frame)
-		if err == nil || !retryable {
-			return resp, err
+		var err error
+		if c.ep == nil {
+			c.ep, err = transport.Dial(c.addr)
+		}
+		if err == nil {
+			var rep transport.Ctl
+			if rep, err = transport.RoundTrip(c.ep, transport.Ctl{Op: op, Payload: payload}, want); err == nil {
+				return rep.Payload, nil
+			}
+			if !errors.Is(err, transport.ErrRefused) { // the stream's position is unknown
+				c.ep.Close()
+				c.ep = nil
+			}
+		}
+		err = fmt.Errorf("fleet: registry %s: %w", c.addr, err)
+		if averr.CategoryOf(err) != "" {
+			return nil, err
 		}
 		if series == nil {
 			series = c.retry.Series()
 		}
 		d, ok := series.Next()
 		if !ok {
-			return wireResp{}, fmt.Errorf("fleet: registry %s unreachable after %v of retries: %w",
-				c.addr, series.Spent(), err)
+			return nil, fmt.Errorf("%w (unreachable after %v of retries)", err, series.Spent())
 		}
 		time.Sleep(d)
 	}
 }
 
-// attemptLocked makes one dial-send-recv attempt; retryable reports whether
-// the failure was a transport loss worth another attempt.
-func (c *Client) attemptLocked(frame []byte) (wireResp, bool, error) {
-	if c.ep == nil {
-		ep, err := transport.Dial(c.addr)
-		if err != nil {
-			return wireResp{}, true, fmt.Errorf("fleet: dial registry %s: %w", c.addr, err)
-		}
-		c.ep = ep
-	}
-	if err := c.ep.Send(frame); err != nil {
-		c.dropLocked()
-		return wireResp{}, true, fmt.Errorf("fleet: registry %s: %w", c.addr, err)
-	}
-	reply, err := c.ep.Recv()
-	if err != nil {
-		c.dropLocked()
-		return wireResp{}, true, fmt.Errorf("fleet: registry %s: %w", c.addr, err)
-	}
-	var resp wireResp
-	if err := json.Unmarshal(reply, &resp); err != nil {
-		c.dropLocked()
-		return wireResp{}, false, fmt.Errorf("fleet: malformed registry response: %w", err)
-	}
-	if resp.Err != "" {
-		return wireResp{}, false, fmt.Errorf("fleet: registry: %s", resp.Err)
-	}
-	return resp, false, nil
-}
-
-func (c *Client) dropLocked() {
-	if c.ep != nil {
-		c.ep.Close()
-		c.ep = nil
-	}
-}
-
 // Announce implements Locator.
 func (c *Client) Announce(m Member) error {
-	_, err := c.roundTrip(wireReq{Op: "announce", Member: m})
+	_, err := c.roundTrip(transport.OpFleetAnnounce, transport.OpAck, wireBody{Member: m})
 	return err
 }
 
 // Deregister implements Locator.
 func (c *Client) Deregister(id string) error {
-	_, err := c.roundTrip(wireReq{Op: "deregister", ID: id})
+	_, err := c.roundTrip(transport.OpFleetDeregister, transport.OpAck, wireBody{ID: id})
 	return err
 }
 
 // Live implements Locator.
 func (c *Client) Live(api string, exclude ...string) ([]Member, error) {
-	resp, err := c.roundTrip(wireReq{Op: "live", API: api, Exclude: exclude})
-	if err != nil {
-		return nil, err
+	out, err := c.roundTrip(transport.OpFleetLive, transport.OpFleetMembers, wireBody{API: api, Exclude: exclude})
+	var ms []Member
+	if err == nil {
+		err = json.Unmarshal(out, &ms)
 	}
-	return resp.Members, nil
+	return ms, err
 }
 
 // Gossip implements GossipPeer: it pushes a registry table export to the
 // remote registry, which merges it last-write-wins.
 func (c *Client) Gossip(entries []GossipEntry) error {
-	_, err := c.roundTrip(wireReq{Op: "gossip", Entries: entries})
+	_, err := c.roundTrip(transport.OpFleetGossip, transport.OpAck, wireBody{Entries: entries})
 	return err
 }

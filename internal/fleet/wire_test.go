@@ -12,7 +12,7 @@ import (
 	"ava/internal/backoff"
 	"ava/internal/fleet"
 	"ava/internal/host"
-	"ava/internal/stacktest"
+	"ava/internal/leaktest"
 )
 
 // startRegistry runs a registry host on addr ("" picks a loopback port) and
@@ -56,7 +56,7 @@ func shortRetry(c *fleet.Client) *fleet.Client {
 // A MultiClient write lands on every live replica, and the merged read is
 // ranked exactly as a single registry would rank it.
 func TestMultiClientFanoutAndMergedRead(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	hA, hB := startRegistry(t, ""), startRegistry(t, "")
 
 	mc := fleet.NewMultiClient(shortRetry(fleet.DialRegistry(hA.Addr())), shortRetry(fleet.DialRegistry(hB.Addr())))
@@ -92,7 +92,7 @@ func TestMultiClientFanoutAndMergedRead(t *testing.T) {
 // Killing one registry replica is invisible at quorum 1: the surviving
 // replica answers reads, and writes still succeed by the any-replica rule.
 func TestMultiClientSurvivesOneDeadRegistry(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	hA, hB := startRegistry(t, ""), startRegistry(t, "")
 
 	mc := fleet.NewMultiClient(shortRetry(fleet.DialRegistry(hA.Addr())), shortRetry(fleet.DialRegistry(hB.Addr())))
@@ -127,7 +127,7 @@ func TestMultiClientSurvivesOneDeadRegistry(t *testing.T) {
 // With every replica dead, reads and writes report the failure instead of
 // pretending an empty fleet.
 func TestMultiClientAllDead(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	hA := startRegistry(t, "")
 	hA.Kill()
 	mc := fleet.NewMultiClient(shortRetry(fleet.DialRegistry(hA.Addr())))
@@ -144,7 +144,7 @@ func TestMultiClientAllDead(t *testing.T) {
 // spends the jittered backoff budget and reports unreachable; once the
 // registry is back (same address), the next call transparently recovers.
 func TestWireClientBoundedRetryWhileRegistryDown(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	h := startRegistry(t, "")
 	addr := h.Addr()
 
@@ -178,7 +178,7 @@ func TestWireClientBoundedRetryWhileRegistryDown(t *testing.T) {
 }
 
 func TestWireClientRoundTrip(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	c := fleet.DialRegistry(startRegistry(t, "").Addr())
 	defer c.Close()
 	if err := c.Announce(fleet.Member{ID: "h1", Addr: "1.2.3.4:7272", API: "opencl", Load: 3}); err != nil {
@@ -203,7 +203,7 @@ func TestWireClientRoundTrip(t *testing.T) {
 }
 
 func TestWireClientRedialsAfterRegistryRestart(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	r := startRegistry(t, "")
 	addr := r.Addr()
 	c := fleet.DialRegistry(addr)
@@ -225,7 +225,7 @@ func TestWireClientRedialsAfterRegistryRestart(t *testing.T) {
 // the TCP client re-registers its member after the registry process is
 // replaced by an empty one on the same address — no operator involved.
 func TestAnnouncerSurvivesRegistryRestart(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	r := startRegistry(t, "")
 	addr := r.Addr()
 	c := fleet.DialRegistry(addr)

@@ -3,6 +3,7 @@
 package guest
 
 import (
+	"ava/internal/leaktest"
 	"testing"
 
 	"ava/internal/cava"
@@ -23,6 +24,7 @@ import (
 // The parent of this change spent 19 on the five-call benchmark op
 // (guest.allocs_per_op), about 3 per async and 7 per sync call.
 func TestLibCallAllocBudget(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(testSpec)
 	lib := New(desc, newEchoEndpoint())
 	defer lib.Close()

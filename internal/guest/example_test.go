@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"ava/internal/failover"
+	"ava/internal/backoff"
 	"ava/internal/guest"
 )
 
@@ -48,7 +48,7 @@ func ExampleWithDeadlineSlack() {
 // StatusOverload denials, independent of the library-wide setting.
 func ExampleWithOverloadRetry() {
 	opts := guest.ApplyCallOptions(guest.CallOptions{},
-		guest.WithOverloadRetry(failover.BackoffConfig{
+		guest.WithOverloadRetry(backoff.Config{
 			Base:   2 * time.Millisecond,
 			Budget: 100 * time.Millisecond,
 		}))

@@ -21,9 +21,9 @@ import (
 	"time"
 
 	"ava/internal/averr"
+	"ava/internal/backoff"
 	"ava/internal/cava"
 	"ava/internal/clock"
-	"ava/internal/failover"
 	"ava/internal/framebuf"
 	"ava/internal/marshal"
 	"ava/internal/spec"
@@ -315,9 +315,9 @@ func WithFailover(p FailoverPolicy) Option {
 // or the series' budget is spent (the denial then surfaces as usual). Given
 // to New it covers every call; given to a call site it enables (or retunes)
 // retry for that call alone.
-func WithOverloadRetry(cfg failover.BackoffConfig) DualOption {
+func WithOverloadRetry(cfg backoff.Config) DualOption {
 	return dualOption{
-		lib:  func(l *Lib) { l.retryB = failover.NewBackoff(cfg) },
+		lib:  func(l *Lib) { l.retryB = backoff.New(cfg) },
 		call: func(o *CallOptions) { c := cfg; o.Retry = &c },
 	}
 }
@@ -371,7 +371,7 @@ type CallOptions struct {
 	DeadlineSlack time.Duration
 	// Retry, when non-nil, gives this call its own overload-retry backoff
 	// (replacing or enabling the library-wide WithOverloadRetry setting).
-	Retry *failover.BackoffConfig
+	Retry *backoff.Config
 }
 
 func (o CallOptions) applyCall(dst *CallOptions) { *dst = o }
@@ -464,8 +464,8 @@ type Lib struct {
 	frameHint   int               // size the previous batch frame needed (capped)
 	deferred    error
 	stats       Stats
-	fo          *foState          // nil unless WithFailover
-	retryB      *failover.Backoff // nil unless WithOverloadRetry
+	fo          *foState         // nil unless WithFailover
+	retryB      *backoff.Backoff // nil unless WithOverloadRetry
 
 	// Reply demultiplexer state. waitMu is ordered strictly inside mu and
 	// the demux goroutine takes only waitMu, never mu: the demux must
@@ -730,7 +730,7 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 	// encode stamp) after a jittered backoff when WithOverloadRetry is on.
 	retryB := l.retryB
 	if opts.Retry != nil {
-		retryB = failover.NewBackoff(*opts.Retry)
+		retryB = backoff.New(*opts.Retry)
 	}
 	slack := l.deadlineSlack
 	if opts.DeadlineSlack != 0 {
@@ -742,7 +742,7 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 	// frame pieces at send time. The borrow is sound because the vectored
 	// send is synchronous and completes inside this call; retention
 	// disables it for the same reason as the registered-buffer path.
-	var series *failover.Series
+	var series *backoff.Series
 	for {
 		l.mu.Lock()
 
@@ -1340,7 +1340,7 @@ func (l *Lib) handleControl(rep *marshal.Reply) {
 	if l.fo == nil {
 		return
 	}
-	kind, epoch, w, ok := failover.DecodeControl(rep)
+	kind, epoch, w, ok := marshal.DecodeControl(rep)
 	if !ok {
 		return
 	}
@@ -1357,11 +1357,11 @@ func (l *Lib) foLoop() {
 			return
 		case msg := <-l.fo.ctrl:
 			switch msg.kind {
-			case failover.CtrlCheckpoint:
+			case marshal.CtrlCheckpoint:
 				l.trimRetained(msg.w)
-			case failover.CtrlRecover:
+			case marshal.CtrlRecover:
 				l.resubmit(msg.epoch, msg.w)
-			case failover.CtrlDead:
+			case marshal.CtrlDead:
 				l.failRetryable(msg.epoch)
 			}
 		}

@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"ava/internal/leaktest"
 	"bytes"
 	"errors"
 	"strings"
@@ -149,6 +150,7 @@ func buildStack(t *testing.T, opts ...Option) (*Lib, *toy, *server.Context) {
 }
 
 func TestSyncCallRoundTrip(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, _, _ := buildStack(t)
 	var h marshal.Handle
 	ret, err := lib.Call("openDevice", uint32(0), &h)
@@ -161,6 +163,7 @@ func TestSyncCallRoundTrip(t *testing.T) {
 }
 
 func TestOutElementScalar(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, _, _ := buildStack(t)
 	var h marshal.Handle
 	lib.Call("openDevice", uint32(0), &h)
@@ -175,6 +178,7 @@ func TestOutElementScalar(t *testing.T) {
 }
 
 func TestBufferWriteRead(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, _, _ := buildStack(t)
 	var h marshal.Handle
 	lib.Call("openDevice", uint32(0), &h)
@@ -193,6 +197,7 @@ func TestBufferWriteRead(t *testing.T) {
 }
 
 func TestConditionalAsyncStore(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, silo, _ := buildStack(t)
 	var h marshal.Handle
 	lib.Call("openDevice", uint32(0), &h)
@@ -223,6 +228,7 @@ func TestConditionalAsyncStore(t *testing.T) {
 }
 
 func TestAsyncAlwaysAndFlush(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, silo, _ := buildStack(t)
 	var h marshal.Handle
 	lib.Call("openDevice", uint32(0), &h)
@@ -254,6 +260,7 @@ func TestAsyncAlwaysAndFlush(t *testing.T) {
 }
 
 func TestBatchLimitForcesFlush(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, silo, _ := buildStack(t, WithBatchLimit(2))
 	var h marshal.Handle
 	lib.Call("openDevice", uint32(0), &h)
@@ -277,6 +284,7 @@ func TestBatchLimitForcesFlush(t *testing.T) {
 }
 
 func TestForceSyncDisablesAsync(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, _, _ := buildStack(t, WithForceSync())
 	var h marshal.Handle
 	lib.Call("openDevice", uint32(0), &h)
@@ -288,6 +296,7 @@ func TestForceSyncDisablesAsync(t *testing.T) {
 }
 
 func TestDeferredAsyncErrorSurfaces(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, _, _ := buildStack(t)
 	// scale on a bogus handle: async, API error deferred to next sync call.
 	if _, err := lib.Call("scale", marshal.Handle(9999), 3.0); err != nil {
@@ -308,6 +317,7 @@ func TestDeferredAsyncErrorSurfaces(t *testing.T) {
 }
 
 func TestNullOptionalOutParam(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, _, _ := buildStack(t)
 	// Passing nil for the out element: server executes, guest ignores out.
 	ret, err := lib.Call("openDevice", uint32(0), nil)
@@ -317,6 +327,7 @@ func TestNullOptionalOutParam(t *testing.T) {
 }
 
 func TestArgumentErrors(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, _, _ := buildStack(t)
 	cases := []struct {
 		name string
@@ -353,6 +364,7 @@ func TestArgumentErrors(t *testing.T) {
 }
 
 func TestServerRejectsMendaciousClient(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	// Handcraft a call frame whose buffer length disagrees with the size
 	// expression; the server must deny it.
 	desc := cava.MustCompile(testSpec)
@@ -380,6 +392,7 @@ func TestServerRejectsMendaciousClient(t *testing.T) {
 }
 
 func TestServerRejectsIllegalAsyncFlag(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(testSpec)
 	reg := server.NewRegistry(desc)
 	reg.MustRegister("load", func(inv *server.Invocation) error {
@@ -407,6 +420,7 @@ func TestServerRejectsIllegalAsyncFlag(t *testing.T) {
 }
 
 func TestCloseFlushes(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, silo, _ := buildStack(t)
 	var h marshal.Handle
 	lib.Call("openDevice", uint32(0), &h)
@@ -431,6 +445,7 @@ func TestCloseFlushes(t *testing.T) {
 }
 
 func TestConcurrentGuestThreads(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, _, _ := buildStack(t)
 	var h marshal.Handle
 	lib.Call("openDevice", uint32(0), &h)
@@ -455,6 +470,7 @@ func TestConcurrentGuestThreads(t *testing.T) {
 }
 
 func TestRecordLogTracksCreatesAndDestroys(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, _, ctx := buildStack(t)
 	var h1, h2 marshal.Handle
 	lib.Call("openDevice", uint32(0), &h1)
@@ -470,6 +486,7 @@ func TestRecordLogTracksCreatesAndDestroys(t *testing.T) {
 }
 
 func TestGuestStatsBytesCounted(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	lib, _, _ := buildStack(t)
 	var h marshal.Handle
 	lib.Call("openDevice", uint32(0), &h)
@@ -482,6 +499,7 @@ func TestGuestStatsBytesCounted(t *testing.T) {
 // --- Failure injection ---
 
 func TestSyncCallFailsWhenServerDies(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(testSpec)
 	gep, sep := transport.NewInProc()
 	lib := New(desc, gep)
@@ -501,6 +519,7 @@ func TestSyncCallFailsWhenServerDies(t *testing.T) {
 }
 
 func TestCallAfterTransportClosed(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(testSpec)
 	gep, sep := transport.NewInProc()
 	lib := New(desc, gep)
@@ -521,6 +540,7 @@ func TestCallAfterTransportClosed(t *testing.T) {
 }
 
 func TestMalformedReplyDetected(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(testSpec)
 	gep, sep := transport.NewInProc()
 	lib := New(desc, gep)
@@ -535,6 +555,7 @@ func TestMalformedReplyDetected(t *testing.T) {
 }
 
 func TestMismatchedReplySeqDetected(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(testSpec)
 	gep, sep := transport.NewInProc()
 	lib := New(desc, gep)
@@ -551,8 +572,10 @@ func TestMismatchedReplySeqDetected(t *testing.T) {
 }
 
 func TestWrongOutArityDetected(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(testSpec)
 	gep, sep := transport.NewInProc()
+	defer gep.Close() // ends the library's demultiplexer
 	lib := New(desc, gep)
 	go func() {
 		frame, _ := sep.Recv()

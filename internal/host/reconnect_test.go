@@ -10,8 +10,8 @@ import (
 	"ava/internal/failover"
 	"ava/internal/fleet"
 	"ava/internal/host"
+	"ava/internal/leaktest"
 	"ava/internal/rodinia"
-	"ava/internal/stacktest"
 )
 
 // TestHostReconnectReplaysIntoCleanContext severs only the VM's connection
@@ -22,7 +22,7 @@ import (
 // "handle already bound" and the recovery was abandoned. Fixed backoff
 // seed, so the recovery schedule is reproducible run to run.
 func TestHostReconnectReplaysIntoCleanContext(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("gaussian")
 	if !ok {
 		t.Fatal("gaussian workload missing")

@@ -7,7 +7,7 @@ import (
 
 	"ava/internal/fleet"
 	"ava/internal/host"
-	"ava/internal/stacktest"
+	"ava/internal/leaktest"
 	"ava/internal/transport"
 )
 
@@ -26,7 +26,7 @@ func startRegistry(t *testing.T, cfg host.RegistryConfig) *host.Registry {
 // dialing it, and shows up in the peer's ctl admin table. Shutdown then
 // ends client streams in order, not with a sever.
 func TestHostRegistryGossipsAndShutsDownInOrder(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	a := startRegistry(t, host.RegistryConfig{})
 	b := startRegistry(t, host.RegistryConfig{Peers: []string{a.Addr()}, GossipEvery: 2 * time.Millisecond})
 
@@ -65,7 +65,7 @@ func TestHostRegistryGossipsAndShutsDownInOrder(t *testing.T) {
 // Kill presents what a crashed registry machine does: established client
 // streams die severed and the address refuses new ones.
 func TestHostRegistryKillSeversClients(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	r := startRegistry(t, host.RegistryConfig{})
 
 	raw, err := transport.Dial(r.Addr())
@@ -73,10 +73,8 @@ func TestHostRegistryKillSeversClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if err := raw.Send([]byte(`{"op":"live","api":"opencl"}`)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := raw.Recv(); err != nil {
+	live := transport.Ctl{Op: transport.OpFleetLive, Payload: []byte(`{"api":"opencl"}`)}
+	if _, err := transport.RoundTrip(raw, live, transport.OpFleetMembers); err != nil {
 		t.Fatalf("registry did not answer: %v", err)
 	}
 

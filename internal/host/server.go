@@ -266,35 +266,35 @@ func (s *Server) announceNow() {
 
 // serveConn reads the VM-identification hello, answers it with the
 // admission verdict, and serves the VM until the connection ends. A first
-// frame that is not a hello ends the connection before any VM is touched.
+// frame that is not a hello — or none within the control time bound — ends
+// the connection before any VM is touched.
 func (s *Server) serveConn(ep transport.Endpoint) {
 	defer ep.Close()
-	frame, err := ep.Recv()
-	if err != nil {
-		return
+	hello, err := transport.RecvCtl(ep)
+	if err == nil && hello.Op != transport.OpHello {
+		err = fmt.Errorf("%v on a VM connection", hello.Op)
 	}
-	h, err := transport.DecodeHello(frame)
 	if err != nil {
 		s.cfg.Log.Printf("bad hello: %v", err)
 		return
 	}
-	name := h.Name
+	vm, epoch, name := hello.VM, uint32(hello.Seq), string(hello.Payload)
 	if name == "" {
-		name = fmt.Sprintf("tcp-vm%d", h.VM)
+		name = fmt.Sprintf("tcp-vm%d", vm)
 	}
-	if age, ok := s.bind(h.VM, ep); !ok {
+	if age, ok := s.bind(vm, ep); !ok {
 		// Freshly evicted: refuse with an explicit reject ack, so the
 		// rejection is a dial *failure* that spends the guardian's per-host
 		// budget and moves it to a peer, instead of a silent
 		// connect-then-sever it retries forever.
 		age = age.Round(time.Millisecond)
-		s.cfg.Log.Printf("VM %d refused (evicted %v ago)", h.VM, age)
-		transport.AckHello(ep, false, fmt.Sprintf("vm %d evicted %v ago, rebalancing", h.VM, age))
+		s.cfg.Log.Printf("VM %d refused (evicted %v ago)", vm, age)
+		transport.Ack(ep, hello, fmt.Errorf("vm %d evicted %v ago, rebalancing", vm, age))
 		return
 	}
 	defer s.announceNow()
-	defer s.unbind(h.VM, ep)
-	if err := transport.AckHello(ep, true, ""); err != nil {
+	defer s.unbind(vm, ep)
+	if err := transport.Ack(ep, hello, nil); err != nil {
 		return
 	}
 	// The context is dropped at bind, never at disconnect. Every connection
@@ -302,9 +302,9 @@ func (s *Server) serveConn(ep transport.Endpoint) {
 	// in an empty handle table (a reconnect to the same live host would
 	// otherwise hit "handle already bound"), and a VM whose connection died
 	// keeps its counters scrapeable until its next incarnation arrives.
-	s.srv.DropContext(h.VM)
-	ctx := s.srv.Context(h.VM, name)
-	s.cfg.Log.Printf("VM %d (%s) connected, epoch %d", h.VM, name, h.Epoch)
+	s.srv.DropContext(vm)
+	ctx := s.srv.Context(vm, name)
+	s.cfg.Log.Printf("VM %d (%s) connected, epoch %d", vm, name, epoch)
 	// The stats summary is emitted however the connection ends and tagged
 	// with the reason, so a SIGKILLed guest's byte counters land in the
 	// log as well as staying live on the ctl endpoint.
@@ -314,13 +314,13 @@ func (s *Server) serveConn(ep transport.Endpoint) {
 		if errors.Is(err, transport.ErrSevered) {
 			reason = "severed"
 		}
-		s.cfg.Log.Printf("VM %d: %v", h.VM, err)
+		s.cfg.Log.Printf("VM %d: %v", vm, err)
 	}
 	st := ctx.Stats()
 	s.cfg.Log.Printf("VM %d stats: calls=%d (async %d, errors %d, replays %d) bytes in=%d out=%d copied=%d borrowed=%d exec=%v",
-		h.VM, st.Calls, st.AsyncCalls, st.Errors, st.Replays,
+		vm, st.Calls, st.AsyncCalls, st.Errors, st.Replays,
 		st.BytesIn, st.BytesOut, st.BytesCopied, st.BytesBorrowed, st.ExecTime)
-	s.cfg.Log.Printf("VM %d disconnected (%s)", h.VM, reason)
+	s.cfg.Log.Printf("VM %d disconnected (%s)", vm, reason)
 }
 
 // Shutdown runs the graceful sequence and returns once every connection

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,9 +14,9 @@ import (
 	"ava/internal/failover"
 	"ava/internal/fleet"
 	"ava/internal/host"
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -53,17 +54,19 @@ func startHost(t *testing.T, srv *server.Server, cfg host.Config) *host.Server {
 
 // greet connects to addr the way every dialer in the tree does: hello,
 // then the host's admission verdict, which must be an accept.
-func greet(t *testing.T, addr string, h transport.Hello) transport.Endpoint {
+func greet(t *testing.T, addr string, vm, epoch uint32, name string) transport.Endpoint {
 	t.Helper()
-	ep, err := transport.Dial(addr)
+	link, err := failover.DialHost(addr, vm, epoch, name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ep.Close() })
-	if err := transport.Greet(ep, h); err != nil {
-		t.Fatal(err)
-	}
-	return ep
+	t.Cleanup(func() { link.EP.Close() })
+	return link.EP
+}
+
+// helloFrame is the first frame a dialer sends.
+func helloFrame(vm, epoch uint32, name string) []byte {
+	return transport.EncodeCtl(transport.Ctl{Op: transport.OpHello, VM: vm, Seq: uint64(epoch), Payload: []byte(name)})
 }
 
 // dialHello connects to addr and sends the raw frame hello first, leaving
@@ -121,16 +124,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // There is one hello form. It binds the VM under the announced identity
 // and is answered before any reply. A first frame that is anything else —
-// the retired [vm][name] and AVA1 preambles, a frame too short to carry an
-// epoch, bytes from some other protocol — ends the connection without
+// the retired [vm][name], AVA1 and AVA2 preambles, a truncated envelope, a
+// control op that is not a VM hello, bytes from some other protocol — ends
+// the connection without
 // touching any context: each of these used to "decode" into a VM id, and
 // the host then dropped that VM's live context to bind the newcomer.
 func TestHostHelloFormsAndCall(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	srv := clServer()
 	h := startHost(t, srv, host.Config{})
 
-	live := greet(t, h.Addr(), transport.Hello{VM: 9, Epoch: 3, Name: "failover-guest"})
+	live := greet(t, h.Addr(), 9, 3, "failover-guest")
 	if rep := platformCount(t, live, 1); rep.Status != marshal.StatusOK || rep.Outs[1].Uint != 1 {
 		t.Fatalf("reply = %+v", rep)
 	}
@@ -144,7 +148,9 @@ func TestHostHelloFormsAndCall(t *testing.T) {
 		"legacy":   append(legacy[:4:4], "tcp-guest"...),
 		"ava1":     append(legacy[:4:4], "AVA1\x03\x00\x00\x00failover-guest"...),
 		"short":    {1, 2},
-		"no-epoch": transport.EncodeHello(transport.Hello{VM: 9})[:10],
+		"ava2":     append(legacy[:4:4], "AVA2\x03\x00\x00\x00failover-guest"...),
+		"no-seq":   helloFrame(9, 3, "")[:10],
+		"wrong-op": transport.EncodeCtl(transport.Ctl{Op: transport.OpMirrorHello, VM: 9, Payload: []byte("failover-guest")}),
 		"http":     []byte("GET /vms HTTP/1.1\r\n\r\n"),
 	} {
 		if _, err := dialHello(t, h.Addr(), frame).Recv(); err == nil {
@@ -169,27 +175,10 @@ func TestHostHelloFormsAndCall(t *testing.T) {
 // budget — never a silent accept-then-sever the dialer would mistake for
 // a successful landing.
 func TestHostEvictSeversAndRefusesWithRejectAck(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	h := startHost(t, clServer(), host.Config{})
 
-	dialAck := func() (transport.Endpoint, transport.HelloAck) {
-		t.Helper()
-		ep := dialHello(t, h.Addr(), transport.EncodeHello(transport.Hello{VM: 4, Name: "evictee"}))
-		frame, err := ep.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ack, err := transport.DecodeHelloAck(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ep, ack
-	}
-
-	client, ack := dialAck()
-	if !ack.OK {
-		t.Fatalf("first dial refused: %+v", ack)
-	}
+	client := greet(t, h.Addr(), 4, 0, "evictee")
 
 	// Evicting an unknown VM is an error; the bound VM evicts cleanly.
 	if err := h.Evict(99, ""); err == nil {
@@ -204,12 +193,11 @@ func TestHostEvictSeversAndRefusesWithRejectAck(t *testing.T) {
 		t.Fatalf("recv after eviction = %v, want ErrSevered", err)
 	}
 
-	// A bounce-back inside the refusal window is rejected at the hello.
-	if _, ack = dialAck(); ack.OK {
-		t.Fatal("redial inside the refusal window was admitted")
-	}
-	if ack.Reason == "" {
-		t.Fatal("reject ack carries no reason")
+	// A bounce-back inside the refusal window is rejected at the hello,
+	// with the reason.
+	_, err := failover.DialHost(h.Addr(), 4, 0, "evictee")
+	if !errors.Is(err, transport.ErrRefused) || !strings.Contains(err.Error(), "evicted") {
+		t.Fatalf("redial inside the refusal window: %v, want a refusal naming the eviction", err)
 	}
 	// The rejected connection was never bound as the VM's serving link
 	// (the evicted one unbinds as its serve loop unwinds).
@@ -222,10 +210,10 @@ func TestHostEvictSeversAndRefusesWithRejectAck(t *testing.T) {
 // would trigger a pointless recovery against a host that is merely
 // restarting for maintenance.
 func TestHostShutdownDrainIsNotSever(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	h := startHost(t, clServer(), host.Config{Drain: 300 * time.Millisecond})
 
-	client := greet(t, h.Addr(), transport.Hello{VM: 1, Name: "drain-guest"})
+	client := greet(t, h.Addr(), 1, 0, "drain-guest")
 	if rep := platformCount(t, client, 1); rep.Status != marshal.StatusOK {
 		t.Fatalf("reply = %+v", rep)
 	}
@@ -247,12 +235,12 @@ func TestHostShutdownDrainIsNotSever(t *testing.T) {
 // A connection still open when the budget expires is closed, not severed,
 // and Shutdown returns promptly after the budget.
 func TestHostShutdownBudgetClosesStragglers(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	h := startHost(t, clServer(), host.Config{Drain: 50 * time.Millisecond})
 
 	// Never send a call and never close: the serve loop sits in Recv until
 	// the drain budget forces the close.
-	client := greet(t, h.Addr(), transport.Hello{VM: 2, Name: "straggler"})
+	client := greet(t, h.Addr(), 2, 0, "straggler")
 	waitFor(t, "VM 2 to bind", func() bool { return len(h.VMs()) == 1 })
 
 	start := time.Now()
@@ -272,11 +260,11 @@ func TestHostShutdownBudgetClosesStragglers(t *testing.T) {
 // server context, which is dropped only when the VM's next incarnation
 // binds, so the ctl endpoint still sees them after the connection is gone.
 func TestHostSeveredConnStatsSurvive(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	srv := clServer()
 	h := startHost(t, srv, host.Config{})
 
-	client := greet(t, h.Addr(), transport.Hello{VM: 5, Name: "doomed-guest"})
+	client := greet(t, h.Addr(), 5, 0, "doomed-guest")
 	const calls = 3
 	for i := uint64(1); i <= calls; i++ {
 		platformCount(t, client, i)
@@ -293,7 +281,7 @@ func TestHostSeveredConnStatsSurvive(t *testing.T) {
 	}
 
 	// The next incarnation starts from a clean context.
-	again := greet(t, h.Addr(), transport.Hello{VM: 5, Epoch: 1, Name: "doomed-guest"})
+	again := greet(t, h.Addr(), 5, 1, "doomed-guest")
 	platformCount(t, again, 1)
 	if snaps := srv.Snapshot(); len(snaps) != 1 || snaps[0].Stats.Calls != 1 {
 		t.Fatalf("reconnect did not start a fresh context: %+v", snaps)
@@ -305,7 +293,7 @@ func TestHostSeveredConnStatsSurvive(t *testing.T) {
 // (ErrClosed, never ErrSevered), and final per-VM counters stay
 // scrapeable until the ctl server itself closes.
 func TestHostCtlDrainRoundTrip(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	h := startHost(t, clServer(), host.Config{API: "opencl", Drain: 300 * time.Millisecond})
 
 	cs := ctlplane.New(h.CtlConfig())
@@ -316,7 +304,7 @@ func TestHostCtlDrainRoundTrip(t *testing.T) {
 	defer cs.Close()
 	c := ctlplane.NewClient(ctlAddr)
 
-	client := greet(t, h.Addr(), transport.Hello{VM: 3, Name: "ctl-drain-guest"})
+	client := greet(t, h.Addr(), 3, 0, "ctl-drain-guest")
 	platformCount(t, client, 1)
 
 	snap, err := c.Stats()
@@ -354,17 +342,17 @@ func TestHostCtlDrainRoundTrip(t *testing.T) {
 // fleet stops listing the host — with the load it announced while alive
 // having come from the production sampler.
 func TestHostKillSeversEverythingThenDeregisters(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	loc := fleet.NewRegistry(0, nil)
 	h := startHost(t, clServer(), host.Config{
 		API: "opencl", Locator: loc, ID: "doomed-host",
 		AnnounceEvery: 5 * time.Millisecond, Mirror: "127.0.0.1:0",
 	})
 
-	vm := greet(t, h.Addr(), transport.Hello{VM: 1, Name: "kill-guest"})
+	vm := greet(t, h.Addr(), 1, 0, "kill-guest")
 	platformCount(t, vm, 1)
 	mirror := dialHello(t, h.MirrorAddr(),
-		transport.EncodeMirrorFrame(failover.MirrorOpHello, 1, 1, []byte("kill-guest")))
+		transport.EncodeCtl(transport.Ctl{Op: transport.OpMirrorHello, VM: 1, Payload: []byte("kill-guest")}))
 	if _, err := mirror.Recv(); err != nil {
 		t.Fatalf("mirror hello ack: %v", err)
 	}

@@ -3,6 +3,7 @@
 package hv
 
 import (
+	"ava/internal/leaktest"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 // whether the policy is FIFO or the full serving configuration. (Compiled
 // out under -race, whose instrumentation allocates; `make allocs` runs it.)
 func TestPoliceAdmittedCallAllocatesNothing(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	for _, cfg := range admitConfigs() {
 		r, vm := cfg.build(desc)

@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"ava/internal/leaktest"
 	"errors"
 	"fmt"
 	"strings"
@@ -45,6 +46,7 @@ func encCall(desc *cava.Descriptor, seq uint64, name string, flags uint16, args 
 // --- TokenBucket ---
 
 func TestTokenBucketUnlimited(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	tb := NewTokenBucket(0, 0, clock.NewVirtual())
 	if !tb.Unlimited() {
 		t.Fatal("zero-rate bucket should be unlimited")
@@ -59,6 +61,7 @@ func TestTokenBucketUnlimited(t *testing.T) {
 }
 
 func TestTokenBucketBurstThenDelay(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	tb := NewTokenBucket(10, 5, clk) // 10/s, burst 5
 	for i := 0; i < 5; i++ {
@@ -73,6 +76,7 @@ func TestTokenBucketBurstThenDelay(t *testing.T) {
 }
 
 func TestTokenBucketRefill(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	tb := NewTokenBucket(10, 5, clk)
 	tb.Reserve(5)
@@ -88,6 +92,7 @@ func TestTokenBucketRefill(t *testing.T) {
 }
 
 func TestTokenBucketWaitSleepsOnClock(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	tb := NewTokenBucket(1, 1, clk)
 	t0 := clk.Now()
@@ -100,6 +105,7 @@ func TestTokenBucketWaitSleepsOnClock(t *testing.T) {
 
 // Property: long-run admitted rate never exceeds the configured rate.
 func TestQuickTokenBucketRate(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	f := func(seed uint8) bool {
 		clk := clock.NewVirtual()
 		rate := 100.0
@@ -121,6 +127,7 @@ func TestQuickTokenBucketRate(t *testing.T) {
 // --- Schedulers ---
 
 func TestFIFOSchedulerAccounts(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	s := NewFIFOScheduler()
 	s.Admit(1, 10, 0)
 	s.Done(1, 10, 0)
@@ -132,6 +139,7 @@ func TestFIFOSchedulerAccounts(t *testing.T) {
 }
 
 func TestFairSchedulerSingleVMNeverBlocks(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	s := NewFairScheduler(10)
 	done := make(chan struct{})
 	go func() {
@@ -152,6 +160,7 @@ func TestFairSchedulerSingleVMNeverBlocks(t *testing.T) {
 }
 
 func TestFairSchedulerHoldsBackLeader(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	// Work-conserving fairness: a VM that ran ahead while uncontended must
 	// be held back once a behind VM starts contending, until the laggard
 	// catches up to within the window.
@@ -195,6 +204,7 @@ func TestFairSchedulerHoldsBackLeader(t *testing.T) {
 }
 
 func TestFairSchedulerWeightedAccounting(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	// Usage is normalized by weight: a weight-4 VM is charged a quarter of
 	// the cost, so it can issue 4x the work before being held back.
 	s := NewFairScheduler(50)
@@ -213,6 +223,7 @@ func TestFairSchedulerWeightedAccounting(t *testing.T) {
 }
 
 func TestFairSchedulerWeightedHoldBack(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	// Equal raw work: the low-weight VM accrues normalized usage faster
 	// and is the one held back under contention.
 	s := NewFairScheduler(50)
@@ -243,6 +254,7 @@ func TestFairSchedulerWeightedHoldBack(t *testing.T) {
 }
 
 func TestFairSchedulerZeroWeightCoerced(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	s := NewFairScheduler(10)
 	s.SetWeight(1, 0)
 	s.Admit(1, 10, 0)
@@ -253,6 +265,7 @@ func TestFairSchedulerZeroWeightCoerced(t *testing.T) {
 }
 
 func TestFairSchedulerReset(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	s := NewFairScheduler(10)
 	s.Admit(1, 100, 0)
 	s.Done(1, 100, 0)
@@ -342,6 +355,7 @@ func sendSync(t *testing.T, ep transport.Endpoint, frame []byte) *marshal.Reply 
 }
 
 func TestRouterForwardsAndReplies(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	if err := r.RegisterVM(VMConfig{ID: 1, Name: "vm1"}); err != nil {
@@ -362,6 +376,7 @@ func TestRouterForwardsAndReplies(t *testing.T) {
 }
 
 func TestRouterDeniesUnknownFunction(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1})
@@ -377,6 +392,7 @@ func TestRouterDeniesUnknownFunction(t *testing.T) {
 }
 
 func TestRouterDeniesArityMismatch(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1})
@@ -391,6 +407,7 @@ func TestRouterDeniesArityMismatch(t *testing.T) {
 }
 
 func TestRouterDeniesIllegalAsync(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1})
@@ -420,6 +437,7 @@ func TestRouterDeniesIllegalAsync(t *testing.T) {
 }
 
 func TestRouterInterceptorVeto(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1})
@@ -447,6 +465,7 @@ func TestRouterInterceptorVeto(t *testing.T) {
 }
 
 func TestRouterStampsVMIdentity(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 42})
@@ -466,6 +485,7 @@ func TestRouterStampsVMIdentity(t *testing.T) {
 }
 
 func TestRouterRateLimitDelays(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	// Use the real clock with a high rate so the test stays fast but the
 	// delay is measurable.
@@ -491,6 +511,7 @@ func TestRouterRateLimitDelays(t *testing.T) {
 }
 
 func TestRouterResourceAccounting(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1})
@@ -507,6 +528,7 @@ func TestRouterResourceAccounting(t *testing.T) {
 }
 
 func TestRouterReplayBypassesRateLimit(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	// 1 call/sec: a non-replay stream would stall for seconds.
@@ -528,6 +550,7 @@ func TestRouterReplayBypassesRateLimit(t *testing.T) {
 }
 
 func TestRouterUnknownVMAttach(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	r := NewRouter(hvDesc(), nil, nil)
 	a, b := transport.NewInProc()
 	defer a.Close()
@@ -538,6 +561,7 @@ func TestRouterUnknownVMAttach(t *testing.T) {
 }
 
 func TestRouterDuplicateRegister(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	r := NewRouter(hvDesc(), nil, nil)
 	if err := r.RegisterVM(VMConfig{ID: 1}); err != nil {
 		t.Fatal(err)
@@ -552,6 +576,7 @@ func TestRouterDuplicateRegister(t *testing.T) {
 }
 
 func TestRouterStatsUnknownVM(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	r := NewRouter(hvDesc(), nil, nil)
 	if _, err := r.Stats(3); !errors.Is(err, ErrUnknownVM) {
 		t.Fatalf("err = %v", err)
@@ -559,6 +584,7 @@ func TestRouterStatsUnknownVM(t *testing.T) {
 }
 
 func TestRouterBatchPreserved(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1})
@@ -591,6 +617,7 @@ func TestRouterBatchPreserved(t *testing.T) {
 }
 
 func TestRouterFairSchedulerIntegration(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	sched := NewFairScheduler(50)
 	r := NewRouter(desc, sched, nil)
@@ -638,6 +665,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestVMStatsCopyIsolated(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1})
@@ -652,6 +680,7 @@ func TestVMStatsCopyIsolated(t *testing.T) {
 }
 
 func TestRouterClosePropagates(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1})
@@ -673,6 +702,7 @@ func TestRouterClosePropagates(t *testing.T) {
 }
 
 func TestPoliceMalformedCallCounted(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1})
@@ -695,6 +725,7 @@ func TestPoliceMalformedCallCounted(t *testing.T) {
 }
 
 func TestConfigNamesInStats(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	r := NewRouter(hvDesc(), nil, nil)
 	for i := 0; i < 3; i++ {
 		if err := r.RegisterVM(VMConfig{ID: VMID(i), Name: fmt.Sprintf("vm%d", i)}); err != nil {
@@ -709,6 +740,7 @@ func TestConfigNamesInStats(t *testing.T) {
 }
 
 func TestRouterResourceQuota(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	// 10 KB cumulative bandwidth allotment.
@@ -742,6 +774,7 @@ func TestRouterResourceQuota(t *testing.T) {
 }
 
 func TestRouterQuotaDoesNotChargeDenied(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1, Quotas: map[string]int64{"bandwidth": 5000}})
@@ -801,6 +834,7 @@ func admitOrder(t *testing.T, s *PriorityScheduler, pris []uint8, between func(i
 }
 
 func TestPrioritySchedulerOrdersByPriority(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	// Arrival order 0,1,2 with priorities 0,5,3: a FIFO scheduler admits
 	// in arrival order (its Admit never blocks), the priority scheduler
 	// must serve 1 (pri 5), then 2 (pri 3), then 0 (pri 0).
@@ -818,6 +852,7 @@ func TestPrioritySchedulerOrdersByPriority(t *testing.T) {
 }
 
 func TestPrioritySchedulerFIFOWithinLevel(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	s := NewPriorityScheduler(clock.NewVirtual(), 0)
 	got := admitOrder(t, s, []uint8{7, 7, 7}, nil)
 	for i, idx := range []int{0, 1, 2} {
@@ -828,6 +863,7 @@ func TestPrioritySchedulerFIFOWithinLevel(t *testing.T) {
 }
 
 func TestPrioritySchedulerAgingPromotes(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	// One level per millisecond of waiting: a priority-1 call parked for
 	// 300ms of virtual time outranks a fresh priority-200 arrival.
 	clk := clock.NewVirtual()
@@ -857,6 +893,7 @@ func encCallDeadline(desc *cava.Descriptor, seq uint64, name string, pri uint8, 
 }
 
 func TestRouterDeniesExpiredDeadline(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, clock.NewVirtual())
 	r.RegisterVM(VMConfig{ID: 1})
@@ -881,6 +918,7 @@ func TestRouterDeniesExpiredDeadline(t *testing.T) {
 }
 
 func TestRouterDeniesDeadlineAfterStall(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	clk := clock.NewVirtual()
 	r := NewRouter(desc, nil, clk)
@@ -911,6 +949,7 @@ func TestRouterDeniesDeadlineAfterStall(t *testing.T) {
 }
 
 func TestRouterPatchesHeaderForForwarding(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	clk := clock.NewVirtual()
 	r := NewRouter(desc, nil, clk)
@@ -943,6 +982,7 @@ func TestRouterPatchesHeaderForForwarding(t *testing.T) {
 }
 
 func TestRouterReplayBypassesDeadlineStall(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	// Replayed calls skip rate limiting, so their deadlines are only
 	// checked at arrival; a generous deadline survives.
 	desc := hvDesc()
@@ -1019,6 +1059,7 @@ func BenchmarkRouterAdmit(b *testing.B) {
 // (including after a longer one dirtied the record), and a retained pointer
 // does not keep the old contents.
 func TestInterceptorCallIsValidOnlyDuringTheCall(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1})

@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"ava/internal/leaktest"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 // --- PriorityBuckets ---
 
 func TestPriorityBucketsFloorIsolation(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	shares := [NumPriorityBands]float64{0.25, 0.25, 0.25, 0.25}
 	pb := NewPriorityBuckets(100, 8, shares, clk)
@@ -35,6 +37,7 @@ func TestPriorityBucketsFloorIsolation(t *testing.T) {
 }
 
 func TestPriorityBucketsBorrowSpareCapacity(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	shares := [NumPriorityBands]float64{0.25, 0.25, 0.25, 0.25}
 	pb := NewPriorityBuckets(100, 8, shares, clk)
@@ -53,6 +56,7 @@ func TestPriorityBucketsBorrowSpareCapacity(t *testing.T) {
 }
 
 func TestPriorityBucketsZeroShareBand(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	// Only band 0 has a floor; band 3 has no reservation and settles
 	// against the shared bucket.
@@ -66,6 +70,7 @@ func TestPriorityBucketsZeroShareBand(t *testing.T) {
 }
 
 func TestPriorityBucketsUnlimited(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	var pb *PriorityBuckets
 	if !pb.Unlimited() {
 		t.Fatal("nil hierarchy should be unlimited")
@@ -80,6 +85,7 @@ func TestPriorityBucketsUnlimited(t *testing.T) {
 }
 
 func TestPriorityBandMapping(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	cases := []struct {
 		pri  uint8
 		band int
@@ -97,6 +103,7 @@ func TestPriorityBandMapping(t *testing.T) {
 // rate: n admissions need at least (n-burst)/rate seconds of (virtual)
 // time no matter how the callers interleave.
 func TestTokenBucketConcurrentWaiters(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	const (
 		rate    = 100.0
@@ -126,6 +133,7 @@ func TestTokenBucketConcurrentWaiters(t *testing.T) {
 // An oversized reservation (n > burst) is admitted after a proportional
 // delay and must not wedge the bucket for subsequent callers.
 func TestTokenBucketOversizedReservation(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	tb := NewTokenBucket(10, 5, clk)
 	if d := tb.Wait(50); d != 4500*time.Millisecond {
@@ -146,6 +154,7 @@ func TestTokenBucketOversizedReservation(t *testing.T) {
 // refill credit to the byte bucket's burst cap while sleeping out a long
 // call-bucket delay, charging more than the overlap.
 func TestRouterStallIsMaxNotSum(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	clk := clock.NewVirtual()
 	r := NewRouter(desc, nil, clk)
@@ -186,6 +195,7 @@ func TestRouterStallIsMaxNotSum(t *testing.T) {
 // relative budget. Both skew directions: a deadline already behind the
 // router's clock is denied; one ahead is admitted with the right budget.
 func TestRouterDeadlineUnstampedEncode(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	clk := clock.NewVirtual()
 	r := NewRouter(desc, nil, clk)
@@ -223,6 +233,7 @@ func TestRouterDeadlineUnstampedEncode(t *testing.T) {
 // synchronous call (§4.2's deferred-error contract) instead of vanishing
 // into a counter.
 func TestRouterDeferredAsyncDenial(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, clock.NewVirtual())
 	r.RegisterVM(VMConfig{ID: 1, Quotas: map[string]int64{"device_time": 10}})
@@ -287,6 +298,7 @@ func (f *fakeLoadSched) RecentStall() time.Duration {
 }
 
 func TestRouterShedsLowPriorityOnQueueDepth(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	sched := &fakeLoadSched{}
 	r := NewRouter(desc, sched, clock.NewVirtual())
@@ -334,6 +346,7 @@ func TestRouterShedsLowPriorityOnQueueDepth(t *testing.T) {
 // The router's own rate-limit stall EWMA trips MaxRecentStall even with a
 // non-introspective scheduler.
 func TestRouterShedsOnRecentRateLimitStall(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	clk := clock.NewVirtual()
 	r := NewRouter(desc, nil, clk) // FIFO: no LoadIntrospector
@@ -373,6 +386,7 @@ func TestRouterShedsOnRecentRateLimitStall(t *testing.T) {
 // Stats (and the shed signals) must be safely readable while an Attach
 // loop is actively policing traffic; run under -race.
 func TestRouterStatsRaceWithAttach(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, NewPriorityScheduler(nil, 0), nil)
 	r.SetShedPolicy(ShedConfig{MaxRecentStall: time.Hour}) // enabled, never trips

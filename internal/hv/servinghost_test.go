@@ -1,6 +1,10 @@
 package hv
 
-import "testing"
+import (
+	"testing"
+
+	"ava/internal/leaktest"
+)
 
 // A serving-host move must re-fence the VM's endpoint epoch: if the dial
 // path that landed on a new host forgot to advance the epoch, frames
@@ -8,6 +12,7 @@ import "testing"
 // router bumps the epoch defensively on a host change whenever it has not
 // moved since the previous host was recorded.
 func TestSetServingHostReFencesOnHostChange(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	r := NewRouter(hvDesc(), nil, nil)
 	if err := r.RegisterVM(VMConfig{ID: 1, Name: "vm1"}); err != nil {
 		t.Fatal(err)

@@ -1,4 +1,7 @@
-package stacktest
+// Package leaktest is the goroutine-leak check every test in the tree
+// starts with. It imports nothing but the standard library, so the lowest
+// packages of the stack (transport, server, guest) can use it too.
+package leaktest
 
 import (
 	"bytes"

@@ -31,8 +31,8 @@ func DecodeBatch(b []byte) ([][]byte, error) {
 // passes the previous result back in splits every frame into the same
 // backing array. A nil dst allocates exactly as DecodeBatch does.
 func DecodeBatchInto(dst [][]byte, b []byte) ([][]byte, error) {
-	r := reader{b: b}
-	n, err := r.u16()
+	r := Reader{b: b}
+	n, err := r.U16()
 	if err != nil {
 		return nil, err
 	}
@@ -44,11 +44,11 @@ func DecodeBatchInto(dst [][]byte, b []byte) ([][]byte, error) {
 	}
 	dst = dst[:0]
 	for i := 0; i < int(n); i++ {
-		ln, err := r.u32()
+		ln, err := r.U32()
 		if err != nil {
 			return nil, err
 		}
-		frame, err := r.bytes(int(ln))
+		frame, err := r.Bytes(int(ln))
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,7 @@
 package marshal
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -85,48 +85,36 @@ func EncodeObjectDeltas(deltas []ObjectDelta) []byte {
 // DecodeObjectDeltas unpacks an EncodeObjectDeltas payload. The returned
 // range contents are copies and do not alias b.
 func DecodeObjectDeltas(b []byte) ([]ObjectDelta, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("marshal: object deltas truncated: %d bytes", len(b))
+	r := Reader{b: b}
+	count, err := r.U32()
+	if err != nil {
+		return nil, err
 	}
-	count := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if int64(count) > int64(maxValues) {
-		return nil, ErrTooLarge
+	if uint64(count) > uint64(len(r.Rest()))/21 {
+		// Every object takes at least 21 bytes: refuse before sizing the
+		// slice from a count the payload cannot hold (a 4-byte frame would
+		// otherwise reserve maxValues records, ~3 MB).
+		return nil, fmt.Errorf("marshal: object deltas: %d objects in %d bytes: %w", count, len(r.Rest()), ErrTruncated)
 	}
-	out := make([]ObjectDelta, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(b) < 21 {
-			return nil, fmt.Errorf("marshal: object delta %d truncated", i)
+	out := make([]ObjectDelta, count)
+	for i := range out {
+		d := &out[i]
+		h, e0 := r.U64()
+		baseLen, e1 := r.U64()
+		full, e2 := r.U8()
+		ranges, e3 := r.U32()
+		for j := uint32(0); j < ranges && e3 == nil; j++ {
+			off, e4 := r.U64()
+			raw, e5 := r.Bytes32()
+			d.Ranges = append(d.Ranges, DeltaRange{Off: off, Bytes: append([]byte(nil), raw...)})
+			e3 = errors.Join(e4, e5)
 		}
-		d := ObjectDelta{
-			Handle:  Handle(binary.LittleEndian.Uint64(b)),
-			BaseLen: binary.LittleEndian.Uint64(b[8:]),
-			Full:    b[16] != 0,
+		if err := errors.Join(e0, e1, e2, e3); err != nil {
+			return nil, fmt.Errorf("marshal: object delta %d: %w", i, err)
 		}
-		rc := binary.LittleEndian.Uint32(b[17:])
-		b = b[21:]
-		if int64(rc) > int64(maxValues) {
-			return nil, ErrTooLarge
-		}
-		for j := uint32(0); j < rc; j++ {
-			if len(b) < 12 {
-				return nil, fmt.Errorf("marshal: object delta %d range %d truncated", i, j)
-			}
-			off := binary.LittleEndian.Uint64(b)
-			n := binary.LittleEndian.Uint32(b[8:])
-			b = b[12:]
-			if uint32(len(b)) < n {
-				return nil, fmt.Errorf("marshal: object delta %d range %d short: want %d bytes, have %d", i, j, n, len(b))
-			}
-			d.Ranges = append(d.Ranges, DeltaRange{Off: off, Bytes: append([]byte(nil), b[:n]...)})
-			b = b[n:]
-		}
-		out = append(out, d)
+		d.Handle, d.BaseLen, d.Full = Handle(h), baseLen, full != 0
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("marshal: %d trailing bytes in object deltas", len(b))
-	}
-	return out, nil
+	return out, r.Done()
 }
 
 // ApplyObjectDelta composes a delta onto the base state of the same

@@ -3,6 +3,7 @@ package marshal
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -263,6 +264,58 @@ func FuzzDecodeObjectDeltas(f *testing.F) {
 		}
 		if total != total2 {
 			t.Fatalf("payload bytes %d, want %d", total2, total)
+		}
+	})
+}
+
+// A delta payload's object count is bounded by what the payload can hold
+// before anything is sized from it: four bytes claiming maxValues objects
+// used to reserve a ~3 MB slice ahead of the first truncation check (the
+// shape DecodeObjectStates had). The frame is checked in as a seed.
+func TestDecodeObjectDeltasCountBoundedByPayload(t *testing.T) {
+	frame := appendUint32(nil, maxValues)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeObjectDeltas(frame)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; err == nil || grew > 64<<10 {
+		t.Fatalf("4-byte frame claiming %d objects: err %v, %d bytes allocated", maxValues, err, grew)
+	}
+}
+
+// FuzzDecodeBatchInto is the batch splitter's differential check, as the
+// Call and Reply decoders have: a fresh split (nil dst) and a split into a
+// dirty reused dst must yield the same frames, or the same error; and an
+// accepted batch re-encodes to the bytes it came from.
+func FuzzDecodeBatchInto(f *testing.F) {
+	calls := fuzzSeedCalls()
+	for _, seed := range [][]byte{EncodeBatch(nil), EncodeBatch(calls[:1]), EncodeBatch(calls)} {
+		f.Add(seed)
+		for _, cut := range truncations(seed) {
+			f.Add(cut)
+		}
+	}
+	f.Add([]byte{0xFF, 0xFF}) // 65535 frames, none present
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh, err := DecodeBatchInto(nil, data)
+		dirty := [][]byte{[]byte("stale"), nil, []byte("stale too")}
+		reused, derr := DecodeBatchInto(dirty, data)
+		if !sameError(err, derr) {
+			t.Fatalf("fresh split error %v, reused-dst split error %v", err, derr)
+		}
+		if err != nil {
+			return
+		}
+		if len(fresh) != len(reused) {
+			t.Fatalf("fresh split has %d frames, reused-dst split %d", len(fresh), len(reused))
+		}
+		for i := range fresh {
+			if !bytes.Equal(fresh[i], reused[i]) {
+				t.Fatalf("frame %d: fresh %x, reused-dst %x", i, fresh[i], reused[i])
+			}
+		}
+		if enc := EncodeBatch(fresh); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted batch %x re-encodes to %x", data, enc)
 		}
 	})
 }

@@ -491,13 +491,32 @@ func appendValue(b []byte, v *Value) []byte {
 	return b
 }
 
-// reader walks an encoded frame.
-type reader struct {
+// Reader walks an encoded frame: the one bounds-checked cursor every decoder
+// of bytes from the network reads through — the Call/Reply hot path here and
+// the control envelope, mirror and object-state codecs above it. Every
+// method fails with ErrTruncated (ErrTooLarge for a byte run the frame
+// cannot hold) instead of reading past the end.
+type Reader struct {
 	b   []byte
 	off int
 }
 
-func (r *reader) u8() (byte, error) {
+// NewReader starts a Reader at the first byte of b.
+func NewReader(b []byte) Reader { return Reader{b: b} }
+
+// Rest returns the unread remainder, aliasing the frame, without consuming
+// it: the opaque tail of a frame, or what is left to size a count against.
+func (r *Reader) Rest() []byte { return r.b[r.off:] }
+
+// Done reports a frame that was not read to its end.
+func (r *Reader) Done() error {
+	if r.off != len(r.b) {
+		return fmt.Errorf("marshal: %d trailing bytes", len(r.b)-r.off)
+	}
+	return nil
+}
+
+func (r *Reader) U8() (byte, error) {
 	if r.off+1 > len(r.b) {
 		return 0, ErrTruncated
 	}
@@ -506,7 +525,7 @@ func (r *reader) u8() (byte, error) {
 	return v, nil
 }
 
-func (r *reader) u16() (uint16, error) {
+func (r *Reader) U16() (uint16, error) {
 	if r.off+2 > len(r.b) {
 		return 0, ErrTruncated
 	}
@@ -515,7 +534,7 @@ func (r *reader) u16() (uint16, error) {
 	return v, nil
 }
 
-func (r *reader) u32() (uint32, error) {
+func (r *Reader) U32() (uint32, error) {
 	if r.off+4 > len(r.b) {
 		return 0, ErrTruncated
 	}
@@ -524,7 +543,7 @@ func (r *reader) u32() (uint32, error) {
 	return v, nil
 }
 
-func (r *reader) u64() (uint64, error) {
+func (r *Reader) U64() (uint64, error) {
 	if r.off+8 > len(r.b) {
 		return 0, ErrTruncated
 	}
@@ -533,7 +552,7 @@ func (r *reader) u64() (uint64, error) {
 	return v, nil
 }
 
-func (r *reader) bytes(n int) ([]byte, error) {
+func (r *Reader) Bytes(n int) ([]byte, error) {
 	if n < 0 || r.off+n > len(r.b) {
 		return nil, ErrTooLarge
 	}
@@ -542,10 +561,19 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
+// Bytes32 reads a u32 length and that many bytes, aliasing the frame.
+func (r *Reader) Bytes32() ([]byte, error) {
+	n, err := r.U32()
+	if err != nil {
+		return nil, err
+	}
+	return r.Bytes(int(n))
+}
+
 // value decodes the next tagged value into v, overwriting every field (v may
 // hold a previous decode's contents).
-func (r *reader) value(v *Value) error {
-	k, err := r.u8()
+func (r *Reader) value(v *Value) error {
+	k, err := r.U8()
 	if err != nil {
 		return err
 	}
@@ -553,45 +581,45 @@ func (r *reader) value(v *Value) error {
 	switch v.Kind {
 	case KindNull:
 	case KindInt:
-		u, err := r.u64()
+		u, err := r.U64()
 		if err != nil {
 			return err
 		}
 		v.Int = int64(u)
 	case KindUint, KindHandle, KindLen:
-		u, err := r.u64()
+		u, err := r.U64()
 		if err != nil {
 			return err
 		}
 		v.Uint = u
 	case KindFloat:
-		u, err := r.u64()
+		u, err := r.U64()
 		if err != nil {
 			return err
 		}
 		v.Float = math.Float64frombits(u)
 	case KindBool:
-		b, err := r.u8()
+		b, err := r.U8()
 		if err != nil {
 			return err
 		}
 		v.Bool = b != 0
 	case KindString:
-		n, err := r.u32()
+		n, err := r.U32()
 		if err != nil {
 			return err
 		}
-		raw, err := r.bytes(int(n))
+		raw, err := r.Bytes(int(n))
 		if err != nil {
 			return err
 		}
 		v.Str = string(raw)
 	case KindBytes:
-		n, err := r.u32()
+		n, err := r.U32()
 		if err != nil {
 			return err
 		}
-		raw, err := r.bytes(int(n))
+		raw, err := r.Bytes(int(n))
 		if err != nil {
 			return err
 		}
@@ -601,15 +629,15 @@ func (r *reader) value(v *Value) error {
 		// memory) copies explicitly, so the hot path pays no extra copy.
 		v.Bytes = raw
 	case KindRegRef:
-		id, err := r.u32()
+		id, err := r.U32()
 		if err != nil {
 			return err
 		}
-		off, err := r.u64()
+		off, err := r.U64()
 		if err != nil {
 			return err
 		}
-		n, err := r.u64()
+		n, err := r.U64()
 		if err != nil {
 			return err
 		}
@@ -624,7 +652,7 @@ func (r *reader) value(v *Value) error {
 // values decodes an n-element value vector into dst's backing array when it
 // is large enough, so a reused record decodes without allocating. A
 // zero-length vector decodes to nil, whatever dst held.
-func (r *reader) values(dst []Value, n int) ([]Value, error) {
+func (r *Reader) values(dst []Value, n int) ([]Value, error) {
 	if n == 0 {
 		return nil, nil
 	}
@@ -739,7 +767,7 @@ func appendStamps(b []byte, s Stamps) []byte {
 	return b
 }
 
-func (r *reader) stamps() (Stamps, error) {
+func (r *Reader) stamps() (Stamps, error) {
 	if r.off+32 > len(r.b) {
 		return Stamps{}, ErrTruncated
 	}
@@ -770,29 +798,29 @@ func DecodeCall(b []byte) (*Call, error) {
 // arguments — and, like it, aliases b for buffer contents. On error c holds
 // unspecified contents and may be decoded into again.
 func DecodeCallInto(c *Call, b []byte) error {
-	r := reader{b: b}
+	r := Reader{b: b}
 	args := c.Args
 	*c = Call{}
 	var err error
-	if c.Seq, err = r.u64(); err != nil {
+	if c.Seq, err = r.U64(); err != nil {
 		return err
 	}
-	if c.VM, err = r.u32(); err != nil {
+	if c.VM, err = r.U32(); err != nil {
 		return err
 	}
-	if c.Func, err = r.u32(); err != nil {
+	if c.Func, err = r.U32(); err != nil {
 		return err
 	}
-	if c.Flags, err = r.u16(); err != nil {
+	if c.Flags, err = r.U16(); err != nil {
 		return err
 	}
-	if c.Priority, err = r.u8(); err != nil {
+	if c.Priority, err = r.U8(); err != nil {
 		return err
 	}
-	if c.Epoch, err = r.u32(); err != nil {
+	if c.Epoch, err = r.U32(); err != nil {
 		return err
 	}
-	dl, err := r.u64()
+	dl, err := r.U64()
 	if err != nil {
 		return err
 	}
@@ -800,7 +828,7 @@ func DecodeCallInto(c *Call, b []byte) error {
 	if c.Stamps, err = r.stamps(); err != nil {
 		return err
 	}
-	n, err := r.u16()
+	n, err := r.U16()
 	if err != nil {
 		return err
 	}
@@ -871,14 +899,14 @@ func DecodeReply(b []byte) (*Reply, error) {
 // array of rep.Outs. Outs is nil for a reply without outputs; on error rep
 // holds unspecified contents.
 func DecodeReplyInto(rep *Reply, b []byte) error {
-	r := reader{b: b}
+	r := Reader{b: b}
 	outs := rep.Outs
 	*rep = Reply{}
 	var err error
-	if rep.Seq, err = r.u64(); err != nil {
+	if rep.Seq, err = r.U64(); err != nil {
 		return err
 	}
-	st, err := r.u8()
+	st, err := r.U8()
 	if err != nil {
 		return err
 	}
@@ -886,11 +914,11 @@ func DecodeReplyInto(rep *Reply, b []byte) error {
 	if rep.Stamps, err = r.stamps(); err != nil {
 		return err
 	}
-	en, err := r.u32()
+	en, err := r.U32()
 	if err != nil {
 		return err
 	}
-	eraw, err := r.bytes(int(en))
+	eraw, err := r.Bytes(int(en))
 	if err != nil {
 		return err
 	}
@@ -898,7 +926,7 @@ func DecodeReplyInto(rep *Reply, b []byte) error {
 	if err = r.value(&rep.Ret); err != nil {
 		return err
 	}
-	n, err := r.u16()
+	n, err := r.U16()
 	if err != nil {
 		return err
 	}

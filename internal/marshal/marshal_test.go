@@ -35,7 +35,7 @@ func sampleValues() []Value {
 func TestValueRoundTripAllKinds(t *testing.T) {
 	for _, v := range sampleValues() {
 		b := AppendValue(nil, v)
-		r := &reader{b: b}
+		r := &Reader{b: b}
 		var got Value
 		err := r.value(&got)
 		if err != nil {

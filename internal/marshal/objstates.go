@@ -1,7 +1,7 @@
 package marshal
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -18,13 +18,9 @@ func EncodeObjectStates(objects map[Handle][]byte) []byte {
 		n += 12 + len(state)
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	out := make([]byte, 4, n)
-	binary.LittleEndian.PutUint32(out, uint32(len(hs)))
+	out := appendUint32(make([]byte, 0, n), uint32(len(hs)))
 	for _, h := range hs {
-		var rec [12]byte
-		binary.LittleEndian.PutUint64(rec[:], uint64(h))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(len(objects[h])))
-		out = append(out, rec[:]...)
+		out = appendUint32(appendUint64(out, uint64(h)), uint32(len(objects[h])))
 		out = append(out, objects[h]...)
 	}
 	return out
@@ -33,30 +29,25 @@ func EncodeObjectStates(objects map[Handle][]byte) []byte {
 // DecodeObjectStates unpacks an EncodeObjectStates payload. The returned
 // states are copies and do not alias b.
 func DecodeObjectStates(b []byte) (map[Handle][]byte, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("marshal: object states truncated: %d bytes", len(b))
+	r := Reader{b: b}
+	count, err := r.U32()
+	if err != nil {
+		return nil, err
 	}
-	count := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if uint64(count) > uint64(len(b))/12 {
+	if uint64(count) > uint64(len(r.Rest()))/12 {
 		// Every record takes at least 12 bytes: refuse before sizing the map
 		// from a count the payload cannot hold (a hostile 8-byte frame would
 		// otherwise reserve a four-billion-entry table).
-		return nil, fmt.Errorf("marshal: object states truncated: %d records in %d bytes", count, len(b))
+		return nil, fmt.Errorf("marshal: object states: %d records in %d bytes: %w", count, len(r.Rest()), ErrTruncated)
 	}
 	out := make(map[Handle][]byte, count)
 	for i := uint32(0); i < count; i++ {
-		if len(b) < 12 {
-			return nil, fmt.Errorf("marshal: object state record %d truncated", i)
+		h, e0 := r.U64()
+		state, e1 := r.Bytes32()
+		if err := errors.Join(e0, e1); err != nil {
+			return nil, fmt.Errorf("marshal: object state %d: %w", i, err)
 		}
-		h := Handle(binary.LittleEndian.Uint64(b))
-		n := binary.LittleEndian.Uint32(b[8:])
-		b = b[12:]
-		if uint32(len(b)) < n {
-			return nil, fmt.Errorf("marshal: object state %d short: want %d bytes, have %d", i, n, len(b))
-		}
-		out[h] = append([]byte(nil), b[:n]...)
-		b = b[n:]
+		out[Handle(h)] = append([]byte(nil), state...)
 	}
 	return out, nil
 }

@@ -9,11 +9,11 @@ import (
 	"ava/internal/bytesconv"
 	"ava/internal/cl"
 	"ava/internal/devsim"
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
 	"ava/internal/migrate"
 	"ava/internal/mvnc"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 )
 
 func newStack(t *testing.T) (*ava.Stack, *cl.Silo) {
@@ -94,7 +94,7 @@ func setupApp(t *testing.T, c cl.Client, n uint32) *appState {
 }
 
 func TestEndToEndMigration(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	const n = 256
 
 	// Source: set up the application, run one launch so `out` has state.
@@ -183,7 +183,7 @@ func TestEndToEndMigration(t *testing.T) {
 }
 
 func TestMigrationSkipsDestroyedObjects(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	src, srcSilo := newStack(t)
 	lib, _ := src.AttachVM(ava.VMConfig{ID: 1, Name: "g"})
 	c := cl.NewRemote(lib)
@@ -215,7 +215,7 @@ func TestMigrationSkipsDestroyedObjects(t *testing.T) {
 }
 
 func TestThawAbortsMigration(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	src, srcSilo := newStack(t)
 	lib, _ := src.AttachVM(ava.VMConfig{ID: 1, Name: "g"})
 	c := cl.NewRemote(lib)
@@ -232,7 +232,7 @@ func TestThawAbortsMigration(t *testing.T) {
 }
 
 func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	snap := &migrate.Snapshot{
 		VM:   3,
 		Name: "vm3",
@@ -264,14 +264,14 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	if _, err := migrate.Decode([]byte("not a snapshot")); err == nil {
 		t.Fatal("garbage decoded")
 	}
 }
 
 func TestRestoreUnknownFunction(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	dst, silo := newStack(t)
 	ctx := dst.Server.Context(9, "g")
 	snap := &migrate.Snapshot{Log: []server.RecordedCall{{Func: 9999}}}
@@ -282,7 +282,7 @@ func TestRestoreUnknownFunction(t *testing.T) {
 }
 
 func TestMVNCMigrationByReplay(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	// MVNC objects are stateless under the adapter: replay alone rebuilds
 	// the device and graph; queued results are transient and documented as
 	// lost (the guest drains them before migrating).

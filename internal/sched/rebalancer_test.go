@@ -7,7 +7,7 @@ import (
 
 	"ava/internal/clock"
 	"ava/internal/fleet"
-	"ava/internal/stacktest"
+	"ava/internal/leaktest"
 )
 
 // simFleet is a synthetic cluster the rebalancer steers: migrations move
@@ -66,7 +66,7 @@ func formatMove(vm uint32, from, to string) string {
 }
 
 func TestRebalancerMovesSustainedSkewAndConverges(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	f := newSimFleet(map[string]int{"host-a": 12, "host-b": 0, "host-c": 0})
 	cfg := Config{
 		Alpha:           1, // no smoothing: the sim is noise-free
@@ -117,7 +117,7 @@ func TestRebalancerMovesSustainedSkewAndConverges(t *testing.T) {
 // assertion: across the whole run, no WindowTicks-wide window ever
 // contains more than MaxPerWindow migrations.
 func TestRebalancerBoundedMigrationsPerWindow(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	f := newSimFleet(map[string]int{"host-a": 40, "host-b": 0, "host-c": 0})
 	cfg := Config{
 		Alpha:           1,
@@ -157,7 +157,7 @@ func TestRebalancerBoundedMigrationsPerWindow(t *testing.T) {
 }
 
 func TestRebalancerIgnoresTransientSpike(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	f := newSimFleet(map[string]int{"host-a": 2, "host-b": 2, "host-c": 2})
 	r := New(Config{Alpha: 1, HysteresisTicks: 3}, f.loads, f.migrate)
 	r.Tick()
@@ -174,7 +174,7 @@ func TestRebalancerIgnoresTransientSpike(t *testing.T) {
 }
 
 func TestRebalancerFromRestrictsSource(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	f := newSimFleet(map[string]int{"host-a": 9, "host-b": 0, "host-c": 0})
 	r := New(Config{
 		Alpha: 1, HysteresisTicks: 1, CooldownTicks: 1, VMCooldownTicks: 1,
@@ -195,7 +195,7 @@ func TestRebalancerFromRestrictsSource(t *testing.T) {
 // blocks for a full checkpoint-and-relocate round trip, and the /metrics
 // scrape reads Stats while that happens.
 func TestRebalancerStatsNonBlockingDuringMigration(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	f := newSimFleet(map[string]int{"host-a": 6, "host-b": 0, "host-c": 0})
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -233,7 +233,7 @@ func TestRebalancerStatsNonBlockingDuringMigration(t *testing.T) {
 // manual test clock nobody advances (or a long Interval on the wall
 // clock), a Sleep-based loop would block Close indefinitely.
 func TestRebalancerCloseInterruptsIntervalWait(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	f := newSimFleet(map[string]int{"host-a": 2, "host-b": 2, "host-c": 2})
 	r := New(Config{Interval: time.Hour, Clock: clock.NewVirtual()}, f.loads, f.migrate)
 	r.Start()
@@ -250,7 +250,7 @@ func TestRebalancerCloseInterruptsIntervalWait(t *testing.T) {
 }
 
 func TestRebalancerKickWaivesHysteresisOnly(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	f := newSimFleet(map[string]int{"host-a": 12, "host-b": 0, "host-c": 0})
 	log := NewLog()
 	r := New(Config{

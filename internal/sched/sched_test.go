@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"ava/internal/fleet"
-	"ava/internal/stacktest"
+	"ava/internal/leaktest"
 )
 
 func ids(ms []fleet.Member) []string {
@@ -18,7 +18,7 @@ func ids(ms []fleet.Member) []string {
 }
 
 func TestLeastLoadRanksDeterministically(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	ms := []fleet.Member{
 		{ID: "c", Load: 1},
 		{ID: "a", Load: 0, QueueDepth: 5},
@@ -47,7 +47,7 @@ func TestLeastLoadRanksDeterministically(t *testing.T) {
 // Locator flavor behind it, which is what lets the HA MultiClient drop in
 // under WithPlacement without touching this package.
 func TestPolicyRanksQuorumMergedView(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	regA, regB := fleet.NewRegistry(0, nil), fleet.NewRegistry(0, nil)
 	// A partitioned announce: each replica heard about a different subset
 	// (with one host on both), the way a real fleet looks mid-gossip.
@@ -86,7 +86,7 @@ func TestPolicyRanksQuorumMergedView(t *testing.T) {
 }
 
 func TestSpreadByVMCountBalancesBurst(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	p := NewSpreadByVMCount()
 	members := []fleet.Member{{ID: "a"}, {ID: "b"}, {ID: "c"}}
 	counts := map[string]int{}
@@ -105,7 +105,7 @@ func TestSpreadByVMCountBalancesBurst(t *testing.T) {
 }
 
 func TestSpreadByVMCountFollowsObservedMoves(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	p := NewSpreadByVMCount()
 	p.Observe(1, "a")
 	p.Observe(2, "a")
@@ -132,7 +132,7 @@ func TestSpreadByVMCountFollowsObservedMoves(t *testing.T) {
 }
 
 func TestLogRingBounded(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	l := NewLog()
 	for i := 0; i < logCap+50; i++ {
 		l.Add(Decision{Kind: "place", VM: uint32(i), To: fmt.Sprintf("h%d", i)})

@@ -3,6 +3,7 @@
 package server_test
 
 import (
+	"ava/internal/leaktest"
 	"testing"
 
 	"ava/internal/cava"
@@ -68,6 +69,7 @@ func (l *loopback) Close() error { close(l.replies); return nil }
 //
 // The parent of this change spent 6 on each.
 func TestExecuteFrameAllocBudget(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(cl.Spec)
 	silo := cl.NewSilo(cl.Config{})
 	reg := server.NewRegistry(desc)

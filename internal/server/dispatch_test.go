@@ -1,6 +1,7 @@
 package server
 
 import (
+	"ava/internal/leaktest"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -160,6 +161,7 @@ func slotOf(args ...marshal.Value) *callSlot {
 }
 
 func TestOrderingPlansDependencies(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	o := newOrdering()
 	h := func(v uint64) marshal.Value { return marshal.HandleVal(marshal.Handle(v)) }
 
@@ -230,6 +232,7 @@ func TestOrderingPlansDependencies(t *testing.T) {
 // A long-lived VM that creates and releases objects must not accumulate
 // ordering entries for the dead ones.
 func TestServeVMOrderingMapsStayBounded(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, desc := dispatchServer(t, nil)
 	ctx := srv.Context(1, "vm1")
 	ord := newOrdering()
@@ -265,6 +268,7 @@ func TestServeVMOrderingMapsStayBounded(t *testing.T) {
 // frames are recycled under them must leave a log equal to the values
 // captured when each call was issued.
 func TestRecordLogSurvivesSlotAndFrameReuse(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, desc := dispatchServer(t, nil)
 	ctx := srv.Context(1, "vm1")
 	ctx.SetRecording(true)
@@ -315,6 +319,7 @@ func TestRecordLogSurvivesSlotAndFrameReuse(t *testing.T) {
 // and calls with a generous one, run through the same pooled slots between
 // them and must never see a cancellation.
 func TestDeadlineTimerCancelsOnlyItsOwnInvocation(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	var (
 		mu     sync.Mutex
 		unfair []string

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"ava/internal/leaktest"
 	"errors"
 	"fmt"
 	"strings"
@@ -72,6 +73,7 @@ func call(desc *cava.Descriptor, name string, args ...marshal.Value) *marshal.Ca
 }
 
 func TestExecuteUnknownFunction(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, ctx, _ := newTestServer(t)
 	reply := srv.Execute(ctx, &marshal.Call{Seq: 1, Func: 999})
 	if reply.Status != marshal.StatusDenied {
@@ -80,6 +82,7 @@ func TestExecuteUnknownFunction(t *testing.T) {
 }
 
 func TestExecuteMissingHandler(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(`void f(uint32_t a);`)
 	srv := New(NewRegistry(desc))
 	ctx := srv.Context(1, "v")
@@ -90,6 +93,7 @@ func TestExecuteMissingHandler(t *testing.T) {
 }
 
 func TestUnregisteredList(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(`void f(uint32_t a); void g(uint32_t a);`)
 	reg := NewRegistry(desc)
 	reg.MustRegister("f", func(inv *Invocation) error { return nil })
@@ -100,6 +104,7 @@ func TestUnregisteredList(t *testing.T) {
 }
 
 func TestRegisterErrors(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(`void f(uint32_t a);`)
 	reg := NewRegistry(desc)
 	if err := reg.Register("ghost", nil); err == nil {
@@ -114,6 +119,7 @@ func TestRegisterErrors(t *testing.T) {
 }
 
 func TestOOMRetryPolicy(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, ctx, desc := newTestServer(t)
 	evictions := 0
 	srv.Registry().OnOOM = func(c *Context, fd *cava.FuncDesc) bool {
@@ -130,6 +136,7 @@ func TestOOMRetryPolicy(t *testing.T) {
 }
 
 func TestOOMWithoutPolicyFails(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, ctx, desc := newTestServer(t)
 	reply := srv.Execute(ctx, call(desc, "bigAlloc", marshal.Uint(1<<20)))
 	if reply.Status != marshal.StatusInternal || !strings.Contains(reply.Err, "out of memory") {
@@ -138,6 +145,7 @@ func TestOOMWithoutPolicyFails(t *testing.T) {
 }
 
 func TestFreezeDeniesCalls(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, ctx, desc := newTestServer(t)
 	ctx.Freeze()
 	reply := srv.Execute(ctx, call(desc, "ping", marshal.Uint(1)))
@@ -152,6 +160,7 @@ func TestFreezeDeniesCalls(t *testing.T) {
 }
 
 func TestRecordLogConfigAndModify(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, ctx, desc := newTestServer(t)
 	srv.Execute(ctx, call(desc, "setup", marshal.Uint(3)))
 	reply := srv.Execute(ctx, call(desc, "create", marshal.Uint(1), marshal.Len(8)))
@@ -180,6 +189,7 @@ func TestRecordLogConfigAndModify(t *testing.T) {
 // phases and the record log is rewritten as one simultaneous mapping; a
 // vanished fresh handle or an occupied recorded slot undoes everything.
 func TestContextRebind(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, ctx, desc := newTestServer(t)
 	a := srv.Execute(ctx, call(desc, "create", marshal.Uint(1), marshal.Len(8))).Outs[0].Handle()
 	b := srv.Execute(ctx, call(desc, "create", marshal.Uint(2), marshal.Len(8))).Outs[0].Handle()
@@ -222,6 +232,7 @@ func TestContextRebind(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, ctx, desc := newTestServer(t)
 	srv.Execute(ctx, call(desc, "ping", marshal.Uint(1)))
 	srv.Execute(ctx, &marshal.Call{Seq: 2, Func: 999})
@@ -232,6 +243,7 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 func TestContextReuseAndDrop(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, _, _ := newTestServer(t)
 	a := srv.Context(3, "vm3")
 	b := srv.Context(3, "vm3")
@@ -246,6 +258,7 @@ func TestContextReuseAndDrop(t *testing.T) {
 }
 
 func TestHandleTableBasics(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	ht := NewHandleTable()
 	h1 := ht.Insert("a")
 	h2 := ht.Insert("b")
@@ -270,6 +283,7 @@ func TestHandleTableBasics(t *testing.T) {
 }
 
 func TestHandleTableInsertAt(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	ht := NewHandleTable()
 	if err := ht.InsertAt(42, "x"); err != nil {
 		t.Fatal(err)
@@ -285,6 +299,7 @@ func TestHandleTableInsertAt(t *testing.T) {
 }
 
 func TestHandleTableOrdering(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	ht := NewHandleTable()
 	for i := 0; i < 10; i++ {
 		ht.Insert(i)
@@ -305,6 +320,7 @@ func TestHandleTableOrdering(t *testing.T) {
 // Property: handles are never reused while live, and Get is consistent
 // with Insert/Remove history.
 func TestQuickHandleTable(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	f := func(ops []uint8) bool {
 		ht := NewHandleTable()
 		live := map[marshal.Handle]int{}
@@ -342,6 +358,7 @@ func TestQuickHandleTable(t *testing.T) {
 }
 
 func TestDeferredErrorOnce(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, ctx, _ := newTestServer(t)
 	// Two failing async calls: only the first failure is kept.
 	for _, fn := range []uint32{998, 999} {
@@ -358,6 +375,7 @@ func TestDeferredErrorOnce(t *testing.T) {
 }
 
 func TestIsFailureRetDetection(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, _, desc := newTestServer(t)
 	fd, _ := desc.Lookup("ping")
 	if srv.isFailureRet(fd.ID, marshal.Int(0)) {
@@ -372,6 +390,7 @@ func TestIsFailureRetDetection(t *testing.T) {
 }
 
 func TestExecuteFrameMalformed(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, ctx, _ := newTestServer(t)
 	if _, err := srv.ExecuteFrame(ctx, []byte{1, 2, 3}); err == nil {
 		t.Fatal("malformed frame executed")
@@ -379,6 +398,7 @@ func TestExecuteFrameMalformed(t *testing.T) {
 }
 
 func TestVerifyScalarKinds(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	srv, ctx, desc := newTestServer(t)
 	// String where a uint32 is expected.
 	reply := srv.Execute(ctx, call(desc, "ping", marshal.Str("hi")))
@@ -393,6 +413,7 @@ func TestVerifyScalarKinds(t *testing.T) {
 }
 
 func TestInvocationAccessors(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(`
 		handle h;
 		void f(h a, int32_t b, uint32_t c, double d, bool e, string s, const void *buf, size_t buf_size) {
@@ -433,6 +454,7 @@ func TestInvocationAccessors(t *testing.T) {
 }
 
 func TestHandlerPanicIsolated(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(`void boom(uint32_t x); void ok(uint32_t x);`)
 	reg := NewRegistry(desc)
 	reg.MustRegister("boom", func(inv *Invocation) error { panic("silo bug") })
@@ -484,6 +506,7 @@ st slow(uint32_t x);
 }
 
 func TestDispatchDeniesExpiredDeadline(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	srv, ctx, desc, _ := deadlineServer(t, clk)
 	c := call(desc, "ping", marshal.Uint(1))
@@ -504,6 +527,7 @@ func TestDispatchDeniesExpiredDeadline(t *testing.T) {
 }
 
 func TestInFlightCallAbortsOnDeadline(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	srv, ctx, desc, _ := deadlineServer(t, clk)
 	c := call(desc, "slow", marshal.Uint(1))
@@ -535,6 +559,7 @@ func TestInFlightCallAbortsOnDeadline(t *testing.T) {
 }
 
 func TestSlowCallCompletesWithinDeadline(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	srv, ctx, desc, release := deadlineServer(t, clk)
 	c := call(desc, "slow", marshal.Uint(1))
@@ -553,6 +578,7 @@ func TestSlowCallCompletesWithinDeadline(t *testing.T) {
 }
 
 func TestIgnoredDeadlineStillAborts(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	// A handler that never looks at inv.Done() but finishes after expiry:
 	// the reply is already late, so the dispatcher converts it.
 	clk := clock.NewVirtual()
@@ -580,6 +606,7 @@ st busy(uint32_t x);
 }
 
 func TestExplicitCancel(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	desc := cava.MustCompile(`
 const OK = 0;
@@ -611,6 +638,7 @@ st job(uint32_t x);
 }
 
 func TestReplyStampsFeedBreakdown(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	srv, ctx, desc, _ := deadlineServer(t, clk)
 	c := call(desc, "ping", marshal.Uint(1))
@@ -632,6 +660,7 @@ func TestReplyStampsFeedBreakdown(t *testing.T) {
 }
 
 func TestInvocationDeadlineAccessor(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	clk := clock.NewVirtual()
 	desc := cava.MustCompile(`
 const OK = 0;

@@ -3,12 +3,12 @@
 package stacktest_test
 
 import (
+	"ava/internal/leaktest"
 	"sync"
 	"testing"
 
 	"ava"
 	"ava/internal/cl"
-	"ava/internal/stacktest"
 )
 
 // TestAdaptiveCadenceNoHotStall keeps the guardian's busy signal lit —
@@ -21,7 +21,7 @@ import (
 // force some checkpoints (the resubmission window stays bounded), and
 // the workload must complete cleanly either way.
 func TestAdaptiveCadenceNoHotStall(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	const (
 		threads       = 4
 		writesPerQ    = 100

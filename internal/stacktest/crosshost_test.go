@@ -4,6 +4,7 @@
 package stacktest_test
 
 import (
+	"ava/internal/leaktest"
 	"bytes"
 	"math"
 	"testing"
@@ -16,7 +17,6 @@ import (
 	"ava/internal/host"
 	"ava/internal/rodinia"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 )
 
 // TestMirrorRehydrationAfterGuardianLoss loses the ENTIRE first stack —
@@ -27,7 +27,7 @@ import (
 // shadow log existed this had to fail: the shadow log died with the
 // guardian and the new silo came up empty.
 func TestMirrorRehydrationAfterGuardianLoss(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	mirror := failover.NewMemoryMirror()
 	payload := make([]byte, 4096)
 	for i := range payload {
@@ -88,13 +88,13 @@ func TestMirrorRehydrationAfterGuardianLoss(t *testing.T) {
 }
 
 // TestRemoteMirrorRehydrationAcrossMachines is the cross-machine version
-// of the test above: the mirror lives on a separate machine (the AVAM
+// of the test above: the mirror lives on a separate machine (the mirror
 // listener an avad -mirror process serves), replication rides the fleet
 // wire, and the replacement guardian rehydrates from FetchMirrorState.
 // Nothing survives the first stack's death except the mirror host — the
 // exact situation a whole-machine loss leaves a replacement guardian in.
 func TestRemoteMirrorRehydrationAcrossMachines(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	// The mirror machine: an `avad -mirror` serving no VM of its own.
 	mh, err := host.Start(server.New(server.NewRegistry(cl.Descriptor())), host.Config{
 		Listen: "127.0.0.1:0", Mirror: "127.0.0.1:0",
@@ -218,7 +218,7 @@ func newChaosMachine(t *testing.T, loc fleet.Locator, id string) (*host.Server, 
 // fleet peer with a byte-identical checksum — fixed backoff seed, so the
 // recovery schedule is reproducible run to run.
 func TestCrossHostKillMidRodinia(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("gaussian")
 	if !ok {
 		t.Fatal("gaussian workload missing")

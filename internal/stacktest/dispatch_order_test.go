@@ -1,6 +1,7 @@
 package stacktest
 
 import (
+	"ava/internal/leaktest"
 	"bytes"
 	"encoding/binary"
 	"math"
@@ -110,7 +111,7 @@ func orderStep(c cl.Client, l orderLane, iter int, dst []byte) error {
 // three lanes (six domains, six workers) interleaved in one guest thread.
 // A thousand iterations must be byte-identical to the native silo.
 func TestDispatchOrderMatchesNative(t *testing.T) {
-	NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	const lanes, iters = 3, 1000
 	desc := cava.MustCompile(cl.Spec)
 	reg := server.NewRegistry(desc)

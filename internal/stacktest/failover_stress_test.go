@@ -5,6 +5,7 @@
 package stacktest_test
 
 import (
+	"ava/internal/leaktest"
 	"errors"
 	"fmt"
 	"math"
@@ -20,7 +21,6 @@ import (
 	"ava/internal/host"
 	"ava/internal/rodinia"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -70,7 +70,7 @@ func waitRecovered(t *testing.T, g *failover.Guardian, n uint64) {
 // to complete with a checksum byte-identical to an undisturbed run — the
 // E12 acceptance property.
 func TestFailoverKillMidRodinia(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("gaussian")
 	if !ok {
 		t.Fatal("gaussian workload missing")
@@ -170,7 +170,7 @@ func remoteStack(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *host.Server)
 // mid-workload: the guardian must redial, replay over the wire, and the
 // workload must finish byte-identical.
 func TestFailoverKillMidWorkloadTCP(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("nw")
 	if !ok {
 		t.Fatal("nw workload missing")
@@ -212,7 +212,7 @@ func TestFailoverKillMidWorkloadTCP(t *testing.T) {
 // under -race it checks reconnect synchronization; functionally it checks
 // that every readback observes the bytes last written despite recoveries.
 func TestFailoverReconnectRaceStress(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	silo := foSilo()
 	cfg := foConfig(silo)
 	cfg.Checkpoint.Every = 32
@@ -329,7 +329,7 @@ func TestFailoverReconnectRaceStress(t *testing.T) {
 // heartbeat probing detects the loss and recovery completes the stalled
 // in-flight call — the failure mode transport errors alone cannot catch.
 func TestFailoverFlakyLivenessDetection(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	silo := foSilo()
 	var dials atomic.Int32
 	stack := foStack(silo, ava.WithFailover(ava.FailoverConfig{
@@ -375,7 +375,7 @@ func TestFailoverFlakyLivenessDetection(t *testing.T) {
 // redial is refused and the backoff budget is exhausted), stalled calls
 // fail with ava.ErrRetryable rather than hanging.
 func TestFailoverRetryableSurface(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	stack, h := remoteStack(t, ava.FailoverConfig{
 		// A tiny budget so the redial loop exhausts quickly.
 		Backoff: failover.BackoffConfig{Base: time.Millisecond, Cap: 2 * time.Millisecond, Budget: 5 * time.Millisecond, Seed: 3},

@@ -4,6 +4,7 @@
 package stacktest_test
 
 import (
+	"ava/internal/leaktest"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -20,7 +21,6 @@ import (
 	"ava/internal/failover"
 	"ava/internal/marshal"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -308,7 +308,7 @@ func runSwept(t *testing.T, on sweepStack, severAfter ...int) *sweepRun {
 // undisturbed one's — an object a recovery re-created and nothing destroyed
 // would sit there.
 func TestKillSweep(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	want, err := sweepWorkload(cl.NewNative(foSilo()))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package stacktest_test
 
 import (
+	"ava/internal/leaktest"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,7 +13,6 @@ import (
 	"ava/internal/guest"
 	"ava/internal/marshal"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -146,7 +146,7 @@ func stressTransports(t *testing.T) map[string]func() (transport.Endpoint, trans
 // that issued it (the echo check), and the server executes each domain's
 // calls in issue order (the recorder check).
 func TestPipelinedStress(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	const goroutines = 16
 	const tokens = 200
 	for name, mk := range stressTransports(t) {
@@ -244,7 +244,7 @@ func TestPipelinedStress(t *testing.T) {
 // transport error), and the server loop must exit — no goroutine may
 // deadlock on a reply that will never come.
 func TestPipelinedCloseMidFlight(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	const goroutines = 16
 	for name, mk := range stressTransports(t) {
 		t.Run(name, func(t *testing.T) {

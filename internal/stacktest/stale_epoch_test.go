@@ -1,6 +1,7 @@
 package stacktest_test
 
 import (
+	"ava/internal/leaktest"
 	"bytes"
 	"runtime"
 	"testing"
@@ -8,7 +9,6 @@ import (
 
 	"ava"
 	"ava/internal/cl"
-	"ava/internal/stacktest"
 )
 
 // TestFailoverSyncCallsRacingKill kills the server while the guardian's
@@ -22,7 +22,7 @@ import (
 // quiesce or resubmission drain then waited on it forever. Every op runs
 // under a watchdog; a hang fails the test with all stacks.
 func TestFailoverSyncCallsRacingKill(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	const size = 64 << 10
 	silo := foSilo()
 	stack := foStack(silo, ava.WithFailover(foConfig(silo)))

@@ -6,6 +6,7 @@
 package stacktest_test
 
 import (
+	"ava/internal/leaktest"
 	"bytes"
 	"math"
 	"testing"
@@ -17,7 +18,6 @@ import (
 	"ava/internal/guest"
 	"ava/internal/rodinia"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 	"ava/internal/transport"
 )
 
@@ -104,7 +104,7 @@ func zcRoundTrip(t *testing.T, lib *guest.Lib, registered bool) {
 // byte-identical to the native run, plus a forced large-transfer
 // round-trip through the zero-copy path itself.
 func TestZeroCopyByteIdenticalRodinia(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("gaussian")
 	if !ok {
 		t.Fatal("gaussian workload missing")
@@ -185,7 +185,7 @@ func TestZeroCopyByteIdenticalRodinia(t *testing.T) {
 // enabled, API server killed mid-workload, results still byte-identical —
 // and the recovery's checkpoints must have used the delta path.
 func TestZeroCopyKillMidRodinia(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	w, ok := rodinia.ByName("gaussian")
 	if !ok {
 		t.Fatal("gaussian workload missing")

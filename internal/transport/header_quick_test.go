@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"ava/internal/leaktest"
 	"bytes"
 	"testing"
 	"testing/quick"
@@ -15,6 +16,7 @@ import (
 // marshal.FlagsKnown: bits this version does not assign still survive the
 // trip through an intermediary).
 func TestQuickHeaderOverTransports(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	for _, pm := range allPairs() {
 		pm := pm
 		t.Run(pm.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"ava/internal/leaktest"
 	"errors"
 	"fmt"
 	"testing"
@@ -12,6 +13,7 @@ import (
 // contracts at the queue's edges: full, empty, and with a parked peer.
 
 func TestInProcFramesQueuedBeforePeerCloseAreDelivered(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewInProc()
 	for i := 0; i < inprocDepth; i++ { // a full queue
 		if err := a.Send([]byte(fmt.Sprint(i))); err != nil {
@@ -37,6 +39,7 @@ func TestInProcFramesQueuedBeforePeerCloseAreDelivered(t *testing.T) {
 }
 
 func TestInProcFramesQueuedBeforeSeverAreNot(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewInProc()
 	for i := 0; i < inprocDepth; i++ {
 		if err := a.Send([]byte("doomed")); err != nil {
@@ -63,6 +66,7 @@ func TestInProcFramesQueuedBeforeSeverAreNot(t *testing.T) {
 }
 
 func TestInProcOwnCloseFailsOwnRecv(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewInProc()
 	if err := a.Send([]byte("unread")); err != nil {
 		t.Fatal(err)
@@ -76,6 +80,7 @@ func TestInProcOwnCloseFailsOwnRecv(t *testing.T) {
 // A Send parked on a full queue and a Recv parked on an empty one are both
 // woken by the peer's Close and by a Sever.
 func TestInProcShutdownWakesParkedPeers(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	for _, tc := range []struct {
 		name string
 		shut func(Endpoint)
@@ -113,6 +118,7 @@ func TestInProcShutdownWakesParkedPeers(t *testing.T) {
 // Backpressure: a full queue blocks Send until the peer receives, and the
 // frames still arrive in order.
 func TestInProcFullQueueBackpressure(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewInProc()
 	defer a.Close()
 	defer b.Close()

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"ava/internal/leaktest"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -12,6 +13,7 @@ import (
 // transport: failover detection keys on ErrSevered.
 
 func TestInProcSever(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewInProc()
 	if err := a.Send([]byte("queued")); err != nil {
 		t.Fatal(err)
@@ -32,6 +34,7 @@ func TestInProcSever(t *testing.T) {
 }
 
 func TestInProcCloseStaysOrderly(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewInProc()
 	if err := a.Send([]byte("last")); err != nil {
 		t.Fatal(err)
@@ -47,6 +50,7 @@ func TestInProcCloseStaysOrderly(t *testing.T) {
 }
 
 func TestRingSever(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewRing(1 << 12)
 	if err := a.Send([]byte("queued")); err != nil {
 		t.Fatal(err)
@@ -63,6 +67,7 @@ func TestRingSever(t *testing.T) {
 }
 
 func TestRingSeverWakesBlockedReceiver(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewRing(1 << 12)
 	errCh := make(chan error, 1)
 	go func() {
@@ -104,6 +109,7 @@ func tcpPair(t *testing.T) (Endpoint, Endpoint) {
 }
 
 func TestTCPSeverYieldsErrSevered(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := tcpPair(t)
 	defer b.Close()
 	if err := Sever(a); err != nil {
@@ -120,6 +126,7 @@ func TestTCPSeverYieldsErrSevered(t *testing.T) {
 }
 
 func TestTCPMidFrameDeathYieldsErrSevered(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +157,7 @@ func TestTCPMidFrameDeathYieldsErrSevered(t *testing.T) {
 }
 
 func TestTCPCleanCloseYieldsErrClosed(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := tcpPair(t)
 	if err := a.Send([]byte("bye")); err != nil {
 		t.Fatal(err)
@@ -165,6 +173,7 @@ func TestTCPCleanCloseYieldsErrClosed(t *testing.T) {
 }
 
 func TestFlakySeverAfterSends(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewInProc()
 	f := NewFlaky(a, FlakyConfig{SeverAfterSends: 2})
 	for i := 0; i < 2; i++ {
@@ -181,7 +190,9 @@ func TestFlakySeverAfterSends(t *testing.T) {
 }
 
 func TestFlakyDropAfterSendsGoesSilent(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewInProc()
+	defer b.Close() // ends the receiver parked on the frame that never comes
 	f := NewFlaky(a, FlakyConfig{DropAfterSends: 1})
 	if err := f.Send([]byte("heard")); err != nil {
 		t.Fatal(err)
@@ -208,6 +219,7 @@ func TestFlakyDropAfterSendsGoesSilent(t *testing.T) {
 }
 
 func TestFlakyDropScheduleIsSeeded(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	schedule := func() []bool {
 		a, _ := NewInProc()
 		f := NewFlaky(a, FlakyConfig{Seed: 42, DropProb: 0.5})

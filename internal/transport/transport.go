@@ -15,7 +15,11 @@
 //   - TCP: length-prefixed frames over a socket, supporting disaggregated
 //     accelerators (the LegoOS-style configuration from §4.1).
 //
-// All transports carry opaque frames; marshal encodes/decodes them.
+// All transports carry opaque frames; marshal encodes/decodes calls and
+// replies. Everything else a connection carries — VM hello and admission
+// verdict, mirror replication, fleet registry requests — is a control frame
+// in the one envelope of ctl.go, exchanged through RoundTrip (dialer) and
+// RecvCtl/Answer/Ack (listener), each wait bounded by one constant.
 package transport
 
 import (
@@ -558,9 +562,9 @@ func (l *Listener) Accept() (Endpoint, error) {
 // Close stops the listener.
 func (l *Listener) Close() error { return l.l.Close() }
 
-// Dial connects to a Listener.
+// Dial connects to a Listener, giving up after the control time bound.
 func Dial(addr string) (Endpoint, error) {
-	c, err := net.Dial("tcp", addr)
+	c, err := net.DialTimeout("tcp", addr, ctlTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"ava/internal/leaktest"
 	"bytes"
 	"errors"
 	"fmt"
@@ -54,6 +55,7 @@ func allPairs() []pairMaker {
 }
 
 func TestSendRecvSingleFrame(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	for _, pm := range allPairs() {
 		t.Run(pm.name, func(t *testing.T) {
 			a, b, done := pm.make(t)
@@ -74,6 +76,7 @@ func TestSendRecvSingleFrame(t *testing.T) {
 }
 
 func TestBidirectional(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	for _, pm := range allPairs() {
 		t.Run(pm.name, func(t *testing.T) {
 			a, b, done := pm.make(t)
@@ -95,6 +98,7 @@ func TestBidirectional(t *testing.T) {
 }
 
 func TestOrderingPreserved(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	for _, pm := range allPairs() {
 		t.Run(pm.name, func(t *testing.T) {
 			a, b, done := pm.make(t)
@@ -126,6 +130,7 @@ func TestOrderingPreserved(t *testing.T) {
 }
 
 func TestEmptyFrame(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	for _, pm := range allPairs() {
 		t.Run(pm.name, func(t *testing.T) {
 			a, b, done := pm.make(t)
@@ -142,6 +147,7 @@ func TestEmptyFrame(t *testing.T) {
 }
 
 func TestLargeFrame(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	for _, pm := range allPairs() {
 		t.Run(pm.name, func(t *testing.T) {
 			a, b, done := pm.make(t)
@@ -171,6 +177,7 @@ func TestLargeFrame(t *testing.T) {
 }
 
 func TestSenderBufferReusableAfterSend(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	// Ring and TCP endpoints copy at Send, so the sender may reuse its
 	// buffer. InProc transfers ownership (zero-copy hypercall page) and is
 	// excluded: its senders must encode into a fresh buffer per frame, as
@@ -199,6 +206,7 @@ func TestSenderBufferReusableAfterSend(t *testing.T) {
 }
 
 func TestRecvAfterCloseFails(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	for _, pm := range allPairs() {
 		t.Run(pm.name, func(t *testing.T) {
 			a, b, done := pm.make(t)
@@ -224,6 +232,7 @@ func TestRecvAfterCloseFails(t *testing.T) {
 }
 
 func TestSendAfterCloseFails(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	for _, pm := range allPairs() {
 		t.Run(pm.name, func(t *testing.T) {
 			a, b, done := pm.make(t)
@@ -246,6 +255,7 @@ func TestSendAfterCloseFails(t *testing.T) {
 }
 
 func TestRingBackpressure(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewRing(256)
 	// Fill beyond capacity; sender must block, then drain.
 	sent := make(chan int, 1)
@@ -275,6 +285,7 @@ func TestRingBackpressure(t *testing.T) {
 }
 
 func TestRingFrameTooLarge(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, _ := NewRing(128)
 	if err := a.Send(make([]byte, 1024)); err == nil {
 		t.Fatal("oversized frame accepted")
@@ -282,6 +293,7 @@ func TestRingFrameTooLarge(t *testing.T) {
 }
 
 func TestRingWrapAround(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	a, b := NewRing(100)
 	// Frames sized to force the ring to wrap repeatedly.
 	for i := 0; i < 200; i++ {
@@ -300,6 +312,7 @@ func TestRingWrapAround(t *testing.T) {
 }
 
 func TestTCPPeerCloseUnblocksRecv(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	l, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +336,7 @@ func TestTCPPeerCloseUnblocksRecv(t *testing.T) {
 }
 
 func TestDialUnreachable(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	if _, err := Dial("127.0.0.1:1"); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
@@ -331,6 +345,7 @@ func TestDialUnreachable(t *testing.T) {
 // Property: any sequence of frames survives a ring transit byte-for-byte in
 // order.
 func TestQuickRingRoundTrip(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
 	f := func(frames [][]byte) bool {
 		a, b := NewRing(1 << 15)
 		defer a.Close()

@@ -10,8 +10,8 @@ import (
 	"ava/internal/cl"
 	"ava/internal/devsim"
 	"ava/internal/hv"
+	"ava/internal/leaktest"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 )
 
 func clQuotaStack(t *testing.T, quotas map[string]int64) (*ava.Stack, *cl.RemoteClient) {
@@ -35,7 +35,7 @@ func clQuotaStack(t *testing.T, quotas map[string]int64) (*ava.Stack, *cl.Remote
 // quota) has no reply to carry the error; §4.2 requires the next
 // synchronization point — clFinish — to surface it.
 func TestStackDeniedAsyncEnqueueSurfacesAtFinish(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	_, c := clQuotaStack(t, map[string]int64{"bandwidth": 1000})
 
 	ps, err := c.PlatformIDs()
@@ -91,7 +91,7 @@ func (overloadedSched) RecentStall() time.Duration                  { return tim
 // A shed call surfaces as ava.ErrOverloaded through the full stack, and
 // the guest library counts it.
 func TestStackShedCallMapsToErrOverloaded(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	desc, err := ava.CompileSpec(`
 const OK = 0;
 type st = int32_t { success(OK); };

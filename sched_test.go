@@ -12,9 +12,9 @@ import (
 	"ava"
 	"ava/internal/fleet"
 	"ava/internal/host"
+	"ava/internal/leaktest"
 	"ava/internal/sched"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 )
 
 const schedSpec = `
@@ -100,7 +100,7 @@ func hostCounts(stack *ava.Stack) map[string]int {
 }
 
 func TestPlacementSpreadsAttachments(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	f := newSchedFleet(t)
 	for _, id := range []string{"host-a", "host-b", "host-c"} {
 		f.announce(id, 0)
@@ -140,7 +140,7 @@ func TestPlacementSpreadsAttachments(t *testing.T) {
 // TestPlacementLeastLoadPicksLightest: the default policy lands on the
 // registry's lightest member, deterministically.
 func TestPlacementLeastLoadPicksLightest(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	f := newSchedFleet(t)
 	f.announce("host-a", 4)
 	f.announce("host-b", 1)
@@ -166,7 +166,7 @@ func TestPlacementLeastLoadPicksLightest(t *testing.T) {
 // the moves returning correct bytes, no migration double-logged as a
 // failover, and no flapping once balance is reached.
 func TestRebalanceUnderSkewedLoad(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	const vms = 9
 	f := newSchedFleet(t)
 	// Stale announcements: host-a looks free, its peers look slammed.
@@ -281,7 +281,7 @@ func TestRebalanceUnderSkewedLoad(t *testing.T) {
 // TestMigrateVMMovesHost: a manual migration relocates one VM to the
 // named target with state intact.
 func TestMigrateVMMovesHost(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	f := newSchedFleet(t)
 	f.announce("host-a", 0)
 	f.announce("host-b", 1)

@@ -6,9 +6,9 @@ import (
 
 	"ava"
 	"ava/internal/cl"
+	"ava/internal/leaktest"
 	"ava/internal/marshal"
 	"ava/internal/server"
-	"ava/internal/stacktest"
 )
 
 const stackSpec = `
@@ -52,7 +52,7 @@ func newToyStack(t *testing.T, opts ...ava.Option) *ava.Stack {
 }
 
 func TestStackAttachDetach(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t)
 	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm1"})
 	if err != nil {
@@ -76,7 +76,7 @@ func TestStackAttachDetach(t *testing.T) {
 }
 
 func TestStackDuplicateAttach(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t)
 	if _, err := stack.AttachVM(ava.VMConfig{ID: 1}); err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestStackDuplicateAttach(t *testing.T) {
 }
 
 func TestStackMultipleVMsIsolated(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t)
 	lib1, _ := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm1"})
 	lib2, _ := stack.AttachVM(ava.VMConfig{ID: 2, Name: "vm2"})
@@ -109,7 +109,7 @@ func TestStackMultipleVMsIsolated(t *testing.T) {
 }
 
 func TestStackRingTransport(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t, ava.WithRingTransport(1<<16))
 	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm1"})
 	if err != nil {
@@ -134,7 +134,7 @@ func TestStackRingTransport(t *testing.T) {
 }
 
 func TestStackAsyncByDefault(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t)
 	lib, _ := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm"})
 	var h marshal.Handle
@@ -146,7 +146,7 @@ func TestStackAsyncByDefault(t *testing.T) {
 }
 
 func TestCompileSpecErrors(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	if _, err := ava.CompileSpec("not a spec %%"); err == nil {
 		t.Fatal("garbage compiled")
 	}
@@ -156,7 +156,7 @@ func TestCompileSpecErrors(t *testing.T) {
 }
 
 func TestInferSpecWorkflow(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	text, notes, err := ava.InferSpec(`
 		handle dev;
 		const OK = 0;
@@ -178,7 +178,7 @@ func TestInferSpecWorkflow(t *testing.T) {
 }
 
 func TestStackContextAccess(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	stack := newToyStack(t, ava.WithRecording())
 	lib, _ := stack.AttachVM(ava.VMConfig{ID: 5, Name: "vm5"})
 	var h marshal.Handle
@@ -210,7 +210,7 @@ func TestStackContextAccess(t *testing.T) {
 }
 
 func TestClSpecIsGeneratable(t *testing.T) {
-	stacktest.NoGoroutineLeaks(t)
+	leaktest.NoGoroutineLeaks(t)
 	// The shipped OpenCL spec must survive the full generator path (the
 	// cl bindings are hand-written in the generated idiom; this proves the
 	// generator handles the real 39-function surface).
