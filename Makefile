@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet rebind-gate state-gate decode-gate wire-gate layer-gate build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
+.PHONY: check fmt vet rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate gen build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
-check: fmt vet rebind-gate state-gate decode-gate wire-gate layer-gate build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
+check: fmt vet rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -71,6 +71,28 @@ layer-gate:
 		echo "internal/guest links host-side packages:"; echo "$$out"; exit 1; \
 	fi
 
+# One binding layer: the guest side of an API package is the stubs cava
+# generates from its specification (stubs_gen.go; internal/gen/toydev is the
+# whole generated stack), over the engine's typed entry guest.Lib.Invoke. The
+# by-name, `...any` front (Lib.Call / CallWith) is for tests, examples and
+# one-off calls. Fail if a non-test file of an API package or of a generated
+# one calls it, so nobody hand-writes a per-function binding again.
+stub-gate:
+	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' '\.(Call|CallWith)\(' internal/cl internal/mvnc internal/qat internal/gen)"; \
+	if [ -n "$$out" ]; then \
+		echo "by-name Lib.Call/CallWith in an API package (add the function to the spec and run make gen):"; echo "$$out"; exit 1; \
+	fi
+
+# Regenerate every checked-in output of the stack generator from its
+# specification, through cmd/cava. Each package's golden test
+# (TestGeneratedStubsAreCurrent / TestGeneratedFileIsCurrent) fails while the
+# committed file and a fresh generation differ.
+gen:
+	$(GO) run ./cmd/cava -spec internal/cl/opencl.ava -pkg cl -stubs Stubs -o internal/cl/stubs_gen.go
+	$(GO) run ./cmd/cava -spec internal/mvnc/mvnc.ava -pkg mvnc -stubs Stubs -o internal/mvnc/stubs_gen.go
+	$(GO) run ./cmd/cava -spec internal/qat/qat.ava -pkg qat -stubs Stubs -o internal/qat/stubs_gen.go
+	$(GO) run ./cmd/cava -spec internal/gen/toydev/toydev.ava -pkg toydev -o internal/gen/toydev/toydev.go
+
 build:
 	$(GO) build ./...
 
@@ -84,7 +106,7 @@ test:
 # without -race so a regression in allocations per call fails `make check`.
 allocs:
 	$(GO) test -count=1 -run 'Alloc|BothHit' \
-		./internal/marshal/ ./internal/framebuf/ ./internal/hv/ ./internal/server/ ./internal/guest/
+		./internal/marshal/ ./internal/framebuf/ ./internal/hv/ ./internal/server/ ./internal/guest/ ./internal/cl/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -313,7 +313,8 @@ func BenchmarkTransports(b *testing.B) {
 // BenchmarkCallOverhead measures the raw per-call cost of the remoting
 // stack, the quantity amortized against kernel time in every experiment:
 // a synchronous no-output call (clFinish) and an asynchronous batched call
-// (clSetKernelArg).
+// (clSetKernelArg), through cl.NewRemote — that is, through the generated
+// stubs and the engine's typed entry, the path every workload takes.
 func BenchmarkCallOverhead(b *testing.B) {
 	_, c := benchStack(b)
 	ps, _ := c.PlatformIDs()

@@ -12,6 +12,7 @@ import (
 	"ava/internal/cava"
 	"ava/internal/guest"
 	"ava/internal/hv"
+	"ava/internal/marshal"
 	"ava/internal/server"
 )
 
@@ -90,11 +91,20 @@ func overloadRun(calls int) (*overloadResult, error) {
 		}
 	}
 
+	// ping calls the spec's one function through the typed entry, as a
+	// generated stub would: descriptor resolved once, argument on the stack.
+	pingFn, _ := desc.Lookup("ping")
+	ping := func(lib *guest.Lib, opts guest.CallOptions, n uint32) error {
+		args := [1]marshal.Value{marshal.Uint(uint64(n))}
+		_, err := lib.Invoke(pingFn, &opts, args[:])
+		return err
+	}
+
 	probe := func(n int) ([]time.Duration, error) {
 		lats := make([]time.Duration, 0, n)
 		for i := 0; i < n; i++ {
 			t0 := time.Now()
-			if _, err := hi.Call("ping", uint32(i)); err != nil {
+			if err := ping(hi, guest.CallOptions{}, uint32(i)); err != nil {
 				return nil, fmt.Errorf("high-priority call: %w", err)
 			}
 			lats = append(lats, time.Since(t0))
@@ -132,7 +142,7 @@ func overloadRun(calls int) (*overloadResult, error) {
 					}
 					n++
 					t0 := time.Now()
-					_, err := lib.CallWith(guest.CallOptions{Timeout: overloadDeadline}, "ping", n)
+					err := ping(lib, guest.CallOptions{Timeout: overloadDeadline}, n)
 					lat := time.Since(t0)
 					mu.Lock()
 					res.loAttempts++

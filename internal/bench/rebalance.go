@@ -7,7 +7,9 @@ import (
 
 	"ava"
 	"ava/internal/fleet"
+	"ava/internal/guest"
 	"ava/internal/host"
+	"ava/internal/marshal"
 	"ava/internal/server"
 )
 
@@ -108,6 +110,7 @@ func rebalanceRun(rebalance bool, vms, calls int) (*rebalanceResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	workFn, _ := desc.Lookup("work")
 	opts := []ava.Option{
 		ava.WithRecording(),
 		ava.WithPlacement(ava.PlacementConfig{Locator: loc, API: "simload"}),
@@ -153,13 +156,16 @@ func rebalanceRun(rebalance bool, vms, calls int) (*rebalanceResult, error) {
 			sum := uint32(2166136261)
 			for c := 0; c < calls; c++ {
 				x := uint32(i)<<16 | uint32(c)
-				var y uint32
+				// The typed entry, as a generated stub would use it: the out
+				// element comes back in its slot of the argument vector.
+				args := [2]marshal.Value{marshal.Uint(uint64(x)), marshal.Len(4)}
 				t0 := time.Now()
-				if _, err := lib.Call("work", x, &y); err != nil {
+				if _, err := lib.Invoke(workFn, &guest.CallOptions{}, args[:]); err != nil {
 					errs[i] = fmt.Errorf("vm %d call %d: %w", i+1, c, err)
 					return
 				}
 				lats[i] = append(lats[i], time.Since(t0))
+				y := uint32(args[1].Uint())
 				if y != rebalanceReply(x) {
 					errs[i] = fmt.Errorf("vm %d call %d: corrupted reply %d", i+1, c, y)
 					return

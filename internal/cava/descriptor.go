@@ -14,6 +14,7 @@ package cava
 
 import (
 	"fmt"
+	"strings"
 
 	"ava/internal/marshal"
 	"ava/internal/spec"
@@ -45,6 +46,30 @@ func (p *ParamDesc) In() bool {
 // Out reports whether the parameter carries data server→guest.
 func (p *ParamDesc) Out() bool {
 	return p.IsPointer && (p.Dir == spec.DirOut || p.Dir == spec.DirInOut)
+}
+
+// CheckScalar reports whether v is an acceptable wire form for this
+// non-pointer parameter: the one rule the guest engine applies before it
+// sends a call and the API server applies before it trusts one. Handles and
+// strings may be null; a bool may travel as an integer and an integer as a
+// bool or as either signedness.
+func (p *ParamDesc) CheckScalar(v *marshal.Value) error {
+	k := v.Kind()
+	ok := true
+	switch p.Kind {
+	case spec.KindHandle:
+		ok = k == marshal.KindHandle || k == marshal.KindNull
+	case spec.KindString:
+		ok = k == marshal.KindString || k == marshal.KindNull
+	case spec.KindFloat:
+		ok = k == marshal.KindFloat
+	case spec.KindBool, spec.KindInt, spec.KindUint:
+		ok = k == marshal.KindInt || k == marshal.KindUint || k == marshal.KindBool
+	}
+	if !ok {
+		return fmt.Errorf("%v sent as %v", p.Kind, k)
+	}
+	return nil
 }
 
 // ResourceDesc is a compiled resource estimate: one resource a function
@@ -80,6 +105,8 @@ type FuncDesc struct {
 	// domain. The server's dispatcher preserves FIFO order within a domain
 	// while executing independent domains concurrently.
 	DomainIdx int
+
+	sig string // Signature, rendered once at compile time
 }
 
 // AlwaysSync reports whether the call is forwarded synchronously for every
@@ -182,6 +209,7 @@ func compileFunc(api *spec.API, fn *spec.Func, id uint32) (*FuncDesc, error) {
 	if fn.Track.Kind != spec.TrackNone && fn.Track.Param != "" {
 		fd.TrackIdx = fn.ParamIndex(fn.Track.Param)
 	}
+	fd.sig = fd.signature()
 	return fd, nil
 }
 
@@ -225,6 +253,57 @@ func compileParam(api *spec.API, prm *spec.Param) (ParamDesc, error) {
 	return pd, nil
 }
 
+// Signature renders what a generated stub depends on — the function's name,
+// each parameter's kind, shape (scalar, buffer, element) and direction, and
+// the return kind — as one line, e.g.
+// "load(handle,uint,out uint[])int". Generated guest libraries carry the
+// table of signatures they were emitted from; Resolve checks it.
+func (f *FuncDesc) Signature() string { return f.sig }
+
+func (f *FuncDesc) signature() string {
+	var b strings.Builder
+	b.WriteString(f.Name)
+	b.WriteByte('(')
+	for i := range f.Params {
+		pd := &f.Params[i]
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		if pd.IsPointer {
+			b.WriteString(pd.Dir.String())
+			b.WriteByte(' ')
+		}
+		b.WriteString(pd.Kind.String())
+		switch {
+		case pd.IsBuffer:
+			b.WriteString("[]")
+		case pd.IsElement:
+			b.WriteByte('*')
+		}
+	}
+	b.WriteByte(')')
+	b.WriteString(f.RetKind.String())
+	return b.String()
+}
+
+// Resolve matches a generated guest library's function table against the
+// descriptor, entry i against function id i, and returns the descriptors in
+// that order for the stubs to index. Any disagreement — a different function
+// count, or a function whose Signature is not the one the stubs were
+// generated from — is an error: a stub would otherwise marshal for one
+// function and send the id of another.
+func (d *Descriptor) Resolve(sigs []string) ([]*FuncDesc, error) {
+	if len(sigs) != len(d.Funcs) {
+		return nil, fmt.Errorf("cava: %s: stubs know %d functions, descriptor has %d", d.Name, len(sigs), len(d.Funcs))
+	}
+	for i, fd := range d.Funcs {
+		if got := fd.Signature(); got != sigs[i] {
+			return nil, fmt.Errorf("cava: %s: function %d is %s, stubs were generated for %s", d.Name, i, got, sigs[i])
+		}
+	}
+	return d.Funcs, nil
+}
+
 // Lookup returns the descriptor for a function name.
 func (d *Descriptor) Lookup(name string) (*FuncDesc, bool) {
 	fd, ok := d.byName[name]
@@ -245,20 +324,7 @@ func (f *FuncDesc) argScalar(args []marshal.Value, i int) (int64, bool) {
 	if i < 0 || i >= len(args) || i >= len(f.Params) || f.Params[i].IsPointer {
 		return 0, false
 	}
-	switch v := args[i]; v.Kind {
-	case marshal.KindInt:
-		return v.Int, true
-	case marshal.KindUint, marshal.KindHandle:
-		return int64(v.Uint), true
-	case marshal.KindBool:
-		if v.Bool {
-			return 1, true
-		}
-		return 0, true
-	case marshal.KindFloat:
-		return int64(v.Float), true
-	}
-	return 0, false
+	return args[i].AsInt()
 }
 
 // argLookup adapts an argument vector to the expression evaluator's
@@ -286,20 +352,8 @@ func (f *FuncDesc) Env(args []marshal.Value) spec.Env {
 		if i >= len(args) || pd.IsPointer {
 			continue
 		}
-		v := args[i]
-		switch v.Kind {
-		case marshal.KindInt:
-			env[pd.Name] = v.Int
-		case marshal.KindUint, marshal.KindHandle:
-			env[pd.Name] = int64(v.Uint)
-		case marshal.KindBool:
-			if v.Bool {
-				env[pd.Name] = 1
-			} else {
-				env[pd.Name] = 0
-			}
-		case marshal.KindFloat:
-			env[pd.Name] = int64(v.Float)
+		if n, ok := args[i].AsInt(); ok {
+			env[pd.Name] = n
 		}
 	}
 	return env
@@ -369,8 +423,8 @@ func (f *FuncDesc) Domain(args []marshal.Value) uint64 {
 	if f.DomainIdx < 0 || f.DomainIdx >= len(args) {
 		return 0
 	}
-	if v := args[f.DomainIdx]; v.Kind == marshal.KindHandle {
-		return v.Uint
+	if v := args[f.DomainIdx]; v.Kind() == marshal.KindHandle {
+		return v.Uint()
 	}
 	return 0
 }

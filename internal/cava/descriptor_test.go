@@ -348,3 +348,41 @@ func TestOrderingDomain(t *testing.T) {
 		t.Fatalf("short args domain = %d, want 0", dom)
 	}
 }
+
+// Resolve is what keeps a generated guest library honest: its function table
+// must be the descriptor's, entry for entry.
+func TestResolveMatchesSignatures(t *testing.T) {
+	d := MustCompile(`
+api "sig";
+handle obj;
+const OK = 0;
+type st = int32_t { success(OK); };
+st load(obj o, size_t n, void *out, uint32_t *got) {
+  parameter(out) { out; buffer(n); }
+  parameter(got) { out; element; }
+}
+obj create(const char *name, double scale);
+`)
+	sigs := []string{"load(handle,uint,out void[],out uint*)int", "create(string,float)handle"}
+	for i, fd := range d.Funcs {
+		if got := fd.Signature(); got != sigs[i] {
+			t.Errorf("signature %d = %q, want %q", i, got, sigs[i])
+		}
+	}
+	fns, err := d.Resolve(sigs)
+	if err != nil || len(fns) != 2 || fns[0].Name != "load" || fns[1].ID != 1 {
+		t.Fatalf("Resolve = %v, %v", fns, err)
+	}
+	for name, bad := range map[string][]string{
+		"a function fewer":    sigs[:1],
+		"a function more":     append(append([]string(nil), sigs...), "extra()void"),
+		"functions reordered": {sigs[1], sigs[0]},
+		"a parameter's shape": {"load(handle,uint,in void[],out uint*)int", sigs[1]},
+		"a parameter's kind":  {sigs[0], "create(string,uint)handle"},
+		"a function's return": {sigs[0], "create(string,float)int"},
+	} {
+		if _, err := d.Resolve(bad); err == nil {
+			t.Errorf("Resolve accepted a table that differs by %s", name)
+		}
+	}
+}

@@ -74,6 +74,52 @@ func TestGenerateEdgeCases(t *testing.T) {
 	}
 }
 
+// With GenOptions.Stubs the output is the guest library alone, under the
+// given name: no server scaffolding, no import of the server package.
+func TestGenerateStubsOnly(t *testing.T) {
+	d := MustCompile(genSpec)
+	src, _, err := Generate(d, genSpec, GenOptions{Package: "edgecase", Stubs: "Stubs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := string(src)
+	for _, want := range []string{"type Stubs struct", "func NewStubs(lib *guest.Lib) *Stubs", "func (c *Stubs) Tricky(", "var stubsSigs = [...]string{"} {
+		if !strings.Contains(code, want) {
+			t.Errorf("stubs-only output missing %q", want)
+		}
+	}
+	for _, banned := range []string{"internal/server", "Implementation", "func Register(", "Client"} {
+		if strings.Contains(code, banned) {
+			t.Errorf("stubs-only output contains %q", banned)
+		}
+	}
+	if _, err := parser.ParseFile(token.NewFileSet(), "gen.go", src, 0); err != nil {
+		t.Fatalf("generated code does not parse: %v", err)
+	}
+}
+
+// The stubs go through the engine's typed entry and nothing else: no by-name
+// call, no `...any`, one Invoke per function, descriptors resolved once.
+func TestGeneratedStubsUseTheTypedEntry(t *testing.T) {
+	d := MustCompile(genSpec)
+	src, _, err := Generate(d, genSpec, GenOptions{Package: "edgecase"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := string(src)
+	if n := strings.Count(code, "c.lib.Invoke(c.fn["); n != len(d.Funcs) {
+		t.Errorf("%d Invoke calls for %d functions", n, len(d.Funcs))
+	}
+	for _, banned := range []string{".Call(", ".CallWith(", "...any", "Lookup("} {
+		if strings.Contains(code, banned) {
+			t.Errorf("generated code contains %q", banned)
+		}
+	}
+	if n := strings.Count(code, "lib.Descriptor().Resolve(clientSigs[:])"); n != 1 {
+		t.Errorf("function table resolved %d times, want once, in the constructor", n)
+	}
+}
+
 func TestGenerateIsDeterministic(t *testing.T) {
 	d := MustCompile(genSpec)
 	a, _, err := Generate(d, genSpec, GenOptions{Package: "p"})

@@ -164,7 +164,7 @@ func TestWaitListValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ret.Int == int64(cl.Success) {
+			if ret.Int() == int64(cl.Success) {
 				t.Fatal("bogus wait list accepted")
 			}
 			_ = q

@@ -28,8 +28,9 @@ func clErr(op string, st Status) error {
 // remote client it wraps the guest-visible handle — the same duality a
 // real application never observes.
 type Ref struct {
-	obj any
-	h   marshal.Handle
+	obj  any
+	h    marshal.Handle
+	wire *[8]byte // remote cl_mem only: h as clSetKernelArg carries it
 }
 
 // Nil reports whether the reference is empty.

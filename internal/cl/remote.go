@@ -7,21 +7,21 @@ import (
 	"ava/internal/marshal"
 )
 
-// RemoteClient is the generated guest library for OpenCL: typed stubs over
-// the descriptor-driven guest engine. An application linked against it
-// observes the 39-function API while every call is marshalled, batched,
-// routed through the hypervisor, and executed by the API server.
-type RemoteClient struct {
-	lib  *guest.Lib
-	opts guest.CallOptions
-}
+// RemoteClient is the Client facade over the generated OpenCL guest library
+// (Stubs, stubs_gen.go): an application written against Client observes the
+// 39-function API while every call is marshalled, batched, routed through the
+// hypervisor, and executed by the API server. What is written here is only
+// what the specification does not say: wrapping handles in Refs, the
+// size-then-fill query idiom, flattening Ref and size lists to the byte
+// buffers the spec declares, and mapping a cl_int to an error.
+type RemoteClient struct{ s *Stubs }
 
 // NewRemote wraps an attached guest library (its descriptor must be the
 // OpenCL Spec).
-func NewRemote(lib *guest.Lib) *RemoteClient { return &RemoteClient{lib: lib} }
+func NewRemote(lib *guest.Lib) *RemoteClient { return &RemoteClient{s: NewStubs(lib)} }
 
 // Lib exposes the underlying stub engine (stats, flush).
-func (c *RemoteClient) Lib() *guest.Lib { return c.lib }
+func (c *RemoteClient) Lib() *guest.Lib { return c.s.Lib() }
 
 // With returns a client whose calls also carry opts (deadline, priority,
 // overload retry, flush slack); the receiver is unchanged, so clients for
@@ -29,12 +29,22 @@ func (c *RemoteClient) Lib() *guest.Lib { return c.lib }
 // over the receiver's set; pass a guest.CallOptions literal to replace it
 // wholesale.
 func (c *RemoteClient) With(opts ...guest.CallOption) *RemoteClient {
-	d := *c
-	d.opts = guest.ApplyCallOptions(d.opts, opts...)
-	return &d
+	return &RemoteClient{s: c.s.With(opts...)}
 }
 
 func rref(h marshal.Handle) Ref { return Ref{h: h} }
+
+// created wraps the handle a clCreate* call returned, or reports why there
+// is none: the stack's error, else the call's errcode_ret.
+func created(op string, h marshal.Handle, errcode int32, err error) (Ref, error) {
+	if err != nil {
+		return Ref{}, err
+	}
+	if errcode != Success {
+		return Ref{}, clErr(op, errcode)
+	}
+	return rref(h), nil
+}
 
 func boolArg(b bool) uint32 {
 	if b {
@@ -44,36 +54,19 @@ func boolArg(b bool) uint32 {
 }
 
 // status interprets a cl_int return value plus stack errors.
-func status(op string, v marshal.Value, err error) error {
+func status(op string, st int32, err error) error {
 	if err != nil {
 		return err
-	}
-	var st Status
-	switch v.Kind {
-	case marshal.KindInt:
-		st = Status(v.Int)
-	case marshal.KindUint:
-		st = Status(int64(v.Uint))
 	}
 	return clErr(op, st)
 }
 
-func (c *RemoteClient) PlatformIDs() ([]Ref, error) {
-	// Two-phase query, as real OpenCL applications do.
-	var n uint32
-	ret, err := c.lib.CallWith(c.opts, "clGetPlatformIDs", uint32(0), nil, &n)
-	if err := status("clGetPlatformIDs", ret, err); err != nil {
-		return nil, err
+func handleBytes(refs []Ref) []byte {
+	b := make([]byte, 8*len(refs))
+	for i, r := range refs {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(r.h))
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, 8*n)
-	ret, err = c.lib.CallWith(c.opts, "clGetPlatformIDs", n, buf, nil)
-	if err := status("clGetPlatformIDs", ret, err); err != nil {
-		return nil, err
-	}
-	return refsFromBytes(buf), nil
+	return b
 }
 
 func refsFromBytes(b []byte) []Ref {
@@ -84,183 +77,149 @@ func refsFromBytes(b []byte) []Ref {
 	return out
 }
 
-func (c *RemoteClient) info(op string, args func(dst []byte, szr *uint64) []any) ([]byte, error) {
-	var size uint64
-	ret, err := c.lib.CallWith(c.opts, op, args(nil, &size)...)
-	if err := status(op, ret, err); err != nil {
-		return nil, err
-	}
-	if size == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, size)
-	ret, err = c.lib.CallWith(c.opts, op, args(buf, nil)...)
-	if err := status(op, ret, err); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func (c *RemoteClient) PlatformInfo(p Ref, param uint32) ([]byte, error) {
-	return c.info("clGetPlatformInfo", func(dst []byte, szr *uint64) []any {
-		if szr != nil {
-			return []any{p.h, param, uint64(0), nil, szr}
-		}
-		return []any{p.h, param, uint64(len(dst)), dst, nil}
-	})
-}
-
-func (c *RemoteClient) DeviceIDs(p Ref, devType uint64) ([]Ref, error) {
+// ids is the two-phase id-list query real OpenCL applications make: ask how
+// many, then fetch that many handles.
+func ids(op string, query func(n uint32, dst []byte, count *uint32) (int32, error)) ([]Ref, error) {
 	var n uint32
-	ret, err := c.lib.CallWith(c.opts, "clGetDeviceIDs", p.h, devType, uint32(0), nil, &n)
-	if err := status("clGetDeviceIDs", ret, err); err != nil {
+	st, err := query(0, nil, &n)
+	if err := status(op, st, err); err != nil || n == 0 {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
 	}
 	buf := make([]byte, 8*n)
-	ret, err = c.lib.CallWith(c.opts, "clGetDeviceIDs", p.h, devType, n, buf, nil)
-	if err := status("clGetDeviceIDs", ret, err); err != nil {
+	st, err = query(n, buf, nil)
+	if err := status(op, st, err); err != nil {
 		return nil, err
 	}
 	return refsFromBytes(buf), nil
 }
 
-func (c *RemoteClient) DeviceInfo(d Ref, param uint32) ([]byte, error) {
-	return c.info("clGetDeviceInfo", func(dst []byte, szr *uint64) []any {
-		if szr != nil {
-			return []any{d.h, param, uint64(0), nil, szr}
-		}
-		return []any{d.h, param, uint64(len(dst)), dst, nil}
+// info is the size-then-fill idiom of the clGet*Info family, whose stubs all
+// have this one shape.
+func info(op string, r Ref, param uint32,
+	query func(h marshal.Handle, param uint32, size uint64, dst []byte, sizeRet *uint64) (int32, error)) ([]byte, error) {
+	var size uint64
+	st, err := query(r.h, param, 0, nil, &size)
+	if err := status(op, st, err); err != nil || size == 0 {
+		return nil, err
+	}
+	buf := make([]byte, size)
+	st, err = query(r.h, param, size, buf, nil)
+	if err := status(op, st, err); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+func (c *RemoteClient) PlatformIDs() ([]Ref, error) {
+	return ids("clGetPlatformIDs", c.s.ClGetPlatformIDs)
+}
+
+func (c *RemoteClient) PlatformInfo(p Ref, param uint32) ([]byte, error) {
+	return info("clGetPlatformInfo", p, param, c.s.ClGetPlatformInfo)
+}
+
+func (c *RemoteClient) DeviceIDs(p Ref, devType uint64) ([]Ref, error) {
+	return ids("clGetDeviceIDs", func(n uint32, dst []byte, count *uint32) (int32, error) {
+		return c.s.ClGetDeviceIDs(p.h, devType, n, dst, count)
 	})
+}
+
+func (c *RemoteClient) DeviceInfo(d Ref, param uint32) ([]byte, error) {
+	return info("clGetDeviceInfo", d, param, c.s.ClGetDeviceInfo)
 }
 
 func (c *RemoteClient) CreateContext(devs []Ref) (Ref, error) {
-	buf := make([]byte, 8*len(devs))
-	for i, d := range devs {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(d.h))
-	}
 	var errcode int32
-	ret, err := c.lib.CallWith(c.opts, "clCreateContext", uint32(len(devs)), buf, &errcode)
-	if err != nil {
-		return Ref{}, err
-	}
-	if errcode != int32(Success) {
-		return Ref{}, clErr("clCreateContext", errcode)
-	}
-	return rref(ret.Handle()), nil
+	h, err := c.s.ClCreateContext(uint32(len(devs)), handleBytes(devs), &errcode)
+	return created("clCreateContext", h, errcode, err)
 }
 
 func (c *RemoteClient) ReleaseContext(r Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "clReleaseContext", r.h)
-	return status("clReleaseContext", ret, err)
+	st, err := c.s.ClReleaseContext(r.h)
+	return status("clReleaseContext", st, err)
 }
 
 func (c *RemoteClient) ContextInfo(r Ref, param uint32) ([]byte, error) {
-	return c.info("clGetContextInfo", func(dst []byte, szr *uint64) []any {
-		if szr != nil {
-			return []any{r.h, param, uint64(0), nil, szr}
-		}
-		return []any{r.h, param, uint64(len(dst)), dst, nil}
-	})
+	return info("clGetContextInfo", r, param, c.s.ClGetContextInfo)
 }
 
 func (c *RemoteClient) CreateQueue(cr, dr Ref, properties uint64) (Ref, error) {
 	var errcode int32
-	ret, err := c.lib.CallWith(c.opts, "clCreateCommandQueue", cr.h, dr.h, properties, &errcode)
-	if err != nil {
-		return Ref{}, err
-	}
-	if errcode != int32(Success) {
-		return Ref{}, clErr("clCreateCommandQueue", errcode)
-	}
-	return rref(ret.Handle()), nil
+	h, err := c.s.ClCreateCommandQueue(cr.h, dr.h, properties, &errcode)
+	return created("clCreateCommandQueue", h, errcode, err)
 }
 
 func (c *RemoteClient) ReleaseQueue(r Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "clReleaseCommandQueue", r.h)
-	return status("clReleaseCommandQueue", ret, err)
+	st, err := c.s.ClReleaseCommandQueue(r.h)
+	return status("clReleaseCommandQueue", st, err)
 }
 
 func (c *RemoteClient) CreateBuffer(cr Ref, flags uint64, size uint64) (Ref, error) {
 	var errcode int32
-	ret, err := c.lib.CallWith(c.opts, "clCreateBuffer", cr.h, flags, size, &errcode)
-	if err != nil {
-		return Ref{}, err
+	h, err := c.s.ClCreateBuffer(cr.h, flags, size, &errcode)
+	r, err := created("clCreateBuffer", h, errcode, err)
+	if err == nil {
+		// A cl_mem is the one object also passed by value, as a kernel
+		// argument. Its wire form is made once, here, so SetKernelArgBuffer
+		// has bytes to send that already live on the heap.
+		r.wire = new([8]byte)
+		binary.LittleEndian.PutUint64(r.wire[:], uint64(h))
 	}
-	if errcode != int32(Success) {
-		return Ref{}, clErr("clCreateBuffer", errcode)
-	}
-	return rref(ret.Handle()), nil
+	return r, err
 }
 
 func (c *RemoteClient) ReleaseBuffer(r Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "clReleaseMemObject", r.h)
-	return status("clReleaseMemObject", ret, err)
+	st, err := c.s.ClReleaseMemObject(r.h)
+	return status("clReleaseMemObject", st, err)
 }
 
 func (c *RemoteClient) CreateProgram(cr Ref, source string) (Ref, error) {
 	var errcode int32
-	ret, err := c.lib.CallWith(c.opts, "clCreateProgramWithSource", cr.h, source, &errcode)
-	if err != nil {
-		return Ref{}, err
-	}
-	if errcode != int32(Success) {
-		return Ref{}, clErr("clCreateProgramWithSource", errcode)
-	}
-	return rref(ret.Handle()), nil
+	h, err := c.s.ClCreateProgramWithSource(cr.h, source, &errcode)
+	return created("clCreateProgramWithSource", h, errcode, err)
 }
 
 func (c *RemoteClient) BuildProgram(r Ref, options string) error {
-	ret, err := c.lib.CallWith(c.opts, "clBuildProgram", r.h, options)
-	return status("clBuildProgram", ret, err)
+	st, err := c.s.ClBuildProgram(r.h, options)
+	return status("clBuildProgram", st, err)
 }
 
 func (c *RemoteClient) ProgramBuildLog(r Ref) (string, error) {
-	b, err := c.info("clGetProgramBuildInfo", func(dst []byte, szr *uint64) []any {
-		if szr != nil {
-			return []any{r.h, ProgramBuildLog, uint64(0), nil, szr}
-		}
-		return []any{r.h, ProgramBuildLog, uint64(len(dst)), dst, nil}
-	})
+	b, err := info("clGetProgramBuildInfo", r, ProgramBuildLog, c.s.ClGetProgramBuildInfo)
 	return string(b), err
 }
 
 func (c *RemoteClient) ReleaseProgram(r Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "clReleaseProgram", r.h)
-	return status("clReleaseProgram", ret, err)
+	st, err := c.s.ClReleaseProgram(r.h)
+	return status("clReleaseProgram", st, err)
 }
 
 func (c *RemoteClient) CreateKernel(r Ref, name string) (Ref, error) {
 	var errcode int32
-	ret, err := c.lib.CallWith(c.opts, "clCreateKernel", r.h, name, &errcode)
-	if err != nil {
-		return Ref{}, err
-	}
-	if errcode != int32(Success) {
-		return Ref{}, clErr("clCreateKernel", errcode)
-	}
-	return rref(ret.Handle()), nil
+	h, err := c.s.ClCreateKernel(r.h, name, &errcode)
+	return created("clCreateKernel", h, errcode, err)
 }
 
 func (c *RemoteClient) ReleaseKernel(r Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "clReleaseKernel", r.h)
-	return status("clReleaseKernel", ret, err)
+	st, err := c.s.ClReleaseKernel(r.h)
+	return status("clReleaseKernel", st, err)
 }
 
 func (c *RemoteClient) SetKernelArgBuffer(kr Ref, index uint32, mr Ref) error {
 	// A cl_mem argument travels as its 8-byte guest handle; the API
 	// server translates it through the per-VM handle table.
-	val := make([]byte, 8)
-	binary.LittleEndian.PutUint64(val, uint64(mr.h))
-	ret, err := c.lib.CallWith(c.opts, "clSetKernelArg", kr.h, index, uint64(8), val)
-	return status("clSetKernelArg", ret, err)
+	w := mr.wire
+	if w == nil { // not a Ref CreateBuffer made: the server will refuse it
+		w = new([8]byte)
+		binary.LittleEndian.PutUint64(w[:], uint64(mr.h))
+	}
+	st, err := c.s.ClSetKernelArg(kr.h, index, 8, w[:])
+	return status("clSetKernelArg", st, err)
 }
 
 func (c *RemoteClient) SetKernelArgScalar(kr Ref, index uint32, val []byte) error {
-	ret, err := c.lib.CallWith(c.opts, "clSetKernelArg", kr.h, index, uint64(len(val)), val)
-	return status("clSetKernelArg", ret, err)
+	st, err := c.s.ClSetKernelArg(kr.h, index, uint64(len(val)), val)
+	return status("clSetKernelArg", st, err)
 }
 
 func sizesBytes(sz []uint64) []byte {
@@ -272,100 +231,86 @@ func sizesBytes(sz []uint64) []byte {
 }
 
 func (c *RemoteClient) EnqueueNDRange(qr, kr Ref, global, local []uint64) error {
-	ret, err := c.lib.CallWith(c.opts, "clEnqueueNDRangeKernel",
-		qr.h, kr.h, uint32(len(global)), sizesBytes(global), sizesBytes(local),
-		uint32(0), nil, nil)
-	return status("clEnqueueNDRangeKernel", ret, err)
+	st, err := c.s.ClEnqueueNDRangeKernel(qr.h, kr.h, uint32(len(global)), sizesBytes(global), sizesBytes(local), 0, nil, nil)
+	return status("clEnqueueNDRangeKernel", st, err)
 }
 
 func (c *RemoteClient) EnqueueNDRangeEvent(qr, kr Ref, global, local []uint64) (Ref, error) {
 	var ev marshal.Handle
-	ret, err := c.lib.CallWith(c.opts, "clEnqueueNDRangeKernel",
-		qr.h, kr.h, uint32(len(global)), sizesBytes(global), sizesBytes(local),
-		uint32(0), nil, &ev)
-	if err := status("clEnqueueNDRangeKernel", ret, err); err != nil {
+	st, err := c.s.ClEnqueueNDRangeKernel(qr.h, kr.h, uint32(len(global)), sizesBytes(global), sizesBytes(local), 0, nil, &ev)
+	if err := status("clEnqueueNDRangeKernel", st, err); err != nil {
 		return Ref{}, err
 	}
 	return rref(ev), nil
 }
 
 func (c *RemoteClient) EnqueueRead(qr, mr Ref, blocking bool, offset uint64, dst []byte) error {
-	ret, err := c.lib.CallWith(c.opts, "clEnqueueReadBuffer",
-		qr.h, mr.h, boolArg(blocking), offset, uint64(len(dst)), dst,
-		uint32(0), nil, nil)
-	return status("clEnqueueReadBuffer", ret, err)
+	st, err := c.s.ClEnqueueReadBuffer(qr.h, mr.h, boolArg(blocking), offset, uint64(len(dst)), dst, 0, nil, nil)
+	return status("clEnqueueReadBuffer", st, err)
 }
 
 func (c *RemoteClient) EnqueueWrite(qr, mr Ref, blocking bool, offset uint64, src []byte) error {
-	ret, err := c.lib.CallWith(c.opts, "clEnqueueWriteBuffer",
-		qr.h, mr.h, boolArg(blocking), offset, uint64(len(src)), src,
-		uint32(0), nil, nil)
-	return status("clEnqueueWriteBuffer", ret, err)
+	st, err := c.s.ClEnqueueWriteBuffer(qr.h, mr.h, boolArg(blocking), offset, uint64(len(src)), src, 0, nil, nil)
+	return status("clEnqueueWriteBuffer", st, err)
 }
 
 func (c *RemoteClient) EnqueueCopy(qr, sr, dr Ref, srcOff, dstOff, size uint64) error {
-	ret, err := c.lib.CallWith(c.opts, "clEnqueueCopyBuffer",
-		qr.h, sr.h, dr.h, srcOff, dstOff, size, uint32(0), nil, nil)
-	return status("clEnqueueCopyBuffer", ret, err)
+	st, err := c.s.ClEnqueueCopyBuffer(qr.h, sr.h, dr.h, srcOff, dstOff, size, 0, nil, nil)
+	return status("clEnqueueCopyBuffer", st, err)
 }
 
 func (c *RemoteClient) EnqueueFill(qr, mr Ref, pattern []byte, offset, size uint64) error {
-	ret, err := c.lib.CallWith(c.opts, "clEnqueueFillBuffer",
-		qr.h, mr.h, pattern, uint64(len(pattern)), offset, size, uint32(0), nil, nil)
-	return status("clEnqueueFillBuffer", ret, err)
+	st, err := c.s.ClEnqueueFillBuffer(qr.h, mr.h, pattern, uint64(len(pattern)), offset, size, 0, nil, nil)
+	return status("clEnqueueFillBuffer", st, err)
 }
 
 func (c *RemoteClient) EnqueueMarker(qr Ref) (Ref, error) {
 	var ev marshal.Handle
-	ret, err := c.lib.CallWith(c.opts, "clEnqueueMarker", qr.h, &ev)
-	if err := status("clEnqueueMarker", ret, err); err != nil {
+	st, err := c.s.ClEnqueueMarker(qr.h, &ev)
+	if err := status("clEnqueueMarker", st, err); err != nil {
 		return Ref{}, err
 	}
 	return rref(ev), nil
 }
 
 func (c *RemoteClient) EnqueueBarrier(qr Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "clEnqueueBarrier", qr.h)
-	return status("clEnqueueBarrier", ret, err)
+	st, err := c.s.ClEnqueueBarrier(qr.h)
+	return status("clEnqueueBarrier", st, err)
 }
 
 func (c *RemoteClient) Finish(qr Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "clFinish", qr.h)
-	return status("clFinish", ret, err)
+	st, err := c.s.ClFinish(qr.h)
+	return status("clFinish", st, err)
 }
 
 func (c *RemoteClient) Flush(qr Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "clFlush", qr.h)
-	if err := status("clFlush", ret, err); err != nil {
+	st, err := c.s.ClFlush(qr.h)
+	if err := status("clFlush", st, err); err != nil {
 		return err
 	}
 	// clFlush guarantees submission: push the async batch out now.
-	return c.lib.Flush()
+	return c.s.Lib().Flush()
 }
 
 func (c *RemoteClient) WaitForEvents(events []Ref) error {
-	buf := make([]byte, 8*len(events))
-	for i, e := range events {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(e.h))
-	}
-	ret, err := c.lib.CallWith(c.opts, "clWaitForEvents", uint32(len(events)), buf)
-	return status("clWaitForEvents", ret, err)
+	st, err := c.s.ClWaitForEvents(uint32(len(events)), handleBytes(events))
+	return status("clWaitForEvents", st, err)
 }
 
 func (c *RemoteClient) EventProfiling(er Ref, param uint32) (uint64, error) {
 	buf := make([]byte, 8)
-	ret, err := c.lib.CallWith(c.opts, "clGetEventProfilingInfo", er.h, param, uint64(8), buf, nil)
-	if err := status("clGetEventProfilingInfo", ret, err); err != nil {
+	st, err := c.s.ClGetEventProfilingInfo(er.h, param, 8, buf, nil)
+	if err := status("clGetEventProfilingInfo", st, err); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(buf), nil
 }
 
 func (c *RemoteClient) ReleaseEvent(er Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "clReleaseEvent", er.h)
-	return status("clReleaseEvent", ret, err)
+	st, err := c.s.ClReleaseEvent(er.h)
+	return status("clReleaseEvent", st, err)
 }
 
-func (c *RemoteClient) DeferredError() error { return c.lib.DeferredError() }
+func (c *RemoteClient) DeferredError() error { return c.s.Lib().DeferredError() }
 
 var _ Client = (*RemoteClient)(nil)

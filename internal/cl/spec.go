@@ -1,6 +1,10 @@
 package cl
 
-import "ava/internal/cava"
+import (
+	_ "embed"
+
+	"ava/internal/cava"
+)
 
 // Spec is the CAvA specification for the 39 OpenCL functions the paper's
 // prototype para-virtualizes (§5). The declarations are folded into the
@@ -15,345 +19,9 @@ import "ava/internal/cava"
 // pointer parameters are flattened (contexts take a device list and length
 // directly), clCreateBuffer omits host_ptr (use clEnqueueWriteBuffer), and
 // info queries use cl_uint parameter names.
-const Spec = `
-api "opencl" version "1.2";
-
-handle cl_platform_id;
-handle cl_device_id;
-handle cl_context;
-handle cl_command_queue;
-handle cl_mem;
-handle cl_program;
-handle cl_kernel;
-handle cl_event;
-
-const CL_SUCCESS = 0;
-const CL_DEVICE_NOT_FOUND = -1;
-const CL_OUT_OF_RESOURCES = -5;
-const CL_MEM_OBJECT_ALLOCATION_FAILURE = -4;
-const CL_BUILD_PROGRAM_FAILURE = -11;
-const CL_INVALID_VALUE = -30;
-const CL_INVALID_PLATFORM = -32;
-const CL_INVALID_DEVICE = -33;
-const CL_INVALID_CONTEXT = -34;
-const CL_INVALID_COMMAND_QUEUE = -36;
-const CL_INVALID_MEM_OBJECT = -38;
-const CL_INVALID_PROGRAM = -44;
-const CL_INVALID_PROGRAM_EXECUTABLE = -45;
-const CL_INVALID_KERNEL_NAME = -46;
-const CL_INVALID_KERNEL = -48;
-const CL_INVALID_ARG_INDEX = -49;
-const CL_INVALID_KERNEL_ARGS = -52;
-const CL_INVALID_WORK_DIMENSION = -53;
-const CL_INVALID_EVENT = -58;
-const CL_INVALID_OPERATION = -59;
-
-const CL_FALSE = 0;
-const CL_TRUE = 1;
-
-const CL_MEM_READ_WRITE = 1;
-const CL_MEM_WRITE_ONLY = 2;
-const CL_MEM_READ_ONLY = 4;
-
-const CL_QUEUE_PROFILING_ENABLE = 2;
-
-const CL_DEVICE_TYPE_GPU = 4;
-const CL_DEVICE_TYPE_ALL = 0xFFFFFFFF;
-
-// Info query parameter names (simplified numeric space).
-const CL_PLATFORM_NAME = 0x0902;
-const CL_PLATFORM_VERSION = 0x0901;
-const CL_DEVICE_NAME = 0x102B;
-const CL_DEVICE_TYPE = 0x1000;
-const CL_DEVICE_MAX_COMPUTE_UNITS = 0x1002;
-const CL_DEVICE_GLOBAL_MEM_SIZE = 0x101F;
-const CL_DEVICE_MAX_WORK_GROUP_SIZE = 0x1004;
-const CL_CONTEXT_NUM_DEVICES = 0x1083;
-const CL_CONTEXT_REFERENCE_COUNT = 0x1080;
-const CL_PROGRAM_BUILD_STATUS = 0x1181;
-const CL_PROGRAM_BUILD_LOG = 0x1183;
-const CL_KERNEL_WORK_GROUP_SIZE = 0x11B0;
-const CL_EVENT_COMMAND_EXECUTION_STATUS = 0x11D3;
-const CL_PROFILING_COMMAND_QUEUED = 0x1280;
-const CL_PROFILING_COMMAND_START = 0x1282;
-const CL_PROFILING_COMMAND_END = 0x1283;
-const CL_COMPLETE = 0;
-const CL_BUILD_SUCCESS = 0;
-const CL_BUILD_ERROR = -2;
-
-type cl_int = int32_t { success(CL_SUCCESS); };
-type cl_uint = uint32_t;
-type cl_bool = uint32_t;
-type cl_ulong = uint64_t;
-type cl_mem_flags = uint64_t;
-type cl_device_type = uint64_t;
-
-// 1
-cl_int clGetPlatformIDs(cl_uint num_entries, cl_platform_id *platforms,
-                        cl_uint *num_platforms) {
-  parameter(platforms) { out; buffer(num_entries); }
-  parameter(num_platforms) { out; element; }
-  track(config);
-}
-
-// 2
-cl_int clGetPlatformInfo(cl_platform_id platform, cl_uint param_name,
-                         size_t param_value_size, void *param_value,
-                         size_t *param_value_size_ret) {
-  parameter(param_value) { out; buffer(param_value_size); }
-  parameter(param_value_size_ret) { out; element; }
-}
-
-// 3
-cl_int clGetDeviceIDs(cl_platform_id platform, cl_device_type device_type,
-                      cl_uint num_entries, cl_device_id *devices,
-                      cl_uint *num_devices) {
-  parameter(devices) { out; buffer(num_entries); }
-  parameter(num_devices) { out; element; }
-  track(config);
-}
-
-// 4
-cl_int clGetDeviceInfo(cl_device_id device, cl_uint param_name,
-                       size_t param_value_size, void *param_value,
-                       size_t *param_value_size_ret) {
-  parameter(param_value) { out; buffer(param_value_size); }
-  parameter(param_value_size_ret) { out; element; }
-}
-
-// 5
-cl_context clCreateContext(cl_uint num_devices, const cl_device_id *devices,
-                           cl_int *errcode_ret) {
-  parameter(devices) { in; buffer(num_devices); }
-  parameter(errcode_ret) { out; element; }
-  track(create);
-}
-
-// 6
-cl_int clRetainContext(cl_context context);
-
-// 7
-cl_int clReleaseContext(cl_context context) {
-  track(destroy, context);
-}
-
-// 8
-cl_command_queue clCreateCommandQueue(cl_context context, cl_device_id device,
-                                      cl_ulong properties, cl_int *errcode_ret) {
-  parameter(errcode_ret) { out; element; }
-  track(create);
-}
-
-// 9
-cl_int clRetainCommandQueue(cl_command_queue command_queue);
-
-// 10
-cl_int clReleaseCommandQueue(cl_command_queue command_queue) {
-  track(destroy, command_queue);
-}
-
-// 11
-cl_mem clCreateBuffer(cl_context context, cl_mem_flags flags, size_t size,
-                      cl_int *errcode_ret) {
-  parameter(errcode_ret) { out; element; }
-  resource(device_memory, size);
-  track(create);
-}
-
-// 12
-cl_int clRetainMemObject(cl_mem buf);
-
-// 13
-cl_int clReleaseMemObject(cl_mem buf) {
-  track(destroy, buf);
-}
-
-// 14
-cl_program clCreateProgramWithSource(cl_context context, const char *source,
-                                     cl_int *errcode_ret) {
-  parameter(errcode_ret) { out; element; }
-  track(create);
-}
-
-// 15
-cl_int clBuildProgram(cl_program program, const char *options) {
-  track(modify, program);
-}
-
-// 16
-cl_int clGetProgramBuildInfo(cl_program program, cl_uint param_name,
-                             size_t param_value_size, void *param_value,
-                             size_t *param_value_size_ret) {
-  parameter(param_value) { out; buffer(param_value_size); }
-  parameter(param_value_size_ret) { out; element; }
-}
-
-// 17
-cl_int clRetainProgram(cl_program program);
-
-// 18
-cl_int clReleaseProgram(cl_program program) {
-  track(destroy, program);
-}
-
-// 19
-cl_kernel clCreateKernel(cl_program program, const char *kernel_name,
-                         cl_int *errcode_ret) {
-  parameter(errcode_ret) { out; element; }
-  track(create);
-}
-
-// 20
-cl_int clRetainKernel(cl_kernel kernel);
-
-// 21
-cl_int clReleaseKernel(cl_kernel kernel) {
-  track(destroy, kernel);
-}
-
-// 22 — forwarded asynchronously even though OpenCL defines it synchronous,
-// the paper's flagship latency optimization (§4.2).
-cl_int clSetKernelArg(cl_kernel kernel, cl_uint arg_index, size_t arg_size,
-                      const void *arg_value) {
-  async;
-  parameter(arg_value) { in; buffer(arg_size); }
-  track(modify, kernel);
-}
-
-// 23
-cl_int clEnqueueNDRangeKernel(cl_command_queue command_queue, cl_kernel kernel,
-                              cl_uint work_dim, const size_t *global_work_size,
-                              const size_t *local_work_size,
-                              cl_uint num_events_in_wait_list,
-                              const cl_event *event_wait_list, cl_event *event) {
-  async;
-  parameter(global_work_size) { in; buffer(work_dim); }
-  parameter(local_work_size) { in; buffer(work_dim); }
-  parameter(event_wait_list) { in; buffer(num_events_in_wait_list); }
-  parameter(event) { out; element { allocates; } }
-  resource(device_time, 1);
-}
-
-// 24
-cl_int clEnqueueTask(cl_command_queue command_queue, cl_kernel kernel,
-                     cl_uint num_events_in_wait_list,
-                     const cl_event *event_wait_list, cl_event *event) {
-  async;
-  parameter(event_wait_list) { in; buffer(num_events_in_wait_list); }
-  parameter(event) { out; element { allocates; } }
-  resource(device_time, 1);
-}
-
-// 25 — Figure 4 verbatim, plus the event plumbing.
-cl_int clEnqueueReadBuffer(cl_command_queue command_queue, cl_mem buf,
-                           cl_bool blocking_read, size_t offset, size_t size,
-                           void *ptr, cl_uint num_events_in_wait_list,
-                           const cl_event *event_wait_list, cl_event *event) {
-  if (blocking_read == CL_TRUE) sync; else async;
-  parameter(ptr) { out; buffer(size); }
-  parameter(event_wait_list) { in; buffer(num_events_in_wait_list); }
-  parameter(event) { out; element { allocates; } }
-  resource(bandwidth, size);
-}
-
-// 26
-cl_int clEnqueueWriteBuffer(cl_command_queue command_queue, cl_mem buf,
-                            cl_bool blocking_write, size_t offset, size_t size,
-                            const void *ptr, cl_uint num_events_in_wait_list,
-                            const cl_event *event_wait_list, cl_event *event) {
-  if (blocking_write == CL_TRUE) sync; else async;
-  parameter(ptr) { in; buffer(size); }
-  parameter(event_wait_list) { in; buffer(num_events_in_wait_list); }
-  parameter(event) { out; element { allocates; } }
-  resource(bandwidth, size);
-}
-
-// 27
-cl_int clEnqueueCopyBuffer(cl_command_queue command_queue, cl_mem src_buffer,
-                           cl_mem dst_buffer, size_t src_offset,
-                           size_t dst_offset, size_t size,
-                           cl_uint num_events_in_wait_list,
-                           const cl_event *event_wait_list, cl_event *event) {
-  async;
-  parameter(event_wait_list) { in; buffer(num_events_in_wait_list); }
-  parameter(event) { out; element { allocates; } }
-  resource(bandwidth, size);
-}
-
-// 28
-cl_int clEnqueueFillBuffer(cl_command_queue command_queue, cl_mem buf,
-                           const void *pattern, size_t pattern_size,
-                           size_t offset, size_t size,
-                           cl_uint num_events_in_wait_list,
-                           const cl_event *event_wait_list, cl_event *event) {
-  async;
-  parameter(pattern) { in; buffer(pattern_size); }
-  parameter(event_wait_list) { in; buffer(num_events_in_wait_list); }
-  parameter(event) { out; element { allocates; } }
-  resource(bandwidth, size);
-}
-
-// 29
-cl_int clFinish(cl_command_queue command_queue);
-
-// 30 — cheap submission barrier; async is faithful because the guest
-// library's transport flush provides the submission guarantee.
-cl_int clFlush(cl_command_queue command_queue) {
-  async;
-}
-
-// 31
-cl_int clWaitForEvents(cl_uint num_events, const cl_event *event_list) {
-  parameter(event_list) { in; buffer(num_events); }
-}
-
-// 32
-cl_int clGetEventInfo(cl_event event, cl_uint param_name,
-                      size_t param_value_size, void *param_value,
-                      size_t *param_value_size_ret) {
-  parameter(param_value) { out; buffer(param_value_size); }
-  parameter(param_value_size_ret) { out; element; }
-}
-
-// 33
-cl_int clGetEventProfilingInfo(cl_event event, cl_uint param_name,
-                               size_t param_value_size, void *param_value,
-                               size_t *param_value_size_ret) {
-  parameter(param_value) { out; buffer(param_value_size); }
-  parameter(param_value_size_ret) { out; element; }
-}
-
-// 34
-cl_int clRetainEvent(cl_event event);
-
-// 35
-cl_int clReleaseEvent(cl_event event);
-
-// 36
-cl_int clEnqueueBarrier(cl_command_queue command_queue);
-
-// 37
-cl_int clEnqueueMarker(cl_command_queue command_queue, cl_event *event) {
-  parameter(event) { out; element { allocates; } }
-}
-
-// 38
-cl_int clGetKernelWorkGroupInfo(cl_kernel kernel, cl_device_id device,
-                                cl_uint param_name, size_t param_value_size,
-                                void *param_value,
-                                size_t *param_value_size_ret) {
-  parameter(param_value) { out; buffer(param_value_size); }
-  parameter(param_value_size_ret) { out; element; }
-}
-
-// 39
-cl_int clGetContextInfo(cl_context context, cl_uint param_name,
-                        size_t param_value_size, void *param_value,
-                        size_t *param_value_size_ret) {
-  parameter(param_value) { out; buffer(param_value_size); }
-  parameter(param_value_size_ret) { out; element; }
-}
-`
+//
+//go:embed opencl.ava
+var Spec string
 
 // Descriptor returns the compiled OpenCL stack descriptor. The result is
 // freshly compiled per call; callers cache it.

@@ -1,0 +1,30 @@
+package cl_test
+
+import (
+	"bytes"
+	"os"
+	"testing"
+
+	"ava/internal/cava"
+	"ava/internal/cl"
+)
+
+// TestGeneratedStubsAreCurrent is the golden test for stubs_gen.go: the
+// committed file must equal, byte for byte, what cava generates from the
+// committed specification (`make gen` regenerates it).
+func TestGeneratedStubsAreCurrent(t *testing.T) {
+	fresh, st, err := cava.Generate(cl.Descriptor(), cl.Spec, cava.GenOptions{Package: "cl", Stubs: "Stubs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := os.ReadFile("stubs_gen.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh, committed) {
+		t.Fatal("stubs_gen.go is stale; regenerate with `make gen`")
+	}
+	if st.Functions != len(cl.Descriptor().Funcs) || st.GeneratedLines <= st.SpecLines {
+		t.Fatalf("stats = %+v", st)
+	}
+}

@@ -694,9 +694,7 @@ func (g *Guardian) deliverControl(seq uint64, frame []byte) {
 	// the waiter reads after the downlink has moved on.
 	rep := new(marshal.Reply)
 	if marshal.DecodeReplyInto(rep, frame) == nil {
-		if rep.Ret.Kind == marshal.KindBytes {
-			rep.Ret.Bytes = append([]byte(nil), rep.Ret.Bytes...)
-		}
+		rep.Ret = rep.Ret.Clone()
 		rep.Outs = server.CloneValues(rep.Outs)
 		ch <- rep
 	}
@@ -794,7 +792,7 @@ func createdHandle(fd *cava.FuncDesc, rep *marshal.Reply) marshal.Handle {
 				continue
 			}
 			if i == fd.TrackIdx {
-				if slot < len(rep.Outs) && rep.Outs[slot].Kind == marshal.KindHandle {
+				if slot < len(rep.Outs) && rep.Outs[slot].Kind() == marshal.KindHandle {
 					return rep.Outs[slot].Handle()
 				}
 				return 0
@@ -803,7 +801,7 @@ func createdHandle(fd *cava.FuncDesc, rep *marshal.Reply) marshal.Handle {
 		}
 		return 0
 	}
-	if rep.Ret.Kind == marshal.KindHandle {
+	if rep.Ret.Kind() == marshal.KindHandle {
 		return rep.Ret.Handle()
 	}
 	return 0
@@ -908,7 +906,7 @@ func (t wireTarget) RestoreObject(h marshal.Handle, state []byte) (bool, error) 
 	if err != nil {
 		return false, err
 	}
-	return rep.Ret.Int == 1, nil
+	return rep.Ret.Int() == 1, nil
 }
 
 // Snapshot implements target: one FuncSnapshot returns every stateful
@@ -918,10 +916,10 @@ func (t wireTarget) Snapshot() (map[marshal.Handle][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire snapshot: %w", err)
 	}
-	if rep.Ret.Kind != marshal.KindBytes {
+	if rep.Ret.Kind() != marshal.KindBytes {
 		return nil, errors.New("wire snapshot: reply carries no payload")
 	}
-	return marshal.DecodeObjectStates(rep.Ret.Bytes)
+	return marshal.DecodeObjectStates(rep.Ret.Bytes())
 }
 
 // SnapshotDelta implements target: one FuncSnapshotDelta returns every
@@ -929,10 +927,10 @@ func (t wireTarget) Snapshot() (map[marshal.Handle][]byte, error) {
 // StatusDenied, which lands here as ok=false like any other failure.
 func (t wireTarget) SnapshotDelta(map[marshal.Handle][]byte) ([]marshal.ObjectDelta, bool) {
 	rep, err := t.control(marshal.FuncSnapshotDelta, nil)
-	if err != nil || rep.Ret.Kind != marshal.KindBytes {
+	if err != nil || rep.Ret.Kind() != marshal.KindBytes {
 		return nil, false
 	}
-	deltas, err := marshal.DecodeObjectDeltas(rep.Ret.Bytes)
+	deltas, err := marshal.DecodeObjectDeltas(rep.Ret.Bytes())
 	return deltas, err == nil
 }
 

@@ -39,7 +39,7 @@ func TestMemoryMirrorAppendReplyDrop(t *testing.T) {
 	if !st.ReplySeen[1] || st.ReplySeen[2] {
 		t.Fatalf("replySeen = %v", st.ReplySeen)
 	}
-	if !bytes.Equal(st.Entries[0].Outs[0].Bytes, []byte{1, 2, 3}) {
+	if !bytes.Equal(st.Entries[0].Outs[0].Bytes(), []byte{1, 2, 3}) {
 		t.Fatalf("reply outs not mirrored: %+v", st.Entries[0])
 	}
 
@@ -98,11 +98,11 @@ func TestMemoryMirrorStateIsolation(t *testing.T) {
 	if st.Epoch != 3 || st.W != 1 {
 		t.Fatalf("epoch/w = %d/%d", st.Epoch, st.W)
 	}
-	st.Entries[0].Args[0].Bytes[0] = 0xFF
+	st.Entries[0].Args[0].Bytes()[0] = 0xFF
 	st.Objects[10][0] = 0xFF
 
 	st2 := m.State()
-	if st2.Entries[0].Args[0].Bytes[0] != 9 {
+	if st2.Entries[0].Args[0].Bytes()[0] != 9 {
 		t.Fatal("snapshot mutation leaked into the mirror's entries")
 	}
 	if st2.Objects[10][0] != 7 {

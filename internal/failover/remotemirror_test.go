@@ -10,6 +10,7 @@ import (
 	"ava/internal/backoff"
 	"ava/internal/leaktest"
 	"ava/internal/marshal"
+	"ava/internal/server"
 	"ava/internal/transport"
 )
 
@@ -74,11 +75,30 @@ func sameMirrorState(a, b *MirrorState) bool {
 		return false
 	}
 	for i := range a.Entries {
-		if !reflect.DeepEqual(a.Entries[i], b.Entries[i]) {
+		if !sameRecorded(&a.Entries[i], &b.Entries[i]) {
 			return false
 		}
 	}
 	return reflect.DeepEqual(a.ReplySeen, b.ReplySeen) && reflect.DeepEqual(a.Objects, b.Objects)
+}
+
+// sameRecorded compares two log entries field for field, values by content
+// (a Value holds a pointer to its buffer, so reflect.DeepEqual would compare
+// addresses) and value vectors by nil-ness too, as DeepEqual would.
+func sameRecorded(a, b *server.RecordedCall) bool {
+	sameValues := func(x, y []marshal.Value) bool {
+		if len(x) != len(y) || (x == nil) != (y == nil) {
+			return false
+		}
+		for i := range x {
+			if !x[i].Equal(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Func == b.Func && a.Seq == b.Seq && a.Created == b.Created &&
+		a.Ret.Equal(b.Ret) && sameValues(a.Args, b.Args) && sameValues(a.Outs, b.Outs)
 }
 
 // The full replication path: LogSink mutations stream as mirror-batch control frames,

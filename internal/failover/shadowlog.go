@@ -66,10 +66,7 @@ func (l *shadowLog) reply(seq uint64, ret marshal.Value, outs []marshal.Value, c
 	if !ok {
 		return
 	}
-	rc.Ret = ret
-	if ret.Kind == marshal.KindBytes {
-		rc.Ret.Bytes = append([]byte(nil), ret.Bytes...)
-	}
+	rc.Ret = ret.Clone()
 	rc.Outs = server.CloneValues(outs)
 	rc.Created = created
 	l.replySeen[seq] = true

@@ -164,7 +164,7 @@ func TestShadowLogUpsertAfterRecovery(t *testing.T) {
 	if got := mirrorSeqs(st); !reflect.DeepEqual(got, []uint64{7, 9}) {
 		t.Fatalf("mirror entries = %v, want [7 9]", got)
 	}
-	if st.ReplySeen[7] || st.Entries[0].Args[1].Uint != 3 {
+	if st.ReplySeen[7] || st.Entries[0].Args[1].Uint() != 3 {
 		t.Fatalf("mirror kept the pre-recovery copy of seq 7: %+v seen=%v", st.Entries[0], st.ReplySeen[7])
 	}
 }

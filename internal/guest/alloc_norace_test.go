@@ -7,36 +7,48 @@ import (
 	"testing"
 
 	"ava/internal/cava"
+	"ava/internal/guest/guesttest"
 	"ava/internal/marshal"
 )
 
 // Alloc budgets for the guest library, over an echo endpoint that itself
 // allocates nothing. (Compiled out under -race; `make allocs` runs it.)
 //
-//   - an asynchronously forwarded, batched call: 0 — the argument vector
-//     and the Call header stay on the stack and the batch frame is drawn at
-//     the size the last one needed. (A binding that passes non-constant
-//     scalars pays for boxing them into `...any`; that is ROADMAP's
-//     binding-side item, not the library's.) Budget 1 leaves room for that.
-//   - a synchronous round trip: 0 — pooled waiter, reply decoded into it,
-//     frames from the pool.
+// Through the typed entry the generated stubs use, both are 0:
 //
-// The parent of this change spent 19 on the five-call benchmark op
-// (guest.allocs_per_op), about 3 per async and 7 per sync call.
+//   - an asynchronously forwarded, batched call — the argument vector stays on
+//     the stub's stack, the Call header on the engine's, and the batch frame is
+//     drawn at the size the last one needed;
+//   - a synchronous round trip — pooled waiter, reply decoded into it, frames
+//     from the pool.
+//
+// The by-name front (Call) is held to one more for the asynchronous call: it
+// boxes its non-constant scalars into `...any` before the engine is entered,
+// which is exactly what the stubs exist to avoid.
 func TestLibCallAllocBudget(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(testSpec)
-	lib := New(desc, newEchoEndpoint())
+	lib := New(desc, guesttest.NewEcho())
 	defer lib.Close()
+	scale, _ := desc.Lookup("scale")
+	closeDevice, _ := desc.Lookup("closeDevice")
 	dev := marshal.Handle(1)
+	var opts CallOptions
 
 	async := func() {
-		if _, err := lib.Call("scale", dev, 2.0); err != nil {
+		args := [2]marshal.Value{marshal.HandleVal(dev), marshal.Float(2)}
+		if _, err := lib.Invoke(scale, &opts, args[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sync := func() {
-		if _, err := lib.Call("closeDevice", dev); err != nil {
+		args := [1]marshal.Value{marshal.HandleVal(dev)}
+		if _, err := lib.Invoke(closeDevice, &opts, args[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byName := func() {
+		if _, err := lib.Call("scale", dev, 2.0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,8 +61,9 @@ func TestLibCallAllocBudget(t *testing.T) {
 		run    func()
 		budget float64
 	}{
-		{"async batched call", async, 1},
+		{"async batched call", async, 0},
 		{"sync round trip", sync, 0},
+		{"async batched call by name", byName, 1},
 	} {
 		if n := testing.AllocsPerRun(2000, tc.run); n > tc.budget {
 			t.Errorf("%s allocates %v times, budget %v", tc.name, n, tc.budget)

@@ -548,20 +548,18 @@ func (l *Lib) DeferredError() error {
 	return err
 }
 
-// outBinding scatters one reply output into caller memory.
+// outBinding is where one out / inout buffer's reply contents go.
 type outBinding struct {
 	param  int
-	buf    []byte // destination for out/inout buffers
-	dst    any    // pointer destination for out elements
+	buf    []byte // the caller's destination, cut to the declared size
 	regref bool   // buf is a registered region: server writes in place, reply carries a length
 }
 
-// bound reports whether the binding names a destination (the zero
-// outBinding is "this parameter returns nothing").
-func (ob *outBinding) bound() bool { return ob.buf != nil || ob.dst != nil }
-
-// Call invokes the named API function. Arguments must match the
-// specification positionally:
+// Call invokes the named API function: the by-name, untyped front of Invoke,
+// kept for tests, examples and one-off calls. It looks the function up,
+// converts each argument to its wire value on its own stack, calls Invoke,
+// and stores out elements through the pointers it was given. Arguments must
+// match the specification positionally:
 //
 //   - integer scalars: int, int32, int64, uint, uint32, uint64
 //   - bool, float32/float64, string scalars as themselves
@@ -586,12 +584,44 @@ func (l *Lib) CallWith(opts CallOptions, name string, args ...any) (marshal.Valu
 	if !ok {
 		return marshal.Null(), fmt.Errorf("%w: no function %q", ErrBadArg, name)
 	}
-	return l.call(fd, opts, args)
+	if len(args) != len(fd.Params) {
+		return marshal.Null(), fmt.Errorf("%w: %s: %d args, want %d", ErrBadArg, fd.Name, len(args), len(fd.Params))
+	}
+	var (
+		valueBuf [8]marshal.Value
+		elemBuf  [4]elemDst
+	)
+	values := valueBuf[:0]
+	if len(args) > len(valueBuf) {
+		values = make([]marshal.Value, 0, len(args))
+	}
+	elems := elemBuf[:0]
+	for i, arg := range args {
+		pd := &fd.Params[i]
+		v, err := convertArg(pd, arg)
+		if err != nil {
+			return marshal.Null(), fmt.Errorf("%w: %s(%s): %v", ErrBadArg, fd.Name, pd.Name, err)
+		}
+		values = append(values, v)
+		if pd.IsElement && arg != nil {
+			elems = append(elems, elemDst{param: i, dst: arg})
+		}
+	}
+	ret, err := l.Invoke(fd, &opts, values)
+	if err != nil {
+		return marshal.Null(), err
+	}
+	for _, e := range elems {
+		if err := storeElement(e.dst, values[e.param]); err != nil {
+			return marshal.Null(), fmt.Errorf("%w: %s: %v", ErrProtocol, fd.Name, err)
+		}
+	}
+	return ret, nil
 }
 
 // deadlineNano resolves the effective absolute deadline (UnixNano on the
 // library's clock) for one call; 0 means none.
-func (l *Lib) deadlineNano(opts CallOptions, now time.Time) int64 {
+func (l *Lib) deadlineNano(opts *CallOptions, now time.Time) int64 {
 	switch {
 	case !opts.Deadline.IsZero():
 		return opts.Deadline.UnixNano()
@@ -603,13 +633,43 @@ func (l *Lib) deadlineNano(opts CallOptions, now time.Time) int64 {
 	return 0
 }
 
-func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Value, error) {
+// Invoke is the stub engine: the one path every forwarded call takes. The
+// generated stubs call it directly with a function descriptor they resolved
+// once (cava.Descriptor.Resolve) and an argument vector built on their own
+// stack; Call and CallWith convert and then call it.
+//
+// args holds one wire value per parameter, in declaration order:
+//
+//   - a scalar as the value of its kind (marshal.Uint, Int, Float, Bool, Str,
+//     HandleVal; marshal.Null for an absent handle or string);
+//   - a buffer, whatever its direction, as marshal.BytesVal of the caller's
+//     memory — nil for an absent one. It must hold at least the bytes the
+//     specification's size expression asks for. An in or inout buffer's
+//     contents are sent; an out or inout buffer is where the reply's contents
+//     are copied before Invoke returns;
+//   - an out element the caller wants as marshal.Len (any length), and
+//     marshal.Null for one it does not. On success Invoke leaves the element
+//     the server returned in that slot of args — a scalar or handle value, or
+//     Null if the server set none — and the stub stores it through the
+//     caller's pointer itself. The pointer never enters the engine, so it is
+//     never boxed and its target need not escape.
+//
+// args belongs to the caller. Invoke reads and rewrites it (buffers are cut
+// to their declared size, out buffers become length placeholders) until it
+// returns and keeps no reference to it afterwards: the encoder copies
+// argument contents into the frame, or lends them to a vectored send that
+// completes inside the call, and a frame retained for failover resubmission
+// is an owned copy. opts is only read.
+//
+// The returned Value is the API return value; for an asynchronously forwarded
+// call it is the declared success value.
+func (l *Lib) Invoke(fd *cava.FuncDesc, opts *CallOptions, args []marshal.Value) (marshal.Value, error) {
 	if len(args) != len(fd.Params) {
 		return marshal.Null(), fmt.Errorf("%w: %s: %d args, want %d", ErrBadArg, fd.Name, len(args), len(fd.Params))
 	}
 
 	// Stamp before marshalling: the encode→admit stage owns argument
-	// conversion and buffer copies, so the per-stage breakdown accounts
+	// checking and buffer copies, so the per-stage breakdown accounts
 	// for the full guest-side cost of the call. Fail-fast also sits here,
 	// before any marshal effort is spent on a dead call.
 	now := l.clk.Now()
@@ -621,55 +681,67 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 		return marshal.Null(), fmt.Errorf("%w: %s: expired before encode", ErrDeadlineExceeded, fd.Name)
 	}
 
-	// The argument vector and the out bindings live on this goroutine's
-	// stack for calls of ordinary arity; nothing below retains them past the
-	// call (the encoder copies, scatter runs before return).
-	var (
-		valueBuf [8]marshal.Value
-		outBuf   [4]outBinding
-	)
-	values := valueBuf[:0]
-	if len(args) > len(valueBuf) {
-		values = make([]marshal.Value, 0, len(args))
-	}
-	values = values[:len(args)]
+	// The out-buffer bindings live on this goroutine's stack for calls of
+	// ordinary shape; scatter runs before return, so nothing retains them.
+	var outBuf [4]outBinding
 	outs := outBuf[:0]
-
-	// Scalars first: buffer sizes are expressions over them.
-	for i := range args {
+	wantsOut := false // some out / inout parameter is present, element or buffer
+	for i := range fd.Params {
 		pd := &fd.Params[i]
-		if pd.IsPointer {
-			continue
-		}
-		v, err := convertScalar(pd, args[i])
-		if err != nil {
-			return marshal.Null(), fmt.Errorf("%w: %s(%s): %v", ErrBadArg, fd.Name, pd.Name, err)
-		}
-		values[i] = v
-	}
-	for i := range args {
-		pd := &fd.Params[i]
+		v := &args[i]
 		if !pd.IsPointer {
+			if err := pd.CheckScalar(v); err != nil {
+				return marshal.Null(), fmt.Errorf("%w: %s(%s): %v", ErrBadArg, fd.Name, pd.Name, err)
+			}
 			continue
 		}
-		v, ob, err := l.convertPointer(fd, i, args[i], values)
+		if v.IsNull() {
+			continue
+		}
+		if pd.IsElement {
+			if v.Kind() != marshal.KindLen {
+				return marshal.Null(), fmt.Errorf("%w: %s(%s): out element passed as %v", ErrBadArg, fd.Name, pd.Name, v.Kind())
+			}
+			*v = marshal.Len(uint64(pd.ElemSize))
+			wantsOut = true
+			continue
+		}
+		if v.Kind() != marshal.KindBytes {
+			return marshal.Null(), fmt.Errorf("%w: %s(%s): buffer passed as %v", ErrBadArg, fd.Name, pd.Name, v.Kind())
+		}
+		buf := v.Bytes()
+		if buf == nil {
+			*v = marshal.Null()
+			continue
+		}
+		// Buffers travel as bytes; the declared size expression is
+		// authoritative on both sides.
+		want, err := fd.BufferBytesArgs(i, l.desc.API, args)
 		if err != nil {
 			return marshal.Null(), fmt.Errorf("%w: %s(%s): %v", ErrBadArg, fd.Name, pd.Name, err)
 		}
-		values[i] = v
-		if ob.bound() {
-			outs = append(outs, ob)
+		if len(buf) < want {
+			return marshal.Null(), fmt.Errorf("%w: %s(%s): buffer is %d bytes, specification requires %d", ErrBadArg, fd.Name, pd.Name, len(buf), want)
+		}
+		if pd.Out() {
+			outs = append(outs, outBinding{param: i, buf: buf[:want]})
+			wantsOut = true
+		}
+		if pd.In() {
+			*v = marshal.BytesVal(buf[:want])
+		} else {
+			*v = marshal.Len(uint64(want))
 		}
 	}
 
-	sync, err := fd.IsSync(l.desc.API, values)
+	sync, err := fd.IsSync(l.desc.API, args)
 	if err != nil {
 		return marshal.Null(), err
 	}
 	if l.forceSync {
 		sync = true
 	}
-	if !sync && len(outs) > 0 {
+	if !sync && wantsOut {
 		// Asynchrony is only transparent for calls with no outputs; the
 		// spec validator enforces this for `async;`, and conditional
 		// synchrony ties outputs to the blocking case (e.g.
@@ -694,22 +766,22 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 				continue
 			}
 			switch {
-			case pd.Dir == spec.DirIn && values[i].Kind == marshal.KindBytes &&
-				len(values[i].Bytes) >= marshal.SegmentThreshold:
-				if id, off, ok := l.reg.Locate(values[i].Bytes); ok {
-					n := uint64(len(values[i].Bytes))
-					values[i] = marshal.RegRefVal(id, off, n)
+			case pd.Dir == spec.DirIn && args[i].Kind() == marshal.KindBytes &&
+				len(args[i].Bytes()) >= marshal.SegmentThreshold:
+				if id, off, ok := l.reg.Locate(args[i].Bytes()); ok {
+					n := uint64(len(args[i].Bytes()))
+					args[i] = marshal.RegRefVal(id, off, n)
 					borrowedRef += n
 				}
-			case pd.Dir == spec.DirOut && values[i].Kind == marshal.KindLen &&
-				values[i].Uint >= marshal.SegmentThreshold:
+			case pd.Dir == spec.DirOut && args[i].Kind() == marshal.KindLen &&
+				args[i].Uint() >= marshal.SegmentThreshold:
 				for oi := range outs {
 					ob := &outs[oi]
-					if ob.param != i || ob.buf == nil {
+					if ob.param != i {
 						continue
 					}
 					if id, off, ok := l.reg.Locate(ob.buf); ok {
-						values[i] = marshal.RegRefVal(id, off, uint64(len(ob.buf)))
+						args[i] = marshal.RegRefVal(id, off, uint64(len(ob.buf)))
 						// The out-direction borrow is charged at reply
 						// time, when the server has confirmed the
 						// in-place write (see scatter) — the reply path
@@ -752,7 +824,7 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 		}
 
 		l.seq++
-		call := marshal.Call{Seq: l.seq, Func: fd.ID, Priority: pri, Epoch: l.epoch, Deadline: deadline, Args: values}
+		call := marshal.Call{Seq: l.seq, Func: fd.ID, Priority: pri, Epoch: l.epoch, Deadline: deadline, Args: args}
 		call.Stamps.Encode = now.UnixNano()
 		l.stats.Calls++
 
@@ -763,7 +835,7 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 			}
 			l.appendPending(fd, &call, deadline, slack, true)
 			l.stats.AsyncCalls++
-			l.stats.BytesCopied += bytesPayload(values)
+			l.stats.BytesCopied += bytesPayload(args)
 			var err error
 			if l.pendingN >= l.batchLimit {
 				err = l.flushLocked()
@@ -784,7 +856,7 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 		}
 
 		l.stats.SyncCalls++
-		if l.zeroCopy && l.fo == nil && l.vec != nil && hasLargeBytes(values) {
+		if l.zeroCopy && l.fo == nil && l.vec != nil && hasLargeBytes(args) {
 			l.appendPendingSegs(&call, deadline, slack)
 		} else {
 			l.appendPending(fd, &call, deadline, slack, false)
@@ -795,7 +867,7 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 		l.stats.Batches++
 		l.stats.BytesSent += uint64(len(batch)) + segBytes
 		l.stats.BytesBorrowed += segBytes + borrowedRef
-		l.stats.BytesCopied += bytesPayload(values) - segBytes
+		l.stats.BytesCopied += bytesPayload(args) - segBytes
 		// Register before Send: the reply may race back before this goroutine
 		// would otherwise get around to waiting for it.
 		w, err := l.register(call.Seq)
@@ -860,7 +932,7 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 			}
 			return marshal.Null(), apiErr
 		}
-		replyCopied, replyBorrowed, err := scatter(fd, reply, outs)
+		replyCopied, replyBorrowed, err := scatter(fd, reply, args, outs)
 		l.mu.Lock()
 		l.markDoneLocked(call.Seq)
 		l.stats.BytesCopied += replyCopied
@@ -871,10 +943,10 @@ func (l *Lib) call(fd *cava.FuncDesc, opts CallOptions, args []any) (marshal.Val
 		l.stagedLocked(reply, len(res.frame))
 		l.mu.Unlock()
 		ret := reply.Ret
-		if l.recvOwned && ret.Kind == marshal.KindBytes {
+		if l.recvOwned {
 			// The frame is about to be recycled: a buffer return value is
 			// copied out first.
-			ret.Bytes = append([]byte(nil), ret.Bytes...)
+			ret = ret.Clone()
 		}
 		l.release(w, res.frame)
 		if err != nil {
@@ -1269,8 +1341,8 @@ func sendVecSegs(vec transport.VectoredSender, frame []byte, segs []marshal.Segm
 func bytesPayload(values []marshal.Value) uint64 {
 	var n uint64
 	for i := range values {
-		if values[i].Kind == marshal.KindBytes {
-			n += uint64(len(values[i].Bytes))
+		if values[i].Kind() == marshal.KindBytes {
+			n += uint64(len(values[i].Bytes()))
 		}
 	}
 	return n
@@ -1280,7 +1352,7 @@ func bytesPayload(values []marshal.Value) uint64 {
 // the borrowed scatter-gather path to beat the copy.
 func hasLargeBytes(values []marshal.Value) bool {
 	for i := range values {
-		if values[i].Kind == marshal.KindBytes && len(values[i].Bytes) >= marshal.SegmentThreshold {
+		if values[i].Kind() == marshal.KindBytes && len(values[i].Bytes()) >= marshal.SegmentThreshold {
 			return true
 		}
 	}
@@ -1502,6 +1574,40 @@ func (l *Lib) failRetryable(epoch uint32) {
 	l.mu.Unlock()
 }
 
+// elemDst remembers one out-element pointer Call was handed, to store the
+// element through once Invoke has left it in the argument vector.
+type elemDst struct {
+	param int
+	dst   any
+}
+
+// convertArg turns one untyped argument into the wire value Invoke expects
+// for its parameter.
+func convertArg(pd *cava.ParamDesc, arg any) (marshal.Value, error) {
+	switch {
+	case !pd.IsPointer:
+		return convertScalar(pd, arg)
+	case arg == nil:
+		return marshal.Null(), nil
+	case pd.IsElement:
+		switch arg.(type) {
+		case *marshal.Handle:
+			if pd.Kind != spec.KindHandle {
+				return marshal.Null(), fmt.Errorf("want %v element, got *marshal.Handle", pd.Kind)
+			}
+		case *int32, *int64, *uint32, *uint64, *float32, *float64:
+		default:
+			return marshal.Null(), fmt.Errorf("want pointer destination for out element, got %T", arg)
+		}
+		return marshal.Len(uint64(pd.ElemSize)), nil
+	}
+	buf, ok := arg.([]byte)
+	if !ok {
+		return marshal.Null(), fmt.Errorf("want []byte, got %T", arg)
+	}
+	return marshal.BytesVal(buf), nil
+}
+
 func convertScalar(pd *cava.ParamDesc, arg any) (marshal.Value, error) {
 	switch pd.Kind {
 	case spec.KindHandle:
@@ -1566,64 +1672,15 @@ func toInt64(arg any) (int64, error) {
 	return 0, fmt.Errorf("want integer, got %T", arg)
 }
 
-func (l *Lib) convertPointer(fd *cava.FuncDesc, i int, arg any, values []marshal.Value) (marshal.Value, outBinding, error) {
-	pd := &fd.Params[i]
-	if arg == nil {
-		return marshal.Null(), outBinding{}, nil
-	}
-
-	if pd.IsElement {
-		return convertElement(pd, i, arg)
-	}
-
-	// Buffers travel as bytes; the declared size expression is
-	// authoritative on both sides.
-	want, err := fd.BufferBytesArgs(i, l.desc.API, values)
-	if err != nil {
-		return marshal.Null(), outBinding{}, err
-	}
-	buf, ok := arg.([]byte)
-	if !ok {
-		return marshal.Null(), outBinding{}, fmt.Errorf("want []byte, got %T", arg)
-	}
-	if buf == nil {
-		return marshal.Null(), outBinding{}, nil
-	}
-	if len(buf) < want {
-		return marshal.Null(), outBinding{}, fmt.Errorf("buffer is %d bytes, specification requires %d", len(buf), want)
-	}
-	switch pd.Dir {
-	case spec.DirIn:
-		return marshal.BytesVal(buf[:want]), outBinding{}, nil
-	case spec.DirOut:
-		return marshal.Len(uint64(want)), outBinding{param: i, buf: buf[:want]}, nil
-	case spec.DirInOut:
-		return marshal.BytesVal(buf[:want]), outBinding{param: i, buf: buf[:want]}, nil
-	}
-	return marshal.Null(), outBinding{}, fmt.Errorf("buffer parameter with direction %v", pd.Dir)
-}
-
-func convertElement(pd *cava.ParamDesc, i int, arg any) (marshal.Value, outBinding, error) {
-	// Single-element pointers: out scalars and allocated handles.
-	switch dst := arg.(type) {
-	case *marshal.Handle:
-		if pd.Kind != spec.KindHandle {
-			return marshal.Null(), outBinding{}, fmt.Errorf("want %v element, got *marshal.Handle", pd.Kind)
-		}
-		return marshal.Len(uint64(pd.ElemSize)), outBinding{param: i, dst: dst}, nil
-	case *int32, *int64, *uint32, *uint64, *float32, *float64:
-		return marshal.Len(uint64(pd.ElemSize)), outBinding{param: i, dst: dst}, nil
-	}
-	return marshal.Null(), outBinding{}, fmt.Errorf("want pointer destination for out element, got %T", arg)
-}
-
-// scatter writes reply outputs back into the caller's memory. It returns
-// the reply-side data-plane decomposition: copied counts out-payload
-// bytes duplicated from the reply frame into caller buffers, borrowed
-// counts registered-buffer outputs the server wrote in place (the reply
-// carried only a length) — the D2H halves of Stats.BytesCopied and
-// Stats.BytesBorrowed.
-func scatter(fd *cava.FuncDesc, reply *marshal.Reply, outs []outBinding) (copied, borrowed uint64, err error) {
+// scatter moves reply outputs to the caller: out / inout buffer contents are
+// copied into the bound destinations, and each out element the caller asked
+// for replaces its placeholder in args (Null when the server set none), for
+// the stub to store. It returns the reply-side data-plane decomposition:
+// copied counts out-payload bytes duplicated from the reply frame into caller
+// buffers, borrowed counts registered-buffer outputs the server wrote in
+// place (the reply carried only a length) — the D2H halves of
+// Stats.BytesCopied and Stats.BytesBorrowed.
+func scatter(fd *cava.FuncDesc, reply *marshal.Reply, args []marshal.Value, outs []outBinding) (copied, borrowed uint64, err error) {
 	if fd.NumOuts == 0 {
 		return 0, 0, nil
 	}
@@ -1631,93 +1688,79 @@ func scatter(fd *cava.FuncDesc, reply *marshal.Reply, outs []outBinding) (copied
 		return 0, 0, fmt.Errorf("%w: %s: %d outs, want %d", ErrProtocol, fd.Name, len(reply.Outs), fd.NumOuts)
 	}
 	// Bindings were collected in parameter order, so one forward walk over
-	// the parameters maps each to its position in reply.Outs.
-	slot, next := 0, 0
-	for oi := range outs {
-		ob := &outs[oi]
-		for ; next < ob.param; next++ {
-			if fd.Params[next].Out() {
-				slot++
-			}
+	// the parameters pairs each buffer with its binding and its reply slot.
+	slot, oi := 0, 0
+	for i := range fd.Params {
+		pd := &fd.Params[i]
+		if !pd.Out() {
+			continue
 		}
 		v := &reply.Outs[slot]
-		if v.Kind == marshal.KindNull {
-			continue
+		slot++
+		if args[i].IsNull() {
+			continue // the caller passed no destination
 		}
-		if ob.buf != nil {
-			if ob.regref && v.Kind == marshal.KindLen {
-				// Registered-buffer out: the server wrote the bytes into
-				// the shared region in place; the reply carries only the
-				// length written.
-				if v.Uint != uint64(len(ob.buf)) {
-					return copied, borrowed, fmt.Errorf("%w: %s: regref out wrote %d bytes, want %d", ErrProtocol, fd.Name, v.Uint, len(ob.buf))
+		if pd.IsElement {
+			if !v.IsNull() {
+				if _, scalar := v.AsInt(); !scalar {
+					return copied, borrowed, fmt.Errorf("%w: %s: element is %v, want a scalar", ErrProtocol, fd.Name, v.Kind())
 				}
-				borrowed += v.Uint
-				continue
+				if pd.Kind == spec.KindHandle && v.Kind() != marshal.KindHandle {
+					return copied, borrowed, fmt.Errorf("%w: %s: element is %v, want handle", ErrProtocol, fd.Name, v.Kind())
+				}
 			}
-			if v.Kind != marshal.KindBytes || len(v.Bytes) != len(ob.buf) {
-				return copied, borrowed, fmt.Errorf("%w: %s: out buffer %d bytes, want %d", ErrProtocol, fd.Name, len(v.Bytes), len(ob.buf))
-			}
-			copy(ob.buf, v.Bytes)
-			copied += uint64(len(v.Bytes))
+			args[i] = *v
 			continue
 		}
-		if err := storeElement(ob.dst, *v); err != nil {
-			return copied, borrowed, fmt.Errorf("%w: %s: %v", ErrProtocol, fd.Name, err)
+		ob := &outs[oi]
+		oi++
+		if v.IsNull() {
+			continue
 		}
+		if ob.regref && v.Kind() == marshal.KindLen {
+			// Registered-buffer out: the server wrote the bytes into
+			// the shared region in place; the reply carries only the
+			// length written.
+			if v.Uint() != uint64(len(ob.buf)) {
+				return copied, borrowed, fmt.Errorf("%w: %s: regref out wrote %d bytes, want %d", ErrProtocol, fd.Name, v.Uint(), len(ob.buf))
+			}
+			borrowed += v.Uint()
+			continue
+		}
+		if v.Kind() != marshal.KindBytes || len(v.Bytes()) != len(ob.buf) {
+			return copied, borrowed, fmt.Errorf("%w: %s: out buffer %d bytes, want %d", ErrProtocol, fd.Name, len(v.Bytes()), len(ob.buf))
+		}
+		copied += uint64(copy(ob.buf, v.Bytes()))
 	}
 	return copied, borrowed, nil
 }
 
+// storeElement writes an out element Invoke left in the argument vector
+// through the pointer Call was given; a Null element (the server set none)
+// leaves the destination untouched.
 func storeElement(dst any, v marshal.Value) error {
+	if v.IsNull() {
+		return nil
+	}
+	n, _ := v.AsInt()
+	f, _ := v.AsFloat()
 	switch d := dst.(type) {
 	case *marshal.Handle:
-		if v.Kind != marshal.KindHandle {
-			return fmt.Errorf("element is %v, want handle", v.Kind)
-		}
 		*d = v.Handle()
 	case *int32:
-		*d = int32(valueInt(v))
+		*d = int32(n)
 	case *int64:
-		*d = valueInt(v)
+		*d = n
 	case *uint32:
-		*d = uint32(valueInt(v))
+		*d = uint32(n)
 	case *uint64:
-		*d = uint64(valueInt(v))
+		*d = uint64(n)
 	case *float32:
-		*d = float32(valueFloat(v))
+		*d = float32(f)
 	case *float64:
-		*d = valueFloat(v)
+		*d = f
 	default:
 		return fmt.Errorf("unsupported element destination %T", dst)
 	}
 	return nil
-}
-
-func valueInt(v marshal.Value) int64 {
-	switch v.Kind {
-	case marshal.KindInt:
-		return v.Int
-	case marshal.KindUint, marshal.KindHandle, marshal.KindLen:
-		return int64(v.Uint)
-	case marshal.KindFloat:
-		return int64(v.Float)
-	case marshal.KindBool:
-		if v.Bool {
-			return 1
-		}
-	}
-	return 0
-}
-
-func valueFloat(v marshal.Value) float64 {
-	switch v.Kind {
-	case marshal.KindFloat:
-		return v.Float
-	case marshal.KindInt:
-		return float64(v.Int)
-	case marshal.KindUint:
-		return float64(v.Uint)
-	}
-	return 0
 }

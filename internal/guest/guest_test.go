@@ -157,7 +157,7 @@ func TestSyncCallRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ret.Int != 0 || h == 0 {
+	if ret.Int() != 0 || h == 0 {
 		t.Fatalf("ret=%v handle=%d", ret, h)
 	}
 }
@@ -205,7 +205,7 @@ func TestConditionalAsyncStore(t *testing.T) {
 	// Non-blocking store: forwarded async, returns success immediately.
 	data := []byte("async payload")
 	ret, err := lib.Call("store", h, uint64(len(data)), data, uint32(0))
-	if err != nil || ret.Int != 0 {
+	if err != nil || ret.Int() != 0 {
 		t.Fatalf("async store: %v %v", ret, err)
 	}
 	st := lib.Stats()
@@ -321,7 +321,7 @@ func TestNullOptionalOutParam(t *testing.T) {
 	lib, _, _ := buildStack(t)
 	// Passing nil for the out element: server executes, guest ignores out.
 	ret, err := lib.Call("openDevice", uint32(0), nil)
-	if err != nil || ret.Int != 0 {
+	if err != nil || ret.Int() != 0 {
 		t.Fatalf("ret=%v err=%v", ret, err)
 	}
 }

@@ -135,7 +135,7 @@ func TestHostHelloFormsAndCall(t *testing.T) {
 	h := startHost(t, srv, host.Config{})
 
 	live := greet(t, h.Addr(), 9, 3, "failover-guest")
-	if rep := platformCount(t, live, 1); rep.Status != marshal.StatusOK || rep.Outs[1].Uint != 1 {
+	if rep := platformCount(t, live, 1); rep.Status != marshal.StatusOK || rep.Outs[1].Uint() != 1 {
 		t.Fatalf("reply = %+v", rep)
 	}
 	if ctx := srv.Lookup(9); ctx == nil || ctx.Name != "failover-guest" {

@@ -1081,7 +1081,7 @@ func TestInterceptorCallIsValidOnlyDuringTheCall(t *testing.T) {
 			reused = true // the pointer kept from the last call now shows this one
 		}
 		retained = call
-		got = append(got, seen{call.Seq, len(call.Args), call.Args[0].Uint})
+		got = append(got, seen{call.Seq, len(call.Args), call.Args[0].Uint()})
 		return nil
 	})
 	ep, echo := routedStack(t, r, 1)

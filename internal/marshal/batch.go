@@ -36,8 +36,10 @@ func DecodeBatchInto(dst [][]byte, b []byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int(n) > maxValues {
-		return nil, ErrTooLarge
+	// An entry is at least its four-byte length prefix: a count the rest of
+	// the frame cannot hold is refused before it sizes anything.
+	if int(n) > len(r.Rest())/4 {
+		return nil, ErrTruncated
 	}
 	if dst == nil || cap(dst) < int(n) {
 		dst = make([][]byte, 0, n)

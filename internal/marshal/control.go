@@ -39,10 +39,10 @@ func EncodeControl(kind byte, epoch uint32, watermark uint64) []byte {
 // in the control range. ok=false means the frame is not a well-formed
 // notice and must be ignored.
 func DecodeControl(rep *Reply) (kind byte, epoch uint32, watermark uint64, ok bool) {
-	if rep.Seq < CtrlSeqBase || rep.Seq >= MarkerSeqBase || rep.Ret.Kind != KindBytes {
+	if rep.Seq < CtrlSeqBase || rep.Seq >= MarkerSeqBase || rep.Ret.kind != KindBytes {
 		return 0, 0, 0, false
 	}
-	r := Reader{b: rep.Ret.Bytes}
+	r := Reader{b: rep.Ret.Bytes()}
 	kind, e0 := r.U8()
 	epoch, e1 := r.U32()
 	watermark, e2 := r.U64()

@@ -93,7 +93,7 @@ func DecodeObjectDeltas(b []byte) ([]ObjectDelta, error) {
 	if uint64(count) > uint64(len(r.Rest()))/21 {
 		// Every object takes at least 21 bytes: refuse before sizing the
 		// slice from a count the payload cannot hold (a 4-byte frame would
-		// otherwise reserve maxValues records, ~3 MB).
+		// otherwise reserve 65 536 records, ~3 MB).
 		return nil, fmt.Errorf("marshal: object deltas: %d objects in %d bytes: %w", count, len(r.Rest()), ErrTruncated)
 	}
 	out := make([]ObjectDelta, count)

@@ -2,7 +2,7 @@ package marshal
 
 import (
 	"bytes"
-	"math"
+	"errors"
 	"runtime"
 	"testing"
 )
@@ -118,12 +118,12 @@ func dirtyReply() *Reply {
 		Ret:    dirtyValues(1)[0], Outs: dirtyValues(16)}
 }
 
-// dirtyValues returns n values with every field populated, whatever the kind.
+// dirtyValues returns n values with every word populated, whatever the kind.
 func dirtyValues(n int) []Value {
 	vs := make([]Value, n)
 	for i := range vs {
-		vs[i] = Value{Kind: Kind(i % 10), Int: -7, Uint: 7, Float: 7.5, Bool: true,
-			Str: "stale", Bytes: []byte("stale bytes"), Ref: RegRef{ID: 7, Off: 7}}
+		vs[i] = BytesVal([]byte("stale bytes"))
+		vs[i].kind, vs[i].id, vs[i].num = Kind(i%10), 7, 7
 	}
 	return vs
 }
@@ -135,19 +135,22 @@ func sameError(a, b error) bool {
 	return a.Error() == b.Error()
 }
 
-// valuesIdentical compares every field of two value vectors (not just the
-// one the kind selects, so a stale field in a reused record shows), NaN
-// payloads by bit pattern, and nil-ness of the vectors and of Bytes.
+// valuesIdentical compares every word of two value vectors (not just the
+// ones the kind selects, so a stale word in a reused record shows; NaN
+// payloads compare by bit pattern that way), string and buffer contents, and
+// nil-ness of the vectors and of the pointer words (so a stale pointer under a
+// kind that has none shows too).
 func valuesIdentical(a, b []Value) bool {
 	if len(a) != len(b) || (a == nil) != (b == nil) {
 		return false
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.Kind != y.Kind || x.Int != y.Int || x.Uint != y.Uint ||
-			math.Float64bits(x.Float) != math.Float64bits(y.Float) ||
-			x.Bool != y.Bool || x.Str != y.Str || x.Ref != y.Ref ||
-			(x.Bytes == nil) != (y.Bytes == nil) || !bytes.Equal(x.Bytes, y.Bytes) {
+		if x.kind != y.kind || x.id != y.id || x.num != y.num || x.n != y.n ||
+			(x.ptr == nil) != (y.ptr == nil) {
+			return false
+		}
+		if x.Str() != y.Str() || !bytes.Equal(x.Bytes(), y.Bytes()) {
 			return false
 		}
 	}
@@ -269,17 +272,55 @@ func FuzzDecodeObjectDeltas(f *testing.F) {
 }
 
 // A delta payload's object count is bounded by what the payload can hold
-// before anything is sized from it: four bytes claiming maxValues objects
+// before anything is sized from it: four bytes claiming 65 536 objects
 // used to reserve a ~3 MB slice ahead of the first truncation check (the
 // shape DecodeObjectStates had). The frame is checked in as a seed.
 func TestDecodeObjectDeltasCountBoundedByPayload(t *testing.T) {
-	frame := appendUint32(nil, maxValues)
+	const claimed = 1 << 16
+	frame := appendUint32(nil, claimed)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := DecodeObjectDeltas(frame)
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; err == nil || grew > 64<<10 {
-		t.Fatalf("4-byte frame claiming %d objects: err %v, %d bytes allocated", maxValues, err, grew)
+		t.Fatalf("4-byte frame claiming %d objects: err %v, %d bytes allocated", claimed, err, grew)
+	}
+}
+
+// hostileCounts are frames whose u16 count claims 65 535 entries with none
+// present: a call's argument vector, a reply's outputs, a batch's calls. Each
+// is checked in as a seed of its decoder's fuzz target.
+func hostileCounts() map[string][]byte {
+	call := EncodeCall(&Call{Seq: 1})
+	call[CallHeaderSize-2], call[CallHeaderSize-1] = 0xFF, 0xFF
+	reply := EncodeReply(&Reply{Seq: 1})
+	reply[len(reply)-2], reply[len(reply)-1] = 0xFF, 0xFF
+	return map[string][]byte{"call": call, "reply": reply, "batch": {0xFF, 0xFF}}
+}
+
+// A count is bounded by what the rest of the frame can hold before anything
+// is sized from it. The decoders used to make([]Value, 65535) — 6.3 MB at the
+// old 96-byte Value, parked for good in whatever pooled record was being
+// decoded into — from a 65-byte call or a 48-byte reply, and 1.5 MB of frame
+// slices from a 2-byte batch, ahead of the first truncation check; the guard
+// in front (count > 1<<16) could never fire for a u16.
+func TestDecodeCountsBoundedByFrame(t *testing.T) {
+	frames := hostileCounts()
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"call", func() error { return DecodeCallInto(new(Call), frames["call"]) }},
+		{"reply", func() error { return DecodeReplyInto(new(Reply), frames["reply"]) }},
+		{"batch", func() error { _, err := DecodeBatchInto(nil, frames["batch"]); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode()
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; !errors.Is(err, ErrTruncated) || grew > 4<<10 {
+			t.Errorf("%d-byte %s frame claiming 65535 entries: err %v, %d bytes allocated", len(frames[tc.name]), tc.name, err, grew)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"ava/internal/averr"
 )
@@ -76,125 +75,10 @@ type Handle uint64
 // guest registers a region once (transport.BufRegistry), then passes
 // {region id, offset} pairs instead of buffer contents; the server resolves
 // the reference against the same registry and reads or writes the region
-// in place. The byte length travels in Value.Uint, mirroring KindLen.
+// in place. The byte length is the value's Uint, mirroring KindLen.
 type RegRef struct {
 	ID  uint32 // region identifier assigned at registration
 	Off uint64 // byte offset of the range within the region
-}
-
-// Value is one tagged argument or result on the wire.
-type Value struct {
-	Kind  Kind
-	Int   int64   // KindInt
-	Uint  uint64  // KindUint, KindHandle, KindLen (length), KindRegRef (length)
-	Float float64 // KindFloat
-	Bool  bool    // KindBool
-	Str   string  // KindString
-	Bytes []byte  // KindBytes
-	Ref   RegRef  // KindRegRef
-}
-
-// Constructors for each value kind.
-
-// Null returns the null value (nil pointer / absent buffer).
-func Null() Value { return Value{Kind: KindNull} }
-
-// Int returns a signed integer value.
-func Int(v int64) Value { return Value{Kind: KindInt, Int: v} }
-
-// Uint returns an unsigned integer value.
-func Uint(v uint64) Value { return Value{Kind: KindUint, Uint: v} }
-
-// Float returns a float value.
-func Float(v float64) Value { return Value{Kind: KindFloat, Float: v} }
-
-// Bool returns a boolean value.
-func Bool(v bool) Value { return Value{Kind: KindBool, Bool: v} }
-
-// Str returns a string value.
-func Str(v string) Value { return Value{Kind: KindString, Str: v} }
-
-// BytesVal returns a byte-buffer value carrying contents.
-func BytesVal(v []byte) Value { return Value{Kind: KindBytes, Bytes: v} }
-
-// Len returns a buffer placeholder carrying only a length.
-func Len(n uint64) Value { return Value{Kind: KindLen, Uint: n} }
-
-// HandleVal returns a handle value.
-func HandleVal(h Handle) Value { return Value{Kind: KindHandle, Uint: uint64(h)} }
-
-// RegRefVal returns a registered-buffer reference value: n bytes at offset
-// off within registered region id.
-func RegRefVal(id uint32, off, n uint64) Value {
-	return Value{Kind: KindRegRef, Uint: n, Ref: RegRef{ID: id, Off: off}}
-}
-
-// Handle extracts the handle from a KindHandle value.
-func (v Value) Handle() Handle { return Handle(v.Uint) }
-
-// IsNull reports whether v is the null value.
-func (v Value) IsNull() bool { return v.Kind == KindNull }
-
-// Equal reports whether two values are identical, comparing buffer contents.
-func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind {
-		return false
-	}
-	switch v.Kind {
-	case KindNull:
-		return true
-	case KindInt:
-		return v.Int == o.Int
-	case KindUint, KindHandle, KindLen:
-		return v.Uint == o.Uint
-	case KindRegRef:
-		return v.Uint == o.Uint && v.Ref == o.Ref
-	case KindFloat:
-		return v.Float == o.Float || (math.IsNaN(v.Float) && math.IsNaN(o.Float))
-	case KindBool:
-		return v.Bool == o.Bool
-	case KindString:
-		return v.Str == o.Str
-	case KindBytes:
-		if len(v.Bytes) != len(o.Bytes) {
-			return false
-		}
-		for i := range v.Bytes {
-			if v.Bytes[i] != o.Bytes[i] {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-func (v Value) String() string {
-	switch v.Kind {
-	case KindNull:
-		return "null"
-	case KindInt:
-		return fmt.Sprintf("%d", v.Int)
-	case KindUint:
-		return fmt.Sprintf("%du", v.Uint)
-	case KindFloat:
-		return fmt.Sprintf("%g", v.Float)
-	case KindBool:
-		return fmt.Sprintf("%t", v.Bool)
-	case KindString:
-		return fmt.Sprintf("%q", v.Str)
-	case KindBytes:
-		return fmt.Sprintf("bytes[%d]", len(v.Bytes))
-	case KindLen:
-		return fmt.Sprintf("len[%d]", v.Uint)
-	case KindHandle:
-		return fmt.Sprintf("h#%d", v.Uint)
-	case KindRegRef:
-		return fmt.Sprintf("regref[%d@%d+%d]", v.Ref.ID, v.Ref.Off, v.Uint)
-	default:
-		return v.Kind.String()
-	}
 }
 
 // Flags on a Call frame.
@@ -440,10 +324,6 @@ var (
 	ErrTooLarge = errors.New("marshal: declared size exceeds frame")
 )
 
-// maxValues bounds the argument vector so a corrupt frame cannot force a
-// giant allocation before ErrTruncated is detected.
-const maxValues = 1 << 16
-
 func appendUint64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
@@ -459,34 +339,25 @@ func appendUint16(b []byte, v uint16) []byte {
 // AppendValue appends the encoding of v to b and returns the extended slice.
 func AppendValue(b []byte, v Value) []byte { return appendValue(b, &v) }
 
-// appendValue is AppendValue without the 96-byte argument copy, for the
-// argument-vector loops.
+// appendValue is AppendValue by pointer, for the argument-vector loops.
 func appendValue(b []byte, v *Value) []byte {
-	b = append(b, byte(v.Kind))
-	switch v.Kind {
+	b = append(b, byte(v.kind))
+	switch v.kind {
 	case KindNull:
-	case KindInt:
-		b = appendUint64(b, uint64(v.Int))
-	case KindUint, KindHandle, KindLen:
-		b = appendUint64(b, v.Uint)
-	case KindFloat:
-		b = appendUint64(b, math.Float64bits(v.Float))
+	case KindInt, KindUint, KindHandle, KindLen, KindFloat:
+		b = appendUint64(b, v.num)
 	case KindBool:
-		if v.Bool {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = append(b, byte(v.num))
 	case KindString:
-		b = appendUint32(b, uint32(len(v.Str)))
-		b = append(b, v.Str...)
+		b = appendUint32(b, uint32(v.n))
+		b = append(b, v.Str()...)
 	case KindBytes:
-		b = appendUint32(b, uint32(len(v.Bytes)))
-		b = append(b, v.Bytes...)
+		b = appendUint32(b, uint32(v.n))
+		b = append(b, v.Bytes()...)
 	case KindRegRef:
-		b = appendUint32(b, v.Ref.ID)
-		b = appendUint64(b, v.Ref.Off)
-		b = appendUint64(b, v.Uint)
+		b = appendUint32(b, v.id)
+		b = appendUint64(b, v.n)
+		b = appendUint64(b, v.num)
 	}
 	return b
 }
@@ -577,49 +448,29 @@ func (r *Reader) value(v *Value) error {
 	if err != nil {
 		return err
 	}
-	*v = Value{Kind: Kind(k)}
-	switch v.Kind {
+	*v = Value{kind: Kind(k)}
+	switch v.kind {
 	case KindNull:
-	case KindInt:
-		u, err := r.U64()
-		if err != nil {
+	case KindInt, KindUint, KindHandle, KindLen, KindFloat:
+		if v.num, err = r.U64(); err != nil {
 			return err
 		}
-		v.Int = int64(u)
-	case KindUint, KindHandle, KindLen:
-		u, err := r.U64()
-		if err != nil {
-			return err
-		}
-		v.Uint = u
-	case KindFloat:
-		u, err := r.U64()
-		if err != nil {
-			return err
-		}
-		v.Float = math.Float64frombits(u)
 	case KindBool:
 		b, err := r.U8()
 		if err != nil {
 			return err
 		}
-		v.Bool = b != 0
+		if b != 0 {
+			v.num = 1
+		}
 	case KindString:
-		n, err := r.U32()
+		raw, err := r.Bytes32()
 		if err != nil {
 			return err
 		}
-		raw, err := r.Bytes(int(n))
-		if err != nil {
-			return err
-		}
-		v.Str = string(raw)
+		*v = Str(string(raw))
 	case KindBytes:
-		n, err := r.U32()
-		if err != nil {
-			return err
-		}
-		raw, err := r.Bytes(int(n))
+		raw, err := r.Bytes32()
 		if err != nil {
 			return err
 		}
@@ -627,22 +478,17 @@ func (r *Reader) value(v *Value) error {
 		// received frame to exactly one owner, and every component that
 		// retains buffer contents past the call (the record log, device
 		// memory) copies explicitly, so the hot path pays no extra copy.
-		v.Bytes = raw
+		*v = BytesVal(raw)
 	case KindRegRef:
-		id, err := r.U32()
-		if err != nil {
+		if v.id, err = r.U32(); err != nil {
 			return err
 		}
-		off, err := r.U64()
-		if err != nil {
+		if v.n, err = r.U64(); err != nil {
 			return err
 		}
-		n, err := r.U64()
-		if err != nil {
+		if v.num, err = r.U64(); err != nil {
 			return err
 		}
-		v.Ref = RegRef{ID: id, Off: off}
-		v.Uint = n
 	default:
 		return fmt.Errorf("%w: %d", ErrBadKind, k)
 	}
@@ -655,6 +501,11 @@ func (r *Reader) value(v *Value) error {
 func (r *Reader) values(dst []Value, n int) ([]Value, error) {
 	if n == 0 {
 		return nil, nil
+	}
+	// A value is at least its one-byte tag: a count the rest of the frame
+	// cannot hold is refused before it sizes anything.
+	if n > len(r.b)-r.off {
+		return nil, ErrTruncated
 	}
 	if cap(dst) < n {
 		dst = make([]Value, n)
@@ -670,15 +521,13 @@ func (r *Reader) values(dst []Value, n int) ([]Value, error) {
 
 // valueSize returns the exact encoded size of v.
 func valueSize(v *Value) int {
-	switch v.Kind {
+	switch v.kind {
 	case KindNull:
 		return 1
 	case KindBool:
 		return 2
-	case KindString:
-		return 5 + len(v.Str)
-	case KindBytes:
-		return 5 + len(v.Bytes)
+	case KindString, KindBytes:
+		return 5 + int(v.n)
 	case KindRegRef:
 		return 21
 	default:
@@ -832,9 +681,6 @@ func DecodeCallInto(c *Call, b []byte) error {
 	if err != nil {
 		return err
 	}
-	if int(n) > maxValues {
-		return ErrTooLarge
-	}
 	if c.Args, err = r.values(args, int(n)); err != nil {
 		return err
 	}
@@ -929,9 +775,6 @@ func DecodeReplyInto(rep *Reply, b []byte) error {
 	n, err := r.U16()
 	if err != nil {
 		return err
-	}
-	if int(n) > maxValues {
-		return ErrTooLarge
 	}
 	if rep.Outs, err = r.values(outs, int(n)); err != nil {
 		return err

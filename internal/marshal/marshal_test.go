@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -168,8 +169,55 @@ func TestBytesDecodeAliasesFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame[len(frame)-1] = 0xFF
-	if c.Args[0].Bytes[2] != 0xFF {
+	if c.Args[0].Bytes()[2] != 0xFF {
 		t.Fatal("decode copied; the hot path should alias")
+	}
+}
+
+// A Value is four words: argument vectors are copied, cleared and passed by
+// value on every call, which is what the seven-field, 96-byte form cost.
+func TestValueIsFourWords(t *testing.T) {
+	if size := reflect.TypeOf(Value{}).Size(); size > 32 {
+		t.Fatalf("marshal.Value is %d bytes, want at most 32", size)
+	}
+}
+
+// Accessors answer for the kinds they are documented for and return the zero
+// value for every other kind — never another kind's word reinterpreted.
+func TestValueAccessorsAreKindChecked(t *testing.T) {
+	all := []Value{Null(), Int(-1), Uint(2), Float(3.5), Bool(true), Str("s"), BytesVal([]byte("b")), Len(4), HandleVal(5), RegRefVal(6, 7, 8)}
+	for _, v := range all {
+		k := v.Kind()
+		if got := v.Int(); (got != 0) != (k == KindInt) {
+			t.Errorf("%v.Int() = %d", v, got)
+		}
+		if got := v.Uint(); (got != 0) != (k == KindUint || k == KindHandle || k == KindLen || k == KindRegRef) {
+			t.Errorf("%v.Uint() = %d", v, got)
+		}
+		if got := v.Float(); (got != 0) != (k == KindFloat) {
+			t.Errorf("%v.Float() = %g", v, got)
+		}
+		if got := v.Bool(); got != (k == KindBool) {
+			t.Errorf("%v.Bool() = %t", v, got)
+		}
+		if got := v.Str(); (got != "") != (k == KindString) {
+			t.Errorf("%v.Str() = %q", v, got)
+		}
+		if got := v.Bytes(); (got != nil) != (k == KindBytes) {
+			t.Errorf("%v.Bytes() = %v", v, got)
+		}
+		if got := v.Ref(); (got != RegRef{}) != (k == KindRegRef) {
+			t.Errorf("%v.Ref() = %v", v, got)
+		}
+	}
+	if v := RegRefVal(6, 7, 8); v.Ref() != (RegRef{ID: 6, Off: 7}) || v.Uint() != 8 {
+		t.Errorf("regref = %v / %d", v.Ref(), v.Uint())
+	}
+	if BytesVal(nil).Bytes() != nil || BytesVal([]byte{}).Bytes() == nil {
+		t.Error("BytesVal does not keep nil and empty apart")
+	}
+	if c := BytesVal([]byte{1}); &c.Clone().Bytes()[0] == &c.Bytes()[0] {
+		t.Error("Clone aliases the original buffer")
 	}
 }
 
@@ -203,7 +251,7 @@ func TestStatusAndKindStrings(t *testing.T) {
 	}
 	for _, v := range sampleValues() {
 		if v.String() == "" {
-			t.Errorf("empty Value string for kind %v", v.Kind)
+			t.Errorf("empty Value string for kind %v", v.Kind())
 		}
 	}
 }

@@ -48,10 +48,10 @@ func AppendCallSegments(b []byte, c *Call, minSeg int) (out []byte, segs []Segme
 	b = appendUint16(b, uint16(len(c.Args)))
 	for i := range c.Args {
 		a := &c.Args[i]
-		if a.Kind == KindBytes && len(a.Bytes) >= minSeg {
+		if a.kind == KindBytes && a.n >= uint64(minSeg) {
 			b = append(b, byte(KindBytes))
-			b = appendUint32(b, uint32(len(a.Bytes)))
-			segs = append(segs, Segment{Off: len(b), Bytes: a.Bytes})
+			b = appendUint32(b, uint32(a.n))
+			segs = append(segs, Segment{Off: len(b), Bytes: a.Bytes()})
 			continue
 		}
 		b = appendValue(b, a)

@@ -244,7 +244,7 @@ func HandlePairs(fd *cava.FuncDesc, rc *server.RecordedCall, reply *marshal.Repl
 			pairs = append(pairs, server.HandlePair{Fresh: fresh, Recorded: recorded})
 		}
 	}
-	if rc.Ret.Kind == marshal.KindHandle && reply.Ret.Kind == marshal.KindHandle {
+	if rc.Ret.Kind() == marshal.KindHandle && reply.Ret.Kind() == marshal.KindHandle {
 		add(rc.Ret.Handle(), reply.Ret.Handle())
 	}
 	if len(rc.Outs) != len(reply.Outs) {
@@ -262,13 +262,13 @@ func HandlePairs(fd *cava.FuncDesc, rc *server.RecordedCall, reply *marshal.Repl
 		oldV, newV := rc.Outs[slot], reply.Outs[slot]
 		slot++
 		switch {
-		case oldV.Kind == marshal.KindHandle && newV.Kind == marshal.KindHandle:
+		case oldV.Kind() == marshal.KindHandle && newV.Kind() == marshal.KindHandle:
 			add(oldV.Handle(), newV.Handle())
-		case pd.Kind == spec.KindHandle && oldV.Kind == marshal.KindBytes && newV.Kind == marshal.KindBytes:
-			n := min(len(oldV.Bytes), len(newV.Bytes)) / 8
+		case pd.Kind == spec.KindHandle && oldV.Kind() == marshal.KindBytes && newV.Kind() == marshal.KindBytes:
+			n := min(len(oldV.Bytes()), len(newV.Bytes())) / 8
 			for j := 0; j < n; j++ {
-				add(marshal.Handle(binary.LittleEndian.Uint64(oldV.Bytes[8*j:])),
-					marshal.Handle(binary.LittleEndian.Uint64(newV.Bytes[8*j:])))
+				add(marshal.Handle(binary.LittleEndian.Uint64(oldV.Bytes()[8*j:])),
+					marshal.Handle(binary.LittleEndian.Uint64(newV.Bytes()[8*j:])))
 			}
 		}
 	}

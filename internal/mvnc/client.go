@@ -75,38 +75,28 @@ func (c *NativeClient) GetGraphOption(r Ref, option uint32) (uint32, error) {
 // DeferredError implements Client.
 func (c *NativeClient) DeferredError() error { return nil }
 
-// RemoteClient is the generated MVNC guest library over the stub engine.
-type RemoteClient struct {
-	lib  *guest.Lib
-	opts guest.CallOptions
-}
+// RemoteClient is the Client facade over the generated MVNC guest library
+// (Stubs, stubs_gen.go): Ref wrapping and status-to-error mapping only.
+type RemoteClient struct{ s *Stubs }
 
 // NewRemote wraps an attached guest library speaking the MVNC Spec.
-func NewRemote(lib *guest.Lib) *RemoteClient { return &RemoteClient{lib: lib} }
+func NewRemote(lib *guest.Lib) *RemoteClient { return &RemoteClient{s: NewStubs(lib)} }
 
 // Lib exposes the stub engine.
-func (c *RemoteClient) Lib() *guest.Lib { return c.lib }
+func (c *RemoteClient) Lib() *guest.Lib { return c.s.Lib() }
 
 // With returns a client whose calls also carry opts (deadline, priority,
 // overload retry, flush slack); the receiver is unchanged. Options fold
 // over the receiver's set; pass a guest.CallOptions literal to replace it
 // wholesale.
 func (c *RemoteClient) With(opts ...guest.CallOption) *RemoteClient {
-	d := *c
-	d.opts = guest.ApplyCallOptions(d.opts, opts...)
-	return &d
+	return &RemoteClient{s: c.s.With(opts...)}
 }
 
-func (c *RemoteClient) st(op string, v marshal.Value, err error) error {
+// st interprets a status return value plus stack errors.
+func st(op string, code int32, err error) error {
 	if err != nil {
 		return err
-	}
-	var code int32
-	switch v.Kind {
-	case marshal.KindInt:
-		code = int32(v.Int)
-	case marshal.KindUint:
-		code = int32(v.Uint)
 	}
 	return mvErr(op, code)
 }
@@ -114,18 +104,15 @@ func (c *RemoteClient) st(op string, v marshal.Value, err error) error {
 // DeviceCount implements Client.
 func (c *RemoteClient) DeviceCount() (int, error) {
 	var n uint32
-	ret, err := c.lib.CallWith(c.opts, "mvncGetDeviceCount", &n)
-	if err := c.st("mvncGetDeviceCount", ret, err); err != nil {
-		return 0, err
-	}
-	return int(n), nil
+	code, err := c.s.MvncGetDeviceCount(&n)
+	return int(n), st("mvncGetDeviceCount", code, err)
 }
 
 // DeviceName implements Client.
 func (c *RemoteClient) DeviceName(index uint32) (string, error) {
 	buf := make([]byte, 64)
-	ret, err := c.lib.CallWith(c.opts, "mvncGetDeviceName", index, uint64(len(buf)), buf)
-	if err := c.st("mvncGetDeviceName", ret, err); err != nil {
+	code, err := c.s.MvncGetDeviceName(index, uint64(len(buf)), buf)
+	if err := st("mvncGetDeviceName", code, err); err != nil {
 		return "", err
 	}
 	n := 0
@@ -138,65 +125,56 @@ func (c *RemoteClient) DeviceName(index uint32) (string, error) {
 // OpenDevice implements Client.
 func (c *RemoteClient) OpenDevice(index uint32) (Ref, error) {
 	var h marshal.Handle
-	ret, err := c.lib.CallWith(c.opts, "mvncOpenDevice", index, &h)
-	if err := c.st("mvncOpenDevice", ret, err); err != nil {
-		return Ref{}, err
-	}
-	return Ref{h: h}, nil
+	code, err := c.s.MvncOpenDevice(index, &h)
+	return Ref{h: h}, st("mvncOpenDevice", code, err)
 }
 
 // CloseDevice implements Client.
 func (c *RemoteClient) CloseDevice(r Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "mvncCloseDevice", r.h)
-	return c.st("mvncCloseDevice", ret, err)
+	code, err := c.s.MvncCloseDevice(r.h)
+	return st("mvncCloseDevice", code, err)
 }
 
 // AllocateGraph implements Client.
 func (c *RemoteClient) AllocateGraph(r Ref, name string, blob []byte) (Ref, error) {
 	var h marshal.Handle
-	ret, err := c.lib.CallWith(c.opts, "mvncAllocateGraph", r.h, name, uint64(len(blob)), blob, &h)
-	if err := c.st("mvncAllocateGraph", ret, err); err != nil {
-		return Ref{}, err
-	}
-	return Ref{h: h}, nil
+	code, err := c.s.MvncAllocateGraph(r.h, name, uint64(len(blob)), blob, &h)
+	return Ref{h: h}, st("mvncAllocateGraph", code, err)
 }
 
 // DeallocateGraph implements Client.
 func (c *RemoteClient) DeallocateGraph(r Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "mvncDeallocateGraph", r.h)
-	return c.st("mvncDeallocateGraph", ret, err)
+	code, err := c.s.MvncDeallocateGraph(r.h)
+	return st("mvncDeallocateGraph", code, err)
 }
 
 // LoadTensor implements Client.
 func (c *RemoteClient) LoadTensor(r Ref, tensor []byte) error {
-	ret, err := c.lib.CallWith(c.opts, "mvncLoadTensor", r.h, uint64(len(tensor)), tensor)
-	return c.st("mvncLoadTensor", ret, err)
+	code, err := c.s.MvncLoadTensor(r.h, uint64(len(tensor)), tensor)
+	return st("mvncLoadTensor", code, err)
 }
 
 // GetResult implements Client.
 func (c *RemoteClient) GetResult(r Ref, dst []byte) error {
-	ret, err := c.lib.CallWith(c.opts, "mvncGetResult", r.h, uint64(len(dst)), dst)
-	return c.st("mvncGetResult", ret, err)
+	code, err := c.s.MvncGetResult(r.h, uint64(len(dst)), dst)
+	return st("mvncGetResult", code, err)
 }
 
 // SetGraphOption implements Client.
 func (c *RemoteClient) SetGraphOption(r Ref, option, value uint32) error {
-	ret, err := c.lib.CallWith(c.opts, "mvncSetGraphOption", r.h, option, value)
-	return c.st("mvncSetGraphOption", ret, err)
+	code, err := c.s.MvncSetGraphOption(r.h, option, value)
+	return st("mvncSetGraphOption", code, err)
 }
 
 // GetGraphOption implements Client.
 func (c *RemoteClient) GetGraphOption(r Ref, option uint32) (uint32, error) {
 	var v uint32
-	ret, err := c.lib.CallWith(c.opts, "mvncGetGraphOption", r.h, option, &v)
-	if err := c.st("mvncGetGraphOption", ret, err); err != nil {
-		return 0, err
-	}
-	return v, nil
+	code, err := c.s.MvncGetGraphOption(r.h, option, &v)
+	return v, st("mvncGetGraphOption", code, err)
 }
 
 // DeferredError implements Client.
-func (c *RemoteClient) DeferredError() error { return c.lib.DeferredError() }
+func (c *RemoteClient) DeferredError() error { return c.s.Lib().DeferredError() }
 
 var (
 	_ Client = (*NativeClient)(nil)

@@ -8,6 +8,7 @@
 package mvnc
 
 import (
+	_ "embed"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -22,74 +23,9 @@ import (
 )
 
 // Spec is the CAvA specification for the MVNC API subset.
-const Spec = `
-api "ncsdk" version "1.12";
-
-handle ncs_device;
-handle ncs_graph;
-
-const MVNC_OK = 0;
-const MVNC_BUSY = -1;
-const MVNC_ERROR = -2;
-const MVNC_OUT_OF_MEMORY = -3;
-const MVNC_DEVICE_NOT_FOUND = -4;
-const MVNC_INVALID_PARAMETERS = -5;
-const MVNC_NO_DATA = -8;
-const MVNC_GRAPH_OPTION_TIMEOUT = 1;
-
-type mvnc_status = int32_t { success(MVNC_OK); };
-
-mvnc_status mvncGetDeviceCount(uint32_t *count) {
-  parameter(count) { out; element; }
-}
-
-mvnc_status mvncGetDeviceName(uint32_t index, size_t name_size, void *name) {
-  parameter(name) { out; buffer(name_size); }
-}
-
-mvnc_status mvncOpenDevice(uint32_t index, ncs_device *dev) {
-  parameter(dev) { out; element { allocates; } }
-  track(create, dev);
-}
-
-mvnc_status mvncCloseDevice(ncs_device dev) {
-  track(destroy, dev);
-}
-
-mvnc_status mvncAllocateGraph(ncs_device dev, const char *graph_name,
-                              size_t graph_size, const void *graph_data,
-                              ncs_graph *graph) {
-  parameter(graph_data) { in; buffer(graph_size); }
-  parameter(graph) { out; element { allocates; } }
-  resource(device_memory, graph_size);
-  track(create, graph);
-}
-
-mvnc_status mvncDeallocateGraph(ncs_graph graph) {
-  track(destroy, graph);
-}
-
-mvnc_status mvncLoadTensor(ncs_graph graph, size_t tensor_size,
-                           const void *tensor) {
-  async;
-  parameter(tensor) { in; buffer(tensor_size); }
-  resource(bandwidth, tensor_size);
-  resource(device_time, 1);
-}
-
-mvnc_status mvncGetResult(ncs_graph graph, size_t result_size, void *result) {
-  parameter(result) { out; buffer(result_size); }
-  resource(bandwidth, result_size);
-}
-
-mvnc_status mvncSetGraphOption(ncs_graph graph, uint32_t option, uint32_t value) {
-  track(modify, graph);
-}
-
-mvnc_status mvncGetGraphOption(ncs_graph graph, uint32_t option, uint32_t *value) {
-  parameter(value) { out; element; }
-}
-`
+//
+//go:embed mvnc.ava
+var Spec string
 
 // Descriptor compiles the MVNC stack descriptor.
 func Descriptor() *cava.Descriptor { return cava.MustCompile(Spec) }

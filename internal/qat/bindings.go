@@ -217,106 +217,81 @@ func (c *NativeClient) Hash(r Ref, src []byte) ([32]byte, error) {
 	return d, qErr("qatHash", st)
 }
 
-// RemoteClient is the generated QAT guest library.
-type RemoteClient struct {
-	lib  *guest.Lib
-	opts guest.CallOptions
-}
+// RemoteClient is the Client facade over the generated QAT guest library
+// (Stubs, stubs_gen.go): Ref wrapping and status-to-error mapping only.
+type RemoteClient struct{ s *Stubs }
 
 // NewRemote wraps an attached guest library speaking the QAT Spec.
-func NewRemote(lib *guest.Lib) *RemoteClient { return &RemoteClient{lib: lib} }
+func NewRemote(lib *guest.Lib) *RemoteClient { return &RemoteClient{s: NewStubs(lib)} }
 
 // With returns a client whose calls also carry opts (deadline, priority,
 // overload retry, flush slack); the receiver is unchanged. Options fold
 // over the receiver's set; pass a guest.CallOptions literal to replace it
 // wholesale.
 func (c *RemoteClient) With(opts ...guest.CallOption) *RemoteClient {
-	d := *c
-	d.opts = guest.ApplyCallOptions(d.opts, opts...)
-	return &d
+	return &RemoteClient{s: c.s.With(opts...)}
 }
 
-func (c *RemoteClient) st(op string, v marshal.Value, err error) error {
+// st interprets a status return value plus stack errors.
+func st(op string, code int32, err error) error {
 	if err != nil {
 		return err
 	}
-	return qErr(op, int32(v.Int))
+	return qErr(op, code)
 }
 
 // NumInstances implements Client.
 func (c *RemoteClient) NumInstances() (int, error) {
 	var n uint32
-	ret, err := c.lib.CallWith(c.opts, "qatGetNumInstances", &n)
-	if err := c.st("qatGetNumInstances", ret, err); err != nil {
-		return 0, err
-	}
-	return int(n), nil
+	code, err := c.s.QatGetNumInstances(&n)
+	return int(n), st("qatGetNumInstances", code, err)
 }
 
 // StartInstance implements Client.
 func (c *RemoteClient) StartInstance(index uint32) (Ref, error) {
 	var h marshal.Handle
-	ret, err := c.lib.CallWith(c.opts, "qatStartInstance", index, &h)
-	if err := c.st("qatStartInstance", ret, err); err != nil {
-		return Ref{}, err
-	}
-	return Ref{h: h}, nil
+	code, err := c.s.QatStartInstance(index, &h)
+	return Ref{h: h}, st("qatStartInstance", code, err)
 }
 
 // StopInstance implements Client.
 func (c *RemoteClient) StopInstance(r Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "qatStopInstance", r.h)
-	return c.st("qatStopInstance", ret, err)
+	code, err := c.s.QatStopInstance(r.h)
+	return st("qatStopInstance", code, err)
 }
 
 // SessionInit implements Client.
 func (c *RemoteClient) SessionInit(r Ref, direction, level uint32) (Ref, error) {
 	var h marshal.Handle
-	ret, err := c.lib.CallWith(c.opts, "qatSessionInit", r.h, direction, level, &h)
-	if err := c.st("qatSessionInit", ret, err); err != nil {
-		return Ref{}, err
-	}
-	return Ref{h: h}, nil
+	code, err := c.s.QatSessionInit(r.h, direction, level, &h)
+	return Ref{h: h}, st("qatSessionInit", code, err)
 }
 
 // SessionTeardown implements Client.
 func (c *RemoteClient) SessionTeardown(r Ref) error {
-	ret, err := c.lib.CallWith(c.opts, "qatSessionTeardown", r.h)
-	return c.st("qatSessionTeardown", ret, err)
+	code, err := c.s.QatSessionTeardown(r.h)
+	return st("qatSessionTeardown", code, err)
 }
 
 // Compress implements Client.
 func (c *RemoteClient) Compress(r Ref, src, dst []byte) (int, error) {
 	var produced uint32
-	ret, err := c.lib.CallWith(c.opts, "qatCompress", r.h, uint64(len(src)), src,
-		uint64(len(dst)), dst, &produced)
-	if err := c.st("qatCompress", ret, err); err != nil {
-		return int(produced), err
-	}
-	return int(produced), nil
+	code, err := c.s.QatCompress(r.h, uint64(len(src)), src, uint64(len(dst)), dst, &produced)
+	return int(produced), st("qatCompress", code, err)
 }
 
 // Decompress implements Client.
 func (c *RemoteClient) Decompress(r Ref, src, dst []byte) (int, error) {
 	var produced uint32
-	ret, err := c.lib.CallWith(c.opts, "qatDecompress", r.h, uint64(len(src)), src,
-		uint64(len(dst)), dst, &produced)
-	if err := c.st("qatDecompress", ret, err); err != nil {
-		return int(produced), err
-	}
-	return int(produced), nil
+	code, err := c.s.QatDecompress(r.h, uint64(len(src)), src, uint64(len(dst)), dst, &produced)
+	return int(produced), st("qatDecompress", code, err)
 }
 
 // Hash implements Client.
 func (c *RemoteClient) Hash(r Ref, src []byte) ([32]byte, error) {
 	var d [32]byte
-	buf := make([]byte, 32)
-	ret, err := c.lib.CallWith(c.opts, "qatHash", r.h, uint64(len(src)), src, buf)
-	if err := c.st("qatHash", ret, err); err != nil {
-		return d, err
-	}
-	copy(d[:], buf)
-	return d, nil
+	code, err := c.s.QatHash(r.h, uint64(len(src)), src, d[:])
+	return d, st("qatHash", code, err)
 }
 
 var (

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"crypto/sha256"
+	_ "embed"
 	"fmt"
 	"io"
 	"sync"
@@ -23,70 +24,9 @@ import (
 )
 
 // Spec is the CAvA specification for the QAT-like API.
-const Spec = `
-api "qat" version "1.7";
-
-handle qat_instance;
-handle qat_session;
-
-const QAT_OK = 0;
-const QAT_FAIL = -1;
-const QAT_INVALID_PARAM = -2;
-const QAT_NO_INSTANCE = -3;
-const QAT_BUFFER_TOO_SMALL = -4;
-const QAT_DIR_COMPRESS = 0;
-const QAT_DIR_DECOMPRESS = 1;
-
-type qat_status = int32_t { success(QAT_OK); };
-
-qat_status qatGetNumInstances(uint32_t *n) {
-  parameter(n) { out; element; }
-}
-
-qat_status qatStartInstance(uint32_t index, qat_instance *inst) {
-  parameter(inst) { out; element { allocates; } }
-  track(create, inst);
-}
-
-qat_status qatStopInstance(qat_instance inst) {
-  track(destroy, inst);
-}
-
-qat_status qatSessionInit(qat_instance inst, uint32_t direction,
-                          uint32_t level, qat_session *sess) {
-  parameter(sess) { out; element { allocates; } }
-  track(create, sess);
-}
-
-qat_status qatSessionTeardown(qat_session sess) {
-  track(destroy, sess);
-}
-
-qat_status qatCompress(qat_session sess, size_t src_size, const void *src,
-                       size_t dst_cap, void *dst, uint32_t *produced) {
-  parameter(src) { in; buffer(src_size); }
-  parameter(dst) { out; buffer(dst_cap); }
-  parameter(produced) { out; element; }
-  resource(bandwidth, src_size);
-  resource(device_time, 1);
-}
-
-qat_status qatDecompress(qat_session sess, size_t src_size, const void *src,
-                         size_t dst_cap, void *dst, uint32_t *produced) {
-  parameter(src) { in; buffer(src_size); }
-  parameter(dst) { out; buffer(dst_cap); }
-  parameter(produced) { out; element; }
-  resource(bandwidth, src_size);
-  resource(device_time, 1);
-}
-
-qat_status qatHash(qat_instance inst, size_t src_size, const void *src,
-                   void *digest) {
-  parameter(src) { in; buffer(src_size); }
-  parameter(digest) { out; buffer(32); }
-  resource(bandwidth, src_size);
-}
-`
+//
+//go:embed qat.ava
+var Spec string
 
 // Descriptor compiles the QAT stack descriptor.
 func Descriptor() *cava.Descriptor { return cava.MustCompile(Spec) }

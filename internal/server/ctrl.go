@@ -27,7 +27,7 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call, rep *marshal.R
 		// shadow each other.
 		ok := len(call.Args) >= 2 && len(call.Args)%2 == 0
 		for i := range call.Args {
-			ok = ok && call.Args[i].Kind == marshal.KindHandle
+			ok = ok && call.Args[i].Kind() == marshal.KindHandle
 		}
 		if !ok {
 			fail(marshal.StatusDenied, "rebind: want [fresh Handle, recorded Handle] pairs")
@@ -47,7 +47,7 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call, rep *marshal.R
 		// from a checkpoint snapshot. An unknown handle is not fatal (the
 		// object was destroyed after the checkpoint): Ret reports 0.
 		if len(call.Args) != 2 ||
-			call.Args[0].Kind != marshal.KindHandle || call.Args[1].Kind != marshal.KindBytes {
+			call.Args[0].Kind() != marshal.KindHandle || call.Args[1].Kind() != marshal.KindBytes {
 			fail(marshal.StatusDenied, "restore: want [Handle, Bytes]")
 			return
 		}
@@ -60,7 +60,7 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call, rep *marshal.R
 			fail(marshal.StatusInternal, "restore: no ObjectRestorer registered")
 			return
 		}
-		if err := s.reg.Restorer.RestoreObject(obj, call.Args[1].Bytes); err != nil {
+		if err := s.reg.Restorer.RestoreObject(obj, call.Args[1].Bytes()); err != nil {
 			fail(marshal.StatusInternal, "restore handle %d: %v", call.Args[0].Handle(), err)
 			return
 		}

@@ -307,7 +307,7 @@ func TestRecordLogSurvivesSlotAndFrameReuse(t *testing.T) {
 		}
 		for k := range exp.Args {
 			if !got.Args[k].Equal(exp.Args[k]) {
-				t.Fatalf("entry %d arg %d = %v (%q), want %v (%q)", i, k, got.Args[k], got.Args[k].Bytes, exp.Args[k], exp.Args[k].Bytes)
+				t.Fatalf("entry %d arg %d = %v (%q), want %v (%q)", i, k, got.Args[k], got.Args[k].Bytes(), exp.Args[k], exp.Args[k].Bytes())
 			}
 		}
 	}

@@ -116,7 +116,7 @@ func (inv *Invocation) Env() spec.Env {
 
 // Handle returns the handle argument at index i (0 if null).
 func (inv *Invocation) Handle(i int) marshal.Handle {
-	if inv.args[i].Kind == marshal.KindNull {
+	if inv.args[i].Kind() == marshal.KindNull {
 		return 0
 	}
 	return inv.args[i].Handle()
@@ -125,13 +125,13 @@ func (inv *Invocation) Handle(i int) marshal.Handle {
 // Uint returns the unsigned scalar at index i, converting bools and ints.
 func (inv *Invocation) Uint(i int) uint64 {
 	v := inv.args[i]
-	switch v.Kind {
+	switch v.Kind() {
 	case marshal.KindUint, marshal.KindHandle, marshal.KindLen:
-		return v.Uint
+		return v.Uint()
 	case marshal.KindInt:
-		return uint64(v.Int)
+		return uint64(v.Int())
 	case marshal.KindBool:
-		if v.Bool {
+		if v.Bool() {
 			return 1
 		}
 	}
@@ -141,13 +141,13 @@ func (inv *Invocation) Uint(i int) uint64 {
 // Int returns the signed scalar at index i.
 func (inv *Invocation) Int(i int) int64 {
 	v := inv.args[i]
-	switch v.Kind {
+	switch v.Kind() {
 	case marshal.KindInt:
-		return v.Int
+		return v.Int()
 	case marshal.KindUint, marshal.KindHandle, marshal.KindLen:
-		return int64(v.Uint)
+		return int64(v.Uint())
 	case marshal.KindBool:
-		if v.Bool {
+		if v.Bool() {
 			return 1
 		}
 	}
@@ -159,28 +159,20 @@ func (inv *Invocation) Bool(i int) bool { return inv.Uint(i) != 0 }
 
 // Float returns the float scalar at index i.
 func (inv *Invocation) Float(i int) float64 {
-	v := inv.args[i]
-	switch v.Kind {
-	case marshal.KindFloat:
-		return v.Float
-	case marshal.KindInt:
-		return float64(v.Int)
-	case marshal.KindUint:
-		return float64(v.Uint)
-	}
-	return 0
+	f, _ := inv.args[i].AsFloat()
+	return f
 }
 
 // Str returns the string argument at index i.
-func (inv *Invocation) Str(i int) string { return inv.args[i].Str }
+func (inv *Invocation) Str(i int) string { return inv.args[i].Str() }
 
 // Bytes returns the buffer at index i. For in/inout buffers it holds the
 // guest's data; for out buffers it is zeroed space of the declared size for
 // the handler to fill. Nil for null buffers.
-func (inv *Invocation) Bytes(i int) []byte { return inv.args[i].Bytes }
+func (inv *Invocation) Bytes(i int) []byte { return inv.args[i].Bytes() }
 
 // IsNull reports whether the guest passed a null pointer at index i.
-func (inv *Invocation) IsNull(i int) bool { return inv.args[i].Kind == marshal.KindNull }
+func (inv *Invocation) IsNull(i int) bool { return inv.args[i].Kind() == marshal.KindNull }
 
 // outSlot maps a parameter index to its position in Reply.Outs.
 func (inv *Invocation) outSlot(i int) int {
@@ -242,14 +234,14 @@ func (inv *Invocation) finishOuts(dst []marshal.Value) []marshal.Value {
 			continue
 		}
 		switch {
-		case inv.args[i].Kind == marshal.KindNull:
+		case inv.args[i].Kind() == marshal.KindNull:
 			outs = append(outs, marshal.Null())
 		case pd.IsBuffer && len(inv.regOut) != 0 && inv.regOut[i]:
 			// Registered-buffer out: the handler wrote the guest's region
 			// in place, so the reply carries only the length written.
-			outs = append(outs, marshal.Len(uint64(len(inv.args[i].Bytes))))
+			outs = append(outs, marshal.Len(uint64(len(inv.args[i].Bytes()))))
 		case pd.IsBuffer:
-			outs = append(outs, marshal.BytesVal(inv.args[i].Bytes))
+			outs = append(outs, marshal.BytesVal(inv.args[i].Bytes()))
 		default: // element
 			outs = append(outs, inv.outs[slot])
 		}
@@ -286,12 +278,12 @@ func (inv *Invocation) prepare(d *cava.Descriptor, args []marshal.Value, regions
 		pd := &fd.Params[i]
 		v := &args[i]
 		if !pd.IsPointer {
-			if err := verifyScalar(pd, v); err != nil {
+			if err := pd.CheckScalar(v); err != nil {
 				return fmt.Errorf("server: %s(%s): %v", fd.Name, pd.Name, err)
 			}
 			continue
 		}
-		if v.Kind == marshal.KindNull {
+		if v.Kind() == marshal.KindNull {
 			continue // optional pointer omitted by the guest
 		}
 		want, err := fd.BufferBytesArgs(i, d.API, args)
@@ -300,19 +292,19 @@ func (inv *Invocation) prepare(d *cava.Descriptor, args []marshal.Value, regions
 		}
 		switch {
 		case pd.In() && pd.Out(): // inout: bytes both ways
-			if v.Kind != marshal.KindBytes || len(v.Bytes) != want {
-				return fmt.Errorf("server: %s(%s): inout buffer %d bytes, want %d", fd.Name, pd.Name, len(v.Bytes), want)
+			if v.Kind() != marshal.KindBytes || len(v.Bytes()) != want {
+				return fmt.Errorf("server: %s(%s): inout buffer %d bytes, want %d", fd.Name, pd.Name, len(v.Bytes()), want)
 			}
 		case pd.In():
-			if v.Kind != marshal.KindBytes || len(v.Bytes) != want {
-				return fmt.Errorf("server: %s(%s): in buffer %d bytes, want %d", fd.Name, pd.Name, len(v.Bytes), want)
+			if v.Kind() != marshal.KindBytes || len(v.Bytes()) != want {
+				return fmt.Errorf("server: %s(%s): in buffer %d bytes, want %d", fd.Name, pd.Name, len(v.Bytes()), want)
 			}
 		default: // out: guest sends a length placeholder; allocate space
-			if v.Kind != marshal.KindLen {
-				return fmt.Errorf("server: %s(%s): out parameter sent as %v", fd.Name, pd.Name, v.Kind)
+			if v.Kind() != marshal.KindLen {
+				return fmt.Errorf("server: %s(%s): out parameter sent as %v", fd.Name, pd.Name, v.Kind())
 			}
-			if int(v.Uint) != want {
-				return fmt.Errorf("server: %s(%s): out length %d, want %d", fd.Name, pd.Name, v.Uint, want)
+			if int(v.Uint()) != want {
+				return fmt.Errorf("server: %s(%s): out length %d, want %d", fd.Name, pd.Name, v.Uint(), want)
 			}
 			if pd.IsBuffer {
 				if i < len(regions) && regions[i] != nil {
@@ -330,32 +322,6 @@ func (inv *Invocation) prepare(d *cava.Descriptor, args []marshal.Value, regions
 				}
 			}
 			// Out elements keep the placeholder; handlers use SetOut*.
-		}
-	}
-	return nil
-}
-
-func verifyScalar(pd *cava.ParamDesc, v *marshal.Value) error {
-	switch pd.Kind {
-	case spec.KindHandle:
-		if v.Kind != marshal.KindHandle && v.Kind != marshal.KindNull {
-			return fmt.Errorf("handle sent as %v", v.Kind)
-		}
-	case spec.KindString:
-		if v.Kind != marshal.KindString && v.Kind != marshal.KindNull {
-			return fmt.Errorf("string sent as %v", v.Kind)
-		}
-	case spec.KindFloat:
-		if v.Kind != marshal.KindFloat {
-			return fmt.Errorf("float sent as %v", v.Kind)
-		}
-	case spec.KindBool:
-		if v.Kind != marshal.KindBool && v.Kind != marshal.KindUint && v.Kind != marshal.KindInt {
-			return fmt.Errorf("bool sent as %v", v.Kind)
-		}
-	case spec.KindInt, spec.KindUint:
-		if v.Kind != marshal.KindInt && v.Kind != marshal.KindUint && v.Kind != marshal.KindBool {
-			return fmt.Errorf("integer sent as %v", v.Kind)
 		}
 	}
 	return nil

@@ -169,7 +169,7 @@ func (rc *RecordedCall) Obsoleted(h marshal.Handle) bool {
 		return true
 	}
 	for _, v := range rc.Args {
-		if v.Kind == marshal.KindHandle && v.Handle() == h {
+		if v.Kind() == marshal.KindHandle && v.Handle() == h {
 			return true
 		}
 	}
@@ -334,7 +334,7 @@ func (c *Context) remapRecorded(pairs []HandlePair) {
 		return h
 	}
 	fix := func(v *marshal.Value) {
-		if v.Kind == marshal.KindHandle {
+		if v.Kind() == marshal.KindHandle {
 			*v = marshal.HandleVal(to(v.Handle()))
 		}
 	}
@@ -433,10 +433,7 @@ func CloneValues(vs []marshal.Value) []marshal.Value {
 	}
 	out := make([]marshal.Value, len(vs))
 	for i, v := range vs {
-		if v.Kind == marshal.KindBytes {
-			v.Bytes = append([]byte(nil), v.Bytes...)
-		}
-		out[i] = v
+		out[i] = v.Clone()
 	}
 	return out
 }
@@ -704,11 +701,11 @@ func (s *Server) isFailureRet(id uint32, ret marshal.Value) bool {
 	if !ok || !fd.HasSuccess {
 		return false
 	}
-	switch ret.Kind {
+	switch ret.Kind() {
 	case marshal.KindInt:
-		return ret.Int != fd.SuccessVal
+		return ret.Int() != fd.SuccessVal
 	case marshal.KindUint:
-		return int64(ret.Uint) != fd.SuccessVal
+		return int64(ret.Uint()) != fd.SuccessVal
 	}
 	return false
 }
@@ -758,27 +755,27 @@ func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats) {
 	regions := sl.regions[:0]
 	for i := range call.Args {
 		v := &call.Args[i]
-		switch v.Kind {
+		switch v.Kind() {
 		case marshal.KindBytes:
-			acct.BytesCopied += uint64(len(v.Bytes))
+			acct.BytesCopied += uint64(len(v.Bytes()))
 		case marshal.KindRegRef:
 			if s.breg == nil {
 				fail(marshal.StatusDenied, "%s: registered-buffer reference without a registry", fd.Name)
 				return
 			}
-			region, rerr := s.breg.Resolve(v.Ref.ID, v.Ref.Off, v.Uint)
+			region, rerr := s.breg.Resolve(v.Ref().ID, v.Ref().Off, v.Uint())
 			if rerr != nil {
 				fail(marshal.StatusDenied, "%s: %v", fd.Name, rerr)
 				return
 			}
-			acct.BytesBorrowed += v.Uint
+			acct.BytesBorrowed += v.Uint()
 			if i < len(fd.Params) && fd.Params[i].IsPointer && fd.Params[i].Dir == spec.DirOut {
 				for len(regions) <= i {
 					regions = append(regions, nil)
 				}
 				regions[i] = region
 				sl.regions = regions
-				*v = marshal.Len(v.Uint)
+				*v = marshal.Len(v.Uint())
 			} else {
 				*v = marshal.BytesVal(region)
 			}
@@ -874,8 +871,8 @@ func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats) {
 	// counted as borrowed at resolution, and their reply carries only a
 	// length, so nothing double-counts here.
 	for i := range rep.Outs {
-		if v := &rep.Outs[i]; v.Kind == marshal.KindBytes {
-			acct.BytesCopied += uint64(len(v.Bytes))
+		if v := &rep.Outs[i]; v.Kind() == marshal.KindBytes {
+			acct.BytesCopied += uint64(len(v.Bytes()))
 		}
 	}
 
@@ -888,7 +885,7 @@ func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats) {
 		if fd.Track.Kind == spec.TrackCreate {
 			if fd.TrackIdx >= 0 {
 				created = inv.outs[inv.outSlot(fd.TrackIdx)].Handle()
-			} else if inv.ret.Kind == marshal.KindHandle {
+			} else if inv.ret.Kind() == marshal.KindHandle {
 				created = inv.ret.Handle()
 			}
 		}
@@ -997,16 +994,16 @@ func (o *ordering) plan(sl *callSlot, dom uint64, isSync bool) {
 	sl.need = [ServeWorkers]uint64{}
 	for i := range sl.call.Args {
 		a := &sl.call.Args[i]
-		if a.Kind != marshal.KindHandle {
+		if a.Kind() != marshal.KindHandle {
 			continue
 		}
 		// An earlier call on this call's own worker (including this very
 		// call, when one handle appears twice in its arguments) needs no
 		// wait: the worker's queue already runs them in order.
-		if prev, ok := o.lastTouch[a.Uint]; ok && prev.worker != w && prev.n > sl.need[prev.worker] {
+		if prev, ok := o.lastTouch[a.Uint()]; ok && prev.worker != w && prev.n > sl.need[prev.worker] {
 			sl.need[prev.worker] = prev.n
 		}
-		o.lastTouch[a.Uint] = t
+		o.lastTouch[a.Uint()] = t
 	}
 	// Handle-less calls all fall in domain 0, hence on one worker, and stay
 	// ordered among themselves by its queue.
@@ -1212,8 +1209,8 @@ recv:
 				sync, err := fd.IsSync(s.reg.Desc.API, sl.call.Args)
 				isSync = err != nil || sync
 				if fd.Track.Kind == spec.TrackDestroy && fd.TrackIdx >= 0 && fd.TrackIdx < len(sl.call.Args) &&
-					sl.call.Args[fd.TrackIdx].Kind == marshal.KindHandle {
-					sl.retire = sl.call.Args[fd.TrackIdx].Uint
+					sl.call.Args[fd.TrackIdx].Kind() == marshal.KindHandle {
+					sl.retire = sl.call.Args[fd.TrackIdx].Uint()
 				}
 			}
 			ord.plan(sl, dom, isSync)

@@ -52,7 +52,7 @@ func TestQuickHeaderOverTransports(t *testing.T) {
 					got.Deadline != call.Deadline || got.Stamps != call.Stamps {
 					return false
 				}
-				if len(got.Args) != 1 || !bytes.Equal(got.Args[0].Bytes, payload) {
+				if len(got.Args) != 1 || !bytes.Equal(got.Args[0].Bytes(), payload) {
 					return false
 				}
 
