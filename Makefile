@@ -3,10 +3,11 @@
 # `make check` is the stricter local/CI version of the same gate.
 
 GO ?= go
+GATES = rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate
 
-.PHONY: check fmt vet rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate gen build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
+.PHONY: check fmt vet gates $(GATES) gen build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
-check: fmt vet rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
+check: fmt vet gates build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -17,80 +18,25 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# One rebind: a handle table is rebuilt under guest-held values only by
-# server.Context.Rebind, which migration restore, failover replay, the
-# guardian's post-watermark rebind and the FuncRebind control call all use.
-# Fail if non-test code outside internal/server calls Handles.InsertAt, so
-# nobody re-grows a private (and soon drifting) copy.
-rebind-gate:
-	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'Handles\.InsertAt(' . | grep -v '^\./internal/server/')"; \
-	if [ -n "$$out" ]; then \
-		echo "Handles.InsertAt outside internal/server (use Context.Rebind):"; echo "$$out"; exit 1; \
-	fi
+# The grep gates ("there is one of these": one rebind, one guardian state
+# machine, one decoder per frame kind, one assembler, one-way layering, one
+# generated binding layer) are rows of the table in scripts/gates.sh; check
+# runs them all at once, and each old target name runs its own row.
+gates:
+	@GO="$(GO)" sh scripts/gates.sh
 
-# One state machine: a Guardian's state, epoch, link (and its generation),
-# checkpoint watermark and abort channel are assigned only by the transition
-# functions in internal/failover/state.go. Fail if any other file of the
-# package — tests included — assigns one, so the lifecycle cannot quietly
-# grow a second writer.
-state-gate:
-	@out="$$(grep -nE '\bg\.(state|epoch|link|linkGen|ckptW|abort)(, *[A-Za-z_.]+)* *(=[^=]|:=|\+\+|--|[-+]=)' internal/failover/*.go | grep -v '^internal/failover/state\.go:')"; \
-	if [ -n "$$out" ]; then \
-		echo "Guardian lifecycle field assigned outside internal/failover/state.go:"; echo "$$out"; exit 1; \
-	fi
+$(GATES):
+	@GO="$(GO)" sh scripts/gates.sh $(@:-gate=)
 
-# One decoder per frame kind on every serve path: the allocating
-# marshal.DecodeCall/DecodeBatch/DecodeReply wrappers are for tests and the
-# benchmark's trace; production code decodes into a record it owns with the
-# *Into forms. Fail if non-test code outside internal/marshal calls one.
-decode-gate:
-	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=benchmark 'marshal\.Decode(Call|Batch|Reply)\(' . | grep -v '^\./internal/marshal/')"; \
-	if [ -n "$$out" ]; then \
-		echo "allocating decoder outside internal/marshal (use the *Into form):"; echo "$$out"; exit 1; \
-	fi
-
-# One assembler: a router, a guardian and a registry dialer are wired
-# together only by ava.Stack (ava.go), which knows all three south hops —
-# own server, server at an address, server out of a fleet registry.
-# Experiments, examples and tests pick a hop with an option. Fail if any Go
-# file outside ava.go, the two packages themselves and benchmark/ builds one
-# by hand, so the deployment cannot quietly grow another copy.
-wire-gate:
-	@out="$$(grep -rnE --include='*.go' --exclude-dir=.bench_build --exclude-dir=benchmark 'hv\.NewRouter\(|failover\.New\(|failover\.NewFleetDialer\(' . | grep -vE '^\./(ava\.go|internal/hv/|internal/failover/)')"; \
-	if [ -n "$$out" ]; then \
-		echo "hand-wired router/guardian/dialer outside ava.go (use ava.NewStack with WithRemoteServer / WithPlacement):"; echo "$$out"; exit 1; \
-	fi
-
-# One-way layering: the guest library is the part of the stack that runs
-# inside the VM (PAPER.md §3), so it links the wire (marshal, transport), the
-# spec and their leaves — never the API server, the hypervisor, the recovery
-# layer or anything fleet-side. Fail if its dependency closure names one.
-layer-gate:
-	@out="$$($(GO) list -deps ./internal/guest | grep -E '^ava/internal/(server|failover|hv|host|fleet|migrate|sched|ctlplane)$$')"; \
-	if [ -n "$$out" ]; then \
-		echo "internal/guest links host-side packages:"; echo "$$out"; exit 1; \
-	fi
-
-# One binding layer: the guest side of an API package is the stubs cava
-# generates from its specification (stubs_gen.go; internal/gen/toydev is the
-# whole generated stack), over the engine's typed entry guest.Lib.Invoke. The
-# by-name, `...any` front (Lib.Call / CallWith) is for tests, examples and
-# one-off calls. Fail if a non-test file of an API package or of a generated
-# one calls it, so nobody hand-writes a per-function binding again.
-stub-gate:
-	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' '\.(Call|CallWith)\(' internal/cl internal/mvnc internal/qat internal/gen)"; \
-	if [ -n "$$out" ]; then \
-		echo "by-name Lib.Call/CallWith in an API package (add the function to the spec and run make gen):"; echo "$$out"; exit 1; \
-	fi
-
-# Regenerate every checked-in output of the stack generator from its
-# specification, through cmd/cava. Each package's golden test
-# (TestGeneratedStubsAreCurrent / TestGeneratedFileIsCurrent) fails while the
-# committed file and a fresh generation differ.
+# Regenerate every checked-in output of the stack generator — guest stubs
+# and API server, one file per package — from its specification, through
+# cmd/cava. Each package's golden test (TestGeneratedStubsAreCurrent /
+# TestGeneratedFileIsCurrent) fails while the committed file and a fresh
+# generation differ.
 gen:
-	$(GO) run ./cmd/cava -spec internal/cl/opencl.ava -pkg cl -stubs Stubs -o internal/cl/stubs_gen.go
-	$(GO) run ./cmd/cava -spec internal/mvnc/mvnc.ava -pkg mvnc -stubs Stubs -o internal/mvnc/stubs_gen.go
-	$(GO) run ./cmd/cava -spec internal/qat/qat.ava -pkg qat -stubs Stubs -o internal/qat/stubs_gen.go
+	$(GO) run ./cmd/cava -spec internal/cl/opencl.ava -pkg cl -o internal/cl/stubs_gen.go
+	$(GO) run ./cmd/cava -spec internal/mvnc/mvnc.ava -pkg mvnc -o internal/mvnc/stubs_gen.go
+	$(GO) run ./cmd/cava -spec internal/qat/qat.ava -pkg qat -o internal/qat/stubs_gen.go
 	$(GO) run ./cmd/cava -spec internal/gen/toydev/toydev.ava -pkg toydev -o internal/gen/toydev/toydev.go
 
 build:

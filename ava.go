@@ -104,7 +104,7 @@ func CompileSpec(src string) (*Descriptor, error) {
 }
 
 // GenerateStack emits the generated Go source for an API's stack
-// components (typed guest library + server dispatch scaffolding), as the
+// components (typed guest library + API server over a typed silo interface), as the
 // cava command does.
 func GenerateStack(desc *Descriptor, specSrc string) ([]byte, cava.GenStats, error) {
 	return cava.Generate(desc, specSrc, cava.GenOptions{})
@@ -251,20 +251,6 @@ func WithMirror(sink failover.LogSink) Option {
 	}
 }
 
-// WithRemoteMirror replicates every attached VM's shadow log to the
-// mirror listener at addr — a peer avad started with -mirror — so a
-// replacement guardian on a different machine can rehydrate from it
-// (failover.FetchMirrorState). Enables failover with default tuning when
-// WithFailover was not given; apply after WithFailover.
-func WithRemoteMirror(addr string) Option {
-	return func(c *Config) {
-		if c.Failover == nil {
-			c.Failover = &FailoverConfig{}
-		}
-		c.Failover.Replication.RemoteAddr = addr
-	}
-}
-
 // WithRebalance starts the background rebalancer; requires WithPlacement.
 // An Interval of 0 builds the rebalancer in manual mode — no background
 // loop; Stack.Rebalancer().Tick()/Kick() drive it — which is what
@@ -340,8 +326,8 @@ type LivenessConfig struct {
 
 // ReplicationConfig groups shadow-log mirroring and rehydration, the
 // guardian-crash half of cross-host recovery. Sink or RemoteAddr names the
-// mirror destination (an in-process Sink wins); WithMirror and
-// WithRemoteMirror set them without spelling the nesting out.
+// mirror destination (an in-process Sink wins); WithMirror sets Sink without
+// spelling the nesting out.
 type ReplicationConfig struct {
 	// Sink, if set, receives a synchronous stream of the guardian's
 	// shadow-log mutations and checkpoints (failover.LogSink) so replay

@@ -27,7 +27,7 @@
 //
 // With -mirror, avad additionally serves a replication mirror host
 // (failover.MirrorServer) on the given address: remote guardians stream
-// their shadow logs here (ava.WithRemoteMirror), and a replacement
+// their shadow logs here (FailoverConfig.Replication.RemoteAddr), and a replacement
 // guardian on any machine rehydrates with failover.FetchMirrorState. The
 // per-VM replication standing appears on the ctl endpoint as GET /mirror.
 package main

@@ -2,14 +2,13 @@
 //
 // Given an annotated API specification, it generates the API-specific
 // components of the remoting stack as a Go source file: the typed guest
-// library and the API server dispatch scaffolding. With -infer it first
+// library and the API server over a typed silo interface. With -infer it first
 // runs the inference pass over bare declarations and (with -emit-spec)
 // writes back the preliminary specification for the developer to refine.
 //
 // Usage:
 //
 //	cava -spec api.ava -pkg myapi -o gen.go        # generate the stack
-//	cava -spec api.ava -pkg myapi -stubs Stubs -o stubs_gen.go   # guest stubs only
 //	cava -spec api.ava -infer -emit-spec           # preliminary spec
 //	cava -spec api.ava -stats                      # developer-effort stats
 package main
@@ -39,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		specPath = fs.String("spec", "", "path to the CAvA API specification (required)")
 		pkg      = fs.String("pkg", "", "package name for generated code (default: API name)")
 		out      = fs.String("o", "", "output file (default: stdout)")
-		stubs    = fs.String("stubs", "", "generate only the guest stubs, as a type of this `name` (for a package with a hand-written server side and Client facade)")
 		infer    = fs.Bool("infer", false, "run the inference pass over bare declarations first")
 		emitSpec = fs.Bool("emit-spec", false, "print the canonical (optionally inferred) specification instead of code")
 		stats    = fs.Bool("stats", false, "print developer-effort statistics")
@@ -77,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	code, st, err := cava.Generate(desc, string(src), cava.GenOptions{Package: *pkg, Stubs: *stubs})
+	code, st, err := cava.Generate(desc, string(src), cava.GenOptions{Package: *pkg})
 	if err != nil {
 		return err
 	}

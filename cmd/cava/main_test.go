@@ -65,7 +65,7 @@ func TestRunGeneratesToFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"package devapi", "func (c *Client) DevWrite(", "Implementation interface"} {
+	for _, want := range []string{"package devapi", "func (c *Stubs) DevWrite(", "Implementation interface"} {
 		if !strings.Contains(string(code), want) {
 			t.Fatalf("generated code missing %q", want)
 		}

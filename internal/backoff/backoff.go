@@ -17,8 +17,9 @@ type Config struct {
 	Base time.Duration
 	// Cap bounds a single delay; 0 means 100ms.
 	Cap time.Duration
-	// Budget bounds the total slept time of one retry series; once a
-	// series has spent it, Next reports exhaustion and the caller must
+	// Budget bounds the total time of one retry series — the delays it
+	// slept plus what the attempts themselves were charged (Charge); once
+	// a series has spent it, Next reports exhaustion and the caller must
 	// surface the failure. 0 means 2s.
 	Budget time.Duration
 	// Seed seeds the jitter source for reproducible schedules in tests;
@@ -88,6 +89,15 @@ func (s *Series) Next() (time.Duration, bool) {
 	}
 	s.spent += d
 	return d, true
+}
+
+// Charge counts d, the time a failed attempt itself took (a dial that ran
+// into its timeout), against the series' budget: a peer that makes every
+// attempt slow must not stretch the series to attempts × timeout.
+func (s *Series) Charge(d time.Duration) {
+	if d > 0 {
+		s.spent += d
+	}
 }
 
 // Spent returns the total delay consumed by the series so far.

@@ -55,7 +55,7 @@ func TestGenerateEdgeCases(t *testing.T) {
 	}
 	// All four return shapes appear.
 	for _, want := range []string{
-		"func (c *Client) Tricky(",
+		"func (c *Stubs) Tricky(",
 		") error {",                 // void return
 		") (marshal.Handle, error)", // handle return
 		") (uint64, error)",         // uint64 return
@@ -74,26 +74,96 @@ func TestGenerateEdgeCases(t *testing.T) {
 	}
 }
 
-// With GenOptions.Stubs the output is the guest library alone, under the
-// given name: no server scaffolding, no import of the server package.
-func TestGenerateStubsOnly(t *testing.T) {
+// The generator has one output shape: both halves of the stack, the guest
+// library under the one name the API packages' hand-written Client facades
+// leave free.
+func TestGenerateOneShape(t *testing.T) {
 	d := MustCompile(genSpec)
-	src, _, err := Generate(d, genSpec, GenOptions{Package: "edgecase", Stubs: "Stubs"})
+	src, _, err := Generate(d, genSpec, GenOptions{Package: "edgecase"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	code := string(src)
-	for _, want := range []string{"type Stubs struct", "func NewStubs(lib *guest.Lib) *Stubs", "func (c *Stubs) Tricky(", "var stubsSigs = [...]string{"} {
+	for _, want := range []string{
+		"type Stubs struct", "func NewStubs(lib *guest.Lib) *Stubs", "var stubsSigs = [...]string{",
+		"type Implementation interface", "func Register(reg *server.Registry, impl Implementation)",
+	} {
 		if !strings.Contains(code, want) {
-			t.Errorf("stubs-only output missing %q", want)
+			t.Errorf("output missing %q", want)
 		}
 	}
-	for _, banned := range []string{"internal/server", "Implementation", "func Register(", "Client"} {
-		if strings.Contains(code, banned) {
-			t.Errorf("stubs-only output contains %q", banned)
+	if strings.Contains(code, "Client") {
+		t.Error("output takes the name Client")
+	}
+}
+
+// serverHalf returns the generated API server: everything from the
+// Implementation interface on.
+func serverHalf(t *testing.T, src []byte) string {
+	t.Helper()
+	_, half, ok := strings.Cut(string(src), "type Implementation interface")
+	if !ok {
+		t.Fatal("no Implementation interface in the generated code")
+	}
+	return half
+}
+
+// What the dispatch handlers do with a handle comes from the handle's
+// declaration; the generated server never hands the silo a guest handle, and
+// an out element comes back by value: no pointer to a handler local crosses
+// the Implementation interface (it would escape through the interface call
+// and cost an allocation per call, the one the guest stubs shed in PR 20).
+func TestGeneratedServerFollowsTheDeclarations(t *testing.T) {
+	const src = `
+api "decls";
+const OK = 0;
+const BAD_THING = -7;
+const NO_MEM = -9;
+handle thing { type(*Thing); invalid(BAD_THING); refcounted; }
+handle root { type(*Root); stable; }
+type st = int32_t { success(OK); oom(NO_MEM); };
+st roots(uint32_t n, root *out) { parameter(out) { out; buffer(n); } }
+st make(root r, thing *made, uint64_t *size) {
+  parameter(made) { out; element { allocates; } }
+  parameter(size) { out; element; }
+}
+thing makeRet(thing parent, st *errcode) { parameter(errcode) { out; element; } track(create); }
+st wait(uint32_t n, const thing *list) { parameter(list) { in; buffer(n); } }
+st drop(thing t) { track(destroy, t); }
+void poke(thing t);
+`
+	code, _, err := Generate(MustCompile(src), src, GenOptions{Package: "decls"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := serverHalf(t, code)
+	for _, want := range []string{
+		"Roots(ctx *server.Context, n uint32, out []*Root) int32",
+		"Make(ctx *server.Context, r *Root) (made *Thing, size uint64, ret int32)",
+		"MakeRet(ctx *server.Context, parent *Thing) (errcode int32, ret *Thing)",
+		"Wait(ctx *server.Context, n uint32, list []*Thing) int32",
+		"server.PublishList(v.Ctx, v.Bytes(1), out, true)",   // stable handles out of a buffer
+		"server.ResolveList[*Thing](v.Ctx, v.Bytes(1))",      // handles into a buffer
+		"v.SetStatus(-7) // BAD_THING",                       // the declared invalid status...
+		"v.SetOutInt(1, -7) // BAD_THING",                    // ...in the errcode slot of a create
+		"return v.BadHandle(0)",                              // ...or a failed call: root declares none, poke has no status
+		"if ret == -9 { // NO_MEM\n\t\t\treturn v.OOM()",     // oom on the return
+		"if errcode == -9 { // NO_MEM\n\t\t\treturn v.OOM()", // and on an out element of that type
+		"if made != nil && !v.IsNull(1) {",                   // present-or-null allocated out
+		"if ret == 0 && t.Released() {",                      // destroy on last release
+		"v.SetRetHandle(v.Ctx.Handles.Insert(ret))",          // fresh insertion of a returned handle
+	} {
+		if !strings.Contains(half, want) {
+			t.Errorf("generated server missing %q", want)
 		}
 	}
-	if _, err := parser.ParseFile(token.NewFileSet(), "gen.go", src, 0); err != nil {
+	if strings.Count(half, "&") != 2*strings.Count(half, "&&") {
+		t.Error("generated server takes an address: out elements must cross the Implementation interface by value")
+	}
+	if strings.Contains(half, "marshal.Handle") {
+		t.Error("generated server hands the Implementation a guest handle")
+	}
+	if _, err := parser.ParseFile(token.NewFileSet(), "gen.go", code, 0); err != nil {
 		t.Fatalf("generated code does not parse: %v", err)
 	}
 }
@@ -115,7 +185,7 @@ func TestGeneratedStubsUseTheTypedEntry(t *testing.T) {
 			t.Errorf("generated code contains %q", banned)
 		}
 	}
-	if n := strings.Count(code, "lib.Descriptor().Resolve(clientSigs[:])"); n != 1 {
+	if n := strings.Count(code, "lib.Descriptor().Resolve(stubsSigs[:])"); n != 1 {
 		t.Errorf("function table resolved %d times, want once, in the constructor", n)
 	}
 }

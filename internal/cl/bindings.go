@@ -2,799 +2,222 @@ package cl
 
 import (
 	"encoding/binary"
-	"fmt"
-	"sync"
 
 	"ava/internal/marshal"
 	"ava/internal/server"
 )
 
-// This file is the API-server binding for the OpenCL silo: the component
-// CAvA generates in the paper (the "API server" box of Figure 3). Each
-// handler translates a verified Invocation into silo operations, mapping
-// guest-visible opaque handles to silo objects through the per-VM handle
-// table. It is written in the exact shape cava's code generator emits (see
-// internal/cava/gen.go); the generated form for a toy API is golden-tested
-// against this idiom.
+// The OpenCL API server is generated (Register in stubs_gen.go, from
+// opencl.ava): handle resolution and insertion, invalid-handle statuses, handle
+// arrays in buffers, absent outs, the out-of-memory mapping and
+// release-drops-the-handle all come from the specification. This file is what
+// the specification cannot say: the silo as the generated Implementation
+// (argument and status conversions, one line each) and three named hooks —
+// Released, ClCreateContext's owner label, ClSetKernelArg's buffer-or-bytes
+// argument.
 
-// vmBinding is per-VM binding state: a reverse map so stable silo objects
-// (platforms, devices) keep a stable guest handle across repeated queries.
-// Dispatch workers run handlers for one VM concurrently, so the map is
-// guarded by its own mutex (held across the whole lookup-or-insert so two
-// workers cannot mint distinct handles for the same platform).
-type vmBinding struct {
-	mu      sync.Mutex
-	reverse map[any]marshal.Handle
+// BindServer registers the generated OpenCL handlers against reg, executing
+// on silo.
+func BindServer(reg *server.Registry, silo *Silo) { Register(reg, binding{silo}) }
+
+// Released implements the specification's `refcounted` for each object type:
+// a release that was not the last leaves the guest's handle in place.
+func (c *Context) Released() bool { return c.dead }
+func (q *Queue) Released() bool   { return q.dead }
+func (m *Mem) Released() bool     { return m.dead }
+func (p *Program) Released() bool { return p.dead }
+func (k *Kernel) Released() bool  { return k.dead }
+func (e *Event) Released() bool   { return e.refs <= 0 }
+
+// binding is the silo as the generated server's Implementation.
+type binding struct{ s *Silo }
+
+func (b binding) ClGetPlatformIDs(_ *server.Context, _ uint32, out []*Platform) (uint32, int32) {
+	ps := b.s.GetPlatformIDs()
+	copy(out, ps)
+	return uint32(len(ps)), int32(Success)
 }
 
-func binding(ctx *server.Context) *vmBinding {
-	return ctx.AuxInit(func() any {
-		return &vmBinding{reverse: make(map[any]marshal.Handle)}
-	}).(*vmBinding)
+func (b binding) ClGetPlatformInfo(_ *server.Context, p *Platform, name uint32, _ uint64, dst []byte) (uint64, int32) {
+	n, st := b.s.GetPlatformInfo(p, name, dst)
+	return n, int32(st)
 }
 
-// insertStable returns the existing handle for obj or inserts it. The
-// liveness check matters after migration, where the replay engine rebinds
-// table entries underneath this cache.
-func insertStable(ctx *server.Context, obj any) marshal.Handle {
-	b := binding(ctx)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if h, ok := b.reverse[obj]; ok {
-		if got, live := ctx.Handles.Get(h); live && got == obj {
-			return h
-		}
-		delete(b.reverse, obj)
+func (b binding) ClGetDeviceIDs(_ *server.Context, p *Platform, devType uint64, _ uint32, out []*Device) (uint32, int32) {
+	ds, st := b.s.GetDeviceIDs(p, devType)
+	copy(out, ds)
+	return uint32(len(ds)), int32(st)
+}
+
+func (b binding) ClGetDeviceInfo(_ *server.Context, d *Device, name uint32, _ uint64, dst []byte) (uint64, int32) {
+	n, st := b.s.GetDeviceInfo(d, name, dst)
+	return n, int32(st)
+}
+
+// ClCreateContext labels the context with its VM for device-time accounting
+// (hook: the owner is the server context's, not an API argument).
+func (b binding) ClCreateContext(ctx *server.Context, _ uint32, devs []*Device) (int32, *Context) {
+	c, st := b.s.CreateContext(devs)
+	if st == Success {
+		c.SetOwner(ctx.Name)
 	}
-	h := ctx.Handles.Insert(obj)
-	b.reverse[obj] = h
-	return h
+	return int32(st), c
 }
 
-// insertFresh inserts an always-new object (buffers, kernels, events).
-func insertFresh(ctx *server.Context, obj any) marshal.Handle {
-	b := binding(ctx)
-	h := ctx.Handles.Insert(obj)
-	b.mu.Lock()
-	b.reverse[obj] = h
-	b.mu.Unlock()
-	return h
+func (b binding) ClRetainContext(_ *server.Context, c *Context) int32 {
+	return int32(b.s.RetainContext(c))
+}
+func (b binding) ClReleaseContext(_ *server.Context, c *Context) int32 {
+	return int32(b.s.ReleaseContext(c))
 }
 
-func dropHandle(ctx *server.Context, h marshal.Handle) {
-	if obj, ok := ctx.Handles.Remove(h); ok {
-		b := binding(ctx)
-		b.mu.Lock()
-		delete(b.reverse, obj)
-		b.mu.Unlock()
+func (b binding) ClGetContextInfo(_ *server.Context, c *Context, name uint32, _ uint64, dst []byte) (uint64, int32) {
+	n, st := b.s.GetContextInfo(c, name, dst)
+	return n, int32(st)
+}
+
+func (b binding) ClCreateCommandQueue(_ *server.Context, c *Context, d *Device, props uint64) (int32, *Queue) {
+	q, st := b.s.CreateCommandQueue(c, d, props)
+	return int32(st), q
+}
+
+func (b binding) ClRetainCommandQueue(_ *server.Context, q *Queue) int32 {
+	return int32(b.s.RetainCommandQueue(q))
+}
+
+func (b binding) ClReleaseCommandQueue(_ *server.Context, q *Queue) int32 {
+	return int32(b.s.ReleaseCommandQueue(q))
+}
+
+func (b binding) ClCreateBuffer(_ *server.Context, c *Context, flags, size uint64) (int32, *Mem) {
+	m, st := b.s.CreateBuffer(c, flags, size)
+	return int32(st), m
+}
+
+func (b binding) ClRetainMemObject(_ *server.Context, m *Mem) int32 {
+	return int32(b.s.RetainMemObject(m))
+}
+func (b binding) ClReleaseMemObject(_ *server.Context, m *Mem) int32 {
+	return int32(b.s.ReleaseMemObject(m))
+}
+
+func (b binding) ClCreateProgramWithSource(_ *server.Context, c *Context, source string) (int32, *Program) {
+	p, st := b.s.CreateProgramWithSource(c, source)
+	return int32(st), p
+}
+
+func (b binding) ClBuildProgram(_ *server.Context, p *Program, options string) int32 {
+	return int32(b.s.BuildProgram(p, options))
+}
+
+func (b binding) ClGetProgramBuildInfo(_ *server.Context, p *Program, name uint32, _ uint64, dst []byte) (uint64, int32) {
+	n, st := b.s.GetProgramBuildInfo(p, name, dst)
+	return n, int32(st)
+}
+
+func (b binding) ClRetainProgram(_ *server.Context, p *Program) int32 {
+	return int32(b.s.RetainProgram(p))
+}
+func (b binding) ClReleaseProgram(_ *server.Context, p *Program) int32 {
+	return int32(b.s.ReleaseProgram(p))
+}
+
+func (b binding) ClCreateKernel(_ *server.Context, p *Program, name string) (int32, *Kernel) {
+	k, st := b.s.CreateKernel(p, name)
+	return int32(st), k
+}
+
+func (b binding) ClRetainKernel(_ *server.Context, k *Kernel) int32 {
+	return int32(b.s.RetainKernel(k))
+}
+func (b binding) ClReleaseKernel(_ *server.Context, k *Kernel) int32 {
+	return int32(b.s.ReleaseKernel(k))
+}
+
+// ClSetKernelArg is the one argument whose meaning the specification cannot
+// give (hook): arg_value is raw bytes on the wire, and only the kernel's
+// declared argument kinds say whether they are a scalar or the 8-byte guest
+// handle of a cl_mem, which is then translated through the VM's handle table
+// like any other handle argument.
+func (b binding) ClSetKernelArg(ctx *server.Context, k *Kernel, idx uint32, _ uint64, val []byte) int32 {
+	if int(idx) >= len(k.def.Args) || k.def.Args[idx] != ArgBuffer {
+		return int32(b.s.SetKernelArgBytes(k, idx, val))
 	}
-}
-
-// resolve fetches a typed silo object from a guest handle.
-func resolve[T any](ctx *server.Context, h marshal.Handle) (T, bool) {
-	var zero T
-	obj, ok := ctx.Handles.Get(h)
+	if len(val) != 8 {
+		return int32(ErrInvalidKernelArgs)
+	}
+	m, ok := server.Resolve[*Mem](ctx, marshal.Handle(binary.LittleEndian.Uint64(val)))
 	if !ok {
-		return zero, false
+		return int32(ErrInvalidMemObject)
 	}
-	t, ok := obj.(T)
-	return t, ok
+	return int32(b.s.SetKernelArgBuffer(k, idx, m))
 }
 
-// putHandles encodes handles into an out-buffer of cl_* handle elements.
-func putHandles(dst []byte, hs []marshal.Handle) {
-	for i, h := range hs {
-		if 8*i+8 <= len(dst) {
-			binary.LittleEndian.PutUint64(dst[8*i:], uint64(h))
-		}
-	}
+func (b binding) ClGetKernelWorkGroupInfo(_ *server.Context, k *Kernel, d *Device, name uint32, _ uint64, dst []byte) (uint64, int32) {
+	n, st := b.s.GetKernelWorkGroupInfo(k, d, name, dst)
+	return n, int32(st)
 }
 
-// getHandles decodes a wait-list buffer into handles.
-func getHandles(src []byte) []marshal.Handle {
-	out := make([]marshal.Handle, len(src)/8)
-	for i := range out {
-		out[i] = marshal.Handle(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	return out
+// The queues are in-order, so a wait list has nothing left to wait for once
+// the generated dispatcher has resolved (validated) it.
+
+func (b binding) ClEnqueueNDRangeKernel(_ *server.Context, q *Queue, k *Kernel, _ uint32, global, local []byte, _ uint32, _ []*Event) (*Event, int32) {
+	ev, st := b.s.EnqueueNDRangeKernel(q, k, decodeSizes(global), decodeSizes(local))
+	return ev, int32(st)
 }
 
-// eventsOf resolves a wait list; invalid entries yield an error status.
-func eventsOf(ctx *server.Context, src []byte) ([]*Event, Status) {
-	hs := getHandles(src)
-	evs := make([]*Event, 0, len(hs))
-	for _, h := range hs {
-		e, ok := resolve[*Event](ctx, h)
-		if !ok {
-			return nil, ErrInvalidEvent
-		}
-		evs = append(evs, e)
-	}
-	return evs, Success
+func (b binding) ClEnqueueTask(_ *server.Context, q *Queue, k *Kernel, _ uint32, _ []*Event) (*Event, int32) {
+	ev, st := b.s.EnqueueTask(q, k)
+	return ev, int32(st)
 }
 
-// finishEvent publishes an enqueue's completion event if the guest asked
-// for one (the `event` out element, freshly allocated).
-func finishEvent(inv *server.Invocation, paramIdx int, ev *Event) {
-	if ev == nil || inv.IsNull(paramIdx) {
-		return
-	}
-	inv.SetOutHandle(paramIdx, insertFresh(inv.Ctx, ev))
+func (b binding) ClEnqueueReadBuffer(_ *server.Context, q *Queue, m *Mem, _ uint32, off, _ uint64, dst []byte, _ uint32, _ []*Event) (*Event, int32) {
+	ev, st := b.s.EnqueueReadBuffer(q, m, off, dst)
+	return ev, int32(st)
 }
 
-// BindServer registers all 39 OpenCL handlers against reg, executing on
-// silo. It also installs the registry's OOM hook via swapmgr-compatible
-// error wrapping: clCreateBuffer allocation failures surface as
-// server.ErrDeviceOOM so a swap policy can evict and retry (§4.3).
-func BindServer(reg *server.Registry, silo *Silo) {
-	type inv = server.Invocation
-
-	// --- Discovery ---
-
-	reg.MustRegister("clGetPlatformIDs", func(v *inv) error {
-		ps := silo.GetPlatformIDs()
-		n := uint32(len(ps))
-		if !v.IsNull(1) {
-			hs := make([]marshal.Handle, 0, len(ps))
-			for _, p := range ps {
-				hs = append(hs, insertStable(v.Ctx, p))
-			}
-			putHandles(v.Bytes(1), hs)
-		}
-		if !v.IsNull(2) {
-			v.SetOutUint(2, uint64(n))
-		}
-		v.SetStatus(int64(Success))
-		return nil
-	})
-
-	reg.MustRegister("clGetPlatformInfo", func(v *inv) error {
-		p, ok := resolve[*Platform](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidPlatform))
-			return nil
-		}
-		n, st := silo.GetPlatformInfo(p, uint32(v.Uint(1)), v.Bytes(3))
-		if !v.IsNull(4) {
-			v.SetOutUint(4, n)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	reg.MustRegister("clGetDeviceIDs", func(v *inv) error {
-		p, ok := resolve[*Platform](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidPlatform))
-			return nil
-		}
-		ds, st := silo.GetDeviceIDs(p, v.Uint(1))
-		if st != Success {
-			v.SetStatus(int64(st))
-			return nil
-		}
-		if !v.IsNull(3) {
-			hs := make([]marshal.Handle, 0, len(ds))
-			for _, d := range ds {
-				hs = append(hs, insertStable(v.Ctx, d))
-			}
-			putHandles(v.Bytes(3), hs)
-		}
-		if !v.IsNull(4) {
-			v.SetOutUint(4, uint64(len(ds)))
-		}
-		v.SetStatus(int64(Success))
-		return nil
-	})
-
-	reg.MustRegister("clGetDeviceInfo", func(v *inv) error {
-		d, ok := resolve[*Device](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidDevice))
-			return nil
-		}
-		n, st := silo.GetDeviceInfo(d, uint32(v.Uint(1)), v.Bytes(3))
-		if !v.IsNull(4) {
-			v.SetOutUint(4, n)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	// --- Contexts ---
-
-	reg.MustRegister("clCreateContext", func(v *inv) error {
-		hs := getHandles(v.Bytes(1))
-		devs := make([]*Device, 0, len(hs))
-		st := Success
-		for _, h := range hs {
-			d, ok := resolve[*Device](v.Ctx, h)
-			if !ok {
-				st = ErrInvalidDevice
-				break
-			}
-			devs = append(devs, d)
-		}
-		var ret marshal.Handle
-		if st == Success {
-			c, cst := silo.CreateContext(devs)
-			st = cst
-			if st == Success {
-				c.SetOwner(v.Ctx.Name)
-				ret = insertFresh(v.Ctx, c)
-			}
-		}
-		if !v.IsNull(2) {
-			v.SetOutInt(2, int64(st))
-		}
-		v.SetRetHandle(ret)
-		return nil
-	})
-
-	reg.MustRegister("clRetainContext", func(v *inv) error {
-		c, ok := resolve[*Context](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidContext))
-			return nil
-		}
-		v.SetStatus(int64(silo.RetainContext(c)))
-		return nil
-	})
-
-	reg.MustRegister("clReleaseContext", func(v *inv) error {
-		h := v.Handle(0)
-		c, ok := resolve[*Context](v.Ctx, h)
-		if !ok {
-			v.SetStatus(int64(ErrInvalidContext))
-			return nil
-		}
-		st := silo.ReleaseContext(c)
-		if st == Success && c.dead {
-			dropHandle(v.Ctx, h)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	reg.MustRegister("clGetContextInfo", func(v *inv) error {
-		c, ok := resolve[*Context](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidContext))
-			return nil
-		}
-		n, st := silo.GetContextInfo(c, uint32(v.Uint(1)), v.Bytes(3))
-		if !v.IsNull(4) {
-			v.SetOutUint(4, n)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	// --- Queues ---
-
-	reg.MustRegister("clCreateCommandQueue", func(v *inv) error {
-		c, okc := resolve[*Context](v.Ctx, v.Handle(0))
-		d, okd := resolve[*Device](v.Ctx, v.Handle(1))
-		st := Success
-		var ret marshal.Handle
-		switch {
-		case !okc:
-			st = ErrInvalidContext
-		case !okd:
-			st = ErrInvalidDevice
-		default:
-			q, qst := silo.CreateCommandQueue(c, d, v.Uint(2))
-			st = qst
-			if st == Success {
-				ret = insertFresh(v.Ctx, q)
-			}
-		}
-		if !v.IsNull(3) {
-			v.SetOutInt(3, int64(st))
-		}
-		v.SetRetHandle(ret)
-		return nil
-	})
-
-	reg.MustRegister("clRetainCommandQueue", func(v *inv) error {
-		q, ok := resolve[*Queue](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		v.SetStatus(int64(silo.RetainCommandQueue(q)))
-		return nil
-	})
-
-	reg.MustRegister("clReleaseCommandQueue", func(v *inv) error {
-		h := v.Handle(0)
-		q, ok := resolve[*Queue](v.Ctx, h)
-		if !ok {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		st := silo.ReleaseCommandQueue(q)
-		if st == Success && q.dead {
-			dropHandle(v.Ctx, h)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	// --- Buffers ---
-
-	reg.MustRegister("clCreateBuffer", func(v *inv) error {
-		c, ok := resolve[*Context](v.Ctx, v.Handle(0))
-		st := Success
-		var ret marshal.Handle
-		if !ok {
-			st = ErrInvalidContext
-		} else {
-			m, mst := silo.CreateBuffer(c, v.Uint(1), v.Uint(2))
-			st = mst
-			if st == ErrMemObjectAllocFailure {
-				// Let the server's OOM policy (swap manager) evict and
-				// retry the call once.
-				return fmt.Errorf("clCreateBuffer(%d bytes): %w", v.Uint(2), server.ErrDeviceOOM)
-			}
-			if st == Success {
-				ret = insertFresh(v.Ctx, m)
-			}
-		}
-		if !v.IsNull(3) {
-			v.SetOutInt(3, int64(st))
-		}
-		v.SetRetHandle(ret)
-		return nil
-	})
-
-	reg.MustRegister("clRetainMemObject", func(v *inv) error {
-		m, ok := resolve[*Mem](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidMemObject))
-			return nil
-		}
-		v.SetStatus(int64(silo.RetainMemObject(m)))
-		return nil
-	})
-
-	reg.MustRegister("clReleaseMemObject", func(v *inv) error {
-		h := v.Handle(0)
-		m, ok := resolve[*Mem](v.Ctx, h)
-		if !ok {
-			v.SetStatus(int64(ErrInvalidMemObject))
-			return nil
-		}
-		st := silo.ReleaseMemObject(m)
-		if st == Success && m.dead {
-			dropHandle(v.Ctx, h)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	// --- Programs and kernels ---
-
-	reg.MustRegister("clCreateProgramWithSource", func(v *inv) error {
-		c, ok := resolve[*Context](v.Ctx, v.Handle(0))
-		st := Success
-		var ret marshal.Handle
-		if !ok {
-			st = ErrInvalidContext
-		} else {
-			p, pst := silo.CreateProgramWithSource(c, v.Str(1))
-			st = pst
-			if st == Success {
-				ret = insertFresh(v.Ctx, p)
-			}
-		}
-		if !v.IsNull(2) {
-			v.SetOutInt(2, int64(st))
-		}
-		v.SetRetHandle(ret)
-		return nil
-	})
-
-	reg.MustRegister("clBuildProgram", func(v *inv) error {
-		p, ok := resolve[*Program](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidProgram))
-			return nil
-		}
-		v.SetStatus(int64(silo.BuildProgram(p, v.Str(1))))
-		return nil
-	})
-
-	reg.MustRegister("clGetProgramBuildInfo", func(v *inv) error {
-		p, ok := resolve[*Program](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidProgram))
-			return nil
-		}
-		n, st := silo.GetProgramBuildInfo(p, uint32(v.Uint(1)), v.Bytes(3))
-		if !v.IsNull(4) {
-			v.SetOutUint(4, n)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	reg.MustRegister("clRetainProgram", func(v *inv) error {
-		p, ok := resolve[*Program](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidProgram))
-			return nil
-		}
-		v.SetStatus(int64(silo.RetainProgram(p)))
-		return nil
-	})
-
-	reg.MustRegister("clReleaseProgram", func(v *inv) error {
-		h := v.Handle(0)
-		p, ok := resolve[*Program](v.Ctx, h)
-		if !ok {
-			v.SetStatus(int64(ErrInvalidProgram))
-			return nil
-		}
-		st := silo.ReleaseProgram(p)
-		if st == Success && p.dead {
-			dropHandle(v.Ctx, h)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	reg.MustRegister("clCreateKernel", func(v *inv) error {
-		p, ok := resolve[*Program](v.Ctx, v.Handle(0))
-		st := Success
-		var ret marshal.Handle
-		if !ok {
-			st = ErrInvalidProgram
-		} else {
-			k, kst := silo.CreateKernel(p, v.Str(1))
-			st = kst
-			if st == Success {
-				ret = insertFresh(v.Ctx, k)
-			}
-		}
-		if !v.IsNull(2) {
-			v.SetOutInt(2, int64(st))
-		}
-		v.SetRetHandle(ret)
-		return nil
-	})
-
-	reg.MustRegister("clRetainKernel", func(v *inv) error {
-		k, ok := resolve[*Kernel](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidKernel))
-			return nil
-		}
-		v.SetStatus(int64(silo.RetainKernel(k)))
-		return nil
-	})
-
-	reg.MustRegister("clReleaseKernel", func(v *inv) error {
-		h := v.Handle(0)
-		k, ok := resolve[*Kernel](v.Ctx, h)
-		if !ok {
-			v.SetStatus(int64(ErrInvalidKernel))
-			return nil
-		}
-		st := silo.ReleaseKernel(k)
-		if st == Success && k.dead {
-			dropHandle(v.Ctx, h)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	reg.MustRegister("clSetKernelArg", func(v *inv) error {
-		k, ok := resolve[*Kernel](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidKernel))
-			return nil
-		}
-		idx := uint32(v.Uint(1))
-		val := v.Bytes(3)
-		// The kernel's declared argument kinds disambiguate: a buffer
-		// argument arrives as the 8-byte guest handle of a cl_mem, which
-		// the server translates through the per-VM handle table. This is
-		// the handle-translation half of what the paper's generated
-		// server must do for opaque object arguments.
-		if int(idx) < len(k.def.Args) && k.def.Args[idx] == ArgBuffer {
-			if len(val) != 8 {
-				v.SetStatus(int64(ErrInvalidKernelArgs))
-				return nil
-			}
-			m, ok := resolve[*Mem](v.Ctx, marshal.Handle(binary.LittleEndian.Uint64(val)))
-			if !ok {
-				v.SetStatus(int64(ErrInvalidMemObject))
-				return nil
-			}
-			v.SetStatus(int64(silo.SetKernelArgBuffer(k, idx, m)))
-			return nil
-		}
-		v.SetStatus(int64(silo.SetKernelArgBytes(k, idx, val)))
-		return nil
-	})
-
-	reg.MustRegister("clGetKernelWorkGroupInfo", func(v *inv) error {
-		k, ok := resolve[*Kernel](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidKernel))
-			return nil
-		}
-		d, _ := resolve[*Device](v.Ctx, v.Handle(1))
-		n, st := silo.GetKernelWorkGroupInfo(k, d, uint32(v.Uint(2)), v.Bytes(4))
-		if !v.IsNull(5) {
-			v.SetOutUint(5, n)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	// --- Enqueues ---
-
-	reg.MustRegister("clEnqueueNDRangeKernel", func(v *inv) error {
-		q, okq := resolve[*Queue](v.Ctx, v.Handle(0))
-		k, okk := resolve[*Kernel](v.Ctx, v.Handle(1))
-		if !okq {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		if !okk {
-			v.SetStatus(int64(ErrInvalidKernel))
-			return nil
-		}
-		if _, st := eventsOf(v.Ctx, v.Bytes(6)); st != Success {
-			v.SetStatus(int64(st))
-			return nil
-		}
-		global := decodeSizes(v.Bytes(3))
-		local := decodeSizes(v.Bytes(4))
-		ev, st := silo.EnqueueNDRangeKernel(q, k, global, local)
-		finishEvent(v, 7, ev)
-		if err := oomOrStatus(v, "clEnqueueNDRangeKernel", st); err != nil {
-			return err
-		}
-		return nil
-	})
-
-	reg.MustRegister("clEnqueueTask", func(v *inv) error {
-		q, okq := resolve[*Queue](v.Ctx, v.Handle(0))
-		k, okk := resolve[*Kernel](v.Ctx, v.Handle(1))
-		if !okq {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		if !okk {
-			v.SetStatus(int64(ErrInvalidKernel))
-			return nil
-		}
-		if _, st := eventsOf(v.Ctx, v.Bytes(3)); st != Success {
-			v.SetStatus(int64(st))
-			return nil
-		}
-		ev, st := silo.EnqueueTask(q, k)
-		finishEvent(v, 4, ev)
-		if err := oomOrStatus(v, "clEnqueueTask", st); err != nil {
-			return err
-		}
-		return nil
-	})
-
-	reg.MustRegister("clEnqueueReadBuffer", func(v *inv) error {
-		q, okq := resolve[*Queue](v.Ctx, v.Handle(0))
-		m, okm := resolve[*Mem](v.Ctx, v.Handle(1))
-		if !okq {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		if !okm {
-			v.SetStatus(int64(ErrInvalidMemObject))
-			return nil
-		}
-		if _, st := eventsOf(v.Ctx, v.Bytes(7)); st != Success {
-			v.SetStatus(int64(st))
-			return nil
-		}
-		ev, st := silo.EnqueueReadBuffer(q, m, v.Uint(3), v.Bytes(5))
-		finishEvent(v, 8, ev)
-		if err := oomOrStatus(v, "clEnqueueReadBuffer", st); err != nil {
-			return err
-		}
-		return nil
-	})
-
-	reg.MustRegister("clEnqueueWriteBuffer", func(v *inv) error {
-		q, okq := resolve[*Queue](v.Ctx, v.Handle(0))
-		m, okm := resolve[*Mem](v.Ctx, v.Handle(1))
-		if !okq {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		if !okm {
-			v.SetStatus(int64(ErrInvalidMemObject))
-			return nil
-		}
-		if _, st := eventsOf(v.Ctx, v.Bytes(7)); st != Success {
-			v.SetStatus(int64(st))
-			return nil
-		}
-		ev, st := silo.EnqueueWriteBuffer(q, m, v.Uint(3), v.Bytes(5))
-		finishEvent(v, 8, ev)
-		if err := oomOrStatus(v, "clEnqueueWriteBuffer", st); err != nil {
-			return err
-		}
-		return nil
-	})
-
-	reg.MustRegister("clEnqueueCopyBuffer", func(v *inv) error {
-		q, okq := resolve[*Queue](v.Ctx, v.Handle(0))
-		src, oks := resolve[*Mem](v.Ctx, v.Handle(1))
-		dst, okd := resolve[*Mem](v.Ctx, v.Handle(2))
-		if !okq {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		if !oks || !okd {
-			v.SetStatus(int64(ErrInvalidMemObject))
-			return nil
-		}
-		if _, st := eventsOf(v.Ctx, v.Bytes(7)); st != Success {
-			v.SetStatus(int64(st))
-			return nil
-		}
-		ev, st := silo.EnqueueCopyBuffer(q, src, dst, v.Uint(3), v.Uint(4), v.Uint(5))
-		finishEvent(v, 8, ev)
-		if err := oomOrStatus(v, "clEnqueueCopyBuffer", st); err != nil {
-			return err
-		}
-		return nil
-	})
-
-	reg.MustRegister("clEnqueueFillBuffer", func(v *inv) error {
-		q, okq := resolve[*Queue](v.Ctx, v.Handle(0))
-		m, okm := resolve[*Mem](v.Ctx, v.Handle(1))
-		if !okq {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		if !okm {
-			v.SetStatus(int64(ErrInvalidMemObject))
-			return nil
-		}
-		if _, st := eventsOf(v.Ctx, v.Bytes(6)); st != Success {
-			v.SetStatus(int64(st))
-			return nil
-		}
-		ev, st := silo.EnqueueFillBuffer(q, m, v.Bytes(2), v.Uint(4), v.Uint(5))
-		finishEvent(v, 7, ev)
-		if err := oomOrStatus(v, "clEnqueueFillBuffer", st); err != nil {
-			return err
-		}
-		return nil
-	})
-
-	reg.MustRegister("clEnqueueMarker", func(v *inv) error {
-		q, ok := resolve[*Queue](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		ev, st := silo.EnqueueMarker(q)
-		finishEvent(v, 1, ev)
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	reg.MustRegister("clEnqueueBarrier", func(v *inv) error {
-		q, ok := resolve[*Queue](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		v.SetStatus(int64(silo.EnqueueBarrier(q)))
-		return nil
-	})
-
-	// --- Synchronization and events ---
-
-	reg.MustRegister("clFinish", func(v *inv) error {
-		q, ok := resolve[*Queue](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		v.SetStatus(int64(silo.Finish(q)))
-		return nil
-	})
-
-	reg.MustRegister("clFlush", func(v *inv) error {
-		q, ok := resolve[*Queue](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidCommandQueue))
-			return nil
-		}
-		v.SetStatus(int64(silo.Flush(q)))
-		return nil
-	})
-
-	reg.MustRegister("clWaitForEvents", func(v *inv) error {
-		evs, st := eventsOf(v.Ctx, v.Bytes(1))
-		if st != Success {
-			v.SetStatus(int64(st))
-			return nil
-		}
-		v.SetStatus(int64(silo.WaitForEvents(evs)))
-		return nil
-	})
-
-	reg.MustRegister("clGetEventInfo", func(v *inv) error {
-		e, ok := resolve[*Event](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidEvent))
-			return nil
-		}
-		n, st := silo.GetEventInfo(e, uint32(v.Uint(1)), v.Bytes(3))
-		if !v.IsNull(4) {
-			v.SetOutUint(4, n)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	reg.MustRegister("clGetEventProfilingInfo", func(v *inv) error {
-		e, ok := resolve[*Event](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidEvent))
-			return nil
-		}
-		n, st := silo.GetEventProfilingInfo(e, uint32(v.Uint(1)), v.Bytes(3))
-		if !v.IsNull(4) {
-			v.SetOutUint(4, n)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
-
-	reg.MustRegister("clRetainEvent", func(v *inv) error {
-		e, ok := resolve[*Event](v.Ctx, v.Handle(0))
-		if !ok {
-			v.SetStatus(int64(ErrInvalidEvent))
-			return nil
-		}
-		v.SetStatus(int64(silo.RetainEvent(e)))
-		return nil
-	})
-
-	reg.MustRegister("clReleaseEvent", func(v *inv) error {
-		h := v.Handle(0)
-		e, ok := resolve[*Event](v.Ctx, h)
-		if !ok {
-			v.SetStatus(int64(ErrInvalidEvent))
-			return nil
-		}
-		st := silo.ReleaseEvent(e)
-		if st == Success && e.refs <= 0 {
-			dropHandle(v.Ctx, h)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) ClEnqueueWriteBuffer(_ *server.Context, q *Queue, m *Mem, _ uint32, off, _ uint64, src []byte, _ uint32, _ []*Event) (*Event, int32) {
+	ev, st := b.s.EnqueueWriteBuffer(q, m, off, src)
+	return ev, int32(st)
 }
 
-// oomOrStatus maps an allocation-failure status to the server's OOM
-// sentinel so the swap policy can evict and retry; other statuses flow to
-// the guest as ordinary API results.
-func oomOrStatus(v *server.Invocation, op string, st Status) error {
-	if st == ErrMemObjectAllocFailure {
-		return fmt.Errorf("%s: %w", op, server.ErrDeviceOOM)
-	}
-	v.SetStatus(int64(st))
-	return nil
+func (b binding) ClEnqueueCopyBuffer(_ *server.Context, q *Queue, src, dst *Mem, srcOff, dstOff, size uint64, _ uint32, _ []*Event) (*Event, int32) {
+	ev, st := b.s.EnqueueCopyBuffer(q, src, dst, srcOff, dstOff, size)
+	return ev, int32(st)
 }
+
+func (b binding) ClEnqueueFillBuffer(_ *server.Context, q *Queue, m *Mem, pattern []byte, _, off, size uint64, _ uint32, _ []*Event) (*Event, int32) {
+	ev, st := b.s.EnqueueFillBuffer(q, m, pattern, off, size)
+	return ev, int32(st)
+}
+
+func (b binding) ClEnqueueMarker(_ *server.Context, q *Queue) (*Event, int32) {
+	ev, st := b.s.EnqueueMarker(q)
+	return ev, int32(st)
+}
+
+func (b binding) ClEnqueueBarrier(_ *server.Context, q *Queue) int32 {
+	return int32(b.s.EnqueueBarrier(q))
+}
+func (b binding) ClFinish(_ *server.Context, q *Queue) int32 { return int32(b.s.Finish(q)) }
+func (b binding) ClFlush(_ *server.Context, q *Queue) int32  { return int32(b.s.Flush(q)) }
+
+func (b binding) ClWaitForEvents(_ *server.Context, _ uint32, evs []*Event) int32 {
+	return int32(b.s.WaitForEvents(evs))
+}
+
+func (b binding) ClGetEventInfo(_ *server.Context, e *Event, name uint32, _ uint64, dst []byte) (uint64, int32) {
+	n, st := b.s.GetEventInfo(e, name, dst)
+	return n, int32(st)
+}
+
+func (b binding) ClGetEventProfilingInfo(_ *server.Context, e *Event, name uint32, _ uint64, dst []byte) (uint64, int32) {
+	n, st := b.s.GetEventProfilingInfo(e, name, dst)
+	return n, int32(st)
+}
+
+func (b binding) ClRetainEvent(_ *server.Context, e *Event) int32  { return int32(b.s.RetainEvent(e)) }
+func (b binding) ClReleaseEvent(_ *server.Context, e *Event) int32 { return int32(b.s.ReleaseEvent(e)) }
 
 // decodeSizes turns a size_t buffer into work sizes.
 func decodeSizes(b []byte) []uint64 {

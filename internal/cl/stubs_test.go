@@ -13,7 +13,7 @@ import (
 // committed file must equal, byte for byte, what cava generates from the
 // committed specification (`make gen` regenerates it).
 func TestGeneratedStubsAreCurrent(t *testing.T) {
-	fresh, st, err := cava.Generate(cl.Descriptor(), cl.Spec, cava.GenOptions{Package: "cl", Stubs: "Stubs"})
+	fresh, st, err := cava.Generate(cl.Descriptor(), cl.Spec, cava.GenOptions{Package: "cl"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1086,10 +1086,13 @@ var errClosed = errors.New("failover: guardian closed")
 // replayed state: dial, adopt, replay rs onto the link through the
 // migration replay engine — recorded calls re-execute and rebind, then
 // stateful objects restore from the checkpoint — and on any failure sever
-// it and retry under the backoff budget.
+// it and retry under the backoff budget. The budget pays for the attempts
+// as well as the sleeps between them: a remote server that accepts the
+// connection and never answers costs one control timeout per dial.
 func (g *Guardian) dialAndReplay(rs replaySet) error {
 	series := g.bo.Series()
 	for {
+		began := g.clk.Now()
 		link, err := g.dial()
 		if err == nil {
 			err = errClosed
@@ -1105,6 +1108,7 @@ func (g *Guardian) dialAndReplay(rs replaySet) error {
 				transport.Sever(link.EP)
 			}
 		}
+		series.Charge(g.clk.Since(began))
 		d, ok := series.Next()
 		if !ok {
 			return fmt.Errorf("abandoned after %v (last: %w)", series.Spent(), err)

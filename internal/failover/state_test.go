@@ -319,3 +319,51 @@ func TestAdmitDropsResubmittedCallsOfADestroyedObject(t *testing.T) {
 		t.Fatalf("after the checkpoint: %d destroy records and tombstones", len(g.destroys))
 	}
 }
+
+// A remote server that accepts the connection and never answers costs every
+// dial one control timeout (transport's ctlTimeout, 5 s). The recovery's
+// backoff budget pays for those dials as well as for the sleeps between
+// them: with the default budget (2 s) the guardian gives up — CtrlDead north
+// — within the budget plus the one dial that overran it, not after as many
+// dials as 2 s of 100 ms sleeps leave room for (some 25, over two minutes).
+func TestStalledPeerDialsSpendTheBackoffBudget(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	const stall = 5 * time.Second
+	desc := cava.MustCompile(logSpec)
+	north, router := transport.NewInProc()
+	south, srv := transport.NewInProc()
+	clk := clock.NewVirtual()
+	dials := 0
+	dial := func() (ServerLink, error) {
+		if dials++; dials == 1 {
+			return ServerLink{EP: south}, nil
+		}
+		clk.Advance(stall) // the hello round trip running into its timeout
+		return ServerLink{}, errors.New("no control frame within 5s")
+	}
+	g := New(desc, north, dial, Config{Clock: clk})
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		g.Close()
+		for _, ep := range []transport.Endpoint{router, south, srv} {
+			ep.Close()
+		}
+	}()
+
+	g.mu.Lock()
+	gen := g.linkGen
+	g.mu.Unlock()
+	start := clk.Now()
+	if err := g.recover(gen, errors.New("test: link declared lost")); err == nil {
+		t.Fatal("recovery succeeded against a peer that never answers")
+	}
+	const budget = 2 * time.Second // backoff's default, which Config{} takes
+	if took := clk.Since(start); took > budget+stall {
+		t.Fatalf("guardian gave up after %v and %d dials; want within the %v budget plus one %v dial", took, dials-1, budget, stall)
+	}
+	if kind, _, _, ok := marshal.DecodeControl(recvReply(t, router)); !ok || kind != marshal.CtrlDead {
+		t.Fatalf("north got control kind %d (ok %v), want CtrlDead", kind, ok)
+	}
+}

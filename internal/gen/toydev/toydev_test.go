@@ -17,11 +17,11 @@ import (
 
 // silo implements toydev.Implementation: the only hand-written component,
 // exactly as the paper's workflow prescribes (the developer writes the
-// silo glue; CAvA generates everything else).
+// silo glue; CAvA generates everything else — handle table included, so the
+// silo sees its own objects and never a guest handle).
 type silo struct {
-	mu      sync.Mutex
-	count   uint32
-	devices map[marshal.Handle]*dev
+	mu    sync.Mutex
+	count uint32
 }
 
 type dev struct {
@@ -29,70 +29,44 @@ type dev struct {
 	scale float64
 }
 
-func newSilo() *silo { return &silo{devices: make(map[marshal.Handle]*dev)} }
+func newSilo() *silo { return &silo{} }
 
-func (s *silo) OpenDevice(ctx *server.Context, index uint32, d *marshal.Handle) int32 {
+func (s *silo) OpenDevice(_ *server.Context, index uint32) (any, int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := ctx.Handles.Insert(&dev{scale: 1})
-	s.devices[h] = mustDev(ctx, h)
 	s.count++
-	*d = h
-	return 0
+	return &dev{scale: 1}, 0
 }
 
-func mustDev(ctx *server.Context, h marshal.Handle) *dev {
-	obj, _ := ctx.Handles.Get(h)
-	d, _ := obj.(*dev)
-	return d
-}
-
-func (s *silo) DeviceCount(ctx *server.Context, n *uint32) int32 {
+func (s *silo) DeviceCount(*server.Context) (uint32, int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	*n = s.count
-	return 0
+	return s.count, 0
 }
 
-func (s *silo) Store(ctx *server.Context, d marshal.Handle, size uint64, data []byte, blocking uint32) int32 {
-	dv := mustDev(ctx, d)
-	if dv == nil {
-		return -1
-	}
+func (s *silo) Store(_ *server.Context, d any, size uint64, data []byte, blocking uint32) int32 {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	dv := d.(*dev)
 	dv.data = append(dv.data[:0], data...)
-	s.mu.Unlock()
 	return 0
 }
 
-func (s *silo) Load(ctx *server.Context, d marshal.Handle, size uint64, out []byte) int32 {
-	dv := mustDev(ctx, d)
-	if dv == nil {
-		return -1
-	}
+func (s *silo) Load(_ *server.Context, d any, size uint64, out []byte) int32 {
 	s.mu.Lock()
-	copy(out, dv.data)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	copy(out, d.(*dev).data)
 	return 0
 }
 
-func (s *silo) Scale(ctx *server.Context, d marshal.Handle, factor float64) int32 {
-	dv := mustDev(ctx, d)
-	if dv == nil {
-		return -1
-	}
+func (s *silo) Scale(_ *server.Context, d any, factor float64) int32 {
 	s.mu.Lock()
-	dv.scale *= factor
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	d.(*dev).scale *= factor
 	return 0
 }
 
-func (s *silo) CloseDevice(ctx *server.Context, d marshal.Handle) int32 {
-	if _, ok := ctx.Handles.Remove(d); !ok {
-		return -1
-	}
-	return 0
-}
+func (s *silo) CloseDevice(*server.Context, any) int32 { return 0 }
 
 var _ toydev.Implementation = (*silo)(nil)
 
@@ -126,7 +100,7 @@ func TestGeneratedStackEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := toydev.NewClient(lib)
+	c := toydev.NewStubs(lib)
 
 	var h marshal.Handle
 	st, err := c.OpenDevice(0, &h)

@@ -7,134 +7,52 @@ import (
 	"ava/internal/server"
 )
 
-// BindServer registers the MVNC handlers (the generated API-server
-// component for the NCSDK stack).
-func BindServer(reg *server.Registry, silo *Silo) {
-	type inv = server.Invocation
+// BindServer registers the generated MVNC handlers (Register in
+// stubs_gen.go, from mvnc.ava) against reg, executing on silo. The binding
+// below is the silo as the generated Implementation: argument conversions
+// only, no hooks.
+func BindServer(reg *server.Registry, silo *Silo) { Register(reg, binding{silo}) }
 
-	get := func(v *inv, i int) (any, bool) { return v.Ctx.Handles.Get(v.Handle(i)) }
+type binding struct{ s *Silo }
 
-	reg.MustRegister("mvncGetDeviceCount", func(v *inv) error {
-		if !v.IsNull(0) {
-			v.SetOutUint(0, uint64(silo.DeviceCount()))
-		}
-		v.SetStatus(int64(OK))
-		return nil
-	})
+func (b binding) MvncGetDeviceCount(*server.Context) (uint32, int32) {
+	return uint32(b.s.DeviceCount()), OK
+}
 
-	reg.MustRegister("mvncGetDeviceName", func(v *inv) error {
-		name, st := silo.DeviceName(uint32(v.Uint(0)))
-		if st == OK && !v.IsNull(2) {
-			copy(v.Bytes(2), name)
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) MvncGetDeviceName(_ *server.Context, index uint32, _ uint64, dst []byte) int32 {
+	name, st := b.s.DeviceName(index)
+	copy(dst, name)
+	return st
+}
 
-	reg.MustRegister("mvncOpenDevice", func(v *inv) error {
-		d, st := silo.OpenDevice(uint32(v.Uint(0)))
-		if st == OK && !v.IsNull(1) {
-			v.SetOutHandle(1, v.Ctx.Handles.Insert(d))
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) MvncOpenDevice(_ *server.Context, index uint32) (*Device, int32) {
+	return b.s.OpenDevice(index)
+}
 
-	reg.MustRegister("mvncCloseDevice", func(v *inv) error {
-		obj, ok := get(v, 0)
-		d, okd := obj.(*Device)
-		if !ok || !okd {
-			v.SetStatus(int64(ErrInvalidParams))
-			return nil
-		}
-		st := silo.CloseDevice(d)
-		if st == OK {
-			v.Ctx.Handles.Remove(v.Handle(0))
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) MvncCloseDevice(_ *server.Context, d *Device) int32 { return b.s.CloseDevice(d) }
 
-	reg.MustRegister("mvncAllocateGraph", func(v *inv) error {
-		obj, ok := get(v, 0)
-		d, okd := obj.(*Device)
-		if !ok || !okd {
-			v.SetStatus(int64(ErrInvalidParams))
-			return nil
-		}
-		g, st := silo.AllocateGraph(d, v.Str(1), v.Bytes(3))
-		if st == ErrOutOfMemory {
-			return fmt.Errorf("mvncAllocateGraph: %w", server.ErrDeviceOOM)
-		}
-		if st == OK && !v.IsNull(4) {
-			v.SetOutHandle(4, v.Ctx.Handles.Insert(g))
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) MvncAllocateGraph(_ *server.Context, d *Device, name string, _ uint64, blob []byte) (*Graph, int32) {
+	return b.s.AllocateGraph(d, name, blob)
+}
 
-	reg.MustRegister("mvncDeallocateGraph", func(v *inv) error {
-		obj, ok := get(v, 0)
-		g, okg := obj.(*Graph)
-		if !ok || !okg {
-			v.SetStatus(int64(ErrInvalidParams))
-			return nil
-		}
-		st := silo.DeallocateGraph(g)
-		if st == OK {
-			v.Ctx.Handles.Remove(v.Handle(0))
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) MvncDeallocateGraph(_ *server.Context, g *Graph) int32 {
+	return b.s.DeallocateGraph(g)
+}
 
-	reg.MustRegister("mvncLoadTensor", func(v *inv) error {
-		obj, ok := get(v, 0)
-		g, okg := obj.(*Graph)
-		if !ok || !okg {
-			v.SetStatus(int64(ErrInvalidParams))
-			return nil
-		}
-		v.SetStatus(int64(silo.LoadTensor(g, v.Bytes(2))))
-		return nil
-	})
+func (b binding) MvncLoadTensor(_ *server.Context, g *Graph, _ uint64, tensor []byte) int32 {
+	return b.s.LoadTensor(g, tensor)
+}
 
-	reg.MustRegister("mvncGetResult", func(v *inv) error {
-		obj, ok := get(v, 0)
-		g, okg := obj.(*Graph)
-		if !ok || !okg {
-			v.SetStatus(int64(ErrInvalidParams))
-			return nil
-		}
-		v.SetStatus(int64(silo.GetResult(g, v.Bytes(2))))
-		return nil
-	})
+func (b binding) MvncGetResult(_ *server.Context, g *Graph, _ uint64, dst []byte) int32 {
+	return b.s.GetResult(g, dst)
+}
 
-	reg.MustRegister("mvncSetGraphOption", func(v *inv) error {
-		obj, ok := get(v, 0)
-		g, okg := obj.(*Graph)
-		if !ok || !okg {
-			v.SetStatus(int64(ErrInvalidParams))
-			return nil
-		}
-		v.SetStatus(int64(silo.SetGraphOption(g, uint32(v.Uint(1)), uint32(v.Uint(2)))))
-		return nil
-	})
+func (b binding) MvncSetGraphOption(_ *server.Context, g *Graph, option, value uint32) int32 {
+	return b.s.SetGraphOption(g, option, value)
+}
 
-	reg.MustRegister("mvncGetGraphOption", func(v *inv) error {
-		obj, ok := get(v, 0)
-		g, okg := obj.(*Graph)
-		if !ok || !okg {
-			v.SetStatus(int64(ErrInvalidParams))
-			return nil
-		}
-		val, st := silo.GetGraphOption(g, uint32(v.Uint(1)))
-		if st == OK && !v.IsNull(2) {
-			v.SetOutUint(2, uint64(val))
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) MvncGetGraphOption(_ *server.Context, g *Graph, option uint32) (uint32, int32) {
+	return b.s.GetGraphOption(g, option)
 }
 
 // Client is the uniform MVNC programming surface; as with cl.Client, the

@@ -13,7 +13,7 @@ import (
 // committed file must equal, byte for byte, what cava generates from the
 // committed specification (`make gen` regenerates it).
 func TestGeneratedStubsAreCurrent(t *testing.T) {
-	fresh, st, err := cava.Generate(mvnc.Descriptor(), mvnc.Spec, cava.GenOptions{Package: "mvnc", Stubs: "Stubs"})
+	fresh, st, err := cava.Generate(mvnc.Descriptor(), mvnc.Spec, cava.GenOptions{Package: "mvnc"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,124 +8,41 @@ import (
 	"ava/internal/server"
 )
 
-// BindServer registers the QAT handlers (the generated API-server
-// component for the QAT stack).
-func BindServer(reg *server.Registry, silo *Silo) {
-	type inv = server.Invocation
+// BindServer registers the generated QAT handlers (Register in stubs_gen.go,
+// from qat.ava) against reg, executing on silo. The binding below is the silo
+// as the generated Implementation: argument conversions only, no hooks.
+func BindServer(reg *server.Registry, silo *Silo) { Register(reg, binding{silo}) }
 
-	instOf := func(v *inv, i int) (*Instance, bool) {
-		obj, ok := v.Ctx.Handles.Get(v.Handle(i))
-		if !ok {
-			return nil, false
-		}
-		in, ok := obj.(*Instance)
-		return in, ok
-	}
-	sessOf := func(v *inv, i int) (*Session, bool) {
-		obj, ok := v.Ctx.Handles.Get(v.Handle(i))
-		if !ok {
-			return nil, false
-		}
-		se, ok := obj.(*Session)
-		return se, ok
-	}
+type binding struct{ s *Silo }
 
-	reg.MustRegister("qatGetNumInstances", func(v *inv) error {
-		if !v.IsNull(0) {
-			v.SetOutUint(0, uint64(silo.NumInstances()))
-		}
-		v.SetStatus(int64(OK))
-		return nil
-	})
+func (b binding) QatGetNumInstances(*server.Context) (uint32, int32) {
+	return uint32(b.s.NumInstances()), OK
+}
 
-	reg.MustRegister("qatStartInstance", func(v *inv) error {
-		in, st := silo.StartInstance(uint32(v.Uint(0)))
-		if st == OK && !v.IsNull(1) {
-			v.SetOutHandle(1, v.Ctx.Handles.Insert(in))
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) QatStartInstance(_ *server.Context, index uint32) (*Instance, int32) {
+	return b.s.StartInstance(index)
+}
 
-	reg.MustRegister("qatStopInstance", func(v *inv) error {
-		in, ok := instOf(v, 0)
-		if !ok {
-			v.SetStatus(int64(ErrInvalid))
-			return nil
-		}
-		st := silo.StopInstance(in)
-		if st == OK {
-			v.Ctx.Handles.Remove(v.Handle(0))
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) QatStopInstance(_ *server.Context, in *Instance) int32 { return b.s.StopInstance(in) }
 
-	reg.MustRegister("qatSessionInit", func(v *inv) error {
-		in, ok := instOf(v, 0)
-		if !ok {
-			v.SetStatus(int64(ErrInvalid))
-			return nil
-		}
-		sess, st := silo.SessionInit(in, uint32(v.Uint(1)), uint32(v.Uint(2)))
-		if st == OK && !v.IsNull(3) {
-			v.SetOutHandle(3, v.Ctx.Handles.Insert(sess))
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) QatSessionInit(_ *server.Context, in *Instance, direction, level uint32) (*Session, int32) {
+	return b.s.SessionInit(in, direction, level)
+}
 
-	reg.MustRegister("qatSessionTeardown", func(v *inv) error {
-		sess, ok := sessOf(v, 0)
-		if !ok {
-			v.SetStatus(int64(ErrInvalid))
-			return nil
-		}
-		st := silo.SessionTeardown(sess)
-		if st == OK {
-			v.Ctx.Handles.Remove(v.Handle(0))
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) QatSessionTeardown(_ *server.Context, sess *Session) int32 {
+	return b.s.SessionTeardown(sess)
+}
 
-	reg.MustRegister("qatCompress", func(v *inv) error {
-		sess, ok := sessOf(v, 0)
-		if !ok {
-			v.SetStatus(int64(ErrInvalid))
-			return nil
-		}
-		n, st := silo.Compress(sess, v.Bytes(2), v.Bytes(4))
-		if !v.IsNull(5) {
-			v.SetOutUint(5, uint64(n))
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) QatCompress(_ *server.Context, sess *Session, _ uint64, src []byte, _ uint64, dst []byte) (uint32, int32) {
+	return b.s.Compress(sess, src, dst)
+}
 
-	reg.MustRegister("qatDecompress", func(v *inv) error {
-		sess, ok := sessOf(v, 0)
-		if !ok {
-			v.SetStatus(int64(ErrInvalid))
-			return nil
-		}
-		n, st := silo.Decompress(sess, v.Bytes(2), v.Bytes(4))
-		if !v.IsNull(5) {
-			v.SetOutUint(5, uint64(n))
-		}
-		v.SetStatus(int64(st))
-		return nil
-	})
+func (b binding) QatDecompress(_ *server.Context, sess *Session, _ uint64, src []byte, _ uint64, dst []byte) (uint32, int32) {
+	return b.s.Decompress(sess, src, dst)
+}
 
-	reg.MustRegister("qatHash", func(v *inv) error {
-		in, ok := instOf(v, 0)
-		if !ok {
-			v.SetStatus(int64(ErrInvalid))
-			return nil
-		}
-		v.SetStatus(int64(silo.Hash(in, v.Bytes(2), v.Bytes(3))))
-		return nil
-	})
+func (b binding) QatHash(_ *server.Context, in *Instance, _ uint64, src, digest []byte) int32 {
+	return b.s.Hash(in, src, digest)
 }
 
 // Error is a QAT failure status.

@@ -13,7 +13,7 @@ import (
 // committed file must equal, byte for byte, what cava generates from the
 // committed specification (`make gen` regenerates it).
 func TestGeneratedStubsAreCurrent(t *testing.T) {
-	fresh, st, err := cava.Generate(qat.Descriptor(), qat.Spec, cava.GenOptions{Package: "qat", Stubs: "Stubs"})
+	fresh, st, err := cava.Generate(qat.Descriptor(), qat.Spec, cava.GenOptions{Package: "qat"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -102,6 +103,78 @@ func (t *HandleTable) ForEach(visit func(marshal.Handle, any)) {
 	for _, h := range t.Handles() {
 		if obj, ok := t.Get(h); ok {
 			visit(h, obj)
+		}
+	}
+}
+
+// The functions below are the handle plumbing every generated API server
+// shares (cava emits calls to them; see internal/cava/gen.go): a handle
+// argument is resolved to the silo's type for it, a handle the call produces
+// is inserted, and handle arrays travel in buffers as 8-byte little-endian
+// elements. A fresh insertion is Handles.Insert and a drop is Handles.Remove.
+
+// Resolve fetches the silo object of type T behind a guest handle; ok is
+// false for a handle that is absent from the VM's table or names an object
+// of another type.
+func Resolve[T any](c *Context, h marshal.Handle) (T, bool) {
+	obj, _ := c.Handles.Get(h)
+	t, ok := obj.(T)
+	return t, ok
+}
+
+// ResolveList resolves a buffer of handles (an event wait list, a device
+// list); ok is false if any entry does not resolve. An empty buffer yields
+// nil without allocating.
+func ResolveList[T any](c *Context, src []byte) ([]T, bool) {
+	if len(src) < 8 {
+		return nil, true
+	}
+	out := make([]T, len(src)/8)
+	for i := range out {
+		t, ok := Resolve[T](c, marshal.Handle(binary.LittleEndian.Uint64(src[8*i:])))
+		if !ok {
+			return nil, false
+		}
+		out[i] = t
+	}
+	return out, true
+}
+
+// InsertStable returns the handle obj already has in this VM's table, or
+// inserts it: for objects the silo hands out again on every query (`stable`
+// handle declarations — platforms, devices), which must keep one guest
+// handle. The lock is held across the lookup-or-insert so two dispatch
+// workers cannot mint distinct handles for one object; the liveness check
+// matters after Rebind or a drop, which move and remove table entries
+// underneath this cache.
+func (c *Context) InsertStable(obj any) marshal.Handle {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if h, ok := c.stable[obj]; ok {
+		if got, live := c.Handles.Get(h); live && got == obj {
+			return h
+		}
+	}
+	if c.stable == nil {
+		c.stable = make(map[any]marshal.Handle)
+	}
+	h := c.Handles.Insert(obj)
+	c.stable[obj] = h
+	return h
+}
+
+// PublishList inserts every object the silo wrote into objs (nil entries
+// are skipped) and stores the handles into dst, an out buffer of handle
+// elements.
+func PublishList[T comparable](c *Context, dst []byte, objs []T, stable bool) {
+	insert := c.Handles.Insert
+	if stable {
+		insert = c.InsertStable
+	}
+	var none T
+	for i, obj := range objs {
+		if obj != none && 8*i+8 <= len(dst) {
+			binary.LittleEndian.PutUint64(dst[8*i:], uint64(insert(obj)))
 		}
 	}
 }

@@ -218,6 +218,19 @@ func (inv *Invocation) SetRetHandle(h marshal.Handle) { inv.ret = marshal.Handle
 // Ret returns the current return value.
 func (inv *Invocation) Ret() marshal.Value { return inv.ret }
 
+// OOM is the error a handler returns when the silo reported the API's
+// allocation-failure status (`oom(V)` on a status type): the dispatcher lets
+// the registry's OnOOM policy make room and runs the handler once more (§4.3).
+func (inv *Invocation) OOM() error {
+	return fmt.Errorf("%s: %w", inv.Desc.Name, ErrDeviceOOM)
+}
+
+// BadHandle is the error for a handle argument that names no live object of
+// its type, in a function with no status value to say so in.
+func (inv *Invocation) BadHandle(i int) error {
+	return fmt.Errorf("server: %s(%s): no such object", inv.Desc.Name, inv.Desc.Params[i].Name)
+}
+
 // finishOuts assembles Reply.Outs in parameter order into dst[:0]: buffers
 // contribute their (possibly handler-written) bytes, elements contribute
 // the values stored by Set*; null arguments stay null. A function without

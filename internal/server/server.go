@@ -182,18 +182,12 @@ type Context struct {
 	Name    string
 	Handles *HandleTable
 
-	// Aux carries silo-binding state private to one API's handlers (e.g.
-	// the OpenCL binding's reverse object→handle map). Dispatch workers
-	// run handlers for one context concurrently (FIFO is guaranteed only
-	// within an ordering domain), so binding state must synchronize its
-	// own mutation; initialize it race-free through AuxInit.
-	Aux any
-
 	mu        sync.Mutex
 	deferred  string // pending async-error note (§4.2 error deferral)
 	recording bool   // record tracked calls for migration (opt-in)
 	log       []RecordedCall
 	stats     Stats
+	stable    map[any]marshal.Handle // InsertStable's object→handle cache
 
 	// frozen marks the VM suspended for migration. Atomic (not under mu):
 	// every call checks it, and a call takes mu only once, at its end.
@@ -219,18 +213,6 @@ func NewContext(vm uint32, name string) *Context {
 
 // SetClock overrides the context's time source (tests).
 func (c *Context) SetClock(clk clock.Clock) { c.clk = clk }
-
-// AuxInit returns c.Aux, initializing it with mk on first use. Handlers
-// on different dispatch workers may race to bind a context, so lazy Aux
-// initialization must go through here rather than testing c.Aux directly.
-func (c *Context) AuxInit(mk func() any) any {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.Aux == nil {
-		c.Aux = mk()
-	}
-	return c.Aux
-}
 
 // Stats returns a copy of the context's counters.
 func (c *Context) Stats() Stats {

@@ -5,7 +5,22 @@
 // conditional on an argument), parameter directions and buffer sizes,
 // single-element output pointers whose element is freshly allocated, resource
 // usage estimates for the hypervisor scheduler, and object-tracking
-// annotations that drive record/replay migration. The package provides the
+// annotations that drive record/replay migration. Two declarations carry what
+// the generated API server needs beyond the call's shape:
+//
+//	handle cl_mem { type(*Mem); invalid(CL_INVALID_MEM_OBJECT); refcounted; }
+//	handle cl_device_id { type(*Device); invalid(CL_INVALID_DEVICE); stable; }
+//	type cl_int = int32_t { success(CL_SUCCESS); oom(CL_MEM_OBJECT_ALLOCATION_FAILURE); }
+//
+// type(*T) is the silo's Go type behind the handle (any when omitted);
+// invalid(V) the status a call answers when an argument of this handle type
+// names no live object of that type; stable says the silo hands out the same
+// object on every query (platforms, devices), so it keeps one guest handle
+// instead of a fresh one per appearance; refcounted says a destroy call drops
+// one reference and the handle leaves the table only once the object reports
+// Released(). oom(V) on a status type names the allocation-failure value the
+// server turns into its out-of-memory sentinel (evict and retry, §4.3)
+// wherever a value of that type comes back. The package provides the
 // lexer, parser, semantic validation, the inference pass that produces a
 // preliminary specification from bare declarations (the step CAvA performs
 // on an unannotated header), an expression evaluator used at call time to
@@ -105,18 +120,25 @@ func (t TypeRef) String() string {
 	return s
 }
 
-// TypeDecl is `type name = base { success(V); }`.
+// TypeDecl is `type name = base { success(V); oom(V); }`.
 type TypeDecl struct {
 	Name    string
 	Base    string
 	Success Expr // optional: value meaning success for this return type
+	OOM     Expr // optional: value meaning the device could not allocate
 	Pos     Pos
 }
 
-// HandleDecl is `handle name;`, declaring an opaque object type.
+// HandleDecl is `handle name;` or `handle name { type(*T); invalid(V);
+// stable; refcounted; }`, declaring an opaque object type and what the
+// generated API server knows about the silo object behind it.
 type HandleDecl struct {
-	Name string
-	Pos  Pos
+	Name       string
+	GoType     string // silo type, "*T"; "" = any
+	Invalid    Expr   // optional: status answered for a dead or foreign handle
+	Stable     bool   // one guest handle per object, however often it is returned
+	Refcounted bool   // a destroy call removes the handle only once obj.Released()
+	Pos        Pos
 }
 
 // ConstDecl is `const NAME = value;`.

@@ -7,8 +7,10 @@ package spec
 //	spec       = { decl } .
 //	decl       = apiDecl | typeDecl | handleDecl | constDecl | funcDecl .
 //	apiDecl    = "api" STRING [ "version" STRING ] ";" .
-//	typeDecl   = "type" IDENT "=" IDENT [ "{" "success" "(" expr ")" ";" "}" ] [";"] .
-//	handleDecl = "handle" IDENT ";" .
+//	typeDecl   = "type" IDENT "=" IDENT [ "{" { ("success"|"oom") "(" expr ")" ";" } "}" ] [";"] .
+//	handleDecl = "handle" IDENT ( ";" | "{" { hAnn } "}" [";"] ) .
+//	hAnn       = "type" "(" "*" IDENT ")" ";" | "invalid" "(" expr ")" ";"
+//	           | ("stable"|"refcounted") ";" .
 //	constDecl  = "const" IDENT "=" ["-"] INT ";" .
 //	funcDecl   = typeRef IDENT "(" [ param { "," param } ] ")" ( ";" | body ) .
 //	param      = ["const"] typeRef IDENT .
@@ -155,27 +157,18 @@ func (p *parser) parseTypeDecl(api *API) error {
 	}
 	td := &TypeDecl{Name: name.text, Base: base.text, Pos: pos}
 	if p.tok.kind == tokLBrace {
-		if err := p.advance(); err != nil {
+		err := p.parseAttrs(func(word string, pos Pos) (err error) {
+			switch word {
+			case "success":
+				td.Success, err = p.parseParenExpr()
+			case "oom":
+				td.OOM, err = p.parseParenExpr()
+			default:
+				err = errf(pos, "unknown type annotation %q (want success/oom)", word)
+			}
 			return err
-		}
-		if err := p.expectIdent("success"); err != nil {
-			return err
-		}
-		if _, err := p.expect(tokLParen); err != nil {
-			return err
-		}
-		e, err := p.parseExpr()
+		})
 		if err != nil {
-			return err
-		}
-		td.Success = e
-		if _, err := p.expect(tokRParen); err != nil {
-			return err
-		}
-		if _, err := p.expect(tokSemi); err != nil {
-			return err
-		}
-		if _, err := p.expect(tokRBrace); err != nil {
 			return err
 		}
 	}
@@ -201,15 +194,89 @@ func (p *parser) parseHandleDecl(api *API) error {
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(tokSemi); err != nil {
+	hd := &HandleDecl{Name: name.text, Pos: pos}
+	if p.tok.kind == tokLBrace {
+		err := p.parseAttrs(func(word string, pos Pos) (err error) {
+			switch word {
+			case "type":
+				hd.GoType, err = p.parseGoType()
+			case "invalid":
+				hd.Invalid, err = p.parseParenExpr()
+			case "stable":
+				hd.Stable = true
+			case "refcounted":
+				hd.Refcounted = true
+			default:
+				err = errf(pos, "unknown handle annotation %q (want type/invalid/stable/refcounted)", word)
+			}
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	} else if p.tok.kind != tokSemi {
+		return errf(p.tok.pos, "expected ';' or annotation body after handle %s, found %s", hd.Name, p.tok)
+	}
+	if p.tok.kind == tokSemi {
+		if err := p.advance(); err != nil {
+			return err
+		}
+	}
+	if _, dup := api.Handles[hd.Name]; dup {
+		return errf(pos, "handle %q redeclared", hd.Name)
+	}
+	api.Handles[hd.Name] = hd
+	api.handleOrder = append(api.handleOrder, hd.Name)
+	return nil
+}
+
+// parseAttrs parses a declaration's `{ word ...; word ...; }` body: item
+// consumes what follows each word up to its semicolon.
+func (p *parser) parseAttrs(item func(word string, pos Pos) error) error {
+	if err := p.advance(); err != nil { // consume '{'
 		return err
 	}
-	if _, dup := api.Handles[name.text]; dup {
-		return errf(pos, "handle %q redeclared", name.text)
+	for p.tok.kind != tokRBrace {
+		word, err := p.expect(tokIdent)
+		if err != nil {
+			return err
+		}
+		if err := item(word.text, word.pos); err != nil {
+			return err
+		}
+		if _, err := p.expect(tokSemi); err != nil {
+			return err
+		}
 	}
-	api.Handles[name.text] = &HandleDecl{Name: name.text, Pos: pos}
-	api.handleOrder = append(api.handleOrder, name.text)
-	return nil
+	return p.advance() // consume '}'
+}
+
+func (p *parser) parseParenExpr() (Expr, error) {
+	if _, err := p.expect(tokLParen); err != nil {
+		return nil, err
+	}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	_, err = p.expect(tokRParen)
+	return e, err
+}
+
+// parseGoType parses `(*T)`: the silo's Go type behind a handle.
+func (p *parser) parseGoType() (string, error) {
+	if _, err := p.expect(tokLParen); err != nil {
+		return "", err
+	}
+	if _, err := p.expect(tokStar); err != nil {
+		return "", err
+	}
+	name, err := p.expect(tokIdent)
+	if err != nil {
+		return "", err
+	}
+	_, err = p.expect(tokRParen)
+	return "*" + name.text, err
 }
 
 func (p *parser) parseConstDecl(api *API) error {

@@ -19,7 +19,25 @@ func Print(api *API) string {
 		b.WriteString(";\n\n")
 	}
 	for _, name := range api.handleOrder {
-		fmt.Fprintf(&b, "handle %s;\n", name)
+		hd := api.Handles[name]
+		var anns []string
+		if hd.GoType != "" {
+			anns = append(anns, fmt.Sprintf("type(%s);", hd.GoType))
+		}
+		if hd.Invalid != nil {
+			anns = append(anns, fmt.Sprintf("invalid(%s);", printExpr(hd.Invalid)))
+		}
+		if hd.Stable {
+			anns = append(anns, "stable;")
+		}
+		if hd.Refcounted {
+			anns = append(anns, "refcounted;")
+		}
+		if len(anns) == 0 {
+			fmt.Fprintf(&b, "handle %s;\n", name)
+		} else {
+			fmt.Fprintf(&b, "handle %s { %s }\n", name, strings.Join(anns, " "))
+		}
 	}
 	if len(api.handleOrder) > 0 {
 		b.WriteByte('\n')
@@ -33,8 +51,15 @@ func Print(api *API) string {
 	for _, name := range api.typeOrder {
 		td := api.Types[name]
 		fmt.Fprintf(&b, "type %s = %s", td.Name, td.Base)
-		if td.Success != nil {
-			fmt.Fprintf(&b, " { success(%s); }", printExpr(td.Success))
+		if td.Success != nil || td.OOM != nil {
+			b.WriteString(" {")
+			if td.Success != nil {
+				fmt.Fprintf(&b, " success(%s);", printExpr(td.Success))
+			}
+			if td.OOM != nil {
+				fmt.Fprintf(&b, " oom(%s);", printExpr(td.OOM))
+			}
+			b.WriteString(" }")
 		}
 		b.WriteString(";\n")
 	}

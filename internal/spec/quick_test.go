@@ -18,10 +18,26 @@ func randAPI(r *rand.Rand) string {
 
 	nHandles := 1 + r.Intn(3)
 	for i := 0; i < nHandles; i++ {
-		fmt.Fprintf(&b, "handle h%d;\n", i)
+		// A bare declaration, or any subset of what the generated API
+		// server is told about the object behind the handle.
+		var anns []string
+		for _, ann := range []string{fmt.Sprintf("type(*Obj%d);", i), "invalid(MAGIC);", "stable;", "refcounted;"} {
+			if r.Intn(2) == 0 {
+				anns = append(anns, ann)
+			}
+		}
+		if len(anns) == 0 {
+			fmt.Fprintf(&b, "handle h%d;\n", i)
+		} else {
+			fmt.Fprintf(&b, "handle h%d { %s }\n", i, strings.Join(anns, " "))
+		}
 	}
 	fmt.Fprintf(&b, "const OK = 0;\nconst MAGIC = %d;\n", r.Intn(1000)+1)
-	b.WriteString("type st = int32_t { success(OK); };\n")
+	if r.Intn(2) == 0 {
+		b.WriteString("type st = int32_t { success(OK); };\n")
+	} else {
+		b.WriteString("type st = int32_t { success(OK); oom(MAGIC); };\n")
+	}
 
 	scalarTypes := []string{"uint32_t", "uint64_t", "int32_t", "size_t", "double", "bool"}
 	nFuncs := 1 + r.Intn(6)
@@ -111,6 +127,16 @@ func TestQuickRandomSpecRoundTrip(t *testing.T) {
 			return false
 		}
 		if len(api.Funcs) != len(api2.Funcs) {
+			return false
+		}
+		for name, hd := range api.Handles {
+			hd2 := api2.Handles[name]
+			if hd2 == nil || hd.GoType != hd2.GoType || (hd.Invalid == nil) != (hd2.Invalid == nil) ||
+				hd.Stable != hd2.Stable || hd.Refcounted != hd2.Refcounted {
+				return false
+			}
+		}
+		if (api.Types["st"].OOM == nil) != (api2.Types["st"].OOM == nil) {
 			return false
 		}
 		for i, fn := range api.Funcs {

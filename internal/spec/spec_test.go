@@ -151,6 +151,10 @@ func TestParseErrors(t *testing.T) {
 		{"same branches", `void f(int32_t a) { if (a == 1) sync; else sync; }`, "identical branches"},
 		{"bad track kind", `void f(int32_t a) { track(explode); }`, "unknown track kind"},
 		{"two tracks", "handle h;\nvoid f(h a) { track(modify, a); track(config); }", "multiple track"},
+		{"bad handle annotation", `handle h { sticky; }`, "unknown handle annotation"},
+		{"handle type not a pointer", `handle h { type(Obj); }`, "expected '*'"},
+		{"handle without end", `handle h void f(h x);`, "expected ';' or annotation body"},
+		{"bad type annotation", `type st = int32_t { failure(1); };`, "unknown type annotation"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,6 +191,8 @@ func TestValidateErrors(t *testing.T) {
 		{"track unknown param", "handle h;\nvoid f(h a) { track(destroy, b); }", "no such parameter"},
 		{"track create non-handle ret", `int32_t f(int32_t a) { track(create); }`, "requires a handle return"},
 		{"bad sizeof", `void f(const int32_t *a, size_t n) { parameter(a) { in; buffer(n * sizeof(nothing)); } }`, "unknown type"},
+		{"invalid refs unknown", `handle h { invalid(NOPE); }`, "handle h invalid status"},
+		{"oom refs unknown", `type st = int32_t { oom(NOPE); };`, "type st oom value"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

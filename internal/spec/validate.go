@@ -17,16 +17,28 @@ func Validate(api *API) error {
 		errs = append(errs, errf(pos, format, args...).Error())
 	}
 
+	// checkValue checks an optional declaration-level value (no parameters
+	// in scope).
+	checkValue := func(pos Pos, what string, e Expr) {
+		if e == nil {
+			return
+		}
+		if err := checkExpr(api, nil, e); err != nil {
+			report(pos, "%s: %v", what, err)
+		}
+	}
+
 	for _, name := range api.typeOrder {
 		td := api.Types[name]
 		if _, err := api.Resolve(name); err != nil {
 			report(td.Pos, "type %s: %v", name, err)
 		}
-		if td.Success != nil {
-			if err := checkExpr(api, nil, td.Success); err != nil {
-				report(td.Pos, "type %s success value: %v", name, err)
-			}
-		}
+		checkValue(td.Pos, "type "+name+" success value", td.Success)
+		checkValue(td.Pos, "type "+name+" oom value", td.OOM)
+	}
+	for _, name := range api.handleOrder {
+		hd := api.Handles[name]
+		checkValue(hd.Pos, "handle "+name+" invalid status", hd.Invalid)
 	}
 
 	for _, fn := range api.Funcs {

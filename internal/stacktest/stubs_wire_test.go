@@ -17,20 +17,47 @@ import (
 	"ava/internal/marshal"
 	"ava/internal/mvnc"
 	"ava/internal/qat"
+	"ava/internal/server"
 	"ava/internal/spec"
 )
 
-// generatedLibs are the four checked-in outputs of cava.Generate.
+// generatedLibs are the four checked-in outputs of cava.Generate: the guest
+// half (new), the server half (bind), and one silo object per handle type
+// for tests that need a live handle of each.
 var generatedLibs = []struct {
-	name string
-	spec string
-	new  func(*guest.Lib) any
+	name    string
+	spec    string
+	new     func(*guest.Lib) any
+	bind    func(*server.Registry)
+	objects map[string]any
 }{
-	{"opencl", cl.Spec, func(l *guest.Lib) any { return cl.NewStubs(l) }},
-	{"mvnc", mvnc.Spec, func(l *guest.Lib) any { return mvnc.NewStubs(l) }},
-	{"qat", qat.Spec, func(l *guest.Lib) any { return qat.NewStubs(l) }},
-	{"toydev", toydevSpec(), func(l *guest.Lib) any { return toydev.NewClient(l) }},
+	{"opencl", cl.Spec, func(l *guest.Lib) any { return cl.NewStubs(l) },
+		func(r *server.Registry) { cl.BindServer(r, cl.NewSilo(cl.Config{})) },
+		map[string]any{
+			"cl_platform_id": &cl.Platform{}, "cl_device_id": &cl.Device{}, "cl_context": &cl.Context{},
+			"cl_command_queue": &cl.Queue{}, "cl_mem": &cl.Mem{}, "cl_program": &cl.Program{},
+			"cl_kernel": &cl.Kernel{}, "cl_event": &cl.Event{},
+		}},
+	{"mvnc", mvnc.Spec, func(l *guest.Lib) any { return mvnc.NewStubs(l) },
+		func(r *server.Registry) { mvnc.BindServer(r, mvnc.NewSilo(mvnc.Config{})) },
+		map[string]any{"ncs_device": &mvnc.Device{}, "ncs_graph": &mvnc.Graph{}}},
+	{"qat", qat.Spec, func(l *guest.Lib) any { return qat.NewStubs(l) },
+		func(r *server.Registry) { qat.BindServer(r, qat.NewSilo(1)) },
+		map[string]any{"qat_instance": &qat.Instance{}, "qat_session": &qat.Session{}}},
+	{"toydev", toydevSpec(), func(l *guest.Lib) any { return toydev.NewStubs(l) },
+		func(r *server.Registry) { toydev.Register(r, toySilo{}) },
+		map[string]any{"dev": new(int)}},
 }
+
+// toySilo is a toydev.Implementation that does nothing.
+type toySilo struct{}
+
+func (toySilo) OpenDevice(*server.Context, uint32) (any, int32)          { return new(int), 0 }
+func (toySilo) DeviceCount(*server.Context) (uint32, int32)              { return 0, 0 }
+func (toySilo) Store(*server.Context, any, uint64, []byte, uint32) int32 { return 0 }
+func (toySilo) Load(*server.Context, any, uint64, []byte) int32          { return 0 }
+func (toySilo) Scale(*server.Context, any, float64) int32                { return 0 }
+func (toySilo) CloseDevice(*server.Context, any) int32                   { return 0 }
 
 func toydevSpec() string {
 	src, err := os.ReadFile("../gen/toydev/toydev.ava")

@@ -1,0 +1,92 @@
+#!/bin/sh
+# The repository's "there is one of these" gates, as a table: each row names
+# a pattern that may appear only in the places allowed to own it. `make
+# check` runs them all (`sh scripts/gates.sh`); `sh scripts/gates.sh stub
+# wire` (or `make stub-gate wire-gate`) runs the named ones. A new gate is a
+# new row.
+#
+#   gate NAME MESSAGE PATTERN ALLOWED LISTER...
+#
+# LISTER is a command printing candidate lines; a line that matches the ERE
+# PATTERN and not the ERE ALLOWED ('^$': nothing is allowed) fails the gate
+# with MESSAGE. `golines [-t] DIR...` lists every line of Go source under the
+# directories as path:line:text, tests included only with -t.
+GO=${GO:-go}
+cd "$(dirname "$0")/.." || exit 1
+want=" $* "
+status=0
+
+gate() {
+	name=$1 message=$2 pattern=$3 allowed=$4
+	shift 4
+	case "$want" in "  " | *" $name "*) ;; *) return ;; esac
+	out=$("$@" | grep -E -e "$pattern" | grep -vE -e "$allowed")
+	if [ -n "$out" ]; then
+		echo "$name-gate: $message:"
+		echo "$out"
+		status=1
+	fi
+}
+
+golines() {
+	tests="--exclude=*_test.go"
+	if [ "$1" = -t ]; then
+		tests=
+		shift
+	fi
+	grep -rn --include='*.go' $tests --exclude-dir=.bench_build '' "$@"
+}
+
+# One rebind: a handle table is rebuilt under guest-held values only by
+# server.Context.Rebind, which migration restore, failover replay, the
+# guardian's post-watermark rebind and the FuncRebind control call all use,
+# so nobody re-grows a private (and soon drifting) copy.
+gate rebind 'Handles.InsertAt outside internal/server (use Context.Rebind)' \
+	'Handles\.InsertAt\(' '^\./internal/server/' golines .
+
+# One state machine: a Guardian's state, epoch, link (and its generation),
+# checkpoint watermark and abort channel are assigned only by the transition
+# functions in internal/failover/state.go — tests included — so the lifecycle
+# cannot quietly grow a second writer.
+gate state 'Guardian lifecycle field assigned outside internal/failover/state.go' \
+	'\bg\.(state|epoch|link|linkGen|ckptW|abort)(, *[A-Za-z_.]+)* *(=[^=]|:=|\+\+|--|[-+]=)' \
+	'^internal/failover/state\.go:' golines -t internal/failover
+
+# One decoder per frame kind on every serve path: the allocating
+# marshal.DecodeCall/DecodeBatch/DecodeReply wrappers are for tests and the
+# benchmark's trace; production code decodes into a record it owns with the
+# *Into forms.
+gate decode 'allocating decoder outside internal/marshal (use the *Into form)' \
+	'marshal\.Decode(Call|Batch|Reply)\(' '^\./(internal/marshal|benchmark)/' golines .
+
+# One assembler: a router, a guardian and a registry dialer are wired
+# together only by ava.Stack (ava.go), which knows all three south hops — own
+# server, server at an address, server out of a fleet registry. Experiments,
+# examples and tests pick a hop with an option; nothing outside ava.go, the
+# two packages themselves and benchmark/ builds one by hand.
+gate wire 'hand-wired router/guardian/dialer outside ava.go (use ava.NewStack with WithRemoteServer / WithPlacement)' \
+	'hv\.NewRouter\(|failover\.New\(|failover\.NewFleetDialer\(' \
+	'^\./(ava\.go:|internal/hv/|internal/failover/|benchmark/)' golines -t .
+
+# One-way layering: the guest library is the part of the stack that runs
+# inside the VM (PAPER.md §3), so it links the wire (marshal, transport), the
+# spec and their leaves — never the API server, the hypervisor, the recovery
+# layer or anything fleet-side.
+gate layer 'internal/guest links host-side packages' \
+	'^ava/internal/(server|failover|hv|host|fleet|migrate|sched|ctlplane)$' '^$' \
+	"$GO" list -deps ./internal/guest
+
+# One binding layer, both halves generated: an API package's guest stubs and
+# API server are what cava emits from its specification (stubs_gen.go;
+# internal/gen/toydev is a whole generated package). The by-name, `...any`
+# front (Lib.Call / CallWith) is for tests, examples and one-off calls, and a
+# dispatch handler is registered by the generated Register only — the
+# hand-written part is the silo-facing Implementation, which never sees the
+# registry.
+gate stub 'by-name Lib.Call/CallWith in an API package (add the function to the spec and run make gen)' \
+	'\.(Call|CallWith)\(' '^$' golines internal/cl internal/mvnc internal/qat internal/gen
+gate stub 'hand-written dispatch handler in an API package (declare the function in the spec; make gen emits its handler)' \
+	'MustRegister\("|server\.Invocation' '^([^:]*_gen\.go|internal/gen/toydev/toydev\.go):' \
+	golines internal/cl internal/mvnc internal/qat internal/gen
+
+exit $status
