@@ -3,7 +3,7 @@
 # `make check` is the stricter local/CI version of the same gate.
 
 GO ?= go
-GATES = rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate
+GATES = rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate adapter-gate
 
 .PHONY: check fmt vet gates $(GATES) gen build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
@@ -20,8 +20,9 @@ vet:
 
 # The grep gates ("there is one of these": one rebind, one guardian state
 # machine, one decoder per frame kind, one assembler, one-way layering, one
-# generated binding layer) are rows of the table in scripts/gates.sh; check
-# runs them all at once, and each old target name runs its own row.
+# generated binding layer, one owner of object state) are rows of the table
+# in scripts/gates.sh; check runs them all at once, and each old target name
+# runs its own row.
 gates:
 	@GO="$(GO)" sh scripts/gates.sh
 
@@ -118,7 +119,9 @@ benchmark:
 # replacement too, over in-proc, ring and a loopback host.Server (the wire
 # target, whose replay and snapshot control calls are sends as well)
 # (internal/stacktest/kill_sweep_test.go) — a failing row prints its
-# (deployment, k, k2) triple as a -run one-liner; StalledPeer is the table of
+# (deployment, k, k2) triple as a -run one-liner; CrossHost also matches the
+# MVNC row (a graph's result FIFO carried across a machine kill by the wire
+# snapshot/restore calls); StalledPeer is the table of
 # peers that accept a connection and never (or wrongly) answer, one row per
 # control exchange (internal/host/stalled_test.go).
 chaos:

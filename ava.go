@@ -273,18 +273,18 @@ type PlacementConfig struct {
 	API string
 	// Policy ranks live candidates per VM; nil = sched.LeastLoad.
 	Policy sched.Policy
-	// PerHostAttempts is the dialer's same-host retry budget; 0 = 2.
-	PerHostAttempts int
 	// Log receives placement/failover/rebalance decisions; nil builds a
-	// fresh log (read it back via Stack.SchedLog).
+	// fresh log (read it back via Stack.SchedDecisions).
 	Log *sched.Log
 }
 
 // FailoverConfig tunes the per-VM failover guardian (see internal/failover).
 type FailoverConfig struct {
-	// Adapter supplies silo-specific object snapshot/restore, as for
-	// migration. Nil disables object-state checkpointing (replay alone
-	// reconstructs objects; stateful contents are lost on recovery).
+	// Adapter is a leftover: an API binding's BindServer installs the
+	// object-state adapter on the registry (server.Registry.Adapter), and
+	// that is what checkpoints and recovery use. This one is consulted only
+	// when the stack's own registry carries none — it becomes that
+	// registry's — and goes when benchmark/, which sets it, may be edited.
 	Adapter migrate.Adapter
 	// Checkpoint groups checkpoint cadence policy.
 	Checkpoint CheckpointConfig
@@ -403,6 +403,9 @@ func NewStack(desc *cava.Descriptor, reg *server.Registry, opts ...Option) *Stac
 	}
 	if reg == nil {
 		reg = server.NewRegistry(desc)
+	}
+	if fc := cfg.Failover; fc != nil && reg.Adapter == nil {
+		reg.Adapter = fc.Adapter // see FailoverConfig.Adapter
 	}
 	s := &Stack{
 		Desc:       desc,
@@ -532,7 +535,7 @@ func (s *Stack) southDial(id uint32, name string, fc *FailoverConfig, epoch func
 			south, serverEP := s.pair()
 			ctx := s.newContext(id, name)
 			go s.Server.ServeVM(ctx, serverEP)
-			return failover.ServerLink{EP: south, Server: s.Server, Ctx: ctx, Adapter: fc.Adapter}, "local", nil
+			return failover.ServerLink{EP: south, Server: s.Server, Ctx: ctx}, "local", nil
 		}
 	}
 	return func() (failover.ServerLink, error) {
@@ -653,13 +656,12 @@ func (s *Stack) AttachVM(cfg VMConfig, opts ...guest.Option) (*guest.Lib, error)
 func (s *Stack) newPlacedDialer(id uint32, name string, epoch func() uint32) *failover.FleetDialer {
 	pc := s.cfg.Placement
 	return failover.NewFleetDialer(pc.Locator, failover.FleetDialConfig{
-		API:             s.placementAPI(),
-		VM:              id,
-		Name:            name,
-		PerHostAttempts: pc.PerHostAttempts,
-		Epoch:           epoch,
-		Rank:            s.policy.Rank,
-		OnDial:          s.noteDial,
+		API:    s.placementAPI(),
+		VM:     id,
+		Name:   name,
+		Epoch:  epoch,
+		Rank:   s.policy.Rank,
+		OnDial: s.noteDial,
 	})
 }
 
@@ -766,9 +768,6 @@ func (s *Stack) VMHost(id uint32) string {
 	}
 	return at.dialer.Host()
 }
-
-// SchedLog returns the scheduling decision log (nil without placement).
-func (s *Stack) SchedLog() *sched.Log { return s.schedLog }
 
 // SchedDecisions returns the retained scheduling decisions, oldest first
 // (empty without placement).

@@ -256,7 +256,7 @@ func BenchmarkMigration(b *testing.B) {
 		dstCtx := dst.Server.Context(1, "vm")
 		b.StartTimer()
 
-		snap, err := migrate.Capture(src.Server.Context(1, "vm"), cl.MigrationAdapter{Silo: srcSilo})
+		snap, err := migrate.Capture(src.Server.Context(1, "vm"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func BenchmarkMigration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := migrate.Restore(snap2, dst.Server, dstCtx, cl.MigrationAdapter{Silo: dstSilo}); err != nil {
+		if err := migrate.Restore(snap2, dst.Server, dstCtx); err != nil {
 			b.Fatal(err)
 		}
 

@@ -201,9 +201,12 @@ func renderStats(snap *ctlplane.Snapshot) string {
 			g.VM, g.Stats.Calls, g.Stats.BytesCopied, g.Stats.BytesBorrowed, g.Stats.OverloadDenied)
 	}
 	for _, g := range snap.Guardians {
-		out += fmt.Sprintf("guardian vm %d: epoch=%d watermark=%d checkpoints=%d (delta %d, last %dB) recoveries=%d",
+		out += fmt.Sprintf("guardian vm %d: epoch=%d watermark=%d checkpoints=%d (delta %d, last %dB, failed %d) recoveries=%d",
 			g.VM, g.Epoch, g.Watermark, g.Stats.Checkpoints, g.Stats.DeltaCheckpoints,
-			g.Stats.LastCkptBytes, g.Stats.Recoveries)
+			g.Stats.LastCkptBytes, g.Stats.FailedCheckpoints, g.Stats.Recoveries)
+		if g.CheckpointErr != "" {
+			out += " last checkpoint failure: " + g.CheckpointErr
+		}
 		if g.Dead != "" {
 			out += " DEAD: " + g.Dead
 		}

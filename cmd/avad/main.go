@@ -74,8 +74,8 @@ func main() {
 
 		rebalance = flag.Bool("rebalance", false, "shed sustained load skew by evicting VMs toward lighter fleet peers (requires -announce)")
 		rebEvery  = flag.Duration("rebalance-interval", 2*time.Second, "rebalance evaluation interval")
-		rebSkew   = flag.Float64("rebalance-skew", 1.5, "load-EWMA-over-fleet-mean ratio that marks this host hot")
-		rebMax    = flag.Int("rebalance-max", 4, "migration budget per sliding window")
+		rebSkew   = flag.Float64("rebalance-skew", 0, "load-EWMA-over-fleet-mean ratio that marks this host hot (0 = the rebalancer's default)")
+		rebMax    = flag.Int("rebalance-max", 0, "migration budget per sliding window (0 = the rebalancer's default)")
 	)
 	flag.Parse()
 
@@ -104,7 +104,7 @@ func main() {
 	}
 	if *rebalance {
 		cfg.Rebalance = &sched.Config{Interval: *rebEvery, SkewRatio: *rebSkew, MaxPerWindow: *rebMax}
-		log.Printf("rebalancing enabled (interval %v, skew %.2f, max %d/window)", *rebEvery, *rebSkew, *rebMax)
+		log.Printf("rebalancing enabled (interval %v)", *rebEvery)
 	}
 
 	h, err := host.Start(server.New(reg), cfg)
@@ -148,10 +148,10 @@ func main() {
 	log.Printf("shut down cleanly")
 }
 
-// buildRegistry assembles the silo and handler registry for one API. The
-// OpenCL registry carries an object restorer so a guardian failing over
-// from another host can replay mirrored object state into this server
-// (marshal.FuncRestore).
+// buildRegistry assembles the silo and handler registry for one API. Each
+// BindServer installs the API's object-state adapter, so a guardian on
+// another host can checkpoint this server and restore mirrored object state
+// into it (marshal.FuncSnapshot, FuncRestore).
 func buildRegistry(api string, memMB uint64, cus, sticks int, withSwap bool) (*server.Registry, error) {
 	switch api {
 	case "opencl":
@@ -164,7 +164,6 @@ func buildRegistry(api string, memMB uint64, cus, sticks int, withSwap bool) (*s
 			}},
 		})
 		cl.BindServer(reg, silo)
-		reg.Restorer = cl.MigrationAdapter{Silo: silo}
 		if withSwap {
 			swap.NewManager(silo).Install(reg)
 		}

@@ -23,14 +23,16 @@ import (
 
 const n = 4096
 
-func newStack() (*ava.Stack, *cl.Silo) {
+// newStack is one host: BindServer gives the registry the OpenCL handlers and
+// the object-state adapter that Capture and Restore below go through.
+func newStack() *ava.Stack {
 	silo := cl.NewSilo(cl.Config{
 		Devices: []devsim.Config{{Name: "gpu", MemoryBytes: 256 << 20, ComputeUnits: 4}},
 	})
 	desc := cl.Descriptor()
 	reg := server.NewRegistry(desc)
 	cl.BindServer(reg, silo)
-	return ava.NewStack(desc, reg, ava.WithRecording()), silo
+	return ava.NewStack(desc, reg, ava.WithRecording())
 }
 
 func must(err error) {
@@ -41,7 +43,7 @@ func must(err error) {
 
 func main() {
 	// --- Host A: the application sets up and computes. ---
-	srcStack, srcSilo := newStack()
+	srcStack := newStack()
 	lib1, err := srcStack.AttachVM(ava.VMConfig{ID: 42, Name: "migrating-vm"})
 	must(err)
 	c1 := cl.NewRemote(lib1)
@@ -76,7 +78,7 @@ func main() {
 	// --- The hypervisor migrates the VM. ---
 	srcCtx := srcStack.Server.Context(42, "migrating-vm")
 	start := time.Now()
-	snap, err := migrate.Capture(srcCtx, cl.MigrationAdapter{Silo: srcSilo})
+	snap, err := migrate.Capture(srcCtx)
 	must(err)
 	wire, err := snap.Encode()
 	must(err)
@@ -84,13 +86,13 @@ func main() {
 	fmt.Printf("captured: %d recorded calls, %d stateful buffers, %d-byte snapshot (%v)\n",
 		len(snap.Log), len(snap.Objects), len(wire), captureTime.Round(time.Microsecond))
 
-	dstStack, dstSilo := newStack()
+	dstStack := newStack()
 	defer dstStack.Close()
 	dstCtx := dstStack.Server.Context(42, "migrating-vm")
 	start = time.Now()
 	snap2, err := migrate.Decode(wire)
 	must(err)
-	must(migrate.Restore(snap2, dstStack.Server, dstCtx, cl.MigrationAdapter{Silo: dstSilo}))
+	must(migrate.Restore(snap2, dstStack.Server, dstCtx))
 	fmt.Printf("restored on host B in %v\n", time.Since(start).Round(time.Microsecond))
 	srcStack.Close()
 

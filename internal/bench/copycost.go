@@ -283,9 +283,7 @@ func clTransferSetup(c *cl.RemoteClient, n uint64) (cl.Ref, cl.Ref, error) {
 // bytes each one shipped (guardian stats).
 func checkpointDelta(bufN, touchN int) (full, delta int64, err error) {
 	silo := freeSilo()
-	stack := clStack(silo, false, ava.WithFailover(ava.FailoverConfig{
-		Adapter: cl.MigrationAdapter{Silo: silo},
-	}))
+	stack := clStack(silo, false, ava.WithFailover(ava.FailoverConfig{}))
 	defer stack.Close()
 	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "e14-ckpt-vm"})
 	if err != nil {

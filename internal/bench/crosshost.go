@@ -24,10 +24,6 @@ func fleetHost(id string, loc fleet.Locator) (*host.Server, error) {
 func siloHost(silo *cl.Silo, id string, loc fleet.Locator) (*host.Server, error) {
 	reg := server.NewRegistry(cl.Descriptor())
 	cl.BindServer(reg, silo)
-	// A guardian on the far side of the wire captures checkpoints as
-	// marshal.FuncSnapshot calls and replays them as FuncRestore calls; the
-	// restorer serves both.
-	reg.Restorer = cl.MigrationAdapter{Silo: silo}
 	return host.Start(server.New(reg), host.Config{
 		Listen: "127.0.0.1:0", API: "opencl", Locator: loc, ID: id,
 	})

@@ -502,7 +502,7 @@ func migrationRun(bufCount, bufSize int) ([]string, error) {
 
 	srcCtx := src.Server.Context(3, "vm3")
 	start := time.Now()
-	snap, err := migrate.Capture(srcCtx, cl.MigrationAdapter{Silo: srcSilo})
+	snap, err := migrate.Capture(srcCtx)
 	if err != nil {
 		return nil, err
 	}
@@ -521,7 +521,7 @@ func migrationRun(bufCount, bufSize int) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := migrate.Restore(snap2, dst.Server, dstCtx, cl.MigrationAdapter{Silo: dstSilo}); err != nil {
+	if err := migrate.Restore(snap2, dst.Server, dstCtx); err != nil {
 		return nil, err
 	}
 	restoreTime := time.Since(start)

@@ -41,9 +41,6 @@ func Failover(opts Options) (*Table, error) {
 		var r result
 		silo := gpuSilo(0)
 		fo := e12Failover(12)
-		// The stack's own server snapshots through the adapter in-process;
-		// the remote machine's registry carries its own (siloHost).
-		fo.Adapter = cl.MigrationAdapter{Silo: silo}
 		stack, stop, err := transportStack(kind, silo, ava.WithFailover(fo))
 		if err != nil {
 			return r, err

@@ -32,15 +32,6 @@ const rebalanceService = 200 * time.Microsecond
 
 func rebalanceReply(x uint32) uint32 { return x*2654435761 + 0x9e37 }
 
-// rebalStateless serves the guardian's wire snapshot/restore control
-// calls for the stateless simload API: nothing lives in the handle
-// table, so snapshots are empty and restores are no-ops — migration
-// cost is the replay log alone.
-type rebalStateless struct{}
-
-func (rebalStateless) RestoreObject(obj any, state []byte) error    { return nil }
-func (rebalStateless) SnapshotObject(obj any) ([]byte, bool, error) { return nil, false, nil }
-
 // rebalanceHost starts one API-server machine of the E15 mini-fleet: the
 // production host runtime (internal/host) over a simload server whose
 // calls serialize on a single modeled device. The load it announces is
@@ -51,8 +42,9 @@ func rebalanceHost(id string, loc fleet.Locator, served *atomic.Int64) (*host.Se
 	if err != nil {
 		return nil, err
 	}
+	// No Adapter: simload keeps nothing in the handle table, so the
+	// guardian's snapshots are empty and migration cost is the replay log.
 	reg := server.NewRegistry(d)
-	reg.Restorer = rebalStateless{}
 	var dev sync.Mutex // the "device": one call executes at a time
 	reg.MustRegister("work", func(inv *server.Invocation) error {
 		dev.Lock()
@@ -118,7 +110,6 @@ func rebalanceRun(rebalance bool, vms, calls int) (*rebalanceResult, error) {
 	}
 	workFn, _ := desc.Lookup("work")
 	opts := []ava.Option{
-		ava.WithRecording(),
 		ava.WithPlacement(ava.PlacementConfig{Locator: loc, API: "simload"}),
 	}
 	if rebalance {

@@ -113,6 +113,35 @@ type FuncDesc struct {
 // argument vector.
 func (f *FuncDesc) AlwaysSync() bool { return f.Sync.Mode == spec.SyncAlways }
 
+// CreatedHandle is the created-handle rule: which handle a `track create`
+// call produced, read off its successful reply — the tracked out parameter's
+// slot of outs if the annotation names one, else a handle-typed return
+// value; 0 for any other function or a reply that carries neither. The API
+// server's record log and the failover guardian's shadow log both key an
+// object's history by it.
+func (f *FuncDesc) CreatedHandle(ret marshal.Value, outs []marshal.Value) marshal.Handle {
+	if f.Track.Kind != spec.TrackCreate {
+		return 0
+	}
+	v := ret
+	if f.TrackIdx >= 0 {
+		slot := 0
+		for i := range f.Params[:f.TrackIdx] {
+			if f.Params[i].Out() {
+				slot++
+			}
+		}
+		if !f.Params[f.TrackIdx].Out() || slot >= len(outs) {
+			return 0
+		}
+		v = outs[slot]
+	}
+	if v.Kind() != marshal.KindHandle {
+		return 0
+	}
+	return v.Handle()
+}
+
 // Descriptor is the compiled stack metadata for one API.
 type Descriptor struct {
 	API    *spec.API

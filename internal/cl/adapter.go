@@ -15,7 +15,7 @@ type MigrationAdapter struct {
 	Silo *Silo
 }
 
-// SnapshotObject implements migrate.Adapter.
+// SnapshotObject implements server.Adapter.
 func (a MigrationAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
 	m, ok := obj.(*Mem)
 	if !ok {
@@ -25,7 +25,7 @@ func (a MigrationAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
 	return b, true, err
 }
 
-// SnapshotObjectDelta implements server.ObjectDeltaSnapshotter for the
+// SnapshotObjectDelta implements server.DeltaAdapter for the
 // failover guardian's checkpoints: it drains the buffer's dirty-range
 // tracking into a marshal.ObjectDelta holding only the ranges written since
 // the previous delta snapshot. The returned delta's Handle is left zero —
@@ -49,7 +49,7 @@ func (a MigrationAdapter) SnapshotObjectDelta(obj any) (marshal.ObjectDelta, boo
 	return d, true, nil
 }
 
-// RestoreObject implements migrate.Adapter.
+// RestoreObject implements server.Adapter.
 func (a MigrationAdapter) RestoreObject(obj any, state []byte) error {
 	m, ok := obj.(*Mem)
 	if !ok {

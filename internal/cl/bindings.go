@@ -17,8 +17,12 @@ import (
 // argument.
 
 // BindServer registers the generated OpenCL handlers against reg, executing
-// on silo.
-func BindServer(reg *server.Registry, silo *Silo) { Register(reg, binding{silo}) }
+// on silo, and installs the silo's object-state Adapter, so every registry
+// this binding built can be checkpointed, migrated and restored.
+func BindServer(reg *server.Registry, silo *Silo) {
+	Register(reg, binding{silo})
+	reg.Adapter = MigrationAdapter{Silo: silo}
+}
 
 // Released implements the specification's `refcounted` for each object type:
 // a release that was not the last leaves the guest's handle in place.

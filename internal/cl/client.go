@@ -118,13 +118,6 @@ func ArgI32(v int32) []byte { return ArgU32(uint32(v)) }
 // ArgF32 encodes a float32 kernel argument.
 func ArgF32(v float32) []byte { return ArgU32(math.Float32bits(v)) }
 
-// ArgU64 encodes a uint64 kernel argument.
-func ArgU64(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
-}
-
 // --- Native client ---
 
 // NativeClient executes directly against the silo: the paper's native

@@ -46,15 +46,6 @@ func (e *KernelEnv) U64(i int) uint64 { return binary.LittleEndian.Uint64(e.raws
 // F32 decodes scalar argument i as float32.
 func (e *KernelEnv) F32(i int) float32 { return math.Float32frombits(e.U32(i)) }
 
-// GlobalSize returns the total work-item count.
-func (e *KernelEnv) GlobalSize() uint64 {
-	n := uint64(1)
-	for _, g := range e.Global {
-		n *= g
-	}
-	return n
-}
-
 // KernelDef is one registered kernel: the silo's executable form of what
 // OpenCL C source would compile to.
 type KernelDef struct {

@@ -83,14 +83,10 @@ const (
 
 // Config describes a silo instance.
 type Config struct {
-	// PlatformName, default "AvA Software Platform".
-	PlatformName string
 	// Devices, default one 4 GiB GPU with 8 CUs.
 	Devices []devsim.Config
 	// Clock for event timestamps and devsim; nil = wall clock.
 	Clock clock.Clock
-	// Kernels; nil selects the process-global default registry.
-	Kernels *KernelRegistry
 }
 
 // Platform is a cl_platform_id.
@@ -207,9 +203,6 @@ type Silo struct {
 
 // NewSilo builds a silo from cfg.
 func NewSilo(cfg Config) *Silo {
-	if cfg.PlatformName == "" {
-		cfg.PlatformName = "AvA Software Platform"
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewReal()
 	}
@@ -220,11 +213,8 @@ func NewSilo(cfg Config) *Silo {
 			ComputeUnits: 8,
 		}}
 	}
-	if cfg.Kernels == nil {
-		cfg.Kernels = DefaultKernels
-	}
-	s := &Silo{clk: cfg.Clock, kernels: cfg.Kernels, live: make(map[*Mem]struct{})}
-	p := &Platform{silo: s, name: cfg.PlatformName, version: "OpenCL 1.2 AvA-sim"}
+	s := &Silo{clk: cfg.Clock, kernels: DefaultKernels, live: make(map[*Mem]struct{})}
+	p := &Platform{silo: s, name: "AvA Software Platform", version: "OpenCL 1.2 AvA-sim"}
 	for i := range cfg.Devices {
 		dc := cfg.Devices[i]
 		if dc.Clock == nil {
@@ -536,17 +526,6 @@ type BufRange struct {
 	Data []byte
 }
 
-// DirtyBytes reports the buffer's currently tracked dirty volume (its full
-// size when tracking degraded to whole-buffer), without draining it.
-func (s *Silo) DirtyBytes(m *Mem) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m == nil || m.dead {
-		return 0
-	}
-	return m.dirty.dirtyBytes(m.size)
-}
-
 // touch updates LRU state; callers hold s.mu.
 func (s *Silo) touch(m *Mem) {
 	s.useTick++
@@ -594,16 +573,6 @@ func (s *Silo) EvictBuffer(m *Mem) error {
 	m.stash = snap
 	m.resident = false
 	return nil
-}
-
-// EnsureResident restores an evicted buffer (public form for swap tests).
-func (s *Silo) EnsureResident(m *Mem) Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m == nil || m.dead {
-		return ErrInvalidMemObject
-	}
-	return s.ensureResidentLocked(m)
 }
 
 // SnapshotBuffer returns a copy of the buffer's logical contents whether
@@ -826,26 +795,6 @@ func (s *Silo) SetKernelArgBytes(k *Kernel, index uint32, val []byte) Status {
 	}
 	k.args[index] = kernelArg{set: true, raw: append([]byte(nil), val...)}
 	return Success
-}
-
-// KernelArgSnapshot returns the kernel's argument bindings for migration:
-// scalars as bytes, buffers as the bound Mem (nil entries are unset).
-func (s *Silo) KernelArgSnapshot(k *Kernel) ([]*Mem, [][]byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bufs := make([]*Mem, len(k.args))
-	raws := make([][]byte, len(k.args))
-	for i, a := range k.args {
-		if !a.set {
-			continue
-		}
-		if a.buf != nil {
-			bufs[i] = a.buf
-		} else {
-			raws[i] = append([]byte(nil), a.raw...)
-		}
-	}
-	return bufs, raws
 }
 
 // --- Enqueue operations (eager in-order execution) ---

@@ -17,6 +17,7 @@ import (
 	"ava/internal/averr"
 	"ava/internal/cava"
 	"ava/internal/ctlplane"
+	"ava/internal/failover"
 	"ava/internal/fleet"
 	"ava/internal/guest"
 	"ava/internal/hv"
@@ -389,12 +390,19 @@ func TestMetricsExposition(t *testing.T) {
 	cfg.Fleet = func() []fleet.Status {
 		return []fleet.Status{{Member: fleet.Member{ID: "host-a", API: "ctl", Load: 2}, Live: true}}
 	}
+	cfg.Guardians = func() []ctlplane.GuardianSnapshot {
+		return []ctlplane.GuardianSnapshot{{VM: 1, Watermark: 40, CheckpointErr: "snapshot refused",
+			Stats: failover.Stats{Checkpoints: 4, FailedCheckpoints: 3}}}
+	}
 	c := startCtl(t, cfg)
 	text, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
+		`ava_guardian_checkpoints_total{vm="1"} 4`,
+		"# TYPE ava_guardian_checkpoints_failed_total counter",
+		`ava_guardian_checkpoints_failed_total{vm="1"} 3`,
 		"# TYPE ava_up gauge",
 		`ava_up{service="test"} 1`,
 		"# TYPE ava_router_forwarded_calls_total counter",

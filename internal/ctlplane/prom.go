@@ -105,12 +105,14 @@ func writeProm(b *strings.Builder, snap *Snapshot, cfg *Config) {
 	if len(snap.Guardians) > 0 {
 		rec := metric(b, "ava_guardian_recoveries_total", "counter", "Server failures recovered per VM.")
 		ckpt := metric(b, "ava_guardian_checkpoints_total", "counter", "Quiesced checkpoints cut per VM.")
+		ckptFail := metric(b, "ava_guardian_checkpoints_failed_total", "counter", "Checkpoints begun and not committed per VM.")
 		wm := metric(b, "ava_guardian_watermark", "gauge", "Checkpoint watermark per VM.")
 		dead := metric(b, "ava_guardian_dead", "gauge", "1 when the guardian has given up.")
 		for _, g := range snap.Guardians {
 			l := fmt.Sprintf(`vm="%d"`, g.VM)
 			rec.sample(l, float64(g.Stats.Recoveries))
 			ckpt.sample(l, float64(g.Stats.Checkpoints))
+			ckptFail.sample(l, float64(g.Stats.FailedCheckpoints))
 			wm.sample(l, float64(g.Watermark))
 			if g.Dead != "" {
 				dead.sample(l, 1)

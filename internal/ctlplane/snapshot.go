@@ -57,8 +57,11 @@ type GuardianSnapshot struct {
 	Watermark uint64 `json:"watermark"`
 	// Dead carries the terminal error when the guardian has given up
 	// ("" while healthy).
-	Dead  string         `json:"dead,omitempty"`
-	Stats failover.Stats `json:"stats"`
+	Dead string `json:"dead,omitempty"`
+	// CheckpointErr is why the most recent failed checkpoint failed
+	// (Stats.FailedCheckpoints counts them); "" if none has.
+	CheckpointErr string         `json:"checkpoint_err,omitempty"`
+	Stats         failover.Stats `json:"stats"`
 }
 
 // Snapshot is the full GET /stats payload: everything the process knows,
@@ -239,6 +242,9 @@ func GuardianSource(vm uint32, g *failover.Guardian) GuardianSnapshot {
 	}
 	if err := g.DeadErr(); err != nil {
 		snap.Dead = err.Error()
+	}
+	if err := g.CheckpointErr(); err != nil {
+		snap.CheckpointErr = err.Error()
 	}
 	return snap
 }

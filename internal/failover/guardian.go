@@ -132,16 +132,16 @@ type Config struct {
 }
 
 // ServerLink is one dialed attachment to an API server. EP carries frames.
-// A link to a server in this process also sets Server and Ctx (and Adapter,
-// for object state): replay, rebind and checkpoint capture then run
-// in-process. With Ctx nil the link is wire-only — a server on another host
-// — and the same operations travel over EP as the marshal.FuncRebind,
-// FuncRestore, FuncSnapshot and FuncSnapshotDelta control calls.
+// A link to a server in this process also sets Server and Ctx: replay,
+// rebind and checkpoint capture then run in-process. With Ctx nil the link is
+// wire-only — a server on another host — and the same operations travel over
+// EP as the marshal.FuncRebind, FuncRestore, FuncSnapshot and
+// FuncSnapshotDelta control calls, which that server answers through the same
+// server.Context methods.
 type ServerLink struct {
-	EP      transport.Endpoint
-	Server  *server.Server
-	Ctx     *server.Context
-	Adapter migrate.Adapter
+	EP     transport.Endpoint
+	Server *server.Server
+	Ctx    *server.Context
 }
 
 // target is a link seen as what recovery and checkpointing do to its
@@ -153,15 +153,14 @@ type target interface {
 	// Snapshot serializes every stateful object, by guest handle.
 	Snapshot() (map[marshal.Handle][]byte, error)
 	// SnapshotDelta drains every stateful object's dirty ranges since the
-	// previous drain, as deltas onto base. ok=false: no incremental capture
-	// to be had, take a Snapshot instead — always safe, a drain only moves
-	// the silo's dirty watermark earlier than the snapshot that subsumes it.
-	SnapshotDelta(base map[marshal.Handle][]byte) (deltas []marshal.ObjectDelta, ok bool)
+	// previous drain. ok=false: no incremental capture to be had, take a
+	// Snapshot instead.
+	SnapshotDelta() (deltas []marshal.ObjectDelta, ok bool)
 }
 
 func (g *Guardian) targetFor(link ServerLink) target {
 	if link.Ctx != nil {
-		return migrate.LocalTarget{Server: link.Server, Ctx: link.Ctx, Adapter: link.Adapter}
+		return migrate.LocalTarget{Server: link.Server, Ctx: link.Ctx}
 	}
 	return wireTarget{g: g, link: link}
 }
@@ -170,6 +169,7 @@ func (g *Guardian) targetFor(link ServerLink) target {
 type Stats struct {
 	Recoveries          uint64 // links lost and rebuilt, a Config.Restore rehydration included
 	Checkpoints         uint64
+	FailedCheckpoints   uint64 // checkpoints begun and not committed; Guardian.CheckpointErr has the last one's reason
 	ShortCircuited      uint64 // resubmitted calls answered from the shadow log
 	SynthesizedDestroys uint64 // resubmitted destroys answered with synthetic success
 	StaleDropped        uint64 // frames dropped for a stale epoch
@@ -222,6 +222,7 @@ type Guardian struct {
 	// Assigned only by the transitions in state.go.
 	state       state
 	deadErr     error
+	ckptErr     error // why the most recent uncommitted checkpoint failed
 	epoch       uint32
 	link        ServerLink
 	tgt         target // link, as replay and capture use it
@@ -330,6 +331,14 @@ func (g *Guardian) DeadErr() error {
 	return g.deadErr
 }
 
+// CheckpointErr returns why the most recent failed checkpoint failed (see
+// Stats.FailedCheckpoints), nil if none has.
+func (g *Guardian) CheckpointErr() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.ckptErr
+}
+
 // KillServer severs the current server link abruptly — the SIGKILL
 // equivalent used by chaos tests and E12. The guardian notices through its
 // pumps and recovers as it would from a real crash.
@@ -419,6 +428,8 @@ func (g *Guardian) handleUplinkFrame(frame []byte) {
 	due := g.checkpointDueLocked()
 	g.mu.Unlock()
 	if due {
+		// A failure is endCheckpoint's to count (Stats.FailedCheckpoints);
+		// the cut stays due and the next frame tries again.
 		g.checkpoint()
 	}
 }
@@ -773,38 +784,12 @@ func (g *Guardian) noteReply(gen int, seq uint64, frame []byte, rep *marshal.Rep
 		g.log.drop(seq)
 	default:
 		var created marshal.Handle
-		if fd, ok := g.desc.ByID(rc.Func); ok && fd.Track.Kind == spec.TrackCreate {
-			created = createdHandle(fd, rep)
+		if fd, ok := g.desc.ByID(rc.Func); ok {
+			created = fd.CreatedHandle(rep.Ret, rep.Outs)
 		}
 		g.log.reply(seq, rep.Ret, rep.Outs, created)
 	}
 	return true
-}
-
-// createdHandle extracts the handle a create call produced, mirroring the
-// server's record path: the tracked out-parameter slot if any, else a
-// handle-typed return value.
-func createdHandle(fd *cava.FuncDesc, rep *marshal.Reply) marshal.Handle {
-	if fd.TrackIdx >= 0 {
-		slot := 0
-		for i := range fd.Params {
-			if !fd.Params[i].Out() {
-				continue
-			}
-			if i == fd.TrackIdx {
-				if slot < len(rep.Outs) && rep.Outs[slot].Kind() == marshal.KindHandle {
-					return rep.Outs[slot].Handle()
-				}
-				return 0
-			}
-			slot++
-		}
-		return 0
-	}
-	if rep.Ret.Kind() == marshal.KindHandle {
-		return rep.Ret.Handle()
-	}
-	return 0
 }
 
 // rebind moves re-executed objects back under their recorded handles, then
@@ -925,7 +910,7 @@ func (t wireTarget) Snapshot() (map[marshal.Handle][]byte, error) {
 // SnapshotDelta implements target: one FuncSnapshotDelta returns every
 // stateful object's dirty ranges. A server without delta support answers
 // StatusDenied, which lands here as ok=false like any other failure.
-func (t wireTarget) SnapshotDelta(map[marshal.Handle][]byte) ([]marshal.ObjectDelta, bool) {
+func (t wireTarget) SnapshotDelta() ([]marshal.ObjectDelta, bool) {
 	rep, err := t.control(marshal.FuncSnapshotDelta, nil)
 	if err != nil || rep.Ret.Kind() != marshal.KindBytes {
 		return nil, false
@@ -951,25 +936,32 @@ func (g *Guardian) checkpoint() error {
 	return g.endCheckpoint(cut, c, err)
 }
 
-// snapshot quiesces cut's link and captures it. An incremental capture
-// always goes first where the target has one (so every checkpoint advances
-// the silo's dirty watermark), composed onto the previous committed
-// checkpoint; a delta that does not compose — no usable base for an object
-// that did not come back Full — falls back to full per-object state.
-func (g *Guardian) snapshot(cut ckptCut) (c capture, err error) {
+// snapshot quiesces cut's link and captures it.
+func (g *Guardian) snapshot(cut ckptCut) (capture, error) {
 	if !g.drainSyncs(cut.gen) {
-		return c, errCkptAborted
+		return capture{}, errCkptAborted
 	}
 	// Marker barrier: the server replies only after every async issued
 	// before the marker has completed, so device state is now exactly the
 	// effects of calls with seq <= w.
 	if _, err := g.ctrlCallReply(cut.link, &marshal.Call{Func: markerFunc}); err != nil {
-		return c, err
+		return capture{}, err
 	}
-	if c.deltas, c.delta = cut.tgt.SnapshotDelta(cut.base); c.delta {
+	return captureOnto(cut.tgt, cut.base)
+}
+
+// captureOnto takes t's object state. An incremental capture always goes
+// first where the target has one (so every checkpoint advances the silo's
+// dirty watermark), composed onto base, the previous committed checkpoint.
+// This is the one base rule: a delta that does not compose — base holds
+// nothing, or the wrong length, for an object that did not come back Full —
+// makes the whole capture a full Snapshot. The holder of the base decides,
+// not the server: a server across a link never sees the base.
+func captureOnto(t target, base map[marshal.Handle][]byte) (c capture, err error) {
+	if c.deltas, c.delta = t.SnapshotDelta(); c.delta {
 		c.objects = make(map[marshal.Handle][]byte, len(c.deltas))
 		for _, d := range c.deltas {
-			state, err := marshal.ApplyObjectDelta(cut.base[d.Handle], d)
+			state, err := marshal.ApplyObjectDelta(base[d.Handle], d)
 			if err != nil {
 				c.delta = false
 				break
@@ -978,7 +970,7 @@ func (g *Guardian) snapshot(cut ckptCut) (c capture, err error) {
 		}
 	}
 	if !c.delta {
-		if c.objects, err = cut.tgt.Snapshot(); err != nil {
+		if c.objects, err = t.Snapshot(); err != nil {
 			return c, fmt.Errorf("failover: checkpoint: %w", err)
 		}
 	}

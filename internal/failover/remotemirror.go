@@ -88,11 +88,6 @@ func NewRemoteMirror(addr string, cfg RemoteMirrorConfig) *RemoteMirror {
 	return rm
 }
 
-// Staging returns the local staging mirror. Its State() is always current
-// (it does not wait for replication) — the guardian's local rehydration
-// path reads it exactly like a plain MemoryMirror.
-func (rm *RemoteMirror) Staging() *MemoryMirror { return rm.local }
-
 // State snapshots the staging mirror.
 func (rm *RemoteMirror) State() *MirrorState { return rm.local.State() }
 

@@ -36,13 +36,26 @@ st destroy(obj o) { track(destroy, o); }
 `
 
 // replayObj is the toy's device object: label is rebuilt by replaying the
-// tracked modify, data only by restoring a checkpoint.
+// tracked modify, data only by restoring a checkpoint. dirty is its delta
+// tracking: set, the next incremental capture ships data in full.
 type replayObj struct {
 	kind, label uint64
 	data        []byte
+	dirty       bool
 }
 
 type replayAdapter struct{}
+
+// SnapshotObjectDelta is all-or-nothing like mvnc's: a dirty object ships as
+// one Full delta, a clean one as an empty delta onto a base of its length.
+func (replayAdapter) SnapshotObjectDelta(obj any) (marshal.ObjectDelta, bool, error) {
+	o := obj.(*replayObj)
+	if !o.dirty {
+		return marshal.ObjectDelta{BaseLen: uint64(len(o.data))}, true, nil
+	}
+	o.dirty = false
+	return marshal.FullDelta(0, append([]byte(nil), o.data...)), true, nil
+}
 
 func (replayAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
 	return append([]byte(nil), obj.(*replayObj).data...), true, nil
@@ -54,9 +67,13 @@ func (replayAdapter) RestoreObject(obj any, state []byte) error {
 }
 
 func newReplayServer() (*server.Server, *cava.Descriptor) {
+	return newReplayServerWith(replayAdapter{})
+}
+
+func newReplayServerWith(ad server.Adapter) (*server.Server, *cava.Descriptor) {
 	desc := cava.MustCompile(replaySpec)
 	reg := server.NewRegistry(desc)
-	reg.Restorer = replayAdapter{}
+	reg.Adapter = ad
 	reg.MustRegister("create", func(inv *server.Invocation) error {
 		inv.SetOutHandle(1, inv.Ctx.Handles.Insert(&replayObj{kind: inv.Uint(0)}))
 		inv.SetStatus(0)
@@ -133,15 +150,15 @@ func tableOf(ctx *server.Context) map[marshal.Handle]replayObj {
 // target plus the context it fills. The wire target talks to a ServeVM
 // loop over an in-proc link a guardian has adopted, exactly as the
 // guardian's replay does.
-func replayTargets(t *testing.T) map[string]func() (migrate.Target, *server.Context) {
-	return map[string]func() (migrate.Target, *server.Context){
-		"local": func() (migrate.Target, *server.Context) {
-			srv, _ := newReplayServer()
+func replayTargets(t *testing.T, ad server.Adapter) map[string]func() (target, *server.Context) {
+	return map[string]func() (target, *server.Context){
+		"local": func() (target, *server.Context) {
+			srv, _ := newReplayServerWith(ad)
 			ctx := srv.Context(1, "second-life")
-			return migrate.LocalTarget{Server: srv, Ctx: ctx, Adapter: replayAdapter{}}, ctx
+			return migrate.LocalTarget{Server: srv, Ctx: ctx}, ctx
 		},
-		"wire": func() (migrate.Target, *server.Context) {
-			srv, desc := newReplayServer()
+		"wire": func() (target, *server.Context) {
+			srv, desc := newReplayServerWith(ad)
 			ctx := srv.Context(1, "second-life")
 			south, serverEP := transport.NewInProc()
 			served := make(chan struct{})
@@ -160,8 +177,8 @@ func replayTargets(t *testing.T) map[string]func() (migrate.Target, *server.Cont
 				g.Close()
 				router.Close()
 			})
-			target, _ := g.adopt(ServerLink{EP: south})
-			return target, ctx
+			tgt, _ := g.adopt(ServerLink{EP: south})
+			return tgt, ctx
 		},
 	}
 }
@@ -180,7 +197,7 @@ func TestReplayLocalAndWireTargetsAgree(t *testing.T) {
 		5: {kind: 50, label: 55, data: []byte("five")},
 		6: {kind: 51, label: 66, data: []byte("six")},
 	}
-	for name, build := range replayTargets(t) {
+	for name, build := range replayTargets(t, replayAdapter{}) {
 		target, ctx := build()
 		desc := cava.MustCompile(replaySpec)
 		if err := migrate.Replay(target, desc, log, objects, migrate.RestoreOptions{SkipUnknownObjects: true}); err != nil {
@@ -198,11 +215,99 @@ func TestReplayLocalAndWireTargetsAgree(t *testing.T) {
 func TestReplayUnknownObjectIsFatalUnlessSkipped(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	log, objects := recordOverlappingLog(t)
-	for name, build := range replayTargets(t) {
+	for name, build := range replayTargets(t, replayAdapter{}) {
 		target, _ := build()
 		err := migrate.Replay(target, cava.MustCompile(replaySpec), log, objects, migrate.RestoreOptions{})
 		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("unknown handle 4")) {
 			t.Errorf("%s target: err = %v, want unknown handle 4", name, err)
+		}
+	}
+}
+
+// The capture and restore halves through both targets: every row runs on a
+// context holding a clean object (1) and a dirty one (2), and must give the
+// same answer whether the context is reached
+// in-process or by control calls — they are the same server.Context methods.
+// The base rows are the one base rule (captureOnto): an object that comes
+// back as a non-Full delta and has no entry in the base makes the capture a
+// full snapshot, on either target. (Before the two were one implementation
+// the local target alone upgraded such an object to a Full delta.)
+func TestCaptureAndRestoreLocalAndWireTargetsAgree(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	type result struct {
+		Objects map[marshal.Handle][]byte
+		Deltas  []byte // EncodeObjectDeltas form: nil and empty range lists compare equal
+		Delta   bool
+		Found   bool
+		Err     bool
+		Data    string // object 1's data afterwards
+	}
+	full := map[marshal.Handle][]byte{1: []byte("one"), 2: []byte("two")}
+	capture := func(base map[marshal.Handle][]byte) func(target) (result, error) {
+		return func(tgt target) (result, error) {
+			c, err := captureOnto(tgt, base)
+			return result{Objects: c.objects, Delta: c.delta}, err
+		}
+	}
+	restore := func(h marshal.Handle) func(target) (result, error) {
+		return func(tgt target) (result, error) {
+			found, err := tgt.RestoreObject(h, []byte("restored"))
+			return result{Found: found && err == nil, Err: err != nil}, nil
+		}
+	}
+	rows := []struct {
+		name      string
+		noAdapter bool
+		run       func(target) (result, error)
+		want      result
+	}{
+		{name: "snapshot", run: func(tgt target) (result, error) {
+			objects, err := tgt.Snapshot()
+			return result{Objects: objects}, err
+		}, want: result{Objects: full}},
+		{name: "snapshot delta", run: func(tgt target) (result, error) {
+			deltas, ok := tgt.SnapshotDelta()
+			return result{Deltas: marshal.EncodeObjectDeltas(deltas), Delta: ok}, nil
+		}, want: result{Delta: true, Deltas: marshal.EncodeObjectDeltas([]marshal.ObjectDelta{
+			{Handle: 1, BaseLen: 3}, marshal.FullDelta(2, []byte("two")),
+		})}},
+		{name: "delta onto a base holding every object",
+			run:  capture(map[marshal.Handle][]byte{1: []byte("one"), 2: []byte("old")}),
+			want: result{Objects: full, Delta: true}},
+		{name: "delta with no base entry for the clean object",
+			run:  capture(map[marshal.Handle][]byte{2: []byte("old")}),
+			want: result{Objects: full}},
+		{name: "delta onto no base at all", run: capture(nil), want: result{Objects: full}},
+		{name: "restore a live handle", run: restore(1), want: result{Found: true, Data: "restored"}},
+		{name: "restore a vanished handle", run: restore(9), want: result{}},
+		{name: "snapshot without an adapter", noAdapter: true, run: capture(nil),
+			want: result{Objects: map[marshal.Handle][]byte{}}},
+		{name: "restore without an adapter", noAdapter: true, run: restore(1),
+			want: result{Err: true}},
+	}
+	for _, row := range rows {
+		var ad server.Adapter = replayAdapter{}
+		if row.noAdapter {
+			ad = nil
+		}
+		for name, build := range replayTargets(t, ad) {
+			tgt, ctx := build()
+			one := &replayObj{data: []byte("one")}
+			ctx.Handles.Insert(one)
+			ctx.Handles.Insert(&replayObj{data: []byte("two"), dirty: true})
+			got, err := row.run(tgt)
+			if err != nil {
+				t.Errorf("%s, %s target: %v", row.name, name, err)
+				continue
+			}
+			want := row.want
+			if want.Data == "" {
+				want.Data = "one"
+			}
+			got.Data = string(one.data)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s target:\n got %+v\nwant %+v", row.name, name, got, want)
+			}
 		}
 	}
 }

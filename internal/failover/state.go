@@ -268,10 +268,12 @@ func (g *Guardian) endCheckpoint(cut ckptCut, c capture, err error) error {
 		g.cond.Broadcast()
 	}
 	if err != nil || !steady {
-		g.mu.Unlock()
 		if err == nil {
 			err = errCkptAborted
 		}
+		g.stats.FailedCheckpoints++
+		g.ckptErr = err
+		g.mu.Unlock()
 		return err
 	}
 	w := cut.w

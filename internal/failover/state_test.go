@@ -89,13 +89,19 @@ func recvReply(t *testing.T, router transport.Endpoint) *marshal.Reply {
 // then the capture's control calls — no delta support, no objects.
 func answerCheckpoint(t *testing.T, srv transport.Endpoint) {
 	t.Helper()
+	answerCheckpointWith(t, srv, marshal.Reply{Ret: marshal.BytesVal(marshal.EncodeObjectStates(nil))})
+}
+
+// answerCheckpointWith is answerCheckpoint with the FuncSnapshot reply given.
+func answerCheckpointWith(t *testing.T, srv transport.Endpoint, snapshot marshal.Reply) {
+	t.Helper()
 	for _, step := range []struct {
 		fn  uint32
 		rep marshal.Reply
 	}{
 		{markerFunc, marshal.Reply{Status: marshal.StatusDenied, Err: "unknown function"}},
 		{marshal.FuncSnapshotDelta, marshal.Reply{Status: marshal.StatusDenied, Err: "no delta support"}},
-		{marshal.FuncSnapshot, marshal.Reply{Ret: marshal.BytesVal(marshal.EncodeObjectStates(nil))}},
+		{marshal.FuncSnapshot, snapshot},
 	} {
 		ctrl := recvCall(t, srv)
 		if ctrl.Func != step.fn {

@@ -35,7 +35,6 @@ func clServer() *server.Server {
 	})
 	reg := server.NewRegistry(cl.Descriptor())
 	cl.BindServer(reg, silo)
-	reg.Restorer = cl.MigrationAdapter{Silo: silo}
 	return server.New(reg)
 }
 

@@ -228,23 +228,3 @@ func (pb *PriorityBuckets) reserveAt(now time.Time, band int, n float64) time.Du
 	pb.shared.charge(now, n)
 	return subD
 }
-
-// SharedTokens and SubTokens expose bucket levels for tests and
-// introspection; SubTokens reports 0 for floor-less bands.
-func (pb *PriorityBuckets) SharedTokens() float64 {
-	if pb.Unlimited() {
-		return 0
-	}
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	return pb.shared.Tokens()
-}
-
-func (pb *PriorityBuckets) SubTokens(band int) float64 {
-	if pb.Unlimited() || band < 0 || band >= NumPriorityBands || pb.sub[band] == nil {
-		return 0
-	}
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	return pb.sub[band].Tokens()
-}

@@ -74,7 +74,7 @@ type VMStats struct {
 }
 
 // ShedConfig configures the router's load shedder. When any threshold is
-// crossed, calls in the lowest ShedBands priority bands are denied with
+// crossed, calls in the lowest priority band (band 0) are denied with
 // StatusOverload instead of being stalled toward their deadlines. The
 // zero value disables shedding.
 type ShedConfig struct {
@@ -86,34 +86,10 @@ type ShedConfig struct {
 	// an EWMA over rate-limit and scheduling delays of admitted calls —
 	// is at least this long (0 disables the stall signal).
 	MaxRecentStall time.Duration
-	// ShedBands is how many of the lowest priority bands are sheddable;
-	// 0 defaults to 1 (only band 0).
-	ShedBands int
-	// AdaptiveStall derives the stall threshold from the deployment's own
-	// uncontended stall floor instead of a hand-tuned constant: the router
-	// samples an EWMA of admission stalls over a warm-up window, then
-	// sheds when the recent stall reaches StallFloorMult times that floor.
-	// MaxRecentStall, when also set, acts as a lower bound on the derived
-	// threshold (and covers the warm-up window, during which the adaptive
-	// signal is not yet calibrated).
-	AdaptiveStall bool
-	// StallFloorMult is the overload multiple applied to the observed
-	// stall floor; values at or below 1 select the default of 8.
-	StallFloorMult float64
 }
 
 func (sc ShedConfig) enabled() bool {
-	return sc.MaxQueueDepth > 0 || sc.MaxRecentStall > 0 || sc.AdaptiveStall
-}
-
-func (sc ShedConfig) shedBands() int {
-	if sc.ShedBands <= 0 {
-		return 1
-	}
-	if sc.ShedBands > NumPriorityBands {
-		return NumPriorityBands
-	}
-	return sc.ShedBands
+	return sc.MaxQueueDepth > 0 || sc.MaxRecentStall > 0
 }
 
 // Interceptor observes (and may veto) every forwarded call — the
@@ -193,28 +169,11 @@ type Router struct {
 
 	loadMu      sync.Mutex
 	recentStall time.Duration // EWMA of admitted calls' rate-limit+sched stall
-	stallFloor  time.Duration // EWMA of the uncontended stall, sampled at warm-up
-	warmupLeft  int           // admissions left in the adaptive-shed warm-up
 }
-
-// shedWarmupCalls is how many admissions calibrate the adaptive shed
-// threshold's stall floor after SetShedPolicy.
-const shedWarmupCalls = 256
 
 // SetShedPolicy installs (or, with the zero value, removes) the router's
-// load-shedding configuration. Enabling AdaptiveStall (re)starts the
-// warm-up window that calibrates the stall floor.
-func (r *Router) SetShedPolicy(cfg ShedConfig) {
-	r.shed.Store(&cfg)
-	r.loadMu.Lock()
-	if cfg.AdaptiveStall {
-		r.warmupLeft = shedWarmupCalls
-		r.stallFloor = 0
-	} else {
-		r.warmupLeft = 0
-	}
-	r.loadMu.Unlock()
-}
+// load-shedding configuration.
+func (r *Router) SetShedPolicy(cfg ShedConfig) { r.shed.Store(&cfg) }
 
 func (r *Router) shedConfig() ShedConfig {
 	if sc := r.shed.Load(); sc != nil {
@@ -224,15 +183,10 @@ func (r *Router) shedConfig() ShedConfig {
 }
 
 // noteStall folds one admitted call's stall into the router-wide EWMA the
-// load shedder reads (alpha 1/8; stall-free admissions decay it). During
-// the adaptive-shed warm-up it also feeds the stall-floor estimate.
+// load shedder reads (alpha 1/8; stall-free admissions decay it).
 func (r *Router) noteStall(d time.Duration) {
 	r.loadMu.Lock()
 	r.recentStall += (d - r.recentStall) / 8
-	if r.warmupLeft > 0 {
-		r.stallFloor += (d - r.stallFloor) / 8
-		r.warmupLeft--
-	}
 	r.loadMu.Unlock()
 }
 
@@ -243,47 +197,9 @@ func (r *Router) RecentStall() time.Duration {
 	return r.recentStall
 }
 
-// stallThreshold resolves the effective shed-stall threshold: the static
-// MaxRecentStall, or — once the warm-up window has calibrated the floor —
-// the adaptive StallFloorMult multiple of the observed uncontended stall,
-// whichever is larger. ok=false means the stall signal is off (no static
-// threshold and the adaptive one is not yet calibrated). It also returns the
-// recent aggregate stall, read under the same lock hold.
-func (r *Router) stallThreshold(sc ShedConfig) (thr, recent time.Duration, ok bool) {
-	r.loadMu.Lock()
-	recent = r.recentStall
-	warm := r.warmupLeft <= 0
-	floor := r.stallFloor
-	r.loadMu.Unlock()
-	if !sc.AdaptiveStall || !warm {
-		return sc.MaxRecentStall, recent, sc.MaxRecentStall > 0
-	}
-	mult := sc.StallFloorMult
-	if mult <= 1 {
-		mult = 8
-	}
-	thr = time.Duration(float64(floor) * mult)
-	if thr < 100*time.Microsecond {
-		// A near-zero floor (in-process transports can admit in
-		// nanoseconds) would make the shedder hair-triggered; clamp to a
-		// minimum overload threshold.
-		thr = 100 * time.Microsecond
-	}
-	if sc.MaxRecentStall > thr {
-		thr = sc.MaxRecentStall
-	}
-	return thr, recent, true
-}
-
-// ShedStallThreshold reports the currently effective shed-stall threshold
-// (0 when the stall signal is off or still calibrating).
-func (r *Router) ShedStallThreshold() time.Duration {
-	thr, _, ok := r.stallThreshold(r.shedConfig())
-	if !ok {
-		return 0
-	}
-	return thr
-}
+// ShedStallThreshold reports the shed-stall threshold in force (0 when the
+// stall signal is off).
+func (r *Router) ShedStallThreshold() time.Duration { return r.shedConfig().MaxRecentStall }
 
 // overloaded evaluates the shed thresholds against the scheduler's queue
 // depth and the recent aggregate stall (the larger of the scheduler's gate
@@ -293,15 +209,12 @@ func (r *Router) overloaded(sc ShedConfig) bool {
 	if sc.MaxQueueDepth > 0 && introspective && li.QueueDepth() >= sc.MaxQueueDepth {
 		return true
 	}
-	if thr, stall, ok := r.stallThreshold(sc); ok {
+	if sc.MaxRecentStall > 0 {
+		stall := r.RecentStall()
 		if introspective {
-			if s := li.RecentStall(); s > stall {
-				stall = s
-			}
+			stall = max(stall, li.RecentStall())
 		}
-		if stall >= thr {
-			return true
-		}
+		return stall >= sc.MaxRecentStall
 	}
 	return false
 }
@@ -750,7 +663,7 @@ func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte, sc *
 		// Load shedding: under overload, deny sheddable (lowest-band) calls
 		// immediately with StatusOverload rather than stalling them toward
 		// their deadlines — admission-time backpressure the caller can see.
-		if shed := r.shedConfig(); shed.enabled() && band < shed.shedBands() && r.overloaded(shed) {
+		if shed := r.shedConfig(); shed.enabled() && band == 0 && r.overloaded(shed) {
 			return st.reject(call, marshal.StatusOverload, "hv: %s: shed under overload (priority band %d)", fd.Name, band)
 		}
 		// Reserve both buckets up front and sleep once for the larger

@@ -30,15 +30,9 @@ import (
 	"ava/internal/spec"
 )
 
-// Adapter supplies the silo-specific state operations the engine cannot
-// perform generically.
-type Adapter interface {
-	// SnapshotObject serializes an object's device state. stateful=false
-	// means replay alone fully reconstructs the object.
-	SnapshotObject(obj any) (state []byte, stateful bool, err error)
-	// RestoreObject writes captured state back into the re-created object.
-	RestoreObject(obj any, state []byte) error
-}
+// Adapter is the object-state contract an API binding installs on its
+// server.Registry; the engine reaches it only through server.Context.
+type Adapter = server.Adapter
 
 // Snapshot is a migratable image of one VM's accelerator state.
 type Snapshot struct {
@@ -69,9 +63,9 @@ func Decode(b []byte) (*Snapshot, error) {
 // Capture quiesces the VM's API server context and snapshots its state.
 // The context remains frozen (the source is about to be torn down); call
 // Context.Thaw to abort the migration instead.
-func Capture(ctx *server.Context, ad Adapter) (*Snapshot, error) {
+func Capture(ctx *server.Context) (*Snapshot, error) {
 	ctx.Freeze()
-	objects, err := ctx.SnapshotObjects(ad)
+	objects, err := ctx.SnapshotObjects()
 	if err != nil {
 		return nil, fmt.Errorf("migrate: %w", err)
 	}
@@ -81,8 +75,8 @@ func Capture(ctx *server.Context, ad Adapter) (*Snapshot, error) {
 // Restore replays the snapshot onto a destination server context,
 // rebinding recreated objects to the guest's original handle values and
 // restoring device buffer contents. The destination context must be fresh.
-func Restore(snap *Snapshot, dst *server.Server, ctx *server.Context, ad Adapter) error {
-	return Replay(LocalTarget{Server: dst, Ctx: ctx, Adapter: ad}, dst.Registry().Desc, snap.Log, snap.Objects, RestoreOptions{})
+func Restore(snap *Snapshot, dst *server.Server, ctx *server.Context) error {
+	return Replay(LocalTarget{Server: dst, Ctx: ctx}, dst.Registry().Desc, snap.Log, snap.Objects, RestoreOptions{})
 }
 
 // RestoreOptions relaxes Replay for callers whose snapshot may be slightly
@@ -114,14 +108,15 @@ type Target interface {
 }
 
 // LocalTarget is the in-process Target: calls execute on Server in Ctx,
-// handles move in Ctx's table, object state restores through Adapter. It
-// also has the capture side the failover guardian's checkpoints use
-// (Snapshot, SnapshotDelta), so a guardian handles a link to a server in
-// its own process and a link to another host through one set of methods.
+// handles move in Ctx's table, object state restores through the Adapter of
+// Server's registry. It also has the capture side the failover guardian's
+// checkpoints use (Snapshot, SnapshotDelta), so a guardian handles a link to
+// a server in its own process and a link to another host through one set of
+// methods — each a server.Context method here, the same method behind a
+// control call there.
 type LocalTarget struct {
-	Server  *server.Server
-	Ctx     *server.Context
-	Adapter Adapter
+	Server *server.Server
+	Ctx    *server.Context
 }
 
 // Execute implements Target.
@@ -137,58 +132,16 @@ func (t LocalTarget) Rebind(pairs []server.HandlePair) error { return t.Ctx.Rebi
 
 // RestoreObject implements Target.
 func (t LocalTarget) RestoreObject(h marshal.Handle, state []byte) (bool, error) {
-	obj, ok := t.Ctx.Handles.Get(h)
-	if !ok {
-		return false, nil
-	}
-	return true, t.Adapter.RestoreObject(obj, state)
+	return t.Ctx.RestoreObject(h, state)
 }
 
-// Snapshot serializes every stateful object in Ctx's table through Adapter,
-// by guest handle. Without an Adapter there is no object state to speak of.
-func (t LocalTarget) Snapshot() (map[marshal.Handle][]byte, error) {
-	if t.Adapter == nil {
-		return nil, nil
-	}
-	return t.Ctx.SnapshotObjects(t.Adapter)
-}
+// Snapshot serializes every stateful object in Ctx's table, by guest handle.
+func (t LocalTarget) Snapshot() (map[marshal.Handle][]byte, error) { return t.Ctx.SnapshotObjects() }
 
-// SnapshotDelta is the incremental capture: each stateful object's dirty
-// ranges since the previous drain, as deltas onto base — the previous
-// capture's states by handle. An object base lacks (created since) that
-// does not self-report Full is captured in full. ok=false when Adapter is
-// no server.ObjectDeltaSnapshotter or any object fails; the caller takes a
-// Snapshot instead.
-func (t LocalTarget) SnapshotDelta(base map[marshal.Handle][]byte) (deltas []marshal.ObjectDelta, ok bool) {
-	ds, ok := t.Adapter.(server.ObjectDeltaSnapshotter)
-	if !ok {
-		return nil, false
-	}
-	deltas = make([]marshal.ObjectDelta, 0, len(base))
-	t.Ctx.Handles.ForEach(func(h marshal.Handle, obj any) {
-		if !ok {
-			return
-		}
-		d, stateful, err := ds.SnapshotObjectDelta(obj)
-		if err != nil {
-			ok = false
-			return
-		}
-		if !stateful {
-			return
-		}
-		d.Handle = h
-		if _, has := base[h]; !has && !d.Full {
-			state, stateful, err := t.Adapter.SnapshotObject(obj)
-			if err != nil || !stateful {
-				ok = false
-				return
-			}
-			d = marshal.FullDelta(h, state)
-		}
-		deltas = append(deltas, d)
-	})
-	return deltas, ok
+// SnapshotDelta drains every stateful object's dirty ranges since the
+// previous drain; ok=false means take a Snapshot instead.
+func (t LocalTarget) SnapshotDelta() ([]marshal.ObjectDelta, bool) {
+	return t.Ctx.SnapshotObjectDeltas()
 }
 
 // Replay is the one replay engine: it re-executes the recorded log on the

@@ -16,7 +16,7 @@ import (
 	"ava/internal/server"
 )
 
-func newStack(t *testing.T) (*ava.Stack, *cl.Silo) {
+func newStack(t *testing.T) *ava.Stack {
 	t.Helper()
 	silo := cl.NewSilo(cl.Config{
 		Devices: []devsim.Config{{Name: "gpu", MemoryBytes: 256 << 20, ComputeUnits: 4}},
@@ -26,7 +26,7 @@ func newStack(t *testing.T) (*ava.Stack, *cl.Silo) {
 	cl.BindServer(reg, silo)
 	stack := ava.NewStack(desc, reg, ava.WithRecording())
 	t.Cleanup(stack.Close)
-	return stack, silo
+	return stack
 }
 
 // appState is everything the guest application holds across the migration:
@@ -98,7 +98,7 @@ func TestEndToEndMigration(t *testing.T) {
 	const n = 256
 
 	// Source: set up the application, run one launch so `out` has state.
-	src, srcSilo := newStack(t)
+	src := newStack(t)
 	lib1, err := src.AttachVM(ava.VMConfig{ID: 7, Name: "guest"})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestEndToEndMigration(t *testing.T) {
 
 	// Capture on the source; the context quiesces.
 	srcCtx := src.Server.Context(7, "guest")
-	snap, err := migrate.Capture(srcCtx, cl.MigrationAdapter{Silo: srcSilo})
+	snap, err := migrate.Capture(srcCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +137,9 @@ func TestEndToEndMigration(t *testing.T) {
 	}
 
 	// Destination: fresh silo, fresh server; restore, then attach the VM.
-	dst, dstSilo := newStack(t)
+	dst := newStack(t)
 	dstCtx := dst.Server.Context(7, "guest")
-	if err := migrate.Restore(snap2, dst.Server, dstCtx, cl.MigrationAdapter{Silo: dstSilo}); err != nil {
+	if err := migrate.Restore(snap2, dst.Server, dstCtx); err != nil {
 		t.Fatal(err)
 	}
 	lib2, err := dst.AttachVM(ava.VMConfig{ID: 7, Name: "guest"})
@@ -184,7 +184,7 @@ func TestEndToEndMigration(t *testing.T) {
 
 func TestMigrationSkipsDestroyedObjects(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
-	src, srcSilo := newStack(t)
+	src := newStack(t)
 	lib, _ := src.AttachVM(ava.VMConfig{ID: 1, Name: "g"})
 	c := cl.NewRemote(lib)
 	app := setupApp(t, c, 64)
@@ -200,7 +200,7 @@ func TestMigrationSkipsDestroyedObjects(t *testing.T) {
 	}
 
 	ctx := src.Server.Context(1, "g")
-	snap, err := migrate.Capture(ctx, cl.MigrationAdapter{Silo: srcSilo})
+	snap, err := migrate.Capture(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +216,13 @@ func TestMigrationSkipsDestroyedObjects(t *testing.T) {
 
 func TestThawAbortsMigration(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
-	src, srcSilo := newStack(t)
+	src := newStack(t)
 	lib, _ := src.AttachVM(ava.VMConfig{ID: 1, Name: "g"})
 	c := cl.NewRemote(lib)
 	app := setupApp(t, c, 64)
 
 	ctx := src.Server.Context(1, "g")
-	if _, err := migrate.Capture(ctx, cl.MigrationAdapter{Silo: srcSilo}); err != nil {
+	if _, err := migrate.Capture(ctx); err != nil {
 		t.Fatal(err)
 	}
 	ctx.Thaw()
@@ -272,10 +272,10 @@ func TestDecodeGarbage(t *testing.T) {
 
 func TestRestoreUnknownFunction(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
-	dst, silo := newStack(t)
+	dst := newStack(t)
 	ctx := dst.Server.Context(9, "g")
 	snap := &migrate.Snapshot{Log: []server.RecordedCall{{Func: 9999}}}
-	err := migrate.Restore(snap, dst.Server, ctx, cl.MigrationAdapter{Silo: silo})
+	err := migrate.Restore(snap, dst.Server, ctx)
 	if err == nil || !strings.Contains(err.Error(), "unknown function") {
 		t.Fatalf("err = %v", err)
 	}
@@ -283,19 +283,18 @@ func TestRestoreUnknownFunction(t *testing.T) {
 
 func TestMVNCMigrationByReplay(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
-	// MVNC objects are stateless under the adapter: replay alone rebuilds
-	// the device and graph; queued results are transient and documented as
-	// lost (the guest drains them before migrating).
-	mkStack := func() (*ava.Stack, *mvnc.Silo) {
+	// Replay rebuilds the device and the graph; the adapter mvnc.BindServer
+	// installed carries the graph's option values and queued results.
+	mkStack := func() *ava.Stack {
 		silo := mvnc.NewSilo(mvnc.Config{Sticks: 1})
 		desc := mvnc.Descriptor()
 		reg := server.NewRegistry(desc)
 		mvnc.BindServer(reg, silo)
 		st := ava.NewStack(desc, reg, ava.WithRecording())
 		t.Cleanup(st.Close)
-		return st, silo
+		return st
 	}
-	src, _ := mkStack()
+	src := mkStack()
 	lib, _ := src.AttachVM(ava.VMConfig{ID: 2, Name: "ncs"})
 	c := mvnc.NewRemote(lib)
 	d, err := c.OpenDevice(0)
@@ -310,14 +309,14 @@ func TestMVNCMigrationByReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := migrate.Capture(src.Server.Context(2, "ncs"), mvncAdapter{})
+	snap, err := migrate.Capture(src.Server.Context(2, "ncs"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dst, _ := mkStack()
+	dst := mkStack()
 	dstCtx := dst.Server.Context(2, "ncs")
-	if err := migrate.Restore(snap, dst.Server, dstCtx, mvncAdapter{}); err != nil {
+	if err := migrate.Restore(snap, dst.Server, dstCtx); err != nil {
 		t.Fatal(err)
 	}
 	lib2, _ := dst.AttachVM(ava.VMConfig{ID: 2, Name: "ncs"})
@@ -338,9 +337,3 @@ func TestMVNCMigrationByReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// mvncAdapter: every MVNC object is rebuilt by replay.
-type mvncAdapter struct{}
-
-func (mvncAdapter) SnapshotObject(obj any) ([]byte, bool, error) { return nil, false, nil }
-func (mvncAdapter) RestoreObject(obj any, state []byte) error    { return nil }

@@ -16,7 +16,7 @@ type MigrationAdapter struct {
 	Silo *Silo
 }
 
-// SnapshotObject implements migrate.Adapter / server.ObjectSnapshotter.
+// SnapshotObject implements server.Adapter.
 func (a MigrationAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
 	g, ok := obj.(*Graph)
 	if !ok {
@@ -31,7 +31,7 @@ func (a MigrationAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
 	return encodeGraphState(g), true, nil
 }
 
-// SnapshotObjectDelta implements server.ObjectDeltaSnapshotter (the
+// SnapshotObjectDelta implements server.DeltaAdapter (the
 // failover guardian's incremental checkpoints).
 // A graph's mutable state is tiny (queued result vectors plus options), so
 // the delta is all-or-nothing: if the write generation moved since the
@@ -56,7 +56,7 @@ func (a MigrationAdapter) SnapshotObjectDelta(obj any) (marshal.ObjectDelta, boo
 	return marshal.FullDelta(0, state), true, nil
 }
 
-// RestoreObject implements migrate.Adapter.
+// RestoreObject implements server.Adapter.
 func (a MigrationAdapter) RestoreObject(obj any, state []byte) error {
 	g, ok := obj.(*Graph)
 	if !ok {

@@ -10,8 +10,12 @@ import (
 // BindServer registers the generated MVNC handlers (Register in
 // stubs_gen.go, from mvnc.ava) against reg, executing on silo. The binding
 // below is the silo as the generated Implementation: argument conversions
-// only, no hooks.
-func BindServer(reg *server.Registry, silo *Silo) { Register(reg, binding{silo}) }
+// only, no hooks. BindServer also installs the silo's object-state Adapter
+// on reg.
+func BindServer(reg *server.Registry, silo *Silo) {
+	Register(reg, binding{silo})
+	reg.Adapter = MigrationAdapter{Silo: silo}
+}
 
 type binding struct{ s *Silo }
 

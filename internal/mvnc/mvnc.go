@@ -331,13 +331,6 @@ func (s *Silo) GetGraphOption(g *Graph, option uint32) (uint32, int32) {
 	return g.timeout, OK
 }
 
-// PendingResults reports queued inference outputs (tests).
-func (s *Silo) PendingResults(g *Graph) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(g.results)
-}
-
 func f32(bits uint32) float32 { return math.Float32frombits(bits) }
 
 func f32bits(v float32) uint32 { return math.Float32bits(v) }

@@ -16,18 +16,18 @@ type MigrationAdapter struct {
 	Silo *Silo
 }
 
-// SnapshotObject implements migrate.Adapter / server.ObjectSnapshotter.
+// SnapshotObject implements server.Adapter.
 func (a MigrationAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// SnapshotObjectDelta implements server.ObjectDeltaSnapshotter (the
+// SnapshotObjectDelta implements server.DeltaAdapter (the
 // failover guardian's incremental checkpoints).
 func (a MigrationAdapter) SnapshotObjectDelta(obj any) (marshal.ObjectDelta, bool, error) {
 	return marshal.ObjectDelta{}, false, nil
 }
 
-// RestoreObject implements migrate.Adapter. It is unreachable through the
+// RestoreObject implements server.Adapter. It is unreachable through the
 // normal capture/restore flow (SnapshotObject never reports stateful) and
 // rejects any state handed to it.
 func (a MigrationAdapter) RestoreObject(obj any, state []byte) error {

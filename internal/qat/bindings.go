@@ -11,7 +11,11 @@ import (
 // BindServer registers the generated QAT handlers (Register in stubs_gen.go,
 // from qat.ava) against reg, executing on silo. The binding below is the silo
 // as the generated Implementation: argument conversions only, no hooks.
-func BindServer(reg *server.Registry, silo *Silo) { Register(reg, binding{silo}) }
+// BindServer also installs the silo's object-state Adapter on reg.
+func BindServer(reg *server.Registry, silo *Silo) {
+	Register(reg, binding{silo})
+	reg.Adapter = MigrationAdapter{Silo: silo}
+}
 
 type binding struct{ s *Silo }
 

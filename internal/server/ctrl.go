@@ -51,32 +51,22 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call, rep *marshal.R
 			fail(marshal.StatusDenied, "restore: want [Handle, Bytes]")
 			return
 		}
-		obj, ok := ctx.Handles.Get(call.Args[0].Handle())
-		if !ok {
-			rep.Ret = marshal.Int(0)
-			return
-		}
-		if s.reg.Restorer == nil {
-			fail(marshal.StatusInternal, "restore: no ObjectRestorer registered")
-			return
-		}
-		if err := s.reg.Restorer.RestoreObject(obj, call.Args[1].Bytes()); err != nil {
+		found, err := ctx.RestoreObject(call.Args[0].Handle(), call.Args[1].Bytes())
+		if err != nil {
 			fail(marshal.StatusInternal, "restore handle %d: %v", call.Args[0].Handle(), err)
 			return
 		}
-		rep.Ret = marshal.Int(1)
+		rep.Ret = marshal.Int(0)
+		if found {
+			rep.Ret = marshal.Int(1)
+		}
 		return
 
 	case marshal.FuncSnapshot:
 		// No args — serialize every stateful object in the VM's handle
 		// table so a remote guardian can checkpoint without in-process
 		// access. Ret is an EncodeObjectStates payload.
-		snap, ok := s.reg.Restorer.(ObjectSnapshotter)
-		if !ok {
-			fail(marshal.StatusInternal, "snapshot: no ObjectSnapshotter registered")
-			return
-		}
-		objects, err := ctx.SnapshotObjects(snap)
+		objects, err := ctx.SnapshotObjects()
 		if err != nil {
 			fail(marshal.StatusInternal, "%v", err)
 			return
@@ -86,32 +76,11 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call, rep *marshal.R
 
 	case marshal.FuncSnapshotDelta:
 		// No args — the incremental form of FuncSnapshot: drain each
-		// stateful object's dirty-range tracking into a delta. Denied (not
-		// an internal error) when the silo lacks delta support, so the
-		// guardian falls back to a full FuncSnapshot.
-		snap, ok := s.reg.Restorer.(ObjectDeltaSnapshotter)
+		// stateful object's dirty-range tracking into a delta. Denied when
+		// there is none to be had, so the guardian takes a FuncSnapshot.
+		deltas, ok := ctx.SnapshotObjectDeltas()
 		if !ok {
-			fail(marshal.StatusDenied, "snapshot-delta: no ObjectDeltaSnapshotter registered")
-			return
-		}
-		var deltas []marshal.ObjectDelta
-		var snapErr error
-		ctx.Handles.ForEach(func(h marshal.Handle, obj any) {
-			if snapErr != nil {
-				return
-			}
-			d, stateful, err := snap.SnapshotObjectDelta(obj)
-			if err != nil {
-				snapErr = err
-				return
-			}
-			if stateful {
-				d.Handle = h
-				deltas = append(deltas, d)
-			}
-		})
-		if snapErr != nil {
-			fail(marshal.StatusInternal, "snapshot-delta: %v", snapErr)
+			fail(marshal.StatusDenied, "snapshot-delta: no incremental capture (take a full snapshot)")
 			return
 		}
 		rep.Ret = marshal.BytesVal(marshal.EncodeObjectDeltas(deltas))

@@ -40,34 +40,33 @@ type Registry struct {
 	// OnOOM, if set, is invoked when a handler fails with ErrDeviceOOM;
 	// returning true retries the call once.
 	OnOOM func(ctx *Context, fd *cava.FuncDesc) bool
-	// Restorer, if set, serves marshal.FuncRestore control calls: the
-	// failover guardian's wire replay uses it to push checkpointed object
-	// state onto a replacement host without in-process access to the
-	// destination server. A migrate.Adapter satisfies it directly.
-	Restorer ObjectRestorer
+	// Adapter is how the API's objects are captured and restored: the one
+	// object-state contract behind migration, guardian checkpoints and the
+	// FuncSnapshot/FuncSnapshotDelta/FuncRestore control calls. An API
+	// binding's BindServer installs its own; a registry without one declares
+	// every object stateless (replay alone rebuilds it).
+	Adapter Adapter
 }
 
-// ObjectRestorer overwrites an object's stateful payload from a snapshot.
-// It mirrors the restore half of migrate.Adapter (redeclared here because
-// migrate imports server).
-type ObjectRestorer interface {
+// Adapter supplies the silo-specific object-state operations the recovery
+// engines cannot perform generically. Contexts of a server read it off the
+// registry (Context.SnapshotObjects, SnapshotObjectDeltas, RestoreObject);
+// nothing else calls it.
+type Adapter interface {
+	// SnapshotObject serializes an object's device state. stateful=false
+	// means replay alone fully reconstructs the object.
+	SnapshotObject(obj any) (state []byte, stateful bool, err error)
+	// RestoreObject writes captured state back into the re-created object.
 	RestoreObject(obj any, state []byte) error
 }
 
-// ObjectSnapshotter is the optional snapshot half: a Restorer that also
-// implements it serves marshal.FuncSnapshot, letting a remote guardian
-// checkpoint this host's object state over the wire. A migrate.Adapter
-// satisfies both.
-type ObjectSnapshotter interface {
-	SnapshotObject(obj any) (state []byte, stateful bool, err error)
-}
-
-// ObjectDeltaSnapshotter is the incremental extension of ObjectSnapshotter:
-// a Restorer that also implements it serves marshal.FuncSnapshotDelta,
-// draining each stateful object's dirty-range tracking into a delta so a
-// remote guardian's checkpoint traffic scales with the bytes touched since
-// the previous checkpoint instead of the device-state footprint.
-type ObjectDeltaSnapshotter interface {
+// DeltaAdapter is the Adapter's one optional extension, the incremental
+// capture: drain a stateful object's dirty-range tracking into a delta, so
+// checkpoint traffic scales with the bytes touched since the previous
+// checkpoint instead of the device-state footprint. The delta's Handle is
+// left zero; the caller keys it.
+type DeltaAdapter interface {
+	Adapter
 	SnapshotObjectDelta(obj any) (delta marshal.ObjectDelta, stateful bool, err error)
 }
 
@@ -199,16 +198,7 @@ type Context struct {
 	queued atomic.Int64
 
 	clk clock.Clock
-}
-
-// NewContext creates the execution context for one VM.
-func NewContext(vm uint32, name string) *Context {
-	return &Context{
-		VM:      vm,
-		Name:    name,
-		Handles: NewHandleTable(),
-		clk:     clock.NewReal(),
-	}
+	reg *Registry // the owning server's, for its Adapter
 }
 
 // SetClock overrides the context's time source (tests).
@@ -335,17 +325,22 @@ func (c *Context) remapRecorded(pairs []HandlePair) {
 	}
 }
 
-// SnapshotObjects serializes every stateful object in the handle table —
-// the capture half of migration, of a guardian checkpoint and of the
-// FuncSnapshot control call.
-func (c *Context) SnapshotObjects(snap ObjectSnapshotter) (map[marshal.Handle][]byte, error) {
+// SnapshotObjects serializes every stateful object in the handle table, by
+// guest handle, through the registry's Adapter — the capture half of
+// migration, of a guardian checkpoint and of the FuncSnapshot control call.
+// Without an Adapter there is no object state to speak of.
+func (c *Context) SnapshotObjects() (map[marshal.Handle][]byte, error) {
 	objects := make(map[marshal.Handle][]byte)
+	ad := c.reg.Adapter
+	if ad == nil {
+		return objects, nil
+	}
 	var err error
 	c.Handles.ForEach(func(h marshal.Handle, obj any) {
 		if err != nil {
 			return
 		}
-		state, stateful, serr := snap.SnapshotObject(obj)
+		state, stateful, serr := ad.SnapshotObject(obj)
 		if serr != nil {
 			err = fmt.Errorf("snapshot handle %d: %w", h, serr)
 		} else if stateful {
@@ -353,6 +348,47 @@ func (c *Context) SnapshotObjects(snap ObjectSnapshotter) (map[marshal.Handle][]
 		}
 	})
 	return objects, err
+}
+
+// SnapshotObjectDeltas is the incremental capture: each stateful object's
+// dirty ranges since the previous drain, keyed by guest handle. The caller
+// composes them onto the states it holds from the previous capture
+// (marshal.ApplyObjectDelta) and, where one does not compose, takes
+// SnapshotObjects instead — always safe, a drain only moves the silo's dirty
+// watermark earlier than the snapshot that subsumes it. ok=false: the
+// Adapter is no DeltaAdapter, or an object failed; same remedy.
+func (c *Context) SnapshotObjectDeltas() (deltas []marshal.ObjectDelta, ok bool) {
+	ad, ok := c.reg.Adapter.(DeltaAdapter)
+	if !ok {
+		return nil, false
+	}
+	c.Handles.ForEach(func(h marshal.Handle, obj any) {
+		if !ok {
+			return
+		}
+		d, stateful, err := ad.SnapshotObjectDelta(obj)
+		if err != nil {
+			ok = false
+		} else if stateful {
+			d.Handle = h
+			deltas = append(deltas, d)
+		}
+	})
+	return deltas, ok
+}
+
+// RestoreObject overwrites the stateful payload of the object under h from a
+// snapshot. found=false: no such handle (the object was destroyed after the
+// snapshot was cut), which is the caller's to judge.
+func (c *Context) RestoreObject(h marshal.Handle, state []byte) (found bool, err error) {
+	obj, ok := c.Handles.Get(h)
+	if !ok {
+		return false, nil
+	}
+	if c.reg.Adapter == nil {
+		return true, errors.New("server: the registry declares no object state (no Adapter)")
+	}
+	return true, c.reg.Adapter.RestoreObject(obj, state)
 }
 
 // RecordLog returns a copy of the migration record log.
@@ -452,7 +488,7 @@ func (s *Server) Context(vm uint32, name string) *Context {
 	if c, ok := s.ctxs[vm]; ok {
 		return c
 	}
-	c := NewContext(vm, name)
+	c := &Context{VM: vm, Name: name, Handles: NewHandleTable(), clk: clock.NewReal(), reg: s.reg}
 	s.ctxs[vm] = c
 	return c
 }
@@ -863,15 +899,7 @@ func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats) {
 	// recorded call can be re-executed verbatim; record deep-copies, so the
 	// log never aliases this slot or its frame.
 	if fd.Track.Kind != spec.TrackNone {
-		var created marshal.Handle
-		if fd.Track.Kind == spec.TrackCreate {
-			if fd.TrackIdx >= 0 {
-				created = inv.outs[inv.outSlot(fd.TrackIdx)].Handle()
-			} else if inv.ret.Kind() == marshal.KindHandle {
-				created = inv.ret.Handle()
-			}
-		}
-		ctx.record(fd, call.Seq, call.Args, rep, created)
+		ctx.record(fd, call.Seq, call.Args, rep, fd.CreatedHandle(rep.Ret, rep.Outs))
 	}
 }
 

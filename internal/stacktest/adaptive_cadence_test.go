@@ -30,7 +30,7 @@ func TestAdaptiveCadenceNoHotStall(t *testing.T) {
 
 	run := func(adaptive bool) uint64 {
 		silo := foSilo()
-		cfg := foConfig(silo)
+		cfg := foConfig()
 		cfg.Checkpoint = ava.CheckpointConfig{Every: checkpointEvr, Adaptive: adaptive}
 		stack := foStack(silo, ava.WithFailover(cfg))
 		defer stack.Close()

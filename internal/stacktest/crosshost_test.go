@@ -6,6 +6,7 @@ package stacktest_test
 import (
 	"ava/internal/leaktest"
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"ava/internal/failover"
 	"ava/internal/fleet"
 	"ava/internal/host"
+	"ava/internal/mvnc"
 	"ava/internal/rodinia"
 	"ava/internal/server"
 )
@@ -25,7 +27,11 @@ import (
 // replays it onto a fresh silo before any traffic flows, and the guest's
 // saved handles read back byte-identical content. Before the replicated
 // shadow log existed this had to fail: the shadow log died with the
-// guardian and the new silo came up empty.
+// guardian and the new silo came up empty. Neither stack sets
+// FailoverConfig.Adapter: the buffer's bytes are captured and restored
+// through the adapter cl.BindServer put on each registry (when the adapter
+// was handed in per stack, rehydrating object state onto one that set none
+// dereferenced nil).
 func TestMirrorRehydrationAfterGuardianLoss(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	mirror := failover.NewMemoryMirror()
@@ -37,7 +43,7 @@ func TestMirrorRehydrationAfterGuardianLoss(t *testing.T) {
 	// First life: write the payload, checkpoint so the mirror holds both
 	// the record log and the object snapshot, then lose everything.
 	silo1 := foSilo()
-	cfg1 := foConfig(silo1)
+	cfg1 := foConfig()
 	cfg1.Replication.Sink = mirror
 	stack1 := foStack(silo1, ava.WithFailover(cfg1))
 	lib1, err := stack1.AttachVM(ava.VMConfig{ID: 1, Name: "mirror-vm"})
@@ -64,7 +70,7 @@ func TestMirrorRehydrationAfterGuardianLoss(t *testing.T) {
 	// Second life: a fresh silo on a "different host", rehydrated purely
 	// from the mirror before the replacement guardian serves any call.
 	silo2 := foSilo()
-	cfg2 := foConfig(silo2)
+	cfg2 := foConfig()
 	cfg2.Replication.Restore = st
 	stack2 := foStack(silo2, ava.WithFailover(cfg2))
 	defer stack2.Close()
@@ -111,7 +117,7 @@ func TestRemoteMirrorRehydrationAcrossMachines(t *testing.T) {
 
 	// First life on machine one: replicate over the wire, checkpoint, die.
 	silo1 := foSilo()
-	cfg1 := foConfig(silo1)
+	cfg1 := foConfig()
 	cfg1.Replication.RemoteAddr = mh.MirrorAddr()
 	stack1 := foStack(silo1, ava.WithFailover(cfg1))
 	lib1, err := stack1.AttachVM(ava.VMConfig{ID: 1, Name: "remote-mirror-vm"})
@@ -143,7 +149,7 @@ func TestRemoteMirrorRehydrationAcrossMachines(t *testing.T) {
 
 	// Second life: fresh silo, rehydrated from the fetched state.
 	silo2 := foSilo()
-	cfg2 := foConfig(silo2)
+	cfg2 := foConfig()
 	cfg2.Replication.Restore = st
 	stack2 := foStack(silo2, ava.WithFailover(cfg2))
 	defer stack2.Close()
@@ -201,7 +207,6 @@ func newChaosMachine(t *testing.T, loc fleet.Locator, id string) (*host.Server, 
 	silo := foSilo()
 	reg := server.NewRegistry(cl.Descriptor())
 	cl.BindServer(reg, silo)
-	reg.Restorer = cl.MigrationAdapter{Silo: silo}
 	srv := server.New(reg)
 	h, err := host.Start(srv, host.Config{
 		Listen: "127.0.0.1:0", API: "opencl", Locator: loc, ID: id,
@@ -279,5 +284,119 @@ func TestCrossHostKillMidRodinia(t *testing.T) {
 	}
 	if servedBy != "host-b" {
 		t.Fatalf("finished on %q, want host-b", servedBy)
+	}
+}
+
+// mvncInference queues one inference per tensor id (every input different,
+// so results are distinguishable), makes sure they reached the server, lets
+// between run, and then reads the results back in order.
+func mvncInference(t *testing.T, c mvnc.Client, g mvnc.Ref, ids []int, between func()) []byte {
+	t.Helper()
+	img := make([]byte, 3*64*64*4)
+	for _, id := range ids {
+		for px := 0; px < len(img); px += 4 {
+			binary.LittleEndian.PutUint32(img[px:], math.Float32bits(float32(id)+float32(px%97)/97))
+		}
+		if err := c.LoadTensor(g, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// LoadTensor is asynchronous; a synchronous call flushes the batch.
+	if _, err := c.GetGraphOption(g, 1); err != nil {
+		t.Fatal(err)
+	}
+	between()
+	var out []byte
+	for range ids {
+		res := make([]byte, 10*4)
+		if err := c.GetResult(g, res); err != nil {
+			t.Fatalf("GetResult: %v", err)
+		}
+		out = append(out, res...)
+	}
+	return out
+}
+
+// TestMVNCCrossHostKillBetweenLoadAndGetResult kills the machine serving an
+// MVNC graph after its inferences were queued and before their results were
+// read. The result FIFO is the one MVNC state replay cannot rebuild —
+// GetResult consumes it — so it has to travel: captured off the first
+// machine by the guardian's FuncSnapshot calls, restored onto the peer by
+// FuncRestore. Both machines' registries are what mvnc.BindServer leaves and
+// nothing else, as `avad -api mvnc` builds them. (When a registry's builder
+// had to add the object-state adapter by hand, avad did so for opencl only:
+// an mvnc host refused every snapshot, no checkpoint ever committed, and the
+// watermark never moved.)
+func TestMVNCCrossHostKillBetweenLoadAndGetResult(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	machine := func(loc fleet.Locator, id string) *host.Server {
+		reg := server.NewRegistry(mvnc.Descriptor())
+		mvnc.BindServer(reg, mvnc.NewSilo(mvnc.Config{Sticks: 1}))
+		h, err := host.Start(server.New(reg), host.Config{Listen: "127.0.0.1:0", API: "mvnc", Locator: loc, ID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(h.Kill)
+		return h
+	}
+	blob := mvnc.GraphBlob("inception_v3_sim", 42, 10, 2048)
+	batches := [][]int{{1, 2, 3, 4}, {5, 6}}
+
+	native := mvnc.NewNative(mvnc.NewSilo(mvnc.Config{Sticks: 1}))
+	nd, _ := native.OpenDevice(0)
+	ng, err := native.AllocateGraph(nd, "g", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, ids := range batches {
+		want = append(want, mvncInference(t, native, ng, ids, func() {})...)
+	}
+
+	loc := fleet.NewRegistry(0, nil)
+	hostA := machine(loc, "host-a") // equal load: the ID tie-break dials host-a first
+	machine(loc, "host-b")
+	stack := ava.NewStack(mvnc.Descriptor(), nil,
+		ava.WithFailover(ava.FailoverConfig{
+			Checkpoint: ava.CheckpointConfig{Every: 2},
+			Backoff:    failover.BackoffConfig{Seed: 7},
+		}),
+		ava.WithPlacement(ava.PlacementConfig{Locator: loc, API: "mvnc"}))
+	defer stack.Close()
+	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "ncs-vm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mvnc.NewRemote(lib)
+	dev, err := c.OpenDevice(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := c.AllocateGraph(dev, "g", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guardian := stack.Guardian(1)
+	got := mvncInference(t, c, g, batches[0], func() {
+		// The watermark passes the queued results, so only the checkpoint
+		// can bring them back; then the machine dies.
+		if err := guardian.CheckpointNow(); err != nil {
+			t.Fatalf("checkpoint of the mvnc host: %v", err)
+		}
+		hostA.Kill()
+	})
+	got = append(got, mvncInference(t, c, g, batches[1], func() {})...)
+	if !bytes.Equal(got, want) {
+		t.Fatal("results after the cross-host kill differ from the native run's")
+	}
+	st := guardian.Stats()
+	if st.Checkpoints == 0 || st.Recoveries != 1 {
+		t.Fatalf("guardian: %+v (last checkpoint failure: %v)", st, guardian.CheckpointErr())
+	}
+	if by := stack.VMHost(1); by != "host-b" {
+		t.Fatalf("finished on %q, want host-b", by)
+	}
+	if rf := lib.Stats().RetryableFailed; rf != 0 {
+		t.Fatalf("%d calls dropped", rf)
 	}
 }

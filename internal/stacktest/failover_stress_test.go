@@ -44,9 +44,8 @@ func foStack(silo *cl.Silo, opts ...ava.Option) *ava.Stack {
 	return ava.NewStack(desc, reg, opts...)
 }
 
-func foConfig(silo *cl.Silo) ava.FailoverConfig {
+func foConfig() ava.FailoverConfig {
 	return ava.FailoverConfig{
-		Adapter:    cl.MigrationAdapter{Silo: silo},
 		Checkpoint: ava.CheckpointConfig{Every: 64},
 		Backoff:    failover.BackoffConfig{Seed: 42},
 	}
@@ -100,7 +99,7 @@ func TestFailoverKillMidRodinia(t *testing.T) {
 	} {
 		t.Run(tr.name, func(t *testing.T) {
 			silo := foSilo()
-			stack := foStack(silo, ava.WithTransport(tr.kind), ava.WithFailover(foConfig(silo)))
+			stack := foStack(silo, ava.WithTransport(tr.kind), ava.WithFailover(foConfig()))
 			defer stack.Close()
 			lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "chaos-vm"})
 			if err != nil {
@@ -214,7 +213,7 @@ func TestFailoverKillMidWorkloadTCP(t *testing.T) {
 func TestFailoverReconnectRaceStress(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	silo := foSilo()
-	cfg := foConfig(silo)
+	cfg := foConfig()
 	cfg.Checkpoint.Every = 32
 	stack := foStack(silo, ava.WithFailover(cfg))
 	defer stack.Close()
@@ -333,7 +332,6 @@ func TestFailoverFlakyLivenessDetection(t *testing.T) {
 	silo := foSilo()
 	var dials atomic.Int32
 	stack := foStack(silo, ava.WithFailover(ava.FailoverConfig{
-		Adapter: cl.MigrationAdapter{Silo: silo},
 		Liveness: ava.LivenessConfig{
 			HeartbeatEvery: 3 * time.Millisecond,
 			// Keep the marker wait short so detection is fast.

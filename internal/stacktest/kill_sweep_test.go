@@ -210,7 +210,6 @@ var sweepStacks = []sweepStack{
 
 func localSweepStack(fc ava.FailoverConfig, transportOpt ava.Option) (*ava.Stack, *server.Server) {
 	silo := foSilo()
-	fc.Adapter = cl.MigrationAdapter{Silo: silo}
 	stack := foStack(silo, transportOpt, ava.WithFailover(fc))
 	return stack, stack.Server
 }

@@ -25,7 +25,7 @@ func TestFailoverSyncCallsRacingKill(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	const size = 64 << 10
 	silo := foSilo()
-	stack := foStack(silo, ava.WithFailover(foConfig(silo)))
+	stack := foStack(silo, ava.WithFailover(foConfig()))
 	defer stack.Close()
 	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "racing-kill-vm"})
 	if err != nil {

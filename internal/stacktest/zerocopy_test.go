@@ -213,7 +213,7 @@ func TestZeroCopyKillMidRodinia(t *testing.T) {
 	} {
 		t.Run(tr.name, func(t *testing.T) {
 			silo := foSilo()
-			stack := foStack(silo, ava.WithTransport(tr.kind), ava.WithFailover(foConfig(silo)))
+			stack := foStack(silo, ava.WithTransport(tr.kind), ava.WithFailover(foConfig()))
 			defer stack.Close()
 			lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "zc-chaos-vm"},
 				guest.WithZeroCopy(true))

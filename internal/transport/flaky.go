@@ -3,9 +3,6 @@ package transport
 import (
 	"math/rand"
 	"sync"
-	"time"
-
-	"ava/internal/clock"
 )
 
 // FlakyConfig tunes the Flaky fault-injection wrapper. All faults are drawn
@@ -21,27 +18,18 @@ type FlakyConfig struct {
 	// DropAfterSends, when > 0, silently discards every frame after the
 	// first N sends: a link that goes deaf without an error signal.
 	DropAfterSends int
-	// DelayProb is the probability that a send is delayed by Delay before
-	// being forwarded.
-	DelayProb float64
-	// Delay is the injected latency for delayed sends.
-	Delay time.Duration
 	// SeverAfterSends, when > 0, severs the underlying link abruptly after
 	// the first N sends — the scripted SIGKILL.
 	SeverAfterSends int
-	// Clock is the time source for injected delays; nil uses the wall
-	// clock.
-	Clock clock.Clock
 }
 
 // Flaky wraps an Endpoint with seeded fault injection: probabilistic frame
-// drops, injected delays, and a scripted abrupt sever. It preserves the
+// drops and a scripted abrupt sever. It preserves the
 // inner endpoint's frame-ownership semantics, so it can stand in for any
 // transport in the stack.
 type Flaky struct {
 	inner Endpoint
 	cfg   FlakyConfig
-	clk   clock.Clock
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -51,16 +39,7 @@ type Flaky struct {
 
 // NewFlaky wraps inner with the configured fault schedule.
 func NewFlaky(inner Endpoint, cfg FlakyConfig) *Flaky {
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.NewReal()
-	}
-	return &Flaky{
-		inner: inner,
-		cfg:   cfg,
-		clk:   clk,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
+	return &Flaky{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 func (f *Flaky) Send(frame []byte) error {
@@ -80,14 +59,7 @@ func (f *Flaky) Send(frame []byte) error {
 	if !drop && f.cfg.DropProb > 0 {
 		drop = f.rng.Float64() < f.cfg.DropProb
 	}
-	var delay time.Duration
-	if f.cfg.DelayProb > 0 && f.rng.Float64() < f.cfg.DelayProb {
-		delay = f.cfg.Delay
-	}
 	f.mu.Unlock()
-	if delay > 0 {
-		f.clk.Sleep(delay)
-	}
 	if drop {
 		// The frame vanishes without an error: the failure mode only a
 		// liveness probe can observe.

@@ -34,13 +34,6 @@ type schedFleet struct {
 	addrs map[string]string
 }
 
-// schedStateless serves the guardian's wire snapshot/restore control calls
-// for the stateless schedsim API: a migration carries the record log alone.
-type schedStateless struct{}
-
-func (schedStateless) RestoreObject(any, []byte) error          { return nil }
-func (schedStateless) SnapshotObject(any) ([]byte, bool, error) { return nil, false, nil }
-
 func newSchedFleet(t *testing.T) *schedFleet {
 	t.Helper()
 	desc, err := ava.CompileSpec(schedSpec)
@@ -49,8 +42,9 @@ func newSchedFleet(t *testing.T) *schedFleet {
 	}
 	f := &schedFleet{Registry: fleet.NewRegistry(time.Minute, nil), addrs: make(map[string]string)}
 	for _, id := range []string{"host-a", "host-b", "host-c"} {
+		// No Adapter: schedsim is stateless, a migration carries the record
+		// log alone.
 		sreg := server.NewRegistry(desc)
-		sreg.Restorer = schedStateless{}
 		sreg.MustRegister("ping", func(inv *server.Invocation) error {
 			inv.SetOutUint(1, inv.Uint(0)*2+1)
 			inv.SetStatus(0)

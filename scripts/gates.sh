@@ -89,4 +89,14 @@ gate stub 'hand-written dispatch handler in an API package (declare the function
 	'MustRegister\("|server\.Invocation' '^([^:]*_gen\.go|internal/gen/toydev/toydev\.go):' \
 	golines internal/cl internal/mvnc internal/qat internal/gen
 
+# One owner of object state: how an API's objects are captured and restored
+# is its binding's business — BindServer puts the package's MigrationAdapter
+# on the registry and server.Context reads it from there. No daemon,
+# experiment or example hands one in (the way `avad -api mvnc` once forgot
+# to). ava.go's single line is FailoverConfig.Adapter's fallback, which goes
+# with the field once benchmark/ may stop setting it.
+gate adapter 'object-state adapter set by hand outside the API bindings (BindServer installs it on the registry)' \
+	'\.Adapter *=[^=]|MigrationAdapter\{' \
+	'^\./(internal/(cl|mvnc|qat|server)/|benchmark/|ava\.go:[0-9]+:[[:space:]]*reg\.Adapter = fc\.Adapter( |$))' golines .
+
 exit $status

@@ -228,3 +228,28 @@ func TestClSpecIsGeneratable(t *testing.T) {
 		t.Fatal("generated server interface missing")
 	}
 }
+
+// FailoverConfig.Adapter is a leftover spelling (benchmark/ still sets it):
+// the object-state adapter is the registry's, installed by the API binding.
+// The stack consults the config's only for a registry that carries none.
+func TestFailoverConfigAdapterIsOnlyAFallback(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	desc := cl.Descriptor()
+	fromConfig := cl.MigrationAdapter{Silo: cl.NewSilo(cl.Config{})}
+	fc := ava.WithFailover(ava.FailoverConfig{Adapter: fromConfig})
+
+	bare := ava.NewStack(desc, server.NewRegistry(desc), fc)
+	defer bare.Close()
+	if got := bare.Server.Registry().Adapter; got != server.Adapter(fromConfig) {
+		t.Errorf("a registry without an adapter got %v, want the config's", got)
+	}
+
+	silo := cl.NewSilo(cl.Config{})
+	reg := server.NewRegistry(desc)
+	cl.BindServer(reg, silo)
+	bound := ava.NewStack(desc, reg, fc)
+	defer bound.Close()
+	if got := bound.Server.Registry().Adapter; got != server.Adapter(cl.MigrationAdapter{Silo: silo}) {
+		t.Errorf("a bound registry's adapter was replaced by %v", got)
+	}
+}
