@@ -3,7 +3,7 @@
 # `make check` is the stricter local/CI version of the same gate.
 
 GO ?= go
-GATES = rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate adapter-gate
+GATES = rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate adapter-gate payload-gate
 
 .PHONY: check fmt vet gates $(GATES) gen build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
@@ -20,7 +20,8 @@ vet:
 
 # The grep gates ("there is one of these": one rebind, one guardian state
 # machine, one decoder per frame kind, one assembler, one-way layering, one
-# generated binding layer, one owner of object state) are rows of the table
+# generated binding layer, one owner of object state, one source of payload
+# buffers) are rows of the table
 # in scripts/gates.sh; check runs them all at once, and each old target name
 # runs its own row.
 gates:
@@ -53,7 +54,7 @@ test:
 # without -race so a regression in allocations per call fails `make check`.
 allocs:
 	$(GO) test -count=1 -run 'Alloc|BothHit' \
-		./internal/marshal/ ./internal/framebuf/ ./internal/hv/ ./internal/server/ ./internal/guest/ ./internal/cl/
+		./internal/marshal/ ./internal/framebuf/ ./internal/transport/ ./internal/hv/ ./internal/server/ ./internal/guest/ ./internal/cl/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

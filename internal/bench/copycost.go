@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -27,7 +28,7 @@ func CopyCost(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E14/CopyCost",
 		Title:  "Zero-copy data plane: marshal+copy cost and checkpoint deltas",
-		Header: []string{"stage", "mode", "ns/byte", "copied", "borrowed"},
+		Header: []string{"stage", "mode", "ns/byte", "copied", "borrowed", "alloc B/transfer"},
 	}
 
 	const payloadN = 256 << 10
@@ -62,8 +63,8 @@ func CopyCost(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Add("marshal", "copy", nsPerByte(copyDur, marshalBytes), size(marshalBytes), size(0))
-	t.Add("marshal", "scatter-gather", nsPerByte(sgDur, marshalBytes), size(0), size(marshalBytes))
+	t.Add("marshal", "copy", nsPerByte(copyDur, marshalBytes), size(marshalBytes), size(0), "-")
+	t.Add("marshal", "scatter-gather", nsPerByte(sgDur, marshalBytes), size(0), size(marshalBytes), "-")
 	t.AddMetric("marshal-copy", "ns/B", nsbFloat(copyDur, marshalBytes))
 	t.AddMetric("marshal-scatter-gather", "ns/B", nsbFloat(sgDur, marshalBytes))
 	t.AddMetric("marshal-copy-throughput", "B/s", bytesPerSec(copyDur, marshalBytes))
@@ -72,11 +73,16 @@ func CopyCost(opts Options) (*Table, error) {
 
 	// --- End-to-end transfers. The silo's simulated DMA cost is zero, so
 	// wall time is marshal + copies + transport — exactly the stack's
-	// contribution the zero-copy paths attack.
+	// contribution the zero-copy paths attack. The copied/borrowed columns
+	// count bytes moved; what moving them costs in memory management shows
+	// in the last column, the process's allocated bytes per transfer (guest,
+	// transport and server together: a payload-sized buffer made fresh per
+	// call is one transfer's size there, a recycled one is nothing).
 	type xferResult struct {
 		dur      time.Duration
 		copied   uint64
 		borrowed uint64
+		alloc    uint64 // runtime.MemStats.TotalAlloc delta per transfer
 	}
 	transfer := func(kind string, zc bool, d2h bool) (xferResult, error) {
 		var r xferResult
@@ -128,19 +134,29 @@ func CopyCost(opts Options) (*Table, error) {
 				return r, err
 			}
 		}
+		xfer := func() error {
+			if d2h {
+				return c.EnqueueRead(q, mem, true, 0, region)
+			}
+			return c.EnqueueWrite(q, mem, true, 0, region)
+		}
+		// One untimed transfer first: what the table reports is the steady
+		// state, not the first call's drawing of its buffers.
+		if err := xfer(); err != nil {
+			return r, err
+		}
 		before := lib.Stats()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			if d2h {
-				err = c.EnqueueRead(q, mem, true, 0, region)
-			} else {
-				err = c.EnqueueWrite(q, mem, true, 0, region)
-			}
-			if err != nil {
+			if err := xfer(); err != nil {
 				return r, err
 			}
 		}
 		r.dur = time.Since(start)
+		runtime.ReadMemStats(&m1)
+		r.alloc = (m1.TotalAlloc - m0.TotalAlloc) / uint64(iters)
 		after := lib.Stats()
 		r.copied = after.BytesCopied - before.BytesCopied
 		r.borrowed = after.BytesBorrowed - before.BytesBorrowed
@@ -155,9 +171,11 @@ func CopyCost(opts Options) (*Table, error) {
 		zcName string
 	}{
 		{"tcp h2d", "tcp", false, "scatter-gather"},
+		{"tcp d2h", "tcp", true, "scatter-gather"},
 		{"shm-ring h2d", "shm-ring", false, "regref"},
 		{"shm-ring d2h", "shm-ring", true, "regref"},
 		{"inproc h2d", "inproc", false, "regref"},
+		{"inproc d2h", "inproc", true, "regref"},
 	}
 	for _, cse := range xferCases {
 		run := func(zc bool) (xferResult, error) {
@@ -181,11 +199,13 @@ func CopyCost(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Add(cse.stage, "copy", nsPerByte(cp.dur, xferBytes), size(int64(cp.copied)), size(int64(cp.borrowed)))
-		t.Add(cse.stage, cse.zcName, nsPerByte(zc.dur, xferBytes), size(int64(zc.copied)), size(int64(zc.borrowed)))
+		t.Add(cse.stage, "copy", nsPerByte(cp.dur, xferBytes), size(int64(cp.copied)), size(int64(cp.borrowed)), size(int64(cp.alloc)))
+		t.Add(cse.stage, cse.zcName, nsPerByte(zc.dur, xferBytes), size(int64(zc.copied)), size(int64(zc.borrowed)), size(int64(zc.alloc)))
 		key := strings.ReplaceAll(cse.stage, " ", "-")
 		t.AddMetric(key+"-copy", "ns/B", nsbFloat(cp.dur, xferBytes))
 		t.AddMetric(key+"-"+cse.zcName, "ns/B", nsbFloat(zc.dur, xferBytes))
+		t.AddMetric(key+"-copy-alloc", "B/transfer", float64(cp.alloc))
+		t.AddMetric(key+"-"+cse.zcName+"-alloc", "B/transfer", float64(zc.alloc))
 		t.AddMetric(key+"-copy-throughput", "B/s", bytesPerSec(cp.dur, xferBytes))
 		t.AddMetric(key+"-"+cse.zcName+"-throughput", "B/s", bytesPerSec(zc.dur, xferBytes))
 		t.Note("%s copy vs %s: %.1fx less time per byte", cse.stage, cse.zcName, ratio(cp.dur, zc.dur))
@@ -199,8 +219,8 @@ func CopyCost(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Add("checkpoint", "full", "-", size(shippedFull), size(0))
-	t.Add("checkpoint", fmt.Sprintf("delta(%s touched)", size(touchN)), "-", size(shippedDelta), size(0))
+	t.Add("checkpoint", "full", "-", size(shippedFull), size(0), "-")
+	t.Add("checkpoint", fmt.Sprintf("delta(%s touched)", size(touchN)), "-", size(shippedDelta), size(0), "-")
 	t.AddMetric("checkpoint-full", "B", float64(shippedFull))
 	t.AddMetric("checkpoint-delta", "B", float64(shippedDelta))
 	t.AddMetric("checkpoint-touched", "B", float64(touchN))

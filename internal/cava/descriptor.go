@@ -14,6 +14,7 @@ package cava
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"ava/internal/marshal"
@@ -417,6 +418,9 @@ func (f *FuncDesc) bufferBytes(i int, api *spec.API, lookup func(string) (int64,
 	}
 	if n < 0 {
 		return 0, fmt.Errorf("cava: %s(%s): negative element count %d", f.Name, pd.Name, n)
+	}
+	if pd.ElemSize > 0 && n > int64(math.MaxInt/pd.ElemSize) {
+		return 0, fmt.Errorf("cava: %s(%s): %d elements of %d bytes overflow a buffer length", f.Name, pd.Name, n, pd.ElemSize)
 	}
 	return int(n) * pd.ElemSize, nil
 }

@@ -1,6 +1,7 @@
 package cava
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -183,6 +184,18 @@ func TestBufferBytes(t *testing.T) {
 	// Negative sizes are rejected.
 	if _, err := wr.BufferBytes(4, d.API, spec.Env{"size": -5}); err == nil {
 		t.Fatal("negative size accepted")
+	}
+	// An element count whose product with the element size does not fit an
+	// int is refused, not wrapped: 1<<61 eight-byte elements is "0 bytes".
+	wide := MustCompile(`void f(uint64_t n, const uint64_t *v) { parameter(v) { in; buffer(n); } }`)
+	f, _ := wide.Lookup("f")
+	if n, err := f.BufferBytes(1, wide.API, spec.Env{"n": 3}); err != nil || n != 24 {
+		t.Fatalf("3 uint64_t elements = %d bytes, %v", n, err)
+	}
+	for _, count := range []int64{1 << 61, 1<<62 + 1, math.MaxInt64} {
+		if n, err := f.BufferBytes(1, wide.API, spec.Env{"n": count}); err == nil {
+			t.Errorf("%d uint64_t elements accepted as %d bytes", count, n)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package framebuf
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"testing"
+)
 
 func TestGetReturnsRequestedCapacity(t *testing.T) {
 	b := Get(100)
@@ -100,4 +104,110 @@ func TestClassesBracketEverySize(t *testing.T) {
 	if b := Get(maxPooled + 1); cap(b) != maxPooled+1 {
 		t.Errorf("oversized Get capacity = %d, want exact", cap(b))
 	}
+}
+
+// drainLarge empties the payload-class free lists, so a test starts from (and
+// leaves behind) no idle buffers whatever ran before it.
+func drainLarge() {
+	large.mu.Lock()
+	defer large.mu.Unlock()
+	for i := range large.free {
+		large.free[i] = nil
+	}
+	large.idle = 0
+}
+
+// TestLargeBufferSurvivesGC is what the payload classes exist for: a buffer
+// needed once per several GC cycles is still there. In a sync.Pool it is gone
+// after two.
+func TestLargeBufferSurvivesGC(t *testing.T) {
+	drainLarge()
+	defer drainLarge()
+	for _, n := range []int{largeSize, 256<<10 + 70, 2100 << 10, maxPooled} {
+		b := GetLen(n)
+		Put(b)
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+		if c := GetLen(n); &c[0] != &b[0] {
+			t.Errorf("Get(%d) after Put and three GC cycles returned a fresh buffer", n)
+		}
+		if c := GetLen(n); &c[0] == &b[0] {
+			t.Errorf("Get(%d) returned a buffer that was already handed out", n)
+		}
+	}
+	if large.idle != 0 {
+		t.Errorf("idle = %d bytes with every buffer handed out", large.idle)
+	}
+}
+
+// TestIdleBudgetBoundsRetainedBytes fills the free lists past the budget:
+// what is retained stays within it, a Put over it is dropped to the GC,
+// and Gets are served all the same. Capacities above the largest class are
+// never retained, budget or no budget.
+func TestIdleBudgetBoundsRetainedBytes(t *testing.T) {
+	drainLarge()
+	defer drainLarge()
+	Put(make([]byte, 0, maxPooled+1))
+	if large.idle != 0 {
+		t.Fatalf("a %d-byte buffer, above the largest class, was retained (idle = %d)", maxPooled+1, large.idle)
+	}
+	const size = 1 << 20
+	bufs := make([][]byte, idleBudget/size+4)
+	for i := range bufs {
+		bufs[i] = Get(size)
+	}
+	for i, b := range bufs {
+		Put(b)
+		if large.idle > idleBudget {
+			t.Fatalf("after %d Puts of %d bytes the free lists hold %d idle bytes, budget %d", i+1, size, large.idle, idleBudget)
+		}
+	}
+	if large.idle != idleBudget {
+		t.Errorf("idle = %d after filling past the budget, want the whole budget of %d in use", large.idle, idleBudget)
+	}
+	// A full pool drops a Put of any payload class, not only this one.
+	Put(make([]byte, 0, largeSize))
+	if large.idle > idleBudget {
+		t.Errorf("idle = %d, over the budget of %d", large.idle, idleBudget)
+	}
+	for i := range bufs {
+		if b := Get(size); cap(b) < size {
+			t.Fatalf("Get %d of a drained-then-empty class returned capacity %d", i, cap(b))
+		}
+	}
+	if large.idle != 0 {
+		t.Errorf("idle = %d after drawing every retained buffer back out", large.idle)
+	}
+}
+
+// TestConcurrentGetPutNeverSharesABuffer hammers one payload class and one
+// small class from several goroutines; each holder stamps its buffer, yields,
+// and checks the stamp before giving the buffer back. Two holders of one
+// buffer would overwrite each other's stamp (and trip the race detector).
+func TestConcurrentGetPutNeverSharesABuffer(t *testing.T) {
+	drainLarge()
+	defer drainLarge()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(id byte) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				n := 300
+				if i%2 == 0 {
+					n = 64 << 10
+				}
+				b := GetLen(n)
+				b[0], b[n-1] = id, id
+				runtime.Gosched()
+				if b[0] != id || b[n-1] != id {
+					t.Errorf("goroutine %d: buffer of %d bytes was written by another holder", id, n)
+					return
+				}
+				Put(b)
+			}
+		}(byte(g + 1))
+	}
+	wg.Wait()
 }

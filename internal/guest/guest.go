@@ -1153,13 +1153,36 @@ func (l *Lib) startPending(first int) {
 	l.pendingBuf = append(l.pendingBuf[:0], 0, 0) // count patched at flush
 }
 
+// reservePending makes room for n more bytes in the open batch frame. The
+// frame was sized for the batch's first call (or the previous batch), so a
+// 1 MB write queued behind four clSetKernelArgs does not fit: the batch then
+// moves to a pooled frame of the needed size and the outgrown frame goes
+// back to the pool. Letting append regrow the frame would allocate the
+// payload's size afresh and strand the pooled buffer. The new frame is at
+// least double what is queued, the headroom append would leave: a long run
+// of small calls moves a handful of times, and a frame past framebuf's
+// largest class — which Get sizes exactly — is not copied again by every
+// call that follows. Segment and pendingMeta offsets are offsets, and stay
+// valid.
+func (l *Lib) reservePending(n int) {
+	need := len(l.pendingBuf) + n
+	if need <= cap(l.pendingBuf) {
+		return
+	}
+	old := l.pendingBuf
+	l.pendingBuf = append(framebuf.Get(max(need, 2*len(old))), old...)
+	framebuf.Put(old)
+}
+
 // appendPending encodes call directly into the batch frame under
 // construction: calls are marshalled exactly once, into the buffer the
 // transport will carry. The buffer is drawn from the frame pool; it
 // returns there after a copying transport sends it, or cycles through the
 // server's dispatch refcount on ownership-transferring transports.
 func (l *Lib) appendPending(fd *cava.FuncDesc, call *marshal.Call, deadline int64, slack time.Duration, async bool) {
-	l.startPending(marshal.CallSize(call))
+	size := marshal.CallSize(call)
+	l.startPending(size)
+	l.reservePending(4 + size)
 	// Length prefix placeholder, then the call body.
 	start := len(l.pendingBuf)
 	l.pendingBuf = append(l.pendingBuf, 0, 0, 0, 0)
@@ -1202,7 +1225,9 @@ func (l *Lib) appendPending(fd *cava.FuncDesc, call *marshal.Call, deadline int6
 // until its call returns), so the segments always belong to the batch's
 // final call, and retention is never active on this path.
 func (l *Lib) appendPendingSegs(call *marshal.Call, deadline int64, slack time.Duration) {
-	l.startPending(marshal.CallHeaderSize)
+	size := marshal.CallSegmentsSize(call, 0)
+	l.startPending(size)
+	l.reservePending(4 + size)
 	start := len(l.pendingBuf)
 	l.pendingBuf = append(l.pendingBuf, 0, 0, 0, 0)
 	var segs []marshal.Segment

@@ -3,6 +3,7 @@ package guest
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -343,6 +344,98 @@ func TestInvokeSelectsZeroCopyPaths(t *testing.T) {
 			t.Fatalf("with retention on: sent as %v, %d vectored sends", got, ep.vecSends)
 		}
 	})
+}
+
+// batchTap records every batch frame as the library hands it to the
+// endpoint — its bytes and the capacity of the buffer it was built in.
+type batchTap struct {
+	*guesttest.Echo
+	frames [][]byte
+	caps   []int
+}
+
+func (e *batchTap) Send(frame []byte) error {
+	e.frames = append(e.frames, append([]byte(nil), frame...))
+	e.caps = append(e.caps, cap(frame))
+	return e.Echo.Send(frame)
+}
+
+// vecBatchTap is batchTap with a vectored send path; the capacity recorded
+// is that of the physical frame the borrowed payloads are spliced into.
+type vecBatchTap struct{ batchTap }
+
+func (e *vecBatchTap) SendVec(parts [][]byte, total int) error {
+	frame := make([]byte, 0, total)
+	for _, p := range parts {
+		frame = append(frame, p...)
+	}
+	e.frames = append(e.frames, frame)
+	e.caps = append(e.caps, cap(parts[0]))
+	return e.Echo.Send(append([]byte(nil), frame...))
+}
+
+// A call that does not fit the open batch frame moves the batch to a larger
+// pooled frame; append must never regrow it. What goes on the wire is what
+// encoding each call on its own and batching the results gives — the frame
+// the library sent when it let append grow it — and the buffer it travels in
+// has a framebuf class capacity, which an append-grown one (rounded up to
+// whole pages) has not.
+func TestInvokeOutgrownBatchFrameMovesToAPooledOne(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	payload := bytes.Repeat([]byte{0xA5, 0x5A, 0x3C, 0xC3}, 1<<18) // 1 MiB
+	payload[0], payload[len(payload)-1] = 1, 2
+	copied := &batchTap{Echo: guesttest.NewEcho()}
+	lent := &vecBatchTap{batchTap{Echo: guesttest.NewEcho()}}
+	for _, tc := range []struct {
+		name     string
+		ep       transport.Endpoint
+		tap      *batchTap
+		borrowed uint64
+	}{
+		{"copied into the frame", copied, copied, 0},
+		{"lent to a vectored send", lent, &lent.batchTap, uint64(len(payload))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newInvokeRig(t, tc.ep, tc.tap.Echo)
+			h := marshal.HandleVal(7)
+			for i := 0; i < 4; i++ {
+				if _, _, err := r.invoke(t, "poke", CallOptions{}, h, marshal.Float(float64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := r.invoke(t, "put", CallOptions{}, h, marshal.Uint(uint64(len(payload))), marshal.BytesVal(payload), marshal.Uint(1)); err != nil {
+				t.Fatal(err)
+			}
+			if len(tc.tap.frames) != 1 || len(r.sent) != 5 {
+				t.Fatalf("%d frames carrying %d calls, want the five calls in one batch frame", len(tc.tap.frames), len(r.sent))
+			}
+			if got := r.lib.Stats().BytesBorrowed; got != tc.borrowed {
+				t.Fatalf("BytesBorrowed = %d, want %d", got, tc.borrowed)
+			}
+			var calls [][]byte
+			for i, s := range r.sent {
+				want := "poke"
+				if i == 4 {
+					want = "put"
+				}
+				c, err := marshal.DecodeCall(s.frame)
+				if err != nil || s.fn != want || c.Seq != uint64(i+1) {
+					t.Fatalf("call %d of the batch: %s seq %d (%v), want %s seq %d", i, s.fn, c.Seq, err, want, i+1)
+				}
+				calls = append(calls, marshal.EncodeCall(c))
+			}
+			if !bytes.Equal(r.sent[4].args[2].Bytes(), payload) {
+				t.Fatal("the write's payload did not arrive intact")
+			}
+			if want := marshal.EncodeBatch(calls); !bytes.Equal(tc.tap.frames[0], want) {
+				t.Fatalf("batch frame of %d bytes differs from the calls encoded one by one and batched (%d bytes)", len(tc.tap.frames[0]), len(want))
+			}
+			// A class capacity is (4..7) << k: nothing below its top three bits.
+			if c := tc.tap.caps[0]; c&(1<<(bits.Len(uint(c))-3)-1) != 0 {
+				t.Fatalf("batch frame capacity %d is not a framebuf class size: append regrew the frame", c)
+			}
+		})
+	}
 }
 
 // A call made through Invoke is retained like any other: after a recovery

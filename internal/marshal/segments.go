@@ -59,6 +59,21 @@ func AppendCallSegments(b []byte, c *Call, minSeg int) (out []byte, segs []Segme
 	return b, segs
 }
 
+// CallSegmentsSize returns the number of bytes AppendCallSegments(b, c,
+// minSeg) appends to b: CallSize less the payloads it borrows.
+func CallSegmentsSize(c *Call, minSeg int) int {
+	if minSeg <= 0 {
+		minSeg = SegmentThreshold
+	}
+	n := CallSize(c)
+	for i := range c.Args {
+		if a := &c.Args[i]; a.kind == KindBytes && a.n >= uint64(minSeg) {
+			n -= int(a.n)
+		}
+	}
+	return n
+}
+
 // SegmentsLen sums the borrowed payload bytes of segs: the difference
 // between a segmented frame's virtual (wire) length and its physical one.
 func SegmentsLen(segs []Segment) int {

@@ -139,3 +139,46 @@ func TestExecuteFrameAllocBudget(t *testing.T) {
 		t.Fatalf("%d calls answered with an error status", errs)
 	}
 }
+
+// Alloc budget for the payload path: a steady-state blocking 256 KiB
+// clEnqueueReadBuffer, guest to ServeVM and back over the in-process
+// transport. The out buffer the handler fills, the reply frame and the
+// guest's frames all cycle through framebuf, so what is left is the silo's
+// own cl_event for the read (which the native path pays too). With the out
+// buffer a fresh make([]byte, size) this was 256 KiB of garbage per call,
+// enough by itself to keep the collector cycling and the frame pools empty.
+func TestServeVMReadAllocBudget(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	desc := cl.Descriptor()
+	c := cl.NewRemote(attachVM(t, clServer(desc), desc, 1))
+	ctx, q := clQueue(t, c)
+	const size = 256 << 10
+	mem, err := c.CreateBuffer(ctx, 0, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := make([]byte, size), make([]byte, size)
+	for i := range src {
+		src[i] = byte(i*7 + 1)
+	}
+	if err := c.EnqueueWrite(q, mem, true, 0, src); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if err := c.EnqueueRead(q, mem, true, 0, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		read()
+	}
+	const budget = 1 // the silo's event
+	if n := testing.AllocsPerRun(500, read); n > budget {
+		t.Errorf("blocking 256 KiB read through ServeVM allocates %v times per call, budget %v", n, budget)
+	} else {
+		t.Logf("blocking 256 KiB read through ServeVM: %v allocs per call (budget %v)", n, budget)
+	}
+	if string(dst) != string(src) {
+		t.Fatal("read returned different bytes than were written")
+	}
+}

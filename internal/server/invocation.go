@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"ava/internal/cava"
+	"ava/internal/framebuf"
 	"ava/internal/marshal"
 	"ava/internal/spec"
+	"ava/internal/transport"
 )
 
 // Invocation is one decoded API call being executed by a handler.
@@ -32,7 +34,8 @@ type Invocation struct {
 	outs   []marshal.Value // out-element results, indexed by out slot
 	ret    marshal.Value
 	env    spec.Env
-	regOut []bool // out buffers backed by a registered region (reply carries a length)
+	regOut []bool   // out buffers backed by a registered region (reply carries a length)
+	pooled [][]byte // out buffers drawn from framebuf; callSlot.release recycles them
 
 	// Cancellation: armed by the dispatcher when the call carries a
 	// deadline. cancel is closed at most once, by the deadline timer or an
@@ -80,10 +83,10 @@ func (inv *Invocation) armed() bool { return inv.cancel != nil }
 
 // reset readies a reused, never-armed Invocation for the next call. Fields
 // are cleared one by one (the struct holds a mutex and must not be copied
-// over); the args, outs and regOut slices keep their backing arrays.
+// over); the args, outs, regOut and pooled slices keep their backing arrays.
 func (inv *Invocation) reset(fd *cava.FuncDesc, ctx *Context) {
 	inv.Desc, inv.Ctx = fd, ctx
-	inv.args, inv.outs, inv.regOut = inv.args[:0], inv.outs[:0], inv.regOut[:0]
+	inv.args, inv.outs, inv.regOut, inv.pooled = inv.args[:0], inv.outs[:0], inv.regOut[:0], inv.pooled[:0]
 	inv.ret = marshal.Value{}
 	inv.env = nil
 }
@@ -169,6 +172,12 @@ func (inv *Invocation) Str(i int) string { return inv.args[i].Str() }
 // Bytes returns the buffer at index i. For in/inout buffers it holds the
 // guest's data; for out buffers it is zeroed space of the declared size for
 // the handler to fill. Nil for null buffers.
+//
+// The out space is recycled (internal/framebuf): it last held some other
+// call's output, possibly another VM's, and is cleared before the handler
+// sees it; whatever the handler leaves untouched reaches the guest as
+// zeros. It goes back to the pool once the reply has been encoded, so —
+// like the Invocation itself — it is the handler's only until it returns.
 func (inv *Invocation) Bytes(i int) []byte { return inv.args[i].Bytes() }
 
 // IsNull reports whether the guest passed a null pointer at index i.
@@ -263,12 +272,23 @@ func (inv *Invocation) finishOuts(dst []marshal.Value) []marshal.Value {
 	return outs
 }
 
+// recycleOuts hands the out space prepare drew back to the frame pool. Only
+// callSlot.release calls it, once nothing reads the buffers any more.
+func (inv *Invocation) recycleOuts() {
+	for i, b := range inv.pooled {
+		framebuf.Put(b)
+		inv.pooled[i] = nil
+	}
+	inv.pooled = inv.pooled[:0]
+}
+
 // prepare checks a decoded argument vector against the descriptor and
-// allocates out-buffer space, filling inv (reset for fd beforehand). It
+// draws out-buffer space, filling inv (reset for fd beforehand). It
 // returns an error for malformed or mendacious frames (wrong arity, buffer
-// lengths disagreeing with the size expressions) — the server must not
-// trust the guest library. regions carries resolved registered-region
-// slices for out-buffer parameters (by parameter index, nil where the
+// lengths disagreeing with the size expressions, out buffers whose reply
+// could not be framed) — the server must not trust the guest library, and
+// an out length is the guest's word until checked. regions carries resolved
+// registered-region slices for out-buffer parameters (by parameter index, nil where the
 // argument was not a reference): those become the out buffer directly
 // instead of freshly allocated space, so the handler writes the guest's
 // memory in place; empty when the call carried no registered-buffer
@@ -287,6 +307,7 @@ func (inv *Invocation) prepare(d *cava.Descriptor, args []marshal.Value, regions
 	for i := 0; i < fd.NumOuts; i++ {
 		inv.outs = append(inv.outs, marshal.Value{})
 	}
+	outBytes := 0 // out-buffer space drawn so far: all of it travels in one reply frame
 	for i := range fd.Params {
 		pd := &fd.Params[i]
 		v := &args[i]
@@ -331,7 +352,14 @@ func (inv *Invocation) prepare(d *cava.Descriptor, args []marshal.Value, regions
 					}
 					inv.regOut[i] = true
 				} else {
-					*v = marshal.BytesVal(make([]byte, want))
+					if want > transport.MaxFrame-outBytes {
+						return fmt.Errorf("server: %s(%s): %d bytes of out buffers exceed the %d-byte frame limit", fd.Name, pd.Name, outBytes+want, transport.MaxFrame)
+					}
+					outBytes += want
+					buf := framebuf.GetLen(want)
+					clear(buf) // recycled: it may last have held another VM's data
+					inv.pooled = append(inv.pooled, buf)
+					*v = marshal.BytesVal(buf)
 				}
 			}
 			// Out elements keep the placeholder; handlers use SetOut*.

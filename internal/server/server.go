@@ -557,7 +557,13 @@ func (s *Server) Snapshot() []VMSnapshot {
 //     handler's claim on the Invocation ends when it returns;
 //   - a call that armed a deadline timer leaves its Invocation behind for
 //     the timer (release drops it instead of reusing it), since the timer
-//     may still fire after the call.
+//     may still fire after the call;
+//   - an out buffer prepare drew from framebuf belongs to the slot until
+//     release, which recycles it: by then the handler has returned, the
+//     record log has copied what it keeps and the reply encoder has copied
+//     the rest. Execute's private slot is never released and an armed
+//     Invocation is dropped whole, so neither ever recycles (a missed Put
+//     falls to the GC).
 type callSlot struct {
 	call    marshal.Call
 	reply   marshal.Reply
@@ -585,6 +591,7 @@ func (sl *callSlot) release() {
 		if sl.inv.armed() {
 			sl.inv = nil
 		} else {
+			sl.inv.recycleOuts()
 			clear(sl.inv.args)
 			sl.inv.Ctx = nil
 		}

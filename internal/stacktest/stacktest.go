@@ -10,6 +10,7 @@ import (
 	"ava/internal/marshal"
 	"ava/internal/server"
 	"ava/internal/spec"
+	"ava/internal/transport"
 )
 
 // SweepBogusHandles calls every function in the descriptor through the API
@@ -80,10 +81,33 @@ func SynthesizeArgs(desc *cava.Descriptor, fd *cava.FuncDesc, handle marshal.Han
 	return args, true
 }
 
+// hugeLens are the lengths a guest lies with: one more than a frame can
+// carry, more than the machine has, and the neighbourhood of where an
+// element count times an element size wraps an int.
+var hugeLens = []uint64{transport.MaxFrame + 1, 1 << 44, 1 << 61, 1<<62 + 1, 1<<63 - 1, 1 << 63, 1<<64 - 1}
+
+// lyingArgs is a type-correct vector for fd — it passes every kind check —
+// in which every integer scalar and every out placeholder is the same huge
+// length, so size expressions and the placeholders they are checked against
+// agree on it.
+func lyingArgs(desc *cava.Descriptor, fd *cava.FuncDesc, huge uint64) ([]marshal.Value, bool) {
+	args, ok := SynthesizeArgs(desc, fd, 3)
+	for i := range args {
+		switch pd := &fd.Params[i]; {
+		case !pd.IsPointer && (pd.Kind == spec.KindInt || pd.Kind == spec.KindUint):
+			args[i] = marshal.Uint(huge)
+		case args[i].Kind() == marshal.KindLen:
+			args[i] = marshal.Len(huge)
+		}
+	}
+	return args, ok
+}
+
 // SweepRandomArgs hammers every function with structurally random argument
-// vectors (wrong kinds, wrong arity, lying lengths). Contract: the server
-// denies or fails each call gracefully — no panic escapes, every sync call
-// gets a reply.
+// vectors (wrong kinds, wrong arity) and with well-formed ones that lie about
+// lengths (huge, overflowing). Contract: the server denies or fails each call
+// gracefully — no panic escapes, no allocation of what a length merely
+// claims, every sync call gets a reply.
 func SweepRandomArgs(t *testing.T, srv *server.Server, rounds int) {
 	t.Helper()
 	desc := srv.Registry().Desc
@@ -118,6 +142,11 @@ func SweepRandomArgs(t *testing.T, srv *server.Server, rounds int) {
 			args := make([]marshal.Value, n)
 			for i := range args {
 				args[i] = randValue()
+			}
+			if r.Intn(4) == 0 {
+				if lying, ok := lyingArgs(desc, fd, hugeLens[r.Intn(len(hugeLens))]); ok {
+					args = lying
+				}
 			}
 			reply := srv.Execute(ctx, &marshal.Call{Seq: 1, Func: fd.ID, Args: args})
 			if reply == nil {

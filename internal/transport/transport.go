@@ -405,13 +405,21 @@ func (e *ringEnd) Sever() error {
 	return nil
 }
 
-// connEnd adapts a net.Conn to Endpoint with 4-byte length prefixes.
+// connEnd adapts a net.Conn to Endpoint with 4-byte length prefixes. The
+// length headers and the iovec of a send live in the endpoint, under the
+// lock that already serializes that direction: as locals they escape through
+// the net.Conn interface and cost three allocations a frame.
 type connEnd struct {
 	conn    net.Conn
 	severed atomic.Bool
 
-	sendMu sync.Mutex
-	recvMu sync.Mutex
+	sendMu  sync.Mutex
+	sendHdr [4]byte
+	sendIov [][]byte    // backing of sendVec, grown to the longest SendVec seen
+	sendVec net.Buffers // the writev in flight; WriteTo consumes it
+
+	recvMu  sync.Mutex
+	recvHdr [4]byte
 }
 
 // NewConn wraps an established connection as an Endpoint.
@@ -423,15 +431,8 @@ func (e *connEnd) Send(frame []byte) error {
 	}
 	e.sendMu.Lock()
 	defer e.sendMu.Unlock()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(frame)))
-	// One writev for header+payload: a single syscall per frame, and no
-	// header-only segment for Nagle/delayed-ACK to trip over.
-	bufs := net.Buffers{hdr[:], frame}
-	if _, err := bufs.WriteTo(e.conn); err != nil {
-		return e.mapErr(err)
-	}
-	return nil
+	e.sendIov = append(e.sendIov[:0], e.sendHdr[:], frame)
+	return e.writev(len(frame))
 }
 
 // SendVec implements VectoredSender: one writev covers the length prefix,
@@ -445,16 +446,27 @@ func (e *connEnd) SendVec(parts [][]byte, total int) error {
 	}
 	e.sendMu.Lock()
 	defer e.sendMu.Unlock()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(total))
-	bufs := make(net.Buffers, 0, len(parts)+1)
-	bufs = append(bufs, hdr[:])
+	e.sendIov = append(e.sendIov[:0], e.sendHdr[:])
 	for _, p := range parts {
 		if len(p) > 0 {
-			bufs = append(bufs, p)
+			e.sendIov = append(e.sendIov, p)
 		}
 	}
-	if _, err := bufs.WriteTo(e.conn); err != nil {
+	return e.writev(total)
+}
+
+// writev sends sendIov — the length prefix, then the frame's pieces — with
+// one writev: a single syscall per frame, and no header-only segment for
+// Nagle/delayed-ACK to trip over. The iovec is cleared afterwards — the
+// pieces are borrowed, and an idle endpoint must pin no payload. Called with
+// sendMu held.
+func (e *connEnd) writev(total int) error {
+	binary.LittleEndian.PutUint32(e.sendHdr[:], uint32(total))
+	e.sendVec = e.sendIov
+	_, err := e.sendVec.WriteTo(e.conn)
+	clear(e.sendIov)
+	e.sendVec = nil
+	if err != nil {
 		return e.mapErr(err)
 	}
 	return nil
@@ -463,8 +475,8 @@ func (e *connEnd) SendVec(parts [][]byte, total int) error {
 func (e *connEnd) Recv() ([]byte, error) {
 	e.recvMu.Lock()
 	defer e.recvMu.Unlock()
-	var hdr [4]byte
-	if n, err := io.ReadFull(e.conn, hdr[:]); err != nil {
+	hdr := e.recvHdr[:]
+	if n, err := io.ReadFull(e.conn, hdr); err != nil {
 		// EOF cleanly between frames is an orderly close; EOF with a
 		// partial header means the peer died mid-frame.
 		if n > 0 && errors.Is(err, io.ErrUnexpectedEOF) {
@@ -472,7 +484,7 @@ func (e *connEnd) Recv() ([]byte, error) {
 		}
 		return nil, e.mapErr(err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("transport: peer announced %d-byte frame", n)
 	}

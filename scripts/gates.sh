@@ -99,4 +99,15 @@ gate adapter 'object-state adapter set by hand outside the API bindings (BindSer
 	'\.Adapter *=[^=]|MigrationAdapter\{' \
 	'^\./(internal/(cl|mvnc|qat|server)/|benchmark/|ava\.go:[0-9]+:[[:space:]]*reg\.Adapter = fc\.Adapter( |$))' golines .
 
+# One source of payload buffers: on the forwarding path a buffer the size of
+# a payload — an out buffer lent to a handler, a frame, a receive buffer —
+# comes from internal/framebuf and goes back to it, so a bulk transfer does
+# not cost its own size in garbage per call. The two allocations allowed are
+# not per call or not payload: a ring's backing store, made once per
+# endpoint, and the control envelope of a hello or a mirror op.
+gate payload 'make([]byte on the forwarding path (draw the buffer from framebuf.Get / GetLen and Put it back)' \
+	'make\(\[\]byte' \
+	'^internal/transport/(transport\.go:[0-9]+:[[:space:]]*r := &ring\{buf: make\(\[\]byte, capacity\)\}|ctl\.go:)' \
+	golines internal/server internal/guest internal/hv internal/transport
+
 exit $status
