@@ -3,11 +3,11 @@
 # `make check` is the stricter local/CI version of the same gate.
 
 GO ?= go
-GATES = rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate adapter-gate payload-gate
+GATES = rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate adapter-gate payload-gate record-gate
 
-.PHONY: check fmt vet gates $(GATES) gen build test allocs bench bench-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
+.PHONY: check fmt vet gates $(GATES) gen build test allocs bench bench-smoke examples-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
-check: fmt vet gates build test allocs bench-smoke ctl-smoke sched-smoke ha-smoke
+check: fmt vet gates build test allocs bench-smoke examples-smoke ctl-smoke sched-smoke ha-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -21,7 +21,7 @@ vet:
 # The grep gates ("there is one of these": one rebind, one guardian state
 # machine, one decoder per frame kind, one assembler, one-way layering, one
 # generated binding layer, one owner of object state, one source of payload
-# buffers) are rows of the table
+# buffers, one record log) are rows of the table
 # in scripts/gates.sh; check runs them all at once, and each old target name
 # runs its own row.
 gates:
@@ -73,6 +73,20 @@ bench-smoke:
 	$(GO) run ./cmd/avabench -exp copycost -reps 1
 	$(GO) run ./cmd/avabench -exp rebalance -reps 1
 	$(GO) run ./cmd/avabench -exp ha -reps 1
+
+# Example smoke: run each self-contained example and require a clean exit
+# whose last line reports what it verified. disaggregated is driven against
+# a real avad by ctl-smoke instead.
+EXAMPLES = quickstart vectoradd multitenant migration
+
+examples-smoke:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		out="$$($(GO) run ./examples/$$e)" || { echo "$$out"; echo "examples/$$e: non-zero exit"; exit 1; }; \
+		last="$$(printf '%s\n' "$$out" | tail -n 1)"; \
+		echo "$$last"; \
+		case "$$last" in *verified*) ;; *) echo "$$out"; echo "examples/$$e: last line reports nothing verified"; exit 1;; esac; \
+	done
 
 # Operability smoke: boot a real avad with -ctl, scrape it with avactl,
 # drain it over HTTP, and require a clean exit (scripts/ctl_smoke.sh).

@@ -39,7 +39,6 @@ import (
 	"ava/internal/fleet"
 	"ava/internal/guest"
 	"ava/internal/hv"
-	"ava/internal/migrate"
 	"ava/internal/sched"
 	"ava/internal/server"
 	"ava/internal/spec"
@@ -140,7 +139,7 @@ type Option func(*Config)
 
 // Config is a Stack's full configuration, grouped by the layer each knob
 // steers. The zero value is a working default (in-process transport, FIFO
-// scheduling, wall clock, no recording, no shedding, no failover).
+// scheduling, wall clock, no shedding, no failover).
 // Options populate it; NewStack consumes it.
 type Config struct {
 	// Scheduler orders calls across contending VMs; nil = FIFO.
@@ -152,8 +151,6 @@ type Config struct {
 	Transport TransportConfig
 	// Router groups hypervisor-side admission control.
 	Router RouterConfig
-	// Server groups API-server execution policy.
-	Server ServerConfig
 	// Failover enables fault-tolerant remoting for attached VMs: a per-VM
 	// guardian shadows the record log, checkpoints periodically, and on
 	// API-server failure respawns or re-dials the server, replays state,
@@ -194,13 +191,6 @@ type RouterConfig struct {
 	Shed hv.ShedConfig
 }
 
-// ServerConfig groups API-server execution policy.
-type ServerConfig struct {
-	// Recording enables the migration record log for attached VMs (§4.3);
-	// off by default because tracking costs time on call-heavy workloads.
-	Recording bool
-}
-
 // WithScheduler sets the cross-VM scheduler.
 func WithScheduler(s hv.Scheduler) Option { return func(c *Config) { c.Scheduler = s } }
 
@@ -221,9 +211,6 @@ func WithRingTransport(n int) Option {
 func WithRemoteServer(addr string) Option {
 	return func(c *Config) { c.Transport.ServerAddr = addr }
 }
-
-// WithRecording enables the migration record log for attached VMs.
-func WithRecording() Option { return func(c *Config) { c.Server.Recording = true } }
 
 // WithShedding configures the router's load shedder.
 func WithShedding(cfg hv.ShedConfig) Option { return func(c *Config) { c.Router.Shed = cfg } }
@@ -285,7 +272,7 @@ type FailoverConfig struct {
 	// that is what checkpoints and recovery use. This one is consulted only
 	// when the stack's own registry carries none — it becomes that
 	// registry's — and goes when benchmark/, which sets it, may be edited.
-	Adapter migrate.Adapter
+	Adapter server.Adapter
 	// Checkpoint groups checkpoint cadence policy.
 	Checkpoint CheckpointConfig
 	// Liveness groups failure-detection timing.
@@ -472,10 +459,9 @@ func (s *Stack) pair() (transport.Endpoint, transport.Endpoint) {
 }
 
 // newContext builds a fresh server-side execution context for one VM,
-// wired to the stack's recording policy and clock.
+// wired to the stack's clock.
 func (s *Stack) newContext(id uint32, name string) *server.Context {
 	ctx := s.Server.Context(id, name)
-	ctx.SetRecording(s.cfg.Server.Recording)
 	if s.cfg.Clock != nil {
 		ctx.SetClock(s.cfg.Clock)
 	}
@@ -525,9 +511,9 @@ func (s *Stack) southDial(id uint32, name string, fc *FailoverConfig, epoch func
 	default:
 		redial := false
 		hop = func() (failover.ServerLink, string, error) {
-			// The first incarnation adopts a context restored before the
-			// attach (migration). Every later one starts clean; the guardian
-			// replays state into it before traffic resumes.
+			// The first incarnation adopts whatever context the server
+			// already holds for the VM. Every later one starts clean; the
+			// guardian replays state into it before traffic resumes.
 			if redial {
 				s.Server.DropContext(id)
 			}

@@ -12,9 +12,10 @@ import (
 	"ava"
 	"ava/internal/cl"
 	"ava/internal/devsim"
+	"ava/internal/fleet"
 	"ava/internal/fullvirt"
 	"ava/internal/guest"
-	"ava/internal/migrate"
+	"ava/internal/host"
 	"ava/internal/mvnc"
 	"ava/internal/rodinia"
 	"ava/internal/server"
@@ -221,17 +222,27 @@ func BenchmarkSwap(b *testing.B) {
 	}
 }
 
-// BenchmarkMigration is E6: capture + restore of a populated VM context.
+// BenchmarkMigration is E6: Stack.MigrateVM of a populated VM between two
+// hosts, timed from the checkpoint to the first call answered on the
+// destination (the replay of the record log and the buffer restore lie in
+// between).
 func BenchmarkMigration(b *testing.B) {
 	const n = 64 << 10
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		srcSilo := benchSilo()
-		desc := cl.Descriptor()
-		reg := server.NewRegistry(desc)
-		cl.BindServer(reg, srcSilo)
-		src := ava.NewStack(desc, reg, ava.WithRecording())
-		lib, err := src.AttachVM(ava.VMConfig{ID: 1, Name: "vm"})
+		loc := fleet.NewRegistry(0, nil)
+		var hosts []*host.Server
+		for _, id := range []string{"host-a", "host-b"} {
+			reg := server.NewRegistry(cl.Descriptor())
+			cl.BindServer(reg, benchSilo())
+			h, err := host.Start(server.New(reg), host.Config{Listen: "127.0.0.1:0", API: "opencl", Locator: loc, ID: id})
+			if err != nil {
+				b.Fatal(err)
+			}
+			hosts = append(hosts, h)
+		}
+		stack := ava.NewStack(cl.Descriptor(), nil, ava.WithPlacement(ava.PlacementConfig{Locator: loc}))
+		lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -249,32 +260,27 @@ func BenchmarkMigration(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		dstSilo := benchSilo()
-		reg2 := server.NewRegistry(desc)
-		cl.BindServer(reg2, dstSilo)
-		dst := ava.NewStack(desc, reg2, ava.WithRecording())
-		dstCtx := dst.Server.Context(1, "vm")
+		to := "host-b"
+		if stack.VMHost(1) == to {
+			to = "host-a"
+		}
 		b.StartTimer()
 
-		snap, err := migrate.Capture(src.Server.Context(1, "vm"))
-		if err != nil {
+		if err := stack.MigrateVM(1, to); err != nil {
 			b.Fatal(err)
 		}
-		wire, err := snap.Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		snap2, err := migrate.Decode(wire)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := migrate.Restore(snap2, dst.Server, dstCtx); err != nil {
+		if err := c.Finish(q); err != nil {
 			b.Fatal(err)
 		}
 
 		b.StopTimer()
-		src.Close()
-		dst.Close()
+		if at := stack.VMHost(1); at != to {
+			b.Fatalf("VM serves from %q after migrating to %s", at, to)
+		}
+		stack.Close()
+		for _, h := range hosts {
+			h.Kill()
+		}
 		b.StartTimer()
 	}
 }

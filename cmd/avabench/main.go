@@ -18,8 +18,8 @@
 // `avactl stats -host <addr>` mid-run reads live router/server/guest
 // counters and — during failover experiments — guardian epoch, watermark
 // and delta-checkpoint counts. `avactl checkpoint <vm>` forces a
-// checkpoint; `avactl migrate <vm>` checkpoints then kills the serving
-// link so the guardian fails the VM over.
+// checkpoint; `avactl migrate <vm> [target]` live-migrates a placed
+// VM (ava.Stack.MigrateVM) to the named fleet member or the policy's pick.
 package main
 
 import (
@@ -98,11 +98,16 @@ func benchCtlConfig(token string) ctlplane.Config {
 		cur = s
 		mu.Unlock()
 	})
-	current := func() *ava.Stack {
+	return ctlConfig(token, func() *ava.Stack {
 		mu.Lock()
 		defer mu.Unlock()
 		return cur
-	}
+	})
+}
+
+// ctlConfig builds the control-endpoint config over whatever stack current
+// returns at the moment of each request (nil: no experiment is running).
+func ctlConfig(token string, current func() *ava.Stack) ctlplane.Config {
 	return ctlplane.Config{
 		Ident: ctlplane.Ident{Service: "avabench"},
 		Router: func() *ctlplane.RouterInfo {
@@ -157,19 +162,11 @@ func benchCtlConfig(token string) ctlplane.Config {
 			return g.CheckpointNow()
 		},
 		Migrate: func(vm uint32, target string) error {
-			// In-process migration: checkpoint, then sever the serving link
-			// so the guardian fails the VM over to the next host its dialer
-			// picks (the registry's lightest live peer; target is advisory).
 			s := current()
 			if s == nil {
 				return fmt.Errorf("no experiment is running")
 			}
-			if g := s.Guardian(vm); g != nil {
-				if err := g.CheckpointNow(); err != nil {
-					return err
-				}
-			}
-			return s.KillServer(vm)
+			return s.MigrateVM(vm, target)
 		},
 		Sched: func() []sched.Decision {
 			s := current()

@@ -40,8 +40,18 @@ func main() {
 	}
 	w, _ := rodinia.ByName("pathfinder")
 
+	// The reference result: the same workload on a silo of its own, native.
+	want, err := w.Run(cl.NewNative(cl.NewSilo(cl.Config{
+		Devices: []devsim.Config{{Name: "reference-gpu", MemoryBytes: 1 << 30, ComputeUnits: 4}},
+	})), 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	var wg sync.WaitGroup
 	times := make([]time.Duration, len(vms))
+	sums := make([]float64, len(vms))
+	errs := make([]error, len(vms))
 	for i, cfg := range vms {
 		lib, err := stack.AttachVM(cfg)
 		if err != nil {
@@ -51,14 +61,16 @@ func main() {
 		go func(i int) {
 			defer wg.Done()
 			start := time.Now()
-			if _, err := w.Run(cl.NewRemote(lib), 1); err != nil {
-				log.Printf("%s: %v", vms[i].Name, err)
-				return
-			}
+			sums[i], errs[i] = w.Run(cl.NewRemote(lib), 1)
 			times[i] = time.Since(start)
 		}(i)
 	}
 	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			log.Fatalf("%s: %v", vms[i].Name, err)
+		}
+	}
 
 	fmt.Println("three tenants ran the pathfinder workload concurrently on one GPU:")
 	fmt.Printf("%-15s %-10s %-10s %-10s %-12s %-12s\n",
@@ -77,6 +89,12 @@ func main() {
 	}
 	fmt.Println("\nthe capped tenant accumulates stall from its token bucket;")
 	fmt.Println("the fair scheduler keeps device-time shares proportional to weight.")
+	for i, sum := range sums {
+		if sum != want {
+			log.Fatalf("%s computed %v, the native run %v", vms[i].Name, sum, want)
+		}
+	}
+	fmt.Println("verified: every tenant's result equals the native run's")
 }
 
 // deviceBusy reads the per-client kernel-time accounting off the device.

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -147,4 +148,8 @@ func main() {
 	st := lib.Stats()
 	fmt.Printf("\nguest stats: %d calls (%d sync), %d bytes out, %d bytes in\n",
 		st.Calls, st.SyncCalls, st.BytesSent, st.BytesRecv)
+	if !bytes.Equal(back, plain) {
+		log.Fatalf("round trip returned %q, want %q", back, plain)
+	}
+	fmt.Println("verified: encrypting twice through the remoted API gives back the plaintext")
 }

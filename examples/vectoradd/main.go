@@ -72,6 +72,7 @@ func main() {
 	rst, _ := stack.Router.Stats(1)
 	fmt.Printf("  router : %d forwarded, %d denied, %d bytes, bandwidth estimate %d\n",
 		rst.Forwarded, rst.Denied, rst.Bytes, rst.Resources["bandwidth"])
+	fmt.Println("verified: the remoted sum equals the native sum")
 }
 
 func run(c cl.Client, a, b []float32) (float64, error) {

@@ -6,10 +6,11 @@ import (
 
 	"ava"
 	"ava/internal/cl"
+	"ava/internal/fleet"
 	"ava/internal/fullvirt"
 	"ava/internal/guest"
+	"ava/internal/host"
 	"ava/internal/hv"
-	"ava/internal/migrate"
 	"ava/internal/mvnc"
 	"ava/internal/rodinia"
 )
@@ -452,12 +453,17 @@ func swapWorkload(c cl.Client, count, bufSize int) (bool, error) {
 }
 
 // Migration reproduces the §4.3 migration claim: record/replay plus
-// synthesized device copies moves a running guest between API servers.
+// synthesized device copies moves a running guest between API servers. Two
+// hosts announce to a fleet registry; the guest, placed on one, fills its
+// buffers and is moved to the other by Stack.MigrateVM — the guardian cuts a
+// checkpoint, its dialer relocates, and recovery replays the shadow log onto
+// the target — then reads every buffer back through the same library and
+// handles it had before the move.
 func Migration(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E6/Migration",
 		Title:  "VM migration by record/replay + device buffer copies",
-		Header: []string{"buffers", "state", "capture", "snapshot-size", "restore", "verified"},
+		Header: []string{"buffers", "state", "checkpoint", "ckpt-shipped", "ckpt-footprint", "recovery-pause", "moved", "verified"},
 	}
 	for _, bufCount := range []int{4, 16, 64} {
 		row, err := migrationRun(bufCount, 256<<10)
@@ -466,18 +472,32 @@ func Migration(opts Options) (*Table, error) {
 		}
 		t.Add(row...)
 	}
-	t.Note("verified = post-restore readback of every buffer matches pre-migration contents")
+	t.Note("checkpoint = MigrateVM's quiesced checkpoint (it returns once the checkpoint is cut and the link severed); ckpt-shipped = Stats.LastCkptBytes, the payload that checkpoint moved (a delta when a periodic checkpoint, every 64 calls, came before it); ckpt-footprint = Stats.LastCkptFootprint, the object state it covers; recovery-pause = Stats.LastRecoveryPause, the dial + replay onto the target")
+	t.Note("verified = every buffer read back after the move, byte for byte, through the guest library and handles the application held before it")
 	return t, nil
 }
 
 func migrationRun(bufCount, bufSize int) ([]string, error) {
-	srcSilo := gpuSilo(0)
-	src := clStack(srcSilo, false, ava.WithRecording())
-	defer src.Close()
-	c, err := clRemote(src, 3)
+	loc := fleet.NewRegistry(0, nil)
+	var hosts []*host.Server
+	defer func() {
+		for _, h := range hosts {
+			h.Kill()
+		}
+	}()
+	for _, id := range []string{"host-a", "host-b"} {
+		h, err := fleetHost(id, loc)
+		if err != nil {
+			return nil, err
+		}
+		hosts = append(hosts, h)
+	}
+	stack, lib, err := fleetGuest(ava.TransportInProc, loc, "vm1", 1)
 	if err != nil {
 		return nil, err
 	}
+	defer stack.Close()
+	c := cl.NewRemote(lib)
 	ps, _ := c.PlatformIDs()
 	ds, _ := c.DeviceIDs(ps[0], cl.DeviceTypeGPU)
 	ctx, err := c.CreateContext(ds)
@@ -500,40 +520,22 @@ func migrationRun(bufCount, bufSize int) ([]string, error) {
 		}
 	}
 
-	srcCtx := src.Server.Context(3, "vm3")
+	from, to := stack.VMHost(1), "host-b"
+	if from == to {
+		to = "host-a"
+	}
 	start := time.Now()
-	snap, err := migrate.Capture(srcCtx)
-	if err != nil {
+	if err := stack.MigrateVM(1, to); err != nil {
 		return nil, err
 	}
-	wire, err := snap.Encode()
-	if err != nil {
-		return nil, err
-	}
-	captureTime := time.Since(start)
+	ckptTime := time.Since(start)
 
-	dstSilo := gpuSilo(0)
-	dst := clStack(dstSilo, false)
-	defer dst.Close()
-	dstCtx := dst.Server.Context(3, "vm3")
-	start = time.Now()
-	snap2, err := migrate.Decode(wire)
-	if err != nil {
-		return nil, err
-	}
-	if err := migrate.Restore(snap2, dst.Server, dstCtx); err != nil {
-		return nil, err
-	}
-	restoreTime := time.Since(start)
-
-	c2, err := clRemote(dst, 3)
-	if err != nil {
-		return nil, err
-	}
+	// The first call after the move waits out the recovery, then runs on
+	// the target.
 	verified := true
 	got := make([]byte, bufSize)
 	for i := range bufs {
-		if err := c2.EnqueueRead(q, bufs[i], true, 0, got); err != nil {
+		if err := c.EnqueueRead(q, bufs[i], true, 0, got); err != nil {
 			return nil, err
 		}
 		for _, x := range got {
@@ -542,14 +544,22 @@ func migrationRun(bufCount, bufSize int) ([]string, error) {
 			}
 		}
 	}
-	state := fmt.Sprintf("%dMB", bufCount*bufSize>>20)
+	gs := stack.Guardian(1).Stats()
+	if at := stack.VMHost(1); at != to || gs.Recoveries != 1 {
+		return nil, fmt.Errorf("migration to %s ended on %q after %d recoveries", to, at, gs.Recoveries)
+	}
+	if n := lib.Stats().RetryableFailed; n != 0 {
+		return nil, fmt.Errorf("migration failed %d calls back to the application", n)
+	}
 	v := "yes"
 	if !verified {
 		v = "NO"
 	}
 	return []string{
-		fmt.Sprint(bufCount), state, ms(captureTime),
-		fmt.Sprintf("%.1fMB", float64(len(wire))/(1<<20)), ms(restoreTime), v,
+		fmt.Sprint(bufCount), fmt.Sprintf("%dMB", bufCount*bufSize>>20), ms(ckptTime),
+		fmt.Sprintf("%.1fMB", float64(gs.LastCkptBytes)/(1<<20)),
+		fmt.Sprintf("%.1fMB", float64(gs.LastCkptFootprint)/(1<<20)), ms(gs.LastRecoveryPause),
+		from + "->" + to, v,
 	}, nil
 }
 

@@ -14,14 +14,15 @@
 // bumps the VM's endpoint epoch, dials a replacement via the injected
 // closure, replays the shadow log's keep set through migrate.Replay —
 // rebinding recreated objects to the handle values the guest already holds
-// — and then tells the guest to resubmit its unacked window. The replay
-// engine is the one migration uses; a link with an in-process server gets
-// migrate.LocalTarget, a wire-only link to another host the guardian's
-// control-call target. The shadow log is one type (shadowLog) held by the
-// guardian and by every MemoryMirror: it states the recovery keep rule
-// once and forwards its own mutations to Config.Sink, so a replacement
-// guardian rehydrated from a mirror (Config.Restore) resumes from the log
-// the dead one would have rebuilt.
+// — and then tells the guest to resubmit its unacked window. Live
+// migration is the same path: a checkpoint, a dialer pointed at another
+// host, a severed link (ava.Stack.MigrateVM). A link with an in-process
+// server gets migrate.LocalTarget, a wire-only link to another host the
+// guardian's control-call target. The shadow log is one type (shadowLog)
+// held by the guardian and by every MemoryMirror: it states the recovery
+// keep rule once and forwards its own mutations to Config.Sink, so a
+// replacement guardian rehydrated from a mirror (Config.Restore) resumes
+// from the log the dead one would have rebuilt.
 //
 // The guardian's lifecycle is one state whose transitions, in state.go, are
 // the only writers of the epoch, the checkpoint watermark and the south
@@ -583,9 +584,9 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 		switch fd.Track.Kind {
 		case spec.TrackConfig, spec.TrackCreate, spec.TrackModify:
 			if _, dup := g.log.bySeq[call.Seq]; !dup {
-				g.log.upsert(&server.RecordedCall{
+				g.log.upsert(&migrate.RecordedCall{
 					Func: call.Func,
-					Args: server.CloneValues(call.Args),
+					Args: migrate.CloneValues(call.Args),
 					Seq:  call.Seq,
 				})
 			}
@@ -706,7 +707,7 @@ func (g *Guardian) deliverControl(seq uint64, frame []byte) {
 	rep := new(marshal.Reply)
 	if marshal.DecodeReplyInto(rep, frame) == nil {
 		rep.Ret = rep.Ret.Clone()
-		rep.Outs = server.CloneValues(rep.Outs)
+		rep.Outs = migrate.CloneValues(rep.Outs)
 		ch <- rep
 	}
 	close(ch)
@@ -1089,9 +1090,7 @@ func (g *Guardian) dialAndReplay(rs replaySet) error {
 		if err == nil {
 			err = errClosed
 			if t, ok := g.adopt(link); ok {
-				// Objects destroyed after the checkpoint have no recreated
-				// handle; skip their state instead of failing the recovery.
-				err = migrate.Replay(t, g.desc, rs.log, rs.objects, migrate.RestoreOptions{SkipUnknownObjects: true})
+				err = migrate.Replay(t, g.desc, rs.log, rs.objects)
 			}
 			if err == nil {
 				return nil

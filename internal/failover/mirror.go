@@ -4,7 +4,7 @@ import (
 	"sync"
 
 	"ava/internal/marshal"
-	"ava/internal/server"
+	"ava/internal/migrate"
 )
 
 // LogSink receives a live stream of the guardian's shadow-log mutations so
@@ -17,10 +17,10 @@ type LogSink interface {
 	// MirrorAppend records a newly admitted tracked call. The same seq may
 	// be appended again after a recovery (a modify past the watermark being
 	// re-recorded by resubmission): upsert by Seq.
-	MirrorAppend(rc *server.RecordedCall)
+	MirrorAppend(rc *migrate.RecordedCall)
 	// MirrorReply attaches the completed reply (Ret/Outs/Created filled in)
 	// to the entry with rc.Seq.
-	MirrorReply(rc *server.RecordedCall)
+	MirrorReply(rc *migrate.RecordedCall)
 	// MirrorDrop removes the entry with this seq (failed call, failed
 	// re-execution).
 	MirrorDrop(seq uint64)
@@ -51,7 +51,7 @@ type DeltaSink interface {
 // payload a replacement guardian rehydrates from (Config.Restore).
 type MirrorState struct {
 	// Entries is the mirrored shadow log in ascending guest seq order.
-	Entries []server.RecordedCall
+	Entries []migrate.RecordedCall
 	// ReplySeen marks entries whose recorded reply completed.
 	ReplySeen map[uint64]bool
 	// W is the last committed checkpoint watermark.
@@ -80,7 +80,7 @@ func NewMemoryMirror() *MemoryMirror {
 }
 
 // MirrorAppend implements LogSink.
-func (m *MemoryMirror) MirrorAppend(rc *server.RecordedCall) {
+func (m *MemoryMirror) MirrorAppend(rc *migrate.RecordedCall) {
 	cp := cloneRecorded(rc)
 	m.mu.Lock()
 	m.log.upsert(cp)
@@ -88,7 +88,7 @@ func (m *MemoryMirror) MirrorAppend(rc *server.RecordedCall) {
 }
 
 // MirrorReply implements LogSink.
-func (m *MemoryMirror) MirrorReply(rc *server.RecordedCall) {
+func (m *MemoryMirror) MirrorReply(rc *migrate.RecordedCall) {
 	m.mu.Lock()
 	m.log.reply(rc.Seq, rc.Ret, rc.Outs, rc.Created)
 	m.mu.Unlock()

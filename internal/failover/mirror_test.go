@@ -6,11 +6,11 @@ import (
 
 	"ava/internal/leaktest"
 	"ava/internal/marshal"
-	"ava/internal/server"
+	"ava/internal/migrate"
 )
 
-func rec(seq uint64, created marshal.Handle, args ...marshal.Value) *server.RecordedCall {
-	return &server.RecordedCall{Func: 1, Seq: seq, Created: created, Args: args}
+func rec(seq uint64, created marshal.Handle, args ...marshal.Value) *migrate.RecordedCall {
+	return &migrate.RecordedCall{Func: 1, Seq: seq, Created: created, Args: args}
 }
 
 func mirrorSeqs(st *MirrorState) []uint64 {

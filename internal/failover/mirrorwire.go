@@ -6,7 +6,7 @@ import (
 	"fmt"
 
 	"ava/internal/marshal"
-	"ava/internal/server"
+	"ava/internal/migrate"
 )
 
 // Mirror wire protocol: the payload layer of the mirror ops in transport's
@@ -45,12 +45,12 @@ func subMark(op byte, epoch uint32, w uint64, body []byte) []byte {
 // Created rides along on an append even though the guardian normally learns
 // it from the reply: the remote mirror must converge to the staging mirror
 // byte-for-byte, whatever the sink was fed.
-func subAppend(rc *server.RecordedCall) []byte {
+func subAppend(rc *migrate.RecordedCall) []byte {
 	return sub(mirrorSubAppend, uint64(rc.Created),
 		marshal.EncodeCall(&marshal.Call{Seq: rc.Seq, Func: rc.Func, Args: rc.Args}))
 }
 
-func subReply(rc *server.RecordedCall) []byte {
+func subReply(rc *migrate.RecordedCall) []byte {
 	return sub(mirrorSubReply, uint64(rc.Created),
 		marshal.EncodeReply(&marshal.Reply{Seq: rc.Seq, Status: marshal.StatusOK, Ret: rc.Ret, Outs: rc.Outs}))
 }
@@ -83,13 +83,13 @@ func applyMirrorSub(m *MemoryMirror, sub []byte) error {
 		if err := marshal.DecodeCallInto(&c, r.Rest()); err != nil {
 			return err
 		}
-		m.MirrorAppend(&server.RecordedCall{Func: c.Func, Args: c.Args, Seq: c.Seq, Created: marshal.Handle(v)})
+		m.MirrorAppend(&migrate.RecordedCall{Func: c.Func, Args: c.Args, Seq: c.Seq, Created: marshal.Handle(v)})
 	case mirrorSubReply:
 		var rep marshal.Reply
 		if err := marshal.DecodeReplyInto(&rep, r.Rest()); err != nil {
 			return err
 		}
-		m.MirrorReply(&server.RecordedCall{Seq: rep.Seq, Ret: rep.Ret, Outs: rep.Outs, Created: marshal.Handle(v)})
+		m.MirrorReply(&migrate.RecordedCall{Seq: rep.Seq, Ret: rep.Ret, Outs: rep.Outs, Created: marshal.Handle(v)})
 	case mirrorSubDrop:
 		m.MirrorDrop(v)
 	case mirrorSubPrune:
@@ -170,7 +170,7 @@ func DecodeMirrorState(b []byte) (*MirrorState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("failover: mirror state entry %d: %w", i, err)
 		}
-		st.Entries = append(st.Entries, server.RecordedCall{
+		st.Entries = append(st.Entries, migrate.RecordedCall{
 			Func: c.Func, Args: c.Args, Seq: c.Seq,
 			Ret: rep.Ret, Outs: rep.Outs, Created: marshal.Handle(created),
 		})

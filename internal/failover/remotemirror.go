@@ -8,7 +8,7 @@ import (
 
 	"ava/internal/backoff"
 	"ava/internal/marshal"
-	"ava/internal/server"
+	"ava/internal/migrate"
 	"ava/internal/transport"
 )
 
@@ -169,13 +169,13 @@ func (rm *RemoteMirror) enqueue(sub []byte) {
 }
 
 // MirrorAppend implements LogSink.
-func (rm *RemoteMirror) MirrorAppend(rc *server.RecordedCall) {
+func (rm *RemoteMirror) MirrorAppend(rc *migrate.RecordedCall) {
 	rm.local.MirrorAppend(rc)
 	rm.enqueue(subAppend(rc))
 }
 
 // MirrorReply implements LogSink.
-func (rm *RemoteMirror) MirrorReply(rc *server.RecordedCall) {
+func (rm *RemoteMirror) MirrorReply(rc *migrate.RecordedCall) {
 	rm.local.MirrorReply(rc)
 	rm.enqueue(subReply(rc))
 }

@@ -10,7 +10,7 @@ import (
 	"ava/internal/backoff"
 	"ava/internal/leaktest"
 	"ava/internal/marshal"
-	"ava/internal/server"
+	"ava/internal/migrate"
 	"ava/internal/transport"
 )
 
@@ -85,7 +85,7 @@ func sameMirrorState(a, b *MirrorState) bool {
 // sameRecorded compares two log entries field for field, values by content
 // (a Value holds a pointer to its buffer, so reflect.DeepEqual would compare
 // addresses) and value vectors by nil-ness too, as DeepEqual would.
-func sameRecorded(a, b *server.RecordedCall) bool {
+func sameRecorded(a, b *migrate.RecordedCall) bool {
 	sameValues := func(x, y []marshal.Value) bool {
 		if len(x) != len(y) || (x == nil) != (y == nil) {
 			return false

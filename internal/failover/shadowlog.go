@@ -5,17 +5,16 @@ import (
 
 	"ava/internal/cava"
 	"ava/internal/marshal"
-	"ava/internal/server"
+	"ava/internal/migrate"
 	"ava/internal/spec"
 )
 
-// shadowLog is the §4.3 record log as the failover layer keeps it: tracked
-// calls keyed by guest sequence number, each with the reply it produced
-// once that reply has been seen. The guardian holds one (fed from the
-// uplink and downlink) and so does every MemoryMirror (fed from a
-// guardian's sink stream); the keep rules a recovery applies are written
-// here once, so a log rehydrated from a mirror is the log the guardian
-// that fed the mirror would have rebuilt.
+// shadowLog is the §4.3 record log: tracked calls keyed by guest sequence
+// number, each with the reply it produced once that reply has been seen.
+// The guardian holds one (fed from the uplink and downlink) and so does
+// every MemoryMirror (fed from a guardian's sink stream); the keep rules a
+// recovery applies are written here once, so a log rehydrated from a mirror
+// is the log the guardian that fed the mirror would have rebuilt.
 //
 // Plain data: every method runs under its owner's lock (the guardian's mu,
 // the mirror's mu). Each mutation is forwarded to sink, when set, under
@@ -24,8 +23,8 @@ type shadowLog struct {
 	desc *cava.Descriptor // for the keep rules; nil on a mirror, which never applies them
 	sink LogSink          // optional replica stream
 
-	entries   []*server.RecordedCall // arrival order; replayLog sorts
-	bySeq     map[uint64]*server.RecordedCall
+	entries   []*migrate.RecordedCall // arrival order; replayLog sorts
+	bySeq     map[uint64]*migrate.RecordedCall
 	replySeen map[uint64]bool
 	// pendingRebind marks completed creates/configs past the last recovery
 	// watermark: a resubmitted copy re-executes and its fresh handles are
@@ -37,7 +36,7 @@ func newShadowLog(desc *cava.Descriptor, sink LogSink) shadowLog {
 	return shadowLog{
 		desc:          desc,
 		sink:          sink,
-		bySeq:         make(map[uint64]*server.RecordedCall),
+		bySeq:         make(map[uint64]*migrate.RecordedCall),
 		replySeen:     make(map[uint64]bool),
 		pendingRebind: make(map[uint64]struct{}),
 	}
@@ -46,7 +45,7 @@ func newShadowLog(desc *cava.Descriptor, sink LogSink) shadowLog {
 // upsert records a newly admitted tracked call, taking ownership of rc. A
 // seq already present (a call past the watermark re-recorded by
 // resubmission) is replaced in place and loses its reply.
-func (l *shadowLog) upsert(rc *server.RecordedCall) {
+func (l *shadowLog) upsert(rc *migrate.RecordedCall) {
 	if old, ok := l.bySeq[rc.Seq]; ok {
 		l.entries[l.index(old)] = rc
 		delete(l.replySeen, rc.Seq)
@@ -67,7 +66,7 @@ func (l *shadowLog) reply(seq uint64, ret marshal.Value, outs []marshal.Value, c
 		return
 	}
 	rc.Ret = ret.Clone()
-	rc.Outs = server.CloneValues(outs)
+	rc.Outs = migrate.CloneValues(outs)
 	rc.Created = created
 	l.replySeen[seq] = true
 	if l.sink != nil {
@@ -90,7 +89,7 @@ func (l *shadowLog) drop(seq uint64) {
 }
 
 // index locates an entry bySeq holds; every such entry is in entries.
-func (l *shadowLog) index(rc *server.RecordedCall) int {
+func (l *shadowLog) index(rc *migrate.RecordedCall) int {
 	for i, e := range l.entries {
 		if e == rc {
 			return i
@@ -99,8 +98,8 @@ func (l *shadowLog) index(rc *server.RecordedCall) int {
 	panic("failover: shadow log index out of step with its entries")
 }
 
-// prune drops every entry a destroyed handle obsoletes, mirroring
-// Context.record's destroy rule.
+// prune drops every entry a destroyed handle obsoletes
+// (migrate.RecordedCall.Obsoleted).
 func (l *shadowLog) prune(h marshal.Handle) {
 	kept := l.entries[:0]
 	for _, rc := range l.entries {
@@ -138,7 +137,7 @@ func (l *shadowLog) forget(seq uint64) {
 // only the guest's in-order window resubmission can re-execute that
 // correctly. An unconfirmed create/config never produced a handle the guest
 // holds, so resubmission re-executes it as new.
-func (l *shadowLog) keeps(rc *server.RecordedCall, w uint64) bool {
+func (l *shadowLog) keeps(rc *migrate.RecordedCall, w uint64) bool {
 	fd, ok := l.desc.ByID(rc.Func)
 	if !ok {
 		return false
@@ -155,8 +154,8 @@ func (l *shadowLog) keeps(rc *server.RecordedCall, w uint64) bool {
 // replayLog derives the log a recovery at watermark w replays: every kept
 // entry at or below w, in true guest sequence order (entries re-recorded
 // during a past resubmission sit after older kept ones).
-func (l *shadowLog) replayLog(w uint64) []server.RecordedCall {
-	out := make([]server.RecordedCall, 0, len(l.entries))
+func (l *shadowLog) replayLog(w uint64) []migrate.RecordedCall {
+	out := make([]migrate.RecordedCall, 0, len(l.entries))
 	for _, rc := range l.entries {
 		if rc.Seq <= w && l.keeps(rc, w) {
 			out = append(out, *rc)
@@ -215,7 +214,7 @@ func (l *shadowLog) load(st *MirrorState) {
 
 // state deep-copies the log into st's Entries and ReplySeen.
 func (l *shadowLog) state(st *MirrorState) {
-	st.Entries = make([]server.RecordedCall, 0, len(l.entries))
+	st.Entries = make([]migrate.RecordedCall, 0, len(l.entries))
 	st.ReplySeen = make(map[uint64]bool, len(l.replySeen))
 	for _, rc := range l.entries {
 		st.Entries = append(st.Entries, *cloneRecorded(rc))
@@ -225,12 +224,12 @@ func (l *shadowLog) state(st *MirrorState) {
 	}
 }
 
-func cloneRecorded(rc *server.RecordedCall) *server.RecordedCall {
-	return &server.RecordedCall{
+func cloneRecorded(rc *migrate.RecordedCall) *migrate.RecordedCall {
+	return &migrate.RecordedCall{
 		Func:    rc.Func,
-		Args:    server.CloneValues(rc.Args),
+		Args:    migrate.CloneValues(rc.Args),
 		Ret:     rc.Ret,
-		Outs:    server.CloneValues(rc.Outs),
+		Outs:    migrate.CloneValues(rc.Outs),
 		Created: rc.Created,
 		Seq:     rc.Seq,
 	}

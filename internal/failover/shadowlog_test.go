@@ -1,15 +1,20 @@
 package failover
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"ava/internal/cava"
+	"ava/internal/framebuf"
 	"ava/internal/leaktest"
 	"ava/internal/marshal"
+	"ava/internal/migrate"
 	"ava/internal/server"
+	"ava/internal/transport"
 )
 
 // logSpec has one function of every track kind the keep rules mention.
@@ -25,6 +30,12 @@ st create(uint32_t kind, obj *o) {
 st setup(uint32_t flags) { track(config); }
 st poke(obj o, uint32_t v) { track(modify, o); }
 st destroy(obj o) { track(destroy, o); }
+st fill(obj o, size_t n, const void *data) {
+  parameter(data) { in; buffer(n); }
+  track(modify, o);
+  async;
+}
+st ping(uint32_t v);
 `
 
 func logFunc(desc *cava.Descriptor, name string) uint32 {
@@ -35,7 +46,7 @@ func logFunc(desc *cava.Descriptor, name string) uint32 {
 	return fd.ID
 }
 
-func logSeqs(log []server.RecordedCall) []uint64 {
+func logSeqs(log []migrate.RecordedCall) []uint64 {
 	out := make([]uint64, 0, len(log))
 	for i := range log {
 		out = append(out, log[i].Seq)
@@ -72,7 +83,7 @@ func TestShadowLogKeepRules(t *testing.T) {
 	} {
 		name := fmt.Sprintf("%s/seq%d/confirmed=%v", tc.fn, tc.seq, tc.confirmed)
 		l := newShadowLog(desc, nil)
-		l.upsert(&server.RecordedCall{Func: logFunc(desc, tc.fn), Seq: tc.seq})
+		l.upsert(&migrate.RecordedCall{Func: logFunc(desc, tc.fn), Seq: tc.seq})
 		if tc.confirmed {
 			l.reply(tc.seq, marshal.Int(0), nil, 0)
 		}
@@ -103,9 +114,9 @@ func TestShadowLogReplayLogSortsBySeq(t *testing.T) {
 	l := newShadowLog(desc, nil)
 	poke := logFunc(desc, "poke")
 	for _, seq := range []uint64{4, 9, 2, 7} {
-		l.upsert(&server.RecordedCall{Func: poke, Seq: seq})
+		l.upsert(&migrate.RecordedCall{Func: poke, Seq: seq})
 	}
-	l.upsert(&server.RecordedCall{Func: 9999, Seq: 1}) // unknown to the descriptor: never replayed
+	l.upsert(&migrate.RecordedCall{Func: 9999, Seq: 1}) // unknown to the descriptor: never replayed
 	if got := logSeqs(l.replayLog(8)); !reflect.DeepEqual(got, []uint64{2, 4, 7}) {
 		t.Fatalf("replayLog(8) = %v, want [2 4 7]", got)
 	}
@@ -119,15 +130,15 @@ func TestShadowLogPruneByHandle(t *testing.T) {
 	m := NewMemoryMirror()
 	l := newShadowLog(desc, m)
 	create, poke := logFunc(desc, "create"), logFunc(desc, "poke")
-	l.upsert(&server.RecordedCall{Func: create, Seq: 1})
+	l.upsert(&migrate.RecordedCall{Func: create, Seq: 1})
 	l.reply(1, marshal.Int(0), []marshal.Value{marshal.HandleVal(10)}, 10)
-	l.upsert(&server.RecordedCall{Func: poke, Seq: 2, Args: []marshal.Value{marshal.HandleVal(10), marshal.Uint(1)}})
-	l.upsert(&server.RecordedCall{Func: poke, Seq: 3, Args: []marshal.Value{marshal.HandleVal(11), marshal.Uint(1)}})
+	l.upsert(&migrate.RecordedCall{Func: poke, Seq: 2, Args: []marshal.Value{marshal.HandleVal(10), marshal.Uint(1)}})
+	l.upsert(&migrate.RecordedCall{Func: poke, Seq: 3, Args: []marshal.Value{marshal.HandleVal(11), marshal.Uint(1)}})
 	l.rebuild(0) // seq 1 is now pending-rebind
 	if _, ok := l.pendingRebind[1]; !ok {
 		t.Fatal("setup: seq 1 not pending-rebind")
 	}
-	l.upsert(&server.RecordedCall{Func: poke, Seq: 2, Args: []marshal.Value{marshal.HandleVal(10), marshal.Uint(1)}})
+	l.upsert(&migrate.RecordedCall{Func: poke, Seq: 2, Args: []marshal.Value{marshal.HandleVal(10), marshal.Uint(1)}})
 
 	l.prune(10)
 	if len(l.entries) != 0 || len(l.bySeq) != 0 || len(l.replySeen) != 0 || len(l.pendingRebind) != 0 {
@@ -149,14 +160,14 @@ func TestShadowLogUpsertAfterRecovery(t *testing.T) {
 	m := NewMemoryMirror()
 	l := newShadowLog(desc, m)
 	poke := logFunc(desc, "poke")
-	l.upsert(&server.RecordedCall{Func: poke, Seq: 7, Args: []marshal.Value{marshal.HandleVal(1), marshal.Uint(1)}})
+	l.upsert(&migrate.RecordedCall{Func: poke, Seq: 7, Args: []marshal.Value{marshal.HandleVal(1), marshal.Uint(1)}})
 	l.reply(7, marshal.Int(0), nil, 0)
-	l.upsert(&server.RecordedCall{Func: poke, Seq: 9, Args: []marshal.Value{marshal.HandleVal(1), marshal.Uint(2)}})
+	l.upsert(&migrate.RecordedCall{Func: poke, Seq: 9, Args: []marshal.Value{marshal.HandleVal(1), marshal.Uint(2)}})
 	l.rebuild(5)
 	if len(l.entries) != 0 {
 		t.Fatalf("rebuild(5) kept %v", logSeqs(l.replayLog(100)))
 	}
-	l.upsert(&server.RecordedCall{Func: poke, Seq: 7, Args: []marshal.Value{marshal.HandleVal(1), marshal.Uint(3)}})
+	l.upsert(&migrate.RecordedCall{Func: poke, Seq: 7, Args: []marshal.Value{marshal.HandleVal(1), marshal.Uint(3)}})
 	if len(l.entries) != 1 || l.replySeen[7] {
 		t.Fatalf("re-record: %d entries, replySeen %v", len(l.entries), l.replySeen[7])
 	}
@@ -178,8 +189,8 @@ type logModel struct {
 	desc   *cava.Descriptor
 	mirror *MemoryMirror
 	log    shadowLog
-	issued []server.RecordedCall // every tracked call the guest issued, by seq
-	open   []uint64              // admitted, not yet answered
+	issued []migrate.RecordedCall // every tracked call the guest issued, by seq
+	open   []uint64               // admitted, not yet answered
 	live   []marshal.Handle
 	next   marshal.Handle
 	w, max uint64
@@ -188,7 +199,7 @@ type logModel struct {
 
 func (m *logModel) issue() {
 	seq := uint64(len(m.issued) + 1)
-	rc := server.RecordedCall{Seq: seq}
+	rc := migrate.RecordedCall{Seq: seq}
 	switch k := m.r.Intn(4); {
 	case k == 0:
 		rc.Func, rc.Args = logFunc(m.desc, "setup"), []marshal.Value{marshal.Uint(seq)}
@@ -304,6 +315,195 @@ func TestShadowLogMirrorRehydratesToSameReplayLog(t *testing.T) {
 		if !reflect.DeepEqual(rehydrated.replySeen, m.log.replySeen) || !reflect.DeepEqual(rehydrated.pendingRebind, m.log.pendingRebind) {
 			t.Fatalf("seed %d: load marks (%v, %v) differ from rebuild's (%v, %v)", seed,
 				rehydrated.replySeen, rehydrated.pendingRebind, m.log.replySeen, m.log.pendingRebind)
+		}
+	}
+}
+
+// logServer serves logSpec: create puts its kind in the table, destroy
+// removes it, everything else succeeds.
+func logServer() (*server.Server, *cava.Descriptor) {
+	desc := cava.MustCompile(logSpec)
+	reg := server.NewRegistry(desc)
+	ok := func(inv *server.Invocation) error { inv.SetStatus(0); return nil }
+	reg.MustRegister("create", func(inv *server.Invocation) error {
+		inv.SetOutHandle(1, inv.Ctx.Handles.Insert(inv.Uint(0)))
+		return ok(inv)
+	})
+	reg.MustRegister("destroy", func(inv *server.Invocation) error {
+		inv.Ctx.Handles.Remove(inv.Handle(0))
+		return ok(inv)
+	})
+	for _, name := range []string{"setup", "poke", "fill", "ping"} {
+		reg.MustRegister(name, ok)
+	}
+	return server.New(reg), desc
+}
+
+// guardServer puts a guardian in front of ctx's ServeVM loop on srv, the
+// way ava.Stack wires a VM to its own server, and returns it with the
+// router's end of its north link.
+func guardServer(t *testing.T, srv *server.Server, ctx *server.Context, desc *cava.Descriptor) (*Guardian, transport.Endpoint) {
+	t.Helper()
+	south, serverEP := transport.NewInProc()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeVM(ctx, serverEP)
+	}()
+	router, north := transport.NewInProc()
+	g := New(desc, north, func() (ServerLink, error) {
+		return ServerLink{EP: south, Server: srv, Ctx: ctx}, nil
+	}, Config{})
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		g.Close()
+		router.Close()
+		serverEP.Close()
+		<-served
+	})
+	return g, router
+}
+
+// shadowReplayLog is the guardian's shadow log as a recovery at its
+// high-water mark would replay it.
+func shadowReplayLog(g *Guardian) []migrate.RecordedCall {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.log.replayLog(g.maxSeq)
+}
+
+// shadowDriver puts a guardian in front of a fresh log server and returns a
+// function that runs one call through it, failing the test unless it
+// succeeds, and one that renders the shadow log as name#seq/created.
+func shadowDriver(t *testing.T) (do func(name string, args ...marshal.Value) *marshal.Reply, shape func() []string) {
+	t.Helper()
+	srv, desc := logServer()
+	g, router := guardServer(t, srv, srv.Context(1, "vm"), desc)
+	seq := uint64(0)
+	do = func(name string, args ...marshal.Value) *marshal.Reply {
+		t.Helper()
+		seq++
+		sendCall(t, router, &marshal.Call{Seq: seq, Func: logFunc(desc, name), Args: args})
+		rep := recvReply(t, router)
+		if rep.Status != marshal.StatusOK {
+			t.Fatalf("%s: %s", name, rep.Err)
+		}
+		return rep
+	}
+	shape = func() (out []string) {
+		for _, rc := range shadowReplayLog(g) {
+			fd, _ := desc.ByID(rc.Func)
+			out = append(out, fmt.Sprintf("%s#%d/%d", fd.Name, rc.Seq, rc.Created))
+		}
+		return out
+	}
+	return do, shape
+}
+
+// Through a guardian in front of a real server: configuration, a create and
+// a modify are recorded, the create with the handle it produced.
+// Destroying the object prunes its create and modify but not the
+// configuration.
+func TestShadowLogConfigAndModify(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	do, shape := shadowDriver(t)
+
+	do("setup", marshal.Uint(3))
+	h := do("create", marshal.Uint(1), marshal.Len(8)).Outs[0].Handle()
+	do("poke", marshal.HandleVal(h), marshal.Uint(42))
+	want := []string{"setup#1/0", fmt.Sprintf("create#2/%d", h), "poke#3/0"}
+	if got := shape(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("shadow log = %v, want %v", got, want)
+	}
+	do("destroy", marshal.HandleVal(h))
+	if got, want := shape(), []string{"setup#1/0"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after destroying %d: shadow log = %v, want %v", h, got, want)
+	}
+}
+
+// Each create is recorded with its own handle. Destroying one object
+// prunes its create and modifies, not another object's history; destroying
+// that one too empties the log.
+func TestShadowLogTracksCreatesAndDestroys(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	do, shape := shadowDriver(t)
+
+	h1 := do("create", marshal.Uint(1), marshal.Len(8)).Outs[0].Handle()
+	h2 := do("create", marshal.Uint(2), marshal.Len(8)).Outs[0].Handle()
+	do("poke", marshal.HandleVal(h1), marshal.Uint(42))
+	want := []string{fmt.Sprintf("create#1/%d", h1), fmt.Sprintf("create#2/%d", h2), "poke#3/0"}
+	if got := shape(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("shadow log = %v, want %v", got, want)
+	}
+	do("destroy", marshal.HandleVal(h1))
+	if got, want := shape(), []string{fmt.Sprintf("create#2/%d", h2)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after destroying %d: shadow log = %v, want %v", h1, got, want)
+	}
+	do("destroy", marshal.HandleVal(h2))
+	if got := shape(); len(got) != 0 {
+		t.Fatalf("after destroying %d: shadow log = %v, want empty", h2, got)
+	}
+}
+
+// Ownership rule: the shadow log never aliases a recycled frame. Ten
+// thousand async fills in batch frames drawn from the frame pool — which
+// the server hands back to it once it has executed them, so later batches
+// are encoded into the same buffers — must leave a log equal to the values
+// captured when each call was issued.
+func TestShadowLogSurvivesFrameReuse(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	srv, desc := logServer()
+	g, router := guardServer(t, srv, srv.Context(1, "vm"), desc)
+	seq := uint64(1)
+	sendCall(t, router, &marshal.Call{Seq: seq, Func: logFunc(desc, "create"), Args: []marshal.Value{marshal.Uint(1), marshal.Len(8)}})
+	obj := recvReply(t, router).Outs[0]
+
+	const total, perBatch = 10000, 16
+	fill := logFunc(desc, "fill")
+	want := make([]migrate.RecordedCall, 0, total)
+	for i := 0; i < total; i += perBatch {
+		calls, n := make([][]byte, 0, perBatch), 2
+		for j := i; j < i+perBatch; j++ {
+			seq++
+			payload := []byte(fmt.Sprintf("payload-%05d-%s", j, bytes.Repeat([]byte{byte(j)}, j%40)))
+			args := []marshal.Value{obj, marshal.Uint(uint64(len(payload))), marshal.BytesVal(payload)}
+			calls = append(calls, marshal.EncodeCall(&marshal.Call{Seq: seq, Func: fill, Flags: marshal.FlagAsync, Args: args}))
+			n += 4 + len(calls[len(calls)-1])
+			want = append(want, migrate.RecordedCall{Func: fill, Args: args, Seq: seq})
+		}
+		frame := framebuf.Get(n)
+		frame = binary.LittleEndian.AppendUint16(frame, perBatch)
+		for _, c := range calls {
+			frame = binary.LittleEndian.AppendUint32(frame, uint32(len(c)))
+			frame = append(frame, c...)
+		}
+		if err := router.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq++
+	sendCall(t, router, &marshal.Call{Seq: seq, Func: logFunc(desc, "ping"), Args: []marshal.Value{marshal.Uint(0)}})
+	if rep := recvReply(t, router); rep.Status != marshal.StatusOK || rep.Err != "" {
+		t.Fatalf("ping: %+v", rep) // the barrier: every fill has run
+	}
+
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	log := g.log.entries
+	if len(log) != 1+total {
+		t.Fatalf("shadow log has %d entries, want %d", len(log), 1+total)
+	}
+	for i, got := range log[1:] { // log[0] is the create
+		exp := want[i]
+		if got.Func != exp.Func || got.Seq != exp.Seq || len(got.Args) != len(exp.Args) {
+			t.Fatalf("entry %d = %+v, want %+v", i, got, exp)
+		}
+		for k := range exp.Args {
+			if !got.Args[k].Equal(exp.Args[k]) {
+				t.Fatalf("entry %d arg %d = %v (%q), want %v (%q)", i, k, got.Args[k], got.Args[k].Bytes(), exp.Args[k], exp.Args[k].Bytes())
+			}
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"ava/internal/marshal"
-	"ava/internal/server"
+	"ava/internal/migrate"
 	"ava/internal/transport"
 )
 
@@ -110,7 +110,7 @@ func (g *Guardian) rehydrate(st *MirrorState) {
 type replaySet struct {
 	epoch   uint32 // the bumped epoch
 	w       uint64 // checkpoint watermark: replay covers seq <= w
-	log     []server.RecordedCall
+	log     []migrate.RecordedCall
 	objects map[marshal.Handle][]byte
 	oldEP   transport.Endpoint // the lost link's endpoint, for the caller to sever
 }

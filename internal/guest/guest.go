@@ -1351,13 +1351,7 @@ func (l *Lib) takePending() ([]byte, int, []marshal.Segment) {
 // payload slices interleaved, so one writev carries the virtual frame
 // without it ever being assembled in user space.
 func sendVecSegs(vec transport.VectoredSender, frame []byte, segs []marshal.Segment) error {
-	parts := make([][]byte, 0, 2*len(segs)+1)
-	prev := 0
-	for _, s := range segs {
-		parts = append(parts, frame[prev:s.Off], s.Bytes)
-		prev = s.Off
-	}
-	parts = append(parts, frame[prev:])
+	parts := marshal.AppendParts(make([][]byte, 0, 2*len(segs)+1), frame, segs)
 	return vec.SendVec(parts, len(frame)+marshal.SegmentsLen(segs))
 }
 

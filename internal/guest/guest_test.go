@@ -142,7 +142,6 @@ func buildStack(t *testing.T, opts ...Option) (*Lib, *toy, *server.Context) {
 
 	srv := server.New(reg)
 	ctx := srv.Context(1, "vm1")
-	ctx.SetRecording(true)
 	gep, sep := transport.NewInProc()
 	go srv.ServeVM(ctx, sep)
 	t.Cleanup(func() { gep.Close(); sep.Close() })
@@ -466,22 +465,6 @@ func TestConcurrentGuestThreads(t *testing.T) {
 	wg.Wait()
 	if st := lib.Stats(); st.SyncCalls != 401 {
 		t.Fatalf("sync calls = %d", st.SyncCalls)
-	}
-}
-
-func TestRecordLogTracksCreatesAndDestroys(t *testing.T) {
-	leaktest.NoGoroutineLeaks(t)
-	lib, _, ctx := buildStack(t)
-	var h1, h2 marshal.Handle
-	lib.Call("openDevice", uint32(0), &h1)
-	lib.Call("openDevice", uint32(1), &h2)
-	if log := ctx.RecordLog(); len(log) != 2 {
-		t.Fatalf("record log = %d entries", len(log))
-	}
-	lib.Call("closeDevice", h1)
-	log := ctx.RecordLog()
-	if len(log) != 1 || log[0].Created != h2 {
-		t.Fatalf("after destroy: %+v", log)
 	}
 }
 

@@ -183,7 +183,9 @@ func callsEqual(a, b *Call) bool {
 }
 
 // FuzzDecodeReply checks DecodeReply against arbitrary bytes, including
-// unknown Status values, which must round-trip unmodified.
+// unknown Status values, which must round-trip unmodified. Every reply it
+// accepts must also splice back from AppendReplySegments to the exact
+// AppendReply encoding.
 func FuzzDecodeReply(f *testing.F) {
 	for _, rep := range []*Reply{
 		{},
@@ -211,6 +213,16 @@ func FuzzDecodeReply(f *testing.F) {
 			t.Fatalf("reused record differs from fresh decode:\n  fresh:  %+v\n  reused: %+v", rep, dirty)
 		}
 		enc := AppendReply(nil, rep)
+		for _, minSeg := range []int{1, 0} {
+			frame, segs := AppendReplySegments(nil, nil, rep, minSeg)
+			if len(frame) != ReplySegmentsSize(rep, minSeg) {
+				t.Fatalf("minSeg %d: physical length %d, ReplySegmentsSize %d",
+					minSeg, len(frame), ReplySegmentsSize(rep, minSeg))
+			}
+			if got := SpliceSegments(nil, frame, segs); !bytes.Equal(got, enc) {
+				t.Fatalf("minSeg %d: spliced segmented encoding differs from AppendReply", minSeg)
+			}
+		}
 		rep2, err := DecodeReply(enc)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)

@@ -115,6 +115,10 @@ func TestGoldenReplyFrames(t *testing.T) {
 		if got := EncodeReply(want); !bytes.Equal(got, frames[i]) {
 			t.Errorf("reply %d (%v): encoder output differs from the golden frame", i, v.Kind())
 		}
+		phys, segs := AppendReplySegments(nil, nil, want, 0)
+		if got := SpliceSegments(nil, phys, segs); !bytes.Equal(got, frames[i]) {
+			t.Errorf("reply %d (%v): segmented encoding differs from the golden frame", i, v.Kind())
+		}
 		var rep Reply
 		if err := DecodeReplyInto(&rep, frames[i]); err != nil {
 			t.Fatalf("reply %d: %v", i, err)

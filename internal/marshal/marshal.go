@@ -707,17 +707,22 @@ func ReplySize(rep *Reply) int {
 
 // AppendReply appends the encoding of rep to b.
 func AppendReply(b []byte, rep *Reply) []byte {
+	b = appendReplyHead(b, rep)
+	for i := range rep.Outs {
+		b = appendValue(b, &rep.Outs[i])
+	}
+	return b
+}
+
+// appendReplyHead appends everything of rep's encoding up to its outputs.
+func appendReplyHead(b []byte, rep *Reply) []byte {
 	b = appendUint64(b, rep.Seq)
 	b = append(b, byte(rep.Status))
 	b = appendStamps(b, rep.Stamps)
 	b = appendUint32(b, uint32(len(rep.Err)))
 	b = append(b, rep.Err...)
 	b = appendValue(b, &rep.Ret)
-	b = appendUint16(b, uint16(len(rep.Outs)))
-	for i := range rep.Outs {
-		b = appendValue(b, &rep.Outs[i])
-	}
-	return b
+	return appendUint16(b, uint16(len(rep.Outs)))
 }
 
 // ReplySeq reads the sequence number that leads an encoded reply frame

@@ -1,7 +1,8 @@
 package marshal
 
-// Scatter-gather call encoding. AppendCallSegments produces exactly the
-// bytes AppendCall would — the wire format is unchanged and the receiver
+// Scatter-gather call and reply encoding. AppendCallSegments produces
+// exactly the bytes AppendCall would (AppendReplySegments those of
+// AppendReply) — the wire format is unchanged and the receiver
 // decodes one contiguous frame — but large KindBytes payloads are not
 // copied into the frame. Instead each one becomes a Segment: a split point
 // in the physical frame plus the borrowed payload slice that belongs
@@ -13,9 +14,10 @@ package marshal
 // stub. The borrow ends when the vectored send returns (writev is
 // synchronous); the guest library only takes this path for calls flushed
 // inside the same critical section that encoded them, so no borrowed slice
-// ever outlives its call.
+// ever outlives its call. A reply's segments are borrowed from the API
+// server's out buffers, which stay the call's until its reply is sent.
 
-// Segment is one borrowed payload of a segmented call encoding: the frame
+// Segment is one borrowed payload of a segmented encoding: the frame
 // bytes at Off are virtually followed by Bytes.
 type Segment struct {
 	Off   int    // split point: byte offset in the physical frame
@@ -47,14 +49,7 @@ func AppendCallSegments(b []byte, c *Call, minSeg int) (out []byte, segs []Segme
 	b = appendStamps(b, c.Stamps)
 	b = appendUint16(b, uint16(len(c.Args)))
 	for i := range c.Args {
-		a := &c.Args[i]
-		if a.kind == KindBytes && a.n >= uint64(minSeg) {
-			b = append(b, byte(KindBytes))
-			b = appendUint32(b, uint32(a.n))
-			segs = append(segs, Segment{Off: len(b), Bytes: a.Bytes()})
-			continue
-		}
-		b = appendValue(b, a)
+		b, segs = appendValueSegment(b, segs, &c.Args[i], minSeg)
 	}
 	return b, segs
 }
@@ -62,16 +57,69 @@ func AppendCallSegments(b []byte, c *Call, minSeg int) (out []byte, segs []Segme
 // CallSegmentsSize returns the number of bytes AppendCallSegments(b, c,
 // minSeg) appends to b: CallSize less the payloads it borrows.
 func CallSegmentsSize(c *Call, minSeg int) int {
+	return CallSize(c) - borrowedLen(c.Args, minSeg)
+}
+
+// AppendReplySegments is AppendCallSegments for replies: it appends the
+// encoding of rep to b like AppendReply, but KindBytes outputs of at least
+// minSeg bytes are appended to segs as borrowed segments instead of being
+// copied into the frame. The API server's reply to a read thus carries the
+// handler's out buffer to a vectored transport without a reply frame the
+// size of the data.
+func AppendReplySegments(b []byte, segs []Segment, rep *Reply, minSeg int) ([]byte, []Segment) {
 	if minSeg <= 0 {
 		minSeg = SegmentThreshold
 	}
-	n := CallSize(c)
-	for i := range c.Args {
-		if a := &c.Args[i]; a.kind == KindBytes && a.n >= uint64(minSeg) {
-			n -= int(a.n)
+	b = appendReplyHead(b, rep)
+	for i := range rep.Outs {
+		b, segs = appendValueSegment(b, segs, &rep.Outs[i], minSeg)
+	}
+	return b, segs
+}
+
+// ReplySegmentsSize returns the number of bytes AppendReplySegments(b, segs,
+// rep, minSeg) appends to b: ReplySize less the payloads it borrows.
+func ReplySegmentsSize(rep *Reply, minSeg int) int {
+	return ReplySize(rep) - borrowedLen(rep.Outs, minSeg)
+}
+
+// appendValueSegment appends a to b like appendValue, except that a
+// KindBytes payload of at least minSeg bytes is not copied: only its kind
+// and length go into b, and the payload is appended to segs, borrowed at
+// the end of b.
+func appendValueSegment(b []byte, segs []Segment, a *Value, minSeg int) ([]byte, []Segment) {
+	if a.kind != KindBytes || a.n < uint64(minSeg) {
+		return appendValue(b, a), segs
+	}
+	b = append(b, byte(KindBytes))
+	b = appendUint32(b, uint32(a.n))
+	return b, append(segs, Segment{Off: len(b), Bytes: a.Bytes()})
+}
+
+// borrowedLen sums the payloads appendValueSegment would borrow from vals.
+func borrowedLen(vals []Value, minSeg int) int {
+	if minSeg <= 0 {
+		minSeg = SegmentThreshold
+	}
+	n := 0
+	for i := range vals {
+		if a := &vals[i]; a.kind == KindBytes && a.n >= uint64(minSeg) {
+			n += int(a.n)
 		}
 	}
 	return n
+}
+
+// AppendParts appends a segmented encoding's pieces to parts in wire order —
+// frame split at each segment offset, the borrowed payloads in between —
+// as a vectored send takes them.
+func AppendParts(parts [][]byte, frame []byte, segs []Segment) [][]byte {
+	prev := 0
+	for _, s := range segs {
+		parts = append(parts, frame[prev:s.Off], s.Bytes)
+		prev = s.Off
+	}
+	return append(parts, frame[prev:])
 }
 
 // SegmentsLen sums the borrowed payload bytes of segs: the difference

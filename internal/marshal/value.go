@@ -204,22 +204,6 @@ func (v Value) Clone() Value {
 	return BytesVal(append([]byte(nil), v.Bytes()...))
 }
 
-// MarshalBinary is the value's wire encoding, so encoding/gob (the migration
-// snapshot's container) can carry a type without exported fields.
-func (v Value) MarshalBinary() ([]byte, error) {
-	return appendValue(make([]byte, 0, valueSize(&v)), &v), nil
-}
-
-// UnmarshalBinary decodes MarshalBinary's output; the result owns its bytes.
-func (v *Value) UnmarshalBinary(b []byte) error {
-	r := Reader{b: b}
-	if err := r.value(v); err != nil {
-		return err
-	}
-	*v = v.Clone()
-	return r.Done()
-}
-
 // Str returns the string of a KindString value.
 func (v Value) Str() string {
 	if v.kind != KindString {

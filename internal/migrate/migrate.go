@@ -1,27 +1,25 @@
-// Package migrate implements AvA's VM migration support (§4.3): record and
-// replay of annotated API calls plus synthesized copies of device memory.
+// Package migrate is the record format and the replay engine of AvA's VM
+// migration (§4.3): record and replay of annotated API calls plus
+// synthesized copies of device memory.
 //
-// During normal execution the API server records every call whose
+// The record log is the failover guardian's shadow log: every call whose
 // specification carries a track annotation — global configuration, object
-// creation and modification — pruning entries when the objects they created
-// are destroyed. To migrate, Capture suspends the VM's context, drains the
-// record log, and synthesizes copies from every extant device buffer to
-// host memory. Any VM migration mechanism can then move the snapshot;
-// Restore replays the recorded calls against the destination API server to
-// reinitialize the device and reallocate all objects, rebinds the recreated
-// objects to the handle values the guest already holds, restores the device
-// buffers, and the application resumes untouched.
+// creation and modification — as a RecordedCall, pruned when the objects it
+// touches are destroyed. A checkpoint synthesizes copies of every stateful
+// object. To migrate, the guardian cuts a checkpoint and its dialer
+// relocates the VM (ava.Stack.MigrateVM); Replay re-executes the recorded
+// calls against the destination API server to reinitialize the device and
+// reallocate all objects, rebinds the recreated objects to the handle
+// values the guest already holds, restores the device buffers, and the
+// application resumes untouched.
 //
-// Replay is that engine, written once over a Target: Restore passes the
-// destination server in this process (LocalTarget); the failover guardian
-// passes the same for same-host recovery and mirror rehydration, and a
+// Replay is written once over a Target: the server in this process
+// (LocalTarget) for same-host recovery and mirror rehydration, a
 // control-call target for recovery onto another host.
 package migrate
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 
 	"ava/internal/cava"
@@ -30,71 +28,57 @@ import (
 	"ava/internal/spec"
 )
 
-// Adapter is the object-state contract an API binding installs on its
-// server.Registry; the engine reaches it only through server.Context.
-type Adapter = server.Adapter
-
-// Snapshot is a migratable image of one VM's accelerator state.
-type Snapshot struct {
-	VM      uint32
-	Name    string
-	Log     []server.RecordedCall
-	Objects map[marshal.Handle][]byte // stateful object contents by guest handle
+// RecordedCall is one entry of the record log (§4.3): a call whose track
+// annotation requires replay to reconstruct device state, together with the
+// reply it produced (the outs let Replay rebind the handles the original
+// call handed to the guest). The failover guardian's shadow log keeps these.
+type RecordedCall struct {
+	Func uint32
+	Args []marshal.Value
+	Ret  marshal.Value
+	Outs []marshal.Value
+	// Created is the guest handle the call produced (TrackCreate only).
+	Created marshal.Handle
+	// Seq is the guest sequence number of the recorded call; the guardian
+	// keys its shadow log and checkpoint watermark on it.
+	Seq uint64
 }
 
-// Encode serializes the snapshot for transport.
-func (s *Snapshot) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("migrate: encode: %w", err)
+// Obsoleted reports whether destroying handle h makes this entry useless
+// for replay: the entry created h, or touches h in its arguments.
+func (rc *RecordedCall) Obsoleted(h marshal.Handle) bool {
+	if h == 0 {
+		return false
 	}
-	return buf.Bytes(), nil
-}
-
-// Decode deserializes a snapshot.
-func Decode(b []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("migrate: decode: %w", err)
+	if rc.Created == h {
+		return true
 	}
-	return &s, nil
-}
-
-// Capture quiesces the VM's API server context and snapshots its state.
-// The context remains frozen (the source is about to be torn down); call
-// Context.Thaw to abort the migration instead.
-func Capture(ctx *server.Context) (*Snapshot, error) {
-	ctx.Freeze()
-	objects, err := ctx.SnapshotObjects()
-	if err != nil {
-		return nil, fmt.Errorf("migrate: %w", err)
+	for _, v := range rc.Args {
+		if v.Kind() == marshal.KindHandle && v.Handle() == h {
+			return true
+		}
 	}
-	return &Snapshot{VM: ctx.VM, Name: ctx.Name, Log: ctx.RecordLog(), Objects: objects}, nil
+	return false
 }
 
-// Restore replays the snapshot onto a destination server context,
-// rebinding recreated objects to the guest's original handle values and
-// restoring device buffer contents. The destination context must be fresh.
-func Restore(snap *Snapshot, dst *server.Server, ctx *server.Context) error {
-	return Replay(LocalTarget{Server: dst, Ctx: ctx}, dst.Registry().Desc, snap.Log, snap.Objects, RestoreOptions{})
-}
-
-// RestoreOptions relaxes Replay for callers whose snapshot may be slightly
-// stale — the failover path restores from a periodic checkpoint rather than
-// a freshly quiesced capture, so some recorded objects may have been
-// destroyed since the checkpoint was cut.
-type RestoreOptions struct {
-	// SkipUnknownObjects ignores checkpointed object state whose handle no
-	// longer exists after replay (the object was destroyed after the
-	// checkpoint) instead of failing the restore.
-	SkipUnknownObjects bool
+// CloneValues deep-copies a value vector (buffer contents included) so a
+// retained copy cannot alias a transport frame about to be recycled.
+func CloneValues(vs []marshal.Value) []marshal.Value {
+	if vs == nil {
+		return nil // keep nil-ness: cloned state must round-trip the wire codecs byte-stable
+	}
+	out := make([]marshal.Value, len(vs))
+	for i, v := range vs {
+		out[i] = v.Clone()
+	}
+	return out
 }
 
 // Target is where Replay rebuilds state: an API server context reached
 // in-process (LocalTarget) or by control-call round trips over a link (the
-// failover guardian's wire target). Migration restore, same-host recovery,
-// cross-host recovery and mirror rehydration differ only in the Target they
-// pass.
+// failover guardian's wire target). Same-host recovery, cross-host
+// recovery and migration, and mirror rehydration differ only in the Target
+// they pass.
 type Target interface {
 	// Execute runs one recorded call (flagged marshal.FlagReplay) and
 	// returns its reply; the target may renumber call.Seq.
@@ -147,9 +131,11 @@ func (t LocalTarget) SnapshotDelta() ([]marshal.ObjectDelta, bool) {
 // Replay is the one replay engine: it re-executes the recorded log on the
 // target in order, rebinds the handles each replayed call created or
 // returned to the values the original call gave the guest, and then
-// synthesizes the reverse copies, restoring each stateful object. Any
-// failure aborts the replay.
-func Replay(t Target, desc *cava.Descriptor, log []server.RecordedCall, objects map[marshal.Handle][]byte, opts RestoreOptions) error {
+// synthesizes the reverse copies, restoring each stateful object. State for
+// a handle that replay did not recreate belongs to an object destroyed after
+// the checkpoint was cut, and is skipped. Any other failure aborts the
+// replay.
+func Replay(t Target, desc *cava.Descriptor, log []RecordedCall, objects map[marshal.Handle][]byte) error {
 	for i := range log {
 		rc := &log[i]
 		fd, ok := desc.ByID(rc.Func)
@@ -175,12 +161,8 @@ func Replay(t Target, desc *cava.Descriptor, log []server.RecordedCall, objects 
 		}
 	}
 	for h, state := range objects {
-		found, err := t.RestoreObject(h, state)
-		if err != nil {
+		if _, err := t.RestoreObject(h, state); err != nil {
 			return fmt.Errorf("migrate: restore handle %d: %w", h, err)
-		}
-		if !found && !opts.SkipUnknownObjects {
-			return fmt.Errorf("migrate: restored state for unknown handle %d", h)
 		}
 	}
 	return nil
@@ -190,7 +172,7 @@ func Replay(t Target, desc *cava.Descriptor, log []server.RecordedCall, objects 
 // re-execution produced and returns the handle moves that put the recreated
 // objects back under the values the guest holds: the return value, handle
 // outs, and handle arrays returned through byte outs.
-func HandlePairs(fd *cava.FuncDesc, rc *server.RecordedCall, reply *marshal.Reply) []server.HandlePair {
+func HandlePairs(fd *cava.FuncDesc, rc *RecordedCall, reply *marshal.Reply) []server.HandlePair {
 	var pairs []server.HandlePair
 	add := func(recorded, fresh marshal.Handle) {
 		if recorded != 0 && fresh != 0 && recorded != fresh {

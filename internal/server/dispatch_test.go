@@ -2,7 +2,6 @@ package server
 
 import (
 	"ava/internal/leaktest"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -260,56 +259,6 @@ func TestServeVMOrderingMapsStayBounded(t *testing.T) {
 	}
 	if st := ctx.Stats(); st.Calls != 3*cycles || st.Errors != 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// Ownership rule: the migration log never aliases a pooled slot or a
-// recycled frame. With recording on, ten thousand pooled dispatches whose
-// frames are recycled under them must leave a log equal to the values
-// captured when each call was issued.
-func TestRecordLogSurvivesSlotAndFrameReuse(t *testing.T) {
-	leaktest.NoGoroutineLeaks(t)
-	srv, desc := dispatchServer(t, nil)
-	ctx := srv.Context(1, "vm1")
-	ctx.SetRecording(true)
-	w := serveOver(t, srv, ctx, desc, newOrdering())
-
-	w.send(w.call("create", 0, 0, marshal.Uint(1), marshal.Len(8)))
-	obj := w.recv().Outs[0]
-
-	const total, perBatch = 10000, 16
-	fill, _ := desc.Lookup("fill")
-	want := make([]RecordedCall, 0, total)
-	for i := 0; i < total; i += perBatch {
-		var batch [][]byte
-		for j := i; j < i+perBatch; j++ {
-			payload := []byte(fmt.Sprintf("payload-%05d-%s", j, bytes.Repeat([]byte{byte(j)}, j%40)))
-			args := []marshal.Value{obj, marshal.Uint(uint64(len(payload))), marshal.BytesVal(payload)}
-			batch = append(batch, w.call("fill", marshal.FlagAsync, 0, args...))
-			want = append(want, RecordedCall{Func: fill.ID, Args: args, Ret: marshal.Int(0), Seq: w.seq})
-		}
-		w.send(batch...)
-	}
-	w.send(w.call("ping", 0, 0, marshal.Uint(0))) // the barrier: every fill has run
-	if rep := w.recv(); rep.Status != marshal.StatusOK || rep.Err != "" {
-		t.Fatalf("ping: %+v", rep)
-	}
-	w.close()
-
-	log := ctx.RecordLog()
-	if len(log) != 1+total {
-		t.Fatalf("log has %d entries, want %d", len(log), 1+total)
-	}
-	for i, got := range log[1:] { // log[0] is the create
-		exp := want[i]
-		if got.Func != exp.Func || got.Seq != exp.Seq || !got.Ret.Equal(exp.Ret) || len(got.Args) != len(exp.Args) {
-			t.Fatalf("entry %d = %+v, want %+v", i, got, exp)
-		}
-		for k := range exp.Args {
-			if !got.Args[k].Equal(exp.Args[k]) {
-				t.Fatalf("entry %d arg %d = %v (%q), want %v (%q)", i, k, got.Args[k], got.Args[k].Bytes(), exp.Args[k], exp.Args[k].Bytes())
-			}
-		}
 	}
 }
 

@@ -4,8 +4,8 @@
 //
 // Each guest VM gets its own Context — the process-level isolation analogue
 // — holding a private handle table that maps guest-visible opaque handles to
-// real silo objects, per-VM accounting, the record log used by migration,
-// and the deferred-error slot for asynchronously forwarded calls. A
+// real silo objects, per-VM accounting and the deferred-error slot for
+// asynchronously forwarded calls. A
 // Registry binds a compiled Descriptor's functions to Go handlers provided
 // by a silo binding (the generated API server component).
 package server

@@ -299,8 +299,7 @@ func (inv *Invocation) prepare(d *cava.Descriptor, args []marshal.Value, regions
 		return fmt.Errorf("server: %s: %d args, want %d", fd.Name, len(args), len(fd.Params))
 	}
 	// Work on a copy: out-buffer placeholders are replaced with allocated
-	// space, and the caller's slice (the decoded wire form) must stay
-	// pristine for the migration record log.
+	// space, and the caller's slice stays the decoded wire form.
 	inv.args = append(inv.args[:0], args...)
 	args = inv.args
 	inv.outs = inv.outs[:0]

@@ -139,58 +139,16 @@ type Stats struct {
 	AdmitToDispatch time.Duration
 }
 
-// RecordedCall is one entry in the migration record log (§4.3): a call
-// whose track annotation requires replay to reconstruct device state,
-// together with the reply it produced (the outs let the replay engine remap
-// handles the original call handed to the guest).
-type RecordedCall struct {
-	Func uint32
-	Args []marshal.Value
-	Ret  marshal.Value
-	Outs []marshal.Value
-	// Created is the guest handle the call produced (TrackCreate only).
-	Created marshal.Handle
-	// Seq is the guest sequence number of the recorded call; the failover
-	// guardian keys its shadow log and checkpoint watermark on it. Logs
-	// recorded before this field existed carry zero, which replay ignores.
-	Seq uint64
-}
-
-// Obsoleted reports whether destroying handle h makes this entry useless
-// for replay: the entry created h, or touches h in its arguments. The
-// record path and the failover guardian's shadow log apply the same rule so
-// both prune identically.
-func (rc *RecordedCall) Obsoleted(h marshal.Handle) bool {
-	if h == 0 {
-		return false
-	}
-	if rc.Created == h {
-		return true
-	}
-	for _, v := range rc.Args {
-		if v.Kind() == marshal.KindHandle && v.Handle() == h {
-			return true
-		}
-	}
-	return false
-}
-
 // Context is the per-VM execution context inside the API server.
 type Context struct {
 	VM      uint32
 	Name    string
 	Handles *HandleTable
 
-	mu        sync.Mutex
-	deferred  string // pending async-error note (§4.2 error deferral)
-	recording bool   // record tracked calls for migration (opt-in)
-	log       []RecordedCall
-	stats     Stats
-	stable    map[any]marshal.Handle // InsertStable's object→handle cache
-
-	// frozen marks the VM suspended for migration. Atomic (not under mu):
-	// every call checks it, and a call takes mu only once, at its end.
-	frozen atomic.Bool
+	mu       sync.Mutex
+	deferred string // pending async-error note (§4.2 error deferral)
+	stats    Stats
+	stable   map[any]marshal.Handle // InsertStable's object→handle cache
 
 	// queued gauges the ServeVM dispatch backlog: tasks handed to a
 	// worker queue and not yet completed. Atomic (not under mu) so the
@@ -225,33 +183,15 @@ func (c *Context) DeferredError() string {
 	return d
 }
 
-// SetRecording enables or disables the migration record log. Recording is
-// off by default — tracking every tracked call costs measurable time on
-// call-intensive workloads, so a deployment enables it only for VMs that
-// may migrate (ava.Config{Recording: true}).
-func (c *Context) SetRecording(on bool) {
-	c.mu.Lock()
-	c.recording = on
-	c.mu.Unlock()
-}
-
-// Recording reports whether the migration record log is active.
-func (c *Context) Recording() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recording
-}
-
 // HandlePair relates the handle a re-executed call just produced (Fresh) to
 // the value its original execution gave the guest (Recorded).
 type HandlePair struct{ Fresh, Recorded marshal.Handle }
 
 // Rebind moves every object in pairs from its fresh handle to its recorded
 // one, so the handle values the guest already holds stay valid after a
-// replay, and rewrites the record log to match. It is the one place a
-// handle table is rebuilt under guest-held values: migration restore,
-// failover replay, the guardian's post-watermark rebind and the FuncRebind
-// control call all land here.
+// replay. It is the one place a handle table is rebuilt under guest-held
+// values: the replay of a recovery or migration, the guardian's
+// post-watermark rebind and the FuncRebind control call all land here.
 //
 // Two phases — remove every fresh handle, then insert every recorded one —
 // so fresh values that collide with recorded values within one reply cannot
@@ -260,9 +200,6 @@ type HandlePair struct{ Fresh, Recorded marshal.Handle }
 // an error, which replay treats as fatal and the guardian's post-watermark
 // rebind as best-effort (server state stays consistent either way).
 func (c *Context) Rebind(pairs []HandlePair) error {
-	if len(pairs) == 0 {
-		return nil // nothing moved: leave the record log unwalked
-	}
 	objs := make([]any, 0, len(pairs))
 	undo := func(inserted int, err error) error {
 		for _, p := range pairs[:inserted] {
@@ -287,42 +224,7 @@ func (c *Context) Rebind(pairs []HandlePair) error {
 			return undo(i, fmt.Errorf("server: rebind %d->%d: %w", p.Fresh, p.Recorded, err))
 		}
 	}
-	c.remapRecorded(pairs)
 	return nil
-}
-
-// remapRecorded rewrites every fresh handle in the record log (args,
-// returns, outs and Created) to its recorded value, so the destination's
-// own log stays consistent for a further migration. Each value is rewritten
-// at most once: with overlapping pairs (4->5, 5->6) a pair-by-pair rewrite
-// would carry the first object's handle on to 6.
-func (c *Context) remapRecorded(pairs []HandlePair) {
-	to := func(h marshal.Handle) marshal.Handle {
-		for _, p := range pairs {
-			if p.Fresh == h {
-				return p.Recorded
-			}
-		}
-		return h
-	}
-	fix := func(v *marshal.Value) {
-		if v.Kind() == marshal.KindHandle {
-			*v = marshal.HandleVal(to(v.Handle()))
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.log {
-		rc := &c.log[i]
-		rc.Created = to(rc.Created)
-		fix(&rc.Ret)
-		for j := range rc.Args {
-			fix(&rc.Args[j])
-		}
-		for j := range rc.Outs {
-			fix(&rc.Outs[j])
-		}
-	}
 }
 
 // SnapshotObjects serializes every stateful object in the handle table, by
@@ -389,71 +291,6 @@ func (c *Context) RestoreObject(h marshal.Handle, state []byte) (found bool, err
 		return true, errors.New("server: the registry declares no object state (no Adapter)")
 	}
 	return true, c.reg.Adapter.RestoreObject(obj, state)
-}
-
-// RecordLog returns a copy of the migration record log.
-func (c *Context) RecordLog() []RecordedCall {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]RecordedCall(nil), c.log...)
-}
-
-// Freeze suspends call execution (migration quiesce). Calls arriving while
-// frozen fail with StatusDenied.
-func (c *Context) Freeze() { c.frozen.Store(true) }
-
-// Thaw resumes call execution.
-func (c *Context) Thaw() { c.frozen.Store(false) }
-
-// record appends to the migration log per the function's track annotation.
-// Destroy calls prune the created object's history instead of growing the
-// log (the Nooks-style object tracking the paper cites).
-func (c *Context) record(fd *cava.FuncDesc, seq uint64, args []marshal.Value, rep *marshal.Reply, created marshal.Handle) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.recording {
-		return
-	}
-	switch fd.Track.Kind {
-	case spec.TrackConfig, spec.TrackModify:
-		c.log = append(c.log, RecordedCall{
-			Func: fd.ID, Args: CloneValues(args),
-			Ret: rep.Ret, Outs: CloneValues(rep.Outs),
-			Seq: seq,
-		})
-	case spec.TrackCreate:
-		c.log = append(c.log, RecordedCall{
-			Func: fd.ID, Args: CloneValues(args),
-			Ret: rep.Ret, Outs: CloneValues(rep.Outs),
-			Created: created, Seq: seq,
-		})
-	case spec.TrackDestroy:
-		if fd.TrackIdx < 0 || fd.TrackIdx >= len(args) {
-			return
-		}
-		h := args[fd.TrackIdx].Handle()
-		kept := c.log[:0]
-		for i := range c.log {
-			if c.log[i].Obsoleted(h) {
-				continue // drop the create and modifies touching the object
-			}
-			kept = append(kept, c.log[i])
-		}
-		c.log = kept
-	}
-}
-
-// CloneValues deep-copies a value vector (buffer contents included) so a
-// retained copy cannot alias a transport frame about to be recycled.
-func CloneValues(vs []marshal.Value) []marshal.Value {
-	if vs == nil {
-		return nil // keep nil-ness: cloned state must round-trip the wire codecs byte-stable
-	}
-	out := make([]marshal.Value, len(vs))
-	for i, v := range vs {
-		out[i] = v.Clone()
-	}
-	return out
 }
 
 // Server executes forwarded calls for a set of VM contexts.
@@ -553,15 +390,13 @@ func (s *Server) Snapshot() []VMSnapshot {
 //     values alias the slot and the batch frame) and the frame reference
 //     dropped;
 //   - nothing outside the dispatch path keeps a pointer into a slot: the
-//     migration log deep-copies what it records (Context.record), and the
 //     handler's claim on the Invocation ends when it returns;
 //   - a call that armed a deadline timer leaves its Invocation behind for
 //     the timer (release drops it instead of reusing it), since the timer
 //     may still fire after the call;
 //   - an out buffer prepare drew from framebuf belongs to the slot until
-//     release, which recycles it: by then the handler has returned, the
-//     record log has copied what it keeps and the reply encoder has copied
-//     the rest. Execute's private slot is never released and an armed
+//     release, which recycles it: by then the handler has returned and
+//     the reply encoder has copied what the reply carries. Execute's private slot is never released and an armed
 //     Invocation is dropped whole, so neither ever recycles (a missed Put
 //     falls to the GC).
 type callSlot struct {
@@ -572,6 +407,7 @@ type callSlot struct {
 	regions [][]byte        // resolved out-direction regrefs, by parameter index
 
 	// ServeVM only.
+	segs   []marshal.Segment // the reply's borrowed outputs, while it is sent
 	fr     *frameRef
 	wire   int // encoded length of the call
 	worker int
@@ -662,31 +498,26 @@ func (s *Server) run(ctx *Context, sl *callSlot, wire int) int {
 
 	acct := Stats{BytesIn: uint64(wire)}
 	var note string // async failure to defer (§4.2)
-	if ctx.frozen.Load() {
-		rep.Status, rep.Err = marshal.StatusDenied, "VM suspended for migration"
-		note = "call rejected: VM suspended for migration"
-	} else {
-		s.execute(ctx, sl, async, &acct)
-		acct.Calls = 1
-		if async {
-			acct.AsyncCalls = 1
-		}
-		if call.Flags&marshal.FlagReplay != 0 {
-			acct.Replays = 1
-		}
+	s.execute(ctx, sl, async, &acct)
+	acct.Calls = 1
+	if async {
+		acct.AsyncCalls = 1
+	}
+	if call.Flags&marshal.FlagReplay != 0 {
+		acct.Replays = 1
+	}
+	if rep.Status != marshal.StatusOK {
+		acct.Errors = 1
+	}
+	// Resubmitted asyncs may legitimately fail after a failover (e.g. they
+	// raced a destroy of the object they touch); deferring those errors
+	// would surface phantom failures for calls that already took effect
+	// before the crash.
+	if async && call.Flags&marshal.FlagResubmit == 0 {
 		if rep.Status != marshal.StatusOK {
-			acct.Errors = 1
-		}
-		// Resubmitted asyncs may legitimately fail after a failover (e.g.
-		// they raced a destroy of the object they touch); deferring those
-		// errors would surface phantom failures for calls that already
-		// took effect before the crash.
-		if async && call.Flags&marshal.FlagResubmit == 0 {
-			if rep.Status != marshal.StatusOK {
-				note = fmt.Sprintf("async %s: %s", s.funcName(call.Func), rep.Err)
-			} else if s.isFailureRet(call.Func, rep.Ret) {
-				note = fmt.Sprintf("async %s: API error %s", s.funcName(call.Func), rep.Ret)
-			}
+			note = fmt.Sprintf("async %s: %s", s.funcName(call.Func), rep.Err)
+		} else if s.isFailureRet(call.Func, rep.Ret) {
+			note = fmt.Sprintf("async %s: API error %s", s.funcName(call.Func), rep.Ret)
 		}
 	}
 
@@ -774,9 +605,8 @@ func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats) {
 	// KindRegRef argument instead references a region the guest registered
 	// in the shared BufRegistry, and is resolved in place here — reads
 	// alias the region, out-direction writes land in it directly and the
-	// reply carries only a length. Resolution rewrites call.Args, so the
-	// migration record log sees the materialized bytes (in) or the plain
-	// length placeholder (out) and replays without the region.
+	// reply carries only a length. Resolution rewrites call.Args to the
+	// materialized bytes (in) or the plain length placeholder (out).
 	regions := sl.regions[:0]
 	for i := range call.Args {
 		v := &call.Args[i]
@@ -899,14 +729,6 @@ func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats) {
 		if v := &rep.Outs[i]; v.Kind() == marshal.KindBytes {
 			acct.BytesCopied += uint64(len(v.Bytes()))
 		}
-	}
-
-	// Record for migration replay, capturing the created handle if any.
-	// call.Args is the pristine wire form (prepare works on a copy), so the
-	// recorded call can be re-executed verbatim; record deep-copies, so the
-	// log never aliases this slot or its frame.
-	if fd.Track.Kind != spec.TrackNone {
-		ctx.record(fd, call.Seq, call.Args, rep, fd.CreatedHandle(rep.Ret, rep.Outs))
 	}
 }
 
@@ -1124,8 +946,10 @@ func (r *retired) drainInto(o *ordering) {
 type replySender struct {
 	ep         transport.Endpoint
 	sendCopies bool
+	vec        transport.VectoredSender // ep's vectored send, if it has one
 	mu         sync.Mutex
 	err        error
+	parts      [][]byte // sendSegments' iovec, under mu
 }
 
 func (rs *replySender) send(out []byte) {
@@ -1143,6 +967,25 @@ func (rs *replySender) send(out []byte) {
 	}
 }
 
+// sendSegments sends a segmented reply with one vectored send. The send is
+// synchronous, so out is recycled and the segments' borrow ends when it
+// returns.
+func (rs *replySender) sendSegments(out []byte, segs []marshal.Segment) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.err != nil {
+		return
+	}
+	rs.parts = marshal.AppendParts(rs.parts[:0], out, segs)
+	err := rs.vec.SendVec(rs.parts, len(out)+marshal.SegmentsLen(segs))
+	clear(rs.parts)
+	if err != nil {
+		rs.err = err
+		return
+	}
+	framebuf.Put(out)
+}
+
 // ServeVM runs the serve loop for one VM over ep: receive batch frames,
 // dispatch each call to a worker keyed by its ordering domain (the first
 // handle argument — an OpenCL command queue, a compression session), and
@@ -1158,6 +1001,7 @@ func (s *Server) ServeVM(ctx *Context, ep transport.Endpoint) error {
 func (s *Server) serveVM(ctx *Context, ep transport.Endpoint, ord *ordering) error {
 	recvOwned := transport.RecvOwned(ep)
 	replies := &replySender{ep: ep, sendCopies: transport.SendCopies(ep)}
+	replies.vec, _ = ep.(transport.VectoredSender)
 	var (
 		comp completions
 		gone retired
@@ -1256,6 +1100,22 @@ func (s *Server) dispatch(ctx *Context, sl *callSlot, replies *replySender) {
 	if size == 0 {
 		sl.fr.release()
 		return
+	}
+	if replies.vec != nil {
+		if phys := marshal.ReplySegmentsSize(&sl.reply, 0); phys < size {
+			// Large outputs go from the handler's out buffer (or, inout, the
+			// batch frame) straight into the socket: no reply frame the size
+			// of the data is drawn, filled and recycled behind the send, so a
+			// guest whose next call overtakes that recycling never finds the
+			// payload pool short. The batch frame is released after the send,
+			// when no segment borrows from it any more.
+			out, segs := marshal.AppendReplySegments(framebuf.Get(phys), sl.segs[:0], &sl.reply, 0)
+			replies.sendSegments(out, segs)
+			clear(segs)
+			sl.segs = segs
+			sl.fr.release()
+			return
+		}
 	}
 	out := marshal.AppendReply(framebuf.Get(size), &sl.reply)
 	// Inout outs alias the batch frame, so the frame is released only now

@@ -60,7 +60,6 @@ func newTestServer(t *testing.T) (*Server, *Context, *cava.Descriptor) {
 	})
 	srv := New(reg)
 	ctx := srv.Context(7, "vm7")
-	ctx.SetRecording(true)
 	return srv, ctx, desc
 }
 
@@ -144,56 +143,15 @@ func TestOOMWithoutPolicyFails(t *testing.T) {
 	}
 }
 
-func TestFreezeDeniesCalls(t *testing.T) {
-	leaktest.NoGoroutineLeaks(t)
-	srv, ctx, desc := newTestServer(t)
-	ctx.Freeze()
-	reply := srv.Execute(ctx, call(desc, "ping", marshal.Uint(1)))
-	if reply.Status != marshal.StatusDenied {
-		t.Fatalf("status = %v", reply.Status)
-	}
-	ctx.Thaw()
-	reply = srv.Execute(ctx, call(desc, "ping", marshal.Uint(1)))
-	if reply.Status != marshal.StatusOK {
-		t.Fatalf("after thaw: %v", reply.Status)
-	}
-}
-
-func TestRecordLogConfigAndModify(t *testing.T) {
-	leaktest.NoGoroutineLeaks(t)
-	srv, ctx, desc := newTestServer(t)
-	srv.Execute(ctx, call(desc, "setup", marshal.Uint(3)))
-	reply := srv.Execute(ctx, call(desc, "create", marshal.Uint(1), marshal.Len(8)))
-	h := reply.Outs[0].Handle()
-	srv.Execute(ctx, call(desc, "poke", marshal.HandleVal(h), marshal.Uint(42)))
-
-	log := ctx.RecordLog()
-	if len(log) != 3 {
-		t.Fatalf("log = %d entries", len(log))
-	}
-	if log[1].Created != h {
-		t.Fatalf("created = %d, want %d", log[1].Created, h)
-	}
-
-	// Destroying the object prunes its create and modify entries but not
-	// the global config.
-	srv.Execute(ctx, call(desc, "destroy", marshal.HandleVal(h)))
-	log = ctx.RecordLog()
-	if len(log) != 1 {
-		t.Fatalf("after destroy: %d entries", len(log))
-	}
-}
-
 // Rebind is the one function that rebuilds a handle table under guest-held
 // values. Overlapping pairs (fresh [1,2] for recorded [2,3]) move in two
-// phases and the record log is rewritten as one simultaneous mapping; a
-// vanished fresh handle or an occupied recorded slot undoes everything.
+// phases, as one simultaneous mapping; a vanished fresh handle or an
+// occupied recorded slot undoes everything.
 func TestContextRebind(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	srv, ctx, desc := newTestServer(t)
 	a := srv.Execute(ctx, call(desc, "create", marshal.Uint(1), marshal.Len(8))).Outs[0].Handle()
 	b := srv.Execute(ctx, call(desc, "create", marshal.Uint(2), marshal.Len(8))).Outs[0].Handle()
-	srv.Execute(ctx, call(desc, "poke", marshal.HandleVal(a), marshal.Uint(7)))
 	if a != 1 || b != 2 {
 		t.Fatalf("fresh handles [%d,%d], want [1,2]", a, b)
 	}
@@ -221,13 +179,6 @@ func TestContextRebind(t *testing.T) {
 	}
 	if got, want := table(), "2=obj-kind-1 3=obj-kind-2 "; got != want {
 		t.Fatalf("table = %q, want %q", got, want)
-	}
-	log := ctx.RecordLog()
-	if log[0].Created != 2 || log[0].Outs[0].Handle() != 2 || log[1].Created != 3 || log[1].Outs[0].Handle() != 3 {
-		t.Fatalf("creates remapped to %d/%d, want 2/3: %+v", log[0].Created, log[1].Created, log)
-	}
-	if got := log[2].Args[0].Handle(); got != 2 {
-		t.Fatalf("the modify of the first object now names handle %d, want 2", got)
 	}
 }
 

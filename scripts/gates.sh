@@ -110,4 +110,13 @@ gate payload 'make([]byte on the forwarding path (draw the buffer from framebuf.
 	'^internal/transport/(transport\.go:[0-9]+:[[:space:]]*r := &ring\{buf: make\(\[\]byte, capacity\)\}|ctl\.go:)' \
 	golines internal/server internal/guest internal/hv internal/transport
 
+# One record log: the §4.3 log of tracked calls is the failover guardian's
+# shadow log (internal/failover), replayed by internal/migrate, so no other
+# layer builds a RecordedCall, and a log or checkpoint travels only on the
+# wire codecs (internal/marshal), never in a second format such as gob.
+gate record 'record-log entry built outside internal/failover and internal/migrate (the guardian shadow log is the one record log)' \
+	'RecordedCall\{' '^\./internal/(failover|migrate)/' golines .
+gate record 'encoding/gob imported (the record log travels on the wire codecs only)' \
+	'"encoding/gob"' '^$' golines -t .
+
 exit $status
