@@ -3,7 +3,7 @@
 # `make check` is the stricter local/CI version of the same gate.
 
 GO ?= go
-GATES = rebind-gate state-gate decode-gate wire-gate layer-gate stub-gate adapter-gate payload-gate record-gate
+GATES = rebind-gate target-gate state-gate decode-gate wire-gate layer-gate stub-gate adapter-gate payload-gate record-gate
 
 .PHONY: check fmt vet gates $(GATES) gen build test allocs bench bench-smoke examples-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
@@ -18,11 +18,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The grep gates ("there is one of these": one rebind, one guardian state
-# machine, one decoder per frame kind, one assembler, one-way layering, one
-# generated binding layer, one owner of object state, one source of payload
-# buffers, one record log) are rows of the table
-# in scripts/gates.sh; check runs them all at once, and each old target name
+# The grep gates ("there is one of these": one rebind, one recovery target,
+# one guardian state machine, one decoder per frame kind, one assembler,
+# one-way layering, one generated binding layer, one owner of object state,
+# one source of payload buffers, one record log) are rows of the table in
+# scripts/gates.sh; check runs them all at once, and each old target name
 # runs its own row.
 gates:
 	@GO="$(GO)" sh scripts/gates.sh
@@ -47,14 +47,16 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Alloc-budget and frame-pool tests, one per hot-path layer
-# (testing.AllocsPerRun; files tagged `//go:build !race`). The race
+# Alloc-budget and frame-pool tests, one per hot-path layer, plus the bytes
+# a guardian checkpoint may allocate (testing.AllocsPerRun or MemStats;
+# files tagged `//go:build !race`). The race
 # detector's instrumentation allocates and sync.Pool drops entries at random
 # under it, so `test` above compiles these out; this target runs them once
 # without -race so a regression in allocations per call fails `make check`.
 allocs:
 	$(GO) test -count=1 -run 'Alloc|BothHit' \
-		./internal/marshal/ ./internal/framebuf/ ./internal/transport/ ./internal/hv/ ./internal/server/ ./internal/guest/ ./internal/cl/
+		./internal/marshal/ ./internal/framebuf/ ./internal/transport/ ./internal/hv/ ./internal/server/ ./internal/guest/ ./internal/cl/ \
+		./internal/failover/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -129,10 +131,10 @@ benchmark:
 # form, eviction, drain vs. kill, and the same-host reconnect that must
 # replay into a clean context; Shadow/Replay/Rebind cover the recovery core
 # itself — the shadow log's keep rules and its mirror property test, the
-# one replay engine on both of its targets, and migration (./internal/migrate/);
+# one replay engine over the link, and migration (./internal/migrate/);
 # Sweep severs the south link at every send of a short workload, and the
-# replacement too, over in-proc, ring and a loopback host.Server (the wire
-# target, whose replay and snapshot control calls are sends as well)
+# replacement too, over in-proc, ring and a loopback host.Server (replay
+# and snapshot control calls are sends as well on every one)
 # (internal/stacktest/kill_sweep_test.go) — a failing row prints its
 # (deployment, k, k2) triple as a -run one-liner; CrossHost also matches the
 # MVNC row (a graph's result FIFO carried across a machine kill by the wire

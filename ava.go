@@ -476,61 +476,57 @@ func (s *Stack) remote() bool {
 // southDial returns the one dial that reaches a VM's API server: the
 // stack's south hop, chosen once from the configuration.
 //
-//   - Placement: a fleet member picked through the registry (wire-only
-//     link; the returned FleetDialer is the VM's, nil for the other hops).
-//   - Transport.ServerAddr: the avad at that address (wire-only link).
-//   - Otherwise the stack's own server over a fresh in-process pair; the
-//     link carries the context, so replay and capture run in-process.
+//   - Placement: a fleet member picked through the registry (the returned
+//     FleetDialer is the VM's, nil for the other hops).
+//   - Transport.ServerAddr: the avad at that address.
+//   - Otherwise the stack's own server over a fresh in-process pair, in a
+//     fresh context.
 //
-// Each call is one server incarnation. A VM without a guardian dials once
-// and the router forwards straight onto the link; a guardian dials again on
-// every recovery. Whatever the hop, a fresh link is wrapped by
-// WrapServerLink and its host recorded with the router, so a cross-host
-// move re-fences any frames stamped for the old host. epoch stamps the
-// hello of a remote dial.
-func (s *Stack) southDial(id uint32, name string, fc *FailoverConfig, epoch func() uint32) (func() (failover.ServerLink, error), *failover.FleetDialer) {
+// Each call is one server incarnation, reached by its endpoint alone: the
+// stack's own server answers the guardian's replay, rebind, restore and
+// capture control calls on it as a remote host does. A VM without a
+// guardian dials once and the router forwards straight onto the link; a
+// guardian dials again on every recovery. Whatever the hop, a fresh link
+// is wrapped by WrapServerLink and its host recorded with the router, so a
+// cross-host move re-fences any frames stamped for the old host. epoch
+// stamps the hello of a remote dial.
+func (s *Stack) southDial(id uint32, name string, fc *FailoverConfig, epoch func() uint32) (func() (transport.Endpoint, error), *failover.FleetDialer) {
 	if fc == nil {
 		fc = &FailoverConfig{}
 	}
 	var (
 		placed *failover.FleetDialer
-		hop    func() (link failover.ServerLink, host string, err error)
+		hop    func() (link transport.Endpoint, host string, err error)
 	)
 	switch addr := s.cfg.Transport.ServerAddr; {
 	case s.policy != nil:
 		placed = s.newPlacedDialer(id, name, epoch)
-		hop = func() (failover.ServerLink, string, error) {
+		hop = func() (transport.Endpoint, string, error) {
 			link, err := placed.Dial()
 			return link, placed.Host(), err
 		}
 	case addr != "":
-		hop = func() (failover.ServerLink, string, error) {
+		hop = func() (transport.Endpoint, string, error) {
 			link, err := failover.DialHost(addr, id, epoch(), name)
 			return link, addr, err
 		}
 	default:
-		redial := false
-		hop = func() (failover.ServerLink, string, error) {
-			// The first incarnation adopts whatever context the server
-			// already holds for the VM. Every later one starts clean; the
-			// guardian replays state into it before traffic resumes.
-			if redial {
-				s.Server.DropContext(id)
-			}
-			redial = true
+		hop = func() (transport.Endpoint, string, error) {
+			// Every incarnation starts clean; a guardian replays state
+			// into it before traffic resumes.
+			s.Server.DropContext(id)
 			south, serverEP := s.pair()
-			ctx := s.newContext(id, name)
-			go s.Server.ServeVM(ctx, serverEP)
-			return failover.ServerLink{EP: south, Server: s.Server, Ctx: ctx}, "local", nil
+			go s.Server.ServeVM(s.newContext(id, name), serverEP)
+			return south, "local", nil
 		}
 	}
-	return func() (failover.ServerLink, error) {
+	return func() (transport.Endpoint, error) {
 		link, host, err := hop()
 		if err != nil {
-			return link, err
+			return nil, err
 		}
 		if fc.WrapServerLink != nil {
-			link.EP = fc.WrapServerLink(link.EP)
+			link = fc.WrapServerLink(link)
 		}
 		s.Router.SetServingHost(id, host)
 		return link, nil
@@ -582,9 +578,7 @@ func (s *Stack) AttachVM(cfg VMConfig, opts ...guest.Option) (*guest.Lib, error)
 		err          error
 	)
 	if fc == nil {
-		var link failover.ServerLink
-		link, err = dial()
-		routerServer = link.EP
+		routerServer, err = dial()
 	} else {
 		var north transport.Endpoint
 		routerServer, north = s.pair()

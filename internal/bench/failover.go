@@ -88,6 +88,6 @@ func Failover(opts Options) (*Table, error) {
 			fmt.Sprintf("%v", identical), fmt.Sprintf("%d", killed.resub))
 	}
 	t.Note("identical = bitwise-equal checksum vs the undisturbed run, >=1 recovery, zero calls dropped (E12 acceptance)")
-	t.Note("recovery pause covers respawn dial + record-log replay + checkpoint state restore; the tcp(disagg) row redials a live host.Server and replays over the wire (FuncRebind/FuncRestore round trips), as E13 does")
+	t.Note("recovery pause covers respawn dial + record-log replay + checkpoint state restore, each a round trip on the new link (the call itself, FuncRebind, FuncRestore) on every row; the tcp(disagg) row redials a live host.Server, as E13 does")
 	return t, nil
 }

@@ -98,7 +98,7 @@ func TestAdmitDropsCallPickedUpBeforeAFinishedRecovery(t *testing.T) {
 
 	// A whole recovery: link lost, replacement adopted, replay done.
 	rs, ok := g.toRecovering(staleGen)
-	if _, adopted := g.adopt(ServerLink{}); !ok || !adopted {
+	if _, adopted := g.adopt(nil); !ok || !adopted {
 		t.Fatalf("recovery did not start: lost %v, adopted %v", ok, adopted)
 	}
 	g.toServing(rs, g.clk.Now())

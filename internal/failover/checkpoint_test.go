@@ -1,6 +1,9 @@
 package failover
 
 import (
+	"bytes"
+	"math/bits"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -8,6 +11,7 @@ import (
 
 	"ava/internal/cava"
 	"ava/internal/clock"
+	"ava/internal/framebuf"
 	"ava/internal/leaktest"
 	"ava/internal/marshal"
 	"ava/internal/transport"
@@ -26,7 +30,7 @@ func TestCheckpointDrainLeavesVirtualClockAlone(t *testing.T) {
 	clk := clock.NewVirtual()
 	router, north := transport.NewInProc()
 	south, srv := transport.NewInProc()
-	g := New(desc, north, func() (ServerLink, error) { return ServerLink{EP: south}, nil }, Config{Clock: clk})
+	g := New(desc, north, func() (transport.Endpoint, error) { return south, nil }, Config{Clock: clk})
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +88,7 @@ func TestFailedCheckpointIsCounted(t *testing.T) {
 	desc := cava.MustCompile(`void f(uint32_t a);`)
 	router, north := transport.NewInProc()
 	south, srv := transport.NewInProc()
-	g := New(desc, north, func() (ServerLink, error) { return ServerLink{EP: south}, nil },
+	g := New(desc, north, func() (transport.Endpoint, error) { return south, nil },
 		Config{Clock: clock.NewVirtual(), CheckpointEvery: 1})
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
@@ -126,5 +130,108 @@ func TestFailedCheckpointIsCounted(t *testing.T) {
 	}
 	if st := g.Stats(); st.Checkpoints != 1 || st.FailedCheckpoints != 1 {
 		t.Fatalf("after the good checkpoint: %+v", st)
+	}
+}
+
+// rangeObj is a device buffer with byte-range dirty tracking, the shape of
+// cl's buffers: a checkpoint ships the ranges written since the previous
+// one.
+type rangeObj struct {
+	data  []byte
+	dirty []marshal.DeltaRange // written since the last capture; Bytes alias data
+}
+
+func (o *rangeObj) write(off int, b []byte) {
+	copy(o.data[off:], b)
+	o.dirty = append(o.dirty, marshal.DeltaRange{Off: uint64(off), Bytes: o.data[off : off+len(b)]})
+}
+
+type rangeAdapter struct{}
+
+// SnapshotObjectDelta copies each dirty range out, as a silo must: the
+// device keeps running after the capture.
+func (rangeAdapter) SnapshotObjectDelta(obj any) (marshal.ObjectDelta, bool, error) {
+	o := obj.(*rangeObj)
+	d := marshal.ObjectDelta{BaseLen: uint64(len(o.data))}
+	for _, r := range o.dirty {
+		d.Ranges = append(d.Ranges, marshal.DeltaRange{Off: r.Off, Bytes: append([]byte(nil), r.Bytes...)})
+	}
+	o.dirty = o.dirty[:0]
+	return d, true, nil
+}
+
+func (rangeAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
+	return append([]byte(nil), obj.(*rangeObj).data...), true, nil
+}
+
+func (rangeAdapter) RestoreObject(obj any, state []byte) error {
+	copy(obj.(*rangeObj).data, state)
+	return nil
+}
+
+// guardRangeObject puts a guardian with sink in front of a ServeVM loop
+// whose context holds obj, over an in-process link.
+func guardRangeObject(t *testing.T, obj *rangeObj, sink LogSink) *Guardian {
+	t.Helper()
+	srv, desc := newReplayServerWith(rangeAdapter{})
+	ctx := srv.Context(1, "vm")
+	ctx.Handles.Insert(obj)
+	g, _ := guardServer(t, srv, ctx, desc, Config{Sink: sink})
+	return g
+}
+
+// scribbler is a delta sink that, before composing, draws every payload-class
+// pooled buffer the way any layer may at that moment and overwrites it. A
+// checkpoint that put its control-reply frame back before the sink read the
+// ranges aliasing it hands the sink garbage.
+type scribbler struct{ *MemoryMirror }
+
+func (s scribbler) MirrorCheckpointDelta(epoch uint32, w uint64, deltas []marshal.ObjectDelta) bool {
+	var held [][]byte
+	for n := 16 << 10; n <= 256<<10; n += 1 << (bits.Len(uint(n)) - 3) { // every class
+		b := framebuf.GetLen(n)
+		for i := range b {
+			b[i] = 0xee
+		}
+		held = append(held, b)
+	}
+	for _, b := range held {
+		framebuf.Put(b)
+	}
+	return s.MemoryMirror.MirrorCheckpointDelta(epoch, w, deltas)
+}
+
+// A delta checkpoint's ranges alias the control reply that carried them, so
+// the frame may go back to the pool only after the commit transition has
+// handed them to the delta sink. Two delta checkpoints in a row, with
+// different dirty ranges large enough for a payload-class frame: after each,
+// the mirror holds exactly the guardian's checkpoint and the device's bytes.
+func TestRecycledControlReplyNeverCorruptsMirror(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	const size, dirty = 64 << 10, 20 << 10
+	obj := &rangeObj{data: make([]byte, size)}
+	mirror := NewMemoryMirror()
+	g := guardRangeObject(t, obj, scribbler{mirror})
+	page := make([]byte, dirty)
+	for i, off := range []int{-1, 0, 40 << 10} { // a full checkpoint first: the base
+		if off >= 0 {
+			for j := range page {
+				page[j] = byte(i*7 + j)
+			}
+			obj.write(off, page)
+		}
+		if err := g.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		g.mu.Lock()
+		ckpt := g.ckptObjects
+		g.mu.Unlock()
+		got := mirror.State().Objects
+		if !reflect.DeepEqual(got, ckpt) || !bytes.Equal(ckpt[1], obj.data) {
+			t.Fatalf("checkpoint %d: mirror and guardian checkpoint disagree with the device", i)
+		}
+	}
+	if st := g.Stats(); st.DeltaCheckpoints != 2 || st.LastCkptBytes != dirty {
+		t.Fatalf("stats %+v: want 2 delta checkpoints, the last shipping %d bytes", st, dirty)
 	}
 }

@@ -26,9 +26,10 @@ type FleetDialConfig struct {
 	// nil stamps 0. Wire it to the owning Guardian's Epoch so the serving
 	// host can observe reconnects across failovers.
 	Epoch func() uint32
-	// Resolve turns a fleet member into a live ServerLink. Nil uses
-	// DialHost on m.Addr. Tests use it to simulate a fleet in-process.
-	Resolve func(m fleet.Member, epoch uint32) (ServerLink, error)
+	// Resolve turns a fleet member into a live link to its API server.
+	// Nil uses DialHost on m.Addr. Tests use it to simulate a fleet
+	// in-process.
+	Resolve func(m fleet.Member, epoch uint32) (transport.Endpoint, error)
 	// Rank, when set, reorders the live candidates best-first before the
 	// dialer walks them — the hook a placement policy (internal/sched)
 	// plugs into. Nil keeps the registry's health ranking.
@@ -101,7 +102,7 @@ func (d *FleetDialer) Relocate(target string) {
 
 // Dial implements the guardian's dial closure. Each call is one attempt;
 // the guardian's backoff series paces retries between calls.
-func (d *FleetDialer) Dial() (ServerLink, error) {
+func (d *FleetDialer) Dial() (transport.Endpoint, error) {
 	d.mu.Lock()
 	cur, tried := d.host, d.attempts
 	reloc, prefer := d.relocating, d.relocateTo
@@ -127,7 +128,7 @@ func (d *FleetDialer) Dial() (ServerLink, error) {
 			}
 			cause = err
 		}
-		return ServerLink{}, fmt.Errorf("failover: host %s unreachable (attempt %d/%d): %w",
+		return nil, fmt.Errorf("failover: host %s unreachable (attempt %d/%d): %w",
 			cur, tried+1, d.cfg.PerHostAttempts, cause)
 	}
 
@@ -151,7 +152,7 @@ func (d *FleetDialer) Dial() (ServerLink, error) {
 
 	ms, err := d.loc.Live(d.cfg.API, exclude...)
 	if err != nil {
-		return ServerLink{}, fmt.Errorf("failover: fleet query: %w", err)
+		return nil, fmt.Errorf("failover: fleet query: %w", err)
 	}
 	if len(ms) == 0 && len(exclude) > 0 {
 		// Every known host has failed at least once. Hosts other than the
@@ -170,7 +171,7 @@ func (d *FleetDialer) Dial() (ServerLink, error) {
 		d.mu.Unlock()
 		ms, err = d.loc.Live(d.cfg.API)
 		if err != nil {
-			return ServerLink{}, fmt.Errorf("failover: fleet query: %w", err)
+			return nil, fmt.Errorf("failover: fleet query: %w", err)
 		}
 	}
 	if d.cfg.Rank != nil {
@@ -200,7 +201,7 @@ func (d *FleetDialer) Dial() (ServerLink, error) {
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no live members")
 	}
-	return ServerLink{}, fmt.Errorf("failover: no reachable %q host in fleet: %w", d.cfg.API, lastErr)
+	return nil, fmt.Errorf("failover: no reachable %q host in fleet: %w", d.cfg.API, lastErr)
 }
 
 func (d *FleetDialer) lookup(id string) (fleet.Member, bool) {
@@ -216,7 +217,7 @@ func (d *FleetDialer) lookup(id string) (fleet.Member, bool) {
 	return fleet.Member{}, false
 }
 
-func (d *FleetDialer) resolve(m fleet.Member, epoch uint32) (ServerLink, error) {
+func (d *FleetDialer) resolve(m fleet.Member, epoch uint32) (transport.Endpoint, error) {
 	if d.cfg.Resolve != nil {
 		return d.cfg.Resolve(m, epoch)
 	}
@@ -228,24 +229,24 @@ func (d *FleetDialer) resolve(m fleet.Member, epoch uint32) (ServerLink, error) 
 }
 
 // DialHost is the one way a remote API server is reached: TCP-dial addr,
-// send the hello and wait for the host's admission verdict. The link is
-// wire-only (see ServerLink). Success means admitted, not merely connected:
-// the verdict frame arrives before any data-plane traffic, so a rejection
-// (the VM was just evicted from this host) is a dial failure the caller
-// charges against its retry budget like any other, instead of a silent
-// connect-then-sever loop that resets it. A server at a configured address
-// and a fleet member out of a registry differ only in where addr came from.
-func DialHost(addr string, vm, epoch uint32, name string) (ServerLink, error) {
+// send the hello and wait for the host's admission verdict. Success means
+// admitted, not merely connected: the verdict frame arrives before any
+// data-plane traffic, so a rejection (the VM was just evicted from this
+// host) is a dial failure the caller charges against its retry budget like
+// any other, instead of a silent connect-then-sever loop that resets it. A
+// server at a configured address and a fleet member out of a registry
+// differ only in where addr came from.
+func DialHost(addr string, vm, epoch uint32, name string) (transport.Endpoint, error) {
 	ep, err := transport.Dial(addr)
 	if err != nil {
-		return ServerLink{}, err
+		return nil, err
 	}
 	hello := transport.Ctl{Op: transport.OpHello, VM: vm, Seq: uint64(epoch), Payload: []byte(name)}
 	if _, err := transport.RoundTrip(ep, hello, transport.OpAck); err != nil {
 		ep.Close()
-		return ServerLink{}, err
+		return nil, err
 	}
-	return ServerLink{EP: ep}, nil
+	return ep, nil
 }
 
 func (d *FleetDialer) noteSuccess(id string) {

@@ -42,13 +42,13 @@ type scriptedResolver struct {
 	epochs   []uint32
 }
 
-func (r *scriptedResolver) resolve(m fleet.Member, epoch uint32) (ServerLink, error) {
+func (r *scriptedResolver) resolve(m fleet.Member, epoch uint32) (transport.Endpoint, error) {
 	r.attempts = append(r.attempts, m.ID)
 	r.epochs = append(r.epochs, epoch)
 	if r.down[m.ID] {
-		return ServerLink{}, fmt.Errorf("host %s down", m.ID)
+		return nil, fmt.Errorf("host %s down", m.ID)
 	}
-	return ServerLink{}, nil
+	return nil, nil
 }
 
 func newTestDialer(loc fleet.Locator, res *scriptedResolver, attempts int) *FleetDialer {
@@ -356,7 +356,7 @@ func TestFleetDialerRejectedHelloSpendsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	link.EP.Close()
+	link.Close()
 	if d.Host() != "a" {
 		t.Fatalf("host = %q, want a", d.Host())
 	}
@@ -378,7 +378,7 @@ func TestFleetDialerRejectedHelloSpendsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer link.EP.Close()
+	defer link.Close()
 	if d.Host() != "b" {
 		t.Fatalf("host after eviction = %q, want b", d.Host())
 	}

@@ -16,13 +16,14 @@
 // rebinding recreated objects to the handle values the guest already holds
 // — and then tells the guest to resubmit its unacked window. Live
 // migration is the same path: a checkpoint, a dialer pointed at another
-// host, a severed link (ava.Stack.MigrateVM). A link with an in-process
-// server gets migrate.LocalTarget, a wire-only link to another host the
-// guardian's control-call target. The shadow log is one type (shadowLog)
-// held by the guardian and by every MemoryMirror: it states the recovery
-// keep rule once and forwards its own mutations to Config.Sink, so a
-// replacement guardian rehydrated from a mirror (Config.Restore) resumes
-// from the log the dead one would have rebuilt.
+// host, a severed link (ava.Stack.MigrateVM). Whatever the link reaches —
+// a server in this process or one on another host — replay, rebind,
+// restore and checkpoint capture travel it as control calls (wireTarget),
+// which the server answers through server.Context. The shadow log is one
+// type (shadowLog) held by the guardian and by every MemoryMirror: it
+// states the recovery keep rule once and forwards its own mutations to
+// Config.Sink, so a replacement guardian rehydrated from a mirror
+// (Config.Restore) resumes from the log the dead one would have rebuilt.
 //
 // The guardian's lifecycle is one state whose transitions, in state.go, are
 // the only writers of the epoch, the checkpoint watermark and the south
@@ -132,40 +133,6 @@ type Config struct {
 	Restore *MirrorState
 }
 
-// ServerLink is one dialed attachment to an API server. EP carries frames.
-// A link to a server in this process also sets Server and Ctx: replay,
-// rebind and checkpoint capture then run in-process. With Ctx nil the link is
-// wire-only — a server on another host — and the same operations travel over
-// EP as the marshal.FuncRebind, FuncRestore, FuncSnapshot and
-// FuncSnapshotDelta control calls, which that server answers through the same
-// server.Context methods.
-type ServerLink struct {
-	EP     transport.Endpoint
-	Server *server.Server
-	Ctx    *server.Context
-}
-
-// target is a link seen as what recovery and checkpointing do to its
-// server: the replay engine's three operations plus the capture side. There
-// are two, migrate.LocalTarget and wireTarget; only targetFor tells them
-// apart.
-type target interface {
-	migrate.Target
-	// Snapshot serializes every stateful object, by guest handle.
-	Snapshot() (map[marshal.Handle][]byte, error)
-	// SnapshotDelta drains every stateful object's dirty ranges since the
-	// previous drain. ok=false: no incremental capture to be had, take a
-	// Snapshot instead.
-	SnapshotDelta() (deltas []marshal.ObjectDelta, ok bool)
-}
-
-func (g *Guardian) targetFor(link ServerLink) target {
-	if link.Ctx != nil {
-		return migrate.LocalTarget{Server: link.Server, Ctx: link.Ctx}
-	}
-	return wireTarget{g: g, link: link}
-}
-
 // Stats counts guardian activity.
 type Stats struct {
 	Recoveries          uint64 // links lost and rebuilt, a Config.Restore rehydration included
@@ -201,7 +168,7 @@ type Guardian struct {
 	bo   *backoff.Backoff
 
 	north transport.Endpoint // toward the router/guest
-	dial  func() (ServerLink, error)
+	dial  func() (transport.Endpoint, error)
 
 	northCh chan []byte   // single-writer queue toward north
 	done    chan struct{} // closed by Close
@@ -225,9 +192,8 @@ type Guardian struct {
 	deadErr     error
 	ckptErr     error // why the most recent uncommitted checkpoint failed
 	epoch       uint32
-	link        ServerLink
-	tgt         target // link, as replay and capture use it
-	linkGen     int    // generation of link: every adopted link gets the next one
+	link        transport.Endpoint
+	linkGen     int // generation of link: every adopted link gets the next one
 	abort       chan struct{}
 	ckptObjects map[marshal.Handle][]byte
 	ckptW       uint64 // checkpoint watermark: state covers seq <= ckptW
@@ -237,10 +203,10 @@ type Guardian struct {
 	// calls admitted, not all sent — which a checkpoint must not cut into.
 	forwarding    bool
 	markerN       uint64
-	markerWaiters map[uint64]chan *marshal.Reply // control round trips awaiting their reply
-	log           shadowLog                      // forwards its mutations to cfg.Sink
-	delta         DeltaSink                      // cfg.Sink's incremental-checkpoint side, if it has one
-	destroys      map[uint64]*destroyRec         // by seq, since the watermark; tombstones too
+	markerWaiters map[uint64]chan []byte // control round trips awaiting their reply frame
+	log           shadowLog              // forwards its mutations to cfg.Sink
+	delta         DeltaSink              // cfg.Sink's incremental-checkpoint side, if it has one
+	destroys      map[uint64]*destroyRec // by seq, since the watermark; tombstones too
 	inflightSync  map[uint64]struct{}
 	maxSeq        uint64 // highest guest seq forwarded south
 	sinceCkpt     int
@@ -252,10 +218,10 @@ type Guardian struct {
 }
 
 // New builds a Guardian for one VM. north faces the router; dial produces a
-// fresh server link (spawning or rebinding a server as the deployment needs)
-// and is invoked for the initial attach and after every failure. Call Start
-// to dial the first link and begin pumping.
-func New(desc *cava.Descriptor, north transport.Endpoint, dial func() (ServerLink, error), cfg Config) *Guardian {
+// fresh link to an API server (spawning or rebinding a server as the
+// deployment needs) and is invoked for the initial attach and after every
+// failure. Call Start to dial the first link and begin pumping.
+func New(desc *cava.Descriptor, north transport.Endpoint, dial func() (transport.Endpoint, error), cfg Config) *Guardian {
 	if cfg.LivenessTimeout <= 0 {
 		cfg.LivenessTimeout = 2 * time.Second
 	}
@@ -272,7 +238,7 @@ func New(desc *cava.Descriptor, north transport.Endpoint, dial func() (ServerLin
 		dial:          dial,
 		northCh:       make(chan []byte, 256),
 		done:          make(chan struct{}),
-		markerWaiters: make(map[uint64]chan *marshal.Reply),
+		markerWaiters: make(map[uint64]chan []byte),
 		abort:         make(chan struct{}),
 		log:           newShadowLog(desc, cfg.Sink),
 		destroys:      make(map[uint64]*destroyRec),
@@ -345,7 +311,7 @@ func (g *Guardian) CheckpointErr() error {
 // pumps and recovers as it would from a real crash.
 func (g *Guardian) KillServer() {
 	g.mu.Lock()
-	ep := g.link.EP
+	ep := g.link
 	g.mu.Unlock()
 	if ep != nil {
 		transport.Sever(ep)
@@ -416,7 +382,7 @@ func (g *Guardian) handleUplinkFrame(frame []byte) {
 	g.mu.Unlock()
 
 	sentWhole := g.forwardFrame(link, gen, frame)
-	if transport.RecvOwned(g.north) && !(sentWhole && !transport.SendCopies(link.EP)) {
+	if transport.RecvOwned(g.north) && !(sentWhole && !transport.SendCopies(link)) {
 		// Tracked entries were deep-copied and any re-encoded batch copied
 		// the call bodies, so the original frame can recycle unless it was
 		// forwarded as-is over an ownership-transferring transport.
@@ -445,7 +411,7 @@ func (g *Guardian) handleUplinkFrame(frame []byte) {
 // ordering edges through handles that do not exist yet (a context created
 // from devices an enumeration call is still materializing). This is the
 // recovery path, so latency is irrelevant next to correctness.
-func (g *Guardian) forwardFrame(link ServerLink, gen int, frame []byte) (sentWhole bool) {
+func (g *Guardian) forwardFrame(link transport.Endpoint, gen int, frame []byte) (sentWhole bool) {
 	up := &g.up
 	calls, err := marshal.DecodeBatchInto(up.calls, frame)
 	if err != nil {
@@ -639,18 +605,18 @@ func (g *Guardian) answerLocked(seq uint64, ret marshal.Value, outs []marshal.Va
 }
 
 // send puts one frame on link.
-func (g *Guardian) send(link ServerLink, frame []byte) error {
+func (g *Guardian) send(link transport.Endpoint, frame []byte) error {
 	g.southMu.Lock()
 	defer g.southMu.Unlock()
-	if link.EP == nil {
+	if link == nil {
 		return transport.ErrClosed
 	}
-	return link.EP.Send(frame)
+	return link.Send(frame)
 }
 
 // sendSouth forwards one frame of calls on gen's link, reporting whether it
 // went; a failed send starts the recovery.
-func (g *Guardian) sendSouth(link ServerLink, gen int, frame []byte) bool {
+func (g *Guardian) sendSouth(link transport.Endpoint, gen int, frame []byte) bool {
 	err := g.send(link, frame)
 	if err != nil {
 		g.recover(gen, err)
@@ -662,11 +628,11 @@ func (g *Guardian) sendSouth(link ServerLink, gen int, frame []byte) bool {
 // Downlink: server → guardian → guest. One instance per link generation,
 // started the moment the link is adopted.
 
-func (g *Guardian) downlink(link ServerLink, gen int) {
-	recvOwned := transport.RecvOwned(link.EP)
+func (g *Guardian) downlink(link transport.Endpoint, gen int) {
+	recvOwned := transport.RecvOwned(link)
 	var rep marshal.Reply // decode scratch; noteReply copies what it keeps
 	for {
-		frame, err := link.EP.Recv()
+		frame, err := link.Recv()
 		if err != nil {
 			if !errors.Is(err, transport.ErrClosed) {
 				g.recover(gen, err)
@@ -680,7 +646,9 @@ func (g *Guardian) downlink(link ServerLink, gen int) {
 		}
 		switch {
 		case seq >= marshal.MarkerSeqBase:
-			g.deliverControl(seq, frame)
+			if g.deliverControl(seq, frame, recvOwned) {
+				continue // the waiter owns the frame now
+			}
 		case g.noteReply(gen, seq, frame, &rep):
 			g.sendNorth(frame)
 			continue
@@ -691,26 +659,25 @@ func (g *Guardian) downlink(link ServerLink, gen int) {
 	}
 }
 
-// deliverControl hands a control round trip's reply to its waiter, if it
-// still has one.
-func (g *Guardian) deliverControl(seq uint64, frame []byte) {
+// deliverControl hands a control round trip's reply frame to its waiter, if
+// it still has one, and reports whether the waiter took the frame itself.
+// The waiter decodes the reply in place and puts the frame back once done
+// with it: a snapshot-delta reply's ranges are read until the checkpoint
+// commits, long after the downlink has moved on. A frame the downlink does
+// not own (owned=false) is handed over as a pooled copy.
+func (g *Guardian) deliverControl(seq uint64, frame []byte, owned bool) (took bool) {
 	g.mu.Lock()
 	ch, ok := g.markerWaiters[seq]
 	delete(g.markerWaiters, seq)
 	g.mu.Unlock()
 	if !ok {
-		return
+		return false
 	}
-	// Deep-copy the reply before the frame recycles (decoding keeps
-	// references into it): a snapshot control reply carries a byte payload
-	// the waiter reads after the downlink has moved on.
-	rep := new(marshal.Reply)
-	if marshal.DecodeReplyInto(rep, frame) == nil {
-		rep.Ret = rep.Ret.Clone()
-		rep.Outs = migrate.CloneValues(rep.Outs)
-		ch <- rep
+	if !owned {
+		frame = append(framebuf.Get(len(frame)), frame...)
 	}
-	close(ch)
+	ch <- frame
+	return owned
 }
 
 // noteReply completes the shadow bookkeeping for one reply from gen's link
@@ -774,11 +741,11 @@ func (g *Guardian) noteReply(gen int, seq uint64, frame []byte, rep *marshal.Rep
 			g.syncDoneLocked(seq)
 			break
 		}
-		// The move is a control round trip on a wire link, whose reply only
+		// The move is a control round trip on the link, whose reply only
 		// this downlink can deliver — so it runs beside it. The sync-drain
 		// slot is released once the move is confirmed, so the next
 		// resubmitted call cannot race it.
-		go g.rebind(g.tgt, gen, pairs, seq)
+		go g.rebind(wireTarget{g: g, link: g.link}, gen, pairs, seq)
 	case rep.Status != marshal.StatusOK:
 		// The call failed: it contributes no device state. Drop the
 		// provisional entry so replay never re-executes a failure.
@@ -798,7 +765,7 @@ func (g *Guardian) noteReply(gen int, seq uint64, frame []byte, rep *marshal.Rep
 // Best-effort: a vanished fresh handle or an occupied recorded slot (exotic
 // handle reuse) leaves the objects under their fresh values rather than
 // failing the reply path; a dead link is the pumps' problem.
-func (g *Guardian) rebind(t target, gen int, pairs []server.HandlePair, seq uint64) {
+func (g *Guardian) rebind(t wireTarget, gen int, pairs []server.HandlePair, seq uint64) {
 	_ = t.Rebind(pairs)
 	g.mu.Lock()
 	if g.steadyLocked(gen) {
@@ -808,24 +775,26 @@ func (g *Guardian) rebind(t target, gen int, pairs []server.HandlePair, seq uint
 }
 
 // ctrlCallReply round-trips one control call on link, under a marker-space
-// sequence number: the link's downlink hands the reply to the waiter
-// registered here instead of forwarding it north. The wait ends early when
+// sequence number: the link's downlink hands the reply frame to the waiter
+// registered here instead of forwarding it north. The reply is decoded in
+// place, so it aliases frame; the caller puts frame back (framebuf.Put) once
+// done with both, or leaves it to the collector. The wait ends early when
 // the link is given up (abort) or the guardian closes.
-func (g *Guardian) ctrlCallReply(link ServerLink, call *marshal.Call) (*marshal.Reply, error) {
+func (g *Guardian) ctrlCallReply(link transport.Endpoint, call *marshal.Call) (rep *marshal.Reply, frame []byte, err error) {
 	g.mu.Lock()
 	g.markerN++
 	id := marshal.MarkerSeqBase + g.markerN
 	// Buffered so the downlink's delivery never blocks on a waiter that
 	// timed out.
-	ch := make(chan *marshal.Reply, 1)
+	ch := make(chan []byte, 1)
 	g.markerWaiters[id] = ch
 	abort := g.abort
 	g.mu.Unlock()
-	fail := func(err error) (*marshal.Reply, error) {
+	fail := func(err error) (*marshal.Reply, []byte, error) {
 		g.mu.Lock()
 		delete(g.markerWaiters, id)
 		g.mu.Unlock()
-		return nil, err
+		return nil, nil, err
 	}
 	call.Seq = id
 	if err := g.send(link, marshal.EncodeBatch([][]byte{marshal.EncodeCall(call)})); err != nil {
@@ -835,11 +804,13 @@ func (g *Guardian) ctrlCallReply(link ServerLink, call *marshal.Call) (*marshal.
 	stop := g.clk.AfterFunc(g.cfg.LivenessTimeout, func() { close(timeout) })
 	defer stop()
 	select {
-	case rep := <-ch:
-		if rep == nil {
-			return nil, fmt.Errorf("failover: control call reply undecodable")
+	case frame = <-ch:
+		rep = new(marshal.Reply)
+		if err := marshal.DecodeReplyInto(rep, frame); err != nil {
+			framebuf.Put(frame)
+			return nil, nil, fmt.Errorf("failover: control call reply undecodable: %w", err)
 		}
-		return rep, nil
+		return rep, frame, nil
 	case <-timeout:
 		return fail(fmt.Errorf("failover: control call unanswered after %v", g.cfg.LivenessTimeout))
 	case <-abort:
@@ -849,29 +820,43 @@ func (g *Guardian) ctrlCallReply(link ServerLink, call *marshal.Call) (*marshal.
 	}
 }
 
-// wireTarget is the target of a wire-only link: recorded calls and the
-// FuncRebind, FuncRestore, FuncSnapshot and FuncSnapshotDelta control calls
-// travel as round trips to the remote server. Without the snapshot pair a
-// cross-host failover would replay tracked creates and configs but lose
-// untracked device state (buffer contents mutated by kernels and writes).
+// marker round-trips a marker on link: the quiesce barrier of a checkpoint
+// and the heartbeat's liveness probe.
+func (g *Guardian) marker(link transport.Endpoint) error {
+	_, frame, err := g.ctrlCallReply(link, &marshal.Call{Func: markerFunc})
+	framebuf.Put(frame)
+	return err
+}
+
+// wireTarget is what recovery and checkpointing do to the server behind a
+// link: recorded calls and the FuncRebind, FuncRestore, FuncSnapshot and
+// FuncSnapshotDelta control calls travel as round trips to it, and it
+// answers them through the same server.Context methods whether it runs in
+// this process or on another host. Without the snapshot pair a recovery
+// would replay tracked creates and configs but lose untracked device state
+// (buffer contents mutated by kernels and writes).
 type wireTarget struct {
 	g    *Guardian
-	link ServerLink
+	link transport.Endpoint
 }
 
 // Execute implements migrate.Target; call.Seq is renumbered into marker
-// space.
+// space. The reply aliases its frame, which is left to the collector:
+// replay reads the reply after Execute returns, and it is the recovery
+// path.
 func (t wireTarget) Execute(call *marshal.Call) (*marshal.Reply, error) {
-	return t.g.ctrlCallReply(t.link, call)
+	rep, _, err := t.g.ctrlCallReply(t.link, call)
+	return rep, err
 }
 
 // control round-trips one control call and folds a non-OK status into err.
-func (t wireTarget) control(fn uint32, args []marshal.Value) (*marshal.Reply, error) {
-	rep, err := t.Execute(&marshal.Call{Func: fn, Args: args})
+// The reply aliases frame, which the caller puts back.
+func (t wireTarget) control(fn uint32, args []marshal.Value) (rep *marshal.Reply, frame []byte, err error) {
+	rep, frame, err = t.g.ctrlCallReply(t.link, &marshal.Call{Func: fn, Args: args})
 	if err == nil && rep.Status != marshal.StatusOK {
 		err = errors.New(rep.Err)
 	}
-	return rep, err
+	return rep, frame, err
 }
 
 // Rebind implements migrate.Target: one FuncRebind carries every pair of
@@ -881,24 +866,27 @@ func (t wireTarget) Rebind(pairs []server.HandlePair) error {
 	for _, p := range pairs {
 		args = append(args, marshal.HandleVal(p.Fresh), marshal.HandleVal(p.Recorded))
 	}
-	_, err := t.control(marshal.FuncRebind, args)
+	_, frame, err := t.control(marshal.FuncRebind, args)
+	framebuf.Put(frame)
 	return err
 }
 
 // RestoreObject implements migrate.Target. Ret 0 means the handle no longer
 // exists on the server (destroyed after the checkpoint).
 func (t wireTarget) RestoreObject(h marshal.Handle, state []byte) (bool, error) {
-	rep, err := t.control(marshal.FuncRestore, []marshal.Value{marshal.HandleVal(h), marshal.BytesVal(state)})
+	rep, frame, err := t.control(marshal.FuncRestore, []marshal.Value{marshal.HandleVal(h), marshal.BytesVal(state)})
+	defer framebuf.Put(frame)
 	if err != nil {
 		return false, err
 	}
 	return rep.Ret.Int() == 1, nil
 }
 
-// Snapshot implements target: one FuncSnapshot returns every stateful
-// object's serialized state.
+// Snapshot round-trips one FuncSnapshot: every stateful object's
+// serialized state, by guest handle.
 func (t wireTarget) Snapshot() (map[marshal.Handle][]byte, error) {
-	rep, err := t.control(marshal.FuncSnapshot, nil)
+	rep, frame, err := t.control(marshal.FuncSnapshot, nil)
+	defer framebuf.Put(frame)
 	if err != nil {
 		return nil, fmt.Errorf("wire snapshot: %w", err)
 	}
@@ -908,16 +896,20 @@ func (t wireTarget) Snapshot() (map[marshal.Handle][]byte, error) {
 	return marshal.DecodeObjectStates(rep.Ret.Bytes())
 }
 
-// SnapshotDelta implements target: one FuncSnapshotDelta returns every
-// stateful object's dirty ranges. A server without delta support answers
-// StatusDenied, which lands here as ok=false like any other failure.
-func (t wireTarget) SnapshotDelta() ([]marshal.ObjectDelta, bool) {
-	rep, err := t.control(marshal.FuncSnapshotDelta, nil)
-	if err != nil || rep.Ret.Kind() != marshal.KindBytes {
-		return nil, false
+// SnapshotDelta round-trips one FuncSnapshotDelta: every stateful object's
+// dirty ranges since the previous drain. The ranges alias frame, which the
+// caller puts back once done with them. A server without delta support
+// answers StatusDenied, which lands here as ok=false like any other
+// failure: take a Snapshot instead.
+func (t wireTarget) SnapshotDelta() (deltas []marshal.ObjectDelta, frame []byte, ok bool) {
+	rep, frame, err := t.control(marshal.FuncSnapshotDelta, nil)
+	if err == nil && rep.Ret.Kind() == marshal.KindBytes {
+		if deltas, err = marshal.DecodeObjectDeltas(rep.Ret.Bytes()); err == nil {
+			return deltas, frame, true
+		}
 	}
-	deltas, err := marshal.DecodeObjectDeltas(rep.Ret.Bytes())
-	return deltas, err == nil
+	framebuf.Put(frame)
+	return nil, nil, false
 }
 
 // ---------------------------------------------------------------------------
@@ -945,26 +937,27 @@ func (g *Guardian) snapshot(cut ckptCut) (capture, error) {
 	// Marker barrier: the server replies only after every async issued
 	// before the marker has completed, so device state is now exactly the
 	// effects of calls with seq <= w.
-	if _, err := g.ctrlCallReply(cut.link, &marshal.Call{Func: markerFunc}); err != nil {
+	if err := g.marker(cut.link); err != nil {
 		return capture{}, err
 	}
-	return captureOnto(cut.tgt, cut.base)
+	return captureOnto(wireTarget{g: g, link: cut.link}, cut.base)
 }
 
 // captureOnto takes t's object state. An incremental capture always goes
-// first where the target has one (so every checkpoint advances the silo's
-// dirty watermark), composed onto base, the previous committed checkpoint.
-// This is the one base rule: a delta that does not compose — base holds
-// nothing, or the wrong length, for an object that did not come back Full —
-// makes the whole capture a full Snapshot. The holder of the base decides,
-// not the server: a server across a link never sees the base.
-func captureOnto(t target, base map[marshal.Handle][]byte) (c capture, err error) {
-	if c.deltas, c.delta = t.SnapshotDelta(); c.delta {
+// first (so every checkpoint advances the silo's dirty watermark), composed
+// onto base, the previous committed checkpoint. This is the one base rule:
+// a delta that does not compose — base holds nothing, or the wrong length,
+// for an object that did not come back Full — makes the whole capture a
+// full Snapshot. The holder of the base decides, not the server: the server
+// never sees the base.
+func captureOnto(t wireTarget, base map[marshal.Handle][]byte) (c capture, err error) {
+	if c.deltas, c.frame, c.delta = t.SnapshotDelta(); c.delta {
 		c.objects = make(map[marshal.Handle][]byte, len(c.deltas))
 		for _, d := range c.deltas {
 			state, err := marshal.ApplyObjectDelta(base[d.Handle], d)
 			if err != nil {
 				c.delta = false
+				c.release()
 				break
 			}
 			c.objects[d.Handle] = state
@@ -1031,7 +1024,7 @@ func (g *Guardian) heartbeat() {
 		} else {
 			// A deaf link (silent drops) produces no transport error; the
 			// unanswered marker is the only failure signal.
-			_, err = g.ctrlCallReply(link, &marshal.Call{Func: markerFunc})
+			err = g.marker(link)
 		}
 		if err != nil {
 			g.recover(gen, err)
@@ -1095,8 +1088,8 @@ func (g *Guardian) dialAndReplay(rs replaySet) error {
 			if err == nil {
 				return nil
 			}
-			if link.EP != nil {
-				transport.Sever(link.EP)
+			if link != nil {
+				transport.Sever(link)
 			}
 		}
 		series.Charge(g.clk.Since(began))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ava/internal/cava"
+	"ava/internal/framebuf"
 	"ava/internal/leaktest"
 	"ava/internal/marshal"
 	"ava/internal/migrate"
@@ -109,7 +110,7 @@ func newReplayServerWith(ad server.Adapter) (*server.Server, *cava.Descriptor) {
 func recordOverlappingLog(t *testing.T) ([]migrate.RecordedCall, map[marshal.Handle][]byte) {
 	t.Helper()
 	srv, desc := newReplayServer()
-	g, router := guardServer(t, srv, srv.Context(1, "first-life"), desc)
+	g, router := guardServer(t, srv, srv.Context(1, "first-life"), desc, Config{})
 	seq := uint64(0)
 	do := func(name string, args ...marshal.Value) *marshal.Reply {
 		t.Helper()
@@ -146,50 +147,41 @@ func tableOf(ctx *server.Context) map[marshal.Handle]replayObj {
 	return out
 }
 
-// replayTargets builds a fresh server per target kind and returns the
-// target plus the context it fills. The wire target talks to a ServeVM
-// loop over an in-proc link a guardian has adopted, exactly as the
-// guardian's replay does.
-func replayTargets(t *testing.T, ad server.Adapter) map[string]func() (target, *server.Context) {
-	return map[string]func() (target, *server.Context){
-		"local": func() (target, *server.Context) {
-			srv, _ := newReplayServerWith(ad)
-			ctx := srv.Context(1, "second-life")
-			return migrate.LocalTarget{Server: srv, Ctx: ctx}, ctx
-		},
-		"wire": func() (target, *server.Context) {
-			srv, desc := newReplayServerWith(ad)
-			ctx := srv.Context(1, "second-life")
-			south, serverEP := transport.NewInProc()
-			served := make(chan struct{})
-			go func() {
-				defer close(served)
-				srv.ServeVM(ctx, serverEP)
-			}()
-			t.Cleanup(func() {
-				south.Close()
-				serverEP.Close()
-				<-served
-			})
-			north, router := transport.NewInProc()
-			g := New(desc, north, nil, Config{})
-			t.Cleanup(func() {
-				g.Close()
-				router.Close()
-			})
-			tgt, _ := g.adopt(ServerLink{EP: south})
-			return tgt, ctx
-		},
-	}
+// replayTarget builds a fresh server and returns the guardian's target for
+// it plus the context it fills: a ServeVM loop over an in-proc link a
+// guardian has adopted, exactly as the guardian's replay and capture reach
+// any server.
+func replayTarget(t *testing.T, ad server.Adapter) (wireTarget, *server.Context) {
+	srv, desc := newReplayServerWith(ad)
+	ctx := srv.Context(1, "second-life")
+	south, serverEP := transport.NewInProc()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeVM(ctx, serverEP)
+	}()
+	t.Cleanup(func() {
+		south.Close()
+		serverEP.Close()
+		<-served
+	})
+	north, router := transport.NewInProc()
+	g := New(desc, north, nil, Config{})
+	t.Cleanup(func() {
+		g.Close()
+		router.Close()
+	})
+	tgt, _ := g.adopt(south)
+	return tgt, ctx
 }
 
-// One recorded log through both targets of the one replay engine: the
-// handle tables and object bytes they leave behind must be identical, and
-// equal to what the guest holds. The log's pair comes back under fresh
-// [4,5] for recorded [5,6]; a pair-by-pair rebind (the wire path before
-// FuncRebind carried every pair of a reply) fails on it with "handle 5
-// already bound". The state checkpointed for 4, destroyed since, is skipped.
-func TestReplayLocalAndWireTargetsAgree(t *testing.T) {
+// One recorded log through the one replay engine: the handle table and
+// object bytes it leaves behind must equal what the guest holds. The log's
+// pair comes back under fresh [4,5] for recorded [5,6]; a pair-by-pair
+// rebind (before FuncRebind carried every pair of a reply) fails on it with
+// "handle 5 already bound". The state checkpointed for 4, destroyed since,
+// is skipped.
+func TestReplayOverTheLink(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	log, objects := recordOverlappingLog(t)
 	want := map[marshal.Handle]replayObj{
@@ -197,28 +189,20 @@ func TestReplayLocalAndWireTargetsAgree(t *testing.T) {
 		5: {kind: 50, label: 55, data: []byte("five")},
 		6: {kind: 51, label: 66, data: []byte("six")},
 	}
-	for name, build := range replayTargets(t, replayAdapter{}) {
-		target, ctx := build()
-		desc := cava.MustCompile(replaySpec)
-		if err := migrate.Replay(target, desc, log, objects); err != nil {
-			t.Errorf("%s target: %v", name, err)
-			continue
-		}
-		if got := tableOf(ctx); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s target: handle table\n got %+v\nwant %+v", name, got, want)
-		}
+	target, ctx := replayTarget(t, replayAdapter{})
+	if err := migrate.Replay(target, cava.MustCompile(replaySpec), log, objects); err != nil {
+		t.Fatal(err)
+	}
+	if got := tableOf(ctx); !reflect.DeepEqual(got, want) {
+		t.Errorf("handle table\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// The capture and restore halves through both targets: every row runs on a
-// context holding a clean object (1) and a dirty one (2), and must give the
-// same answer whether the context is reached
-// in-process or by control calls — they are the same server.Context methods.
-// The base rows are the one base rule (captureOnto): an object that comes
-// back as a non-Full delta and has no entry in the base makes the capture a
-// full snapshot, on either target. (Before the two were one implementation
-// the local target alone upgraded such an object to a Full delta.)
-func TestCaptureAndRestoreLocalAndWireTargetsAgree(t *testing.T) {
+// The capture and restore halves over the link: every row runs on a
+// context holding a clean object (1) and a dirty one (2). The base rows are
+// the one base rule (captureOnto): an object that comes back as a non-Full
+// delta and has no entry in the base makes the capture a full snapshot.
+func TestCaptureAndRestoreOverTheLink(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	type result struct {
 		Objects map[marshal.Handle][]byte
@@ -229,14 +213,15 @@ func TestCaptureAndRestoreLocalAndWireTargetsAgree(t *testing.T) {
 		Data    string // object 1's data afterwards
 	}
 	full := map[marshal.Handle][]byte{1: []byte("one"), 2: []byte("two")}
-	capture := func(base map[marshal.Handle][]byte) func(target) (result, error) {
-		return func(tgt target) (result, error) {
+	capture := func(base map[marshal.Handle][]byte) func(wireTarget) (result, error) {
+		return func(tgt wireTarget) (result, error) {
 			c, err := captureOnto(tgt, base)
+			defer c.release()
 			return result{Objects: c.objects, Delta: c.delta}, err
 		}
 	}
-	restore := func(h marshal.Handle) func(target) (result, error) {
-		return func(tgt target) (result, error) {
+	restore := func(h marshal.Handle) func(wireTarget) (result, error) {
+		return func(tgt wireTarget) (result, error) {
 			found, err := tgt.RestoreObject(h, []byte("restored"))
 			return result{Found: found && err == nil, Err: err != nil}, nil
 		}
@@ -244,15 +229,16 @@ func TestCaptureAndRestoreLocalAndWireTargetsAgree(t *testing.T) {
 	rows := []struct {
 		name      string
 		noAdapter bool
-		run       func(target) (result, error)
+		run       func(wireTarget) (result, error)
 		want      result
 	}{
-		{name: "snapshot", run: func(tgt target) (result, error) {
+		{name: "snapshot", run: func(tgt wireTarget) (result, error) {
 			objects, err := tgt.Snapshot()
 			return result{Objects: objects}, err
 		}, want: result{Objects: full}},
-		{name: "snapshot delta", run: func(tgt target) (result, error) {
-			deltas, ok := tgt.SnapshotDelta()
+		{name: "snapshot delta", run: func(tgt wireTarget) (result, error) {
+			deltas, frame, ok := tgt.SnapshotDelta()
+			defer framebuf.Put(frame)
 			return result{Deltas: marshal.EncodeObjectDeltas(deltas), Delta: ok}, nil
 		}, want: result{Delta: true, Deltas: marshal.EncodeObjectDeltas([]marshal.ObjectDelta{
 			{Handle: 1, BaseLen: 3}, marshal.FullDelta(2, []byte("two")),
@@ -276,24 +262,22 @@ func TestCaptureAndRestoreLocalAndWireTargetsAgree(t *testing.T) {
 		if row.noAdapter {
 			ad = nil
 		}
-		for name, build := range replayTargets(t, ad) {
-			tgt, ctx := build()
-			one := &replayObj{data: []byte("one")}
-			ctx.Handles.Insert(one)
-			ctx.Handles.Insert(&replayObj{data: []byte("two"), dirty: true})
-			got, err := row.run(tgt)
-			if err != nil {
-				t.Errorf("%s, %s target: %v", row.name, name, err)
-				continue
-			}
-			want := row.want
-			if want.Data == "" {
-				want.Data = "one"
-			}
-			got.Data = string(one.data)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, %s target:\n got %+v\nwant %+v", row.name, name, got, want)
-			}
+		tgt, ctx := replayTarget(t, ad)
+		one := &replayObj{data: []byte("one")}
+		ctx.Handles.Insert(one)
+		ctx.Handles.Insert(&replayObj{data: []byte("two"), dirty: true})
+		got, err := row.run(tgt)
+		if err != nil {
+			t.Errorf("%s: %v", row.name, err)
+			continue
+		}
+		want := row.want
+		if want.Data == "" {
+			want.Data = "one"
+		}
+		got.Data = string(one.data)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", row.name, got, want)
 		}
 	}
 }

@@ -339,10 +339,10 @@ func logServer() (*server.Server, *cava.Descriptor) {
 	return server.New(reg), desc
 }
 
-// guardServer puts a guardian in front of ctx's ServeVM loop on srv, the
-// way ava.Stack wires a VM to its own server, and returns it with the
-// router's end of its north link.
-func guardServer(t *testing.T, srv *server.Server, ctx *server.Context, desc *cava.Descriptor) (*Guardian, transport.Endpoint) {
+// guardServer puts a guardian configured with cfg in front of ctx's
+// ServeVM loop on srv, the way ava.Stack wires a VM to its own server, and
+// returns it with the router's end of its north link.
+func guardServer(t *testing.T, srv *server.Server, ctx *server.Context, desc *cava.Descriptor, cfg Config) (*Guardian, transport.Endpoint) {
 	t.Helper()
 	south, serverEP := transport.NewInProc()
 	served := make(chan struct{})
@@ -351,9 +351,9 @@ func guardServer(t *testing.T, srv *server.Server, ctx *server.Context, desc *ca
 		srv.ServeVM(ctx, serverEP)
 	}()
 	router, north := transport.NewInProc()
-	g := New(desc, north, func() (ServerLink, error) {
-		return ServerLink{EP: south, Server: srv, Ctx: ctx}, nil
-	}, Config{})
+	g := New(desc, north, func() (transport.Endpoint, error) {
+		return south, nil
+	}, cfg)
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func shadowReplayLog(g *Guardian) []migrate.RecordedCall {
 func shadowDriver(t *testing.T) (do func(name string, args ...marshal.Value) *marshal.Reply, shape func() []string) {
 	t.Helper()
 	srv, desc := logServer()
-	g, router := guardServer(t, srv, srv.Context(1, "vm"), desc)
+	g, router := guardServer(t, srv, srv.Context(1, "vm"), desc, Config{})
 	seq := uint64(0)
 	do = func(name string, args ...marshal.Value) *marshal.Reply {
 		t.Helper()
@@ -455,7 +455,7 @@ func TestShadowLogTracksCreatesAndDestroys(t *testing.T) {
 func TestShadowLogSurvivesFrameReuse(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	srv, desc := logServer()
-	g, router := guardServer(t, srv, srv.Context(1, "vm"), desc)
+	g, router := guardServer(t, srv, srv.Context(1, "vm"), desc, Config{})
 	seq := uint64(1)
 	sendCall(t, router, &marshal.Call{Seq: seq, Func: logFunc(desc, "create"), Args: []marshal.Value{marshal.Uint(1), marshal.Len(8)}})
 	obj := recvReply(t, router).Outs[0]

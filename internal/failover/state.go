@@ -3,6 +3,7 @@ package failover
 import (
 	"time"
 
+	"ava/internal/framebuf"
 	"ava/internal/marshal"
 	"ava/internal/migrate"
 	"ava/internal/transport"
@@ -10,7 +11,7 @@ import (
 
 // state is the guardian's lifecycle. The functions in this file are its
 // transitions, and the only code that assigns a Guardian's state, epoch,
-// link (with its target and generation), checkpoint or abort channel —
+// link (with its generation), checkpoint or abort channel —
 // `make state-gate` holds the package to that. Everything else reads them
 // under mu and asks steadyLocked whether what it read is still current.
 //
@@ -55,21 +56,20 @@ func (g *Guardian) steadyLocked(gen int) bool {
 // once; adopted while recovering it carries only the replay's control round
 // trips until toServing. ok=false means the guardian was closed meanwhile
 // and the caller still owns the link.
-func (g *Guardian) adopt(link ServerLink) (t target, ok bool) {
+func (g *Guardian) adopt(link transport.Endpoint) (t wireTarget, ok bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.state == closed {
-		return nil, false
+		return t, false
 	}
 	g.link = link
-	g.tgt = g.targetFor(link)
 	g.linkGen++
 	g.abort = make(chan struct{})
 	g.lastRecv.Store(g.clk.Now().UnixNano())
-	if link.EP != nil {
+	if link != nil {
 		go g.downlink(link, g.linkGen)
 	}
-	return g.tgt, true
+	return wireTarget{g: g, link: link}, true
 }
 
 // abortLocked wakes every control round trip riding the current link: their
@@ -143,7 +143,7 @@ func (g *Guardian) toRecovering(gen int) (rs replaySet, ok bool) {
 		w:       g.ckptW,
 		log:     g.log.replayLog(g.ckptW),
 		objects: g.ckptObjects,
-		oldEP:   g.link.EP,
+		oldEP:   g.link,
 	}, true
 }
 
@@ -205,8 +205,8 @@ func (g *Guardian) Close() {
 	g.cond.Broadcast()
 	g.mu.Unlock()
 	g.north.Close()
-	if link.EP != nil {
-		link.EP.Close()
+	if link != nil {
+		link.Close()
 	}
 }
 
@@ -215,8 +215,7 @@ func (g *Guardian) Close() {
 // compose onto it — same link generation, no uncommitted dirty-range drain
 // since.
 type ckptCut struct {
-	link ServerLink
-	tgt  target
+	link transport.Endpoint
 	gen  int
 	w    uint64
 	base map[marshal.Handle][]byte
@@ -238,7 +237,7 @@ func (g *Guardian) beginCheckpoint() (cut ckptCut, ok bool) {
 		return cut, false
 	}
 	g.state = quiescing
-	cut = ckptCut{link: g.link, tgt: g.tgt, gen: g.linkGen, w: g.maxSeq}
+	cut = ckptCut{link: g.link, gen: g.linkGen, w: g.maxSeq}
 	if g.ckptGen == cut.gen && !g.forceFull {
 		cut.base = g.ckptObjects
 	}
@@ -248,10 +247,20 @@ func (g *Guardian) beginCheckpoint() (cut ckptCut, ok bool) {
 
 // capture is what a checkpoint took of the quiesced link: every stateful
 // object, and the deltas they were composed from if it was incremental.
+// The deltas' ranges alias frame, the control reply that carried them,
+// until release puts it back.
 type capture struct {
 	objects map[marshal.Handle][]byte
 	deltas  []marshal.ObjectDelta
 	delta   bool
+	frame   []byte
+}
+
+// release recycles the reply frame the deltas alias; they are unusable
+// afterwards.
+func (c *capture) release() {
+	framebuf.Put(c.frame)
+	c.frame, c.deltas = nil, nil
 }
 
 // endCheckpoint commits or abandons cut: quiescing → serving. It commits
@@ -259,8 +268,10 @@ type capture struct {
 // the snapshot round trip took the OLD watermark for its replay set, and
 // announcing the new one would make the guest trim retained frames that
 // replay does not cover. Such a recovery also owns the state now; only a
-// cut that still does hands it back.
+// cut that still does hands it back. The capture's reply frame goes back to
+// the pool last, once the delta sink has composed the ranges it aliases.
 func (g *Guardian) endCheckpoint(cut ckptCut, c capture, err error) error {
+	defer c.release()
 	g.mu.Lock()
 	steady := g.steadyLocked(cut.gen)
 	if steady {

@@ -84,7 +84,7 @@ func recvReply(t *testing.T, router transport.Endpoint) *marshal.Reply {
 	return rep
 }
 
-// answerCheckpoint plays a wire-only server through one checkpoint: the
+// answerCheckpoint plays a server by hand through one checkpoint: the
 // quiesce marker, answered the way a server answers an unknown function,
 // then the capture's control calls — no delta support, no objects.
 func answerCheckpoint(t *testing.T, srv transport.Endpoint) {
@@ -141,13 +141,13 @@ func TestLateReplyFromTheDyingLinkIsFenced(t *testing.T) {
 	}()
 	dialing, release := make(chan struct{}), make(chan struct{})
 	dials := 0
-	dial := func() (ServerLink, error) {
+	dial := func() (transport.Endpoint, error) {
 		if dials++; dials == 1 {
-			return ServerLink{EP: old}, nil
+			return old, nil
 		}
 		close(dialing)
 		<-release
-		return ServerLink{EP: south2}, nil
+		return south2, nil
 	}
 	g := New(desc, north, dial, Config{Clock: clock.NewVirtual()})
 	if err := g.Start(); err != nil {
@@ -264,7 +264,7 @@ func TestAdmitDropsResubmittedCallsOfADestroyedObject(t *testing.T) {
 	defer north.Close()
 	defer router.Close()
 	g := New(desc, north, nil, Config{})
-	g.adopt(ServerLink{})
+	g.adopt(nil)
 	var scratch marshal.Reply
 	call := func(seq uint64, name string, flags uint16, args ...marshal.Value) *marshal.Call {
 		return &marshal.Call{Seq: seq, Func: logFunc(desc, name), Flags: flags, Epoch: g.epoch, Args: args}
@@ -293,7 +293,7 @@ func TestAdmitDropsResubmittedCallsOfADestroyedObject(t *testing.T) {
 	}
 
 	rs, _ := g.toRecovering(g.linkGen)
-	g.adopt(ServerLink{})
+	g.adopt(nil)
 	g.toServing(rs, g.clk.Now())
 
 	for _, c := range []*marshal.Call{
@@ -340,12 +340,12 @@ func TestStalledPeerDialsSpendTheBackoffBudget(t *testing.T) {
 	south, srv := transport.NewInProc()
 	clk := clock.NewVirtual()
 	dials := 0
-	dial := func() (ServerLink, error) {
+	dial := func() (transport.Endpoint, error) {
 		if dials++; dials == 1 {
-			return ServerLink{EP: south}, nil
+			return south, nil
 		}
 		clk.Advance(stall) // the hello round trip running into its timeout
-		return ServerLink{}, errors.New("no control frame within 5s")
+		return nil, errors.New("no control frame within 5s")
 	}
 	g := New(desc, north, dial, Config{Clock: clk})
 	if err := g.Start(); err != nil {

@@ -59,8 +59,8 @@ func greet(t *testing.T, addr string, vm, epoch uint32, name string) transport.E
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { link.EP.Close() })
-	return link.EP
+	t.Cleanup(func() { link.Close() })
+	return link
 }
 
 // helloFrame is the first frame a dialer sends.

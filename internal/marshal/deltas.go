@@ -53,16 +53,26 @@ func (d ObjectDelta) DeltaBytes() int {
 // [handle u64][baseLen u64][full u8][rangeCount u32] followed by
 // rangeCount records of [off u64][len u32][bytes].
 func EncodeObjectDeltas(deltas []ObjectDelta) []byte {
-	sorted := append([]ObjectDelta(nil), deltas...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Handle < sorted[j].Handle })
+	return AppendObjectDeltas(make([]byte, 0, ObjectDeltasSize(deltas)), deltas)
+}
+
+// ObjectDeltasSize is the length of deltas' EncodeObjectDeltas payload.
+func ObjectDeltasSize(deltas []ObjectDelta) int {
 	n := 4
-	for _, d := range sorted {
+	for _, d := range deltas {
 		n += 21
 		for _, r := range d.Ranges {
 			n += 12 + len(r.Bytes)
 		}
 	}
-	out := make([]byte, 0, n)
+	return n
+}
+
+// AppendObjectDeltas appends deltas' EncodeObjectDeltas payload to out, for
+// a caller that draws the buffer from a pool.
+func AppendObjectDeltas(out []byte, deltas []ObjectDelta) []byte {
+	sorted := append([]ObjectDelta(nil), deltas...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Handle < sorted[j].Handle })
 	out = appendUint32(out, uint32(len(sorted)))
 	for _, d := range sorted {
 		out = appendUint64(out, uint64(d.Handle))
@@ -83,7 +93,9 @@ func EncodeObjectDeltas(deltas []ObjectDelta) []byte {
 }
 
 // DecodeObjectDeltas unpacks an EncodeObjectDeltas payload. The returned
-// range contents are copies and do not alias b.
+// range contents alias b — each lies inside it, none is copied — so b must
+// outlive every use of them: a caller that recycles b (a received frame)
+// does so only once it is done with the deltas.
 func DecodeObjectDeltas(b []byte) ([]ObjectDelta, error) {
 	r := Reader{b: b}
 	count, err := r.U32()
@@ -106,7 +118,7 @@ func DecodeObjectDeltas(b []byte) ([]ObjectDelta, error) {
 		for j := uint32(0); j < ranges && e3 == nil; j++ {
 			off, e4 := r.U64()
 			raw, e5 := r.Bytes32()
-			d.Ranges = append(d.Ranges, DeltaRange{Off: off, Bytes: append([]byte(nil), raw...)})
+			d.Ranges = append(d.Ranges, DeltaRange{Off: off, Bytes: raw[:len(raw):len(raw)]})
 			e3 = errors.Join(e4, e5)
 		}
 		if err := errors.Join(e0, e1, e2, e3); err != nil {

@@ -240,10 +240,11 @@ func FuzzDecodeReply(f *testing.F) {
 }
 
 // FuzzDecodeObjectDeltas checks the delta-checkpoint payload decoder
-// against arbitrary bytes: no panics, and accepted payloads re-encode to
-// a stable canonical form (EncodeObjectDeltas sorts by handle, so the
-// check is idempotence after one normalization, not byte equality with
-// the input).
+// against arbitrary bytes: no panics, every decoded range lies inside the
+// input (the decoder aliases, it does not copy), and accepted payloads
+// re-encode to a stable canonical form (EncodeObjectDeltas sorts by
+// handle, so the check is idempotence after one normalization, not byte
+// equality with the input).
 func FuzzDecodeObjectDeltas(f *testing.F) {
 	f.Add(EncodeObjectDeltas(nil))
 	f.Add(EncodeObjectDeltas([]ObjectDelta{FullDelta(7, []byte("state"))}))
@@ -257,6 +258,13 @@ func FuzzDecodeObjectDeltas(f *testing.F) {
 		ds, err := DecodeObjectDeltas(data)
 		if err != nil {
 			return
+		}
+		for _, d := range ds {
+			for _, r := range d.Ranges {
+				if !within(data, r.Bytes) {
+					t.Fatalf("handle %d: range at %d (%d bytes) does not lie inside the input", d.Handle, r.Off, len(r.Bytes))
+				}
+			}
 		}
 		enc := EncodeObjectDeltas(ds)
 		ds2, err := DecodeObjectDeltas(enc)
@@ -281,6 +289,20 @@ func FuzzDecodeObjectDeltas(f *testing.F) {
 			t.Fatalf("payload bytes %d, want %d", total2, total)
 		}
 	})
+}
+
+// within reports whether b is a subslice of data: empty, or starting at one
+// of data's bytes and ending inside it.
+func within(data, b []byte) bool {
+	if len(b) == 0 {
+		return true
+	}
+	for i := range data {
+		if &data[i] == &b[0] {
+			return len(b) <= len(data)-i
+		}
+	}
+	return false
 }
 
 // A delta payload's object count is bounded by what the payload can hold

@@ -129,8 +129,8 @@ const (
 	// handles back under their recorded handles: args are [fresh, recorded]
 	// Handle pairs, every pair of one replayed reply in one call so the
 	// server can apply them two-phase. Issued by the failover guardian
-	// after a wire replay so the guest's saved handles stay valid on the
-	// replacement host.
+	// during replay so the guest's saved handles stay valid on the
+	// replacement server.
 	FuncRebind uint32 = ^uint32(0) - 1
 	// FuncRestore asks the server to overwrite an object's stateful payload
 	// from a checkpoint snapshot: args are [Handle, Bytes]. Ret is Int(1)
@@ -139,10 +139,10 @@ const (
 	FuncRestore uint32 = ^uint32(0) - 2
 	// FuncSnapshot asks the server to serialize every stateful object in
 	// the VM's handle table: no args, Ret is a Bytes value holding an
-	// EncodeObjectStates payload. Issued by the failover guardian at each
-	// checkpoint over a wire-only link, where it has no in-process access
-	// to the serving host's objects; the captured states later replay onto
-	// a replacement host as FuncRestore calls.
+	// EncodeObjectStates payload. Issued by the failover guardian over the
+	// link to the serving server when a checkpoint cannot be incremental;
+	// the captured states later replay onto a replacement server as
+	// FuncRestore calls.
 	FuncSnapshot uint32 = ^uint32(0) - 3
 	// FuncSnapshotDelta is the incremental form of FuncSnapshot: no args,
 	// Ret is a Bytes value holding an EncodeObjectDeltas payload covering

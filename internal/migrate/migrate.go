@@ -12,10 +12,6 @@
 // reallocate all objects, rebinds the recreated objects to the handle
 // values the guest already holds, restores the device buffers, and the
 // application resumes untouched.
-//
-// Replay is written once over a Target: the server in this process
-// (LocalTarget) for same-host recovery and mirror rehydration, a
-// control-call target for recovery onto another host.
 package migrate
 
 import (
@@ -74,11 +70,11 @@ func CloneValues(vs []marshal.Value) []marshal.Value {
 	return out
 }
 
-// Target is where Replay rebuilds state: an API server context reached
-// in-process (LocalTarget) or by control-call round trips over a link (the
-// failover guardian's wire target). Same-host recovery, cross-host
-// recovery and migration, and mirror rehydration differ only in the Target
-// they pass.
+// Target is where Replay rebuilds state: an API server context, reached by
+// the failover guardian's control-call round trips over the link it dialed,
+// whether that server runs in this process or on another host. Same-host
+// and cross-host recovery, migration and mirror rehydration differ only in
+// the link the Target rides.
 type Target interface {
 	// Execute runs one recorded call (flagged marshal.FlagReplay) and
 	// returns its reply; the target may renumber call.Seq.
@@ -89,43 +85,6 @@ type Target interface {
 	// RestoreObject overwrites the stateful payload of the object under h;
 	// found=false means no such handle exists after replay.
 	RestoreObject(h marshal.Handle, state []byte) (found bool, err error)
-}
-
-// LocalTarget is the in-process Target: calls execute on Server in Ctx,
-// handles move in Ctx's table, object state restores through the Adapter of
-// Server's registry. It also has the capture side the failover guardian's
-// checkpoints use (Snapshot, SnapshotDelta), so a guardian handles a link to
-// a server in its own process and a link to another host through one set of
-// methods — each a server.Context method here, the same method behind a
-// control call there.
-type LocalTarget struct {
-	Server *server.Server
-	Ctx    *server.Context
-}
-
-// Execute implements Target.
-func (t LocalTarget) Execute(call *marshal.Call) (*marshal.Reply, error) {
-	if rep := t.Server.Execute(t.Ctx, call); rep != nil {
-		return rep, nil
-	}
-	return nil, fmt.Errorf("migrate: no reply")
-}
-
-// Rebind implements Target.
-func (t LocalTarget) Rebind(pairs []server.HandlePair) error { return t.Ctx.Rebind(pairs) }
-
-// RestoreObject implements Target.
-func (t LocalTarget) RestoreObject(h marshal.Handle, state []byte) (bool, error) {
-	return t.Ctx.RestoreObject(h, state)
-}
-
-// Snapshot serializes every stateful object in Ctx's table, by guest handle.
-func (t LocalTarget) Snapshot() (map[marshal.Handle][]byte, error) { return t.Ctx.SnapshotObjects() }
-
-// SnapshotDelta drains every stateful object's dirty ranges since the
-// previous drain; ok=false means take a Snapshot instead.
-func (t LocalTarget) SnapshotDelta() ([]marshal.ObjectDelta, bool) {
-	return t.Ctx.SnapshotObjectDeltas()
 }
 
 // Replay is the one replay engine: it re-executes the recorded log on the

@@ -350,10 +350,8 @@ func TestMigrationWithWorkInFlight(t *testing.T) {
 // A log naming a function the descriptor does not know cannot be replayed.
 func TestRestoreUnknownFunction(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
-	desc := cl.Descriptor()
-	srv := server.New(server.NewRegistry(desc))
-	target := migrate.LocalTarget{Server: srv, Ctx: srv.Context(9, "g")}
-	err := migrate.Replay(target, desc, []migrate.RecordedCall{{Func: 9999}}, nil)
+	// The engine refuses the entry before it reaches a target.
+	err := migrate.Replay(nil, cl.Descriptor(), []migrate.RecordedCall{{Func: 9999}}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown function") {
 		t.Fatalf("err = %v", err)
 	}

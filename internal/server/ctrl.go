@@ -3,18 +3,22 @@ package server
 import (
 	"fmt"
 
+	"ava/internal/framebuf"
 	"ava/internal/marshal"
 )
 
 // executeControl serves the reserved control functions the failover
-// guardian's wire replay issues after re-running the record log against a
-// replacement host. They share the ordinary call channel (and the per-VM
-// handle isolation boundary) but never touch the API descriptor, so any
-// silo accepts them.
+// guardian sends to checkpoint a server and to rebuild a replacement one
+// from the record log — the only way anything outside this package
+// captures, restores or rebinds a context, whether the guardian runs in
+// this process or on another host. They share the ordinary call channel
+// (and the per-VM handle isolation boundary) but never touch the API
+// descriptor, so any silo accepts them.
 //
-// The outcome is written into rep, which the caller has cleared to a bare
-// StatusOK reply for call.Seq.
-func (s *Server) executeControl(ctx *Context, call *marshal.Call, rep *marshal.Reply) {
+// The outcome is written into sl.reply, which the caller has cleared to a
+// bare StatusOK reply for sl.call.Seq.
+func (s *Server) executeControl(ctx *Context, sl *callSlot) {
+	call, rep := &sl.call, &sl.reply
 	fail := func(st marshal.Status, format string, args ...any) {
 		rep.Status, rep.Err = st, fmt.Sprintf(format, args...)
 	}
@@ -64,8 +68,8 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call, rep *marshal.R
 
 	case marshal.FuncSnapshot:
 		// No args — serialize every stateful object in the VM's handle
-		// table so a remote guardian can checkpoint without in-process
-		// access. Ret is an EncodeObjectStates payload.
+		// table for a full checkpoint. Ret is an EncodeObjectStates
+		// payload.
 		objects, err := ctx.SnapshotObjects()
 		if err != nil {
 			fail(marshal.StatusInternal, "%v", err)
@@ -78,12 +82,16 @@ func (s *Server) executeControl(ctx *Context, call *marshal.Call, rep *marshal.R
 		// No args — the incremental form of FuncSnapshot: drain each
 		// stateful object's dirty-range tracking into a delta. Denied when
 		// there is none to be had, so the guardian takes a FuncSnapshot.
+		// Every checkpoint asks, so the payload is drawn from the frame
+		// pool and goes back with the slot, once the reply has been
+		// encoded out of it.
 		deltas, ok := ctx.SnapshotObjectDeltas()
 		if !ok {
 			fail(marshal.StatusDenied, "snapshot-delta: no incremental capture (take a full snapshot)")
 			return
 		}
-		rep.Ret = marshal.BytesVal(marshal.EncodeObjectDeltas(deltas))
+		sl.ctl = marshal.AppendObjectDeltas(framebuf.Get(marshal.ObjectDeltasSize(deltas)), deltas)
+		rep.Ret = marshal.BytesVal(sl.ctl)
 		return
 	}
 	fail(marshal.StatusDenied, "unknown control function #%d", call.Func)

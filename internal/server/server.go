@@ -190,8 +190,9 @@ type HandlePair struct{ Fresh, Recorded marshal.Handle }
 // Rebind moves every object in pairs from its fresh handle to its recorded
 // one, so the handle values the guest already holds stay valid after a
 // replay. It is the one place a handle table is rebuilt under guest-held
-// values: the replay of a recovery or migration, the guardian's
-// post-watermark rebind and the FuncRebind control call all land here.
+// values, reached only through the FuncRebind control call, which the
+// replay of a recovery or migration and the guardian's post-watermark
+// rebind both send.
 //
 // Two phases — remove every fresh handle, then insert every recorded one —
 // so fresh values that collide with recorded values within one reply cannot
@@ -228,9 +229,9 @@ func (c *Context) Rebind(pairs []HandlePair) error {
 }
 
 // SnapshotObjects serializes every stateful object in the handle table, by
-// guest handle, through the registry's Adapter — the capture half of
-// migration, of a guardian checkpoint and of the FuncSnapshot control call.
-// Without an Adapter there is no object state to speak of.
+// guest handle, through the registry's Adapter: the FuncSnapshot control
+// call, a guardian checkpoint's full capture (and so migration's). Without
+// an Adapter there is no object state to speak of.
 func (c *Context) SnapshotObjects() (map[marshal.Handle][]byte, error) {
 	objects := make(map[marshal.Handle][]byte)
 	ad := c.reg.Adapter
@@ -394,9 +395,10 @@ func (s *Server) Snapshot() []VMSnapshot {
 //   - a call that armed a deadline timer leaves its Invocation behind for
 //     the timer (release drops it instead of reusing it), since the timer
 //     may still fire after the call;
-//   - an out buffer prepare drew from framebuf belongs to the slot until
-//     release, which recycles it: by then the handler has returned and
-//     the reply encoder has copied what the reply carries. Execute's private slot is never released and an armed
+//   - an out buffer prepare drew from framebuf, and a control reply's
+//     payload, belong to the slot until release, which recycles them: by
+//     then the handler has returned and the reply encoder has copied what
+//     the reply carries. Execute's private slot is never released and an armed
 //     Invocation is dropped whole, so neither ever recycles (a missed Put
 //     falls to the GC).
 type callSlot struct {
@@ -405,6 +407,7 @@ type callSlot struct {
 	outs    []marshal.Value // backing array of reply.Outs
 	inv     *Invocation     // nil until first use and after an armed call
 	regions [][]byte        // resolved out-direction regrefs, by parameter index
+	ctl     []byte          // a control reply's pooled payload (executeControl)
 
 	// ServeVM only.
 	segs   []marshal.Segment // the reply's borrowed outputs, while it is sent
@@ -435,6 +438,8 @@ func (sl *callSlot) release() {
 	clear(sl.call.Args)
 	clear(sl.outs)
 	clear(sl.regions)
+	framebuf.Put(sl.ctl)
+	sl.ctl = nil
 	sl.reply = marshal.Reply{}
 	sl.fr = nil
 	slotPool.Put(sl)
@@ -579,7 +584,7 @@ func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats) {
 	}
 	if call.Func == marshal.FuncRebind || call.Func == marshal.FuncRestore ||
 		call.Func == marshal.FuncSnapshot || call.Func == marshal.FuncSnapshotDelta {
-		s.executeControl(ctx, call, rep)
+		s.executeControl(ctx, sl)
 		return
 	}
 	fd, ok := s.reg.Desc.ByID(call.Func)

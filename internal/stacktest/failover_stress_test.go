@@ -155,7 +155,7 @@ func TestFailoverKillMidRodinia(t *testing.T) {
 
 // remoteStack starts a standalone API-server machine on loopback and a
 // guest-side stack whose server is that machine — the disaggregated
-// deployment, over the wire target. The machine is killed when the test
+// deployment. The machine is killed when the test
 // ends; the caller closes the stack.
 func remoteStack(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *host.Server) {
 	t.Helper()

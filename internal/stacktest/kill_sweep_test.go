@@ -186,15 +186,13 @@ func (l *tappedLink) RecvOwned() bool  { return transport.RecvOwned(l.Endpoint) 
 // stack with fc and returns the server.Server its VMs end up on.
 type sweepStack struct {
 	name  string
-	wire  bool // recovery and capture travel the south link (the wire target)
 	build func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server)
 }
 
-// The stack's own server behind each in-process transport replays and
-// captures through migrate.LocalTarget. A host.Server on loopback, reached
-// by address, takes the wire target: FuncRebind, FuncRestore and FuncSnapshot
-// round trips are sends on the south link too, so the sweep severs them like
-// any other.
+// The stack's own server behind each in-process transport, and a
+// host.Server on loopback reached by address. On every one replay, rebind,
+// restore and capture are control calls on the south link — sends like any
+// other, which the sweep severs too.
 var sweepStacks = []sweepStack{
 	{name: "inproc", build: func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server) {
 		return localSweepStack(fc, ava.WithTransport(ava.TransportInProc))
@@ -202,7 +200,7 @@ var sweepStacks = []sweepStack{
 	{name: "ring", build: func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server) {
 		return localSweepStack(fc, ava.WithRingTransport(0))
 	}},
-	{name: "remote", wire: true, build: func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server) {
+	{name: "remote", build: func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server) {
 		h, srv := newChaosMachine(t, nil, "")
 		return ava.NewStack(cl.Descriptor(), nil, ava.WithRemoteServer(h.Addr()), ava.WithFailover(fc)), srv
 	}},
@@ -275,16 +273,10 @@ func runSwept(t *testing.T, on sweepStack, severAfter ...int) *sweepRun {
 	if dialed := uint64(len(run.links)); dialed != kills+1 {
 		t.Errorf("%d links dialed for %d severed", dialed, kills)
 	}
-	// Beside an in-process server, replay never touches the link: every
-	// sever is one recovery. Over the wire, replay is itself traffic on the
-	// replacement link, and a sever that lands inside it is retried by the
-	// recovery in progress (dial, replay, sever and retry): it costs a
-	// link, not a second recovery.
-	atLeast := kills
-	if on.wire {
-		atLeast = min(kills, 1)
-	}
-	if got := g.Stats().Recoveries; got < atLeast || got > kills {
+	// Replay is itself traffic on the replacement link, and a sever that
+	// lands inside it is retried by the recovery in progress (dial, replay,
+	// sever and retry): it costs a link, not a second recovery.
+	if got := g.Stats().Recoveries; got < min(kills, 1) || got > kills {
 		t.Errorf("Recoveries = %d, links severed = %d", got, kills)
 	}
 	if err := g.DeadErr(); err != nil {
@@ -299,13 +291,13 @@ func runSwept(t *testing.T, on sweepStack, severAfter ...int) *sweepRun {
 
 // TestKillSweep severs the south link after every k of the N frames the
 // workload sends on it, and for every fourth k severs the replacement link
-// as well, after k2 of the frames resubmission sends — a kill during
-// recovery, which over the wire target lands in the replay itself. Every row
-// must be indistinguishable from the undisturbed run: no call fails, the
-// bytes read back equal a native run's, the guardian recovered exactly as
-// often as it was killed, and the last server context's handle table is the
-// undisturbed one's — an object a recovery re-created and nothing destroyed
-// would sit there.
+// as well, after k2 of the frames recovery sends on it — replay first, then
+// resubmission — a kill during recovery. Every row must be
+// indistinguishable from the undisturbed run: no call fails, the bytes read
+// back equal a native run's, the guardian recovered at least once and at
+// most as often as it was killed, and the last server context's handle
+// table is the undisturbed one's — an object a recovery re-created and
+// nothing destroyed would sit there.
 func TestKillSweep(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	want, err := sweepWorkload(cl.NewNative(foSilo()))

@@ -38,11 +38,25 @@ golines() {
 }
 
 # One rebind: a handle table is rebuilt under guest-held values only by
-# server.Context.Rebind, which migration restore, failover replay, the
-# guardian's post-watermark rebind and the FuncRebind control call all use,
+# server.Context.Rebind, whose one caller is the FuncRebind control call —
+# failover replay and the guardian's post-watermark rebind both send it —
 # so nobody re-grows a private (and soon drifting) copy.
 gate rebind 'Handles.InsertAt outside internal/server (use Context.Rebind)' \
 	'Handles\.InsertAt\(' '^\./internal/server/' golines .
+
+# One recovery target: the guardian checkpoints, replays, rebinds and
+# restores every API server — in its own process or on another host — over
+# the link it dialed, so capture, restore and rebind reach server.Context
+# only through executeControl's control calls. Outside internal/server the
+# only calls by those names are the replay engine's and the guardian's on
+# a migrate.Target (receiver t). The in-process target and the link type
+# that carried a server beside its endpoint are gone for good.
+gate target 'server.Context capture/restore/rebind called outside internal/server (send the control call over the link)' \
+	'\.(SnapshotObjects|SnapshotObjectDeltas|RestoreObject|Rebind)\(' \
+	'^\./internal/server/|^\./internal/(migrate/migrate|failover/guardian)\.go:[0-9]+:.*[^A-Za-z0-9_.]t\.(Rebind|RestoreObject)\(' \
+	golines .
+gate target 'in-process recovery target or server link type named (every server is reached by its endpoint)' \
+	'\b(LocalTarget|ServerLink)\b' '^$' golines -t .
 
 # One state machine: a Guardian's state, epoch, link (and its generation),
 # checkpoint watermark and abort channel are assigned only by the transition
