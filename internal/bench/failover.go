@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"ava"
@@ -17,12 +18,14 @@ import (
 // checkpoint watermark and let the guest resubmit the rest — completing
 // the workload with a checksum byte-identical to an undisturbed run and
 // zero calls dropped. The table reports the cost: end-to-end slowdown of
-// the killed run and the recovery pause itself.
+// the killed run and the recovery pause itself, and what a guarded call
+// allocates in the undisturbed run — the whole process's allocations
+// (guest, guardian, server, silo, workload) over the calls the guest made.
 func Failover(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E12/Failover",
 		Title:  "Fault tolerance: server SIGKILL mid-gaussian, replay recovery",
-		Header: []string{"transport", "undisturbed", "with kill", "recovery pause", "identical", "resubmitted"},
+		Header: []string{"transport", "undisturbed", "allocs/call", "B/call", "with kill", "recovery pause", "identical", "resubmitted"},
 	}
 	w, ok := rodinia.ByName("gaussian")
 	if !ok {
@@ -31,11 +34,13 @@ func Failover(opts Options) (*Table, error) {
 	scale := opts.scale()
 
 	type result struct {
-		dur   time.Duration
-		sum   float64
-		gs    failover.Stats
-		resub uint64
-		retry uint64
+		dur    time.Duration
+		sum    float64
+		gs     failover.Stats
+		resub  uint64
+		retry  uint64
+		allocs float64 // per guest call
+		bytes  float64 // per guest call
 	}
 	run := func(kind string, killAfter time.Duration) (result, error) {
 		var r result
@@ -57,15 +62,22 @@ func Failover(opts Options) (*Table, error) {
 				stack.KillServer(1)
 			}()
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		start := time.Now()
 		r.sum, err = w.Run(c, scale)
 		r.dur = time.Since(start)
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			return r, err
 		}
 		r.gs = stack.Guardian(1).Stats()
 		ls := lib.Stats()
 		r.resub, r.retry = ls.ResubmittedCalls, ls.RetryableFailed
+		if ls.Calls > 0 {
+			r.allocs = float64(after.Mallocs-before.Mallocs) / float64(ls.Calls)
+			r.bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(ls.Calls)
+		}
 		return r, nil
 	}
 
@@ -84,10 +96,12 @@ func Failover(opts Options) (*Table, error) {
 		}
 		identical := math.Float64bits(killed.sum) == math.Float64bits(base.sum) &&
 			killed.retry == 0 && killed.gs.Recoveries >= 1
-		t.Add(kind, ms(base.dur), ms(killed.dur), ms(killed.gs.LastRecoveryPause),
+		t.Add(kind, ms(base.dur), fmt.Sprintf("%.1f", base.allocs), fmt.Sprintf("%.0f", base.bytes),
+			ms(killed.dur), ms(killed.gs.LastRecoveryPause),
 			fmt.Sprintf("%v", identical), fmt.Sprintf("%d", killed.resub))
 	}
 	t.Note("identical = bitwise-equal checksum vs the undisturbed run, >=1 recovery, zero calls dropped (E12 acceptance)")
+	t.Note("allocs/call, B/call = the process's runtime.MemStats Mallocs and TotalAlloc deltas over the undisturbed run, divided by the guest library's Stats().Calls")
 	t.Note("recovery pause covers respawn dial + record-log replay + checkpoint state restore, each a round trip on the new link (the call itself, FuncRebind, FuncRestore) on every row; the tcp(disagg) row redials a live host.Server, as E13 does")
 	return t, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ava/internal/leaktest"
+	"ava/internal/marshal"
 )
 
 // One delta checkpoint of a 64 KiB buffer with a 4 KiB dirty range, taken
@@ -52,5 +53,47 @@ func TestCheckpointAllocBudget(t *testing.T) {
 	t.Logf("%.0f B (%.1f allocations) per delta checkpoint", perCkpt, allocs)
 	if budget := float64(size + 2*dirty); perCkpt > budget {
 		t.Fatalf("a delta checkpoint allocates %.0f B: over the composed state plus twice the dirty bytes (%.0f B)", perCkpt, budget)
+	}
+}
+
+// Admitting a tracked modify call — the guardian's per-call work on the way
+// south, `fill` with a 16-byte buffer — allocates nothing: the recorded
+// call, its argument vector and the buffer's copy are cut from the shadow
+// log's slabs, and a slab's own allocation, once per hundreds of calls,
+// rounds away. The log is pruned after warming up, so its entry list and
+// index are at the size they keep and what is measured is the record.
+func TestAdmitAllocBudget(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	srv, desc := logServer()
+	g, _ := guardServer(t, srv, srv.Context(1, "vm"), desc, Config{})
+	const runs = 2000
+	obj := marshal.Handle(7)
+	payload := []byte("sixteen bytes ok")
+	args := [3]marshal.Value{marshal.HandleVal(obj), marshal.Uint(uint64(len(payload))), marshal.BytesVal(payload)}
+	g.mu.Lock()
+	call := marshal.Call{Func: logFunc(desc, "fill"), Flags: marshal.FlagAsync, Epoch: g.epoch, Args: args[:]}
+	gen := g.linkGen
+	g.mu.Unlock()
+	admit := func() {
+		call.Seq++
+		if !g.admit(&call, gen) {
+			t.Fatalf("call %d not admitted", call.Seq)
+		}
+	}
+	for i := 0; i < 2*runs; i++ {
+		admit()
+	}
+	g.mu.Lock()
+	g.log.prune(obj)
+	g.mu.Unlock()
+	n := testing.AllocsPerRun(runs, admit)
+	t.Logf("admitting a tracked call: %v allocs", n)
+	if n > 0 {
+		t.Fatalf("admitting a tracked call allocates %v times, budget 0", n)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if got := len(g.log.entries); got != runs+1 {
+		t.Fatalf("shadow log holds %d entries, want %d", got, runs+1)
 	}
 }

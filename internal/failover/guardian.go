@@ -550,11 +550,7 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 		switch fd.Track.Kind {
 		case spec.TrackConfig, spec.TrackCreate, spec.TrackModify:
 			if _, dup := g.log.bySeq[call.Seq]; !dup {
-				g.log.upsert(&migrate.RecordedCall{
-					Func: call.Func,
-					Args: migrate.CloneValues(call.Args),
-					Seq:  call.Seq,
-				})
+				g.log.record(call)
 			}
 		case spec.TrackDestroy:
 			if fd.TrackIdx >= 0 && fd.TrackIdx < len(call.Args) {

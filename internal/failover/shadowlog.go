@@ -30,6 +30,30 @@ type shadowLog struct {
 	// watermark: a resubmitted copy re-executes and its fresh handles are
 	// rebound to the recorded ones.
 	pendingRebind map[uint64]struct{}
+	slab          slabs // what record cuts admitted calls from
+}
+
+// Slab sizes for record. A byte argument up to slabBytesMax long (a kernel
+// argument, a scalar passed by pointer) is cut from the byte slab; a
+// larger one — a buffer's contents — keeps a copy of its own, so a slab is
+// never pinned by one big payload nor a big payload by a slab.
+const (
+	slabCalls    = 256
+	slabValues   = 1024
+	slabBytes    = 16 << 10
+	slabBytesMax = 512
+)
+
+// slabs back the copies record makes: each admitted call's RecordedCall,
+// argument vector and small byte arguments are cut from the unused tail of
+// the slab of their kind, and a slab that runs out is replaced, not grown. Every cut is capacity-capped, so no append to one
+// entry can write into its neighbour. Entries leave the log out of order
+// (prune, drop), so a slab is not recycled: the collector takes it back
+// once no entry cut from it is left.
+type slabs struct {
+	calls  []migrate.RecordedCall
+	values []marshal.Value
+	bytes  []byte
 }
 
 func newShadowLog(desc *cava.Descriptor, sink LogSink) shadowLog {
@@ -40,6 +64,52 @@ func newShadowLog(desc *cava.Descriptor, sink LogSink) shadowLog {
 		replySeen:     make(map[uint64]bool),
 		pendingRebind: make(map[uint64]struct{}),
 	}
+}
+
+// record copies a newly admitted tracked call out of the frame it was
+// decoded from into the log's slabs, and upserts the copy.
+func (l *shadowLog) record(call *marshal.Call) {
+	sl := &l.slab
+	if len(sl.calls) == cap(sl.calls) {
+		sl.calls = make([]migrate.RecordedCall, 0, slabCalls)
+	}
+	sl.calls = sl.calls[:len(sl.calls)+1]
+	rc := &sl.calls[len(sl.calls)-1]
+	rc.Func, rc.Seq, rc.Args = call.Func, call.Seq, sl.cutValues(call.Args)
+	l.upsert(rc)
+}
+
+// cutValues deep-copies vs into the value slab, as migrate.CloneValues
+// would into fresh memory. An empty vector is nil, as the decoder gives it.
+func (sl *slabs) cutValues(vs []marshal.Value) []marshal.Value {
+	if len(vs) == 0 {
+		return nil
+	}
+	if len(vs) > cap(sl.values)-len(sl.values) {
+		sl.values = make([]marshal.Value, 0, max(len(vs), slabValues))
+	}
+	a, b := len(sl.values), len(sl.values)+len(vs)
+	sl.values = sl.values[:b]
+	out := sl.values[a:b:b]
+	for i, v := range vs {
+		out[i] = sl.cutValue(v)
+	}
+	return out
+}
+
+// cutValue is Value.Clone with a small byte argument's contents cut from
+// the byte slab.
+func (sl *slabs) cutValue(v marshal.Value) marshal.Value {
+	b := v.Bytes()
+	if v.Kind() != marshal.KindBytes || len(b) == 0 || len(b) > slabBytesMax {
+		return v.Clone()
+	}
+	if len(b) > cap(sl.bytes)-len(sl.bytes) {
+		sl.bytes = make([]byte, 0, slabBytes)
+	}
+	a := len(sl.bytes)
+	sl.bytes = append(sl.bytes, b...)
+	return marshal.BytesVal(sl.bytes[a:len(sl.bytes):len(sl.bytes)])
 }
 
 // upsert records a newly admitted tracked call, taking ownership of rc. A

@@ -15,8 +15,10 @@
 package guest
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -302,7 +304,6 @@ func WithFailover(p FailoverPolicy) Option {
 		}
 		l.fo = &foState{
 			policy: p,
-			bySeq:  make(map[uint64]*retained),
 			ctrl:   make(chan ctrlMsg, 16),
 			done:   make(chan struct{}),
 		}
@@ -326,7 +327,7 @@ func WithOverloadRetry(cfg backoff.Config) DualOption {
 // frame plus the bookkeeping that decides whether a recovery replays it.
 type retained struct {
 	seq   uint64
-	body  []byte // encoded call, no length prefix
+	body  []byte // encoded call, no length prefix; cut from a window chunk
 	track spec.TrackKind
 	sync  bool
 	sent  bool // false while the call still sits in the un-flushed batch
@@ -344,11 +345,88 @@ type ctrlMsg struct {
 // window is guarded by l.mu; ctrl is fed by the demux and drained by
 // foLoop so control handling never blocks reply delivery.
 type foState struct {
-	policy  FailoverPolicy
-	entries []*retained // ascending seq
-	bySeq   map[uint64]*retained
-	ctrl    chan ctrlMsg
-	done    chan struct{}
+	policy FailoverPolicy
+	window
+	ctrl chan ctrlMsg
+	done chan struct{}
+}
+
+// retainChunk is the size of the frame-pool buffers the window packs
+// retained bodies into: a few hundred calls of a serving loop, or a dozen
+// 4 KiB writes, per chunk.
+const retainChunk = 64 << 10
+
+// window holds the retained calls: records by value in ascending seq order
+// (entries[head:] is the window), each body copied once into the newest of
+// a FIFO of framebuf chunks. The window only ever loses a prefix — a
+// checkpoint covers it, or it overflows Retain — so the chunks leave in the
+// order they were filled: a chunk goes back to framebuf with the last
+// record whose body it holds, never earlier. A body larger than a chunk
+// gets a buffer of its own size, which joins the FIFO like any chunk.
+type window struct {
+	entries []retained
+	head    int
+	chunks  []chunk // oldest first; bodies are appended to the last
+}
+
+// chunk is one frame-pool buffer of retained bodies.
+type chunk struct {
+	buf  []byte
+	last uint64 // seq of the newest body in buf
+}
+
+// live returns the retained records, oldest first.
+func (w *window) live() []retained { return w.entries[w.head:] }
+
+// add retains r with a copy of body, appended to the newest chunk when it
+// fits and to a fresh one when it does not. The copy's capacity ends with
+// it, so patching one body can never reach its neighbour.
+func (w *window) add(r retained, body []byte) {
+	if n := len(w.chunks); n == 0 || cap(w.chunks[n-1].buf)-len(w.chunks[n-1].buf) < len(body) {
+		w.chunks = append(w.chunks, chunk{buf: framebuf.Get(max(len(body), retainChunk))})
+	}
+	c := &w.chunks[len(w.chunks)-1]
+	off := len(c.buf)
+	c.buf = append(c.buf, body...)
+	c.last = r.seq
+	r.body = c.buf[off:len(c.buf):len(c.buf)]
+	w.entries = append(w.entries, r)
+}
+
+// find returns the retained record of seq, or nil.
+func (w *window) find(seq uint64) *retained {
+	live := w.live()
+	if i, ok := slices.BinarySearchFunc(live, seq, func(r retained, seq uint64) int { return cmp.Compare(r.seq, seq) }); ok {
+		return &live[i]
+	}
+	return nil
+}
+
+// drop removes the n oldest records and returns every chunk that held
+// only their bodies to framebuf. The record array is compacted in place
+// once the dropped prefix passes half of it, so trimming never allocates.
+func (w *window) drop(n int) {
+	if n == 0 {
+		return
+	}
+	last := w.entries[w.head+n-1].seq
+	clear(w.entries[w.head : w.head+n])
+	w.head += n
+	if w.head > len(w.entries)/2 {
+		k := copy(w.entries, w.entries[w.head:])
+		clear(w.entries[k:])
+		w.entries, w.head = w.entries[:k], 0
+	}
+	k := 0
+	for k < len(w.chunks) && w.chunks[k].last <= last {
+		framebuf.Put(w.chunks[k].buf)
+		k++
+	}
+	if k > 0 {
+		m := copy(w.chunks, w.chunks[k:])
+		clear(w.chunks[m:])
+		w.chunks = w.chunks[:m]
+	}
 }
 
 // CallOptions carries per-call forwarding metadata. The zero value means
@@ -1202,14 +1280,7 @@ func (l *Lib) appendPending(fd *cava.FuncDesc, call *marshal.Call, deadline int6
 	if l.fo != nil {
 		// Retain an owned copy of the encoded call for resubmission; the
 		// batch frame itself is recycled or handed off after the send.
-		r := &retained{
-			seq:   call.Seq,
-			body:  append([]byte(nil), l.pendingBuf[start+4:]...),
-			track: fd.Track.Kind,
-			sync:  !async,
-		}
-		l.fo.entries = append(l.fo.entries, r)
-		l.fo.bySeq[call.Seq] = r
+		l.fo.add(retained{seq: call.Seq, track: fd.Track.Kind, sync: !async}, l.pendingBuf[start+4:])
 		l.retainTrimLocked()
 	}
 }
@@ -1251,17 +1322,17 @@ func (l *Lib) appendPendingSegs(call *marshal.Call, deadline int64, slack time.D
 // overflows its cap. Evicting an entry whose result is still outstanding
 // makes that call unrecoverable — counted, never silent.
 func (l *Lib) retainTrimLocked() {
-	over := len(l.fo.entries) - l.fo.policy.Retain
+	live := l.fo.live()
+	over := len(live) - l.fo.policy.Retain
 	if over <= 0 {
 		return
 	}
-	for _, r := range l.fo.entries[:over] {
-		if !r.done {
+	for i := range live[:over] {
+		if !live[i].done {
 			l.stats.RetainDropped++
 		}
-		delete(l.fo.bySeq, r.seq)
 	}
-	l.fo.entries = append(l.fo.entries[:0:0], l.fo.entries[over:]...)
+	l.fo.drop(over)
 }
 
 // markDoneLocked records that a call's outcome reached its caller: a
@@ -1270,7 +1341,7 @@ func (l *Lib) markDoneLocked(seq uint64) {
 	if l.fo == nil {
 		return
 	}
-	if r, ok := l.fo.bySeq[seq]; ok {
+	if r := l.fo.find(seq); r != nil {
 		r.done = true
 	}
 }
@@ -1299,7 +1370,7 @@ func (l *Lib) takePending() ([]byte, int, []marshal.Segment) {
 				drop++
 			}
 			if l.fo != nil {
-				if r, ok := l.fo.bySeq[l.pendingMeta[i].seq]; ok {
+				if r := l.fo.find(l.pendingMeta[i].seq); r != nil {
 					if exp {
 						r.done = true // excised locally: it will never execute
 					} else {
@@ -1465,14 +1536,12 @@ func (l *Lib) foLoop() {
 func (l *Lib) trimRetained(w uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	idx := 0
-	for idx < len(l.fo.entries) && l.fo.entries[idx].seq <= w {
-		delete(l.fo.bySeq, l.fo.entries[idx].seq)
-		idx++
+	live := l.fo.live()
+	n := 0
+	for n < len(live) && live[n].seq <= w {
+		n++
 	}
-	if idx > 0 {
-		l.fo.entries = append(l.fo.entries[:0:0], l.fo.entries[idx:]...)
-	}
+	l.fo.drop(n)
 }
 
 // resubmit absorbs a recovery onto endpoint epoch e with watermark w: every
@@ -1509,7 +1578,9 @@ func (l *Lib) resubmit(epoch uint32, w uint64) {
 
 	var bodies [][]byte
 	resubmitting := make(map[uint64]bool)
-	for _, r := range l.fo.entries {
+	live := l.fo.live()
+	for i := range live {
+		r := &live[i]
 		if r.seq <= w || !r.sent {
 			continue // covered by the checkpoint, or still pending locally
 		}

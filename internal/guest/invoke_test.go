@@ -9,6 +9,7 @@ import (
 
 	"ava/internal/cava"
 	"ava/internal/clock"
+	"ava/internal/framebuf"
 	"ava/internal/guest/guesttest"
 	"ava/internal/leaktest"
 	"ava/internal/marshal"
@@ -460,13 +461,7 @@ func TestInvokeRetainsForResubmission(t *testing.T) {
 	}
 
 	echo.Inject(marshal.EncodeControl(marshal.CtrlRecover, 1, 0))
-	deadline := time.Now().Add(5 * time.Second)
-	for r.lib.Stats().ResubmittedCalls < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no resubmission: %+v", r.lib.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "resubmission", func() bool { return r.lib.Stats().ResubmittedCalls >= 2 })
 	r.lib.mu.Lock() // resubmit holds mu until its sends are done
 	again := r.sent[2:]
 	r.lib.mu.Unlock()
@@ -479,5 +474,108 @@ func TestInvokeRetainsForResubmission(t *testing.T) {
 		if !bytes.Equal(s.frame, want) {
 			t.Errorf("resubmitted %s differs from the frame first sent", s.fn)
 		}
+	}
+}
+
+// The retained window packs bodies into pooled chunks and returns a chunk
+// to framebuf once the window has lost every body in it. A window over
+// several chunks, one of them a body larger than a chunk, is trimmed
+// through the middle of its oldest chunk — by a checkpoint notice, then by
+// overflowing Retain — and every chunk-sized buffer framebuf will hand out
+// is scribbled over before the recovery: each resubmitted body must still
+// be the one first sent. A chunk released while the window still held one
+// of its bodies would be drawn and overwritten here.
+func TestRetainedChunksSurviveRecycling(t *testing.T) {
+	const small, big = 20 << 10, 256 << 10 // three small bodies to a chunk
+	sizes := []int{small, small, small, small, small, small, small, small, big, small, small, small, small}
+	const w = 2 // either trim stops inside the oldest chunk, which keeps seq 3
+	for _, tc := range []struct {
+		name       string
+		retain     int
+		checkpoint bool
+	}{
+		{"checkpoint trims", 0, true},
+		{"overflow trims", len(sizes) - w, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leaktest.NoGoroutineLeaks(t)
+			echo := guesttest.NewEcho()
+			r := newInvokeRig(t, echo, echo, WithFailover(FailoverPolicy{Retain: tc.retain}))
+			h := marshal.HandleVal(1)
+			for i, n := range sizes {
+				data := bytes.Repeat([]byte{byte(i + 1)}, n)
+				if _, _, err := r.invoke(t, "put", CallOptions{}, h, marshal.Uint(uint64(n)), marshal.BytesVal(data), marshal.Uint(0)); err != nil {
+					t.Fatal(err)
+				}
+				clear(data) // the window holds its own copy
+			}
+			if err := r.lib.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			r.lib.mu.Lock()
+			chunks := len(r.lib.fo.chunks)
+			r.lib.mu.Unlock()
+			if chunks < 3 {
+				t.Fatalf("window spans %d chunks, want at least 3", chunks)
+			}
+			first := append([]sentCall(nil), r.sent...)
+
+			var covered uint64
+			if tc.checkpoint {
+				covered = w
+				echo.Inject(marshal.EncodeControl(marshal.CtrlCheckpoint, 0, covered))
+			} else if got := r.lib.Stats().RetainDropped; got != w {
+				t.Fatalf("RetainDropped = %d, want %d", got, w)
+			}
+			waitFor(t, "trim", func() bool {
+				r.lib.mu.Lock()
+				defer r.lib.mu.Unlock()
+				return r.lib.fo.live()[0].seq == w+1
+			})
+
+			var drawn [][]byte
+			for _, n := range []int{retainChunk, big + 1024} {
+				for i := 0; i < 8; i++ {
+					b := framebuf.Get(n)
+					b = b[:cap(b)]
+					for j := range b {
+						b[j] = 0xFF
+					}
+					drawn = append(drawn, b)
+				}
+			}
+			for _, b := range drawn {
+				framebuf.Put(b)
+			}
+
+			want := uint64(len(sizes) - w)
+			echo.Inject(marshal.EncodeControl(marshal.CtrlRecover, 1, covered))
+			waitFor(t, "resubmission", func() bool { return r.lib.Stats().ResubmittedCalls >= want })
+			r.lib.mu.Lock() // resubmit holds mu until its sends are done
+			again := r.sent[len(first):]
+			r.lib.mu.Unlock()
+			if uint64(len(again)) != want {
+				t.Fatalf("the endpoint decoded %d resubmitted calls, want %d", len(again), want)
+			}
+			for i, s := range again {
+				exp := append([]byte(nil), first[w+i].frame...)
+				marshal.PatchCallResubmit(exp, 1)
+				if !bytes.Equal(s.frame, exp) {
+					t.Errorf("resubmitted call %d (%d bytes) differs from the frame first sent", w+i+1, len(s.frame))
+				}
+			}
+		})
+	}
+}
+
+// waitFor polls done until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, done func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !done() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

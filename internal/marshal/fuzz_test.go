@@ -338,6 +338,11 @@ func hostileCounts() map[string][]byte {
 // decoded into — from a 65-byte call or a 48-byte reply, and 1.5 MB of frame
 // slices from a 2-byte batch, ahead of the first truncation check; the guard
 // in front (count > 1<<16) could never fire for a u16.
+//
+// The bytes are measured the way testing.AllocsPerRun counts allocations —
+// one processor, one warm-up decode, the mean of many — because TotalAlloc
+// is process-wide: read around a single decode it also caught whatever
+// another goroutine allocated meanwhile (5.5 KB once, under -race).
 func TestDecodeCountsBoundedByFrame(t *testing.T) {
 	frames := hostileCounts()
 	for _, tc := range []struct {
@@ -348,14 +353,26 @@ func TestDecodeCountsBoundedByFrame(t *testing.T) {
 		{"reply", func() error { return DecodeReplyInto(new(Reply), frames["reply"]) }},
 		{"batch", func() error { _, err := DecodeBatchInto(nil, frames["batch"]); return err }},
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
 		err := tc.decode()
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; !errors.Is(err, ErrTruncated) || grew > 4<<10 {
+		grew := allocBytesPerRun(100, func() { tc.decode() })
+		if !errors.Is(err, ErrTruncated) || grew > 4<<10 {
 			t.Errorf("%d-byte %s frame claiming 65535 entries: err %v, %d bytes allocated", len(frames[tc.name]), tc.name, err, grew)
 		}
 	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the mean TotalAlloc
+// growth over runs calls of f, on one processor, after one warm-up call.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // FuzzDecodeBatchInto is the batch splitter's differential check, as the

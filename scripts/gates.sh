@@ -9,8 +9,8 @@
 #
 # LISTER is a command printing candidate lines; a line that matches the ERE
 # PATTERN and not the ERE ALLOWED ('^$': nothing is allowed) fails the gate
-# with MESSAGE. `golines [-t] DIR...` lists every line of Go source under the
-# directories as path:line:text, tests included only with -t.
+# with MESSAGE. `golines [-t] PATH...` lists every line of Go source under the
+# paths (directories or files) as path:line:text, tests included only with -t.
 GO=${GO:-go}
 cd "$(dirname "$0")/.." || exit 1
 want=" $* "
@@ -34,7 +34,7 @@ golines() {
 		tests=
 		shift
 	fi
-	grep -rn --include='*.go' $tests --exclude-dir=.bench_build '' "$@"
+	grep -rnH --include='*.go' $tests --exclude-dir=.bench_build '' "$@"
 }
 
 # One rebind: a handle table is rebuilt under guest-held values only by
@@ -132,5 +132,15 @@ gate record 'record-log entry built outside internal/failover and internal/migra
 	'RecordedCall\{' '^\./internal/(failover|migrate)/' golines .
 gate record 'encoding/gob imported (the record log travels on the wire codecs only)' \
 	'"encoding/gob"' '^$' golines -t .
+
+# One retained copy per call on the recovery-armed path: the guest's
+# failover window copies each call's body once, into a pooled chunk
+# (window.add), and the guardian's shadow log cuts what it records from its
+# own slabs (shadowLog.record). A fresh per-call copy in the guest, or the
+# admission path cloning into fresh memory again, is the second copy back.
+gate retain 'per-call body copy in internal/guest (retain into the window chunks: window.add)' \
+	'append\(\[\]byte\(nil\)' '^$' golines internal/guest
+gate retain 'CloneValues in the guardian (admit records through shadowLog.record)' \
+	'CloneValues\(' '^$' golines internal/failover/guardian.go
 
 exit $status
