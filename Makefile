@@ -48,7 +48,8 @@ test:
 	$(GO) test -race ./...
 
 # Alloc-budget and frame-pool tests, one per hot-path layer, plus the bytes
-# a guardian checkpoint may allocate (testing.AllocsPerRun or MemStats;
+# a guardian checkpoint may allocate and the zero budget of a committing
+# checkpoint's shadow-log compaction (testing.AllocsPerRun or MemStats;
 # files tagged `//go:build !race`). The race
 # detector's instrumentation allocates and sync.Pool drops entries at random
 # under it, so `test` above compiles these out; this target runs them once

@@ -210,7 +210,7 @@ func renderStats(snap *ctlplane.Snapshot) string {
 		if g.Dead != "" {
 			out += " DEAD: " + g.Dead
 		}
-		out += "\n"
+		out += fmt.Sprintf("\n    shadow log: entries=%d superseded=%d\n", g.Stats.LogEntries, g.Stats.Superseded)
 	}
 	for _, m := range snap.Fleet {
 		live := "live"

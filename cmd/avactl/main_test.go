@@ -25,3 +25,14 @@ func TestRenderStatsShowsFailedCheckpoints(t *testing.T) {
 		}
 	}
 }
+
+// `avactl stats` shows how many entries a guardian's shadow log holds and
+// how many superseded modifies its compactions dropped.
+func TestRenderStatsShowsShadowLog(t *testing.T) {
+	out := renderStats(&ctlplane.Snapshot{Guardians: []ctlplane.GuardianSnapshot{
+		{VM: 7, Stats: failover.Stats{LogEntries: 14, Superseded: 3998}},
+	}})
+	if want := "guardian vm 7: epoch=0 watermark=0 checkpoints=0 (delta 0, last 0B, failed 0) recoveries=0\n    shadow log: entries=14 superseded=3998\n"; !strings.Contains(out, want) {
+		t.Errorf("stats output lacks %q:\n%s", want, out)
+	}
+}

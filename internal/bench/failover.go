@@ -20,12 +20,13 @@ import (
 // zero calls dropped. The table reports the cost: end-to-end slowdown of
 // the killed run and the recovery pause itself, and what a guarded call
 // allocates in the undisturbed run — the whole process's allocations
-// (guest, guardian, server, silo, workload) over the calls the guest made.
+// (guest, guardian, server, silo, workload) over the calls the guest made —
+// and how many entries the guardian's shadow log holds when the kill lands.
 func Failover(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E12/Failover",
 		Title:  "Fault tolerance: server SIGKILL mid-gaussian, replay recovery",
-		Header: []string{"transport", "undisturbed", "allocs/call", "B/call", "with kill", "recovery pause", "identical", "resubmitted"},
+		Header: []string{"transport", "undisturbed", "allocs/call", "B/call", "log entries", "with kill", "recovery pause", "identical", "resubmitted"},
 	}
 	w, ok := rodinia.ByName("gaussian")
 	if !ok {
@@ -41,6 +42,7 @@ func Failover(opts Options) (*Table, error) {
 		retry  uint64
 		allocs float64 // per guest call
 		bytes  float64 // per guest call
+		logN   uint64  // shadow-log entries the instant before the kill
 	}
 	run := func(kind string, killAfter time.Duration) (result, error) {
 		var r result
@@ -56,9 +58,11 @@ func Failover(opts Options) (*Table, error) {
 			return r, err
 		}
 		c := cl.NewRemote(lib)
+		killed := make(chan uint64, 1)
 		if killAfter > 0 {
 			go func() {
 				time.Sleep(killAfter)
+				killed <- stack.Guardian(1).Stats().LogEntries
 				stack.KillServer(1)
 			}()
 		}
@@ -72,6 +76,9 @@ func Failover(opts Options) (*Table, error) {
 			return r, err
 		}
 		r.gs = stack.Guardian(1).Stats()
+		if killAfter > 0 {
+			r.logN = <-killed
+		}
 		ls := lib.Stats()
 		r.resub, r.retry = ls.ResubmittedCalls, ls.RetryableFailed
 		if ls.Calls > 0 {
@@ -97,11 +104,12 @@ func Failover(opts Options) (*Table, error) {
 		identical := math.Float64bits(killed.sum) == math.Float64bits(base.sum) &&
 			killed.retry == 0 && killed.gs.Recoveries >= 1
 		t.Add(kind, ms(base.dur), fmt.Sprintf("%.1f", base.allocs), fmt.Sprintf("%.0f", base.bytes),
-			ms(killed.dur), ms(killed.gs.LastRecoveryPause),
+			fmt.Sprintf("%d", killed.logN), ms(killed.dur), ms(killed.gs.LastRecoveryPause),
 			fmt.Sprintf("%v", identical), fmt.Sprintf("%d", killed.resub))
 	}
 	t.Note("identical = bitwise-equal checksum vs the undisturbed run, >=1 recovery, zero calls dropped (E12 acceptance)")
 	t.Note("allocs/call, B/call = the process's runtime.MemStats Mallocs and TotalAlloc deltas over the undisturbed run, divided by the guest library's Stats().Calls")
+	t.Note("log entries = the guardian's shadow log (Stats().LogEntries) the instant before the kill: what the recovery replays or rebinds, once each checkpoint has dropped the clSetKernelArg values a newer call replaced")
 	t.Note("recovery pause covers respawn dial + record-log replay + checkpoint state restore, each a round trip on the new link (the call itself, FuncRebind, FuncRestore) on every row; the tcp(disagg) row redials a live host.Server, as E13 does")
 	return t, nil
 }

@@ -97,6 +97,9 @@ type FuncDesc struct {
 	Resources []ResourceDesc
 	Track     spec.TrackAnn
 	TrackIdx  int // parameter index of the tracked object, else -1
+	// TrackKeyIdx is the parameter index of a keyed modify's key
+	// (track(modify, obj, key)), else -1.
+	TrackKeyIdx int
 
 	NumOuts int // count of out/inout parameters (Reply.Outs arity)
 
@@ -195,6 +198,7 @@ func compileFunc(api *spec.API, fn *spec.Func, id uint32) (*FuncDesc, error) {
 		Track:        fn.Track,
 		CondParamIdx: -1,
 		TrackIdx:     -1,
+		TrackKeyIdx:  -1,
 		DomainIdx:    -1,
 	}
 
@@ -238,6 +242,9 @@ func compileFunc(api *spec.API, fn *spec.Func, id uint32) (*FuncDesc, error) {
 	}
 	if fn.Track.Kind != spec.TrackNone && fn.Track.Param != "" {
 		fd.TrackIdx = fn.ParamIndex(fn.Track.Param)
+	}
+	if fn.Track.Key != "" {
+		fd.TrackKeyIdx = fn.ParamIndex(fn.Track.Key)
 	}
 	fd.sig = fd.signature()
 	return fd, nil

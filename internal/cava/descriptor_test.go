@@ -399,3 +399,21 @@ obj create(const char *name, double scale);
 		}
 	}
 }
+
+// TrackKeyIdx is the key parameter's index on a keyed modify and -1 on
+// every other function.
+func TestTrackKeyIdx(t *testing.T) {
+	d := MustCompile(`
+handle obj;
+type st = int32_t;
+st set(obj o, const void *v, size_t n, uint32_t slot) { parameter(v) { in; buffer(n); } track(modify, o, slot); }
+st build(obj o) { track(modify, o); }
+st plain(uint32_t slot);
+`)
+	for name, want := range map[string]int{"set": 3, "build": -1, "plain": -1} {
+		fd, _ := d.Lookup(name)
+		if fd.TrackKeyIdx != want {
+			t.Errorf("%s: TrackKeyIdx = %d, want %d", name, fd.TrackKeyIdx, want)
+		}
+	}
+}

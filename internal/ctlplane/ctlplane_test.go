@@ -392,7 +392,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	cfg.Guardians = func() []ctlplane.GuardianSnapshot {
 		return []ctlplane.GuardianSnapshot{{VM: 1, Watermark: 40, CheckpointErr: "snapshot refused",
-			Stats: failover.Stats{Checkpoints: 4, FailedCheckpoints: 3}}}
+			Stats: failover.Stats{Checkpoints: 4, FailedCheckpoints: 3, LogEntries: 14, Superseded: 9}}}
 	}
 	c := startCtl(t, cfg)
 	text, err := c.Metrics()
@@ -403,6 +403,9 @@ func TestMetricsExposition(t *testing.T) {
 		`ava_guardian_checkpoints_total{vm="1"} 4`,
 		"# TYPE ava_guardian_checkpoints_failed_total counter",
 		`ava_guardian_checkpoints_failed_total{vm="1"} 3`,
+		"# TYPE ava_guardian_log_entries gauge",
+		`ava_guardian_log_entries{vm="1"} 14`,
+		`ava_guardian_superseded_total{vm="1"} 9`,
 		"# TYPE ava_up gauge",
 		`ava_up{service="test"} 1`,
 		"# TYPE ava_router_forwarded_calls_total counter",

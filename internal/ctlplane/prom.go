@@ -107,6 +107,8 @@ func writeProm(b *strings.Builder, snap *Snapshot, cfg *Config) {
 		ckpt := metric(b, "ava_guardian_checkpoints_total", "counter", "Quiesced checkpoints cut per VM.")
 		ckptFail := metric(b, "ava_guardian_checkpoints_failed_total", "counter", "Checkpoints begun and not committed per VM.")
 		wm := metric(b, "ava_guardian_watermark", "gauge", "Checkpoint watermark per VM.")
+		logN := metric(b, "ava_guardian_log_entries", "gauge", "Shadow-log entries held per VM.")
+		superseded := metric(b, "ava_guardian_superseded_total", "counter", "Keyed modifies compaction dropped as superseded per VM.")
 		dead := metric(b, "ava_guardian_dead", "gauge", "1 when the guardian has given up.")
 		for _, g := range snap.Guardians {
 			l := fmt.Sprintf(`vm="%d"`, g.VM)
@@ -114,6 +116,8 @@ func writeProm(b *strings.Builder, snap *Snapshot, cfg *Config) {
 			ckpt.sample(l, float64(g.Stats.Checkpoints))
 			ckptFail.sample(l, float64(g.Stats.FailedCheckpoints))
 			wm.sample(l, float64(g.Watermark))
+			logN.sample(l, float64(g.Stats.LogEntries))
+			superseded.sample(l, float64(g.Stats.Superseded))
 			if g.Dead != "" {
 				dead.sample(l, 1)
 			} else {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ava/internal/cava"
 	"ava/internal/leaktest"
 	"ava/internal/marshal"
 )
@@ -95,5 +96,40 @@ func TestAdmitAllocBudget(t *testing.T) {
 	defer g.mu.Unlock()
 	if got := len(g.log.entries); got != runs+1 {
 		t.Fatalf("shadow log holds %d entries, want %d", got, runs+1)
+	}
+}
+
+// A checkpoint commit's compaction, once the log has reached its working
+// size, allocates nothing — and neither does recording the calls between
+// two commits: each interval records 600 keyed modifies (four slots, an
+// 8-byte value each), the commit drops all but the newest per slot, and
+// the move cuts the survivors from the chunks the previous commit recycled
+// and recycles the ones they were cut from.
+func TestCompactAllocBudget(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	desc := cava.MustCompile(logSpec)
+	l := newShadowLog(desc, nil)
+	payload := []byte("eight by")
+	args := [4]marshal.Value{marshal.HandleVal(7), marshal.Uint(0), marshal.Uint(uint64(len(payload))), marshal.BytesVal(payload)}
+	call := marshal.Call{Func: logFunc(desc, "tune"), Flags: marshal.FlagAsync, Args: args[:]}
+	const slots = 4
+	interval := func() {
+		for i := 0; i < 600; i++ {
+			call.Seq++
+			args[1] = marshal.Uint(call.Seq % slots)
+			l.record(&call)
+		}
+		l.compact(call.Seq)
+	}
+	for i := 0; i < 4; i++ { // the pools, entry list and scratch reach their working size
+		interval()
+	}
+	n := testing.AllocsPerRun(50, interval)
+	t.Logf("600 records and a compacting commit: %v allocs", n)
+	if n > 0 {
+		t.Fatalf("an interval of records and a compacting commit allocates %v times, budget 0", n)
+	}
+	if got := len(l.entries); got != slots {
+		t.Fatalf("shadow log holds %d entries after compaction, want %d", got, slots)
 	}
 }

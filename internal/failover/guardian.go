@@ -147,6 +147,8 @@ type Stats struct {
 	LastCkptFootprint   uint64 // full object-state bytes the most recent checkpoint covers
 	LastRecoveryPause   time.Duration
 	LastWatermark       uint64
+	LogEntries          uint64 // shadow-log entries held now (a gauge)
+	Superseded          uint64 // keyed modifies compaction dropped as superseded
 }
 
 // destroyRec tracks one destroy call so the exactly-once rule can tell "took
@@ -281,7 +283,9 @@ func (g *Guardian) Start() error {
 func (g *Guardian) Stats() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.stats
+	st := g.stats
+	st.LogEntries = uint64(len(g.log.entries))
+	return st
 }
 
 // Epoch returns the current endpoint epoch.
@@ -528,7 +532,7 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 			}
 			return false
 		}
-		if rc, ok := g.log.bySeq[call.Seq]; ok && g.log.replySeen[call.Seq] {
+		if rc := g.log.find(call.Seq); rc != nil && g.log.replySeen[call.Seq] {
 			if _, rebind := g.log.pendingRebind[call.Seq]; !rebind {
 				// The original completed and its reply was recorded; replay
 				// already rebuilt the object under the guest's handle
@@ -549,7 +553,7 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 	if known {
 		switch fd.Track.Kind {
 		case spec.TrackConfig, spec.TrackCreate, spec.TrackModify:
-			if _, dup := g.log.bySeq[call.Seq]; !dup {
+			if g.log.find(call.Seq) == nil {
 				g.log.record(call)
 			}
 		case spec.TrackDestroy:
@@ -692,7 +696,8 @@ func (g *Guardian) noteReply(gen int, seq uint64, frame []byte, rep *marshal.Rep
 	if !g.steadyLocked(gen) {
 		return false
 	}
-	rc, tracked := g.log.bySeq[seq]
+	rc := g.log.find(seq)
+	tracked := rc != nil
 	_, rebind := g.log.pendingRebind[seq]
 	d, destroy := g.destroys[seq]
 	destroy = destroy && !d.pruned

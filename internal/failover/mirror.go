@@ -27,6 +27,10 @@ type LogSink interface {
 	// MirrorPrune removes every entry a destroyed handle obsoletes,
 	// mirroring the guardian's prune rule.
 	MirrorPrune(h marshal.Handle)
+	// MirrorCompact removes the entries a checkpoint's compaction dropped
+	// as superseded, seqs ascending. It follows that checkpoint's
+	// MirrorCheckpoint; seqs is only valid during the call.
+	MirrorCompact(seqs []uint64)
 	// MirrorCheckpoint advances the watermark and replaces the object
 	// snapshot set after a checkpoint commits.
 	MirrorCheckpoint(epoch uint32, w uint64, objects map[marshal.Handle][]byte)
@@ -105,6 +109,13 @@ func (m *MemoryMirror) MirrorDrop(seq uint64) {
 func (m *MemoryMirror) MirrorPrune(h marshal.Handle) {
 	m.mu.Lock()
 	m.log.prune(h)
+	m.mu.Unlock()
+}
+
+// MirrorCompact implements LogSink.
+func (m *MemoryMirror) MirrorCompact(seqs []uint64) {
+	m.mu.Lock()
+	m.log.remove(seqs)
 	m.mu.Unlock()
 }
 

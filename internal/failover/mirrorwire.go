@@ -28,6 +28,7 @@ const (
 	mirrorSubDelta      byte = 6 // [epoch u32][w u64] + EncodeObjectDeltas
 	mirrorSubEpoch      byte = 7 // [epoch u32][w u64]
 	mirrorSubReset      byte = 8 // empty: discard the VM's state (resync follows)
+	mirrorSubCompact    byte = 9 // [n u64][seq u64]*n, ascending
 )
 
 // sub builds the [op][v u64][body] sub-frame; subMark the forms that carry
@@ -53,6 +54,14 @@ func subAppend(rc *migrate.RecordedCall) []byte {
 func subReply(rc *migrate.RecordedCall) []byte {
 	return sub(mirrorSubReply, uint64(rc.Created),
 		marshal.EncodeReply(&marshal.Reply{Seq: rc.Seq, Status: marshal.StatusOK, Ret: rc.Ret, Outs: rc.Outs}))
+}
+
+func subCompact(seqs []uint64) []byte {
+	body := make([]byte, 0, 8*len(seqs))
+	for _, seq := range seqs {
+		body = binary.LittleEndian.AppendUint64(body, seq)
+	}
+	return sub(mirrorSubCompact, uint64(len(seqs)), body)
 }
 
 // errNoBase reports a delta sub-op that could not compose onto the state the
@@ -94,6 +103,19 @@ func applyMirrorSub(m *MemoryMirror, sub []byte) error {
 		m.MirrorDrop(v)
 	case mirrorSubPrune:
 		m.MirrorPrune(marshal.Handle(v))
+	case mirrorSubCompact:
+		body := r.Rest()
+		if v != uint64(len(body)/8) || len(body)%8 != 0 {
+			return fmt.Errorf("failover: mirror compact of %d seqs in %d bytes", v, len(body))
+		}
+		seqs := make([]uint64, v)
+		for i := range seqs {
+			seqs[i] = binary.LittleEndian.Uint64(body[8*i:])
+			if i > 0 && seqs[i] <= seqs[i-1] {
+				return fmt.Errorf("failover: mirror compact seqs not ascending at %d", i)
+			}
+		}
+		m.MirrorCompact(seqs)
 	case mirrorSubCheckpoint:
 		objects, err := marshal.DecodeObjectStates(r.Rest())
 		if err != nil {

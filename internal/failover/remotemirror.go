@@ -192,6 +192,12 @@ func (rm *RemoteMirror) MirrorPrune(h marshal.Handle) {
 	rm.enqueue(sub(mirrorSubPrune, uint64(h), nil))
 }
 
+// MirrorCompact implements LogSink.
+func (rm *RemoteMirror) MirrorCompact(seqs []uint64) {
+	rm.local.MirrorCompact(seqs)
+	rm.enqueue(subCompact(seqs))
+}
+
 // MirrorCheckpoint implements LogSink.
 func (rm *RemoteMirror) MirrorCheckpoint(epoch uint32, w uint64, objects map[marshal.Handle][]byte) {
 	rm.local.MirrorCheckpoint(epoch, w, objects)

@@ -1,6 +1,7 @@
 package failover
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -144,6 +145,52 @@ func TestRemoteMirrorReplicatesAndFetches(t *testing.T) {
 	snap := srv.Snapshot()
 	if len(snap) != 1 || snap[0].VM != 7 || snap[0].Name != "vm-seven" || snap[0].Entries != 2 {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+}
+
+// A compaction's batch of superseded seqs replicates as one sub-op: the
+// mirror host drops exactly those entries and converges to staging.
+func TestRemoteMirrorReplicatesCompaction(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	h := startMirrorHost(t, "127.0.0.1:0")
+	rm := NewRemoteMirror(h.addr(), RemoteMirrorConfig{VM: 5, Backoff: quickBackoff()})
+	defer rm.Close()
+	for seq := uint64(1); seq <= 6; seq++ {
+		rm.MirrorAppend(rec(seq, 0, marshal.HandleVal(10), marshal.BytesVal([]byte{byte(seq)})))
+	}
+	rm.MirrorCheckpoint(1, 6, nil)
+	rm.MirrorCompact([]uint64{1, 3, 4, 9})
+	if !rm.Flush(2 * time.Second) {
+		t.Fatal("mirror did not drain")
+	}
+	want := rm.State()
+	if got := mirrorSeqs(want); !reflect.DeepEqual(got, []uint64{2, 5, 6}) {
+		t.Fatalf("staging after compaction = %v, want [2 5 6]", got)
+	}
+	if got := h.srv.State(5); !sameMirrorState(want, got) {
+		t.Fatalf("remote state diverged:\n remote %+v\n local  %+v", got, want)
+	}
+}
+
+// A compaction sub-op whose count disagrees with its body, or whose seqs do
+// not ascend, is refused as malformed and leaves the mirror as it was.
+func TestApplyMirrorSubRefusesMalformedCompact(t *testing.T) {
+	for name, frame := range map[string][]byte{
+		"count over body":  sub(mirrorSubCompact, 2, binary.LittleEndian.AppendUint64(nil, 1)),
+		"count under body": sub(mirrorSubCompact, 0, binary.LittleEndian.AppendUint64(nil, 1)),
+		"ragged body":      sub(mirrorSubCompact, 1, []byte{1, 0, 0, 0, 0, 0, 0, 0, 9}),
+		"not ascending":    subCompact([]uint64{2, 1}),
+		"repeated":         subCompact([]uint64{1, 1}),
+	} {
+		m := NewMemoryMirror()
+		m.MirrorAppend(rec(1, 0))
+		m.MirrorAppend(rec(2, 0))
+		if err := applyMirrorSub(m, frame); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if got := mirrorSeqs(m.State()); !reflect.DeepEqual(got, []uint64{1, 2}) {
+			t.Errorf("%s: mirror holds %v after a refused compaction, want [1 2]", name, got)
+		}
 	}
 }
 

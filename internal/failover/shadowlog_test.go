@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ava/internal/cava"
@@ -17,7 +18,9 @@ import (
 	"ava/internal/transport"
 )
 
-// logSpec has one function of every track kind the keep rules mention.
+// logSpec has one function of every track kind the keep rules mention, and
+// a keyed modify (tune: a later tune of the same object and knob replaces
+// the value) for the supersession rule.
 const logSpec = `
 api "logtest";
 handle obj;
@@ -33,6 +36,11 @@ st destroy(obj o) { track(destroy, o); }
 st fill(obj o, size_t n, const void *data) {
   parameter(data) { in; buffer(n); }
   track(modify, o);
+  async;
+}
+st tune(obj o, uint32_t knob, size_t n, const void *v) {
+  parameter(v) { in; buffer(n); }
+  track(modify, o, knob);
   async;
 }
 st ping(uint32_t v);
@@ -79,6 +87,8 @@ func TestShadowLogKeepRules(t *testing.T) {
 		{"poke", 3, false, true, false, true},
 		{"poke", 8, true, false, false, false},
 		{"poke", 8, false, false, false, false},
+		{"tune", 3, false, true, false, true},
+		{"tune", 8, false, false, false, false},
 		{"destroy", 3, true, false, false, false}, // never recorded by admit; the rule drops it anyway
 	} {
 		name := fmt.Sprintf("%s/seq%d/confirmed=%v", tc.fn, tc.seq, tc.confirmed)
@@ -91,7 +101,7 @@ func TestShadowLogKeepRules(t *testing.T) {
 			t.Errorf("%s: in replayLog = %v, want %v", name, got, tc.replay)
 		}
 		l.rebuild(w)
-		if _, got := l.bySeq[tc.seq]; got != tc.kept || len(l.entries) == 1 != tc.kept {
+		if got := l.find(tc.seq) != nil; got != tc.kept || len(l.entries) == 1 != tc.kept {
 			t.Errorf("%s: kept = %v (entries %d), want %v", name, got, len(l.entries), tc.kept)
 		}
 		if _, got := l.pendingRebind[tc.seq]; got != tc.pending {
@@ -141,8 +151,8 @@ func TestShadowLogPruneByHandle(t *testing.T) {
 	l.upsert(&migrate.RecordedCall{Func: poke, Seq: 2, Args: []marshal.Value{marshal.HandleVal(10), marshal.Uint(1)}})
 
 	l.prune(10)
-	if len(l.entries) != 0 || len(l.bySeq) != 0 || len(l.replySeen) != 0 || len(l.pendingRebind) != 0 {
-		t.Fatalf("after prune: %d entries, bySeq %v, replySeen %v, pending %v", len(l.entries), l.bySeq, l.replySeen, l.pendingRebind)
+	if len(l.entries) != 0 || len(l.replySeen) != 0 || len(l.pendingRebind) != 0 {
+		t.Fatalf("after prune: %d entries, replySeen %v, pending %v", len(l.entries), l.replySeen, l.pendingRebind)
 	}
 	// The mirror never saw the rebuild, so it still holds seq 3.
 	if got := mirrorSeqs(m.State()); !reflect.DeepEqual(got, []uint64{3}) {
@@ -185,6 +195,7 @@ func TestShadowLogUpsertAfterRecovery(t *testing.T) {
 // in-order resubmission of everything past the watermark — from one random
 // stream, with a MemoryMirror as its sink.
 type logModel struct {
+	t      *testing.T
 	r      *rand.Rand
 	desc   *cava.Descriptor
 	mirror *MemoryMirror
@@ -200,14 +211,18 @@ type logModel struct {
 func (m *logModel) issue() {
 	seq := uint64(len(m.issued) + 1)
 	rc := migrate.RecordedCall{Seq: seq}
-	switch k := m.r.Intn(4); {
+	switch k := m.r.Intn(5); {
 	case k == 0:
 		rc.Func, rc.Args = logFunc(m.desc, "setup"), []marshal.Value{marshal.Uint(seq)}
 	case k == 1 || len(m.live) == 0:
 		rc.Func, rc.Args = logFunc(m.desc, "create"), []marshal.Value{marshal.Uint(seq), marshal.Len(8)}
-	default:
+	case k == 2:
 		h := m.live[m.r.Intn(len(m.live))]
 		rc.Func, rc.Args = logFunc(m.desc, "poke"), []marshal.Value{marshal.HandleVal(h), marshal.Uint(seq)}
+	default:
+		h := m.live[m.r.Intn(len(m.live))]
+		v := binary.LittleEndian.AppendUint64(nil, seq)
+		rc.Func, rc.Args = logFunc(m.desc, "tune"), []marshal.Value{marshal.HandleVal(h), marshal.Uint(uint64(m.r.Intn(3))), marshal.Uint(8), marshal.BytesVal(v)}
 	}
 	m.issued = append(m.issued, rc)
 	m.admit(seq)
@@ -215,7 +230,7 @@ func (m *logModel) issue() {
 
 // admit is Guardian.admit's shadow-recording half.
 func (m *logModel) admit(seq uint64) {
-	if _, dup := m.log.bySeq[seq]; dup {
+	if m.log.find(seq) != nil {
 		delete(m.log.pendingRebind, seq) // re-executed and rebound
 	} else {
 		m.log.upsert(cloneRecorded(&m.issued[seq-1]))
@@ -231,7 +246,7 @@ func (m *logModel) answer() {
 	i := m.r.Intn(len(m.open))
 	seq := m.open[i]
 	m.open = append(m.open[:i], m.open[i+1:]...)
-	if _, ok := m.log.bySeq[seq]; !ok {
+	if m.log.find(seq) == nil {
 		return // pruned or dropped since
 	}
 	if m.r.Intn(8) == 0 {
@@ -257,9 +272,50 @@ func (m *logModel) destroy() {
 	m.live = append(m.live[:i], m.live[i+1:]...)
 }
 
+// checkpoint commits at the high-water mark and compacts, as
+// endCheckpoint does. Replaying the compacted log must leave every tune
+// slot at the value of its newest call at or below w — the value replaying
+// the uncompacted log leaves — with that call the slot's only entry, and
+// replay everything else as before.
 func (m *logModel) checkpoint() {
+	m.t.Helper()
 	m.w = m.max
 	m.mirror.MirrorCheckpoint(m.epoch, m.w, nil)
+	before := m.log.replayLog(m.w)
+	n := m.log.compact(m.w)
+	after := m.log.replayLog(m.w)
+	if len(before)-len(after) != n {
+		m.t.Fatalf("compact(%d) reported %d dropped, replay shrank by %d", m.w, n, len(before)-len(after))
+	}
+	newest, rest := tuneSlots(m.desc, before)
+	kept, restAfter := tuneSlots(m.desc, after)
+	if !reflect.DeepEqual(kept, newest) || !reflect.DeepEqual(rest, restAfter) {
+		m.t.Fatalf("compact(%d): slots %v, want %v; other entries %v, want %v", m.w, kept, newest, restAfter, rest)
+	}
+	for _, rc := range after {
+		if rc.Func == logFunc(m.desc, "tune") && newest[tuneSlot(rc)] != rc.Seq {
+			m.t.Fatalf("compact(%d) kept tune#%d, superseded by #%d", m.w, rc.Seq, newest[tuneSlot(rc)])
+		}
+	}
+}
+
+// tuneSlot renders the slot a tune call sets.
+func tuneSlot(rc migrate.RecordedCall) string {
+	return fmt.Sprintf("obj %d knob %d", rc.Args[0].Handle(), rc.Args[1].Uint())
+}
+
+// tuneSlots replays log: the seq of the call that last set each tune
+// slot, and the seqs of every other entry in order.
+func tuneSlots(desc *cava.Descriptor, log []migrate.RecordedCall) (newest map[string]uint64, rest []uint64) {
+	newest = map[string]uint64{}
+	for _, rc := range log {
+		if rc.Func == logFunc(desc, "tune") {
+			newest[tuneSlot(rc)] = rc.Seq
+		} else {
+			rest = append(rest, rc.Seq)
+		}
+	}
+	return newest, rest
 }
 
 func (m *logModel) recover() {
@@ -280,7 +336,7 @@ func TestShadowLogMirrorRehydratesToSameReplayLog(t *testing.T) {
 	desc := cava.MustCompile(logSpec)
 	for seed := int64(1); seed <= 40; seed++ {
 		mirror := NewMemoryMirror()
-		m := &logModel{r: rand.New(rand.NewSource(seed)), desc: desc, mirror: mirror, log: newShadowLog(desc, mirror)}
+		m := &logModel{t: t, r: rand.New(rand.NewSource(seed)), desc: desc, mirror: mirror, log: newShadowLog(desc, mirror)}
 		for step := 0; step < 300; step++ {
 			switch k := m.r.Intn(20); {
 			case k < 8:
@@ -300,7 +356,7 @@ func TestShadowLogMirrorRehydratesToSameReplayLog(t *testing.T) {
 			}
 			rehydrated := newShadowLog(desc, nil)
 			rehydrated.load(st)
-			if got, want := rehydrated.replayLog(m.w), m.log.replayLog(m.w); !reflect.DeepEqual(got, want) {
+			if got, want := rehydrated.replayLog(m.w), m.log.replayLog(m.w); !sameLog(got, want) {
 				t.Fatalf("seed %d step %d (w=%d): rehydrated log replays %v, guardian's log %v", seed, step, m.w, logSeqs(got), logSeqs(want))
 			}
 		}
@@ -309,7 +365,7 @@ func TestShadowLogMirrorRehydratesToSameReplayLog(t *testing.T) {
 		rehydrated := newShadowLog(desc, nil)
 		rehydrated.load(mirror.State())
 		m.log.rebuild(m.w)
-		if got, want := rehydrated.replayLog(^uint64(0)), m.log.replayLog(^uint64(0)); !reflect.DeepEqual(got, want) {
+		if got, want := rehydrated.replayLog(^uint64(0)), m.log.replayLog(^uint64(0)); !sameLog(got, want) {
 			t.Fatalf("seed %d: load kept %v, rebuild kept %v", seed, logSeqs(got), logSeqs(want))
 		}
 		if !reflect.DeepEqual(rehydrated.replySeen, m.log.replySeen) || !reflect.DeepEqual(rehydrated.pendingRebind, m.log.pendingRebind) {
@@ -317,6 +373,11 @@ func TestShadowLogMirrorRehydratesToSameReplayLog(t *testing.T) {
 				rehydrated.replySeen, rehydrated.pendingRebind, m.log.replySeen, m.log.pendingRebind)
 		}
 	}
+}
+
+// sameLog compares two replay logs entry by entry with sameRecorded.
+func sameLog(a, b []migrate.RecordedCall) bool {
+	return slices.EqualFunc(a, b, func(x, y migrate.RecordedCall) bool { return sameRecorded(&x, &y) })
 }
 
 // logServer serves logSpec: create puts its kind in the table, destroy
@@ -333,7 +394,7 @@ func logServer() (*server.Server, *cava.Descriptor) {
 		inv.Ctx.Handles.Remove(inv.Handle(0))
 		return ok(inv)
 	})
-	for _, name := range []string{"setup", "poke", "fill", "ping"} {
+	for _, name := range []string{"setup", "poke", "fill", "tune", "ping"} {
 		reg.MustRegister(name, ok)
 	}
 	return server.New(reg), desc
@@ -506,4 +567,166 @@ func TestShadowLogSurvivesFrameReuse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tuneCall builds a recorded tune of knob on object h with an 8-byte value.
+func tuneCall(desc *cava.Descriptor, seq uint64, h marshal.Handle, knob uint64) *migrate.RecordedCall {
+	v := binary.LittleEndian.AppendUint64(nil, seq)
+	return &migrate.RecordedCall{Func: logFunc(desc, "tune"), Seq: seq,
+		Args: []marshal.Value{marshal.HandleVal(h), marshal.Uint(knob), marshal.Uint(8), marshal.BytesVal(v)}}
+}
+
+// The supersession rule, one row per case of the table in shadowLog.compact:
+// a keyed modify at or below w leaves only for a newer call at or below w on
+// the same function, object and key; unkeyed modifies, creates and anything
+// past w stay. The sink gets the dropped seqs as one ascending batch.
+func TestShadowLogCompactRule(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	desc := cava.MustCompile(logSpec)
+	m := NewMemoryMirror()
+	l := newShadowLog(desc, m)
+	poke := logFunc(desc, "poke")
+	for _, rc := range []*migrate.RecordedCall{
+		tuneCall(desc, 1, 10, 0), // superseded by 4
+		tuneCall(desc, 2, 10, 1), // another key: stays
+		tuneCall(desc, 3, 11, 0), // another object: superseded by 7
+		tuneCall(desc, 4, 10, 0), // superseded by 6
+		{Func: poke, Seq: 5, Args: []marshal.Value{marshal.HandleVal(10), marshal.Uint(5)}}, // unkeyed
+		tuneCall(desc, 6, 10, 0), // newest <= w: stays
+		tuneCall(desc, 7, 11, 0), // newest <= w: stays
+		{Func: poke, Seq: 8, Args: []marshal.Value{marshal.HandleVal(10), marshal.Uint(8)}}, // unkeyed
+		tuneCall(desc, 10, 10, 0), // past w: stays, and supersedes nothing yet
+	} {
+		l.upsert(rc)
+	}
+	if n := l.compact(9); n != 3 {
+		t.Fatalf("compact(9) dropped %d, want 3", n)
+	}
+	if got, want := logSeqs(l.replayLog(9)), []uint64{2, 5, 6, 7, 8}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after compact(9) a recovery at 9 replays %v, want %v", got, want)
+	}
+	if l.find(10) == nil {
+		t.Fatal("compact(9) dropped seq 10, past the watermark")
+	}
+	if got, want := mirrorSeqs(m.State()), []uint64{2, 5, 6, 7, 8, 10}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("mirror after compact(9) = %v, want %v", got, want)
+	}
+	// The next checkpoint covers seq 10, which now supersedes 6.
+	if n := l.compact(10); n != 1 || l.find(6) != nil {
+		t.Fatalf("compact(10) dropped %d (seq 6 present: %v), want 1", n, l.find(6) != nil)
+	}
+}
+
+// Without a keyed modify in the spec a compaction drops nothing: the log
+// replays exactly what it replayed before, even after its entries moved
+// into fresh chunks.
+func TestShadowLogCompactLeavesUnkeyedLogAsIs(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	desc := cava.MustCompile(logSpec)
+	l := newShadowLog(desc, nil)
+	fill, poke := logFunc(desc, "fill"), logFunc(desc, "poke")
+	for seq := uint64(1); seq <= 3*slabCalls; seq++ {
+		payload := []byte(fmt.Sprintf("fill-%d", seq))
+		call := &marshal.Call{Seq: seq, Func: fill, Args: []marshal.Value{marshal.HandleVal(7), marshal.Uint(uint64(len(payload))), marshal.BytesVal(payload)}}
+		if seq%3 == 0 {
+			call.Func, call.Args = poke, []marshal.Value{marshal.HandleVal(7), marshal.Uint(seq)}
+		}
+		l.record(call)
+	}
+	before := slices.Clone(l.replayLog(^uint64(0)))
+	for i := range before {
+		before[i].Args = migrate.CloneValues(before[i].Args)
+	}
+	l.prune(8) // nothing to prune; the chunks stay full
+	gone := func(seq uint64) bool { return seq%4 != 0 }
+	for seq := uint64(1); seq <= 3*slabCalls; seq++ {
+		if gone(seq) {
+			l.drop(seq) // most of the log leaves, so compact moves the rest
+		}
+	}
+	want := slices.DeleteFunc(before, func(rc migrate.RecordedCall) bool { return gone(rc.Seq) })
+	if n := l.compact(3 * slabCalls); n != 0 {
+		t.Fatalf("compact dropped %d entries of a log without keyed modifies", n)
+	}
+	if l.slab.cut != len(want) {
+		t.Fatalf("compact did not move the log: %d calls cut since, want %d", l.slab.cut, len(want))
+	}
+	if got := l.replayLog(^uint64(0)); !sameLog(got, want) {
+		t.Fatalf("compaction changed an unkeyed log: %v, want %v", logSeqs(got), logSeqs(want))
+	}
+}
+
+// Ownership rule for recycled chunks: once a compaction has moved the log
+// and recycled the chunks it was cut from, nothing the log or its mirror
+// holds may alias them. Scribbling over every recycled chunk, and then
+// cutting thousands of new entries from them, must leave every kept
+// entry's byte arguments — in the log and in the mirror — as recorded.
+func TestShadowLogCompactionRecyclesChunks(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	desc := cava.MustCompile(logSpec)
+	m := NewMemoryMirror()
+	l := newShadowLog(desc, m)
+	tune, fill := logFunc(desc, "tune"), logFunc(desc, "fill")
+	issued := map[uint64][]marshal.Value{}
+	seq := uint64(0)
+	record := func(n int) {
+		for i := 0; i < n; i++ {
+			seq++
+			payload := bytes.Repeat([]byte{byte(seq)}, 1+int(seq%40))
+			if seq%50 == 0 {
+				payload = bytes.Repeat([]byte{byte(seq)}, slabBytesMax+1) // a copy of its own
+			}
+			args := []marshal.Value{marshal.HandleVal(marshal.Handle(1 + seq%2)), marshal.Uint(seq % 5), marshal.Uint(uint64(len(payload))), marshal.BytesVal(payload)}
+			call := &marshal.Call{Seq: seq, Func: tune, Args: args}
+			if seq%7 == 0 {
+				call.Func, call.Args = fill, []marshal.Value{args[0], args[2], args[3]}
+			}
+			issued[seq] = migrate.CloneValues(call.Args)
+			l.record(call)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, rc := range l.entries {
+			if !slices.EqualFunc(rc.Args, issued[rc.Seq], marshal.Value.Equal) {
+				t.Fatalf("%s: log entry #%d args changed", when, rc.Seq)
+			}
+		}
+		for _, rc := range m.State().Entries {
+			if !slices.EqualFunc(rc.Args, issued[rc.Seq], marshal.Value.Equal) {
+				t.Fatalf("%s: mirror entry #%d args changed", when, rc.Seq)
+			}
+		}
+	}
+	record(3000)
+	w := seq - 100
+	if n := l.compact(w); n == 0 {
+		t.Fatal("compact dropped nothing")
+	}
+	sl := &l.slab
+	if len(sl.calls.free) == 0 || len(sl.values.free) == 0 || len(sl.bytes.free) == 0 {
+		t.Fatalf("compact recycled no chunks: free %d/%d/%d", len(sl.calls.free), len(sl.values.free), len(sl.bytes.free))
+	}
+	for _, c := range sl.calls.free {
+		for i := range c {
+			c[i] = migrate.RecordedCall{Func: 9999, Seq: ^uint64(0)}
+		}
+	}
+	for _, c := range sl.values.free {
+		for i := range c {
+			c[i] = marshal.Int(-1)
+		}
+	}
+	for _, c := range sl.bytes.free {
+		for i := range c {
+			c[i] = 0xAA
+		}
+	}
+	check("after scribbling over recycled chunks")
+	record(3000)
+	check("after cutting new entries from recycled chunks")
+	if n := l.compact(seq); n == 0 {
+		t.Fatal("second compact dropped nothing")
+	}
+	check("after a second compaction")
 }

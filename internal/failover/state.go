@@ -268,8 +268,10 @@ func (c *capture) release() {
 // the snapshot round trip took the OLD watermark for its replay set, and
 // announcing the new one would make the guest trim retained frames that
 // replay does not cover. Such a recovery also owns the state now; only a
-// cut that still does hands it back. The capture's reply frame goes back to
-// the pool last, once the delta sink has composed the ranges it aliases.
+// cut that still does hands it back. A commit compacts the shadow log at
+// the new watermark (shadowLog.compact), after the sink has the
+// checkpoint. The capture's reply frame goes back to the pool last, once
+// the delta sink has composed the ranges it aliases.
 func (g *Guardian) endCheckpoint(cut ckptCut, c capture, err error) error {
 	defer c.release()
 	g.mu.Lock()
@@ -327,6 +329,7 @@ func (g *Guardian) endCheckpoint(cut ckptCut, c capture, err error) error {
 		(!c.delta || g.delta == nil || !g.delta.MirrorCheckpointDelta(epoch, w, c.deltas)) {
 		sink.MirrorCheckpoint(epoch, w, c.objects)
 	}
+	g.stats.Superseded += uint64(g.log.compact(w))
 	g.mu.Unlock()
 	g.sendNorth(marshal.EncodeControl(marshal.CtrlCheckpoint, epoch, w))
 	return nil

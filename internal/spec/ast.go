@@ -249,6 +249,11 @@ func (k TrackKind) String() string {
 type TrackAnn struct {
 	Kind  TrackKind
 	Param string // object parameter for create/destroy/modify; "" = return value
+	// Key, on a modify only, names a scalar in-parameter: a later call of
+	// the same function on the same object with an equal key fully
+	// overwrites what this call set, so the record log may drop this one
+	// once both are checkpointed ("" = no key; every call is kept).
+	Key string
 }
 
 // Func is one API function with its annotations.

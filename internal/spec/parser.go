@@ -20,7 +20,7 @@ package spec
 //	           | "if" "(" IDENT ("=="|"!=") expr ")" stmt "else" stmt
 //	           | "parameter" "(" IDENT ")" "{" { pAnn } "}"
 //	           | "resource" "(" IDENT "," expr ")" ";"
-//	           | "track" "(" IDENT [ "," IDENT ] ")" ";" .
+//	           | "track" "(" IDENT [ "," IDENT [ "," IDENT ] ] ")" ";" .
 //	pAnn       = ("in"|"out"|"inout"|"allocates"|"deallocates") ";"
 //	           | "buffer" "(" expr ")" ";"
 //	           | "element" [ "{" { pAnn } "}" ] ";"? .
@@ -714,6 +714,16 @@ func (p *parser) parseTrackAnn(fn *Func) error {
 			return err
 		}
 		ta.Param = prm.text
+		if p.tok.kind == tokComma {
+			if err := p.advance(); err != nil {
+				return err
+			}
+			key, err := p.expect(tokIdent)
+			if err != nil {
+				return err
+			}
+			ta.Key = key.text
+		}
 	}
 	if _, err := p.expect(tokRParen); err != nil {
 		return err

@@ -108,9 +108,12 @@ func printFunc(b *strings.Builder, fn *Func) {
 		stmts = append(stmts, fmt.Sprintf("resource(%s, %s);", res.Resource, printExpr(res.Amount)))
 	}
 	if fn.Track.Kind != TrackNone {
-		if fn.Track.Param != "" {
+		switch {
+		case fn.Track.Key != "":
+			stmts = append(stmts, fmt.Sprintf("track(%s, %s, %s);", fn.Track.Kind, fn.Track.Param, fn.Track.Key))
+		case fn.Track.Param != "":
 			stmts = append(stmts, fmt.Sprintf("track(%s, %s);", fn.Track.Kind, fn.Track.Param))
-		} else {
+		default:
 			stmts = append(stmts, fmt.Sprintf("track(%s);", fn.Track.Kind))
 		}
 	}

@@ -45,7 +45,7 @@ func randAPI(r *rand.Rand) string {
 		var params []string
 		var anns []string
 		nParams := r.Intn(5)
-		var scalars []string
+		var scalars, handles []string
 		// Always have one size-ish scalar available for buffers.
 		params = append(params, "size_t size")
 		scalars = append(scalars, "size")
@@ -60,6 +60,7 @@ func randAPI(r *rand.Rand) string {
 				}
 			case 1: // handle by value
 				params = append(params, fmt.Sprintf("h%d %s", r.Intn(nHandles), name))
+				handles = append(handles, name)
 			case 2: // in buffer sized by an existing scalar
 				params = append(params, "const void *"+name)
 				anns = append(anns, fmt.Sprintf("parameter(%s) { in; buffer(%s); }", name, scalars[r.Intn(len(scalars))]))
@@ -94,6 +95,17 @@ func randAPI(r *rand.Rand) string {
 		}
 		if r.Intn(3) == 0 {
 			anns = append(anns, fmt.Sprintf("resource(bandwidth, %s);", scalars[r.Intn(len(scalars))]))
+		}
+		// Tracking: a modify of a handle parameter, keyed by an integer
+		// scalar or not.
+		if len(handles) > 0 {
+			obj := handles[r.Intn(len(handles))]
+			switch r.Intn(3) {
+			case 0:
+				anns = append(anns, fmt.Sprintf("track(modify, %s);", obj))
+			case 1:
+				anns = append(anns, fmt.Sprintf("track(modify, %s, %s);", obj, scalars[r.Intn(len(scalars))]))
+			}
 		}
 		fmt.Fprintf(&b, "st f%d(%s)", i, strings.Join(params, ", "))
 		if len(anns) == 0 {
@@ -142,7 +154,7 @@ func TestQuickRandomSpecRoundTrip(t *testing.T) {
 		for i, fn := range api.Funcs {
 			fn2 := api2.Funcs[i]
 			if fn.Name != fn2.Name || len(fn.Params) != len(fn2.Params) ||
-				fn.Sync.Mode != fn2.Sync.Mode || len(fn.Resources) != len(fn2.Resources) {
+				fn.Sync.Mode != fn2.Sync.Mode || len(fn.Resources) != len(fn2.Resources) || fn.Track != fn2.Track {
 				return false
 			}
 			for j, p := range fn.Params {

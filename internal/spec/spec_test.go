@@ -572,3 +572,69 @@ func TestNoteString(t *testing.T) {
 		t.Fatalf("note string = %q", s)
 	}
 }
+
+// track(modify, obj, key): the key is a by-value integer in-parameter other
+// than the object, on a modify. Each violation is an error positioned at
+// the key parameter when there is one, else at the function.
+func TestValidateTrackKeyErrors(t *testing.T) {
+	const head = "handle h;\ntype st = int32_t;\n"
+	cases := []struct {
+		name, src, want, pos string
+	}{
+		{"key on destroy", "st f(h a, uint32_t k) { track(destroy, a, k); }", "only a modify takes a key", "3:1"},
+		{"key on create", "st f(uint32_t k, h *o) { parameter(o) { out; element { allocates; } } track(create, o, k); }", "only a modify takes a key", "3:1"},
+		{"unknown key", "st f(h a) { track(modify, a, k); }", "no such key parameter", "3:1"},
+		{"key is the object", "st f(h a) { track(modify, a, a); }", "the key is the object itself", "3:6"},
+		{"pointer key", "st f(h a, const uint32_t *k) { parameter(k) { in; buffer(1); } track(modify, a, k); }", "key k is a pointer", "3:11"},
+		{"out key", "st f(h a, uint32_t k) { parameter(k) { out; } track(modify, a, k); }", "key k is an output", "3:11"},
+		{"handle key", "st f(h a, h k) { track(modify, a, k); }", "key k is handle, want an integer scalar", "3:11"},
+		{"float key", "st f(h a, double k) { track(modify, a, k); }", "key k is float, want an integer scalar", "3:11"},
+		{"missing key ident", "st f(h a) { track(modify, a, ); }", "expected", "3:"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(head + tc.src)
+			if err == nil {
+				t.Fatalf("no error for %q", tc.src)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			if !strings.Contains(err.Error(), "spec:"+tc.pos) {
+				t.Fatalf("error %q is not positioned at %s", err, tc.pos)
+			}
+		})
+	}
+}
+
+// A keyed track prints in its three-argument form, and what it prints
+// parses back to the same annotation; an unkeyed one keeps two arguments.
+func TestPrintParseTrackKeyRoundTrip(t *testing.T) {
+	api := mustParse(t, `
+handle k;
+type st = int32_t;
+st set(k obj, uint32_t index, uint64_t value) { track(modify, obj, index); }
+st build(k obj) { track(modify, obj); }
+`)
+	text := Print(api)
+	for _, want := range []string{"track(modify, obj, index);", "track(modify, obj);"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("printed spec lacks %q:\n%s", want, text)
+		}
+	}
+	api2, err := Parse(text)
+	if err != nil {
+		t.Fatalf("re-parse failed: %v\n%s", err, text)
+	}
+	if text2 := Print(api2); text2 != text {
+		t.Fatalf("print not idempotent:\n--- first\n%s\n--- second\n%s", text, text2)
+	}
+	for _, name := range []string{"set", "build"} {
+		if got, want := api2.Func(name).Track, api.Func(name).Track; got != want {
+			t.Fatalf("%s: track %+v after the round trip, want %+v", name, got, want)
+		}
+	}
+	if got := api2.Func("set").Track.Key; got != "index" {
+		t.Fatalf("set's key = %q, want index", got)
+	}
+}

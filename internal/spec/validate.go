@@ -123,6 +123,37 @@ func validateFunc(api *API, fn *Func, report func(Pos, string, ...any)) {
 			report(fn.Pos, "%s: track(%s, %s): no such parameter", fn.Name, fn.Track.Kind, fn.Track.Param)
 		}
 	}
+	if fn.Track.Key != "" {
+		validateTrackKey(api, fn, report)
+	}
+}
+
+// validateTrackKey checks track(modify, obj, key): the key is a by-value
+// integer in-parameter other than the object, so equal keys can be told
+// apart from the recorded arguments alone.
+func validateTrackKey(api *API, fn *Func, report func(Pos, string, ...any)) {
+	ta := fn.Track
+	ann := fmt.Sprintf("%s: track(%s, %s, %s)", fn.Name, ta.Kind, ta.Param, ta.Key)
+	if ta.Kind != TrackModify {
+		report(fn.Pos, "%s: only a modify takes a key", ann)
+		return
+	}
+	prm := fn.Param(ta.Key)
+	switch {
+	case prm == nil:
+		report(fn.Pos, "%s: no such key parameter", ann)
+	case ta.Key == ta.Param:
+		report(prm.Pos, "%s: the key is the object itself", ann)
+	case prm.Type.Stars > 0:
+		report(prm.Pos, "%s: key %s is a pointer, want a scalar passed by value", ann, ta.Key)
+	case prm.Dir == DirOut || prm.Dir == DirInOut:
+		report(prm.Pos, "%s: key %s is an output, want an in-parameter", ann, ta.Key)
+	default:
+		rt, err := api.Resolve(prm.Type.Name)
+		if err == nil && rt.Kind != KindInt && rt.Kind != KindUint {
+			report(prm.Pos, "%s: key %s is %s, want an integer scalar", ann, ta.Key, rt.Kind)
+		}
+	}
 }
 
 func isHandleParam(api *API, prm *Param) bool {
