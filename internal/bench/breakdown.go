@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"ava"
@@ -93,8 +94,8 @@ func Breakdown(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "E9",
 		Title: "per-call stage breakdown (vectoradd, sync calls)",
-		Header: []string{"transport", "calls", "enc->admit", "admit->disp",
-			"exec", "reply", "stage sum", "e2e", "coverage"},
+		Header: []string{"transport", "calls", "allocs/call", "B/call", "enc->admit",
+			"admit->disp", "exec", "reply", "stage sum", "e2e", "coverage"},
 	}
 
 	n := (1 << 16) * opts.scale()
@@ -129,6 +130,8 @@ func Breakdown(opts Options) (*Table, error) {
 			return nil, err
 		}
 
+		var mem0, mem1 runtime.MemStats
+		runtime.ReadMemStats(&mem0)
 		before := c.Lib().Stats()
 		start := time.Now()
 		for r := 0; r < opts.reps(); r++ {
@@ -139,6 +142,7 @@ func Breakdown(opts Options) (*Table, error) {
 		}
 		e2e := time.Since(start)
 		after := c.Lib().Stats()
+		runtime.ReadMemStats(&mem1)
 		stack.Close()
 
 		calls := after.StagedCalls - before.StagedCalls
@@ -152,11 +156,16 @@ func Breakdown(opts Options) (*Table, error) {
 		sum := encAdmit + admitDisp + exec + reply
 
 		per := func(d time.Duration) string { return us(d / time.Duration(calls)) }
+		issued := float64(after.Calls - before.Calls)
 		t.Add(tr.name, fmt.Sprintf("%d", calls),
+			fmt.Sprintf("%.1f", float64(mem1.Mallocs-mem0.Mallocs)/issued),
+			fmt.Sprintf("%.0f", float64(mem1.TotalAlloc-mem0.TotalAlloc)/issued),
 			per(encAdmit), per(admitDisp), per(exec), per(reply),
 			ms(sum), ms(e2e), fmt.Sprintf("%.0f%%", 100*ratio(sum, e2e)))
 	}
 	t.Note("coverage = stamped stage sum / measured wall time; forced-sync calls, so the four stages should account for ~all of it")
 	t.Note("exec dominates on DMA-heavy calls (the silo charges PCIe + launch costs); enc->admit and reply are the remoting tax")
+	t.Note("enc->admit ends at the router's arrival reading for a call it did not hold, so the router's own policing falls in admit->disp")
+	t.Note("allocs/call, B/call = the process's runtime.MemStats Mallocs and TotalAlloc deltas over the timed runs, divided by the guest library's Stats().Calls; they include the workload's own allocations")
 	return t, nil
 }

@@ -746,17 +746,25 @@ func (l *Lib) Invoke(fd *cava.FuncDesc, opts *CallOptions, args []marshal.Value)
 		return marshal.Null(), fmt.Errorf("%w: %s: %d args, want %d", ErrBadArg, fd.Name, len(args), len(fd.Params))
 	}
 
-	// Stamp before marshalling: the encode→admit stage owns argument
-	// checking and buffer copies, so the per-stage breakdown accounts
-	// for the full guest-side cost of the call. Fail-fast also sits here,
-	// before any marshal effort is spent on a dead call.
-	now := l.clk.Now()
-	deadline := l.deadlineNano(opts, now)
-	if deadline != 0 && deadline <= now.UnixNano() {
-		l.mu.Lock()
-		l.stats.DeadlineFailFast++
-		l.mu.Unlock()
-		return marshal.Null(), fmt.Errorf("%w: %s: expired before encode", ErrDeadlineExceeded, fd.Name)
+	// The clock is read only for a consumer of the reading. A call with a
+	// deadline reads it here, before argument checking and marshalling: it
+	// anchors the deadline, and fail-fast spends no marshal effort on a dead
+	// call. A deadline-free call reads it once it is known to be synchronous
+	// (below), since only a sync call's encode stamp comes back in a reply
+	// to feed the stage breakdown; a deadline-free async call goes out with
+	// Stamps.Encode = 0, which the router and server read only beside a
+	// deadline.
+	var now time.Time
+	var deadline int64
+	if !opts.Deadline.IsZero() || opts.Timeout > 0 || l.defTimeout > 0 {
+		now = l.clk.Now()
+		deadline = l.deadlineNano(opts, now)
+		if deadline <= now.UnixNano() {
+			l.mu.Lock()
+			l.stats.DeadlineFailFast++
+			l.mu.Unlock()
+			return marshal.Null(), fmt.Errorf("%w: %s: expired before encode", ErrDeadlineExceeded, fd.Name)
+		}
 	}
 
 	// The out-buffer bindings live on this goroutine's stack for calls of
@@ -826,6 +834,11 @@ func (l *Lib) Invoke(fd *cava.FuncDesc, opts *CallOptions, args []marshal.Value)
 		// clEnqueueReadBuffer). If a caller passes output destinations on
 		// a non-blocking path, forward synchronously to stay faithful.
 		sync = true
+	}
+	if sync && now.IsZero() {
+		// Stamp before marshalling: the encode→admit stage owns the buffer
+		// copies of the encode.
+		now = l.clk.Now()
 	}
 
 	// Registered-buffer fast path: on a shared-address-space deployment
@@ -903,7 +916,9 @@ func (l *Lib) Invoke(fd *cava.FuncDesc, opts *CallOptions, args []marshal.Value)
 
 		l.seq++
 		call := marshal.Call{Seq: l.seq, Func: fd.ID, Priority: pri, Epoch: l.epoch, Deadline: deadline, Args: args}
-		call.Stamps.Encode = now.UnixNano()
+		if !now.IsZero() {
+			call.Stamps.Encode = now.UnixNano()
+		}
 		l.stats.Calls++
 
 		if !sync {
@@ -917,11 +932,19 @@ func (l *Lib) Invoke(fd *cava.FuncDesc, opts *CallOptions, args []marshal.Value)
 			var err error
 			if l.pendingN >= l.batchLimit {
 				err = l.flushLocked()
-			} else if l.pendingDL > 0 && l.deadlinePressure(now) {
-				// Deadline-aware batching: the oldest batched call's budget is
-				// nearly spent, so flush now rather than let it expire queued.
-				l.stats.BatchDeadlineFlushes++
-				err = l.flushLocked()
+			} else if l.pendingDL > 0 {
+				if now.IsZero() {
+					// A call batched earlier carries a deadline; this one
+					// took no reading of its own.
+					now = l.clk.Now()
+				}
+				if l.deadlinePressure(now) {
+					// Deadline-aware batching: the oldest batched call's
+					// budget is nearly spent, so flush now rather than let
+					// it expire queued.
+					l.stats.BatchDeadlineFlushes++
+					err = l.flushLocked()
+				}
 			}
 			l.mu.Unlock()
 			if err != nil {

@@ -31,7 +31,8 @@ func TestPoliceAdmittedCallAllocatesNothing(t *testing.T) {
 		} {
 			var sc uplinkScratch
 			admit := func() {
-				if keep, deny := r.police(vm.ID, st, nil, frame, &sc); !keep || deny != nil {
+				now := r.clk.Now()
+				if keep, deny := r.police(vm.ID, st, nil, frame, &now, &sc); !keep || deny != nil {
 					t.Fatalf("%s: call not admitted: %+v", cfg.name, deny)
 				}
 			}

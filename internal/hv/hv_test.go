@@ -131,7 +131,9 @@ func TestFIFOSchedulerAccounts(t *testing.T) {
 	s := NewFIFOScheduler()
 	s.Admit(1, 10, 0)
 	s.Done(1, 10, 0)
-	s.Admit(1, 10, 0)
+	if s.Admit(1, 10, 0) {
+		t.Fatal("FIFO Admit reported a parked call")
+	}
 	s.Done(1, 10, 25) // measured overrides
 	if got := s.Usage(1); got != 35 {
 		t.Fatalf("usage = %d", got)
@@ -1045,7 +1047,8 @@ func BenchmarkRouterAdmit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if keep, _ := r.police(vm.ID, st, nil, frame, &sc); !keep {
+				now := r.clk.Now() // the arrival reading of a one-call frame
+				if keep, _ := r.police(vm.ID, st, nil, frame, &now, &sc); !keep {
 					b.Fatal("call not admitted")
 				}
 			}

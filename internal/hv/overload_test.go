@@ -278,9 +278,9 @@ type fakeLoadSched struct {
 	stall time.Duration
 }
 
-func (f *fakeLoadSched) Admit(vm VMID, cost int64, pri uint8)     {}
-func (f *fakeLoadSched) Done(vm VMID, cost int64, measured int64) {}
-func (f *fakeLoadSched) Usage(vm VMID) int64                      { return 0 }
+func (f *fakeLoadSched) Admit(vm VMID, cost int64, pri uint8) bool { return false }
+func (f *fakeLoadSched) Done(vm VMID, cost int64, measured int64)  {}
+func (f *fakeLoadSched) Usage(vm VMID) int64                       { return 0 }
 func (f *fakeLoadSched) set(depth int, stall time.Duration) {
 	f.mu.Lock()
 	f.depth, f.stall = depth, stall

@@ -167,8 +167,10 @@ type Router struct {
 	intercept atomic.Pointer[[]Interceptor]
 	shed      atomic.Pointer[ShedConfig]
 
-	loadMu      sync.Mutex
-	recentStall time.Duration // EWMA of admitted calls' rate-limit+sched stall
+	// recentStall is the EWMA of admitted calls' rate-limit+sched stall, in
+	// nanoseconds; an atomic, so the common stall-free admission into a
+	// settled average costs one load and no store.
+	recentStall atomic.Int64
 }
 
 // SetShedPolicy installs (or, with the zero value, removes) the router's
@@ -183,19 +185,21 @@ func (r *Router) shedConfig() ShedConfig {
 }
 
 // noteStall folds one admitted call's stall into the router-wide EWMA the
-// load shedder reads (alpha 1/8; stall-free admissions decay it).
+// load shedder reads (alpha 1/8; stall-free admissions decay it). A fold that
+// leaves the average as it was — a zero stall into a zero EWMA, the common
+// case — writes nothing.
 func (r *Router) noteStall(d time.Duration) {
-	r.loadMu.Lock()
-	r.recentStall += (d - r.recentStall) / 8
-	r.loadMu.Unlock()
+	for {
+		old := r.recentStall.Load()
+		next := old + (int64(d)-old)/8
+		if next == old || r.recentStall.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }
 
 // RecentStall returns the router's recent aggregate admission stall.
-func (r *Router) RecentStall() time.Duration {
-	r.loadMu.Lock()
-	defer r.loadMu.Unlock()
-	return r.recentStall
-}
+func (r *Router) RecentStall() time.Duration { return time.Duration(r.recentStall.Load()) }
 
 // ShedStallThreshold reports the shed-stall threshold in force (0 when the
 // stall signal is off).
@@ -494,8 +498,10 @@ func (r *Router) uplink(id VMID, st *vmState, guestSide, serverSide transport.En
 		}
 		ics := r.interceptors()
 		sc.forward = sc.forward[:0]
+		// One arrival reading per frame: every call in it arrived together.
+		now := r.clk.Now()
 		for _, cf := range sc.batch {
-			keep, deny := r.police(id, st, ics, cf, &sc)
+			keep, deny := r.police(id, st, ics, cf, &now, &sc)
 			if deny != nil {
 				if err := guestSide.Send(marshal.EncodeReply(deny)); err != nil {
 					return err
@@ -557,10 +563,16 @@ func (st *vmState) reject(call *marshal.Call, status marshal.Status, format stri
 // dropped, counted, and recorded as the VM's pending deferred error so the
 // next synchronous call surfaces them (§4.2).
 //
-// An admitted call reads the clock twice — on arrival, and once after
-// scheduling, which serves as the end of the stall, the deadline re-check
-// and the admit stamp — and takes the VM's lock once, for its counters.
-func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte, sc *uplinkScratch) (keep bool, deny *marshal.Reply) {
+// *now is the frame's arrival reading, which serves the call's deadline
+// translation, both token buckets and the start of its stall. A call the
+// router held — it slept out a bucket delay, or the scheduler parked it —
+// takes one more reading at its release: the end of its stall, its deadline
+// re-check and its admit stamp. That reading replaces *now, since the
+// frame's later calls queued behind the held one and arrive at policing
+// only then. An unheld call reads no clock at all: its admit stamp is *now
+// and its stall is 0. Either way an admitted call takes the VM's lock once,
+// for its counters.
+func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte, now *time.Time, sc *uplinkScratch) (keep bool, deny *marshal.Reply) {
 	call := &sc.call
 	if err := marshal.DecodeCallInto(call, cf); err != nil {
 		st.mu.Lock()
@@ -616,19 +628,19 @@ func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte, sc *
 	// deadline but no encode stamp offers nothing to translate against:
 	// anchor it at admission on our clock instead of misreading the raw
 	// guest wall-clock value as a relative budget.
-	now := r.clk.Now()
+	arrival := *now
 	var localDeadline time.Time
 	if call.Deadline != 0 {
 		var rel time.Duration
 		if call.Stamps.Encode != 0 {
 			rel = time.Duration(call.Deadline - call.Stamps.Encode)
 		} else {
-			rel = time.Duration(call.Deadline - now.UnixNano())
+			rel = time.Duration(call.Deadline - arrival.UnixNano())
 		}
 		if rel <= 0 {
 			return st.reject(call, marshal.StatusDeadline, "hv: %s: deadline expired before admission", fd.Name)
 		}
-		localDeadline = now.Add(rel)
+		localDeadline = arrival.Add(rel)
 	}
 	if len(call.Args) != len(fd.Params) {
 		return st.reject(call, marshal.StatusDenied, "hv: %s: argument arity %d, want %d", fd.Name, len(call.Args), len(fd.Params))
@@ -654,9 +666,9 @@ func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte, sc *
 			return st.reject(call, marshal.StatusDenied, "hv: %s: %s quota exhausted (%d of %d used)", fd.Name, res, used, limit)
 		}
 	}
-	// admit is the one post-scheduling clock read; exempt calls are never
-	// scheduled, so their arrival read stands in for it.
-	admit := now
+	// admit is the arrival reading unless the call was held; exempt calls
+	// are never scheduled, so theirs always is.
+	admit := arrival
 	var stall time.Duration
 	band := PriorityBand(call.Priority)
 	if !exempt {
@@ -668,30 +680,32 @@ func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte, sc *
 		}
 		// Reserve both buckets up front and sleep once for the larger
 		// delay: the two limits overlap in time rather than compounding.
-		stall = st.callTB.reserveAt(now, band, 1)
-		if d := st.byteTB.reserveAt(now, band, float64(len(cf))); d > stall {
-			stall = d
+		delay := st.callTB.reserveAt(arrival, band, 1)
+		if d := st.byteTB.reserveAt(arrival, band, float64(len(cf))); d > delay {
+			delay = d
 		}
-		t0 := now
-		if stall > 0 {
-			r.clk.Sleep(stall)
-			t0 = r.clk.Now()
+		if delay > 0 {
+			r.clk.Sleep(delay)
 		}
 		cost := int64(1)
 		if i := fd.ResourceIndex("device_time"); i >= 0 && est[i] > 0 {
 			cost = est[i]
 		}
-		r.sched.Admit(id, cost, call.Priority)
+		parked := r.sched.Admit(id, cost, call.Priority)
 		r.sched.Done(id, cost, 0)
-		admit = r.clk.Now()
-		stall += admit.Sub(t0)
+		if delay > 0 || parked {
+			admit = r.clk.Now()
+			stall = admit.Sub(arrival)
+			*now = admit
+		}
 		r.noteStall(stall)
 	}
 
 	// The stall was spent inside the deadline's budget: a call held back
 	// past its deadline by rate limiting or scheduling must not reach the
-	// silo.
-	late := !exempt && !localDeadline.IsZero() && !admit.Before(localDeadline)
+	// silo. An unheld call's admit is the arrival reading, which the
+	// deadline translation above already found inside its budget.
+	late := !localDeadline.IsZero() && !admit.Before(localDeadline)
 
 	st.mu.Lock()
 	st.stats.Stall += stall

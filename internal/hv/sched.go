@@ -18,8 +18,11 @@ type Scheduler interface {
 	// Admit blocks until vm may forward a call with the given estimated
 	// cost (nanoseconds of device time, or an abstract cost unit) and
 	// guest-stamped priority (higher is more urgent; schedulers without a
-	// priority policy ignore it).
-	Admit(vm VMID, cost int64, pri uint8)
+	// priority policy ignore it). It reports whether it parked the call,
+	// rather than letting it through at once: only a parked call spent
+	// time in the scheduler, so only then does the router read the clock
+	// again to measure its stall and stamp its admission.
+	Admit(vm VMID, cost int64, pri uint8) (parked bool)
 	// Done reports that the admitted call finished; measured, if positive,
 	// replaces the estimate in the VM's accounting.
 	Done(vm VMID, cost int64, measured int64)
@@ -48,8 +51,8 @@ func NewFIFOScheduler() *FIFOScheduler {
 	return &FIFOScheduler{usage: make(map[VMID]int64)}
 }
 
-// Admit implements Scheduler.
-func (s *FIFOScheduler) Admit(vm VMID, cost int64, pri uint8) {}
+// Admit implements Scheduler; it never parks a call.
+func (s *FIFOScheduler) Admit(vm VMID, cost int64, pri uint8) bool { return false }
 
 // Done implements Scheduler.
 func (s *FIFOScheduler) Done(vm VMID, cost int64, measured int64) {
@@ -137,8 +140,9 @@ func (s *FairScheduler) minWaitingUsage(self *fairVM) (int64, bool) {
 }
 
 // Admit implements Scheduler. Fair sharing is priority-blind: pri is
-// ignored (use PriorityScheduler for urgency ordering).
-func (s *FairScheduler) Admit(vm VMID, cost int64, pri uint8) {
+// ignored (use PriorityScheduler for urgency ordering). It parks the call
+// while the VM is more than the window ahead of a contender.
+func (s *FairScheduler) Admit(vm VMID, cost int64, pri uint8) (parked bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := s.vm(vm)
@@ -149,9 +153,11 @@ func (s *FairScheduler) Admit(vm VMID, cost int64, pri uint8) {
 			break
 		}
 		s.cond.Wait()
+		parked = true
 	}
 	// Charge the estimate up front so concurrent admits see it.
 	v.usage += cost / v.weight
+	return parked
 }
 
 // Done implements Scheduler.
@@ -266,17 +272,20 @@ func (s *PriorityScheduler) grantLocked() {
 	s.cond.Broadcast()
 }
 
-// Admit implements Scheduler.
-func (s *PriorityScheduler) Admit(vm VMID, cost int64, pri uint8) {
+// Admit implements Scheduler. It parks the call unless the gate was free
+// and granted it at once.
+func (s *PriorityScheduler) Admit(vm VMID, cost int64, pri uint8) (parked bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
 	w := &priWaiter{vm: vm, pri: pri, seq: s.seq, parked: s.clk.Now()}
 	s.queue = append(s.queue, w)
 	s.grantLocked()
+	parked = !w.granted
 	for !w.granted {
 		s.cond.Wait()
 	}
+	return parked
 }
 
 // Done implements Scheduler.

@@ -82,11 +82,11 @@ func TestStackDeniedAsyncEnqueueSurfacesAtFinish(t *testing.T) {
 // path regardless of real load.
 type overloadedSched struct{}
 
-func (overloadedSched) Admit(vm hv.VMID, cost int64, pri uint8)     {}
-func (overloadedSched) Done(vm hv.VMID, cost int64, measured int64) {}
-func (overloadedSched) Usage(vm hv.VMID) int64                      { return 0 }
-func (overloadedSched) QueueDepth() int                             { return 1 << 20 }
-func (overloadedSched) RecentStall() time.Duration                  { return time.Hour }
+func (overloadedSched) Admit(vm hv.VMID, cost int64, pri uint8) bool { return false }
+func (overloadedSched) Done(vm hv.VMID, cost int64, measured int64)  {}
+func (overloadedSched) Usage(vm hv.VMID) int64                       { return 0 }
+func (overloadedSched) QueueDepth() int                              { return 1 << 20 }
+func (overloadedSched) RecentStall() time.Duration                   { return time.Hour }
 
 // A shed call surfaces as ava.ErrOverloaded through the full stack, and
 // the guest library counts it.
