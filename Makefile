@@ -3,7 +3,7 @@
 # `make check` is the stricter local/CI version of the same gate.
 
 GO ?= go
-GATES = rebind-gate target-gate state-gate decode-gate wire-gate layer-gate stub-gate adapter-gate payload-gate record-gate retain-gate
+GATES = rebind-gate target-gate state-gate decode-gate wire-gate layer-gate stub-gate adapter-gate payload-gate record-gate retain-gate release-gate
 
 .PHONY: check fmt vet gates $(GATES) gen build test allocs bench bench-smoke examples-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
@@ -21,7 +21,8 @@ vet:
 # The grep gates ("there is one of these": one rebind, one recovery target,
 # one guardian state machine, one decoder per frame kind, one assembler,
 # one-way layering, one generated binding layer, one owner of object state,
-# one source of payload buffers, one record log, one retained copy per call)
+# one release of a dead incarnation's objects, one source of payload
+# buffers, one record log, one retained copy per call)
 # are rows of the table in scripts/gates.sh; check runs them all at once, and
 # each old target name runs its own row.
 gates:
@@ -141,9 +142,14 @@ benchmark:
 # MVNC row (a graph's result FIFO carried across a machine kill by the wire
 # snapshot/restore calls); StalledPeer is the table of
 # peers that accept a connection and never (or wrongly) answer, one row per
-# control exchange (internal/host/stalled_test.go).
+# control exchange (internal/host/stalled_test.go); Release and the
+# SameSilo/ReconnectLoop/DeafLink rows of Failover and Host cover the
+# release of what a dead incarnation held — exclusive MVNC and QAT devices
+# free for the replay, a silo's buffers flat over fifty link kills, a deaf
+# connection cut at the new bind, a detached VM's objects given back
+# (internal/stacktest/release_test.go, internal/host/deaflink_test.go).
 chaos:
-	$(GO) test -race -count=1 -run 'Failover|Flaky|Severed|Liveness|Backoff|Control|StalledPeer|CrossHost|Rehydration|Rebalance|Mirror|Gossip|MultiClient|WireClient|Host|Shadow|Replay|Rebind|Migrat|Sweep|LateReply' \
+	$(GO) test -race -count=1 -run 'Failover|Flaky|Severed|Liveness|Backoff|Control|StalledPeer|CrossHost|Rehydration|Rebalance|Mirror|Gossip|MultiClient|WireClient|Host|Shadow|Replay|Rebind|Migrat|Sweep|LateReply|Release' \
 		./internal/transport/ ./internal/failover/ ./internal/migrate/ ./internal/server/ ./internal/stacktest/ ./internal/sched/ ./internal/fleet/ ./internal/bench/ ./internal/host/ .
 
 # Five seconds of real fuzzing per target, for every network-facing decoder

@@ -15,68 +15,71 @@ func us(d time.Duration) string {
 	return fmt.Sprintf("%.1fus", float64(d)/float64(time.Microsecond))
 }
 
-// breakdownVectorAdd is the vectoradd call sequence with host buffers
-// prepared by the caller. The shared vectorAdd helper converts its float
-// slices to bytes inside the workload; that host-side data preparation is
-// not remoting-stack work, so the breakdown experiment keeps it outside
-// the timed region to compare stamped stages against pure stack latency.
-func breakdownVectorAdd(c cl.Client, abytes, bbytes, out []byte, n int) error {
+// breakdownApp is the vectoradd application's device objects, built once
+// before the timed region: E9 measures what a launch costs the stack, and
+// creating a context, a queue, three buffers, a program and a kernel per
+// repetition measured the device allocator instead (nearly all of the old
+// B/call was devsim device memory).
+type breakdownApp struct {
+	c            cl.Client
+	ctx, q       cl.Ref
+	ba, bb, bo   cl.Ref
+	prog, kernel cl.Ref
+	n            int
+}
+
+func newBreakdownApp(c cl.Client, n int) (*breakdownApp, error) {
+	app := &breakdownApp{c: c, n: n}
 	ps, err := c.PlatformIDs()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ds, err := c.DeviceIDs(ps[0], cl.DeviceTypeGPU)
 	if err != nil {
+		return nil, err
+	}
+	if app.ctx, err = c.CreateContext(ds); err != nil {
+		return nil, err
+	}
+	if app.q, err = c.CreateQueue(app.ctx, ds[0], 0); err != nil {
+		return nil, err
+	}
+	for _, m := range []*cl.Ref{&app.ba, &app.bb, &app.bo} {
+		if *m, err = c.CreateBuffer(app.ctx, 1, uint64(4*n)); err != nil {
+			return nil, err
+		}
+	}
+	if app.prog, err = c.CreateProgram(app.ctx, "vector_add"); err != nil {
+		return nil, err
+	}
+	if err := c.BuildProgram(app.prog, ""); err != nil {
+		return nil, err
+	}
+	if app.kernel, err = c.CreateKernel(app.prog, "vector_add"); err != nil {
+		return nil, err
+	}
+	return app, nil
+}
+
+// run is one timed repetition: the inputs written, the kernel's arguments
+// set, the launch, and the result read back. Host buffers are prepared by
+// the caller; that data preparation is not remoting-stack work.
+func (app *breakdownApp) run(abytes, bbytes, out []byte) error {
+	c, q, k := app.c, app.q, app.kernel
+	if err := c.EnqueueWrite(q, app.ba, false, 0, abytes); err != nil {
 		return err
 	}
-	ctx, err := c.CreateContext(ds)
-	if err != nil {
+	if err := c.EnqueueWrite(q, app.bb, false, 0, bbytes); err != nil {
 		return err
 	}
-	defer c.ReleaseContext(ctx)
-	q, err := c.CreateQueue(ctx, ds[0], 0)
-	if err != nil {
+	c.SetKernelArgBuffer(k, 0, app.ba)
+	c.SetKernelArgBuffer(k, 1, app.bb)
+	c.SetKernelArgBuffer(k, 2, app.bo)
+	c.SetKernelArgScalar(k, 3, cl.ArgU32(uint32(app.n)))
+	if err := c.EnqueueNDRange(q, k, []uint64{uint64(app.n)}, []uint64{256}); err != nil {
 		return err
 	}
-	defer c.ReleaseQueue(q)
-	mk := func() (cl.Ref, error) { return c.CreateBuffer(ctx, 1, uint64(4*n)) }
-	ba, err := mk()
-	if err != nil {
-		return err
-	}
-	bb, err := mk()
-	if err != nil {
-		return err
-	}
-	bo, err := mk()
-	if err != nil {
-		return err
-	}
-	if err := c.EnqueueWrite(q, ba, false, 0, abytes); err != nil {
-		return err
-	}
-	if err := c.EnqueueWrite(q, bb, false, 0, bbytes); err != nil {
-		return err
-	}
-	prog, err := c.CreateProgram(ctx, "vector_add")
-	if err != nil {
-		return err
-	}
-	if err := c.BuildProgram(prog, ""); err != nil {
-		return err
-	}
-	k, err := c.CreateKernel(prog, "vector_add")
-	if err != nil {
-		return err
-	}
-	c.SetKernelArgBuffer(k, 0, ba)
-	c.SetKernelArgBuffer(k, 1, bb)
-	c.SetKernelArgBuffer(k, 2, bo)
-	c.SetKernelArgScalar(k, 3, cl.ArgU32(uint32(n)))
-	if err := c.EnqueueNDRange(q, k, []uint64{uint64(n)}, []uint64{256}); err != nil {
-		return err
-	}
-	if err := c.EnqueueRead(q, bo, true, 0, out); err != nil {
+	if err := c.EnqueueRead(q, app.bo, true, 0, out); err != nil {
 		return err
 	}
 	return c.DeferredError()
@@ -87,7 +90,9 @@ func breakdownVectorAdd(c cl.Client, abytes, bbytes, out []byte, n int) error {
 // router admit, server dispatch, server done — so the guest can attribute
 // its blocked time to the guest→router leg (marshal + transport + policing),
 // router queueing/scheduling, silo execution, and the reply path. The
-// table runs the vectoradd workload with forced-sync calls and checks that
+// table runs the vectoradd launch — device objects built once, then per
+// repetition the writes, kernel arguments, launch and read-back — with
+// forced-sync calls and checks that
 // the four stages account for (nearly all of) the measured end-to-end wall
 // time: coverage should sit within ~10% of 100%.
 func Breakdown(opts Options) (*Table, error) {
@@ -121,7 +126,12 @@ func Breakdown(opts Options) (*Table, error) {
 			stack.Close()
 			return nil, err
 		}
-		run := func() error { return breakdownVectorAdd(c, abytes, bbytes, out, n) }
+		app, err := newBreakdownApp(c, n)
+		if err != nil {
+			stack.Close()
+			return nil, err
+		}
+		run := func() error { return app.run(abytes, bbytes, out) }
 
 		// Warm up once so one-time costs (handle tables, ring setup)
 		// do not pollute the stage accounting.

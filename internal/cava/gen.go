@@ -367,10 +367,7 @@ func (g *generator) siloType(typeName string) string {
 // handleDecl returns the handle declaration typeName names, through aliases;
 // nil for a type that is not a handle.
 func (g *generator) handleDecl(typeName string) *spec.HandleDecl {
-	for td := g.d.API.Types[typeName]; td != nil; td = g.d.API.Types[typeName] {
-		typeName = td.Base
-	}
-	return g.d.API.Handles[typeName]
+	return g.d.API.Handle(typeName)
 }
 
 // implType maps a parameter to its type in the Implementation interface:
@@ -461,12 +458,89 @@ func (g *generator) emitServer() {
 	}
 	g.pf("}\n\n")
 
-	g.pf("// Register binds the generated dispatch handlers to reg.\n")
+	g.pf("// Register binds the generated dispatch handlers to reg, and the release\n")
+	g.pf("// that gives back, through each handle type's destructor, what an ended\n")
+	g.pf("// server incarnation still held.\n")
 	g.pf("func Register(reg *server.Registry, impl Implementation) {\n")
 	for i, fd := range g.d.Funcs {
 		g.emitDispatch(fd, api.Funcs[i])
 	}
+	g.emitRelease()
 	g.pf("}\n")
+}
+
+// destroyed is the rule a destroy call's outcome is judged by, spelled once
+// for the handler's drop of the handle and for the release's loop: ok is the
+// condition that the call succeeded (empty for a function with no status),
+// gone that a refcounted object's last reference went (empty otherwise).
+func destroyed(hd *spec.HandleDecl, stName string, success int64, hasStatus bool, obj string) (ok, gone string) {
+	if hasStatus {
+		ok = fmt.Sprintf("%s == %d", stName, success)
+	}
+	if hd.Refcounted {
+		gone = obj + ".Released()"
+	}
+	return ok, gone
+}
+
+// emitRelease installs the registry's release: a type switch over the
+// handle declarations' type(*T) whose cases call each type's one destructor
+// (spec.API.Destructor) through the Implementation — a refcounted object's
+// until it reports Released() or the destructor fails. The one untyped
+// declaration with a destructor takes the default case, and then the typed
+// declarations without one get an empty case, so default never sees them.
+// An API with no destructor installs none.
+func (g *generator) emitRelease() {
+	api := g.d.API
+	var cases []string
+	var fallback string
+	hasCase := map[string]bool{}
+	for i, fn := range api.Funcs {
+		_, hd := api.Destructor(fn)
+		if hd == nil {
+			continue
+		}
+		fd := g.d.Funcs[i]
+		call := fmt.Sprintf("impl.%s(ctx, obj)", exportName(fd.Name))
+		_, stParam, success, hasStatus := g.statusSlot(fd)
+		succeeded, gone := destroyed(hd, "ret", success, hasStatus && stParam < 0, "obj")
+		body := call
+		switch {
+		case gone != "" && succeeded != "":
+			body = fmt.Sprintf("for ret := %s; %s && !%s; ret = %s {\n}", call, succeeded, gone, call)
+		case gone != "":
+			body = fmt.Sprintf("for %s; !%s; %s {\n}", call, gone, call)
+		}
+		body = fmt.Sprintf("// %s destroys a %s.\n%s", fd.Name, hd.Name, body)
+		if hd.GoType == "" {
+			fallback = "default:\n" + body
+			continue
+		}
+		hasCase[hd.GoType] = true
+		cases = append(cases, "case "+hd.GoType+":\n"+body)
+	}
+	if len(cases) == 0 && fallback == "" {
+		return
+	}
+	if fallback != "" {
+		var quiet []string
+		for _, name := range api.HandleNames() {
+			if ty := api.Handles[name].GoType; ty != "" && !hasCase[ty] {
+				hasCase[ty] = true
+				quiet = append(quiet, ty)
+			}
+		}
+		if len(quiet) > 0 {
+			cases = append(cases, "case "+strings.Join(quiet, ", ")+": // no destructor")
+		}
+		cases = append(cases, fallback)
+	}
+	g.pf("\treg.SetRelease(func(ctx *server.Context, obj any) {\n")
+	g.pf("\t\tswitch obj := obj.(type) {\n")
+	for _, c := range cases {
+		g.pf("\t\t%s\n", c)
+	}
+	g.pf("\t\t}\n\t})\n")
 }
 
 // readArg is the expression that reads scalar argument i as Go type ty.
@@ -597,11 +671,11 @@ func (g *generator) emitDispatch(fd *FuncDesc, fn *spec.Func) {
 			continue
 		}
 		var cond []string
-		if hasStatus {
-			cond = append(cond, fmt.Sprintf("%s == %d", stName, success))
-		}
-		if hd.Refcounted {
-			cond = append(cond, safeParam(pd.Name)+".Released()")
+		succeeded, gone := destroyed(hd, stName, success, hasStatus, safeParam(pd.Name))
+		for _, c := range []string{succeeded, gone} {
+			if c != "" {
+				cond = append(cond, c)
+			}
 		}
 		drop := fmt.Sprintf("v.Ctx.Handles.Remove(v.Handle(%d))", i)
 		if len(cond) > 0 {

@@ -168,6 +168,60 @@ void poke(thing t);
 	}
 }
 
+// The release the generated Register installs is a type switch over the
+// handle declarations' type(*T), calling each type's one destructor: a
+// refcounted object's until it reports Released() or the destructor fails —
+// the same condition the destroy handler drops the handle on — a plain
+// one's once. The untyped declaration with a destructor takes the default
+// case, so the typed declarations without one get an empty case of their
+// own.
+func TestGeneratedReleaseFollowsTheDestructors(t *testing.T) {
+	const src = `
+api "rel";
+const OK = 0;
+handle thing { type(*Thing); refcounted; }
+handle plain { type(*Plain); }
+handle root { type(*Root); stable; }
+handle loose;
+type st = int32_t { success(OK); };
+st dropThing(thing t) { track(destroy, t); }
+st dropPlain(plain p) { parameter(p) { deallocates; } }
+void dropLoose(loose l) { track(destroy, l); }
+st use(root r, thing t);
+`
+	code, _, err := Generate(MustCompile(src), src, GenOptions{Package: "rel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := serverHalf(t, code)
+	_, release, ok := strings.Cut(half, "reg.SetRelease(func(ctx *server.Context, obj any) {")
+	if !ok {
+		t.Fatal("Register installs no release")
+	}
+	for _, want := range []string{
+		"case *Thing:\n\t\t\t// dropThing destroys a thing.\n\t\t\tfor ret := impl.DropThing(ctx, obj); ret == 0 && !obj.Released(); ret = impl.DropThing(ctx, obj) {",
+		"case *Plain:\n\t\t\t// dropPlain destroys a plain.\n\t\t\timpl.DropPlain(ctx, obj)\n",
+		"case *Root: // no destructor",
+		"default:\n\t\t\t// dropLoose destroys a loose.\n\t\t\timpl.DropLoose(ctx, obj)\n",
+	} {
+		if !strings.Contains(release, want) {
+			t.Errorf("generated release missing %q:\n%s", want, release)
+		}
+	}
+	if !strings.Contains(half, "if ret == 0 && t.Released() {") {
+		t.Error("the destroy handler drops its handle on another condition than the release's")
+	}
+
+	// An API without destructors installs none.
+	const bare = `api "bare"; handle h { type(*H); }; int32_t f(h x);`
+	if code, _, err = Generate(MustCompile(bare), bare, GenOptions{Package: "bare"}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(code), "SetRelease") {
+		t.Error("a release generated for an API without destructors")
+	}
+}
+
 // The stubs go through the engine's typed entry and nothing else: no by-name
 // call, no `...any`, one Invoke per function, descriptors resolved once.
 func TestGeneratedStubsUseTheTypedEntry(t *testing.T) {

@@ -815,7 +815,9 @@ type Implementation interface {
 	ClGetContextInfo(ctx *server.Context, context *Context, param_name uint32, param_value_size uint64, param_value []byte) (param_value_size_ret uint64, ret int32)
 }
 
-// Register binds the generated dispatch handlers to reg.
+// Register binds the generated dispatch handlers to reg, and the release
+// that gives back, through each handle type's destructor, what an ended
+// server incarnation still held.
 func Register(reg *server.Registry, impl Implementation) {
 	reg.MustRegister("clGetPlatformIDs", func(v *server.Invocation) error {
 		platforms := make([]*Platform, len(v.Bytes(1))/8)
@@ -1516,5 +1518,33 @@ func Register(reg *server.Registry, impl Implementation) {
 		}
 		v.SetStatus(int64(ret))
 		return nil
+	})
+	reg.SetRelease(func(ctx *server.Context, obj any) {
+		switch obj := obj.(type) {
+		case *Context:
+			// clReleaseContext destroys a cl_context.
+			for ret := impl.ClReleaseContext(ctx, obj); ret == 0 && !obj.Released(); ret = impl.ClReleaseContext(ctx, obj) {
+			}
+		case *Queue:
+			// clReleaseCommandQueue destroys a cl_command_queue.
+			for ret := impl.ClReleaseCommandQueue(ctx, obj); ret == 0 && !obj.Released(); ret = impl.ClReleaseCommandQueue(ctx, obj) {
+			}
+		case *Mem:
+			// clReleaseMemObject destroys a cl_mem.
+			for ret := impl.ClReleaseMemObject(ctx, obj); ret == 0 && !obj.Released(); ret = impl.ClReleaseMemObject(ctx, obj) {
+			}
+		case *Program:
+			// clReleaseProgram destroys a cl_program.
+			for ret := impl.ClReleaseProgram(ctx, obj); ret == 0 && !obj.Released(); ret = impl.ClReleaseProgram(ctx, obj) {
+			}
+		case *Kernel:
+			// clReleaseKernel destroys a cl_kernel.
+			for ret := impl.ClReleaseKernel(ctx, obj); ret == 0 && !obj.Released(); ret = impl.ClReleaseKernel(ctx, obj) {
+			}
+		case *Event:
+			// clReleaseEvent destroys a cl_event.
+			for ret := impl.ClReleaseEvent(ctx, obj); ret == 0 && !obj.Released(); ret = impl.ClReleaseEvent(ctx, obj) {
+			}
+		}
 	})
 }

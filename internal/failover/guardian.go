@@ -729,14 +729,18 @@ func (g *Guardian) noteReply(gen int, seq uint64, frame []byte, rep *marshal.Rep
 		// and move the freshly created object under the recorded handle
 		// values in the server's table.
 		delete(g.log.pendingRebind, seq)
-		var pairs []server.HandlePair
-		if rep.Status != marshal.StatusOK {
-			// Re-execution failed: the object no longer exists on the new
-			// server. Forget it so neither replay nor short-circuiting
-			// claims otherwise.
+		var (
+			pairs []server.HandlePair
+			err   error
+		)
+		if fd, ok := g.desc.ByID(rc.Func); ok && rep.Status == marshal.StatusOK {
+			pairs, err = migrate.HandlePairs(fd, rc, rep)
+		}
+		if rep.Status != marshal.StatusOK || err != nil {
+			// Re-execution failed, or made none of the objects the guest
+			// holds: they do not exist on the new server. Forget the call
+			// so neither replay nor short-circuiting claims otherwise.
 			g.log.drop(seq)
-		} else if fd, ok := g.desc.ByID(rc.Func); ok {
-			pairs = migrate.HandlePairs(fd, rc, rep)
 		}
 		if len(pairs) == 0 {
 			g.syncDoneLocked(seq)

@@ -161,7 +161,9 @@ type Implementation interface {
 	CloseDevice(ctx *server.Context, d any) int32
 }
 
-// Register binds the generated dispatch handlers to reg.
+// Register binds the generated dispatch handlers to reg, and the release
+// that gives back, through each handle type's destructor, what an ended
+// server incarnation still held.
 func Register(reg *server.Registry, impl Implementation) {
 	reg.MustRegister("openDevice", func(v *server.Invocation) error {
 		d, ret := impl.OpenDevice(v.Ctx, uint32(v.Uint(0)))
@@ -221,5 +223,12 @@ func Register(reg *server.Registry, impl Implementation) {
 		}
 		v.SetStatus(int64(ret))
 		return nil
+	})
+	reg.SetRelease(func(ctx *server.Context, obj any) {
+		switch obj := obj.(type) {
+		default:
+			// closeDevice destroys a dev.
+			impl.CloseDevice(ctx, obj)
+		}
 	})
 }

@@ -32,7 +32,7 @@ func TestPoliceAdmittedCallAllocatesNothing(t *testing.T) {
 			var sc uplinkScratch
 			admit := func() {
 				now := r.clk.Now()
-				if keep, deny := r.police(vm.ID, st, nil, frame, &now, &sc); !keep || deny != nil {
+				if keep, deny := r.police(vm.ID, st, frame, &now, &sc); !keep || deny != nil {
 					t.Fatalf("%s: call not admitted: %+v", cfg.name, deny)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"ava/internal/leaktest"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -438,51 +439,20 @@ func TestRouterDeniesIllegalAsync(t *testing.T) {
 	}
 }
 
-func TestRouterInterceptorVeto(t *testing.T) {
-	leaktest.NoGoroutineLeaks(t)
-	desc := hvDesc()
-	r := NewRouter(desc, nil, nil)
-	r.RegisterVM(VMConfig{ID: 1})
-	var seen []string
-	r.AddInterceptor(func(vm VMID, fd *cava.FuncDesc, call *marshal.Call) error {
-		seen = append(seen, fd.Name)
-		if fd.Name == "push" {
-			return errors.New("push is forbidden by policy")
-		}
-		return nil
-	})
-	ep, _ := routedStack(t, r, 1)
-	rep := sendSync(t, ep, encCall(desc, 1, "ping", 0, marshal.Uint(1)))
-	if rep.Status != marshal.StatusOK {
-		t.Fatalf("ping denied: %+v", rep)
-	}
-	data := make([]byte, 8)
-	rep = sendSync(t, ep, encCall(desc, 2, "push", 0, marshal.Uint(8), marshal.BytesVal(data)))
-	if rep.Status != marshal.StatusDenied || !strings.Contains(rep.Err, "forbidden") {
-		t.Fatalf("push reply = %+v", rep)
-	}
-	if len(seen) != 2 {
-		t.Fatalf("interceptor saw %v", seen)
-	}
-}
-
 func TestRouterStampsVMIdentity(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 42})
-	var gotVM VMID
-	r.AddInterceptor(func(vm VMID, fd *cava.FuncDesc, call *marshal.Call) error {
-		gotVM = call.VM
-		return nil
-	})
-	ep, _ := routedStack(t, r, 42)
+	ep, echo := routedStack(t, r, 42)
 	// The guest lies about its identity; the router must overwrite it.
 	fd, _ := desc.Lookup("ping")
 	lie := marshal.EncodeCall(&marshal.Call{Seq: 1, VM: 7, Func: fd.ID, Args: []marshal.Value{marshal.Uint(0)}})
 	sendSync(t, ep, lie)
-	if gotVM != 42 {
-		t.Fatalf("call.VM = %d, want 42", gotVM)
+	echo.mu.Lock()
+	defer echo.mu.Unlock()
+	if len(echo.decoded) != 1 || echo.decoded[0].VM != 42 {
+		t.Fatalf("the server saw %+v, want one call from VM 42", echo.decoded)
 	}
 }
 
@@ -1048,7 +1018,7 @@ func BenchmarkRouterAdmit(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now := r.clk.Now() // the arrival reading of a one-call frame
-				if keep, _ := r.police(vm.ID, st, nil, frame, &now, &sc); !keep {
+				if keep, _ := r.police(vm.ID, st, frame, &now, &sc); !keep {
 					b.Fatal("call not admitted")
 				}
 			}
@@ -1056,37 +1026,16 @@ func BenchmarkRouterAdmit(b *testing.B) {
 	}
 }
 
-// The call an Interceptor receives is the uplink's scratch record: valid
-// while the interceptor runs, overwritten by the next call. The test pins
-// both halves of that rule — every invocation sees exactly its own call
-// (including after a longer one dirtied the record), and a retained pointer
-// does not keep the old contents.
-func TestInterceptorCallIsValidOnlyDuringTheCall(t *testing.T) {
+// The router polices every call of a frame in one scratch record, which
+// each decode overwrites: a shorter call policed after a longer one must
+// see its own arguments, not the longer call's leftovers. What the router
+// charges shows what it decoded — a stale argument vector would fail the
+// one-argument ping's arity check, or charge push the launch's bandwidth.
+func TestRouterChargesEachCallOfAFrame(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	desc := hvDesc()
 	r := NewRouter(desc, nil, nil)
 	r.RegisterVM(VMConfig{ID: 1})
-	type seen struct {
-		seq   uint64
-		nargs int
-		first uint64
-	}
-	var (
-		mu       sync.Mutex
-		got      []seen
-		retained *marshal.Call
-		reused   bool
-	)
-	r.AddInterceptor(func(vm VMID, fd *cava.FuncDesc, call *marshal.Call) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if retained != nil && retained == call && retained.Seq == call.Seq {
-			reused = true // the pointer kept from the last call now shows this one
-		}
-		retained = call
-		got = append(got, seen{call.Seq, len(call.Args), call.Args[0].Uint()})
-		return nil
-	})
 	ep, echo := routedStack(t, r, 1)
 	batch := marshal.EncodeBatch([][]byte{
 		encCall(desc, 1, "launch", marshal.FlagAsync, marshal.Uint(1024), marshal.Uint(64)),
@@ -1101,19 +1050,13 @@ func TestInterceptorCallIsValidOnlyDuringTheCall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []seen{{1, 2, 1024}, {2, 2, 4}, {3, 1, 7}}
-	if len(got) != len(want) {
-		t.Fatalf("interceptor saw %d calls, want %d", len(got), len(want))
+	st, _ := r.Stats(1)
+	if st.Forwarded != 3 || st.Denied != 0 {
+		t.Fatalf("forwarded %d, denied %d: want all three calls through", st.Forwarded, st.Denied)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("call %d: interceptor saw %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if !reused {
-		t.Error("the router did not reuse its scratch call: the documented lifetime rule is stale")
+	want := map[string]int64{"device_time": 1024 / 64, "bandwidth": 4}
+	if !reflect.DeepEqual(st.Resources, want) {
+		t.Fatalf("charged %v, want %v", st.Resources, want)
 	}
 	if echo.count() != 3 {
 		t.Fatalf("server saw %d calls, want 3", echo.count())

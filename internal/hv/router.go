@@ -92,11 +92,6 @@ func (sc ShedConfig) enabled() bool {
 	return sc.MaxQueueDepth > 0 || sc.MaxRecentStall > 0
 }
 
-// Interceptor observes (and may veto) every forwarded call — the
-// hypervisor interposition point. Returning a non-nil error denies the
-// call.
-type Interceptor func(vm VMID, fd *cava.FuncDesc, call *marshal.Call) error
-
 // ErrUnknownVM reports routing for a VM that was never registered — an
 // alias of the stack-wide sentinel so errors.Is holds across layers.
 var ErrUnknownVM = averr.ErrUnknownVM
@@ -161,11 +156,10 @@ type Router struct {
 
 	mu  sync.Mutex
 	vms map[VMID]*vmState
-	// intercept and shed are read once per call and replaced whole on the
-	// rare write (copy-on-write), so the forwarding path loads a pointer
-	// instead of taking mu and copying.
-	intercept atomic.Pointer[[]Interceptor]
-	shed      atomic.Pointer[ShedConfig]
+	// shed is read once per call and replaced whole on the rare write
+	// (copy-on-write), so the forwarding path loads a pointer instead of
+	// taking mu and copying.
+	shed atomic.Pointer[ShedConfig]
 
 	// recentStall is the EWMA of admitted calls' rate-limit+sched stall, in
 	// nanoseconds; an atomic, so the common stall-free admission into a
@@ -237,15 +231,6 @@ func NewRouter(desc *cava.Descriptor, sched Scheduler, clk clock.Clock) *Router 
 
 // Scheduler returns the router's scheduler.
 func (r *Router) Scheduler() Scheduler { return r.sched }
-
-// AddInterceptor installs an observation/veto hook, run for every call in
-// installation order.
-func (r *Router) AddInterceptor(ic Interceptor) {
-	r.mu.Lock()
-	next := append(append([]Interceptor(nil), r.interceptors()...), ic)
-	r.intercept.Store(&next)
-	r.mu.Unlock()
-}
 
 // RegisterVM installs a VM's policy state.
 func (r *Router) RegisterVM(cfg VMConfig) error {
@@ -411,15 +396,6 @@ func (r *Router) vm(id VMID) (*vmState, error) {
 	return st, nil
 }
 
-// interceptors returns the installed hooks. The slice is immutable —
-// AddInterceptor replaces it whole — so callers share it without copying.
-func (r *Router) interceptors() []Interceptor {
-	if ics := r.intercept.Load(); ics != nil {
-		return *ics
-	}
-	return nil
-}
-
 // Attach runs the forwarding loops for one VM: guestSide carries traffic
 // to/from the guest library, serverSide to/from the API server. Attach
 // blocks until either side closes; it closes both endpoints on return so
@@ -466,8 +442,7 @@ func (r *Router) Attach(id VMID, guestSide, serverSide transport.Endpoint) error
 // uplinkScratch is what one VM's uplink loop reuses from frame to frame, so
 // a forwarded call allocates nothing in the router. call is the decode target
 // of the call being policed: it (and the argument vector behind it) is
-// overwritten by the next call, so an Interceptor may read it only for the
-// duration of its own invocation.
+// overwritten by the next call.
 type uplinkScratch struct {
 	call    marshal.Call
 	batch   [][]byte
@@ -496,12 +471,11 @@ func (r *Router) uplink(id VMID, st *vmState, guestSide, serverSide transport.En
 		if err != nil {
 			return fmt.Errorf("hv: VM %d sent malformed batch: %w", id, err)
 		}
-		ics := r.interceptors()
 		sc.forward = sc.forward[:0]
 		// One arrival reading per frame: every call in it arrived together.
 		now := r.clk.Now()
 		for _, cf := range sc.batch {
-			keep, deny := r.police(id, st, ics, cf, &now, &sc)
+			keep, deny := r.police(id, st, cf, &now, &sc)
 			if deny != nil {
 				if err := guestSide.Send(marshal.EncodeReply(deny)); err != nil {
 					return err
@@ -572,7 +546,7 @@ func (st *vmState) reject(call *marshal.Call, status marshal.Status, format stri
 // only then. An unheld call reads no clock at all: its admit stamp is *now
 // and its stall is 0. Either way an admitted call takes the VM's lock once,
 // for its counters.
-func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte, now *time.Time, sc *uplinkScratch) (keep bool, deny *marshal.Reply) {
+func (r *Router) police(id VMID, st *vmState, cf []byte, now *time.Time, sc *uplinkScratch) (keep bool, deny *marshal.Reply) {
 	call := &sc.call
 	if err := marshal.DecodeCallInto(call, cf); err != nil {
 		st.mu.Lock()
@@ -648,11 +622,6 @@ func (r *Router) police(id VMID, st *vmState, ics []Interceptor, cf []byte, now 
 	if async {
 		if sync, err := fd.IsSync(r.desc.API, call.Args); err != nil || sync {
 			return st.reject(call, marshal.StatusDenied, "hv: %s: async forwarding violates specification", fd.Name)
-		}
-	}
-	for _, ic := range ics {
-		if err := ic(id, fd, call); err != nil {
-			return st.reject(call, marshal.StatusDenied, "hv: %s: %v", fd.Name, err)
 		}
 	}
 

@@ -113,7 +113,11 @@ func Replay(t Target, desc *cava.Descriptor, log []RecordedCall, objects map[mar
 		if reply.Status != marshal.StatusOK {
 			return fmt.Errorf("migrate: replay of %s failed: %s", fd.Name, reply.Err)
 		}
-		if pairs := HandlePairs(fd, rc, reply); len(pairs) > 0 {
+		pairs, err := HandlePairs(fd, rc, reply)
+		if err != nil {
+			return err
+		}
+		if len(pairs) > 0 {
 			if err := t.Rebind(pairs); err != nil {
 				return fmt.Errorf("migrate: %s: %w", fd.Name, err)
 			}
@@ -130,19 +134,42 @@ func Replay(t Target, desc *cava.Descriptor, log []RecordedCall, objects map[mar
 // HandlePairs diffs a call's recorded reply against the reply its
 // re-execution produced and returns the handle moves that put the recreated
 // objects back under the values the guest holds: the return value, handle
-// outs, and handle arrays returned through byte outs.
-func HandlePairs(fd *cava.FuncDesc, rc *RecordedCall, reply *marshal.Reply) []server.HandlePair {
-	var pairs []server.HandlePair
+// outs, and handle arrays returned through byte outs. A recorded object the
+// re-execution did not produce — a non-zero handle that came back 0, as
+// when the device it opens is still held — is an error naming the
+// function: the guest holds a handle the new server cannot honour, and a
+// replay that went on would answer its every later call wrongly.
+func HandlePairs(fd *cava.FuncDesc, rc *RecordedCall, reply *marshal.Reply) ([]server.HandlePair, error) {
+	var (
+		pairs   []server.HandlePair
+		missing marshal.Handle
+	)
 	add := func(recorded, fresh marshal.Handle) {
-		if recorded != 0 && fresh != 0 && recorded != fresh {
+		switch {
+		case recorded == 0 || recorded == fresh:
+		case fresh == 0:
+			if missing == 0 {
+				missing = recorded
+			}
+		default:
 			pairs = append(pairs, server.HandlePair{Fresh: fresh, Recorded: recorded})
 		}
 	}
-	if rc.Ret.Kind() == marshal.KindHandle && reply.Ret.Kind() == marshal.KindHandle {
-		add(rc.Ret.Handle(), reply.Ret.Handle())
+	diverged := func() ([]server.HandlePair, error) {
+		if missing != 0 {
+			return nil, fmt.Errorf("migrate: replay of %s diverged: recorded handle %d was not re-created", fd.Name, missing)
+		}
+		return pairs, nil
+	}
+	if rc.Ret.Kind() == marshal.KindHandle {
+		fresh := marshal.Handle(0)
+		if reply.Ret.Kind() == marshal.KindHandle {
+			fresh = reply.Ret.Handle()
+		}
+		add(rc.Ret.Handle(), fresh)
 	}
 	if len(rc.Outs) != len(reply.Outs) {
-		return pairs
+		return diverged()
 	}
 	slot := 0
 	for i := range fd.Params {
@@ -164,7 +191,9 @@ func HandlePairs(fd *cava.FuncDesc, rc *RecordedCall, reply *marshal.Reply) []se
 				add(marshal.Handle(binary.LittleEndian.Uint64(oldV.Bytes()[8*j:])),
 					marshal.Handle(binary.LittleEndian.Uint64(newV.Bytes()[8*j:])))
 			}
+		case oldV.Kind() == marshal.KindHandle:
+			add(oldV.Handle(), 0) // the out came back null
 		}
 	}
-	return pairs
+	return diverged()
 }

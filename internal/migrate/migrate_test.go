@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"ava"
 	"ava/internal/bytesconv"
@@ -14,6 +15,7 @@ import (
 	"ava/internal/fleet"
 	"ava/internal/host"
 	"ava/internal/leaktest"
+	"ava/internal/marshal"
 	"ava/internal/migrate"
 	"ava/internal/mvnc"
 	"ava/internal/server"
@@ -25,6 +27,7 @@ import (
 type migrationFleet struct {
 	loc     *fleet.Registry
 	servers map[string]*server.Server // by host ID
+	silos   map[string]*cl.Silo       // by host ID, for an OpenCL fleet
 }
 
 // startFleet boots host-a and host-b serving api, each over a registry
@@ -45,13 +48,36 @@ func startFleet(t *testing.T, api string, newReg func() *server.Registry) *migra
 }
 
 func clFleet(t *testing.T) *migrationFleet {
-	return startFleet(t, "opencl", func() *server.Registry {
-		reg := server.NewRegistry(cl.Descriptor())
-		cl.BindServer(reg, cl.NewSilo(cl.Config{
+	var silos []*cl.Silo
+	f := startFleet(t, "opencl", func() *server.Registry {
+		silo := cl.NewSilo(cl.Config{
 			Devices: []devsim.Config{{Name: "gpu", MemoryBytes: 256 << 20, ComputeUnits: 4}},
-		}))
+		})
+		silos = append(silos, silo)
+		reg := server.NewRegistry(cl.Descriptor())
+		cl.BindServer(reg, silo)
 		return reg
 	})
+	f.silos = map[string]*cl.Silo{"host-a": silos[0], "host-b": silos[1]}
+	return f
+}
+
+// sourceReleased waits for the host a VM migrated away from to give back
+// every buffer the VM held there: its connection's incarnation ended when
+// the guardian cut the link, whether or not the VM ever comes back.
+func (f *migrationFleet) sourceReleased(t *testing.T, to string) {
+	t.Helper()
+	from := "host-a"
+	if to == from {
+		from = "host-b"
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(f.silos[from].LiveBuffers()) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("source %s still holds %d buffers after the migration", from, len(f.silos[from].LiveBuffers()))
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // placedStack is the guest side: no local server, every VM placed out of
@@ -198,6 +224,7 @@ func TestEndToEndMigration(t *testing.T) {
 	// the result produced before migration.
 	checkOut(t, c, app, "pre-migration kernel result")
 	landed(t, stack, 7, to)
+	f.sourceReleased(t, to)
 	// The checkpoint carried the three buffers' contents.
 	if got := stack.Guardian(7).Stats().LastCkptFootprint; got != 3*4*n {
 		t.Fatalf("checkpoint covered %d bytes of object state, want %d", got, 3*4*n)
@@ -354,6 +381,49 @@ func TestRestoreUnknownFunction(t *testing.T) {
 	err := migrate.Replay(nil, cl.Descriptor(), []migrate.RecordedCall{{Func: 9999}}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown function") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// nullTarget answers every replayed call the way a server whose create
+// found its object still taken does: status OK on the wire, a failure
+// status from the API, and no handle — ret and outs come back empty.
+type nullTarget struct{ status int64 }
+
+func (n nullTarget) Execute(call *marshal.Call) (*marshal.Reply, error) {
+	return &marshal.Reply{Seq: call.Seq, Status: marshal.StatusOK, Ret: marshal.Int(n.status),
+		Outs: []marshal.Value{marshal.Null()}}, nil
+}
+func (nullTarget) Rebind([]server.HandlePair) error { return nil }
+func (nullTarget) RestoreObject(marshal.Handle, []byte) (bool, error) {
+	return false, nil
+}
+
+// A recorded create that replays to no object is a divergence, not a
+// recovery: the guest holds a handle the new server cannot honour. Replay
+// fails naming the function, whether the handle travelled as an out element
+// (mvncOpenDevice answered MVNC_BUSY) or as the return value (a
+// clCreateBuffer answered with a null cl_mem).
+func TestReplayRefusesACreateThatReplaysToNoObject(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	open, _ := mvnc.Descriptor().Lookup("mvncOpenDevice")
+	create, _ := cl.Descriptor().Lookup("clCreateBuffer")
+	for _, tc := range []struct {
+		desc   *cava.Descriptor
+		status int64
+		rc     migrate.RecordedCall
+	}{
+		{mvnc.Descriptor(), int64(mvnc.ErrBusy), migrate.RecordedCall{Func: open.ID,
+			Args: []marshal.Value{marshal.Uint(0), marshal.Len(8)},
+			Ret:  marshal.Int(0), Outs: []marshal.Value{marshal.HandleVal(1)}, Created: 1}},
+		{cl.Descriptor(), 0, migrate.RecordedCall{Func: create.ID,
+			Args: []marshal.Value{marshal.HandleVal(3), marshal.Uint(1), marshal.Uint(64), marshal.Len(4)},
+			Ret:  marshal.HandleVal(4), Outs: []marshal.Value{marshal.Int(0)}, Created: 4}},
+	} {
+		fd, _ := tc.desc.ByID(tc.rc.Func)
+		err := migrate.Replay(nullTarget{tc.status}, tc.desc, []migrate.RecordedCall{tc.rc}, nil)
+		if err == nil || !strings.Contains(err.Error(), fd.Name) {
+			t.Errorf("%s: replay to a null handle: err = %v, want a divergence naming the function", fd.Name, err)
+		}
 	}
 }
 

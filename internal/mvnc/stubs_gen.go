@@ -236,7 +236,9 @@ type Implementation interface {
 	MvncGetGraphOption(ctx *server.Context, graph *Graph, option uint32) (value uint32, ret int32)
 }
 
-// Register binds the generated dispatch handlers to reg.
+// Register binds the generated dispatch handlers to reg, and the release
+// that gives back, through each handle type's destructor, what an ended
+// server incarnation still held.
 func Register(reg *server.Registry, impl Implementation) {
 	reg.MustRegister("mvncGetDeviceCount", func(v *server.Invocation) error {
 		count, ret := impl.MvncGetDeviceCount(v.Ctx)
@@ -370,5 +372,15 @@ func Register(reg *server.Registry, impl Implementation) {
 		}
 		v.SetStatus(int64(ret))
 		return nil
+	})
+	reg.SetRelease(func(ctx *server.Context, obj any) {
+		switch obj := obj.(type) {
+		case *Device:
+			// mvncCloseDevice destroys a ncs_device.
+			impl.MvncCloseDevice(ctx, obj)
+		case *Graph:
+			// mvncDeallocateGraph destroys a ncs_graph.
+			impl.MvncDeallocateGraph(ctx, obj)
+		}
 	})
 }

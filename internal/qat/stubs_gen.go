@@ -216,7 +216,9 @@ type Implementation interface {
 	QatHash(ctx *server.Context, inst *Instance, src_size uint64, src []byte, digest []byte) int32
 }
 
-// Register binds the generated dispatch handlers to reg.
+// Register binds the generated dispatch handlers to reg, and the release
+// that gives back, through each handle type's destructor, what an ended
+// server incarnation still held.
 func Register(reg *server.Registry, impl Implementation) {
 	reg.MustRegister("qatGetNumInstances", func(v *server.Invocation) error {
 		n, ret := impl.QatGetNumInstances(v.Ctx)
@@ -308,5 +310,15 @@ func Register(reg *server.Registry, impl Implementation) {
 		ret := impl.QatHash(v.Ctx, inst, v.Uint(1), v.Bytes(2), v.Bytes(3))
 		v.SetStatus(int64(ret))
 		return nil
+	})
+	reg.SetRelease(func(ctx *server.Context, obj any) {
+		switch obj := obj.(type) {
+		case *Instance:
+			// qatStopInstance destroys a qat_instance.
+			impl.QatStopInstance(ctx, obj)
+		case *Session:
+			// qatSessionTeardown destroys a qat_session.
+			impl.QatSessionTeardown(ctx, obj)
+		}
 	})
 }

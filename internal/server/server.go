@@ -46,6 +46,11 @@ type Registry struct {
 	// binding's BindServer installs its own; a registry without one declares
 	// every object stateless (replay alone rebuilds it).
 	Adapter Adapter
+	// release gives one object back to the silo through its type's
+	// destructor; the generated Register installs it (SetRelease), and a
+	// context calls it for what its table still holds when its incarnation
+	// ends. nil: nothing to give back.
+	release func(ctx *Context, obj any)
 }
 
 // Adapter supplies the silo-specific object-state operations the recovery
@@ -95,6 +100,11 @@ func (r *Registry) MustRegister(name string, h Handler) {
 	}
 }
 
+// SetRelease installs the release of objects an ended incarnation still
+// holds. The generated Register calls it; its switch over the handle types
+// is the specification's destructors, so no binding writes one.
+func (r *Registry) SetRelease(release func(ctx *Context, obj any)) { r.release = release }
+
 // Unregistered returns the names of functions without handlers, for
 // completeness checks in silo binding tests.
 func (r *Registry) Unregistered() []string {
@@ -139,7 +149,12 @@ type Stats struct {
 	AdmitToDispatch time.Duration
 }
 
-// Context is the per-VM execution context inside the API server.
+// Context is the per-VM execution context inside the API server, and one
+// incarnation of that VM's server: ServeVM serves it on one endpoint, and
+// when the incarnation ends — ServeVM returns, or a context that was never
+// served is dropped — every object its handle table still holds is given
+// back to the silo through the registry's release. The counters outlive
+// it, for observers, until the context is dropped.
 type Context struct {
 	VM      uint32
 	Name    string
@@ -149,6 +164,9 @@ type Context struct {
 	deferred string // pending async-error note (§4.2 error deferral)
 	stats    Stats
 	stable   map[any]marshal.Handle // InsertStable's object→handle cache
+	ep       transport.Endpoint     // the endpoint ServeVM serves, once it has begun
+	served   chan struct{}          // closed when that ServeVM has returned
+	dropped  bool                   // DropContext has ended the incarnation
 
 	// queued gauges the ServeVM dispatch backlog: tasks handed to a
 	// worker queue and not yet completed. Atomic (not under mu) so the
@@ -339,11 +357,56 @@ func (s *Server) Lookup(vm uint32) *Context {
 	return s.ctxs[vm]
 }
 
-// DropContext removes a VM's context (VM teardown).
+// DropContext removes a VM's context and ends its incarnation: it closes
+// the endpoint the context is served on, if ServeVM has begun, and waits
+// for that ServeVM to return, which releases what the table holds; a
+// context never served has its table released here. When DropContext
+// returns, nothing the VM held is left in the silo — so a replacement
+// incarnation's replayed open of an exclusive device finds it free, and a
+// link that went deaf without closing (a reconnect racing the old
+// connection's Recv) is cut rather than waited out.
 func (s *Server) DropContext(vm uint32) {
 	s.mu.Lock()
+	c := s.ctxs[vm]
 	delete(s.ctxs, vm)
 	s.mu.Unlock()
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.dropped = true
+	ep, served := c.ep, c.served
+	c.mu.Unlock()
+	if ep == nil {
+		c.releaseAll()
+		return
+	}
+	ep.Close()
+	<-served
+}
+
+// serve claims the context for ServeVM on ep: false for a context already
+// served or dropped, since a context is one incarnation.
+func (c *Context) serve(ep transport.Endpoint) (served chan struct{}, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ep != nil || c.dropped {
+		return nil, false
+	}
+	c.ep, c.served = ep, make(chan struct{})
+	return c.served, true
+}
+
+// releaseAll takes every entry out of the handle table, newest handle
+// first — an object goes before those it was made from — and gives each to
+// the registry's release once.
+func (c *Context) releaseAll() {
+	hs := c.Handles.Handles()
+	for i := len(hs) - 1; i >= 0; i-- {
+		if obj, ok := c.Handles.Remove(hs[i]); ok && c.reg.release != nil {
+			c.reg.release(c, obj)
+		}
+	}
 }
 
 // VMSnapshot is one VM's server-side view for observability surfaces.
@@ -998,8 +1061,17 @@ func (rs *replySender) sendSegments(out []byte, segs []marshal.Segment) {
 // execute in arrival order, as do calls that share any handle argument (a
 // kernel mutated by clSetKernelArg and then launched on a queue); calls
 // with disjoint handles execute concurrently. It returns when the transport
-// closes.
+// closes, or DropContext closes it, after releasing every object the
+// context's handle table still holds: the context is one incarnation, and
+// a context already served or dropped is refused, its endpoint closed.
 func (s *Server) ServeVM(ctx *Context, ep transport.Endpoint) error {
+	served, ok := ctx.serve(ep)
+	if !ok {
+		ep.Close()
+		return fmt.Errorf("server: vm %d: context already served or dropped (one incarnation per context)", ctx.VM)
+	}
+	defer close(served)
+	defer ctx.releaseAll()
 	return s.serveVM(ctx, ep, newOrdering())
 }
 

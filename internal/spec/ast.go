@@ -340,6 +340,43 @@ func (a *API) ConstNames() []string {
 	return out
 }
 
+// Handle returns the handle declaration typeName names, through aliases;
+// nil for a type that is not a handle.
+func (a *API) Handle(typeName string) *HandleDecl {
+	for seen := map[string]bool{}; !seen[typeName]; {
+		if hd := a.Handles[typeName]; hd != nil {
+			return hd
+		}
+		td := a.Types[typeName]
+		if td == nil {
+			return nil
+		}
+		seen[typeName] = true
+		typeName = td.Base
+	}
+	return nil
+}
+
+// HandleNames returns the handle declarations' names in declaration order.
+func (a *API) HandleNames() []string { return append([]string(nil), a.handleOrder...) }
+
+// Destructor returns the object fn releases — the by-value handle parameter
+// its track(destroy) names or that is marked deallocates, and that handle's
+// declaration — or nils when fn releases none. The validator holds each
+// handle type to one destructor that takes the object alone, which is how
+// the generated server gives back what a dead incarnation held.
+func (a *API) Destructor(fn *Func) (*Param, *HandleDecl) {
+	for _, prm := range fn.Params {
+		if prm.Type.Stars > 0 || !(prm.Deallocates || fn.Track.Kind == TrackDestroy && fn.Track.Param == prm.Name) {
+			continue
+		}
+		if hd := a.Handle(prm.Type.Name); hd != nil {
+			return prm, hd
+		}
+	}
+	return nil, nil
+}
+
 // Resolve resolves a type name through alias chains to its primitive
 // meaning. Handle types resolve to KindHandle with size 8.
 func (a *API) Resolve(name string) (ResolvedType, error) {

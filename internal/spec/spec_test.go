@@ -607,6 +607,41 @@ func TestValidateTrackKeyErrors(t *testing.T) {
 	}
 }
 
+// Each handle type has at most one destructor, which takes the object
+// alone, and at most one untyped handle declaration has a destructor: the
+// generated release is a type switch with one case per type. Each violation
+// is an error positioned at the offending function.
+func TestValidateDestructorErrors(t *testing.T) {
+	const head = "handle a { type(*A); }\nhandle b { type(*A); }\nhandle u;\nhandle w;\ntype st = int32_t;\n"
+	cases := []struct {
+		name, src, want, pos string
+	}{
+		{"two destructors", "st f(a x) { track(destroy, x); }\nst g(a x) { parameter(x) { deallocates; } }", "g: second destructor of handle a (f is the first)", "7:1"},
+		{"two destructors of one type", "st f(a x) { track(destroy, x); }\nst g(b x) { track(destroy, x); }", "second destructor of type(*A)", "7:1"},
+		{"other parameters", "st f(a x, uint32_t flags) { track(destroy, x); }", "destructor of handle a takes other parameters", "6:1"},
+		{"two untyped", "st f(u x) { track(destroy, x); }\nst g(w x) { track(destroy, x); }", "untyped handle u already has one (f)", "7:1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(head + tc.src)
+			if err == nil {
+				t.Fatalf("no error for %q", tc.src)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			if !strings.Contains(err.Error(), "spec:"+tc.pos) {
+				t.Fatalf("error %q is not positioned at %s", err, tc.pos)
+			}
+		})
+	}
+	// One destructor per type, each taking the object alone, and one untyped
+	// declaration with a destructor: valid.
+	if _, err := Parse(head + "st f(a x) { track(destroy, x); }\nst g(u x) { track(destroy, x); }\nst h(w x);"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A keyed track prints in its three-argument form, and what it prints
 // parses back to the same annotation; an unkeyed one keeps two arguments.
 func TestPrintParseTrackKeyRoundTrip(t *testing.T) {

@@ -44,6 +44,7 @@ func Validate(api *API) error {
 	for _, fn := range api.Funcs {
 		validateFunc(api, fn, report)
 	}
+	validateDestructors(api, report)
 
 	if len(errs) == 0 {
 		return nil
@@ -125,6 +126,40 @@ func validateFunc(api *API, fn *Func, report func(Pos, string, ...any)) {
 	}
 	if fn.Track.Key != "" {
 		validateTrackKey(api, fn, report)
+	}
+}
+
+// validateDestructors checks what the generated server's release of a dead
+// incarnation's objects needs of the destructors (API.Destructor): a type
+// switch with one case per handle type, each calling that type's destructor
+// with the object alone. So a handle type — a type(*T), or the untyped
+// objects, which all arrive as any and share the switch's default case —
+// has at most one destructor, and a destructor takes no other parameter.
+func validateDestructors(api *API, report func(Pos, string, ...any)) {
+	type owner struct {
+		fn *Func
+		hd *HandleDecl
+	}
+	byType := map[string]owner{}
+	for _, fn := range api.Funcs {
+		prm, hd := api.Destructor(fn)
+		if hd == nil {
+			continue
+		}
+		if len(fn.Params) != 1 {
+			report(fn.Pos, "%s: destructor of handle %s takes other parameters than %s (the object alone is what a release holds)", fn.Name, hd.Name, prm.Name)
+		}
+		prev, dup := byType[hd.GoType]
+		switch {
+		case !dup:
+			byType[hd.GoType] = owner{fn, hd}
+		case prev.hd == hd:
+			report(fn.Pos, "%s: second destructor of handle %s (%s is the first)", fn.Name, hd.Name, prev.fn.Name)
+		case hd.GoType == "":
+			report(fn.Pos, "%s: destructor of untyped handle %s, but untyped handle %s already has one (%s): give all but one a type(*T)", fn.Name, hd.Name, prev.hd.Name, prev.fn.Name)
+		default:
+			report(fn.Pos, "%s: second destructor of type(%s) (%s destroys handle %s of the same type)", fn.Name, hd.GoType, prev.fn.Name, prev.hd.Name)
+		}
 	}
 }
 

@@ -196,13 +196,13 @@ func clSetup(t *testing.T, c *cl.RemoteClient) (ctx, q, buf cl.Ref) {
 // set, reached by address otherwise, and kills it when the test ends.
 func newChaosHost(t *testing.T, loc fleet.Locator, id string) *host.Server {
 	t.Helper()
-	h, _ := newChaosMachine(t, loc, id)
+	h, _, _ := newChaosMachine(t, loc, id)
 	return h
 }
 
 // newChaosMachine is newChaosHost for tests that also inspect the machine's
-// API server.
-func newChaosMachine(t *testing.T, loc fleet.Locator, id string) (*host.Server, *server.Server) {
+// API server and silo.
+func newChaosMachine(t *testing.T, loc fleet.Locator, id string) (*host.Server, *server.Server, *cl.Silo) {
 	t.Helper()
 	silo := foSilo()
 	reg := server.NewRegistry(cl.Descriptor())
@@ -215,7 +215,7 @@ func newChaosMachine(t *testing.T, loc fleet.Locator, id string) (*host.Server, 
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Kill)
-	return h, srv
+	return h, srv, silo
 }
 
 // TestCrossHostKillMidRodinia kills the machine serving the VM in the

@@ -183,10 +183,11 @@ func (l *tappedLink) SendCopies() bool { return transport.SendCopies(l.Endpoint)
 func (l *tappedLink) RecvOwned() bool  { return transport.RecvOwned(l.Endpoint) }
 
 // sweepStack is one deployment the sweep runs over. build assembles a fresh
-// stack with fc and returns the server.Server its VMs end up on.
+// stack with fc and returns the server.Server its VMs end up on and that
+// server's silo.
 type sweepStack struct {
 	name  string
-	build func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server)
+	build func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server, *cl.Silo)
 }
 
 // The stack's own server behind each in-process transport, and a
@@ -194,22 +195,22 @@ type sweepStack struct {
 // restore and capture are control calls on the south link — sends like any
 // other, which the sweep severs too.
 var sweepStacks = []sweepStack{
-	{name: "inproc", build: func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server) {
+	{name: "inproc", build: func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server, *cl.Silo) {
 		return localSweepStack(fc, ava.WithTransport(ava.TransportInProc))
 	}},
-	{name: "ring", build: func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server) {
+	{name: "ring", build: func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server, *cl.Silo) {
 		return localSweepStack(fc, ava.WithRingTransport(0))
 	}},
-	{name: "remote", build: func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server) {
-		h, srv := newChaosMachine(t, nil, "")
-		return ava.NewStack(cl.Descriptor(), nil, ava.WithRemoteServer(h.Addr()), ava.WithFailover(fc)), srv
+	{name: "remote", build: func(t *testing.T, fc ava.FailoverConfig) (*ava.Stack, *server.Server, *cl.Silo) {
+		h, srv, silo := newChaosMachine(t, nil, "")
+		return ava.NewStack(cl.Descriptor(), nil, ava.WithRemoteServer(h.Addr()), ava.WithFailover(fc)), srv, silo
 	}},
 }
 
-func localSweepStack(fc ava.FailoverConfig, transportOpt ava.Option) (*ava.Stack, *server.Server) {
+func localSweepStack(fc ava.FailoverConfig, transportOpt ava.Option) (*ava.Stack, *server.Server, *cl.Silo) {
 	silo := foSilo()
 	stack := foStack(silo, transportOpt, ava.WithFailover(fc))
-	return stack, stack.Server
+	return stack, stack.Server, silo
 }
 
 // sweepRun runs the workload on a fresh stack whose i-th dialed south link
@@ -219,6 +220,7 @@ type sweepRun struct {
 	mu      sync.Mutex // links grows on whichever guardian goroutine dials
 	links   []*tappedLink
 	handles []marshal.Handle // the final server context's table
+	live    int              // buffers alive in the silo at the end
 }
 
 // kills counts the links a scripted sever cut.
@@ -250,7 +252,7 @@ func runSwept(t *testing.T, on sweepStack, severAfter ...int) *sweepRun {
 		run.links = append(run.links, link)
 		return link
 	}
-	stack, srv := on.build(t, cfg)
+	stack, srv, silo := on.build(t, cfg)
 	defer stack.Close()
 	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "sweep-vm"})
 	if err != nil {
@@ -286,6 +288,7 @@ func runSwept(t *testing.T, on sweepStack, severAfter ...int) *sweepRun {
 		t.Errorf("guest: %d calls failed retryable, %d retained frames dropped", ls.RetryableFailed, ls.RetainDropped)
 	}
 	run.handles = srv.Lookup(1).Handles.Handles()
+	run.live = len(silo.LiveBuffers())
 	return run
 }
 
@@ -295,9 +298,10 @@ func runSwept(t *testing.T, on sweepStack, severAfter ...int) *sweepRun {
 // resubmission — a kill during recovery. Every row must be
 // indistinguishable from the undisturbed run: no call fails, the bytes read
 // back equal a native run's, the guardian recovered at least once and at
-// most as often as it was killed, and the last server context's handle
+// most as often as it was killed, the last server context's handle
 // table is the undisturbed one's — an object a recovery re-created and
-// nothing destroyed would sit there.
+// nothing destroyed would sit there — and the silo holds as many buffers
+// as the undisturbed run leaves: a dead incarnation's are given back.
 func TestKillSweep(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	want, err := sweepWorkload(cl.NewNative(foSilo()))
@@ -323,6 +327,9 @@ func TestKillSweep(t *testing.T) {
 					}
 					if !reflect.DeepEqual(run.handles, base.handles) {
 						t.Errorf("final handle table %v, undisturbed %v", run.handles, base.handles)
+					}
+					if run.live != base.live {
+						t.Errorf("%d buffers alive in the silo, undisturbed %d: a dead incarnation's were never released", run.live, base.live)
 					}
 					if t.Failed() {
 						t.Logf("repro: go test -race -run '^TestKillSweep$/^%s$/^k=%d$/^k2=%d$' ./internal/stacktest/", tr.name, k, k2)

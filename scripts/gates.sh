@@ -113,6 +113,20 @@ gate adapter 'object-state adapter set by hand outside the API bindings (BindSer
 	'\.Adapter *=[^=]|MigrationAdapter\{' \
 	'^\./(internal/(cl|mvnc|qat|server)/|benchmark/|ava\.go:[0-9]+:[[:space:]]*reg\.Adapter = fc\.Adapter( |$))' golines .
 
+# One release: what an ended server incarnation still holds goes back to the
+# silo through the registry's release, which the generated Register (emitted
+# by internal/cava) installs
+# from the specification's destructors (track(destroy), deallocates) and
+# which only server.Context calls, when ServeVM returns or DropContext ends
+# a context never served. Nobody else installs one, and no API package
+# hand-writes a destructor switch — a function over a server context and a
+# bare object, the release's shape.
+gate release 'registry release installed outside the generated Register (declare the destructor in the spec; make gen emits the release)' \
+	'\.SetRelease\(' '^\./internal/(server/|cava/gen\.go:|[a-z]+/[a-z_]*_gen\.go:|gen/toydev/toydev\.go:)' golines .
+gate release 'hand-written destructor switch in an API package (declare track(destroy) or deallocates in the spec; make gen emits the release)' \
+	'server\.Context, *[A-Za-z_]+ any\)' '^internal/([a-z]+/[a-z_]*_gen\.go|gen/toydev/toydev\.go):' \
+	golines internal/cl internal/mvnc internal/qat internal/gen
+
 # One source of payload buffers: on the forwarding path a buffer the size of
 # a payload — an out buffer lent to a handler, a frame, a receive buffer —
 # comes from internal/framebuf and goes back to it, so a bulk transfer does
