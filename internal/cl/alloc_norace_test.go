@@ -71,3 +71,59 @@ func TestRemoteClientAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// Alloc budget for the native baseline: the same rows as
+// TestRemoteClientAllocatesNothing plus a kernel launch, straight on the
+// silo. fig5's relative_time divides by this path, so what it allocates per
+// call is pinned at the counts it read when it was written: the scalar
+// argument's retained copy, an event per enqueue, and the launch's
+// environment.
+func TestNativeClientAllocs(t *testing.T) {
+	c := cl.NewNative(newSilo())
+	ctx, _, q := bootstrap(t, c)
+	const payload = 4 << 10
+	mem, err := c.CreateBuffer(ctx, 0, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := c.CreateProgram(ctx, "vector_add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BuildProgram(prog, ""); err != nil {
+		t.Fatal(err)
+	}
+	kern, err := c.CreateKernel(prog, "vector_add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(0); i < 3; i++ {
+		if err := c.SetKernelArgBuffer(kern, i, mem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scalar := cl.ArgU32(payload / 4)
+	src, dst := make([]byte, payload), make([]byte, payload)
+	global, local := []uint64{payload / 4}, []uint64{64}
+	rows := []struct {
+		name   string
+		budget float64
+		call   func() error
+	}{
+		{"SetKernelArgScalar", 1, func() error { return c.SetKernelArgScalar(kern, 3, scalar) }},
+		{"SetKernelArgBuffer", 0, func() error { return c.SetKernelArgBuffer(kern, 0, mem) }},
+		{"Finish", 0, func() error { return c.Finish(q) }},
+		{"blocking 4 KiB EnqueueWrite", 1, func() error { return c.EnqueueWrite(q, mem, true, 0, src) }},
+		{"blocking 4 KiB EnqueueRead", 1, func() error { return c.EnqueueRead(q, mem, true, 0, dst) }},
+		{"EnqueueNDRange", 7, func() error { return c.EnqueueNDRange(q, kern, global, local) }},
+	}
+	for _, r := range rows {
+		if n := testing.AllocsPerRun(1000, func() {
+			if err := r.call(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > r.budget {
+			t.Errorf("%s allocates %v times per call, budget %v", r.name, n, r.budget)
+		}
+	}
+}
