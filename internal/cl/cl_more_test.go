@@ -28,7 +28,7 @@ func TestRetainReleaseRefcounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := cl.NativeMem(buf)
-	if st := silo.RetainMemObject(m); st != cl.Success {
+	if st := silo.ClRetainMemObject(nil, m); st != cl.Success {
 		t.Fatalf("retain = %d", st)
 	}
 	// First release: still alive (refcount 1).
@@ -109,7 +109,7 @@ func TestKernelWorkGroupInfo(t *testing.T) {
 	}
 	_ = dev
 	buf := make([]byte, 8)
-	n, st := silo.GetKernelWorkGroupInfo(km, nil, cl.KernelWorkGroupSize, buf)
+	n, st := silo.ClGetKernelWorkGroupInfo(nil, km, nil, cl.KernelWorkGroupSize, uint64(len(buf)), buf)
 	if st != cl.Success || n != 8 || binary.LittleEndian.Uint64(buf) == 0 {
 		t.Fatalf("wg info = %d bytes, st %d", n, st)
 	}

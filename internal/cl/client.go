@@ -121,7 +121,10 @@ func ArgF32(v float32) []byte { return ArgU32(math.Float32bits(v)) }
 // --- Native client ---
 
 // NativeClient executes directly against the silo: the paper's native
-// (pass-through) baseline, with no marshalling, transport or routing.
+// (pass-through) baseline, with no marshalling, transport or routing. It
+// calls the silo's spec-shaped methods with a nil server context, and the
+// typed entries where those would cost an encode (kernel arguments, work
+// sizes).
 type NativeClient struct {
 	silo *Silo
 }
@@ -142,12 +145,12 @@ func (c *NativeClient) PlatformIDs() ([]Ref, error) {
 
 func (c *NativeClient) PlatformInfo(p Ref, param uint32) ([]byte, error) {
 	pl, _ := p.obj.(*Platform)
-	n, st := c.silo.GetPlatformInfo(pl, param, nil)
+	n, st := c.silo.ClGetPlatformInfo(nil, pl, param, 0, nil)
 	if st != Success {
 		return nil, clErr("clGetPlatformInfo", st)
 	}
 	buf := make([]byte, n)
-	c.silo.GetPlatformInfo(pl, param, buf)
+	c.silo.ClGetPlatformInfo(nil, pl, param, n, buf)
 	return buf, nil
 }
 
@@ -166,12 +169,12 @@ func (c *NativeClient) DeviceIDs(p Ref, devType uint64) ([]Ref, error) {
 
 func (c *NativeClient) DeviceInfo(d Ref, param uint32) ([]byte, error) {
 	dv, _ := d.obj.(*Device)
-	n, st := c.silo.GetDeviceInfo(dv, param, nil)
+	n, st := c.silo.ClGetDeviceInfo(nil, dv, param, 0, nil)
 	if st != Success {
 		return nil, clErr("clGetDeviceInfo", st)
 	}
 	buf := make([]byte, n)
-	c.silo.GetDeviceInfo(dv, param, buf)
+	c.silo.ClGetDeviceInfo(nil, dv, param, n, buf)
 	return buf, nil
 }
 
@@ -180,7 +183,7 @@ func (c *NativeClient) CreateContext(devs []Ref) (Ref, error) {
 	for i, r := range devs {
 		ds[i], _ = r.obj.(*Device)
 	}
-	ctx, st := c.silo.CreateContext(ds)
+	st, ctx := c.silo.ClCreateContext(nil, uint32(len(ds)), ds)
 	if st != Success {
 		return Ref{}, clErr("clCreateContext", st)
 	}
@@ -189,24 +192,24 @@ func (c *NativeClient) CreateContext(devs []Ref) (Ref, error) {
 
 func (c *NativeClient) ReleaseContext(r Ref) error {
 	ctx, _ := r.obj.(*Context)
-	return clErr("clReleaseContext", c.silo.ReleaseContext(ctx))
+	return clErr("clReleaseContext", c.silo.ClReleaseContext(nil, ctx))
 }
 
 func (c *NativeClient) ContextInfo(r Ref, param uint32) ([]byte, error) {
 	ctx, _ := r.obj.(*Context)
-	n, st := c.silo.GetContextInfo(ctx, param, nil)
+	n, st := c.silo.ClGetContextInfo(nil, ctx, param, 0, nil)
 	if st != Success {
 		return nil, clErr("clGetContextInfo", st)
 	}
 	buf := make([]byte, n)
-	c.silo.GetContextInfo(ctx, param, buf)
+	c.silo.ClGetContextInfo(nil, ctx, param, n, buf)
 	return buf, nil
 }
 
 func (c *NativeClient) CreateQueue(cr, dr Ref, properties uint64) (Ref, error) {
 	ctx, _ := cr.obj.(*Context)
 	dev, _ := dr.obj.(*Device)
-	q, st := c.silo.CreateCommandQueue(ctx, dev, properties)
+	st, q := c.silo.ClCreateCommandQueue(nil, ctx, dev, properties)
 	if st != Success {
 		return Ref{}, clErr("clCreateCommandQueue", st)
 	}
@@ -215,12 +218,12 @@ func (c *NativeClient) CreateQueue(cr, dr Ref, properties uint64) (Ref, error) {
 
 func (c *NativeClient) ReleaseQueue(r Ref) error {
 	q, _ := r.obj.(*Queue)
-	return clErr("clReleaseCommandQueue", c.silo.ReleaseCommandQueue(q))
+	return clErr("clReleaseCommandQueue", c.silo.ClReleaseCommandQueue(nil, q))
 }
 
 func (c *NativeClient) CreateBuffer(cr Ref, flags uint64, size uint64) (Ref, error) {
 	ctx, _ := cr.obj.(*Context)
-	m, st := c.silo.CreateBuffer(ctx, flags, size)
+	st, m := c.silo.ClCreateBuffer(nil, ctx, flags, size)
 	if st != Success {
 		return Ref{}, clErr("clCreateBuffer", st)
 	}
@@ -229,12 +232,12 @@ func (c *NativeClient) CreateBuffer(cr Ref, flags uint64, size uint64) (Ref, err
 
 func (c *NativeClient) ReleaseBuffer(r Ref) error {
 	m, _ := r.obj.(*Mem)
-	return clErr("clReleaseMemObject", c.silo.ReleaseMemObject(m))
+	return clErr("clReleaseMemObject", c.silo.ClReleaseMemObject(nil, m))
 }
 
 func (c *NativeClient) CreateProgram(cr Ref, source string) (Ref, error) {
 	ctx, _ := cr.obj.(*Context)
-	p, st := c.silo.CreateProgramWithSource(ctx, source)
+	st, p := c.silo.ClCreateProgramWithSource(nil, ctx, source)
 	if st != Success {
 		return Ref{}, clErr("clCreateProgramWithSource", st)
 	}
@@ -243,28 +246,28 @@ func (c *NativeClient) CreateProgram(cr Ref, source string) (Ref, error) {
 
 func (c *NativeClient) BuildProgram(r Ref, options string) error {
 	p, _ := r.obj.(*Program)
-	return clErr("clBuildProgram", c.silo.BuildProgram(p, options))
+	return clErr("clBuildProgram", c.silo.ClBuildProgram(nil, p, options))
 }
 
 func (c *NativeClient) ProgramBuildLog(r Ref) (string, error) {
 	p, _ := r.obj.(*Program)
-	n, st := c.silo.GetProgramBuildInfo(p, ProgramBuildLog, nil)
+	n, st := c.silo.ClGetProgramBuildInfo(nil, p, ProgramBuildLog, 0, nil)
 	if st != Success {
 		return "", clErr("clGetProgramBuildInfo", st)
 	}
 	buf := make([]byte, n)
-	c.silo.GetProgramBuildInfo(p, ProgramBuildLog, buf)
+	c.silo.ClGetProgramBuildInfo(nil, p, ProgramBuildLog, n, buf)
 	return string(buf), nil
 }
 
 func (c *NativeClient) ReleaseProgram(r Ref) error {
 	p, _ := r.obj.(*Program)
-	return clErr("clReleaseProgram", c.silo.ReleaseProgram(p))
+	return clErr("clReleaseProgram", c.silo.ClReleaseProgram(nil, p))
 }
 
 func (c *NativeClient) CreateKernel(r Ref, name string) (Ref, error) {
 	p, _ := r.obj.(*Program)
-	k, st := c.silo.CreateKernel(p, name)
+	st, k := c.silo.ClCreateKernel(nil, p, name)
 	if st != Success {
 		return Ref{}, clErr("clCreateKernel", st)
 	}
@@ -273,7 +276,7 @@ func (c *NativeClient) CreateKernel(r Ref, name string) (Ref, error) {
 
 func (c *NativeClient) ReleaseKernel(r Ref) error {
 	k, _ := r.obj.(*Kernel)
-	return clErr("clReleaseKernel", c.silo.ReleaseKernel(k))
+	return clErr("clReleaseKernel", c.silo.ClReleaseKernel(nil, k))
 }
 
 func (c *NativeClient) SetKernelArgBuffer(kr Ref, index uint32, mr Ref) error {
@@ -305,14 +308,14 @@ func (c *NativeClient) EnqueueNDRangeEvent(qr, kr Ref, global, local []uint64) (
 func (c *NativeClient) EnqueueRead(qr, mr Ref, blocking bool, offset uint64, dst []byte) error {
 	q, _ := qr.obj.(*Queue)
 	m, _ := mr.obj.(*Mem)
-	_, st := c.silo.EnqueueReadBuffer(q, m, offset, dst)
+	_, st := c.silo.ClEnqueueReadBuffer(nil, q, m, boolArg(blocking), offset, uint64(len(dst)), dst, 0, nil)
 	return clErr("clEnqueueReadBuffer", st)
 }
 
 func (c *NativeClient) EnqueueWrite(qr, mr Ref, blocking bool, offset uint64, src []byte) error {
 	q, _ := qr.obj.(*Queue)
 	m, _ := mr.obj.(*Mem)
-	_, st := c.silo.EnqueueWriteBuffer(q, m, offset, src)
+	_, st := c.silo.ClEnqueueWriteBuffer(nil, q, m, boolArg(blocking), offset, uint64(len(src)), src, 0, nil)
 	return clErr("clEnqueueWriteBuffer", st)
 }
 
@@ -320,20 +323,20 @@ func (c *NativeClient) EnqueueCopy(qr, sr, dr Ref, srcOff, dstOff, size uint64) 
 	q, _ := qr.obj.(*Queue)
 	s, _ := sr.obj.(*Mem)
 	d, _ := dr.obj.(*Mem)
-	_, st := c.silo.EnqueueCopyBuffer(q, s, d, srcOff, dstOff, size)
+	_, st := c.silo.ClEnqueueCopyBuffer(nil, q, s, d, srcOff, dstOff, size, 0, nil)
 	return clErr("clEnqueueCopyBuffer", st)
 }
 
 func (c *NativeClient) EnqueueFill(qr, mr Ref, pattern []byte, offset, size uint64) error {
 	q, _ := qr.obj.(*Queue)
 	m, _ := mr.obj.(*Mem)
-	_, st := c.silo.EnqueueFillBuffer(q, m, pattern, offset, size)
+	_, st := c.silo.ClEnqueueFillBuffer(nil, q, m, pattern, uint64(len(pattern)), offset, size, 0, nil)
 	return clErr("clEnqueueFillBuffer", st)
 }
 
 func (c *NativeClient) EnqueueMarker(qr Ref) (Ref, error) {
 	q, _ := qr.obj.(*Queue)
-	ev, st := c.silo.EnqueueMarker(q)
+	ev, st := c.silo.ClEnqueueMarker(nil, q)
 	if st != Success {
 		return Ref{}, clErr("clEnqueueMarker", st)
 	}
@@ -342,17 +345,17 @@ func (c *NativeClient) EnqueueMarker(qr Ref) (Ref, error) {
 
 func (c *NativeClient) EnqueueBarrier(qr Ref) error {
 	q, _ := qr.obj.(*Queue)
-	return clErr("clEnqueueBarrier", c.silo.EnqueueBarrier(q))
+	return clErr("clEnqueueBarrier", c.silo.ClEnqueueBarrier(nil, q))
 }
 
 func (c *NativeClient) Finish(qr Ref) error {
 	q, _ := qr.obj.(*Queue)
-	return clErr("clFinish", c.silo.Finish(q))
+	return clErr("clFinish", c.silo.ClFinish(nil, q))
 }
 
 func (c *NativeClient) Flush(qr Ref) error {
 	q, _ := qr.obj.(*Queue)
-	return clErr("clFlush", c.silo.Flush(q))
+	return clErr("clFlush", c.silo.ClFlush(nil, q))
 }
 
 func (c *NativeClient) WaitForEvents(events []Ref) error {
@@ -360,13 +363,13 @@ func (c *NativeClient) WaitForEvents(events []Ref) error {
 	for i, r := range events {
 		evs[i], _ = r.obj.(*Event)
 	}
-	return clErr("clWaitForEvents", c.silo.WaitForEvents(evs))
+	return clErr("clWaitForEvents", c.silo.ClWaitForEvents(nil, uint32(len(evs)), evs))
 }
 
 func (c *NativeClient) EventProfiling(er Ref, param uint32) (uint64, error) {
 	e, _ := er.obj.(*Event)
 	buf := make([]byte, 8)
-	if _, st := c.silo.GetEventProfilingInfo(e, param, buf); st != Success {
+	if _, st := c.silo.ClGetEventProfilingInfo(nil, e, param, uint64(len(buf)), buf); st != Success {
 		return 0, clErr("clGetEventProfilingInfo", st)
 	}
 	return binary.LittleEndian.Uint64(buf), nil
@@ -374,7 +377,7 @@ func (c *NativeClient) EventProfiling(er Ref, param uint32) (uint64, error) {
 
 func (c *NativeClient) ReleaseEvent(er Ref) error {
 	e, _ := er.obj.(*Event)
-	return clErr("clReleaseEvent", c.silo.ReleaseEvent(e))
+	return clErr("clReleaseEvent", c.silo.ClReleaseEvent(nil, e))
 }
 
 func (c *NativeClient) DeferredError() error { return nil }

@@ -17,6 +17,7 @@
 package cl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -25,6 +26,8 @@ import (
 
 	"ava/internal/clock"
 	"ava/internal/devsim"
+	"ava/internal/marshal"
+	"ava/internal/server"
 )
 
 // Status is an OpenCL error code (cl_int).
@@ -114,9 +117,6 @@ type Context struct {
 	refs    int32
 	dead    bool
 }
-
-// SetOwner labels the context for device-time accounting.
-func (c *Context) SetOwner(owner string) { c.owner = owner }
 
 // Queue is a cl_command_queue.
 type Queue struct {
@@ -245,6 +245,20 @@ func (s *Silo) GetDeviceIDs(p *Platform, devType uint64) ([]*Device, Status) {
 	return p.devices, Success
 }
 
+// ClGetPlatformIDs implements clGetPlatformIDs over GetPlatformIDs.
+func (s *Silo) ClGetPlatformIDs(_ *server.Context, _ uint32, out []*Platform) (uint32, Status) {
+	ps := s.GetPlatformIDs()
+	copy(out, ps)
+	return uint32(len(ps)), Success
+}
+
+// ClGetDeviceIDs implements clGetDeviceIDs over GetDeviceIDs.
+func (s *Silo) ClGetDeviceIDs(_ *server.Context, p *Platform, devType uint64, _ uint32, out []*Device) (uint32, Status) {
+	ds, st := s.GetDeviceIDs(p, devType)
+	copy(out, ds)
+	return uint32(len(ds)), st
+}
+
 // infoBytes encodes an info query result and reports the full size.
 func infoBytes(dst []byte, val []byte) (uint64, Status) {
 	if dst != nil {
@@ -261,8 +275,8 @@ func u64Bytes(v uint64) []byte {
 	return b
 }
 
-// GetPlatformInfo answers platform info queries.
-func (s *Silo) GetPlatformInfo(p *Platform, param uint32, dst []byte) (uint64, Status) {
+// ClGetPlatformInfo answers platform info queries.
+func (s *Silo) ClGetPlatformInfo(_ *server.Context, p *Platform, param uint32, _ uint64, dst []byte) (uint64, Status) {
 	if p == nil {
 		return 0, ErrInvalidPlatform
 	}
@@ -275,8 +289,8 @@ func (s *Silo) GetPlatformInfo(p *Platform, param uint32, dst []byte) (uint64, S
 	return 0, ErrInvalidValue
 }
 
-// GetDeviceInfo answers device info queries.
-func (s *Silo) GetDeviceInfo(d *Device, param uint32, dst []byte) (uint64, Status) {
+// ClGetDeviceInfo answers device info queries.
+func (s *Silo) ClGetDeviceInfo(_ *server.Context, d *Device, param uint32, _ uint64, dst []byte) (uint64, Status) {
 	if d == nil {
 		return 0, ErrInvalidDevice
 	}
@@ -297,21 +311,28 @@ func (s *Silo) GetDeviceInfo(d *Device, param uint32, dst []byte) (uint64, Statu
 
 // --- Contexts ---
 
-// CreateContext creates a context over devices.
-func (s *Silo) CreateContext(devices []*Device) (*Context, Status) {
+// ClCreateContext creates a context over devices. A context created for a
+// server context is labelled with its VM for device-time accounting (hook:
+// the owner is the server context's, not an API argument); a native one is
+// "native".
+func (s *Silo) ClCreateContext(ctx *server.Context, _ uint32, devices []*Device) (Status, *Context) {
 	if len(devices) == 0 {
-		return nil, ErrInvalidValue
+		return ErrInvalidValue, nil
 	}
 	for _, d := range devices {
 		if d == nil {
-			return nil, ErrInvalidDevice
+			return ErrInvalidDevice, nil
 		}
 	}
-	return &Context{silo: s, devices: devices, owner: "native", refs: 1}, Success
+	c := &Context{silo: s, devices: devices, owner: "native", refs: 1}
+	if ctx != nil {
+		c.owner = ctx.Name
+	}
+	return Success, c
 }
 
-// RetainContext increments the context refcount.
-func (s *Silo) RetainContext(c *Context) Status {
+// ClRetainContext increments the context refcount.
+func (s *Silo) ClRetainContext(_ *server.Context, c *Context) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c == nil || c.dead {
@@ -321,8 +342,8 @@ func (s *Silo) RetainContext(c *Context) Status {
 	return Success
 }
 
-// ReleaseContext decrements the refcount, destroying at zero.
-func (s *Silo) ReleaseContext(c *Context) Status {
+// ClReleaseContext decrements the refcount, destroying at zero.
+func (s *Silo) ClReleaseContext(_ *server.Context, c *Context) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c == nil || c.dead {
@@ -335,8 +356,8 @@ func (s *Silo) ReleaseContext(c *Context) Status {
 	return Success
 }
 
-// GetContextInfo answers context info queries.
-func (s *Silo) GetContextInfo(c *Context, param uint32, dst []byte) (uint64, Status) {
+// ClGetContextInfo answers context info queries.
+func (s *Silo) ClGetContextInfo(_ *server.Context, c *Context, param uint32, _ uint64, dst []byte) (uint64, Status) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c == nil || c.dead {
@@ -353,21 +374,21 @@ func (s *Silo) GetContextInfo(c *Context, param uint32, dst []byte) (uint64, Sta
 
 // --- Command queues ---
 
-// CreateCommandQueue creates an in-order queue on device d.
-func (s *Silo) CreateCommandQueue(c *Context, d *Device, properties uint64) (*Queue, Status) {
+// ClCreateCommandQueue creates an in-order queue on device d.
+func (s *Silo) ClCreateCommandQueue(_ *server.Context, c *Context, d *Device, properties uint64) (Status, *Queue) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c == nil || c.dead {
-		return nil, ErrInvalidContext
+		return ErrInvalidContext, nil
 	}
 	if d == nil {
-		return nil, ErrInvalidDevice
+		return ErrInvalidDevice, nil
 	}
-	return &Queue{ctx: c, device: d, profiling: properties&2 != 0, refs: 1}, Success
+	return Success, &Queue{ctx: c, device: d, profiling: properties&2 != 0, refs: 1}
 }
 
-// RetainCommandQueue increments the queue refcount.
-func (s *Silo) RetainCommandQueue(q *Queue) Status {
+// ClRetainCommandQueue increments the queue refcount.
+func (s *Silo) ClRetainCommandQueue(_ *server.Context, q *Queue) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if q == nil || q.dead {
@@ -377,8 +398,8 @@ func (s *Silo) RetainCommandQueue(q *Queue) Status {
 	return Success
 }
 
-// ReleaseCommandQueue decrements the queue refcount.
-func (s *Silo) ReleaseCommandQueue(q *Queue) Status {
+// ClReleaseCommandQueue decrements the queue refcount.
+func (s *Silo) ClReleaseCommandQueue(_ *server.Context, q *Queue) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if q == nil || q.dead {
@@ -393,22 +414,22 @@ func (s *Silo) ReleaseCommandQueue(q *Queue) Status {
 
 // --- Buffers ---
 
-// CreateBuffer allocates a device buffer.
-func (s *Silo) CreateBuffer(c *Context, flags uint64, size uint64) (*Mem, Status) {
+// ClCreateBuffer allocates a device buffer.
+func (s *Silo) ClCreateBuffer(_ *server.Context, c *Context, flags uint64, size uint64) (Status, *Mem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c == nil || c.dead {
-		return nil, ErrInvalidContext
+		return ErrInvalidContext, nil
 	}
 	if size == 0 {
-		return nil, ErrInvalidValue
+		return ErrInvalidValue, nil
 	}
 	addr, err := c.devices[0].sim.Alloc(size)
 	if err != nil {
 		if errors.Is(err, devsim.ErrOutOfMemory) {
-			return nil, ErrMemObjectAllocFailure
+			return ErrMemObjectAllocFailure, nil
 		}
-		return nil, ErrOutOfResources
+		return ErrOutOfResources, nil
 	}
 	s.useTick++
 	m := &Mem{ctx: c, size: size, flags: flags, refs: 1, addr: addr, resident: true, lastUse: s.useTick}
@@ -416,11 +437,11 @@ func (s *Silo) CreateBuffer(c *Context, flags uint64, size uint64) (*Mem, Status
 	// (the checkpoint consumer holds no base to compose onto).
 	m.dirty.markAll()
 	s.live[m] = struct{}{}
-	return m, Success
+	return Success, m
 }
 
-// RetainMemObject increments the buffer refcount.
-func (s *Silo) RetainMemObject(m *Mem) Status {
+// ClRetainMemObject increments the buffer refcount.
+func (s *Silo) ClRetainMemObject(_ *server.Context, m *Mem) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m == nil || m.dead {
@@ -430,8 +451,8 @@ func (s *Silo) RetainMemObject(m *Mem) Status {
 	return Success
 }
 
-// ReleaseMemObject decrements the refcount, freeing device memory at zero.
-func (s *Silo) ReleaseMemObject(m *Mem) Status {
+// ClReleaseMemObject decrements the refcount, freeing device memory at zero.
+func (s *Silo) ClReleaseMemObject(_ *server.Context, m *Mem) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m == nil || m.dead {
@@ -606,23 +627,23 @@ func LRUVictim(candidates []*Mem) *Mem {
 
 // --- Programs and kernels ---
 
-// CreateProgramWithSource creates an unbuilt program. Source is a
+// ClCreateProgramWithSource creates an unbuilt program. Source is a
 // comma/whitespace separated list of kernel registry names (the silo's
 // "programming language").
-func (s *Silo) CreateProgramWithSource(c *Context, source string) (*Program, Status) {
+func (s *Silo) ClCreateProgramWithSource(_ *server.Context, c *Context, source string) (Status, *Program) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c == nil || c.dead {
-		return nil, ErrInvalidContext
+		return ErrInvalidContext, nil
 	}
 	if source == "" {
-		return nil, ErrInvalidValue
+		return ErrInvalidValue, nil
 	}
-	return &Program{ctx: c, source: source, refs: 1}, Success
+	return Success, &Program{ctx: c, source: source, refs: 1}
 }
 
-// BuildProgram resolves the program's kernel names against the registry.
-func (s *Silo) BuildProgram(p *Program, options string) Status {
+// ClBuildProgram resolves the program's kernel names against the registry.
+func (s *Silo) ClBuildProgram(_ *server.Context, p *Program, options string) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p == nil || p.dead {
@@ -653,8 +674,8 @@ func (s *Silo) BuildProgram(p *Program, options string) Status {
 	return Success
 }
 
-// GetProgramBuildInfo answers build info queries.
-func (s *Silo) GetProgramBuildInfo(p *Program, param uint32, dst []byte) (uint64, Status) {
+// ClGetProgramBuildInfo answers build info queries.
+func (s *Silo) ClGetProgramBuildInfo(_ *server.Context, p *Program, param uint32, _ uint64, dst []byte) (uint64, Status) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p == nil || p.dead {
@@ -673,8 +694,8 @@ func (s *Silo) GetProgramBuildInfo(p *Program, param uint32, dst []byte) (uint64
 	return 0, ErrInvalidValue
 }
 
-// RetainProgram increments the program refcount.
-func (s *Silo) RetainProgram(p *Program) Status {
+// ClRetainProgram increments the program refcount.
+func (s *Silo) ClRetainProgram(_ *server.Context, p *Program) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p == nil || p.dead {
@@ -684,8 +705,8 @@ func (s *Silo) RetainProgram(p *Program) Status {
 	return Success
 }
 
-// ReleaseProgram decrements the program refcount.
-func (s *Silo) ReleaseProgram(p *Program) Status {
+// ClReleaseProgram decrements the program refcount.
+func (s *Silo) ClReleaseProgram(_ *server.Context, p *Program) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p == nil || p.dead {
@@ -698,15 +719,15 @@ func (s *Silo) ReleaseProgram(p *Program) Status {
 	return Success
 }
 
-// CreateKernel instantiates a kernel from a built program.
-func (s *Silo) CreateKernel(p *Program, name string) (*Kernel, Status) {
+// ClCreateKernel instantiates a kernel from a built program.
+func (s *Silo) ClCreateKernel(_ *server.Context, p *Program, name string) (Status, *Kernel) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p == nil || p.dead {
-		return nil, ErrInvalidProgram
+		return ErrInvalidProgram, nil
 	}
 	if !p.built {
-		return nil, ErrInvalidProgramExe
+		return ErrInvalidProgramExe, nil
 	}
 	found := false
 	for _, n := range p.names {
@@ -717,13 +738,13 @@ func (s *Silo) CreateKernel(p *Program, name string) (*Kernel, Status) {
 	}
 	def := s.kernels.Lookup(name)
 	if !found || def == nil {
-		return nil, ErrInvalidKernelName
+		return ErrInvalidKernelName, nil
 	}
-	return &Kernel{program: p, def: def, args: make([]kernelArg, len(def.Args)), refs: 1}, Success
+	return Success, &Kernel{program: p, def: def, args: make([]kernelArg, len(def.Args)), refs: 1}
 }
 
-// RetainKernel increments the kernel refcount.
-func (s *Silo) RetainKernel(k *Kernel) Status {
+// ClRetainKernel increments the kernel refcount.
+func (s *Silo) ClRetainKernel(_ *server.Context, k *Kernel) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if k == nil || k.dead {
@@ -733,8 +754,8 @@ func (s *Silo) RetainKernel(k *Kernel) Status {
 	return Success
 }
 
-// ReleaseKernel decrements the kernel refcount.
-func (s *Silo) ReleaseKernel(k *Kernel) Status {
+// ClReleaseKernel decrements the kernel refcount.
+func (s *Silo) ClReleaseKernel(_ *server.Context, k *Kernel) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if k == nil || k.dead {
@@ -747,8 +768,8 @@ func (s *Silo) ReleaseKernel(k *Kernel) Status {
 	return Success
 }
 
-// GetKernelWorkGroupInfo answers kernel work-group queries.
-func (s *Silo) GetKernelWorkGroupInfo(k *Kernel, d *Device, param uint32, dst []byte) (uint64, Status) {
+// ClGetKernelWorkGroupInfo answers kernel work-group queries.
+func (s *Silo) ClGetKernelWorkGroupInfo(_ *server.Context, k *Kernel, d *Device, param uint32, _ uint64, dst []byte) (uint64, Status) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if k == nil || k.dead {
@@ -760,7 +781,27 @@ func (s *Silo) GetKernelWorkGroupInfo(k *Kernel, d *Device, param uint32, dst []
 	return 0, ErrInvalidValue
 }
 
-// SetKernelArgBuffer binds a buffer object to a kernel argument.
+// ClSetKernelArg is the one argument whose meaning the specification cannot
+// give (hook): arg_value is raw bytes on the wire, and only the kernel's
+// declared argument kinds say whether they are a scalar or the 8-byte guest
+// handle of a cl_mem, which is then translated through the VM's handle table
+// like any other handle argument.
+func (s *Silo) ClSetKernelArg(ctx *server.Context, k *Kernel, idx uint32, _ uint64, val []byte) Status {
+	if int(idx) >= len(k.def.Args) || k.def.Args[idx] != ArgBuffer {
+		return s.SetKernelArgBytes(k, idx, val)
+	}
+	if len(val) != 8 {
+		return ErrInvalidKernelArgs
+	}
+	m, ok := server.Resolve[*Mem](ctx, marshal.Handle(binary.LittleEndian.Uint64(val)))
+	if !ok {
+		return ErrInvalidMemObject
+	}
+	return s.SetKernelArgBuffer(k, idx, m)
+}
+
+// SetKernelArgBuffer binds a buffer object to a kernel argument (the typed
+// entry the native client calls).
 func (s *Silo) SetKernelArgBuffer(k *Kernel, index uint32, m *Mem) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -780,7 +821,8 @@ func (s *Silo) SetKernelArgBuffer(k *Kernel, index uint32, m *Mem) Status {
 	return Success
 }
 
-// SetKernelArgBytes binds a scalar argument's raw bytes.
+// SetKernelArgBytes binds a scalar argument's raw bytes (the typed entry the
+// native client calls).
 func (s *Silo) SetKernelArgBytes(k *Kernel, index uint32, val []byte) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -799,6 +841,9 @@ func (s *Silo) SetKernelArgBytes(k *Kernel, index uint32, val []byte) Status {
 
 // --- Enqueue operations (eager in-order execution) ---
 
+// The queues are in-order, so a wait list has nothing left to wait for once
+// the generated dispatcher has resolved (validated) it.
+
 func (s *Silo) newEvent(q *Queue, command string, start, end time.Time) *Event {
 	return &Event{status: Complete, queued: start, start: start, end: end, refs: 1, command: command}
 }
@@ -810,8 +855,8 @@ func (s *Silo) checkQueue(q *Queue) Status {
 	return Success
 }
 
-// EnqueueWriteBuffer copies host data into a buffer.
-func (s *Silo) EnqueueWriteBuffer(q *Queue, m *Mem, offset uint64, data []byte) (*Event, Status) {
+// ClEnqueueWriteBuffer copies host data into a buffer.
+func (s *Silo) ClEnqueueWriteBuffer(_ *server.Context, q *Queue, m *Mem, _ uint32, offset, _ uint64, data []byte, _ uint32, _ []*Event) (*Event, Status) {
 	s.mu.Lock()
 	if st := s.checkQueue(q); st != Success {
 		s.mu.Unlock()
@@ -838,8 +883,8 @@ func (s *Silo) EnqueueWriteBuffer(q *Queue, m *Mem, offset uint64, data []byte) 
 	return s.newEvent(q, "write", t0, s.clk.Now()), Success
 }
 
-// EnqueueReadBuffer copies a buffer into host memory.
-func (s *Silo) EnqueueReadBuffer(q *Queue, m *Mem, offset uint64, dst []byte) (*Event, Status) {
+// ClEnqueueReadBuffer copies a buffer into host memory.
+func (s *Silo) ClEnqueueReadBuffer(_ *server.Context, q *Queue, m *Mem, _ uint32, offset, _ uint64, dst []byte, _ uint32, _ []*Event) (*Event, Status) {
 	s.mu.Lock()
 	if st := s.checkQueue(q); st != Success {
 		s.mu.Unlock()
@@ -865,8 +910,8 @@ func (s *Silo) EnqueueReadBuffer(q *Queue, m *Mem, offset uint64, dst []byte) (*
 	return s.newEvent(q, "read", t0, s.clk.Now()), Success
 }
 
-// EnqueueCopyBuffer copies between buffers on the device.
-func (s *Silo) EnqueueCopyBuffer(q *Queue, src, dst *Mem, srcOff, dstOff, size uint64) (*Event, Status) {
+// ClEnqueueCopyBuffer copies between buffers on the device.
+func (s *Silo) ClEnqueueCopyBuffer(_ *server.Context, q *Queue, src, dst *Mem, srcOff, dstOff, size uint64, _ uint32, _ []*Event) (*Event, Status) {
 	s.mu.Lock()
 	if st := s.checkQueue(q); st != Success {
 		s.mu.Unlock()
@@ -898,8 +943,8 @@ func (s *Silo) EnqueueCopyBuffer(q *Queue, src, dst *Mem, srcOff, dstOff, size u
 	return s.newEvent(q, "copy", t0, s.clk.Now()), Success
 }
 
-// EnqueueFillBuffer fills a buffer range with a repeating pattern.
-func (s *Silo) EnqueueFillBuffer(q *Queue, m *Mem, pattern []byte, offset, size uint64) (*Event, Status) {
+// ClEnqueueFillBuffer fills a buffer range with a repeating pattern.
+func (s *Silo) ClEnqueueFillBuffer(_ *server.Context, q *Queue, m *Mem, pattern []byte, _, offset, size uint64, _ uint32, _ []*Event) (*Event, Status) {
 	if len(pattern) == 0 || size%uint64(len(pattern)) != 0 {
 		return nil, ErrInvalidValue
 	}
@@ -933,7 +978,22 @@ func (s *Silo) EnqueueFillBuffer(q *Queue, m *Mem, pattern []byte, offset, size 
 	return s.newEvent(q, "fill", t0, s.clk.Now()), Success
 }
 
-// EnqueueNDRangeKernel launches a kernel over the global work size.
+// ClEnqueueNDRangeKernel launches a kernel over the size_t work sizes.
+func (s *Silo) ClEnqueueNDRangeKernel(_ *server.Context, q *Queue, k *Kernel, _ uint32, global, local []byte, _ uint32, _ []*Event) (*Event, Status) {
+	return s.EnqueueNDRangeKernel(q, k, decodeSizes(global), decodeSizes(local))
+}
+
+// decodeSizes turns a size_t buffer into work sizes.
+func decodeSizes(b []byte) []uint64 {
+	out := make([]uint64, len(b)/8)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return out
+}
+
+// EnqueueNDRangeKernel launches a kernel over the global work size (the
+// typed entry the native client calls).
 func (s *Silo) EnqueueNDRangeKernel(q *Queue, k *Kernel, global, local []uint64) (*Event, Status) {
 	if len(global) == 0 || len(global) > 3 {
 		return nil, ErrInvalidWorkDim
@@ -997,13 +1057,13 @@ func (s *Silo) EnqueueNDRangeKernel(q *Queue, k *Kernel, global, local []uint64)
 	return s.newEvent(q, "ndrange:"+def.Name, t0, s.clk.Now()), Success
 }
 
-// EnqueueTask launches a kernel with a single work item.
-func (s *Silo) EnqueueTask(q *Queue, k *Kernel) (*Event, Status) {
+// ClEnqueueTask launches a kernel with a single work item.
+func (s *Silo) ClEnqueueTask(_ *server.Context, q *Queue, k *Kernel, _ uint32, _ []*Event) (*Event, Status) {
 	return s.EnqueueNDRangeKernel(q, k, []uint64{1}, []uint64{1})
 }
 
-// EnqueueMarker records a marker event.
-func (s *Silo) EnqueueMarker(q *Queue) (*Event, Status) {
+// ClEnqueueMarker records a marker event.
+func (s *Silo) ClEnqueueMarker(_ *server.Context, q *Queue) (*Event, Status) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st := s.checkQueue(q); st != Success {
@@ -1013,32 +1073,32 @@ func (s *Silo) EnqueueMarker(q *Queue) (*Event, Status) {
 	return s.newEvent(q, "marker", now, now), Success
 }
 
-// EnqueueBarrier orders preceding commands; eager execution makes it a
+// ClEnqueueBarrier orders preceding commands; eager execution makes it a
 // completed no-op.
-func (s *Silo) EnqueueBarrier(q *Queue) Status {
+func (s *Silo) ClEnqueueBarrier(_ *server.Context, q *Queue) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.checkQueue(q)
 }
 
-// Finish blocks until the queue drains; eager execution makes this a no-op
+// ClFinish blocks until the queue drains; eager execution makes this a no-op
 // barrier (the synchronization semantics matter to the remoting layer, not
 // the silo).
-func (s *Silo) Finish(q *Queue) Status {
+func (s *Silo) ClFinish(_ *server.Context, q *Queue) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.checkQueue(q)
 }
 
-// Flush submits pending commands; a no-op under eager execution.
-func (s *Silo) Flush(q *Queue) Status {
+// ClFlush submits pending commands; a no-op under eager execution.
+func (s *Silo) ClFlush(_ *server.Context, q *Queue) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.checkQueue(q)
 }
 
-// WaitForEvents blocks until the listed events complete.
-func (s *Silo) WaitForEvents(events []*Event) Status {
+// ClWaitForEvents blocks until the listed events complete.
+func (s *Silo) ClWaitForEvents(_ *server.Context, _ uint32, events []*Event) Status {
 	for _, e := range events {
 		if e == nil {
 			return ErrInvalidEvent
@@ -1047,8 +1107,8 @@ func (s *Silo) WaitForEvents(events []*Event) Status {
 	return Success
 }
 
-// GetEventInfo answers event info queries.
-func (s *Silo) GetEventInfo(e *Event, param uint32, dst []byte) (uint64, Status) {
+// ClGetEventInfo answers event info queries.
+func (s *Silo) ClGetEventInfo(_ *server.Context, e *Event, param uint32, _ uint64, dst []byte) (uint64, Status) {
 	if e == nil {
 		return 0, ErrInvalidEvent
 	}
@@ -1058,8 +1118,8 @@ func (s *Silo) GetEventInfo(e *Event, param uint32, dst []byte) (uint64, Status)
 	return 0, ErrInvalidValue
 }
 
-// GetEventProfilingInfo answers profiling queries in nanoseconds.
-func (s *Silo) GetEventProfilingInfo(e *Event, param uint32, dst []byte) (uint64, Status) {
+// ClGetEventProfilingInfo answers profiling queries in nanoseconds.
+func (s *Silo) ClGetEventProfilingInfo(_ *server.Context, e *Event, param uint32, _ uint64, dst []byte) (uint64, Status) {
 	if e == nil {
 		return 0, ErrInvalidEvent
 	}
@@ -1074,8 +1134,8 @@ func (s *Silo) GetEventProfilingInfo(e *Event, param uint32, dst []byte) (uint64
 	return 0, ErrInvalidValue
 }
 
-// RetainEvent increments the event refcount.
-func (s *Silo) RetainEvent(e *Event) Status {
+// ClRetainEvent increments the event refcount.
+func (s *Silo) ClRetainEvent(_ *server.Context, e *Event) Status {
 	if e == nil {
 		return ErrInvalidEvent
 	}
@@ -1085,8 +1145,8 @@ func (s *Silo) RetainEvent(e *Event) Status {
 	return Success
 }
 
-// ReleaseEvent decrements the event refcount.
-func (s *Silo) ReleaseEvent(e *Event) Status {
+// ClReleaseEvent decrements the event refcount.
+func (s *Silo) ClReleaseEvent(_ *server.Context, e *Event) Status {
 	if e == nil {
 		return ErrInvalidEvent
 	}

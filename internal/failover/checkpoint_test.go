@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math/bits"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +16,8 @@ import (
 	"ava/internal/framebuf"
 	"ava/internal/leaktest"
 	"ava/internal/marshal"
+	"ava/internal/qat"
+	"ava/internal/server"
 	"ava/internal/transport"
 )
 
@@ -233,5 +237,85 @@ func TestRecycledControlReplyNeverCorruptsMirror(t *testing.T) {
 	}
 	if st := g.Stats(); st.DeltaCheckpoints != 2 || st.LastCkptBytes != dirty {
 		t.Fatalf("stats %+v: want 2 delta checkpoints, the last shipping %d bytes", st, dirty)
+	}
+}
+
+// funcRecorder is a server's end of a link that notes the function of every
+// call it receives.
+type funcRecorder struct {
+	transport.Endpoint
+	mu    sync.Mutex
+	funcs []uint32
+}
+
+func (r *funcRecorder) Recv() ([]byte, error) {
+	frame, err := r.Endpoint.Recv()
+	if err == nil {
+		calls, _ := marshal.DecodeBatch(frame)
+		r.mu.Lock()
+		for _, b := range calls {
+			if c, derr := marshal.DecodeCall(b); derr == nil {
+				r.funcs = append(r.funcs, c.Func)
+			}
+		}
+		r.mu.Unlock()
+	}
+	return frame, err
+}
+
+func (r *funcRecorder) seen() []uint32 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.funcs)
+}
+
+// A registry without an Adapter declares no object state, so the empty
+// delta is its exact incremental capture: a checkpoint of its server is the
+// quiesce marker and one FuncSnapshotDelta, composed onto the previous
+// checkpoint and counted as a delta one, with no denied delta and full
+// FuncSnapshot behind it. QAT's registry is one.
+func TestStatelessRegistryCheckpointsByDelta(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	desc := qat.Descriptor()
+	reg := server.NewRegistry(desc)
+	qat.BindServer(reg, qat.NewSilo(1))
+	if reg.Adapter != nil {
+		t.Fatalf("the QAT registry carries object-state adapter %T, but replay rebuilds every QAT object", reg.Adapter)
+	}
+	srv := server.New(reg)
+	south, serverEP := transport.NewInProc()
+	rec := &funcRecorder{Endpoint: serverEP}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeVM(srv.Context(1, "vm"), rec)
+	}()
+	router, north := transport.NewInProc()
+	g := New(desc, north, func() (transport.Endpoint, error) { return south, nil }, Config{})
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		g.Close()
+		router.Close()
+		serverEP.Close()
+		<-served
+	}()
+	start := marshal.Call{Seq: 1, Func: logFunc(desc, "qatStartInstance"), Args: []marshal.Value{marshal.Uint(0), marshal.Null()}}
+	sendCall(t, router, &start)
+	if rep := recvReply(t, router); rep.Status != marshal.StatusOK || rep.Ret.Int() != 0 {
+		t.Fatalf("qatStartInstance: %+v", rep)
+	}
+	for i := 1; i <= 2; i++ { // the first has no base to compose onto
+		before := len(rec.seen())
+		if err := g.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		if ctl := rec.seen()[before:]; !slices.Equal(ctl, []uint32{markerFunc, marshal.FuncSnapshotDelta}) {
+			t.Fatalf("checkpoint %d sent control calls %#x, want the marker and one FuncSnapshotDelta", i, ctl)
+		}
+	}
+	if st := g.Stats(); st.Checkpoints != 2 || st.DeltaCheckpoints != 1 {
+		t.Fatalf("stats %+v: want two checkpoints, the second taken as a delta", st)
 	}
 }

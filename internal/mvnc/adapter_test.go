@@ -10,11 +10,12 @@ import (
 func adapterGraph(t *testing.T) (MigrationAdapter, *Silo, *Graph) {
 	t.Helper()
 	s := NewSilo(Config{Sticks: 1})
-	d, st := s.OpenDevice(0)
+	d, st := s.MvncOpenDevice(nil, 0)
 	if st != 0 {
 		t.Fatalf("OpenDevice: status %d", st)
 	}
-	g, st := s.AllocateGraph(d, "g", GraphBlob("inception_v3_sim", 42, 10, 0))
+	blob := GraphBlob("inception_v3_sim", 42, 10, 0)
+	g, st := s.MvncAllocateGraph(nil, d, "g", uint64(len(blob)), blob)
 	if st != 0 {
 		t.Fatalf("AllocateGraph: status %d", st)
 	}
@@ -59,7 +60,7 @@ func TestAdapterDeltaLifecycle(t *testing.T) {
 
 	// A mutation (queued inference result) moves the generation: the next
 	// delta ships the new state in full.
-	if st := s.LoadTensor(g, make([]byte, 3*64*64*4)); st != 0 {
+	if st := s.MvncLoadTensor(nil, g, 3*64*64*4, make([]byte, 3*64*64*4)); st != 0 {
 		t.Fatalf("LoadTensor: status %d", st)
 	}
 	d3, _, err := a.SnapshotObjectDelta(g)
@@ -80,10 +81,10 @@ func TestAdapterDeltaLifecycle(t *testing.T) {
 
 func TestAdapterRestoreRoundTrip(t *testing.T) {
 	a, s, g := adapterGraph(t)
-	if st := s.LoadTensor(g, make([]byte, 3*64*64*4)); st != 0 {
+	if st := s.MvncLoadTensor(nil, g, 3*64*64*4, make([]byte, 3*64*64*4)); st != 0 {
 		t.Fatalf("LoadTensor: status %d", st)
 	}
-	if st := s.SetGraphOption(g, 1, 7000); st != 0 {
+	if st := s.MvncSetGraphOption(nil, g, 1, 7000); st != 0 {
 		t.Fatalf("SetGraphOption: status %d", st)
 	}
 	state, stateful, err := a.SnapshotObject(g)

@@ -7,56 +7,15 @@ import (
 	"ava/internal/server"
 )
 
+var _ Implementation = (*Silo)(nil)
+
 // BindServer registers the generated MVNC handlers (Register in
-// stubs_gen.go, from mvnc.ava) against reg, executing on silo. The binding
-// below is the silo as the generated Implementation: argument conversions
-// only, no hooks. BindServer also installs the silo's object-state Adapter
-// on reg.
+// stubs_gen.go, from mvnc.ava) against reg, executing on silo, which is the
+// generated Implementation itself: MVNC needs no hook. BindServer also
+// installs the silo's object-state Adapter on reg.
 func BindServer(reg *server.Registry, silo *Silo) {
-	Register(reg, binding{silo})
+	Register(reg, silo)
 	reg.Adapter = MigrationAdapter{Silo: silo}
-}
-
-type binding struct{ s *Silo }
-
-func (b binding) MvncGetDeviceCount(*server.Context) (uint32, int32) {
-	return uint32(b.s.DeviceCount()), OK
-}
-
-func (b binding) MvncGetDeviceName(_ *server.Context, index uint32, _ uint64, dst []byte) int32 {
-	name, st := b.s.DeviceName(index)
-	copy(dst, name)
-	return st
-}
-
-func (b binding) MvncOpenDevice(_ *server.Context, index uint32) (*Device, int32) {
-	return b.s.OpenDevice(index)
-}
-
-func (b binding) MvncCloseDevice(_ *server.Context, d *Device) int32 { return b.s.CloseDevice(d) }
-
-func (b binding) MvncAllocateGraph(_ *server.Context, d *Device, name string, _ uint64, blob []byte) (*Graph, int32) {
-	return b.s.AllocateGraph(d, name, blob)
-}
-
-func (b binding) MvncDeallocateGraph(_ *server.Context, g *Graph) int32 {
-	return b.s.DeallocateGraph(g)
-}
-
-func (b binding) MvncLoadTensor(_ *server.Context, g *Graph, _ uint64, tensor []byte) int32 {
-	return b.s.LoadTensor(g, tensor)
-}
-
-func (b binding) MvncGetResult(_ *server.Context, g *Graph, _ uint64, dst []byte) int32 {
-	return b.s.GetResult(g, dst)
-}
-
-func (b binding) MvncSetGraphOption(_ *server.Context, g *Graph, option, value uint32) int32 {
-	return b.s.SetGraphOption(g, option, value)
-}
-
-func (b binding) MvncGetGraphOption(_ *server.Context, g *Graph, option uint32) (uint32, int32) {
-	return b.s.GetGraphOption(g, option)
 }
 
 // Client is the uniform MVNC programming surface; as with cl.Client, the

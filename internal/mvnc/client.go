@@ -5,7 +5,8 @@ import (
 	"ava/internal/marshal"
 )
 
-// NativeClient executes MVNC calls directly against the silo.
+// NativeClient executes MVNC calls directly against the silo's spec-shaped
+// methods, with a nil server context.
 type NativeClient struct {
 	silo *Silo
 }
@@ -14,61 +15,67 @@ type NativeClient struct {
 func NewNative(s *Silo) *NativeClient { return &NativeClient{silo: s} }
 
 // DeviceCount implements Client.
-func (c *NativeClient) DeviceCount() (int, error) { return c.silo.DeviceCount(), nil }
+func (c *NativeClient) DeviceCount() (int, error) {
+	n, st := c.silo.MvncGetDeviceCount(nil)
+	return int(n), mvErr("mvncGetDeviceCount", st)
+}
 
 // DeviceName implements Client.
 func (c *NativeClient) DeviceName(index uint32) (string, error) {
-	name, st := c.silo.DeviceName(index)
-	return name, mvErr("mvncGetDeviceName", st)
+	buf := make([]byte, 64)
+	if err := mvErr("mvncGetDeviceName", c.silo.MvncGetDeviceName(nil, index, uint64(len(buf)), buf)); err != nil {
+		return "", err
+	}
+	return cString(buf), nil
 }
 
 // OpenDevice implements Client.
 func (c *NativeClient) OpenDevice(index uint32) (Ref, error) {
-	d, st := c.silo.OpenDevice(index)
+	d, st := c.silo.MvncOpenDevice(nil, index)
 	return Ref{obj: d}, mvErr("mvncOpenDevice", st)
 }
 
 // CloseDevice implements Client.
 func (c *NativeClient) CloseDevice(r Ref) error {
 	d, _ := r.obj.(*Device)
-	return mvErr("mvncCloseDevice", c.silo.CloseDevice(d))
+	return mvErr("mvncCloseDevice", c.silo.MvncCloseDevice(nil, d))
 }
 
 // AllocateGraph implements Client.
 func (c *NativeClient) AllocateGraph(r Ref, name string, blob []byte) (Ref, error) {
 	d, _ := r.obj.(*Device)
-	g, st := c.silo.AllocateGraph(d, name, blob)
+	g, st := c.silo.MvncAllocateGraph(nil, d, name, uint64(len(blob)), blob)
 	return Ref{obj: g}, mvErr("mvncAllocateGraph", st)
 }
 
 // DeallocateGraph implements Client.
 func (c *NativeClient) DeallocateGraph(r Ref) error {
 	g, _ := r.obj.(*Graph)
-	return mvErr("mvncDeallocateGraph", c.silo.DeallocateGraph(g))
+	return mvErr("mvncDeallocateGraph", c.silo.MvncDeallocateGraph(nil, g))
 }
 
 // LoadTensor implements Client.
 func (c *NativeClient) LoadTensor(r Ref, tensor []byte) error {
 	g, _ := r.obj.(*Graph)
-	return mvErr("mvncLoadTensor", c.silo.LoadTensor(g, tensor))
+	return mvErr("mvncLoadTensor", c.silo.MvncLoadTensor(nil, g, uint64(len(tensor)), tensor))
 }
 
 // GetResult implements Client.
 func (c *NativeClient) GetResult(r Ref, dst []byte) error {
 	g, _ := r.obj.(*Graph)
-	return mvErr("mvncGetResult", c.silo.GetResult(g, dst))
+	return mvErr("mvncGetResult", c.silo.MvncGetResult(nil, g, uint64(len(dst)), dst))
 }
 
 // SetGraphOption implements Client.
 func (c *NativeClient) SetGraphOption(r Ref, option, value uint32) error {
 	g, _ := r.obj.(*Graph)
-	return mvErr("mvncSetGraphOption", c.silo.SetGraphOption(g, option, value))
+	return mvErr("mvncSetGraphOption", c.silo.MvncSetGraphOption(nil, g, option, value))
 }
 
 // GetGraphOption implements Client.
 func (c *NativeClient) GetGraphOption(r Ref, option uint32) (uint32, error) {
 	g, _ := r.obj.(*Graph)
-	v, st := c.silo.GetGraphOption(g, option)
+	v, st := c.silo.MvncGetGraphOption(nil, g, option)
 	return v, mvErr("mvncGetGraphOption", st)
 }
 
@@ -115,11 +122,16 @@ func (c *RemoteClient) DeviceName(index uint32) (string, error) {
 	if err := st("mvncGetDeviceName", code, err); err != nil {
 		return "", err
 	}
+	return cString(buf), nil
+}
+
+// cString is the NUL-terminated name a device-name buffer holds.
+func cString(buf []byte) string {
 	n := 0
 	for n < len(buf) && buf[n] != 0 {
 		n++
 	}
-	return string(buf[:n]), nil
+	return string(buf[:n])
 }
 
 // OpenDevice implements Client.

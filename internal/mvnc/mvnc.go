@@ -20,6 +20,7 @@ import (
 	"ava/internal/clock"
 	"ava/internal/devsim"
 	"ava/internal/nn"
+	"ava/internal/server"
 )
 
 // Spec is the CAvA specification for the MVNC API subset.
@@ -168,19 +169,22 @@ func NewSilo(cfg Config) *Silo {
 	return s
 }
 
-// DeviceCount returns the number of sticks.
-func (s *Silo) DeviceCount() int { return len(s.devices) }
-
-// DeviceName returns the name of stick index.
-func (s *Silo) DeviceName(index uint32) (string, int32) {
-	if int(index) >= len(s.devices) {
-		return "", ErrDeviceNotFound
-	}
-	return s.devices[index].sim.Name(), OK
+// MvncGetDeviceCount returns the number of sticks.
+func (s *Silo) MvncGetDeviceCount(*server.Context) (uint32, int32) {
+	return uint32(len(s.devices)), OK
 }
 
-// OpenDevice opens stick index.
-func (s *Silo) OpenDevice(index uint32) (*Device, int32) {
+// MvncGetDeviceName copies the name of stick index into dst.
+func (s *Silo) MvncGetDeviceName(_ *server.Context, index uint32, _ uint64, dst []byte) int32 {
+	if int(index) >= len(s.devices) {
+		return ErrDeviceNotFound
+	}
+	copy(dst, s.devices[index].sim.Name())
+	return OK
+}
+
+// MvncOpenDevice opens stick index.
+func (s *Silo) MvncOpenDevice(_ *server.Context, index uint32) (*Device, int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if int(index) >= len(s.devices) {
@@ -194,8 +198,8 @@ func (s *Silo) OpenDevice(index uint32) (*Device, int32) {
 	return d, OK
 }
 
-// CloseDevice releases a stick.
-func (s *Silo) CloseDevice(d *Device) int32 {
+// MvncCloseDevice releases a stick.
+func (s *Silo) MvncCloseDevice(_ *server.Context, d *Device) int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d == nil || !d.open {
@@ -205,8 +209,8 @@ func (s *Silo) CloseDevice(d *Device) int32 {
 	return OK
 }
 
-// AllocateGraph compiles a graph blob onto the device.
-func (s *Silo) AllocateGraph(d *Device, name string, blob []byte) (*Graph, int32) {
+// MvncAllocateGraph compiles a graph blob onto the device.
+func (s *Silo) MvncAllocateGraph(_ *server.Context, d *Device, name string, _ uint64, blob []byte) (*Graph, int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d == nil || !d.open {
@@ -234,8 +238,8 @@ func (s *Silo) AllocateGraph(d *Device, name string, blob []byte) (*Graph, int32
 	return &Graph{dev: d, net: builder(seed, classes), classes: classes, addr: addr, gen: 1}, OK
 }
 
-// DeallocateGraph frees a graph.
-func (s *Silo) DeallocateGraph(g *Graph) int32 {
+// MvncDeallocateGraph frees a graph.
+func (s *Silo) MvncDeallocateGraph(_ *server.Context, g *Graph) int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if g == nil || g.dead {
@@ -247,9 +251,9 @@ func (s *Silo) DeallocateGraph(g *Graph) int32 {
 	return OK
 }
 
-// LoadTensor submits one input image (C×H×W float32, little-endian) for
-// inference; the result queues for GetResult.
-func (s *Silo) LoadTensor(g *Graph, tensor []byte) int32 {
+// MvncLoadTensor submits one input image (C×H×W float32, little-endian) for
+// inference; the result queues for MvncGetResult.
+func (s *Silo) MvncLoadTensor(_ *server.Context, g *Graph, _ uint64, tensor []byte) int32 {
 	s.mu.Lock()
 	if g == nil || g.dead {
 		s.mu.Unlock()
@@ -281,8 +285,8 @@ func (s *Silo) LoadTensor(g *Graph, tensor []byte) int32 {
 	return OK
 }
 
-// GetResult pops the oldest inference result into dst (float32 LE).
-func (s *Silo) GetResult(g *Graph, dst []byte) int32 {
+// MvncGetResult pops the oldest inference result into dst (float32 LE).
+func (s *Silo) MvncGetResult(_ *server.Context, g *Graph, _ uint64, dst []byte) int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if g == nil || g.dead {
@@ -303,8 +307,8 @@ func (s *Silo) GetResult(g *Graph, dst []byte) int32 {
 	return OK
 }
 
-// SetGraphOption stores a graph option.
-func (s *Silo) SetGraphOption(g *Graph, option, value uint32) int32 {
+// MvncSetGraphOption stores a graph option.
+func (s *Silo) MvncSetGraphOption(_ *server.Context, g *Graph, option, value uint32) int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if g == nil || g.dead {
@@ -318,8 +322,8 @@ func (s *Silo) SetGraphOption(g *Graph, option, value uint32) int32 {
 	return OK
 }
 
-// GetGraphOption reads a graph option.
-func (s *Silo) GetGraphOption(g *Graph, option uint32) (uint32, int32) {
+// MvncGetGraphOption reads a graph option.
+func (s *Silo) MvncGetGraphOption(_ *server.Context, g *Graph, option uint32) (uint32, int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if g == nil || g.dead {

@@ -8,46 +8,14 @@ import (
 	"ava/internal/server"
 )
 
+var _ Implementation = (*Silo)(nil)
+
 // BindServer registers the generated QAT handlers (Register in stubs_gen.go,
-// from qat.ava) against reg, executing on silo. The binding below is the silo
-// as the generated Implementation: argument conversions only, no hooks.
-// BindServer also installs the silo's object-state Adapter on reg.
-func BindServer(reg *server.Registry, silo *Silo) {
-	Register(reg, binding{silo})
-	reg.Adapter = MigrationAdapter{Silo: silo}
-}
-
-type binding struct{ s *Silo }
-
-func (b binding) QatGetNumInstances(*server.Context) (uint32, int32) {
-	return uint32(b.s.NumInstances()), OK
-}
-
-func (b binding) QatStartInstance(_ *server.Context, index uint32) (*Instance, int32) {
-	return b.s.StartInstance(index)
-}
-
-func (b binding) QatStopInstance(_ *server.Context, in *Instance) int32 { return b.s.StopInstance(in) }
-
-func (b binding) QatSessionInit(_ *server.Context, in *Instance, direction, level uint32) (*Session, int32) {
-	return b.s.SessionInit(in, direction, level)
-}
-
-func (b binding) QatSessionTeardown(_ *server.Context, sess *Session) int32 {
-	return b.s.SessionTeardown(sess)
-}
-
-func (b binding) QatCompress(_ *server.Context, sess *Session, _ uint64, src []byte, _ uint64, dst []byte) (uint32, int32) {
-	return b.s.Compress(sess, src, dst)
-}
-
-func (b binding) QatDecompress(_ *server.Context, sess *Session, _ uint64, src []byte, _ uint64, dst []byte) (uint32, int32) {
-	return b.s.Decompress(sess, src, dst)
-}
-
-func (b binding) QatHash(_ *server.Context, in *Instance, _ uint64, src, digest []byte) int32 {
-	return b.s.Hash(in, src, digest)
-}
+// from qat.ava) against reg, executing on silo, which is the generated
+// Implementation itself: QAT needs no hook, and no object-state Adapter
+// either — instances and sessions are configured entirely by their creation
+// calls and every data buffer is call-scoped, so replay rebuilds them all.
+func BindServer(reg *server.Registry, silo *Silo) { Register(reg, silo) }
 
 // Error is a QAT failure status.
 type Error struct {
@@ -82,51 +50,55 @@ type Client interface {
 	Hash(inst Ref, src []byte) ([32]byte, error)
 }
 
-// NativeClient executes directly against the silo.
+// NativeClient executes directly against the silo's spec-shaped methods,
+// with a nil server context.
 type NativeClient struct{ silo *Silo }
 
 // NewNative binds a client to the silo.
 func NewNative(s *Silo) *NativeClient { return &NativeClient{silo: s} }
 
 // NumInstances implements Client.
-func (c *NativeClient) NumInstances() (int, error) { return c.silo.NumInstances(), nil }
+func (c *NativeClient) NumInstances() (int, error) {
+	n, st := c.silo.QatGetNumInstances(nil)
+	return int(n), qErr("qatGetNumInstances", st)
+}
 
 // StartInstance implements Client.
 func (c *NativeClient) StartInstance(index uint32) (Ref, error) {
-	in, st := c.silo.StartInstance(index)
+	in, st := c.silo.QatStartInstance(nil, index)
 	return Ref{obj: in}, qErr("qatStartInstance", st)
 }
 
 // StopInstance implements Client.
 func (c *NativeClient) StopInstance(r Ref) error {
 	in, _ := r.obj.(*Instance)
-	return qErr("qatStopInstance", c.silo.StopInstance(in))
+	return qErr("qatStopInstance", c.silo.QatStopInstance(nil, in))
 }
 
 // SessionInit implements Client.
 func (c *NativeClient) SessionInit(r Ref, direction, level uint32) (Ref, error) {
 	in, _ := r.obj.(*Instance)
-	sess, st := c.silo.SessionInit(in, direction, level)
+	sess, st := c.silo.QatSessionInit(nil, in, direction, level)
 	return Ref{obj: sess}, qErr("qatSessionInit", st)
 }
 
 // SessionTeardown implements Client.
 func (c *NativeClient) SessionTeardown(r Ref) error {
 	sess, _ := r.obj.(*Session)
-	return qErr("qatSessionTeardown", c.silo.SessionTeardown(sess))
+	return qErr("qatSessionTeardown", c.silo.QatSessionTeardown(nil, sess))
 }
 
 // Compress implements Client.
 func (c *NativeClient) Compress(r Ref, src, dst []byte) (int, error) {
 	sess, _ := r.obj.(*Session)
-	n, st := c.silo.Compress(sess, src, dst)
+	n, st := c.silo.QatCompress(nil, sess, uint64(len(src)), src, uint64(len(dst)), dst)
 	return int(n), qErr("qatCompress", st)
 }
 
 // Decompress implements Client.
 func (c *NativeClient) Decompress(r Ref, src, dst []byte) (int, error) {
 	sess, _ := r.obj.(*Session)
-	n, st := c.silo.Decompress(sess, src, dst)
+	n, st := c.silo.QatDecompress(nil, sess, uint64(len(src)), src, uint64(len(dst)), dst)
 	return int(n), qErr("qatDecompress", st)
 }
 
@@ -134,7 +106,7 @@ func (c *NativeClient) Decompress(r Ref, src, dst []byte) (int, error) {
 func (c *NativeClient) Hash(r Ref, src []byte) ([32]byte, error) {
 	in, _ := r.obj.(*Instance)
 	var d [32]byte
-	st := c.silo.Hash(in, src, d[:])
+	st := c.silo.QatHash(nil, in, uint64(len(src)), src, d[:])
 	return d, qErr("qatHash", st)
 }
 

@@ -21,6 +21,7 @@ import (
 
 	"ava/internal/cava"
 	"ava/internal/devsim"
+	"ava/internal/server"
 )
 
 // Spec is the CAvA specification for the QAT-like API.
@@ -81,11 +82,13 @@ func NewSilo(n int) *Silo {
 	return s
 }
 
-// NumInstances reports the engine count.
-func (s *Silo) NumInstances() int { return len(s.instances) }
+// QatGetNumInstances reports the engine count.
+func (s *Silo) QatGetNumInstances(*server.Context) (uint32, int32) {
+	return uint32(len(s.instances)), OK
+}
 
-// StartInstance claims engine index.
-func (s *Silo) StartInstance(index uint32) (*Instance, int32) {
+// QatStartInstance claims engine index.
+func (s *Silo) QatStartInstance(_ *server.Context, index uint32) (*Instance, int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if int(index) >= len(s.instances) {
@@ -99,8 +102,8 @@ func (s *Silo) StartInstance(index uint32) (*Instance, int32) {
 	return inst, OK
 }
 
-// StopInstance releases an engine.
-func (s *Silo) StopInstance(inst *Instance) int32 {
+// QatStopInstance releases an engine.
+func (s *Silo) QatStopInstance(_ *server.Context, inst *Instance) int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if inst == nil || !inst.open {
@@ -110,8 +113,8 @@ func (s *Silo) StopInstance(inst *Instance) int32 {
 	return OK
 }
 
-// SessionInit creates a session on an engine.
-func (s *Silo) SessionInit(inst *Instance, direction, level uint32) (*Session, int32) {
+// QatSessionInit creates a session on an engine.
+func (s *Silo) QatSessionInit(_ *server.Context, inst *Instance, direction, level uint32) (*Session, int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if inst == nil || !inst.open {
@@ -127,8 +130,8 @@ func (s *Silo) SessionInit(inst *Instance, direction, level uint32) (*Session, i
 	return &Session{inst: inst, direction: direction, level: lv}, OK
 }
 
-// SessionTeardown destroys a session.
-func (s *Silo) SessionTeardown(sess *Session) int32 {
+// QatSessionTeardown destroys a session.
+func (s *Silo) QatSessionTeardown(_ *server.Context, sess *Session) int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sess == nil || sess.dead {
@@ -138,8 +141,8 @@ func (s *Silo) SessionTeardown(sess *Session) int32 {
 	return OK
 }
 
-// Compress deflates src into dst, returning the produced byte count.
-func (s *Silo) Compress(sess *Session, src, dst []byte) (uint32, int32) {
+// QatCompress deflates src into dst, returning the produced byte count.
+func (s *Silo) QatCompress(_ *server.Context, sess *Session, _ uint64, src []byte, _ uint64, dst []byte) (uint32, int32) {
 	s.mu.Lock()
 	if sess == nil || sess.dead || sess.direction != DirCompress {
 		s.mu.Unlock()
@@ -174,8 +177,8 @@ func (s *Silo) Compress(sess *Session, src, dst []byte) (uint32, int32) {
 	return uint32(out.Len()), OK
 }
 
-// Decompress inflates src into dst, returning the produced byte count.
-func (s *Silo) Decompress(sess *Session, src, dst []byte) (uint32, int32) {
+// QatDecompress inflates src into dst, returning the produced byte count.
+func (s *Silo) QatDecompress(_ *server.Context, sess *Session, _ uint64, src []byte, _ uint64, dst []byte) (uint32, int32) {
 	s.mu.Lock()
 	if sess == nil || sess.dead || sess.direction != DirDecompress {
 		s.mu.Unlock()
@@ -205,8 +208,8 @@ func (s *Silo) Decompress(sess *Session, src, dst []byte) (uint32, int32) {
 	return uint32(len(out)), OK
 }
 
-// Hash computes a SHA-256 digest of src into digest (32 bytes).
-func (s *Silo) Hash(inst *Instance, src, digest []byte) int32 {
+// QatHash computes a SHA-256 digest of src into digest (32 bytes).
+func (s *Silo) QatHash(_ *server.Context, inst *Instance, _ uint64, src, digest []byte) int32 {
 	s.mu.Lock()
 	if inst == nil || !inst.open {
 		s.mu.Unlock()

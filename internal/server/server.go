@@ -276,9 +276,13 @@ func (c *Context) SnapshotObjects() (map[marshal.Handle][]byte, error) {
 // composes them onto the states it holds from the previous capture
 // (marshal.ApplyObjectDelta) and, where one does not compose, takes
 // SnapshotObjects instead — always safe, a drain only moves the silo's dirty
-// watermark earlier than the snapshot that subsumes it. ok=false: the
+// watermark earlier than the snapshot that subsumes it. Without an Adapter
+// there is no object state, so the empty delta is exact. ok=false: the
 // Adapter is no DeltaAdapter, or an object failed; same remedy.
 func (c *Context) SnapshotObjectDeltas() (deltas []marshal.ObjectDelta, ok bool) {
+	if c.reg.Adapter == nil {
+		return nil, true
+	}
 	ad, ok := c.reg.Adapter.(DeltaAdapter)
 	if !ok {
 		return nil, false

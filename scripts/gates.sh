@@ -107,11 +107,23 @@ gate stub 'hand-written dispatch handler in an API package (declare the function
 # is its binding's business — BindServer puts the package's MigrationAdapter
 # on the registry and server.Context reads it from there. No daemon,
 # experiment or example hands one in (the way `avad -api mvnc` once forgot
-# to). ava.go's single line is FailoverConfig.Adapter's fallback, which goes
-# with the field once benchmark/ may stop setting it.
+# to). QAT declares no object state, so it has no adapter at all. ava.go's
+# single line is FailoverConfig.Adapter's fallback, which goes with the field
+# once benchmark/ may stop setting it.
 gate adapter 'object-state adapter set by hand outside the API bindings (BindServer installs it on the registry)' \
 	'\.Adapter *=[^=]|MigrationAdapter\{' \
-	'^\./(internal/(cl|mvnc|qat|server)/|benchmark/|ava\.go:[0-9]+:[[:space:]]*reg\.Adapter = fc\.Adapter( |$))' golines .
+	'^\./(internal/(cl|mvnc|server)/|benchmark/|ava\.go:[0-9]+:[[:space:]]*reg\.Adapter = fc\.Adapter( |$))' golines .
+
+# The silo is the Implementation: an API package's generated Register is
+# handed its silo itself, and a method named after a spec function (ClFinish,
+# MvncOpenDevice, QatHash) is the silo's, written once in the spec's shape —
+# no shim type converting statuses and dropping size arguments in between.
+gate binding 'generated Register handed something other than the silo (make *Silo the Implementation)' \
+	'(^|[^[:alnum:]_.])Register\([^,()]+,' '^[^:]*_gen\.go:|(^|[^[:alnum:]_.])Register\([[:alnum:]_]+, silo\)' \
+	golines -t internal/cl internal/mvnc internal/qat
+gate binding 'spec function implemented on a type other than *Silo (reshape the silo method instead)' \
+	':func \([^)]+\) (Cl|Mvnc|Qat)[A-Z]' '^[^:]*_gen\.go:|:func \(([[:alnum:]_]+ )?\*Silo\) ' \
+	golines -t internal/cl internal/mvnc internal/qat
 
 # One release: what an ended server incarnation still holds goes back to the
 # silo through the registry's release, which the generated Register (emitted
