@@ -75,9 +75,8 @@ func TestRemoteClientAllocatesNothing(t *testing.T) {
 // Alloc budget for the native baseline: the same rows as
 // TestRemoteClientAllocatesNothing plus a kernel launch, straight on the
 // silo. fig5's relative_time divides by this path, so what it allocates per
-// call is pinned at the counts it read when it was written: the scalar
-// argument's retained copy, an event per enqueue, and the launch's
-// environment.
+// call is pinned at the counts it reads: the scalar argument's retained
+// copy, an event per enqueue, and the launch's environment.
 func TestNativeClientAllocs(t *testing.T) {
 	c := cl.NewNative(newSilo())
 	ctx, _, q := bootstrap(t, c)
@@ -115,7 +114,7 @@ func TestNativeClientAllocs(t *testing.T) {
 		{"Finish", 0, func() error { return c.Finish(q) }},
 		{"blocking 4 KiB EnqueueWrite", 1, func() error { return c.EnqueueWrite(q, mem, true, 0, src) }},
 		{"blocking 4 KiB EnqueueRead", 1, func() error { return c.EnqueueRead(q, mem, true, 0, dst) }},
-		{"EnqueueNDRange", 7, func() error { return c.EnqueueNDRange(q, kern, global, local) }},
+		{"EnqueueNDRange", 6, func() error { return c.EnqueueNDRange(q, kern, global, local) }},
 	}
 	for _, r := range rows {
 		if n := testing.AllocsPerRun(1000, func() {

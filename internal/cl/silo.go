@@ -183,12 +183,11 @@ type kernelArg struct {
 
 // Event is a cl_event.
 type Event struct {
-	status  int64
-	queued  time.Time
-	start   time.Time
-	end     time.Time
-	refs    int32
-	command string
+	status int64
+	queued time.Time
+	start  time.Time
+	end    time.Time
+	refs   int32
 }
 
 // Silo is one OpenCL implementation instance over simulated hardware.
@@ -844,8 +843,8 @@ func (s *Silo) SetKernelArgBytes(k *Kernel, index uint32, val []byte) Status {
 // The queues are in-order, so a wait list has nothing left to wait for once
 // the generated dispatcher has resolved (validated) it.
 
-func (s *Silo) newEvent(q *Queue, command string, start, end time.Time) *Event {
-	return &Event{status: Complete, queued: start, start: start, end: end, refs: 1, command: command}
+func (s *Silo) newEvent(start, end time.Time) *Event {
+	return &Event{status: Complete, queued: start, start: start, end: end, refs: 1}
 }
 
 func (s *Silo) checkQueue(q *Queue) Status {
@@ -880,7 +879,7 @@ func (s *Silo) ClEnqueueWriteBuffer(_ *server.Context, q *Queue, m *Mem, _ uint3
 	if err := sim.CopyIn(addr, offset, data); err != nil {
 		return nil, ErrInvalidValue
 	}
-	return s.newEvent(q, "write", t0, s.clk.Now()), Success
+	return s.newEvent(t0, s.clk.Now()), Success
 }
 
 // ClEnqueueReadBuffer copies a buffer into host memory.
@@ -907,7 +906,7 @@ func (s *Silo) ClEnqueueReadBuffer(_ *server.Context, q *Queue, m *Mem, _ uint32
 	if err := sim.CopyOut(addr, offset, dst); err != nil {
 		return nil, ErrInvalidValue
 	}
-	return s.newEvent(q, "read", t0, s.clk.Now()), Success
+	return s.newEvent(t0, s.clk.Now()), Success
 }
 
 // ClEnqueueCopyBuffer copies between buffers on the device.
@@ -940,7 +939,7 @@ func (s *Silo) ClEnqueueCopyBuffer(_ *server.Context, q *Queue, src, dst *Mem, s
 	if err := sim.CopyDevice(da, dstOff, sa, srcOff, size); err != nil {
 		return nil, ErrInvalidValue
 	}
-	return s.newEvent(q, "copy", t0, s.clk.Now()), Success
+	return s.newEvent(t0, s.clk.Now()), Success
 }
 
 // ClEnqueueFillBuffer fills a buffer range with a repeating pattern.
@@ -975,7 +974,7 @@ func (s *Silo) ClEnqueueFillBuffer(_ *server.Context, q *Queue, m *Mem, pattern 
 	if err := sim.CopyIn(addr, offset, fill); err != nil {
 		return nil, ErrInvalidValue
 	}
-	return s.newEvent(q, "fill", t0, s.clk.Now()), Success
+	return s.newEvent(t0, s.clk.Now()), Success
 }
 
 // ClEnqueueNDRangeKernel launches a kernel over the size_t work sizes.
@@ -1054,7 +1053,7 @@ func (s *Silo) EnqueueNDRangeKernel(q *Queue, k *Kernel, global, local []uint64)
 	if err := sim.RunKernel(owner, func() { def.Run(env) }); err != nil {
 		return nil, ErrOutOfResources
 	}
-	return s.newEvent(q, "ndrange:"+def.Name, t0, s.clk.Now()), Success
+	return s.newEvent(t0, s.clk.Now()), Success
 }
 
 // ClEnqueueTask launches a kernel with a single work item.
@@ -1070,7 +1069,7 @@ func (s *Silo) ClEnqueueMarker(_ *server.Context, q *Queue) (*Event, Status) {
 		return nil, st
 	}
 	now := s.clk.Now()
-	return s.newEvent(q, "marker", now, now), Success
+	return s.newEvent(now, now), Success
 }
 
 // ClEnqueueBarrier orders preceding commands; eager execution makes it a

@@ -182,3 +182,59 @@ func TestServeVMReadAllocBudget(t *testing.T) {
 		t.Fatal("read returned different bytes than were written")
 	}
 }
+
+// Alloc budget for the `calls` benchmark op through ServeVM over the
+// in-process transport: three buffer and one scalar clSetKernelArg (async)
+// and a clFinish (sync), which the guest flushes as one five-call frame.
+// Guest, transport, serve loop and silo together. The budget is the count
+// with every call on a dispatch worker: running the frame on the serve loop
+// must not cost more.
+func TestServeVMCallsAllocBudget(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	desc := cl.Descriptor()
+	c := cl.NewRemote(attachVM(t, clServer(desc), desc, 1))
+	ctx, q := clQueue(t, c)
+	var bufs [3]cl.Ref
+	for i := range bufs {
+		var err error
+		if bufs[i], err = c.CreateBuffer(ctx, 0, 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := c.CreateProgram(ctx, "vector_add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BuildProgram(prog, ""); err != nil {
+		t.Fatal(err)
+	}
+	k, err := c.CreateKernel(prog, "vector_add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := func() {
+		for i, b := range bufs {
+			if err := c.SetKernelArgBuffer(k, uint32(i), b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.SetKernelArgScalar(k, 3, cl.ArgU32(1024)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Finish(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		op()
+	}
+	const budget = 2
+	if n := testing.AllocsPerRun(1000, op); n > budget {
+		t.Errorf("the calls op through ServeVM allocates %v times, budget %v", n, budget)
+	} else {
+		t.Logf("the calls op through ServeVM: %v allocs (budget %v)", n, budget)
+	}
+	if err := c.DeferredError(); err != nil {
+		t.Fatal(err)
+	}
+}
