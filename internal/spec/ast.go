@@ -209,7 +209,10 @@ type SyncSpec struct {
 
 // ResourceAnn estimates consumption of a named resource (e.g. "bandwidth",
 // "device_time") as an expression over the arguments; the router's scheduler
-// consumes these (§4.3).
+// consumes these (§4.3). Declaring one also tells the API server that the
+// handler may wait on the device: such calls run on its dispatch workers. A
+// function that declares none may run on the VM's receive loop, so its
+// handler must not block — if it does, every later call of that VM waits.
 type ResourceAnn struct {
 	Resource string
 	Amount   Expr
