@@ -536,10 +536,10 @@ func (s *Stack) southDial(id uint32, name string, fc *FailoverConfig, epoch func
 // AttachVM registers a VM with the router, dials its API server (see
 // southDial), starts its router loop, and returns the guest library bound
 // to its transport. With Config.Failover set, a per-VM guardian is
-// interposed between the router and the API server: it shadows the record
-// log, checkpoints periodically, and on server failure dials a fresh server
-// incarnation, replays its state, and coordinates the guest library's
-// transparent resubmission.
+// interposed between the router and the API server as the router's south
+// endpoint: it shadows the record log, checkpoints periodically, and on
+// server failure dials a fresh server incarnation, replays its state, and
+// coordinates the guest library's transparent resubmission.
 func (s *Stack) AttachVM(cfg VMConfig, opts ...guest.Option) (*guest.Lib, error) {
 	if err := s.Router.RegisterVM(cfg); err != nil {
 		return nil, err
@@ -580,11 +580,9 @@ func (s *Stack) AttachVM(cfg VMConfig, opts ...guest.Option) (*guest.Lib, error)
 	if fc == nil {
 		routerServer, err = dial()
 	} else {
-		var north transport.Endpoint
-		routerServer, north = s.pair()
 		var sink failover.LogSink
 		sink, at.remote = fc.Replication.sinkFor(id, cfg.Name, fc.Backoff)
-		at.guardian = failover.New(s.Desc, north, dial, failover.Config{
+		at.guardian = failover.New(s.Desc, dial, failover.Config{
 			CheckpointEvery:    fc.Checkpoint.Every,
 			AdaptiveCheckpoint: fc.Checkpoint.Adaptive,
 			HeartbeatEvery:     fc.Liveness.HeartbeatEvery,
@@ -596,8 +594,11 @@ func (s *Stack) AttachVM(cfg VMConfig, opts ...guest.Option) (*guest.Lib, error)
 			Clock:              s.cfg.Clock,
 			OnEpoch:            func(e uint32) { s.Router.SetEpoch(id, e) },
 		})
-		if err = at.guardian.Start(); err != nil {
-			north.Close()
+		// The guardian is the router's south endpoint: no hop between them.
+		if err = at.guardian.Start(); err == nil {
+			routerServer = at.guardian.Endpoint()
+		} else {
+			at.guardian.Close()
 		}
 		base = append(base, guest.WithFailover(guest.FailoverPolicy{Retain: fc.Retain}))
 		if fc.Replication.Restore != nil {

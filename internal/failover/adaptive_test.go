@@ -6,7 +6,6 @@ import (
 	"ava/internal/cava"
 	"ava/internal/leaktest"
 	"ava/internal/marshal"
-	"ava/internal/transport"
 )
 
 // newCadenceGuardian builds just enough guardian state to drive the
@@ -90,10 +89,8 @@ func TestFixedCadenceIgnoresLoad(t *testing.T) {
 // checkpoint's quiesce) would wait on it forever.
 func TestAdmitDropsCallPickedUpBeforeAFinishedRecovery(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
-	north, router := transport.NewInProc()
-	defer north.Close()
-	defer router.Close()
-	g := New(&cava.Descriptor{}, north, nil, Config{})
+	g := New(&cava.Descriptor{}, nil, Config{})
+	defer g.Close()
 	staleGen := g.linkGen
 
 	// A whole recovery: link lost, replacement adopted, replay done.
@@ -103,7 +100,7 @@ func TestAdmitDropsCallPickedUpBeforeAFinishedRecovery(t *testing.T) {
 	}
 	g.toServing(rs, g.clk.Now())
 
-	if g.admit(&marshal.Call{Seq: 7, Epoch: g.epoch - 1}, staleGen) {
+	if forward, _ := g.admit(&marshal.Call{Seq: 7, Epoch: g.epoch - 1}, staleGen); forward {
 		t.Fatal("a call from before the recovery was admitted onto the new link")
 	}
 	if len(g.inflightSync) != 0 {
@@ -113,7 +110,7 @@ func TestAdmitDropsCallPickedUpBeforeAFinishedRecovery(t *testing.T) {
 		t.Fatalf("StaleDropped = %d, want 1", g.stats.StaleDropped)
 	}
 	// The same call resubmitted under the new epoch goes through.
-	if !g.admit(&marshal.Call{Seq: 7, Epoch: g.epoch}, g.linkGen) {
+	if forward, _ := g.admit(&marshal.Call{Seq: 7, Epoch: g.epoch}, g.linkGen); !forward {
 		t.Fatal("the resubmitted call was refused")
 	}
 	if _, ok := g.inflightSync[7]; !ok {

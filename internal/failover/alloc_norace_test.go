@@ -77,7 +77,7 @@ func TestAdmitAllocBudget(t *testing.T) {
 	g.mu.Unlock()
 	admit := func() {
 		call.Seq++
-		if !g.admit(&call, gen) {
+		if forward, _ := g.admit(&call, gen); !forward {
 			t.Fatalf("call %d not admitted", call.Seq)
 		}
 	}

@@ -32,15 +32,14 @@ func TestCheckpointDrainLeavesVirtualClockAlone(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(`void f(uint32_t a);`)
 	clk := clock.NewVirtual()
-	router, north := transport.NewInProc()
 	south, srv := transport.NewInProc()
-	g := New(desc, north, func() (transport.Endpoint, error) { return south, nil }, Config{Clock: clk})
+	g := New(desc, func() (transport.Endpoint, error) { return south, nil }, Config{Clock: clk})
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
+	router := g.Endpoint()
 	defer func() {
 		g.Close()
-		router.Close()
 		srv.Close()
 	}()
 	var fired atomic.Bool // set from whichever goroutine advances the clock
@@ -90,21 +89,21 @@ func TestCheckpointDrainLeavesVirtualClockAlone(t *testing.T) {
 func TestFailedCheckpointIsCounted(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(`void f(uint32_t a);`)
-	router, north := transport.NewInProc()
 	south, srv := transport.NewInProc()
-	g := New(desc, north, func() (transport.Endpoint, error) { return south, nil },
+	g := New(desc, func() (transport.Endpoint, error) { return south, nil },
 		Config{Clock: clock.NewVirtual(), CheckpointEvery: 1})
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
+	router := g.Endpoint()
 	defer func() {
 		g.Close()
-		router.Close()
 		srv.Close()
 	}()
 	call := func(seq uint64, snapshot marshal.Reply) {
 		t.Helper()
-		sendCall(t, router, &marshal.Call{Seq: seq, Func: logFunc(desc, "f"), Args: []marshal.Value{marshal.Uint(1)}})
+		// The Send cuts the due checkpoint before it returns.
+		sent := goSendCall(router, &marshal.Call{Seq: seq, Func: logFunc(desc, "f"), Args: []marshal.Value{marshal.Uint(1)}})
 		recvCall(t, srv)
 		if err := srv.Send(marshal.EncodeReply(&marshal.Reply{Seq: seq})); err != nil {
 			t.Fatal(err)
@@ -113,6 +112,9 @@ func TestFailedCheckpointIsCounted(t *testing.T) {
 			t.Fatalf("reply north has seq %d, want %d", rep.Seq, seq)
 		}
 		answerCheckpointWith(t, srv, snapshot)
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	call(1, marshal.Reply{Status: marshal.StatusInternal, Err: "snapshot: no adapter"})
@@ -290,14 +292,13 @@ func TestStatelessRegistryCheckpointsByDelta(t *testing.T) {
 		defer close(served)
 		srv.ServeVM(srv.Context(1, "vm"), rec)
 	}()
-	router, north := transport.NewInProc()
-	g := New(desc, north, func() (transport.Endpoint, error) { return south, nil }, Config{})
+	g := New(desc, func() (transport.Endpoint, error) { return south, nil }, Config{})
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
+	router := g.Endpoint()
 	defer func() {
 		g.Close()
-		router.Close()
 		serverEP.Close()
 		<-served
 	}()

@@ -4,13 +4,13 @@
 // checkpoint, and coordinates the guest library's transparent resubmission
 // of every call the crash swallowed.
 //
-// The central piece is the Guardian, a per-VM interposer that sits between
-// the router and the API server link. On the way south it shadows the
-// record log (keyed by guest sequence number) so recovery does not depend
-// on the server that just died; on the way north it watches replies to
-// learn which calls completed. Every CheckpointEvery calls it quiesces the
-// server with a marker barrier and snapshots stateful objects, bounding
-// replay work. When the link severs (or a liveness probe times out), it
+// The central piece is the Guardian, a per-VM interposer that is the
+// router's south endpoint (Endpoint) and holds the API server link. On the
+// way south it shadows the record log (keyed by guest sequence number) so
+// recovery does not depend on the server that just died; on the way north
+// it watches replies to learn which calls completed. Every CheckpointEvery
+// calls it quiesces the server with a marker barrier and snapshots stateful
+// objects, bounding replay work. When the link severs (or a liveness probe times out), it
 // bumps the VM's endpoint epoch, dials a replacement via the injected
 // closure, replays the shadow log's keep set through migrate.Replay —
 // rebinding recreated objects to the handle values the guest already holds
@@ -169,18 +169,17 @@ type Guardian struct {
 	clk  clock.Clock
 	bo   *backoff.Backoff
 
-	north transport.Endpoint // toward the router/guest
+	north northEnd // the router's south endpoint: the guardian itself
 	dial  func() (transport.Endpoint, error)
 
-	northCh chan []byte   // single-writer queue toward north
-	done    chan struct{} // closed by Close
+	done chan struct{} // closed by Close
 
 	southMu sync.Mutex // serializes Sends on the current link
 
 	lastRecv atomic.Int64 // UnixNano of the last frame received from the server
 
-	// up is the uplink goroutine's decode scratch: one frame's call list,
-	// the calls of it to forward, and the one call being admitted.
+	// up is Send's decode scratch: one frame's call list, the calls of it to
+	// forward, and the one call being admitted.
 	up struct {
 		calls, kept [][]byte
 		call        marshal.Call
@@ -201,7 +200,7 @@ type Guardian struct {
 	ckptW       uint64 // checkpoint watermark: state covers seq <= ckptW
 	ckptGen     int    // linkGen when ckptObjects was committed
 
-	// forwarding is set while the uplink is part-way through a frame —
+	// forwarding is set while Send is part-way through a frame —
 	// calls admitted, not all sent — which a checkpoint must not cut into.
 	forwarding    bool
 	markerN       uint64
@@ -219,11 +218,11 @@ type Guardian struct {
 	stats     Stats
 }
 
-// New builds a Guardian for one VM. north faces the router; dial produces a
-// fresh link to an API server (spawning or rebinding a server as the
-// deployment needs) and is invoked for the initial attach and after every
-// failure. Call Start to dial the first link and begin pumping.
-func New(desc *cava.Descriptor, north transport.Endpoint, dial func() (transport.Endpoint, error), cfg Config) *Guardian {
+// New builds a Guardian for one VM. dial produces a fresh link to an API
+// server (spawning or rebinding a server as the deployment needs) and is
+// invoked for the initial attach and after every failure. Call Start to dial
+// the first link, then hand Endpoint to the router.
+func New(desc *cava.Descriptor, dial func() (transport.Endpoint, error), cfg Config) *Guardian {
 	if cfg.LivenessTimeout <= 0 {
 		cfg.LivenessTimeout = 2 * time.Second
 	}
@@ -236,9 +235,7 @@ func New(desc *cava.Descriptor, north transport.Endpoint, dial func() (transport
 		cfg:           cfg,
 		clk:           clk,
 		bo:            backoff.New(cfg.Backoff),
-		north:         north,
 		dial:          dial,
-		northCh:       make(chan []byte, 256),
 		done:          make(chan struct{}),
 		markerWaiters: make(map[uint64]chan []byte),
 		abort:         make(chan struct{}),
@@ -246,12 +243,16 @@ func New(desc *cava.Descriptor, north transport.Endpoint, dial func() (transport
 		destroys:      make(map[uint64]*destroyRec),
 		inflightSync:  make(map[uint64]struct{}),
 	}
+	// 256 frames: a window of replies and notices the router's downlink has
+	// yet to take, so the link's downlink rarely waits on the guest.
+	g.north = northEnd{g: g, q: make(chan []byte, 256), gone: make(chan struct{})}
 	g.delta, _ = cfg.Sink.(DeltaSink)
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
 
-// Start dials the initial server link and starts the pump goroutines. With
+// Start dials the initial server link, whose downlink is then the guardian's
+// one goroutine (and the heartbeat, if configured). With
 // Config.Restore set it first rehydrates from the mirrored state and then
 // recovers exactly as from a lost link — epoch bump, dial under the backoff
 // budget, replay, resubmission notice — so a replacement guardian resumes
@@ -271,8 +272,6 @@ func (g *Guardian) Start() error {
 			return errClosed
 		}
 	}
-	go g.northWriter()
-	go g.uplink()
 	if g.cfg.HeartbeatEvery > 0 {
 		go g.heartbeat()
 	}
@@ -311,8 +310,8 @@ func (g *Guardian) CheckpointErr() error {
 }
 
 // KillServer severs the current server link abruptly — the SIGKILL
-// equivalent used by chaos tests and E12. The guardian notices through its
-// pumps and recovers as it would from a real crash.
+// equivalent used by chaos tests and E12. The guardian notices through the
+// link's downlink and recovers as it would from a real crash.
 func (g *Guardian) KillServer() {
 	g.mu.Lock()
 	ep := g.link
@@ -326,49 +325,83 @@ func (g *Guardian) KillServer() {
 func (g *Guardian) CheckpointNow() error { return g.checkpoint() }
 
 // ---------------------------------------------------------------------------
-// North writer: the single goroutine that Sends toward the router.
+// North endpoint: the guardian as the router's south endpoint.
 
-func (g *Guardian) northWriter() {
-	var failed bool
-	sendCopies := transport.SendCopies(g.north)
-	for {
-		select {
-		case <-g.done:
-			return
-		case frame := <-g.northCh:
-			if failed {
-				continue
-			}
-			if err := g.north.Send(frame); err != nil {
-				failed = true // keep draining so pumps never block
-				continue
-			}
-			if sendCopies {
-				framebuf.Put(frame)
-			}
-		}
+// Endpoint returns the guardian as the endpoint the router forwards this
+// VM's calls onto and reads its replies from (Router.Attach's serverSide).
+// There is no hop between the two: see northEnd.
+func (g *Guardian) Endpoint() transport.Endpoint { return &g.north }
+
+// northEnd is the guardian's face toward the router. Send runs a frame of
+// calls through the guardian on the caller's goroutine — the router's
+// uplink, which therefore waits out a quiesce, a recovery and a resubmitted
+// call's drain — and Recv takes the next frame of the guardian's north
+// queue (replies, short-circuit answers, notices to the guest) on the
+// router's downlink. Frames change hands without a copy: a sent frame
+// becomes the guardian's, as over an in-process pair, and every queued frame
+// is the receiver's own.
+type northEnd struct {
+	g    *Guardian
+	q    chan []byte   // toward the router, in order
+	gone chan struct{} // closed once, by Close or Guardian.Close
+	once sync.Once
+}
+
+// Send admits, records and forwards one batch frame of calls. After Close it
+// admits nothing.
+func (e *northEnd) Send(frame []byte) error {
+	select {
+	case <-e.gone:
+		return transport.ErrClosed
+	default:
+	}
+	e.g.handleUplinkFrame(frame)
+	return nil
+}
+
+// Recv blocks for the next frame toward the router.
+func (e *northEnd) Recv() ([]byte, error) {
+	select {
+	case <-e.gone:
+		return nil, transport.ErrClosed
+	default:
+	}
+	select {
+	case frame := <-e.q:
+		return frame, nil
+	case <-e.gone:
+		return nil, transport.ErrClosed
 	}
 }
 
+// Close stops intake; from then on the guardian drops what it sends north
+// instead of waiting for a router that has gone, so a recovery or a reply
+// never blocks on it.
+func (e *northEnd) Close() error {
+	e.once.Do(func() { close(e.gone) })
+	return nil
+}
+
+// SendCopies implements transport.FrameOwnership: a sent frame is handed
+// over.
+func (e *northEnd) SendCopies() bool { return false }
+
+// RecvOwned implements transport.FrameOwnership: every queued frame is the
+// receiver's alone.
+func (e *northEnd) RecvOwned() bool { return true }
+
+// sendNorth queues a frame the guardian owns for the router, or drops it once
+// the north end is closed. It can wait for the router's downlink, so it is
+// never called under mu.
 func (g *Guardian) sendNorth(frame []byte) {
 	select {
-	case g.northCh <- frame:
-	case <-g.done:
+	case g.north.q <- frame:
+	case <-g.north.gone:
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Uplink: guest/router → guardian → server.
-
-func (g *Guardian) uplink() {
-	for {
-		frame, err := g.north.Recv()
-		if err != nil {
-			return
-		}
-		g.handleUplinkFrame(frame)
-	}
-}
+// Uplink: guest/router → guardian → server, on the router's uplink goroutine.
 
 func (g *Guardian) handleUplinkFrame(frame []byte) {
 	// Hold new work while a checkpoint has the link quiesced or a recovery
@@ -386,10 +419,10 @@ func (g *Guardian) handleUplinkFrame(frame []byte) {
 	g.mu.Unlock()
 
 	sentWhole := g.forwardFrame(link, gen, frame)
-	if transport.RecvOwned(g.north) && !(sentWhole && !transport.SendCopies(link)) {
+	if !(sentWhole && !transport.SendCopies(link)) {
 		// Tracked entries were deep-copied and any re-encoded batch copied
-		// the call bodies, so the original frame can recycle unless it was
-		// forwarded as-is over an ownership-transferring transport.
+		// the call bodies, so the handed-over frame can recycle unless it
+		// was forwarded as-is over an ownership-transferring transport.
 		framebuf.Put(frame)
 	}
 
@@ -433,7 +466,11 @@ func (g *Guardian) forwardFrame(link transport.Endpoint, gen int, frame []byte) 
 		if resub && !g.drainSyncs(gen) {
 			return false // link died again; the guest resubmits under the new epoch
 		}
-		if !g.admit(call, gen) {
+		forward, answer := g.admit(call, gen)
+		if answer != nil {
+			g.sendNorth(answer)
+		}
+		if !forward {
 			whole = false
 			continue
 		}
@@ -488,9 +525,11 @@ func (g *Guardian) checkpointDueLocked() bool {
 
 // admit applies epoch fencing, the resubmission dedupe rules and shadow
 // recording to one decoded call bound for the link of generation gen. It
-// reports whether the call should be forwarded to the server. call is the
-// uplink's scratch record: whatever admit keeps of it, it copies.
-func (g *Guardian) admit(call *marshal.Call, gen int) bool {
+// reports whether the call should be forwarded to the server, and returns
+// the guardian's own reply to a resubmitted call it answers instead, for the
+// caller to send north once mu is released. call is Send's scratch record:
+// whatever admit keeps of it, it copies.
+func (g *Guardian) admit(call *marshal.Call, gen int) (forward bool, answer []byte) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
@@ -499,11 +538,11 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 		// resubmit its window under the new epoch, so forwarding this copy
 		// would double-execute. Dropping is safe precisely because
 		// resubmission covers it. Judged under this lock, not against what
-		// the uplink read before decoding: a recovery that finished in
-		// between has emptied inflightSync, and nothing answers a stale
-		// sync call recorded there.
+		// Send read before decoding: a recovery that finished in between
+		// has emptied inflightSync, and nothing answers a stale sync call
+		// recorded there.
 		g.stats.StaleDropped++
-		return false
+		return false, nil
 	}
 
 	resubmit := call.Flags&marshal.FlagResubmit != 0
@@ -528,9 +567,9 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 				if fd.HasSuccess {
 					ret = marshal.Int(fd.SuccessVal)
 				}
-				g.answerLocked(call.Seq, ret, nil)
+				answer = g.answerLocked(call.Seq, ret, nil)
 			}
-			return false
+			return false, answer
 		}
 		if rc := g.log.find(call.Seq); rc != nil && g.log.replySeen[call.Seq] {
 			if _, rebind := g.log.pendingRebind[call.Seq]; !rebind {
@@ -538,8 +577,7 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 				// already rebuilt the object under the guest's handle
 				// values. Short-circuit with the recorded reply.
 				g.stats.ShortCircuited++
-				g.answerLocked(call.Seq, rc.Ret, rc.Outs)
-				return false
+				return false, g.answerLocked(call.Seq, rc.Ret, rc.Outs)
 			}
 			// A completed create/config past the recovery watermark: replay
 			// could not include it (it may depend on unreplayed modifies),
@@ -578,7 +616,7 @@ func (g *Guardian) admit(call *marshal.Call, gen int) bool {
 		g.maxSeq = call.Seq
 	}
 	g.sinceCkpt++
-	return true
+	return true, nil
 }
 
 // pruneLocked applies a destroy that took effect: every entry its handle
@@ -597,11 +635,12 @@ func (g *Guardian) pruneLocked(d *destroyRec) {
 	d.pruned = true
 }
 
-// answerLocked answers a resubmitted call that must not re-execute with a
-// success reply of the guardian's own.
-func (g *Guardian) answerLocked(seq uint64, ret marshal.Value, outs []marshal.Value) {
+// answerLocked retires a resubmitted call that must not re-execute and
+// encodes the success reply of the guardian's own that answers it. The reply
+// is encoded under mu, while the recorded values it carries cannot change.
+func (g *Guardian) answerLocked(seq uint64, ret marshal.Value, outs []marshal.Value) []byte {
 	g.syncDoneLocked(seq)
-	g.sendNorth(marshal.EncodeReply(&marshal.Reply{Seq: seq, Status: marshal.StatusOK, Ret: ret, Outs: outs}))
+	return marshal.EncodeReply(&marshal.Reply{Seq: seq, Status: marshal.StatusOK, Ret: ret, Outs: outs})
 }
 
 // send puts one frame on link.
@@ -650,6 +689,10 @@ func (g *Guardian) downlink(link transport.Endpoint, gen int) {
 				continue // the waiter owns the frame now
 			}
 		case g.noteReply(gen, seq, frame, &rep):
+			if !recvOwned {
+				// The north queue hands its frames over for good.
+				frame = append(framebuf.Get(len(frame)), frame...)
+			}
 			g.sendNorth(frame)
 			continue
 		}
@@ -769,7 +812,7 @@ func (g *Guardian) noteReply(gen int, seq uint64, frame []byte, rep *marshal.Rep
 // releases the sync-drain slot so the resubmission stream can proceed.
 // Best-effort: a vanished fresh handle or an occupied recorded slot (exotic
 // handle reuse) leaves the objects under their fresh values rather than
-// failing the reply path; a dead link is the pumps' problem.
+// failing the reply path; a dead link is its downlink's problem.
 func (g *Guardian) rebind(t wireTarget, gen int, pairs []server.HandlePair, seq uint64) {
 	_ = t.Rebind(pairs)
 	g.mu.Lock()

@@ -165,12 +165,8 @@ func replayTarget(t *testing.T, ad server.Adapter) (wireTarget, *server.Context)
 		serverEP.Close()
 		<-served
 	})
-	north, router := transport.NewInProc()
-	g := New(desc, north, nil, Config{})
-	t.Cleanup(func() {
-		g.Close()
-		router.Close()
-	})
+	g := New(desc, nil, Config{})
+	t.Cleanup(g.Close)
 	tgt, _ := g.adopt(south)
 	return tgt, ctx
 }

@@ -12,7 +12,7 @@ import (
 
 // shadowLog is the §4.3 record log: tracked calls keyed by guest sequence
 // number, each with the reply it produced once that reply has been seen.
-// The guardian holds one (fed from the uplink and downlink) and so does
+// The guardian holds one (fed from Send and the downlink) and so does
 // every MemoryMirror (fed from a guardian's sink stream); the keep rules a
 // recovery applies, and the supersession rule a checkpoint compacts by,
 // are written here once, so a log rehydrated from a mirror is the log the

@@ -402,7 +402,7 @@ func logServer() (*server.Server, *cava.Descriptor) {
 
 // guardServer puts a guardian configured with cfg in front of ctx's
 // ServeVM loop on srv, the way ava.Stack wires a VM to its own server, and
-// returns it with the router's end of its north link.
+// returns it with its endpoint, the one the router forwards onto.
 func guardServer(t *testing.T, srv *server.Server, ctx *server.Context, desc *cava.Descriptor, cfg Config) (*Guardian, transport.Endpoint) {
 	t.Helper()
 	south, serverEP := transport.NewInProc()
@@ -411,8 +411,7 @@ func guardServer(t *testing.T, srv *server.Server, ctx *server.Context, desc *ca
 		defer close(served)
 		srv.ServeVM(ctx, serverEP)
 	}()
-	router, north := transport.NewInProc()
-	g := New(desc, north, func() (transport.Endpoint, error) {
+	g := New(desc, func() (transport.Endpoint, error) {
 		return south, nil
 	}, cfg)
 	if err := g.Start(); err != nil {
@@ -420,11 +419,10 @@ func guardServer(t *testing.T, srv *server.Server, ctx *server.Context, desc *ca
 	}
 	t.Cleanup(func() {
 		g.Close()
-		router.Close()
 		serverEP.Close()
 		<-served
 	})
-	return g, router
+	return g, g.Endpoint()
 }
 
 // shadowReplayLog is the guardian's shadow log as a recovery at its

@@ -32,11 +32,12 @@ const (
 	// a guardian not yet started serves an absent link until Start adopts one.
 	serving state = iota
 	// quiescing: a checkpoint is draining, barriering and snapshotting the
-	// link; the uplink is parked, replies still flow.
+	// link; Send is parked — and with it the router's uplink for this VM —
+	// while replies still flow.
 	quiescing
 	// recovering: the link is lost, the epoch bumped and the replay set
-	// taken; a replacement is being dialed and replayed. The uplink is
-	// parked and every reply but a replay round trip's is dropped.
+	// taken; a replacement is being dialed and replayed. Send is parked and
+	// every reply but a replay round trip's is dropped.
 	recovering
 	dead   // recovery was abandoned; the guest has been told CtrlDead
 	closed // Close was called
@@ -44,7 +45,7 @@ const (
 
 // steadyLocked reports whether gen is the generation calls are flowing on:
 // the guardian is serving or quiescing and gen names the installed link.
-// It is the one spelling of "nothing has happened to my link"; the uplink,
+// It is the one spelling of "nothing has happened to my link"; Send,
 // admit, noteReply, drainSyncs, a checkpoint's commit and the heartbeat ask
 // it before acting on a link they read earlier.
 func (g *Guardian) steadyLocked(gen int) bool {
@@ -118,7 +119,7 @@ type replaySet struct {
 // toRecovering declares gen's link lost: serving|quiescing → recovering.
 // The epoch advances (the caller fences the router with it), control round
 // trips and sync drains on the link are aborted — a checkpoint blocked on
-// one would keep the uplink parked for the full liveness timeout — and the
+// one would keep Send parked for the full liveness timeout — and the
 // replay set is taken. From this instant gen is not steady, so a reply
 // still in flight from the dying link cannot edit a log whose replay set
 // has been taken. ok=false: gen's link is not the one calls flow on — an
@@ -191,8 +192,9 @@ func (g *Guardian) toDead(err error) {
 	g.sendNorth(marshal.EncodeControl(marshal.CtrlDead, epoch, 0))
 }
 
-// Close tears the guardian down from any state; the current server link is
-// closed.
+// Close tears the guardian down from any state: its north end closes (a
+// parked Send returns, Recv reports ErrClosed) and so does the current
+// server link.
 func (g *Guardian) Close() {
 	g.mu.Lock()
 	if g.state == closed {
@@ -221,8 +223,8 @@ type ckptCut struct {
 	base map[marshal.Handle][]byte
 }
 
-// beginCheckpoint parks the uplink for a checkpoint: serving → quiescing.
-// It waits out a frame the uplink is part-way through forwarding (the
+// beginCheckpoint parks Send for a checkpoint: serving → quiescing.
+// It waits out a frame Send is part-way through forwarding (the
 // marker must not overtake calls already counted in w) and a checkpoint
 // already running; in any other state there is nothing to checkpoint. The
 // capture drains the silo's dirty ranges, so the next checkpoint is forced

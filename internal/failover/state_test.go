@@ -52,6 +52,16 @@ func sendCall(t *testing.T, router transport.Endpoint, c *marshal.Call) {
 	}
 }
 
+// goSendCall is sendCall on a goroutine of its own, for a Send that waits on
+// what the test has yet to play — a checkpoint it cuts, a reply it drains.
+// Wait for the returned channel before the next Send.
+func goSendCall(ep transport.Endpoint, c *marshal.Call) <-chan error {
+	sent := make(chan error, 1)
+	frame := marshal.EncodeBatch([][]byte{marshal.EncodeCall(c)})
+	go func() { sent <- ep.Send(frame) }()
+	return sent
+}
+
 // recvCall takes the next single-call frame a hand-played server receives.
 func recvCall(t *testing.T, srv transport.Endpoint) *marshal.Call {
 	t.Helper()
@@ -130,7 +140,6 @@ func TestLateReplyFromTheDyingLinkIsFenced(t *testing.T) {
 	ctx2 := srv2.Context(1, "second-life")
 	fn := func(name string) uint32 { return logFunc(desc, name) }
 
-	router, north := transport.NewInProc()
 	south1, srv1 := transport.NewInProc()
 	south2, serverEP2 := transport.NewInProc()
 	old := &heldLink{Endpoint: south1}
@@ -149,13 +158,14 @@ func TestLateReplyFromTheDyingLinkIsFenced(t *testing.T) {
 		<-release
 		return south2, nil
 	}
-	g := New(desc, north, dial, Config{Clock: clock.NewVirtual()})
+	g := New(desc, dial, Config{Clock: clock.NewVirtual()})
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
+	router := g.Endpoint()
 	defer func() {
 		g.Close()
-		for _, ep := range []transport.Endpoint{router, south1, srv1, serverEP2} {
+		for _, ep := range []transport.Endpoint{south1, srv1, serverEP2} {
 			ep.Close()
 		}
 		<-served
@@ -260,10 +270,8 @@ func TestLateReplyFromTheDyingLinkIsFenced(t *testing.T) {
 func TestAdmitDropsResubmittedCallsOfADestroyedObject(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	desc := cava.MustCompile(logSpec)
-	north, router := transport.NewInProc()
-	defer north.Close()
-	defer router.Close()
-	g := New(desc, north, nil, Config{})
+	g := New(desc, nil, Config{})
+	defer g.Close()
 	g.adopt(nil)
 	var scratch marshal.Reply
 	call := func(seq uint64, name string, flags uint16, args ...marshal.Value) *marshal.Call {
@@ -280,7 +288,7 @@ func TestAdmitDropsResubmittedCallsOfADestroyedObject(t *testing.T) {
 		call(2, "poke", marshal.FlagAsync, marshal.HandleVal(5), marshal.Uint(9)),
 		call(3, "destroy", 0, marshal.HandleVal(5)),
 	} {
-		if !g.admit(c, g.linkGen) {
+		if forward, _ := g.admit(c, g.linkGen); !forward {
 			t.Fatalf("seq %d refused", c.Seq)
 		}
 		if c.Seq == 1 {
@@ -301,7 +309,7 @@ func TestAdmitDropsResubmittedCallsOfADestroyedObject(t *testing.T) {
 		call(2, "poke", marshal.FlagResubmit|marshal.FlagAsync, marshal.HandleVal(5), marshal.Uint(9)),
 		call(3, "destroy", marshal.FlagResubmit, marshal.HandleVal(5)),
 	} {
-		if g.admit(c, g.linkGen) {
+		if forward, _ := g.admit(c, g.linkGen); forward {
 			t.Errorf("resubmitted seq %d of a destroyed object was forwarded", c.Seq)
 		}
 	}
@@ -311,7 +319,7 @@ func TestAdmitDropsResubmittedCallsOfADestroyedObject(t *testing.T) {
 
 	// A checkpoint past them makes the guest trim those frames; the
 	// tombstones go with the destroy record.
-	if !g.admit(call(4, "setup", 0, marshal.Uint(0)), g.linkGen) {
+	if forward, _ := g.admit(call(4, "setup", 0, marshal.Uint(0)), g.linkGen); !forward {
 		t.Fatal("fresh call after the recovery refused")
 	}
 	cut, ok := g.beginCheckpoint()
@@ -336,7 +344,6 @@ func TestStalledPeerDialsSpendTheBackoffBudget(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	const stall = 5 * time.Second
 	desc := cava.MustCompile(logSpec)
-	north, router := transport.NewInProc()
 	south, srv := transport.NewInProc()
 	clk := clock.NewVirtual()
 	dials := 0
@@ -347,13 +354,14 @@ func TestStalledPeerDialsSpendTheBackoffBudget(t *testing.T) {
 		clk.Advance(stall) // the hello round trip running into its timeout
 		return nil, errors.New("no control frame within 5s")
 	}
-	g := New(desc, north, dial, Config{Clock: clk})
+	g := New(desc, dial, Config{Clock: clk})
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
+	router := g.Endpoint()
 	defer func() {
 		g.Close()
-		for _, ep := range []transport.Endpoint{router, south, srv} {
+		for _, ep := range []transport.Endpoint{south, srv} {
 			ep.Close()
 		}
 	}()

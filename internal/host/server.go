@@ -90,6 +90,10 @@ type Server struct {
 
 	stopOnce sync.Once
 	done     chan struct{}
+	// started is closed once Start has set up everything above: a VM
+	// connection the listener accepted earlier waits for it before it reads
+	// the announcer or the rebalancer's fields.
+	started chan struct{}
 }
 
 // Start binds the listeners and begins serving srv. The returned Server
@@ -107,7 +111,9 @@ func Start(srv *server.Server, cfg Config) (*Server, error) {
 		vms:      make(map[uint32]transport.Endpoint),
 		rejected: make(map[uint32]time.Time),
 		done:     make(chan struct{}),
+		started:  make(chan struct{}),
 	}
+	defer close(s.started)
 	vmL, err := listen(cfg.Listen, s.serveConn)
 	if err != nil {
 		return nil, err
@@ -270,6 +276,7 @@ func (s *Server) announceNow() {
 // the connection before any VM is touched.
 func (s *Server) serveConn(ep transport.Endpoint) {
 	defer ep.Close()
+	<-s.started
 	hello, err := transport.RecvCtl(ep)
 	if err == nil && hello.Op != transport.OpHello {
 		err = fmt.Errorf("%v on a VM connection", hello.Op)

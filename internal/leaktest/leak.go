@@ -18,13 +18,13 @@ import (
 // first in the test, so its check runs after every other cleanup.
 func NoGoroutineLeaks(t testing.TB) {
 	t.Helper()
-	before := goroutines()
+	before := Goroutines()
 	t.Cleanup(func() {
 		var leaked []string
 		deadline := time.Now().Add(2 * time.Second)
 		for {
 			leaked = leaked[:0]
-			for id, stack := range goroutines() {
+			for id, stack := range Goroutines() {
 				if _, old := before[id]; !old {
 					leaked = append(leaked, stack)
 				}
@@ -41,9 +41,9 @@ func NoGoroutineLeaks(t testing.TB) {
 	})
 }
 
-// goroutines returns the stack of every live goroutine, keyed by the
+// Goroutines returns the stack of every live goroutine, keyed by the
 // "goroutine N" of its header line, which is stable for its lifetime.
-func goroutines() map[string]string {
+func Goroutines() map[string]string {
 	var buf bytes.Buffer
 	pprof.Lookup("goroutine").WriteTo(&buf, 2) // 2: the runtime.Stack text form
 	out := make(map[string]string)

@@ -28,6 +28,13 @@ gate() {
 	fi
 }
 
+# attach_pairs lists every s.pair() in ava.go's AttachVM after the first.
+attach_pairs() {
+	awk '/^func \(s \*Stack\) AttachVM\(/ { inside = 1 }
+		inside && /s\.pair\(\)/ && n++ { print FILENAME ":" FNR ":" $0 }
+		inside && /^}/ { inside = 0 }' ava.go
+}
+
 golines() {
 	tests="--exclude=*_test.go"
 	if [ "$1" = -t ]; then
@@ -81,6 +88,16 @@ gate decode 'allocating decoder outside internal/marshal (use the *Into form)' \
 gate wire 'hand-wired router/guardian/dialer outside ava.go (use ava.NewStack with WithRemoteServer / WithPlacement)' \
 	'hv\.NewRouter\(|failover\.New\(|failover\.NewFleetDialer\(' \
 	'^\./(ava\.go:|internal/hv/|internal/failover/|benchmark/)' golines -t .
+
+# One interposition hop: the guardian is the router's south endpoint
+# (Guardian.Endpoint), so a guarded VM's frame goes router → guardian →
+# server link with no pair, and no pump goroutines, in between. failover.New
+# takes no endpoint to pump from, and AttachVM builds one pair, guest ↔
+# router.
+gate hop 'failover.New takes an endpoint (the guardian is the router'"'"'s south endpoint: hand Router.Attach g.Endpoint())' \
+	'func New\(.*\b[a-z][A-Za-z0-9_]* transport\.Endpoint\b' '^$' golines internal/failover
+gate hop 'AttachVM builds a second pair (guest ↔ router is the only one; the guardian is the router'"'"'s south endpoint)' \
+	'.' '^$' attach_pairs
 
 # One-way layering: the guest library is the part of the stack that runs
 # inside the VM (PAPER.md §3), so it links the wire (marshal, transport), the
