@@ -3,7 +3,7 @@
 # `make check` is the stricter local/CI version of the same gate.
 
 GO ?= go
-GATES = rebind-gate target-gate state-gate decode-gate wire-gate layer-gate stub-gate adapter-gate payload-gate record-gate retain-gate release-gate binding-gate hop-gate
+GATES = rebind-gate target-gate state-gate decode-gate wire-gate layer-gate stub-gate adapter-gate payload-gate record-gate retain-gate release-gate binding-gate hop-gate client-gate
 
 .PHONY: check fmt vet gates $(GATES) gen build test allocs bench bench-smoke examples-smoke bench-json benchmark chaos fuzz-smoke ctl-smoke sched-smoke ha-smoke
 
@@ -23,7 +23,8 @@ vet:
 # one-way layering, one generated binding layer, one owner of object state,
 # one release of a dead incarnation's objects, one source of payload
 # buffers, one record log, one retained copy per call, the silo as the
-# Implementation, one interposition hop between router and server link)
+# Implementation, one interposition hop between router and server link, one
+# generated guest client)
 # are rows of the table in scripts/gates.sh; check runs them all at once, and
 # each old target name runs its own row.
 gates:

@@ -57,7 +57,7 @@ func Effort() (*Table, error) {
 			fmt.Sprint(st.GeneratedLines-st.ServerLines), fmt.Sprint(st.ServerLines),
 			fmt.Sprintf("%.1fx", float64(st.GeneratedLines)/float64(max(st.SpecLines, 1))))
 	}
-	t.Note("both halves of each API package are this output, checked in (make gen); each silo is its package's generated Implementation, so the hand-written remainder server-side is BindServer and the named hooks, counted in EXPERIMENTS.md E7; prior systems (GvirtuS) took ~25k hand-written LoC")
+	t.Note("both halves of each API package are this output, checked in (make gen), the guest half with the application-facing Client (native and remote) for every API whose functions all return a status (mvnc, qat); each silo is its package's generated Implementation, so the hand-written remainder is BindServer, the named hooks and OpenCL's guest facade, counted in EXPERIMENTS.md E7; prior systems (GvirtuS) took ~25k hand-written LoC")
 	return t, nil
 }
 

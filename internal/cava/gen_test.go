@@ -269,3 +269,66 @@ func TestGenerateDefaultPackageName(t *testing.T) {
 		t.Fatalf("package name not sanitized:\n%.200s", src)
 	}
 }
+
+// facadeSpec's functions all return a status that declares success(V), so
+// its generated file carries the Client; genSpec's void, handle and
+// uint64_t returns give it none.
+const facadeSpec = `
+api "facade";
+handle obj { type(*Obj); }
+const OK = 0;
+type st = int32_t { success(OK); };
+st facadeOpen(uint32_t type, obj *made) {
+  parameter(made) { out; element { allocates; } }
+}
+st fill(obj o, size_t n, const void *data, uint64_t *count, obj *made) {
+  parameter(data) { in; buffer(n); }
+  parameter(count) { out; element; }
+  parameter(made) { out; element { allocates; } }
+}
+st copyPair(size_t n, const void *from, void *to) {
+  parameter(from) { in; buffer(n); }
+  parameter(to) { out; buffer(n); }
+}
+st sum(obj o, size_t n, const float *xs) {
+  parameter(xs) { in; buffer(n); }
+}
+st tricky(uint32_t func, double c, uint32_t map) { async; }
+`
+
+func TestGeneratedClientFollowsTheSpec(t *testing.T) {
+	src, _, err := Generate(MustCompile(facadeSpec), facadeSpec, GenOptions{Package: "facade"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parser.ParseFile(token.NewFileSet(), "gen.go", src, 0); err != nil {
+		t.Fatalf("generated code does not parse: %v", err)
+	}
+	code := string(src)
+	for _, want := range []string{
+		"type Client interface {",
+		"\tOpen(type_ uint32) (Ref, error)\n",                          // the package prefix goes; keyword renamed
+		"\tFill(o Ref, data []byte) (uint64, Ref, error)\n",            // byte buffer's size dropped; outs in order
+		"\tCopyPair(n uint64, from []byte, to []byte) error\n",         // a size two buffers share stays
+		"\tSum(o Ref, n uint64, xs []byte) error\n",                    // so does a float buffer's
+		"\tTricky(func_ uint32, c_ float64, map_ uint32) error\n",      // keyword-named parameters renamed
+		"impl.Fill(nil, refObj[*Obj](o), uint64(len(data)), data)",     // native: the silo object, len for the size
+		"c.s.Fill(o.h, uint64(len(data)), data, &count, &made)",        // remote: the handle, outs by address
+		"return count, Ref{h: made}, callError(\"fill\", ret, 0, err)", // remote outs returned in order
+		"func NewNative(impl Implementation) *NativeClient",
+		"func NewRemote(lib *guest.Lib) *RemoteClient",
+		"func (c *RemoteClient) DeferredError() error",
+	} {
+		if !strings.Contains(code, want) {
+			t.Errorf("generated client missing %q", want)
+		}
+	}
+
+	src, _, err = Generate(MustCompile(genSpec), genSpec, GenOptions{Package: "edgecase"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(src), "Client") {
+		t.Error("a Client generated for an API whose functions do not all return a status")
+	}
+}

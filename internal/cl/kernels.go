@@ -31,9 +31,6 @@ type KernelEnv struct {
 // Buf returns the device memory bound to buffer argument i.
 func (e *KernelEnv) Buf(i int) []byte { return e.bufs[i] }
 
-// Raw returns the raw bytes of scalar argument i.
-func (e *KernelEnv) Raw(i int) []byte { return e.raws[i] }
-
 // U32 decodes scalar argument i as uint32.
 func (e *KernelEnv) U32(i int) uint32 { return binary.LittleEndian.Uint32(e.raws[i]) }
 

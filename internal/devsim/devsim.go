@@ -128,13 +128,6 @@ func (d *Device) Used() uint64 {
 	return d.used
 }
 
-// Free returns the bytes of device memory currently available.
-func (d *Device) Free() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cfg.MemoryBytes - d.used
-}
-
 // Close releases the device; further operations fail with ErrClosed.
 func (d *Device) Close() {
 	d.mu.Lock()

@@ -132,6 +132,68 @@ func TestGeneratedStackEndToEnd(t *testing.T) {
 	}
 }
 
+// The generated Client runs one sequence natively, on the silo, and remoted,
+// over a stack: an untyped handle, the conditionally synchronous store (both
+// ways) and the asynchronous scale answer the same either way.
+func TestGeneratedClientsAgree(t *testing.T) {
+	type outcome struct {
+		count    uint32
+		loaded   [][]byte
+		deferred error
+	}
+	run := func(c toydev.Client) (o outcome) {
+		d, err := c.OpenDevice(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.count, err = c.DeviceCount(); err != nil {
+			t.Fatal(err)
+		}
+		for i, blocking := range []uint32{1, 0} {
+			data := []byte{byte(i), 'a', 'v', 'a'}
+			if err := c.Store(d, data, blocking); err != nil {
+				t.Fatalf("store (blocking %d): %v", blocking, err)
+			}
+			if err := c.Scale(d, 2); err != nil {
+				t.Fatal(err)
+			}
+			out := make([]byte, len(data))
+			if err := c.Load(d, out); err != nil {
+				t.Fatal(err)
+			}
+			o.loaded = append(o.loaded, out)
+		}
+		if err := c.CloseDevice(d); err != nil {
+			t.Fatal(err)
+		}
+		o.deferred = c.DeferredError()
+		return o
+	}
+	want := run(toydev.NewNative(newSilo()))
+
+	desc := loadDescriptor(t)
+	reg := server.NewRegistry(desc)
+	toydev.Register(reg, newSilo())
+	stack := ava.NewStack(desc, reg)
+	defer stack.Close()
+	lib, err := stack.AttachVM(ava.VMConfig{ID: 1, Name: "vm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := run(toydev.NewRemote(lib))
+	if want.count != 1 || want.deferred != nil || !bytes.Equal(want.loaded[1], []byte{1, 'a', 'v', 'a'}) {
+		t.Fatalf("native run = %+v", want)
+	}
+	if got.count != want.count || got.deferred != want.deferred || len(got.loaded) != len(want.loaded) {
+		t.Fatalf("remote run = %+v, native %+v", got, want)
+	}
+	for i := range want.loaded {
+		if !bytes.Equal(got.loaded[i], want.loaded[i]) {
+			t.Fatalf("load %d: remote %q, native %q", i, got.loaded[i], want.loaded[i])
+		}
+	}
+}
+
 // TestGeneratedFileIsCurrent is the golden test: the committed toydev.go
 // must equal a fresh generation from toydev.ava.
 func TestGeneratedFileIsCurrent(t *testing.T) {

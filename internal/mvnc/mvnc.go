@@ -50,15 +50,6 @@ var modelRegistry = map[string]ModelBuilder{
 	"inception_v3_sim": nn.InceptionV3Sim,
 }
 
-// RegisterModel installs a model builder (examples can add their own).
-func RegisterModel(name string, b ModelBuilder) error {
-	if _, dup := modelRegistry[name]; dup {
-		return fmt.Errorf("mvnc: model %q already registered", name)
-	}
-	modelRegistry[name] = b
-	return nil
-}
-
 // GraphBlob serializes a compiled-graph reference: the simulated analogue
 // of the NCSDK's compiled graph file. Format: "model=<name>;seed=<n>;classes=<n>",
 // padded with NULs to the advertised size (real blobs are megabytes of

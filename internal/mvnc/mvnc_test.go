@@ -9,7 +9,6 @@ import (
 
 	"ava"
 	"ava/internal/mvnc"
-	"ava/internal/nn"
 	"ava/internal/server"
 	"ava/internal/stacktest"
 )
@@ -35,15 +34,17 @@ func clients(t *testing.T) map[string]mvnc.Client {
 func TestDeviceDiscovery(t *testing.T) {
 	for name, c := range clients(t) {
 		t.Run(name, func(t *testing.T) {
-			n, err := c.DeviceCount()
+			n, err := c.GetDeviceCount()
 			if err != nil || n != 2 {
 				t.Fatalf("count = %d, %v", n, err)
 			}
-			dn, err := c.DeviceName(0)
+			name := make([]byte, 64)
+			err = c.GetDeviceName(0, name)
+			dn, _, _ := strings.Cut(string(name), "\x00")
 			if err != nil || !strings.HasPrefix(dn, "ncs") {
 				t.Fatalf("name = %q, %v", dn, err)
 			}
-			if _, err := c.DeviceName(9); err == nil {
+			if err := c.GetDeviceName(9, name); err == nil {
 				t.Fatal("bogus index accepted")
 			}
 		})
@@ -174,15 +175,6 @@ func TestInceptionChecksumEquality(t *testing.T) {
 	}
 	if nsum == 0 {
 		t.Fatal("degenerate checksum")
-	}
-}
-
-func TestRegisterModelDuplicate(t *testing.T) {
-	if err := mvnc.RegisterModel("inception_v3_sim", nn.InceptionV3Sim); err == nil {
-		t.Fatal("duplicate model registration succeeded")
-	}
-	if err := mvnc.RegisterModel("test_model_unique", nn.InceptionV3Sim); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -44,7 +44,7 @@ func testData(n int) []byte {
 func TestInstanceDiscovery(t *testing.T) {
 	for name, c := range clients(t) {
 		t.Run(name, func(t *testing.T) {
-			n, err := c.NumInstances()
+			n, err := c.GetNumInstances()
 			if err != nil || n != 2 {
 				t.Fatalf("instances = %d, %v", n, err)
 			}
@@ -99,7 +99,7 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n <= 0 || n >= len(src)/4 {
+			if n <= 0 || int(n) >= len(src)/4 {
 				t.Fatalf("compressed %d bytes to %d — implausible for repetitive text", len(src), n)
 			}
 			restored := make([]byte, len(src))
@@ -107,7 +107,7 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m != len(src) || !bytes.Equal(restored[:m], src) {
+			if int(m) != len(src) || !bytes.Equal(restored[:m], src) {
 				t.Fatalf("round trip lost data: %d of %d bytes", m, len(src))
 			}
 		})
@@ -157,7 +157,8 @@ func TestHashMatchesHost(t *testing.T) {
 			in, _ := c.StartInstance(1)
 			defer c.StopInstance(in)
 			src := testData(8192)
-			got, err := c.Hash(in, src)
+			var got [32]byte
+			err := c.Hash(in, src, got[:])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -539,13 +539,13 @@ func EvalExprWith(e Expr, api *API, lookup func(string) (int64, bool)) (int64, e
 	return 0, fmt.Errorf("spec: unknown expression node %T", e)
 }
 
-// exprRefs collects parameter/constant names referenced by e.
-func exprRefs(e Expr, out map[string]bool) {
+// ExprRefs collects parameter/constant names referenced by e.
+func ExprRefs(e Expr, out map[string]bool) {
 	switch n := e.(type) {
 	case *Ref:
 		out[n.Name] = true
 	case *Binary:
-		exprRefs(n.L, out)
-		exprRefs(n.R, out)
+		ExprRefs(n.L, out)
+		ExprRefs(n.R, out)
 	}
 }

@@ -251,7 +251,7 @@ func validateParam(api *API, fn *Func, prm *Param, report func(Pos, string, ...a
 // API's constants (fn may be nil for type-level expressions).
 func checkExpr(api *API, fn *Func, e Expr) error {
 	refs := map[string]bool{}
-	exprRefs(e, refs)
+	ExprRefs(e, refs)
 	for name := range refs {
 		if fn != nil {
 			if prm := fn.Param(name); prm != nil {

@@ -118,8 +118,8 @@ func TestFailoverSameSiloQATLinkKill(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compress %d: %v", i, err)
 			}
-			digest, err := c.Hash(inst, src)
-			if err != nil {
+			var digest [32]byte
+			if err := c.Hash(inst, src, digest[:]); err != nil {
 				t.Fatalf("hash %d: %v", i, err)
 			}
 			out = append(append(out, dst[:n]...), digest[:]...)

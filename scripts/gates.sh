@@ -120,6 +120,15 @@ gate stub 'hand-written dispatch handler in an API package (declare the function
 	'MustRegister\("|server\.Invocation' '^([^:]*_gen\.go|internal/gen/toydev/toydev\.go):' \
 	golines internal/cl internal/mvnc internal/qat internal/gen
 
+# One guest facade, generated: the Client an application calls — natively on
+# the silo, remoted through the stubs — is emitted by cava beside the stubs
+# for every API whose functions all return a status, so no API package
+# hand-writes a native or remote client beside them. internal/cl's facade
+# is the one left: OpenCL's creates return handles.
+gate client 'hand-written guest client in an API package (make gen emits NativeClient and RemoteClient from the spec)' \
+	'type (NativeClient|RemoteClient)\b|func \([a-z]+ \*(NativeClient|RemoteClient)\)|func New(Native|Remote)\(' \
+	'^([^:]*_gen\.go|internal/gen/toydev/toydev\.go):' golines internal/qat internal/mvnc internal/gen
+
 # One owner of object state: how an API's objects are captured and restored
 # is its binding's business — BindServer puts the package's MigrationAdapter
 # on the registry and server.Context reads it from there. No daemon,
