@@ -320,7 +320,9 @@ func BenchmarkTransports(b *testing.B) {
 // stack, the quantity amortized against kernel time in every experiment:
 // a synchronous no-output call (clFinish) and an asynchronous batched call
 // (clSetKernelArg), through cl.NewRemote — that is, through the generated
-// stubs and the engine's typed entry, the path every workload takes.
+// stubs and the engine's typed entry, the path every workload takes — and
+// the repository benchmark's calls op, the two together: three buffer and
+// one scalar clSetKernelArg batched behind one clFinish, one frame per op.
 func BenchmarkCallOverhead(b *testing.B) {
 	_, c := benchStack(b)
 	ps, _ := c.PlatformIDs()
@@ -332,6 +334,10 @@ func BenchmarkCallOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	kern, _ := c.CreateKernel(prog, "vector_add")
+	buf, err := c.CreateBuffer(ctx, 1, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	b.Run("sync-round-trip", func(b *testing.B) {
 		b.ReportAllocs()
@@ -351,6 +357,22 @@ func BenchmarkCallOverhead(b *testing.B) {
 		}
 		if err := c.Finish(q); err != nil {
 			b.Fatal(err)
+		}
+	})
+	b.Run("calls-op", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for a := uint32(0); a < 3; a++ {
+				if err := c.SetKernelArgBuffer(kern, a, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := c.SetKernelArgScalar(kern, 3, cl.ArgU32(uint32(i+1))); err != nil {
+				b.Fatal(err)
+			}
+			if err := c.Finish(q); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

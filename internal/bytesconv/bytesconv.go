@@ -50,24 +50,6 @@ func ToInt32(src []byte) []int32 {
 	return out
 }
 
-// Uint32Bytes encodes a uint32 slice.
-func Uint32Bytes(src []uint32) []byte {
-	out := make([]byte, 4*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(out[4*i:], v)
-	}
-	return out
-}
-
-// ToUint32 decodes a byte buffer into a new uint32 slice.
-func ToUint32(src []byte) []uint32 {
-	out := make([]uint32, len(src)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(src[4*i:])
-	}
-	return out
-}
-
 // Uint64Bytes encodes a uint64 slice.
 func Uint64Bytes(src []uint64) []byte {
 	out := make([]byte, 8*len(src))

@@ -56,21 +56,6 @@ func TestQuickInt32RoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickUint32RoundTrip(t *testing.T) {
-	f := func(in []uint32) bool {
-		out := ToUint32(Uint32Bytes(in))
-		for i := range in {
-			if in[i] != out[i] {
-				return false
-			}
-		}
-		return len(out) == len(in)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickUint64RoundTrip(t *testing.T) {
 	f := func(in []uint64) bool {
 		out := ToUint64(Uint64Bytes(in))

@@ -113,10 +113,6 @@ type FuncDesc struct {
 	sig string // Signature, rendered once at compile time
 }
 
-// AlwaysSync reports whether the call is forwarded synchronously for every
-// argument vector.
-func (f *FuncDesc) AlwaysSync() bool { return f.Sync.Mode == spec.SyncAlways }
-
 // CreatedHandle is the created-handle rule: which handle a `track create`
 // call produced, read off its successful reply — the tracked out parameter's
 // slot of outs if the annotation names one, else a handle-typed return

@@ -158,9 +158,6 @@ func TestIsSyncAlwaysModes(t *testing.T) {
 	if s, _ := la.IsSync(d.API, nil); s {
 		t.Fatal("launch should be async")
 	}
-	if la.AlwaysSync() || !rd.AlwaysSync() {
-		t.Fatal("AlwaysSync flags wrong")
-	}
 }
 
 func TestBufferBytes(t *testing.T) {

@@ -89,23 +89,3 @@ func (m *Manager) minEvict() uint64 {
 	}
 	return m.MinEvict
 }
-
-// EvictAll force-evicts every resident buffer (used by migration to
-// quiesce device memory, and by tests).
-func (m *Manager) EvictAll() (int, error) {
-	n := 0
-	for _, b := range m.silo.LiveBuffers() {
-		if !b.Resident() {
-			continue
-		}
-		if err := m.silo.EvictBuffer(b); err != nil {
-			return n, err
-		}
-		n++
-		m.mu.Lock()
-		m.stats.Evictions++
-		m.stats.BytesEvicted += b.Size()
-		m.mu.Unlock()
-	}
-	return n, nil
-}
