@@ -90,7 +90,8 @@ func writeProm(b *strings.Builder, snap *Snapshot, cfg *Config) {
 		qd := metric(b, "ava_server_queue_depth", "gauge", "In-flight calls per VM.")
 		copied := metric(b, "ava_server_bytes_copied_total", "counter", "Buffer payload bytes moved by copy per VM.")
 		borrowed := metric(b, "ava_server_bytes_borrowed_total", "counter", "Buffer payload bytes that skipped the copy per VM.")
-		exec := metric(b, "ava_server_exec_seconds_total", "counter", "Handler execution time per VM.")
+		exec := metric(b, "ava_server_exec_seconds_total", "counter", "Handler execution time of the calls timed on their own per VM.")
+		runs := metric(b, "ava_server_run_seconds_total", "counter", "Execution time of the runs of deadline-free async calls per VM.")
 		for _, vm := range snap.Server {
 			l := vmLabel(vm.VM, vm.Name)
 			calls.sample(l, float64(vm.Stats.Calls))
@@ -99,6 +100,7 @@ func writeProm(b *strings.Builder, snap *Snapshot, cfg *Config) {
 			copied.sample(l, float64(vm.Stats.BytesCopied))
 			borrowed.sample(l, float64(vm.Stats.BytesBorrowed))
 			exec.sample(l, vm.Stats.ExecTime.Seconds())
+			runs.sample(l, vm.Stats.RunTime.Seconds())
 		}
 	}
 

@@ -99,6 +99,7 @@ type VMRow struct {
 	BytesCopied   uint64        `json:"bytes_copied,omitempty"`
 	BytesBorrowed uint64        `json:"bytes_borrowed,omitempty"`
 	ExecTime      time.Duration `json:"exec_time,omitempty"`
+	RunTime       time.Duration `json:"run_time,omitempty"`
 }
 
 // Rows flattens a snapshot into the /vms join.
@@ -135,6 +136,7 @@ func (s *Snapshot) Rows() []VMRow {
 		r.BytesCopied = vm.Stats.BytesCopied
 		r.BytesBorrowed = vm.Stats.BytesBorrowed
 		r.ExecTime = vm.Stats.ExecTime
+		r.RunTime = vm.Stats.RunTime
 	}
 	out := make([]VMRow, 0, len(order))
 	for _, id := range order {

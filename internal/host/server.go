@@ -324,9 +324,9 @@ func (s *Server) serveConn(ep transport.Endpoint) {
 		s.cfg.Log.Printf("VM %d: %v", vm, err)
 	}
 	st := ctx.Stats()
-	s.cfg.Log.Printf("VM %d stats: calls=%d (async %d, errors %d, replays %d) bytes in=%d out=%d copied=%d borrowed=%d exec=%v",
+	s.cfg.Log.Printf("VM %d stats: calls=%d (async %d, errors %d, replays %d) bytes in=%d out=%d copied=%d borrowed=%d exec=%v run=%v",
 		vm, st.Calls, st.AsyncCalls, st.Errors, st.Replays,
-		st.BytesIn, st.BytesOut, st.BytesCopied, st.BytesBorrowed, st.ExecTime)
+		st.BytesIn, st.BytesOut, st.BytesCopied, st.BytesBorrowed, st.ExecTime, st.RunTime)
 	s.cfg.Log.Printf("VM %d disconnected (%s)", vm, reason)
 }
 
