@@ -226,9 +226,8 @@ func WithPlacement(pc PlacementConfig) Option {
 }
 
 // WithMirror streams every attached VM's shadow log to sink (enabling
-// failover with default tuning when WithFailover was not given). Delta
-// capability is auto-detected from the sink. Apply after WithFailover —
-// WithFailover replaces the whole failover config.
+// failover with default tuning when WithFailover was not given). Apply
+// after WithFailover — WithFailover replaces the whole failover config.
 func WithMirror(sink failover.LogSink) Option {
 	return func(c *Config) {
 		if c.Failover == nil {
@@ -318,9 +317,8 @@ type LivenessConfig struct {
 type ReplicationConfig struct {
 	// Sink, if set, receives a synchronous stream of the guardian's
 	// shadow-log mutations and checkpoints (failover.LogSink) so replay
-	// state survives a guardian crash, not just an API-server crash. A
-	// sink that also implements failover.DeltaSink gets incremental
-	// checkpoints.
+	// state survives a guardian crash, not just an API-server crash.
+	// Checkpoints reach it as deltas (failover.LogSink.MirrorCheckpoint).
 	Sink failover.LogSink
 	// RemoteAddr, when non-empty (and no in-process sink is set),
 	// replicates each attached VM's shadow log to the mirror listener

@@ -151,8 +151,8 @@ func main() {
 // buildRegistry assembles the silo and handler registry for one API. Each
 // BindServer installs the API's object-state adapter (QAT declares no object
 // state and has none), so a guardian on another host can checkpoint this
-// server and restore mirrored object state into it (marshal.FuncSnapshot,
-// FuncRestore).
+// server — one marshal.FuncSnapshot per checkpoint, full state or a delta —
+// and restore mirrored object state into it (FuncRestore).
 func buildRegistry(api string, memMB uint64, cus, sticks int, withSwap bool) (*server.Registry, error) {
 	switch api {
 	case "opencl":

@@ -20,8 +20,8 @@ func TestBuildRegistryServesSnapshotAndRestore(t *testing.T) {
 		srv := server.New(reg)
 		ctx := srv.Context(1, "vm")
 		for _, call := range []marshal.Call{
-			{Func: marshal.FuncSnapshot},
-			{Func: marshal.FuncSnapshotDelta},
+			{Func: marshal.FuncSnapshot, Args: []marshal.Value{marshal.Int(1)}},
+			{Func: marshal.FuncSnapshot, Args: []marshal.Value{marshal.Int(0)}},
 			{Func: marshal.FuncRestore, Args: []marshal.Value{marshal.HandleVal(1), marshal.BytesVal(nil)}},
 		} {
 			call.Seq = 1

@@ -50,24 +50,6 @@ func ToInt32(src []byte) []int32 {
 	return out
 }
 
-// Uint64Bytes encodes a uint64 slice.
-func Uint64Bytes(src []uint64) []byte {
-	out := make([]byte, 8*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(out[8*i:], v)
-	}
-	return out
-}
-
-// ToUint64 decodes a byte buffer into a new uint64 slice.
-func ToUint64(src []byte) []uint64 {
-	out := make([]uint64, len(src)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(src[8*i:])
-	}
-	return out
-}
-
 // Float32View provides indexed float32 access over a byte buffer without
 // copying; kernels use it to treat device memory as a typed array.
 type Float32View struct{ b []byte }

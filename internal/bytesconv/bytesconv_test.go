@@ -56,21 +56,6 @@ func TestQuickInt32RoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickUint64RoundTrip(t *testing.T) {
-	f := func(in []uint64) bool {
-		out := ToUint64(Uint64Bytes(in))
-		for i := range in {
-			if in[i] != out[i] {
-				return false
-			}
-		}
-		return len(out) == len(in)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFloat32View(t *testing.T) {
 	b := Float32Bytes(make([]float32, 4))
 	v := F32(b)

@@ -500,50 +500,42 @@ func (s *Silo) RestoreBuffer(m *Mem, data []byte) error {
 	return m.ctx.devices[0].sim.CopyIn(m.addr, 0, data)
 }
 
-// SnapshotBufferDelta drains the buffer's dirty-range tracking: it returns
-// the buffer's logical size plus copies of the byte ranges written since
-// the previous call (the delta watermark), and clears the tracking. full
-// is true when the whole buffer must travel — tracking overflowed, an
-// untracked write (kernel launch, restore) touched it, or every byte is
-// dirty — in which case ranges is one range covering everything. A clean
-// buffer returns no ranges. SnapshotBuffer (migration capture) does not
-// interact with the watermark, so a full capture between checkpoints
-// never loses delta coverage.
-func (s *Silo) SnapshotBufferDelta(m *Mem) (size uint64, full bool, ranges []BufRange, err error) {
+// SnapshotBufferDelta drains the buffer's dirty-range tracking into a
+// delta: the buffer's logical size plus copies of the byte ranges written
+// since the previous call (the delta watermark), and clears the tracking.
+// The delta is Full — one range covering everything — when full is set,
+// tracking overflowed, or an untracked write (kernel launch, restore)
+// touched the buffer. A clean buffer yields no ranges. The delta's Handle
+// is left zero.
+func (s *Silo) SnapshotBufferDelta(m *Mem, full bool) (d marshal.ObjectDelta, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m == nil || m.dead {
-		return 0, false, nil, fmt.Errorf("cl: delta snapshot of dead buffer")
+		return d, fmt.Errorf("cl: snapshot of dead buffer")
 	}
-	size = m.size
-	if m.dirty.all {
+	d.BaseLen = m.size
+	if full || m.dirty.all {
 		var data []byte
 		if !m.resident {
 			data = append([]byte(nil), m.stash...)
 		} else if data, err = m.ctx.devices[0].sim.Snapshot(m.addr); err != nil {
-			return 0, false, nil, err
+			return marshal.ObjectDelta{}, err
 		}
 		m.dirty.reset()
-		return size, true, []BufRange{{Off: 0, Data: data}}, nil
+		d.Full, d.Ranges = true, []marshal.DeltaRange{{Off: 0, Bytes: data}}
+		return d, nil
 	}
 	for _, r := range m.dirty.ranges {
 		data := make([]byte, r.end-r.off)
 		if !m.resident {
 			copy(data, m.stash[r.off:r.end])
 		} else if err = m.ctx.devices[0].sim.CopyOut(m.addr, r.off, data); err != nil {
-			return 0, false, nil, err
+			return marshal.ObjectDelta{}, err
 		}
-		ranges = append(ranges, BufRange{Off: r.off, Data: data})
+		d.Ranges = append(d.Ranges, marshal.DeltaRange{Off: r.off, Bytes: data})
 	}
 	m.dirty.reset()
-	return size, false, ranges, nil
-}
-
-// BufRange is one written byte range of a buffer's contents, as drained by
-// SnapshotBufferDelta.
-type BufRange struct {
-	Off  uint64
-	Data []byte
+	return d, nil
 }
 
 // touch updates LRU state; callers hold s.mu.
@@ -593,20 +585,6 @@ func (s *Silo) EvictBuffer(m *Mem) error {
 	m.stash = snap
 	m.resident = false
 	return nil
-}
-
-// SnapshotBuffer returns a copy of the buffer's logical contents whether
-// resident or evicted (migration uses this to synthesize device copies).
-func (s *Silo) SnapshotBuffer(m *Mem) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m == nil || m.dead {
-		return nil, fmt.Errorf("cl: snapshot of dead buffer")
-	}
-	if !m.resident {
-		return append([]byte(nil), m.stash...), nil
-	}
-	return m.ctx.devices[0].sim.Snapshot(m.addr)
 }
 
 // LRUVictim returns the least-recently-used resident buffer among the

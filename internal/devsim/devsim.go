@@ -14,7 +14,6 @@ package devsim
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -342,18 +341,6 @@ func (d *Device) BusyTime(client string) time.Duration {
 	d.busyMu.Lock()
 	defer d.busyMu.Unlock()
 	return d.busy[client]
-}
-
-// Clients returns all clients that have been charged kernel time, sorted.
-func (d *Device) Clients() []string {
-	d.busyMu.Lock()
-	defer d.busyMu.Unlock()
-	out := make([]string, 0, len(d.busy))
-	for c := range d.busy {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Stats returns a copy of the device's profiling counters.

@@ -130,7 +130,7 @@ func TestFailedCheckpointIsCounted(t *testing.T) {
 		t.Fatalf("CheckpointErr = %v, want the server's reason", err)
 	}
 
-	call(2, marshal.Reply{Ret: marshal.BytesVal(marshal.EncodeObjectStates(nil))})
+	call(2, marshal.Reply{Ret: marshal.BytesVal(marshal.EncodeObjectDeltas(nil))})
 	if _, _, w, ok := marshal.DecodeControl(recvReply(t, router)); !ok || w != 2 {
 		t.Fatalf("checkpoint notice: watermark %d, ok %v", w, ok)
 	}
@@ -154,20 +154,21 @@ func (o *rangeObj) write(off int, b []byte) {
 
 type rangeAdapter struct{}
 
-// SnapshotObjectDelta copies each dirty range out, as a silo must: the
-// device keeps running after the capture.
-func (rangeAdapter) SnapshotObjectDelta(obj any) (marshal.ObjectDelta, bool, error) {
+// SnapshotObject copies each dirty range out, or the whole buffer when
+// full, as a silo must: the device keeps running after the capture.
+func (rangeAdapter) SnapshotObject(obj any, full bool) (marshal.ObjectDelta, bool, error) {
 	o := obj.(*rangeObj)
-	d := marshal.ObjectDelta{BaseLen: uint64(len(o.data))}
-	for _, r := range o.dirty {
-		d.Ranges = append(d.Ranges, marshal.DeltaRange{Off: r.Off, Bytes: append([]byte(nil), r.Bytes...)})
+	var d marshal.ObjectDelta
+	if full {
+		d = marshal.FullDelta(0, append([]byte(nil), o.data...))
+	} else {
+		d.BaseLen = uint64(len(o.data))
+		for _, r := range o.dirty {
+			d.Ranges = append(d.Ranges, marshal.DeltaRange{Off: r.Off, Bytes: append([]byte(nil), r.Bytes...)})
+		}
 	}
 	o.dirty = o.dirty[:0]
 	return d, true, nil
-}
-
-func (rangeAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
-	return append([]byte(nil), obj.(*rangeObj).data...), true, nil
 }
 
 func (rangeAdapter) RestoreObject(obj any, state []byte) error {
@@ -186,13 +187,13 @@ func guardRangeObject(t *testing.T, obj *rangeObj, sink LogSink) *Guardian {
 	return g
 }
 
-// scribbler is a delta sink that, before composing, draws every payload-class
+// scribbler is a sink that, before composing, draws every payload-class
 // pooled buffer the way any layer may at that moment and overwrites it. A
 // checkpoint that put its control-reply frame back before the sink read the
 // ranges aliasing it hands the sink garbage.
 type scribbler struct{ *MemoryMirror }
 
-func (s scribbler) MirrorCheckpointDelta(epoch uint32, w uint64, deltas []marshal.ObjectDelta) bool {
+func (s scribbler) MirrorCheckpoint(epoch uint32, w uint64, deltas []marshal.ObjectDelta) bool {
 	var held [][]byte
 	for n := 16 << 10; n <= 256<<10; n += 1 << (bits.Len(uint(n)) - 3) { // every class
 		b := framebuf.GetLen(n)
@@ -204,12 +205,12 @@ func (s scribbler) MirrorCheckpointDelta(epoch uint32, w uint64, deltas []marsha
 	for _, b := range held {
 		framebuf.Put(b)
 	}
-	return s.MemoryMirror.MirrorCheckpointDelta(epoch, w, deltas)
+	return s.MemoryMirror.MirrorCheckpoint(epoch, w, deltas)
 }
 
 // A delta checkpoint's ranges alias the control reply that carried them, so
 // the frame may go back to the pool only after the commit transition has
-// handed them to the delta sink. Two delta checkpoints in a row, with
+// handed them to the sink. Two delta checkpoints in a row, with
 // different dirty ranges large enough for a payload-class frame: after each,
 // the mirror holds exactly the guardian's checkpoint and the device's bytes.
 func TestRecycledControlReplyNeverCorruptsMirror(t *testing.T) {
@@ -243,11 +244,12 @@ func TestRecycledControlReplyNeverCorruptsMirror(t *testing.T) {
 }
 
 // funcRecorder is a server's end of a link that notes the function of every
-// call it receives.
+// call it receives, and the full flag of every FuncSnapshot.
 type funcRecorder struct {
 	transport.Endpoint
 	mu    sync.Mutex
 	funcs []uint32
+	fulls []bool
 }
 
 func (r *funcRecorder) Recv() ([]byte, error) {
@@ -258,6 +260,9 @@ func (r *funcRecorder) Recv() ([]byte, error) {
 		for _, b := range calls {
 			if c, derr := marshal.DecodeCall(b); derr == nil {
 				r.funcs = append(r.funcs, c.Func)
+				if c.Func == marshal.FuncSnapshot {
+					r.fulls = append(r.fulls, len(c.Args) == 1 && c.Args[0].Int() != 0)
+				}
 			}
 		}
 		r.mu.Unlock()
@@ -271,11 +276,18 @@ func (r *funcRecorder) seen() []uint32 {
 	return slices.Clone(r.funcs)
 }
 
-// A registry without an Adapter declares no object state, so the empty
-// delta is its exact incremental capture: a checkpoint of its server is the
-// quiesce marker and one FuncSnapshotDelta, composed onto the previous
-// checkpoint and counted as a delta one, with no denied delta and full
-// FuncSnapshot behind it. QAT's registry is one.
+// snapshots is the full flag of every FuncSnapshot received, in order.
+func (r *funcRecorder) snapshots() []bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.fulls)
+}
+
+// A registry without an Adapter declares no object state, so the empty set
+// is its exact capture: a checkpoint of its server is the quiesce marker
+// and one FuncSnapshot — for full state the first time, when the guardian
+// holds no base, and after that a delta composed onto the previous
+// checkpoint and counted as one. QAT's registry is one.
 func TestStatelessRegistryCheckpointsByDelta(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	desc := qat.Descriptor()
@@ -312,11 +324,169 @@ func TestStatelessRegistryCheckpointsByDelta(t *testing.T) {
 		if err := g.CheckpointNow(); err != nil {
 			t.Fatal(err)
 		}
-		if ctl := rec.seen()[before:]; !slices.Equal(ctl, []uint32{markerFunc, marshal.FuncSnapshotDelta}) {
-			t.Fatalf("checkpoint %d sent control calls %#x, want the marker and one FuncSnapshotDelta", i, ctl)
+		if ctl := rec.seen()[before:]; !slices.Equal(ctl, []uint32{markerFunc, marshal.FuncSnapshot}) {
+			t.Fatalf("checkpoint %d sent control calls %#x, want the marker and one FuncSnapshot", i, ctl)
 		}
+	}
+	if got := rec.snapshots(); !slices.Equal(got, []bool{true, false}) {
+		t.Fatalf("snapshot full flags %v, want [true false]", got)
 	}
 	if st := g.Stats(); st.Checkpoints != 2 || st.DeltaCheckpoints != 1 {
 		t.Fatalf("stats %+v: want two checkpoints, the second taken as a delta", st)
+	}
+}
+
+// incarnations serves VM 1 of a replay-spec server behind a guardian, a
+// fresh incarnation of the VM on every dial, and records each link's
+// control calls.
+type incarnations struct {
+	srv    *server.Server
+	desc   *cava.Descriptor
+	g      *Guardian
+	router transport.Endpoint
+
+	mu   sync.Mutex
+	recs []*funcRecorder
+	ctxs []*server.Context
+}
+
+func guardIncarnations(t *testing.T, cfg Config) *incarnations {
+	t.Helper()
+	inc := &incarnations{}
+	inc.srv, inc.desc = newReplayServer()
+	var served []chan struct{}
+	var serverEPs []transport.Endpoint
+	dial := func() (transport.Endpoint, error) {
+		inc.srv.DropContext(1) // every incarnation starts clean
+		south, serverEP := transport.NewInProc()
+		ctx := inc.srv.Context(1, "vm")
+		rec := &funcRecorder{Endpoint: serverEP}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			inc.srv.ServeVM(ctx, rec)
+		}()
+		inc.mu.Lock()
+		inc.recs, inc.ctxs = append(inc.recs, rec), append(inc.ctxs, ctx)
+		inc.mu.Unlock()
+		served, serverEPs = append(served, done), append(serverEPs, serverEP)
+		return south, nil
+	}
+	inc.g = New(inc.desc, dial, cfg)
+	if err := inc.g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	inc.router = inc.g.Endpoint()
+	t.Cleanup(func() {
+		inc.g.Close()
+		for i, ep := range serverEPs {
+			ep.Close()
+			<-served[i]
+		}
+	})
+	return inc
+}
+
+// current is the serving incarnation's link recorder and context.
+func (inc *incarnations) current() (*funcRecorder, *server.Context) {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	return inc.recs[len(inc.recs)-1], inc.ctxs[len(inc.ctxs)-1]
+}
+
+// create has the guest create an object holding data, returning its
+// handle.
+func (inc *incarnations) create(t *testing.T, seq uint64, data string) marshal.Handle {
+	t.Helper()
+	sendCall(t, inc.router, &marshal.Call{Seq: seq, Func: logFunc(inc.desc, "create"),
+		Args: []marshal.Value{marshal.Uint(seq), marshal.Len(8)}})
+	for {
+		rep := recvReply(t, inc.router)
+		if rep.Seq >= marshal.CtrlSeqBase {
+			continue // a notice of an earlier checkpoint
+		}
+		if rep.Seq != seq || rep.Status != marshal.StatusOK {
+			t.Fatalf("create: %+v", rep)
+		}
+		h := rep.Outs[0].Handle()
+		inc.object(t, h).data = []byte(data)
+		return h
+	}
+}
+
+// object is the serving incarnation's object under h.
+func (inc *incarnations) object(t *testing.T, h marshal.Handle) *replayObj {
+	t.Helper()
+	_, ctx := inc.current()
+	obj, ok := ctx.Handles.Get(h)
+	if !ok {
+		t.Fatalf("no object under handle %d", h)
+	}
+	return obj.(*replayObj)
+}
+
+// killAndRecover severs the serving link and waits for the guardian to
+// rebuild the VM on a fresh incarnation.
+func (inc *incarnations) killAndRecover(t *testing.T) {
+	t.Helper()
+	want := inc.g.Stats().Recoveries + 1
+	inc.g.KillServer()
+	for deadline := time.Now().Add(5 * time.Second); inc.g.Stats().Recoveries < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no recovery: stats %+v", inc.g.Stats())
+		}
+	}
+}
+
+// checkpointSnapshots cuts a checkpoint and returns the full flag of every
+// FuncSnapshot it sent.
+func (inc *incarnations) checkpointSnapshots(t *testing.T) []bool {
+	t.Helper()
+	rec, _ := inc.current()
+	before := len(rec.snapshots())
+	if err := inc.g.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	return rec.snapshots()[before:]
+}
+
+// Every checkpoint takes the object state in one FuncSnapshot round trip:
+// the first on a fresh link and the first after a recovery hold no base
+// and ask for full state at once, and a delta checkpoint asks for the
+// delta alone. A delta that does not compose onto the base — here an
+// object whose state changed length behind the dirty tracking — costs
+// exactly one more request, for full state.
+func TestCheckpointTakesOneSnapshotRoundTrip(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	inc := guardIncarnations(t, Config{})
+	h := inc.create(t, 1, "first")
+	for _, step := range []struct {
+		name   string
+		before func()
+		want   []bool
+	}{
+		{"first checkpoint on a fresh link", nil, []bool{true}},
+		{"delta checkpoint", func() {
+			o := inc.object(t, h)
+			o.data, o.dirty = []byte("again"), true
+		}, []bool{false}},
+		{"first checkpoint after a recovery", func() { inc.killAndRecover(t) }, []bool{true}},
+		{"delta that does not compose", func() { inc.object(t, h).data = []byte("longer") }, []bool{false, true}},
+	} {
+		if step.before != nil {
+			step.before()
+		}
+		if got := inc.checkpointSnapshots(t); !slices.Equal(got, step.want) {
+			t.Errorf("%s: FuncSnapshot full flags %v, want %v", step.name, got, step.want)
+		}
+	}
+	inc.g.mu.Lock()
+	got := string(inc.g.ckptObjects[h])
+	inc.g.mu.Unlock()
+	if got != "longer" {
+		t.Fatalf("checkpoint holds %q, want the object's state %q", got, "longer")
+	}
+	if st := inc.g.Stats(); st.Checkpoints != 4 || st.DeltaCheckpoints != 1 {
+		t.Fatalf("stats %+v: want 4 checkpoints, one composed onto a base", st)
 	}
 }

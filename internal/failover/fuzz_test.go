@@ -5,23 +5,33 @@ import (
 
 	"ava/internal/cava"
 	"ava/internal/marshal"
+	"ava/internal/migrate"
 )
 
 // The three decoders below read bytes that arrive from another machine:
 // mirror-batch sub-ops on a mirror host, a fetched MirrorState on a
 // rehydrating guardian, control notices on a guest. The checked-in corpora
 // (testdata/fuzz) hold every op as its encoder emits it plus truncated,
-// oversized and unknown-op frames.
+// oversized and unknown-op frames; the seeds added in code are the
+// current encoders' object-state forms, which corpus entries of a retired
+// format do not reach.
 
 // FuzzApplyMirrorSub applies one arbitrary sub-op to a mirror that already
 // holds an entry and a checkpoint (so replies, drops, prunes and deltas
 // have something to hit). It must not panic, and whatever state results
 // must survive the state codec.
 func FuzzApplyMirrorSub(f *testing.F) {
+	for _, deltas := range [][]marshal.ObjectDelta{
+		{{Handle: 10, BaseLen: 4, Ranges: []marshal.DeltaRange{{Off: 1, Bytes: []byte{9}}}}},
+		fullDeltas(map[marshal.Handle][]byte{10: {5, 6}, 11: {7}}),
+		{{Handle: 11, BaseLen: 4}},
+	} {
+		f.Add(subMark(mirrorSubCheckpoint, 2, 2, marshal.EncodeObjectDeltas(deltas)))
+	}
 	f.Fuzz(func(t *testing.T, sub []byte) {
 		m := NewMemoryMirror()
 		m.MirrorAppend(rec(1, 10, marshal.HandleVal(10), marshal.BytesVal([]byte{1, 2})))
-		m.MirrorCheckpoint(1, 1, map[marshal.Handle][]byte{10: {1, 2, 3, 4}})
+		m.MirrorCheckpoint(1, 1, fullDeltas(map[marshal.Handle][]byte{10: {1, 2, 3, 4}}))
 		if err := applyMirrorSub(m, sub); err != nil {
 			return
 		}
@@ -38,6 +48,12 @@ func FuzzApplyMirrorSub(f *testing.F) {
 // can load it and derive a replay log from it without panicking.
 func FuzzDecodeMirrorState(f *testing.F) {
 	desc := cava.MustCompile(logSpec)
+	f.Add(EncodeMirrorState(&MirrorState{
+		Entries: []migrate.RecordedCall{*rec(1, 10, marshal.BytesVal([]byte{1}))},
+		W:       1,
+		Objects: map[marshal.Handle][]byte{10: {1, 2, 3}, 12: {}},
+		Epoch:   2,
+	}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, err := DecodeMirrorState(b)
 		if err != nil {

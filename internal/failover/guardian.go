@@ -120,8 +120,7 @@ type Config struct {
 	// library's default.
 	Retain int
 	// Sink, if set, receives a synchronous stream of shadow-log mutations
-	// and checkpoints so replay state survives a guardian crash. A sink
-	// that also implements DeltaSink receives incremental checkpoints. See
+	// and checkpoints so replay state survives a guardian crash. See
 	// LogSink.
 	Sink LogSink
 	// Restore, if set, rehydrates the guardian from a mirrored shadow log
@@ -142,7 +141,7 @@ type Stats struct {
 	SynthesizedDestroys uint64 // resubmitted destroys answered with synthetic success
 	StaleDropped        uint64 // frames dropped for a stale epoch
 	ResubmitForwarded   uint64 // resubmitted calls re-executed on the new server
-	DeltaCheckpoints    uint64 // checkpoints captured incrementally (dirty ranges only)
+	DeltaCheckpoints    uint64 // checkpoints composed onto a base (dirty ranges only)
 	LastCkptBytes       uint64 // payload bytes the most recent checkpoint shipped
 	LastCkptFootprint   uint64 // full object-state bytes the most recent checkpoint covers
 	LastRecoveryPause   time.Duration
@@ -206,7 +205,6 @@ type Guardian struct {
 	markerN       uint64
 	markerWaiters map[uint64]chan []byte // control round trips awaiting their reply frame
 	log           shadowLog              // forwards its mutations to cfg.Sink
-	delta         DeltaSink              // cfg.Sink's incremental-checkpoint side, if it has one
 	destroys      map[uint64]*destroyRec // by seq, since the watermark; tombstones too
 	inflightSync  map[uint64]struct{}
 	maxSeq        uint64 // highest guest seq forwarded south
@@ -246,7 +244,6 @@ func New(desc *cava.Descriptor, dial func() (transport.Endpoint, error), cfg Con
 	// 256 frames: a window of replies and notices the router's downlink has
 	// yet to take, so the link's downlink rarely waits on the guest.
 	g.north = northEnd{g: g, q: make(chan []byte, 256), gone: make(chan struct{})}
-	g.delta, _ = cfg.Sink.(DeltaSink)
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -705,7 +702,7 @@ func (g *Guardian) downlink(link transport.Endpoint, gen int) {
 // deliverControl hands a control round trip's reply frame to its waiter, if
 // it still has one, and reports whether the waiter took the frame itself.
 // The waiter decodes the reply in place and puts the frame back once done
-// with it: a snapshot-delta reply's ranges are read until the checkpoint
+// with it: a snapshot reply's ranges are read until the checkpoint
 // commits, long after the downlink has moved on. A frame the downlink does
 // not own (owned=false) is handed over as a pooled copy.
 func (g *Guardian) deliverControl(seq uint64, frame []byte, owned bool) (took bool) {
@@ -877,12 +874,12 @@ func (g *Guardian) marker(link transport.Endpoint) error {
 }
 
 // wireTarget is what recovery and checkpointing do to the server behind a
-// link: recorded calls and the FuncRebind, FuncRestore, FuncSnapshot and
-// FuncSnapshotDelta control calls travel as round trips to it, and it
-// answers them through the same server.Context methods whether it runs in
-// this process or on another host. Without the snapshot pair a recovery
-// would replay tracked creates and configs but lose untracked device state
-// (buffer contents mutated by kernels and writes).
+// link: recorded calls and the FuncRebind, FuncRestore and FuncSnapshot
+// control calls travel as round trips to it, and it answers them through
+// the same server.Context methods whether it runs in this process or on
+// another host. Without the snapshot a recovery would replay tracked
+// creates and configs but lose untracked device state (buffer contents
+// mutated by kernels and writes).
 type wireTarget struct {
 	g    *Guardian
 	link transport.Endpoint
@@ -930,34 +927,27 @@ func (t wireTarget) RestoreObject(h marshal.Handle, state []byte) (bool, error) 
 	return rep.Ret.Int() == 1, nil
 }
 
-// Snapshot round-trips one FuncSnapshot: every stateful object's
-// serialized state, by guest handle.
-func (t wireTarget) Snapshot() (map[marshal.Handle][]byte, error) {
-	rep, frame, err := t.control(marshal.FuncSnapshot, nil)
-	defer framebuf.Put(frame)
+// Snapshot round-trips one FuncSnapshot: every stateful object's dirty
+// ranges since the previous capture, or its whole state as a Full delta
+// when full is set. The ranges alias frame, which the caller puts back
+// once done with them.
+func (t wireTarget) Snapshot(full bool) (deltas []marshal.ObjectDelta, frame []byte, err error) {
+	arg := marshal.Int(0)
+	if full {
+		arg = marshal.Int(1)
+	}
+	rep, frame, err := t.control(marshal.FuncSnapshot, []marshal.Value{arg})
+	if err == nil && rep.Ret.Kind() != marshal.KindBytes {
+		err = errors.New("reply carries no payload")
+	}
+	if err == nil {
+		deltas, err = marshal.DecodeObjectDeltas(rep.Ret.Bytes())
+	}
 	if err != nil {
-		return nil, fmt.Errorf("wire snapshot: %w", err)
+		framebuf.Put(frame)
+		return nil, nil, fmt.Errorf("wire snapshot: %w", err)
 	}
-	if rep.Ret.Kind() != marshal.KindBytes {
-		return nil, errors.New("wire snapshot: reply carries no payload")
-	}
-	return marshal.DecodeObjectStates(rep.Ret.Bytes())
-}
-
-// SnapshotDelta round-trips one FuncSnapshotDelta: every stateful object's
-// dirty ranges since the previous drain. The ranges alias frame, which the
-// caller puts back once done with them. A server without delta support
-// answers StatusDenied, which lands here as ok=false like any other
-// failure: take a Snapshot instead.
-func (t wireTarget) SnapshotDelta() (deltas []marshal.ObjectDelta, frame []byte, ok bool) {
-	rep, frame, err := t.control(marshal.FuncSnapshotDelta, nil)
-	if err == nil && rep.Ret.Kind() == marshal.KindBytes {
-		if deltas, err = marshal.DecodeObjectDeltas(rep.Ret.Bytes()); err == nil {
-			return deltas, frame, true
-		}
-	}
-	framebuf.Put(frame)
-	return nil, nil, false
+	return deltas, frame, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -991,32 +981,52 @@ func (g *Guardian) snapshot(cut ckptCut) (capture, error) {
 	return captureOnto(wireTarget{g: g, link: cut.link}, cut.base)
 }
 
-// captureOnto takes t's object state. An incremental capture always goes
-// first (so every checkpoint advances the silo's dirty watermark), composed
-// onto base, the previous committed checkpoint. This is the one base rule:
-// a delta that does not compose — base holds nothing, or the wrong length,
-// for an object that did not come back Full — makes the whole capture a
-// full Snapshot. The holder of the base decides, not the server: the server
-// never sees the base.
+// captureOnto takes t's object state in one FuncSnapshot, composed onto
+// base, the previous committed checkpoint; with no base it asks for full
+// state. This is the one base rule: a delta that does not compose — base
+// holds nothing, or the wrong length, for an object that did not come back
+// Full — makes the capture ask once more, for full state. The holder of
+// the base decides, not the server: the server never sees the base.
 func captureOnto(t wireTarget, base map[marshal.Handle][]byte) (c capture, err error) {
-	if c.deltas, c.frame, c.delta = t.SnapshotDelta(); c.delta {
-		c.objects = make(map[marshal.Handle][]byte, len(c.deltas))
-		for _, d := range c.deltas {
-			state, err := marshal.ApplyObjectDelta(base[d.Handle], d)
-			if err != nil {
-				c.delta = false
-				c.release()
-				break
-			}
-			c.objects[d.Handle] = state
-		}
-	}
-	if !c.delta {
-		if c.objects, err = t.Snapshot(); err != nil {
+	full := base == nil
+	for {
+		if c.deltas, c.frame, err = t.Snapshot(full); err != nil {
 			return c, fmt.Errorf("failover: checkpoint: %w", err)
 		}
+		if c.objects, err = composeOnto(base, c.deltas); err == nil {
+			c.delta = !full
+			return c, nil
+		}
+		c.release()
+		if full {
+			return c, fmt.Errorf("failover: checkpoint: %w", err)
+		}
+		full = true
 	}
-	return c, nil
+}
+
+// composeOnto composes deltas onto base into a fresh state set holding
+// exactly the objects the deltas name.
+func composeOnto(base map[marshal.Handle][]byte, deltas []marshal.ObjectDelta) (map[marshal.Handle][]byte, error) {
+	objects := make(map[marshal.Handle][]byte, len(deltas))
+	for _, d := range deltas {
+		state, err := marshal.ApplyObjectDelta(base[d.Handle], d)
+		if err != nil {
+			return nil, err
+		}
+		objects[d.Handle] = state
+	}
+	return objects, nil
+}
+
+// fullDeltas is an object-state set as deltas that need no base: every
+// object Full. The ranges alias objects.
+func fullDeltas(objects map[marshal.Handle][]byte) []marshal.ObjectDelta {
+	deltas := make([]marshal.ObjectDelta, 0, len(objects))
+	for h, state := range objects {
+		deltas = append(deltas, marshal.FullDelta(h, state))
+	}
+	return deltas
 }
 
 // drainSyncs waits until every forwarded sync call has been answered,

@@ -31,24 +31,18 @@ type LogSink interface {
 	// as superseded, seqs ascending. It follows that checkpoint's
 	// MirrorCheckpoint; seqs is only valid during the call.
 	MirrorCompact(seqs []uint64)
-	// MirrorCheckpoint advances the watermark and replaces the object
-	// snapshot set after a checkpoint commits.
-	MirrorCheckpoint(epoch uint32, w uint64, objects map[marshal.Handle][]byte)
+	// MirrorCheckpoint advances the watermark after a checkpoint commits
+	// and replaces the object set with the deltas composed onto the states
+	// the sink holds: exactly the handles the set names (an absent handle
+	// was destroyed). All-or-nothing: false — a delta does not compose,
+	// e.g. a missing or mismatched base — leaves the previous checkpoint
+	// intact, and the guardian re-sends the composed set as all-Full
+	// deltas, which need no base. The deltas are only valid during the
+	// call.
+	MirrorCheckpoint(epoch uint32, w uint64, deltas []marshal.ObjectDelta) bool
 	// MirrorEpoch records an epoch advance (recovery or rehydration) and
 	// the watermark it recovered to.
 	MirrorEpoch(epoch uint32, w uint64)
-}
-
-// DeltaSink is the optional incremental extension of LogSink: a sink that
-// also implements it receives checkpoint deltas (dirty ranges only) and
-// composes them onto the object states it already holds, so a remote
-// mirror's checkpoint traffic scales with touched bytes. The sink must
-// replace its object set with exactly the handles the delta set names —
-// an absent handle means the object was destroyed. Returning false (the
-// sink cannot compose, e.g. a missing or mismatched base) makes the
-// guardian fall back to MirrorCheckpoint with the composed full set.
-type DeltaSink interface {
-	MirrorCheckpointDelta(epoch uint32, w uint64, deltas []marshal.ObjectDelta) bool
 }
 
 // MirrorState is a point-in-time snapshot of a mirrored shadow log — the
@@ -119,37 +113,18 @@ func (m *MemoryMirror) MirrorCompact(seqs []uint64) {
 	m.mu.Unlock()
 }
 
-// MirrorCheckpoint implements LogSink.
-func (m *MemoryMirror) MirrorCheckpoint(epoch uint32, w uint64, objects map[marshal.Handle][]byte) {
-	cp := make(map[marshal.Handle][]byte, len(objects))
-	for h, state := range objects {
-		cp[h] = append([]byte(nil), state...)
-	}
-	m.mu.Lock()
-	m.epoch = epoch
-	m.w = w
-	m.objects = cp
-	m.mu.Unlock()
-}
-
-// MirrorCheckpointDelta implements DeltaSink: it composes the deltas onto
-// the mirror's held object states. All-or-nothing — a single object that
-// fails to compose rejects the whole delta set, leaving the previous
-// checkpoint intact for the guardian's full-set fallback.
-func (m *MemoryMirror) MirrorCheckpointDelta(epoch uint32, w uint64, deltas []marshal.ObjectDelta) bool {
+// MirrorCheckpoint implements LogSink: it composes the deltas onto the
+// mirror's held object states into fresh copies.
+func (m *MemoryMirror) MirrorCheckpoint(epoch uint32, w uint64, deltas []marshal.ObjectDelta) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cp := make(map[marshal.Handle][]byte, len(deltas))
-	for _, d := range deltas {
-		state, err := marshal.ApplyObjectDelta(m.objects[d.Handle], d)
-		if err != nil {
-			return false
-		}
-		cp[d.Handle] = state
+	objects, err := composeOnto(m.objects, deltas)
+	if err != nil {
+		return false
 	}
 	m.epoch = epoch
 	m.w = w
-	m.objects = cp
+	m.objects = objects
 	return true
 }
 

@@ -92,7 +92,7 @@ func TestMemoryMirrorStateIsolation(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	m := NewMemoryMirror()
 	m.MirrorAppend(rec(1, 10, marshal.BytesVal([]byte{9})))
-	m.MirrorCheckpoint(3, 1, map[marshal.Handle][]byte{10: {7, 7}})
+	m.MirrorCheckpoint(3, 1, fullDeltas(map[marshal.Handle][]byte{10: {7, 7}}))
 
 	st := m.State()
 	if st.Epoch != 3 || st.W != 1 {
@@ -109,12 +109,15 @@ func TestMemoryMirrorStateIsolation(t *testing.T) {
 		t.Fatal("snapshot mutation leaked into the mirror's objects")
 	}
 
-	m.MirrorCheckpoint(4, 2, map[marshal.Handle][]byte{10: {8}})
+	m.MirrorCheckpoint(4, 2, fullDeltas(map[marshal.Handle][]byte{10: {8}}))
 	if st2.W != 1 || st2.Objects[10][0] != 7 {
 		t.Fatal("later checkpoint mutated an earlier snapshot")
 	}
 }
 
+// Object states travel in a MirrorState as an all-Full delta set: they
+// round-trip, encode deterministically, and a truncated trailer or one
+// holding a delta that needs a base is refused.
 func TestObjectStatesRoundTrip(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	in := map[marshal.Handle][]byte{
@@ -122,11 +125,12 @@ func TestObjectStatesRoundTrip(t *testing.T) {
 		999: {},
 		42:  {1, 2, 3, 4, 5},
 	}
-	b := marshal.EncodeObjectStates(in)
-	out, err := marshal.DecodeObjectStates(b)
+	b := EncodeMirrorState(&MirrorState{Objects: in})
+	st, err := DecodeMirrorState(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := st.Objects
 	if len(out) != len(in) {
 		t.Fatalf("round trip lost entries: %v", out)
 	}
@@ -136,10 +140,16 @@ func TestObjectStatesRoundTrip(t *testing.T) {
 		}
 	}
 	// Deterministic encoding: equal maps produce equal bytes.
-	if !bytes.Equal(b, marshal.EncodeObjectStates(in)) {
+	if !bytes.Equal(b, EncodeMirrorState(&MirrorState{Objects: in})) {
 		t.Fatal("encoding is not deterministic")
 	}
-	if _, err := marshal.DecodeObjectStates([]byte{1, 0, 0, 0, 9}); err == nil {
+	header := EncodeMirrorState(&MirrorState{})
+	header = header[:len(header)-4] // drop the empty object set
+	if _, err := DecodeMirrorState(append(header, 1, 0, 0, 0, 9)); err == nil {
 		t.Fatal("truncated payload decoded")
+	}
+	notFull := marshal.EncodeObjectDeltas([]marshal.ObjectDelta{{Handle: 1, BaseLen: 0}})
+	if _, err := DecodeMirrorState(append(header, notFull...)); err == nil {
+		t.Fatal("an object that needs a base decoded")
 	}
 }

@@ -18,14 +18,15 @@ import (
 // codecs — an append IS the recorded call, a reply IS the recorded reply —
 // so the stream inherits the data plane's wire discipline.
 
-// Batch sub-ops: each sub-frame is [subop u8][payload].
+// Batch sub-ops: each sub-frame is [subop u8][payload]. 5, a checkpoint of
+// full states, is retired: full state is a delta set in which every object
+// is Full.
 const (
 	mirrorSubAppend     byte = 1 // [created u64] + EncodeCall(Seq, Func, Args)
 	mirrorSubReply      byte = 2 // [created u64] + EncodeReply(Seq, Ret, Outs)
 	mirrorSubDrop       byte = 3 // [seq u64]
 	mirrorSubPrune      byte = 4 // [handle u64]
-	mirrorSubCheckpoint byte = 5 // [epoch u32][w u64] + EncodeObjectStates
-	mirrorSubDelta      byte = 6 // [epoch u32][w u64] + EncodeObjectDeltas
+	mirrorSubCheckpoint byte = 6 // [epoch u32][w u64] + EncodeObjectDeltas
 	mirrorSubEpoch      byte = 7 // [epoch u32][w u64]
 	mirrorSubReset      byte = 8 // empty: discard the VM's state (resync follows)
 	mirrorSubCompact    byte = 9 // [n u64][seq u64]*n, ascending
@@ -64,8 +65,8 @@ func subCompact(seqs []uint64) []byte {
 	return sub(mirrorSubCompact, uint64(len(seqs)), body)
 }
 
-// errNoBase reports a delta sub-op that could not compose onto the state the
-// mirror holds: the sender must resync with full state.
+// errNoBase reports a checkpoint sub-op that could not compose onto the
+// state the mirror holds: the sender must resync with full state.
 var errNoBase = errors.New("failover: mirror delta without its base")
 
 // applyMirrorSub applies one sub-frame of a batch to m. An error is a
@@ -74,7 +75,7 @@ func applyMirrorSub(m *MemoryMirror, sub []byte) error {
 	r := marshal.NewReader(sub)
 	op, err := r.U8()
 	// Every sub-op but reset leads with a u64 (created handle, seq, handle
-	// or watermark), the three marks with an epoch before it.
+	// or watermark), the two marks with an epoch before it.
 	var epoch uint32
 	var v uint64
 	if err == nil && op >= mirrorSubCheckpoint && op <= mirrorSubEpoch {
@@ -117,17 +118,11 @@ func applyMirrorSub(m *MemoryMirror, sub []byte) error {
 		}
 		m.MirrorCompact(seqs)
 	case mirrorSubCheckpoint:
-		objects, err := marshal.DecodeObjectStates(r.Rest())
-		if err != nil {
-			return err
-		}
-		m.MirrorCheckpoint(epoch, v, objects)
-	case mirrorSubDelta:
 		deltas, err := marshal.DecodeObjectDeltas(r.Rest())
 		if err != nil {
 			return err
 		}
-		if !m.MirrorCheckpointDelta(epoch, v, deltas) {
+		if !m.MirrorCheckpoint(epoch, v, deltas) {
 			return errNoBase
 		}
 	case mirrorSubEpoch:
@@ -143,7 +138,8 @@ func applyMirrorSub(m *MemoryMirror, sub []byte) error {
 // EncodeMirrorState serializes a MirrorState for the wire — the payload of
 // OpMirrorStateResp, and the unit a cross-machine rehydration fetches:
 // [epoch u32][w u64][entries u32], per entry [created u64][replySeen u8]
-// [len u32][EncodeCall][len u32][EncodeReply], then EncodeObjectStates.
+// [len u32][EncodeCall][len u32][EncodeReply], then the objects as an
+// EncodeObjectDeltas payload in which every object is Full.
 func EncodeMirrorState(st *MirrorState) []byte {
 	le := binary.LittleEndian
 	out := le.AppendUint32(nil, st.Epoch)
@@ -161,7 +157,7 @@ func EncodeMirrorState(st *MirrorState) []byte {
 		out = append(le.AppendUint32(out, uint32(len(call))), call...)
 		out = append(le.AppendUint32(out, uint32(len(reply))), reply...)
 	}
-	return append(out, marshal.EncodeObjectStates(st.Objects)...)
+	return marshal.AppendObjectDeltas(out, fullDeltas(st.Objects))
 }
 
 // DecodeMirrorState unpacks an EncodeMirrorState payload. The returned
@@ -200,10 +196,20 @@ func DecodeMirrorState(b []byte) (*MirrorState, error) {
 			st.ReplySeen[c.Seq] = true
 		}
 	}
-	objects, err := marshal.DecodeObjectStates(r.Rest())
+	deltas, err := marshal.DecodeObjectDeltas(r.Rest())
+	if err == nil {
+		for _, d := range deltas {
+			if !d.Full {
+				err = fmt.Errorf("object %d is not Full", d.Handle)
+				break
+			}
+		}
+	}
+	if err == nil {
+		st.Objects, err = composeOnto(nil, deltas)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("failover: mirror state objects: %w", err)
 	}
-	st.Objects = objects
 	return st, nil
 }

@@ -198,23 +198,17 @@ func (rm *RemoteMirror) MirrorCompact(seqs []uint64) {
 	rm.enqueue(subCompact(seqs))
 }
 
-// MirrorCheckpoint implements LogSink.
-func (rm *RemoteMirror) MirrorCheckpoint(epoch uint32, w uint64, objects map[marshal.Handle][]byte) {
-	rm.local.MirrorCheckpoint(epoch, w, objects)
-	rm.enqueue(subMark(mirrorSubCheckpoint, epoch, w, marshal.EncodeObjectStates(objects)))
-}
-
-// MirrorCheckpointDelta implements DeltaSink. All-or-nothing is judged
-// against the staging mirror: if the deltas compose there, they will
-// compose on the mirror host too (it converges to staging), so the
-// guardian proceeds without waiting a round trip. A remote nack — the host
-// reconnected mid-stream and lacks the base — triggers a full resync from
-// staging instead of failing the checkpoint.
-func (rm *RemoteMirror) MirrorCheckpointDelta(epoch uint32, w uint64, deltas []marshal.ObjectDelta) bool {
-	if !rm.local.MirrorCheckpointDelta(epoch, w, deltas) {
+// MirrorCheckpoint implements LogSink. All-or-nothing is judged against
+// the staging mirror: if the deltas compose there, they will compose on the
+// mirror host too (it converges to staging), so the guardian proceeds
+// without waiting a round trip. A remote nack — the host reconnected
+// mid-stream and lacks the base — triggers a full resync from staging
+// instead of failing the checkpoint.
+func (rm *RemoteMirror) MirrorCheckpoint(epoch uint32, w uint64, deltas []marshal.ObjectDelta) bool {
+	if !rm.local.MirrorCheckpoint(epoch, w, deltas) {
 		return false
 	}
-	rm.enqueue(subMark(mirrorSubDelta, epoch, w, marshal.EncodeObjectDeltas(deltas)))
+	rm.enqueue(subMark(mirrorSubCheckpoint, epoch, w, marshal.EncodeObjectDeltas(deltas)))
 	return true
 }
 
@@ -320,7 +314,7 @@ func resyncSubs(st *MirrorState) [][]byte {
 		}
 	}
 	if st.W != 0 || len(st.Objects) > 0 {
-		subs = append(subs, subMark(mirrorSubCheckpoint, st.Epoch, st.W, marshal.EncodeObjectStates(st.Objects)))
+		subs = append(subs, subMark(mirrorSubCheckpoint, st.Epoch, st.W, marshal.EncodeObjectDeltas(fullDeltas(st.Objects))))
 	} else {
 		subs = append(subs, subMark(mirrorSubEpoch, st.Epoch, st.W, nil))
 	}

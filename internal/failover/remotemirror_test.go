@@ -118,7 +118,7 @@ func TestRemoteMirrorReplicatesAndFetches(t *testing.T) {
 	done.Outs = []marshal.Value{marshal.BytesVal([]byte{3})}
 	rm.MirrorReply(done)
 	rm.MirrorAppend(rec(2, 0, marshal.HandleVal(10)))
-	rm.MirrorCheckpoint(1, 1, map[marshal.Handle][]byte{10: {7, 7, 7}})
+	rm.MirrorCheckpoint(1, 1, fullDeltas(map[marshal.Handle][]byte{10: {7, 7, 7}}))
 	rm.MirrorAppend(rec(3, 11))
 	rm.MirrorDrop(3)
 
@@ -206,7 +206,7 @@ func TestRemoteMirrorDeltaAndResyncAfterHostRestart(t *testing.T) {
 	defer rm.Close()
 
 	rm.MirrorAppend(rec(1, 10))
-	rm.MirrorCheckpoint(1, 1, map[marshal.Handle][]byte{10: {0, 0, 0, 0}})
+	rm.MirrorCheckpoint(1, 1, fullDeltas(map[marshal.Handle][]byte{10: {0, 0, 0, 0}}))
 	if !rm.Flush(2 * time.Second) {
 		t.Fatal("initial state did not replicate")
 	}
@@ -217,7 +217,7 @@ func TestRemoteMirrorDeltaAndResyncAfterHostRestart(t *testing.T) {
 		Handle: 10, BaseLen: 4,
 		Ranges: []marshal.DeltaRange{{Off: 1, Bytes: []byte{9}}},
 	}}
-	if !rm.MirrorCheckpointDelta(2, 2, delta) {
+	if !rm.MirrorCheckpoint(2, 2, delta) {
 		t.Fatal("delta refused against a matching base")
 	}
 	if !rm.Flush(2 * time.Second) {
@@ -264,7 +264,7 @@ func TestRemoteMirrorDeadHostNeverBlocks(t *testing.T) {
 	for i := uint64(1); i <= 100; i++ {
 		rm.MirrorAppend(rec(i, marshal.Handle(i)))
 	}
-	rm.MirrorCheckpoint(1, 50, map[marshal.Handle][]byte{1: {1}})
+	rm.MirrorCheckpoint(1, 50, fullDeltas(map[marshal.Handle][]byte{1: {1}}))
 	if spent := time.Since(start); spent > time.Second {
 		t.Fatalf("mutations against a dead mirror host took %v", spent)
 	}
@@ -321,7 +321,7 @@ func TestMirrorConcurrentHammer(t *testing.T) {
 					}
 				case 2:
 					for _, s := range sinks {
-						s.MirrorCheckpoint(uint32(g), seq, map[marshal.Handle][]byte{marshal.Handle(seq): {byte(i)}})
+						s.MirrorCheckpoint(uint32(g), seq, fullDeltas(map[marshal.Handle][]byte{marshal.Handle(seq): {byte(i)}}))
 					}
 				}
 				guardianMu.Unlock()
@@ -364,5 +364,75 @@ func TestMirrorConcurrentHammer(t *testing.T) {
 	}
 	if !sameMirrorState(rm.State(), srv.State(3)) {
 		t.Fatal("remote mirror did not converge to staging after the hammer")
+	}
+}
+
+// refusingSink is a RemoteMirror whose checkpoints a MemoryMirror sees too.
+// refuse makes it turn the next delta set down unseen, as a sink that lost
+// its base would.
+type refusingSink struct {
+	*RemoteMirror
+	mem    *MemoryMirror
+	refuse bool
+}
+
+func (s *refusingSink) MirrorCheckpoint(epoch uint32, w uint64, deltas []marshal.ObjectDelta) bool {
+	if s.refuse {
+		s.refuse = false
+		return false
+	}
+	return s.mem.MirrorCheckpoint(epoch, w, deltas) && s.RemoteMirror.MirrorCheckpoint(epoch, w, deltas)
+}
+
+// One guardian's checkpoint stream — full, delta, a sink refusal answered
+// with all-Full deltas, a recovery, full again — leaves a MemoryMirror, a
+// RemoteMirror's staging mirror and its mirror host each holding exactly
+// the guardian's checkpoint.
+func TestCheckpointStreamConvergesOnEveryMirror(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	h := startMirrorHost(t, "127.0.0.1:0")
+	rm := NewRemoteMirror(h.addr(), RemoteMirrorConfig{VM: 1, Backoff: quickBackoff()})
+	defer rm.Close()
+	sink := &refusingSink{RemoteMirror: rm, mem: NewMemoryMirror()}
+	inc := guardIncarnations(t, Config{Sink: sink})
+	a, b := inc.create(t, 1, "alpha"), inc.create(t, 2, "beta")
+	dirty := func(hd marshal.Handle, data string) {
+		o := inc.object(t, hd)
+		o.data, o.dirty = []byte(data), true
+	}
+	for _, step := range []struct {
+		name   string
+		before func()
+	}{
+		{"full", nil},
+		{"delta", func() { dirty(a, "alpha-2") }},
+		{"refused delta", func() { dirty(b, "beta-2"); sink.refuse = true }},
+		{"after a recovery", func() { inc.killAndRecover(t); dirty(a, "alpha-3") }},
+	} {
+		if step.before != nil {
+			step.before()
+		}
+		if err := inc.g.CheckpointNow(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if !rm.Flush(2 * time.Second) {
+			t.Fatalf("%s: mirror did not drain", step.name)
+		}
+		inc.g.mu.Lock()
+		want := inc.g.ckptObjects
+		inc.g.mu.Unlock()
+		for name, st := range map[string]*MirrorState{
+			"memory": sink.mem.State(), "staging": rm.State(), "host": h.srv.State(1),
+		} {
+			if !reflect.DeepEqual(st.Objects, want) {
+				t.Errorf("%s: %s mirror holds %q, guardian %q", step.name, name, st.Objects, want)
+			}
+		}
+	}
+	if got := string(sink.mem.State().Objects[b]); got != "beta-2" {
+		t.Fatalf("the refused delta's object reads %q after the all-Full resend, want %q", got, "beta-2")
+	}
+	if st := inc.g.Stats(); st.Checkpoints != 4 || st.DeltaCheckpoints != 2 {
+		t.Fatalf("stats %+v: want 4 checkpoints, the middle two composed onto a base", st)
 	}
 }

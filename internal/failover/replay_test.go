@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ava/internal/cava"
-	"ava/internal/framebuf"
 	"ava/internal/leaktest"
 	"ava/internal/marshal"
 	"ava/internal/migrate"
@@ -37,7 +36,7 @@ st destroy(obj o) { track(destroy, o); }
 
 // replayObj is the toy's device object: label is rebuilt by replaying the
 // tracked modify, data only by restoring a checkpoint. dirty is its delta
-// tracking: set, the next incremental capture ships data in full.
+// tracking: set, the next capture ships data in full.
 type replayObj struct {
 	kind, label uint64
 	data        []byte
@@ -46,19 +45,16 @@ type replayObj struct {
 
 type replayAdapter struct{}
 
-// SnapshotObjectDelta is all-or-nothing like mvnc's: a dirty object ships as
-// one Full delta, a clean one as an empty delta onto a base of its length.
-func (replayAdapter) SnapshotObjectDelta(obj any) (marshal.ObjectDelta, bool, error) {
+// SnapshotObject is all-or-nothing like mvnc's: a dirty object, or any
+// object when full, ships as one Full delta, a clean one as an empty delta
+// onto a base of its length.
+func (replayAdapter) SnapshotObject(obj any, full bool) (marshal.ObjectDelta, bool, error) {
 	o := obj.(*replayObj)
-	if !o.dirty {
+	if !o.dirty && !full {
 		return marshal.ObjectDelta{BaseLen: uint64(len(o.data))}, true, nil
 	}
 	o.dirty = false
 	return marshal.FullDelta(0, append([]byte(nil), o.data...)), true, nil
-}
-
-func (replayAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
-	return append([]byte(nil), obj.(*replayObj).data...), true, nil
 }
 
 func (replayAdapter) RestoreObject(obj any, state []byte) error {
@@ -195,9 +191,10 @@ func TestReplayOverTheLink(t *testing.T) {
 }
 
 // The capture and restore halves over the link: every row runs on a
-// context holding a clean object (1) and a dirty one (2). The base rows are
-// the one base rule (captureOnto): an object that comes back as a non-Full
-// delta and has no entry in the base makes the capture a full snapshot.
+// context holding a clean object (1) and a dirty one (2). The capture rows
+// are the one base rule (captureOnto): no base asks for full state at
+// once, and an object that comes back as a non-Full delta with no entry in
+// the base makes the capture ask again, for full state.
 func TestCaptureAndRestoreOverTheLink(t *testing.T) {
 	leaktest.NoGoroutineLeaks(t)
 	type result struct {
@@ -208,12 +205,14 @@ func TestCaptureAndRestoreOverTheLink(t *testing.T) {
 		Err     bool
 		Data    string // object 1's data afterwards
 	}
+	clean := marshal.ObjectDelta{Handle: 1, BaseLen: 3}
+	full1, full2 := marshal.FullDelta(1, []byte("one")), marshal.FullDelta(2, []byte("two"))
 	full := map[marshal.Handle][]byte{1: []byte("one"), 2: []byte("two")}
 	capture := func(base map[marshal.Handle][]byte) func(wireTarget) (result, error) {
 		return func(tgt wireTarget) (result, error) {
 			c, err := captureOnto(tgt, base)
 			defer c.release()
-			return result{Objects: c.objects, Delta: c.delta}, err
+			return result{Objects: c.objects, Deltas: marshal.EncodeObjectDeltas(c.deltas), Delta: c.delta}, err
 		}
 	}
 	restore := func(h marshal.Handle) func(wireTarget) (result, error) {
@@ -228,28 +227,20 @@ func TestCaptureAndRestoreOverTheLink(t *testing.T) {
 		run       func(wireTarget) (result, error)
 		want      result
 	}{
-		{name: "snapshot", run: func(tgt wireTarget) (result, error) {
-			objects, err := tgt.Snapshot()
-			return result{Objects: objects}, err
-		}, want: result{Objects: full}},
-		{name: "snapshot delta", run: func(tgt wireTarget) (result, error) {
-			deltas, frame, ok := tgt.SnapshotDelta()
-			defer framebuf.Put(frame)
-			return result{Deltas: marshal.EncodeObjectDeltas(deltas), Delta: ok}, nil
-		}, want: result{Delta: true, Deltas: marshal.EncodeObjectDeltas([]marshal.ObjectDelta{
-			{Handle: 1, BaseLen: 3}, marshal.FullDelta(2, []byte("two")),
-		})}},
 		{name: "delta onto a base holding every object",
-			run:  capture(map[marshal.Handle][]byte{1: []byte("one"), 2: []byte("old")}),
-			want: result{Objects: full, Delta: true}},
+			run: capture(map[marshal.Handle][]byte{1: []byte("one"), 2: []byte("old")}),
+			want: result{Objects: full, Delta: true,
+				Deltas: marshal.EncodeObjectDeltas([]marshal.ObjectDelta{clean, full2})}},
 		{name: "delta with no base entry for the clean object",
-			run:  capture(map[marshal.Handle][]byte{2: []byte("old")}),
-			want: result{Objects: full}},
-		{name: "delta onto no base at all", run: capture(nil), want: result{Objects: full}},
+			run: capture(map[marshal.Handle][]byte{2: []byte("old")}),
+			want: result{Objects: full,
+				Deltas: marshal.EncodeObjectDeltas([]marshal.ObjectDelta{full1, full2})}},
+		{name: "full state when there is no base", run: capture(nil),
+			want: result{Objects: full, Deltas: marshal.EncodeObjectDeltas([]marshal.ObjectDelta{full1, full2})}},
 		{name: "restore a live handle", run: restore(1), want: result{Found: true, Data: "restored"}},
 		{name: "restore a vanished handle", run: restore(9), want: result{}},
-		{name: "snapshot without an adapter", noAdapter: true, run: capture(nil), // no object state: the empty delta is exact
-			want: result{Objects: map[marshal.Handle][]byte{}, Delta: true}},
+		{name: "snapshot without an adapter", noAdapter: true, run: capture(nil), // no object state: the empty set is exact
+			want: result{Objects: map[marshal.Handle][]byte{}, Deltas: marshal.EncodeObjectDeltas(nil)}},
 		{name: "restore without an adapter", noAdapter: true, run: restore(1),
 			want: result{Err: true}},
 	}
@@ -297,5 +288,29 @@ func TestWireRebindRejectsMalformedPairs(t *testing.T) {
 	}
 	if _, ok := ctx.Handles.Get(h); !ok {
 		t.Fatal("a rejected rebind moved the object")
+	}
+}
+
+// FuncSnapshot validates its one argument before asking the silo: a
+// capture moves the objects' dirty watermarks, so a malformed request must
+// leave them where they were.
+func TestWireSnapshotRejectsMalformedArgs(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	srv, _ := newReplayServer()
+	ctx := srv.Context(1, "vm")
+	obj := &replayObj{data: []byte("dirty"), dirty: true}
+	ctx.Handles.Insert(obj)
+	for name, args := range map[string][]marshal.Value{
+		"no argument":          nil,
+		"non-integer argument": {marshal.BytesVal([]byte{1})},
+		"extra argument":       {marshal.Int(0), marshal.Int(1)},
+	} {
+		rep := srv.Execute(ctx, &marshal.Call{Seq: 1, Func: marshal.FuncSnapshot, Args: args})
+		if rep.Status == marshal.StatusOK {
+			t.Errorf("%s: status OK", name)
+		}
+	}
+	if !obj.dirty {
+		t.Fatal("a rejected snapshot drained the object's dirty tracking")
 	}
 }

@@ -102,7 +102,7 @@ func (g *Guardian) rehydrate(st *MirrorState) {
 		g.ckptObjects[h] = append([]byte(nil), state...)
 	}
 	if g.cfg.Sink != nil {
-		g.cfg.Sink.MirrorCheckpoint(st.Epoch, st.W, g.ckptObjects)
+		g.cfg.Sink.MirrorCheckpoint(st.Epoch, st.W, fullDeltas(g.ckptObjects))
 	}
 }
 
@@ -248,9 +248,9 @@ func (g *Guardian) beginCheckpoint() (cut ckptCut, ok bool) {
 }
 
 // capture is what a checkpoint took of the quiesced link: every stateful
-// object, and the deltas they were composed from if it was incremental.
-// The deltas' ranges alias frame, the control reply that carried them,
-// until release puts it back.
+// object, the deltas they were composed from, and whether those composed
+// onto a base (delta) or were full state. The deltas' ranges alias frame,
+// the control reply that carried them, until release puts it back.
 type capture struct {
 	objects map[marshal.Handle][]byte
 	deltas  []marshal.ObjectDelta
@@ -273,7 +273,7 @@ func (c *capture) release() {
 // cut that still does hands it back. A commit compacts the shadow log at
 // the new watermark (shadowLog.compact), after the sink has the
 // checkpoint. The capture's reply frame goes back to the pool last, once
-// the delta sink has composed the ranges it aliases.
+// the sink has composed the ranges it aliases.
 func (g *Guardian) endCheckpoint(cut ckptCut, c capture, err error) error {
 	defer c.release()
 	g.mu.Lock()
@@ -299,19 +299,15 @@ func (g *Guardian) endCheckpoint(cut ckptCut, c capture, err error) error {
 	g.sinceCkpt = 0
 	g.stats.Checkpoints++
 	g.stats.LastWatermark = w
-	var footprint uint64
+	var footprint, shipped uint64
 	for _, state := range c.objects {
 		footprint += uint64(len(state))
 	}
-	shipped := footprint
+	for _, d := range c.deltas {
+		shipped += uint64(d.DeltaBytes())
+	}
 	if c.delta {
-		shipped = 0
-		for _, d := range c.deltas {
-			shipped += uint64(d.DeltaBytes())
-		}
-		if cut.base != nil {
-			g.stats.DeltaCheckpoints++
-		}
+		g.stats.DeltaCheckpoints++
 	}
 	g.stats.LastCkptBytes = shipped
 	g.stats.LastCkptFootprint = footprint
@@ -323,13 +319,11 @@ func (g *Guardian) endCheckpoint(cut ckptCut, c capture, err error) error {
 		}
 	}
 	epoch := g.epoch
-	// A delta-capable sink applies the ranges to its own held base, so
-	// mirror traffic scales with touched bytes too; a sink that cannot
-	// compose (missing base) reports false and gets the composed full set
-	// instead.
-	if sink := g.cfg.Sink; sink != nil &&
-		(!c.delta || g.delta == nil || !g.delta.MirrorCheckpointDelta(epoch, w, c.deltas)) {
-		sink.MirrorCheckpoint(epoch, w, c.objects)
+	// The sink composes the deltas onto its own held base, so mirror
+	// traffic scales with touched bytes too; a sink that cannot (missing
+	// base) refuses them and gets the composed set as all-Full deltas.
+	if sink := g.cfg.Sink; sink != nil && !sink.MirrorCheckpoint(epoch, w, c.deltas) {
+		sink.MirrorCheckpoint(epoch, w, fullDeltas(c.objects))
 	}
 	g.stats.Superseded += uint64(g.log.compact(w))
 	g.mu.Unlock()

@@ -96,10 +96,10 @@ func recvReply(t *testing.T, router transport.Endpoint) *marshal.Reply {
 
 // answerCheckpoint plays a server by hand through one checkpoint: the
 // quiesce marker, answered the way a server answers an unknown function,
-// then the capture's control calls — no delta support, no objects.
+// then the capture's one FuncSnapshot — no objects.
 func answerCheckpoint(t *testing.T, srv transport.Endpoint) {
 	t.Helper()
-	answerCheckpointWith(t, srv, marshal.Reply{Ret: marshal.BytesVal(marshal.EncodeObjectStates(nil))})
+	answerCheckpointWith(t, srv, marshal.Reply{Ret: marshal.BytesVal(marshal.EncodeObjectDeltas(nil))})
 }
 
 // answerCheckpointWith is answerCheckpoint with the FuncSnapshot reply given.
@@ -110,7 +110,6 @@ func answerCheckpointWith(t *testing.T, srv transport.Endpoint, snapshot marshal
 		rep marshal.Reply
 	}{
 		{markerFunc, marshal.Reply{Status: marshal.StatusDenied, Err: "unknown function"}},
-		{marshal.FuncSnapshotDelta, marshal.Reply{Status: marshal.StatusDenied, Err: "no delta support"}},
 		{marshal.FuncSnapshot, snapshot},
 	} {
 		ctrl := recvCall(t, srv)

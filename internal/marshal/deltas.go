@@ -6,13 +6,15 @@ import (
 	"sort"
 )
 
-// Delta object-state encoding: the incremental counterpart of
-// EncodeObjectStates. A checkpoint that knows the previous checkpoint's
-// state per object ships only the byte ranges written since (the silo's
-// dirty-range tracking supplies them) and the consumer composes them onto
-// its held base with ApplyObjectDelta. An object whose tracking overflowed
-// or that has no usable base travels as Full: one range covering
-// everything.
+// Object-state encoding: the one form object state travels in, from a
+// server's FuncSnapshot reply to a mirror's checkpoint sub-op and a
+// MirrorState's object trailer. A checkpoint that knows the previous
+// checkpoint's state per object ships only the byte ranges written since
+// (the silo's dirty-range tracking supplies them) and the consumer composes
+// them onto its held base with ApplyObjectDelta. An object whose tracking
+// overflowed, or that has no usable base, travels as Full: one range
+// covering everything. Full state is a delta set in which every object is
+// Full.
 
 // DeltaRange is one written byte range of an object's state.
 type DeltaRange struct {
@@ -48,7 +50,7 @@ func (d ObjectDelta) DeltaBytes() int {
 	return n
 }
 
-// EncodeObjectDeltas packs deltas into a FuncSnapshotDelta reply payload:
+// EncodeObjectDeltas packs deltas into a FuncSnapshot reply payload:
 // [count u32] then per object, in ascending handle order,
 // [handle u64][baseLen u64][full u8][rangeCount u32] followed by
 // rangeCount records of [off u64][len u32][bytes].

@@ -307,8 +307,8 @@ func within(data, b []byte) bool {
 
 // A delta payload's object count is bounded by what the payload can hold
 // before anything is sized from it: four bytes claiming 65 536 objects
-// used to reserve a ~3 MB slice ahead of the first truncation check (the
-// shape DecodeObjectStates had). The frame is checked in as a seed.
+// used to reserve a ~3 MB slice ahead of the first truncation check. The
+// frame is checked in as a seed.
 func TestDecodeObjectDeltasCountBoundedByPayload(t *testing.T) {
 	const claimed = 1 << 16
 	frame := appendUint32(nil, claimed)

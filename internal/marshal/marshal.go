@@ -137,20 +137,17 @@ const (
 	// when the object was restored and Int(0) when the handle is unknown
 	// (the snapshot outlived the object — skipped, not fatal).
 	FuncRestore uint32 = ^uint32(0) - 2
-	// FuncSnapshot asks the server to serialize every stateful object in
-	// the VM's handle table: no args, Ret is a Bytes value holding an
-	// EncodeObjectStates payload. Issued by the failover guardian over the
-	// link to the serving server when a checkpoint cannot be incremental;
-	// the captured states later replay onto a replacement server as
-	// FuncRestore calls.
+	// FuncSnapshot asks the server for the object state replay cannot
+	// rebuild: one arg, full, an Int. Ret is a Bytes value holding an
+	// EncodeObjectDeltas payload, one delta per stateful object in the VM's
+	// handle table. full=0 drains each object's dirty ranges since the
+	// previous capture, which the caller composes onto the states it holds
+	// from it (ApplyObjectDelta); full=1 — the caller holds no base, or a
+	// delta did not compose — answers every object as a Full delta. Either
+	// form moves the silo's dirty watermark. Issued by the failover guardian
+	// over the link to the serving server; the captured states later replay
+	// onto a replacement server as FuncRestore calls.
 	FuncSnapshot uint32 = ^uint32(0) - 3
-	// FuncSnapshotDelta is the incremental form of FuncSnapshot: no args,
-	// Ret is a Bytes value holding an EncodeObjectDeltas payload covering
-	// only the ranges written since the previous delta cut. The caller must
-	// hold the composed base state from an earlier FuncSnapshot (or delta
-	// chain) on the same server incarnation; a server that cannot produce
-	// deltas answers StatusDenied and the caller falls back to FuncSnapshot.
-	FuncSnapshotDelta uint32 = ^uint32(0) - 4
 )
 
 // Stamps is the per-stage timestamp block a call accumulates as it crosses

@@ -16,28 +16,12 @@ type MigrationAdapter struct {
 	Silo *Silo
 }
 
-// SnapshotObject implements server.Adapter.
-func (a MigrationAdapter) SnapshotObject(obj any) ([]byte, bool, error) {
-	g, ok := obj.(*Graph)
-	if !ok {
-		return nil, false, nil
-	}
-	s := a.Silo
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g.dead {
-		return nil, true, fmt.Errorf("mvnc: snapshot of deallocated graph")
-	}
-	return encodeGraphState(g), true, nil
-}
-
-// SnapshotObjectDelta implements server.DeltaAdapter (the
-// failover guardian's incremental checkpoints).
-// A graph's mutable state is tiny (queued result vectors plus options), so
-// the delta is all-or-nothing: if the write generation moved since the
-// last delta snapshot the full serialized state ships as one Full delta;
-// otherwise an empty delta reports the unchanged base length.
-func (a MigrationAdapter) SnapshotObjectDelta(obj any) (marshal.ObjectDelta, bool, error) {
+// SnapshotObject implements server.Adapter. A graph's mutable state is tiny
+// (queued result vectors plus options), so its delta is all-or-nothing: the
+// full serialized state as one Full delta when full is set or the write
+// generation moved since the previous capture, otherwise an empty delta
+// carrying the unchanged state's length.
+func (a MigrationAdapter) SnapshotObject(obj any, full bool) (marshal.ObjectDelta, bool, error) {
 	g, ok := obj.(*Graph)
 	if !ok {
 		return marshal.ObjectDelta{}, false, nil
@@ -48,12 +32,11 @@ func (a MigrationAdapter) SnapshotObjectDelta(obj any) (marshal.ObjectDelta, boo
 	if g.dead {
 		return marshal.ObjectDelta{}, true, fmt.Errorf("mvnc: snapshot of deallocated graph")
 	}
-	state := encodeGraphState(g)
-	if g.gen == g.snapGen {
-		return marshal.ObjectDelta{BaseLen: uint64(len(state))}, true, nil
+	if !full && g.gen == g.snapGen {
+		return marshal.ObjectDelta{BaseLen: uint64(graphStateLen(g))}, true, nil
 	}
 	g.snapGen = g.gen
-	return marshal.FullDelta(0, state), true, nil
+	return marshal.FullDelta(0, encodeGraphState(g)), true, nil
 }
 
 // RestoreObject implements server.Adapter.
@@ -72,20 +55,26 @@ func (a MigrationAdapter) RestoreObject(obj any, state []byte) error {
 		return err
 	}
 	// The base just changed out from under the delta watermark; force the
-	// next delta snapshot to ship full state.
+	// next capture to ship full state.
 	g.gen++
 	return nil
+}
+
+// graphStateLen is the length of encodeGraphState's output. Caller holds
+// the silo mutex.
+func graphStateLen(g *Graph) int {
+	n := 8
+	for _, res := range g.results {
+		n += 4 + 4*len(res)
+	}
+	return n
 }
 
 // encodeGraphState serializes the graph's mutable state:
 // [timeout u32][result count u32] then per result [len u32][f32 bits ...],
 // all little-endian. Caller holds the silo mutex.
 func encodeGraphState(g *Graph) []byte {
-	n := 8
-	for _, res := range g.results {
-		n += 4 + 4*len(res)
-	}
-	b := make([]byte, 0, n)
+	b := make([]byte, 0, graphStateLen(g))
 	b = binary.LittleEndian.AppendUint32(b, g.timeout)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(g.results)))
 	for _, res := range g.results {

@@ -67,27 +67,18 @@ func (s *Server) executeControl(ctx *Context, sl *callSlot) {
 		return
 
 	case marshal.FuncSnapshot:
-		// No args — serialize every stateful object in the VM's handle
-		// table for a full checkpoint. Ret is an EncodeObjectStates
-		// payload.
-		objects, err := ctx.SnapshotObjects()
-		if err != nil {
-			fail(marshal.StatusInternal, "%v", err)
+		// Args: [full Int] — capture every stateful object of the VM as
+		// deltas, all Full when full is nonzero. Validated before the silo
+		// is asked: a capture moves its dirty watermarks. Every checkpoint
+		// asks, so the payload is drawn from the frame pool and goes back
+		// with the slot, once the reply has been encoded out of it.
+		if len(call.Args) != 1 || call.Args[0].Kind() != marshal.KindInt {
+			fail(marshal.StatusDenied, "snapshot: want [full Int]")
 			return
 		}
-		rep.Ret = marshal.BytesVal(marshal.EncodeObjectStates(objects))
-		return
-
-	case marshal.FuncSnapshotDelta:
-		// No args — the incremental form of FuncSnapshot: drain each
-		// stateful object's dirty-range tracking into a delta. Denied when
-		// there is none to be had, so the guardian takes a FuncSnapshot.
-		// Every checkpoint asks, so the payload is drawn from the frame
-		// pool and goes back with the slot, once the reply has been
-		// encoded out of it.
-		deltas, ok := ctx.SnapshotObjectDeltas()
-		if !ok {
-			fail(marshal.StatusDenied, "snapshot-delta: no incremental capture (take a full snapshot)")
+		deltas, err := ctx.SnapshotObjects(call.Args[0].Int() != 0)
+		if err != nil {
+			fail(marshal.StatusInternal, "%v", err)
 			return
 		}
 		sl.ctl = marshal.AppendObjectDeltas(framebuf.Get(marshal.ObjectDeltasSize(deltas)), deltas)

@@ -94,9 +94,9 @@ const snapshotCost = time.Millisecond
 // virtual clock by snapshotCost.
 type slowSnapshots struct{ clk *clock.Virtual }
 
-func (a slowSnapshots) SnapshotObject(any) ([]byte, bool, error) {
+func (a slowSnapshots) SnapshotObject(any, bool) (marshal.ObjectDelta, bool, error) {
 	a.clk.Advance(snapshotCost)
-	return []byte{1}, true, nil
+	return marshal.FullDelta(0, []byte{1}), true, nil
 }
 
 func (slowSnapshots) RestoreObject(any, []byte) error { return nil }
@@ -230,7 +230,7 @@ func TestExecTimeIsTheSumOfHandlerTime(t *testing.T) {
 			}
 			r.serve(0)
 			r.seq++
-			sendFrame(t, r.ep, r.call("hog", async, 0, 3), &marshal.Call{Seq: r.seq, Func: marshal.FuncSnapshot})
+			sendFrame(t, r.ep, r.call("hog", async, 0, 3), &marshal.Call{Seq: r.seq, Func: marshal.FuncSnapshot, Args: []marshal.Value{marshal.Int(1)}})
 			<-r.parked
 			for r.ctx.QueueDepth() < 2 {
 				time.Sleep(100 * time.Microsecond)

@@ -42,9 +42,9 @@ type Registry struct {
 	OnOOM func(ctx *Context, fd *cava.FuncDesc) bool
 	// Adapter is how the API's objects are captured and restored: the one
 	// object-state contract behind migration, guardian checkpoints and the
-	// FuncSnapshot/FuncSnapshotDelta/FuncRestore control calls. An API
-	// binding's BindServer installs its own; a registry without one declares
-	// every object stateless (replay alone rebuilds it).
+	// FuncSnapshot/FuncRestore control calls. An API binding's BindServer
+	// installs its own; a registry without one declares every object
+	// stateless (replay alone rebuilds it).
 	Adapter Adapter
 	// release gives one object back to the silo through its type's
 	// destructor; the generated Register installs it (SetRelease), and a
@@ -55,24 +55,18 @@ type Registry struct {
 
 // Adapter supplies the silo-specific object-state operations the recovery
 // engines cannot perform generically. Contexts of a server read it off the
-// registry (Context.SnapshotObjects, SnapshotObjectDeltas, RestoreObject);
-// nothing else calls it.
+// registry (Context.SnapshotObjects, RestoreObject); nothing else calls it.
 type Adapter interface {
-	// SnapshotObject serializes an object's device state. stateful=false
-	// means replay alone fully reconstructs the object.
-	SnapshotObject(obj any) (state []byte, stateful bool, err error)
+	// SnapshotObject drains an object's dirty-range tracking into a delta:
+	// the ranges written since the previous capture, or — when full is
+	// set, the tracking overflowed, or an untracked write touched the
+	// object — one Full delta holding its whole state. Either way the
+	// object's watermark moves to now. The delta's Handle is left zero;
+	// the caller keys it. stateful=false means replay alone fully
+	// reconstructs the object.
+	SnapshotObject(obj any, full bool) (delta marshal.ObjectDelta, stateful bool, err error)
 	// RestoreObject writes captured state back into the re-created object.
 	RestoreObject(obj any, state []byte) error
-}
-
-// DeltaAdapter is the Adapter's one optional extension, the incremental
-// capture: drain a stateful object's dirty-range tracking into a delta, so
-// checkpoint traffic scales with the bytes touched since the previous
-// checkpoint instead of the device-state footprint. The delta's Handle is
-// left zero; the caller keys it.
-type DeltaAdapter interface {
-	Adapter
-	SnapshotObjectDelta(obj any) (delta marshal.ObjectDelta, stateful bool, err error)
 }
 
 // NewRegistry creates an empty registry for d.
@@ -259,60 +253,31 @@ func (c *Context) Rebind(pairs []HandlePair) error {
 	return nil
 }
 
-// SnapshotObjects serializes every stateful object in the handle table, by
-// guest handle, through the registry's Adapter: the FuncSnapshot control
-// call, a guardian checkpoint's full capture (and so migration's). Without
-// an Adapter there is no object state to speak of.
-func (c *Context) SnapshotObjects() (map[marshal.Handle][]byte, error) {
-	objects := make(map[marshal.Handle][]byte)
+// SnapshotObjects captures every stateful object in the handle table
+// through the registry's Adapter, keyed by guest handle: the FuncSnapshot
+// control call, a guardian checkpoint's capture (and so migration's). With
+// full unset each delta holds the ranges written since the previous
+// capture, for the caller to compose onto the states it holds from it
+// (marshal.ApplyObjectDelta); with full set every object is Full. Without
+// an Adapter there is no object state, so the empty set is exact.
+func (c *Context) SnapshotObjects(full bool) (deltas []marshal.ObjectDelta, err error) {
 	ad := c.reg.Adapter
 	if ad == nil {
-		return objects, nil
+		return nil, nil
 	}
-	var err error
 	c.Handles.ForEach(func(h marshal.Handle, obj any) {
 		if err != nil {
 			return
 		}
-		state, stateful, serr := ad.SnapshotObject(obj)
+		d, stateful, serr := ad.SnapshotObject(obj, full)
 		if serr != nil {
 			err = fmt.Errorf("snapshot handle %d: %w", h, serr)
-		} else if stateful {
-			objects[h] = state
-		}
-	})
-	return objects, err
-}
-
-// SnapshotObjectDeltas is the incremental capture: each stateful object's
-// dirty ranges since the previous drain, keyed by guest handle. The caller
-// composes them onto the states it holds from the previous capture
-// (marshal.ApplyObjectDelta) and, where one does not compose, takes
-// SnapshotObjects instead — always safe, a drain only moves the silo's dirty
-// watermark earlier than the snapshot that subsumes it. Without an Adapter
-// there is no object state, so the empty delta is exact. ok=false: the
-// Adapter is no DeltaAdapter, or an object failed; same remedy.
-func (c *Context) SnapshotObjectDeltas() (deltas []marshal.ObjectDelta, ok bool) {
-	if c.reg.Adapter == nil {
-		return nil, true
-	}
-	ad, ok := c.reg.Adapter.(DeltaAdapter)
-	if !ok {
-		return nil, false
-	}
-	c.Handles.ForEach(func(h marshal.Handle, obj any) {
-		if !ok {
-			return
-		}
-		d, stateful, err := ad.SnapshotObjectDelta(obj)
-		if err != nil {
-			ok = false
 		} else if stateful {
 			d.Handle = h
 			deltas = append(deltas, d)
 		}
 	})
-	return deltas, ok
+	return deltas, err
 }
 
 // RestoreObject overwrites the stateful payload of the object under h from a
@@ -695,8 +660,7 @@ func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats, rc
 		rep.Status, rep.Err = st, fmt.Sprintf(format, args...)
 		rep.Ret, rep.Outs = marshal.Value{}, nil
 	}
-	if call.Func == marshal.FuncRebind || call.Func == marshal.FuncRestore ||
-		call.Func == marshal.FuncSnapshot || call.Func == marshal.FuncSnapshotDelta {
+	if call.Func == marshal.FuncRebind || call.Func == marshal.FuncRestore || call.Func == marshal.FuncSnapshot {
 		if rc != nil {
 			ctx.closeRun(rc) // a control call is timed by no run
 		}

@@ -27,10 +27,7 @@
 // compute buffer sizes and resource estimates, and a canonical printer.
 package spec
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // BaseKind enumerates the primitive kinds a type resolves to.
 type BaseKind uint8
@@ -331,16 +328,6 @@ func (a *API) Const(name string) (int64, bool) {
 		return 0, false
 	}
 	return c.Value, true
-}
-
-// ConstNames returns declared constant names, sorted.
-func (a *API) ConstNames() []string {
-	out := make([]string, 0, len(a.Consts))
-	for n := range a.Consts {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Handle returns the handle declaration typeName names, through aliases;

@@ -59,7 +59,7 @@ gate rebind 'Handles.InsertAt outside internal/server (use Context.Rebind)' \
 # a migrate.Target (receiver t). The in-process target and the link type
 # that carried a server beside its endpoint are gone for good.
 gate target 'server.Context capture/restore/rebind called outside internal/server (send the control call over the link)' \
-	'\.(SnapshotObjects|SnapshotObjectDeltas|RestoreObject|Rebind)\(' \
+	'\.(SnapshotObjects|RestoreObject|Rebind)\(' \
 	'^\./internal/server/|^\./internal/(migrate/migrate|failover/guardian)\.go:[0-9]+:.*[^A-Za-z0-9_.]t\.(Rebind|RestoreObject)\(' \
 	golines .
 gate target 'in-process recovery target or server link type named (every server is reached by its endpoint)' \
