@@ -355,8 +355,7 @@ type Stack struct {
 	Router *hv.Router
 	Server *server.Server
 
-	cfg  Config
-	breg *transport.BufRegistry // shared by guests and the stack's own server
+	cfg Config
 
 	policy     sched.Policy // placement ranking; nil without Placement
 	schedLog   *sched.Log   // decision log; nil without Placement
@@ -428,20 +427,8 @@ func NewStack(desc *cava.Descriptor, reg *server.Registry, opts ...Option) *Stac
 			}
 		}
 	}
-	// Both in-process transports keep guest and server in one address
-	// space (InProc channels; the ring simulates hypervisor shared memory),
-	// so the registered-buffer fast path applies: one registry, shared by
-	// the guest libraries and the stack's own server. A guest whose server
-	// is remote is never handed it (see AttachVM).
-	s.breg = transport.NewBufRegistry()
-	s.Server.SetBufRegistry(s.breg)
 	return s
 }
-
-// BufRegistry returns the stack's shared registered-buffer registry.
-// Applications register transfer regions through the guest library
-// (GuestLib.RegisterBuffer); direct access is for tests and tools.
-func (s *Stack) BufRegistry() *transport.BufRegistry { return s.breg }
 
 func (s *Stack) pair() (transport.Endpoint, transport.Endpoint) {
 	switch s.cfg.Transport.Kind {
@@ -464,11 +451,6 @@ func (s *Stack) newContext(id uint32, name string) *server.Context {
 		ctx.SetClock(s.cfg.Clock)
 	}
 	return ctx
-}
-
-// remote reports whether attached VMs are served by another machine.
-func (s *Stack) remote() bool {
-	return s.policy != nil || s.cfg.Transport.ServerAddr != ""
 }
 
 // southDial returns the one dial that reaches a VM's API server: the
@@ -559,11 +541,6 @@ func (s *Stack) AttachVM(cfg VMConfig, opts ...guest.Option) (*guest.Lib, error)
 	guestEP, routerGuest := s.pair()
 
 	var base []guest.Option
-	if !s.remote() {
-		// Registered-buffer references only mean something to a server in
-		// the guest's address space.
-		base = append(base, guest.WithBufRegistry(s.breg))
-	}
 	// The configured clock reaches every layer: guest deadline stamping
 	// and fail-fast run on the same time source as router admission and
 	// server dispatch (options may still override per attachment).

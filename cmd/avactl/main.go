@@ -192,9 +192,9 @@ func renderStats(snap *ctlplane.Snapshot) string {
 		}
 	}
 	for _, vm := range snap.Server {
-		out += fmt.Sprintf("server vm %d (%s): calls=%d errors=%d queue=%d copied=%d borrowed=%d in=%d out=%d exec=%v run=%v\n",
+		out += fmt.Sprintf("server vm %d (%s): calls=%d errors=%d queue=%d copied=%d in=%d out=%d exec=%v run=%v\n",
 			vm.VM, vm.Name, vm.Stats.Calls, vm.Stats.Errors, vm.QueueDepth,
-			vm.Stats.BytesCopied, vm.Stats.BytesBorrowed, vm.Stats.BytesIn, vm.Stats.BytesOut, vm.Stats.ExecTime, vm.Stats.RunTime)
+			vm.Stats.BytesCopied, vm.Stats.BytesIn, vm.Stats.BytesOut, vm.Stats.ExecTime, vm.Stats.RunTime)
 	}
 	for _, g := range snap.Guests {
 		out += fmt.Sprintf("guest vm %d: calls=%d copied=%d borrowed=%d overload-denied=%d\n",
@@ -265,11 +265,11 @@ func cmdVMs(c *ctlplane.Client, asJSON bool) error {
 		return emitJSON(rows)
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(w, "VM\tNAME\tHOST\tEPOCH\tFWD\tDENIED\tSHED\tCALLS\tERRS\tQUEUE\tCOPIED\tBORROWED\tEXEC\tRUN")
+	fmt.Fprintln(w, "VM\tNAME\tHOST\tEPOCH\tFWD\tDENIED\tSHED\tCALLS\tERRS\tQUEUE\tCOPIED\tEXEC\tRUN")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%v\t%v\n",
+		fmt.Fprintf(w, "%d\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%v\t%v\n",
 			r.ID, r.Name, r.Host, r.Epoch, r.Forwarded, r.Denied, r.ShedDenied,
-			r.Calls, r.Errors, r.QueueDepth, r.BytesCopied, r.BytesBorrowed, r.ExecTime, r.RunTime)
+			r.Calls, r.Errors, r.QueueDepth, r.BytesCopied, r.ExecTime, r.RunTime)
 	}
 	return w.Flush()
 }

@@ -16,14 +16,15 @@ import (
 )
 
 // CopyCost is E14: where the data plane's bytes go. The zero-copy work
-// (scatter-gather TCP sends, registered buffers on shared-address-space
-// transports, delta checkpoints) claims that large-transfer cost should be
-// bounded by the copies the hardware demands, not the ones the remoting
-// stack adds. This experiment isolates those stack-added copies three
-// ways: the marshal stage alone (encode-with-copy vs borrowed segments),
-// end-to-end H2D/D2H transfers on every transport with the device's
-// simulated DMA costs zeroed (so only marshal+copy+transport time
-// remains), and checkpoint payloads (full snapshot vs dirty-range delta).
+// (scatter-gather TCP sends, delta checkpoints) claims that large-transfer
+// cost should be bounded by the copies the hardware demands, not the ones
+// the remoting stack adds. This experiment isolates those stack-added
+// copies three ways: the marshal stage alone (encode-with-copy vs borrowed
+// segments), end-to-end H2D/D2H transfers on every transport with the
+// device's simulated DMA costs zeroed (so only marshal+copy+transport time
+// remains; only TCP has a zero-copy row, the shared-address-space
+// transports take the one copying path), and checkpoint payloads (full
+// snapshot vs dirty-range delta).
 func CopyCost(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E14/CopyCost",
@@ -112,16 +113,10 @@ func CopyCost(opts Options) (*Table, error) {
 		}
 		defer cleanup()
 
-		// The transfer source/destination lives in a registered region, so
-		// on shared-address-space transports (with zero-copy on) writes and
-		// reads take the registered-buffer fast path. TCP has no registry:
-		// its zero-copy form is the scatter-gather send.
-		region := make([]byte, payloadN)
-		for i := range region {
-			region[i] = byte(3 * i)
+		data := make([]byte, payloadN)
+		for i := range data {
+			data[i] = byte(3 * i)
 		}
-		id := lib.RegisterBuffer(region)
-		defer lib.UnregisterBuffer(id)
 
 		c := cl.NewRemote(lib)
 		q, mem, err := clTransferSetup(c, payloadN)
@@ -130,15 +125,15 @@ func CopyCost(opts Options) (*Table, error) {
 		}
 		if d2h {
 			// Populate the device buffer once so reads return real data.
-			if err := c.EnqueueWrite(q, mem, true, 0, region); err != nil {
+			if err := c.EnqueueWrite(q, mem, true, 0, data); err != nil {
 				return r, err
 			}
 		}
 		xfer := func() error {
 			if d2h {
-				return c.EnqueueRead(q, mem, true, 0, region)
+				return c.EnqueueRead(q, mem, true, 0, data)
 			}
-			return c.EnqueueWrite(q, mem, true, 0, region)
+			return c.EnqueueWrite(q, mem, true, 0, data)
 		}
 		// One untimed transfer first: what the table reports is the steady
 		// state, not the first call's drawing of its buffers.
@@ -168,14 +163,14 @@ func CopyCost(opts Options) (*Table, error) {
 		stage  string
 		kind   string
 		d2h    bool
-		zcName string
+		zcName string // the zero-copy row's mode; "" for a transport with none
 	}{
 		{"tcp h2d", "tcp", false, "scatter-gather"},
 		{"tcp d2h", "tcp", true, "scatter-gather"},
-		{"shm-ring h2d", "shm-ring", false, "regref"},
-		{"shm-ring d2h", "shm-ring", true, "regref"},
-		{"inproc h2d", "inproc", false, "regref"},
-		{"inproc d2h", "inproc", true, "regref"},
+		{"shm-ring h2d", "shm-ring", false, ""},
+		{"shm-ring d2h", "shm-ring", true, ""},
+		{"inproc h2d", "inproc", false, ""},
+		{"inproc d2h", "inproc", true, ""},
 	}
 	for _, cse := range xferCases {
 		run := func(zc bool) (xferResult, error) {
@@ -191,23 +186,26 @@ func CopyCost(opts Options) (*Table, error) {
 			}
 			return best, nil
 		}
+		key := strings.ReplaceAll(cse.stage, " ", "-")
+		row := func(mode string, r xferResult) {
+			t.Add(cse.stage, mode, nsPerByte(r.dur, xferBytes), size(int64(r.copied)), size(int64(r.borrowed)), size(int64(r.alloc)))
+			t.AddMetric(key+"-"+mode, "ns/B", nsbFloat(r.dur, xferBytes))
+			t.AddMetric(key+"-"+mode+"-alloc", "B/transfer", float64(r.alloc))
+			t.AddMetric(key+"-"+mode+"-throughput", "B/s", bytesPerSec(r.dur, xferBytes))
+		}
 		cp, err := run(false)
 		if err != nil {
 			return nil, err
+		}
+		row("copy", cp)
+		if cse.zcName == "" {
+			continue
 		}
 		zc, err := run(true)
 		if err != nil {
 			return nil, err
 		}
-		t.Add(cse.stage, "copy", nsPerByte(cp.dur, xferBytes), size(int64(cp.copied)), size(int64(cp.borrowed)), size(int64(cp.alloc)))
-		t.Add(cse.stage, cse.zcName, nsPerByte(zc.dur, xferBytes), size(int64(zc.copied)), size(int64(zc.borrowed)), size(int64(zc.alloc)))
-		key := strings.ReplaceAll(cse.stage, " ", "-")
-		t.AddMetric(key+"-copy", "ns/B", nsbFloat(cp.dur, xferBytes))
-		t.AddMetric(key+"-"+cse.zcName, "ns/B", nsbFloat(zc.dur, xferBytes))
-		t.AddMetric(key+"-copy-alloc", "B/transfer", float64(cp.alloc))
-		t.AddMetric(key+"-"+cse.zcName+"-alloc", "B/transfer", float64(zc.alloc))
-		t.AddMetric(key+"-copy-throughput", "B/s", bytesPerSec(cp.dur, xferBytes))
-		t.AddMetric(key+"-"+cse.zcName+"-throughput", "B/s", bytesPerSec(zc.dur, xferBytes))
+		row(cse.zcName, zc)
 		t.Note("%s copy vs %s: %.1fx less time per byte", cse.stage, cse.zcName, ratio(cp.dur, zc.dur))
 	}
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -89,18 +88,6 @@ func (r *KernelRegistry) Lookup(name string) *KernelDef {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.m[name]
-}
-
-// Names lists registered kernels, sorted.
-func (r *KernelRegistry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.m))
-	for n := range r.m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DefaultKernels is the process-global registry. The rodinia package and

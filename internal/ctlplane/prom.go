@@ -89,7 +89,6 @@ func writeProm(b *strings.Builder, snap *Snapshot, cfg *Config) {
 		errs := metric(b, "ava_server_errors_total", "counter", "Calls failed per VM.")
 		qd := metric(b, "ava_server_queue_depth", "gauge", "In-flight calls per VM.")
 		copied := metric(b, "ava_server_bytes_copied_total", "counter", "Buffer payload bytes moved by copy per VM.")
-		borrowed := metric(b, "ava_server_bytes_borrowed_total", "counter", "Buffer payload bytes that skipped the copy per VM.")
 		exec := metric(b, "ava_server_exec_seconds_total", "counter", "Handler execution time of the calls timed on their own per VM.")
 		runs := metric(b, "ava_server_run_seconds_total", "counter", "Execution time of the runs of deadline-free async calls per VM.")
 		for _, vm := range snap.Server {
@@ -98,7 +97,6 @@ func writeProm(b *strings.Builder, snap *Snapshot, cfg *Config) {
 			errs.sample(l, float64(vm.Stats.Errors))
 			qd.sample(l, float64(vm.QueueDepth))
 			copied.sample(l, float64(vm.Stats.BytesCopied))
-			borrowed.sample(l, float64(vm.Stats.BytesBorrowed))
 			exec.sample(l, vm.Stats.ExecTime.Seconds())
 			runs.sample(l, vm.Stats.RunTime.Seconds())
 		}

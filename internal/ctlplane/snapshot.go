@@ -93,13 +93,12 @@ type VMRow struct {
 	Stall      time.Duration `json:"stall,omitempty"`
 
 	// Server side.
-	Calls         uint64        `json:"calls,omitempty"`
-	Errors        uint64        `json:"errors,omitempty"`
-	QueueDepth    int           `json:"queue_depth,omitempty"`
-	BytesCopied   uint64        `json:"bytes_copied,omitempty"`
-	BytesBorrowed uint64        `json:"bytes_borrowed,omitempty"`
-	ExecTime      time.Duration `json:"exec_time,omitempty"`
-	RunTime       time.Duration `json:"run_time,omitempty"`
+	Calls       uint64        `json:"calls,omitempty"`
+	Errors      uint64        `json:"errors,omitempty"`
+	QueueDepth  int           `json:"queue_depth,omitempty"`
+	BytesCopied uint64        `json:"bytes_copied,omitempty"`
+	ExecTime    time.Duration `json:"exec_time,omitempty"`
+	RunTime     time.Duration `json:"run_time,omitempty"`
 }
 
 // Rows flattens a snapshot into the /vms join.
@@ -134,7 +133,6 @@ func (s *Snapshot) Rows() []VMRow {
 		r.Errors = vm.Stats.Errors
 		r.QueueDepth = vm.QueueDepth
 		r.BytesCopied = vm.Stats.BytesCopied
-		r.BytesBorrowed = vm.Stats.BytesBorrowed
 		r.ExecTime = vm.Stats.ExecTime
 		r.RunTime = vm.Stats.RunTime
 	}

@@ -77,10 +77,7 @@ type Stats struct {
 	// out/inout payloads scattered from reply frames back into caller
 	// buffers (each direction of an inout buffer is a separate copy and
 	// counts once). BytesBorrowed counts payload bytes that skipped the
-	// copy — lent to a vectored (scatter-gather) transport send, passed
-	// as a registered-buffer reference on a shared-address-space
-	// deployment, or written by the server directly into a registered
-	// out-buffer (counted when the reply confirms the in-place write).
+	// copy, lent to a vectored (scatter-gather) transport send.
 	// Together they decompose the data-plane volume the copycost
 	// experiment (E14) reports, D2H as well as H2D.
 	BytesCopied   uint64
@@ -200,22 +197,11 @@ func WithForceSync() Option {
 }
 
 // WithZeroCopy toggles the zero-copy data plane (on by default): borrowed
-// scatter-gather sends over transports with a vectored write path, and
-// registered-buffer references where a BufRegistry is wired. Turning it
-// off forces every buffer argument through the copying marshal path — the
-// baseline configuration the copycost experiment (E14) compares against.
+// scatter-gather sends over transports with a vectored write path. Turning
+// it off forces every buffer argument through the copying marshal path —
+// the baseline configuration the copycost experiment (E14) compares against.
 func WithZeroCopy(on bool) Option {
 	return libOption(func(l *Lib) { l.zeroCopy = on })
-}
-
-// WithBufRegistry wires the stack's shared registered-buffer registry into
-// the library. Only meaningful when the guest and the API server share an
-// address space (InProc and the simulated shm ring transports): large
-// buffer arguments inside a registered region then travel as 21-byte
-// references instead of payload copies. The stack assembler passes the
-// same registry to the server side.
-func WithBufRegistry(r *transport.BufRegistry) Option {
-	return libOption(func(l *Lib) { l.reg = r })
 }
 
 // WithSequenceBase starts the library's call numbering after base instead
@@ -523,7 +509,6 @@ type Lib struct {
 	defTimeout    time.Duration
 	deadlineSlack time.Duration
 	zeroCopy      bool
-	reg           *transport.BufRegistry // nil unless WithBufRegistry
 
 	// Resolved once in New: what the endpoint does with frame buffers, and
 	// its vectored send path if it has one.
@@ -593,29 +578,6 @@ func (l *Lib) Stats() Stats {
 	return s
 }
 
-// RegisterBuffer registers region with the stack's shared buffer registry
-// and returns its id. Subsequent large buffer arguments that lie inside
-// region (any subslice) are passed by reference instead of copied, for
-// synchronous calls on deployments where guest and server share an address
-// space. Returns 0 when no registry is wired (e.g. a TCP deployment) —
-// callers need no fallback logic, unregistered buffers simply take the
-// copying path. The caller must not free or shrink the region while calls
-// referencing it are in flight; Unregister it when done.
-func (l *Lib) RegisterBuffer(region []byte) uint32 {
-	if l.reg == nil {
-		return 0
-	}
-	return l.reg.Register(region)
-}
-
-// UnregisterBuffer removes a region registered with RegisterBuffer. A
-// zero id (RegisterBuffer's "no registry" answer) is a no-op.
-func (l *Lib) UnregisterBuffer(id uint32) {
-	if l.reg != nil && id != 0 {
-		l.reg.Unregister(id)
-	}
-}
-
 // DeferredError returns and clears the stored failure of an earlier
 // asynchronously forwarded call.
 func (l *Lib) DeferredError() error {
@@ -628,9 +590,8 @@ func (l *Lib) DeferredError() error {
 
 // outBinding is where one out / inout buffer's reply contents go.
 type outBinding struct {
-	param  int
-	buf    []byte // the caller's destination, cut to the declared size
-	regref bool   // buf is a registered region: server writes in place, reply carries a length
+	param int
+	buf   []byte // the caller's destination, cut to the declared size
 }
 
 // Call invokes the named API function: the by-name, untyped front of Invoke,
@@ -841,50 +802,6 @@ func (l *Lib) Invoke(fd *cava.FuncDesc, opts *CallOptions, args []marshal.Value)
 		now = l.clk.Now()
 	}
 
-	// Registered-buffer fast path: on a shared-address-space deployment
-	// (InProc or the simulated shm ring) large buffer arguments living
-	// inside a registered region travel as 21-byte references instead of
-	// payload copies — the server reads or writes the region in place.
-	// Only synchronous calls qualify, because the caller's borrow of the
-	// region must end when its call returns; and guest-side retention
-	// disables the path, because a retained frame must hold the original
-	// bytes for exactly-once resubmission after a crash.
-	var borrowedRef uint64
-	if sync && l.zeroCopy && l.reg != nil && l.fo == nil {
-		for i := range fd.Params {
-			pd := &fd.Params[i]
-			if !pd.IsPointer || pd.IsElement {
-				continue
-			}
-			switch {
-			case pd.Dir == spec.DirIn && args[i].Kind() == marshal.KindBytes &&
-				len(args[i].Bytes()) >= marshal.SegmentThreshold:
-				if id, off, ok := l.reg.Locate(args[i].Bytes()); ok {
-					n := uint64(len(args[i].Bytes()))
-					args[i] = marshal.RegRefVal(id, off, n)
-					borrowedRef += n
-				}
-			case pd.Dir == spec.DirOut && args[i].Kind() == marshal.KindLen &&
-				args[i].Uint() >= marshal.SegmentThreshold:
-				for oi := range outs {
-					ob := &outs[oi]
-					if ob.param != i {
-						continue
-					}
-					if id, off, ok := l.reg.Locate(ob.buf); ok {
-						args[i] = marshal.RegRefVal(id, off, uint64(len(ob.buf)))
-						// The out-direction borrow is charged at reply
-						// time, when the server has confirmed the
-						// in-place write (see scatter) — the reply path
-						// is where those bytes move, or rather don't.
-						ob.regref = true
-					}
-					break
-				}
-			}
-		}
-	}
-
 	// Short critical section: sequence allocation, encode into the batch
 	// frame, and (for sync calls) waiter registration plus send. The reply
 	// round trip happens outside the lock, so other goroutines pipeline
@@ -903,8 +820,9 @@ func (l *Lib) Invoke(fd *cava.FuncDesc, opts *CallOptions, args []marshal.Value)
 	// write path (TCP writev), a synchronous call's large in-buffer
 	// payloads stay in the caller's memory and are interleaved with the
 	// frame pieces at send time. The borrow is sound because the vectored
-	// send is synchronous and completes inside this call; retention
-	// disables it for the same reason as the registered-buffer path.
+	// send is synchronous and completes inside this call; guest-side
+	// retention disables it, because a retained frame must hold the
+	// original bytes for exactly-once resubmission after a crash.
 	var series *backoff.Series
 	for {
 		l.mu.Lock()
@@ -967,7 +885,7 @@ func (l *Lib) Invoke(fd *cava.FuncDesc, opts *CallOptions, args []marshal.Value)
 		segBytes := uint64(marshal.SegmentsLen(segs))
 		l.stats.Batches++
 		l.stats.BytesSent += uint64(len(batch)) + segBytes
-		l.stats.BytesBorrowed += segBytes + borrowedRef
+		l.stats.BytesBorrowed += segBytes
 		l.stats.BytesCopied += bytesPayload(args) - segBytes
 		// Register before Send: the reply may race back before this goroutine
 		// would otherwise get around to waiting for it.
@@ -1033,11 +951,10 @@ func (l *Lib) Invoke(fd *cava.FuncDesc, opts *CallOptions, args []marshal.Value)
 			}
 			return marshal.Null(), apiErr
 		}
-		replyCopied, replyBorrowed, err := scatter(fd, reply, args, outs)
+		replyCopied, err := scatter(fd, reply, args, outs)
 		l.mu.Lock()
 		l.markDoneLocked(call.Seq)
 		l.stats.BytesCopied += replyCopied
-		l.stats.BytesBorrowed += replyBorrowed
 		if reply.Err != "" {
 			l.deferred = fmt.Errorf("guest: %s", reply.Err)
 		}
@@ -1788,17 +1705,14 @@ func toInt64(arg any) (int64, error) {
 // scatter moves reply outputs to the caller: out / inout buffer contents are
 // copied into the bound destinations, and each out element the caller asked
 // for replaces its placeholder in args (Null when the server set none), for
-// the stub to store. It returns the reply-side data-plane decomposition:
-// copied counts out-payload bytes duplicated from the reply frame into caller
-// buffers, borrowed counts registered-buffer outputs the server wrote in
-// place (the reply carried only a length) — the D2H halves of
-// Stats.BytesCopied and Stats.BytesBorrowed.
-func scatter(fd *cava.FuncDesc, reply *marshal.Reply, args []marshal.Value, outs []outBinding) (copied, borrowed uint64, err error) {
+// the stub to store. It returns the out-payload bytes copied from the reply
+// frame into caller buffers, the D2H half of Stats.BytesCopied.
+func scatter(fd *cava.FuncDesc, reply *marshal.Reply, args []marshal.Value, outs []outBinding) (copied uint64, err error) {
 	if fd.NumOuts == 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
 	if len(reply.Outs) != fd.NumOuts {
-		return 0, 0, fmt.Errorf("%w: %s: %d outs, want %d", ErrProtocol, fd.Name, len(reply.Outs), fd.NumOuts)
+		return 0, fmt.Errorf("%w: %s: %d outs, want %d", ErrProtocol, fd.Name, len(reply.Outs), fd.NumOuts)
 	}
 	// Bindings were collected in parameter order, so one forward walk over
 	// the parameters pairs each buffer with its binding and its reply slot.
@@ -1816,10 +1730,10 @@ func scatter(fd *cava.FuncDesc, reply *marshal.Reply, args []marshal.Value, outs
 		if pd.IsElement {
 			if !v.IsNull() {
 				if _, scalar := v.AsInt(); !scalar {
-					return copied, borrowed, fmt.Errorf("%w: %s: element is %v, want a scalar", ErrProtocol, fd.Name, v.Kind())
+					return copied, fmt.Errorf("%w: %s: element is %v, want a scalar", ErrProtocol, fd.Name, v.Kind())
 				}
 				if pd.Kind == spec.KindHandle && v.Kind() != marshal.KindHandle {
-					return copied, borrowed, fmt.Errorf("%w: %s: element is %v, want handle", ErrProtocol, fd.Name, v.Kind())
+					return copied, fmt.Errorf("%w: %s: element is %v, want handle", ErrProtocol, fd.Name, v.Kind())
 				}
 			}
 			args[i] = *v
@@ -1830,22 +1744,12 @@ func scatter(fd *cava.FuncDesc, reply *marshal.Reply, args []marshal.Value, outs
 		if v.IsNull() {
 			continue
 		}
-		if ob.regref && v.Kind() == marshal.KindLen {
-			// Registered-buffer out: the server wrote the bytes into
-			// the shared region in place; the reply carries only the
-			// length written.
-			if v.Uint() != uint64(len(ob.buf)) {
-				return copied, borrowed, fmt.Errorf("%w: %s: regref out wrote %d bytes, want %d", ErrProtocol, fd.Name, v.Uint(), len(ob.buf))
-			}
-			borrowed += v.Uint()
-			continue
-		}
 		if v.Kind() != marshal.KindBytes || len(v.Bytes()) != len(ob.buf) {
-			return copied, borrowed, fmt.Errorf("%w: %s: out buffer %d bytes, want %d", ErrProtocol, fd.Name, len(v.Bytes()), len(ob.buf))
+			return copied, fmt.Errorf("%w: %s: out buffer %d bytes, want %d", ErrProtocol, fd.Name, len(v.Bytes()), len(ob.buf))
 		}
 		copied += uint64(copy(ob.buf, v.Bytes()))
 	}
-	return copied, borrowed, nil
+	return copied, nil
 }
 
 // storeElement writes an out element Invoke left in the argument vector

@@ -22,8 +22,7 @@ const (
 // ServerOuts returns an Echo.Outs that answers a call of desc's API the way a
 // server would: null for an output the guest did not ask for, OutHandle or
 // OutScalar for an element, the declared number of OutFill bytes for an out
-// buffer (a bare length when it was passed as a registered region) and
-// InOutFill bytes for an inout one. It allocates nothing once its scratch
+// buffer and InOutFill bytes for an inout one. It allocates nothing once its scratch
 // space has grown to the largest call it has answered.
 func ServerOuts(desc *cava.Descriptor) func(*marshal.Call) []marshal.Value {
 	var (
@@ -48,8 +47,6 @@ func ServerOuts(desc *cava.Descriptor) func(*marshal.Call) []marshal.Value {
 				outs = append(outs, marshal.HandleVal(OutHandle))
 			case pd.IsElement:
 				outs = append(outs, marshal.Uint(OutScalar))
-			case a.Kind() == marshal.KindRegRef:
-				outs = append(outs, marshal.Len(a.Uint()))
 			case a.Kind() == marshal.KindLen:
 				outs = append(outs, filled(0, OutFill, int(a.Uint())))
 			default:

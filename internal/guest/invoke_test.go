@@ -295,50 +295,10 @@ func TestInvokeSelectsZeroCopyPaths(t *testing.T) {
 		}
 	})
 
-	t.Run("registered buffer", func(t *testing.T) {
-		echo := guesttest.NewEcho()
-		reg := transport.NewBufRegistry()
-		r := newInvokeRig(t, echo, echo, WithBufRegistry(reg))
-		region := make([]byte, 4*len(big))
-		id := r.lib.RegisterBuffer(region)
-		src, dst := region[len(big):2*len(big)], region[2*len(big):3*len(big)]
-		copy(src, big)
-		if _, _, err := r.invoke(t, "put", CallOptions{}, h, size, marshal.BytesVal(src), blocking); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := r.invoke(t, "fetch", CallOptions{}, h, size, marshal.BytesVal(dst), blocking, marshal.Null()); err != nil {
-			t.Fatal(err)
-		}
-		in, out := r.sent[0].args[2], r.sent[1].args[2]
-		if in.Kind() != marshal.KindRegRef || in.Ref() != (marshal.RegRef{ID: id, Off: uint64(len(big))}) || in.Uint() != uint64(len(big)) {
-			t.Errorf("registered in-buffer sent as %v", in)
-		}
-		if out.Kind() != marshal.KindRegRef || out.Ref() != (marshal.RegRef{ID: id, Off: 2 * uint64(len(big))}) {
-			t.Errorf("registered out-buffer sent as %v", out)
-		}
-		if st := r.lib.Stats(); st.BytesBorrowed != 2*uint64(len(big)) || st.BytesCopied != 0 {
-			t.Errorf("stats %+v, want both payloads borrowed", st)
-		}
-		// An asynchronous call must not lend the region: the borrow would
-		// outlive the call.
-		if _, _, err := r.invoke(t, "put", CallOptions{}, h, size, marshal.BytesVal(src), marshal.Uint(0)); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.lib.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if got := r.sent[2].args[2].Kind(); got != marshal.KindBytes {
-			t.Errorf("async registered buffer sent as %v, want bytes", got)
-		}
-	})
-
 	t.Run("retention disables both", func(t *testing.T) {
 		ep := &vecEndpoint{Echo: guesttest.NewEcho()}
-		reg := transport.NewBufRegistry()
-		r := newInvokeRig(t, ep, ep.Echo, WithBufRegistry(reg), WithFailover(FailoverPolicy{}))
-		region := append([]byte(nil), big...)
-		r.lib.RegisterBuffer(region)
-		if _, _, err := r.invoke(t, "put", CallOptions{}, h, size, marshal.BytesVal(region), blocking); err != nil {
+		r := newInvokeRig(t, ep, ep.Echo, WithFailover(FailoverPolicy{}))
+		if _, _, err := r.invoke(t, "put", CallOptions{}, h, size, marshal.BytesVal(big), blocking); err != nil {
 			t.Fatal(err)
 		}
 		if got := r.sent[0].args[2].Kind(); got != marshal.KindBytes || ep.vecSends != 0 {

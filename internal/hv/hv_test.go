@@ -2,6 +2,7 @@ package hv
 
 import (
 	"ava/internal/leaktest"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -267,17 +268,6 @@ func TestFairSchedulerZeroWeightCoerced(t *testing.T) {
 	}
 }
 
-func TestFairSchedulerReset(t *testing.T) {
-	leaktest.NoGoroutineLeaks(t)
-	s := NewFairScheduler(10)
-	s.Admit(1, 100, 0)
-	s.Done(1, 100, 0)
-	s.Reset()
-	if s.Usage(1) != 0 {
-		t.Fatal("usage survived reset")
-	}
-}
-
 // --- Router ---
 
 // routedStack builds guest <-> router <-> echo-server plumbing. The echo
@@ -406,6 +396,42 @@ func TestRouterDeniesArityMismatch(t *testing.T) {
 	}
 	if echo.count() != 0 {
 		t.Fatal("malformed call forwarded")
+	}
+}
+
+// Kind 9 once carried a registered-buffer reference: {region id, offset,
+// length} into a region the server read and wrote in place, resolved
+// against one registry shared by every VM of a stack. It is retired, so a
+// frame carrying it is unparseable and the router drops it before it
+// reaches a server — here a forged reference to 64 KiB of region 1, passed
+// as push's in-buffer.
+func TestRouterDeniesRetiredRegRefKind(t *testing.T) {
+	leaktest.NoGoroutineLeaks(t)
+	desc := hvDesc()
+	r := NewRouter(desc, nil, nil)
+	r.RegisterVM(VMConfig{ID: 1})
+	ep, echo := routedStack(t, r, 1)
+	const n = 64 << 10
+	forged := encCall(desc, 1, "push", 0, marshal.Uint(n), marshal.Null())
+	forged = forged[:len(forged)-1] // the Null's one tag byte
+	forged = append(forged, 9)
+	forged = binary.LittleEndian.AppendUint32(forged, 1) // region id
+	forged = binary.LittleEndian.AppendUint64(forged, 0) // offset
+	forged = binary.LittleEndian.AppendUint64(forged, n) // length
+	if err := ep.Send(marshal.EncodeBatch([][]byte{forged})); err != nil {
+		t.Fatal(err)
+	}
+	// An unparseable call cannot be answered; the next call's reply shows
+	// the router has policed the forged one.
+	if rep := sendSync(t, ep, encCall(desc, 2, "ping", 0, marshal.Uint(1))); rep.Seq != 2 || rep.Status != marshal.StatusOK {
+		t.Fatalf("reply = %+v, want the ping's OK", rep)
+	}
+	if st, _ := r.Stats(1); st.Denied != 1 || st.Forwarded != 1 {
+		t.Fatalf("stats = %+v, want the forged call denied and only the ping forwarded", st)
+	}
+	ping, _ := desc.Lookup("ping")
+	if echo.count() != 1 || echo.call(0).Func != ping.ID {
+		t.Fatalf("server saw %d calls, want only the ping", echo.count())
 	}
 }
 

@@ -185,16 +185,6 @@ func (s *FairScheduler) Usage(vm VMID) int64 {
 	return 0
 }
 
-// Reset clears accumulated usage (administrative epoch change).
-func (s *FairScheduler) Reset() {
-	s.mu.Lock()
-	for _, v := range s.all {
-		v.usage = 0
-	}
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
 // PriorityScheduler serializes admission through a single gate and serves
 // waiters strictly by priority — highest guest-stamped priority first, FIFO
 // within a level. To bound starvation, a waiter's effective priority is

@@ -11,7 +11,7 @@ import "testing"
 
 func TestDecodeCallIntoAllocatesNothing(t *testing.T) {
 	frame := EncodeCall(&Call{Seq: 1, Func: 2, Args: []Value{
-		HandleVal(9), Uint(3), Uint(8), BytesVal([]byte{1, 2, 3, 4, 5, 6, 7, 8}), Len(64), RegRefVal(1, 2, 3),
+		HandleVal(9), Uint(3), Uint(8), BytesVal([]byte{1, 2, 3, 4, 5, 6, 7, 8}), Len(64),
 	}})
 	var c Call
 	if err := DecodeCallInto(&c, frame); err != nil { // first decode sizes Args

@@ -21,7 +21,7 @@ func fuzzSeedCalls() [][]byte {
 			Deadline: 1 << 40, Stamps: Stamps{Encode: 1, Admit: 2, Dispatch: 3, Done: 4}},
 		{Seq: 7, Func: 1, Args: []Value{
 			Null(), Int(-5), Uint(5), Float(1.5), Bool(true), Str("kernel"),
-			BytesVal([]byte{1, 2, 3}), Len(64), HandleVal(12), RegRefVal(3, 8, 4096),
+			BytesVal([]byte{1, 2, 3}), Len(64), HandleVal(12),
 		}},
 		{Seq: 8, Func: 2, Flags: FlagBatched | 0x4000, // unknown high bit
 			Args: []Value{BytesVal(big)}},
@@ -123,7 +123,7 @@ func dirtyValues(n int) []Value {
 	vs := make([]Value, n)
 	for i := range vs {
 		vs[i] = BytesVal([]byte("stale bytes"))
-		vs[i].kind, vs[i].id, vs[i].num = Kind(i%10), 7, 7
+		vs[i].kind, vs[i].num = Kind(i%9), 7
 	}
 	return vs
 }
@@ -146,7 +146,7 @@ func valuesIdentical(a, b []Value) bool {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.kind != y.kind || x.id != y.id || x.num != y.num || x.n != y.n ||
+		if x.kind != y.kind || x.num != y.num || x.n != y.n ||
 			(x.ptr == nil) != (y.ptr == nil) {
 			return false
 		}

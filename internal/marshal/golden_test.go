@@ -2,6 +2,7 @@ package marshal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,7 +15,9 @@ import (
 // matching replies (value as Ret and as the only Out) in the same envelope.
 // Both directions are pinned: today's encoder must produce those bytes from
 // the same constructors, and today's decoder must read them back to equal
-// values that re-encode to the same bytes.
+// values that re-encode to the same bytes. The last frame of each file
+// carries a registered-buffer reference, the retired kind 9, which today's
+// decoder must refuse.
 
 // goldenValues is one value per kind, plus the buffer shapes the encoders
 // branch on: nil, empty, small, and past SegmentThreshold.
@@ -38,9 +41,11 @@ func goldenValues() []Value {
 		BytesVal(big),
 		Len(4096),
 		HandleVal(7),
-		RegRefVal(3, 128, 65536),
 	}
 }
+
+// retiredKindFrame is the index of the golden frame whose value has kind 9.
+const retiredKindFrame = 14
 
 func goldenCall(i int, v Value) *Call {
 	return &Call{
@@ -78,8 +83,12 @@ func readGolden(t *testing.T, name string) [][]byte {
 func TestGoldenCallFrames(t *testing.T) {
 	vals := goldenValues()
 	frames := readGolden(t, "calls.batch")
-	if len(frames) != len(vals) {
-		t.Fatalf("%d golden calls, %d values", len(frames), len(vals))
+	if len(frames) != len(vals)+1 {
+		t.Fatalf("%d golden calls, %d values plus the retired kind", len(frames), len(vals))
+	}
+	var retired Call
+	if err := DecodeCallInto(&retired, frames[retiredKindFrame]); !errors.Is(err, ErrBadKind) {
+		t.Errorf("call %d (kind 9): DecodeCallInto = %v, want ErrBadKind", retiredKindFrame, err)
 	}
 	for i, v := range vals {
 		want := goldenCall(i, v)
@@ -107,8 +116,12 @@ func TestGoldenCallFrames(t *testing.T) {
 func TestGoldenReplyFrames(t *testing.T) {
 	vals := goldenValues()
 	frames := readGolden(t, "replies.batch")
-	if len(frames) != len(vals) {
-		t.Fatalf("%d golden replies, %d values", len(frames), len(vals))
+	if len(frames) != len(vals)+1 {
+		t.Fatalf("%d golden replies, %d values plus the retired kind", len(frames), len(vals))
+	}
+	var retired Reply
+	if err := DecodeReplyInto(&retired, frames[retiredKindFrame]); !errors.Is(err, ErrBadKind) {
+		t.Errorf("reply %d (kind 9): DecodeReplyInto = %v, want ErrBadKind", retiredKindFrame, err)
 	}
 	for i, v := range vals {
 		want := goldenReply(i, v)

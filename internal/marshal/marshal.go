@@ -36,7 +36,7 @@ const (
 	KindBytes              // opaque byte buffer (with contents)
 	KindLen                // buffer placeholder: length only, no contents
 	KindHandle             // opaque object handle
-	KindRegRef             // registered-buffer reference: {region id, offset, length}
+	// 9 is retired (a registered-buffer reference) and decodes to ErrBadKind.
 )
 
 func (k Kind) String() string {
@@ -59,8 +59,6 @@ func (k Kind) String() string {
 		return "len"
 	case KindHandle:
 		return "handle"
-	case KindRegRef:
-		return "regref"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -69,17 +67,6 @@ func (k Kind) String() string {
 // Handle is an opaque reference to a server-side object (a context, buffer,
 // kernel, graph, ...). Zero is never a valid handle.
 type Handle uint64
-
-// RegRef locates a byte range inside a registered buffer region: the
-// zero-copy argument form for transports whose two ends share memory. The
-// guest registers a region once (transport.BufRegistry), then passes
-// {region id, offset} pairs instead of buffer contents; the server resolves
-// the reference against the same registry and reads or writes the region
-// in place. The byte length is the value's Uint, mirroring KindLen.
-type RegRef struct {
-	ID  uint32 // region identifier assigned at registration
-	Off uint64 // byte offset of the range within the region
-}
 
 // Flags on a Call frame.
 const (
@@ -333,10 +320,7 @@ func appendUint16(b []byte, v uint16) []byte {
 	return binary.LittleEndian.AppendUint16(b, v)
 }
 
-// AppendValue appends the encoding of v to b and returns the extended slice.
-func AppendValue(b []byte, v Value) []byte { return appendValue(b, &v) }
-
-// appendValue is AppendValue by pointer, for the argument-vector loops.
+// appendValue appends the encoding of *v to b and returns the extended slice.
 func appendValue(b []byte, v *Value) []byte {
 	b = append(b, byte(v.kind))
 	switch v.kind {
@@ -351,10 +335,6 @@ func appendValue(b []byte, v *Value) []byte {
 	case KindBytes:
 		b = appendUint32(b, uint32(v.n))
 		b = append(b, v.Bytes()...)
-	case KindRegRef:
-		b = appendUint32(b, v.id)
-		b = appendUint64(b, v.n)
-		b = appendUint64(b, v.num)
 	}
 	return b
 }
@@ -476,16 +456,6 @@ func (r *Reader) value(v *Value) error {
 		// retains buffer contents past the call (the record log, device
 		// memory) copies explicitly, so the hot path pays no extra copy.
 		*v = BytesVal(raw)
-	case KindRegRef:
-		if v.id, err = r.U32(); err != nil {
-			return err
-		}
-		if v.n, err = r.U64(); err != nil {
-			return err
-		}
-		if v.num, err = r.U64(); err != nil {
-			return err
-		}
 	default:
 		return fmt.Errorf("%w: %d", ErrBadKind, k)
 	}
@@ -525,8 +495,6 @@ func valueSize(v *Value) int {
 		return 2
 	case KindString, KindBytes:
 		return 5 + int(v.n)
-	case KindRegRef:
-		return 21
 	default:
 		return 9
 	}

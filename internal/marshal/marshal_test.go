@@ -35,7 +35,7 @@ func sampleValues() []Value {
 
 func TestValueRoundTripAllKinds(t *testing.T) {
 	for _, v := range sampleValues() {
-		b := AppendValue(nil, v)
+		b := appendValue(nil, &v)
 		r := &Reader{b: b}
 		var got Value
 		err := r.value(&got)
@@ -185,13 +185,13 @@ func TestValueIsFourWords(t *testing.T) {
 // Accessors answer for the kinds they are documented for and return the zero
 // value for every other kind — never another kind's word reinterpreted.
 func TestValueAccessorsAreKindChecked(t *testing.T) {
-	all := []Value{Null(), Int(-1), Uint(2), Float(3.5), Bool(true), Str("s"), BytesVal([]byte("b")), Len(4), HandleVal(5), RegRefVal(6, 7, 8)}
+	all := []Value{Null(), Int(-1), Uint(2), Float(3.5), Bool(true), Str("s"), BytesVal([]byte("b")), Len(4), HandleVal(5)}
 	for _, v := range all {
 		k := v.Kind()
 		if got := v.Int(); (got != 0) != (k == KindInt) {
 			t.Errorf("%v.Int() = %d", v, got)
 		}
-		if got := v.Uint(); (got != 0) != (k == KindUint || k == KindHandle || k == KindLen || k == KindRegRef) {
+		if got := v.Uint(); (got != 0) != (k == KindUint || k == KindHandle || k == KindLen) {
 			t.Errorf("%v.Uint() = %d", v, got)
 		}
 		if got := v.Float(); (got != 0) != (k == KindFloat) {
@@ -206,12 +206,6 @@ func TestValueAccessorsAreKindChecked(t *testing.T) {
 		if got := v.Bytes(); (got != nil) != (k == KindBytes) {
 			t.Errorf("%v.Bytes() = %v", v, got)
 		}
-		if got := v.Ref(); (got != RegRef{}) != (k == KindRegRef) {
-			t.Errorf("%v.Ref() = %v", v, got)
-		}
-	}
-	if v := RegRefVal(6, 7, 8); v.Ref() != (RegRef{ID: 6, Off: 7}) || v.Uint() != 8 {
-		t.Errorf("regref = %v / %d", v.Ref(), v.Uint())
 	}
 	if BytesVal(nil).Bytes() != nil || BytesVal([]byte{}).Bytes() == nil {
 		t.Error("BytesVal does not keep nil and empty apart")

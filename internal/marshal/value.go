@@ -8,19 +8,18 @@ import (
 )
 
 // Value is one tagged argument or result on the wire, in four words: the kind
-// tag (sharing its word with a registered-buffer region id), one numeric
-// word, and a pointer and length that together hold a string's or a byte
-// buffer's contents. A Value is created by the constructors below and read
-// through its accessors; each accessor is meaningful for the kinds named on
-// it and returns the zero value for any other. The pointer word needs package
-// unsafe (a string and a []byte share it), and this is the only file of the
-// stack's wire path that imports it.
+// tag, one numeric word, and a pointer and length that together hold a
+// string's or a byte buffer's contents. A Value is created by the
+// constructors below and read through its accessors; each accessor is
+// meaningful for the kinds named on it and returns the zero value for any
+// other. The pointer word needs package unsafe (a string and a []byte share
+// it), and this is the only file in the tree that imports it (the unsafe
+// row of scripts/gates.sh).
 type Value struct {
 	kind Kind
-	id   uint32         // KindRegRef: region id
-	num  uint64         // KindInt, KindUint, KindFloat (bits), KindBool, KindHandle, KindLen, KindRegRef (length)
+	num  uint64         // KindInt, KindUint, KindFloat (bits), KindBool, KindHandle, KindLen
 	ptr  unsafe.Pointer // KindString, KindBytes: first byte of the contents
-	n    uint64         // KindString, KindBytes: length; KindRegRef: offset within the region
+	n    uint64         // KindString, KindBytes: length
 }
 
 // Constructors for each value kind.
@@ -51,12 +50,6 @@ func Len(n uint64) Value { return Value{kind: KindLen, num: n} }
 // HandleVal returns a handle value.
 func HandleVal(h Handle) Value { return Value{kind: KindHandle, num: uint64(h)} }
 
-// RegRefVal returns a registered-buffer reference value: n bytes at offset
-// off within registered region id.
-func RegRefVal(id uint32, off, n uint64) Value {
-	return Value{kind: KindRegRef, id: id, num: n, n: off}
-}
-
 // Kind returns the value's kind tag.
 func (v Value) Kind() Kind { return v.kind }
 
@@ -68,11 +61,11 @@ func (v Value) Int() int64 {
 	return int64(v.num)
 }
 
-// Uint returns the number of a KindUint, KindHandle, KindLen (the length) or
-// KindRegRef (the byte length of the referenced range) value.
+// Uint returns the number of a KindUint, KindHandle or KindLen (the length)
+// value.
 func (v Value) Uint() uint64 {
 	switch v.kind {
-	case KindUint, KindHandle, KindLen, KindRegRef:
+	case KindUint, KindHandle, KindLen:
 		return v.num
 	}
 	return 0
@@ -89,15 +82,6 @@ func (v Value) Float() float64 {
 // Bool returns the boolean of a KindBool value.
 func (v Value) Bool() bool { return v.kind == KindBool && v.num != 0 }
 
-// Ref returns the region and offset of a KindRegRef value; the length of the
-// range is Uint.
-func (v Value) Ref() RegRef {
-	if v.kind != KindRegRef {
-		return RegRef{}
-	}
-	return RegRef{ID: v.id, Off: v.n}
-}
-
 // Handle extracts the handle from a KindHandle value.
 func (v Value) Handle() Handle { return Handle(v.Uint()) }
 
@@ -107,7 +91,7 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // AsInt reads any scalar kind as a signed integer — the conversion size
 // expressions, sync conditions and out-element stores apply: integers and
 // handles as themselves, a bool as 0/1, a float truncated. ok is false for
-// the kinds that carry no scalar (null, string, bytes, len, regref).
+// the kinds that carry no scalar (null, string, bytes, len).
 func (v Value) AsInt() (n int64, ok bool) {
 	switch v.kind {
 	case KindInt, KindUint, KindHandle, KindBool:
@@ -142,8 +126,6 @@ func (v Value) Equal(o Value) bool {
 		return true
 	case KindInt, KindUint, KindHandle, KindLen, KindBool:
 		return v.num == o.num
-	case KindRegRef:
-		return v.num == o.num && v.id == o.id && v.n == o.n
 	case KindFloat:
 		a, b := v.Float(), o.Float()
 		return a == b || (math.IsNaN(a) && math.IsNaN(b))
@@ -176,8 +158,6 @@ func (v Value) String() string {
 		return fmt.Sprintf("len[%d]", v.num)
 	case KindHandle:
 		return fmt.Sprintf("h#%d", v.num)
-	case KindRegRef:
-		return fmt.Sprintf("regref[%d@%d+%d]", v.id, v.n, v.num)
 	default:
 		return v.kind.String()
 	}

@@ -34,7 +34,6 @@ type Invocation struct {
 	outs   []marshal.Value // out-element results, indexed by out slot
 	ret    marshal.Value
 	env    spec.Env
-	regOut []bool   // out buffers backed by a registered region (reply carries a length)
 	pooled [][]byte // out buffers drawn from framebuf; callSlot.release recycles them
 
 	// Cancellation: armed by the dispatcher when the call carries a
@@ -83,10 +82,10 @@ func (inv *Invocation) armed() bool { return inv.cancel != nil }
 
 // reset readies a reused, never-armed Invocation for the next call. Fields
 // are cleared one by one (the struct holds a mutex and must not be copied
-// over); the args, outs, regOut and pooled slices keep their backing arrays.
+// over); the args, outs and pooled slices keep their backing arrays.
 func (inv *Invocation) reset(fd *cava.FuncDesc, ctx *Context) {
 	inv.Desc, inv.Ctx = fd, ctx
-	inv.args, inv.outs, inv.regOut, inv.pooled = inv.args[:0], inv.outs[:0], inv.regOut[:0], inv.pooled[:0]
+	inv.args, inv.outs, inv.pooled = inv.args[:0], inv.outs[:0], inv.pooled[:0]
 	inv.ret = marshal.Value{}
 	inv.env = nil
 }
@@ -104,9 +103,6 @@ func (inv *Invocation) cancelWith(err error) {
 
 // Arg returns the raw argument value at index i.
 func (inv *Invocation) Arg(i int) marshal.Value { return inv.args[i] }
-
-// NumArgs returns the argument count.
-func (inv *Invocation) NumArgs() int { return len(inv.args) }
 
 // Env returns the scalar-argument environment for expression evaluation
 // (built lazily; the dispatch hot path never needs it).
@@ -258,10 +254,6 @@ func (inv *Invocation) finishOuts(dst []marshal.Value) []marshal.Value {
 		switch {
 		case inv.args[i].Kind() == marshal.KindNull:
 			outs = append(outs, marshal.Null())
-		case pd.IsBuffer && len(inv.regOut) != 0 && inv.regOut[i]:
-			// Registered-buffer out: the handler wrote the guest's region
-			// in place, so the reply carries only the length written.
-			outs = append(outs, marshal.Len(uint64(len(inv.args[i].Bytes()))))
 		case pd.IsBuffer:
 			outs = append(outs, marshal.BytesVal(inv.args[i].Bytes()))
 		default: // element
@@ -287,13 +279,9 @@ func (inv *Invocation) recycleOuts() {
 // returns an error for malformed or mendacious frames (wrong arity, buffer
 // lengths disagreeing with the size expressions, out buffers whose reply
 // could not be framed) — the server must not trust the guest library, and
-// an out length is the guest's word until checked. regions carries resolved
-// registered-region slices for out-buffer parameters (by parameter index, nil where the
-// argument was not a reference): those become the out buffer directly
-// instead of freshly allocated space, so the handler writes the guest's
-// memory in place; empty when the call carried no registered-buffer
-// references.
-func (inv *Invocation) prepare(d *cava.Descriptor, args []marshal.Value, regions [][]byte) error {
+// an out length is the guest's word until checked. Every out buffer is
+// pooled space, cleared.
+func (inv *Invocation) prepare(d *cava.Descriptor, args []marshal.Value) error {
 	fd := inv.Desc
 	if len(args) != len(fd.Params) {
 		return fmt.Errorf("server: %s: %d args, want %d", fd.Name, len(args), len(fd.Params))
@@ -340,26 +328,14 @@ func (inv *Invocation) prepare(d *cava.Descriptor, args []marshal.Value, regions
 				return fmt.Errorf("server: %s(%s): out length %d, want %d", fd.Name, pd.Name, v.Uint(), want)
 			}
 			if pd.IsBuffer {
-				if i < len(regions) && regions[i] != nil {
-					region := regions[i]
-					if len(region) != want {
-						return fmt.Errorf("server: %s(%s): regref out %d bytes, want %d", fd.Name, pd.Name, len(region), want)
-					}
-					*v = marshal.BytesVal(region)
-					for len(inv.regOut) < len(fd.Params) {
-						inv.regOut = append(inv.regOut, false)
-					}
-					inv.regOut[i] = true
-				} else {
-					if want > transport.MaxFrame-outBytes {
-						return fmt.Errorf("server: %s(%s): %d bytes of out buffers exceed the %d-byte frame limit", fd.Name, pd.Name, outBytes+want, transport.MaxFrame)
-					}
-					outBytes += want
-					buf := framebuf.GetLen(want)
-					clear(buf) // recycled: it may last have held another VM's data
-					inv.pooled = append(inv.pooled, buf)
-					*v = marshal.BytesVal(buf)
+				if want > transport.MaxFrame-outBytes {
+					return fmt.Errorf("server: %s(%s): %d bytes of out buffers exceed the %d-byte frame limit", fd.Name, pd.Name, outBytes+want, transport.MaxFrame)
 				}
+				outBytes += want
+				buf := framebuf.GetLen(want)
+				clear(buf) // recycled: it may last have held another VM's data
+				inv.pooled = append(inv.pooled, buf)
+				*v = marshal.BytesVal(buf)
 			}
 			// Out elements keep the placeholder; handlers use SetOut*.
 		}

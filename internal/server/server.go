@@ -134,13 +134,7 @@ type Stats struct {
 	// direction: in/inout payloads that arrived inline in call frames,
 	// plus out/inout payloads returned inline in reply frames. Each
 	// direction of an inout buffer is a separate copy and counts once.
-	// BytesBorrowed counts payload bytes that took a zero-copy path
-	// instead — registered-buffer references resolved against the shared
-	// region, whether the call read the region in place or wrote its
-	// output into it. The per-VM mirror of the guest library's counters,
-	// for the copycost (E14) breakdown.
-	BytesCopied   uint64
-	BytesBorrowed uint64
+	BytesCopied uint64
 	// DeadlineAborts counts calls ended with StatusDeadline: expired at
 	// dispatch, aborted in flight through the cancellation signal, or
 	// finished only after their budget was spent. CanceledCalls counts
@@ -296,8 +290,7 @@ func (c *Context) RestoreObject(h marshal.Handle, state []byte) (found bool, err
 
 // Server executes forwarded calls for a set of VM contexts.
 type Server struct {
-	reg  *Registry
-	breg *transport.BufRegistry // nil unless SetBufRegistry
+	reg *Registry
 
 	mu   sync.Mutex
 	ctxs map[uint32]*Context
@@ -310,14 +303,6 @@ func New(reg *Registry) *Server {
 
 // Registry returns the silo registry.
 func (s *Server) Registry() *Registry { return s.reg }
-
-// SetBufRegistry wires the stack's shared registered-buffer registry: calls
-// carrying marshal.KindRegRef arguments resolve them against it, reading
-// and writing the guest's registered region in place. Only meaningful when
-// guest and server share an address space (the stack assembler wires it for
-// InProc and shm-ring transports, never TCP); without one, regref calls are
-// denied. Set before serving begins.
-func (s *Server) SetBufRegistry(r *transport.BufRegistry) { s.breg = r }
 
 // Context returns (creating on first use) the per-VM context.
 func (s *Server) Context(vm uint32, name string) *Context {
@@ -447,12 +432,11 @@ func (s *Server) Snapshot() []VMSnapshot {
 //     Invocation is dropped whole, so neither ever recycles (a missed Put
 //     falls to the GC).
 type callSlot struct {
-	call    marshal.Call
-	reply   marshal.Reply
-	outs    []marshal.Value // backing array of reply.Outs
-	inv     *Invocation     // nil until first use and after an armed call
-	regions [][]byte        // resolved out-direction regrefs, by parameter index
-	ctl     []byte          // a control reply's pooled payload (executeControl)
+	call  marshal.Call
+	reply marshal.Reply
+	outs  []marshal.Value // backing array of reply.Outs
+	inv   *Invocation     // nil until first use and after an armed call
+	ctl   []byte          // a control reply's pooled payload (executeControl)
 
 	// ServeVM only.
 	segs   []marshal.Segment // the reply's borrowed outputs, while it is sent
@@ -468,8 +452,8 @@ var slotPool = sync.Pool{New: func() any { return new(callSlot) }}
 
 func getSlot() *callSlot { return slotPool.Get().(*callSlot) }
 
-// release returns the slot to the pool. References into frames, regions and
-// handler buffers are cleared so a parked slot pins none of them.
+// release returns the slot to the pool. References into frames and handler
+// buffers are cleared so a parked slot pins none of them.
 func (sl *callSlot) release() {
 	if sl.inv != nil {
 		if sl.inv.armed() {
@@ -482,7 +466,6 @@ func (sl *callSlot) release() {
 	}
 	clear(sl.call.Args)
 	clear(sl.outs)
-	clear(sl.regions)
 	framebuf.Put(sl.ctl)
 	sl.ctl = nil
 	sl.reply = marshal.Reply{}
@@ -553,7 +536,6 @@ func (st *Stats) add(d *Stats) {
 	st.ExecTime += d.ExecTime
 	st.RunTime += d.RunTime
 	st.BytesCopied += d.BytesCopied
-	st.BytesBorrowed += d.BytesBorrowed
 	st.DeadlineAborts += d.DeadlineAborts
 	st.CanceledCalls += d.CanceledCalls
 	st.AdmitToDispatch += d.AdmitToDispatch
@@ -685,40 +667,11 @@ func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats, rc
 		}
 	}
 
-	// Data-plane accounting and registered-buffer resolution. Inline
-	// in-buffer payloads were marshalled by copy through the frame; a
-	// KindRegRef argument instead references a region the guest registered
-	// in the shared BufRegistry, and is resolved in place here — reads
-	// alias the region, out-direction writes land in it directly and the
-	// reply carries only a length. Resolution rewrites call.Args to the
-	// materialized bytes (in) or the plain length placeholder (out).
-	regions := sl.regions[:0]
+	// Data-plane accounting: in-buffer payloads were marshalled by copy
+	// through the frame.
 	for i := range call.Args {
-		v := &call.Args[i]
-		switch v.Kind() {
-		case marshal.KindBytes:
+		if v := &call.Args[i]; v.Kind() == marshal.KindBytes {
 			acct.BytesCopied += uint64(len(v.Bytes()))
-		case marshal.KindRegRef:
-			if s.breg == nil {
-				fail(marshal.StatusDenied, "%s: registered-buffer reference without a registry", fd.Name)
-				return
-			}
-			region, rerr := s.breg.Resolve(v.Ref().ID, v.Ref().Off, v.Uint())
-			if rerr != nil {
-				fail(marshal.StatusDenied, "%s: %v", fd.Name, rerr)
-				return
-			}
-			acct.BytesBorrowed += v.Uint()
-			if i < len(fd.Params) && fd.Params[i].IsPointer && fd.Params[i].Dir == spec.DirOut {
-				for len(regions) <= i {
-					regions = append(regions, nil)
-				}
-				regions[i] = region
-				sl.regions = regions
-				*v = marshal.Len(v.Uint())
-			} else {
-				*v = marshal.BytesVal(region)
-			}
 		}
 	}
 
@@ -728,7 +681,7 @@ func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats, rc
 		sl.inv = inv
 	}
 	inv.reset(fd, ctx)
-	if err := inv.prepare(s.reg.Desc, call.Args, regions); err != nil {
+	if err := inv.prepare(s.reg.Desc, call.Args); err != nil {
 		fail(marshal.StatusDenied, "%v", err)
 		return
 	}
@@ -830,10 +783,7 @@ func (s *Server) execute(ctx *Context, sl *callSlot, async bool, acct *Stats, rc
 	}
 
 	// Reply-side data-plane accounting: out/inout payloads returned inline
-	// travel (and land in the caller's buffer) by copy; out-direction
-	// regref writes already hit the registered region in place and were
-	// counted as borrowed at resolution, and their reply carries only a
-	// length, so nothing double-counts here.
+	// travel (and land in the caller's buffer) by copy.
 	for i := range rep.Outs {
 		if v := &rep.Outs[i]; v.Kind() == marshal.KindBytes {
 			acct.BytesCopied += uint64(len(v.Bytes()))

@@ -377,13 +377,13 @@ func TestInvocationAccessors(t *testing.T) {
 	err := inv.prepare(desc, []marshal.Value{
 		marshal.HandleVal(5), marshal.Int(-3), marshal.Uint(9), marshal.Float(2.5),
 		marshal.Bool(true), marshal.Str("name"), marshal.BytesVal([]byte{1, 2}), marshal.Uint(2),
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inv.Handle(0) != 5 || inv.Int(1) != -3 || inv.Uint(2) != 9 ||
 		inv.Float(3) != 2.5 || !inv.Bool(4) || inv.Str(5) != "name" ||
-		len(inv.Bytes(6)) != 2 || inv.NumArgs() != 8 {
+		len(inv.Bytes(6)) != 2 {
 		t.Fatal("accessor mismatch")
 	}
 	if inv.IsNull(0) {

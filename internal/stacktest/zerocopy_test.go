@@ -1,8 +1,8 @@
 // Zero-copy data-plane chaos tests: Rodinia workloads must produce
-// byte-identical results with the zero-copy paths enabled on every
-// transport — scatter-gather sends on TCP, registered-buffer references
-// on the shared-address-space transports — including with an API-server
-// kill mid-run, where delta checkpoints carry the recovery.
+// byte-identical results with the zero-copy data plane enabled on every
+// transport — scatter-gather sends on TCP, the one copying path on the
+// shared-address-space transports — including with an API-server kill
+// mid-run, where delta checkpoints carry the recovery.
 package stacktest_test
 
 import (
@@ -45,20 +45,18 @@ func zcTransferSetup(t *testing.T, c *cl.RemoteClient, n uint64) (q, mem cl.Ref)
 	return q, mem
 }
 
-// zcRoundTrip pushes one large blocking write through lib's zero-copy
-// path and reads it back, asserting the data survives byte-identical and
-// that the stack actually borrowed (not copied) the payload.
-func zcRoundTrip(t *testing.T, lib *guest.Lib, registered bool) {
+// zcRoundTrip pushes one large blocking write through lib and reads it
+// back, asserting the data survives byte-identical and that the stack
+// accounts for every payload byte: with a vectored send (TCP) the write's
+// payload is borrowed and the read-back reply copied out; without one
+// (inproc, ring) both directions take the copying path and nothing is
+// borrowed.
+func zcRoundTrip(t *testing.T, lib *guest.Lib, vectored bool) {
 	t.Helper()
 	const n = 256 << 10 // well above marshal.SegmentThreshold
-	region := make([]byte, 2*n)
-	src, dst := region[:n], region[n:]
+	src, dst := make([]byte, n), make([]byte, n)
 	for i := range src {
 		src[i] = byte(13 * i)
-	}
-	if registered {
-		id := lib.RegisterBuffer(region)
-		defer lib.UnregisterBuffer(id)
 	}
 	c := cl.NewRemote(lib)
 	q, mem := zcTransferSetup(t, c, n)
@@ -70,31 +68,25 @@ func zcRoundTrip(t *testing.T, lib *guest.Lib, registered bool) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(src, dst) {
-		t.Fatal("zero-copy round-trip corrupted the payload")
+		t.Fatal("round-trip corrupted the payload")
 	}
 	after := lib.Stats()
 	borrowed := after.BytesBorrowed - before.BytesBorrowed
 	copied := after.BytesCopied - before.BytesCopied
+	if !vectored {
+		if borrowed != 0 || copied < 2*n {
+			t.Fatalf("copy path: borrowed %d bytes, copied %d, want 0 and >= %d", borrowed, copied, 2*n)
+		}
+		return
+	}
 	if borrowed < n {
 		t.Fatalf("zero-copy path did not engage: borrowed %d bytes, want >= %d (copied %d)",
 			borrowed, n, copied)
 	}
-	if registered {
-		// Both directions ride the registered region: the write borrows n
-		// at send (DirIn regref) and the read borrows n at reply (DirOut
-		// regref, charged when the reply scatters). Anything under 2n means
-		// the reply side went unaccounted — the bug where Stats only
-		// counted send-side payloads.
-		if borrowed < 2*n {
-			t.Fatalf("reply-side borrow unaccounted: borrowed %d bytes, want >= %d", borrowed, 2*n)
-		}
-	} else {
-		// Scatter-gather TCP: the write borrows its segments at send, but
-		// the read-back reply arrives as inline bytes the guest must copy
-		// out — a real n-byte copy that must land in BytesCopied.
-		if copied < n {
-			t.Fatalf("reply-side copy unaccounted: copied %d bytes, want >= %d", copied, n)
-		}
+	// The read-back reply arrives as inline bytes the guest must copy out
+	// — a real n-byte copy that must land in BytesCopied.
+	if copied < n {
+		t.Fatalf("reply-side copy unaccounted: copied %d bytes, want >= %d", copied, n)
 	}
 }
 
@@ -136,8 +128,8 @@ func TestZeroCopyByteIdenticalRodinia(t *testing.T) {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("checksum diverged: got %v want %v", got, want)
 			}
-			// Registered-buffer fast path: offsets travel, bytes do not.
-			zcRoundTrip(t, lib, true)
+			// No vectored send in one address space: the copying path.
+			zcRoundTrip(t, lib, false)
 		})
 	}
 
@@ -177,7 +169,7 @@ func TestZeroCopyByteIdenticalRodinia(t *testing.T) {
 			t.Fatalf("checksum diverged: got %v want %v", got, want)
 		}
 		// Scatter-gather borrow on a forced blocking transfer.
-		zcRoundTrip(t, lib, false)
+		zcRoundTrip(t, lib, true)
 	})
 }
 

@@ -195,4 +195,11 @@ gate retain 'per-call body copy in internal/guest (retain into the window chunks
 gate retain 'CloneValues in the guardian (admit records through shadowLog.record)' \
 	'CloneValues\(' '^$' golines internal/failover/guardian.go
 
+
+# One unsafe importer: the wire Value's pointer word (a string and a []byte
+# share it) is the only place the stack reaches under Go's memory safety, so
+# no other package — tests included — imports package unsafe.
+gate unsafe '"unsafe" imported outside internal/marshal' \
+	'"unsafe"' '^\./internal/marshal/' golines -t .
+
 exit $status
